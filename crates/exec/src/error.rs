@@ -23,6 +23,9 @@ pub enum ExecError {
     },
     /// A simulated failure from the fault-injection harness.
     Injected(String),
+    /// An exact (integer) result left the 64-bit range; the message names
+    /// the computation. Never a wrapped value, never a panic.
+    Overflow(String),
 }
 
 impl fmt::Display for ExecError {
@@ -38,6 +41,7 @@ impl fmt::Display for ExecError {
                 write!(f, "memory budget exceeded: {used} bytes used, budget {budget}")
             }
             ExecError::Injected(m) => write!(f, "injected fault: {m}"),
+            ExecError::Overflow(m) => write!(f, "arithmetic overflow: {m}"),
         }
     }
 }

@@ -1,7 +1,8 @@
 //! # Allocation-free join index
 //!
 //! The shared hashing substrate of both hash-join variants (and, via
-//! [`FxBuildHasher`], the aggregation hash tables). It replaces the seed's
+//! [`hash_group_rows`], of the aggregation group table and everything that
+//! routes rows by group key). It replaces the seed's
 //! `HashMap<Vec<i64>, Vec<u32>>` build — one `Vec<i64>` key allocation and
 //! one `Vec<u32>` row list per distinct key, all hashed with SipHash —
 //! with a flat structure that performs **zero per-row heap allocations**
@@ -96,7 +97,8 @@ pub fn hash_row(key_cols: &[&[i64]], row: usize) -> u64 {
 
 /// A [`Hasher`] running the FxHash rounds — drop-in replacement for
 /// SipHash in `HashMap`/`HashSet` on hot paths that hash small integer or
-/// short composite keys (the aggregation group keys).
+/// short composite keys (`COUNT(DISTINCT)` sets, the strategy probe's
+/// distinct-hash sample).
 #[derive(Default)]
 pub struct FxHasher {
     hash: u64,
@@ -111,9 +113,10 @@ impl Hasher for FxHasher {
         }
         let rest = chunks.remainder();
         if !rest.is_empty() {
-            let mut v = [0u8; 8];
-            v[..rest.len()].copy_from_slice(rest);
-            self.hash = fx_round(self.hash, u64::from_le_bytes(v));
+            // Zero-padded little-endian word, assembled bytewise: a
+            // variable-length copy into a buffer costs a call per string.
+            let v = rest.iter().rev().fold(0u64, |v, &b| (v << 8) | b as u64);
+            self.hash = fx_round(self.hash, v);
         }
     }
 
@@ -146,37 +149,59 @@ impl Hasher for FxHasher {
 /// `BuildHasher` plugging [`FxHasher`] into std collections.
 pub type FxBuildHasher = BuildHasherDefault<FxHasher>;
 
-/// Hash one row of a set of **group-key columns** — the aggregation-side
-/// key codec. Integer-backed columns feed their value, floats their bit
-/// pattern (groups compare floats bitwise), strings their bytes plus a
-/// `0xff` terminator (so `("ab", "c")` and `("a", "bc")` differ), all
-/// through the same FxHash rounds + avalanche as the join-key codec
-/// ([`hash_key`]/[`hash_row`]).
+/// Hash rows `rows` of a set of **group-key columns**, one hash per row
+/// into `out` (cleared first) — the aggregation-side key codec, and the
+/// only implementation of it. Integer-backed columns feed their value,
+/// floats their bit pattern (groups compare floats bitwise), strings their
+/// bytes plus a `0xff` terminator (so `("ab", "c")` and `("a", "bc")`
+/// differ), all through the same FxHash rounds + avalanche as the join-key
+/// codec ([`hash_key`]/[`hash_row`]).
 ///
-/// Columns are folded **ints-then-strings** (integer-backed columns in
-/// order, then string columns in order) — the exact write sequence the
-/// aggregation `GroupKey`'s `Hash` impl performs — so this function,
-/// radix partition routing, and the aggregation hash table all agree on
-/// one codec: `hash_group_row(cols, r)` equals the `FxHasher` hash of the
-/// `GroupKey` built from row `r` (asserted by a unit test in `ops::agg`).
-#[inline]
-pub fn hash_group_row(group_cols: &[&bdcc_storage::Column], row: usize) -> u64 {
+/// The fold runs **column-at-a-time** — one typed loop per column over the
+/// whole range, no per-row dispatch — and **ints-then-strings**:
+/// integer-backed columns in order, then string columns in order, no
+/// length prefixes. The aggregation group table
+/// ([`crate::ops::agg`]) files every group under this hash, and radix
+/// partition routing ([`crate::parallel::partition`]), both spill
+/// recursions and the strategy probe's distinct-key sample call the same
+/// function, so a group's partition, its sub-partition on recursion and
+/// its table slot all derive from one value.
+pub fn hash_group_rows(
+    group_cols: &[&bdcc_storage::Column],
+    rows: std::ops::Range<usize>,
+    out: &mut Vec<u64>,
+) {
     use bdcc_storage::Column;
-    let mut h = FxHasher::default();
+    out.clear();
+    out.resize(rows.len(), 0);
     for c in group_cols {
         match c {
-            Column::I64 { values, .. } => h.write_u64(values[row] as u64),
-            Column::F64(values) => h.write_u64(values[row].to_bits()),
+            Column::I64 { values, .. } => {
+                for (h, &v) in out.iter_mut().zip(&values[rows.clone()]) {
+                    *h = fx_round(*h, v as u64);
+                }
+            }
+            Column::F64(values) => {
+                for (h, v) in out.iter_mut().zip(&values[rows.clone()]) {
+                    *h = fx_round(*h, v.to_bits());
+                }
+            }
             Column::Str(_) => {}
         }
     }
     for c in group_cols {
         if let Column::Str(values) = c {
-            h.write(values[row].as_bytes());
-            h.write_u8(0xff);
+            for (h, s) in out.iter_mut().zip(&values[rows.clone()]) {
+                let mut fx = FxHasher { hash: *h };
+                fx.write(s.as_bytes());
+                fx.write_u8(0xff);
+                *h = fx.hash;
+            }
         }
     }
-    h.finish()
+    for h in out.iter_mut() {
+        *h = avalanche(*h);
+    }
 }
 
 /// One flat open-addressed-directory + chained-entry hash table (see the
@@ -592,6 +617,79 @@ mod tests {
         m.insert((vec![2, 1], "a".into()), 3);
         assert_eq!(m.len(), 3);
         assert_eq!(m[&(vec![1, 2], "a".to_string())], 1);
+    }
+
+    /// The group-key codec one row at a time, straight through the
+    /// [`Hasher`] interface — the definition [`hash_group_rows`]'s
+    /// column-at-a-time loops must reproduce.
+    fn hash_group_row(group_cols: &[&bdcc_storage::Column], row: usize) -> u64 {
+        use bdcc_storage::Column;
+        let mut h = FxHasher::default();
+        for c in group_cols {
+            match c {
+                Column::I64 { values, .. } => h.write_u64(values[row] as u64),
+                Column::F64(values) => h.write_u64(values[row].to_bits()),
+                Column::Str(_) => {}
+            }
+        }
+        for c in group_cols {
+            if let Column::Str(values) = c {
+                h.write(values[row].as_bytes());
+                h.write_u8(0xff);
+            }
+        }
+        h.finish()
+    }
+
+    #[test]
+    fn fx_write_folds_zero_padded_little_endian_words() {
+        // `write` is the string half of the group codec (partition routing
+        // of spilled data depends on its exact values): whole 8-byte
+        // little-endian words, then the remainder zero-padded to a word.
+        let bytes: Vec<u8> = (1..=17).collect();
+        for len in 0..=bytes.len() {
+            let mut want = 0u64;
+            for chunk in bytes[..len].chunks(8) {
+                let mut word = [0u8; 8];
+                word[..chunk.len()].copy_from_slice(chunk);
+                want = fx_round(want, u64::from_le_bytes(word));
+            }
+            let mut h = FxHasher::default();
+            h.write(&bytes[..len]);
+            assert_eq!(h.hash, want, "len {len}");
+        }
+    }
+
+    #[test]
+    fn batch_group_hash_matches_row_codec() {
+        // Whatever mix and interleaving of int / string / float / date
+        // group columns — strings straddling the 8-byte chunk boundary
+        // included — the batch hash equals the row-wise codec on every
+        // row, and hashing a sub-range equals that slice of the whole.
+        use bdcc_storage::Column;
+        let a = Column::from_i64(vec![5, -3, i64::MAX, 0]);
+        let s = Column::from_strings(vec![
+            "x".into(),
+            String::new(),
+            "abcdefgh".into(),
+            "abcdefghi".into(),
+        ]);
+        let f = Column::from_f64(vec![1.5, -0.0, f64::NAN, 0.0]);
+        let d = Column::from_dates(vec![9131, 0, -1, 7]);
+        let t = Column::from_strings(vec!["".into(), "x".into(), "y".into(), "".into()]);
+        let mut out = Vec::new();
+        for cols in [vec![&a, &s, &f, &d, &t], vec![&s], vec![&f, &a], vec![&t, &s], vec![]] {
+            hash_group_rows(&cols, 0..4, &mut out);
+            let want: Vec<u64> = (0..4).map(|r| hash_group_row(&cols, r)).collect();
+            assert_eq!(out, want);
+            hash_group_rows(&cols, 1..3, &mut out);
+            assert_eq!(out, want[1..3]);
+        }
+        // ("ab", "c") and ("a", "bc") must not collide.
+        let l = Column::from_strings(vec!["ab".into(), "a".into()]);
+        let r = Column::from_strings(vec!["c".into(), "bc".into()]);
+        hash_group_rows(&[&l, &r], 0..2, &mut out);
+        assert_ne!(out[0], out[1]);
     }
 
     #[test]

@@ -1,24 +1,51 @@
-//! Aggregation: hash, streaming, and sandwich variants.
+//! Aggregation: hash, streaming, and sandwich variants over one columnar
+//! group table.
 //!
-//! * [`HashAggregate`] — the baseline: one hash table over the whole input;
-//!   its size is what Figure 3 charges the Plain scheme for.
-//! * [`StreamingAggregate`] — input already sorted on the group-by prefix
-//!   (the PK scheme's Q18); constant memory.
+//! * [`HashAggregate`] — the baseline: one group table over the whole
+//!   input; its size is what Figure 3 charges the Plain scheme for.
+//! * [`StreamingAggregate`] — input already sorted on the group-by keys
+//!   (the PK scheme's Q18); the table holds one batch's groups at most.
 //! * [`SandwichAggregate`] — input pre-grouped on dimension bits that the
-//!   group-by keys *functionally determine* (ref [3]): the hash table is
-//!   flushed at every group boundary, so it only ever holds one
+//!   group-by keys *functionally determine* (ref [3]): the table is
+//!   flushed at every partition boundary, so it only ever holds one
 //!   co-cluster's worth of groups.
+//!
+//! ## The group table
+//!
+//! All three keep their state in a [`PartialAgg`] (on its own, the unit of
+//! morsel-parallel aggregation), which takes a batch — or a row range of
+//! one — through three column-wise steps, none allocating per row:
+//!
+//! 1. **Hash** the group columns column-at-a-time into one `u64` per row
+//!    ([`hash_group_rows`], the codec radix routing and spilling share).
+//! 2. **Resolve** every row to a dense `u32` group id through one
+//!    open-addressed directory (`GroupTable`). Keys live in per-column
+//!    vectors indexed by group id, so a key is copied — a string cloned —
+//!    only when its group is first seen; with no group columns every row
+//!    is group 0. Ids ascend in first-seen order, so the key vectors are
+//!    the output's key columns as they stand.
+//! 3. **Accumulate** into struct-of-arrays state (`Acc`: per aggregate one
+//!    vector per state component, indexed by group id), one typed loop per
+//!    aggregate over `(row, group id)`. `COUNT` reads no input.
+//!
+//! A group still folds its rows in stream order, so every result —
+//! Neumaier-compensated float sums included — is bit for bit that of a
+//! row-at-a-time fold. Integer sums are overflow-checked
+//! ([`ExecError::Overflow`]). Floats group by exact bit pattern (enough for
+//! values never arithmetically re-derived, e.g. `c_acctbal`): `0.0` and
+//! `-0.0` are two groups, as are NaNs of different payloads.
 
-use std::collections::{HashMap, HashSet};
-
+use std::cmp::Ordering;
+use std::collections::HashSet;
+use std::ops::Range;
 use std::sync::Arc;
 
-use bdcc_storage::{Column, DataType, Datum};
+use bdcc_storage::{Column, DataType};
 
 use crate::batch::{Batch, ColMeta, OpSchema};
 use crate::error::{ExecError, Result};
 use crate::expr::Expr;
-use crate::hash::FxBuildHasher;
+use crate::hash::{hash_group_rows, FxBuildHasher};
 use crate::memory::{MemoryGuard, MemoryTracker};
 use crate::ops::{BoxedOp, Operator};
 
@@ -48,169 +75,337 @@ impl AggSpec {
     }
 }
 
-/// Composite group key: integer and string parts.
-#[derive(Debug, Clone, PartialEq, Eq)]
-struct GroupKey {
-    ints: Vec<i64>,
-    strs: Vec<String>,
+/// Do row `i` of `a` and row `j` of `b` hold the same group-key value?
+/// Floats compare by bit pattern, matching the hash codec.
+fn cell_eq(a: &Column, i: usize, b: &Column, j: usize) -> bool {
+    match (a, b) {
+        (Column::I64 { values: a, .. }, Column::I64 { values: b, .. }) => a[i] == b[j],
+        (Column::F64(a), Column::F64(b)) => a[i].to_bits() == b[j].to_bits(),
+        (Column::Str(a), Column::Str(b)) => a[i] == b[j],
+        _ => false,
+    }
 }
 
-/// One shared key codec: the write sequence below, fed through
-/// [`FxHasher`], produces *exactly*
-/// [`crate::hash::hash_group_row`]'s value for the row this key was built
-/// from (ints in order, then strings with a `0xff` terminator each; no
-/// length prefixes). Radix partition routing and the aggregation hash
-/// table therefore hash every group key identically — a group's
-/// partition and its table bucket derive from one hash.
-impl std::hash::Hash for GroupKey {
-    fn hash<H: std::hash::Hasher>(&self, state: &mut H) {
-        for &v in &self.ints {
-            state.write_u64(v as u64);
+/// Free-slot marker of the group directory.
+const EMPTY: u32 = u32::MAX;
+
+/// The groups seen so far: dense ids in first-seen order, keys in per-column
+/// vectors, one open-addressed (linear-probing) directory from hash to id.
+struct GroupTable {
+    /// One column per group-by key, indexed by group id — typed like the
+    /// input columns, so a flush hands them out as the output's key columns.
+    keys: Vec<Column>,
+    /// Every group's key hash: a probe compares it before the key, and
+    /// growing the directory re-files groups without rehashing keys.
+    hashes: Vec<u64>,
+    /// Group ids, [`EMPTY`] where free; a power of two, at most half full.
+    slots: Vec<u32>,
+}
+
+impl GroupTable {
+    fn new(key_schema: &[ColMeta]) -> GroupTable {
+        GroupTable {
+            keys: key_schema.iter().map(|c| Column::empty(c.data_type)).collect(),
+            hashes: Vec::new(),
+            slots: vec![EMPTY; 16],
         }
-        for s in &self.strs {
-            state.write(s.as_bytes());
-            state.write_u8(0xff);
+    }
+
+    fn len(&self) -> usize {
+        self.hashes.len()
+    }
+
+    /// Does row `row` of `cols` carry group `gid`'s key?
+    fn key_eq(&self, gid: usize, cols: &[&Column], row: usize) -> bool {
+        self.keys.iter().zip(cols).all(|(k, c)| cell_eq(k, gid, c, row))
+    }
+
+    /// Append to `gids` the group id of every row in `rows` of `cols`
+    /// (`hashes[i]` hashes row `rows.start + i`), creating groups — ids
+    /// ascending — as keys first appear and reporting those rows to `on_new`.
+    fn resolve(
+        &mut self,
+        cols: &[&Column],
+        rows: Range<usize>,
+        hashes: &[u64],
+        gids: &mut Vec<u32>,
+        mut on_new: impl FnMut(usize),
+    ) {
+        if cols.is_empty() {
+            // A global aggregate: one group, no key to look up.
+            if self.hashes.is_empty() && !rows.is_empty() {
+                self.hashes.push(0);
+                on_new(rows.start);
+            }
+            gids.resize(gids.len() + rows.len(), 0);
+            return;
+        }
+        for (row, &h) in rows.zip(hashes) {
+            let mask = self.slots.len() - 1;
+            let mut slot = h as usize & mask;
+            let gid = loop {
+                let g = self.slots[slot];
+                if g == EMPTY {
+                    on_new(row);
+                    break self.insert(slot, h, cols, row);
+                }
+                if self.hashes[g as usize] == h && self.key_eq(g as usize, cols, row) {
+                    break g;
+                }
+                slot = (slot + 1) & mask;
+            };
+            gids.push(gid);
+        }
+    }
+
+    /// File a new group under free slot `slot`, its key copied from `row`.
+    fn insert(&mut self, slot: usize, h: u64, cols: &[&Column], row: usize) -> u32 {
+        let gid = self.hashes.len() as u32;
+        assert!(gid != EMPTY, "group table holds at most u32::MAX - 1 groups");
+        self.slots[slot] = gid;
+        self.hashes.push(h);
+        for (k, c) in self.keys.iter_mut().zip(cols) {
+            k.push(c.datum(row)).expect("group columns keep their declared types");
+        }
+        if self.hashes.len() * 2 > self.slots.len() {
+            self.grow();
+        }
+        gid
+    }
+
+    /// Double the directory, re-filing every group by its stored hash.
+    fn grow(&mut self) {
+        let nslots = self.slots.len() * 2;
+        self.slots.clear();
+        self.slots.resize(nslots, EMPTY);
+        let mask = nslots - 1;
+        for (gid, &h) in self.hashes.iter().enumerate() {
+            let mut slot = h as usize & mask;
+            while self.slots[slot] != EMPTY {
+                slot = (slot + 1) & mask;
+            }
+            self.slots[slot] = gid as u32;
+        }
+    }
+
+    /// Empty the table, returning the key columns (group-id order).
+    fn take_keys(&mut self) -> Vec<Column> {
+        self.hashes.clear();
+        self.slots.fill(EMPTY);
+        self.keys.iter_mut().map(|k| std::mem::replace(k, Column::empty(k.data_type()))).collect()
+    }
+}
+
+/// Neumaier-compensated float sums, one per group: `c` accumulates the
+/// rounding error of every `sum += v`. Makes a total accurate to ~1 ulp of
+/// the true value regardless of accumulation order, which is what lets
+/// morsel-parallel partial aggregates merge without observable drift from
+/// the serial result.
+#[derive(Default)]
+struct FloatSums {
+    sum: Vec<f64>,
+    c: Vec<f64>,
+}
+
+impl FloatSums {
+    fn add_to(&mut self, g: usize, v: f64) {
+        let (sum, c) = (&mut self.sum[g], &mut self.c[g]);
+        let t = *sum + v;
+        *c += if sum.abs() >= v.abs() { (*sum - t) + v } else { (v - t) + *sum };
+        *sum = t;
+    }
+
+    fn add(&mut self, vals: impl Iterator<Item = f64>, gids: &[u32], groups: usize) {
+        self.sum.resize(groups, 0.0);
+        self.c.resize(groups, 0.0);
+        for (v, &g) in vals.zip(gids) {
+            self.add_to(g as usize, v);
+        }
+    }
+
+    /// Fold `other`'s group `i` into group `map[i]`; a group new to this
+    /// side (one past the end) takes `other`'s state as it stands.
+    fn merge(&mut self, other: &FloatSums, map: &[u32]) {
+        for (i, &g) in map.iter().enumerate() {
+            if g as usize == self.sum.len() {
+                self.sum.push(other.sum[i]);
+                self.c.push(other.c[i]);
+            } else {
+                self.add_to(g as usize, other.sum[i]);
+                self.add_to(g as usize, other.c[i]);
+            }
+        }
+    }
+
+    fn totals(&self) -> impl Iterator<Item = f64> + '_ {
+        self.sum.iter().zip(&self.c).map(|(s, c)| s + c)
+    }
+}
+
+/// `sums[g] += v` for every `(v, g)` pair in one overflow-checked pass:
+/// integer `SUM`'s update (a batch's values) and merge (another table's
+/// sums), and the merge of row counts.
+fn add_ints(sums: &mut Vec<i64>, vals: &[i64], gids: &[u32], groups: usize) -> Result<()> {
+    sums.resize(groups, 0);
+    let mut overflow = false;
+    for (&v, &g) in vals.iter().zip(gids) {
+        let (s, o) = sums[g as usize].overflowing_add(v);
+        sums[g as usize] = s;
+        overflow |= o;
+    }
+    if overflow {
+        return Err(ExecError::Overflow("integer SUM exceeds the 64-bit range".into()));
+    }
+    Ok(())
+}
+
+fn count_rows(n: &mut Vec<i64>, gids: &[u32], groups: usize) {
+    n.resize(groups, 0);
+    for &g in gids {
+        n[g as usize] += 1;
+    }
+}
+
+/// Fold `(v, g)` pairs into per-group extrema (`want`: how a better value
+/// compares to the incumbent). A pair whose `g` is one past the end opens
+/// that group with `v` — new ids ascend in order of first appearance, in a
+/// batch's rows as in another table's groups.
+fn fold_extrema<T: Clone>(
+    best: &mut Vec<T>,
+    vals: &[T],
+    gids: &[u32],
+    want: Ordering,
+    cmp: impl Fn(&T, &T) -> Ordering,
+) {
+    for (v, &g) in vals.iter().zip(gids) {
+        match best.get_mut(g as usize) {
+            Some(b) if cmp(v, b) == want => b.clone_from(v),
+            Some(_) => {}
+            None => best.push(v.clone()),
         }
     }
 }
 
-/// Neumaier-compensated add: accumulates the rounding error of `sum += v`
-/// into `c`. Makes float sums accurate to ~1 ulp of the true value
-/// regardless of accumulation order, which is what lets morsel-parallel
-/// partial aggregates merge without observable drift from the serial
-/// result.
-fn compensated_add(sum: &mut f64, c: &mut f64, v: f64) {
-    let t = *sum + v;
-    if sum.abs() >= v.abs() {
-        *c += (*sum - t) + v;
-    } else {
-        *c += (v - t) + *sum;
-    }
-    *sum = t;
+/// Running state of one aggregate for every group: struct-of-arrays,
+/// indexed by group id.
+enum Acc {
+    SumI(Vec<i64>),
+    SumF(FloatSums),
+    /// Sums and row counts.
+    Avg(FloatSums, Vec<i64>),
+    /// Best values, typed like the input, and how a better one compares to
+    /// the incumbent: `Less` for MIN, `Greater` for MAX.
+    Extrema(Column, Ordering),
+    Count(Vec<i64>),
+    Distinct(Vec<HashSet<i64, FxBuildHasher>>),
 }
 
-/// Running state of one aggregate for one group.
-#[derive(Debug, Clone)]
-enum AccState {
-    SumI(i64),
-    SumF { sum: f64, c: f64 },
-    AvgF { sum: f64, c: f64, n: u64 },
-    MinMax(Option<Datum>, bool /* is_min */),
-    Count(u64),
-    Distinct(HashSet<i64, FxBuildHasher>),
+fn input_mismatch() -> ExecError {
+    ExecError::Type("aggregate input is not of its declared type".into())
 }
 
-impl AccState {
-    fn new(func: AggFunc, dt: DataType) -> AccState {
+impl Acc {
+    fn new(func: AggFunc, dt: DataType) -> Acc {
         match func {
-            AggFunc::Sum => match dt {
-                DataType::Float => AccState::SumF { sum: 0.0, c: 0.0 },
-                _ => AccState::SumI(0),
+            AggFunc::Sum if dt == DataType::Float => Acc::SumF(FloatSums::default()),
+            AggFunc::Sum => Acc::SumI(Vec::new()),
+            AggFunc::Avg => Acc::Avg(FloatSums::default(), Vec::new()),
+            AggFunc::Min => Acc::Extrema(Column::empty(dt), Ordering::Less),
+            AggFunc::Max => Acc::Extrema(Column::empty(dt), Ordering::Greater),
+            AggFunc::Count => Acc::Count(Vec::new()),
+            AggFunc::CountDistinct => Acc::Distinct(Vec::new()),
+        }
+    }
+
+    /// Fold rows `start..start + gids.len()` of `input` into the groups
+    /// `gids` names; `groups` is the table's group count, which sizes the
+    /// state of groups this batch created.
+    fn update(
+        &mut self,
+        input: Option<&Column>,
+        start: usize,
+        gids: &[u32],
+        groups: usize,
+    ) -> Result<()> {
+        match (self, input) {
+            (Acc::Count(n), _) => count_rows(n, gids, groups),
+            (Acc::SumI(sum), Some(Column::I64 { values, .. })) => {
+                add_ints(sum, &values[start..], gids, groups)?
+            }
+            (Acc::SumF(sums), Some(Column::F64(values))) => {
+                sums.add(values[start..].iter().copied(), gids, groups)
+            }
+            (Acc::Avg(sums, n), Some(Column::F64(values))) => {
+                sums.add(values[start..].iter().copied(), gids, groups);
+                count_rows(n, gids, groups);
+            }
+            (Acc::Avg(sums, n), Some(Column::I64 { values, .. })) => {
+                sums.add(values[start..].iter().map(|&v| v as f64), gids, groups);
+                count_rows(n, gids, groups);
+            }
+            (Acc::Extrema(best, want), Some(col)) => match (best, col) {
+                (Column::I64 { values: best, .. }, Column::I64 { values, .. }) => {
+                    fold_extrema(best, &values[start..], gids, *want, i64::cmp)
+                }
+                (Column::F64(best), Column::F64(v)) => {
+                    fold_extrema(best, &v[start..], gids, *want, f64::total_cmp)
+                }
+                (Column::Str(best), Column::Str(v)) => {
+                    fold_extrema(best, &v[start..], gids, *want, String::cmp)
+                }
+                _ => return Err(input_mismatch()),
             },
-            AggFunc::Avg => AccState::AvgF { sum: 0.0, c: 0.0, n: 0 },
-            AggFunc::Min => AccState::MinMax(None, true),
-            AggFunc::Max => AccState::MinMax(None, false),
-            AggFunc::Count => AccState::Count(0),
-            AggFunc::CountDistinct => AccState::Distinct(Default::default()),
-        }
-    }
-
-    fn update(&mut self, col: &Column, row: usize) {
-        match self {
-            AccState::SumI(acc) => *acc += col.as_i64().expect("int sum")[row],
-            AccState::SumF { sum, c } => {
-                compensated_add(sum, c, col.as_f64().expect("float sum")[row])
-            }
-            AccState::AvgF { sum, c, n } => {
-                let v = match col {
-                    Column::F64(v) => v[row],
-                    Column::I64 { values, .. } => values[row] as f64,
-                    Column::Str(_) => panic!("avg over strings"),
-                };
-                compensated_add(sum, c, v);
-                *n += 1;
-            }
-            AccState::MinMax(cur, is_min) => {
-                let v = col.datum(row);
-                let better = match cur {
-                    None => true,
-                    Some(c) => {
-                        let ord = v.total_cmp(c);
-                        if *is_min {
-                            ord == std::cmp::Ordering::Less
-                        } else {
-                            ord == std::cmp::Ordering::Greater
-                        }
-                    }
-                };
-                if better {
-                    *cur = Some(v);
+            (Acc::Distinct(sets), Some(Column::I64 { values, .. })) => {
+                sets.resize_with(groups, HashSet::default);
+                for (&v, &g) in values[start..].iter().zip(gids) {
+                    sets[g as usize].insert(v);
                 }
             }
-            AccState::Count(n) => *n += 1,
-            AccState::Distinct(set) => {
-                set.insert(col.as_i64().expect("distinct over ints")[row]);
-            }
+            _ => return Err(input_mismatch()),
         }
+        Ok(())
     }
 
-    fn finish(&self) -> Datum {
-        match self {
-            AccState::SumI(v) => Datum::Int(*v),
-            AccState::SumF { sum, c } => Datum::Float(sum + c),
-            AccState::AvgF { sum, c, n } => {
-                Datum::Float(if *n == 0 { 0.0 } else { (sum + c) / *n as f64 })
-            }
-            AccState::MinMax(v, _) => v.clone().unwrap_or(Datum::Int(0)),
-            AccState::Count(n) => Datum::Int(*n as i64),
-            AccState::Distinct(set) => Datum::Int(set.len() as i64),
-        }
-    }
-
-    /// Fold another state of the same function into this one (the merge
-    /// contract of morsel-parallel partial aggregation). Exact for every
-    /// function except float sums, where the compensated representation
-    /// keeps the merged total within ~1 ulp of the serial result.
-    fn merge(&mut self, other: &AccState) {
+    /// Fold another table's state of the same aggregate into this one:
+    /// `other`'s group `i` is group `map[i]` here (the merge contract of
+    /// morsel-parallel partial aggregation). Exact for every function
+    /// except float sums, where the compensated representation keeps the
+    /// merged total within ~1 ulp of the serial result.
+    fn merge(&mut self, other: &Acc, map: &[u32], groups: usize) -> Result<()> {
         match (self, other) {
-            (AccState::SumI(a), AccState::SumI(b)) => *a += b,
-            (AccState::SumF { sum, c }, AccState::SumF { sum: bs, c: bc }) => {
-                compensated_add(sum, c, *bs);
-                compensated_add(sum, c, *bc);
+            (Acc::SumI(a), Acc::SumI(b)) | (Acc::Count(a), Acc::Count(b)) => {
+                add_ints(a, b, map, groups)?
             }
-            (AccState::AvgF { sum, c, n }, AccState::AvgF { sum: bs, c: bc, n: bn }) => {
-                compensated_add(sum, c, *bs);
-                compensated_add(sum, c, *bc);
-                *n += bn;
+            (Acc::SumF(a), Acc::SumF(b)) => a.merge(b, map),
+            (Acc::Avg(a, an), Acc::Avg(b, bn)) => {
+                a.merge(b, map);
+                add_ints(an, bn, map, groups)?;
             }
-            (AccState::MinMax(a, is_min), AccState::MinMax(b, _)) => {
-                if let Some(bv) = b {
-                    let better = match a {
-                        None => true,
-                        Some(av) => {
-                            let ord = bv.total_cmp(av);
-                            if *is_min {
-                                ord == std::cmp::Ordering::Less
-                            } else {
-                                ord == std::cmp::Ordering::Greater
-                            }
-                        }
-                    };
-                    if better {
-                        *a = Some(bv.clone());
-                    }
+            // The other side's extrema are just more values to fold.
+            (mine @ Acc::Extrema(..), Acc::Extrema(best, _)) => {
+                mine.update(Some(best), 0, map, groups)?
+            }
+            (Acc::Distinct(a), Acc::Distinct(b)) => {
+                a.resize_with(groups, HashSet::default);
+                for (set, &g) in b.iter().zip(map) {
+                    a[g as usize].extend(set);
                 }
             }
-            (AccState::Count(a), AccState::Count(b)) => *a += b,
-            (AccState::Distinct(a), AccState::Distinct(b)) => a.extend(b),
             _ => panic!("merging mismatched aggregate states"),
         }
+        Ok(())
     }
 
-    fn estimated_bytes(&self) -> u64 {
+    /// The aggregate's output column (group-id order).
+    fn finish(self) -> Column {
         match self {
-            AccState::Distinct(set) => 16 + set.len() as u64 * 16,
-            _ => 16,
+            Acc::SumI(v) | Acc::Count(v) => Column::from_i64(v),
+            Acc::SumF(sums) => Column::from_f64(sums.totals().collect()),
+            Acc::Avg(sums, n) => {
+                Column::from_f64(sums.totals().zip(&n).map(|(t, &n)| t / n as f64).collect())
+            }
+            Acc::Extrema(best, _) => best,
+            Acc::Distinct(sets) => Column::from_i64(sets.iter().map(|s| s.len() as i64).collect()),
         }
     }
 }
@@ -218,287 +413,37 @@ impl AccState {
 /// Output type of an aggregate over an input of type `dt`.
 fn agg_output_type(func: AggFunc, dt: DataType) -> DataType {
     match func {
-        AggFunc::Sum => {
-            if dt == DataType::Float {
-                DataType::Float
-            } else {
-                DataType::Int
-            }
-        }
-        AggFunc::Avg => DataType::Float,
+        AggFunc::Sum if dt != DataType::Float => DataType::Int,
+        AggFunc::Sum | AggFunc::Avg => DataType::Float,
         AggFunc::Min | AggFunc::Max => dt,
         AggFunc::Count | AggFunc::CountDistinct => DataType::Int,
     }
 }
 
-/// Shared core: grouping + accumulation over batches.
-struct AggCore {
-    group_cols: Vec<usize>,
-    group_types: Vec<DataType>,
-    agg_exprs: Vec<Expr>,
-    agg_funcs: Vec<AggFunc>,
-    agg_types: Vec<DataType>,
-    /// Group states, hashed with the same multiplicative FxHash rounds as
-    /// the join index (SipHash is measurable overhead on this hot path);
-    /// output order comes from `order`, so the hasher never affects
-    /// results.
-    groups: HashMap<GroupKey, Vec<AccState>, FxBuildHasher>,
-    /// Insertion order for deterministic output.
-    order: Vec<GroupKey>,
-    /// Parallel to `order`: the global input position of each group's
-    /// first row. On the plain [`consume`](Self::consume) path this is a
-    /// running row counter (so it equals the serial stream position);
-    /// [`consume_indexed`](Self::consume_indexed) records caller-supplied
-    /// positions instead — how radix-partitioned aggregation remembers
-    /// the serial first-seen order across disjoint partitions.
-    first_seen: Vec<u64>,
-    /// Rows consumed so far (the id space of `first_seen` when no
-    /// explicit ids are supplied).
-    rows_seen: u64,
-}
-
-impl AggCore {
-    fn new(
-        input_schema: &[ColMeta],
-        group_by: &[&str],
-        aggs: &[AggSpec],
-    ) -> Result<(AggCore, OpSchema)> {
-        let mut group_cols = Vec::with_capacity(group_by.len());
-        let mut group_types = Vec::with_capacity(group_by.len());
-        let mut schema = Vec::new();
-        for &g in group_by {
-            let idx = crate::batch::schema_index(input_schema, g)
-                .ok_or_else(|| ExecError::UnknownColumn(g.to_string()))?;
-            group_cols.push(idx);
-            group_types.push(input_schema[idx].data_type);
-            schema.push(input_schema[idx].clone());
-        }
-        let mut agg_exprs = Vec::with_capacity(aggs.len());
-        let mut agg_funcs = Vec::with_capacity(aggs.len());
-        let mut agg_types = Vec::with_capacity(aggs.len());
-        for a in aggs {
-            let dt = a.input.data_type(input_schema)?;
-            let out_dt = agg_output_type(a.func, dt);
-            agg_exprs.push(a.input.bind(input_schema)?);
-            agg_funcs.push(a.func);
-            agg_types.push(dt);
-            schema.push(ColMeta::new(&a.name, out_dt));
-        }
-        Ok((
-            AggCore {
-                group_cols,
-                group_types,
-                agg_exprs,
-                agg_funcs,
-                agg_types,
-                groups: HashMap::default(),
-                order: Vec::new(),
-                first_seen: Vec::new(),
-                rows_seen: 0,
-            },
-            schema,
-        ))
-    }
-
-    fn consume(&mut self, batch: &Batch) -> Result<()> {
-        self.consume_rows(batch, None, 0)
-    }
-
-    /// [`consume`](Self::consume) with explicit global input positions:
-    /// `ids[row] + base` is row `row`'s position in the original (serial)
-    /// stream. Radix-partitioned aggregation feeds each partition the
-    /// gathered sub-batches with their pre-gather positions, so the
-    /// partition-local `first_seen` ranks stay comparable across
-    /// partitions and the final concatenation can reproduce the serial
-    /// first-seen group order exactly.
-    fn consume_indexed(&mut self, batch: &Batch, ids: &[u64], base: u64) -> Result<()> {
-        debug_assert_eq!(ids.len(), batch.rows());
-        self.consume_rows(batch, Some(ids), base)
-    }
-
-    fn consume_rows(&mut self, batch: &Batch, ids: Option<&[u64]>, base: u64) -> Result<()> {
-        let agg_inputs: Vec<Column> =
-            self.agg_exprs.iter().map(|e| e.eval(batch)).collect::<Result<Vec<_>>>()?;
-        for row in 0..batch.rows() {
-            let mut ints = Vec::new();
-            let mut strs = Vec::new();
-            for &c in &self.group_cols {
-                match &batch.columns[c] {
-                    Column::I64 { values, .. } => ints.push(values[row]),
-                    Column::Str(values) => strs.push(values[row].clone()),
-                    // Floats group by exact bit pattern (sufficient for
-                    // values that were never arithmetically re-derived,
-                    // e.g. c_acctbal, o_totalprice).
-                    Column::F64(values) => ints.push(values[row].to_bits() as i64),
-                }
-            }
-            let key = GroupKey { ints, strs };
-            if !self.groups.contains_key(&key) {
-                self.order.push(key.clone());
-                self.first_seen.push(match ids {
-                    Some(ids) => base + ids[row],
-                    None => self.rows_seen + row as u64,
-                });
-                let fresh: Vec<AccState> = self
-                    .agg_funcs
-                    .iter()
-                    .zip(&self.agg_types)
-                    .map(|(&f, &dt)| AccState::new(f, dt))
-                    .collect();
-                self.groups.insert(key.clone(), fresh);
-            }
-            let states = self.groups.get_mut(&key).expect("just inserted");
-            for (state, col) in states.iter_mut().zip(&agg_inputs) {
-                state.update(col, row);
-            }
-        }
-        self.rows_seen += batch.rows() as u64;
-        Ok(())
-    }
-
-    fn estimated_bytes(&self) -> u64 {
-        let per_key: u64 = 32
-            + self
-                .groups
-                .keys()
-                .next()
-                .map(|k| {
-                    k.ints.len() as u64 * 8 + k.strs.iter().map(|s| s.len() as u64 + 8).sum::<u64>()
-                })
-                .unwrap_or(8);
-        let states: u64 = self
-            .groups
-            .values()
-            .next()
-            .map(|v| v.iter().map(|s| s.estimated_bytes()).sum())
-            .unwrap_or(16);
-        self.groups.len() as u64 * (per_key + states)
-    }
-
-    /// Drain all groups into one output batch (insertion order).
-    fn flush(&mut self) -> Result<Batch> {
-        let mut cols: Vec<Column> = Vec::new();
-        // Group key columns.
-        let mut int_i = 0;
-        let mut str_i = 0;
-        for &dt in &self.group_types {
-            match dt {
-                DataType::Str => {
-                    let i = str_i;
-                    str_i += 1;
-                    cols.push(Column::from_strings(
-                        self.order.iter().map(|k| k.strs[i].clone()).collect(),
-                    ));
-                }
-                DataType::Date => {
-                    let i = int_i;
-                    int_i += 1;
-                    cols.push(Column::from_dates(self.order.iter().map(|k| k.ints[i]).collect()));
-                }
-                DataType::Float => {
-                    let i = int_i;
-                    int_i += 1;
-                    cols.push(Column::from_f64(
-                        self.order.iter().map(|k| f64::from_bits(k.ints[i] as u64)).collect(),
-                    ));
-                }
-                _ => {
-                    let i = int_i;
-                    int_i += 1;
-                    cols.push(Column::from_i64(self.order.iter().map(|k| k.ints[i]).collect()));
-                }
-            }
-        }
-        // Aggregate columns.
-        for (a, &func) in self.agg_funcs.iter().enumerate() {
-            let dt = agg_output_type(func, self.agg_types[a]);
-            let mut col = Column::empty(dt);
-            for k in &self.order {
-                let d = self.groups[k][a].finish();
-                // Coerce to the declared output type.
-                let d = match (dt, d) {
-                    (DataType::Float, Datum::Int(v)) => Datum::Float(v as f64),
-                    (DataType::Int, Datum::Float(v)) => Datum::Int(v as i64),
-                    (DataType::Date, Datum::Int(v)) => Datum::Date(v),
-                    (_, d) => d,
-                };
-                col.push(d)?;
-            }
-            cols.push(col);
-        }
-        self.groups.clear();
-        self.order.clear();
-        self.first_seen.clear();
-        Ok(Batch::new(cols))
-    }
-
-    /// True when no groups have been accumulated.
-    #[allow(dead_code)]
-    fn is_empty(&self) -> bool {
-        self.groups.is_empty()
-    }
-
-    /// Fold another core (same grouping and aggregates) into this one.
-    /// Groups unseen here are appended in `other`'s order, so folding
-    /// per-morsel cores in morsel order reproduces the serial first-seen
-    /// group order exactly.
-    fn merge_from(&mut self, other: AggCore) {
-        debug_assert_eq!(self.agg_funcs, other.agg_funcs);
-        let mut other_groups = other.groups;
-        for (i, key) in other.order.into_iter().enumerate() {
-            let states = other_groups.remove(&key).expect("ordered key present");
-            match self.groups.get_mut(&key) {
-                Some(mine) => {
-                    for (m, o) in mine.iter_mut().zip(&states) {
-                        m.merge(o);
-                    }
-                }
-                None => {
-                    self.order.push(key.clone());
-                    // Partials each count rows from 0, so merged ranks are
-                    // only ordinal per-partial; the partial-merge path
-                    // orders by fold position, never by these ranks.
-                    self.first_seen.push(other.first_seen[i]);
-                    self.groups.insert(key, states);
-                }
-            }
-        }
-    }
-
-    /// The one-row batch a *global* aggregation (no group-by) yields over
-    /// empty input: every aggregate's zero state (COUNT() = 0, SUM() = 0).
-    fn zero_state_batch(&self) -> Batch {
-        let cols: Vec<Column> = self
-            .agg_funcs
-            .iter()
-            .zip(&self.agg_types)
-            .map(|(&f, &dt)| {
-                let out_dt = agg_output_type(f, dt);
-                let mut c = Column::empty(out_dt);
-                let d = AccState::new(f, dt).finish();
-                let d = match (out_dt, d) {
-                    (DataType::Float, Datum::Int(v)) => Datum::Float(v as f64),
-                    (DataType::Date, Datum::Int(v)) => Datum::Date(v),
-                    (DataType::Str, _) => Datum::Str(String::new()),
-                    (_, d) => d,
-                };
-                c.push(d).expect("zero state matches output type");
-                c
-            })
-            .collect();
-        Batch::new(cols)
-    }
-}
-
-/// Partial aggregation state for one morsel — the partition side of the
-/// morsel-parallel aggregation contract (the merge side lives in
-/// [`crate::parallel::merge`]). Each worker consumes its morsel's batches
-/// into a `PartialAgg`; folding the partials *in morsel order* and
-/// finishing yields exactly what a serial [`HashAggregate`] over the
-/// concatenated stream would produce.
+/// Grouping + accumulation over batches (see the module docs): the state
+/// of every aggregation operator here and, on its own, the unit of
+/// morsel-parallel aggregation. Each worker consumes its morsel's batches
+/// into a `PartialAgg`; folding the partials *in morsel order*
+/// ([`crate::parallel::merge`]) and finishing yields exactly what a serial
+/// [`HashAggregate`] over the concatenated stream would produce.
 pub struct PartialAgg {
-    core: AggCore,
     schema: OpSchema,
+    group_cols: Vec<usize>,
+    /// Per aggregate: function, input type, bound input expression.
+    aggs: Vec<(AggFunc, DataType, Expr)>,
+    table: GroupTable,
+    /// One accumulator per aggregate, each covering every group.
+    accs: Vec<Acc>,
+    /// Per group: the global input position of its first row — a running
+    /// row counter on the plain [`consume`](Self::consume) path (the serial
+    /// stream position), caller-supplied under
+    /// [`consume_indexed`](Self::consume_indexed).
+    first_seen: Vec<u64>,
+    /// Rows consumed so far (the id space of `first_seen` without ids).
+    rows_seen: u64,
+    /// Per-batch scratch, reused: row hashes and resolved group ids.
+    hashes: Vec<u64>,
+    gids: Vec<u32>,
 }
 
 impl PartialAgg {
@@ -509,8 +454,32 @@ impl PartialAgg {
         group_by: &[&str],
         aggs: &[AggSpec],
     ) -> Result<PartialAgg> {
-        let (core, schema) = AggCore::new(input_schema, group_by, aggs)?;
-        Ok(PartialAgg { core, schema })
+        let mut group_cols = Vec::with_capacity(group_by.len());
+        let mut schema = Vec::new();
+        for &g in group_by {
+            let idx = crate::batch::schema_index(input_schema, g)
+                .ok_or_else(|| ExecError::UnknownColumn(g.to_string()))?;
+            group_cols.push(idx);
+            schema.push(input_schema[idx].clone());
+        }
+        let table = GroupTable::new(&schema);
+        let mut bound = Vec::with_capacity(aggs.len());
+        for a in aggs {
+            let dt = a.input.data_type(input_schema)?;
+            bound.push((a.func, dt, a.input.bind(input_schema)?));
+            schema.push(ColMeta::new(&a.name, agg_output_type(a.func, dt)));
+        }
+        Ok(PartialAgg {
+            schema,
+            group_cols,
+            accs: bound.iter().map(|(f, dt, _)| Acc::new(*f, *dt)).collect(),
+            aggs: bound,
+            table,
+            first_seen: Vec::new(),
+            rows_seen: 0,
+            hashes: Vec::new(),
+            gids: Vec::new(),
+        })
     }
 
     /// Output schema (group keys then aggregates).
@@ -518,58 +487,147 @@ impl PartialAgg {
         &self.schema
     }
 
+    /// Evaluate every aggregate's input over `batch` (`None` for `COUNT`,
+    /// which reads none) — once per batch, whatever ranges of it are then
+    /// consumed.
+    fn eval_inputs(&self, batch: &Batch) -> Result<Vec<Option<Column>>> {
+        self.aggs
+            .iter()
+            .map(|(f, _, e)| if *f == AggFunc::Count { Ok(None) } else { e.eval(batch).map(Some) })
+            .collect()
+    }
+
+    fn group_columns<'a>(&self, batch: &'a Batch) -> Vec<&'a Column> {
+        self.group_cols.iter().map(|&c| &batch.columns[c]).collect()
+    }
+
     /// Accumulate one batch.
     pub fn consume(&mut self, batch: &Batch) -> Result<()> {
-        self.core.consume(batch)
+        let inputs = self.eval_inputs(batch)?;
+        self.consume_range(batch, &inputs, 0..batch.rows(), None)
     }
 
     /// Accumulate one batch whose rows carry explicit global stream
     /// positions (`ids[row] + base`) — the radix-partitioned consume: a
-    /// partition sees only its slice of the input, but remembers where
-    /// each group first appeared in the *whole* stream.
+    /// partition sees only its gathered slice of the input but remembers
+    /// where each group first appeared in the *whole* stream, so ranks
+    /// stay comparable across partitions.
     pub fn consume_indexed(&mut self, batch: &Batch, ids: &[u64], base: u64) -> Result<()> {
-        self.core.consume_indexed(batch, ids, base)
+        debug_assert_eq!(ids.len(), batch.rows());
+        let inputs = self.eval_inputs(batch)?;
+        self.consume_range(batch, &inputs, 0..batch.rows(), Some((ids, base)))
     }
 
-    /// Estimated bytes of accumulated state (memory accounting).
-    pub fn estimated_bytes(&self) -> u64 {
-        self.core.estimated_bytes()
-    }
-
-    /// Fold `other` into this partial, preserving first-seen group order.
-    pub fn merge(&mut self, other: PartialAgg) {
-        self.core.merge_from(other.core);
-    }
-
-    /// Finish into the final output batch, including the one-row zero
-    /// state a global aggregation yields over empty input.
-    pub fn finish(mut self) -> Result<Batch> {
-        let out = self.core.flush()?;
-        if out.rows() == 0 && self.core.group_cols.is_empty() {
-            return Ok(self.core.zero_state_batch());
+    /// Fold rows `rows` of `batch` — whose aggregate inputs are `inputs`
+    /// ([`eval_inputs`](Self::eval_inputs)) — into the table.
+    fn consume_range(
+        &mut self,
+        batch: &Batch,
+        inputs: &[Option<Column>],
+        rows: Range<usize>,
+        ids: Option<(&[u64], u64)>,
+    ) -> Result<()> {
+        let cols = self.group_columns(batch);
+        if !cols.is_empty() {
+            hash_group_rows(&cols, rows.clone(), &mut self.hashes);
         }
-        Ok(out)
+        self.gids.clear();
+        let (first_seen, rows_seen, start) = (&mut self.first_seen, self.rows_seen, rows.start);
+        self.table.resolve(&cols, rows.clone(), &self.hashes, &mut self.gids, |row| {
+            first_seen.push(match ids {
+                Some((ids, base)) => base + ids[row],
+                None => rows_seen + (row - start) as u64,
+            })
+        });
+        for (acc, input) in self.accs.iter_mut().zip(inputs) {
+            acc.update(input.as_ref(), start, &self.gids, self.table.len())?;
+        }
+        self.rows_seen += rows.len() as u64;
+        Ok(())
+    }
+
+    /// Estimated bytes of accumulated state (memory accounting): per
+    /// group, 32 plus the first group's key and state widths (8 per
+    /// integer-backed key, length + 8 per string, 16 per aggregate and per
+    /// distinct value).
+    pub fn estimated_bytes(&self) -> u64 {
+        if self.table.len() == 0 {
+            return 0;
+        }
+        let key = self.table.keys.iter().map(|k| match k {
+            Column::Str(v) => v[0].len() as u64 + 8,
+            _ => 8,
+        });
+        let states = self.accs.iter().map(|a| match a {
+            Acc::Distinct(sets) => 16 + sets[0].len() as u64 * 16,
+            _ => 16,
+        });
+        self.table.len() as u64 * (32 + key.sum::<u64>() + states.sum::<u64>())
+    }
+
+    /// Drain all groups into one output batch (first-seen order), leaving
+    /// the state empty.
+    fn flush(&mut self) -> Batch {
+        let mut cols = self.table.take_keys();
+        for (acc, (f, dt, _)) in self.accs.iter_mut().zip(&self.aggs) {
+            cols.push(std::mem::replace(acc, Acc::new(*f, *dt)).finish());
+        }
+        self.first_seen.clear();
+        Batch::new(cols)
+    }
+
+    /// [`flush`](Self::flush) at the end of the input: a *global*
+    /// aggregation (no group-by) over empty input still yields one row,
+    /// every aggregate's zero state (COUNT() = 0, SUM() = 0, ...).
+    pub fn finish(&mut self) -> Batch {
+        if self.table.len() > 0 || !self.group_cols.is_empty() {
+            return self.flush();
+        }
+        let zeros = self.aggs.iter().map(|(f, dt, _)| match agg_output_type(*f, *dt) {
+            DataType::Int => Column::from_i64(vec![0]),
+            DataType::Date => Column::from_dates(vec![0]),
+            DataType::Float => Column::from_f64(vec![0.0]),
+            DataType::Str => Column::from_strings(vec![String::new()]),
+        });
+        Batch::new(zeros.collect())
+    }
+
+    /// Fold `other` (same grouping and aggregates) into this partial.
+    /// Groups unseen here are appended in `other`'s order, so folding
+    /// per-morsel partials in morsel order reproduces the serial
+    /// first-seen group order exactly.
+    pub fn merge(&mut self, other: PartialAgg) -> Result<()> {
+        // The other table's key columns are just rows to resolve here,
+        // their stored hashes included.
+        let cols: Vec<&Column> = other.table.keys.iter().collect();
+        self.gids.clear();
+        let first_seen = &mut self.first_seen;
+        // Partials each count rows from 0, so merged ranks are only
+        // ordinal per-partial; the partial-merge path orders by fold
+        // position, never by these ranks.
+        self.table.resolve(&cols, 0..other.table.len(), &other.table.hashes, &mut self.gids, |g| {
+            first_seen.push(other.first_seen[g])
+        });
+        for (mine, theirs) in self.accs.iter_mut().zip(&other.accs) {
+            mine.merge(theirs, &self.gids, self.table.len())?;
+        }
+        Ok(())
     }
 
     /// Finish into `(output batch, first-seen rank per output row)` — the
-    /// radix-partition finish. The ranks are the global stream positions
-    /// recorded by [`consume_indexed`](Self::consume_indexed); sorting the
-    /// concatenated partition outputs by them reproduces the serial
-    /// first-seen group order byte-for-byte
-    /// ([`crate::parallel::merge::concat_radix_partitions`]).
-    pub fn finish_ordered(mut self) -> Result<(Batch, Vec<u64>)> {
-        let ranks = std::mem::take(&mut self.core.first_seen);
-        let out = self.core.flush()?;
-        debug_assert_eq!(ranks.len(), out.rows());
-        Ok((out, ranks))
+    /// radix-partition finish. Sorting the concatenated partition outputs
+    /// by these ranks reproduces the serial first-seen group order byte
+    /// for byte ([`crate::parallel::merge::concat_radix_partitions`]).
+    pub fn finish_ordered(mut self) -> (Batch, Vec<u64>) {
+        let ranks = std::mem::take(&mut self.first_seen);
+        (self.flush(), ranks)
     }
 }
 
 /// Whole-input hash aggregation.
 pub struct HashAggregate {
     input: BoxedOp,
-    core: AggCore,
-    schema: OpSchema,
+    core: PartialAgg,
     tracker: Arc<MemoryTracker>,
     done: bool,
 }
@@ -581,48 +639,37 @@ impl HashAggregate {
         aggs: Vec<AggSpec>,
         tracker: Arc<MemoryTracker>,
     ) -> Result<HashAggregate> {
-        let (core, schema) = AggCore::new(input.schema(), group_by, &aggs)?;
-        Ok(HashAggregate { input, core, schema, tracker, done: false })
+        let core = PartialAgg::new(input.schema(), group_by, &aggs)?;
+        Ok(HashAggregate { input, core, tracker, done: false })
     }
 }
 
 impl Operator for HashAggregate {
     fn schema(&self) -> &OpSchema {
-        &self.schema
+        self.core.schema()
     }
 
     fn next(&mut self) -> Result<Option<Batch>> {
         if self.done {
             return Ok(None);
         }
-        let mut mem: Option<MemoryGuard> = None;
+        let mut mem = self.tracker.register(0);
         while let Some(batch) = self.input.next()? {
             self.core.consume(&batch)?;
-            let bytes = self.core.estimated_bytes();
-            match &mut mem {
-                Some(m) => m.resize(bytes),
-                None => mem = Some(self.tracker.register(bytes)),
-            }
+            mem.resize(self.core.estimated_bytes());
         }
         self.done = true;
-        let out = self.core.flush()?;
-        if out.rows() == 0 && self.core.group_cols.is_empty() {
-            // Global aggregation over empty input still yields one row of
-            // zero states (COUNT() = 0, SUM() = 0, ...).
-            return Ok(Some(self.core.zero_state_batch()));
-        }
-        Ok(Some(out))
+        Ok(Some(self.core.finish()))
     }
 }
 
-/// Streaming aggregation over key-sorted input (constant memory).
+/// Streaming aggregation over key-sorted input. Equal keys are adjacent,
+/// so every group a batch touches is complete once the batch's *last* run
+/// begins: each batch is consumed in at most two ranges with one flush
+/// between them, and only that last, still open group is carried over.
 pub struct StreamingAggregate {
     input: BoxedOp,
-    core: AggCore,
-    schema: OpSchema,
-    /// Current run's key.
-    current: Option<GroupKey>,
-    pending_out: Option<Batch>,
+    core: PartialAgg,
     done: bool,
 }
 
@@ -632,91 +679,52 @@ impl StreamingAggregate {
         group_by: &[&str],
         aggs: Vec<AggSpec>,
     ) -> Result<StreamingAggregate> {
-        let (core, schema) = AggCore::new(input.schema(), group_by, &aggs)?;
-        Ok(StreamingAggregate {
-            input,
-            core,
-            schema,
-            current: None,
-            pending_out: None,
-            done: false,
-        })
-    }
-
-    fn key_of(&self, batch: &Batch, row: usize) -> Result<GroupKey> {
-        let mut ints = Vec::new();
-        let mut strs = Vec::new();
-        for &c in &self.core.group_cols {
-            match &batch.columns[c] {
-                Column::I64 { values, .. } => ints.push(values[row]),
-                Column::Str(values) => strs.push(values[row].clone()),
-                Column::F64(values) => ints.push(values[row].to_bits() as i64),
-            }
-        }
-        Ok(GroupKey { ints, strs })
+        let core = PartialAgg::new(input.schema(), group_by, &aggs)?;
+        Ok(StreamingAggregate { input, core, done: false })
     }
 }
 
 impl Operator for StreamingAggregate {
     fn schema(&self) -> &OpSchema {
-        &self.schema
+        self.core.schema()
     }
 
     fn next(&mut self) -> Result<Option<Batch>> {
-        if let Some(out) = self.pending_out.take() {
-            return Ok(Some(out));
-        }
         if self.done {
             return Ok(None);
         }
         while let Some(batch) = self.input.next()? {
-            // Split the batch at key changes and emit completed runs.
-            let mut start = 0;
-            let mut flushed: Option<Batch> = None;
-            for row in 0..batch.rows() {
-                let key = self.key_of(&batch, row)?;
-                match &self.current {
-                    Some(cur) if *cur == key => {}
-                    Some(_) => {
-                        // Key change: consume the run so far, flush.
-                        if row > start {
-                            let part = slice(&batch, start, row);
-                            self.core.consume(&part)?;
-                        }
-                        start = row;
-                        let out = self.core.flush()?;
-                        self.current = Some(key);
-                        match &mut flushed {
-                            Some(f) => {
-                                for (d, s) in f.columns.iter_mut().zip(&out.columns) {
-                                    d.append(s)?;
-                                }
-                            }
-                            None => flushed = Some(out),
-                        }
-                    }
-                    None => self.current = Some(key),
+            let n = batch.rows();
+            if n == 0 {
+                continue;
+            }
+            let inputs = self.core.eval_inputs(&batch)?;
+            // Find where the batch's last run starts.
+            let keys = self.core.group_columns(&batch);
+            let mut last = n - 1;
+            while last > 0 && keys.iter().all(|k| cell_eq(k, last - 1, k, last)) {
+                last -= 1;
+            }
+            // Rows before it close every group they touch, the carried one
+            // included; a one-run batch closes it only by starting a new key.
+            let mut out = None;
+            if last > 0 {
+                self.core.consume_range(&batch, &inputs, 0..last, None)?;
+                out = Some(self.core.flush());
+            } else if let Some(open) = self.core.table.len().checked_sub(1) {
+                if !self.core.table.key_eq(open, &keys, 0) {
+                    out = Some(self.core.flush());
                 }
             }
-            let part = slice(&batch, start, batch.rows());
-            self.core.consume(&part)?;
-            if let Some(f) = flushed {
-                if f.rows() > 0 {
-                    return Ok(Some(f));
-                }
+            self.core.consume_range(&batch, &inputs, last..n, None)?;
+            if out.is_some() {
+                return Ok(out);
             }
         }
         self.done = true;
-        let out = self.core.flush()?;
-        if out.rows() > 0 {
-            return Ok(Some(out));
-        }
-        Ok(None)
+        let out = self.core.flush();
+        Ok((out.rows() > 0).then_some(out))
     }
-}
-
-fn slice(b: &Batch, start: usize, end: usize) -> Batch {
-    Batch::new(b.columns.iter().map(|c| c.slice(start, end)).collect())
 }
 
 /// Sandwich aggregation: like hash aggregation, but the table flushes at
@@ -725,12 +733,11 @@ fn slice(b: &Batch, start: usize, end: usize) -> Batch {
 /// the output.
 pub struct SandwichAggregate {
     input: BoxedOp,
-    core: AggCore,
-    schema: OpSchema,
+    core: PartialAgg,
     partition_cols: Vec<usize>,
-    current_partition: Option<Vec<i64>>,
-    tracker: Arc<MemoryTracker>,
-    mem: Option<MemoryGuard>,
+    /// Partition values of the last row consumed (empty before the first).
+    current_partition: Vec<i64>,
+    mem: MemoryGuard,
     /// Largest per-partition table size seen (diagnostics).
     pub max_partition_groups: usize,
     done: bool,
@@ -747,28 +754,22 @@ impl SandwichAggregate {
         if partition_cols.is_empty() {
             return Err(ExecError::Plan("sandwich aggregation needs partition columns".into()));
         }
-        let (core, schema) = AggCore::new(input.schema(), group_by, &aggs)?;
+        let core = PartialAgg::new(input.schema(), group_by, &aggs)?;
         Ok(SandwichAggregate {
             input,
             core,
-            schema,
             partition_cols,
-            current_partition: None,
-            tracker,
-            mem: None,
+            current_partition: Vec::new(),
+            mem: tracker.register(0),
             max_partition_groups: 0,
             done: false,
         })
-    }
-
-    fn partition_of(&self, batch: &Batch, row: usize) -> Result<Vec<i64>> {
-        self.partition_cols.iter().map(|&c| Ok(batch.columns[c].as_i64()?[row])).collect()
     }
 }
 
 impl Operator for SandwichAggregate {
     fn schema(&self) -> &OpSchema {
-        &self.schema
+        self.core.schema()
     }
 
     fn next(&mut self) -> Result<Option<Batch>> {
@@ -776,53 +777,51 @@ impl Operator for SandwichAggregate {
             return Ok(None);
         }
         while let Some(batch) = self.input.next()? {
+            let n = batch.rows();
+            if n == 0 {
+                continue;
+            }
+            let inputs = self.core.eval_inputs(&batch)?;
+            let parts: Vec<&[i64]> = self
+                .partition_cols
+                .iter()
+                .map(|&c| batch.columns[c].as_i64())
+                .collect::<std::result::Result<_, _>>()?;
+            // Split the batch where adjacent rows (the first against the
+            // previous batch's last) disagree on a partition column, and
+            // flush the table at every such boundary.
             let mut start = 0;
             let mut flushed: Option<Batch> = None;
-            for row in 0..batch.rows() {
-                let p = self.partition_of(&batch, row)?;
-                match &self.current_partition {
-                    Some(cur) if *cur == p => {}
-                    Some(_) => {
-                        if row > start {
-                            self.core.consume(&slice(&batch, start, row))?;
-                        }
-                        start = row;
-                        self.max_partition_groups =
-                            self.max_partition_groups.max(self.core.groups.len());
-                        let out = self.core.flush()?;
-                        self.current_partition = Some(p);
-                        match &mut flushed {
-                            Some(f) => {
-                                for (d, s) in f.columns.iter_mut().zip(&out.columns) {
-                                    d.append(s)?;
-                                }
-                            }
-                            None => flushed = Some(out),
-                        }
-                    }
-                    None => self.current_partition = Some(p),
+            for row in 0..n {
+                let boundary = match row {
+                    0 => parts.iter().zip(&self.current_partition).any(|(p, &cur)| p[0] != cur),
+                    _ => parts.iter().any(|p| p[row] != p[row - 1]),
+                };
+                if !boundary {
+                    continue;
+                }
+                self.core.consume_range(&batch, &inputs, start..row, None)?;
+                start = row;
+                self.max_partition_groups = self.max_partition_groups.max(self.core.table.len());
+                let out = self.core.flush();
+                match &mut flushed {
+                    Some(f) => f.append(&out)?,
+                    None => flushed = Some(out),
                 }
             }
-            self.core.consume(&slice(&batch, start, batch.rows()))?;
-            let bytes = self.core.estimated_bytes();
-            match &mut self.mem {
-                Some(m) => m.resize(bytes),
-                None => self.mem = Some(self.tracker.register(bytes)),
-            }
-            if let Some(f) = flushed {
-                if f.rows() > 0 {
-                    return Ok(Some(f));
-                }
+            self.core.consume_range(&batch, &inputs, start..n, None)?;
+            self.current_partition.clear();
+            self.current_partition.extend(parts.iter().map(|p| p[n - 1]));
+            self.mem.resize(self.core.estimated_bytes());
+            if flushed.is_some() {
+                return Ok(flushed);
             }
         }
         self.done = true;
-        self.max_partition_groups = self.max_partition_groups.max(self.core.groups.len());
-        let out = self.core.flush()?;
-        self.mem = None;
-        if out.rows() > 0 {
-            return Ok(Some(out));
-        }
-        Ok(None)
+        self.max_partition_groups = self.max_partition_groups.max(self.core.table.len());
+        let out = self.core.flush();
+        self.mem.resize(0);
+        Ok((out.rows() > 0).then_some(out))
     }
 }
 
@@ -983,38 +982,6 @@ mod tests {
         // Keys 10,11 flushed first (partition 0), then 20,21.
         assert_eq!(out.columns[0].as_i64().unwrap(), &[10, 11, 20, 21]);
         assert_eq!(out.columns[1].as_i64().unwrap(), &[4, 2, 10, 5]);
-    }
-
-    #[test]
-    fn group_key_hash_matches_shared_codec() {
-        // The table's GroupKey hash (via FxHasher) and the radix routing
-        // hash (hash_group_row) must be the *same* codec, whatever mix
-        // and interleaving of int/float/string group columns.
-        use crate::hash::hash_group_row;
-        use std::hash::BuildHasher;
-        let a = Column::from_i64(vec![5, -3, i64::MAX]);
-        let s = Column::from_strings(vec!["x".into(), String::new(), "abc".into()]);
-        let f = Column::from_f64(vec![1.5, -0.0, f64::NAN]);
-        let d = Column::from_dates(vec![9131, 0, -1]);
-        let cols: Vec<&Column> = vec![&a, &s, &f, &d];
-        for row in 0..3 {
-            // The key exactly as consume_rows builds it: integer-backed
-            // values (and float bits) in column order, strings in column
-            // order.
-            let key = GroupKey {
-                ints: vec![
-                    a.as_i64().unwrap()[row],
-                    f.as_f64().unwrap()[row].to_bits() as i64,
-                    d.as_i64().unwrap()[row],
-                ],
-                strs: vec![s.as_str().unwrap()[row].clone()],
-            };
-            assert_eq!(
-                FxBuildHasher::default().hash_one(&key),
-                hash_group_row(&cols, row),
-                "row {row}"
-            );
-        }
     }
 
     #[test]

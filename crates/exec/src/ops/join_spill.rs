@@ -31,7 +31,7 @@ use bdcc_storage::{Column, SpillHandle, SpillWriter};
 
 use crate::batch::Batch;
 use crate::error::Result;
-use crate::hash::{hash_group_row, JoinIndex};
+use crate::hash::{hash_group_rows, JoinIndex};
 use crate::memory::MemoryGuard;
 use crate::ops::BoxedOp;
 use crate::parallel::partition::partition_rows_of_batch;
@@ -279,15 +279,16 @@ impl HashJoin {
         let mut subs: Vec<Option<(SpillWriter, u64)>> = (0..n).map(|_| None).collect();
         let file_bytes = handle.bytes();
         let mut reader = handle.open()?;
+        let mut hashes = Vec::new();
         while let Some(cols) = reader.next_columns()? {
             let rows = cols.first().map_or(0, |c| c.len());
             let keys: Vec<&Column> = self.right_keys.iter().map(|&k| &cols[k]).collect();
+            hash_group_rows(&keys, 0..rows, &mut hashes);
+            drop(keys);
             let mut ids: Vec<Vec<usize>> = vec![Vec::new(); n];
-            for row in 0..rows {
-                let h = hash_group_row(&keys, row);
+            for (row, &h) in hashes.iter().enumerate() {
                 ids[sub_partition_of(h, used_bits)].push(row);
             }
-            drop(keys);
             for (si, ids) in ids.iter().enumerate() {
                 if ids.is_empty() {
                     continue;

@@ -63,9 +63,9 @@ pub fn merge_partial_aggs(mut partials: Vec<PartialAgg>) -> Result<Batch> {
     }
     let mut acc = partials.remove(0);
     for p in partials {
-        acc.merge(p);
+        acc.merge(p)?;
     }
-    acc.finish()
+    Ok(acc.finish())
 }
 
 /// Reassemble radix-partitioned aggregation outputs into the serial
@@ -88,9 +88,7 @@ pub fn concat_radix_partitions(parts: Vec<(Batch, Vec<u64>)>) -> Result<Batch> {
         )
     })?;
     for (b, r) in parts {
-        for (dst, src) in all.columns.iter_mut().zip(&b.columns) {
-            dst.append(src)?;
-        }
+        all.append(&b)?;
         ranks.extend(r);
     }
     let mut perm: Vec<usize> = (0..ranks.len()).collect();

@@ -622,11 +622,11 @@ impl ParallelAggregate {
         let mut batches = Vec::new();
         let mut rows = 0u64;
         let mut distinct: HashSet<u64, crate::hash::FxBuildHasher> = HashSet::default();
+        let mut hashes = Vec::new();
         while let Some(b) = op.next()? {
             let cols: Vec<&Column> = group_cols.iter().map(|&c| &b.columns[c]).collect();
-            for r in 0..b.rows() {
-                distinct.insert(crate::hash::hash_group_row(&cols, r));
-            }
+            crate::hash::hash_group_rows(&cols, 0..b.rows(), &mut hashes);
+            distinct.extend(&hashes);
             rows += b.rows() as u64;
             batches.push(b);
         }
@@ -781,7 +781,7 @@ impl ParallelAggregate {
                 }
             }
             let mem = self.tracker.register(part.estimated_bytes());
-            Ok((part.finish_ordered()?, mem))
+            Ok((part.finish_ordered(), mem))
         })?;
         drop(phase1);
         let (outs, _mems): (Vec<_>, Vec<_>) = finished.into_iter().unzip();

@@ -26,7 +26,7 @@
 //!   serially built index) routes everything to the sole table.
 //! * **Radix aggregation** ([`crate::parallel::ParallelAggregate`]):
 //!   input rows scatter by the top bits of the *group-key* hash
-//!   ([`crate::hash::hash_group_row`], [`partition_rows_of_batch`]) so
+//!   ([`crate::hash::hash_group_rows`], [`partition_rows_of_batch`]) so
 //!   each distinct group lands wholly in one partition and one worker's
 //!   table — the group-side analogue of the build scatter, with the same
 //!   guarantee (equal keys never split across partitions) carried by the
@@ -37,7 +37,7 @@
 use bdcc_storage::Column;
 
 use crate::error::Result;
-use crate::hash::{hash_group_row, hash_row};
+use crate::hash::{hash_group_rows, hash_row};
 use crate::parallel::{pool, ParallelConfig};
 
 /// Partition count for a worker count: the next power of two at or above
@@ -119,16 +119,18 @@ pub fn hash_partition_rows(
 }
 
 /// Split one batch's rows into `2^bits` partitions by the top bits of
-/// their **group-key** hash ([`hash_group_row`] over `group_cols` —
-/// the same codec the aggregation hash table hashes its keys with).
+/// their **group-key** hash ([`hash_group_rows`] over `group_cols` —
+/// the same codec the aggregation group table files its keys under).
 /// Returns per-partition row-index lists, each ascending, jointly tiling
 /// `0..batch_rows`; rows with equal group keys always land in one
 /// partition, which is what lets radix aggregation keep every group in
 /// exactly one worker-local table.
 pub fn partition_rows_of_batch(group_cols: &[&Column], rows: usize, bits: u32) -> Vec<Vec<usize>> {
     let mut parts: Vec<Vec<usize>> = vec![Vec::new(); partition_count(bits)];
-    for r in 0..rows {
-        parts[partition_of(hash_group_row(group_cols, r), bits)].push(r);
+    let mut hashes = Vec::new();
+    hash_group_rows(group_cols, 0..rows, &mut hashes);
+    for (r, &h) in hashes.iter().enumerate() {
+        parts[partition_of(h, bits)].push(r);
     }
     parts
 }

@@ -37,7 +37,7 @@ use bdcc_storage::{Column, SpillHandle, SpillWriter};
 
 use crate::batch::Batch;
 use crate::error::Result;
-use crate::hash::hash_group_row;
+use crate::hash::hash_group_rows;
 use crate::memory::MemoryGuard;
 use crate::parallel::{
     partition, partition_morsel_stream, pool, Morsel, ParallelAggregate, PartitionedBatches,
@@ -257,7 +257,7 @@ impl ParallelAggregate {
                         part.consume_indexed(batch, ids, 0)?;
                     }
                     let _mem = self.tracker.register(part.estimated_bytes());
-                    outs.push(part.finish_ordered()?);
+                    outs.push(part.finish_ordered());
                     resident = resident.saturating_sub(bytes);
                     guard.resize(resident);
                 }
@@ -270,7 +270,7 @@ impl ParallelAggregate {
         if outs.is_empty() {
             // Zero input rows: a grouped aggregate yields zero groups.
             let empty = self.fresh_partial()?;
-            outs.push(empty.finish_ordered()?);
+            outs.push(empty.finish_ordered());
         }
         super::merge::concat_radix_partitions(outs)
     }
@@ -296,12 +296,14 @@ impl ParallelAggregate {
             let mut subs: Vec<Option<(SpillWriter, u64)>> =
                 (0..partition::partition_count(RECURSE_BITS)).map(|_| None).collect();
             let mut reader = handle.open()?;
+            let mut hashes = Vec::new();
             while let Some(cols) = reader.next_columns()? {
                 let (batch, ids) = decode_entry(cols)?;
                 let gcols: Vec<&Column> = group_cols.iter().map(|&c| &batch.columns[c]).collect();
+                hash_group_rows(&gcols, 0..batch.rows(), &mut hashes);
                 let mut routed: Vec<Vec<usize>> = vec![Vec::new(); subs.len()];
-                for r in 0..batch.rows() {
-                    routed[sub_partition_of(hash_group_row(&gcols, r), used_bits)].push(r);
+                for (r, &h) in hashes.iter().enumerate() {
+                    routed[sub_partition_of(h, used_bits)].push(r);
                 }
                 for (s, rows) in routed.into_iter().enumerate() {
                     if rows.is_empty() {
@@ -348,7 +350,7 @@ impl ParallelAggregate {
         }
         self.note_spill(0, 0, file_bytes);
         if part.estimated_bytes() > 0 || handle.rows() > 0 {
-            outs.push(part.finish_ordered()?);
+            outs.push(part.finish_ordered());
         }
         Ok(())
     }

@@ -23,7 +23,7 @@ use std::collections::HashMap;
 
 use bdcc_catalog::{FkId, TableId};
 use bdcc_core::{Dimension, KeyValue};
-use bdcc_storage::{DataType, StoredTable};
+use bdcc_storage::{Column, DataType, StoredTable};
 
 use crate::batch::{Batch, ColMeta};
 use crate::enc::{compile_int, compile_str, int_test, str_test};
@@ -150,17 +150,30 @@ fn allowed_bins(
         if mask.iter().all(|&m| m) {
             return Ok(None);
         }
-        let key_cols: Vec<_> = dim
+        let key_cols: Vec<&Column> = dim
             .key
             .iter()
-            .map(|k| host.column_by_name(k))
+            .map(|k| host.column_by_name(k).map(|c| &**c))
             .collect::<std::result::Result<Vec<_>, _>>()?;
-        let mut bins: Vec<u64> = mask
-            .iter()
-            .enumerate()
-            .filter(|&(_, &m)| m)
-            .map(|(row, _)| dim.bin_of(&KeyValue(key_cols.iter().map(|c| c.datum(row)).collect())))
-            .collect();
+        // Bin each distinct qualifying key once: a large host repeats its
+        // dimension key heavily (75 k ORDERS rows carry ~2.4 k order
+        // dates), and binning is a binary search over datums.
+        let qualifying = (0..mask.len()).filter(|&row| mask[row]);
+        let key_of = |row: usize| KeyValue(key_cols.iter().map(|c| c.datum(row)).collect());
+        let keys: Vec<KeyValue> = if let [Column::I64 { values, .. }] = key_cols[..] {
+            // One integer-backed key column — the shape every large host
+            // has — dedups on the raw values, before any key tuple exists.
+            let mut keyed: Vec<(i64, usize)> = qualifying.map(|row| (values[row], row)).collect();
+            keyed.sort_unstable();
+            keyed.dedup_by_key(|k| k.0);
+            keyed.into_iter().map(|k| key_of(k.1)).collect()
+        } else {
+            let mut keys: Vec<KeyValue> = qualifying.map(key_of).collect();
+            keys.sort_unstable_by(KeyValue::full_cmp);
+            keys.dedup_by(|a, b| a.full_cmp(b).is_eq());
+            keys
+        };
+        let mut bins: Vec<u64> = keys.iter().map(|k| dim.bin_of(k)).collect();
         bins.sort_unstable();
         bins.dedup();
         Ok(Some(bins_to_ranges(&bins)))
