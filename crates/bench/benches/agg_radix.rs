@@ -42,7 +42,6 @@ fn parallel(li: &Arc<StoredTable>, group_by: &[&str], radix: bool) -> usize {
         columns: SCAN_COLS.iter().map(|c| c.to_string()).collect(),
         predicates: vec![],
         kind: ScanKind::Plain,
-        filter_kernel: bdcc_exec::kernel_enabled(),
     };
     let cfg = ParallelConfig { threads: 4, morsel_rows: 8192, agg_radix: Some(radix) };
     collect(Box::new(

@@ -94,7 +94,6 @@ fn run_parallel(li: &Arc<StoredTable>, w: &Workload, threads: usize, radix: bool
         columns: w.scan_cols.iter().map(|c| c.to_string()).collect(),
         predicates: vec![],
         kind: ScanKind::Plain,
-        filter_kernel: bdcc_exec::kernel_enabled(),
     };
     let cfg = ParallelConfig { threads, morsel_rows: bench_morsel_rows(), agg_radix: Some(radix) };
     let out = collect(Box::new(

@@ -3,8 +3,9 @@
 //! Regenerates every table and figure of the paper's evaluation
 //! (Section IV). Each experiment is a binary under `src/bin/` printing the
 //! same rows/series the paper reports; `benches/` holds the Criterion
-//! counterparts. The experiment index lives in `DESIGN.md`; the measured
-//! outcomes are recorded in `EXPERIMENTS.md`.
+//! counterparts. The end-to-end benchmark and its metric / workload
+//! tables live in `scoreboard/README.md`; each PR's measured outcomes are
+//! recorded in `CHANGES.md`.
 
 use std::sync::Arc;
 use std::time::Instant;
@@ -216,7 +217,7 @@ impl BenchReport {
     }
 
     /// Append one row to the `results` array (omitted entirely when no
-    /// row is ever pushed — flat reports like `pool_overhead` stay flat).
+    /// row is ever pushed — flat reports like `obs_overhead` stay flat).
     pub fn result(&mut self, row: bdcc_obs::json::Obj) {
         self.results.push_raw(&row.finish());
     }

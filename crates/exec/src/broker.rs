@@ -38,8 +38,12 @@
 //!
 //! # Modes
 //!
-//! `BDCC_SPILL` selects the mode (process override via
-//! [`set_spill_mode`] wins, for tests):
+//! `BDCC_SPILL` selects the process's mode — it is the lever CI's
+//! forced-spill configurations pull to push every suite through the
+//! out-of-core paths, and the only engine environment variable that
+//! changes how a query executes. `QueryContext::with_spill` pins the mode
+//! for one query, whatever the environment says. There is no
+//! process-wide setter.
 //!
 //! * `auto` (default) — spill under pressure, only when a budget is set;
 //! * `force` — every spill-capable operator spills everything (tiny
@@ -50,7 +54,6 @@
 //! [`should_spill`]: MemoryBroker::should_spill
 //! [`release_target`]: MemoryBroker::release_target
 
-use std::sync::atomic::{AtomicU8, Ordering};
 use std::sync::Arc;
 
 use crate::memory::MemoryTracker;
@@ -66,31 +69,9 @@ pub enum SpillMode {
     Off,
 }
 
-/// Process-wide override: 0 = read env, 1 = Force, 2 = Auto, 3 = Off.
-static SPILL_OVERRIDE: AtomicU8 = AtomicU8::new(0);
-
-/// Override the `BDCC_SPILL` mode for this process (`None` restores the
-/// environment reading). Lets tests pin a mode without the env-var races
-/// `std::env::set_var` invites under a parallel test runner.
-pub fn set_spill_mode(mode: Option<SpillMode>) {
-    let v = match mode {
-        None => 0,
-        Some(SpillMode::Force) => 1,
-        Some(SpillMode::Auto) => 2,
-        Some(SpillMode::Off) => 3,
-    };
-    SPILL_OVERRIDE.store(v, Ordering::Relaxed);
-}
-
-/// The effective spill mode: the [`set_spill_mode`] override if set,
-/// else `BDCC_SPILL` from the environment, else `Auto`.
+/// The process's spill mode: `BDCC_SPILL` from the environment, else
+/// `Auto`.
 pub fn spill_mode() -> SpillMode {
-    match SPILL_OVERRIDE.load(Ordering::Relaxed) {
-        1 => return SpillMode::Force,
-        2 => return SpillMode::Auto,
-        3 => return SpillMode::Off,
-        _ => {}
-    }
     match std::env::var("BDCC_SPILL") {
         Ok(v) => match v.to_ascii_lowercase().as_str() {
             "force" => SpillMode::Force,
@@ -142,7 +123,8 @@ impl MemoryBroker {
         Self::with_mode(spill_mode(), tracker, budget)
     }
 
-    /// A broker with an explicit mode (tests; `from_env` otherwise).
+    /// A broker with an explicit mode (`QueryContext::with_spill`, tests;
+    /// `from_env` otherwise).
     pub fn with_mode(
         mode: SpillMode,
         tracker: &Arc<MemoryTracker>,
@@ -218,6 +200,16 @@ impl MemoryBroker {
     }
 }
 
+/// Serialises the unit tests that spill or assert on the process-wide
+/// `bdcc_storage::live_spill_files()` count: held for the whole test, so
+/// one test's temp files are never another's "leak".
+#[cfg(test)]
+pub(crate) fn spill_test_guard() -> std::sync::MutexGuard<'static, ()> {
+    static LOCK: std::sync::Mutex<()> = std::sync::Mutex::new(());
+    // A failed spill test poisons the lock; the rest must still run.
+    LOCK.lock().unwrap_or_else(|e| e.into_inner())
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -272,17 +264,5 @@ mod tests {
         t.grow(10);
         assert!(b.should_spill(u64::MAX), "saturating add, not wrap");
         t.shrink(10);
-    }
-
-    #[test]
-    fn override_beats_env() {
-        set_spill_mode(Some(SpillMode::Force));
-        assert_eq!(spill_mode(), SpillMode::Force);
-        set_spill_mode(Some(SpillMode::Off));
-        assert_eq!(spill_mode(), SpillMode::Off);
-        set_spill_mode(None);
-        // Back to env/default — with no BDCC_SPILL set this is Auto; any
-        // value the harness sets parses to one of the three modes.
-        let _ = spill_mode();
     }
 }

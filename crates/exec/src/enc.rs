@@ -405,29 +405,41 @@ impl ScanKernel {
     }
 }
 
+/// Run `build` with the process-wide encode switch pinned to `enabled`,
+/// serialised against every other unit test that pins it — a table built
+/// here is encoded (or raw) whatever its neighbours are doing.
+#[cfg(test)]
+pub(crate) fn build_with_encoding<T>(enabled: bool, build: impl FnOnce() -> T) -> T {
+    static LOCK: std::sync::Mutex<()> = std::sync::Mutex::new(());
+    let _pin = LOCK.lock().unwrap_or_else(|e| e.into_inner());
+    bdcc_storage::set_encode_enabled(Some(enabled));
+    let out = build();
+    bdcc_storage::set_encode_enabled(None);
+    out
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
-    use bdcc_storage::{set_encode_enabled, Column, StoredTable};
+    use bdcc_storage::{Column, StoredTable};
     use std::sync::Arc;
 
     fn encoded_table() -> Arc<StoredTable> {
-        set_encode_enabled(Some(true));
         let modes = ["AIR", "RAIL", "TRUCK", "SHIP"];
-        let t = StoredTable::from_columns_with_block_rows(
-            "t",
-            vec![
-                (
-                    "mode".into(),
-                    Column::from_strings((0..16).map(|i| modes[i % 4].into()).collect()),
-                ),
-                ("k".into(), Column::from_i64((100..116).collect())),
-            ],
-            8,
-        )
-        .unwrap();
-        set_encode_enabled(None);
-        Arc::new(t)
+        Arc::new(build_with_encoding(true, || {
+            StoredTable::from_columns_with_block_rows(
+                "t",
+                vec![
+                    (
+                        "mode".into(),
+                        Column::from_strings((0..16).map(|i| modes[i % 4].into()).collect()),
+                    ),
+                    ("k".into(), Column::from_i64((100..116).collect())),
+                ],
+                8,
+            )
+            .unwrap()
+        }))
     }
 
     fn preds_of(table: &StoredTable, preds: Vec<ColPredicate>) -> Vec<(usize, ColPredicate)> {
@@ -495,31 +507,31 @@ mod tests {
 
     #[test]
     fn unencoded_tables_fall_back() {
-        set_encode_enabled(Some(false));
-        let t = StoredTable::from_columns_with_block_rows(
-            "t",
-            vec![("k".into(), Column::from_i64((0..16).collect()))],
-            8,
-        )
-        .unwrap();
-        set_encode_enabled(None);
+        let t = build_with_encoding(false, || {
+            StoredTable::from_columns_with_block_rows(
+                "t",
+                vec![("k".into(), Column::from_i64((0..16).collect()))],
+                8,
+            )
+            .unwrap()
+        });
         let preds = preds_of(&t, vec![ColPredicate::eq("k", 3i64)]);
         assert!(ScanKernel::try_new(&t, &preds).is_none());
     }
 
     #[test]
     fn rle_runs_evaluate_once_per_run() {
-        set_encode_enabled(Some(true));
         let mut values = vec![3i64; 1000];
         values.extend(vec![900_000i64; 1000]);
         values.extend(vec![5i64; 48]);
-        let t = StoredTable::from_columns_with_block_rows(
-            "t",
-            vec![("k".into(), Column::from_i64(values))],
-            4096,
-        )
-        .unwrap();
-        set_encode_enabled(None);
+        let t = build_with_encoding(true, || {
+            StoredTable::from_columns_with_block_rows(
+                "t",
+                vec![("k".into(), Column::from_i64(values))],
+                4096,
+            )
+            .unwrap()
+        });
         assert!(matches!(
             t.encoding(0).unwrap().block(0),
             bdcc_storage::BlockEncoding::RleI64 { .. }

@@ -44,13 +44,15 @@
 //!   by the pointwise `And` semantics — so a cheap `l_shipdate` range
 //!   runs before `LIKE '%green%'` regardless of authoring order. The
 //!   permutation never changes results, only evaluation order.
-//! * **Gating.** `BDCC_KERNEL=0|false|off` (or
-//!   [`set_kernel_enabled`]`(Some(false))`, or
-//!   `QueryContext::with_kernel(false)`) keeps every call site on the
-//!   seed interpreter verbatim, which remains the differential-testing
-//!   oracle (`tests/kernel_equivalence.rs`).
+//! * **One path.** Every residual site (`Filter`, the `PlainScan` /
+//!   `BdccScan` residuals, the `HashJoin` / `SandwichHashJoin` pair
+//!   residuals) always holds a compiled program; nothing selects the
+//!   interpreter instead. [`Expr::eval_bool`] remains the fallback for
+//!   non-sargable conjuncts above, the plan-time evaluator in
+//!   `restrict.rs`, and the oracle the tests call directly
+//!   (`tests/kernel_equivalence.rs`, the operators' residual tests).
 
-use std::sync::atomic::{AtomicBool, AtomicU64, AtomicU8, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Mutex;
 
 use bdcc_obs::OpMetrics;
@@ -64,36 +66,6 @@ use crate::pred::PredKind;
 
 /// Rows a program observes before permuting its conjunct chain.
 pub const WARMUP_ROWS: u64 = 1024;
-
-// ---------------------------------------------------------------------------
-// Process-wide gate (same shape as `bdcc_storage::set_encode_enabled`).
-
-/// 0 = follow `BDCC_KERNEL` (default on), 1 = forced off, 2 = forced on.
-static KERNEL_OVERRIDE: AtomicU8 = AtomicU8::new(0);
-
-/// Test/bench override for the kernel gate; `None` restores the
-/// environment default. Process-wide, like the `BDCC_ENCODE` gate.
-pub fn set_kernel_enabled(enabled: Option<bool>) {
-    let v = match enabled {
-        None => 0,
-        Some(false) => 1,
-        Some(true) => 2,
-    };
-    KERNEL_OVERRIDE.store(v, Ordering::SeqCst);
-}
-
-/// Whether new operators compile selection-vector programs (default yes).
-/// `BDCC_KERNEL=0|false|off` disables; [`set_kernel_enabled`] overrides.
-pub fn kernel_enabled() -> bool {
-    match KERNEL_OVERRIDE.load(Ordering::SeqCst) {
-        1 => false,
-        2 => true,
-        _ => !matches!(
-            std::env::var("BDCC_KERNEL").ok().as_deref(),
-            Some("0") | Some("false") | Some("off")
-        ),
-    }
-}
 
 // ---------------------------------------------------------------------------
 // Selection vectors.
@@ -957,14 +929,5 @@ mod tests {
             .unwrap();
         assert_eq!(gathered, vec![0], "only column 0 is referenced");
         assert_eq!(sel, SelVec::Rows(vec![2, 3, 4, 5]));
-    }
-
-    #[test]
-    fn gate_override() {
-        set_kernel_enabled(Some(false));
-        assert!(!kernel_enabled());
-        set_kernel_enabled(Some(true));
-        assert!(kernel_enabled());
-        set_kernel_enabled(None);
     }
 }

@@ -30,13 +30,13 @@ pub use batch::{Batch, BatchAssembler, ColMeta, OpSchema, BATCH_ROWS};
 pub use bdcc_obs::{OpMetrics, ProfileNode, QueryProfile};
 pub use bdcc_pool::{CancelReason, CancelToken, FaultInjector, FaultPlan};
 pub use bdcc_storage::Datum;
-pub use broker::{set_spill_mode, spill_mode, MemoryBroker, SpillMode};
+pub use broker::{spill_mode, MemoryBroker, SpillMode};
 pub use enc::{BlockVerdict, ScanKernel};
 pub use error::{ExecError, Result};
 pub use expr::{ArithOp, CmpOp, Expr, LikePattern};
 pub use govern::{GovernedOp, Governor};
 pub use hash::{FxBuildHasher, FxHasher, JoinIndex, JoinTable};
-pub use kernel::{kernel_enabled, set_kernel_enabled, FilterProgram, PairFilter, SelVec};
+pub use kernel::{FilterProgram, PairFilter, SelVec};
 pub use memory::{MemoryGuard, MemoryTracker};
 pub use ops::agg::{AggFunc, AggSpec};
 pub use ops::join::{JoinType, MATCHED_COLUMN};

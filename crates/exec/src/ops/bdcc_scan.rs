@@ -21,8 +21,7 @@ use bdcc_storage::{DataType, IoTracker, StoredTable};
 use crate::batch::{Batch, ColMeta, OpSchema};
 use crate::enc::{BlockVerdict, ScanKernel};
 use crate::error::Result;
-use crate::expr::Expr;
-use crate::kernel::{kernel_enabled, FilterProgram};
+use crate::kernel::FilterProgram;
 use crate::ops::Operator;
 use crate::pred::{predicates_to_expr, ColPredicate};
 
@@ -57,11 +56,8 @@ pub struct BdccScan {
     projection: Vec<usize>,
     predicates: Vec<(usize, ColPredicate)>,
     extra_cols: Vec<usize>,
-    residual: Option<Expr>,
-    /// Schema the residual is bound against (projection ++ extras).
-    eval_schema: OpSchema,
-    /// Selection-vector program for the residual (see [`crate::kernel`]);
-    /// `None` keeps the interpreter path.
+    /// Residual filter compiled against projection ++ extra columns (see
+    /// [`crate::kernel`]); `None` when there are no predicates.
     program: Option<FilterProgram>,
     /// Compression-aware predicate kernel; `Some` only when the table is
     /// block-encoded and every predicate is kernel-supported.
@@ -103,26 +99,20 @@ impl BdccScan {
                 eval_schema.push(ColMeta::new(&p.column, table.schema().columns[*idx].data_type));
             }
         }
-        let residual = match predicates_to_expr(&predicates) {
-            Some(e) => Some(e.bind(&eval_schema)?),
+        let program = match predicates_to_expr(&predicates) {
+            Some(e) => Some(FilterProgram::compile(&e.bind(&eval_schema)?, &eval_schema)),
             None => None,
         };
         for name in group_key_names {
             schema.push(ColMeta::new(name.clone(), DataType::Int));
         }
         let kernel = ScanKernel::try_new(&table, &preds);
-        let program = match (&residual, kernel_enabled()) {
-            (Some(e), true) => Some(FilterProgram::compile(e, &eval_schema)),
-            _ => None,
-        };
         Ok(BdccScan {
             table,
             io,
             projection,
             predicates: preds,
             extra_cols,
-            residual,
-            eval_schema,
             program,
             kernel,
             metrics: None,
@@ -135,16 +125,6 @@ impl BdccScan {
     /// Attach operator metrics (block-skip counters) to this scan.
     pub fn with_metrics(mut self, metrics: Option<Arc<OpMetrics>>) -> BdccScan {
         self.metrics = metrics;
-        self
-    }
-
-    /// Pin the residual's selection-vector kernel on or off, overriding
-    /// the `BDCC_KERNEL` gate consulted at construction.
-    pub fn with_filter_kernel(mut self, on: bool) -> BdccScan {
-        self.program = match (&self.residual, on) {
-            (Some(e), true) => Some(FilterProgram::compile(e, &self.eval_schema)),
-            _ => None,
-        };
         self
     }
 
@@ -314,8 +294,8 @@ impl Operator for BdccScan {
                 self.charge_io(s, e);
             }
             let full = Batch::new(columns);
-            let mut batch = match (&self.residual, &self.program) {
-                (Some(_), Some(program)) => {
+            let mut batch = match &self.program {
+                Some(program) => {
                     let sel = program.select(&full)?;
                     if sel.is_empty() {
                         continue;
@@ -324,19 +304,7 @@ impl Operator for BdccScan {
                     // through unchanged; extras drop without cloning.
                     truncate_cols(sel.take(full), self.projection.len())
                 }
-                (Some(filter), None) => {
-                    let keep = filter.eval_bool(&full)?;
-                    if !keep.iter().any(|&k| k) {
-                        continue;
-                    }
-                    if keep.iter().all(|&k| k) {
-                        // All rows pass: skip the per-column copy.
-                        truncate_cols(full, self.projection.len())
-                    } else {
-                        truncate_cols(full.filter(&keep), self.projection.len())
-                    }
-                }
-                (None, _) => truncate_cols(full, self.projection.len()),
+                None => truncate_cols(full, self.projection.len()),
             };
             if batch.rows() == 0 {
                 continue;
@@ -458,5 +426,42 @@ mod tests {
         let scan = BdccScan::new(table(), io, &["v"], vec![], &[], vec![]).unwrap();
         let out = collect(Box::new(scan)).unwrap();
         assert_eq!(out.rows(), 0);
+    }
+
+    #[test]
+    fn residual_kernel_matches_interpreter() {
+        use crate::ops::scan::tests::{hand_filtered, residual_cases, residual_table};
+        // Six-row groups straddle the 8-row blocks, read in scatter order.
+        let groups: Vec<GroupSpec> = [7usize, 0, 4, 9]
+            .iter()
+            .map(|&g| GroupSpec { start: g * 6, count: 6, group_keys: vec![g as i64] })
+            .collect();
+        let gk = ["__gk0".to_string()];
+        for (name, encoded, preds, late) in residual_cases() {
+            let t = residual_table(encoded);
+            let scan = BdccScan::new(
+                Arc::clone(&t),
+                IoTracker::new(),
+                &["v"],
+                preds.clone(),
+                &gk,
+                groups.clone(),
+            )
+            .unwrap();
+            assert_eq!(scan.kernel.is_some(), late, "{name}: wrong residual path");
+            let got = collect(Box::new(scan)).unwrap();
+            let reference = BdccScan::new(
+                t,
+                IoTracker::new(),
+                &["v", "k", "f", "s"],
+                vec![],
+                &gk,
+                groups.clone(),
+            )
+            .unwrap();
+            let schema = reference.schema().clone();
+            let want = hand_filtered(collect(Box::new(reference)).unwrap(), &schema, &preds, 1);
+            assert_eq!(got, want, "{name}");
+        }
     }
 }

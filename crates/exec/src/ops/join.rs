@@ -69,14 +69,11 @@ pub struct HashJoin {
     join_type: JoinType,
     left_keys: Vec<usize>,
     right_keys: Vec<usize>,
-    /// Residual over (left ++ right) columns, pre-bound.
-    residual: Option<Expr>,
-    /// Kernel-compiled residual (see [`crate::kernel`]): evaluates on the
-    /// candidate pair selection, gathering only referenced columns, and
-    /// shrinks the match lists *before* the output gathers. `None` when
-    /// the kernel gate is off or there is no residual — the interpreter
-    /// path is used instead (byte-identical results either way).
-    pair_filter: Option<PairFilter>,
+    /// Residual over (left ++ right) columns, compiled (see
+    /// [`crate::kernel`]): evaluates on the candidate pair selection,
+    /// gathering only referenced columns, and shrinks the match lists
+    /// *before* the output gathers.
+    residual: Option<PairFilter>,
     schema: OpSchema,
     right_arity: usize,
     /// Build-side column types (for spilled-leaf decoding and left-outer
@@ -134,12 +131,8 @@ impl HashJoin {
         let mut combined = lschema.clone();
         combined.extend(rschema.iter().cloned());
         let residual = match residual {
-            Some(e) => Some(e.bind(&combined)?),
+            Some(e) => Some(PairFilter::new(&e.bind(&combined)?, &combined)),
             None => None,
-        };
-        let pair_filter = match (&residual, crate::kernel::kernel_enabled()) {
-            (Some(e), true) => Some(PairFilter::new(e, &combined)),
-            _ => None,
         };
         let schema = match join_type {
             JoinType::Inner => combined,
@@ -159,7 +152,6 @@ impl HashJoin {
             left_keys,
             right_keys,
             residual,
-            pair_filter,
             schema,
             right_arity,
             right_types,
@@ -179,21 +171,6 @@ impl HashJoin {
     /// [`ParallelConfig`]; results stay byte-identical).
     pub fn with_parallel(mut self, cfg: Option<ParallelConfig>) -> HashJoin {
         self.parallel = cfg;
-        self
-    }
-
-    /// Force the residual kernel on or off, overriding the `BDCC_KERNEL`
-    /// default picked up by [`HashJoin::new`]. Must be called before the
-    /// build side is consumed (i.e. while still building the operator).
-    pub fn with_kernel(mut self, on: bool) -> HashJoin {
-        self.pair_filter = match (&self.residual, on, &self.right) {
-            (Some(e), true, Some(right)) => {
-                let mut combined = self.left.schema().clone();
-                combined.extend(right.schema().iter().cloned());
-                Some(PairFilter::new(e, &combined))
-            }
-            _ => None,
-        };
         self
     }
 
@@ -336,7 +313,6 @@ impl HashJoin {
                         &self.left_keys,
                         self.join_type,
                         self.residual.as_ref(),
-                        self.pair_filter.as_ref(),
                         0..batch.rows(),
                     )?;
                     finish_batch(batch, build, self.join_type, self.right_arity, &lidx, &ridx)
@@ -367,7 +343,6 @@ impl HashJoin {
         // are not shareable).
         let (left_keys, join_type) = (&self.left_keys, self.join_type);
         let residual = self.residual.as_ref();
-        let pair_filter = self.pair_filter.as_ref();
         let metrics = self.metrics.as_ref();
         let per: Vec<Vec<ProbePiece>> =
             pool::run_tasks_labeled(cfg.threads, tasks.len(), "join-probe", |t| {
@@ -381,7 +356,6 @@ impl HashJoin {
                             left_keys,
                             join_type,
                             residual,
-                            pair_filter,
                             range.clone(),
                         )?;
                         Ok((*bi, lists))
@@ -437,7 +411,7 @@ impl Operator for HashJoin {
             }
             let round = self.fill_round()?;
             if round.is_empty() {
-                if let (Some(pf), Some(m)) = (&self.pair_filter, &self.metrics) {
+                if let (Some(pf), Some(m)) = (&self.residual, &self.metrics) {
                     pf.annotate(m);
                 }
                 return Ok(None);
@@ -458,8 +432,8 @@ type ProbePiece = (usize, MatchLists);
 
 /// Do we need full `(left, right)` pair lists, or only per-row existence?
 /// Semi/Anti without a residual only ask *whether* a row matches.
-fn needs_pairs(join_type: JoinType, residual: Option<&Expr>) -> bool {
-    !matches!(join_type, JoinType::Semi | JoinType::Anti) || residual.is_some()
+fn needs_pairs(join_type: JoinType, has_residual: bool) -> bool {
+    !matches!(join_type, JoinType::Semi | JoinType::Anti) || has_residual
 }
 
 /// Probe rows `range` of `left` against the build index and return the
@@ -474,15 +448,14 @@ fn probe_range(
     build: &BuildSide,
     left_keys: &[usize],
     join_type: JoinType,
-    residual: Option<&Expr>,
-    pair_filter: Option<&PairFilter>,
+    residual: Option<&PairFilter>,
     range: Range<usize>,
 ) -> Result<(Vec<usize>, Vec<u32>)> {
     let key_cols: Vec<&[i64]> = left_keys
         .iter()
         .map(|&k| left.columns[k].as_i64())
         .collect::<std::result::Result<_, _>>()?;
-    if !needs_pairs(join_type, residual) {
+    if !needs_pairs(join_type, residual.is_some()) {
         let mut lidx = Vec::new();
         build.index.probe_exists(&key_cols, range, &mut lidx);
         return Ok((lidx, Vec::new()));
@@ -490,9 +463,9 @@ fn probe_range(
     let mut lidx: Vec<usize> = Vec::new();
     let mut ridx: Vec<u32> = Vec::new();
     build.index.probe_pairs(&key_cols, range, &mut lidx, &mut ridx);
-    if let Some(pf) = pair_filter {
-        // Kernel path: only the residual's referenced columns are
-        // gathered for the candidate pairs, and the match lists shrink
+    if let Some(pf) = residual {
+        // Only the residual's referenced columns are gathered for the
+        // candidate pairs of this morsel, and the match lists shrink
         // before the output gathers. Survivors keep probe order.
         let left_arity = left.arity();
         let sel = pf.select_pairs(lidx.len(), |c| {
@@ -506,26 +479,6 @@ fn probe_range(
             lidx = rows.iter().map(|&i| lidx[i as usize]).collect();
             ridx = rows.iter().map(|&i| ridx[i as usize]).collect();
         }
-    } else if let Some(filter) = residual {
-        // Evaluate the residual over the candidate pairs of this morsel
-        // only; survivors keep their (ascending) probe order.
-        let mut cols: Vec<Column> = left.columns.iter().map(|c| c.gather(&lidx)).collect();
-        for rc in &build.columns {
-            cols.push(rc.gather_u32(&ridx));
-        }
-        let keep = filter.eval_bool(&Batch::new(cols))?;
-        let mut k = 0;
-        lidx.retain(|_| {
-            let r = keep[k];
-            k += 1;
-            r
-        });
-        let mut k = 0;
-        ridx.retain(|_| {
-            let r = keep[k];
-            k += 1;
-            r
-        });
     }
     Ok((lidx, ridx))
 }
@@ -859,8 +812,10 @@ mod tests {
     #[test]
     fn residual_kernel_matches_interpreter() {
         // Sargable residual (kernel leaf) and non-sargable residual
-        // (fallback over the pair selection): kernel on vs. off must be
-        // byte-identical for every flavor, serial and parallel.
+        // (fallback over the pair selection). The reference shares nothing
+        // with the pair filter: the inner join *without* the residual,
+        // its pairs filtered by the interpreter, each flavor then derived
+        // by hand (`lv` identifies a left row; left batches hold 13).
         let left: Vec<(i64, i64)> = (0..200).map(|i| (i % 23, i)).collect();
         let right: Vec<(i64, i64)> = (0..60).map(|i| (i % 31, 1000 + i)).collect();
         let residuals: Vec<Expr> = vec![
@@ -868,26 +823,54 @@ mod tests {
             Expr::col("lv").ge(Expr::col("rv").sub(Expr::lit(1020))),
         ];
         let cfg = ParallelConfig { threads: 4, morsel_rows: 8, agg_radix: None };
-        for jt in [JoinType::Inner, JoinType::LeftOuter, JoinType::Semi, JoinType::Anti] {
-            for res in &residuals {
+        let run = |jt: JoinType, res: Option<Expr>, parallel: Option<ParallelConfig>| {
+            let join = HashJoin::new(
+                Box::new(Chunked::new(&left, ("lk", "lv"), 13)),
+                Box::new(Chunked::new(&right, ("rk", "rv"), 7)),
+                &[("lk", "rk")],
+                jt,
+                res,
+                MemoryTracker::new(),
+            )
+            .unwrap()
+            .with_parallel(parallel);
+            let schema = join.schema().clone();
+            (collect(Box::new(join)).unwrap(), schema)
+        };
+        let rows = |b: &Batch| -> Vec<Vec<i64>> {
+            (0..b.rows())
+                .map(|r| b.columns.iter().map(|c| c.as_i64().unwrap()[r]).collect())
+                .collect()
+        };
+        let (all_pairs, pair_schema) = run(JoinType::Inner, None, None);
+        for res in &residuals {
+            let keep = res.bind(&pair_schema).unwrap().eval_bool(&all_pairs).unwrap();
+            let pairs = rows(&all_pairs.filter(&keep));
+            let matched = |l: &(i64, i64)| pairs.iter().any(|p| p[1] == l.1);
+            for jt in [JoinType::Inner, JoinType::LeftOuter, JoinType::Semi, JoinType::Anti] {
+                let expected: Vec<Vec<i64>> = match jt {
+                    JoinType::Inner => pairs.clone(),
+                    JoinType::Semi | JoinType::Anti => left
+                        .iter()
+                        .filter(|l| matched(l) == (jt == JoinType::Semi))
+                        .map(|l| vec![l.0, l.1])
+                        .collect(),
+                    // Per left batch: its surviving pairs flagged 1, then
+                    // its unmatched rows with defaulted right columns.
+                    JoinType::LeftOuter => left
+                        .chunks(13)
+                        .flat_map(|chunk| {
+                            let (lo, hi) = (chunk[0].1, chunk[chunk.len() - 1].1);
+                            let hits = pairs.iter().filter(move |p| (lo..=hi).contains(&p[1]));
+                            let hits = hits.map(|p| [p.as_slice(), &[1]].concat());
+                            let misses = chunk.iter().filter(|l| !matched(l));
+                            hits.chain(misses.map(|l| vec![l.0, l.1, 0, 0, 0])).collect::<Vec<_>>()
+                        })
+                        .collect(),
+                };
                 for parallel in [None, Some(cfg.clone())] {
-                    let run = |kernel: bool| {
-                        collect(Box::new(
-                            HashJoin::new(
-                                Box::new(Chunked::new(&left, ("lk", "lv"), 13)),
-                                Box::new(Chunked::new(&right, ("rk", "rv"), 7)),
-                                &[("lk", "rk")],
-                                jt,
-                                Some(res.clone()),
-                                MemoryTracker::new(),
-                            )
-                            .unwrap()
-                            .with_kernel(kernel)
-                            .with_parallel(parallel.clone()),
-                        ))
-                        .unwrap()
-                    };
-                    assert_eq!(run(true), run(false), "{jt:?} {res:?}");
+                    let (got, _) = run(jt, Some(res.clone()), parallel);
+                    assert_eq!(rows(&got), expected, "{jt:?} {res:?}");
                 }
             }
         }
@@ -897,6 +880,7 @@ mod tests {
     fn spilled_build_is_byte_identical_for_every_flavor() {
         use crate::broker::SpillMode;
         use bdcc_storage::live_spill_files;
+        let _spill = crate::broker::spill_test_guard();
         // Build side big enough to scatter across many partitions; left
         // side chunked so multiple probe rounds hit the restored leaves.
         let left: Vec<(i64, i64)> = (0..400).map(|i| (i % 37, i)).collect();
@@ -959,6 +943,7 @@ mod tests {
     #[test]
     fn spilled_build_under_parallel_probe_matches() {
         use crate::broker::SpillMode;
+        let _spill = crate::broker::spill_test_guard();
         // Broker + parallel config: the spilled probe path is serial but
         // must still be byte-identical to the parallel in-memory one.
         let left: Vec<(i64, i64)> = (0..200).map(|i| (i % 23, i)).collect();
@@ -1001,6 +986,7 @@ mod tests {
     fn roomy_auto_budget_never_spills() {
         use crate::broker::SpillMode;
         use bdcc_storage::live_spill_files;
+        let _spill = crate::broker::spill_test_guard();
         let tracker = MemoryTracker::new();
         let io = IoTracker::new();
         let base = live_spill_files();

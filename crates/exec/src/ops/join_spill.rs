@@ -337,7 +337,7 @@ impl HashJoin {
         build: &SpilledBuild,
         round: &[Batch],
     ) -> Result<Vec<Batch>> {
-        let pairs = needs_pairs(self.join_type, self.residual.as_ref());
+        let pairs = needs_pairs(self.join_type, self.residual.is_some());
         let mut frags: Vec<Vec<Fragment>> = round.iter().map(|_| Vec::new()).collect();
         for leaf in &build.leaves {
             let restored;
@@ -355,7 +355,6 @@ impl HashJoin {
                     &self.left_keys,
                     self.join_type,
                     self.residual.as_ref(),
-                    self.pair_filter.as_ref(),
                     0..batch.rows(),
                 )?;
                 if lidx.is_empty() {

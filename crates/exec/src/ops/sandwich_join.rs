@@ -133,11 +133,9 @@ pub struct SandwichHashJoin {
     right: GroupReader,
     left_keys: Vec<usize>,
     right_keys: Vec<usize>,
-    residual: Option<Expr>,
-    /// Kernel-compiled residual (see [`crate::kernel`]): shrinks the pair
-    /// match lists before the output gathers, touching only referenced
-    /// columns. `None` when the gate is off or there is no residual.
-    pair_filter: Option<PairFilter>,
+    /// Compiled residual (see [`crate::kernel`]): shrinks the pair match
+    /// lists before the output gathers, touching only referenced columns.
+    residual: Option<PairFilter>,
     schema: OpSchema,
     /// Right column indices kept in the output (group keys dropped).
     right_kept: Vec<usize>,
@@ -202,12 +200,8 @@ impl SandwichHashJoin {
         }
         // Residual sees left ++ kept right columns.
         let residual = match residual {
-            Some(e) => Some(e.bind(&schema)?),
+            Some(e) => Some(PairFilter::new(&e.bind(&schema)?, &schema)),
             None => None,
-        };
-        let pair_filter = match (&residual, crate::kernel::kernel_enabled()) {
-            (Some(e), true) => Some(PairFilter::new(e, &schema)),
-            _ => None,
         };
         Ok(SandwichHashJoin {
             left: GroupReader::new(left, left_group_cols),
@@ -215,7 +209,6 @@ impl SandwichHashJoin {
             left_keys,
             right_keys,
             residual,
-            pair_filter,
             schema,
             right_kept,
             tracker,
@@ -242,16 +235,6 @@ impl SandwichHashJoin {
         self
     }
 
-    /// Force the residual kernel on or off, overriding the `BDCC_KERNEL`
-    /// default picked up by [`SandwichHashJoin::new`].
-    pub fn with_kernel(mut self, on: bool) -> SandwichHashJoin {
-        self.pair_filter = match (&self.residual, on) {
-            (Some(e), true) => Some(PairFilter::new(e, &self.schema)),
-            _ => None,
-        };
-        self
-    }
-
     /// Attach the profiling metric block (planner-installed).
     pub fn with_metrics(mut self, metrics: Option<Arc<OpMetrics>>) -> SandwichHashJoin {
         self.metrics = metrics;
@@ -275,7 +258,7 @@ impl SandwichHashJoin {
             m.annotate("groups_left_only", self.groups_left_only.to_string());
             m.annotate("groups_right_only", self.groups_right_only.to_string());
             m.annotate("max_group_build_rows", self.max_group_build_rows.to_string());
-            if let Some(pf) = &self.pair_filter {
+            if let Some(pf) = &self.residual {
                 pf.annotate(m);
             }
         }
@@ -344,7 +327,6 @@ impl Operator for SandwichHashJoin {
                         &self.right_keys,
                         &self.right_kept,
                         self.residual.as_ref(),
-                        self.pair_filter.as_ref(),
                         self.parallel.as_ref(),
                     )?;
                     self.lgroup = self.left.next_group()?;
@@ -358,15 +340,13 @@ impl Operator for SandwichHashJoin {
     }
 }
 
-#[allow(clippy::too_many_arguments)]
 fn join_groups(
     left: &Batch,
     right: &Batch,
     left_keys: &[usize],
     right_keys: &[usize],
     right_kept: &[usize],
-    residual: Option<&Expr>,
-    pair_filter: Option<&PairFilter>,
+    residual: Option<&PairFilter>,
     parallel: Option<&ParallelConfig>,
 ) -> Result<Batch> {
     let rkey_cols: Vec<&[i64]> = right_keys
@@ -383,10 +363,10 @@ fn join_groups(
     // Same per-group gate on the probe side: only a probe group bigger
     // than a morsel fans out to row-range probe morsels.
     let (mut lidx, mut ridx) = index.probe_pairs_parallel(&lkey_cols, left.rows(), parallel)?;
-    if let Some(pf) = pair_filter {
-        // Kernel path: the residual runs on the pair selection, gathering
-        // only its referenced columns; the match lists shrink before the
-        // full output gathers below.
+    if let Some(pf) = residual {
+        // The residual runs on the pair selection, gathering only its
+        // referenced columns; the match lists shrink before the full
+        // output gathers below.
         let left_arity = left.arity();
         let sel = pf.select_pairs(lidx.len(), |c| {
             Ok(if c < left_arity {
@@ -404,14 +384,7 @@ fn join_groups(
     for &i in right_kept {
         cols.push(right.columns[i].gather_u32(&ridx));
     }
-    let out = Batch::new(cols);
-    match residual {
-        Some(f) if pair_filter.is_none() => {
-            let keep = f.eval_bool(&out)?;
-            Ok(out.filter(&keep))
-        }
-        _ => Ok(out),
-    }
+    Ok(Batch::new(cols))
 }
 
 #[cfg(test)]
@@ -582,33 +555,36 @@ mod tests {
 
     #[test]
     fn residual_kernel_matches_interpreter() {
-        // Sargable and non-sargable residuals, kernel on vs. off.
+        // Sargable and non-sargable residuals against a reference that
+        // shares nothing with the pair filter: the same join *without* the
+        // residual, its output filtered by the interpreter.
         let rows_l: Vec<(i64, i64, i64)> = (0..120).map(|i| (1000 + i, i % 17, i / 12)).collect();
         let rows_r: Vec<(i64, i64, i64)> = (0..90).map(|i| (i % 17, 2000 + i, i / 9)).collect();
         let residuals: Vec<Expr> = vec![
             Expr::col("rv").ge(Expr::lit(2030)),
-            Expr::col("lk").ge(Expr::col("rv").sub(Expr::lit(1020))),
+            Expr::col("lk").ge(Expr::col("rv").sub(Expr::lit(990))),
         ];
+        let run = |res: Option<Expr>| {
+            let left = Source::grouped(("lk", "lc", "g"), rows_l.clone(), 7);
+            let right = Source::grouped(("rc", "rv", "g"), rows_r.clone(), 7);
+            let join = SandwichHashJoin::new(
+                Box::new(left),
+                Box::new(right),
+                &[("lc", "rc")],
+                vec![2],
+                vec![2],
+                res,
+                MemoryTracker::new(),
+            )
+            .unwrap();
+            let schema = join.schema().clone();
+            (collect(Box::new(join)).unwrap(), schema)
+        };
+        let (all_pairs, schema) = run(None);
         for res in &residuals {
-            let run = |kernel: bool| {
-                let left = Source::grouped(("lk", "lc", "g"), rows_l.clone(), 7);
-                let right = Source::grouped(("rc", "rv", "g"), rows_r.clone(), 7);
-                collect(Box::new(
-                    SandwichHashJoin::new(
-                        Box::new(left),
-                        Box::new(right),
-                        &[("lc", "rc")],
-                        vec![2],
-                        vec![2],
-                        Some(res.clone()),
-                        MemoryTracker::new(),
-                    )
-                    .unwrap()
-                    .with_kernel(kernel),
-                ))
-                .unwrap()
-            };
-            assert_eq!(run(true), run(false), "{res:?}");
+            let keep = res.bind(&schema).unwrap().eval_bool(&all_pairs).unwrap();
+            assert!(keep.iter().any(|&k| k) && !keep.iter().all(|&k| k), "{res:?} must cut");
+            assert_eq!(run(Some(res.clone())).0, all_pairs.filter(&keep), "{res:?}");
         }
     }
 

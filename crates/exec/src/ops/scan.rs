@@ -17,8 +17,7 @@ use bdcc_storage::{IoTracker, StoredTable};
 use crate::batch::{Batch, ColMeta, OpSchema};
 use crate::enc::{BlockVerdict, ScanKernel};
 use crate::error::Result;
-use crate::expr::Expr;
-use crate::kernel::{kernel_enabled, FilterProgram};
+use crate::kernel::FilterProgram;
 use crate::ops::Operator;
 use crate::pred::{predicates_to_expr, ColPredicate};
 
@@ -39,12 +38,8 @@ pub struct PlainScan {
     /// Predicate columns not in the projection, read for residual
     /// evaluation only (deduplicated, in stable order).
     extra_cols: Vec<usize>,
-    /// Residual filter bound against projection ++ extra columns.
-    residual: Option<Expr>,
-    /// Schema the residual is bound against (projection ++ extras).
-    eval_schema: OpSchema,
-    /// Selection-vector program for the residual (see [`crate::kernel`]);
-    /// `None` keeps the interpreter path.
+    /// Residual filter compiled against projection ++ extra columns (see
+    /// [`crate::kernel`]); `None` when there are no predicates.
     program: Option<FilterProgram>,
     /// Compression-aware predicate kernel; `Some` only when the table is
     /// block-encoded and every predicate is kernel-supported.
@@ -104,24 +99,18 @@ impl PlainScan {
                 eval_schema.push(ColMeta::new(&p.column, table.schema().columns[*idx].data_type));
             }
         }
-        let residual = match predicates_to_expr(&predicates) {
-            Some(e) => Some(e.bind(&eval_schema)?),
+        let program = match predicates_to_expr(&predicates) {
+            Some(e) => Some(FilterProgram::compile(&e.bind(&eval_schema)?, &eval_schema)),
             None => None,
         };
         let end_block = blocks.end.min(table.block_count());
         let kernel = ScanKernel::try_new(&table, &preds);
-        let program = match (&residual, kernel_enabled()) {
-            (Some(e), true) => Some(FilterProgram::compile(e, &eval_schema)),
-            _ => None,
-        };
         Ok(PlainScan {
             table,
             io,
             projection,
             predicates: preds,
             extra_cols,
-            residual,
-            eval_schema,
             program,
             kernel,
             metrics: None,
@@ -134,16 +123,6 @@ impl PlainScan {
     /// Attach operator metrics (block-skip counters) to this scan.
     pub fn with_metrics(mut self, metrics: Option<Arc<OpMetrics>>) -> PlainScan {
         self.metrics = metrics;
-        self
-    }
-
-    /// Pin the residual's selection-vector kernel on or off, overriding
-    /// the `BDCC_KERNEL` gate consulted at construction.
-    pub fn with_filter_kernel(mut self, on: bool) -> PlainScan {
-        self.program = match (&self.residual, on) {
-            (Some(e), true) => Some(FilterProgram::compile(e, &self.eval_schema)),
-            _ => None,
-        };
         self
     }
 
@@ -249,8 +228,8 @@ impl Operator for PlainScan {
                 columns.push(self.table.column(idx)?.slice(start, end));
             }
             let full = Batch::new(columns);
-            let batch = match (&self.residual, &self.program) {
-                (Some(_), Some(program)) => {
+            let batch = match &self.program {
+                Some(program) => {
                     let sel = program.select(&full)?;
                     if sel.is_empty() {
                         continue;
@@ -259,19 +238,7 @@ impl Operator for PlainScan {
                     // unchanged; extras drop without cloning survivors.
                     truncate_cols(sel.take(full), self.projection.len())
                 }
-                (Some(filter), None) => {
-                    let keep = filter.eval_bool(&full)?;
-                    if !keep.iter().any(|&k| k) {
-                        continue;
-                    }
-                    if keep.iter().all(|&k| k) {
-                        // All rows pass: skip the per-column copy.
-                        truncate_cols(full, self.projection.len())
-                    } else {
-                        truncate_cols(full.filter(&keep), self.projection.len())
-                    }
-                }
-                (None, _) => truncate_cols(full, self.projection.len()),
+                None => truncate_cols(full, self.projection.len()),
             };
             if batch.rows() > 0 {
                 return Ok(Some(batch));
@@ -290,7 +257,7 @@ pub fn full_scan(table: Arc<StoredTable>, io: IoTracker, columns: &[&str]) -> Re
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use crate::ops::collect;
     use bdcc_storage::{Column, Datum, TableBuilder};
@@ -428,6 +395,82 @@ mod tests {
         ))
         .unwrap();
         assert_eq!(e.rows(), 0);
+    }
+
+    /// 64 rows in 8-row blocks: an int, a float, a low-cardinality string
+    /// and a payload column — encoded (dictionary / packed blocks) or raw.
+    pub(crate) fn residual_table(encoded: bool) -> Arc<StoredTable> {
+        let modes = ["AIR", "RAIL", "TRUCK", "SHIP"];
+        Arc::new(crate::enc::build_with_encoding(encoded, || {
+            StoredTable::from_columns_with_block_rows(
+                "r",
+                vec![
+                    ("k".into(), Column::from_i64((0..64).map(|i| (i * 7) % 64).collect())),
+                    ("f".into(), Column::from_f64((0..64).map(|i| i as f64 * 0.5).collect())),
+                    (
+                        "s".into(),
+                        Column::from_strings((0..64).map(|i| modes[i % 4].into()).collect()),
+                    ),
+                    ("v".into(), Column::from_i64((0..64).map(|i| i * 10).collect())),
+                ],
+                8,
+            )
+            .unwrap()
+        }))
+    }
+
+    /// The residual cases every scan must get right: `(name, table is
+    /// encoded, predicates, whether the encoded-block kernel takes them)`.
+    /// Encoded int/string predicates run on the blocks and materialise the
+    /// projection late; floats and raw tables go through the compiled
+    /// residual over projection ++ predicate-only columns.
+    pub(crate) fn residual_cases() -> Vec<(&'static str, bool, Vec<ColPredicate>, bool)> {
+        let int_str =
+            || vec![ColPredicate::between("k", 10i64, 50i64), ColPredicate::eq("s", "RAIL")];
+        vec![
+            ("encoded int+str", true, int_str(), true),
+            ("raw int+str", false, int_str(), false),
+            ("encoded float", true, vec![ColPredicate::ge("f", 11.25f64)], false),
+            (
+                "encoded float+int",
+                true,
+                vec![ColPredicate::lt("f", 20.0f64), ColPredicate::ge("k", 32i64)],
+                false,
+            ),
+        ]
+    }
+
+    /// What a scan projecting `v` under `preds` must return, computed
+    /// without any scan residual: `all` holds `v`, then the predicate
+    /// columns (names in `schema`), then `tail` trailing columns to keep;
+    /// the interpreter filters it and the predicate columns drop out.
+    pub(crate) fn hand_filtered(
+        all: Batch,
+        schema: &OpSchema,
+        preds: &[ColPredicate],
+        tail: usize,
+    ) -> Batch {
+        let residual = predicates_to_expr(preds).unwrap().bind(schema).unwrap();
+        let keep = residual.eval_bool(&all).unwrap();
+        assert!(keep.iter().any(|&k| k) && !keep.iter().all(|&k| k), "residual must cut");
+        let mut out = all.filter(&keep);
+        out.columns.drain(1..out.columns.len() - tail);
+        out
+    }
+
+    #[test]
+    fn residual_kernel_matches_interpreter() {
+        for (name, encoded, preds, late) in residual_cases() {
+            let t = residual_table(encoded);
+            let scan = PlainScan::new(Arc::clone(&t), IoTracker::new(), &["v"], preds.clone());
+            let scan = scan.unwrap();
+            assert_eq!(scan.kernel.is_some(), late, "{name}: wrong residual path");
+            let got = collect(Box::new(scan)).unwrap();
+            let reference = full_scan(t, IoTracker::new(), &["v", "k", "f", "s"]).unwrap();
+            let schema = reference.schema().clone();
+            let want = hand_filtered(collect(Box::new(reference)).unwrap(), &schema, &preds, 0);
+            assert_eq!(got, want, "{name}");
+        }
     }
 
     #[test]

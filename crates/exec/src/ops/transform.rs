@@ -7,18 +7,17 @@ use bdcc_obs::OpMetrics;
 use crate::batch::{Batch, ColMeta, OpSchema};
 use crate::error::Result;
 use crate::expr::Expr;
-use crate::kernel::{kernel_enabled, FilterProgram};
+use crate::kernel::FilterProgram;
 use crate::ops::{BoxedOp, Operator};
 
 /// Row-wise filter over an arbitrary boolean expression.
 ///
-/// With the selection-vector kernels enabled (see [`crate::kernel`]) the
-/// bound predicate is compiled once into a [`FilterProgram`]; batches
-/// where every row survives pass through without copying a column.
+/// The bound predicate is compiled once into a [`FilterProgram`] (see
+/// [`crate::kernel`]); batches where every row survives pass through
+/// without copying a column.
 pub struct Filter {
     input: BoxedOp,
-    predicate: Expr,
-    program: Option<FilterProgram>,
+    program: FilterProgram,
     schema: OpSchema,
     metrics: Option<Arc<OpMetrics>>,
     annotated: bool,
@@ -27,16 +26,9 @@ pub struct Filter {
 impl Filter {
     /// `predicate` is bound against the input schema here.
     pub fn new(input: BoxedOp, predicate: Expr) -> Result<Filter> {
-        Self::with_kernel(input, predicate, kernel_enabled())
-    }
-
-    /// Like [`new`](Self::new) with an explicit kernel toggle; `false`
-    /// keeps the seed interpreter (the differential-testing oracle).
-    pub fn with_kernel(input: BoxedOp, predicate: Expr, kernel: bool) -> Result<Filter> {
         let schema = input.schema().clone();
-        let predicate = predicate.bind(&schema)?;
-        let program = kernel.then(|| FilterProgram::compile(&predicate, &schema));
-        Ok(Filter { input, predicate, program, schema, metrics: None, annotated: false })
+        let program = FilterProgram::compile(&predicate.bind(&schema)?, &schema);
+        Ok(Filter { input, program, schema, metrics: None, annotated: false })
     }
 
     /// Attach the operator's profile metrics (kernel annotations land
@@ -51,8 +43,8 @@ impl Filter {
             return;
         }
         self.annotated = true;
-        if let (Some(m), Some(p)) = (&self.metrics, &self.program) {
-            p.annotate(m);
+        if let Some(m) = &self.metrics {
+            self.program.annotate(m);
         }
     }
 }
@@ -64,21 +56,9 @@ impl Operator for Filter {
 
     fn next(&mut self) -> Result<Option<Batch>> {
         while let Some(batch) = self.input.next()? {
-            if let Some(program) = &self.program {
-                let sel = program.select(&batch)?;
-                if !sel.is_empty() {
-                    return Ok(Some(sel.take(batch)));
-                }
-            } else {
-                let keep = self.predicate.eval_bool(&batch)?;
-                if keep.iter().all(|&k| k) {
-                    // All rows pass: hand the batch through unchanged
-                    // instead of cloning every column.
-                    return Ok(Some(batch));
-                }
-                if keep.iter().any(|&k| k) {
-                    return Ok(Some(batch.filter(&keep)));
-                }
+            let sel = self.program.select(&batch)?;
+            if !sel.is_empty() {
+                return Ok(Some(sel.take(batch)));
             }
         }
         self.flush_annotations();

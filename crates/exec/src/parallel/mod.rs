@@ -75,13 +75,15 @@
 //!
 //! ## Opting in
 //!
-//! Parallelism is off by default — [`QueryContext::new`] plans exactly as
-//! before. [`QueryContext::with_parallel`] installs a [`ParallelConfig`];
-//! the planner then swaps eligible leaves for [`ParallelScan`], eligible
+//! Parallelism is off by default — [`QueryContext::new`] plans serially.
+//! [`QueryContext::with_parallel`] installs a [`ParallelConfig`]; the
+//! planner then swaps eligible leaves for [`ParallelScan`], eligible
 //! aggregates for [`ParallelAggregate`], sorts for [`ParallelSort`], and
 //! hands the config to both hash-join variants so big build sides use the
 //! hash-partitioned parallel build and big probe rounds fan out to
 //! probe-morsel workers, leaving the rest of the operator tree serial.
+//! The three fields of the config are the whole configuration: nothing in
+//! the environment changes what a given [`ParallelConfig`] does.
 //!
 //! [`PlainScan`]: crate::ops::scan::PlainScan
 //! [`BdccScan`]: crate::ops::bdcc_scan::BdccScan
@@ -127,13 +129,12 @@ pub struct ParallelConfig {
     pub threads: usize,
     /// Target rows per morsel.
     pub morsel_rows: usize,
-    /// [`ParallelAggregate`] strategy override: `Some(true)` forces the
+    /// [`ParallelAggregate`] strategy pin: `Some(true)` forces the
     /// radix-partitioned path, `Some(false)` forces the partial-merge
     /// path, `None` lets the operator's group-cardinality probe decide
     /// per query. [`with_threads`](Self::with_threads) and `default()`
-    /// seed this from `BDCC_AGG_RADIX`
-    /// ([`agg_radix_from_env`](Self::agg_radix_from_env)) so a CI matrix
-    /// can pin either path.
+    /// leave it `None`; the equivalence suites and the aggregation
+    /// benches set it to cover each path.
     pub agg_radix: Option<bool>,
 }
 
@@ -143,19 +144,7 @@ impl ParallelConfig {
         ParallelConfig {
             threads: threads.max(1),
             morsel_rows: DEFAULT_MORSEL_ROWS,
-            agg_radix: ParallelConfig::agg_radix_from_env(),
-        }
-    }
-
-    /// The `BDCC_AGG_RADIX` override: `1`/`true`/`on`/`force` pin the
-    /// radix-partitioned aggregation path, `0`/`false`/`off` pin the
-    /// partial-merge path, anything else (or unset) defers to the
-    /// group-cardinality heuristic.
-    pub fn agg_radix_from_env() -> Option<bool> {
-        match std::env::var("BDCC_AGG_RADIX").ok().as_deref() {
-            Some("1") | Some("true") | Some("on") | Some("force") => Some(true),
-            Some("0") | Some("false") | Some("off") => Some(false),
-            _ => None,
+            agg_radix: None,
         }
     }
 
@@ -170,7 +159,7 @@ impl Default for ParallelConfig {
         ParallelConfig {
             threads: std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1),
             morsel_rows: DEFAULT_MORSEL_ROWS,
-            agg_radix: ParallelConfig::agg_radix_from_env(),
+            agg_radix: None,
         }
     }
 }
@@ -206,9 +195,7 @@ impl FragmentBlueprint {
         let mut op = self.scan.build_with_metrics(io, morsel, metrics)?;
         for step in &self.steps {
             op = match step {
-                FragmentStep::Filter(e) => {
-                    Box::new(Filter::with_kernel(op, e.clone(), self.scan.filter_kernel)?)
-                }
+                FragmentStep::Filter(e) => Box::new(Filter::new(op, e.clone())?),
                 FragmentStep::Project(exprs) => Box::new(Project::new(op, exprs.clone())?),
             };
         }
@@ -438,8 +425,8 @@ const RADIX_MIN_DUPLICATION_X10: u64 = 20;
 ///   first-seen position ([`merge::concat_radix_partitions`]),
 ///   **byte-identical** to serial execution, floats included.
 ///
-/// The strategy comes from [`ParallelConfig::agg_radix`] when pinned
-/// (`BDCC_AGG_RADIX`), otherwise from a two-sample probe
+/// The strategy comes from [`ParallelConfig::agg_radix`] when pinned,
+/// otherwise from a two-sample probe
 /// ([`choose_radix`](Self::choose_radix)): radix needs fine-grained
 /// density (≥ 1 group per [`RADIX_GROUP_RATIO`] rows), a fan-out worth
 /// partitioning (≥ 2× threads morsels), *and* real cross-morsel
@@ -672,7 +659,7 @@ impl ParallelAggregate {
         // straight into BudgetExceeded. The per-query cost of routing a
         // coarse group-by through radix is the partitioned input copy —
         // which the broker can spill — so under a budget the spillable
-        // shape wins (the `BDCC_AGG_RADIX` pin above still overrides).
+        // shape wins (the `agg_radix` pin above still overrides).
         if self.broker.is_active() {
             decided_by("broker");
             return Ok(Probe::decided(true));
@@ -891,7 +878,6 @@ mod tests {
             columns: vec!["k".into(), "g".into(), "f".into()],
             predicates: preds,
             kind: ScanKind::Plain,
-            filter_kernel: crate::kernel::kernel_enabled(),
         }
     }
 
@@ -926,7 +912,6 @@ mod tests {
             columns: vec!["k".into(), "f".into()],
             predicates: preds,
             kind: ScanKind::Plain,
-            filter_kernel: crate::kernel::kernel_enabled(),
         };
         let par = collect(Box::new(ParallelScan::new(bp, io, cfg, MemoryTracker::new()).unwrap()))
             .unwrap();
@@ -1049,7 +1034,6 @@ mod tests {
                 columns: vec!["scat".into(), "g".into(), "uniq".into(), "clus".into()],
                 predicates: vec![],
                 kind: ScanKind::Plain,
-                filter_kernel: crate::kernel::kernel_enabled(),
             };
             ParallelAggregate::new(
                 FragmentBlueprint { scan: bp, steps: vec![] },
@@ -1119,7 +1103,6 @@ mod tests {
             columns: vec!["s".into(), "f".into(), "v".into()],
             predicates: vec![],
             kind: ScanKind::Plain,
-            filter_kernel: crate::kernel::kernel_enabled(),
         };
         let cfg = ParallelConfig { threads: 4, morsel_rows: 64, agg_radix: Some(true) };
         let par = collect(Box::new(

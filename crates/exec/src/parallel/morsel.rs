@@ -84,9 +84,6 @@ pub struct ScanBlueprint {
     pub columns: Vec<String>,
     pub predicates: Vec<ColPredicate>,
     pub kind: ScanKind,
-    /// Residual filters compile to selection-vector kernel programs (the
-    /// query context's `kernel` toggle; see [`crate::kernel`]).
-    pub filter_kernel: bool,
 }
 
 /// The access-path-specific half of a [`ScanBlueprint`].
@@ -142,7 +139,6 @@ impl ScanBlueprint {
                     &cols,
                     self.predicates.clone(),
                 )?
-                .with_filter_kernel(self.filter_kernel)
                 .with_metrics(metrics),
             )),
             (ScanKind::Plain, Some(Morsel::Blocks(r))) => Ok(Box::new(
@@ -153,7 +149,6 @@ impl ScanBlueprint {
                     self.predicates.clone(),
                     r.clone(),
                 )?
-                .with_filter_kernel(self.filter_kernel)
                 .with_metrics(metrics),
             )),
             (ScanKind::Bdcc { group_key_names, groups }, m) => {
@@ -175,7 +170,6 @@ impl ScanBlueprint {
                         group_key_names,
                         subset,
                     )?
-                    .with_filter_kernel(self.filter_kernel)
                     .with_metrics(metrics),
                 ))
             }

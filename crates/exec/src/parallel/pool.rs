@@ -12,9 +12,9 @@
 //! aggregation, sort runs, build-side partitioning, streaming scans —
 //! reuses the same parked workers. The pool only ever grows to the widest
 //! `ParallelConfig::threads` seen; after warm-up no OS thread is created
-//! again (`WorkerPool::stats` pins this in tests), which removes the
-//! ~tens-of-microseconds thread create/join every fan-out used to pay
-//! (the `pool_overhead` bench bin measures the difference).
+//! again (`WorkerPool::stats` pins this in tests), so a fan-out costs
+//! queue operations, not thread create/join (the scoreboard's `pool_*`
+//! counters are the ongoing record).
 //!
 //! ## The two execution shapes
 //!
@@ -25,9 +25,7 @@
 //!   `ntasks <= 1` runs inline on the caller with zero pool interaction.
 //!   The first task error (in task order) propagates after the fan-out
 //!   drains, later tasks are skipped once one fails, and a panicking
-//!   task re-raises on the caller — the exact contract of the
-//!   spawn-per-fan-out implementation this façade replaced (kept as
-//!   [`run_tasks_spawning`] for the benchmark baseline).
+//!   task re-raises on the caller.
 //!
 //! * [`OrderedStream`] — the *streaming* fan-out with a **bounded reorder
 //!   buffer**: at most `cap` tasks are submitted beyond the consumer's
@@ -96,18 +94,6 @@ where
         return (0..ntasks).map(&task).collect();
     }
     WorkerPool::shared().scope_run_labeled(width, ntasks, Some(label), task)
-}
-
-/// The spawn-per-fan-out `run_tasks` this façade replaced: a fresh
-/// `std::thread::scope` per call, same ordering/short-circuit/panic
-/// contract. Kept **only** as the measurable baseline for the
-/// `pool_overhead` bench bin; operators must use [`run_tasks`].
-pub fn run_tasks_spawning<T, F>(threads: usize, ntasks: usize, task: F) -> Result<Vec<T>>
-where
-    T: Send,
-    F: Fn(usize) -> Result<T> + Sync,
-{
-    bdcc_pool::scope_run_spawning(threads, ntasks, task)
 }
 
 /// Streaming ordered fan-out on the shared pool, specialized to the

@@ -411,6 +411,7 @@ mod tests {
     }
 
     fn spilled(t: &Arc<StoredTable>, broker_of: impl Fn(&Arc<MemoryTracker>) -> MemoryBroker) {
+        let _spill = crate::broker::spill_test_guard();
         let want = serial(t);
         let base = live_spill_files();
         for threads in [2, 4] {
@@ -422,7 +423,6 @@ mod tests {
                 columns: vec!["k".into(), "f".into(), "s".into()],
                 predicates: vec![],
                 kind: ScanKind::Plain,
-                filter_kernel: crate::kernel::kernel_enabled(),
             };
             let agg = ParallelAggregate::new(
                 FragmentBlueprint { scan: bp, steps: vec![] },

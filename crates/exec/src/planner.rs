@@ -64,7 +64,8 @@ pub struct QueryContext {
     /// When set, the planner mirrors the operator tree with per-operator
     /// metric blocks, child memory/I/O trackers and edge wrappers (see
     /// [`crate::profile`]); results stay byte-identical. `None` (the
-    /// default without `BDCC_PROFILE=1`) allocates and wraps nothing.
+    /// default; [`with_profiling`](Self::with_profiling) sets it)
+    /// allocates and wraps nothing.
     pub profiler: Option<Profiler>,
     /// Per-query limits (cancellation, deadline, memory budget, fault
     /// injection) checked at every morsel-grained checkpoint; inert by
@@ -75,28 +76,35 @@ pub struct QueryContext {
     pub governor: Governor,
     /// Pressure oracle for spill-capable operators (hash-join build,
     /// radix aggregation): active once a memory budget is set (mode
-    /// `auto`) or under `BDCC_SPILL=force`; inert otherwise, leaving
-    /// operators on their pure in-memory paths (see [`crate::broker`]).
+    /// `auto`) or under `force` (`BDCC_SPILL=force`, or
+    /// [`with_spill`](Self::with_spill) for one query); inert otherwise,
+    /// leaving operators on their pure in-memory paths (see
+    /// [`crate::broker`]).
     pub broker: MemoryBroker,
-    /// Compile predicates into selection-vector kernel programs (see
-    /// [`crate::kernel`]); defaults to the `BDCC_KERNEL` gate. `false`
-    /// keeps every filter on the seed interpreter, the
-    /// differential-testing oracle.
-    pub kernel: bool,
 }
 
 impl QueryContext {
     pub fn new(sdb: Arc<SchemeDb>) -> QueryContext {
-        let tracker = MemoryTracker::new();
+        QueryContext::for_query(sdb, MemoryTracker::new(), None)
+    }
+
+    /// The one place a context's defaults are spelled out: no profiler,
+    /// no limits, the process's spill mode with no budget. The public
+    /// constructors and the serving layer (which supplies a per-query
+    /// child `tracker`) all start here.
+    pub(crate) fn for_query(
+        sdb: Arc<SchemeDb>,
+        tracker: Arc<MemoryTracker>,
+        parallel: Option<ParallelConfig>,
+    ) -> QueryContext {
         QueryContext {
             sdb,
             broker: MemoryBroker::from_env(&tracker, None),
             tracker,
             io: IoTracker::new(),
-            parallel: None,
-            profiler: Profiler::from_env(),
+            parallel,
+            profiler: None,
             governor: Governor::none(),
-            kernel: crate::kernel::kernel_enabled(),
         }
     }
 
@@ -111,24 +119,7 @@ impl QueryContext {
         if parallel.threads > 1 {
             crate::parallel::pool::WorkerPool::shared().ensure_workers(parallel.threads);
         }
-        let tracker = MemoryTracker::new();
-        QueryContext {
-            sdb,
-            broker: MemoryBroker::from_env(&tracker, None),
-            tracker,
-            io: IoTracker::new(),
-            parallel: Some(parallel),
-            profiler: Profiler::from_env(),
-            governor: Governor::none(),
-            kernel: crate::kernel::kernel_enabled(),
-        }
-    }
-
-    /// Pin this query's selection-vector kernel toggle explicitly,
-    /// overriding the `BDCC_KERNEL` gate.
-    pub fn with_kernel(mut self, kernel: bool) -> QueryContext {
-        self.kernel = kernel;
-        self
+        QueryContext::for_query(sdb, MemoryTracker::new(), Some(parallel))
     }
 
     /// Enable per-operator profiling on this context (what
@@ -211,16 +202,6 @@ impl QueryContext {
         let tracker = Arc::clone(&self.tracker);
         self.governor.set_injector(injector, &tracker);
         self
-    }
-}
-
-impl Profiler {
-    /// The `BDCC_PROFILE` opt-in: `1`/`true`/`on` profile every context.
-    fn from_env() -> Option<Profiler> {
-        match std::env::var("BDCC_PROFILE").ok().as_deref() {
-            Some("1") | Some("true") | Some("on") => Some(Profiler::new()),
-            _ => None,
-        }
     }
 }
 
@@ -550,7 +531,7 @@ impl<'a> Planner<'a> {
                 let child = self.build(input, requested)?;
                 let prof = self.prof_node("Filter".into(), vec![child.prof.clone()], None);
                 let cop = wrap_edge(child.op, &child.prof, &prof);
-                let op = Filter::with_kernel(cop, predicate.clone(), self.ctx.kernel)?
+                let op = Filter::new(cop, predicate.clone())?
                     .with_metrics(prof.as_ref().map(|p| Arc::clone(&p.metrics)));
                 Ok(PhysOut { op: Box::new(op), gk_cols: child.gk_cols, prof })
             }
@@ -697,7 +678,6 @@ impl<'a> Planner<'a> {
                 columns: columns.to_vec(),
                 predicates: predicates.to_vec(),
                 kind,
-                filter_kernel: self.ctx.kernel,
             },
             requested.len(),
         ))
@@ -868,7 +848,6 @@ impl<'a> Planner<'a> {
                                 residual.clone(),
                                 self.op_tracker(&prof),
                             )?
-                            .with_kernel(self.ctx.kernel)
                             .with_parallel(self.ctx.parallel.clone())
                             .with_metrics(prof.as_ref().map(|p| Arc::clone(&p.metrics)))
                             .with_governor(self.ctx.governor.clone());
@@ -932,7 +911,6 @@ impl<'a> Planner<'a> {
         // morsel budget, both byte-identical to serial execution.
         let j =
             HashJoin::new(lop, rop, &on_refs, join_type, residual.clone(), self.op_tracker(&prof))?
-                .with_kernel(self.ctx.kernel)
                 .with_parallel(self.ctx.parallel.clone())
                 .with_metrics(prof.as_ref().map(|p| Arc::clone(&p.metrics)))
                 .with_governor(self.ctx.governor.clone())
@@ -1003,8 +981,7 @@ impl<'a> Planner<'a> {
         // hash-partition by group key so each group lives in exactly one
         // worker-local table) by probing two sample morsels for group
         // density and cross-morsel duplication (`choose_radix`),
-        // overridable through `ParallelConfig::agg_radix`
-        // (`BDCC_AGG_RADIX`).
+        // overridable through `ParallelConfig::agg_radix`.
         // Without a parallel config, an active broker still routes leaf
         // fragments here with a one-thread config: only the radix
         // aggregate can spill, and a serial HashAggregate would die with

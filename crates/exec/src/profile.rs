@@ -1,9 +1,10 @@
 //! Per-operator execution profiling (`EXPLAIN ANALYZE`).
 //!
 //! The planner builds an [`OpProf`] tree alongside the physical operator
-//! tree when the context carries a [`Profiler`] (opt-in via
-//! [`QueryContext::with_profiling`] or `BDCC_PROFILE=1`). Each plan
-//! operator gets:
+//! tree when the context carries a [`Profiler`] — per query, through
+//! [`QueryContext::with_profiling`] (what `explain_analyze` and the
+//! scoreboard's traced passes call); nothing in the environment turns it
+//! on. Each plan operator gets:
 //!
 //! * a live [`OpMetrics`] block (relaxed atomics, per-thread histogram
 //!   shards — see `bdcc-obs` for the overhead contract);

@@ -51,11 +51,9 @@ use std::time::{Duration, Instant};
 
 use bdcc_obs::ServeMetrics;
 use bdcc_pool::{CancelToken, FaultInjector};
-use bdcc_storage::IoTracker;
 
 use crate::batch::Batch;
 use crate::error::{ExecError, Result};
-use crate::govern::Governor;
 use crate::memory::MemoryTracker;
 use crate::parallel::ParallelConfig;
 use crate::plan::Node;
@@ -393,17 +391,11 @@ fn run_ticket(shared: &ServerShared, ticket: Ticket) {
     let m = &shared.metrics;
     let queue_wait = ticket.enqueued.elapsed();
     m.queue_wait_nanos.record(queue_wait.as_nanos() as u64);
-    let tracker = MemoryTracker::child_of(&shared.mem_root);
-    let mut ctx = QueryContext {
-        sdb: Arc::clone(&shared.sdb),
-        broker: crate::broker::MemoryBroker::from_env(&tracker, None),
-        tracker,
-        io: IoTracker::new(),
-        parallel: shared.cfg.parallel.clone(),
-        profiler: None,
-        governor: Governor::none(),
-        kernel: crate::kernel::kernel_enabled(),
-    }
+    let mut ctx = QueryContext::for_query(
+        Arc::clone(&shared.sdb),
+        MemoryTracker::child_of(&shared.mem_root),
+        shared.cfg.parallel.clone(),
+    )
     .with_cancel(ticket.shared.cancel.clone());
     if let Some(at) = ticket.deadline {
         ctx = ctx.with_deadline_at(at);

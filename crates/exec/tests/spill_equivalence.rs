@@ -129,6 +129,14 @@ fn fine_agg() -> Node {
     )
 }
 
+/// Held by every test here: they all spill, and most assert on the
+/// process-wide [`live_spill_files`] count, which a neighbour's temp
+/// files would otherwise show up in.
+fn spill_test_guard() -> std::sync::MutexGuard<'static, ()> {
+    static LOCK: std::sync::Mutex<()> = std::sync::Mutex::new(());
+    LOCK.lock().unwrap_or_else(|e| e.into_inner())
+}
+
 fn ctx(sdb: &Arc<SchemeDb>, threads: usize) -> QueryContext {
     if threads > 1 {
         QueryContext::with_parallel(Arc::clone(sdb), ParallelConfig::with_threads(threads))
@@ -139,6 +147,7 @@ fn ctx(sdb: &Arc<SchemeDb>, threads: usize) -> QueryContext {
 
 #[test]
 fn spill_modes_are_byte_identical_across_schemes_and_threads() {
+    let _spill = spill_test_guard();
     let schemes = schemes();
     let base_files = live_spill_files();
     for (query_name, query) in [("join_heavy", join_heavy()), ("fine_agg", fine_agg())] {
@@ -178,6 +187,7 @@ fn spill_modes_are_byte_identical_across_schemes_and_threads() {
 
 #[test]
 fn spilling_completes_within_half_the_unspilled_peak() {
+    let _spill = spill_test_guard();
     let schemes = schemes();
     let (_, plain) = &schemes[0];
     for (query_name, query) in [("join_heavy", join_heavy()), ("fine_agg", fine_agg())] {
@@ -208,6 +218,7 @@ fn spilling_completes_within_half_the_unspilled_peak() {
 
 #[test]
 fn budget_exceeded_survives_only_for_truly_oversized_queries() {
+    let _spill = spill_test_guard();
     // The aggregate above a join is not a leaf fragment, so it runs as
     // an in-memory hash aggregate whose state (512 groups) cannot spill:
     // a 1 KB budget still dies with a budget error even in auto mode —
@@ -226,6 +237,7 @@ fn budget_exceeded_survives_only_for_truly_oversized_queries() {
 
 #[test]
 fn deadline_and_cancel_mid_spill_drain_all_temp_files() {
+    let _spill = spill_test_guard();
     let schemes = schemes();
     let (_, plain) = &schemes[0];
     let base_files = live_spill_files();
@@ -261,6 +273,7 @@ fn deadline_and_cancel_mid_spill_drain_all_temp_files() {
 
 #[test]
 fn injected_faults_mid_spill_drain_all_temp_files() {
+    let _spill = spill_test_guard();
     let schemes = schemes();
     let (_, plain) = &schemes[0];
     let base_files = live_spill_files();

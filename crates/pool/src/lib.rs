@@ -28,4 +28,4 @@ pub mod pool;
 
 pub use cancel::{CancelReason, CancelToken};
 pub use inject::{Fault, FaultInjector, FaultPlan};
-pub use pool::{scope_run_spawning, OrderedStream, PoolFailure, PoolStats, WorkerPool};
+pub use pool::{OrderedStream, PoolFailure, PoolStats, WorkerPool};

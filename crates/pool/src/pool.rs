@@ -45,8 +45,7 @@
 //! waiters. (Each *blocked* scope therefore keeps exactly its caller
 //! busy; no thread ever sleeps while runnable work exists.)
 //!
-//! Error/panic contract (identical to the scoped-thread implementation it
-//! replaced, [`scope_run_spawning`]): the first task error — in task
+//! Error/panic contract: the first task error — in task
 //! order — is returned after every claimed task ran or was skipped; once
 //! any task errs, workers stop *starting* this scope's tasks. A panicking
 //! task is re-raised on the calling thread after the scope drains.
@@ -697,68 +696,10 @@ impl JobRunner for ScopeCore {
     }
 }
 
-/// The scoped-thread fan-out this pool replaced, kept as the measurable
-/// baseline for the `pool_overhead` benchmark: spawns and joins a fresh
-/// `std::thread::scope` per call, with the same ordering, short-circuit
-/// and panic contract as [`WorkerPool::scope_run`].
-pub fn scope_run_spawning<T, E, F>(threads: usize, ntasks: usize, task: F) -> Result<Vec<T>, E>
-where
-    T: Send,
-    E: Send + From<PoolFailure>,
-    F: Fn(usize) -> Result<T, E> + Sync,
-{
-    let threads = threads.min(ntasks).max(1);
-    if threads == 1 {
-        return (0..ntasks).map(&task).collect();
-    }
-    let queues: Vec<Mutex<VecDeque<usize>>> =
-        (0..threads).map(|_| Mutex::new(VecDeque::new())).collect();
-    for t in 0..ntasks {
-        queues[t % threads].lock().expect("queue poisoned").push_back(t);
-    }
-    let slots: Vec<Mutex<Option<Result<T, E>>>> = (0..ntasks).map(|_| Mutex::new(None)).collect();
-    let failed = AtomicBool::new(false);
-    std::thread::scope(|scope| {
-        for w in 0..threads {
-            let queues = &queues;
-            let slots = &slots;
-            let task = &task;
-            let failed = &failed;
-            scope.spawn(move || loop {
-                if failed.load(Ordering::Relaxed) {
-                    break;
-                }
-                let mut job = queues[w].lock().expect("queue poisoned").pop_front();
-                if job.is_none() {
-                    for v in (0..queues.len()).filter(|&v| v != w) {
-                        job = queues[v].lock().expect("queue poisoned").pop_back();
-                        if job.is_some() {
-                            break;
-                        }
-                    }
-                }
-                match job {
-                    Some(j) => {
-                        let r = task(j);
-                        if r.is_err() {
-                            failed.store(true, Ordering::Relaxed);
-                        }
-                        *slots[j].lock().expect("slot poisoned") = Some(r);
-                    }
-                    None => break,
-                }
-            });
-        }
-    });
-    collect_results(slots)
-}
-
 /// Turn a fan-out's result slots into the caller-facing `Result`:
 /// propagate the first *actual* error in task order (slots skipped after
 /// the short-circuit are not themselves the failure), otherwise unwrap
-/// every slot. Shared by [`WorkerPool::scope_run`] and its benchmark
-/// baseline [`scope_run_spawning`] so the two can never diverge on the
-/// error-ordering contract.
+/// every slot.
 fn collect_results<T, E>(slots: Vec<Mutex<Option<Result<T, E>>>>) -> Result<Vec<T>, E>
 where
     E: From<PoolFailure>,
@@ -1379,14 +1320,5 @@ mod tests {
             }
         };
         assert_eq!(err.0, "streaming worker 'scan-morsel' panicked: morsel died");
-    }
-
-    #[test]
-    fn spawning_baseline_matches_pool_contract() {
-        let out: Vec<usize> = scope_run_spawning(4, 17, |i| R::Ok(i * i)).unwrap();
-        assert_eq!(out, (0..17).map(|i| i * i).collect::<Vec<_>>());
-        let r: R<Vec<usize>> =
-            scope_run_spawning(3, 10, |i| if i == 7 { Err(TestErr("boom".into())) } else { Ok(i) });
-        assert_eq!(r.unwrap_err(), TestErr("boom".into()));
     }
 }

@@ -39,12 +39,13 @@
 //!
 //! # Gate
 //!
-//! Building encodings is controlled by the `BDCC_ENCODE` environment
-//! variable (default **on**; `0`/`false`/`off` disables) and by the
-//! process-wide test override [`set_encode_enabled`]. With the gate off,
-//! tables carry no encodings and scans take the raw path verbatim.
+//! Tables are built with encodings unless [`set_encode_enabled`] turned
+//! them off — the process-wide switch the encoded-vs-raw equivalence
+//! suites and `compress_speedup` use to build the same table both ways
+//! (the scheme builders take no per-table option). A table built with the
+//! switch off carries no encodings and its scans take the raw path.
 
-use std::sync::atomic::{AtomicU8, Ordering};
+use std::sync::atomic::{AtomicBool, Ordering};
 
 use crate::column::Column;
 use crate::value::DataType;
@@ -53,32 +54,18 @@ use crate::value::DataType;
 // Gate
 // ---------------------------------------------------------------------------
 
-/// 0 = follow the environment, 1 = force on, 2 = force off.
-static ENCODE_OVERRIDE: AtomicU8 = AtomicU8::new(0);
+static ENCODE_ENABLED: AtomicBool = AtomicBool::new(true);
 
-/// Process-wide override of the `BDCC_ENCODE` gate, for tests and benches
-/// that build the same table both ways. `None` restores env behaviour.
+/// Process-wide switch for tests and benches that build the same table
+/// both ways. `None` restores the default, on.
 pub fn set_encode_enabled(enabled: Option<bool>) {
-    let v = match enabled {
-        None => 0,
-        Some(true) => 1,
-        Some(false) => 2,
-    };
-    ENCODE_OVERRIDE.store(v, Ordering::SeqCst);
+    ENCODE_ENABLED.store(enabled.unwrap_or(true), Ordering::SeqCst);
 }
 
-/// Should tables built now carry block encodings? Default **on**;
-/// `BDCC_ENCODE=0|false|off` disables; [`set_encode_enabled`] overrides.
+/// Should tables built now carry block encodings? On unless
+/// [`set_encode_enabled`] turned it off.
 pub fn encode_enabled() -> bool {
-    match ENCODE_OVERRIDE.load(Ordering::SeqCst) {
-        1 => return true,
-        2 => return false,
-        _ => {}
-    }
-    match std::env::var("BDCC_ENCODE") {
-        Ok(v) => !matches!(v.trim().to_ascii_lowercase().as_str(), "0" | "false" | "off"),
-        Err(_) => true,
-    }
+    ENCODE_ENABLED.load(Ordering::SeqCst)
 }
 
 // ---------------------------------------------------------------------------

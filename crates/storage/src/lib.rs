@@ -30,10 +30,10 @@
 //! (dictionary-code comparison, per-run RLE tests) and **materializes
 //! late** — gathering raw values only for the rows that survive a block's
 //! predicates — so operators downstream of a scan never see encoded data
-//! and results are byte-identical with the `BDCC_ENCODE` gate on or off.
+//! and results are byte-identical with encodings built or not.
 //! [`StoredTable::io_width`] exposes the encoded footprint to the I/O cost
 //! model, while Algorithm 1's `densest_column_width` stays on raw widths so
-//! BDCC schema designs do not shift when the gate flips.
+//! BDCC schema designs are the same either way.
 //!
 //! Tables are immutable once built (BDCC re-organizes on bulk-load), which
 //! keeps the storage layer simple and lock-free on the read path.

@@ -454,6 +454,13 @@ impl SpillReader {
 mod tests {
     use super::*;
 
+    /// Held by every test here: they all create spill files, and one
+    /// asserts on the process-wide [`live_spill_files`] count.
+    fn spill_test_guard() -> std::sync::MutexGuard<'static, ()> {
+        static LOCK: Mutex<()> = Mutex::new(());
+        LOCK.lock().unwrap_or_else(|e| e.into_inner())
+    }
+
     fn columns() -> Vec<Column> {
         vec![
             Column::from_i64(vec![5, -3, 1 << 40, 5, 0]),
@@ -471,6 +478,7 @@ mod tests {
 
     #[test]
     fn round_trips_every_type_bit_exactly() {
+        let _spill = spill_test_guard();
         let io = IoTracker::new();
         let mut w = SpillWriter::create("test", &io).unwrap();
         let cols = columns();
@@ -507,6 +515,7 @@ mod tests {
 
     #[test]
     fn rereads_yield_identical_entries() {
+        let _spill = spill_test_guard();
         let io = IoTracker::new();
         let mut w = SpillWriter::create("test", &io).unwrap();
         w.write_columns(&columns()).unwrap();
@@ -519,6 +528,7 @@ mod tests {
 
     #[test]
     fn spill_io_is_metered_once_per_direction() {
+        let _spill = spill_test_guard();
         let io = IoTracker::new();
         let mut w = SpillWriter::create("test", &io).unwrap();
         w.write_columns(&columns()).unwrap();
@@ -537,6 +547,7 @@ mod tests {
 
     #[test]
     fn files_unlink_on_drop_and_on_unfinished_writer() {
+        let _spill = spill_test_guard();
         let base = live_spill_files();
         let io = IoTracker::new();
         let mut w = SpillWriter::create("test", &io).unwrap();

@@ -49,7 +49,7 @@ pub struct StoredTable {
     schema: TableSchema,
     columns: Vec<Arc<Column>>,
     stats: Vec<ColumnBlockStats>,
-    /// Per-column block encodings (`None` when the `BDCC_ENCODE` gate was
+    /// Per-column block encodings (`None` when encoding was switched
     /// off at build time or no block of the column won over raw). Shares
     /// the MinMax block grid; raw columns stay resident, so encodings are
     /// an *additional* predicate-evaluation representation, never the only
@@ -195,7 +195,7 @@ impl StoredTable {
     /// dictionary-encoded string columns no longer bill their raw heap
     /// size. Algorithm 1's [`densest_column_width`](Self::densest_column_width)
     /// deliberately stays on raw widths so BDCC designs are invariant
-    /// under the `BDCC_ENCODE` gate.
+    /// whether or not encodings are built.
     pub fn io_width(&self, index: usize) -> f64 {
         match self.encoding(index) {
             Some(enc) => enc.avg_encoded_width(self.rows),

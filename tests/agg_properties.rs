@@ -114,7 +114,6 @@ fn try_parallel(
         columns: cols.iter().map(|c| c.to_string()).collect(),
         predicates: vec![],
         kind: ScanKind::Plain,
-        filter_kernel: bdcc_exec::kernel_enabled(),
     };
     let cfg = ParallelConfig { threads, morsel_rows: test_morsel_rows(), agg_radix: Some(radix) };
     collect(Box::new(
@@ -284,7 +283,6 @@ proptest! {
             columns: COLS.iter().map(|c| c.to_string()).collect(),
             predicates: vec![],
             kind: ScanKind::Plain,
-            filter_kernel: bdcc_exec::kernel_enabled(),
         };
         let cfg = ParallelConfig { threads, morsel_rows: test_morsel_rows(), agg_radix: None };
         let auto = collect(Box::new(

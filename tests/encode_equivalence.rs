@@ -1,18 +1,19 @@
-//! Encoded-vs-raw equivalence: with block encodings on (`BDCC_ENCODE=1`,
-//! the default) every TPC-H query must return results **byte-identical**
-//! to the same query over unencoded storage, for each scheme, serial and
-//! morsel-parallel — the compression-aware kernels and late
-//! materialization may only change *how* blocks are evaluated, never what
-//! a scan emits. On top of that, `EXPLAIN ANALYZE` must surface the
-//! per-scan encoding annotations and the dict-miss skip counter.
+//! Encoded-vs-raw equivalence: with block encodings on (the default)
+//! every TPC-H query must return results **byte-identical** to the same
+//! query over unencoded storage, for each scheme, serial and
+//! morsel-parallel under each aggregation strategy — the
+//! compression-aware kernels and late materialization may only change
+//! *how* blocks are evaluated, never what a scan emits. On top of that,
+//! `EXPLAIN ANALYZE` must surface the per-scan encoding annotations and
+//! the dict-miss skip counter.
 //!
-//! Everything lives in one test function because the encoding gate
+//! Everything lives in one test function because the encoding switch
 //! (`set_encode_enabled`) is process-global and the harness runs tests in
 //! one binary concurrently.
 //!
 //! The worker count honours `BDCC_THREADS` (default 4) and the morsel
 //! size honours `BDCC_MORSEL_ROWS` (default 256), so CI can run the same
-//! suite across a threads × morsel-size × `BDCC_ENCODE` matrix.
+//! suite across its named threads × morsel-size configurations.
 
 use std::sync::Arc;
 
@@ -64,21 +65,24 @@ fn encoded_scans_are_byte_identical_to_raw() {
     assert!(enc_li.has_encodings(), "lineitem must pick up block encodings");
 
     // The full query matrix: every query × every scheme, serial and
-    // parallel, encoded vs raw — exact string equality, no tolerance.
-    let par_cfg = ParallelConfig {
-        threads: test_threads(),
-        morsel_rows: test_morsel_rows(),
-        agg_radix: ParallelConfig::agg_radix_from_env(),
+    // parallel (the operator's own aggregation strategy and each one
+    // pinned), encoded vs raw — exact string equality, no tolerance.
+    let par_cfg = |agg_radix| {
+        Some(ParallelConfig { threads: test_threads(), morsel_rows: test_morsel_rows(), agg_radix })
     };
+    let cfgs = [None, par_cfg(None), par_cfg(Some(true)), par_cfg(Some(false))];
     let mut failures = Vec::new();
     for q in all_queries() {
         for (raw_sdb, enc_sdb) in raw.iter().zip(&enc) {
-            for cfg in [None, Some(par_cfg.clone())] {
-                let context = |sdb: &Arc<SchemeDb>| match &cfg {
+            for cfg in &cfgs {
+                let context = |sdb: &Arc<SchemeDb>| match cfg {
                     None => QueryContext::new(Arc::clone(sdb)),
                     Some(c) => QueryContext::with_parallel(Arc::clone(sdb), c.clone()),
                 };
-                let mode = if cfg.is_some() { "parallel" } else { "serial" };
+                let mode = match cfg {
+                    None => "serial".to_string(),
+                    Some(c) => format!("parallel, agg_radix={:?}", c.agg_radix),
+                };
                 let r = (q.run)(&QueryCtx::new(context(raw_sdb), sf));
                 let e = (q.run)(&QueryCtx::new(context(enc_sdb), sf));
                 match (r, e) {

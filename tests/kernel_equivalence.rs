@@ -13,32 +13,25 @@
 //!    `Expr::eval_bool`, including the filtered batch payloads.
 //! 2. One compiled program streamed across enough batches to trip the
 //!    adaptive reorder warmup must stay exact after permuting its order.
-//! 3. The full TPC-H matrix — all 22 queries × 3 schemes × block
-//!    encodings on/off × serial/parallel — must return byte-identical
-//!    results with kernels on vs. off.
-//! 4. `EXPLAIN ANALYZE` must annotate kernel-compiled filters with the
-//!    leaf mix, per-conjunct selectivities and the chosen order, and stay
-//!    silent with the kernel disabled.
+//! 3. `EXPLAIN ANALYZE` must annotate compiled filters with the leaf
+//!    mix, per-conjunct selectivities and the chosen order.
+//!
+//! There is no interpreter-everywhere mode to compare whole queries
+//! against: the operators' own tests check each residual site against a
+//! hand-applied `Expr::eval_bool`, and the 22-query suites compare the
+//! engine across schemes, thread counts and encodings.
 
 use std::sync::Arc;
 
 use bdcc::prelude::*;
 use bdcc_exec::kernel::sel_from_bools;
 use bdcc_exec::{
-    canonical_rows, explain_analyze, filter, Batch, ColMeta, Datum, Expr, FilterProgram,
-    LikePattern, ParallelConfig, PlanBuilder, ProfileNode, QueryContext,
+    explain_analyze, filter, Batch, ColMeta, Datum, Expr, FilterProgram, LikePattern, PlanBuilder,
+    ProfileNode, QueryContext,
 };
-use bdcc_storage::{set_encode_enabled, Column, DataType};
+use bdcc_storage::{Column, DataType};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-
-fn test_threads() -> usize {
-    std::env::var("BDCC_THREADS").ok().and_then(|v| v.parse().ok()).unwrap_or(4)
-}
-
-fn test_morsel_rows() -> usize {
-    std::env::var("BDCC_MORSEL_ROWS").ok().and_then(|v| v.parse().ok()).unwrap_or(256)
-}
 
 fn oracle_schema() -> Vec<ColMeta> {
     vec![
@@ -216,82 +209,12 @@ fn adaptive_reorder_stays_exact_across_batches() {
     }
 }
 
-/// Build the three schemes with the block-encoding gate forced.
-fn schemes_with_encode(sf: f64, enabled: bool) -> Vec<Arc<SchemeDb>> {
-    set_encode_enabled(Some(enabled));
-    let db = bdcc::tpch::generate(&GenConfig::new(sf));
-    let out = vec![
-        Arc::new(plain_scheme(&db)),
-        Arc::new(pk_scheme(&db).expect("pk scheme")),
-        Arc::new(bdcc_scheme(&db, &DesignConfig::default()).expect("bdcc scheme")),
-    ];
-    set_encode_enabled(None);
-    out
-}
-
-/// The full query matrix with kernels on vs. off, plus the EXPLAIN
-/// ANALYZE annotation contract. The kernel choice is pinned per
-/// `QueryContext` (no process-global toggling), so this coexists with
-/// the other tests in this binary.
+/// EXPLAIN ANALYZE: a multi-conjunct filter must surface the kernel
+/// annotations — leaf mix, per-conjunct selectivity, chosen order.
 #[test]
-fn query_matrix_is_byte_identical_with_kernels_on_and_off() {
-    let sf = 0.002;
-    let par_cfg = ParallelConfig {
-        threads: test_threads(),
-        morsel_rows: test_morsel_rows(),
-        agg_radix: ParallelConfig::agg_radix_from_env(),
-    };
-    let mut failures = Vec::new();
-    for encode in [true, false] {
-        let schemes = schemes_with_encode(sf, encode);
-        for q in all_queries() {
-            for sdb in &schemes {
-                for cfg in [None, Some(par_cfg.clone())] {
-                    let run_with = |kernel: bool| {
-                        let ctx = match &cfg {
-                            None => QueryContext::new(Arc::clone(sdb)),
-                            Some(c) => QueryContext::with_parallel(Arc::clone(sdb), c.clone()),
-                        }
-                        .with_kernel(kernel);
-                        (q.run)(&QueryCtx::new(ctx, sf))
-                    };
-                    let mode = if cfg.is_some() { "parallel" } else { "serial" };
-                    match (run_with(true), run_with(false)) {
-                        (Ok(on), Ok(off)) => {
-                            let (on, off) = (canonical_rows(&on), canonical_rows(&off));
-                            if on != off {
-                                failures.push(format!(
-                                    "{} on {} (encode={encode}, {mode}): kernel {} rows vs \
-                                     interpreter {} rows; first diff: {:?} vs {:?}",
-                                    q.name,
-                                    sdb.scheme.name(),
-                                    on.len(),
-                                    off.len(),
-                                    on.iter().find(|row| !off.contains(row)),
-                                    off.iter().find(|row| !on.contains(row)),
-                                ));
-                            }
-                        }
-                        (Err(err), _) => failures.push(format!(
-                            "{} kernel-on failed on {} (encode={encode}, {mode}): {err}",
-                            q.name,
-                            sdb.scheme.name()
-                        )),
-                        (_, Err(err)) => failures.push(format!(
-                            "{} kernel-off failed on {} (encode={encode}, {mode}): {err}",
-                            q.name,
-                            sdb.scheme.name()
-                        )),
-                    }
-                }
-            }
-        }
-    }
-    assert!(failures.is_empty(), "kernel/interpreter disagreement:\n{}", failures.join("\n"));
-
-    // EXPLAIN ANALYZE: a multi-conjunct filter must surface the kernel
-    // annotations — leaf mix, per-conjunct selectivity, chosen order.
-    let schemes = schemes_with_encode(sf, true);
+fn explain_analyze_annotates_compiled_filters() {
+    let db = bdcc::tpch::generate(&GenConfig::new(0.002));
+    let sdb = Arc::new(plain_scheme(&db));
     let plan = filter(
         PlanBuilder::new().scan(
             "lineitem",
@@ -308,7 +231,7 @@ fn query_matrix_is_byte_identical_with_kernels_on_and_off() {
             .and(Expr::col("l_discount").le(Expr::lit(0.07)))
             .and(Expr::col("l_quantity").lt(Expr::lit(24.0))),
     );
-    let ctx = QueryContext::new(Arc::clone(&schemes[0])).with_kernel(true);
+    let ctx = QueryContext::new(sdb);
     let analyzed = explain_analyze(&ctx, &plan).expect("explain analyze");
     let (mut saw_kernel, mut saw_sel, mut saw_order) = (false, false, false);
     analyzed.profile.root.walk(&mut |node: &ProfileNode| {
@@ -323,14 +246,4 @@ fn query_matrix_is_byte_identical_with_kernels_on_and_off() {
     assert!(saw_order, "multi-conjunct filter must annotate its chosen order");
     let rendered = analyzed.profile.render();
     assert!(rendered.contains("kernel"), "render must show kernel annotations:\n{rendered}");
-
-    // With the kernel disabled, no kernel annotations may appear.
-    let ctx = QueryContext::new(Arc::clone(&schemes[0])).with_kernel(false);
-    let analyzed = explain_analyze(&ctx, &plan).expect("explain analyze");
-    analyzed.profile.root.walk(&mut |node: &ProfileNode| {
-        assert!(
-            node.annotations.iter().all(|(k, _)| !k.starts_with("kernel")),
-            "kernel-off run must not annotate kernels"
-        );
-    });
 }

@@ -9,7 +9,7 @@
 use std::sync::Arc;
 
 use bdcc::prelude::*;
-use bdcc_exec::QueryContext;
+use bdcc_exec::{QueryContext, SpillMode};
 
 fn setup() -> (f64, Arc<SchemeDb>, Arc<SchemeDb>) {
     let sf = 0.005;
@@ -21,7 +21,11 @@ fn setup() -> (f64, Arc<SchemeDb>, Arc<SchemeDb>) {
 
 fn run(sdb: &Arc<SchemeDb>, sf: f64, id: usize) -> (u64, u64) {
     let q = all_queries().into_iter().find(|q| q.id == id).unwrap();
-    let ctx = QueryCtx::new(QueryContext::new(Arc::clone(sdb)), sf);
+    // The mechanisms are claims about in-memory execution: under a
+    // process-wide `BDCC_SPILL=force` Plain's hash builds would sit on
+    // disk (tiny peak) and spill traffic would count as bytes read.
+    let qc = QueryContext::new(Arc::clone(sdb)).with_spill(SpillMode::Off);
+    let ctx = QueryCtx::new(qc, sf);
     (q.run)(&ctx).unwrap();
     (ctx.qc.io.stats().bytes_read, ctx.qc.tracker.peak())
 }

@@ -77,42 +77,52 @@ fn rows_equivalent(a: &[String], b: &[String]) -> bool {
 #[test]
 fn all_queries_parallel_equals_serial_on_all_schemes() {
     let (sf, sdbs) = schemes();
-    let par_cfg = ParallelConfig {
-        threads: test_threads(),
-        morsel_rows: test_morsel_rows(),
-        agg_radix: ParallelConfig::agg_radix_from_env(),
-    };
     let mut failures = Vec::new();
     for q in all_queries() {
         for sdb in &sdbs {
-            let serial_ctx = QueryCtx::new(QueryContext::new(Arc::clone(sdb)), sf);
-            let par_ctx =
-                QueryCtx::new(QueryContext::with_parallel(Arc::clone(sdb), par_cfg.clone()), sf);
-            let serial = (q.run)(&serial_ctx);
-            let parallel = (q.run)(&par_ctx);
-            match (serial, parallel) {
-                (Ok(s), Ok(p)) => {
-                    let (s, p) = (canonical_rows(&s), canonical_rows(&p));
-                    if !rows_equivalent(&s, &p) {
-                        failures.push(format!(
-                            "{} on {}: serial {} rows vs parallel {} rows; first diff: {:?} vs {:?}",
-                            q.name,
-                            sdb.scheme.name(),
-                            s.len(),
-                            p.len(),
-                            s.iter().find(|r| !p.contains(r)),
-                            p.iter().find(|r| !s.contains(r)),
-                        ));
+            let serial = match (q.run)(&QueryCtx::new(QueryContext::new(Arc::clone(sdb)), sf)) {
+                Ok(s) => canonical_rows(&s),
+                Err(e) => {
+                    failures.push(format!(
+                        "{} serial failed on {}: {e}",
+                        q.name,
+                        sdb.scheme.name()
+                    ));
+                    continue;
+                }
+            };
+            // Both aggregation strategies pinned, plus the operator's own
+            // choice: every one must reproduce serial execution.
+            for agg_radix in [None, Some(true), Some(false)] {
+                let par_cfg = ParallelConfig {
+                    threads: test_threads(),
+                    morsel_rows: test_morsel_rows(),
+                    agg_radix,
+                };
+                let par_ctx =
+                    QueryCtx::new(QueryContext::with_parallel(Arc::clone(sdb), par_cfg), sf);
+                match (q.run)(&par_ctx) {
+                    Ok(p) => {
+                        let p = canonical_rows(&p);
+                        if !rows_equivalent(&serial, &p) {
+                            failures.push(format!(
+                                "{} on {} (agg_radix={agg_radix:?}): serial {} rows vs parallel {} \
+                                 rows; first diff: {:?} vs {:?}",
+                                q.name,
+                                sdb.scheme.name(),
+                                serial.len(),
+                                p.len(),
+                                serial.iter().find(|r| !p.contains(r)),
+                                p.iter().find(|r| !serial.contains(r)),
+                            ));
+                        }
                     }
+                    Err(e) => failures.push(format!(
+                        "{} parallel failed on {} (agg_radix={agg_radix:?}): {e}",
+                        q.name,
+                        sdb.scheme.name()
+                    )),
                 }
-                (Err(e), _) => {
-                    failures.push(format!("{} serial failed on {}: {e}", q.name, sdb.scheme.name()))
-                }
-                (_, Err(e)) => failures.push(format!(
-                    "{} parallel failed on {}: {e}",
-                    q.name,
-                    sdb.scheme.name()
-                )),
             }
         }
     }
@@ -125,11 +135,8 @@ fn tiny_morsels_force_partitioned_joins_and_many_sort_runs() {
     // partitioned path and split every sort into many runs; join- and
     // sort-heavy queries must still match serial execution exactly.
     let (sf, sdbs) = schemes();
-    let par_cfg = ParallelConfig {
-        threads: test_threads().max(2),
-        morsel_rows: 32,
-        agg_radix: ParallelConfig::agg_radix_from_env(),
-    };
+    let par_cfg =
+        ParallelConfig { threads: test_threads().max(2), morsel_rows: 32, agg_radix: None };
     let heavy = [2usize, 3, 10, 13, 18, 21];
     let mut failures = Vec::new();
     for q in all_queries().into_iter().filter(|q| heavy.contains(&q.id)) {
@@ -166,11 +173,7 @@ fn probe_morsel_matrix_agrees_with_serial() {
     let mut failures = Vec::new();
     for threads in [1, test_threads().max(2)] {
         for morsel_rows in [16, 64] {
-            let cfg = ParallelConfig {
-                threads,
-                morsel_rows,
-                agg_radix: ParallelConfig::agg_radix_from_env(),
-            };
+            let cfg = ParallelConfig { threads, morsel_rows, agg_radix: None };
             for q in all_queries().into_iter().filter(|q| heavy.contains(&q.id)) {
                 for sdb in &sdbs {
                     let serial = (q.run)(&QueryCtx::new(QueryContext::new(Arc::clone(sdb)), sf));
@@ -228,7 +231,6 @@ fn streaming_scan_memory_stays_morsel_bounded() {
         columns: cols.clone(),
         predicates: vec![],
         kind: ScanKind::Plain,
-        filter_kernel: bdcc_exec::kernel_enabled(),
     };
     let serial =
         collect(blueprint(&small).build(&IoTracker::new(), None).expect("serial scan")).unwrap();
@@ -300,7 +302,6 @@ fn radix_aggregation_beats_partials_on_high_cardinality_groups() {
         columns: cols.iter().map(|c| c.to_string()).collect(),
         predicates: vec![],
         kind: ScanKind::Plain,
-        filter_kernel: bdcc_exec::kernel_enabled(),
     };
     let run_parallel = |group: &str, threads: usize, radix: bool| {
         let tracker = MemoryTracker::new();

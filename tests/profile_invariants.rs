@@ -162,13 +162,10 @@ fn pinned_aggregation_strategy_is_recorded() {
     }
 }
 
-/// Without `BDCC_PROFILE` or `with_profiling`, a context carries no
-/// profiler — the disabled path allocates nothing and wraps nothing.
+/// Without `with_profiling`, a context carries no profiler — the
+/// disabled path allocates nothing and wraps nothing.
 #[test]
 fn profiling_is_off_by_default() {
-    if std::env::var_os("BDCC_PROFILE").is_some() {
-        return; // environment pinned it on; nothing to assert here
-    }
     let sdb = scheme_db();
     assert!(QueryContext::new(Arc::clone(&sdb)).profiler.is_none());
     assert!(QueryContext::new(sdb).with_profiling().profiler.is_some());
