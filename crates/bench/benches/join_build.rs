@@ -17,6 +17,7 @@ fn bench_join_build(c: &mut Criterion) {
     let okey = li.column_by_name("l_orderkey").expect("col").as_i64().expect("ints").to_vec();
     let pkey = li.column_by_name("l_partkey").expect("col").as_i64().expect("ints").to_vec();
 
+    let serial = ParallelConfig::with_threads(1);
     for (name, key_cols) in
         [("1key", vec![okey.as_slice()]), ("2key", vec![okey.as_slice(), pkey.as_slice()])]
     {
@@ -24,13 +25,13 @@ fn bench_join_build(c: &mut Criterion) {
             b.iter(|| black_box(baseline_join_build(&key_cols).len()))
         });
         c.bench_function(&format!("join_build_flat_serial_{name}"), |b| {
-            b.iter(|| black_box(JoinIndex::build(&key_cols, None).expect("build").len()))
+            b.iter(|| black_box(JoinIndex::build(&key_cols, &serial).expect("build").len()))
         });
         let cfg = ParallelConfig::with_threads(4);
         c.bench_function(&format!("join_build_flat_parallel4_{name}"), |b| {
-            b.iter(|| black_box(JoinIndex::build(&key_cols, Some(&cfg)).expect("build").len()))
+            b.iter(|| black_box(JoinIndex::build(&key_cols, &cfg).expect("build").len()))
         });
-        let idx = JoinIndex::build(&key_cols, None).expect("build");
+        let idx = JoinIndex::build(&key_cols, &serial).expect("build");
         c.bench_function(&format!("join_probe_flat_{name}"), |b| {
             b.iter(|| black_box(probe_all(&idx, &key_cols)))
         });

@@ -31,20 +31,21 @@ fn bench_join_probe(c: &mut Criterion) {
     let rows = probe_keys.len();
     let probe_cols: Vec<&[i64]> = vec![probe_keys.as_slice()];
 
+    let serial = ParallelConfig::with_threads(1);
     let cfg = ParallelConfig::with_threads(4);
-    for (name, build_cfg) in [("serial_idx", None), ("partitioned_idx", Some(&cfg))] {
+    for (name, build_cfg) in [("serial_idx", &serial), ("partitioned_idx", &cfg)] {
         let idx = JoinIndex::build(&[&build_keys], build_cfg).expect("build");
         c.bench_function(&format!("join_probe_pairs_serial_{name}"), |b| {
-            b.iter(|| black_box(idx.probe_pairs_parallel(&probe_cols, rows, None).unwrap().0.len()))
+            b.iter(|| {
+                black_box(idx.probe_pairs_parallel(&probe_cols, rows, &serial).unwrap().0.len())
+            })
         });
         c.bench_function(&format!("join_probe_pairs_parallel4_{name}"), |b| {
-            b.iter(|| {
-                black_box(idx.probe_pairs_parallel(&probe_cols, rows, Some(&cfg)).unwrap().0.len())
-            })
+            b.iter(|| black_box(idx.probe_pairs_parallel(&probe_cols, rows, &cfg).unwrap().0.len()))
         });
     }
 
-    let idx = JoinIndex::build(&[&build_keys], None).expect("build");
+    let idx = JoinIndex::build(&[&build_keys], &serial).expect("build");
     c.bench_function("join_probe_semi_gather_baseline", |b| {
         b.iter(|| {
             black_box(semi_probe_gather_baseline(&idx, &probe_cols, &left_payload, &right_payload))

@@ -55,13 +55,14 @@ fn main() {
     let key_sets: Vec<(&str, Vec<&[i64]>)> =
         vec![("l_orderkey", vec![&okey]), ("l_orderkey,l_partkey", vec![&okey, &pkey])];
 
+    let serial = ParallelConfig::with_threads(1);
     let mut table_rows = Vec::new();
     let mut report =
         BenchReport::new("join_build").f64("sf", sf).usize("rows", rows).usize("cores", cores);
     for (name, key_cols) in &key_sets {
         // Build throughput.
         let base_s = timed(reps, || baseline_join_build(key_cols));
-        let flat_s = timed(reps, || JoinIndex::build(key_cols, None).expect("build"));
+        let flat_s = timed(reps, || JoinIndex::build(key_cols, &serial).expect("build"));
         let mut variants = vec![
             ("hashmap_baseline".to_string(), base_s, 1usize),
             ("flat_serial".to_string(), flat_s, 1usize),
@@ -71,11 +72,11 @@ fn main() {
                 continue;
             }
             let cfg = ParallelConfig::with_threads(t);
-            let s = timed(reps, || JoinIndex::build(key_cols, Some(&cfg)).expect("build"));
+            let s = timed(reps, || JoinIndex::build(key_cols, &cfg).expect("build"));
             variants.push((format!("flat_parallel_{t}t"), s, t));
         }
         // Probe throughput of the flat index (self-probe counts matches).
-        let idx = JoinIndex::build(key_cols, None).expect("build");
+        let idx = JoinIndex::build(key_cols, &serial).expect("build");
         let probe_s = timed(reps, || probe_all(&idx, key_cols));
         for (variant, secs, t) in &variants {
             table_rows.push(vec![

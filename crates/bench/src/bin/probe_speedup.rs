@@ -88,6 +88,7 @@ fn main() {
         );
     };
 
+    let serial = ParallelConfig::with_threads(1);
     // --- Inner-style pair probe: serial loop vs morsel-parallel ----------
     for (name, parallel_build) in [("serial_build", false), ("partitioned_build", true)] {
         // Force a genuinely partitioned index for the "partitioned" rows
@@ -99,7 +100,7 @@ fn main() {
         let build_threads = threads.iter().copied().max().unwrap_or(4).max(2);
         let mut cfg_build = ParallelConfig::with_threads(build_threads);
         cfg_build.morsel_rows = cfg_build.morsel_rows.min(build_keys.len() / 2).max(1);
-        let build_cfg = if parallel_build { Some(&cfg_build) } else { None };
+        let build_cfg = if parallel_build { &cfg_build } else { &serial };
         let idx = JoinIndex::build(&[&build_keys], build_cfg).expect("build");
         assert_eq!(
             idx.partition_count() > 1,
@@ -107,22 +108,21 @@ fn main() {
             "index partitioning must match the reported variant"
         );
         let serial_s =
-            timed(reps, || idx.probe_pairs_parallel(&probe_cols, rows, None).expect("probe"));
+            timed(reps, || idx.probe_pairs_parallel(&probe_cols, rows, &serial).expect("probe"));
         record(&format!("pairs_{name}_serial"), 1, serial_s, serial_s, rows);
         for &t in &threads {
             if t <= 1 {
                 continue;
             }
             let cfg = ParallelConfig::with_threads(t);
-            let s = timed(reps, || {
-                idx.probe_pairs_parallel(&probe_cols, rows, Some(&cfg)).expect("probe")
-            });
+            let s =
+                timed(reps, || idx.probe_pairs_parallel(&probe_cols, rows, &cfg).expect("probe"));
             record(&format!("pairs_{name}_parallel_{t}t"), t, s, serial_s, rows);
         }
     }
 
     // --- Semi/Anti probe: gather-and-discard baseline vs existence ------
-    let idx = JoinIndex::build(&[&build_keys], None).expect("build");
+    let idx = JoinIndex::build(&[&build_keys], &serial).expect("build");
     let base_s = timed(reps, || {
         semi_probe_gather_baseline(&idx, &probe_cols, &left_payload, &right_payload)
     });

@@ -144,7 +144,10 @@ impl MemoryBroker {
     }
 
     /// Whether spill paths should be wired up at all. Inactive brokers
-    /// leave operators structurally identical to pre-spill code.
+    /// leave operators on their in-memory paths; an active one is also
+    /// what moves a leaf aggregation from per-morsel partials to the
+    /// radix path ([`crate::parallel::ParallelAggregate`]), the only
+    /// aggregation strategy with state to shed.
     pub fn is_active(&self) -> bool {
         self.inner.is_some()
     }

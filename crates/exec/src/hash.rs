@@ -97,8 +97,7 @@ pub fn hash_row(key_cols: &[&[i64]], row: usize) -> u64 {
 
 /// A [`Hasher`] running the FxHash rounds — drop-in replacement for
 /// SipHash in `HashMap`/`HashSet` on hot paths that hash small integer or
-/// short composite keys (`COUNT(DISTINCT)` sets, the strategy probe's
-/// distinct-hash sample).
+/// short composite keys (`COUNT(DISTINCT)` sets).
 #[derive(Default)]
 pub struct FxHasher {
     hash: u64,
@@ -162,10 +161,10 @@ pub type FxBuildHasher = BuildHasherDefault<FxHasher>;
 /// integer-backed columns in order, then string columns in order, no
 /// length prefixes. The aggregation group table
 /// ([`crate::ops::agg`]) files every group under this hash, and radix
-/// partition routing ([`crate::parallel::partition`]), both spill
-/// recursions and the strategy probe's distinct-key sample call the same
-/// function, so a group's partition, its sub-partition on recursion and
-/// its table slot all derive from one value.
+/// partition routing ([`crate::parallel::partition`]) and both spill
+/// recursions call the same function, so a group's partition, its
+/// sub-partition on recursion and its table slot all derive from one
+/// value.
 pub fn hash_group_rows(
     group_cols: &[&bdcc_storage::Column],
     rows: std::ops::Range<usize>,
@@ -339,39 +338,35 @@ pub struct JoinIndex {
 }
 
 impl JoinIndex {
-    /// Build the index over the build side's key columns. With a parallel
-    /// config (threads > 1) and more than one morsel of rows, the build is
+    /// Build the index over the build side's key columns. Wider than one
+    /// thread and over more than one morsel of rows, the build is
     /// hash-partitioned and each partition's table is built by a worker;
     /// otherwise one table is built serially. Both forms return matches in
     /// identical order.
-    pub fn build(key_cols: &[&[i64]], parallel: Option<&ParallelConfig>) -> Result<JoinIndex> {
+    pub fn build(key_cols: &[&[i64]], cfg: &ParallelConfig) -> Result<JoinIndex> {
         let n = key_cols.first().map(|c| c.len()).unwrap_or(0);
         let key_width = key_cols.len().max(1);
-        match parallel {
-            Some(cfg) if cfg.threads > 1 && n > cfg.morsel_rows => {
-                let bits = partition::partition_bits_for(cfg.threads);
-                // Mutex-wrapped so each worker can *take* its partition's
-                // row-id list (tasks are per-partition, so the one lock per
-                // table build is noise and the list is never copied).
-                let parts: Vec<std::sync::Mutex<Vec<u32>>> =
-                    partition::hash_partition_rows(key_cols, bits, cfg)?
-                        .into_iter()
-                        .map(std::sync::Mutex::new)
-                        .collect();
-                let tables =
-                    pool::run_tasks_labeled(cfg.threads, parts.len(), "join-build", |p| {
-                        let ids =
-                            std::mem::take(&mut *parts[p].lock().expect("partition poisoned"));
-                        Ok(JoinTable::build(key_cols, Some(ids)))
-                    })?;
-                Ok(JoinIndex { tables, partition_bits: bits, key_width })
-            }
-            _ => Ok(JoinIndex {
+        if !cfg.worth_splitting(n) {
+            return Ok(JoinIndex {
                 tables: vec![JoinTable::build(key_cols, None)],
                 partition_bits: 0,
                 key_width,
-            }),
+            });
         }
+        let bits = partition::partition_bits_for(cfg.threads);
+        // Mutex-wrapped so each worker can *take* its partition's
+        // row-id list (tasks are per-partition, so the one lock per
+        // table build is noise and the list is never copied).
+        let parts: Vec<std::sync::Mutex<Vec<u32>>> =
+            partition::hash_partition_rows(key_cols, bits, cfg)?
+                .into_iter()
+                .map(std::sync::Mutex::new)
+                .collect();
+        let tables = pool::run_tasks_labeled(cfg.threads, parts.len(), "join-build", |p| {
+            let ids = std::mem::take(&mut *parts[p].lock().expect("partition poisoned"));
+            Ok(JoinTable::build(key_cols, Some(ids)))
+        })?;
+        Ok(JoinIndex { tables, partition_bits: bits, key_width })
     }
 
     /// The table owning hash `h`: the partition the build scattered `h`'s
@@ -445,32 +440,27 @@ impl JoinIndex {
     }
 
     /// [`probe_pairs`](Self::probe_pairs) over all `rows`, fanned out to
-    /// workers in morsel-sized row ranges when a parallel config makes the
-    /// input worth splitting; per-morsel match lists concatenate in morsel
-    /// order, so the result is byte-identical to the serial probe.
+    /// workers in morsel-sized row ranges when `cfg` makes the input worth
+    /// splitting; per-morsel match lists concatenate in morsel order, so
+    /// the result is byte-identical to the serial probe.
     pub fn probe_pairs_parallel(
         &self,
         key_cols: &[&[i64]],
         rows: usize,
-        parallel: Option<&ParallelConfig>,
+        cfg: &ParallelConfig,
     ) -> Result<(Vec<usize>, Vec<u32>)> {
-        match parallel {
-            Some(cfg) if cfg.worth_splitting(rows) => {
-                let ranges = crate::parallel::morsel::split_rows(rows, cfg.morsel_rows);
-                let per =
-                    pool::run_tasks_labeled(cfg.threads, ranges.len(), "join-probe-pairs", |i| {
-                        let (mut l, mut r) = (Vec::new(), Vec::new());
-                        self.probe_pairs(key_cols, ranges[i].clone(), &mut l, &mut r);
-                        Ok((l, r))
-                    })?;
-                Ok(crate::parallel::merge::concat_match_lists(per))
-            }
-            _ => {
-                let (mut l, mut r) = (Vec::new(), Vec::new());
-                self.probe_pairs(key_cols, 0..rows, &mut l, &mut r);
-                Ok((l, r))
-            }
+        if !cfg.worth_splitting(rows) {
+            let (mut l, mut r) = (Vec::new(), Vec::new());
+            self.probe_pairs(key_cols, 0..rows, &mut l, &mut r);
+            return Ok((l, r));
         }
+        let ranges = crate::parallel::morsel::split_rows(rows, cfg.morsel_rows);
+        let per = pool::run_tasks_labeled(cfg.threads, ranges.len(), "join-probe-pairs", |i| {
+            let (mut l, mut r) = (Vec::new(), Vec::new());
+            self.probe_pairs(key_cols, ranges[i].clone(), &mut l, &mut r);
+            Ok((l, r))
+        })?;
+        Ok(crate::parallel::merge::concat_match_lists(per))
     }
 
     /// Total entries across partitions (== build rows).
@@ -498,6 +488,10 @@ impl JoinIndex {
 mod tests {
     use super::*;
 
+    fn one_thread() -> ParallelConfig {
+        ParallelConfig::with_threads(1)
+    }
+
     fn matches(idx: &JoinIndex, key: &[i64]) -> Vec<u32> {
         let mut out = Vec::new();
         idx.for_each_match(key, |r| out.push(r));
@@ -507,7 +501,7 @@ mod tests {
     #[test]
     fn single_column_lookup_in_row_order() {
         let keys: Vec<i64> = vec![5, 3, 5, 7, 3, 5];
-        let idx = JoinIndex::build(&[&keys], None).unwrap();
+        let idx = JoinIndex::build(&[&keys], &one_thread()).unwrap();
         assert_eq!(matches(&idx, &[5]), vec![0, 2, 5]);
         assert_eq!(matches(&idx, &[3]), vec![1, 4]);
         assert_eq!(matches(&idx, &[7]), vec![3]);
@@ -520,7 +514,7 @@ mod tests {
     fn multi_column_keys_distinguish_rows() {
         let a: Vec<i64> = vec![1, 1, 2, 1];
         let b: Vec<i64> = vec![10, 20, 10, 10];
-        let idx = JoinIndex::build(&[&a, &b], None).unwrap();
+        let idx = JoinIndex::build(&[&a, &b], &one_thread()).unwrap();
         assert_eq!(matches(&idx, &[1, 10]), vec![0, 3]);
         assert_eq!(matches(&idx, &[1, 20]), vec![1]);
         assert_eq!(matches(&idx, &[2, 10]), vec![2]);
@@ -530,7 +524,7 @@ mod tests {
     #[test]
     fn empty_build_side() {
         let keys: Vec<i64> = vec![];
-        let idx = JoinIndex::build(&[&keys], None).unwrap();
+        let idx = JoinIndex::build(&[&keys], &one_thread()).unwrap();
         assert!(idx.is_empty());
         assert_eq!(matches(&idx, &[1]), Vec::<u32>::new());
     }
@@ -558,9 +552,9 @@ mod tests {
     fn parallel_build_matches_serial_order() {
         let n = 10_000i64;
         let keys: Vec<i64> = (0..n).map(|i| i % 997).collect();
-        let serial = JoinIndex::build(&[&keys], None).unwrap();
-        let cfg = ParallelConfig { threads: 4, morsel_rows: 512, agg_radix: None };
-        let parallel = JoinIndex::build(&[&keys], Some(&cfg)).unwrap();
+        let serial = JoinIndex::build(&[&keys], &one_thread()).unwrap();
+        let cfg = ParallelConfig { threads: 4, morsel_rows: 512 };
+        let parallel = JoinIndex::build(&[&keys], &cfg).unwrap();
         assert!(parallel.partition_count() > 1, "build must have partitioned");
         assert_eq!(parallel.len(), serial.len());
         for k in 0..997 {
@@ -571,17 +565,17 @@ mod tests {
     #[test]
     fn one_thread_config_builds_serially() {
         let keys: Vec<i64> = (0..1000).collect();
-        let cfg = ParallelConfig { threads: 1, morsel_rows: 16, agg_radix: None };
-        let idx = JoinIndex::build(&[&keys], Some(&cfg)).unwrap();
+        let cfg = ParallelConfig { threads: 1, morsel_rows: 16 };
+        let idx = JoinIndex::build(&[&keys], &cfg).unwrap();
         assert_eq!(idx.partition_count(), 1);
     }
 
     #[test]
     fn has_match_agrees_with_for_each_match() {
         let keys: Vec<i64> = (0..500).map(|i| i % 37).collect();
-        let idx = JoinIndex::build(&[&keys], None).unwrap();
-        let cfg = ParallelConfig { threads: 4, morsel_rows: 64, agg_radix: None };
-        let part = JoinIndex::build(&[&keys], Some(&cfg)).unwrap();
+        let idx = JoinIndex::build(&[&keys], &one_thread()).unwrap();
+        let cfg = ParallelConfig { threads: 4, morsel_rows: 64 };
+        let part = JoinIndex::build(&[&keys], &cfg).unwrap();
         for k in -5..45 {
             let hits = !matches(&idx, &[k]).is_empty();
             assert_eq!(idx.has_match(&[k]), hits, "serial key {k}");
@@ -593,18 +587,18 @@ mod tests {
     fn probe_pairs_parallel_is_byte_identical_to_serial() {
         let build_keys: Vec<i64> = (0..3000).map(|i| i % 101).collect();
         let probe_keys: Vec<i64> = (0..5000).map(|i| (i * 7) % 150).collect();
-        let idx = JoinIndex::build(&[&build_keys], None).unwrap();
-        let serial = idx.probe_pairs_parallel(&[&probe_keys], probe_keys.len(), None).unwrap();
+        let idx = JoinIndex::build(&[&build_keys], &one_thread()).unwrap();
+        let serial =
+            idx.probe_pairs_parallel(&[&probe_keys], probe_keys.len(), &one_thread()).unwrap();
         for threads in [2, 4] {
-            let cfg = ParallelConfig { threads, morsel_rows: 128, agg_radix: None };
-            let par =
-                idx.probe_pairs_parallel(&[&probe_keys], probe_keys.len(), Some(&cfg)).unwrap();
+            let cfg = ParallelConfig { threads, morsel_rows: 128 };
+            let par = idx.probe_pairs_parallel(&[&probe_keys], probe_keys.len(), &cfg).unwrap();
             assert_eq!(serial, par, "threads={threads}");
         }
         // And a partitioned index probed in parallel morsels.
-        let cfg = ParallelConfig { threads: 4, morsel_rows: 128, agg_radix: None };
-        let part = JoinIndex::build(&[&build_keys], Some(&cfg)).unwrap();
-        let par = part.probe_pairs_parallel(&[&probe_keys], probe_keys.len(), Some(&cfg)).unwrap();
+        let cfg = ParallelConfig { threads: 4, morsel_rows: 128 };
+        let part = JoinIndex::build(&[&build_keys], &cfg).unwrap();
+        let par = part.probe_pairs_parallel(&[&probe_keys], probe_keys.len(), &cfg).unwrap();
         assert_eq!(serial, par, "partitioned index, parallel probe");
     }
 
@@ -695,7 +689,7 @@ mod tests {
     #[test]
     fn estimated_bytes_scales_with_rows() {
         let keys: Vec<i64> = (0..1024).collect();
-        let idx = JoinIndex::build(&[&keys], None).unwrap();
+        let idx = JoinIndex::build(&[&keys], &one_thread()).unwrap();
         // 1024 entries: >= keys (8B) + next (4B) per entry.
         assert!(idx.estimated_bytes() >= 1024 * 12);
     }

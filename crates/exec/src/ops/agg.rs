@@ -508,14 +508,14 @@ impl PartialAgg {
     }
 
     /// Accumulate one batch whose rows carry explicit global stream
-    /// positions (`ids[row] + base`) — the radix-partitioned consume: a
+    /// positions (`ids[row]`) — the radix-partitioned consume: a
     /// partition sees only its gathered slice of the input but remembers
     /// where each group first appeared in the *whole* stream, so ranks
     /// stay comparable across partitions.
-    pub fn consume_indexed(&mut self, batch: &Batch, ids: &[u64], base: u64) -> Result<()> {
+    pub fn consume_indexed(&mut self, batch: &Batch, ids: &[u64]) -> Result<()> {
         debug_assert_eq!(ids.len(), batch.rows());
         let inputs = self.eval_inputs(batch)?;
-        self.consume_range(batch, &inputs, 0..batch.rows(), Some((ids, base)))
+        self.consume_range(batch, &inputs, 0..batch.rows(), Some(ids))
     }
 
     /// Fold rows `rows` of `batch` — whose aggregate inputs are `inputs`
@@ -525,7 +525,7 @@ impl PartialAgg {
         batch: &Batch,
         inputs: &[Option<Column>],
         rows: Range<usize>,
-        ids: Option<(&[u64], u64)>,
+        ids: Option<&[u64]>,
     ) -> Result<()> {
         let cols = self.group_columns(batch);
         if !cols.is_empty() {
@@ -535,7 +535,7 @@ impl PartialAgg {
         let (first_seen, rows_seen, start) = (&mut self.first_seen, self.rows_seen, rows.start);
         self.table.resolve(&cols, rows.clone(), &self.hashes, &mut self.gids, |row| {
             first_seen.push(match ids {
-                Some((ids, base)) => base + ids[row],
+                Some(ids) => ids[row],
                 None => rows_seen + (row - start) as u64,
             })
         });

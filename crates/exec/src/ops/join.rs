@@ -88,10 +88,11 @@ pub struct HashJoin {
     /// Meters spill file writes/reads (planner-installed with the broker;
     /// inert stand-alone tracker by default).
     spill_io: IoTracker,
-    /// When set (threads > 1), big build sides are indexed with the
+    /// Wider than one thread, big build sides are indexed with the
     /// hash-partitioned parallel build and big probe rounds fan out as
-    /// probe morsels across workers.
-    parallel: Option<ParallelConfig>,
+    /// probe morsels across workers. One thread (the default) is the
+    /// serial join.
+    parallel: ParallelConfig,
     /// Probed-but-unemitted output batches (a parallel probe round
     /// produces one output batch per probed left batch).
     out: VecDeque<Batch>,
@@ -159,17 +160,17 @@ impl HashJoin {
             tracker,
             broker: MemoryBroker::none(),
             spill_io: IoTracker::new(),
-            parallel: None,
+            parallel: ParallelConfig::with_threads(1),
             out: VecDeque::new(),
             metrics: None,
             governor: Governor::none(),
         })
     }
 
-    /// Enable the hash-partitioned parallel index build and the
-    /// morsel-parallel probe (planner-installed under a
-    /// [`ParallelConfig`]; results stay byte-identical).
-    pub fn with_parallel(mut self, cfg: Option<ParallelConfig>) -> HashJoin {
+    /// Set the width of the hash-partitioned index build and the
+    /// morsel-parallel probe (planner-installed; results stay
+    /// byte-identical at every width).
+    pub fn with_parallel(mut self, cfg: ParallelConfig) -> HashJoin {
         self.parallel = cfg;
         self
     }
@@ -236,7 +237,7 @@ impl HashJoin {
             .iter()
             .map(|&k| columns[k].as_i64())
             .collect::<std::result::Result<_, _>>()?;
-        let index = JoinIndex::build(&key_cols, self.parallel.as_ref())?;
+        let index = JoinIndex::build(&key_cols, &self.parallel)?;
         if let Some(m) = &self.metrics {
             let rows = columns.first().map_or(0, |c| c.len());
             m.annotate("build_rows", rows.to_string());
@@ -264,10 +265,8 @@ impl HashJoin {
     /// probe — enough work for the fan-out while keeping probe-side
     /// buffering O(threads × morsel).
     fn fill_round(&mut self) -> Result<Vec<Batch>> {
-        let mut target = match &self.parallel {
-            Some(cfg) if cfg.threads > 1 => cfg.threads * cfg.morsel_rows,
-            _ => 0,
-        };
+        let cfg = &self.parallel;
+        let mut target = if cfg.threads > 1 { cfg.threads * cfg.morsel_rows } else { 0 };
         if matches!(self.build, Some(Build::Spilled(_))) {
             // A spilled build restores every file leaf once per round:
             // bigger rounds amortize the restores while probe-side
@@ -299,11 +298,8 @@ impl HashJoin {
             Build::Spilled(s) => return self.probe_round_spilled(s, round),
         };
         let total: usize = round.iter().map(|b| b.rows()).sum();
-        let fan_out = match &self.parallel {
-            Some(cfg) if cfg.worth_splitting(total) => Some(cfg),
-            _ => None,
-        };
-        let Some(cfg) = fan_out else {
+        let cfg = &self.parallel;
+        if !cfg.worth_splitting(total) {
             return round
                 .iter()
                 .map(|batch| {
@@ -318,7 +314,7 @@ impl HashJoin {
                     finish_batch(batch, build, self.join_type, self.right_arity, &lidx, &ridx)
                 })
                 .collect();
-        };
+        }
         // Batch-major (batch, row range) probe pieces, coalesced into
         // tasks of roughly one morsel of rows: a run of tiny batches (a
         // selective filter upstream) shares one task instead of paying a
@@ -704,7 +700,7 @@ mod tests {
     fn parallel_build_is_byte_identical() {
         // Tiny morsel budget forces the partitioned build even at this
         // scale; every join flavor must match the serial output exactly.
-        let cfg = ParallelConfig { threads: 4, morsel_rows: 1, agg_radix: None };
+        let cfg = ParallelConfig { threads: 4, morsel_rows: 1 };
         for jt in [JoinType::Inner, JoinType::LeftOuter, JoinType::Semi, JoinType::Anti] {
             let serial = collect(Box::new(
                 HashJoin::new(
@@ -728,7 +724,7 @@ mod tests {
                     MemoryTracker::new(),
                 )
                 .unwrap()
-                .with_parallel(Some(cfg.clone())),
+                .with_parallel(cfg.clone()),
             ))
             .unwrap();
             assert_eq!(serial, parallel, "{jt:?}");
@@ -774,7 +770,7 @@ mod tests {
         // and without a residual, every flavor must equal serial exactly.
         let left: Vec<(i64, i64)> = (0..200).map(|i| (i % 23, i)).collect();
         let right: Vec<(i64, i64)> = (0..60).map(|i| (i % 31, 1000 + i)).collect();
-        let cfg = ParallelConfig { threads: 4, morsel_rows: 8, agg_radix: None };
+        let cfg = ParallelConfig { threads: 4, morsel_rows: 8 };
         for jt in [JoinType::Inner, JoinType::LeftOuter, JoinType::Semi, JoinType::Anti] {
             for residual in [false, true] {
                 let res =
@@ -801,7 +797,7 @@ mod tests {
                         MemoryTracker::new(),
                     )
                     .unwrap()
-                    .with_parallel(Some(cfg.clone())),
+                    .with_parallel(cfg.clone()),
                 ))
                 .unwrap();
                 assert_eq!(serial, parallel, "{jt:?} residual={residual}");
@@ -822,8 +818,9 @@ mod tests {
             Expr::col("rv").ge(Expr::lit(1030)),
             Expr::col("lv").ge(Expr::col("rv").sub(Expr::lit(1020))),
         ];
-        let cfg = ParallelConfig { threads: 4, morsel_rows: 8, agg_radix: None };
-        let run = |jt: JoinType, res: Option<Expr>, parallel: Option<ParallelConfig>| {
+        let serial = ParallelConfig::with_threads(1);
+        let cfg = ParallelConfig { threads: 4, morsel_rows: 8 };
+        let run = |jt: JoinType, res: Option<Expr>, parallel: ParallelConfig| {
             let join = HashJoin::new(
                 Box::new(Chunked::new(&left, ("lk", "lv"), 13)),
                 Box::new(Chunked::new(&right, ("rk", "rv"), 7)),
@@ -842,7 +839,7 @@ mod tests {
                 .map(|r| b.columns.iter().map(|c| c.as_i64().unwrap()[r]).collect())
                 .collect()
         };
-        let (all_pairs, pair_schema) = run(JoinType::Inner, None, None);
+        let (all_pairs, pair_schema) = run(JoinType::Inner, None, serial.clone());
         for res in &residuals {
             let keep = res.bind(&pair_schema).unwrap().eval_bool(&all_pairs).unwrap();
             let pairs = rows(&all_pairs.filter(&keep));
@@ -868,7 +865,7 @@ mod tests {
                         })
                         .collect(),
                 };
-                for parallel in [None, Some(cfg.clone())] {
+                for parallel in [serial.clone(), cfg.clone()] {
                     let (got, _) = run(jt, Some(res.clone()), parallel);
                     assert_eq!(rows(&got), expected, "{jt:?} {res:?}");
                 }
@@ -948,7 +945,7 @@ mod tests {
         // must still be byte-identical to the parallel in-memory one.
         let left: Vec<(i64, i64)> = (0..200).map(|i| (i % 23, i)).collect();
         let right: Vec<(i64, i64)> = (0..60).map(|i| (i % 31, 1000 + i)).collect();
-        let cfg = ParallelConfig { threads: 4, morsel_rows: 8, agg_radix: None };
+        let cfg = ParallelConfig { threads: 4, morsel_rows: 8 };
         let serial = collect(Box::new(
             HashJoin::new(
                 Box::new(Chunked::new(&left, ("lk", "lv"), 13)),
@@ -972,7 +969,7 @@ mod tests {
                 Arc::clone(&tracker),
             )
             .unwrap()
-            .with_parallel(Some(cfg))
+            .with_parallel(cfg)
             .with_broker(
                 MemoryBroker::with_mode(SpillMode::Force, &tracker, None),
                 IoTracker::new(),

@@ -34,16 +34,15 @@ use crate::error::Result;
 use crate::hash::{hash_group_rows, JoinIndex};
 use crate::memory::MemoryGuard;
 use crate::ops::BoxedOp;
-use crate::parallel::partition::partition_rows_of_batch;
+use crate::parallel::partition::{
+    partition_rows_of_batch, sub_partition_of, MAX_TOTAL_BITS, RECURSE_BITS,
+};
+use crate::parallel::ParallelConfig;
 
 use super::{default_column, needs_pairs, probe_range, BuildSide, HashJoin, JoinType};
 
 /// Top-level spill partition fan-out: 2^4 = 16 partitions.
 const JOIN_BITS: u32 = 4;
-/// Extra hash bits consumed per recursive split of an oversized file.
-const RECURSE_BITS: u32 = 4;
-/// Hash bits are finite; beyond this depth a leaf loads whole regardless.
-const MAX_TOTAL_BITS: u32 = 32;
 
 /// The join's build side: fully resident, or partitioned with some
 /// partitions frozen to spill files.
@@ -248,7 +247,8 @@ impl HashJoin {
             .iter()
             .map(|&k| columns[k].as_i64())
             .collect::<std::result::Result<_, _>>()?;
-        let index = JoinIndex::build(&key_cols, None)?;
+        // A leaf fits the restore limit by construction: one serial table.
+        let index = JoinIndex::build(&key_cols, &ParallelConfig::with_threads(1))?;
         let mem = self.tracker.register(bytes + index.estimated_bytes());
         drop(key_cols);
         Ok(BuildSide { columns, index, _mem: mem })
@@ -442,10 +442,4 @@ impl HashJoin {
             JoinType::Semi | JoinType::Anti => unreachable!("handled above"),
         }
     }
-}
-
-/// The next `RECURSE_BITS` hash bits after `used_bits` — disjoint from
-/// every ancestor's routing bits, so recursion refines partitions.
-fn sub_partition_of(h: u64, used_bits: u32) -> usize {
-    ((h << used_bits) >> (64 - RECURSE_BITS)) as usize
 }

@@ -140,9 +140,9 @@ pub struct SandwichHashJoin {
     /// Right column indices kept in the output (group keys dropped).
     right_kept: Vec<usize>,
     tracker: Arc<MemoryTracker>,
-    /// When set (threads > 1), oversized groups build their index
+    /// Wider than one thread, oversized groups build their index
     /// hash-partitioned and probe in row-range morsels.
-    parallel: Option<ParallelConfig>,
+    parallel: ParallelConfig,
     mem: Option<MemoryGuard>,
     /// Largest per-group build size seen (diagnostics).
     pub max_group_build_rows: usize,
@@ -212,7 +212,7 @@ impl SandwichHashJoin {
             schema,
             right_kept,
             tracker,
-            parallel: None,
+            parallel: ParallelConfig::with_threads(1),
             mem: None,
             max_group_build_rows: 0,
             lgroup: None,
@@ -227,10 +227,10 @@ impl SandwichHashJoin {
         })
     }
 
-    /// Enable per-group parallel build and probe for oversized groups
-    /// (planner-installed under a [`ParallelConfig`]; results stay
-    /// byte-identical).
-    pub fn with_parallel(mut self, cfg: Option<ParallelConfig>) -> SandwichHashJoin {
+    /// Set the width of the per-group build and probe for oversized
+    /// groups (planner-installed; results stay byte-identical at every
+    /// width).
+    pub fn with_parallel(mut self, cfg: ParallelConfig) -> SandwichHashJoin {
         self.parallel = cfg;
         self
     }
@@ -327,7 +327,7 @@ impl Operator for SandwichHashJoin {
                         &self.right_keys,
                         &self.right_kept,
                         self.residual.as_ref(),
-                        self.parallel.as_ref(),
+                        &self.parallel,
                     )?;
                     self.lgroup = self.left.next_group()?;
                     self.rgroup = self.right.next_group()?;
@@ -347,7 +347,7 @@ fn join_groups(
     right_keys: &[usize],
     right_kept: &[usize],
     residual: Option<&PairFilter>,
-    parallel: Option<&ParallelConfig>,
+    parallel: &ParallelConfig,
 ) -> Result<Batch> {
     let rkey_cols: Vec<&[i64]> = right_keys
         .iter()

@@ -84,6 +84,27 @@ pub fn partition_of(h: u64, bits: u32) -> usize {
     }
 }
 
+/// Extra hash bits consumed per recursive split of an oversized spill
+/// partition (16 sub-partitions per split) — join build and radix
+/// aggregation alike.
+pub(crate) const RECURSE_BITS: u32 = 4;
+
+/// Deepest total bit budget for spill recursion. At 32 bits a "partition"
+/// is a 1-in-4-billion hash slice; if it still exceeds the restore limit
+/// the data is one giant key (recursion cannot split it further) and the
+/// leaf loads whole anyway — the governor's budget check stays the
+/// backstop for truly irreducible state.
+pub(crate) const MAX_TOTAL_BITS: u32 = 32;
+
+/// The sub-partition of hash `h` once its top `used_bits` are spent: the
+/// [`RECURSE_BITS`] bits immediately below them — disjoint from every
+/// ancestor's routing bits, so recursion refines partitions, and equal
+/// keys (one hash) always land in one sub-partition.
+#[inline]
+pub(crate) fn sub_partition_of(h: u64, used_bits: u32) -> usize {
+    ((h << used_bits) >> (64 - RECURSE_BITS)) as usize
+}
+
 /// Split all rows of `key_cols` into `2^bits` partitions by the top hash
 /// bits of their key. Chunks of `cfg.morsel_rows` rows are partitioned by
 /// workers concurrently; each returned partition lists its row ids in
@@ -142,7 +163,7 @@ mod tests {
     #[test]
     fn partitions_tile_rows_in_ascending_order() {
         let keys: Vec<i64> = (0..5000).map(|i| i * 37 % 211).collect();
-        let cfg = ParallelConfig { threads: 4, morsel_rows: 256, agg_radix: None };
+        let cfg = ParallelConfig { threads: 4, morsel_rows: 256 };
         let bits = partition_bits_for(cfg.threads);
         let parts = hash_partition_rows(&[&keys], bits, &cfg).unwrap();
         assert_eq!(parts.len(), 4);
@@ -158,7 +179,7 @@ mod tests {
     #[test]
     fn equal_keys_land_in_one_partition() {
         let keys: Vec<i64> = (0..1000).map(|i| i % 10).collect();
-        let cfg = ParallelConfig { threads: 8, morsel_rows: 64, agg_radix: None };
+        let cfg = ParallelConfig { threads: 8, morsel_rows: 64 };
         let bits = partition_bits_for(cfg.threads);
         let parts = hash_partition_rows(&[&keys], bits, &cfg).unwrap();
         for k in 0..10i64 {
@@ -179,6 +200,44 @@ mod tests {
         assert_eq!(partition_of(u64::MAX, 2), 3);
         assert_eq!(partition_of(1u64 << 62, 2), 1);
         assert_eq!(partition_of(0, 2), 0);
+    }
+
+    #[test]
+    fn recursion_bits_are_disjoint_from_every_ancestors() {
+        // Which hash bits does a routing function read? Flip each in turn.
+        let reads = |route: &dyn Fn(u64) -> usize| -> u64 {
+            let mut mask = 0u64;
+            for h in [0u64, u64::MAX, 0x9E37_79B9_7F4A_7C15] {
+                for bit in 0..64 {
+                    if route(h) != route(h ^ (1 << bit)) {
+                        mask |= 1 << bit;
+                    }
+                }
+            }
+            mask
+        };
+        // Every top-level fan-out in use: the join's 4 bits, the
+        // aggregate's thread-derived 3..=8.
+        for top in 1..=8u32 {
+            let mut ancestors = reads(&|h| partition_of(h, top));
+            assert_eq!(ancestors.count_ones(), top);
+            let mut used = top;
+            while used + RECURSE_BITS <= MAX_TOTAL_BITS {
+                let child = reads(&|h| sub_partition_of(h, used));
+                assert_eq!(child.count_ones(), RECURSE_BITS, "top={top} used={used}");
+                assert_eq!(child & ancestors, 0, "top={top} used={used}: bits reused");
+                // Refinement: parent path + child index is the routing a
+                // flat partitioning on `used + RECURSE_BITS` bits gives.
+                for h in [1u64, u64::MAX / 7, 0xDEAD_BEEF_0BAD_F00D] {
+                    assert_eq!(
+                        partition_of(h, used + RECURSE_BITS),
+                        (partition_of(h, used) << RECURSE_BITS) | sub_partition_of(h, used)
+                    );
+                }
+                ancestors |= child;
+                used += RECURSE_BITS;
+            }
+        }
     }
 
     #[test]
@@ -254,7 +313,7 @@ mod tests {
     #[test]
     fn empty_input_yields_empty_partitions() {
         let keys: Vec<i64> = vec![];
-        let cfg = ParallelConfig { threads: 2, morsel_rows: 16, agg_radix: None };
+        let cfg = ParallelConfig { threads: 2, morsel_rows: 16 };
         let parts = hash_partition_rows(&[&keys], 1, &cfg).unwrap();
         assert!(parts.iter().all(|p| p.is_empty()));
     }

@@ -242,14 +242,14 @@ mod tests {
 
     #[test]
     fn parallel_sort_is_byte_identical_to_serial() {
-        let cfg = ParallelConfig { threads: 4, morsel_rows: 64, agg_radix: None };
+        let cfg = ParallelConfig { threads: 4, morsel_rows: 64 };
         let (s, p) = both(&[SortKey::asc("k")], None, 1000, 37, cfg);
         assert_eq!(s, p);
     }
 
     #[test]
     fn multi_key_desc_and_limit_match() {
-        let cfg = ParallelConfig { threads: 3, morsel_rows: 32, agg_radix: None };
+        let cfg = ParallelConfig { threads: 3, morsel_rows: 32 };
         let (s, p) = both(&[SortKey::desc("k"), SortKey::asc("s")], Some(17), 500, 19, cfg);
         assert_eq!(s, p);
         assert_eq!(p.rows(), 17);
@@ -258,7 +258,7 @@ mod tests {
     #[test]
     fn tie_heavy_input_keeps_stability() {
         // All keys equal: output must be the input order exactly.
-        let cfg = ParallelConfig { threads: 4, morsel_rows: 16, agg_radix: None };
+        let cfg = ParallelConfig { threads: 4, morsel_rows: 16 };
         let t = MemoryTracker::new();
         let cols = vec![
             ("k", Column::from_i64(vec![1; 200])),
@@ -275,7 +275,7 @@ mod tests {
 
     #[test]
     fn empty_input_yields_empty_typed_batch() {
-        let cfg = ParallelConfig { threads: 2, morsel_rows: 16, agg_radix: None };
+        let cfg = ParallelConfig { threads: 2, morsel_rows: 16 };
         let t = MemoryTracker::new();
         let src = Source {
             schema: vec![ColMeta::new("k", DataType::Int), ColMeta::new("s", DataType::Str)],
@@ -291,7 +291,7 @@ mod tests {
 
     #[test]
     fn date_columns_keep_logical_type() {
-        let cfg = ParallelConfig { threads: 2, morsel_rows: 8, agg_radix: None };
+        let cfg = ParallelConfig { threads: 2, morsel_rows: 8 };
         let t = MemoryTracker::new();
         let cols = vec![("d", Column::from_dates((0..40).rev().collect()))];
         let p = collect(Box::new(

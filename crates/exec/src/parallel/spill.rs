@@ -1,10 +1,17 @@
-//! Out-of-core radix aggregation: the grace-hash side of the
-//! [`MemoryBroker`](crate::broker::MemoryBroker) contract.
+//! Radix-partitioned aggregation: the grace-hash side of the
+//! [`MemoryBroker`](crate::broker::MemoryBroker) contract, and the path
+//! [`ParallelAggregate`] runs whenever that broker is active.
 //!
-//! The in-memory radix path ([`ParallelAggregate::run_radix`]) holds the
-//! whole partitioned input resident between phase 1 and phase 2. This
-//! module is the broker-governed variant: phase 1 runs in *chunks* of
-//! morsels (parallel within a chunk, chunks in morsel order), and after
+//! Per-morsel partials (the other path) re-materialize every group a
+//! morsel sees, hold O(groups × morsels sharing a group) states and have
+//! nothing to shed. Radix aggregation instead scatters rows by the top
+//! bits of the group-key hash ([`partition`] documents the routing
+//! contract) so each group lives in exactly one table, and everything it
+//! holds can move to disk:
+//!
+//! **Phase 1** scans morsels in *chunks* (parallel within a chunk, chunks
+//! in morsel order), gathering each batch's rows into per-partition
+//! sub-batches that remember every row's global stream position. Before
 //! every chunk the broker is consulted — under pressure the largest
 //! resident partitions **freeze**: their `(sub-batch, global row ids)`
 //! entries serialize to a temp file via [`bdcc_storage::spill`] (ids ride
@@ -13,45 +20,67 @@
 //! partition's entry sequence — resident or spilled — stays in global
 //! morsel order.
 //!
-//! Phase 2 then works partition-at-a-time: resident partitions fold
-//! exactly like the in-memory path; frozen partitions **restore** by
-//! streaming their file back entry-by-entry into the partition's table.
-//! A frozen partition whose estimated in-memory footprint exceeds the
-//! broker's [`restore_limit`](crate::broker::MemoryBroker::restore_limit)
-//! is never loaded whole: it *recurses* — its entries re-scatter on the
-//! next [`RECURSE_BITS`] of the same group hash into sub-files (one
-//! streamed entry resident at a time), and each sub-partition restores
-//! (or recurses) independently.
+//! **Phase 2** works partition-at-a-time: resident partitions fold their
+//! entries into one table; frozen partitions **restore** by streaming
+//! their file back entry-by-entry into the partition's table. A frozen
+//! partition whose estimated in-memory footprint exceeds the broker's
+//! [`restore_limit`](crate::broker::MemoryBroker::restore_limit) is never
+//! loaded whole: it *recurses* — its entries re-scatter on the next
+//! [`RECURSE_BITS`] of the same group hash into sub-files (one streamed
+//! entry resident at a time), and each sub-partition restores (or
+//! recurses) independently.
 //!
-//! Byte-identity with serial execution holds for the same reason it does
-//! in-memory: every group lives in exactly one (sub-)partition, rows
-//! carry their global stream position, each partition consumes its rows
-//! in ascending global order (morsel order, preserved by freeze files and
-//! by the stable recursion scatter), and the disjoint outputs reorder by
-//! first-seen rank ([`merge::concat_radix_partitions`]).
+//! **Merge contract.** Every group lives in exactly one (sub-)partition,
+//! rows carry their global stream position, each partition consumes its
+//! rows in ascending global order (morsel order, preserved by freeze
+//! files and by the stable recursion scatter) — so even compensated float
+//! sums see the exact serial accumulation sequence — and the disjoint
+//! outputs reorder by first-seen rank
+//! ([`merge::concat_radix_partitions`](super::merge::concat_radix_partitions)):
+//! **byte-identical** to serial execution, floats included.
 
-use std::collections::HashMap;
-use std::sync::Mutex;
-
+use bdcc_obs::SpanTimer;
 use bdcc_storage::{Column, SpillHandle, SpillWriter};
 
 use crate::batch::Batch;
-use crate::error::Result;
+use crate::error::{ExecError, Result};
 use crate::hash::hash_group_rows;
 use crate::memory::MemoryGuard;
-use crate::parallel::{
-    partition, partition_morsel_stream, pool, Morsel, ParallelAggregate, PartitionedBatches,
-};
+use crate::ops::BoxedOp;
+use crate::parallel::partition::{self, sub_partition_of, MAX_TOTAL_BITS, RECURSE_BITS};
+use crate::parallel::{note_morsel, pool, Morsel, ParallelAggregate};
 
-/// Extra hash bits per recursion level (16 sub-partitions per split).
-const RECURSE_BITS: u32 = 4;
+/// Per-partition lists of `(gathered sub-batch, morsel-local row ids)`.
+type PartitionedBatches = Vec<Vec<(Batch, Vec<u64>)>>;
 
-/// Deepest total bit budget for recursion. At 32 bits a "partition" is a
-/// 1-in-4-billion hash slice; if it still exceeds the restore limit the
-/// data is one giant group (recursion cannot split it further) and the
-/// leaf consumes it anyway — the governor's budget check stays the
-/// backstop for truly irreducible state.
-const MAX_TOTAL_BITS: u32 = 32;
+/// The phase-1 worker kernel: scatter one morsel's batch stream (`op`)
+/// into per-partition gathered sub-batches plus each row's morsel-local
+/// position. Returns `(per-partition batches, morsel rows, byte
+/// estimate)`.
+fn partition_morsel_stream(
+    group_cols: &[usize],
+    bits: u32,
+    mut op: BoxedOp,
+) -> Result<(PartitionedBatches, u64, u64)> {
+    let mut parts: PartitionedBatches = vec![Vec::new(); partition::partition_count(bits)];
+    let mut local = 0u64;
+    let mut bytes = 0u64;
+    while let Some(b) = op.next()? {
+        let cols: Vec<&Column> = group_cols.iter().map(|&c| &b.columns[c]).collect();
+        let routed = partition::partition_rows_of_batch(&cols, b.rows(), bits);
+        for (p, rows) in routed.into_iter().enumerate() {
+            if rows.is_empty() {
+                continue;
+            }
+            let ids: Vec<u64> = rows.iter().map(|&r| local + r as u64).collect();
+            let gathered = Batch::new(b.columns.iter().map(|c| c.gather(&rows)).collect());
+            bytes += gathered.estimated_bytes() + ids.len() as u64 * 8;
+            parts[p].push((gathered, ids));
+        }
+        local += b.rows() as u64;
+    }
+    Ok((parts, local, bytes))
+}
 
 /// One partition's accumulation state during chunked phase 1.
 enum PartState {
@@ -75,14 +104,6 @@ fn decode_entry(mut cols: Vec<Column>) -> Result<(Batch, Vec<u64>)> {
     let ids_col = cols.pop().expect("spill entry has an ids column");
     let ids: Vec<u64> = ids_col.as_i64()?.iter().map(|&v| v as u64).collect();
     Ok((Batch::new(cols), ids))
-}
-
-/// The sub-partition of hash `h` at recursion depth `used_bits`: the
-/// [`RECURSE_BITS`] bits immediately below the bits already consumed.
-/// Equal keys share a hash, so they always land in one sub-partition.
-#[inline]
-fn sub_partition_of(h: u64, used_bits: u32) -> usize {
-    ((h << used_bits) >> (64 - RECURSE_BITS)) as usize
 }
 
 impl ParallelAggregate {
@@ -165,24 +186,25 @@ impl ParallelAggregate {
         Ok(released)
     }
 
-    /// The broker-governed radix execution (see the [module docs](self)).
-    /// Chosen over [`run_radix`](Self::run_radix) only when the broker is
-    /// active, so ungoverned queries keep the structurally unchanged
-    /// in-memory path.
-    pub(super) fn run_radix_spill(
-        &self,
-        morsels: &[Morsel],
-        cached: HashMap<usize, Vec<Batch>>,
-    ) -> Result<Batch> {
+    /// Column indices of the group-by keys in the fragment's output.
+    fn group_col_indices(&self) -> Result<Vec<usize>> {
+        self.group_by
+            .iter()
+            .map(|g| {
+                crate::batch::schema_index(&self.child_schema, g)
+                    .ok_or_else(|| ExecError::UnknownColumn(g.clone()))
+            })
+            .collect()
+    }
+
+    /// The radix execution (see the [module docs](self)).
+    pub(super) fn run_radix_spill(&self, morsels: &[Morsel]) -> Result<Batch> {
         // Two extra bits over the thread-derived count: smaller
         // partitions mean more freeze granularity and less recursion,
         // for a fixed per-chunk scatter cost.
         let bits = (partition::partition_bits_for(self.cfg.threads) + 2).min(8);
         let nparts = partition::partition_count(bits);
         let group_cols = self.group_col_indices()?;
-        if let Some(m) = &self.metrics {
-            m.annotate("spill_mode", "radix-broker");
-        }
 
         // Chunked phase 1. Chunks complete in morsel order, so the
         // running `base` globalizes every morsel-local row id and frozen
@@ -192,16 +214,16 @@ impl ParallelAggregate {
         let mut resident = 0u64;
         let mut guard = self.tracker.register(0);
         let mut base = 0u64;
-        let cached = Mutex::new(cached);
         let chunk = self.cfg.threads.max(1) * 2;
-        let mut avg_chunk_bytes = 0u64;
+        let mut max_chunk_bytes = 0u64;
         let mut mi = 0usize;
         while mi < morsels.len() {
             let hi = (mi + chunk).min(morsels.len());
             // Make room for the incoming chunk *before* scattering it,
-            // using the running average as the pending estimate (the
-            // first chunk estimates 0 — nothing is resident yet either).
-            if self.broker.should_spill(avg_chunk_bytes) {
+            // taking the largest chunk seen so far as the pending estimate
+            // (the first chunk estimates 0 — nothing is resident yet
+            // either).
+            if self.broker.should_spill(max_chunk_bytes) {
                 self.freeze_partitions(
                     &mut parts,
                     self.broker.release_target(),
@@ -211,19 +233,12 @@ impl ParallelAggregate {
             }
             let chunk_parts: Vec<(PartitionedBatches, u64, u64)> =
                 pool::run_tasks_labeled(self.cfg.threads, hi - mi, "agg-radix-p1", |k| {
-                    let i = mi + k;
                     self.governor.check("agg-radix-p1")?;
-                    let hit = cached.lock().expect("probe cache poisoned").remove(&i);
-                    match hit {
-                        Some(batches) => {
-                            let mut it = batches.into_iter();
-                            partition_morsel_stream(&group_cols, bits, || Ok(it.next()))
-                        }
-                        None => {
-                            let mut op = self.fragment.build(&self.io, Some(&morsels[i]))?;
-                            partition_morsel_stream(&group_cols, bits, || op.next())
-                        }
-                    }
+                    let span = self.metrics.as_ref().map(|_| SpanTimer::start());
+                    let op = self.fragment.build(&self.io, Some(&morsels[mi + k]))?;
+                    let (parts, rows, bytes) = partition_morsel_stream(&group_cols, bits, op)?;
+                    note_morsel(&self.metrics, span, rows);
+                    Ok((parts, rows, bytes))
                 })?;
             let mut chunk_bytes = 0u64;
             for (mparts, rows, bytes) in chunk_parts {
@@ -236,14 +251,14 @@ impl ParallelAggregate {
                 }
                 base += rows;
             }
-            avg_chunk_bytes = avg_chunk_bytes.max(chunk_bytes);
+            max_chunk_bytes = max_chunk_bytes.max(chunk_bytes);
             mi = hi;
         }
 
         // Phase 2 — partition at a time, keeping at most one partition's
-        // input plus its table resident (the spill path trades fan-out
-        // parallelism here for the bounded-memory guarantee; phase 1
-        // above still runs fully parallel).
+        // input plus its table resident (fan-out parallelism is traded
+        // here for the bounded-memory guarantee; phase 1 above still runs
+        // fully parallel).
         let mut outs: Vec<(Batch, Vec<u64>)> = Vec::new();
         for state in parts {
             self.governor.check("agg-radix-p2")?;
@@ -254,7 +269,7 @@ impl ParallelAggregate {
                     }
                     let mut part = self.fresh_partial()?;
                     for (batch, ids) in &entries {
-                        part.consume_indexed(batch, ids, 0)?;
+                        part.consume_indexed(batch, ids)?;
                     }
                     let _mem = self.tracker.register(part.estimated_bytes());
                     outs.push(part.finish_ordered());
@@ -345,7 +360,7 @@ impl ParallelAggregate {
         let mut mem = self.tracker.register(0);
         while let Some(cols) = reader.next_columns()? {
             let (batch, ids) = decode_entry(cols)?;
-            part.consume_indexed(&batch, &ids, 0)?;
+            part.consume_indexed(&batch, &ids)?;
             mem.resize(part.estimated_bytes());
         }
         self.note_spill(0, 0, file_bytes);
@@ -372,16 +387,27 @@ mod tests {
         FragmentBlueprint, ParallelAggregate, ParallelConfig, ScanBlueprint, ScanKind,
     };
 
+    const COLS: [&str; 6] = ["k", "u", "g", "f", "h", "s"];
+
+    /// Group-by sets every broker mode below runs: a scattered int + string
+    /// key, a per-row-unique key (every row its own group), and a string +
+    /// float key (mixed types through the shared key codec).
+    const GROUP_BYS: [&[&str]; 3] = [&["k", "s"], &["u"], &["s", "h"]];
+
     fn table(rows: usize) -> Arc<StoredTable> {
-        let k: Vec<i64> = (0..rows as i64).map(|i| (i * 13) % 977).collect();
+        let ints = |f: &dyn Fn(i64) -> i64| Column::from_i64((0..rows as i64).map(f).collect());
         let f: Vec<f64> = (0..rows).map(|i| (i as f64) * 0.37 - 100.0).collect();
+        let h: Vec<f64> = (0..rows).map(|i| ((i % 89) as f64) * 0.5).collect();
         let s: Vec<String> = (0..rows).map(|i| format!("tag{}", i % 11)).collect();
         Arc::new(
             StoredTable::from_columns_with_block_rows(
                 "t",
                 vec![
-                    ("k".into(), Column::from_i64(k)),
+                    ("k".into(), ints(&|i| (i * 13) % 977)),
+                    ("u".into(), ints(&|i| i)),
+                    ("g".into(), ints(&|i| i % 7)),
                     ("f".into(), Column::from_f64(f)),
+                    ("h".into(), Column::from_f64(h)),
                     ("s".into(), Column::from_strings(s)),
                 ],
                 32,
@@ -395,49 +421,52 @@ mod tests {
             AggSpec::new(AggFunc::Sum, Expr::col("f"), "sf"),
             AggSpec::new(AggFunc::Avg, Expr::col("f"), "af"),
             AggSpec::new(AggFunc::Min, Expr::col("f"), "mn"),
+            AggSpec::new(AggFunc::Max, Expr::col("u"), "mx"),
+            AggSpec::new(AggFunc::Sum, Expr::col("g"), "sg"),
             AggSpec::new(AggFunc::Count, Expr::lit(1), "n"),
             AggSpec::new(AggFunc::CountDistinct, Expr::col("k"), "nd"),
         ]
     }
 
-    fn serial(t: &Arc<StoredTable>) -> crate::batch::Batch {
+    fn serial(t: &Arc<StoredTable>, group_by: &[&str]) -> crate::batch::Batch {
         let io = IoTracker::new();
-        let op: BoxedOp =
-            Box::new(PlainScan::new(Arc::clone(t), io, &["k", "f", "s"], vec![]).unwrap());
-        collect(Box::new(
-            HashAggregate::new(op, &["k", "s"], aggs(), MemoryTracker::new()).unwrap(),
-        ))
-        .unwrap()
+        let op: BoxedOp = Box::new(PlainScan::new(Arc::clone(t), io, &COLS, vec![]).unwrap());
+        collect(Box::new(HashAggregate::new(op, group_by, aggs(), MemoryTracker::new()).unwrap()))
+            .unwrap()
     }
 
+    /// Radix under `broker_of`'s broker vs the serial `HashAggregate`:
+    /// *bit*-identical, floats included — a stronger promise than the
+    /// partial-merge path's ~1 ulp.
     fn spilled(t: &Arc<StoredTable>, broker_of: impl Fn(&Arc<MemoryTracker>) -> MemoryBroker) {
         let _spill = crate::broker::spill_test_guard();
-        let want = serial(t);
         let base = live_spill_files();
-        for threads in [2, 4] {
-            let io = IoTracker::new();
-            let tracker = MemoryTracker::new();
-            let cfg = ParallelConfig { threads, morsel_rows: 64, agg_radix: Some(true) };
-            let bp = ScanBlueprint {
-                table: Arc::clone(t),
-                columns: vec!["k".into(), "f".into(), "s".into()],
-                predicates: vec![],
-                kind: ScanKind::Plain,
-            };
-            let agg = ParallelAggregate::new(
-                FragmentBlueprint { scan: bp, steps: vec![] },
-                &["k", "s"],
-                aggs(),
-                io,
-                cfg,
-                Arc::clone(&tracker),
-            )
-            .unwrap()
-            .with_broker(broker_of(&tracker));
-            let got = collect(Box::new(agg)).unwrap();
-            assert_eq!(want, got, "threads={threads}: spilled agg must be bit-identical");
-            assert_eq!(live_spill_files(), base, "threads={threads}: temp files must unlink");
-            assert_eq!(tracker.current(), 0, "threads={threads}: memory must release");
+        for group_by in GROUP_BYS {
+            let want = serial(t, group_by);
+            for threads in [2, 3, 4] {
+                let tracker = MemoryTracker::new();
+                let bp = ScanBlueprint {
+                    table: Arc::clone(t),
+                    columns: COLS.iter().map(|c| c.to_string()).collect(),
+                    predicates: vec![],
+                    kind: ScanKind::Plain,
+                };
+                let agg = ParallelAggregate::new(
+                    FragmentBlueprint { scan: bp, steps: vec![] },
+                    group_by,
+                    aggs(),
+                    IoTracker::new(),
+                    ParallelConfig { threads, morsel_rows: 64 },
+                    Arc::clone(&tracker),
+                )
+                .unwrap()
+                .with_broker(broker_of(&tracker));
+                let got = collect(Box::new(agg)).unwrap();
+                let case = format!("{group_by:?} threads={threads}");
+                assert_eq!(want, got, "{case}: radix agg must be bit-identical");
+                assert_eq!(live_spill_files(), base, "{case}: temp files must unlink");
+                assert_eq!(tracker.current(), 0, "{case}: memory must release");
+            }
         }
     }
 

@@ -43,7 +43,7 @@ use crate::ops::transform::{Filter, Project};
 use crate::ops::BoxedOp;
 use crate::parallel::{
     FragmentBlueprint, FragmentStep, ParallelAggregate, ParallelConfig, ParallelScan, ParallelSort,
-    ScanBlueprint, ScanKind,
+    ScanBlueprint, ScanKind, DEFAULT_MORSEL_ROWS,
 };
 use crate::plan::{alias_column, FkSide, Node};
 use crate::profile::{wrap_edge, OpProf, Profiler};
@@ -57,10 +57,12 @@ pub struct QueryContext {
     pub sdb: Arc<SchemeDb>,
     pub tracker: Arc<MemoryTracker>,
     pub io: IoTracker,
-    /// When set (and `threads > 1`), the planner swaps eligible leaf scans
-    /// for morsel-parallel scans and eligible aggregations for partial
-    /// aggregation with ordered merge. `None` plans exactly as before.
-    pub parallel: Option<ParallelConfig>,
+    /// Execution width and morsel size. `threads: 1` (what
+    /// [`new`](Self::new) installs) is serial execution; wider, the
+    /// planner swaps eligible leaf scans, aggregations and sorts for their
+    /// morsel-parallel operators. `morsel_rows` also sizes the morsels of
+    /// a budgeted aggregation at any width.
+    pub parallel: ParallelConfig,
     /// When set, the planner mirrors the operator tree with per-operator
     /// metric blocks, child memory/I/O trackers and edge wrappers (see
     /// [`crate::profile`]); results stay byte-identical. `None` (the
@@ -85,7 +87,8 @@ pub struct QueryContext {
 
 impl QueryContext {
     pub fn new(sdb: Arc<SchemeDb>) -> QueryContext {
-        QueryContext::for_query(sdb, MemoryTracker::new(), None)
+        let serial = ParallelConfig { threads: 1, morsel_rows: DEFAULT_MORSEL_ROWS };
+        QueryContext::for_query(sdb, MemoryTracker::new(), serial)
     }
 
     /// The one place a context's defaults are spelled out: no profiler,
@@ -95,7 +98,7 @@ impl QueryContext {
     pub(crate) fn for_query(
         sdb: Arc<SchemeDb>,
         tracker: Arc<MemoryTracker>,
-        parallel: Option<ParallelConfig>,
+        parallel: ParallelConfig,
     ) -> QueryContext {
         QueryContext {
             sdb,
@@ -119,7 +122,7 @@ impl QueryContext {
         if parallel.threads > 1 {
             crate::parallel::pool::WorkerPool::shared().ensure_workers(parallel.threads);
         }
-        QueryContext::for_query(sdb, MemoryTracker::new(), Some(parallel))
+        QueryContext::for_query(sdb, MemoryTracker::new(), parallel)
     }
 
     /// Enable per-operator profiling on this context (what
@@ -169,19 +172,18 @@ impl QueryContext {
         self
     }
 
-    /// Shrink parallel morsels so the streaming scan's fixed buffer
-    /// floor (≈ `threads × stream-cap × morsel bytes`, which cannot
-    /// spill) scales with the budget instead of dwarfing it. Morsel
-    /// size never changes results, only granularity.
+    /// Shrink morsels so the fixed buffer floor that cannot spill (a
+    /// streaming scan's ≈ `threads × stream-cap × morsel bytes`, a radix
+    /// aggregation's in-flight chunk) scales with the budget instead of
+    /// dwarfing it. Morsel size never changes results, only granularity.
     fn clamp_morsels_to_budget(&mut self) {
-        let (Some(cfg), Some(budget)) = (&mut self.parallel, self.governor.budget()) else {
-            return;
-        };
+        let Some(budget) = self.governor.budget() else { return };
         if !self.broker.is_active() {
             return;
         }
         // ~64 B/row estimate, 2-deep stream buffers per thread; keep at
         // least 256-row morsels so fan-out overhead stays sane.
+        let cfg = &mut self.parallel;
         let cap = (budget / (cfg.threads as u64 * 2 * 64)).max(256) as usize;
         cfg.morsel_rows = cfg.morsel_rows.min(cap);
     }
@@ -563,16 +565,15 @@ impl<'a> Planner<'a> {
                 // Workers sort per-run, then a stable k-way merge with
                 // run-index tie-breaking reproduces the serial stable sort
                 // byte-for-byte.
-                let parallel_sort = matches!(&self.ctx.parallel, Some(cfg) if cfg.threads > 1);
-                let label = if parallel_sort { "Sort(parallel)" } else { "Sort(serial)" };
+                let cfg = &self.ctx.parallel;
+                let label = if cfg.threads > 1 { "Sort(parallel)" } else { "Sort(serial)" };
                 let prof = self.prof_node(label.into(), vec![child.prof.clone()], None);
                 let tracker = self.op_tracker(&prof);
                 let cop = wrap_edge(child.op, &child.prof, &prof);
-                let op: BoxedOp = match &self.ctx.parallel {
-                    Some(cfg) if cfg.threads > 1 => {
-                        Box::new(ParallelSort::new(cop, keys, *limit, cfg.clone(), tracker)?)
-                    }
-                    _ => Box::new(Sort::new(cop, keys, *limit, tracker)?),
+                let op: BoxedOp = if cfg.threads > 1 {
+                    Box::new(ParallelSort::new(cop, keys, *limit, cfg.clone(), tracker)?)
+                } else {
+                    Box::new(Sort::new(cop, keys, *limit, tracker)?)
                 };
                 Ok(PhysOut { op, gk_cols: vec![], prof })
             }
@@ -683,8 +684,8 @@ impl<'a> Planner<'a> {
         ))
     }
 
-    /// Build the leaf scan operator — serial, or a [`ParallelScan`] when a
-    /// parallel config is installed and the leaf is big enough to split.
+    /// Build the leaf scan operator — serial, or a [`ParallelScan`] when the
+    /// context is wider than one thread and the leaf is big enough to split.
     fn build_scan(
         &self,
         scan_id: usize,
@@ -708,28 +709,28 @@ impl<'a> Planner<'a> {
         if let Some(p) = &prof {
             annotate_encodings(&p.metrics, &blueprint);
         }
-        let op: BoxedOp = match &self.ctx.parallel {
-            Some(cfg) if cfg.worth_splitting(blueprint.total_rows()) => Box::new(
+        let cfg = &self.ctx.parallel;
+        let op: BoxedOp = if cfg.worth_splitting(blueprint.total_rows()) {
+            Box::new(
                 ParallelScan::new(blueprint, io, cfg.clone(), tracker)?
                     .with_metrics(prof.as_ref().map(|p| Arc::clone(&p.metrics)))
                     .with_governor(self.ctx.governor.clone()),
-            ),
-            _ => {
-                if let Some(p) = &prof {
-                    p.metrics.annotate("path", "serial");
-                }
-                let scan = blueprint.build_with_metrics(
-                    &io,
-                    None,
-                    prof.as_ref().map(|p| Arc::clone(&p.metrics)),
-                )?;
-                // Serial leaves are where an otherwise-unparallel plan
-                // spends its time — poll the governor per batch there.
-                if self.ctx.governor.is_active() {
-                    Box::new(GovernedOp::new(scan, self.ctx.governor.clone(), "scan-batch"))
-                } else {
-                    scan
-                }
+            )
+        } else {
+            if let Some(p) = &prof {
+                p.metrics.annotate("path", "serial");
+            }
+            let scan = blueprint.build_with_metrics(
+                &io,
+                None,
+                prof.as_ref().map(|p| Arc::clone(&p.metrics)),
+            )?;
+            // Serial leaves are where an otherwise-unparallel plan
+            // spends its time — poll the governor per batch there.
+            if self.ctx.governor.is_active() {
+                Box::new(GovernedOp::new(scan, self.ctx.governor.clone(), "scan-batch"))
+            } else {
+                scan
             }
         };
         // Alias: rename base columns, keep group keys. The rename rides
@@ -835,7 +836,7 @@ impl<'a> Planner<'a> {
                             );
                             let lop = wrap_edge(lout.op, &lout.prof, &prof);
                             let rop = wrap_edge(rout.op, &rout.prof, &prof);
-                            // Under a parallel config, oversized groups
+                            // Wider than one thread, oversized groups
                             // build partitioned and probe in row-range
                             // morsels; the group merge itself stays serial
                             // (it is the partition-wise short-circuit).
@@ -903,7 +904,7 @@ impl<'a> Planner<'a> {
             self.prof_node("Join(hash)".into(), vec![lout.prof.clone(), rout.prof.clone()], None);
         let lop = wrap_edge(lout.op, &lout.prof, &prof);
         let rop = wrap_edge(rout.op, &rout.prof, &prof);
-        // Under a parallel config the join's build side is indexed with
+        // Wider than one thread, the join's build side is indexed with
         // the hash-partitioned parallel build (partitioned tables are
         // registered with the memory tracker inside the operator) and the
         // probe side fans out in row-range morsels over rounds of left
@@ -929,12 +930,11 @@ impl<'a> Planner<'a> {
         // Strategy precedence: the two *memory-bounded* serial strategies —
         // sandwich (group-at-a-time, BDCC) and streaming (ordered input) —
         // win over morsel-parallel aggregation: both hold at most one
-        // co-cluster's (or one run's) worth of state, which neither
-        // parallel strategy can beat (partials duplicate shared groups
-        // per morsel; radix materializes a partitioned copy of the
-        // input). Leaf scans below sandwich/streaming still parallelize
-        // via [`ParallelScan`]. Within [`ParallelAggregate`] itself the
-        // strategy choice is cardinality-driven (see below).
+        // co-cluster's (or one run's) worth of state, which neither path
+        // of [`ParallelAggregate`] can beat (partials duplicate shared
+        // groups per morsel; radix materializes a partitioned copy of the
+        // input, resident or spilled). Leaf scans below sandwich/streaming
+        // still parallelize via [`ParallelScan`].
 
         // BDCC: sandwich aggregation on determined instances.
         if self.ctx.sdb.scheme == Scheme::Bdcc && !group_by.is_empty() {
@@ -972,55 +972,42 @@ impl<'a> Planner<'a> {
             }
         }
 
-        // Parallel: when the input is a single-scan fragment (scan →
-        // filter/project chain), aggregate it morsel-parallel — identical
-        // results to the hash aggregate it replaces, and the fragment is
-        // where the rows (and the time) are. The operator picks between
-        // per-morsel partials (coarse group-bys, tiny tables) and
-        // radix-partitioned aggregation (fine-grained group-bys: rows
-        // hash-partition by group key so each group lives in exactly one
-        // worker-local table) by probing two sample morsels for group
-        // density and cross-morsel duplication (`choose_radix`),
-        // overridable through `ParallelConfig::agg_radix`.
-        // Without a parallel config, an active broker still routes leaf
-        // fragments here with a one-thread config: only the radix
-        // aggregate can spill, and a serial HashAggregate would die with
-        // BudgetExceeded where out-of-core execution could finish.
-        let agg_cfg = self.ctx.parallel.clone().or_else(|| {
-            self.ctx.broker.is_active().then(|| {
-                let mut cfg = ParallelConfig::with_threads(1);
-                if let Some(budget) = self.ctx.governor.budget() {
-                    cfg.morsel_rows = cfg.morsel_rows.min((budget / (2 * 64)).max(256) as usize);
-                }
-                cfg
-            })
-        });
-        if let Some(cfg) = agg_cfg {
-            if let Some(fragment) = self.leaf_fragment(input)? {
-                if self.ctx.parallel.is_none() || cfg.worth_splitting(fragment.scan.total_rows()) {
-                    // The fragment fuses scan → filter/project into the
-                    // aggregate's workers, so this node is also a leaf:
-                    // it gets the scan's I/O attribution.
-                    let io_child = self.scan_io();
-                    let prof =
-                        self.prof_node("Aggregate(parallel)".into(), vec![], io_child.clone());
-                    if let Some(p) = &prof {
-                        p.metrics.annotate("fragment", fragment.scan.table.name());
-                    }
-                    let op = ParallelAggregate::new(
-                        fragment,
-                        &gb_refs,
-                        aggs.to_vec(),
-                        io_child.unwrap_or_else(|| self.ctx.io.clone()),
-                        cfg,
-                        self.op_tracker(&prof),
-                    )?
-                    .with_metrics(prof.as_ref().map(|p| Arc::clone(&p.metrics)))
-                    .with_governor(self.ctx.governor.clone())
-                    .with_broker(self.ctx.broker.clone());
-                    return Ok(PhysOut { op: Box::new(op), gk_cols: vec![], prof });
-                }
+        // Parallel: a single-scan fragment (scan → filter/project chain)
+        // aggregates morsel-wise — identical results to the hash aggregate
+        // it replaces — when the leaf is worth splitting across the
+        // context's threads, or, at any width, when the broker is active:
+        // only [`ParallelAggregate`]'s radix path can spill, and a
+        // `HashAggregate` would die with BudgetExceeded where out-of-core
+        // execution could finish. Which of its two paths runs is the
+        // operator's rule (broker active → radix).
+        let cfg = &self.ctx.parallel;
+        let spillable = self.ctx.broker.is_active();
+        // (Lowering the fragment selects BDCC groups — skip it when the
+        // answer is already no.)
+        let fragment = if spillable || cfg.threads > 1 { self.leaf_fragment(input)? } else { None };
+        if let Some(fragment) =
+            fragment.filter(|f| spillable || cfg.worth_splitting(f.scan.total_rows()))
+        {
+            // The fragment fuses scan → filter/project into the
+            // aggregate's workers, so this node is also a leaf: it gets
+            // the scan's I/O attribution.
+            let io_child = self.scan_io();
+            let prof = self.prof_node("Aggregate(parallel)".into(), vec![], io_child.clone());
+            if let Some(p) = &prof {
+                p.metrics.annotate("fragment", fragment.scan.table.name());
             }
+            let op = ParallelAggregate::new(
+                fragment,
+                &gb_refs,
+                aggs.to_vec(),
+                io_child.unwrap_or_else(|| self.ctx.io.clone()),
+                cfg.clone(),
+                self.op_tracker(&prof),
+            )?
+            .with_metrics(prof.as_ref().map(|p| Arc::clone(&p.metrics)))
+            .with_governor(self.ctx.governor.clone())
+            .with_broker(self.ctx.broker.clone());
+            return Ok(PhysOut { op: Box::new(op), gk_cols: vec![], prof });
         }
 
         let child = self.build(input, &[])?;

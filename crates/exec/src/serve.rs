@@ -81,8 +81,8 @@ pub struct ServerConfig {
     /// Memory budget (bytes of tracked operator state) applied to every
     /// query that does not override it.
     pub default_budget: Option<u64>,
-    /// Parallel config installed on every query context (`None` plans
-    /// serially; fan-out still shares the process-wide pool).
+    /// Parallel config installed on every query context (`None` is one
+    /// thread: serial plans; fan-out shares the process-wide pool).
     pub parallel: Option<ParallelConfig>,
     /// Fault injector consulted at every governance checkpoint of every
     /// query (the stress harness; `None` in production).
@@ -222,6 +222,8 @@ struct ServeState {
 struct ServerShared {
     sdb: Arc<SchemeDb>,
     cfg: ServerConfig,
+    /// `cfg.parallel` as the width every query context gets.
+    parallel: ParallelConfig,
     /// Parent of every query's tracker: aggregate memory pressure.
     mem_root: Arc<MemoryTracker>,
     metrics: Arc<ServeMetrics>,
@@ -241,14 +243,14 @@ impl Server {
     /// shared database.
     pub fn new(sdb: Arc<SchemeDb>, cfg: ServerConfig) -> Server {
         let max_concurrent = cfg.max_concurrent.max(1);
-        if let Some(par) = &cfg.parallel {
-            if par.threads > 1 {
-                crate::parallel::pool::WorkerPool::shared().ensure_workers(par.threads);
-            }
+        let parallel = cfg.parallel.clone().unwrap_or_else(|| ParallelConfig::with_threads(1));
+        if parallel.threads > 1 {
+            crate::parallel::pool::WorkerPool::shared().ensure_workers(parallel.threads);
         }
         let shared = Arc::new(ServerShared {
             sdb,
             cfg,
+            parallel,
             mem_root: MemoryTracker::new(),
             metrics: Arc::new(ServeMetrics::new()),
             state: Mutex::new(ServeState { queue: VecDeque::new(), running: 0, shutdown: false }),
@@ -394,7 +396,7 @@ fn run_ticket(shared: &ServerShared, ticket: Ticket) {
     let mut ctx = QueryContext::for_query(
         Arc::clone(&shared.sdb),
         MemoryTracker::child_of(&shared.mem_root),
-        shared.cfg.parallel.clone(),
+        shared.parallel.clone(),
     )
     .with_cancel(ticket.shared.cancel.clone());
     if let Some(at) = ticket.deadline {

@@ -7,11 +7,11 @@ use std::sync::Arc;
 
 use bdcc_catalog::{Catalog, ColumnDef, Database, TableDef};
 use bdcc_core::DesignConfig;
-use bdcc_exec::run::{canonical_rows, run_measured};
+use bdcc_exec::run::{canonical_rows, explain_analyze, run_measured};
 use bdcc_exec::{
     aggregate, bdcc_scheme, filter, join, join_full, pk_scheme, plain_scheme, sort, AggFunc,
-    AggSpec, ColPredicate, Datum, Expr, FkSide, JoinType, Node, PlanBuilder, QueryContext, Scheme,
-    SchemeDb, SortKey,
+    AggSpec, ColPredicate, Datum, Expr, FkSide, JoinType, Node, ParallelConfig, PlanBuilder,
+    ProfileNode, QueryContext, Scheme, SchemeDb, SortKey, SpillMode,
 };
 use bdcc_storage::{Column, DataType, StoredTable, TableBuilder};
 
@@ -314,4 +314,155 @@ fn sort_limit_and_datum_roundtrip() {
     let amounts = out.columns[1].as_i64().unwrap();
     assert_eq!(amounts, &[999, 999, 999]);
     assert_eq!(out.columns[0].datum(0), Datum::Int(999));
+}
+
+// ---------------------------------------------------------------------
+// Width is a value, and the aggregation strategy follows the broker.
+// ---------------------------------------------------------------------
+
+/// The Plain scheme with `orders` rebuilt over 256-row blocks, so a
+/// budget-clamped morsel size actually yields several morsels.
+fn fine_block_plain() -> Arc<SchemeDb> {
+    let mut db = build_db();
+    let id = db.catalog().table_id("orders").unwrap();
+    let coarse = Arc::clone(db.stored(id).unwrap());
+    let cols = ["o_key", "o_cust", "o_day", "o_amount"]
+        .iter()
+        .map(|c| (c.to_string(), coarse.column_by_name(c).unwrap().as_ref().clone()))
+        .collect();
+    db.attach(
+        id,
+        Arc::new(StoredTable::from_columns_with_block_rows("orders", cols, 256).unwrap()),
+    );
+    Arc::new(plain_scheme(&db))
+}
+
+/// `GROUP BY o_key` straight over the scan: one group per row, a leaf
+/// fragment.
+fn leaf_group_by() -> Node {
+    let orders = PlanBuilder::new().scan("orders", &["o_key", "o_amount"], vec![]);
+    aggregate(orders, &["o_key"], vec![AggSpec::new(AggFunc::Sum, Expr::col("o_amount"), "s")])
+}
+
+fn join_group_by() -> Node {
+    let b = PlanBuilder::new();
+    let orders = b.scan("orders", &["o_cust", "o_amount"], vec![]);
+    let customer = b.scan("customer", &["c_key", "c_nation"], vec![]);
+    let j = join(orders, customer, &[("o_cust", "c_key")], Some(("FK_O_C", FkSide::Left)));
+    aggregate(j, &["c_nation"], vec![AggSpec::new(AggFunc::Sum, Expr::col("o_amount"), "s")])
+}
+
+/// Operator labels of the profile tree, pre-order.
+fn labels(root: &ProfileNode) -> Vec<String> {
+    let mut out = Vec::new();
+    root.walk(&mut |n: &ProfileNode| out.push(n.label.clone()));
+    out
+}
+
+/// The one node labelled `label`, with its `strategy` annotation.
+fn node_and_strategy<'a>(root: &'a ProfileNode, label: &str) -> (&'a ProfileNode, &'a str) {
+    let mut hits = Vec::new();
+    fn collect<'a>(n: &'a ProfileNode, label: &str, hits: &mut Vec<&'a ProfileNode>) {
+        if n.label == label {
+            hits.push(n);
+        }
+        n.children.iter().for_each(|c| collect(c, label, hits));
+    }
+    collect(root, label, &mut hits);
+    assert_eq!(hits.len(), 1, "expected one {label} in {:?}", labels(root));
+    let strategy = hits[0].annotations.iter().find(|(k, _)| k == "strategy");
+    (hits[0], strategy.map_or("", |(_, v)| v.as_str()))
+}
+
+#[test]
+fn one_thread_is_the_serial_context() {
+    // `new` and `with_parallel(threads: 1)` are one configuration: same
+    // operators, same bytes — in memory and under forced spill, where a
+    // width-1 context used to miss the spillable aggregate.
+    let (plain, pk, bdcc) = schemes();
+    let sorted = sort(
+        PlanBuilder::new().scan("orders", &["o_key", "o_amount"], vec![]),
+        vec![SortKey::desc("o_amount"), SortKey::asc("o_key")],
+        Some(20),
+    );
+    let plans = [("leaf", leaf_group_by()), ("join", join_group_by()), ("sort", sorted)];
+    for sdb in [&plain, &pk, &bdcc] {
+        for spill in [SpillMode::Off, SpillMode::Force] {
+            for (name, plan) in &plans {
+                let a = QueryContext::new(Arc::clone(sdb)).with_spill(spill);
+                let b =
+                    QueryContext::with_parallel(Arc::clone(sdb), ParallelConfig::with_threads(1))
+                        .with_spill(spill);
+                assert_eq!(a.parallel, b.parallel);
+                let (a, b) =
+                    (explain_analyze(&a, plan).unwrap(), explain_analyze(&b, plan).unwrap());
+                let case = format!("{name} on {} ({spill:?})", sdb.scheme.name());
+                assert_eq!(labels(&a.profile.root), labels(&b.profile.root), "{case}");
+                assert_eq!(a.batch, b.batch, "{case}");
+                assert!(!labels(&a.profile.root).contains(&"Sort(parallel)".to_string()), "{case}");
+            }
+        }
+    }
+}
+
+#[test]
+fn budget_alone_plans_a_spillable_radix_aggregate() {
+    let sdb = fine_block_plain();
+    let plan = leaf_group_by();
+    let (want, free) = run_measured(&QueryContext::new(Arc::clone(&sdb)), &plan).unwrap();
+    let budget = free.peak_memory / 2;
+    // No parallel config supplied: the budget activates the broker, and
+    // that alone selects the operator, its strategy and its morsel size.
+    let ctx = QueryContext::new(Arc::clone(&sdb)).with_memory_budget(budget);
+    let clamp = ((budget / (2 * 64)).max(256)) as usize;
+    assert!(clamp < 8192, "the budget must bite: clamp {clamp}");
+    assert_eq!(ctx.parallel, ParallelConfig { threads: 1, morsel_rows: clamp });
+    let got = explain_analyze(&ctx, &plan).unwrap();
+    let (agg, strategy) = node_and_strategy(&got.profile.root, "Aggregate(parallel)");
+    assert_eq!(strategy, "radix");
+    // Morsels are whole 256-row blocks, as many as reach the clamp.
+    let morsel = clamp.div_ceil(256) * 256;
+    assert_eq!(agg.morsels as usize, 8192usize.div_ceil(morsel));
+    assert_eq!(agg.morsel_rows, 8192);
+    assert_eq!(want, got.batch, "budgeted result must be byte-identical");
+    assert!(
+        got.measurement.peak_memory <= budget,
+        "peak {} must fit budget {budget}",
+        got.measurement.peak_memory
+    );
+}
+
+#[test]
+fn nothing_to_partition_stays_on_partial_merge_under_a_broker() {
+    let sdb = fine_block_plain();
+    let forced = |cfg: ParallelConfig| {
+        QueryContext::with_parallel(Arc::clone(&sdb), cfg).with_spill(SpillMode::Force)
+    };
+    // A global aggregate has one group, however many morsels feed it.
+    let orders = PlanBuilder::new().scan("orders", &["o_amount"], vec![]);
+    let global =
+        aggregate(orders, &[], vec![AggSpec::new(AggFunc::Sum, Expr::col("o_amount"), "s")]);
+    let got =
+        explain_analyze(&forced(ParallelConfig { threads: 1, morsel_rows: 256 }), &global).unwrap();
+    let (agg, strategy) = node_and_strategy(&got.profile.root, "Aggregate(parallel)");
+    assert_eq!((agg.morsels, strategy), (32, "partial-merge"));
+    // A group-by over a single morsel has no fan-out to route.
+    let got = explain_analyze(&forced(ParallelConfig::with_threads(1)), &leaf_group_by()).unwrap();
+    let (agg, strategy) = node_and_strategy(&got.profile.root, "Aggregate(parallel)");
+    assert_eq!((agg.morsels, strategy), (1, "partial-merge"));
+    assert_eq!(got.batch.rows(), 8192);
+}
+
+#[test]
+fn aggregate_above_a_join_cannot_spill_yet() {
+    // ROADMAP (g), still open: only a leaf fragment gets the spillable
+    // aggregate; above a join it stays an in-memory hash aggregate even
+    // with a budget in force.
+    let (plain, _, _) = schemes();
+    let free = run_measured(&QueryContext::new(Arc::clone(&plain)), &join_group_by()).unwrap().1;
+    let ctx = QueryContext::new(plain).with_memory_budget(free.peak_memory * 2);
+    let got = explain_analyze(&ctx, &join_group_by()).unwrap();
+    let seen = labels(&got.profile.root);
+    assert!(seen.contains(&"Aggregate(hash)".to_string()), "{seen:?}");
+    assert!(!seen.contains(&"Aggregate(parallel)".to_string()), "{seen:?}");
 }

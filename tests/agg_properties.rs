@@ -6,12 +6,13 @@
 //!
 //! * **serial** (`HashAggregate`) must match the naive reference — values
 //!   and first-seen group order;
-//! * **radix-partitioned** (`ParallelAggregate` with `agg_radix` forced
-//!   on) must be **bit-identical** to serial, floats included — each
+//! * **radix-partitioned** (`ParallelAggregate` under an active broker —
+//!   `SpillMode::Force`, so every partition also round-trips a spill
+//!   file) must be **bit-identical** to serial, floats included — each
 //!   group's rows fold in serial stream order inside its one partition;
-//! * **parallel-partial** (`agg_radix` forced off) must match serial
-//!   exactly on group keys, group order and integer aggregates, and to
-//!   ~1 ulp on compensated float sums (partials associate differently).
+//! * **parallel-partial** (no broker) must match serial exactly on group
+//!   keys, group order and integer aggregates, and to ~1 ulp on
+//!   compensated float sums (partials associate differently).
 //!
 //! Thread counts {1, 2, 4} and tiny morsels (`BDCC_MORSEL_ROWS`, default
 //! 16, over 8-row storage blocks) force many-morsel fan-outs on
@@ -34,7 +35,9 @@ use bdcc::exec::ops::agg::{HashAggregate, SandwichAggregate, StreamingAggregate}
 use bdcc::exec::ops::scan::PlainScan;
 use bdcc::exec::ops::{collect, BoxedOp, Operator};
 use bdcc::exec::parallel::{FragmentBlueprint, ParallelAggregate, ScanBlueprint, ScanKind};
-use bdcc::exec::{AggFunc, AggSpec, ExecError, Expr, MemoryTracker, ParallelConfig};
+use bdcc::exec::{
+    AggFunc, AggSpec, ExecError, Expr, MemoryBroker, MemoryTracker, ParallelConfig, SpillMode,
+};
 use bdcc::storage::{Column, DataType, Datum, StoredTable};
 use bdcc_storage::IoTracker;
 
@@ -115,7 +118,14 @@ fn try_parallel(
         predicates: vec![],
         kind: ScanKind::Plain,
     };
-    let cfg = ParallelConfig { threads, morsel_rows: test_morsel_rows(), agg_radix: Some(radix) };
+    let cfg = ParallelConfig { threads, morsel_rows: test_morsel_rows() };
+    let tracker = MemoryTracker::new();
+    // The operator's one strategy rule: an active broker means radix.
+    let broker = if radix {
+        MemoryBroker::with_mode(SpillMode::Force, &tracker, None)
+    } else {
+        MemoryBroker::none()
+    };
     collect(Box::new(
         ParallelAggregate::new(
             FragmentBlueprint { scan: bp, steps: vec![] },
@@ -123,9 +133,10 @@ fn try_parallel(
             aggs,
             IoTracker::new(),
             cfg,
-            MemoryTracker::new(),
+            tracker,
         )
-        .unwrap(),
+        .unwrap()
+        .with_broker(broker),
     ))
 }
 
@@ -259,8 +270,7 @@ proptest! {
 
     /// Degenerate key distributions: a single group (everything collides
     /// into one partition) and all-distinct groups (per-row groups, the
-    /// radix sweet spot) — plus the auto heuristic, which must agree with
-    /// both forced paths whatever it picks.
+    /// radix sweet spot).
     #[test]
     fn degenerate_group_distributions(
         n in 1usize..120,
@@ -277,27 +287,6 @@ proptest! {
         prop_assert_eq!(&s, &radix);
         let partial = parallel(&t, &["g"], threads, false);
         assert_equivalent_modulo_float_ulp(&s, &partial);
-        // The heuristic path (auto): whatever it picks must still agree.
-        let bp = ScanBlueprint {
-            table: Arc::clone(&t),
-            columns: COLS.iter().map(|c| c.to_string()).collect(),
-            predicates: vec![],
-            kind: ScanKind::Plain,
-        };
-        let cfg = ParallelConfig { threads, morsel_rows: test_morsel_rows(), agg_radix: None };
-        let auto = collect(Box::new(
-            ParallelAggregate::new(
-                FragmentBlueprint { scan: bp, steps: vec![] },
-                &["g"],
-                all_aggs(),
-                IoTracker::new(),
-                cfg,
-                MemoryTracker::new(),
-            )
-            .unwrap(),
-        ))
-        .unwrap();
-        assert_equivalent_modulo_float_ulp(&s, &auto);
     }
 }
 

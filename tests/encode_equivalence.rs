@@ -1,7 +1,7 @@
 //! Encoded-vs-raw equivalence: with block encodings on (the default)
 //! every TPC-H query must return results **byte-identical** to the same
 //! query over unencoded storage, for each scheme, serial and
-//! morsel-parallel under each aggregation strategy — the
+//! morsel-parallel, in memory and forced out of core — the
 //! compression-aware kernels and late materialization may only change
 //! *how* blocks are evaluated, never what a scan emits. On top of that,
 //! `EXPLAIN ANALYZE` must surface the per-scan encoding annotations and
@@ -20,7 +20,7 @@ use std::sync::Arc;
 use bdcc::prelude::*;
 use bdcc_exec::{
     canonical_rows, explain_analyze, ColPredicate, Datum, ParallelConfig, PlanBuilder, ProfileNode,
-    QueryContext,
+    QueryContext, SpillMode,
 };
 use bdcc_storage::set_encode_enabled;
 
@@ -65,23 +65,25 @@ fn encoded_scans_are_byte_identical_to_raw() {
     assert!(enc_li.has_encodings(), "lineitem must pick up block encodings");
 
     // The full query matrix: every query × every scheme, serial and
-    // parallel (the operator's own aggregation strategy and each one
-    // pinned), encoded vs raw — exact string equality, no tolerance.
-    let par_cfg = |agg_radix| {
-        Some(ParallelConfig { threads: test_threads(), morsel_rows: test_morsel_rows(), agg_radix })
-    };
-    let cfgs = [None, par_cfg(None), par_cfg(Some(true)), par_cfg(Some(false))];
+    // parallel, in memory and forced out of core (partial-merge and radix
+    // aggregation), encoded vs raw — exact string equality, no tolerance.
+    let par_cfg = ParallelConfig { threads: test_threads(), morsel_rows: test_morsel_rows() };
+    // (Serial follows `BDCC_SPILL`, like every other serial suite.)
+    let cfgs = [
+        ("serial", ParallelConfig::with_threads(1), None),
+        ("parallel", par_cfg.clone(), Some(SpillMode::Off)),
+        ("parallel, forced spill", par_cfg, Some(SpillMode::Force)),
+    ];
     let mut failures = Vec::new();
     for q in all_queries() {
         for (raw_sdb, enc_sdb) in raw.iter().zip(&enc) {
-            for cfg in &cfgs {
-                let context = |sdb: &Arc<SchemeDb>| match cfg {
-                    None => QueryContext::new(Arc::clone(sdb)),
-                    Some(c) => QueryContext::with_parallel(Arc::clone(sdb), c.clone()),
-                };
-                let mode = match cfg {
-                    None => "serial".to_string(),
-                    Some(c) => format!("parallel, agg_radix={:?}", c.agg_radix),
+            for (mode, cfg, spill) in &cfgs {
+                let context = |sdb: &Arc<SchemeDb>| {
+                    let ctx = QueryContext::with_parallel(Arc::clone(sdb), cfg.clone());
+                    match spill {
+                        Some(mode) => ctx.with_spill(*mode),
+                        None => ctx,
+                    }
                 };
                 let r = (q.run)(&QueryCtx::new(context(raw_sdb), sf));
                 let e = (q.run)(&QueryCtx::new(context(enc_sdb), sf));

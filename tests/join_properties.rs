@@ -43,12 +43,16 @@ impl Operator for Source {
     }
 }
 
+fn one_thread() -> ParallelConfig {
+    ParallelConfig::with_threads(1)
+}
+
 fn run_join(
     left: &[(i64, i64)],
     right: &[(i64, i64)],
     jt: JoinType,
     residual: bool,
-    parallel: Option<ParallelConfig>,
+    parallel: ParallelConfig,
 ) -> Batch {
     let residual = residual.then(|| Expr::col("lv").le(Expr::col("rv")));
     let j = HashJoin::new(
@@ -127,7 +131,7 @@ proptest! {
         residual in any::<bool>(),
     ) {
         for jt in ALL_TYPES {
-            let got = run_join(&left, &right, jt, residual, None);
+            let got = run_join(&left, &right, jt, residual, one_thread());
             let want = reference(&left, &right, jt, residual);
             prop_assert_eq!(
                 canonical_rows(&got),
@@ -147,10 +151,10 @@ proptest! {
         threads in 2usize..6,
     ) {
         // morsel_rows = 1 forces partitioning at any size.
-        let cfg = ParallelConfig { threads, morsel_rows: 1, agg_radix: None };
+        let cfg = ParallelConfig { threads, morsel_rows: 1 };
         for jt in ALL_TYPES {
-            let serial = run_join(&left, &right, jt, false, None);
-            let parallel = run_join(&left, &right, jt, false, Some(cfg.clone()));
+            let serial = run_join(&left, &right, jt, false, one_thread());
+            let parallel = run_join(&left, &right, jt, false, cfg.clone());
             prop_assert_eq!(&serial, &parallel, "{:?} threads={}", jt, threads);
         }
     }
@@ -170,10 +174,10 @@ proptest! {
     ) {
         // Tiny morsels: every 7-row left batch splits into several probe
         // morsels and probe rounds span multiple batches.
-        let cfg = ParallelConfig { threads, morsel_rows: 3, agg_radix: None };
+        let cfg = ParallelConfig { threads, morsel_rows: 3 };
         for jt in ALL_TYPES {
-            let serial = run_join(&left, &right, jt, residual, None);
-            let parallel = run_join(&left, &right, jt, residual, Some(cfg.clone()));
+            let serial = run_join(&left, &right, jt, residual, one_thread());
+            let parallel = run_join(&left, &right, jt, residual, cfg.clone());
             prop_assert_eq!(
                 &serial, &parallel,
                 "{:?} residual={} threads={}", jt, residual, threads
@@ -191,7 +195,7 @@ proptest! {
         let left: Vec<(i64, i64)> = (0..n_left as i64).map(|i| (key, i)).collect();
         let right: Vec<(i64, i64)> = (0..n_right as i64).map(|i| (key, -i)).collect();
         for jt in ALL_TYPES {
-            let got = run_join(&left, &right, jt, false, None);
+            let got = run_join(&left, &right, jt, false, one_thread());
             let want = reference(&left, &right, jt, false);
             prop_assert_eq!(canonical_rows(&got), canonical_rows(&want), "{:?}", jt);
         }

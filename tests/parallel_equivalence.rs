@@ -23,7 +23,9 @@ use bdcc_exec::parallel::morsel::{split_blocks, split_groups, Morsel};
 use bdcc_exec::parallel::{
     FragmentBlueprint, ParallelAggregate, ParallelScan, ScanBlueprint, ScanKind,
 };
-use bdcc_exec::{AggFunc, AggSpec, Expr, MemoryTracker, ParallelConfig, QueryContext};
+use bdcc_exec::{
+    AggFunc, AggSpec, Expr, MemoryBroker, MemoryTracker, ParallelConfig, QueryContext, SpillMode,
+};
 use bdcc_storage::IoTracker;
 
 /// Worker count under test: `BDCC_THREADS`, default 4 (1 exercises the
@@ -91,22 +93,23 @@ fn all_queries_parallel_equals_serial_on_all_schemes() {
                     continue;
                 }
             };
-            // Both aggregation strategies pinned, plus the operator's own
-            // choice: every one must reproduce serial execution.
-            for agg_radix in [None, Some(true), Some(false)] {
-                let par_cfg = ParallelConfig {
-                    threads: test_threads(),
-                    morsel_rows: test_morsel_rows(),
-                    agg_radix,
-                };
-                let par_ctx =
-                    QueryCtx::new(QueryContext::with_parallel(Arc::clone(sdb), par_cfg), sf);
+            // Both sides of the engine's one strategy switch: in memory
+            // (partial-merge aggregation, resident join builds) and forced
+            // out of core (radix aggregation, spilled builds). Each must
+            // reproduce serial execution.
+            for spill in [SpillMode::Off, SpillMode::Force] {
+                let par_cfg =
+                    ParallelConfig { threads: test_threads(), morsel_rows: test_morsel_rows() };
+                let par_ctx = QueryCtx::new(
+                    QueryContext::with_parallel(Arc::clone(sdb), par_cfg).with_spill(spill),
+                    sf,
+                );
                 match (q.run)(&par_ctx) {
                     Ok(p) => {
                         let p = canonical_rows(&p);
                         if !rows_equivalent(&serial, &p) {
                             failures.push(format!(
-                                "{} on {} (agg_radix={agg_radix:?}): serial {} rows vs parallel {} \
+                                "{} on {} (spill={spill:?}): serial {} rows vs parallel {} \
                                  rows; first diff: {:?} vs {:?}",
                                 q.name,
                                 sdb.scheme.name(),
@@ -118,7 +121,7 @@ fn all_queries_parallel_equals_serial_on_all_schemes() {
                         }
                     }
                     Err(e) => failures.push(format!(
-                        "{} parallel failed on {} (agg_radix={agg_radix:?}): {e}",
+                        "{} parallel failed on {} (spill={spill:?}): {e}",
                         q.name,
                         sdb.scheme.name()
                     )),
@@ -135,8 +138,7 @@ fn tiny_morsels_force_partitioned_joins_and_many_sort_runs() {
     // partitioned path and split every sort into many runs; join- and
     // sort-heavy queries must still match serial execution exactly.
     let (sf, sdbs) = schemes();
-    let par_cfg =
-        ParallelConfig { threads: test_threads().max(2), morsel_rows: 32, agg_radix: None };
+    let par_cfg = ParallelConfig { threads: test_threads().max(2), morsel_rows: 32 };
     let heavy = [2usize, 3, 10, 13, 18, 21];
     let mut failures = Vec::new();
     for q in all_queries().into_iter().filter(|q| heavy.contains(&q.id)) {
@@ -173,7 +175,7 @@ fn probe_morsel_matrix_agrees_with_serial() {
     let mut failures = Vec::new();
     for threads in [1, test_threads().max(2)] {
         for morsel_rows in [16, 64] {
-            let cfg = ParallelConfig { threads, morsel_rows, agg_radix: None };
+            let cfg = ParallelConfig { threads, morsel_rows };
             for q in all_queries().into_iter().filter(|q| heavy.contains(&q.id)) {
                 for sdb in &sdbs {
                     let serial = (q.run)(&QueryCtx::new(QueryContext::new(Arc::clone(sdb)), sf));
@@ -241,7 +243,7 @@ fn streaming_scan_memory_stays_morsel_bounded() {
     // table" half of the assertion meaningless, not wrong.
     let threads = test_threads().clamp(2, 4);
     let morsel_rows = 256;
-    let cfg = ParallelConfig { threads, morsel_rows, agg_radix: None };
+    let cfg = ParallelConfig { threads, morsel_rows };
     let tracker = MemoryTracker::new();
     let streamed = collect(Box::new(
         ParallelScan::new(blueprint(&small), IoTracker::new(), cfg, tracker.clone()).unwrap(),
@@ -267,16 +269,15 @@ fn streaming_scan_memory_stays_morsel_bounded() {
 }
 
 #[test]
-fn radix_aggregation_beats_partials_on_high_cardinality_groups() {
+fn budgeted_radix_aggregation_fits_half_the_partial_merge_peak() {
     // The high-cardinality group-by matrix: per-key groups (one group per
     // ORDERS key / per PART key) over LINEITEM rebuilt with small blocks
     // and a *shuffled* row order, so group keys scatter across morsels —
     // the workload where every morsel's partial re-materializes most
-    // groups it touches and the partial fold holds ~O(rows) states. The
-    // radix path must (a) stay byte-identical to serial, and (b) show
-    // strictly lower peak *tracked* memory than the partial-merge path
-    // on the same workload (its phase-1 row materialization is cheaper
-    // than per-morsel group-state duplication).
+    // groups it touches and the partial fold holds ~O(rows) states. What
+    // a caller can rely on there: set a budget of half that peak, and the
+    // aggregation (now radix, spilling as needed) finishes byte-identical
+    // to serial with its tracked peak inside the budget.
     let db = bdcc::tpch::generate(&GenConfig::new(0.005));
     let li = db.stored_by_name("lineitem").expect("lineitem stored");
     let rows = li.rows();
@@ -303,19 +304,23 @@ fn radix_aggregation_beats_partials_on_high_cardinality_groups() {
         predicates: vec![],
         kind: ScanKind::Plain,
     };
-    let run_parallel = |group: &str, threads: usize, radix: bool| {
+    let run_parallel = |group: &str, threads: usize, budget: Option<u64>| {
         let tracker = MemoryTracker::new();
-        let cfg = ParallelConfig { threads, morsel_rows: 256, agg_radix: Some(radix) };
+        let broker = match budget {
+            Some(b) => MemoryBroker::with_mode(SpillMode::Auto, &tracker, Some(b)),
+            None => MemoryBroker::none(),
+        };
         let out = collect(Box::new(
             ParallelAggregate::new(
                 FragmentBlueprint { scan: blueprint(), steps: vec![] },
                 &[group],
                 aggs.clone(),
                 IoTracker::new(),
-                cfg,
+                ParallelConfig { threads, morsel_rows: 256 },
                 tracker.clone(),
             )
-            .unwrap(),
+            .unwrap()
+            .with_broker(broker),
         ))
         .unwrap();
         (out, tracker.peak())
@@ -329,19 +334,20 @@ fn radix_aggregation_beats_partials_on_high_cardinality_groups() {
         .unwrap();
         assert!(serial.rows() > 500, "need a fine-grained group-by, got {}", serial.rows());
         for threads in [2, 4] {
-            let (radix_out, radix_peak) = run_parallel(group, threads, true);
-            assert_eq!(
-                serial, radix_out,
-                "radix must be byte-identical to serial ({group}, {threads} threads)"
-            );
-            let (partial_out, partial_peak) = run_parallel(group, threads, false);
+            let (partial_out, partial_peak) = run_parallel(group, threads, None);
             assert!(
                 rows_equivalent(&canonical_rows(&serial), &canonical_rows(&partial_out)),
                 "partial-merge must agree with serial ({group}, {threads} threads)"
             );
+            let budget = partial_peak / 2;
+            let (radix_out, radix_peak) = run_parallel(group, threads, Some(budget));
+            assert_eq!(
+                serial, radix_out,
+                "radix must be byte-identical to serial ({group}, {threads} threads)"
+            );
             assert!(
-                radix_peak < partial_peak,
-                "radix peak {radix_peak} must undercut partial-merge peak {partial_peak} \
+                radix_peak <= budget,
+                "radix peak {radix_peak} must fit half the partial-merge peak {partial_peak} \
                  ({group}, {threads} threads, {} groups)",
                 serial.rows()
             );
@@ -362,7 +368,7 @@ fn single_thread_config_plans_serially_and_agrees() {
     // threads = 1 must take the serial paths (worth_splitting is false)
     // and still produce the same answers.
     let (sf, sdbs) = schemes();
-    let cfg = ParallelConfig { threads: 1, morsel_rows: 256, agg_radix: None };
+    let cfg = ParallelConfig { threads: 1, morsel_rows: 256 };
     let q6 = all_queries().into_iter().find(|q| q.id == 6).unwrap();
     for sdb in &sdbs {
         let serial = (q6.run)(&QueryCtx::new(QueryContext::new(Arc::clone(sdb)), sf)).unwrap();

@@ -19,7 +19,7 @@ use std::sync::Arc;
 
 use bdcc::prelude::*;
 use bdcc_exec::parallel::pool::WorkerPool;
-use bdcc_exec::ParallelConfig;
+use bdcc_exec::{ParallelConfig, SpillMode};
 
 fn schemes() -> (f64, Vec<Arc<SchemeDb>>) {
     let sf = 0.002;
@@ -33,7 +33,7 @@ fn schemes() -> (f64, Vec<Arc<SchemeDb>>) {
 /// Pin 4 workers and tiny morsels regardless of the CI matrix env: the
 /// point is the nested shape, which needs real fan-outs.
 fn nested_cfg(morsel_rows: usize) -> ParallelConfig {
-    ParallelConfig { threads: 4, morsel_rows, agg_radix: None }
+    ParallelConfig { threads: 4, morsel_rows }
 }
 
 #[test]
@@ -82,16 +82,20 @@ fn no_os_thread_is_created_after_warmup_across_queries() {
 
     // Multi-query run: several queries × all schemes × several configs,
     // none wider than the warm-up. Every fan-out — scans, joins, sorts,
-    // aggregations, both radix pins — must reuse the parked workers.
+    // aggregations on both strategies — must reuse the parked workers.
     let mix = [1usize, 3, 6, 10, 18];
     for (i, q) in all_queries().into_iter().filter(|q| mix.contains(&q.id)).enumerate() {
         for sdb in &sdbs {
             let cfg = ParallelConfig {
                 threads: 2 + (i % 3), // 2..=4
                 morsel_rows: if i % 2 == 0 { 256 } else { 64 },
-                agg_radix: Some(i % 2 == 0),
             };
-            let ctx = QueryCtx::new(QueryContext::with_parallel(Arc::clone(sdb), cfg), sf);
+            // Forced spill runs the radix aggregation; off, partial-merge.
+            let spill = if i % 2 == 0 { SpillMode::Force } else { SpillMode::Off };
+            let ctx = QueryCtx::new(
+                QueryContext::with_parallel(Arc::clone(sdb), cfg).with_spill(spill),
+                sf,
+            );
             (q.run)(&ctx).expect("query under warm pool");
         }
     }

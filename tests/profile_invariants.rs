@@ -1,18 +1,20 @@
 //! The observability layer's contract, tested across an execution-config
 //! matrix: profiling must *observe, never participate*. For every
-//! thread-count × morsel-size × aggregation-strategy configuration, a
+//! thread-count × morsel-size × spill-mode configuration, a
 //! profiled run returns byte-identical results to an unprofiled run of
 //! the same context, and the collected [`QueryProfile`] obeys the
 //! conservation laws the edge-wrapper design promises:
 //!
 //! * a parent's rows/batches **in** equal the sum of its children's
 //!   rows/batches **out** (every batch crosses exactly one plan edge);
-//! * a scan's morsel row count sums to its output rows (each pool morsel
-//!   is booked exactly once);
+//! * a scan's morsel row count sums to its output rows, and a parallel
+//!   aggregate's to its fragment's rows on either strategy (each pool
+//!   morsel is booked exactly once);
 //! * no operator's peak tracked memory exceeds the query peak (operator
 //!   trackers are children of the query tracker);
 //! * the root's output is the result batch;
-//! * strategy decisions are recorded, and honour a pinned `agg_radix`.
+//! * the aggregation strategy is recorded: partial-merge without a
+//!   broker, radix under forced spill.
 
 use std::sync::Arc;
 
@@ -20,6 +22,7 @@ use bdcc::prelude::*;
 use bdcc_exec::{
     aggregate, canonical_rows, explain_analyze, join, run_plan, sort, AggFunc, AggSpec, Expr,
     FkSide, Node, ParallelConfig, PlanBuilder, ProfileNode, QueryContext, QueryProfile, SortKey,
+    SpillMode,
 };
 
 fn scheme_db() -> Arc<SchemeDb> {
@@ -47,8 +50,8 @@ fn join_agg_plan() -> Node {
 }
 
 /// Aggregation straight over a scan — the shape the planner collapses
-/// into a [`ParallelAggregate`] fragment, where the `agg_radix` pin and
-/// the strategy annotations apply.
+/// into a [`ParallelAggregate`] fragment, where the strategy annotation
+/// and the per-morsel counters apply.
 fn scan_agg_plan() -> Node {
     let b = PlanBuilder::new();
     let lineitem = b.scan("lineitem", &["l_partkey", "l_quantity"], vec![]);
@@ -62,25 +65,23 @@ fn scan_agg_plan() -> Node {
     )
 }
 
-/// Every execution configuration under test: serial, plus parallel cells
-/// over morsel sizes and both pinned aggregation strategies (the pin is a
-/// no-op at 1 worker, so serial runs once per morsel size).
-fn configs() -> Vec<Option<ParallelConfig>> {
-    let mut out = vec![None];
-    for &morsel_rows in &[256usize, 48] {
-        out.push(Some(ParallelConfig { threads: 1, morsel_rows, agg_radix: None }));
-        for agg_radix in [Some(true), Some(false)] {
-            out.push(Some(ParallelConfig { threads: 4, morsel_rows, agg_radix }));
+/// Every execution configuration under test: width 1 and 4 over two
+/// morsel sizes, each in memory and forced out of core (which is also
+/// what selects the aggregation strategy).
+fn configs() -> Vec<(ParallelConfig, SpillMode)> {
+    let mut out = Vec::new();
+    for morsel_rows in [256usize, 48] {
+        for threads in [1, 4] {
+            for spill in [SpillMode::Off, SpillMode::Force] {
+                out.push((ParallelConfig { threads, morsel_rows }, spill));
+            }
         }
     }
     out
 }
 
-fn context(sdb: &Arc<SchemeDb>, cfg: &Option<ParallelConfig>) -> QueryContext {
-    match cfg {
-        None => QueryContext::new(Arc::clone(sdb)),
-        Some(c) => QueryContext::with_parallel(Arc::clone(sdb), c.clone()),
-    }
+fn context(sdb: &Arc<SchemeDb>, (cfg, spill): &(ParallelConfig, SpillMode)) -> QueryContext {
+    QueryContext::with_parallel(Arc::clone(sdb), cfg.clone()).with_spill(*spill)
 }
 
 /// The conservation laws, checked over the whole tree.
@@ -138,27 +139,35 @@ fn profiled_runs_are_identical_and_profiles_conserve() {
 }
 
 #[test]
-fn pinned_aggregation_strategy_is_recorded() {
+fn aggregation_strategy_is_recorded_and_books_every_fragment_row() {
     let sdb = scheme_db();
     let plan = scan_agg_plan();
-    for (pin, expect) in [(Some(true), "radix"), (Some(false), "partial-merge")] {
-        let cfg = ParallelConfig { threads: 4, morsel_rows: 256, agg_radix: pin };
-        let ctx = QueryContext::with_parallel(Arc::clone(&sdb), cfg);
+    for (spill, expect) in [(SpillMode::Off, "partial-merge"), (SpillMode::Force, "radix")] {
+        let cfg = ParallelConfig { threads: 4, morsel_rows: 256 };
+        let ctx = context(&sdb, &(cfg, spill));
         let analyzed = explain_analyze(&ctx, &plan).expect("explain analyze");
-        let mut seen = Vec::new();
+        // Every fragment row is counted into exactly one group's `n`.
+        let counts = analyzed.batch.columns[2].as_i64().expect("count column");
+        let fragment_rows = counts.iter().sum::<i64>() as u64;
+        assert!(fragment_rows > 10_000, "lineitem at SF 0.002, got {fragment_rows}");
+        let mut seen = 0;
         analyzed.profile.root.walk(&mut |node: &ProfileNode| {
             if node.label.starts_with("Aggregate(parallel)") {
-                seen.push(node.annotations.clone());
+                seen += 1;
+                let strategy = node.annotations.iter().find(|(n, _)| n == "strategy");
+                assert_eq!(
+                    strategy.map(|(_, v)| v.as_str()),
+                    Some(expect),
+                    "{spill:?} must decide the strategy"
+                );
+                assert!(node.morsels > 1, "{expect}: the fan-out must book its morsels");
+                assert_eq!(
+                    node.morsel_rows, fragment_rows,
+                    "{expect}: morsel rows must sum to the fragment's rows"
+                );
             }
         });
-        assert!(!seen.is_empty(), "parallel plan must contain a parallel aggregate");
-        for ann in &seen {
-            let get = |k: &str| {
-                ann.iter().find(|(n, _)| n == k).map(|(_, v)| v.as_str()).unwrap_or_default()
-            };
-            assert_eq!(get("strategy"), expect, "pin {pin:?} must decide the strategy");
-            assert_eq!(get("strategy_source"), "pinned");
-        }
+        assert_eq!(seen, 1, "the plan must contain one parallel aggregate");
     }
 }
 

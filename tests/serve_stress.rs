@@ -25,7 +25,7 @@ fn bdcc_sdb(sf: f64) -> Arc<SchemeDb> {
 }
 
 fn parallel_cfg() -> Option<ParallelConfig> {
-    Some(ParallelConfig { threads: 4, morsel_rows: 64, agg_radix: None })
+    Some(ParallelConfig { threads: 4, morsel_rows: 64 })
 }
 
 fn query(id: usize) -> bdcc_tpch::Query {
