@@ -15,6 +15,11 @@
 //!
 //! # The pressure/freeze/restore/cleanup contract
 //!
+//! This module only answers questions; the one implementation of what
+//! operators do with the answers is the partition-spill core
+//! (`crates/exec/src/spill.rs`), whose module docs pin order, stability,
+//! accounting and file lifetime. The broker's side of it:
+//!
 //! * **Pressure** is advisory and conservative: [`should_spill`] fires
 //!   when `tracked current + pending` would cross the high-water mark
 //!   (¾ of budget), leaving headroom so the governor's hard check —
@@ -22,11 +27,8 @@
 //!   operator that heeds the broker. [`release_target`] tells a freezing
 //!   operator how many bytes to shed (down to the ½-budget low-water
 //!   mark) so freezes are batched, not byte-at-a-time thrash.
-//! * **Freeze order is size-descending**: operators freeze their largest
-//!   resident partitions first, maximizing bytes released per temp file.
-//! * **Restore is budgeted too**: operators restore one frozen partition
-//!   at a time and may consult [`should_spill`] again; a partition that
-//!   alone exceeds the budget is *recursed* — re-partitioned on deeper
+//! * **Restore is budgeted too**: a frozen partition whose footprint
+//!   exceeds [`restore_limit`] is *recursed* — re-partitioned on deeper
 //!   hash bits — never loaded whole.
 //! * **Cleanup is RAII**: spill handles unlink their temp files on drop,
 //!   so governor trips (cancel/deadline/budget) that unwind the operator
@@ -53,6 +55,7 @@
 //!
 //! [`should_spill`]: MemoryBroker::should_spill
 //! [`release_target`]: MemoryBroker::release_target
+//! [`restore_limit`]: MemoryBroker::restore_limit
 
 use std::sync::Arc;
 

@@ -25,6 +25,7 @@ pub mod restrict;
 pub mod run;
 pub mod scheme;
 pub mod serve;
+mod spill;
 
 pub use batch::{Batch, BatchAssembler, ColMeta, OpSchema, BATCH_ROWS};
 pub use bdcc_obs::{OpMetrics, ProfileNode, QueryProfile};

@@ -62,6 +62,26 @@ struct BuildSide {
     _mem: MemoryGuard,
 }
 
+impl BuildSide {
+    /// Index `columns` on `keys` and register the hash-table memory:
+    /// materialized payload + the index's flat arrays (buckets, chains,
+    /// packed keys, partition row ids).
+    fn index(
+        payload: Batch,
+        keys: &[usize],
+        cfg: &ParallelConfig,
+        tracker: &Arc<MemoryTracker>,
+    ) -> Result<BuildSide> {
+        let key_cols: Vec<&[i64]> = keys
+            .iter()
+            .map(|&k| payload.columns[k].as_i64())
+            .collect::<std::result::Result<_, _>>()?;
+        let index = JoinIndex::build(&key_cols, cfg)?;
+        let mem = tracker.register(payload.estimated_bytes() + index.estimated_bytes());
+        Ok(BuildSide { columns: payload.columns, index, _mem: mem })
+    }
+}
+
 /// Hash join operator.
 pub struct HashJoin {
     left: BoxedOp,
@@ -75,9 +95,8 @@ pub struct HashJoin {
     /// *before* the output gathers.
     residual: Option<PairFilter>,
     schema: OpSchema,
-    right_arity: usize,
-    /// Build-side column types (for spilled-leaf decoding and left-outer
-    /// defaults when the build side lives on disk).
+    /// Build-side column types (empty payloads to append to, left-outer
+    /// defaults).
     right_types: Vec<DataType>,
     build: Option<Build>,
     tracker: Arc<MemoryTracker>,
@@ -144,7 +163,6 @@ impl HashJoin {
             }
             JoinType::Semi | JoinType::Anti => lschema,
         };
-        let right_arity = rschema.len();
         let right_types = rschema.iter().map(|m| m.data_type).collect();
         Ok(HashJoin {
             left,
@@ -154,7 +172,6 @@ impl HashJoin {
             right_keys,
             residual,
             schema,
-            right_arity,
             right_types,
             build: None,
             tracker,
@@ -197,13 +214,17 @@ impl HashJoin {
         self
     }
 
+    /// Zero rows of the build side's column types.
+    fn empty_build(&self) -> Batch {
+        Batch::new(self.right_types.iter().map(|&dt| Column::empty(dt)).collect())
+    }
+
     fn build_side(&mut self) -> Result<()> {
         if self.build.is_some() {
             return Ok(());
         }
         let mut right = self.right.take().expect("build side consumed once");
-        let mut columns: Vec<Column> =
-            self.right_types.iter().map(|&dt| Column::empty(dt)).collect();
+        let mut payload = self.empty_build();
         // Under an active broker the accumulating payload is registered as
         // it drains so pressure is visible; the moment a pending batch
         // would push tracked memory past the high-water mark, the build
@@ -211,49 +232,33 @@ impl HashJoin {
         // inactive broker never fires and this loop is the unchanged
         // in-memory drain.
         let mut drain_mem = self.broker.is_active().then(|| self.tracker.register(0));
-        let mut pending = None;
         while let Some(batch) = right.next()? {
-            let bytes = spill::est_cols(&batch.columns);
-            if self.broker.should_spill(bytes) {
-                pending = Some(batch);
-                break;
+            if self.broker.should_spill(batch.estimated_bytes()) {
+                // The partitions register what they hold from here on.
+                drop(drain_mem);
+                let spilled = self.build_spilled(right, payload, batch)?;
+                self.build = Some(Build::Spilled(spilled));
+                return Ok(());
             }
-            for (dst, src) in columns.iter_mut().zip(&batch.columns) {
-                dst.append(src)?;
-            }
+            payload.append(&batch)?;
             if let Some(g) = &mut drain_mem {
-                g.resize(spill::est_cols(&columns));
+                g.resize(payload.estimated_bytes());
             }
-        }
-        if let Some(first) = pending {
-            let guard = drain_mem.take().expect("spill fires only under an active broker");
-            let spilled = self.build_spilled(right, columns, guard, first)?;
-            self.build = Some(Build::Spilled(spilled));
-            return Ok(());
         }
         drop(drain_mem);
-        let key_cols: Vec<&[i64]> = self
-            .right_keys
-            .iter()
-            .map(|&k| columns[k].as_i64())
-            .collect::<std::result::Result<_, _>>()?;
-        let index = JoinIndex::build(&key_cols, &self.parallel)?;
+        let side = BuildSide::index(payload, &self.right_keys, &self.parallel, &self.tracker)?;
         if let Some(m) = &self.metrics {
-            let rows = columns.first().map_or(0, |c| c.len());
+            let rows = side.columns.first().map_or(0, |c| c.len());
             m.annotate("build_rows", rows.to_string());
             m.annotate(
                 "build",
-                match index.partition_count() {
+                match side.index.partition_count() {
                     1 => "single".to_string(),
                     n => format!("partitioned({n})"),
                 },
             );
         }
-        // Hash-table memory: materialized payload + the index's flat
-        // arrays (buckets, chains, packed keys, partition row ids).
-        let payload: u64 = spill::est_cols(&columns);
-        let mem = self.tracker.register(payload + index.estimated_bytes());
-        self.build = Some(Build::Mem(BuildSide { columns, index, _mem: mem }));
+        self.build = Some(Build::Mem(side));
         Ok(())
     }
 }
@@ -311,7 +316,8 @@ impl HashJoin {
                         self.residual.as_ref(),
                         0..batch.rows(),
                     )?;
-                    finish_batch(batch, build, self.join_type, self.right_arity, &lidx, &ridx)
+                    let right = gather_pairs(build, self.join_type, &ridx);
+                    finish_batch(batch, self.join_type, &self.right_types, &lidx, right)
                 })
                 .collect();
         }
@@ -380,14 +386,20 @@ impl HashJoin {
             }
             grouped.push(Mutex::new(lists));
         }
-        let (right_arity, join_type) = (self.right_arity, self.join_type);
+        let (right_types, join_type) = (&self.right_types, self.join_type);
         pool::run_tasks_labeled(cfg.threads, round.len(), "join-assemble", |bi| {
             // Each gather task *takes* its batch's match lists (tasks are
             // per-batch, so the one lock is uncontended and the lists are
             // never copied).
             let lists = std::mem::take(&mut *grouped[bi].lock().expect("match lists poisoned"));
             let (lidx, ridx) = merge::concat_match_lists(lists);
-            finish_batch(&round[bi], build, join_type, right_arity, &lidx, &ridx)
+            finish_batch(
+                &round[bi],
+                join_type,
+                right_types,
+                &lidx,
+                gather_pairs(build, join_type, &ridx),
+            )
         })
     }
 }
@@ -479,64 +491,63 @@ fn probe_range(
     Ok((lidx, ridx))
 }
 
-/// Assemble a left batch's output from its (post-residual) match lists.
-/// Semi/Anti never gather pair columns — the match list alone decides
-/// which left rows survive.
+/// Does the output carry build-side columns? Semi/Anti emit left rows
+/// only — the match list alone decides which survive.
+fn emits_right(join_type: JoinType) -> bool {
+    !matches!(join_type, JoinType::Semi | JoinType::Anti)
+}
+
+/// The build columns of the matched pairs `ridx`, aligned with the match
+/// list — what [`finish_batch`] appends to the left columns (nothing for
+/// Semi/Anti).
+fn gather_pairs(build: &BuildSide, join_type: JoinType, ridx: &[u32]) -> Vec<Column> {
+    if !emits_right(join_type) {
+        return Vec::new();
+    }
+    build.columns.iter().map(|c| c.gather_u32(ridx)).collect()
+}
+
+/// Assemble a left batch's output from its (post-residual) matched left
+/// rows `lidx` and the already-gathered build columns of those pairs
+/// (`right`, see [`gather_pairs`]; `right_types` are their types).
 fn finish_batch(
     left: &Batch,
-    build: &BuildSide,
     join_type: JoinType,
-    right_arity: usize,
+    right_types: &[DataType],
     lidx: &[usize],
-    ridx: &[u32],
+    right: Vec<Column>,
 ) -> Result<Batch> {
     let rows = left.rows();
-    let pair_cols = |lidx: &[usize], ridx: &[u32]| -> Vec<Column> {
-        let mut cols: Vec<Column> = left.columns.iter().map(|c| c.gather(lidx)).collect();
-        for rc in &build.columns {
-            cols.push(rc.gather_u32(ridx));
+    let matched = || {
+        let mut matched = vec![false; rows];
+        for &l in lidx {
+            matched[l] = true;
         }
-        cols
+        matched
     };
-    match join_type {
-        JoinType::Inner => Ok(Batch::new(pair_cols(lidx, ridx))),
-        JoinType::Semi | JoinType::Anti => {
-            let mut matched = vec![false; rows];
-            for &l in lidx {
-                matched[l] = true;
-            }
-            let keep: Vec<bool> = match join_type {
-                JoinType::Semi => matched,
-                _ => matched.iter().map(|&m| !m).collect(),
-            };
-            Ok(left.filter(&keep))
-        }
-        JoinType::LeftOuter => {
-            // Matched pairs with flag 1.
-            let mut cols = pair_cols(lidx, ridx);
-            cols.push(Column::from_i64(vec![1; lidx.len()]));
-            let mut out = Batch::new(cols);
-            let mut matched = vec![false; rows];
-            for &l in lidx {
-                matched[l] = true;
-            }
-            let unmatched: Vec<usize> = (0..rows).filter(|&r| !matched[r]).collect();
-            // Unmatched left rows with defaulted right columns and flag 0.
-            if !unmatched.is_empty() {
-                let mut ucols: Vec<Column> =
-                    left.columns.iter().map(|c| c.gather(&unmatched)).collect();
-                for rc in build.columns.iter().take(right_arity) {
-                    ucols.push(default_column(rc.data_type(), unmatched.len()));
-                }
-                ucols.push(Column::from_i64(vec![0; unmatched.len()]));
-                let ub = Batch::new(ucols);
-                for (dst, src) in out.columns.iter_mut().zip(&ub.columns) {
-                    dst.append(src)?;
-                }
-            }
-            Ok(out)
+    if !emits_right(join_type) {
+        let keep: Vec<bool> = match join_type {
+            JoinType::Semi => matched(),
+            _ => matched().iter().map(|&m| !m).collect(),
+        };
+        return Ok(left.filter(&keep));
+    }
+    let mut out = left.gather(lidx);
+    out.columns.extend(right);
+    if join_type == JoinType::LeftOuter {
+        // Matched pairs with flag 1, then the unmatched left rows with
+        // defaulted right columns and flag 0.
+        out.columns.push(Column::from_i64(vec![1; lidx.len()]));
+        let matched = matched();
+        let unmatched: Vec<usize> = (0..rows).filter(|&r| !matched[r]).collect();
+        if !unmatched.is_empty() {
+            let mut rest = left.gather(&unmatched);
+            rest.columns.extend(right_types.iter().map(|&dt| default_column(dt, unmatched.len())));
+            rest.columns.push(Column::from_i64(vec![0; unmatched.len()]));
+            out.append(&rest)?;
         }
     }
+    Ok(out)
 }
 
 fn default_column(dt: DataType, n: usize) -> Column {

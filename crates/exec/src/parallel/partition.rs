@@ -85,8 +85,8 @@ pub fn partition_of(h: u64, bits: u32) -> usize {
 }
 
 /// Extra hash bits consumed per recursive split of an oversized spill
-/// partition (16 sub-partitions per split) — join build and radix
-/// aggregation alike.
+/// partition (16 sub-partitions per split) by the partition-spill core
+/// (`crate::spill`) — join build and radix aggregation alike.
 pub(crate) const RECURSE_BITS: u32 = 4;
 
 /// Deepest total bit budget for spill recursion. At 32 bits a "partition"

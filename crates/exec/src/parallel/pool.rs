@@ -105,7 +105,7 @@ pub type OrderedStream<T> = bdcc_pool::OrderedStream<T, crate::error::ExecError>
 mod tests {
     use super::*;
     use crate::error::ExecError;
-    use std::sync::atomic::{AtomicUsize, Ordering};
+    use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
     use std::sync::Arc;
 
     #[test]
@@ -165,24 +165,29 @@ mod tests {
 
     #[test]
     fn error_short_circuits_remaining_tasks() {
-        // Task 0 fails instantly; the rest sleep. The scope must stop
-        // starting jobs once the failure is flagged, so far fewer than all
-        // tasks execute (racy by a worker's worth of tasks, not dozens).
+        // The first body to start fails; every other body waits for it to
+        // get that far (whichever task that is — waiting on task 0 by
+        // index could fill both slots with waiters). So nothing completes
+        // before the failure, at most one other body is in flight when it
+        // returns, and what else runs must start between that return and
+        // the scope being flagged — a few instructions, not a sleep.
         let executed = AtomicUsize::new(0);
+        let failing = AtomicBool::new(false);
         let r: Result<Vec<usize>> = run_tasks(2, 64, |i| {
-            executed.fetch_add(1, Ordering::Relaxed);
-            if i == 0 {
-                Err(ExecError::Internal("boom".into()))
-            } else {
-                std::thread::sleep(std::time::Duration::from_millis(1));
-                Ok(i)
+            if executed.fetch_add(1, Ordering::SeqCst) == 0 {
+                failing.store(true, Ordering::SeqCst);
+                return Err(ExecError::Internal("boom".into()));
             }
+            while !failing.load(Ordering::SeqCst) {
+                std::thread::yield_now();
+            }
+            Ok(i)
         });
         assert!(matches!(r, Err(ExecError::Internal(ref m)) if m == "boom"));
         assert!(
-            executed.load(Ordering::Relaxed) < 32,
+            executed.load(Ordering::SeqCst) < 32,
             "short-circuit did not stop the fan-out: {} tasks ran",
-            executed.load(Ordering::Relaxed)
+            executed.load(Ordering::SeqCst)
         );
     }
 

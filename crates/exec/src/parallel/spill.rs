@@ -1,191 +1,79 @@
-//! Radix-partitioned aggregation: the grace-hash side of the
-//! [`MemoryBroker`](crate::broker::MemoryBroker) contract, and the path
-//! [`ParallelAggregate`] runs whenever that broker is active.
+//! Radix-partitioned aggregation: the path [`ParallelAggregate`] runs
+//! whenever the query's [`MemoryBroker`](crate::broker::MemoryBroker) is
+//! active.
 //!
 //! Per-morsel partials (the other path) re-materialize every group a
 //! morsel sees, hold O(groups × morsels sharing a group) states and have
 //! nothing to shed. Radix aggregation instead scatters rows by the top
 //! bits of the group-key hash ([`partition`] documents the routing
-//! contract) so each group lives in exactly one table, and everything it
-//! holds can move to disk:
+//! contract) into a [`PartitionSpill`](crate::spill), so each group lives
+//! in exactly one partition and everything held can move to disk — the
+//! core's module docs carry the freeze / recursion / accounting contract.
 //!
 //! **Phase 1** scans morsels in *chunks* (parallel within a chunk, chunks
-//! in morsel order), gathering each batch's rows into per-partition
-//! sub-batches that remember every row's global stream position. Before
-//! every chunk the broker is consulted — under pressure the largest
-//! resident partitions **freeze**: their `(sub-batch, global row ids)`
-//! entries serialize to a temp file via [`bdcc_storage::spill`] (ids ride
-//! along as a trailing `i64` column) and the memory releases. A frozen
-//! partition's later entries append straight to its file, so every
-//! partition's entry sequence — resident or spilled — stays in global
-//! morsel order.
+//! in morsel order): workers gather each batch's rows into per-partition
+//! sub-batches whose trailing `i64` column remembers every row's position
+//! in the stream. Before every chunk the core makes room for it; pushes
+//! happen in morsel order, so every partition's chunk sequence — resident
+//! or spilled — stays in global stream order.
 //!
-//! **Phase 2** works partition-at-a-time: resident partitions fold their
-//! entries into one table; frozen partitions **restore** by streaming
-//! their file back entry-by-entry into the partition's table. A frozen
-//! partition whose estimated in-memory footprint exceeds the broker's
-//! [`restore_limit`](crate::broker::MemoryBroker::restore_limit) is never
-//! loaded whole: it *recurses* — its entries re-scatter on the next
-//! [`RECURSE_BITS`] of the same group hash into sub-files (one streamed
-//! entry resident at a time), and each sub-partition restores (or
-//! recurses) independently.
+//! **Phase 2** folds one leaf at a time into one table, keeping at most
+//! one leaf's input plus its table resident (fan-out parallelism is
+//! traded here for the bounded-memory guarantee).
 //!
-//! **Merge contract.** Every group lives in exactly one (sub-)partition,
-//! rows carry their global stream position, each partition consumes its
-//! rows in ascending global order (morsel order, preserved by freeze
-//! files and by the stable recursion scatter) — so even compensated float
-//! sums see the exact serial accumulation sequence — and the disjoint
-//! outputs reorder by first-seen rank
+//! **Merge contract.** Every group lives in exactly one leaf, rows carry
+//! their global stream position, each leaf replays its rows in ascending
+//! global order — so even compensated float sums see the exact serial
+//! accumulation sequence — and the disjoint outputs reorder by first-seen
+//! rank
 //! ([`merge::concat_radix_partitions`](super::merge::concat_radix_partitions)):
 //! **byte-identical** to serial execution, floats included.
 
 use bdcc_obs::SpanTimer;
-use bdcc_storage::{Column, SpillHandle, SpillWriter};
+use bdcc_storage::Column;
 
 use crate::batch::Batch;
 use crate::error::{ExecError, Result};
-use crate::hash::hash_group_rows;
-use crate::memory::MemoryGuard;
 use crate::ops::BoxedOp;
-use crate::parallel::partition::{self, sub_partition_of, MAX_TOTAL_BITS, RECURSE_BITS};
+use crate::parallel::partition;
 use crate::parallel::{note_morsel, pool, Morsel, ParallelAggregate};
+use crate::spill::{scatter_batch, PartitionSpill, Shape};
 
-/// Per-partition lists of `(gathered sub-batch, morsel-local row ids)`.
-type PartitionedBatches = Vec<Vec<(Batch, Vec<u64>)>>;
+/// Routed sub-batches `(partition, rows)` in stream order.
+type Routed = Vec<(usize, Batch)>;
 
 /// The phase-1 worker kernel: scatter one morsel's batch stream (`op`)
-/// into per-partition gathered sub-batches plus each row's morsel-local
-/// position. Returns `(per-partition batches, morsel rows, byte
-/// estimate)`.
+/// into routed sub-batches, each with its rows' morsel-local positions as
+/// a trailing column. Returns `(routed sub-batches in stream order,
+/// morsel rows, byte estimate)`.
 fn partition_morsel_stream(
     group_cols: &[usize],
     bits: u32,
     mut op: BoxedOp,
-) -> Result<(PartitionedBatches, u64, u64)> {
-    let mut parts: PartitionedBatches = vec![Vec::new(); partition::partition_count(bits)];
-    let mut local = 0u64;
+) -> Result<(Routed, i64, u64)> {
+    let mut routed = Vec::new();
+    let mut local = 0i64;
     let mut bytes = 0u64;
-    while let Some(b) = op.next()? {
-        let cols: Vec<&Column> = group_cols.iter().map(|&c| &b.columns[c]).collect();
-        let routed = partition::partition_rows_of_batch(&cols, b.rows(), bits);
-        for (p, rows) in routed.into_iter().enumerate() {
-            if rows.is_empty() {
-                continue;
-            }
-            let ids: Vec<u64> = rows.iter().map(|&r| local + r as u64).collect();
-            let gathered = Batch::new(b.columns.iter().map(|c| c.gather(&rows)).collect());
-            bytes += gathered.estimated_bytes() + ids.len() as u64 * 8;
-            parts[p].push((gathered, ids));
+    while let Some(mut b) = op.next()? {
+        let rows = b.rows() as i64;
+        b.columns.push(Column::from_i64((local..local + rows).collect()));
+        for (p, chunk) in scatter_batch(&b, group_cols, bits) {
+            bytes += chunk.estimated_bytes();
+            routed.push((p, chunk));
         }
-        local += b.rows() as u64;
+        local += rows;
     }
-    Ok((parts, local, bytes))
+    Ok((routed, local, bytes))
 }
 
-/// One partition's accumulation state during chunked phase 1.
-enum PartState {
-    /// Entries held in memory (`bytes` = estimated footprint).
-    Resident { entries: Vec<(Batch, Vec<u64>)>, bytes: u64 },
-    /// Frozen to a temp file; later entries append to the writer.
-    /// `mem_bytes` estimates what the file would occupy restored.
-    Frozen { writer: SpillWriter, mem_bytes: u64 },
-}
-
-/// Serialize one entry: the gathered sub-batch's columns plus the rows'
-/// global stream positions as a trailing integer column.
-fn entry_columns(batch: Batch, ids: &[u64]) -> Vec<Column> {
-    let mut cols = batch.columns;
-    cols.push(Column::from_i64(ids.iter().map(|&v| v as i64).collect()));
-    cols
-}
-
-/// Inverse of [`entry_columns`].
-fn decode_entry(mut cols: Vec<Column>) -> Result<(Batch, Vec<u64>)> {
-    let ids_col = cols.pop().expect("spill entry has an ids column");
-    let ids: Vec<u64> = ids_col.as_i64()?.iter().map(|&v| v as u64).collect();
-    Ok((Batch::new(cols), ids))
+/// Turn a chunk's morsel-local row positions into global ones.
+fn globalize(chunk: &mut Batch, base: i64) {
+    if let Some(Column::I64 { values, .. }) = chunk.columns.last_mut() {
+        values.iter_mut().for_each(|v| *v += base);
+    }
 }
 
 impl ParallelAggregate {
-    /// Record spill traffic on the operator's metric block (no-op
-    /// unprofiled).
-    fn note_spill(&self, frozen_parts: u64, written: u64, restored: u64) {
-        if let Some(m) = &self.metrics {
-            m.spill_partitions.add(frozen_parts);
-            m.spill_bytes.add(written);
-            m.spill_restore_bytes.add(restored);
-        }
-    }
-
-    /// Append one globalized entry to its partition, spilling directly if
-    /// the partition is already frozen. `resident` tracks the total
-    /// resident estimate mirrored into `guard`.
-    fn append_entry(
-        &self,
-        part: &mut PartState,
-        batch: Batch,
-        ids: Vec<u64>,
-        resident: &mut u64,
-        guard: &mut MemoryGuard,
-    ) -> Result<()> {
-        let est = batch.estimated_bytes() + ids.len() as u64 * 8;
-        match part {
-            PartState::Resident { entries, bytes } => {
-                entries.push((batch, ids));
-                *bytes += est;
-                *resident += est;
-                guard.grow(est);
-            }
-            PartState::Frozen { writer, mem_bytes } => {
-                let written = writer.write_columns(&entry_columns(batch, &ids))?;
-                *mem_bytes += est;
-                self.note_spill(0, written, 0);
-            }
-        }
-        Ok(())
-    }
-
-    /// Freeze resident partitions, largest first, until at least
-    /// `target` estimated bytes are released (or nothing resident is
-    /// left). Returns the bytes actually released.
-    fn freeze_partitions(
-        &self,
-        parts: &mut [PartState],
-        target: u64,
-        resident: &mut u64,
-        guard: &mut MemoryGuard,
-    ) -> Result<u64> {
-        let mut order: Vec<(u64, usize)> = parts
-            .iter()
-            .enumerate()
-            .filter_map(|(i, p)| match p {
-                PartState::Resident { entries, bytes } if !entries.is_empty() => Some((*bytes, i)),
-                _ => None,
-            })
-            .collect();
-        order.sort_unstable_by(|a, b| b.cmp(a));
-        let mut released = 0u64;
-        for (bytes, i) in order {
-            if released >= target {
-                break;
-            }
-            let PartState::Resident { entries, .. } = &mut parts[i] else {
-                unreachable!("selected above")
-            };
-            let mut writer = SpillWriter::create("agg", &self.io)?;
-            let mut written = 0u64;
-            for (batch, ids) in entries.drain(..) {
-                written += writer.write_columns(&entry_columns(batch, &ids))?;
-            }
-            parts[i] = PartState::Frozen { writer, mem_bytes: bytes };
-            self.note_spill(1, written, 0);
-            released += bytes;
-            *resident = resident.saturating_sub(bytes);
-            guard.resize(*resident);
-        }
-        Ok(released)
-    }
-
     /// Column indices of the group-by keys in the fragment's output.
     fn group_col_indices(&self) -> Result<Vec<usize>> {
         self.group_by
@@ -203,171 +91,70 @@ impl ParallelAggregate {
         // partitions mean more freeze granularity and less recursion,
         // for a fixed per-chunk scatter cost.
         let bits = (partition::partition_bits_for(self.cfg.threads) + 2).min(8);
-        let nparts = partition::partition_count(bits);
         let group_cols = self.group_col_indices()?;
+        // The aggregate builds one table over a leaf, never a copy of it.
+        let shape = Shape { keys: group_cols.clone(), bits, leaf_factor: 1, label: "agg" };
+        let mut spill = PartitionSpill::new(
+            shape,
+            self.broker.clone(),
+            self.governor.clone(),
+            &self.tracker,
+            self.io.clone(),
+            self.metrics.clone(),
+        );
 
-        // Chunked phase 1. Chunks complete in morsel order, so the
-        // running `base` globalizes every morsel-local row id and frozen
-        // files receive entries in global stream order.
-        let mut parts: Vec<PartState> =
-            (0..nparts).map(|_| PartState::Resident { entries: Vec::new(), bytes: 0 }).collect();
-        let mut resident = 0u64;
-        let mut guard = self.tracker.register(0);
-        let mut base = 0u64;
-        let chunk = self.cfg.threads.max(1) * 2;
+        // Chunks complete in morsel order, so the running `base`
+        // globalizes every morsel-local row position.
+        let mut base = 0i64;
         let mut max_chunk_bytes = 0u64;
-        let mut mi = 0usize;
-        while mi < morsels.len() {
-            let hi = (mi + chunk).min(morsels.len());
+        for chunk in morsels.chunks(self.cfg.threads.max(1) * 2) {
             // Make room for the incoming chunk *before* scattering it,
             // taking the largest chunk seen so far as the pending estimate
             // (the first chunk estimates 0 — nothing is resident yet
             // either).
-            if self.broker.should_spill(max_chunk_bytes) {
-                self.freeze_partitions(
-                    &mut parts,
-                    self.broker.release_target(),
-                    &mut resident,
-                    &mut guard,
-                )?;
-            }
-            let chunk_parts: Vec<(PartitionedBatches, u64, u64)> =
-                pool::run_tasks_labeled(self.cfg.threads, hi - mi, "agg-radix-p1", |k| {
+            spill.make_room(max_chunk_bytes)?;
+            let scattered =
+                pool::run_tasks_labeled(self.cfg.threads, chunk.len(), "agg-radix-p1", |k| {
                     self.governor.check("agg-radix-p1")?;
                     let span = self.metrics.as_ref().map(|_| SpanTimer::start());
-                    let op = self.fragment.build(&self.io, Some(&morsels[mi + k]))?;
-                    let (parts, rows, bytes) = partition_morsel_stream(&group_cols, bits, op)?;
-                    note_morsel(&self.metrics, span, rows);
-                    Ok((parts, rows, bytes))
+                    let op = self.fragment.build(&self.io, Some(&chunk[k]))?;
+                    let (routed, rows, bytes) = partition_morsel_stream(&group_cols, bits, op)?;
+                    note_morsel(&self.metrics, span, rows as u64);
+                    Ok((routed, rows, bytes))
                 })?;
             let mut chunk_bytes = 0u64;
-            for (mparts, rows, bytes) in chunk_parts {
+            for (routed, rows, bytes) in scattered {
                 chunk_bytes += bytes;
-                for (p, entries) in mparts.into_iter().enumerate() {
-                    for (batch, local_ids) in entries {
-                        let ids: Vec<u64> = local_ids.iter().map(|v| v + base).collect();
-                        self.append_entry(&mut parts[p], batch, ids, &mut resident, &mut guard)?;
-                    }
+                for (p, mut sub) in routed {
+                    globalize(&mut sub, base);
+                    spill.push(p, sub)?;
                 }
                 base += rows;
             }
             max_chunk_bytes = max_chunk_bytes.max(chunk_bytes);
-            mi = hi;
         }
 
-        // Phase 2 — partition at a time, keeping at most one partition's
-        // input plus its table resident (fan-out parallelism is traded
-        // here for the bounded-memory guarantee; phase 1 above still runs
-        // fully parallel).
         let mut outs: Vec<(Batch, Vec<u64>)> = Vec::new();
-        for state in parts {
-            self.governor.check("agg-radix-p2")?;
-            match state {
-                PartState::Resident { entries, bytes } => {
-                    if entries.is_empty() {
-                        continue;
-                    }
-                    let mut part = self.fresh_partial()?;
-                    for (batch, ids) in &entries {
-                        part.consume_indexed(batch, ids)?;
-                    }
-                    let _mem = self.tracker.register(part.estimated_bytes());
-                    outs.push(part.finish_ordered());
-                    resident = resident.saturating_sub(bytes);
-                    guard.resize(resident);
-                }
-                PartState::Frozen { writer, mem_bytes } => {
-                    let handle = writer.finish()?;
-                    self.restore_partition(&group_cols, handle, mem_bytes, bits, &mut outs)?;
-                }
-            }
-        }
+        spill.for_each_leaf(|leaf| {
+            let mut part = self.fresh_partial()?;
+            let mut mem = self.tracker.register(0);
+            leaf.for_each_chunk(|chunk| {
+                let ids = chunk.columns.last().expect("chunks carry a position column").as_i64()?;
+                let ids: Vec<u64> = ids.iter().map(|&v| v as u64).collect();
+                // The trailing column is past every bound input index.
+                part.consume_indexed(chunk, &ids)?;
+                mem.resize(part.estimated_bytes());
+                Ok(())
+            })?;
+            outs.push(part.finish_ordered());
+            Ok(())
+        })?;
         if outs.is_empty() {
             // Zero input rows: a grouped aggregate yields zero groups.
             let empty = self.fresh_partial()?;
             outs.push(empty.finish_ordered());
         }
         super::merge::concat_radix_partitions(outs)
-    }
-
-    /// Restore one frozen partition: recurse on deeper hash bits while
-    /// its estimated footprint exceeds the broker's restore limit,
-    /// otherwise stream its entries into the partition table. The parent
-    /// temp file unlinks (RAII) as soon as its entries are re-scattered.
-    fn restore_partition(
-        &self,
-        group_cols: &[usize],
-        handle: SpillHandle,
-        mem_bytes: u64,
-        used_bits: u32,
-        outs: &mut Vec<(Batch, Vec<u64>)>,
-    ) -> Result<()> {
-        self.governor.check("agg-spill-restore")?;
-        let file_bytes = handle.bytes();
-        if mem_bytes > self.broker.restore_limit() && used_bits + RECURSE_BITS <= MAX_TOTAL_BITS {
-            // Too big to sit in memory whole: re-scatter on the next
-            // RECURSE_BITS of the group hash, one streamed entry
-            // resident at a time.
-            let mut subs: Vec<Option<(SpillWriter, u64)>> =
-                (0..partition::partition_count(RECURSE_BITS)).map(|_| None).collect();
-            let mut reader = handle.open()?;
-            let mut hashes = Vec::new();
-            while let Some(cols) = reader.next_columns()? {
-                let (batch, ids) = decode_entry(cols)?;
-                let gcols: Vec<&Column> = group_cols.iter().map(|&c| &batch.columns[c]).collect();
-                hash_group_rows(&gcols, 0..batch.rows(), &mut hashes);
-                let mut routed: Vec<Vec<usize>> = vec![Vec::new(); subs.len()];
-                for (r, &h) in hashes.iter().enumerate() {
-                    routed[sub_partition_of(h, used_bits)].push(r);
-                }
-                for (s, rows) in routed.into_iter().enumerate() {
-                    if rows.is_empty() {
-                        continue;
-                    }
-                    let sub_ids: Vec<u64> = rows.iter().map(|&r| ids[r]).collect();
-                    let gathered =
-                        Batch::new(batch.columns.iter().map(|c| c.gather(&rows)).collect());
-                    let est = gathered.estimated_bytes() + sub_ids.len() as u64 * 8;
-                    if subs[s].is_none() {
-                        subs[s] = Some((SpillWriter::create("agg-rec", &self.io)?, 0));
-                    }
-                    let (writer, sub_mem) = subs[s].as_mut().expect("just created");
-                    let written = writer.write_columns(&entry_columns(gathered, &sub_ids))?;
-                    *sub_mem += est;
-                    self.note_spill(0, written, 0);
-                }
-            }
-            drop(reader);
-            drop(handle); // parent file unlinks before children restore
-            self.note_spill(1, 0, file_bytes);
-            for sub in subs.into_iter().flatten() {
-                let (writer, sub_mem) = sub;
-                let sub_handle = writer.finish()?;
-                self.restore_partition(
-                    group_cols,
-                    sub_handle,
-                    sub_mem,
-                    used_bits + RECURSE_BITS,
-                    outs,
-                )?;
-            }
-            return Ok(());
-        }
-        // Leaf: stream the file's entries — global stream order — into
-        // this partition's one table.
-        let mut part = self.fresh_partial()?;
-        let mut reader = handle.open()?;
-        let mut mem = self.tracker.register(0);
-        while let Some(cols) = reader.next_columns()? {
-            let (batch, ids) = decode_entry(cols)?;
-            part.consume_indexed(&batch, &ids)?;
-            mem.resize(part.estimated_bytes());
-        }
-        self.note_spill(0, 0, file_bytes);
-        if part.estimated_bytes() > 0 || handle.rows() > 0 {
-            outs.push(part.finish_ordered());
-        }
-        Ok(())
     }
 }
 

@@ -225,53 +225,79 @@ fn write_column<W: Write>(w: &mut CountingWriter<W>, col: &Column) -> Result<()>
     Ok(())
 }
 
-fn read_column<R: Read>(r: &mut CountingReader<R>) -> Result<Column> {
+fn corrupt(what: impl std::fmt::Display) -> StorageError {
+    StorageError::Io(format!("corrupt spill file: {what}"))
+}
+
+/// Decode one column of exactly `rows` values. Nothing read from the file
+/// is trusted: `rows` was bounded by the caller against the handle's row
+/// count, and every length is checked against it and against `left`, the
+/// bytes the file still holds, before anything is allocated.
+fn read_column<R: Read>(r: &mut CountingReader<R>, rows: usize, left: u64) -> Result<Column> {
     let logical_of = |tag: u8| if tag == 1 { DataType::Date } else { DataType::Int };
+    // A column's stated length, stored at `bytes_each` bytes or more a value.
+    let check_len = |len: u64, bytes_each: u64| {
+        if len != rows as u64 {
+            Err(corrupt(format_args!("column of {len} values in an entry of {rows} rows")))
+        } else if len.checked_mul(bytes_each).is_none_or(|bytes| bytes > left) {
+            Err(corrupt(format_args!("{len} values do not fit the remaining {left} bytes")))
+        } else {
+            Ok(())
+        }
+    };
     match r.u8()? {
         TAG_I64_FOR => {
             let logical = logical_of(r.u8()?);
             let min = r.i64()?;
             let width = r.u8()?;
-            let len = r.u64()? as usize;
-            let nwords = r.u64()? as usize;
-            let mut words = Vec::with_capacity(nwords);
+            check_len(r.u64()?, 0)?;
+            let nwords = r.u64()?;
+            if width >= 64
+                || nwords != (rows as u64 * width as u64).div_ceil(64)
+                || nwords * 8 > left
+            {
+                return Err(corrupt(format_args!("{nwords} words of {rows} × {width} bits")));
+            }
+            let mut words = Vec::with_capacity(nwords as usize);
             for _ in 0..nwords {
                 words.push(r.u64()?);
             }
-            let packed = PackedInts::from_parts(width, len, words);
-            let values: Vec<i64> =
-                (0..len).map(|i| min.wrapping_add(packed.get(i) as i64)).collect();
+            let packed = PackedInts::from_parts(width, rows, words);
+            let values = (0..rows).map(|i| min.wrapping_add(packed.get(i) as i64)).collect();
             Ok(Column::I64 { values, logical })
         }
         TAG_I64_RAW => {
             let logical = logical_of(r.u8()?);
-            let len = r.u64()? as usize;
-            let mut values = Vec::with_capacity(len);
-            for _ in 0..len {
+            check_len(r.u64()?, 8)?;
+            let mut values = Vec::with_capacity(rows);
+            for _ in 0..rows {
                 values.push(r.i64()?);
             }
             Ok(Column::I64 { values, logical })
         }
         TAG_F64 => {
-            let len = r.u64()? as usize;
-            let mut values = Vec::with_capacity(len);
-            for _ in 0..len {
+            check_len(r.u64()?, 8)?;
+            let mut values = Vec::with_capacity(rows);
+            for _ in 0..rows {
                 values.push(f64::from_bits(r.u64()?));
             }
             Ok(Column::F64(values))
         }
         TAG_STR => {
-            let len = r.u64()? as usize;
-            let mut values = Vec::with_capacity(len);
-            for _ in 0..len {
-                let bytes = r.u32()? as usize;
-                let mut buf = vec![0u8; bytes];
+            check_len(r.u64()?, 4)?;
+            let mut values = Vec::with_capacity(rows);
+            for _ in 0..rows {
+                let bytes = r.u32()? as u64;
+                if bytes > left {
+                    return Err(corrupt(format_args!("string of {bytes} bytes")));
+                }
+                let mut buf = vec![0u8; bytes as usize];
                 r.take(&mut buf)?;
-                values.push(String::from_utf8(buf).map_err(|e| StorageError::Io(e.to_string()))?);
+                values.push(String::from_utf8(buf).map_err(corrupt)?);
             }
             Ok(Column::Str(values))
         }
-        tag => Err(StorageError::Io(format!("unknown spill column tag {tag}"))),
+        tag => Err(corrupt(format_args!("unknown column tag {tag}"))),
     }
 }
 
@@ -410,6 +436,9 @@ impl SpillHandle {
             io: self.io.clone(),
             key: self.key | 1,
             remaining: self.entries,
+            bytes: self.bytes,
+            rows_left: self.rows,
+            arity: None,
         })
     }
 }
@@ -426,10 +455,20 @@ pub struct SpillReader {
     io: IoTracker,
     key: u64,
     remaining: u64,
+    /// What the handle knows about the file, which the reader holds the
+    /// file's contents to: its size, the rows not yet read, and (from the
+    /// first entry on) the column count every entry shares.
+    bytes: u64,
+    rows_left: u64,
+    arity: Option<usize>,
 }
 
 impl SpillReader {
-    /// The next entry's columns, or `None` past the last entry.
+    /// The next entry's columns, or `None` past the last entry. A file
+    /// that was truncated or altered after it was written is a
+    /// [`StorageError`], never a panic: every column comes back with the
+    /// entry's row count, and no length found in the file is allocated
+    /// for before it is checked against the handle's size and row count.
     pub fn next_columns(&mut self) -> Result<Option<Vec<Column>>> {
         if self.remaining == 0 {
             return Ok(None);
@@ -437,10 +476,20 @@ impl SpillReader {
         self.remaining -= 1;
         let start = self.input.consumed;
         let ncols = self.input.u32()? as usize;
-        let _rows = self.input.u64()?;
+        let rows = self.input.u64()?;
+        let left = self.bytes.saturating_sub(self.input.consumed);
+        // A column is at least a tag and a length.
+        if *self.arity.get_or_insert(ncols) != ncols || ncols as u64 * 9 > left {
+            return Err(corrupt(format_args!("entry of {ncols} columns")));
+        }
+        if rows > self.rows_left {
+            return Err(corrupt(format_args!("entry of {rows} rows, {} left", self.rows_left)));
+        }
+        self.rows_left -= rows;
         let mut cols = Vec::with_capacity(ncols);
         for _ in 0..ncols {
-            cols.push(read_column(&mut self.input)?);
+            let left = self.bytes.saturating_sub(self.input.consumed);
+            cols.push(read_column(&mut self.input, rows as usize, left)?);
         }
         let end = self.input.consumed;
         if end > start {
@@ -492,7 +541,8 @@ mod tests {
             Column::from_strings(vec!["a".into(), "".into(), "b".into()]),
         ];
         w.write_columns(&extreme).unwrap();
-        w.write_columns(&[Column::from_i64(vec![]), Column::from_strings(vec![])]).unwrap();
+        let empty: Vec<Column> = cols.iter().map(|c| Column::empty(c.data_type())).collect();
+        w.write_columns(&empty).unwrap();
         let h = w.finish().unwrap();
         assert_eq!(h.entries(), 3);
         assert_eq!(h.rows(), 8);
@@ -543,6 +593,60 @@ mod tests {
         let mut r = h.open().unwrap();
         while r.next_columns().unwrap().is_some() {}
         assert_eq!(io.stats().bytes_read, 2 * written);
+    }
+
+    /// Read every entry; `Ok` only if each came back well-formed.
+    fn read_all(h: &SpillHandle) -> Result<u64> {
+        let mut reader = h.open()?;
+        let mut rows = 0u64;
+        while let Some(cols) = reader.next_columns()? {
+            let n = cols.first().map_or(0, |c| c.len());
+            assert!(cols.iter().all(|c| c.len() == n), "columns of one entry must align");
+            rows += n as u64;
+        }
+        assert!(rows <= h.rows(), "no more rows than were written");
+        Ok(rows)
+    }
+
+    #[test]
+    fn damaged_files_are_typed_errors_never_panics() {
+        let _spill = spill_test_guard();
+        let io = IoTracker::new();
+        let mut w = SpillWriter::create("test", &io).unwrap();
+        // Every codec: packed and constant (0-bit) ints, dates, the raw
+        // fallback, floats, strings.
+        let first = w.write_columns(&columns()).unwrap();
+        let second = w
+            .write_columns(&[
+                Column::from_i64(vec![i64::MIN, i64::MAX]),
+                Column::from_dates(vec![7, 7]),
+                Column::from_f64(vec![0.5, -1.0]),
+                Column::from_strings(vec!["q".into(), "".into()]),
+            ])
+            .unwrap();
+        w.write_columns(&columns()).unwrap();
+        let h = w.finish().unwrap();
+        let bytes = std::fs::read(&h.path).unwrap();
+        assert_eq!(bytes.len() as u64, h.bytes());
+        assert_eq!(read_all(&h), Ok(12));
+
+        // Truncated anywhere: the missing tail is an error, whatever the
+        // cut separates.
+        for cut in 0..bytes.len() {
+            std::fs::write(&h.path, &bytes[..cut]).unwrap();
+            assert!(read_all(&h).is_err(), "cut at {cut}");
+        }
+        // Any single bit of the first two entries flipped: an error, or
+        // entries that are still well-formed (a flipped value bit).
+        let mut damaged = bytes.clone();
+        let mut rejected = 0;
+        for bit in 0..(first + second) as usize * 8 {
+            damaged[bit / 8] ^= 1 << (bit % 8);
+            std::fs::write(&h.path, &damaged).unwrap();
+            rejected += read_all(&h).is_err() as usize;
+            damaged[bit / 8] ^= 1 << (bit % 8);
+        }
+        assert!(rejected > 0, "header bits must be checked");
     }
 
     #[test]
