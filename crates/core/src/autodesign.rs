@@ -21,12 +21,12 @@ use std::collections::BTreeMap;
 
 use bdcc_catalog::{Catalog, Database, FkId, TableId};
 
-use crate::bdcc_table::{cluster_table, BdccTable, SelfTuneConfig};
+use crate::bdcc_table::{cluster_table_with, BdccTable, SelfTuneConfig, UseLookups};
 use crate::binning::{bits_for_ndv, create_dimension, BinningConfig};
 use crate::dimension::{DimId, Dimension, KeyValue};
 use crate::error::{BdccError, Result};
 use crate::mask::{assign_masks, mask_to_string, UseBits};
-use crate::resolve::resolve_host_rows;
+use crate::resolve::FkSteps;
 
 /// A dimension declared by step 1 (before any data is touched).
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -138,6 +138,21 @@ pub fn create_dimensions(
     design: &SchemaDesign,
     binning: &BinningConfig,
 ) -> Result<Vec<Dimension>> {
+    create_dimensions_with(db, design, binning, &design_steps(db, design)?)
+}
+
+/// Every foreign-key step some use path of `design` crosses, resolved once.
+fn design_steps(db: &Database, design: &SchemaDesign) -> Result<FkSteps> {
+    FkSteps::resolve(db, design.uses.values().flatten().flat_map(|u| u.path.iter().copied()))
+}
+
+/// [`create_dimensions`] over the design's already resolved `steps`.
+fn create_dimensions_with(
+    db: &Database,
+    design: &SchemaDesign,
+    binning: &BinningConfig,
+    steps: &FkSteps,
+) -> Result<Vec<Dimension>> {
     let mut dims = Vec::with_capacity(design.dim_specs.len());
     for spec in &design.dim_specs {
         let host = db.stored(spec.table).ok_or_else(|| {
@@ -155,8 +170,7 @@ pub fn create_dimensions(
                 if u.dim != spec.id {
                     continue;
                 }
-                let host_rows = resolve_host_rows(db, table, &u.path)?;
-                for hr in host_rows {
+                for hr in steps.host_rows(db, table, &u.path)? {
                     weights[hr as usize] += 1;
                 }
             }
@@ -210,7 +224,11 @@ impl BdccSchema {
 /// so schema build pays no thread create/join either.
 pub fn design_and_cluster(db: &Database, cfg: &DesignConfig) -> Result<BdccSchema> {
     let design = derive_design(db.catalog(), cfg)?;
-    let dimensions = create_dimensions(db, &design, &cfg.binning)?;
+    // Each foreign-key step and each dimension's host bins are facts of the
+    // data: resolved once here and read by every use of every table.
+    let steps = design_steps(db, &design)?;
+    let dimensions = create_dimensions_with(db, &design, &cfg.binning, &steps)?;
+    let lookups = UseLookups::new(db, &dimensions, steps)?;
     type UseSpecs = Vec<(DimId, Vec<FkId>)>;
     let entries: Vec<(TableId, UseSpecs)> = design
         .uses
@@ -224,7 +242,8 @@ pub fn design_and_cluster(db: &Database, cfg: &DesignConfig) -> Result<BdccSchem
     let results: Vec<(TableId, BdccTable)> =
         bdcc_pool::WorkerPool::shared().scope_run(width, entries.len(), |i| {
             let (t, specs) = &entries[i];
-            cluster_table(db, *t, specs, &dimensions, &cfg.selftune).map(|bt| (*t, bt))
+            cluster_table_with(db, *t, specs, &dimensions, &lookups, &cfg.selftune)
+                .map(|bt| (*t, bt))
         })?;
     let mut tables = BTreeMap::new();
     for (t, bt) in results {

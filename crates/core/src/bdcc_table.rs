@@ -27,7 +27,7 @@ use crate::histogram::GranularityHistograms;
 use crate::mask::{
     assign_masks, gather_bits, ones, scatter_bits, truncate_mask, InterleaveStrategy, UseBits,
 };
-use crate::resolve::resolve_host_rows;
+use crate::resolve::FkSteps;
 
 /// Name of the synthetic clustering-key column appended to BDCC tables.
 pub const BDCC_COLUMN: &str = "_bdcc_";
@@ -113,6 +113,23 @@ impl BdccTable {
     }
 }
 
+/// What Algorithm 1 looks up for every dimension use, resolved once per
+/// design instead of once per use: each foreign-key step any path crosses,
+/// and the bin number of every host row of each dimension (indexed by
+/// [`DimId`]). TPC-H's twelve uses share three hosts and eight steps.
+pub(crate) struct UseLookups {
+    steps: FkSteps,
+    host_bins: Vec<Vec<u64>>,
+}
+
+impl UseLookups {
+    /// Bin every host row of `dims` over `db`, beside the resolved `steps`.
+    pub(crate) fn new(db: &Database, dims: &[Dimension], steps: FkSteps) -> Result<UseLookups> {
+        let host_bins = dims.iter().map(|d| host_bin_numbers(db, d)).collect::<Result<_>>()?;
+        Ok(UseLookups { steps, host_bins })
+    }
+}
+
 /// BDCC-cluster `table` on the given `(dimension, path)` uses
 /// (Algorithm 1). `dims` must contain every referenced dimension.
 pub fn cluster_table(
@@ -120,6 +137,20 @@ pub fn cluster_table(
     table: TableId,
     use_specs: &[(DimId, Vec<FkId>)],
     dims: &[Dimension],
+    cfg: &SelfTuneConfig,
+) -> Result<BdccTable> {
+    let steps = FkSteps::resolve(db, use_specs.iter().flat_map(|(_, p)| p.iter().copied()))?;
+    let lookups = UseLookups::new(db, dims, steps)?;
+    cluster_table_with(db, table, use_specs, dims, &lookups, cfg)
+}
+
+/// [`cluster_table`] over `lookups` shared by every table of a design.
+pub(crate) fn cluster_table_with(
+    db: &Database,
+    table: TableId,
+    use_specs: &[(DimId, Vec<FkId>)],
+    dims: &[Dimension],
+    lookups: &UseLookups,
     cfg: &SelfTuneConfig,
 ) -> Result<BdccTable> {
     if use_specs.is_empty() {
@@ -151,10 +182,9 @@ pub fn cluster_table(
     let rows = stored.rows();
     let mut bdcc = vec![0u64; rows];
     for u in &uses {
-        let dim = &dims[u.dim.0];
-        let host_rows = resolve_host_rows(db, table, &u.path)?;
-        let host_bins = host_bin_numbers(db, dim)?;
-        let dim_bits = dim.bits();
+        let host_rows = lookups.steps.host_rows(db, table, &u.path)?;
+        let host_bins = &lookups.host_bins[u.dim.0];
+        let dim_bits = dims[u.dim.0].bits();
         for (r, &host_row) in host_rows.iter().enumerate() {
             let bin = host_bins[host_row as usize];
             bdcc[r] |= scatter_bits(bin, dim_bits, u.mask);

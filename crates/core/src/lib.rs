@@ -57,4 +57,4 @@ pub use mask::{
     assign_masks, gather_bits, mask_to_string, ones, scatter_bits, truncate_mask,
     InterleaveStrategy, UseBits,
 };
-pub use resolve::resolve_host_rows;
+pub use resolve::{resolve_host_rows, FkSteps};

@@ -6,43 +6,86 @@
 //! lookups. Foreign-key columns must be integer-backed (true for every
 //! schema in the paper); dimension *keys* themselves may be any type.
 
-use std::collections::HashMap;
+use std::collections::{BTreeMap, HashMap};
 
 use bdcc_catalog::{Database, FkId, TableId};
 use bdcc_storage::StoredTable;
 
 use crate::error::{BdccError, Result};
 
+/// Foreign-key steps resolved once over one database's row order: for every
+/// row of a key's referencing table, the row it references. A step is a
+/// fact of the stored data, so every dimension path that crosses the key —
+/// and every use site of every such path — shares the one resolution.
+#[derive(Debug, Default)]
+pub struct FkSteps {
+    steps: BTreeMap<FkId, Vec<u32>>,
+}
+
+impl FkSteps {
+    /// Resolve each of `fks` (repeats are resolved once) over `db`.
+    pub fn resolve(db: &Database, fks: impl IntoIterator<Item = FkId>) -> Result<FkSteps> {
+        let mut steps = BTreeMap::new();
+        for fk_id in fks {
+            if steps.contains_key(&fk_id) {
+                continue;
+            }
+            let fk = db.catalog().fk(fk_id);
+            let step = fk_step(
+                stored(db, fk.from_table)?,
+                &fk.from_columns,
+                stored(db, fk.to_table)?,
+                &fk.to_columns,
+                &fk.name,
+            )?;
+            steps.insert(fk_id, step);
+        }
+        Ok(FkSteps { steps })
+    }
+
+    /// The referenced row of every row of `fk`'s referencing table, if
+    /// `fk` was resolved.
+    pub fn step(&self, fk: FkId) -> Option<&[u32]> {
+        self.steps.get(&fk).map(Vec::as_slice)
+    }
+
+    /// For every row of `table`, the row index in the path's target table
+    /// (`table` itself for the empty path). Every key of `path` must have
+    /// been resolved.
+    pub fn host_rows(&self, db: &Database, table: TableId, path: &[FkId]) -> Result<Vec<u32>> {
+        let mut mapping: Vec<u32> = (0..stored(db, table)?.rows() as u32).collect();
+        let mut current = table;
+        for &fk_id in path {
+            let fk = db.catalog().fk(fk_id);
+            if fk.from_table != current {
+                return Err(BdccError::BrokenPath(format!(
+                    "foreign key {} does not start at {}",
+                    fk.name,
+                    db.catalog().table_name(current)
+                )));
+            }
+            let step = self.step(fk_id).ok_or_else(|| {
+                BdccError::BrokenPath(format!("foreign key {} was not resolved", fk.name))
+            })?;
+            for m in mapping.iter_mut() {
+                *m = step[*m as usize];
+            }
+            current = fk.to_table;
+        }
+        Ok(mapping)
+    }
+}
+
 /// For every row of `table`, the row index in the path's target table
 /// (`table` itself for the empty path).
 pub fn resolve_host_rows(db: &Database, table: TableId, path: &[FkId]) -> Result<Vec<u32>> {
-    let stored = db.stored(table).ok_or_else(|| {
+    FkSteps::resolve(db, path.iter().copied())?.host_rows(db, table, path)
+}
+
+fn stored(db: &Database, table: TableId) -> Result<&StoredTable> {
+    db.stored(table).map(|t| &**t).ok_or_else(|| {
         BdccError::Catalog(format!("no storage for {}", db.catalog().table_name(table)))
-    })?;
-    let mut mapping: Vec<u32> = (0..stored.rows() as u32).collect();
-    let mut current = table;
-    for &fk_id in path {
-        let fk = db.catalog().fk(fk_id);
-        if fk.from_table != current {
-            return Err(BdccError::BrokenPath(format!(
-                "foreign key {} does not start at {}",
-                fk.name,
-                db.catalog().table_name(current)
-            )));
-        }
-        let from = db.stored(current).ok_or_else(|| {
-            BdccError::Catalog(format!("no storage for {}", db.catalog().table_name(current)))
-        })?;
-        let to = db.stored(fk.to_table).ok_or_else(|| {
-            BdccError::Catalog(format!("no storage for {}", db.catalog().table_name(fk.to_table)))
-        })?;
-        let step = fk_step(from, &fk.from_columns, to, &fk.to_columns, &fk.name)?;
-        for m in mapping.iter_mut() {
-            *m = step[*m as usize];
-        }
-        current = fk.to_table;
-    }
-    Ok(mapping)
+    })
 }
 
 /// For every row of `from`, the row index in `to` referenced via the

@@ -59,11 +59,14 @@ impl MemoryTracker {
     /// Grow the current usage (use [`register`](Self::register) when the
     /// lifetime maps to a scope).
     pub fn grow(&self, bytes: u64) {
-        let now = self.current.fetch_add(bytes, Ordering::Relaxed) + bytes;
-        self.peak.fetch_max(now, Ordering::Relaxed);
+        // Parent first (and `shrink` releases it last): a byte is then the
+        // parent's for as long as it is the child's, so child peak ≤ parent
+        // peak also holds when threads grow and shrink one child at once.
         if let Some(parent) = &self.parent {
             parent.grow(bytes);
         }
+        let now = self.current.fetch_add(bytes, Ordering::Relaxed) + bytes;
+        self.peak.fetch_max(now, Ordering::Relaxed);
     }
 
     /// Shrink the current usage. Saturates at zero rather than wrapping:

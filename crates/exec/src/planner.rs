@@ -47,7 +47,7 @@ use crate::parallel::{
 };
 use crate::plan::{alias_column, FkSide, Node};
 use crate::profile::{wrap_edge, OpProf, Profiler};
-use crate::restrict::{compute_restrictions, Restrictions};
+use crate::restrict::{compute_restrictions, ranges_overlap, Restrictions};
 use crate::scheme::{Scheme, SchemeDb};
 use bdcc_obs::OpMetrics;
 
@@ -609,7 +609,7 @@ impl<'a> Planner<'a> {
             (Scheme::Bdcc, Some(bt)) => {
                 // Group selection: every restricted use must admit the
                 // group's bin prefix.
-                type ActiveUse = (usize, Vec<(u64, u64)>, u32);
+                type ActiveUse<'r> = (usize, &'r [(u64, u64)], u32);
                 let mut active: Vec<ActiveUse> = Vec::new();
                 let schema = self.ctx.sdb.bdcc.as_ref().expect("bdcc scheme");
                 for (use_idx, u) in bt.uses.iter().enumerate() {
@@ -617,7 +617,7 @@ impl<'a> Planner<'a> {
                         let dim_bits = schema.dimension(u.dim).bits();
                         let avail_bits = bt.use_bits_at_granularity(use_idx);
                         let shift = dim_bits - avail_bits;
-                        active.push((use_idx, ranges.clone(), shift));
+                        active.push((use_idx, ranges, shift));
                     }
                 }
                 let mut selected: Vec<(u64, &bdcc_core::GroupEntry)> = Vec::new();
@@ -628,8 +628,7 @@ impl<'a> Planner<'a> {
                         // bin interval [prefix<<shift, (prefix+1)<<shift).
                         let lo = prefix << shift;
                         let hi = (prefix << shift) + ((1u64 << shift) - 1);
-                        let overlaps = ranges.iter().any(|&(rlo, rhi)| rlo <= hi && lo <= rhi);
-                        if !overlaps {
+                        if !ranges_overlap(ranges, lo, hi) {
                             continue 'groups;
                         }
                     }
@@ -684,6 +683,39 @@ impl<'a> Planner<'a> {
         ))
     }
 
+    /// The scan decision log of a profiled BDCC scan (EXPLAIN ANALYZE): how
+    /// many count-table groups it reads of how many, and per restricted use
+    /// how many of the dimension's bins survived plan-time restriction and
+    /// which host table decided. A use index is appended where a table uses
+    /// one dimension over several paths.
+    fn annotate_group_selection(
+        &self,
+        metrics: &OpMetrics,
+        scan_id: usize,
+        table: &str,
+        blueprint: &ScanBlueprint,
+    ) {
+        let ScanKind::Bdcc { groups, .. } = &blueprint.kind else { return };
+        let Some(schema) = &self.ctx.sdb.bdcc else { return };
+        let Some(bt) = self.catalog().table_id(table).ok().and_then(|t| schema.table(t)) else {
+            return;
+        };
+        metrics.annotate("groups", format!("{}/{}", groups.len(), bt.count.group_count()));
+        for (use_idx, u) in bt.uses.iter().enumerate() {
+            let Some(ranges) = self.restrictions.get(&(scan_id, use_idx)) else { continue };
+            let dim = schema.dimension(u.dim);
+            let shared = bt.uses.iter().filter(|o| o.dim == u.dim).count() > 1;
+            let key = if shared {
+                format!("restrict.{}[{use_idx}]", dim.name)
+            } else {
+                format!("restrict.{}", dim.name)
+            };
+            let surviving: u64 = ranges.iter().map(|&(lo, hi)| hi - lo + 1).sum();
+            let host = self.catalog().table_name(dim.table);
+            metrics.annotate(&key, format!("{surviving}/{} via {host}", dim.bin_count()));
+        }
+    }
+
     /// Build the leaf scan operator — serial, or a [`ParallelScan`] when the
     /// context is wider than one thread and the leaf is big enough to split.
     fn build_scan(
@@ -708,6 +740,7 @@ impl<'a> Planner<'a> {
         let tracker = self.op_tracker(&prof);
         if let Some(p) = &prof {
             annotate_encodings(&p.metrics, &blueprint);
+            self.annotate_group_selection(&p.metrics, scan_id, table, &blueprint);
         }
         let cfg = &self.ctx.parallel;
         let op: BoxedOp = if cfg.worth_splitting(blueprint.total_rows()) {

@@ -7,13 +7,16 @@
 //! * **BDCC** — the automatic co-clustered design of Algorithm 2;
 //!   scatter scans, bin-range pushdown/propagation and sandwich operators.
 
+use std::collections::BTreeSet;
 use std::sync::Arc;
 
-use bdcc_catalog::Database;
-use bdcc_core::{design_and_cluster, BdccSchema, DesignConfig};
+use bdcc_catalog::{Database, FkId, TableId};
+use bdcc_core::bdcc_table::host_bin_numbers;
+use bdcc_core::{design_and_cluster, BdccSchema, DesignConfig, DimId, FkSteps};
 use bdcc_storage::{apply_permutation, sort_permutation_multi, Column, StoredTable};
 
 use crate::error::{ExecError, Result};
+use crate::restrict::ROW_EVAL_LIMIT;
 
 /// Storage scheme selector.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -40,11 +43,78 @@ pub struct SchemeDb {
     pub db: Database,
     /// BDCC metadata (clustered tables, dimensions) for [`Scheme::Bdcc`].
     pub bdcc: Option<Arc<BdccSchema>>,
+    /// What plan-time restriction looks up instead of computing (empty
+    /// unless [`Scheme::Bdcc`]).
+    pub plan_index: Arc<PlanIndex>,
+}
+
+/// The two lookups of [`crate::restrict`] that are facts of the stored
+/// data, built once by [`bdcc_scheme`] over the *clustered* row order:
+/// which bin every dimension-host row falls in, and which row every
+/// foreign key leaving a host (or a table a host reduces through)
+/// references. Tables above [`ROW_EVAL_LIMIT`] rows are never walked at
+/// plan time, so they are not indexed.
+#[derive(Debug, Default)]
+pub struct PlanIndex {
+    /// By [`DimId`]; `None` for a host above the limit.
+    host_bins: Vec<Option<HostBins>>,
+    fk_rows: FkSteps,
+}
+
+/// One dimension's host rows, binned at full dimension granularity.
+#[derive(Debug)]
+pub(crate) struct HostBins {
+    /// Bin number of every host row.
+    pub(crate) row_bin: Vec<u64>,
+    /// How many distinct bins hold at least one row.
+    pub(crate) occupied: usize,
+}
+
+impl PlanIndex {
+    fn build(db: &Database, schema: &BdccSchema) -> Result<PlanIndex> {
+        let small = |t: TableId| db.stored(t).is_some_and(|stored| stored.rows() <= ROW_EVAL_LIMIT);
+        let mut host_bins = Vec::with_capacity(schema.dimensions.len());
+        let mut frontier: Vec<TableId> = Vec::new();
+        for dim in &schema.dimensions {
+            if !small(dim.table) {
+                host_bins.push(None);
+                continue;
+            }
+            let row_bin = host_bin_numbers(db, dim)?;
+            let mut seen = vec![false; dim.bin_count()];
+            for &b in &row_bin {
+                seen[b as usize] = true;
+            }
+            let occupied = seen.iter().filter(|&&s| s).count();
+            host_bins.push(Some(HostBins { row_bin, occupied }));
+            frontier.push(dim.table);
+        }
+        // Every key a reduction can follow: out of a host, then onwards.
+        let mut fks: BTreeSet<FkId> = BTreeSet::new();
+        while let Some(table) = frontier.pop() {
+            for fk in db.catalog().fks_from(table) {
+                if small(fk.to_table) && fks.insert(fk.id) {
+                    frontier.push(fk.to_table);
+                }
+            }
+        }
+        Ok(PlanIndex { host_bins, fk_rows: FkSteps::resolve(db, fks)? })
+    }
+
+    /// The binned host rows of `dim`, when its host is small enough to walk.
+    pub(crate) fn host_bins(&self, dim: DimId) -> Option<&HostBins> {
+        self.host_bins.get(dim.0)?.as_ref()
+    }
+
+    /// The row of `fk`'s referenced table each referencing row points at.
+    pub(crate) fn fk_rows(&self, fk: FkId) -> Option<&[u32]> {
+        self.fk_rows.step(fk)
+    }
 }
 
 /// The Plain scheme: the generated database as-is.
 pub fn plain_scheme(db: &Database) -> SchemeDb {
-    SchemeDb { scheme: Scheme::Plain, db: db.clone(), bdcc: None }
+    SchemeDb { scheme: Scheme::Plain, db: db.clone(), bdcc: None, plan_index: Arc::default() }
 }
 
 /// The PK scheme: every table with a declared primary key re-sorted on it.
@@ -76,7 +146,7 @@ pub fn pk_scheme(db: &Database) -> Result<SchemeDb> {
         let rebuilt = StoredTable::from_columns(stored.name(), named)?;
         out.attach(id, Arc::new(rebuilt));
     }
-    Ok(SchemeDb { scheme: Scheme::Pk, db: out, bdcc: None })
+    Ok(SchemeDb { scheme: Scheme::Pk, db: out, bdcc: None, plan_index: Arc::default() })
 }
 
 /// The BDCC scheme: run Algorithm 2 end to end and install the clustered
@@ -90,7 +160,8 @@ pub fn bdcc_scheme(db: &Database, cfg: &DesignConfig) -> Result<SchemeDb> {
             None => out.attach(id, Arc::clone(db.stored(id).expect("attached"))),
         }
     }
-    Ok(SchemeDb { scheme: Scheme::Bdcc, db: out, bdcc: Some(Arc::new(schema)) })
+    let plan_index = Arc::new(PlanIndex::build(&out, &schema)?);
+    Ok(SchemeDb { scheme: Scheme::Bdcc, db: out, bdcc: Some(Arc::new(schema)), plan_index })
 }
 
 #[cfg(test)]

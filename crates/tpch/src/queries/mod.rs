@@ -7,6 +7,8 @@
 //! decorrelation an optimizer would perform. Validation parameters follow
 //! the TPC-H specification's reference query set.
 
+use std::sync::Mutex;
+
 use bdcc_exec::run::run_plan;
 use bdcc_exec::{Batch, Expr, Node, QueryContext, Result};
 use bdcc_storage::{parse_date, Datum};
@@ -39,15 +41,36 @@ pub struct QueryCtx {
     pub qc: QueryContext,
     /// Scale factor (Q11's HAVING fraction is `0.0001 / SF`).
     pub sf: f64,
+    /// Every plan handed to [`run`](Self::run), when recording.
+    plans: Option<Mutex<Vec<Node>>>,
 }
 
 impl QueryCtx {
     pub fn new(qc: QueryContext, sf: f64) -> QueryCtx {
-        QueryCtx { qc, sf }
+        QueryCtx { qc, sf, plans: None }
+    }
+
+    /// A context that also keeps every logical plan its queries execute
+    /// (two-phase queries hand over more than one), so a test can check
+    /// what the planner derives from the real query set against a
+    /// reference.
+    pub fn recording(qc: QueryContext, sf: f64) -> QueryCtx {
+        QueryCtx { qc, sf, plans: Some(Mutex::new(Vec::new())) }
+    }
+
+    /// The plans recorded so far, in execution order.
+    pub fn take_plans(&self) -> Vec<Node> {
+        match &self.plans {
+            Some(plans) => std::mem::take(&mut plans.lock().expect("no query panicked mid-run")),
+            None => Vec::new(),
+        }
     }
 
     /// Execute one plan to completion.
     pub fn run(&self, plan: &Node) -> Result<Batch> {
+        if let Some(plans) = &self.plans {
+            plans.lock().expect("no query panicked mid-run").push(plan.clone());
+        }
         run_plan(&self.qc, plan)
     }
 

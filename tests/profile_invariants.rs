@@ -179,3 +179,60 @@ fn profiling_is_off_by_default() {
     assert!(QueryContext::new(Arc::clone(&sdb)).profiler.is_none());
     assert!(QueryContext::new(sdb).with_profiling().profiler.is_some());
 }
+
+/// The scan decision log: every BDCC scan of Q3 reports how many
+/// count-table groups it reads, and each use the date / segment predicates
+/// restrict reports its surviving bins and the host that decided; a Plain
+/// scan of the same plan carries neither.
+#[test]
+fn bdcc_scans_log_their_group_selection() {
+    let sf = 0.002;
+    let db = bdcc::tpch::generate(&GenConfig::new(sf));
+    let bdcc = Arc::new(bdcc_scheme(&db, &DesignConfig::default()).expect("bdcc scheme"));
+    let q3 = all_queries().into_iter().find(|q| q.id == 3).expect("Q3");
+    let ctx = QueryCtx::recording(QueryContext::new(Arc::clone(&bdcc)), sf);
+    (q3.run)(&ctx).expect("Q3 runs");
+    let plan = ctx.take_plans().pop().expect("Q3 is one plan");
+
+    let scan_logs = |sdb: Arc<SchemeDb>| {
+        let analyzed = explain_analyze(&QueryContext::new(sdb), &plan).expect("explain analyze");
+        let mut logs: Vec<(String, Vec<(String, String)>)> = Vec::new();
+        analyzed.profile.root.walk(&mut |node: &ProfileNode| {
+            if node.label.starts_with("Scan(") {
+                let log = node
+                    .annotations
+                    .iter()
+                    .filter(|(k, _)| k == "groups" || k.starts_with("restrict."));
+                logs.push((node.label.clone(), log.cloned().collect()));
+            }
+        });
+        (logs, analyzed.profile.render())
+    };
+
+    let (logs, rendered) = scan_logs(bdcc);
+    assert_eq!(logs.len(), 3, "customer, orders, lineitem: {logs:?}");
+    for (label, log) in &logs {
+        let groups = log.iter().find(|(k, _)| k == "groups").map(|(_, v)| v.as_str());
+        let (selected, total) = groups
+            .and_then(|v| v.split_once('/'))
+            .unwrap_or_else(|| panic!("{label}: groups = selected/total, got {log:?}"));
+        let (selected, total): (usize, usize) = (selected.parse().unwrap(), total.parse().unwrap());
+        assert!(selected <= total && total > 0, "{label}: {selected}/{total}");
+    }
+    let of = |table: &str| &logs.iter().find(|(l, _)| l == &format!("Scan({table})")).unwrap().1;
+    // `o_orderdate < date` restricts D_DATE on its host and, propagated
+    // over FK_L_O, on LINEITEM.
+    for table in ["orders", "lineitem"] {
+        let date = of(table).iter().find(|(k, _)| k == "restrict.D_DATE");
+        let (_, v) = date.unwrap_or_else(|| panic!("{table}: no restrict.D_DATE in {logs:?}"));
+        assert!(v.ends_with(" via orders"), "{table}: {v}");
+        let (surviving, bins) = v.trim_end_matches(" via orders").split_once('/').unwrap();
+        let (surviving, bins): (u64, u64) = (surviving.parse().unwrap(), bins.parse().unwrap());
+        assert!(0 < surviving && surviving < bins, "{table}: {v}");
+    }
+    assert!(rendered.contains("restrict.D_DATE="), "EXPLAIN ANALYZE prints the log:\n{rendered}");
+
+    let (logs, _) = scan_logs(Arc::new(plain_scheme(&db)));
+    assert_eq!(logs.len(), 3);
+    assert!(logs.iter().all(|(_, log)| log.is_empty()), "a Plain scan selects no groups: {logs:?}");
+}
