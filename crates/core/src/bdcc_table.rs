@@ -194,10 +194,8 @@ pub(crate) fn cluster_table_with(
     let sorted_keys: Vec<u64> = perm.iter().map(|&i| bdcc[i]).collect();
 
     // Re-organize all columns plus the clustering key.
-    let source_columns: Vec<Column> = (0..stored.arity())
-        .map(|i| stored.column(i).map(|c| (**c).clone()))
-        .collect::<std::result::Result<_, _>>()?;
-    let mut permuted = apply_permutation(&source_columns, &perm);
+    let source_columns = (0..stored.arity()).map(|i| &**stored.column(i).expect("arity"));
+    let mut permuted = apply_permutation(source_columns, &perm);
     permuted.push(Column::from_i64(sorted_keys.iter().map(|&k| k as i64).collect()));
     let mut named: Vec<(String, Column)> = stored
         .schema()

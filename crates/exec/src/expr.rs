@@ -5,6 +5,8 @@
 //! whole [`Batch`]. Booleans are represented as `Int` columns of 0/1, with
 //! [`eval_bool`] as the predicate entry point.
 
+use std::borrow::Cow;
+
 use bdcc_storage::{year_of, Column, DataType, Datum};
 
 use crate::batch::{schema_index, Batch, ColMeta};
@@ -239,9 +241,13 @@ impl Expr {
             Expr::Col(name) => return Err(ExecError::Internal(format!("unbound column {name}"))),
             Expr::ColIdx(i) => batch.columns[*i].clone(),
             Expr::Lit(d) => broadcast(d, n),
-            Expr::Arith(op, a, b) => eval_arith(*op, &a.eval(batch)?, &b.eval(batch)?)?,
+            Expr::Arith(op, a, b) => {
+                let (x, y) = (a.operand(batch)?, b.operand(batch)?);
+                eval_arith(*op, &x, &y)?
+            }
             Expr::Cmp(op, a, b) => {
-                bools_to_column(&eval_cmp(*op, &a.eval(batch)?, &b.eval(batch)?)?)
+                let (x, y) = (a.operand(batch)?, b.operand(batch)?);
+                bools_to_column(&eval_cmp(*op, &x, &y)?)
             }
             Expr::And(a, b) => {
                 let (x, y) = (a.eval_bool(batch)?, b.eval_bool(batch)?);
@@ -283,9 +289,19 @@ impl Expr {
             Expr::Prefix(a, len) => {
                 let col = a.eval(batch)?;
                 let vals = col.as_str()?;
-                Column::from_strings(vals.iter().map(|s| s.chars().take(*len).collect()).collect())
+                let end = |s: &str| s.char_indices().nth(*len).map_or(s.len(), |(i, _)| i);
+                Column::Str(vals.iter().map(|s| &s[..end(s)]).collect())
             }
         })
+    }
+
+    /// [`eval`](Self::eval) for an operand that is only read: a column
+    /// reference is borrowed from the batch instead of copied.
+    fn operand<'a>(&self, batch: &'a Batch) -> Result<Cow<'a, Column>> {
+        match self {
+            Expr::ColIdx(i) => Ok(Cow::Borrowed(&batch.columns[*i])),
+            other => other.eval(batch).map(Cow::Owned),
+        }
     }
 
     /// Evaluate as a boolean vector (expression must produce 0/1 ints).
@@ -300,7 +316,7 @@ fn broadcast(d: &Datum, n: usize) -> Column {
         Datum::Int(v) => Column::from_i64(vec![*v; n]),
         Datum::Date(v) => Column::from_dates(vec![*v; n]),
         Datum::Float(v) => Column::from_f64(vec![*v; n]),
-        Datum::Str(s) => Column::from_strings(vec![s.clone(); n]),
+        Datum::Str(s) => Column::Str(std::iter::repeat_n(s, n).collect()),
     }
 }
 
@@ -317,7 +333,7 @@ fn eval_arith(op: ArithOp, a: &Column, b: &Column) -> Result<Column> {
         let y = to_f64(b)?;
         let out: Vec<f64> = x
             .iter()
-            .zip(&y)
+            .zip(y.iter())
             .map(|(&p, &q)| match op {
                 Add => p + q,
                 Sub => p - q,
@@ -343,9 +359,9 @@ fn eval_arith(op: ArithOp, a: &Column, b: &Column) -> Result<Column> {
     }
 }
 
-fn to_f64(c: &Column) -> Result<Vec<f64>> {
+fn to_f64(c: &Column) -> Result<Cow<'_, [f64]>> {
     Ok(match c {
-        Column::F64(v) => v.clone(),
+        Column::F64(v) => Cow::Borrowed(v.as_slice()),
         Column::I64 { values, .. } => values.iter().map(|&v| v as f64).collect(),
         Column::Str(_) => {
             return Err(ExecError::Type("cannot use a string column in arithmetic".into()))
@@ -368,12 +384,12 @@ fn eval_cmp(op: CmpOp, a: &Column, b: &Column) -> Result<Vec<bool>> {
             Ok(x.iter().zip(y).map(|(p, q)| pass(p.cmp(q))).collect())
         }
         (Column::Str(x), Column::Str(y)) => {
-            Ok(x.iter().zip(y).map(|(p, q)| pass(p.cmp(q))).collect())
+            Ok(x.iter().zip(y.iter()).map(|(p, q)| pass(p.cmp(q))).collect())
         }
         _ => {
             let x = to_f64(a)?;
             let y = to_f64(b)?;
-            Ok(x.iter().zip(&y).map(|(p, q)| pass(p.total_cmp(q))).collect())
+            Ok(x.iter().zip(y.iter()).map(|(p, q)| pass(p.total_cmp(q))).collect())
         }
     }
 }
@@ -385,10 +401,7 @@ fn eval_if(cond: &[bool], t: &Column, e: &Column) -> Result<Column> {
             logical: *logical,
         }),
         (Column::Str(x), Column::Str(y)) => Ok(Column::Str(
-            cond.iter()
-                .enumerate()
-                .map(|(i, &c)| if c { x[i].clone() } else { y[i].clone() })
-                .collect(),
+            cond.iter().enumerate().map(|(i, &c)| if c { &x[i] } else { &y[i] }).collect(),
         )),
         _ => {
             let x = to_f64(t)?;
@@ -440,7 +453,7 @@ fn eval_in_list(col: &Column, list: &[Datum]) -> Result<Column> {
                 set.sort_unstable();
             }
             Ok(bools_to_column(
-                &values.iter().map(|v| set.binary_search(&v.as_str()).is_ok()).collect::<Vec<_>>(),
+                &values.iter().map(|v| set.binary_search(&v).is_ok()).collect::<Vec<_>>(),
             ))
         }
         Column::F64(_) => Err(ExecError::Type("IN over float columns is not supported".into())),
@@ -531,7 +544,7 @@ mod tests {
         let e = Expr::col("a").in_list(vec![Datum::Int(1), Datum::Int(3)]);
         assert_eq!(eval(e).as_i64().unwrap(), &[1, 0, 1]);
         let e = Expr::col("s").prefix(5);
-        assert_eq!(eval(e).as_str().unwrap()[0], "PROMO");
+        assert_eq!(&eval(e).as_str().unwrap()[0], "PROMO");
     }
 
     #[test]

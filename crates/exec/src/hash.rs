@@ -190,7 +190,7 @@ pub fn hash_group_rows(
     }
     for c in group_cols {
         if let Column::Str(values) = c {
-            for (h, s) in out.iter_mut().zip(&values[rows.clone()]) {
+            for (h, s) in out.iter_mut().zip(values.iter_range(rows.clone())) {
                 let mut fx = FxHasher { hash: *h };
                 fx.write(s.as_bytes());
                 fx.write_u8(0xff);

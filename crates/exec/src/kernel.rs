@@ -535,7 +535,7 @@ impl Conjunct {
             }
             ConjKind::Str { col, test } => {
                 let vals = batch.columns[*col].as_str()?;
-                Ok(shrink(sel, |i| str_test(test, vals[i].as_str())))
+                Ok(shrink(sel, |i| str_test(test, &vals[i])))
             }
             ConjKind::Float { col, op, lit } => {
                 let pass = cmp_pass(*op);

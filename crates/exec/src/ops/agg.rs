@@ -35,6 +35,7 @@
 //! values never arithmetically re-derived, e.g. `c_acctbal`): `0.0` and
 //! `-0.0` are two groups, as are NaNs of different payloads.
 
+use std::borrow::Borrow;
 use std::cmp::Ordering;
 use std::collections::HashSet;
 use std::ops::Range;
@@ -165,7 +166,7 @@ impl GroupTable {
         self.slots[slot] = gid;
         self.hashes.push(h);
         for (k, c) in self.keys.iter_mut().zip(cols) {
-            k.push(c.datum(row)).expect("group columns keep their declared types");
+            k.append_range(c, row, row + 1).expect("group columns keep their declared types");
         }
         if self.hashes.len() * 2 > self.slots.len() {
             self.grow();
@@ -270,18 +271,18 @@ fn count_rows(n: &mut Vec<i64>, gids: &[u32], groups: usize) {
 /// compares to the incumbent). A pair whose `g` is one past the end opens
 /// that group with `v` — new ids ascend in order of first appearance, in a
 /// batch's rows as in another table's groups.
-fn fold_extrema<T: Clone>(
-    best: &mut Vec<T>,
-    vals: &[T],
+fn fold_extrema<'a, T: ToOwned + ?Sized + 'a>(
+    best: &mut Vec<T::Owned>,
+    vals: impl Iterator<Item = &'a T>,
     gids: &[u32],
     want: Ordering,
     cmp: impl Fn(&T, &T) -> Ordering,
 ) {
-    for (v, &g) in vals.iter().zip(gids) {
+    for (v, &g) in vals.zip(gids) {
         match best.get_mut(g as usize) {
-            Some(b) if cmp(v, b) == want => b.clone_from(v),
+            Some(b) if cmp(v, (*b).borrow()) == want => v.clone_into(b),
             Some(_) => {}
-            None => best.push(v.clone()),
+            None => best.push(v.to_owned()),
         }
     }
 }
@@ -296,6 +297,9 @@ enum Acc {
     /// Best values, typed like the input, and how a better one compares to
     /// the incumbent: `Less` for MIN, `Greater` for MAX.
     Extrema(Column, Ordering),
+    /// The same over strings: a group's best value is replaced in place,
+    /// which one shared buffer cannot do.
+    StrExtrema(Vec<String>, Ordering),
     Count(Vec<i64>),
     Distinct(Vec<HashSet<i64, FxBuildHasher>>),
 }
@@ -310,8 +314,13 @@ impl Acc {
             AggFunc::Sum if dt == DataType::Float => Acc::SumF(FloatSums::default()),
             AggFunc::Sum => Acc::SumI(Vec::new()),
             AggFunc::Avg => Acc::Avg(FloatSums::default(), Vec::new()),
-            AggFunc::Min => Acc::Extrema(Column::empty(dt), Ordering::Less),
-            AggFunc::Max => Acc::Extrema(Column::empty(dt), Ordering::Greater),
+            AggFunc::Min | AggFunc::Max => {
+                let want = if func == AggFunc::Min { Ordering::Less } else { Ordering::Greater };
+                match dt {
+                    DataType::Str => Acc::StrExtrema(Vec::new(), want),
+                    _ => Acc::Extrema(Column::empty(dt), want),
+                }
+            }
             AggFunc::Count => Acc::Count(Vec::new()),
             AggFunc::CountDistinct => Acc::Distinct(Vec::new()),
         }
@@ -345,16 +354,16 @@ impl Acc {
             }
             (Acc::Extrema(best, want), Some(col)) => match (best, col) {
                 (Column::I64 { values: best, .. }, Column::I64 { values, .. }) => {
-                    fold_extrema(best, &values[start..], gids, *want, i64::cmp)
+                    fold_extrema(best, values[start..].iter(), gids, *want, i64::cmp)
                 }
                 (Column::F64(best), Column::F64(v)) => {
-                    fold_extrema(best, &v[start..], gids, *want, f64::total_cmp)
-                }
-                (Column::Str(best), Column::Str(v)) => {
-                    fold_extrema(best, &v[start..], gids, *want, String::cmp)
+                    fold_extrema(best, v[start..].iter(), gids, *want, f64::total_cmp)
                 }
                 _ => return Err(input_mismatch()),
             },
+            (Acc::StrExtrema(best, want), Some(Column::Str(v))) => {
+                fold_extrema(best, v.iter_range(start..v.len()), gids, *want, str::cmp)
+            }
             (Acc::Distinct(sets), Some(Column::I64 { values, .. })) => {
                 sets.resize_with(groups, HashSet::default);
                 for (&v, &g) in values[start..].iter().zip(gids) {
@@ -385,6 +394,9 @@ impl Acc {
             (mine @ Acc::Extrema(..), Acc::Extrema(best, _)) => {
                 mine.update(Some(best), 0, map, groups)?
             }
+            (Acc::StrExtrema(mine, want), Acc::StrExtrema(best, _)) => {
+                fold_extrema(mine, best.iter().map(String::as_str), map, *want, str::cmp)
+            }
             (Acc::Distinct(a), Acc::Distinct(b)) => {
                 a.resize_with(groups, HashSet::default);
                 for (set, &g) in b.iter().zip(map) {
@@ -405,6 +417,7 @@ impl Acc {
                 Column::from_f64(sums.totals().zip(&n).map(|(t, &n)| t / n as f64).collect())
             }
             Acc::Extrema(best, _) => best,
+            Acc::StrExtrema(best, _) => Column::Str(best.iter().collect()),
             Acc::Distinct(sets) => Column::from_i64(sets.iter().map(|s| s.len() as i64).collect()),
         }
     }

@@ -276,17 +276,11 @@ impl Operator for BdccScan {
             }
             // Assemble the group's surviving rows.
             let mut columns: Vec<bdcc_storage::Column> = Vec::new();
-            for &col in &self.projection {
-                let mut out = self.table.column(col)?.slice(survivors[0].0, survivors[0].1);
+            for &col in self.projection.iter().chain(&self.extra_cols) {
+                let src = self.table.column(col)?;
+                let mut out = src.slice(survivors[0].0, survivors[0].1);
                 for &(s, e) in &survivors[1..] {
-                    out.append(&self.table.column(col)?.slice(s, e))?;
-                }
-                columns.push(out);
-            }
-            for &idx in &self.extra_cols {
-                let mut out = self.table.column(idx)?.slice(survivors[0].0, survivors[0].1);
-                for &(s, e) in &survivors[1..] {
-                    out.append(&self.table.column(idx)?.slice(s, e))?;
+                    out.append_range(src, s, e)?;
                 }
                 columns.push(out);
             }

@@ -555,7 +555,7 @@ fn default_column(dt: DataType, n: usize) -> Column {
         DataType::Int => Column::from_i64(vec![0; n]),
         DataType::Date => Column::from_dates(vec![0; n]),
         DataType::Float => Column::from_f64(vec![0.0; n]),
-        DataType::Str => Column::from_strings(vec![String::new(); n]),
+        DataType::Str => Column::Str(std::iter::repeat_n("", n).collect()),
     }
 }
 
@@ -616,7 +616,7 @@ mod tests {
         assert_eq!(out.rows(), 3); // orders 1,2,3 match; 4 has no customer
         let keys = out.columns[0].as_i64().unwrap();
         assert_eq!(keys, &[1, 2, 3]);
-        assert_eq!(out.columns[3].as_str().unwrap()[0], "alice");
+        assert_eq!(&out.columns[3].as_str().unwrap()[0], "alice");
         assert!(t.peak() > 0, "build side must be tracked");
         assert_eq!(t.current(), 0, "memory released after drop");
     }

@@ -6,14 +6,23 @@
 //! which is exactly why the paper's Figure 3 shows the PK scheme's memory
 //! win on the big join, and why BDCC must compensate elsewhere.
 
+use std::ops::Range;
+
 use bdcc_storage::Column;
 
-use crate::batch::{Batch, OpSchema};
+use crate::batch::{Batch, OpSchema, BATCH_ROWS};
 use crate::error::{ExecError, Result};
 use crate::ops::{BoxedOp, Operator};
 
 /// Inner merge join on one integer key per side; inputs must be sorted
 /// ascending on their key.
+///
+/// Output rows are the left key runs in order, each crossed with its right
+/// group. Matches are *accumulated* — as row indices into the current left
+/// batch and into `rstore`, where the matched right groups are laid end to
+/// end — and gathered once per [`BATCH_ROWS`] rows or per left input batch,
+/// whichever comes first, so the operators above see full batches instead of
+/// one batch per key run.
 pub struct MergeJoin {
     left: BoxedOp,
     right: BoxedOp,
@@ -24,9 +33,15 @@ pub struct MergeJoin {
     lpos: usize,
     rbuf: Option<Batch>,
     rpos: usize,
-    /// Buffered right-side group (rows sharing the current key) for
-    /// many-to-many joins.
-    rgroup: Option<(i64, Batch)>,
+    /// The right rows the pending output pairs with, group after group.
+    rstore: Vec<Column>,
+    /// The current right group — its key and its rows in `rstore` — kept
+    /// for left runs of the same key that continue in the next batch.
+    rgroup: Option<(i64, Range<usize>)>,
+    /// Pending output: row `lidx[i]` of `lbuf` beside row `ridx[i]` of
+    /// `rstore`.
+    lidx: Vec<u32>,
+    ridx: Vec<u32>,
     done: bool,
 }
 
@@ -38,6 +53,7 @@ impl MergeJoin {
             .ok_or_else(|| ExecError::UnknownColumn(on.0.to_string()))?;
         let right_key = crate::batch::schema_index(&rschema, on.1)
             .ok_or_else(|| ExecError::UnknownColumn(on.1.to_string()))?;
+        let rstore = rschema.iter().map(|m| Column::empty(m.data_type)).collect();
         let mut schema = lschema;
         schema.extend(rschema);
         Ok(MergeJoin {
@@ -50,7 +66,10 @@ impl MergeJoin {
             lpos: 0,
             rbuf: None,
             rpos: 0,
+            rstore,
             rgroup: None,
+            lidx: Vec::new(),
+            ridx: Vec::new(),
             done: false,
         })
     }
@@ -90,34 +109,39 @@ impl MergeJoin {
         }
     }
 
-    /// Collect all right rows with key `k` into `rgroup`.
+    /// Append all right rows with key `k` to `rstore` as the current group.
     fn fill_right_group(&mut self, k: i64) -> Result<()> {
-        let right_schema_len = self.schema.len() - self.left.schema().len();
-        let mut cols: Vec<Column> = self.schema[self.schema.len() - right_schema_len..]
-            .iter()
-            .map(|m| Column::empty(m.data_type))
-            .collect();
-        loop {
-            match self.right_peek()? {
-                Some(rk) if rk == k => {
-                    // Take the run of equal keys within the current buffer.
-                    let b = self.rbuf.as_ref().expect("peek filled buffer");
-                    let keys = b.columns[self.right_key].as_i64()?;
-                    let start = self.rpos;
-                    let mut end = start;
-                    while end < b.rows() && keys[end] == k {
-                        end += 1;
-                    }
-                    for (dst, src) in cols.iter_mut().zip(&b.columns) {
-                        dst.append(&src.slice(start, end))?;
-                    }
-                    self.rpos = end;
-                }
-                _ => break,
+        let first = self.rstore[0].len();
+        while self.right_peek()? == Some(k) {
+            // Take the run of equal keys within the current buffer.
+            let b = self.rbuf.as_ref().expect("peek filled buffer");
+            let keys = b.columns[self.right_key].as_i64()?;
+            let start = self.rpos;
+            let end = start + keys[start..].iter().take_while(|&&rk| rk == k).count();
+            for (dst, src) in self.rstore.iter_mut().zip(&b.columns) {
+                dst.append_range(src, start, end)?;
             }
+            self.rpos = end;
         }
-        self.rgroup = Some((k, Batch::new(cols)));
+        self.rgroup = Some((k, first..self.rstore[0].len()));
         Ok(())
+    }
+
+    /// Gather the pending output, and drop every right group but the
+    /// current one from `rstore`.
+    fn flush(&mut self) -> Batch {
+        let b = self.lbuf.as_ref().expect("pending rows index a left batch");
+        let mut cols: Vec<Column> = b.columns.iter().map(|c| c.gather_u32(&self.lidx)).collect();
+        cols.extend(self.rstore.iter().map(|c| c.gather_u32(&self.ridx)));
+        self.lidx.clear();
+        self.ridx.clear();
+        if let Some((_, rows)) = &mut self.rgroup {
+            for c in &mut self.rstore {
+                *c = c.slice(rows.start, rows.end);
+            }
+            *rows = 0..rows.len();
+        }
+        Batch::new(cols)
     }
 }
 
@@ -131,69 +155,37 @@ impl Operator for MergeJoin {
             return Ok(None);
         }
         loop {
-            let lk = match self.left_peek()? {
-                Some(k) => k,
-                None => {
-                    self.done = true;
-                    return Ok(None);
-                }
+            // Pending rows index the current left batch: they leave before
+            // it is replaced, or as soon as they fill a batch.
+            let left_spent = self.lbuf.as_ref().is_none_or(|b| self.lpos >= b.rows());
+            if self.lidx.len() >= BATCH_ROWS || (left_spent && !self.lidx.is_empty()) {
+                return Ok(Some(self.flush()));
+            }
+            let Some(lk) = self.left_peek()? else {
+                self.done = true;
+                return Ok(None);
             };
             // Reuse the buffered right group if the key matches (left dups).
-            let group_matches = matches!(&self.rgroup, Some((k, _)) if *k == lk);
-            if !group_matches {
+            if !matches!(&self.rgroup, Some((k, _)) if *k == lk) {
                 // Advance right until key >= lk.
-                loop {
-                    match self.right_peek()? {
-                        Some(rk) if rk < lk => {
-                            self.rpos += 1;
-                        }
-                        _ => break,
-                    }
+                while self.right_peek()?.is_some_and(|rk| rk < lk) {
+                    self.rpos += 1;
                 }
-                match self.right_peek()? {
-                    Some(rk) if rk == lk => self.fill_right_group(lk)?,
-                    _ => {
-                        // No right match: skip the left run of this key.
-                        let b = self.lbuf.as_ref().expect("peeked");
-                        let keys = b.columns[self.left_key].as_i64()?;
-                        while self.lpos < b.rows() && keys[self.lpos] == lk {
-                            self.lpos += 1;
-                        }
-                        // Right exhausted entirely? Then nothing further
-                        // can match only if right is done AND rgroup is
-                        // stale — loop continues and terminates via left.
-                        continue;
-                    }
+                if self.right_peek()? == Some(lk) {
+                    self.fill_right_group(lk)?;
                 }
             }
-            // Emit the cross product of the left run (within this batch)
-            // and the right group.
+            // The left run of this key within this batch, crossed with the
+            // right group — or skipped, if the right side has no such key.
             let b = self.lbuf.as_ref().expect("peeked");
             let keys = b.columns[self.left_key].as_i64()?;
             let start = self.lpos;
-            let mut end = start;
-            while end < b.rows() && keys[end] == lk {
-                end += 1;
-            }
-            self.lpos = end;
-            let (_, rgroup) = self.rgroup.as_ref().expect("filled");
-            let ln = end - start;
-            let rn = rgroup.rows();
-            let mut lidx = Vec::with_capacity(ln * rn);
-            let mut ridx = Vec::with_capacity(ln * rn);
-            for l in start..end {
-                for r in 0..rn {
-                    lidx.push(l);
-                    ridx.push(r);
+            self.lpos += keys[start..].iter().take_while(|&&k| k == lk).count();
+            if let Some((_, group)) = self.rgroup.as_ref().filter(|(k, _)| *k == lk) {
+                for l in start..self.lpos {
+                    self.lidx.extend(std::iter::repeat_n(l as u32, group.len()));
+                    self.ridx.extend(group.clone().map(|r| r as u32));
                 }
-            }
-            let mut cols: Vec<Column> = b.columns.iter().map(|c| c.gather(&lidx)).collect();
-            for rc in &rgroup.columns {
-                cols.push(rc.gather(&ridx));
-            }
-            let out = Batch::new(cols);
-            if out.rows() > 0 {
-                return Ok(Some(out));
             }
         }
     }
@@ -247,6 +239,28 @@ mod tests {
         let j = MergeJoin::new(Box::new(l), Box::new(r), ("lk", "rk")).unwrap();
         let out = collect(Box::new(j)).unwrap();
         assert_eq!(out.rows(), 6);
+    }
+
+    #[test]
+    fn key_runs_accumulate_into_full_batches() {
+        // 10 000 one-row key runs on the left, every other key on the
+        // right, two right rows each: one output batch per left batch, in
+        // the row order a batch per key run produced.
+        let keys: Vec<i64> = (0..10_000).collect();
+        let right: Vec<i64> = keys.iter().filter(|k| *k % 2 == 0).flat_map(|&k| [k, k]).collect();
+        let l = Sorted::new("lk", keys, BATCH_ROWS);
+        let r = Sorted::new("rk", right.clone(), 1000);
+        let mut j = MergeJoin::new(Box::new(l), Box::new(r), ("lk", "rk")).unwrap();
+        let mut batches = Vec::new();
+        while let Some(b) = j.next().unwrap() {
+            assert_eq!(b.columns[0], b.columns[1]);
+            batches.push(b);
+        }
+        assert!(j.next().unwrap().is_none(), "stays exhausted");
+        assert_eq!(batches.len(), 10_000usize.div_ceil(BATCH_ROWS));
+        let out: Vec<i64> =
+            batches.iter().flat_map(|b| b.columns[0].as_i64().unwrap().to_vec()).collect();
+        assert_eq!(out, right);
     }
 
     #[test]

@@ -362,7 +362,7 @@ pub(crate) mod tests {
         )
         .unwrap();
         let out = collect(Box::new(scan)).unwrap();
-        assert_eq!(out.columns[0].as_str().unwrap(), &["pear".to_string()]);
+        assert_eq!(out.columns[0], Column::from_strings(vec!["pear".into()]));
     }
 
     #[test]

@@ -258,9 +258,6 @@ mod tests {
             Sort::new(Box::new(src), &[SortKey::asc("a"), SortKey::desc("b")], None, t).unwrap();
         let out = collect(Box::new(s)).unwrap();
         assert_eq!(out.columns[0].as_i64().unwrap(), &[1, 1, 2]);
-        assert_eq!(
-            out.columns[1].as_str().unwrap(),
-            &["x".to_string(), "a".to_string(), "y".to_string()]
-        );
+        assert_eq!(out.columns[1].as_str().unwrap().iter().collect::<Vec<_>>(), ["x", "a", "y"]);
     }
 }

@@ -13,7 +13,7 @@
 
 use std::sync::Arc;
 
-use bdcc_storage::Column;
+use bdcc_storage::{Column, StrVec};
 
 use crate::batch::{Batch, OpSchema};
 use crate::error::{ExecError, Result};
@@ -167,9 +167,9 @@ fn gather_streams(
             Column::F64(coords.iter().map(|&(s, r)| parts[s][r]).collect())
         }
         Column::Str(_) => {
-            let parts: Vec<&[String]> =
+            let parts: Vec<&StrVec> =
                 streams.iter().map(|b| b.columns[col].as_str().expect("typed")).collect();
-            Column::Str(coords.iter().map(|&(s, r)| parts[s][r].clone()).collect())
+            Column::Str(coords.iter().map(|&(s, r)| &parts[s][r]).collect())
         }
     }
 }
@@ -269,7 +269,7 @@ mod tests {
                 .unwrap(),
         ))
         .unwrap();
-        let s = p.columns[1].as_str().unwrap();
+        let s: Vec<&str> = p.columns[1].as_str().unwrap().iter().collect();
         assert!(s.windows(2).all(|w| w[0] < w[1]), "stable sort must keep input order on ties");
     }
 

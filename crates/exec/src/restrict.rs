@@ -53,7 +53,7 @@ use std::rc::Rc;
 
 use bdcc_catalog::{FkId, TableId};
 use bdcc_core::{DimId, Dimension, KeyValue};
-use bdcc_storage::{DataType, StoredTable};
+use bdcc_storage::{DataType, StoredTable, StrVec};
 
 use crate::batch::{Batch, ColMeta};
 use crate::enc::{compile_int, compile_str, int_test, str_test, IntTest, StrTest};
@@ -135,7 +135,7 @@ pub fn compute_restrictions(plan: &Node, sdb: &SchemeDb) -> Result<Restrictions>
 /// One predicate of a scan, bound to the stored column it tests.
 enum ColTest<'a> {
     Int(IntTest, &'a [i64]),
-    Str(StrTest, &'a [String]),
+    Str(StrTest, &'a StrVec),
     /// The interpreter's verdict per row, for shapes the flat tests cannot
     /// express.
     Rows(Vec<bool>),

@@ -138,9 +138,8 @@ pub fn pk_scheme(db: &Database) -> Result<SchemeDb> {
             })
             .collect::<Result<_>>()?;
         let perm = sort_permutation_multi(&key_cols);
-        let columns: Vec<Column> =
-            (0..stored.arity()).map(|i| (**stored.column(i).expect("arity")).clone()).collect();
-        let permuted = apply_permutation(&columns, &perm);
+        let columns = (0..stored.arity()).map(|i| &**stored.column(i).expect("arity"));
+        let permuted = apply_permutation(columns, &perm);
         let named: Vec<(String, Column)> =
             stored.schema().columns.iter().map(|c| c.name.clone()).zip(permuted).collect();
         let rebuilt = StoredTable::from_columns(stored.name(), named)?;

@@ -118,7 +118,7 @@ fn block_min_max(column: &Column, start: usize, end: usize) -> BlockStats {
         Column::Str(values) => {
             let mut min = &values[start];
             let mut max = &values[start];
-            for v in &values[start + 1..end] {
+            for v in values.iter_range(start + 1..end) {
                 if v < min {
                     min = v;
                 }
@@ -126,7 +126,7 @@ fn block_min_max(column: &Column, start: usize, end: usize) -> BlockStats {
                     max = v;
                 }
             }
-            BlockStats { min: Datum::Str(min.clone()), max: Datum::Str(max.clone()) }
+            BlockStats { min: Datum::Str(min.to_string()), max: Datum::Str(max.to_string()) }
         }
     }
 }

@@ -4,9 +4,179 @@
 //! operators: a contiguous, homogeneously typed vector. Integer-backed types
 //! (`Int`, `Date`) share the `I64` representation but remember their logical
 //! type so schema information survives through the executor.
+//!
+//! # String layout
+//!
+//! A string column is a [`StrVec`]: one contiguous UTF-8 buffer holding
+//! every value back to back, plus `len + 1` `u32` offsets — value `i` is
+//! `bytes[offsets[i]..offsets[i + 1]]`. There is no allocation per value:
+//! a slice is two bulk copies (a byte range and an offset range), a gather
+//! is one sizing pass and one copy pass, an append is an `extend`. The form
+//! is always *canonical* — `offsets[0] == 0` and the last offset is the
+//! buffer length — so two columns holding the same values compare equal
+//! whichever way they were built, and `PartialEq` is a plain comparison.
+//! Offset arithmetic is checked: a column whose bytes would pass
+//! `u32::MAX` panics, it never wraps. The layout is this module's secret —
+//! callers see `&str`s ([`StrVec::get`], [`StrVec::iter`]); only the spill
+//! codec reads and writes the two regions (the crate-private
+//! `StrVec::parts` / `StrVec::from_parts`, which validates everything a
+//! file could get wrong, once).
+//!
+//! The *byte model* is not the layout: [`Column::avg_width`] charges a
+//! string `len + 1` bytes (the value and one length byte), exactly what it
+//! charged when a string was a heap allocation of its own. Tracked memory,
+//! broker decisions and the I/O cost model are computed from that model, so
+//! they — and every plan, design and spill decision derived from them — are
+//! the same as before the layout changed; only the cost of computing it
+//! went from a walk over every value to a division.
+
+use std::ops::{Index, Range};
 
 use crate::error::{Result, StorageError};
 use crate::value::{DataType, Datum};
+
+/// A vector of UTF-8 strings in one buffer (see the module docs).
+#[derive(Debug, Clone, PartialEq)]
+pub struct StrVec {
+    bytes: String,
+    /// `len + 1` ascending positions in `bytes`, first 0, last `bytes.len()`.
+    offsets: Vec<u32>,
+}
+
+impl Default for StrVec {
+    fn default() -> StrVec {
+        StrVec::new()
+    }
+}
+
+/// The offset `len` bytes past `end`, or a panic — never a wrapped offset.
+fn advance(end: u32, len: usize) -> u32 {
+    u32::try_from(len)
+        .ok()
+        .and_then(|len| end.checked_add(len))
+        .expect("string column exceeds u32::MAX bytes")
+}
+
+impl StrVec {
+    /// An empty vector.
+    pub fn new() -> StrVec {
+        StrVec::with_capacity(0, 0)
+    }
+
+    /// An empty vector with room for `rows` values of `bytes` bytes in all.
+    pub fn with_capacity(rows: usize, bytes: usize) -> StrVec {
+        let mut offsets = Vec::with_capacity(rows + 1);
+        offsets.push(0);
+        StrVec { bytes: String::with_capacity(bytes), offsets }
+    }
+
+    /// Number of values.
+    pub fn len(&self) -> usize {
+        self.offsets.len() - 1
+    }
+
+    /// True if there are no values.
+    pub fn is_empty(&self) -> bool {
+        self.len() == 0
+    }
+
+    /// Total bytes of all values.
+    pub fn byte_len(&self) -> usize {
+        self.bytes.len()
+    }
+
+    /// The value at `i`. Panics if `i` is out of range.
+    #[inline]
+    pub fn get(&self, i: usize) -> &str {
+        &self.bytes[self.offsets[i] as usize..self.offsets[i + 1] as usize]
+    }
+
+    /// The values in order.
+    pub fn iter(&self) -> impl ExactSizeIterator<Item = &str> + Clone {
+        self.iter_range(0..self.len())
+    }
+
+    /// The values of rows `rows`, in order.
+    pub fn iter_range(&self, rows: Range<usize>) -> impl ExactSizeIterator<Item = &str> + Clone {
+        self.offsets[rows.start..=rows.end]
+            .windows(2)
+            .map(|w| &self.bytes[w[0] as usize..w[1] as usize])
+    }
+
+    /// Append one value.
+    #[inline]
+    pub fn push(&mut self, value: &str) {
+        let end = advance(self.offsets[self.len()], value.len());
+        self.bytes.push_str(value);
+        self.offsets.push(end);
+    }
+
+    /// The values at `indices`, in that order (repeats and any order
+    /// allowed): one pass to size the buffer, one to fill it.
+    pub fn gather<I: Iterator<Item = usize> + Clone>(&self, indices: I) -> StrVec {
+        let (mut rows, mut bytes) = (0, 0);
+        for i in indices.clone() {
+            rows += 1;
+            bytes += self.get(i).len();
+        }
+        let mut out = StrVec::with_capacity(rows, bytes);
+        for i in indices {
+            out.push(self.get(i));
+        }
+        out
+    }
+
+    /// Append values `[start, end)` of `other`: one byte range, one offset
+    /// range rebased onto this buffer's end.
+    pub fn append_range(&mut self, other: &StrVec, start: usize, end: usize) {
+        let (from, to) = (other.offsets[start], other.offsets[end]);
+        let base = self.offsets[self.len()];
+        advance(base, (to - from) as usize);
+        self.bytes.push_str(&other.bytes[from as usize..to as usize]);
+        self.offsets.extend(other.offsets[start + 1..=end].iter().map(|&o| o - from + base));
+    }
+
+    /// The two regions, for the spill codec: the buffer and the `len + 1`
+    /// offsets into it.
+    pub(crate) fn parts(&self) -> (&str, &[u32]) {
+        (&self.bytes, &self.offsets)
+    }
+
+    /// Rebuild from the two regions as read from a file, trusting nothing:
+    /// the buffer must be UTF-8 and the offsets canonical — starting at 0,
+    /// ascending, ending at the buffer's length, each on a character
+    /// boundary.
+    pub(crate) fn from_parts(bytes: Vec<u8>, offsets: Vec<u32>) -> Result<StrVec> {
+        let invalid = |what: String| StorageError::Invalid(format!("string column: {what}"));
+        let bytes = String::from_utf8(bytes).map_err(|e| invalid(e.to_string()))?;
+        if offsets.first() != Some(&0) || offsets.last().map(|&o| o as usize) != Some(bytes.len()) {
+            return Err(invalid(format!("offsets do not span the {} byte buffer", bytes.len())));
+        }
+        let ascending = offsets.windows(2).all(|w| w[0] <= w[1]);
+        if !ascending || !offsets.iter().all(|&o| bytes.is_char_boundary(o as usize)) {
+            return Err(invalid("offsets are not ascending character boundaries".into()));
+        }
+        Ok(StrVec { bytes, offsets })
+    }
+}
+
+impl Index<usize> for StrVec {
+    type Output = str;
+    fn index(&self, i: usize) -> &str {
+        self.get(i)
+    }
+}
+
+impl<S: AsRef<str>> FromIterator<S> for StrVec {
+    fn from_iter<I: IntoIterator<Item = S>>(iter: I) -> StrVec {
+        let iter = iter.into_iter();
+        let mut out = StrVec::with_capacity(iter.size_hint().0, 0);
+        for s in iter {
+            out.push(s.as_ref());
+        }
+        out
+    }
+}
 
 /// A typed vector of values.
 #[derive(Debug, Clone, PartialEq)]
@@ -15,8 +185,8 @@ pub enum Column {
     I64 { values: Vec<i64>, logical: DataType },
     /// 64-bit floats.
     F64(Vec<f64>),
-    /// UTF-8 strings.
-    Str(Vec<String>),
+    /// UTF-8 strings, one buffer for all of them.
+    Str(StrVec),
 }
 
 impl Column {
@@ -25,7 +195,7 @@ impl Column {
         match dt {
             DataType::Int | DataType::Date => Column::I64 { values: Vec::new(), logical: dt },
             DataType::Float => Column::F64(Vec::new()),
-            DataType::Str => Column::Str(Vec::new()),
+            DataType::Str => Column::Str(StrVec::new()),
         }
     }
 
@@ -44,9 +214,10 @@ impl Column {
         Column::F64(values)
     }
 
-    /// String column.
+    /// String column from owned strings (a convenience for literals and
+    /// tests; bulk producers build a [`StrVec`] directly).
     pub fn from_strings(values: Vec<String>) -> Column {
-        Column::Str(values)
+        Column::Str(values.into_iter().collect())
     }
 
     /// Number of rows.
@@ -95,7 +266,7 @@ impl Column {
     }
 
     /// Borrow the string payload.
-    pub fn as_str(&self) -> Result<&[String]> {
+    pub fn as_str(&self) -> Result<&StrVec> {
         match self {
             Column::Str(values) => Ok(values),
             other => Err(StorageError::TypeMismatch {
@@ -111,7 +282,7 @@ impl Column {
             Column::I64 { values, logical: DataType::Date } => Datum::Date(values[row]),
             Column::I64 { values, .. } => Datum::Int(values[row]),
             Column::F64(values) => Datum::Float(values[row]),
-            Column::Str(values) => Datum::Str(values[row].clone()),
+            Column::Str(values) => Datum::Str(values[row].to_string()),
         }
     }
 
@@ -127,13 +298,13 @@ impl Column {
         self.gather_impl(indices.iter().map(|&i| i as usize))
     }
 
-    fn gather_impl<I: Iterator<Item = usize>>(&self, indices: I) -> Column {
+    fn gather_impl<I: Iterator<Item = usize> + Clone>(&self, indices: I) -> Column {
         match self {
             Column::I64 { values, logical } => {
                 Column::I64 { values: indices.map(|i| values[i]).collect(), logical: *logical }
             }
             Column::F64(values) => Column::F64(indices.map(|i| values[i]).collect()),
-            Column::Str(values) => Column::Str(indices.map(|i| values[i].clone()).collect()),
+            Column::Str(values) => Column::Str(values.gather(indices)),
         }
     }
 
@@ -150,25 +321,27 @@ impl Column {
                 Column::F64(values.iter().zip(keep).filter_map(|(v, &k)| k.then_some(*v)).collect())
             }
             Column::Str(values) => Column::Str(
-                values.iter().zip(keep).filter(|&(_, &k)| k).map(|(v, _)| v.clone()).collect(),
+                values.gather(keep.iter().enumerate().filter_map(|(i, &k)| k.then_some(i))),
             ),
         }
     }
 
     /// Copy rows `[start, end)` into a new column.
     pub fn slice(&self, start: usize, end: usize) -> Column {
-        match self {
-            Column::I64 { values, logical } => {
-                Column::I64 { values: values[start..end].to_vec(), logical: *logical }
-            }
-            Column::F64(values) => Column::F64(values[start..end].to_vec()),
-            Column::Str(values) => Column::Str(values[start..end].to_vec()),
-        }
+        let mut out = Column::empty(self.data_type());
+        out.append_range(self, start, end).expect("a column appends to its own type");
+        out
     }
 
     /// Append all rows of `other` (same *logical* type) to `self` —
     /// `Int` and `Date` share the `I64` representation but do not merge.
     pub fn append(&mut self, other: &Column) -> Result<()> {
+        self.append_range(other, 0, other.len())
+    }
+
+    /// Append rows `[start, end)` of `other` (same logical type) to `self`
+    /// without an intermediate slice.
+    pub fn append_range(&mut self, other: &Column, start: usize, end: usize) -> Result<()> {
         match (self, other) {
             (Column::I64 { values: a, logical: la }, Column::I64 { values: b, logical: lb }) => {
                 if la != lb {
@@ -177,15 +350,15 @@ impl Column {
                         actual: lb.name(),
                     });
                 }
-                a.extend_from_slice(b);
+                a.extend_from_slice(&b[start..end]);
                 Ok(())
             }
             (Column::F64(a), Column::F64(b)) => {
-                a.extend_from_slice(b);
+                a.extend_from_slice(&b[start..end]);
                 Ok(())
             }
             (Column::Str(a), Column::Str(b)) => {
-                a.extend_from_slice(b);
+                a.append_range(b, start, end);
                 Ok(())
             }
             (a, b) => Err(StorageError::TypeMismatch {
@@ -207,7 +380,7 @@ impl Column {
                 Ok(())
             }
             (Column::Str(values), Datum::Str(v)) => {
-                values.push(v);
+                values.push(&v);
                 Ok(())
             }
             (col, d) => Err(StorageError::TypeMismatch {
@@ -222,14 +395,8 @@ impl Column {
     pub fn avg_width(&self) -> f64 {
         match self {
             Column::I64 { .. } | Column::F64(_) => 8.0,
-            Column::Str(values) => {
-                if values.is_empty() {
-                    1.0
-                } else {
-                    let total: usize = values.iter().map(|s| s.len() + 1).sum();
-                    total as f64 / values.len() as f64
-                }
-            }
+            Column::Str(values) if values.is_empty() => 1.0,
+            Column::Str(values) => (values.byte_len() + values.len()) as f64 / values.len() as f64,
         }
     }
 }
@@ -249,7 +416,7 @@ impl ColumnBuilder {
                 Column::I64 { values: Vec::with_capacity(capacity), logical: dt }
             }
             DataType::Float => Column::F64(Vec::with_capacity(capacity)),
-            DataType::Str => Column::Str(Vec::with_capacity(capacity)),
+            DataType::Str => Column::Str(StrVec::with_capacity(capacity, 0)),
         };
         ColumnBuilder { column }
     }
@@ -271,7 +438,7 @@ impl ColumnBuilder {
     }
 
     /// Push a string.
-    pub fn push_str(&mut self, v: String) {
+    pub fn push_str(&mut self, v: &str) {
         match &mut self.column {
             Column::Str(values) => values.push(v),
             _ => panic!("push_str on non-string column"),
@@ -357,6 +524,35 @@ mod tests {
     fn slice_copies_range() {
         let c = Column::from_strings(vec!["a".into(), "b".into(), "c".into()]);
         assert_eq!(c.slice(1, 3), Column::from_strings(vec!["b".into(), "c".into()]));
+    }
+
+    #[test]
+    fn offsets_are_checked_never_wrapped() {
+        // A synthetic end offset near the top of the range: the last bytes
+        // that fit are accepted, one more is a panic, not a wrapped offset.
+        assert_eq!(advance(u32::MAX - 3, 3), u32::MAX);
+        assert!(std::panic::catch_unwind(|| advance(u32::MAX - 3, 4)).is_err());
+        assert!(std::panic::catch_unwind(|| advance(0, u32::MAX as usize + 1)).is_err());
+    }
+
+    #[test]
+    fn from_parts_accepts_only_the_canonical_form() {
+        let ok =
+            |bytes: &[u8], offsets: &[u32]| StrVec::from_parts(bytes.to_vec(), offsets.to_vec());
+        let v = ok("aéb".as_bytes(), &[0, 3, 4, 4]).unwrap();
+        assert_eq!(v.iter().collect::<Vec<_>>(), ["aé", "b", ""]);
+        assert_eq!(ok(b"", &[0]).unwrap(), StrVec::new());
+        for (bytes, offsets) in [
+            ("aéb".as_bytes(), &[0u32, 4, 3, 4][..]),    // not ascending
+            ("aéb".as_bytes(), &[0, 3, 4, 9]),           // past the buffer
+            ("aéb".as_bytes(), &[0, 3, 3]),              // short of the buffer
+            ("aéb".as_bytes(), &[1, 3, 4]),              // not from zero
+            ("aéb".as_bytes(), &[0, 2, 4]),              // inside the two-byte é
+            (&[b'a', 0xc3, 0x28, b'b'][..], &[0, 1, 4]), // not UTF-8
+            (b"", &[]),                                  // no offsets at all
+        ] {
+            assert!(matches!(ok(bytes, offsets), Err(StorageError::Invalid(_))), "{offsets:?}");
+        }
     }
 
     #[test]

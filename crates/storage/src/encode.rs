@@ -7,7 +7,9 @@
 //! MinMax metadata (the encodings share the same block grid):
 //!
 //! * [`BlockEncoding::DictStr`] — block-local **dictionary** for strings: the
-//!   sorted distinct values plus a bit-packed code vector. Equality/range
+//!   sorted distinct values (a [`StrVec`], like any string column) plus a
+//!   bit-packed code vector; decoding gathers the dictionary through the
+//!   codes straight into the output buffer, no `String` per row. Equality/range
 //!   predicates can be answered on codes after translating the constant once
 //!   per block; a constant absent from the dict kills the whole block.
 //! * [`BlockEncoding::ForI64`] — **frame-of-reference + bit-packing** for
@@ -37,21 +39,24 @@
 //! evaluate predicates on encoded data and still produce byte-identical
 //! query results (see `bdcc-exec`'s late-materialization scan kernels).
 //!
-//! # Gate
+//! # The build-time switch
 //!
 //! Tables are built with encodings unless [`set_encode_enabled`] turned
-//! them off — the process-wide switch the encoded-vs-raw equivalence
-//! suites and `compress_speedup` use to build the same table both ways
-//! (the scheme builders take no per-table option). A table built with the
+//! them off. That call is the whole mechanism: one process-wide
+//! `AtomicBool`, on by default, read once per table build
+//! ([`encode_enabled`]) and never from the environment — there is no
+//! variable to set. It exists for `tests/encode_equivalence.rs` and the
+//! `compress_speedup` bin, which build the same table both ways (the
+//! scheme builders take no per-table option). A table built with the
 //! switch off carries no encodings and its scans take the raw path.
 
 use std::sync::atomic::{AtomicBool, Ordering};
 
-use crate::column::Column;
+use crate::column::{Column, StrVec};
 use crate::value::DataType;
 
 // ---------------------------------------------------------------------------
-// Gate
+// The build-time switch
 // ---------------------------------------------------------------------------
 
 static ENCODE_ENABLED: AtomicBool = AtomicBool::new(true);
@@ -181,7 +186,7 @@ pub enum BlockEncoding {
     RleI64 { values: Vec<i64>, ends: Vec<u32> },
     /// Block-local dictionary: `dict` holds the sorted distinct strings,
     /// `codes[i]` indexes into it.
-    DictStr { dict: Vec<String>, codes: PackedInts },
+    DictStr { dict: StrVec, codes: PackedInts },
     /// Decimal-scaled frame-of-reference for floats:
     /// `value[i] = ((min + packed[i]) as f64) / scale`, bit-exact verified
     /// per value at build time.
@@ -230,8 +235,7 @@ impl BlockEncoding {
             }
             BlockEncoding::DictStr { dict, codes } => {
                 debug_assert_eq!(codes.len(), rows);
-                let values = (0..rows).map(|i| dict[codes.get(i) as usize].clone()).collect();
-                Some(Column::from_strings(values))
+                Some(Column::Str(dict.gather((0..rows).map(|i| codes.get(i) as usize))))
             }
             BlockEncoding::ForF64 { min, scale, packed } => {
                 debug_assert_eq!(packed.len(), rows);
@@ -250,10 +254,10 @@ fn packed_size(n: usize, width: u8, header: usize) -> usize {
     header + (n * width as usize).div_ceil(8)
 }
 
-/// Raw size estimate of a string slice: the same `len + 1` model
+/// Raw size estimate of the strings `values`: the same `len + 1` model
 /// `Column::avg_width` uses.
-fn raw_str_size(values: &[String]) -> usize {
-    values.iter().map(|s| s.len() + 1).sum()
+fn raw_str_size<'a>(values: impl Iterator<Item = &'a str>) -> usize {
+    values.map(|s| s.len() + 1).sum()
 }
 
 fn encode_i64_block(values: &[i64]) -> (BlockEncoding, usize) {
@@ -296,24 +300,24 @@ fn encode_i64_block(values: &[i64]) -> (BlockEncoding, usize) {
     }
 }
 
-fn encode_str_block(values: &[String]) -> (BlockEncoding, usize) {
-    let raw = raw_str_size(values);
-    let mut dict: Vec<&String> = values.iter().collect();
+/// Encode rows `[start, end)` of a string column; also returns the block's
+/// raw size.
+fn encode_str_block(values: &StrVec, start: usize, end: usize) -> (BlockEncoding, usize, usize) {
+    let block = || values.iter_range(start..end);
+    let raw = raw_str_size(block());
+    let mut dict: Vec<&str> = block().collect();
     dict.sort_unstable();
     dict.dedup();
     let width = PackedInts::bits_for(dict.len().saturating_sub(1) as u64);
     // Dict header: 4-byte entry count + the distinct strings themselves.
-    let dict_size =
-        packed_size(values.len(), width, 4 + dict.iter().map(|s| s.len() + 1).sum::<usize>());
+    let dict_size = packed_size(end - start, width, 4 + raw_str_size(dict.iter().copied()));
     if dict_size >= raw {
-        return (BlockEncoding::Raw, raw);
+        return (BlockEncoding::Raw, raw, raw);
     }
-    let codes: Vec<u64> = values
-        .iter()
-        .map(|v| dict.binary_search(&v).expect("value in its own dict") as u64)
-        .collect();
-    let dict: Vec<String> = dict.into_iter().cloned().collect();
-    (BlockEncoding::DictStr { dict, codes: PackedInts::pack(&codes, width) }, dict_size)
+    let codes: Vec<u64> =
+        block().map(|v| dict.binary_search(&v).expect("value in its own dict") as u64).collect();
+    let dict = dict.into_iter().collect();
+    (BlockEncoding::DictStr { dict, codes: PackedInts::pack(&codes, width) }, dict_size, raw)
 }
 
 /// Scale every value by `scale` to an integer, or `None` if any value does
@@ -413,11 +417,7 @@ impl ColumnEncoding {
                     let (enc, size) = encode_f64_block(&values[start..end]);
                     (enc, size, (end - start) * 8)
                 }
-                Column::Str(values) => {
-                    let slice = &values[start..end];
-                    let (enc, size) = encode_str_block(slice);
-                    (enc, size, raw_str_size(slice))
-                }
+                Column::Str(values) => encode_str_block(values, start, end),
             };
             any |= !matches!(enc, BlockEncoding::Raw);
             encoded_bytes += size as u64;
@@ -573,7 +573,7 @@ mod tests {
         let enc = ColumnEncoding::build(&col, 4096).expect("dict wins");
         match &enc.blocks[0] {
             BlockEncoding::DictStr { dict, codes } => {
-                assert_eq!(dict, &vec!["AIR", "RAIL", "SHIP", "TRUCK"]);
+                assert_eq!(dict.iter().collect::<Vec<_>>(), ["AIR", "RAIL", "SHIP", "TRUCK"]);
                 assert_eq!(codes.width(), 2);
             }
             other => panic!("expected dict, got {other:?}"),
@@ -636,11 +636,13 @@ mod tests {
     }
 
     #[test]
-    fn gate_override_wins_over_env() {
+    fn the_switch_turns_encoding_off_and_restores_the_default() {
         set_encode_enabled(Some(false));
         assert!(!encode_enabled());
         set_encode_enabled(Some(true));
         assert!(encode_enabled());
+        set_encode_enabled(Some(false));
         set_encode_enabled(None);
+        assert!(encode_enabled(), "`None` restores the default, on");
     }
 }

@@ -49,7 +49,7 @@ pub mod table;
 pub mod value;
 
 pub use block::{BlockStats, ColumnBlockStats, DEFAULT_BLOCK_ROWS};
-pub use column::{Column, ColumnBuilder};
+pub use column::{Column, ColumnBuilder, StrVec};
 pub use encode::{set_encode_enabled, BlockEncoding, ColumnEncoding, PackedInts};
 pub use error::{Result, StorageError};
 pub use io::{AccessKind, DeviceProfile, IoStats, IoTracker, PAGE_SIZE};

@@ -35,9 +35,13 @@ pub fn sort_permutation_multi(keys: &[&[i64]]) -> Vec<usize> {
     perm
 }
 
-/// Gather each column through `perm`, producing re-ordered columns.
-pub fn apply_permutation(columns: &[Column], perm: &[usize]) -> Vec<Column> {
-    columns.iter().map(|c| c.gather(perm)).collect()
+/// Gather each (borrowed) column through `perm`, producing re-ordered
+/// columns.
+pub fn apply_permutation<'a>(
+    columns: impl IntoIterator<Item = &'a Column>,
+    perm: &[usize],
+) -> Vec<Column> {
+    columns.into_iter().map(|c| c.gather(perm)).collect()
 }
 
 #[cfg(test)]
@@ -66,7 +70,7 @@ mod tests {
         let c1 = Column::from_i64(vec![30, 10, 20]);
         let c2 = Column::from_strings(vec!["c".into(), "a".into(), "b".into()]);
         let perm = sort_permutation(&[2, 0, 1]);
-        let out = apply_permutation(&[c1, c2], &perm);
+        let out = apply_permutation([&c1, &c2], &perm);
         assert_eq!(out[0], Column::from_i64(vec![10, 20, 30]));
         assert_eq!(out[1], Column::from_strings(vec!["a".into(), "b".into(), "c".into()]));
     }

@@ -19,6 +19,17 @@
 //!   encodings ([`PackedInts`], with a raw fallback for full-range
 //!   deltas), floats round-trip through their IEEE bit pattern (NaN
 //!   payloads included), strings byte-for-byte.
+//! * **A string column is two bulk regions**, the layout the column holds
+//!   in memory ([`StrVec`]): after the tag, the value count `n` and the
+//!   byte count `b` (both `u64`), come `n + 1` little-endian `u32`
+//!   offsets and then the `b` bytes of UTF-8 they index — written with
+//!   two `write_all`s, read with two `read_exact`s, no loop over values.
+//!   On read both counts are checked against the entry's row count and
+//!   the bytes the file still holds *before* either region is allocated,
+//!   and the regions are validated once (`StrVec::from_parts`: valid
+//!   UTF-8; offsets from 0, ascending, ending at `b`, each on a character
+//!   boundary) — a damaged file is a typed error, after which reading a
+//!   value is a plain slice.
 //! * **Order is preserved.** A [`SpillReader`] yields entries in write
 //!   order; nothing is reordered, deduplicated, or compacted.
 //! * **Spill I/O is metered.** Every byte written and every byte read
@@ -44,7 +55,7 @@ use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Mutex, OnceLock};
 
-use crate::column::Column;
+use crate::column::{Column, StrVec};
 use crate::encode::PackedInts;
 use crate::error::{Result, StorageError};
 use crate::io::IoTracker;
@@ -214,12 +225,14 @@ fn write_column<W: Write>(w: &mut CountingWriter<W>, col: &Column) -> Result<()>
             }
         }
         Column::Str(values) => {
+            // Two bulk regions, as the column holds them: the `len + 1`
+            // offsets, then the buffer they index.
+            let (bytes, offsets) = values.parts();
             w.u8(TAG_STR)?;
             w.u64(values.len() as u64)?;
-            for s in values {
-                w.u32(s.len() as u32)?;
-                w.put(s.as_bytes())?;
-            }
+            w.u64(bytes.len() as u64)?;
+            w.put(&offsets.iter().flat_map(|o| o.to_le_bytes()).collect::<Vec<u8>>())?;
+            w.put(bytes.as_bytes())?;
         }
     }
     Ok(())
@@ -285,17 +298,20 @@ fn read_column<R: Read>(r: &mut CountingReader<R>, rows: usize, left: u64) -> Re
         }
         TAG_STR => {
             check_len(r.u64()?, 4)?;
-            let mut values = Vec::with_capacity(rows);
-            for _ in 0..rows {
-                let bytes = r.u32()? as u64;
-                if bytes > left {
-                    return Err(corrupt(format_args!("string of {bytes} bytes")));
-                }
-                let mut buf = vec![0u8; bytes as usize];
-                r.take(&mut buf)?;
-                values.push(String::from_utf8(buf).map_err(corrupt)?);
+            let bytes = r.u64()?;
+            let offsets = (rows as u64 + 1) * 4;
+            if bytes.checked_add(offsets).is_none_or(|both| both > left) {
+                return Err(corrupt(format_args!("{bytes} string bytes, {left} left")));
             }
-            Ok(Column::Str(values))
+            let mut region = vec![0u8; offsets as usize];
+            r.take(&mut region)?;
+            let offsets = region
+                .chunks_exact(4)
+                .map(|c| u32::from_le_bytes(c.try_into().expect("4-byte chunk")))
+                .collect();
+            let mut region = vec![0u8; bytes as usize];
+            r.take(&mut region)?;
+            Ok(Column::Str(StrVec::from_parts(region, offsets).map_err(corrupt)?))
         }
         tag => Err(corrupt(format_args!("unknown column tag {tag}"))),
     }
@@ -647,6 +663,59 @@ mod tests {
             damaged[bit / 8] ^= 1 << (bit % 8);
         }
         assert!(rejected > 0, "header bits must be checked");
+    }
+
+    /// A one-column string entry as the writer lays it out — column count,
+    /// rows, tag, value count, byte count, offsets, bytes — with every
+    /// field under the caller's control.
+    fn str_entry(rows: u64, nbytes: u64, offsets: &[u32], bytes: &[u8]) -> Vec<u8> {
+        let mut out = 1u32.to_le_bytes().to_vec();
+        out.extend(rows.to_le_bytes());
+        out.push(TAG_STR);
+        out.extend(rows.to_le_bytes());
+        out.extend(nbytes.to_le_bytes());
+        out.extend(offsets.iter().flat_map(|o| o.to_le_bytes()));
+        out.extend(bytes);
+        out
+    }
+
+    #[test]
+    fn hostile_string_regions_are_typed_errors() {
+        let _spill = spill_test_guard();
+        let io = IoTracker::new();
+        let mut w = SpillWriter::create("test", &io).unwrap();
+        let good = Column::from_strings(vec!["aé".into(), "b".into(), "".into()]);
+        w.write_columns(std::slice::from_ref(&good)).unwrap();
+        let h = w.finish().unwrap();
+        let text = "aéb".as_bytes();
+        // The writer's layout is the one `str_entry` spells out.
+        let valid = str_entry(3, 4, &[0, 3, 4, 4], text);
+        assert_eq!(std::fs::read(&h.path).unwrap(), valid);
+        assert_eq!(h.open().unwrap().next_columns().unwrap().unwrap(), vec![good]);
+
+        let corrupt_cases: [(&str, Vec<u8>); 7] = [
+            ("offsets not ascending", str_entry(3, 4, &[0, 4, 3, 4], text)),
+            ("an offset past the buffer", str_entry(3, 4, &[0, 3, 4, 9], text)),
+            ("offsets not from zero", str_entry(3, 4, &[1, 3, 4, 4], text)),
+            ("an offset inside a character", str_entry(3, 4, &[0, 2, 4, 4], text)),
+            ("invalid UTF-8", str_entry(3, 4, &[0, 3, 4, 4], &[b'a', 0xc3, 0x28, b'b'])),
+            // Lengths no file of this size can back: rejected before any
+            // buffer of that size is asked for.
+            ("more bytes than the file holds", str_entry(3, 1 << 40, &[0, 3, 4, 4], text)),
+            ("a byte count that overflows", str_entry(3, u64::MAX, &[0, 3, 4, 4], text)),
+        ];
+        for (what, bytes) in corrupt_cases {
+            std::fs::write(&h.path, &bytes).unwrap();
+            match h.open().unwrap().next_columns() {
+                Err(StorageError::Io(msg)) => assert!(msg.contains("corrupt"), "{what}: {msg}"),
+                other => panic!("{what}: {other:?}"),
+            }
+        }
+        // A region cut short — inside the offsets, inside the bytes.
+        for cut in [valid.len() - 1, valid.len() - text.len() - 1, 30] {
+            std::fs::write(&h.path, &valid[..cut]).unwrap();
+            assert!(matches!(h.open().unwrap().next_columns(), Err(StorageError::Io(_))), "{cut}");
+        }
     }
 
     #[test]

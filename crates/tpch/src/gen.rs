@@ -94,8 +94,8 @@ fn gen_region(rng: &mut StdRng) -> (StoredTable, Vec<f64>) {
     let mut comment = ColumnBuilder::with_capacity(DataType::Str, n);
     for (i, r) in text::REGIONS.iter().enumerate() {
         key.push_i64(i as i64);
-        name.push_str(r.to_string());
-        comment.push_str(text::comment(rng, 3, 10));
+        name.push_str(r);
+        comment.push_str(&text::comment(rng, 3, 10));
     }
     let t = StoredTable::from_columns(
         "region",
@@ -117,9 +117,9 @@ fn gen_nation(rng: &mut StdRng) -> (StoredTable, Vec<f64>) {
     let mut comment = ColumnBuilder::with_capacity(DataType::Str, n);
     for (i, (nm, r)) in text::NATIONS.iter().enumerate() {
         key.push_i64(i as i64);
-        name.push_str(nm.to_string());
+        name.push_str(nm);
         region.push_i64(*r);
-        comment.push_str(text::comment(rng, 3, 10));
+        comment.push_str(&text::comment(rng, 3, 10));
     }
     let t = StoredTable::from_columns(
         "nation",
@@ -146,12 +146,12 @@ fn gen_supplier(cfg: &GenConfig, rng: &mut StdRng) -> (StoredTable, Vec<f64>) {
     for i in 1..=n as i64 {
         let nk = rng.random_range(0..25);
         key.push_i64(i);
-        name.push_str(format!("Supplier#{i:09}"));
-        addr.push_str(text::address(rng));
+        name.push_str(&format!("Supplier#{i:09}"));
+        addr.push_str(&text::address(rng));
         nation.push_i64(nk);
-        phone.push_str(text::phone(rng, nk));
+        phone.push_str(&text::phone(rng, nk));
         acctbal.push_f64((rng.random_range(-99_999..=999_999) as f64) / 100.0);
-        comment.push_str(text::comment(rng, 5, 12));
+        comment.push_str(&text::comment(rng, 5, 12));
     }
     let t = StoredTable::from_columns(
         "supplier",
@@ -182,13 +182,13 @@ fn gen_customer(cfg: &GenConfig, rng: &mut StdRng) -> (StoredTable, Vec<f64>) {
     for i in 1..=n as i64 {
         let nk = rng.random_range(0..25);
         key.push_i64(i);
-        name.push_str(format!("Customer#{i:09}"));
-        addr.push_str(text::address(rng));
+        name.push_str(&format!("Customer#{i:09}"));
+        addr.push_str(&text::address(rng));
         nation.push_i64(nk);
-        phone.push_str(text::phone(rng, nk));
+        phone.push_str(&text::phone(rng, nk));
         acctbal.push_f64((rng.random_range(-99_999..=999_999) as f64) / 100.0);
-        segment.push_str(text::SEGMENTS[rng.random_range(0..5usize)].to_string());
-        comment.push_str(text::comment(rng, 6, 16));
+        segment.push_str(text::SEGMENTS[rng.random_range(0..5usize)]);
+        comment.push_str(&text::comment(rng, 6, 16));
     }
     let t = StoredTable::from_columns(
         "customer",
@@ -228,16 +228,16 @@ fn gen_part(cfg: &GenConfig, rng: &mut StdRng) -> (StoredTable, Vec<f64>) {
     for i in 1..=n as i64 {
         let (m, b) = text::brand(rng);
         key.push_i64(i);
-        name.push_str(text::part_name(rng));
-        mfgr.push_str(format!("Manufacturer#{m}"));
-        brandc.push_str(b);
-        typec.push_str(text::part_type(rng));
+        name.push_str(&text::part_name(rng));
+        mfgr.push_str(&format!("Manufacturer#{m}"));
+        brandc.push_str(&b);
+        typec.push_str(&text::part_type(rng));
         size.push_i64(rng.random_range(1..=50));
-        container.push_str(text::container(rng));
+        container.push_str(&text::container(rng));
         let p = retail_price(i);
         price.push_f64(p);
         prices.push(p);
-        comment.push_str(text::comment(rng, 3, 8));
+        comment.push_str(&text::comment(rng, 3, 8));
     }
     let t = StoredTable::from_columns(
         "part",
@@ -272,7 +272,7 @@ fn gen_partsupp(cfg: &GenConfig, rng: &mut StdRng) -> (StoredTable, Vec<f64>) {
             sk.push_i64(supplier_of_part(p, i, suppliers));
             qty.push_i64(rng.random_range(1..=9_999));
             cost.push_f64((rng.random_range(100..=100_000) as f64) / 100.0);
-            comment.push_str(text::comment(rng, 4, 10));
+            comment.push_str(&text::comment(rng, 4, 10));
         }
     }
     let t = StoredTable::from_columns(
@@ -384,33 +384,30 @@ fn gen_orders_lineitem(
             l_price.push_f64(eprice);
             l_disc.push_f64(disc);
             l_tax.push_f64(tax);
-            l_rflag.push_str(rflag.to_string());
-            l_status.push_str(status.to_string());
+            l_rflag.push_str(rflag);
+            l_status.push_str(status);
             l_ship.push_i64(ship);
             l_commit.push_i64(commit);
             l_receipt.push_i64(receipt);
-            l_instruct.push_str(text::SHIP_INSTRUCTIONS[rng.random_range(0..4usize)].to_string());
-            l_mode.push_str(text::SHIP_MODES[rng.random_range(0..7usize)].to_string());
-            l_comment.push_str(text::comment(rng, 2, 6));
+            l_instruct.push_str(text::SHIP_INSTRUCTIONS[rng.random_range(0..4usize)]);
+            l_mode.push_str(text::SHIP_MODES[rng.random_range(0..7usize)]);
+            l_comment.push_str(&text::comment(rng, 2, 6));
         }
         o_key.push_i64(ok);
         o_cust.push_i64(ck);
-        o_status.push_str(
-            if all_f {
-                "F"
-            } else if all_o {
-                "O"
-            } else {
-                "P"
-            }
-            .to_string(),
-        );
+        o_status.push_str(if all_f {
+            "F"
+        } else if all_o {
+            "O"
+        } else {
+            "P"
+        });
         o_total.push_f64(total);
         o_date.push_i64(odate);
-        o_prio.push_str(text::PRIORITIES[rng.random_range(0..5usize)].to_string());
-        o_clerk.push_str(format!("Clerk#{:09}", rng.random_range(1..=clerks)));
+        o_prio.push_str(text::PRIORITIES[rng.random_range(0..5usize)]);
+        o_clerk.push_str(&format!("Clerk#{:09}", rng.random_range(1..=clerks)));
         o_shipprio.push_i64(0);
-        o_comment.push_str(text::comment(rng, 6, 18));
+        o_comment.push_str(&text::comment(rng, 6, 18));
     }
 
     let orders = StoredTable::from_columns(
@@ -588,13 +585,13 @@ mod tests {
         let db = tiny();
         let li = db.stored_by_name("lineitem").unwrap();
         let ship = li.column_by_name("l_shipdate").unwrap().as_i64().unwrap().to_vec();
-        let status = li.column_by_name("l_linestatus").unwrap().as_str().unwrap().to_vec();
-        let rflag = li.column_by_name("l_returnflag").unwrap().as_str().unwrap().to_vec();
+        let status = li.column_by_name("l_linestatus").unwrap().as_str().unwrap();
+        let rflag = li.column_by_name("l_returnflag").unwrap().as_str().unwrap();
         let receipt = li.column_by_name("l_receiptdate").unwrap().as_i64().unwrap().to_vec();
         let cutoff = current_date();
         for i in 0..ship.len() {
-            assert_eq!(status[i] == "O", ship[i] > cutoff);
-            assert_eq!(rflag[i] == "N", receipt[i] > cutoff);
+            assert_eq!(&status[i] == "O", ship[i] > cutoff);
+            assert_eq!(&rflag[i] == "N", receipt[i] > cutoff);
         }
     }
 

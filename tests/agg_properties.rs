@@ -258,7 +258,7 @@ proptest! {
         let (order, states) = reference(&rows, |r| (format!("s{}", r.1), r.0));
         assert_matches_reference(&s, 2, &order, &states, |b, i| {
             (
-                b.columns[0].as_str().unwrap()[i].clone(),
+                b.columns[0].as_str().unwrap()[i].to_string(),
                 b.columns[1].as_i64().unwrap()[i],
             )
         });

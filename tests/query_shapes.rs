@@ -34,7 +34,7 @@ fn query_results_have_expected_shapes() {
     let q1 = get(&results, 1);
     assert!(q1.rows() >= 3 && q1.rows() <= 6);
     assert_eq!(q1.arity(), 10);
-    let flags = q1.columns[0].as_str().unwrap();
+    let flags: Vec<&str> = q1.columns[0].as_str().unwrap().iter().collect();
     assert!(flags.windows(2).all(|w| w[0] <= w[1]));
     // avg_qty between 1 and 50 by construction.
     for &v in q1.columns[6].as_f64().unwrap() {
@@ -66,10 +66,10 @@ fn query_results_have_expected_shapes() {
     // Q7: only FRANCE/GERMANY pairs in 1995/1996.
     let q7 = get(&results, 7);
     for r in 0..q7.rows() {
-        let supp = q7.columns[0].as_str().unwrap()[r].clone();
-        let cust = q7.columns[1].as_str().unwrap()[r].clone();
+        let supp = &q7.columns[0].as_str().unwrap()[r];
+        let cust = &q7.columns[1].as_str().unwrap()[r];
         assert_ne!(supp, cust);
-        assert!(["FRANCE", "GERMANY"].contains(&supp.as_str()));
+        assert!(["FRANCE", "GERMANY"].contains(&supp));
         let year = q7.columns[2].as_i64().unwrap()[r];
         assert!((1995..=1996).contains(&year));
     }
@@ -127,15 +127,15 @@ fn query_results_have_expected_shapes() {
     let q21 = get(&results, 21);
     let w = q21.columns[1].as_i64().unwrap();
     assert!(w.windows(2).all(|a| a[0] >= a[1]));
-    for s in q21.columns[0].as_str().unwrap() {
+    for s in q21.columns[0].as_str().unwrap().iter() {
         assert!(s.starts_with("Supplier#"));
     }
 
     // Q22: country codes from the fixed list, positive balances.
     let q22 = get(&results, 22);
     for r in 0..q22.rows() {
-        let code = q22.columns[0].as_str().unwrap()[r].clone();
-        assert!(["13", "31", "23", "29", "30", "18", "17"].contains(&code.as_str()));
+        let code = &q22.columns[0].as_str().unwrap()[r];
+        assert!(["13", "31", "23", "29", "30", "18", "17"].contains(&code));
         assert!(q22.columns[2].as_f64().unwrap()[r] > 0.0);
     }
 }
