@@ -35,6 +35,16 @@
 //! fast path — followed by one avalanche multiply so that the *low* bits
 //! (bucket index) and the *high* bits (partition index) are both usable.
 //!
+//! ## Single-key probes
+//!
+//! One `i64` key against an unpartitioned index (entry == build row) is the
+//! common probe shape and takes two passes, with no packed key, slice
+//! compare or partition routing per row: every row's chain head, keeping
+//! rows whose bucket is occupied without a branch (a big side streamed past
+//! a small table finds half its buckets empty, which mispredicts on every
+//! other row when fused with the chain walk), then those chains in row order
+//! — the generic loop's chains, so the same matches in the same order.
+//!
 //! ## Parallel partitioned build
 //!
 //! [`JoinIndex::build`] with a [`ParallelConfig`] splits the build input
@@ -396,11 +406,40 @@ impl JoinIndex {
         self.table_for(h).contains(h, key)
     }
 
+    /// The single-key probe (see the module docs): for one `i64` key column
+    /// against an unpartitioned index, call `hit(row, build row)` for the
+    /// matches of every row of `range`, in probe order, moving on to the
+    /// next row when it returns `false`. `false` for any other shape.
+    fn probe_single_key(
+        &self,
+        key_cols: &[&[i64]],
+        range: std::ops::Range<usize>,
+        mut hit: impl FnMut(usize, u32) -> bool,
+    ) -> bool {
+        let ([table], [col]) = (self.tables.as_slice(), key_cols) else { return false };
+        if table.rows.is_some() {
+            return false;
+        }
+        // Branch-free: `n` only advances past a row whose bucket is occupied.
+        let mut heads = vec![(0, EMPTY); range.len() + 1];
+        let mut n = 0;
+        for row in range {
+            heads[n] = (row, table.buckets[(hash_key(&[col[row]]) & table.mask) as usize]);
+            n += (heads[n].1 != EMPTY) as usize;
+        }
+        for &(row, mut e) in &heads[..n] {
+            while e != EMPTY && (table.keys[e as usize] != col[row] || hit(row, e)) {
+                e = table.next[e as usize];
+            }
+        }
+        true
+    }
+
     /// Collect every `(probe row, build row)` match pair for rows
     /// `range` of the probe key columns, in probe-row order (build rows
     /// ascending within a probe row) — the order a serial probe loop
-    /// yields. One reusable key buffer; no other allocations beyond the
-    /// output lists.
+    /// yields. One reusable key buffer (or chain-head list); no other
+    /// allocations beyond the output lists.
     pub fn probe_pairs(
         &self,
         key_cols: &[&[i64]],
@@ -408,6 +447,14 @@ impl JoinIndex {
         lidx: &mut Vec<usize>,
         ridx: &mut Vec<u32>,
     ) {
+        let pair = |row, e| {
+            lidx.push(row);
+            ridx.push(e);
+            true
+        };
+        if self.probe_single_key(key_cols, range.clone(), pair) {
+            return;
+        }
         let mut key = Vec::with_capacity(key_cols.len());
         for row in range {
             key.clear();
@@ -429,6 +476,13 @@ impl JoinIndex {
         range: std::ops::Range<usize>,
         lidx: &mut Vec<usize>,
     ) {
+        let first = |row, _| {
+            lidx.push(row);
+            false
+        };
+        if self.probe_single_key(key_cols, range.clone(), first) {
+            return;
+        }
         let mut key = Vec::with_capacity(key_cols.len());
         for row in range {
             key.clear();

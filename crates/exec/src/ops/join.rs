@@ -1,17 +1,32 @@
 //! Hash join (inner, left-outer, semi, anti) with optional residual
 //! predicate.
 //!
-//! The build side is the **right** child, fully materialized and indexed
-//! by an allocation-free flat [`JoinIndex`] keyed on the integer join
-//! columns; its size is registered with the memory tracker — this is the
-//! memory the sandwich variant saves (Figure 3). Under a
-//! [`ParallelConfig`] the index build is hash-partitioned across workers
-//! (see [`crate::parallel::partition`]) and the **probe** fans out too:
-//! rounds of left batches split into row-range probe morsels, workers run
-//! the probe kernel over the shared immutable index, and per-morsel match
-//! lists concatenate in morsel order — both byte-identical to serial.
-//! Semi/Anti probes without a residual use a first-hit existence probe
-//! and never gather pair columns.
+//! One side is fully materialized and indexed by an allocation-free flat
+//! [`JoinIndex`] keyed on the integer join columns; its size is registered
+//! with the memory tracker — this is the memory the sandwich variant saves
+//! (Figure 3). Inner and left-outer joins index the **right** child, as
+//! written: their output can be as large as the right side, so a flipped
+//! join would have to hold matched right rows until the left has ended.
+//! **Semi / anti** joins emit a subset of their left rows in left order
+//! whichever side is indexed, so they decide while running: they pull from
+//! whichever child has produced fewer rows until one ends, and index that
+//! one — no estimate; the loser has buffered at most the winner's rows plus
+//! a batch, so the join holds O(2 · min(left, right)). If the right ends
+//! first the buffered left batches are the first probe rounds. If the left
+//! ends first every right batch probes the indexed left (`flipped`) to mark
+//! the left rows it matches, and each original left batch is emitted
+//! filtered by its marks — the rows, order and batch boundaries of the
+//! right build. Under an active broker the race registers what it buffers,
+//! and a pending batch over the high-water mark — the very first under
+//! `BDCC_SPILL=force` — sends it to the spilled right build.
+//!
+//! Under a [`ParallelConfig`] the index build is hash-partitioned across
+//! workers (see [`crate::parallel::partition`]) and the **probe** fans out
+//! too: rounds of probe batches split into row-range probe morsels,
+//! workers run the probe kernel over the shared immutable index, and
+//! per-morsel match lists concatenate in morsel order — both
+//! byte-identical to serial. Semi/Anti probes of a right build without a
+//! residual use a first-hit existence probe and never gather pair columns.
 //! Left-outer joins emit unmatched left rows with defaulted right columns
 //! plus a `__matched` 0/1 column (the engine has no NULLs;
 //! `COUNT(right.col)` compiles to `SUM(__matched)`).
@@ -59,7 +74,7 @@ pub const MATCHED_COLUMN: &str = "__matched";
 struct BuildSide {
     columns: Vec<Column>,
     index: JoinIndex,
-    _mem: MemoryGuard,
+    mem: MemoryGuard,
 }
 
 impl BuildSide {
@@ -78,7 +93,7 @@ impl BuildSide {
             .collect::<std::result::Result<_, _>>()?;
         let index = JoinIndex::build(&key_cols, cfg)?;
         let mem = tracker.register(payload.estimated_bytes() + index.estimated_bytes());
-        Ok(BuildSide { columns: payload.columns, index, _mem: mem })
+        Ok(BuildSide { columns: payload.columns, index, mem })
     }
 }
 
@@ -112,6 +127,8 @@ pub struct HashJoin {
     /// probe morsels across workers. One thread (the default) is the
     /// serial join.
     parallel: ParallelConfig,
+    /// Batches of the probing side the race buffered: the first rounds.
+    pending: VecDeque<Batch>,
     /// Probed-but-unemitted output batches (a parallel probe round
     /// produces one output batch per probed left batch).
     out: VecDeque<Batch>,
@@ -178,6 +195,7 @@ impl HashJoin {
             broker: MemoryBroker::none(),
             spill_io: IoTracker::new(),
             parallel: ParallelConfig::with_threads(1),
+            pending: VecDeque::new(),
             out: VecDeque::new(),
             metrics: None,
             governor: Governor::none(),
@@ -224,68 +242,122 @@ impl HashJoin {
             return Ok(());
         }
         let mut right = self.right.take().expect("build side consumed once");
+        // Semi / anti joins race their children (module docs); for the
+        // others this loop only ever pulls the right.
+        let races = !emits_right(self.join_type);
         let mut payload = self.empty_build();
-        // Under an active broker the accumulating payload is registered as
-        // it drains so pressure is visible; the moment a pending batch
-        // would push tracked memory past the high-water mark, the build
-        // switches to the partitioned spill drain (`join_spill`). An
-        // inactive broker never fires and this loop is the unchanged
-        // in-memory drain.
+        let (mut lrows, mut lbytes) = (0usize, 0u64);
+        // Under an active broker what the drain holds is registered as it
+        // arrives so pressure is visible; the moment a pending batch would
+        // push tracked memory past the high-water mark, the build switches
+        // to the partitioned spill drain (`join_spill`) over the right rows
+        // so far. An inactive broker never fires.
         let mut drain_mem = self.broker.is_active().then(|| self.tracker.register(0));
-        while let Some(batch) = right.next()? {
+        let left_ended = loop {
+            let pull_left = races && lrows < payload.rows();
+            let pulled = if pull_left { self.left.next()? } else { right.next()? };
+            let Some(batch) = pulled else { break pull_left };
             if self.broker.should_spill(batch.estimated_bytes()) {
                 // The partitions register what they hold from here on.
                 drop(drain_mem);
-                let spilled = self.build_spilled(right, payload, batch)?;
+                // (A left batch that trips it is the first probe round.)
+                let (first, held) =
+                    if pull_left { (self.empty_build(), Some(batch)) } else { (batch, None) };
+                self.pending.extend(held);
+                let spilled = self.build_spilled(right, payload, first)?;
                 self.build = Some(Build::Spilled(spilled));
                 return Ok(());
             }
-            payload.append(&batch)?;
+            if pull_left {
+                lrows += batch.rows();
+                lbytes += batch.estimated_bytes();
+                self.pending.push_back(batch);
+            } else {
+                payload.append(&batch)?;
+            }
             if let Some(g) = &mut drain_mem {
-                g.resize(payload.estimated_bytes());
+                g.resize(payload.estimated_bytes() + lbytes);
+            }
+        };
+        drop(drain_mem);
+        if let (true, Some(m)) = (races, &self.metrics) {
+            m.annotate("race", format!("left={lrows} right={}", payload.rows()));
+        }
+        if !left_ended {
+            let side = BuildSide::index(payload, &self.right_keys, &self.parallel, &self.tracker)?;
+            self.annotate_build("right", &side);
+            self.build = Some(Build::Mem(side));
+            return Ok(());
+        }
+        let batch_rows: Vec<u32> = self.pending.iter().map(|b| b.rows() as u32).collect();
+        let mut left = Batch::new(self.schema.iter().map(|m| Column::empty(m.data_type)).collect());
+        self.pending.drain(..).try_for_each(|b| left.append(&b))?;
+        let mut side = BuildSide::index(left, &self.left_keys, &self.parallel, &self.tracker)?;
+        side.mem.grow(lrows as u64);
+        self.annotate_build("left", &side);
+        let mut marks = vec![false; lrows];
+        self.pending.push_back(payload);
+        self.right = Some(right);
+        let mut streamed = 0usize;
+        loop {
+            let round = self.fill_round()?;
+            if round.is_empty() {
+                break;
+            }
+            self.governor.check("probe-round")?;
+            streamed += round.iter().map(Batch::rows).sum::<usize>();
+            for (_, (_, matched)) in self.probe_pieces(&round, &side, true)? {
+                matched.into_iter().for_each(|l| marks[l as usize] = true);
             }
         }
-        drop(drain_mem);
-        let side = BuildSide::index(payload, &self.right_keys, &self.parallel, &self.tracker)?;
         if let Some(m) = &self.metrics {
-            let rows = side.columns.first().map_or(0, |c| c.len());
-            m.annotate("build_rows", rows.to_string());
-            m.annotate(
-                "build",
-                match side.index.partition_count() {
-                    1 => "single".to_string(),
-                    n => format!("partitioned({n})"),
-                },
-            );
+            m.annotate("streamed", streamed.to_string());
         }
-        self.build = Some(Build::Mem(side));
+        let (semi, mut at) = (self.join_type == JoinType::Semi, 0u32);
+        for rows in batch_rows {
+            let keep: Vec<u32> = (at..at + rows).filter(|&r| marks[r as usize] == semi).collect();
+            let kept = side.columns.iter().map(|c| c.gather_u32(&keep)).collect();
+            self.out.push_back(Batch::new(kept));
+            at += rows;
+        }
+        self.build = Some(Build::Left);
         Ok(())
+    }
+
+    /// The join slice of the decision log: the side indexed and its rows
+    /// (`race`: where a semi / anti join's children stood when one ended).
+    fn annotate_build(&self, which: &str, side: &BuildSide) {
+        let Some(m) = &self.metrics else { return };
+        let rows = side.index.len();
+        m.annotate("build_rows", rows.to_string());
+        m.annotate("build", format!("{which}({rows})"));
     }
 }
 
 impl HashJoin {
-    /// Pull the next round of probe batches from the left child: exactly
-    /// one batch for a serial probe (the unchanged one-batch-at-a-time
-    /// pipeline), or roughly `threads × morsel_rows` rows for a parallel
-    /// probe — enough work for the fan-out while keeping probe-side
-    /// buffering O(threads × morsel).
+    /// Pull the next round of probe batches — what the race buffered
+    /// first, then the probing child (the right one, still held, past a
+    /// left build): exactly one batch for a serial probe (the
+    /// one-batch-at-a-time pipeline), or roughly `threads × morsel_rows`
+    /// rows for a parallel probe — enough work for the fan-out while
+    /// keeping probe-side buffering O(threads × morsel).
     fn fill_round(&mut self) -> Result<Vec<Batch>> {
         let cfg = &self.parallel;
-        let mut target = if cfg.threads > 1 { cfg.threads * cfg.morsel_rows } else { 0 };
+        let mut target = if cfg.threads > 1 { cfg.threads * cfg.morsel_rows } else { 1 };
         if matches!(self.build, Some(Build::Spilled(_))) {
             // A spilled build restores every file leaf once per round:
             // bigger rounds amortize the restores while probe-side
             // buffering stays bounded.
             target = target.max(8192);
         }
+        let child = self.right.as_mut().unwrap_or(&mut self.left);
         let mut round = Vec::new();
         let mut rows = 0usize;
-        while let Some(b) = self.left.next()? {
+        while rows < target {
+            let next = self.pending.pop_front().map_or_else(|| child.next(), |b| Ok(Some(b)))?;
+            let Some(b) = next else { break };
             rows += b.rows();
             round.push(b);
-            if rows >= target.max(1) {
-                break;
-            }
         }
         Ok(round)
     }
@@ -296,88 +368,36 @@ impl HashJoin {
     /// and the per-batch output assembly (the column gathers) fans out as
     /// pool tasks as well, appending outputs in batch order — so each
     /// batch's output is byte-identical to the serial probe's.
-    fn probe_round(&self, round: &[Batch]) -> Result<Vec<Batch>> {
+    fn probe_round(&self, round: Vec<Batch>) -> Result<Vec<Batch>> {
         self.governor.check("probe-round")?;
         let build = match self.build.as_ref().expect("built") {
             Build::Mem(b) => b,
-            Build::Spilled(s) => return self.probe_round_spilled(s, round),
+            Build::Spilled(s) => return self.probe_round_spilled(s, &round),
+            Build::Left => unreachable!("a left build probes inside `build_side`"),
         };
-        let total: usize = round.iter().map(|b| b.rows()).sum();
         let cfg = &self.parallel;
-        if !cfg.worth_splitting(total) {
-            return round
-                .iter()
-                .map(|batch| {
-                    let (lidx, ridx) = probe_range(
-                        batch,
-                        build,
-                        &self.left_keys,
-                        self.join_type,
-                        self.residual.as_ref(),
-                        0..batch.rows(),
-                    )?;
-                    let right = gather_pairs(build, self.join_type, &ridx);
-                    finish_batch(batch, self.join_type, &self.right_types, &lidx, right)
-                })
-                .collect();
-        }
-        // Batch-major (batch, row range) probe pieces, coalesced into
-        // tasks of roughly one morsel of rows: a run of tiny batches (a
-        // selective filter upstream) shares one task instead of paying a
-        // queue op and a fan-out slot per batch.
-        let mut tasks: Vec<Vec<(usize, Range<usize>)>> = Vec::new();
-        let mut cur: Vec<(usize, Range<usize>)> = Vec::new();
-        let mut cur_rows = 0usize;
-        for (bi, batch) in round.iter().enumerate() {
-            for r in split_rows(batch.rows(), cfg.morsel_rows) {
-                cur_rows += r.len();
-                cur.push((bi, r));
-                if cur_rows >= cfg.morsel_rows {
-                    tasks.push(std::mem::take(&mut cur));
-                    cur_rows = 0;
+        let mut pieces = self.probe_pieces(&round, build, false)?.into_iter().peekable();
+        if !cfg.worth_splitting(round.iter().map(|b| b.rows()).sum()) {
+            let finish = |(mut left, (_, (lidx, ridx))): (Batch, ProbePiece)| {
+                let right = gather_pairs(build, self.join_type, &ridx);
+                // Every row matched exactly once, in order (a foreign key
+                // to an unfiltered table): the left columns pass through.
+                if self.join_type == JoinType::Inner && lidx.iter().copied().eq(0..left.rows()) {
+                    left.columns.extend(right);
+                    return Ok(left);
                 }
-            }
+                finish_batch(&left, self.join_type, &self.right_types, &lidx, right)
+            };
+            return round.into_iter().zip(pieces).map(finish).collect();
         }
-        if !cur.is_empty() {
-            tasks.push(cur);
-        }
-        // Capture only `Sync` plan data, not `self` (the child operators
-        // are not shareable).
-        let (left_keys, join_type) = (&self.left_keys, self.join_type);
-        let residual = self.residual.as_ref();
-        let metrics = self.metrics.as_ref();
-        let per: Vec<Vec<ProbePiece>> =
-            pool::run_tasks_labeled(cfg.threads, tasks.len(), "join-probe", |t| {
-                let span = metrics.map(|_| SpanTimer::start());
-                let pieces: Result<Vec<ProbePiece>> = tasks[t]
-                    .iter()
-                    .map(|(bi, range)| {
-                        let lists = probe_range(
-                            &round[*bi],
-                            build,
-                            left_keys,
-                            join_type,
-                            residual,
-                            range.clone(),
-                        )?;
-                        Ok((*bi, lists))
-                    })
-                    .collect();
-                if let (Some(m), Some(span)) = (metrics, span) {
-                    m.morsels.add(1);
-                    m.morsel_rows.add(tasks[t].iter().map(|(_, r)| r.len() as u64).sum());
-                    m.morsel_nanos.record(span.elapsed_nanos());
-                }
-                pieces
-            })?;
-        // Pieces flatten back in batch-major, range-ascending order
-        // whatever the task boundaries were; group them per batch, then
+        let round = &round;
+        // Pieces come back in batch-major, range-ascending order whatever
+        // the task boundaries were; group them per batch, then
         // fan the per-batch output assembly (match-list concat + column
         // gathers) out as pool tasks too — the gathers are the dominant
         // cost of a residual-free inner join round, and each batch's
         // assembly is independent. `run_tasks` returns in batch order, so
         // the appended outputs are byte-identical to the serial probe's.
-        let mut pieces = per.into_iter().flatten().peekable();
         let mut grouped: Vec<Mutex<Vec<MatchLists>>> = Vec::with_capacity(round.len());
         for bi in 0..round.len() {
             let mut lists = Vec::new();
@@ -402,6 +422,65 @@ impl HashJoin {
             )
         })
     }
+
+    /// The probe kernel over a whole round, as pieces in batch-major,
+    /// range-ascending order: one piece per batch serially, or — for a
+    /// big-enough round under a parallel config — `(batch, row range)`
+    /// probe morsels fanned out across workers (`flipped`: right batches
+    /// against an indexed left side, see [`probe_range`]).
+    fn probe_pieces(
+        &self,
+        round: &[Batch],
+        build: &BuildSide,
+        flipped: bool,
+    ) -> Result<Vec<ProbePiece>> {
+        let cfg = &self.parallel;
+        let probe_keys = if flipped { &self.right_keys } else { &self.left_keys };
+        let (join_type, residual) = (self.join_type, self.residual.as_ref());
+        let probe = |bi: usize, range: Range<usize>| {
+            probe_range(&round[bi], build, probe_keys, join_type, residual, range, flipped)
+                .map(|lists| (bi, lists))
+        };
+        if !cfg.worth_splitting(round.iter().map(|b| b.rows()).sum()) {
+            return (0..round.len()).map(|bi| probe(bi, 0..round[bi].rows())).collect();
+        }
+        // Batch-major (batch, row range) probe pieces, coalesced into
+        // tasks of roughly one morsel of rows: a run of tiny batches (a
+        // selective filter upstream) shares one task instead of paying a
+        // queue op and a fan-out slot per batch.
+        let mut tasks: Vec<Vec<(usize, Range<usize>)>> = Vec::new();
+        let mut cur: Vec<(usize, Range<usize>)> = Vec::new();
+        let mut cur_rows = 0usize;
+        for (bi, batch) in round.iter().enumerate() {
+            for r in split_rows(batch.rows(), cfg.morsel_rows) {
+                cur_rows += r.len();
+                cur.push((bi, r));
+                if cur_rows >= cfg.morsel_rows {
+                    tasks.push(std::mem::take(&mut cur));
+                    cur_rows = 0;
+                }
+            }
+        }
+        if !cur.is_empty() {
+            tasks.push(cur);
+        }
+        // The closure captures only `Sync` plan data, not `self` (the
+        // child operators are not shareable).
+        let metrics = self.metrics.as_ref();
+        let per: Vec<Vec<ProbePiece>> =
+            pool::run_tasks_labeled(cfg.threads, tasks.len(), "join-probe", |t| {
+                let span = metrics.map(|_| SpanTimer::start());
+                let pieces: Result<Vec<ProbePiece>> =
+                    tasks[t].iter().map(|(bi, range)| probe(*bi, range.clone())).collect();
+                if let (Some(m), Some(span)) = (metrics, span) {
+                    m.morsels.add(1);
+                    m.morsel_rows.add(tasks[t].iter().map(|(_, r)| r.len() as u64).sum());
+                    m.morsel_nanos.record(span.elapsed_nanos());
+                }
+                pieces
+            })?;
+        Ok(per.into_iter().flatten().collect())
+    }
 }
 
 impl Operator for HashJoin {
@@ -417,14 +496,17 @@ impl Operator for HashJoin {
                     return Ok(Some(b));
                 }
             }
-            let round = self.fill_round()?;
+            let round = match self.build {
+                Some(Build::Left) => Vec::new(),
+                _ => self.fill_round()?,
+            };
             if round.is_empty() {
                 if let (Some(pf), Some(m)) = (&self.residual, &self.metrics) {
                     pf.annotate(m);
                 }
                 return Ok(None);
             }
-            let outs = self.probe_round(&round)?;
+            let outs = self.probe_round(round)?;
             self.out.extend(outs);
         }
     }
@@ -444,26 +526,31 @@ fn needs_pairs(join_type: JoinType, has_residual: bool) -> bool {
     !matches!(join_type, JoinType::Semi | JoinType::Anti) || has_residual
 }
 
-/// Probe rows `range` of `left` against the build index and return the
-/// match lists with the residual already applied — the per-morsel probe
-/// kernel (also the whole-batch kernel when `range` spans the batch).
+/// Probe rows `range` of `probe` against the build index and return the
+/// match lists `(probe rows, build rows)` with the residual already
+/// applied — the per-morsel probe kernel (also the whole-batch kernel when
+/// `range` spans the batch). `flipped`: the build is the join's **left**
+/// side and `probe` a right batch — the residual reads its pair-schema
+/// columns from the swapped sides and every matching build row is listed.
 ///
-/// Semi/Anti without a residual take the existence fast path: a first-hit
-/// [`JoinIndex::has_match`] per row, no pair lists and **no column
-/// gathers** — `ridx` comes back empty and `lidx` lists the matched rows.
+/// Otherwise Semi/Anti without a residual take the existence fast path: a
+/// first-hit [`JoinIndex::has_match`] per row, no pair lists and **no
+/// column gathers** — `ridx` comes back empty and `lidx` lists the matched
+/// rows.
 fn probe_range(
-    left: &Batch,
+    probe: &Batch,
     build: &BuildSide,
-    left_keys: &[usize],
+    probe_keys: &[usize],
     join_type: JoinType,
     residual: Option<&PairFilter>,
     range: Range<usize>,
+    flipped: bool,
 ) -> Result<(Vec<usize>, Vec<u32>)> {
-    let key_cols: Vec<&[i64]> = left_keys
+    let key_cols: Vec<&[i64]> = probe_keys
         .iter()
-        .map(|&k| left.columns[k].as_i64())
+        .map(|&k| probe.columns[k].as_i64())
         .collect::<std::result::Result<_, _>>()?;
-    if !needs_pairs(join_type, residual.is_some()) {
+    if !flipped && !needs_pairs(join_type, residual.is_some()) {
         let mut lidx = Vec::new();
         build.index.probe_exists(&key_cols, range, &mut lidx);
         return Ok((lidx, Vec::new()));
@@ -474,13 +561,15 @@ fn probe_range(
     if let Some(pf) = residual {
         // Only the residual's referenced columns are gathered for the
         // candidate pairs of this morsel, and the match lists shrink
-        // before the output gathers. Survivors keep probe order.
-        let left_arity = left.arity();
+        // before the output gathers. Survivors keep probe order. The pair
+        // schema is (left ++ right) whichever side probes.
+        let (probe_base, build_base) =
+            if flipped { (build.columns.len(), 0) } else { (0, probe.arity()) };
         let sel = pf.select_pairs(lidx.len(), |c| {
-            Ok(if c < left_arity {
-                left.columns[c].gather(&lidx)
+            Ok(if (probe_base..probe_base + probe.arity()).contains(&c) {
+                probe.columns[c - probe_base].gather(&lidx)
             } else {
-                build.columns[c - left_arity].gather_u32(&ridx)
+                build.columns[c - build_base].gather_u32(&ridx)
             })
         })?;
         if let SelVec::Rows(rows) = sel {
@@ -619,6 +708,27 @@ mod tests {
         assert_eq!(&out.columns[3].as_str().unwrap()[0], "alice");
         assert!(t.peak() > 0, "build side must be tracked");
         assert_eq!(t.current(), 0, "memory released after drop");
+    }
+
+    #[test]
+    fn inner_join_passes_fully_matched_left_batches_through() {
+        // Every row of the first left batch matches exactly one right row
+        // (left columns reused); the second holds a row without a match
+        // (gathered). Same output as a gather either way.
+        let left = vec![(10, 1), (20, 2), (10, 3), (30, 4), (20, 5), (40, 6)];
+        let right = vec![(10, 100), (20, 200), (30, 300)];
+        let j = HashJoin::new(
+            Box::new(Chunked::new(&left, ("lk", "lv"), 3)),
+            Box::new(Chunked::new(&right, ("rk", "rv"), 2)),
+            &[("lk", "rk")],
+            JoinType::Inner,
+            None,
+            MemoryTracker::new(),
+        )
+        .unwrap();
+        let out = collect(Box::new(j)).unwrap();
+        assert_eq!(out.columns[1].as_i64().unwrap(), &[1, 2, 3, 4, 5]);
+        assert_eq!(out.columns[3].as_i64().unwrap(), &[100, 200, 100, 300, 200]);
     }
 
     #[test]

@@ -38,6 +38,8 @@ const JOIN_BITS: u32 = 4;
 pub(super) enum Build {
     Mem(BuildSide),
     Spilled(SpilledBuild),
+    /// Semi / anti, the left ended first: `build_side` did all of it.
+    Left,
 }
 
 /// A finalized spilled build: a flat list of leaves, each small enough to
@@ -149,6 +151,7 @@ impl HashJoin {
                     self.join_type,
                     self.residual.as_ref(),
                     0..batch.rows(),
+                    false,
                 )?;
                 if !lidx.is_empty() {
                     let right = gather_pairs(side, self.join_type, &ridx);

@@ -113,6 +113,24 @@ fn join_heavy() -> Node {
     )
 }
 
+/// A semi join whose left side (512 customers) ends long before its right
+/// (20 000 orders): in memory it indexes the customers and streams the
+/// orders past them; under an active broker the first pending batch sends
+/// it through the spilled right build instead — same rows either way.
+fn semi_heavy() -> Node {
+    let b = PlanBuilder::new();
+    let customer = b.scan("customer", &["c_key", "c_nation", "c_score"], vec![]);
+    let orders = b.scan("orders", &["o_cust", "o_amount", "o_day"], vec![]);
+    join_full(
+        customer,
+        orders,
+        &[("c_key", "o_cust")],
+        JoinType::Semi,
+        None,
+        Some(Expr::col("o_amount").ge(Expr::col("c_score").add(Expr::lit(880)))),
+    )
+}
+
 /// Fine-grained aggregation: one group per order row — the radix
 /// aggregate's sweet spot, and all 20 000 groups must survive spilling.
 fn fine_agg() -> Node {
@@ -150,7 +168,9 @@ fn spill_modes_are_byte_identical_across_schemes_and_threads() {
     let _spill = spill_test_guard();
     let schemes = schemes();
     let base_files = live_spill_files();
-    for (query_name, query) in [("join_heavy", join_heavy()), ("fine_agg", fine_agg())] {
+    let queries =
+        [("join_heavy", join_heavy()), ("semi_heavy", semi_heavy()), ("fine_agg", fine_agg())];
+    for (query_name, query) in queries {
         let mut canonical: Option<Vec<String>> = None;
         for (scheme_name, sdb) in &schemes {
             for threads in [1, 4] {

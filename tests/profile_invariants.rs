@@ -14,7 +14,9 @@
 //!   trackers are children of the query tracker);
 //! * the root's output is the result batch;
 //! * the aggregation strategy is recorded: partial-merge without a
-//!   broker, radix under forced spill.
+//!   broker, radix under forced spill;
+//! * every hash join records which side it indexed, over exactly the rows
+//!   that child produced.
 
 use std::sync::Arc;
 
@@ -235,4 +237,59 @@ fn bdcc_scans_log_their_group_selection() {
     let (logs, _) = scan_logs(Arc::new(plain_scheme(&db)));
     assert_eq!(logs.len(), 3);
     assert!(logs.iter().all(|(_, log)| log.is_empty()), "a Plain scan selects no groups: {logs:?}");
+}
+
+/// The join slice of the decision log: every `Join(hash)` of Q21 and Q22
+/// names the side it indexed, `build_rows` / `build=side(n)` are that
+/// child's rows, a left build streamed exactly the right child's rows, and
+/// Q21's two top joins (`l1 ⋉ l2`, `l1 ▷ l3`: a few filtered rows against
+/// all of LINEITEM) index their left side on every scheme.
+#[test]
+fn hash_joins_log_the_side_they_indexed() {
+    let sf = 0.005;
+    let db = bdcc::tpch::generate(&GenConfig::new(sf));
+    let schemes = [
+        ("plain", Arc::new(plain_scheme(&db))),
+        ("pk", Arc::new(pk_scheme(&db).expect("pk scheme"))),
+        ("bdcc", Arc::new(bdcc_scheme(&db, &DesignConfig::default()).expect("bdcc scheme"))),
+    ];
+    for (scheme, sdb) in &schemes {
+        // In memory whatever `BDCC_SPILL` says: a spilled build logs
+        // `build=spilled(leaves)` instead.
+        let qc = || QueryContext::new(Arc::clone(sdb)).with_spill(SpillMode::Off);
+        for id in [21, 22] {
+            let q = all_queries().into_iter().find(|q| q.id == id).expect("query");
+            let ctx = QueryCtx::recording(qc(), sf);
+            (q.run)(&ctx).expect("query runs");
+            let plan = ctx.take_plans().pop().expect("the last plan holds the joins");
+            let analyzed = explain_analyze(&qc(), &plan).expect("explain analyze");
+            check_tree(&analyzed.profile);
+            let mut raced = Vec::new();
+            analyzed.profile.root.walk(&mut |node: &ProfileNode| {
+                if node.label != "Join(hash)" {
+                    return;
+                }
+                let at = format!("Q{id} on {scheme}: {:?}", node.annotations);
+                let get = |key: &str| {
+                    node.annotations.iter().find(|(k, _)| k == key).map(|(_, v)| v.as_str())
+                };
+                let build = get("build").unwrap_or_else(|| panic!("no build= — {at}"));
+                let (side, rows) = build.trim_end_matches(')').split_once('(').expect("side(n)");
+                let indexed = &node.children[usize::from(side == "right")];
+                assert!(side == "left" || side == "right", "{at}");
+                assert_eq!(rows.parse::<u64>().ok(), Some(indexed.rows_out), "{at}");
+                assert_eq!(get("build_rows"), Some(rows), "{at}");
+                let streamed = get("streamed").map(|v| v.parse::<u64>().expect("a count"));
+                let expect = (side == "left").then_some(node.children[1].rows_out);
+                assert_eq!(streamed, expect, "{at}");
+                if get("race").is_some() {
+                    raced.push(side.to_string());
+                }
+            });
+            match id {
+                21 => assert_eq!(raced, ["left", "left"], "Q21 on {scheme}"),
+                _ => assert_eq!(raced.len(), 1, "Q22 on {scheme} has one anti join"),
+            }
+        }
+    }
 }
