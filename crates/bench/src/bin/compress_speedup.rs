@@ -17,7 +17,7 @@ use std::time::Instant;
 
 use bdcc_bench::{generate_db, print_table, r3, scale_factor, BenchReport};
 use bdcc_exec::ops::collect;
-use bdcc_exec::ops::scan::PlainScan;
+use bdcc_exec::ops::scan::Scan;
 use bdcc_exec::ColPredicate;
 use bdcc_obs::json::Obj;
 use bdcc_storage::{set_encode_enabled, Column, Datum, IoTracker, StoredTable};
@@ -64,7 +64,7 @@ fn footprint(t: &StoredTable) -> (u64, u64) {
 }
 
 fn scan(t: &Arc<StoredTable>, preds: Vec<ColPredicate>) -> bdcc_exec::Batch {
-    let s = PlainScan::new(Arc::clone(t), IoTracker::new(), &["l_extendedprice"], preds).unwrap();
+    let s = Scan::blocks(Arc::clone(t), IoTracker::new(), &["l_extendedprice"], preds).unwrap();
     collect(Box::new(s)).unwrap()
 }
 

@@ -1,6 +1,6 @@
 //! E-JOIN — join-build throughput: the seed's `HashMap<Vec<i64>, Vec<u32>>`
 //! baseline vs. the flat allocation-free [`JoinIndex`], serial and
-//! hash-partitioned parallel. Mirrors `par_speedup`: scale factor from
+//! hash-partitioned parallel. Scale factor from
 //! `BDCC_SF` (default 0.01), thread counts from `BDCC_THREADS` (comma
 //! separated, default `1,4`). Prints a table and, last, one JSON line
 //! (`{"bench":"join_build",...}`) so the perf trajectory is machine-readable

@@ -2,7 +2,9 @@
 //!
 //! When a table carries block encodings (see `bdcc_storage::encode`), a
 //! [`ScanKernel`] evaluates the scan's sargable predicates directly on the
-//! encoded blocks instead of slicing raw columns first:
+//! encoded blocks instead of slicing raw columns first. The one leaf
+//! [`Scan`](crate::ops::scan::Scan) calls it for every statistics block —
+//! or piece of one — that a run touches and MinMax pruning leaves:
 //!
 //! * **Dictionary blocks** — the predicate is evaluated once per distinct
 //!   dictionary entry; rows then compare bit-packed codes against the match
@@ -17,23 +19,26 @@
 //!   whatever their physical encoding, including raw.
 //!
 //! Rows surviving all predicates are **materialized late**: the scan
-//! gathers the projection from the resident raw columns only for those
-//! rows, so downstream operators never see encoded data and results are
-//! byte-identical to the raw path.
+//! copies the projection from the resident raw columns only for those rows
+//! — by range while every block of the run passes whole
+//! ([`BlockVerdict::All`]), by row index from the first block that keeps
+//! only some ([`BlockVerdict::Rows`]) — so downstream operators never see
+//! encoded data and results are byte-identical to the raw path.
 //!
 //! # Fallback contract
 //!
-//! [`ScanKernel::try_new`] returns `None` — and the scan keeps its
-//! pre-existing slice-then-residual path verbatim — unless the table has
-//! encodings *and every* predicate is kernel-supported with exactly the
-//! residual expression's semantics: `i64` comparisons on integer-backed
-//! columns, string comparisons and `LIKE` on string columns, `IN` with the
-//! residual's datum filtering. Predicates that would make the residual
-//! *error* (e.g. `LIKE` on an integer column, a float-typed constant
-//! against a string column) are unsupported, so the error still surfaces
-//! through the fallback path. Float-column predicates always fall back.
+//! [`ScanKernel::try_new`] returns `None` — and the scan assembles the
+//! run's surviving ranges and applies the compiled residual — unless the
+//! table has encodings *and every* predicate is kernel-supported with
+//! exactly the residual expression's semantics: `i64` comparisons on
+//! integer-backed columns, string comparisons and `LIKE` on string columns,
+//! `IN` with the residual's datum filtering. Predicates that would make the
+//! residual *error* (e.g. `LIKE` on an integer column, a float-typed
+//! constant against a string column) are unsupported, so the error still
+//! surfaces through the fallback path. Float-column predicates always fall
+//! back.
 
-use bdcc_storage::{BlockEncoding, BlockStats, ColumnBlockStats, DataType, Datum, StoredTable};
+use bdcc_storage::{BlockEncoding, BlockStats, DataType, Datum, StoredTable};
 
 use crate::error::Result;
 use crate::expr::LikePattern;
@@ -291,8 +296,8 @@ impl ScanKernel {
     }
 
     /// Evaluate all predicates over rows `[lo, hi)` of `block` (whose first
-    /// row is `block_start`). `pred_stats` holds each predicate column's
-    /// MinMax stats, parallel to the predicate list.
+    /// row is `block_start`), consulting each predicate column's MinMax
+    /// stats for the block first.
     ///
     /// The returned verdict selects exactly the rows the residual
     /// expression would keep.
@@ -303,14 +308,13 @@ impl ScanKernel {
         block_start: usize,
         lo: usize,
         hi: usize,
-        pred_stats: &[&ColumnBlockStats],
     ) -> Result<BlockVerdict> {
         debug_assert!(lo < hi && lo >= block_start);
         let n = hi - lo;
         // `None` = every row still passing (no mask allocated yet).
         let mut mask: Option<Vec<bool>> = None;
-        for (i, (col, test)) in self.preds.iter().enumerate() {
-            match stats_verdict(test, &pred_stats[i].blocks[block]) {
+        for (col, test) in &self.preds {
+            match stats_verdict(test, &table.block_stats(*col)?.blocks[block]) {
                 StatVerdict::AllTrue => continue,
                 StatVerdict::AllFalse => return Ok(BlockVerdict::SkipNoRows),
                 StatVerdict::Unknown => {}
@@ -453,8 +457,7 @@ mod tests {
         // prune it, but it is absent from the dict.
         let preds = preds_of(&t, vec![ColPredicate::eq("mode", Datum::Str("FOB".into()))]);
         let kernel = ScanKernel::try_new(&t, &preds).expect("supported");
-        let stats = [t.block_stats(0).unwrap()];
-        let v = kernel.eval_block(&t, 0, 0, 0, 8, &stats).unwrap();
+        let v = kernel.eval_block(&t, 0, 0, 0, 8).unwrap();
         assert_eq!(v, BlockVerdict::SkipNoRows);
     }
 
@@ -463,11 +466,10 @@ mod tests {
         let t = encoded_table();
         let preds = preds_of(&t, vec![ColPredicate::eq("mode", Datum::Str("RAIL".into()))]);
         let kernel = ScanKernel::try_new(&t, &preds).expect("supported");
-        let stats = [t.block_stats(0).unwrap()];
-        let v = kernel.eval_block(&t, 0, 0, 0, 8, &stats).unwrap();
+        let v = kernel.eval_block(&t, 0, 0, 0, 8).unwrap();
         assert_eq!(v, BlockVerdict::Rows(vec![1, 5]));
         // Sub-range of the block (scatter-scan shape).
-        let v = kernel.eval_block(&t, 0, 0, 4, 8, &stats).unwrap();
+        let v = kernel.eval_block(&t, 0, 0, 4, 8).unwrap();
         assert_eq!(v, BlockVerdict::Rows(vec![5]));
     }
 
@@ -476,8 +478,7 @@ mod tests {
         let t = encoded_table();
         let preds = preds_of(&t, vec![ColPredicate::between("k", 0i64, 1000i64)]);
         let kernel = ScanKernel::try_new(&t, &preds).expect("supported");
-        let stats = [t.block_stats(1).unwrap()];
-        let v = kernel.eval_block(&t, 0, 0, 0, 8, &stats).unwrap();
+        let v = kernel.eval_block(&t, 0, 0, 0, 8).unwrap();
         assert_eq!(v, BlockVerdict::All);
     }
 
@@ -486,9 +487,8 @@ mod tests {
         let t = encoded_table();
         let preds = preds_of(&t, vec![ColPredicate::ge("k", 106i64)]);
         let kernel = ScanKernel::try_new(&t, &preds).expect("supported");
-        let stats = [t.block_stats(1).unwrap()];
         // Block 0 holds k = 100..108; only rows 6, 7 survive.
-        let v = kernel.eval_block(&t, 0, 0, 0, 8, &stats).unwrap();
+        let v = kernel.eval_block(&t, 0, 0, 0, 8).unwrap();
         assert_eq!(v, BlockVerdict::Rows(vec![6, 7]));
     }
 
@@ -539,8 +539,7 @@ mod tests {
         let preds =
             preds_of(&t, vec![ColPredicate::in_list("k", vec![Datum::Int(5), Datum::Int(3)])]);
         let kernel = ScanKernel::try_new(&t, &preds).expect("supported");
-        let stats = [t.block_stats(0).unwrap()];
-        match kernel.eval_block(&t, 0, 0, 0, 2048, &stats).unwrap() {
+        match kernel.eval_block(&t, 0, 0, 0, 2048).unwrap() {
             BlockVerdict::Rows(rows) => {
                 assert_eq!(rows.len(), 1048);
                 assert_eq!(rows[0], 0);

@@ -161,10 +161,10 @@ fn reason_error(reason: CancelReason, inner: &GovInner) -> ExecError {
     }
 }
 
-/// Checkpoint wrapper installed by the planner at the plan root (and on
-/// serial leaf scans) of governed queries only: polls the governor
-/// before every batch, so even an all-serial plan observes cancellation
-/// at batch granularity.
+/// Checkpoint wrapper installed by the planner at the plan root of
+/// governed queries only: polls the governor before every batch, so even
+/// an all-serial plan observes cancellation at batch granularity (inline
+/// leaf scans poll per batch themselves, at `scan-batch`).
 pub struct GovernedOp {
     input: BoxedOp,
     governor: Governor,

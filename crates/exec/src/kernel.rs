@@ -44,10 +44,11 @@
 //!   by the pointwise `And` semantics — so a cheap `l_shipdate` range
 //!   runs before `LIKE '%green%'` regardless of authoring order. The
 //!   permutation never changes results, only evaluation order.
-//! * **One path.** Every residual site (`Filter`, the `PlainScan` /
-//!   `BdccScan` residuals, the `HashJoin` / `SandwichHashJoin` pair
-//!   residuals) always holds a compiled program; nothing selects the
-//!   interpreter instead. [`Expr::eval_bool`] remains the fallback for
+//! * **One path.** Every residual site (`Filter`, the leaf `Scan`'s
+//!   residual — compiled once per scan and shared by all of its morsels —
+//!   and the `HashJoin` / `SandwichHashJoin` pair residuals) always holds
+//!   a compiled program; nothing selects the interpreter instead.
+//!   [`Expr::eval_bool`] remains the fallback for
 //!   non-sargable conjuncts above, the plan-time evaluator in
 //!   `restrict.rs`, and the oracle the tests call directly
 //!   (`tests/kernel_equivalence.rs`, the operators' residual tests).

@@ -8,7 +8,7 @@
 //!
 //! The tracker is thread-shared (atomics behind an `Arc`): streaming
 //! parallel operators register from *worker* threads and release from the
-//! *consumer* — a [`ParallelScan`](crate::parallel::ParallelScan) worker
+//! *consumer* — a streaming [`Scan`](crate::ops::scan::Scan) worker
 //! registers each morsel's batches as it publishes them into the reorder
 //! buffer and hands the [`MemoryGuard`] across the channel, so the guard
 //! drops (and the bytes release) only once the consumer moves past the

@@ -2,13 +2,14 @@
 //!
 //! Pull-based, vectorized: `next()` yields [`Batch`]es until `None`. The
 //! operator set mirrors what the paper's evaluation exercises in
-//! Vectorwise: plain scans with MinMax block skipping, the BDCC
-//! scatter-scan, hash / merge joins, the *sandwich* variants of join and
-//! aggregation (group-at-a-time execution over co-clustered inputs, ref
-//! [3]), plus the usual filter / project / sort / limit plumbing.
+//! Vectorwise: one leaf scan over an ordered list of row ranges with MinMax
+//! block skipping inside each (the BDCC scatter-scan over selected groups;
+//! a plain scan is the same walk over the statistics blocks), hash / merge
+//! joins, the *sandwich* variants of join and aggregation (group-at-a-time
+//! execution over co-clustered inputs, ref [3]), plus the usual filter /
+//! project / sort / limit plumbing.
 
 pub mod agg;
-pub mod bdcc_scan;
 pub mod join;
 pub mod merge_join;
 pub mod sandwich_join;

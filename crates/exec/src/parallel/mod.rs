@@ -7,18 +7,14 @@
 //!
 //! ## The morsel model
 //!
-//! Leaf scans are split into **morsels** — contiguous slices aligned with
-//! the serial scan's natural batch boundaries:
-//!
-//! * **Plain/PK scans** split on MinMax *block* ranges
-//!   ([`morsel::split_blocks`]), because the serial [`PlainScan`] emits
-//!   one batch per surviving block.
-//! * **BDCC scatter-scans** split on ranges of selected count-table
-//!   *groups* in the planner's scatter order ([`morsel::split_groups`]),
-//!   because the serial [`BdccScan`] emits one batch per group and never
-//!   lets a batch cross a group boundary. `T_COUNT` group ranges are
-//!   disjoint row ranges, making them the natural parallelism unit of the
-//!   paper's storage layout.
+//! A leaf [`Scan`] reads an ordered list of **runs** — the selected
+//! count-table groups of a BDCC table in the planner's scatter order
+//! (`T_COUNT` group ranges are disjoint row ranges, the natural parallelism
+//! unit of the paper's storage layout), or the MinMax blocks of a
+//! Plain / PK table — emits at most one batch per run and never lets a
+//! batch cross one. A scan **morsel** is a contiguous range of run indices
+//! ([`morsel::split_runs`]: whole runs, coalesced up to the row budget), so
+//! morsel boundaries are batch boundaries of the inline walk.
 //!
 //! One **persistent, process-wide [work-stealing pool](pool)** of `std`
 //! threads executes per-morsel operator fragments — scan, then any
@@ -28,13 +24,15 @@
 //! probe round, a radix chunk or a sort-run batch costs queue operations,
 //! not thread create/join; nested fan-outs are deadlock-free because a
 //! blocked fan-out lends its calling thread to the pool ([`pool`]
-//! documents the lending rule). Leaf scans additionally stream:
-//! [`ParallelScan`] submits its morsels to the same pool through a
-//! **bounded reorder buffer** ([`pool::OrderedStream`]), so downstream
-//! operators consume batches while workers are still scanning and peak
-//! memory stays O(threads × morsel) instead of O(table).
+//! documents the lending rule). The leaf scan itself streams: wider than
+//! one thread and longer than one morsel, [`Scan`] submits its morsels to
+//! the same pool through a **bounded reorder buffer**
+//! ([`pool::OrderedStream`]), so downstream operators consume batches while
+//! workers are still scanning and peak memory stays O(threads × morsel)
+//! instead of O(table); at one thread or one morsel the same operator walks
+//! its runs on the calling thread.
 //!
-//! Probe-heavy operators morselize *rows* rather than blocks or groups:
+//! Probe-heavy operators morselize *rows* rather than runs:
 //! the join probe splits each round of probe batches into contiguous row
 //! ranges ([`morsel::split_rows`]), workers probe the shared immutable
 //! [`JoinIndex`](crate::hash::JoinIndex) concurrently, and per-morsel
@@ -46,7 +44,7 @@
 //! Partial results are merged **in morsel order**, never in completion
 //! order ([`merge`]):
 //!
-//! * leaf streams concatenate ordered, reproducing the serial batch
+//! * leaf streams concatenate ordered, reproducing the inline walk's batch
 //!   stream *exactly* — every downstream serial operator therefore
 //!   behaves identically to serial execution;
 //! * partial hash-aggregation states fold left-to-right, reproducing the
@@ -75,17 +73,17 @@
 //!
 //! Width is a value: every [`QueryContext`] carries a [`ParallelConfig`],
 //! and `threads: 1` — what [`QueryContext::new`] installs — is serial
-//! execution. [`QueryContext::with_parallel`] installs a wider one; the
-//! planner then swaps eligible leaves for [`ParallelScan`], eligible
-//! aggregates for [`ParallelAggregate`], sorts for [`ParallelSort`], and
-//! hands the config to both hash-join variants so big build sides use the
-//! hash-partitioned parallel build and big probe rounds fan out to
-//! probe-morsel workers, leaving the rest of the operator tree serial.
+//! execution. [`QueryContext::with_parallel`] installs a wider one; every
+//! leaf [`Scan`] then streams when it is longer than one morsel, and the
+//! planner swaps eligible aggregates for [`ParallelAggregate`], sorts for
+//! [`ParallelSort`], and hands the config to both hash-join variants so big
+//! build sides use the hash-partitioned parallel build and big probe rounds
+//! fan out to probe-morsel workers, leaving the rest of the operator tree
+//! serial.
 //! The two fields of the config are the whole configuration: nothing in
 //! the environment changes what a given [`ParallelConfig`] does.
 //!
-//! [`PlainScan`]: crate::ops::scan::PlainScan
-//! [`BdccScan`]: crate::ops::bdcc_scan::BdccScan
+//! [`Scan`]: crate::ops::scan::Scan
 //! [`QueryContext`]: crate::planner::QueryContext
 //! [`QueryContext::new`]: crate::planner::QueryContext::new
 //! [`QueryContext::with_parallel`]: crate::planner::QueryContext::with_parallel
@@ -107,12 +105,13 @@ use crate::broker::MemoryBroker;
 use crate::error::Result;
 use crate::expr::Expr;
 use crate::govern::Governor;
-use crate::memory::{MemoryGuard, MemoryTracker};
+use crate::memory::MemoryTracker;
 use crate::ops::agg::{AggSpec, PartialAgg};
+use crate::ops::scan::{Scan, ScanBlueprint};
 use crate::ops::transform::{Filter, Project};
 use crate::ops::{BoxedOp, Operator};
 
-pub use morsel::{Morsel, ScanBlueprint, ScanKind};
+pub use morsel::Morsel;
 pub use sort::ParallelSort;
 
 /// Default morsel size in rows (two MinMax blocks): small enough that a
@@ -161,25 +160,14 @@ pub enum FragmentStep {
 /// A leaf scan plus the filter/project steps between it and the fragment
 /// boundary — everything a worker needs to rebuild its slice of the plan.
 pub struct FragmentBlueprint {
-    pub scan: ScanBlueprint,
+    pub scan: Arc<ScanBlueprint>,
     pub steps: Vec<FragmentStep>,
 }
 
 impl FragmentBlueprint {
-    /// Build the fragment operator over one morsel (or the whole leaf).
-    pub fn build(&self, io: &IoTracker, morsel: Option<&Morsel>) -> Result<BoxedOp> {
-        self.build_with_metrics(io, morsel, None)
-    }
-
-    /// [`build`](Self::build) with operator metrics attached to the leaf
-    /// scan, so block-skip counters aggregate across the fragment's morsels.
-    pub fn build_with_metrics(
-        &self,
-        io: &IoTracker,
-        morsel: Option<&Morsel>,
-        metrics: Option<Arc<OpMetrics>>,
-    ) -> Result<BoxedOp> {
-        let mut op = self.scan.build_with_metrics(io, morsel, metrics)?;
+    /// Build the fragment operator over one morsel of the leaf's runs.
+    pub fn build(&self, io: &IoTracker, morsel: Morsel) -> Result<BoxedOp> {
+        let mut op: BoxedOp = Box::new(Scan::over(Arc::clone(&self.scan), io.clone(), morsel));
         for step in &self.steps {
             op = match step {
                 FragmentStep::Filter(e) => Box::new(Filter::new(op, e.clone())?),
@@ -192,189 +180,11 @@ impl FragmentBlueprint {
 
 /// Book one finished morsel task of `rows` rows, timed by `span`, on an
 /// operator's metric block (both `None` unprofiled: a no-op).
-fn note_morsel(metrics: &Option<Arc<OpMetrics>>, span: Option<SpanTimer>, rows: u64) {
+pub(crate) fn note_morsel(metrics: &Option<Arc<OpMetrics>>, span: Option<SpanTimer>, rows: u64) {
     if let (Some(m), Some(span)) = (metrics, span) {
         m.morsels.add(1);
         m.morsel_rows.add(rows);
         m.morsel_nanos.record(span.elapsed_nanos());
-    }
-}
-
-/// In-flight morsel budget of a streaming scan, in units of `threads`:
-/// enough slack that workers rarely park on the reorder buffer, small
-/// enough that peak memory stays O(threads × morsel).
-const STREAM_CAP_PER_THREAD: usize = 2;
-
-/// How a [`ParallelScan`] is executing.
-enum ScanExec {
-    /// First `next()` not called yet.
-    Idle,
-    /// One worker's worth of work (threads == 1 or a single morsel): the
-    /// whole-leaf serial operator, streamed batch by batch.
-    Serial(BoxedOp),
-    /// Streaming fan-out: workers push `(morsel, batches)` through the
-    /// bounded reorder buffer; `current` drains the released morsel's
-    /// batches while `mem` keeps them registered.
-    Streaming {
-        stream: pool::OrderedStream<(Vec<Batch>, MemoryGuard)>,
-        current: std::vec::IntoIter<Batch>,
-        mem: Option<MemoryGuard>,
-    },
-}
-
-/// Morsel-parallel leaf scan: workers scan disjoint morsels, and the
-/// operator releases the per-morsel batch lists in morsel order — an exact
-/// reproduction of the serial scan's batch stream, so it can stand in for
-/// a [`PlainScan`]/[`BdccScan`] under *any* serial operator tree.
-///
-/// Execution is **streaming**: pool workers publish finished morsels into
-/// a bounded reorder buffer ([`pool::OrderedStream`]) that never has more
-/// than O(`threads`) morsels in flight (backpressure by submission
-/// gating — a stalled consumer parks no worker), so downstream operators
-/// start consuming while the scan is still running and peak tracked
-/// memory is O(threads × morsel) instead of O(table). Each in-flight
-/// morsel's batches are registered with the memory tracker by the worker
-/// that produced them and released when the consumer moves past the
-/// morsel.
-///
-/// [`PlainScan`]: crate::ops::scan::PlainScan
-/// [`BdccScan`]: crate::ops::bdcc_scan::BdccScan
-pub struct ParallelScan {
-    fragment: Arc<FragmentBlueprint>,
-    io: IoTracker,
-    cfg: ParallelConfig,
-    tracker: Arc<MemoryTracker>,
-    schema: OpSchema,
-    exec: ScanExec,
-    /// Profiling hook (planner-installed): morsel counts/latencies from
-    /// the workers, reorder-buffer occupancy from the consumer, and the
-    /// chosen execution path as an annotation. `None` costs nothing.
-    metrics: Option<Arc<OpMetrics>>,
-    /// Per-query limits checked by every producer before it scans its
-    /// morsel, so cancellation stops a streaming fan-out within one
-    /// morsel. Inert by default.
-    governor: Governor,
-}
-
-impl ParallelScan {
-    pub fn new(
-        scan: ScanBlueprint,
-        io: IoTracker,
-        cfg: ParallelConfig,
-        tracker: Arc<MemoryTracker>,
-    ) -> Result<ParallelScan> {
-        let fragment = Arc::new(FragmentBlueprint { scan, steps: Vec::new() });
-        // Building (not running) the whole-leaf operator is cheap and
-        // yields the schema.
-        let schema = fragment.build(&io, None)?.schema().clone();
-        Ok(ParallelScan {
-            fragment,
-            io,
-            cfg,
-            tracker,
-            schema,
-            exec: ScanExec::Idle,
-            metrics: None,
-            governor: Governor::none(),
-        })
-    }
-
-    /// Attach the profiling metric block (planner-installed).
-    pub fn with_metrics(mut self, metrics: Option<Arc<OpMetrics>>) -> ParallelScan {
-        self.metrics = metrics;
-        self
-    }
-
-    /// Attach the query's governor (planner-installed).
-    pub fn with_governor(mut self, governor: Governor) -> ParallelScan {
-        self.governor = governor;
-        self
-    }
-
-    /// Start executing: fan out to the streaming workers, or fall back to
-    /// the serial whole-leaf operator when there is nothing to fan out.
-    fn start(&mut self) -> Result<()> {
-        let morsels = self.fragment.scan.morsels(self.cfg.morsel_rows);
-        if self.cfg.threads <= 1 || morsels.len() <= 1 {
-            if let Some(m) = &self.metrics {
-                m.annotate("path", "serial");
-            }
-            self.exec = ScanExec::Serial(self.fragment.build_with_metrics(
-                &self.io,
-                None,
-                self.metrics.clone(),
-            )?);
-            return Ok(());
-        }
-        if let Some(m) = &self.metrics {
-            m.annotate("path", "streaming");
-        }
-        let fragment = Arc::clone(&self.fragment);
-        let io = self.io.clone();
-        let tracker = Arc::clone(&self.tracker);
-        let metrics = self.metrics.clone();
-        let governor = self.governor.clone();
-        let ntasks = morsels.len();
-        let cap = self.cfg.threads * STREAM_CAP_PER_THREAD;
-        let stream = pool::OrderedStream::spawn_labeled(
-            self.cfg.threads,
-            ntasks,
-            cap,
-            Some("scan-morsel"),
-            move |i| {
-                // One governor poll per morsel: a cancelled/over-deadline
-                // query stops this producer before it scans another morsel.
-                governor.check("scan-morsel")?;
-                let span = metrics.as_ref().map(|_| SpanTimer::start());
-                let mut op =
-                    fragment.build_with_metrics(&io, Some(&morsels[i]), metrics.clone())?;
-                let mut out = Vec::new();
-                let mut rows = 0u64;
-                while let Some(b) = op.next()? {
-                    rows += b.rows() as u64;
-                    out.push(b);
-                }
-                note_morsel(&metrics, span, rows);
-                // Charge the morsel while it sits in the reorder buffer (and
-                // until the consumer finishes draining it); with the in-flight
-                // cap this is what keeps peak O(threads × morsel).
-                let bytes: u64 = out.iter().map(|b| b.estimated_bytes()).sum();
-                Ok((out, tracker.register(bytes)))
-            },
-        );
-        self.exec = ScanExec::Streaming { stream, current: Vec::new().into_iter(), mem: None };
-        Ok(())
-    }
-}
-
-impl Operator for ParallelScan {
-    fn schema(&self) -> &OpSchema {
-        &self.schema
-    }
-
-    fn next(&mut self) -> Result<Option<Batch>> {
-        loop {
-            match &mut self.exec {
-                ScanExec::Idle => self.start()?,
-                ScanExec::Serial(op) => return op.next(),
-                ScanExec::Streaming { stream, current, mem } => {
-                    if let Some(b) = current.next() {
-                        return Ok(Some(b));
-                    }
-                    *mem = None; // previous morsel fully drained
-                    if let Some(m) = &self.metrics {
-                        m.occupancy_hwm.record(stream.buffered() as u64);
-                    }
-                    match stream.recv()? {
-                        Some((batches, guard)) => {
-                            *current = batches.into_iter();
-                            *mem = Some(guard);
-                        }
-                        None => return Ok(None),
-                    }
-                }
-            }
-        }
     }
 }
 
@@ -429,7 +239,7 @@ impl ParallelAggregate {
         cfg: ParallelConfig,
         tracker: Arc<MemoryTracker>,
     ) -> Result<ParallelAggregate> {
-        let child_schema = fragment.build(&io, None)?.schema().clone();
+        let child_schema = fragment.build(&io, 0..0)?.schema().clone();
         let schema = PartialAgg::new(&child_schema, group_by, &aggs)?.schema().clone();
         Ok(ParallelAggregate {
             fragment,
@@ -475,7 +285,7 @@ impl ParallelAggregate {
     /// Aggregate one morsel into a fresh partial (the partial-merge
     /// worker body). Also returns the morsel's row count (profiling).
     fn morsel_partial(&self, morsel: &Morsel) -> Result<(PartialAgg, u64)> {
-        let mut op = self.fragment.build(&self.io, Some(morsel))?;
+        let mut op = self.fragment.build(&self.io, morsel.clone())?;
         let mut p = self.fresh_partial()?;
         let mut rows = 0u64;
         while let Some(b) = op.next()? {
@@ -530,7 +340,6 @@ mod tests {
     use super::*;
     use crate::ops::agg::{AggFunc, HashAggregate};
     use crate::ops::collect;
-    use crate::ops::scan::PlainScan;
     use crate::pred::ColPredicate;
     use bdcc_storage::{Column, StoredTable};
 
@@ -552,50 +361,8 @@ mod tests {
         )
     }
 
-    fn blueprint(t: &Arc<StoredTable>, preds: Vec<ColPredicate>) -> ScanBlueprint {
-        ScanBlueprint {
-            table: Arc::clone(t),
-            columns: vec!["k".into(), "g".into(), "f".into()],
-            predicates: preds,
-            kind: ScanKind::Plain,
-        }
-    }
-
-    #[test]
-    fn parallel_scan_replays_serial_stream() {
-        let t = table(1000);
-        let io = IoTracker::new();
-        let serial = collect(Box::new(
-            PlainScan::new(Arc::clone(&t), io.clone(), &["k", "g", "f"], vec![]).unwrap(),
-        ))
-        .unwrap();
-        let cfg = ParallelConfig { threads: 3, morsel_rows: 64 };
-        let par = collect(Box::new(
-            ParallelScan::new(blueprint(&t, vec![]), io, cfg, MemoryTracker::new()).unwrap(),
-        ))
-        .unwrap();
-        assert_eq!(serial, par);
-    }
-
-    #[test]
-    fn parallel_scan_with_predicates_matches() {
-        let t = table(500);
-        let io = IoTracker::new();
-        let preds = vec![ColPredicate::ge("k", 100i64), ColPredicate::le("k", 399i64)];
-        let serial = collect(Box::new(
-            PlainScan::new(Arc::clone(&t), io.clone(), &["k", "f"], preds.clone()).unwrap(),
-        ))
-        .unwrap();
-        let cfg = ParallelConfig { threads: 4, morsel_rows: 32 };
-        let bp = ScanBlueprint {
-            table: Arc::clone(&t),
-            columns: vec!["k".into(), "f".into()],
-            predicates: preds,
-            kind: ScanKind::Plain,
-        };
-        let par = collect(Box::new(ParallelScan::new(bp, io, cfg, MemoryTracker::new()).unwrap()))
-            .unwrap();
-        assert_eq!(serial, par);
+    fn blueprint(t: &Arc<StoredTable>, preds: Vec<ColPredicate>) -> Arc<ScanBlueprint> {
+        ScanBlueprint::blocks(Arc::clone(t), &["k", "g", "f"], preds).unwrap()
     }
 
     #[test]
@@ -612,7 +379,7 @@ mod tests {
             AggSpec::new(AggFunc::CountDistinct, Expr::col("g"), "nd"),
         ];
         let serial_in: BoxedOp =
-            Box::new(PlainScan::new(Arc::clone(&t), io.clone(), &["k", "g", "f"], vec![]).unwrap());
+            Box::new(Scan::blocks(Arc::clone(&t), io.clone(), &["k", "g", "f"], vec![]).unwrap());
         let serial = collect(Box::new(
             HashAggregate::new(serial_in, &["g"], aggs.clone(), MemoryTracker::new()).unwrap(),
         ))

@@ -117,7 +117,7 @@ impl ParallelAggregate {
                 pool::run_tasks_labeled(self.cfg.threads, chunk.len(), "agg-radix-p1", |k| {
                     self.governor.check("agg-radix-p1")?;
                     let span = self.metrics.as_ref().map(|_| SpanTimer::start());
-                    let op = self.fragment.build(&self.io, Some(&chunk[k]))?;
+                    let op = self.fragment.build(&self.io, chunk[k].clone())?;
                     let (routed, rows, bytes) = partition_morsel_stream(&group_cols, bits, op)?;
                     note_morsel(&self.metrics, span, rows as u64);
                     Ok((routed, rows, bytes))
@@ -168,11 +168,9 @@ mod tests {
     use crate::expr::Expr;
     use crate::memory::MemoryTracker;
     use crate::ops::agg::{AggFunc, AggSpec, HashAggregate};
-    use crate::ops::scan::PlainScan;
+    use crate::ops::scan::{Scan, ScanBlueprint};
     use crate::ops::{collect, BoxedOp};
-    use crate::parallel::{
-        FragmentBlueprint, ParallelAggregate, ParallelConfig, ScanBlueprint, ScanKind,
-    };
+    use crate::parallel::{FragmentBlueprint, ParallelAggregate, ParallelConfig};
 
     const COLS: [&str; 6] = ["k", "u", "g", "f", "h", "s"];
 
@@ -217,7 +215,7 @@ mod tests {
 
     fn serial(t: &Arc<StoredTable>, group_by: &[&str]) -> crate::batch::Batch {
         let io = IoTracker::new();
-        let op: BoxedOp = Box::new(PlainScan::new(Arc::clone(t), io, &COLS, vec![]).unwrap());
+        let op: BoxedOp = Box::new(Scan::blocks(Arc::clone(t), io, &COLS, vec![]).unwrap());
         collect(Box::new(HashAggregate::new(op, group_by, aggs(), MemoryTracker::new()).unwrap()))
             .unwrap()
     }
@@ -232,12 +230,7 @@ mod tests {
             let want = serial(t, group_by);
             for threads in [2, 3, 4] {
                 let tracker = MemoryTracker::new();
-                let bp = ScanBlueprint {
-                    table: Arc::clone(t),
-                    columns: COLS.iter().map(|c| c.to_string()).collect(),
-                    predicates: vec![],
-                    kind: ScanKind::Plain,
-                };
+                let bp = ScanBlueprint::blocks(Arc::clone(t), &COLS, vec![]).unwrap();
                 let agg = ParallelAggregate::new(
                     FragmentBlueprint { scan: bp, steps: vec![] },
                     group_by,

@@ -2,9 +2,9 @@
 //!
 //! One logical plan, three physical strategies:
 //!
-//! * **Plain** — plain scans (MinMax pruning), hash joins, hash
+//! * **Plain** — block scans (MinMax pruning), hash joins, hash
 //!   aggregation.
-//! * **PK** — plain scans over PK-sorted tables; merge joins when both
+//! * **PK** — block scans over PK-sorted tables; merge joins when both
 //!   inputs arrive ordered on the join key (LINEITEM–ORDERS,
 //!   PARTSUPP–PART); streaming aggregation when the input order covers the
 //!   group-by keys.
@@ -34,16 +34,16 @@ use crate::expr::Expr;
 use crate::govern::{GovernedOp, Governor};
 use crate::memory::MemoryTracker;
 use crate::ops::agg::{HashAggregate, SandwichAggregate, StreamingAggregate};
-use crate::ops::bdcc_scan::GroupSpec;
 use crate::ops::join::{HashJoin, JoinType};
 use crate::ops::merge_join::MergeJoin;
 use crate::ops::sandwich_join::SandwichHashJoin;
+use crate::ops::scan::{Run, Scan, ScanBlueprint};
 use crate::ops::sort::{Limit, Sort};
 use crate::ops::transform::{Filter, Project};
 use crate::ops::BoxedOp;
 use crate::parallel::{
-    FragmentBlueprint, FragmentStep, ParallelAggregate, ParallelConfig, ParallelScan, ParallelSort,
-    ScanBlueprint, ScanKind, DEFAULT_MORSEL_ROWS,
+    FragmentBlueprint, FragmentStep, ParallelAggregate, ParallelConfig, ParallelSort,
+    DEFAULT_MORSEL_ROWS,
 };
 use crate::plan::{alias_column, FkSide, Node};
 use crate::profile::{wrap_edge, OpProf, Profiler};
@@ -58,10 +58,11 @@ pub struct QueryContext {
     pub tracker: Arc<MemoryTracker>,
     pub io: IoTracker,
     /// Execution width and morsel size. `threads: 1` (what
-    /// [`new`](Self::new) installs) is serial execution; wider, the
-    /// planner swaps eligible leaf scans, aggregations and sorts for their
-    /// morsel-parallel operators. `morsel_rows` also sizes the morsels of
-    /// a budgeted aggregation at any width.
+    /// [`new`](Self::new) installs) is serial execution; wider, leaf scans
+    /// stream their morsels through the pool and the planner swaps
+    /// eligible aggregations and sorts for their morsel-parallel
+    /// operators. `morsel_rows` also sizes the morsels of a budgeted
+    /// aggregation at any width.
     pub parallel: ParallelConfig,
     /// When set, the planner mirrors the operator tree with per-operator
     /// metric blocks, child memory/I/O trackers and edge wrappers (see
@@ -211,19 +212,14 @@ impl QueryContext {
 /// codec mix of every read-set column plus encoded-vs-raw byte totals. A
 /// no-op for unencoded tables.
 fn annotate_encodings(metrics: &OpMetrics, blueprint: &ScanBlueprint) {
-    if !blueprint.table.has_encodings() {
+    let table = blueprint.table();
+    if !table.has_encodings() {
         return;
     }
-    let mut cols: Vec<&str> = blueprint.columns.iter().map(|s| s.as_str()).collect();
-    for p in &blueprint.predicates {
-        if !cols.contains(&p.column.as_str()) {
-            cols.push(&p.column);
-        }
-    }
     let (mut enc_bytes, mut raw_bytes) = (0u64, 0u64);
-    for name in cols {
-        let Ok(idx) = blueprint.table.column_index(name) else { continue };
-        if let Some(enc) = blueprint.table.encoding(idx) {
+    for idx in blueprint.read_columns() {
+        if let Some(enc) = table.encoding(idx) {
+            let name = &table.schema().columns[idx].name;
             metrics.annotate(&format!("enc.{name}"), enc.codec_summary());
             enc_bytes += enc.encoded_bytes;
             raw_bytes += enc.raw_bytes;
@@ -586,9 +582,10 @@ impl<'a> Planner<'a> {
         }
     }
 
-    /// Everything needed to build (and, under parallel execution, re-build
-    /// per morsel) the physical scan: the access path, the pre-selected
-    /// groups for BDCC, and the requested group-key columns.
+    /// Everything the leaf scan (and, under parallel execution, each of its
+    /// morsels) reads: on a clustered BDCC table the pre-selected groups in
+    /// scatter order with one key per requested instance, anywhere else the
+    /// table's statistics blocks.
     fn scan_blueprint(
         &self,
         scan_id: usize,
@@ -596,7 +593,7 @@ impl<'a> Planner<'a> {
         columns: &[String],
         predicates: &[crate::pred::ColPredicate],
         requested: &[InstSet],
-    ) -> Result<(ScanBlueprint, usize)> {
+    ) -> Result<Arc<ScanBlueprint>> {
         let tid = self.catalog().table_id(table)?;
         let stored = self
             .ctx
@@ -605,7 +602,7 @@ impl<'a> Planner<'a> {
             .stored(tid)
             .ok_or_else(|| ExecError::Plan(format!("no storage for {table}")))?
             .clone();
-        let kind = match (self.ctx.sdb.scheme, self.clustered(tid)) {
+        match (self.ctx.sdb.scheme, self.clustered(tid)) {
             (Scheme::Bdcc, Some(bt)) => {
                 // Group selection: every restricted use must admit the
                 // group's bin prefix.
@@ -635,7 +632,7 @@ impl<'a> Planner<'a> {
                     selected.push((g.key, g));
                 }
                 // Requested group keys per group, in requested order.
-                let mut specs: Vec<GroupSpec> = Vec::with_capacity(selected.len());
+                let mut runs: Vec<Run> = Vec::with_capacity(selected.len());
                 let mut names = Vec::with_capacity(requested.len());
                 let scan_ids = [scan_id];
                 let mut req_uses: Vec<(usize, u32)> = Vec::with_capacity(requested.len());
@@ -647,7 +644,7 @@ impl<'a> Planner<'a> {
                     req_uses.push((a.use_idx, set.bits));
                 }
                 for (key, g) in &selected {
-                    let gks = req_uses
+                    let keys = req_uses
                         .iter()
                         .map(|&(u, bits)| {
                             let own = bt.use_bits_at_granularity(u);
@@ -655,32 +652,19 @@ impl<'a> Planner<'a> {
                             (full >> (own - bits)) as i64
                         })
                         .collect();
-                    specs.push(GroupSpec { start: g.start, count: g.count, group_keys: gks });
+                    runs.push(Run { start: g.start, count: g.count, keys });
                 }
                 if !requested.is_empty() {
                     // Scatter order: requested keys major-to-minor.
-                    specs.sort_by(|a, b| a.group_keys.cmp(&b.group_keys));
+                    runs.sort_by(|a, b| a.keys.cmp(&b.keys));
                 }
-                ScanKind::Bdcc { group_key_names: names, groups: specs }
+                ScanBlueprint::new(stored, columns, predicates.to_vec(), &names, runs)
             }
-            _ => {
-                if !requested.is_empty() {
-                    return Err(ExecError::Plan(format!(
-                        "grouping requested from unclustered table {table}"
-                    )));
-                }
-                ScanKind::Plain
+            _ if !requested.is_empty() => {
+                Err(ExecError::Plan(format!("grouping requested from unclustered table {table}")))
             }
-        };
-        Ok((
-            ScanBlueprint {
-                table: stored,
-                columns: columns.to_vec(),
-                predicates: predicates.to_vec(),
-                kind,
-            },
-            requested.len(),
-        ))
+            _ => ScanBlueprint::blocks(stored, columns, predicates.to_vec()),
+        }
     }
 
     /// The scan decision log of a profiled BDCC scan (EXPLAIN ANALYZE): how
@@ -695,12 +679,13 @@ impl<'a> Planner<'a> {
         table: &str,
         blueprint: &ScanBlueprint,
     ) {
-        let ScanKind::Bdcc { groups, .. } = &blueprint.kind else { return };
+        // (No clustered table, no groups: the runs are statistics blocks.)
         let Some(schema) = &self.ctx.sdb.bdcc else { return };
         let Some(bt) = self.catalog().table_id(table).ok().and_then(|t| schema.table(t)) else {
             return;
         };
-        metrics.annotate("groups", format!("{}/{}", groups.len(), bt.count.group_count()));
+        let selected = blueprint.runs().len();
+        metrics.annotate("groups", format!("{selected}/{}", bt.count.group_count()));
         for (use_idx, u) in bt.uses.iter().enumerate() {
             let Some(ranges) = self.restrictions.get(&(scan_id, use_idx)) else { continue };
             let dim = schema.dimension(u.dim);
@@ -716,8 +701,8 @@ impl<'a> Planner<'a> {
         }
     }
 
-    /// Build the leaf scan operator — serial, or a [`ParallelScan`] when the
-    /// context is wider than one thread and the leaf is big enough to split.
+    /// Build the leaf scan operator: one [`Scan`] on every scheme, walking
+    /// its runs inline or streaming them at the context's width.
     fn build_scan(
         &self,
         scan_id: usize,
@@ -727,45 +712,24 @@ impl<'a> Planner<'a> {
         alias: Option<&str>,
         requested: &[InstSet],
     ) -> Result<PhysOut> {
-        let (blueprint, gk_count) =
-            self.scan_blueprint(scan_id, table, columns, predicates, requested)?;
+        let blueprint = self.scan_blueprint(scan_id, table, columns, predicates, requested)?;
         let base = columns.len();
-        let gk_cols: Vec<usize> = (0..gk_count).map(|i| base + i).collect();
+        let gk_cols: Vec<usize> = (0..requested.len()).map(|i| base + i).collect();
         // Profiling gives the scan its own I/O attribution (a child of
         // the query tracker, so query totals and access classification
         // are unchanged) and a per-operator memory tracker.
         let io_child = self.scan_io();
         let prof = self.prof_node(format!("Scan({table})"), vec![], io_child.clone());
         let io = io_child.unwrap_or_else(|| self.ctx.io.clone());
-        let tracker = self.op_tracker(&prof);
         if let Some(p) = &prof {
             annotate_encodings(&p.metrics, &blueprint);
             self.annotate_group_selection(&p.metrics, scan_id, table, &blueprint);
         }
-        let cfg = &self.ctx.parallel;
-        let op: BoxedOp = if cfg.worth_splitting(blueprint.total_rows()) {
-            Box::new(
-                ParallelScan::new(blueprint, io, cfg.clone(), tracker)?
-                    .with_metrics(prof.as_ref().map(|p| Arc::clone(&p.metrics)))
-                    .with_governor(self.ctx.governor.clone()),
-            )
-        } else {
-            if let Some(p) = &prof {
-                p.metrics.annotate("path", "serial");
-            }
-            let scan = blueprint.build_with_metrics(
-                &io,
-                None,
-                prof.as_ref().map(|p| Arc::clone(&p.metrics)),
-            )?;
-            // Serial leaves are where an otherwise-unparallel plan
-            // spends its time — poll the governor per batch there.
-            if self.ctx.governor.is_active() {
-                Box::new(GovernedOp::new(scan, self.ctx.governor.clone(), "scan-batch"))
-            } else {
-                scan
-            }
-        };
+        let op: BoxedOp = Box::new(
+            Scan::new(blueprint, io, &self.ctx.parallel, self.op_tracker(&prof))
+                .with_metrics(prof.as_ref().map(|p| Arc::clone(&p.metrics)))
+                .with_governor(self.ctx.governor.clone()),
+        );
         // Alias: rename base columns, keep group keys. The rename rides
         // inside the scan's profile node — it is part of the access path,
         // not a plan operator.
@@ -967,7 +931,7 @@ impl<'a> Planner<'a> {
         // of [`ParallelAggregate`] can beat (partials duplicate shared
         // groups per morsel; radix materializes a partitioned copy of the
         // input, resident or spilled). Leaf scans below sandwich/streaming
-        // still parallelize via [`ParallelScan`].
+        // still stream their morsels through the pool.
 
         // BDCC: sandwich aggregation on determined instances.
         if self.ctx.sdb.scheme == Scheme::Bdcc && !group_by.is_empty() {
@@ -1027,7 +991,7 @@ impl<'a> Planner<'a> {
             let io_child = self.scan_io();
             let prof = self.prof_node("Aggregate(parallel)".into(), vec![], io_child.clone());
             if let Some(p) = &prof {
-                p.metrics.annotate("fragment", fragment.scan.table.name());
+                p.metrics.annotate("fragment", fragment.scan.table().name());
             }
             let op = ParallelAggregate::new(
                 fragment,
@@ -1070,9 +1034,7 @@ impl<'a> Planner<'a> {
                 _ => return Ok(None),
             }
         };
-        let (blueprint, gk_count) =
-            self.scan_blueprint(scan_id, table, columns, predicates, &[])?;
-        debug_assert_eq!(gk_count, 0);
+        let blueprint = self.scan_blueprint(scan_id, table, columns, predicates, &[])?;
         let mut steps = Vec::new();
         // The alias projection the serial path applies directly above the
         // scan.

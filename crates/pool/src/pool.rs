@@ -1272,7 +1272,7 @@ mod tests {
 
     #[test]
     fn scope_inside_stream_consumer_does_not_deadlock() {
-        // The nested shape ParallelScan + HashJoin produce: a streaming
+        // The nested shape a streaming scan + HashJoin produce: a streaming
         // fan-out is live while its consumer issues blocking fan-outs.
         let mut s: OrderedStream<usize, TestErr> = OrderedStream::spawn(4, 30, 8, Ok);
         let pool = WorkerPool::shared();

@@ -32,9 +32,9 @@ use proptest::prelude::*;
 
 use bdcc::exec::batch::{Batch, ColMeta, OpSchema};
 use bdcc::exec::ops::agg::{HashAggregate, SandwichAggregate, StreamingAggregate};
-use bdcc::exec::ops::scan::PlainScan;
+use bdcc::exec::ops::scan::{Scan, ScanBlueprint};
 use bdcc::exec::ops::{collect, BoxedOp, Operator};
-use bdcc::exec::parallel::{FragmentBlueprint, ParallelAggregate, ScanBlueprint, ScanKind};
+use bdcc::exec::parallel::{FragmentBlueprint, ParallelAggregate};
 use bdcc::exec::{
     AggFunc, AggSpec, ExecError, Expr, MemoryBroker, MemoryTracker, ParallelConfig, SpillMode,
 };
@@ -95,7 +95,7 @@ const COLS: [&str; 4] = ["g", "s", "v", "f"];
 
 fn serial(t: &Arc<StoredTable>, group_by: &[&str]) -> Batch {
     let scan: BoxedOp =
-        Box::new(PlainScan::new(Arc::clone(t), IoTracker::new(), &COLS, vec![]).unwrap());
+        Box::new(Scan::blocks(Arc::clone(t), IoTracker::new(), &COLS, vec![]).unwrap());
     collect(Box::new(HashAggregate::new(scan, group_by, all_aggs(), MemoryTracker::new()).unwrap()))
         .unwrap()
 }
@@ -112,12 +112,7 @@ fn try_parallel(
     threads: usize,
     radix: bool,
 ) -> Result<Batch, ExecError> {
-    let bp = ScanBlueprint {
-        table: Arc::clone(t),
-        columns: cols.iter().map(|c| c.to_string()).collect(),
-        predicates: vec![],
-        kind: ScanKind::Plain,
-    };
+    let bp = ScanBlueprint::blocks(Arc::clone(t), cols, vec![])?;
     let cfg = ParallelConfig { threads, morsel_rows: test_morsel_rows() };
     let tracker = MemoryTracker::new();
     // The operator's one strategy rule: an active broker means radix.
@@ -659,7 +654,7 @@ fn integer_sum_overflow_is_a_typed_error_on_every_path() {
         match path {
             0 => {
                 let scan: BoxedOp = Box::new(
-                    PlainScan::new(Arc::clone(t), IoTracker::new(), &["g", "v"], vec![]).unwrap(),
+                    Scan::blocks(Arc::clone(t), IoTracker::new(), &["g", "v"], vec![]).unwrap(),
                 );
                 collect(Box::new(
                     HashAggregate::new(scan, &["g"], aggs(), MemoryTracker::new()).unwrap(),

@@ -6,10 +6,11 @@
 //! taken) and runs the TPC-H queries serially at SF 0.01 with spilling
 //! pinned off, so the counts do not depend on the CI cell. Three budgets:
 //!
-//! * **Q01 allocates per batch, not per row** — at most 0.05 allocations
-//!   per LINEITEM row on every scheme. When a string column was a
-//!   `Vec<String>` it made 2.0: one per `l_returnflag`, one per
-//!   `l_linestatus`.
+//! * **Q01 allocates per batch, not per row** — at most 0.04 allocations
+//!   per LINEITEM row on every scheme (measured: 0.015 on Plain / PK, 0.034
+//!   on BDCC, whose groups make more and smaller batches). When a string
+//!   column was a `Vec<String>` it made 2.0: one per `l_returnflag`, one
+//!   per `l_linestatus`.
 //! * **A whole 22-query pass** on Plain and on BDCC makes at least 4× fewer
 //!   allocations than the last commit that allocated per string did
 //!   ([`PARENT_PASS_ALLOCS`], measured with this same test).
@@ -79,7 +80,7 @@ fn queries_allocate_per_batch_not_per_value() {
         out.expect("Q01");
         let per_row = allocs as f64 / lineitem_rows;
         println!("Q01 on {name}: {allocs} allocations, {per_row:.4} per lineitem row");
-        assert!(per_row <= 0.05, "Q01 on {name}: {per_row:.3} allocations per scanned row");
+        assert!(per_row <= 0.04, "Q01 on {name}: {per_row:.3} allocations per scanned row");
     }
 
     for (name, parent) in PARENT_PASS_ALLOCS {

@@ -16,13 +16,10 @@ use std::sync::Arc;
 
 use bdcc::prelude::*;
 use bdcc_exec::ops::agg::HashAggregate;
-use bdcc_exec::ops::bdcc_scan::GroupSpec;
 use bdcc_exec::ops::collect;
-use bdcc_exec::ops::scan::PlainScan;
-use bdcc_exec::parallel::morsel::{split_blocks, split_groups, Morsel};
-use bdcc_exec::parallel::{
-    FragmentBlueprint, ParallelAggregate, ParallelScan, ScanBlueprint, ScanKind,
-};
+use bdcc_exec::ops::scan::{Run, Scan, ScanBlueprint};
+use bdcc_exec::parallel::morsel::split_runs;
+use bdcc_exec::parallel::{FragmentBlueprint, ParallelAggregate};
 use bdcc_exec::{
     AggFunc, AggSpec, Expr, MemoryBroker, MemoryTracker, ParallelConfig, QueryContext, SpillMode,
 };
@@ -210,7 +207,7 @@ fn probe_morsel_matrix_agrees_with_serial() {
 #[test]
 fn streaming_scan_memory_stays_morsel_bounded() {
     // Scan the largest generated table (LINEITEM) through the streaming
-    // ParallelScan: the bounded reorder buffer must keep peak *tracked*
+    // Scan: the bounded reorder buffer must keep peak *tracked*
     // memory at O(threads × morsel), not O(table) — the whole point of
     // replacing the eager materialization.
     let db = bdcc::tpch::generate(&GenConfig::new(0.005));
@@ -228,14 +225,10 @@ fn streaming_scan_memory_stays_morsel_bounded() {
     let small = Arc::new(
         StoredTable::from_columns_with_block_rows("lineitem", named, 256).expect("rebuild"),
     );
-    let blueprint = |t: &Arc<StoredTable>| ScanBlueprint {
-        table: Arc::clone(t),
-        columns: cols.clone(),
-        predicates: vec![],
-        kind: ScanKind::Plain,
-    };
+    let blueprint = ScanBlueprint::blocks(Arc::clone(&small), &cols, vec![]).expect("blueprint");
+    let whole = 0..blueprint.runs().len();
     let serial =
-        collect(blueprint(&small).build(&IoTracker::new(), None).expect("serial scan")).unwrap();
+        collect(Box::new(Scan::over(Arc::clone(&blueprint), IoTracker::new(), whole))).unwrap();
     let table_bytes = serial.estimated_bytes();
     // Clamp the worker count: the in-flight cap grows with threads
     // (O(threads) morsels) while the table's morsel count is fixed, so an
@@ -245,10 +238,8 @@ fn streaming_scan_memory_stays_morsel_bounded() {
     let morsel_rows = 256;
     let cfg = ParallelConfig { threads, morsel_rows };
     let tracker = MemoryTracker::new();
-    let streamed = collect(Box::new(
-        ParallelScan::new(blueprint(&small), IoTracker::new(), cfg, tracker.clone()).unwrap(),
-    ))
-    .unwrap();
+    let streamed =
+        collect(Box::new(Scan::new(blueprint, IoTracker::new(), &cfg, tracker.clone()))).unwrap();
     assert_eq!(serial, streamed, "streaming scan must replay the serial stream");
     let morsels = small.rows().div_ceil(morsel_rows);
     assert!(morsels >= 32, "need many morsels for the bound to mean anything, got {morsels}");
@@ -298,12 +289,7 @@ fn budgeted_radix_aggregation_fits_half_the_partial_merge_peak() {
         AggSpec::new(AggFunc::Avg, Expr::col("l_quantity"), "aq"),
         AggSpec::new(AggFunc::Count, Expr::lit(1), "n"),
     ];
-    let blueprint = || ScanBlueprint {
-        table: Arc::clone(&small),
-        columns: cols.iter().map(|c| c.to_string()).collect(),
-        predicates: vec![],
-        kind: ScanKind::Plain,
-    };
+    let blueprint = || ScanBlueprint::blocks(Arc::clone(&small), &cols, vec![]).unwrap();
     let run_parallel = |group: &str, threads: usize, budget: Option<u64>| {
         let tracker = MemoryTracker::new();
         let broker = match budget {
@@ -327,7 +313,7 @@ fn budgeted_radix_aggregation_fits_half_the_partial_merge_peak() {
     };
     for group in ["l_orderkey", "l_partkey"] {
         let scan =
-            Box::new(PlainScan::new(Arc::clone(&small), IoTracker::new(), &cols, vec![]).unwrap());
+            Box::new(Scan::blocks(Arc::clone(&small), IoTracker::new(), &cols, vec![]).unwrap());
         let serial = collect(Box::new(
             HashAggregate::new(scan, &[group], aggs.clone(), MemoryTracker::new()).unwrap(),
         ))
@@ -381,44 +367,36 @@ fn single_thread_config_plans_serially_and_agrees() {
 
 // --- morsel-splitting edge cases over the public API ----------------------
 
-fn group(start: usize, count: usize) -> GroupSpec {
-    GroupSpec { start, count, group_keys: vec![] }
+/// Contiguous key-less runs of the given sizes.
+fn runs(sizes: &[usize]) -> Vec<Run> {
+    let mut start = 0;
+    sizes
+        .iter()
+        .map(|&count| {
+            let run = Run { start, count, keys: vec![] };
+            start += count;
+            run
+        })
+        .collect()
 }
 
 #[test]
 fn morsel_splitting_handles_uneven_groups() {
-    // Wildly uneven group sizes: a huge group stays whole (groups are
+    // Wildly uneven run sizes: a huge run stays whole (runs are
     // indivisible), tiny ones coalesce, order and coverage are preserved.
-    let sizes = [3usize, 1, 1, 5000, 2, 900, 1, 1, 1, 1];
-    let mut start = 0;
-    let groups: Vec<GroupSpec> = sizes
-        .iter()
-        .map(|&c| {
-            let g = group(start, c);
-            start += c;
-            g
-        })
-        .collect();
-    let morsels = split_groups(&groups, 1000);
-    let mut covered = Vec::new();
-    for m in &morsels {
-        match m {
-            Morsel::Groups(r) => covered.extend(r.clone()),
-            _ => panic!("group split yielded a block morsel"),
-        }
-    }
-    assert_eq!(covered, (0..groups.len()).collect::<Vec<_>>(), "must tile all groups in order");
-    // The oversized group closes its morsel immediately; the tail of tiny
-    // groups never reaches the budget and coalesces into the final morsel.
-    assert_eq!(morsels, vec![Morsel::Groups(0..4), Morsel::Groups(4..10)]);
+    let runs = runs(&[3, 1, 1, 5000, 2, 900, 1, 1, 1, 1]);
+    let morsels = split_runs(&runs, 1000);
+    let covered: Vec<usize> = morsels.iter().cloned().flatten().collect();
+    assert_eq!(covered, (0..runs.len()).collect::<Vec<_>>(), "must tile all runs in order");
+    // The oversized run closes its morsel immediately; the tail of tiny
+    // runs never reaches the budget and coalesces into the final morsel.
+    assert_eq!(morsels, vec![0..4, 4..10]);
 }
 
 #[test]
 fn morsel_splitting_one_row_and_empty() {
     // Empty table: no morsels, parallel scan degenerates gracefully.
-    assert!(split_groups(&[], 1024).is_empty());
-    assert!(split_blocks(0, 4096, 1024).is_empty());
-    // One-row table: exactly one morsel covering it.
-    assert_eq!(split_groups(&[group(0, 1)], 1024), vec![Morsel::Groups(0..1)]);
-    assert_eq!(split_blocks(1, 4096, 1024), vec![Morsel::Blocks(0..1)]);
+    assert!(split_runs(&[], 1024).is_empty());
+    // One-row table — one group or one block: exactly one morsel covering it.
+    assert_eq!(split_runs(&runs(&[1]), 1024), vec![0..1]);
 }
