@@ -7,9 +7,10 @@
 //! or piece of one — that a run touches and MinMax pruning leaves:
 //!
 //! * **Dictionary blocks** — the predicate is evaluated once per distinct
-//!   dictionary entry; rows then compare bit-packed codes against the match
-//!   set. A constant absent from a block's dict kills the whole block
-//!   without touching a single row (the *dict-miss* skip).
+//!   dictionary entry and scan, however many runs or morsels read pieces of
+//!   the block; rows then compare bit-packed codes against the match set.
+//!   A constant absent from a block's dict kills the whole block without
+//!   touching a single row (the *dict-miss* skip).
 //! * **FOR blocks** — pruned via the block's MinMax stats without
 //!   unpacking when the predicate's range covers the whole block; otherwise
 //!   values unpack on the fly (`min + delta`).
@@ -38,6 +39,8 @@
 //! surfaces through the fallback path. Float-column predicates always fall
 //! back.
 
+use std::sync::OnceLock;
+
 use bdcc_storage::{BlockEncoding, BlockStats, DataType, Datum, StoredTable};
 
 use crate::error::Result;
@@ -61,11 +64,17 @@ pub enum BlockVerdict {
 }
 
 /// Compiled predicate tests over one scan's predicate list. Built once per
-/// scan; [`eval_block`](Self::eval_block) runs once per surviving block.
+/// scan; [`eval_block`](Self::eval_block) runs once per surviving block or
+/// piece of one.
 pub struct ScanKernel {
     /// `(column index, compiled test)` in the scan's predicate order.
     preds: Vec<(usize, PredTest)>,
+    /// Per string predicate, one per block, filled by the first piece of it.
+    dicts: Vec<Vec<OnceLock<DictMatch>>>,
 }
+
+/// Which entries of a block's dictionary pass a string test, and how many.
+type DictMatch = (Vec<bool>, usize);
 
 enum PredTest {
     Int(IntTest),
@@ -107,6 +116,8 @@ pub(crate) fn int_test(t: &IntTest, v: i64) -> bool {
 }
 
 pub(crate) fn str_test(t: &StrTest, s: &str) -> bool {
+    #[cfg(test)]
+    tests::STR_TESTS.with(|n| n.set(n.get() + 1));
     match t {
         StrTest::Eq(c) => s == c,
         StrTest::Ne(c) => s != c,
@@ -284,15 +295,17 @@ impl ScanKernel {
             return None;
         }
         let mut compiled = Vec::with_capacity(preds.len());
+        let mut dicts = Vec::with_capacity(preds.len());
         for (col, p) in preds {
-            let test = match table.schema().columns[*col].data_type {
-                DataType::Int | DataType::Date => PredTest::Int(compile_int(&p.kind)?),
-                DataType::Str => PredTest::Str(compile_str(&p.kind)?),
+            let (test, slots) = match table.schema().columns[*col].data_type {
+                DataType::Int | DataType::Date => (PredTest::Int(compile_int(&p.kind)?), 0),
+                DataType::Str => (PredTest::Str(compile_str(&p.kind)?), table.block_count()),
                 DataType::Float => return None,
             };
             compiled.push((*col, test));
+            dicts.push((0..slots).map(|_| OnceLock::new()).collect());
         }
-        Some(ScanKernel { preds: compiled })
+        Some(ScanKernel { preds: compiled, dicts })
     }
 
     /// Evaluate all predicates over rows `[lo, hi)` of `block` (whose first
@@ -313,7 +326,7 @@ impl ScanKernel {
         let n = hi - lo;
         // `None` = every row still passing (no mask allocated yet).
         let mut mask: Option<Vec<bool>> = None;
-        for (col, test) in &self.preds {
+        for ((col, test), dicts) in self.preds.iter().zip(&self.dicts) {
             match stats_verdict(test, &table.block_stats(*col)?.blocks[block]) {
                 StatVerdict::AllTrue => continue,
                 StatVerdict::AllFalse => return Ok(BlockVerdict::SkipNoRows),
@@ -322,19 +335,23 @@ impl ScanKernel {
             let encoding = table.encoding(*col).map(|e| e.block(block));
             match (test, encoding) {
                 (PredTest::Str(t), Some(BlockEncoding::DictStr { dict, codes })) => {
-                    // Evaluate once per distinct value, then compare codes.
-                    let dmatch: Vec<bool> = dict.iter().map(|s| str_test(t, s)).collect();
-                    let hits = dmatch.iter().filter(|&&m| m).count();
-                    if hits == 0 {
+                    // Evaluate once per distinct value and scan, then
+                    // compare codes.
+                    let (passes, hits) = dicts[block].get_or_init(|| {
+                        let passes: Vec<bool> = dict.iter().map(|s| str_test(t, s)).collect();
+                        let hits = passes.iter().filter(|&&m| m).count();
+                        (passes, hits)
+                    });
+                    if *hits == 0 {
                         return Ok(BlockVerdict::SkipNoRows); // dict miss
                     }
-                    if hits == dict.len() {
+                    if *hits == dict.len() {
                         continue;
                     }
                     let m = mask.get_or_insert_with(|| vec![true; n]);
                     for (j, mv) in m.iter_mut().enumerate() {
                         if *mv {
-                            *mv = dmatch[codes.get(lo - block_start + j) as usize];
+                            *mv = passes[codes.get(lo - block_start + j) as usize];
                         }
                     }
                 }
@@ -426,7 +443,13 @@ pub(crate) fn build_with_encoding<T>(enabled: bool, build: impl FnOnce() -> T) -
 mod tests {
     use super::*;
     use bdcc_storage::{Column, StoredTable};
+    use std::cell::Cell;
     use std::sync::Arc;
+
+    thread_local! {
+        /// String-test evaluations on this thread.
+        pub(super) static STR_TESTS: Cell<usize> = const { Cell::new(0) };
+    }
 
     fn encoded_table() -> Arc<StoredTable> {
         let modes = ["AIR", "RAIL", "TRUCK", "SHIP"];
@@ -566,5 +589,36 @@ mod tests {
         .unwrap();
         assert!(!int_test(&k, i64::MAX));
         assert!(!int_test(&k, 0));
+    }
+
+    #[test]
+    fn a_dictionary_is_evaluated_once_per_scan_whatever_reaches_it() {
+        // 4 096 distinct comments, each twice: one dictionary block of
+        // 8 192 rows.
+        let comment = |i: usize| format!("c{:04} {}", i % 4096, ["ab", "ba"][i % 4096 % 2]);
+        let t = build_with_encoding(true, || {
+            StoredTable::from_columns_with_block_rows(
+                "t",
+                vec![("c".into(), Column::from_strings((0..8192).map(comment).collect()))],
+                8192,
+            )
+            .unwrap()
+        });
+        match t.encoding(0).map(|e| e.block(0)) {
+            Some(BlockEncoding::DictStr { dict, .. }) => assert_eq!(dict.len(), 4096),
+            _ => panic!("the block must be dictionary-encoded"),
+        }
+        let a_then_b = LikePattern::ContainsSeq("a".into(), "b".into());
+        let preds = preds_of(&t, vec![ColPredicate::not_like("c", a_then_b)]);
+        let kernel = ScanKernel::try_new(&t, &preds).expect("supported");
+        STR_TESTS.with(|n| n.set(0));
+        // 64 one-row runs into the block, as 64 selected groups would read
+        // it: every other comment contains "a…b".
+        for row in (0..64).map(|k| k * 127) {
+            let want = if row % 2 == 0 { BlockVerdict::Skip } else { BlockVerdict::All };
+            assert_eq!(kernel.eval_block(&t, 0, 0, row, row + 1).unwrap(), want, "row {row}");
+        }
+        let evaluated = STR_TESTS.with(Cell::get);
+        assert!(evaluated <= 4096, "{evaluated} evaluations for one 4 096-entry dictionary");
     }
 }

@@ -117,7 +117,8 @@ pub struct HashJoin {
     tracker: Arc<MemoryTracker>,
     /// Memory broker (planner-installed). When active, an over-budget
     /// build side freezes its largest hash partitions to spill files and
-    /// probes them one restored leaf at a time — see [`crate::broker`].
+    /// the join runs as a grace hash join, one restored leaf at a time —
+    /// see `join_spill.rs` and [`crate::broker`].
     broker: MemoryBroker,
     /// Meters spill file writes/reads (planner-installed with the broker;
     /// inert stand-alone tracker by default).
@@ -264,8 +265,7 @@ impl HashJoin {
                 let (first, held) =
                     if pull_left { (self.empty_build(), Some(batch)) } else { (batch, None) };
                 self.pending.extend(held);
-                let spilled = self.build_spilled(right, payload, first)?;
-                self.build = Some(Build::Spilled(spilled));
+                self.build = Some(self.build_spilled(right, payload, first)?);
                 return Ok(());
             }
             if pull_left {
@@ -343,13 +343,7 @@ impl HashJoin {
     /// keeping probe-side buffering O(threads × morsel).
     fn fill_round(&mut self) -> Result<Vec<Batch>> {
         let cfg = &self.parallel;
-        let mut target = if cfg.threads > 1 { cfg.threads * cfg.morsel_rows } else { 1 };
-        if matches!(self.build, Some(Build::Spilled(_))) {
-            // A spilled build restores every file leaf once per round:
-            // bigger rounds amortize the restores while probe-side
-            // buffering stays bounded.
-            target = target.max(8192);
-        }
+        let target = if cfg.threads > 1 { cfg.threads * cfg.morsel_rows } else { 1 };
         let child = self.right.as_mut().unwrap_or(&mut self.left);
         let mut round = Vec::new();
         let mut rows = 0usize;
@@ -370,10 +364,8 @@ impl HashJoin {
     /// batch's output is byte-identical to the serial probe's.
     fn probe_round(&self, round: Vec<Batch>) -> Result<Vec<Batch>> {
         self.governor.check("probe-round")?;
-        let build = match self.build.as_ref().expect("built") {
-            Build::Mem(b) => b,
-            Build::Spilled(s) => return self.probe_round_spilled(s, &round),
-            Build::Left => unreachable!("a left build probes inside `build_side`"),
+        let Some(Build::Mem(build)) = &self.build else {
+            unreachable!("a left build probes inside `build_side`, a spilled one merges")
         };
         let cfg = &self.parallel;
         let mut pieces = self.probe_pieces(&round, build, false)?.into_iter().peekable();
@@ -496,17 +488,20 @@ impl Operator for HashJoin {
                     return Ok(Some(b));
                 }
             }
-            let round = match self.build {
+            let outs = match &mut self.build {
+                Some(Build::Merge(merge)) => merge.next_batch()?.into_iter().collect(),
                 Some(Build::Left) => Vec::new(),
-                _ => self.fill_round()?,
+                _ => match self.fill_round()? {
+                    round if round.is_empty() => Vec::new(),
+                    round => self.probe_round(round)?,
+                },
             };
-            if round.is_empty() {
+            if outs.is_empty() {
                 if let (Some(pf), Some(m)) = (&self.residual, &self.metrics) {
                     pf.annotate(m);
                 }
                 return Ok(None);
             }
-            let outs = self.probe_round(round)?;
             self.out.extend(outs);
         }
     }
@@ -1000,7 +995,7 @@ mod tests {
         use bdcc_storage::live_spill_files;
         let _spill = crate::broker::spill_test_guard();
         // Build side big enough to scatter across many partitions; left
-        // side chunked so multiple probe rounds hit the restored leaves.
+        // side chunked so every leaf's fragments span many left batches.
         let left: Vec<(i64, i64)> = (0..400).map(|i| (i % 37, i)).collect();
         let right: Vec<(i64, i64)> = (0..300).map(|i| (i % 53, 1000 + i)).collect();
         let base = live_spill_files();

@@ -1,66 +1,86 @@
-//! What [`HashJoin`] does with a build side that does not fit its budget.
+//! What [`HashJoin`] does with a build side that does not fit its budget: a
+//! grace hash join (Kitsuregawa et al. 1983; Shapiro 1986) over the
+//! partition-spill core (`crate::spill`), which owns pressure, freezing,
+//! recursion, accounting and file lifetime for all three of its file sets —
+//! build leaves, probe partitions and output fragments. Every byte written
+//! is read back once.
 //!
-//! The build drains into a [`PartitionSpill`](crate::spill) (16-way on the
-//! join-key hash), which owns pressure, freezing, recursion, accounting and
-//! file lifetime. This file adds the join's own policy and its use of a
-//! leaf:
+//! 1. **Build.** The right side drains 16-way on the join-key hash. If
+//!    pressure never froze anything the leaves are concatenated and indexed
+//!    as one in-memory build (a partition keeps equal keys in build order,
+//!    so chains — and the output — are the unpartitioned join's). Once
+//!    anything froze, **everything** freezes: the build is a list of file
+//!    leaves, each sized for payload × 2 (a restored leaf is indexed too)
+//!    within the broker's restore limit, each knowing its hash slice.
+//! 2. **Probe partitioning.** Every left batch — first those the race
+//!    buffered — gets its left row ids as a trailing `i64` column and goes
+//!    through a second core keyed on the left join columns, one partition
+//!    per build leaf ([`Fanout::Pairs`]): a row lands beside the leaf that
+//!    holds its key, however deep that leaf was split. A row whose key no
+//!    leaf holds cannot match and lands beside some leaf, where an outer or
+//!    anti join emits it unmatched.
+//! 3. **Leaves.** For each probe partition: its build leaf is restored and
+//!    indexed **once**, the partition's chunks stream past the index, and
+//!    each chunk's output — [`finish_batch`] over the chunk, row ids
+//!    included — goes, in probe order, to that leaf's partition of a third
+//!    core. Semi / anti chunks ask only which rows matched (no pair
+//!    gathers).
+//! 4. **Merge.** A left batch's rows were scattered whole, so each leaf
+//!    holds at most one fragment of each batch, and fragments come back in
+//!    left-batch order. [`Merge`] reads every leaf's fragments in step and
+//!    puts each batch's pieces back in row-id order (left-outer: matched
+//!    pairs first, as `finish_batch` emits them) with a stable counting
+//!    sort — a row's matches sit in one leaf in chain order, which
+//!    partitioning preserves. Rows, order and batch boundaries are the
+//!    in-memory join's.
 //!
-//! * Once anything froze, **everything** freezes at the end of the drain:
-//!   probing then holds exactly one restored leaf (payload + index) at a
-//!   time, which is what keeps the query inside its budget — a partially
-//!   resident build would pay resident payloads *and* their indexes on top
-//!   of every restore. Leaves are sized for payload × 2, because restoring
-//!   one also builds its [`JoinIndex`](crate::hash::JoinIndex), whose flat
-//!   arrays cost the same order as the payload.
-//! * A resident leaf is indexed once; a file leaf is read back (build-stream
-//!   order) and indexed once per probe round, and the **whole** round runs
-//!   against it. Equal keys hash to exactly one leaf, so each probe row
-//!   matches in at most one leaf and per-leaf match fragments are disjoint;
-//!   a stable merge on the left row id reassembles each batch's matches in
-//!   exactly the serial probe order, and `finish_batch` assembles the
-//!   output — byte-identical, spilled or not.
+//! The build spilled, so memory is short: probe chunks and fragments go to
+//! their files as made. Held at once: partitioning, one left batch; per
+//! leaf, the restored leaf, its index, one probe chunk and its fragment;
+//! merging, one fragment per leaf and one output batch.
 
 use bdcc_storage::Column;
 
 use crate::batch::Batch;
 use crate::error::Result;
+use crate::govern::Governor;
 use crate::ops::BoxedOp;
 use crate::parallel::ParallelConfig;
-use crate::spill::{Leaf, PartitionSpill, Shape};
+use crate::spill::{Fanout, Leaf, LeafChunks, PartitionSpill, Route, Shape};
 
-use super::{emits_right, finish_batch, gather_pairs, probe_range, BuildSide, HashJoin};
+use super::{finish_batch, gather_pairs, probe_range, BuildSide, HashJoin, JoinType};
 
 /// Top-level spill partition fan-out: 2^4 = 16 partitions.
 const JOIN_BITS: u32 = 4;
 
-/// The join's build side: fully resident, or partitioned with some
-/// partitions frozen to spill files.
+/// The join's build side.
 pub(super) enum Build {
+    /// Indexed in memory: probe rounds stream past it.
     Mem(BuildSide),
-    Spilled(SpilledBuild),
+    /// Spilled: the grace join has run, its output is being merged.
+    Merge(Merge),
     /// Semi / anti, the left ended first: `build_side` did all of it.
     Left,
 }
 
-/// A finalized spilled build: a flat list of leaves, each small enough to
-/// index within the broker's restore limit.
-pub(super) struct SpilledBuild {
-    leaves: Vec<JoinLeaf>,
-}
-
-enum JoinLeaf {
-    Indexed(BuildSide),
-    OnDisk(Leaf),
-}
-
-/// Per-(batch, leaf) match fragment: matched left rows plus the right
-/// pair columns gathered while the leaf was indexed.
-struct Fragment {
-    lidx: Vec<usize>,
-    right: Vec<Column>,
-}
-
 impl HashJoin {
+    fn core(
+        &self,
+        keys: &[usize],
+        fanout: Fanout,
+        leaf_factor: u64,
+        label: &'static str,
+    ) -> PartitionSpill {
+        PartitionSpill::new(
+            Shape { keys: keys.to_vec(), fanout, leaf_factor, label },
+            self.broker.clone(),
+            self.governor.clone(),
+            &self.tracker,
+            self.spill_io.clone(),
+            self.metrics.clone(),
+        )
+    }
+
     /// Partitioned drain, entered the moment the in-memory drain sees
     /// pressure: `seed` holds the rows drained so far (stream order, no
     /// longer registered) and `first` is the pending batch that tripped
@@ -70,24 +90,11 @@ impl HashJoin {
         mut right: BoxedOp,
         seed: Batch,
         first: Batch,
-    ) -> Result<SpilledBuild> {
+    ) -> Result<Build> {
         if let Some(m) = &self.metrics {
             m.annotate("spill_mode", "build-broker");
         }
-        let shape = Shape {
-            keys: self.right_keys.clone(),
-            bits: JOIN_BITS,
-            leaf_factor: 2,
-            label: "join-build",
-        };
-        let mut spill = PartitionSpill::new(
-            shape,
-            self.broker.clone(),
-            self.governor.clone(),
-            &self.tracker,
-            self.spill_io.clone(),
-            self.metrics.clone(),
-        );
+        let mut spill = self.core(&self.right_keys, Fanout::Bits(JOIN_BITS), 2, "join-build");
         spill.scatter(&seed)?;
         drop(seed);
         let mut next = Some(first);
@@ -96,99 +103,184 @@ impl HashJoin {
             spill.scatter(&batch)?;
             next = right.next()?;
         }
-        // If pressure never froze anything every leaf stays resident.
-        if spill.any_frozen() {
-            spill.freeze_all()?;
+        if !spill.any_frozen() {
+            let mut payload = self.empty_build();
+            spill.for_each_leaf(|leaf| leaf.for_each_chunk(|chunk| Ok(payload.append(&chunk)?)))?;
+            let side = BuildSide::index(payload, &self.right_keys, &self.parallel, &self.tracker)?;
+            self.annotate_build("right", &side);
+            return Ok(Build::Mem(side));
         }
+        spill.freeze_all()?;
         let mut leaves = Vec::new();
-        let mut rows = 0u64;
         spill.for_each_leaf(|leaf| {
-            rows += leaf.rows();
-            leaves.push(if leaf.is_resident() {
-                JoinLeaf::Indexed(self.index_leaf(&leaf)?)
-            } else {
-                JoinLeaf::OnDisk(leaf)
-            });
+            leaves.push(leaf);
             Ok(())
         })?;
         if let Some(m) = &self.metrics {
-            m.annotate("build_rows", rows.to_string());
+            m.annotate("build_rows", leaves.iter().map(Leaf::rows).sum::<u64>().to_string());
             m.annotate("build", format!("spilled({})", leaves.len()));
         }
-        Ok(SpilledBuild { leaves })
+        self.grace(leaves).map(Build::Merge)
     }
 
-    /// Concatenate a leaf's chunks and index them. A leaf fits the
-    /// restore limit by construction: one serial table.
-    fn index_leaf(&self, leaf: &Leaf) -> Result<BuildSide> {
-        let mut payload = self.empty_build();
-        leaf.for_each_chunk(|chunk| Ok(payload.append(chunk)?))?;
-        BuildSide::index(payload, &self.right_keys, &ParallelConfig::with_threads(1), &self.tracker)
-    }
+    /// Phases 2 and 3 of the [module docs](self) over the build's file
+    /// leaves; returns phase 4.
+    fn grace(&mut self, leaves: Vec<Leaf>) -> Result<Merge> {
+        let routes: Vec<Route> = leaves.iter().map(Leaf::route).collect();
+        let partitions = routes.len();
+        let mut probe = self.core(&self.left_keys, Fanout::Pairs(routes.clone()), 0, "join-probe");
+        let mut ends = Vec::new();
+        let mut next_id = 0i64;
+        while let Some(mut batch) =
+            self.pending.pop_front().map_or_else(|| self.left.next(), |b| Ok(Some(b)))?
+        {
+            self.governor.check("probe-partition")?;
+            let rows = batch.rows() as i64;
+            batch.columns.push(Column::from_i64((next_id..next_id + rows).collect()));
+            next_id += rows;
+            ends.push(next_id);
+            probe.scatter(&batch)?;
+            probe.freeze_all()?;
+        }
 
-    /// Probe a round against a spilled build, one leaf at a time; merge
-    /// the per-leaf fragments back into serial probe order per batch.
-    pub(super) fn probe_round_spilled(
-        &self,
-        build: &SpilledBuild,
-        round: &[Batch],
-    ) -> Result<Vec<Batch>> {
-        let mut frags: Vec<Vec<Fragment>> = round.iter().map(|_| Vec::new()).collect();
-        for leaf in &build.leaves {
-            let restored;
-            let side = match leaf {
-                JoinLeaf::Indexed(side) => side,
-                JoinLeaf::OnDisk(leaf) => {
-                    restored = self.index_leaf(leaf)?;
-                    &restored
-                }
-            };
-            for (batch, frags) in round.iter().zip(&mut frags) {
+        let mut out = self.core(&[], Fanout::Pairs(routes), 0, "join-out");
+        let mut builds = leaves.into_iter().enumerate();
+        let mut restores = 0usize;
+        let (join_type, residual) = (self.join_type, self.residual.as_ref());
+        probe.for_each_leaf(|rows| {
+            let (k, build) = builds
+                .find(|(_, b)| b.route() == rows.route())
+                .expect("every probe partition pairs with a build leaf");
+            let side = self.index_leaf(build)?;
+            restores += 1;
+            rows.for_each_chunk(|mut chunk| {
+                let ids = chunk.columns.pop().expect("probe chunks carry their row ids");
                 let (lidx, ridx) = probe_range(
-                    batch,
-                    side,
+                    &chunk,
+                    &side,
                     &self.left_keys,
-                    self.join_type,
-                    self.residual.as_ref(),
-                    0..batch.rows(),
+                    join_type,
+                    residual,
+                    0..chunk.rows(),
                     false,
                 )?;
-                if !lidx.is_empty() {
-                    let right = gather_pairs(side, self.join_type, &ridx);
-                    frags.push(Fragment { lidx, right });
+                chunk.columns.push(ids);
+                let right = gather_pairs(&side, join_type, &ridx);
+                let fragment = finish_batch(&chunk, join_type, &self.right_types, &lidx, right)?;
+                if fragment.rows() > 0 {
+                    out.push(k, fragment)?;
+                    out.freeze_all()?;
                 }
-            }
+                Ok(())
+            })
+        })?;
+        if let Some(m) = &self.metrics {
+            m.annotate("probe", format!("partitioned({partitions})"));
+            m.annotate("restores", restores.to_string());
         }
-        round
-            .iter()
-            .zip(frags)
-            .map(|(batch, frags)| self.merge_leaf_fragments(batch, frags))
-            .collect()
+
+        let mut heads = Vec::new();
+        out.for_each_leaf(|leaf| {
+            let mut chunks = leaf.into_chunks()?;
+            let head = chunks.next()?;
+            heads.push((chunks, head));
+            Ok(())
+        })?;
+        Ok(Merge {
+            heads,
+            ends: ends.into_iter(),
+            start: 0,
+            rowid: self.left.schema().len(),
+            matched_first: join_type == JoinType::LeftOuter,
+            governor: self.governor.clone(),
+        })
     }
 
-    /// Reassemble one batch's match lists from its per-leaf fragments.
-    ///
-    /// Each probe row's key lives in exactly one leaf, so fragment
-    /// `lidx` sets are disjoint: a stable sort on the left row id
-    /// interleaves the fragments into exactly the serial probe order
-    /// (ties within a row stay in the leaf's chain order, which matches
-    /// the full index's because partitioning preserves relative build
-    /// order among equal keys).
-    fn merge_leaf_fragments(&self, left: &Batch, frags: Vec<Fragment>) -> Result<Batch> {
-        let mut all_l: Vec<usize> = Vec::new();
-        let mut pairs = self.empty_build();
-        for f in frags {
-            all_l.extend(f.lidx);
-            pairs.append(&Batch::new(f.right))?;
+    /// Read a leaf back and index it. A leaf fits the restore limit by
+    /// construction: one serial table.
+    fn index_leaf(&self, leaf: Leaf) -> Result<BuildSide> {
+        let mut payload = self.empty_build();
+        leaf.for_each_chunk(|chunk| Ok(payload.append(&chunk)?))?;
+        BuildSide::index(payload, &self.right_keys, &ParallelConfig::with_threads(1), &self.tracker)
+    }
+}
+
+/// Phase 4: every leaf's output fragments, read in step, reassembled one
+/// left batch at a time.
+pub(super) struct Merge {
+    /// Per fragment leaf: its cursor and the next fragment it holds.
+    heads: Vec<(LeafChunks, Option<Batch>)>,
+    /// Each left batch's end row id, in left order.
+    ends: std::vec::IntoIter<i64>,
+    /// The first row id of the next left batch.
+    start: i64,
+    /// Where a fragment carries its row ids: right after the left columns.
+    rowid: usize,
+    /// Left outer: a batch's matched pairs come before its unmatched rows.
+    matched_first: bool,
+    governor: Governor,
+}
+
+impl Merge {
+    /// The output of the next left batch that has any, or `None` past the
+    /// last.
+    pub(super) fn next_batch(&mut self) -> Result<Option<Batch>> {
+        while let Some(end) = self.ends.next() {
+            let start = std::mem::replace(&mut self.start, end);
+            self.governor.check("join-merge")?;
+            let mut pieces: Option<Batch> = None;
+            for (chunks, head) in &mut self.heads {
+                while let Some(fragment) = head.take() {
+                    if fragment.columns[self.rowid].as_i64()?[0] >= end {
+                        *head = Some(fragment);
+                        break;
+                    }
+                    match &mut pieces {
+                        Some(all) => all.append(&fragment)?,
+                        None => pieces = Some(fragment),
+                    }
+                    *head = chunks.next()?;
+                }
+            }
+            if let Some(all) = pieces {
+                return self.in_serial_order(all, start, end).map(Some);
+            }
         }
-        if !emits_right(self.join_type) {
-            // Only the set of matched rows decides survivors: order and
-            // duplicates are moot.
-            return finish_batch(left, self.join_type, &self.right_types, &all_l, Vec::new());
+        Ok(None)
+    }
+
+    /// One batch's fragments (left rows `start..end`), concatenated leaf by
+    /// leaf, in the serial join's row order and without their row ids.
+    fn in_serial_order(&self, mut all: Batch, start: i64, end: i64) -> Result<Batch> {
+        let order = {
+            let ids = all.columns[self.rowid].as_i64()?;
+            let flags = match self.matched_first {
+                true => Some(all.columns.last().expect("the match flag").as_i64()?),
+                false => None,
+            };
+            // A row's place: its row id, unmatched rows after every pair.
+            let span = (end - start) as usize;
+            let unmatched = |i: usize| flags.is_some_and(|f| f[i] == 0);
+            let slot = |i: usize| (ids[i] - start) as usize + if unmatched(i) { span } else { 0 };
+            let rows = all.rows();
+            (!(1..rows).all(|i| slot(i - 1) <= slot(i))).then(|| {
+                // Counting sort on the slot: stable, so a row's matches keep
+                // their chain order.
+                let mut next = vec![0usize; 2 * span + 1];
+                (0..rows).for_each(|i| next[slot(i) + 1] += 1);
+                (1..next.len()).for_each(|s| next[s] += next[s - 1]);
+                let mut order = vec![0usize; rows];
+                for i in 0..rows {
+                    order[next[slot(i)]] = i;
+                    next[slot(i)] += 1;
+                }
+                order
+            })
+        };
+        if let Some(order) = order {
+            all = all.gather(&order);
         }
-        let mut order: Vec<usize> = (0..all_l.len()).collect();
-        order.sort_by_key(|&i| all_l[i]); // stable: in-frag chain order kept
-        let lidx: Vec<usize> = order.iter().map(|&i| all_l[i]).collect();
-        finish_batch(left, self.join_type, &self.right_types, &lidx, pairs.gather(&order).columns)
+        all.columns.remove(self.rowid);
+        Ok(all)
     }
 }

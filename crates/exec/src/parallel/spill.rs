@@ -37,7 +37,7 @@ use crate::error::{ExecError, Result};
 use crate::ops::BoxedOp;
 use crate::parallel::partition;
 use crate::parallel::{note_morsel, pool, Morsel, ParallelAggregate};
-use crate::spill::{scatter_batch, PartitionSpill, Shape};
+use crate::spill::{scatter_batch, Fanout, PartitionSpill, Shape};
 
 /// Routed sub-batches `(partition, rows)` in stream order.
 type Routed = Vec<(usize, Batch)>;
@@ -93,7 +93,12 @@ impl ParallelAggregate {
         let bits = (partition::partition_bits_for(self.cfg.threads) + 2).min(8);
         let group_cols = self.group_col_indices()?;
         // The aggregate builds one table over a leaf, never a copy of it.
-        let shape = Shape { keys: group_cols.clone(), bits, leaf_factor: 1, label: "agg" };
+        let shape = Shape {
+            keys: group_cols.clone(),
+            fanout: Fanout::Bits(bits),
+            leaf_factor: 1,
+            label: "agg",
+        };
         let mut spill = PartitionSpill::new(
             shape,
             self.broker.clone(),
@@ -142,7 +147,7 @@ impl ParallelAggregate {
                 let ids = chunk.columns.last().expect("chunks carry a position column").as_i64()?;
                 let ids: Vec<u64> = ids.iter().map(|&v| v as u64).collect();
                 // The trailing column is past every bound input index.
-                part.consume_indexed(chunk, &ids)?;
+                part.consume_indexed(&chunk, &ids)?;
                 mem.resize(part.estimated_bytes());
                 Ok(())
             })?;

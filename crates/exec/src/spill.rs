@@ -1,12 +1,13 @@
 //! The partition-spill core: the one implementation of the
 //! [`broker`](crate::broker) pressure / freeze / restore / cleanup
-//! contract, shared by the hash-join build (`ops/join_spill.rs`) and radix
-//! aggregation (`parallel/spill.rs`), and the only place in this crate
-//! that creates spill files.
+//! contract, shared by the grace-hash join (`ops/join_spill.rs`: its build,
+//! probe and output files) and radix aggregation (`parallel/spill.rs`), and
+//! the only place in this crate that creates or reads spill files.
 //!
-//! A [`PartitionSpill`] holds `2^bits` partitions of column chunks routed
-//! by the top bits of the [`hash_group_rows`] hash over the caller's key
-//! columns. What it guarantees, whichever operator drives it:
+//! A [`PartitionSpill`] holds partitions of column chunks routed by the
+//! [`hash_group_rows`] hash over the caller's key columns — `2^bits` of
+//! them on its top bits, or one per [`Route`] of another core's leaves
+//! ([`Fanout`]). What it guarantees, whichever operator drives it:
 //!
 //! * **Order.** [`make_room`](PartitionSpill::make_room) asks the broker
 //!   and, under pressure, freezes resident partitions **largest first**
@@ -23,10 +24,17 @@
 //! * **Accounting.** Every file created, every byte written (freezes,
 //!   appends to a frozen partition, recursion sub-files) and every byte
 //!   read back is booked on the operator's `spill_partitions` /
-//!   `spill_bytes` / `spill_restore_bytes` where it happens; reads go
-//!   through [`Leaf::for_each_chunk`], the one governor checkpoint of the
-//!   restore side. Resident bytes are registered with the query's tracker
-//!   per partition and travel with a resident leaf.
+//!   `spill_bytes` / `spill_restore_bytes` where it happens. A leaf is read
+//!   once, by [`Leaf::for_each_chunk`] or [`Leaf::into_chunks`] (leaves in
+//!   step); opening it is the restore side's one governor checkpoint and
+//!   books its file, so every file set — a join's build leaves, probe
+//!   partitions and fragments too — restores what it wrote, plus recursed
+//!   parents. Resident bytes are registered with the query's tracker per
+//!   partition and travel with a resident leaf.
+//! * **Pairing.** Every leaf knows its [`Route`], the slice of hash space
+//!   its rows come from; a core over another core's routes
+//!   ([`Fanout::Pairs`]) lands a second input on the same key values beside
+//!   the first one's leaves, recursion included, without splitting it.
 //! * **Lifetime.** Files belong to RAII handles inside the core or its
 //!   leaves: a recursed parent unlinks before any child is read, and
 //!   dropping the core or a leaf at any point — a governor trip, a failed
@@ -36,7 +44,7 @@
 use std::sync::Arc;
 
 use bdcc_obs::OpMetrics;
-use bdcc_storage::{Column, IoTracker, SpillHandle, SpillWriter};
+use bdcc_storage::{Column, IoTracker, SpillHandle, SpillReader, SpillWriter};
 
 use crate::batch::Batch;
 use crate::broker::MemoryBroker;
@@ -52,14 +60,41 @@ use crate::parallel::partition::{
 pub(crate) struct Shape {
     /// Chunk column indices of the routing key.
     pub keys: Vec<usize>,
-    /// Top-level fan-out: `2^bits` partitions.
-    pub bits: u32,
+    /// The top-level partitions and how rows are routed to them.
+    pub fanout: Fanout,
     /// A leaf's in-memory footprint as a multiple of its payload estimate
     /// (what the caller builds over a restored leaf counts against the
-    /// restore limit too).
+    /// restore limit too); 0 for a leaf that is only ever streamed, which
+    /// never splits.
     pub leaf_factor: u64,
     /// Names the temp files and the governor checkpoint.
     pub label: &'static str,
+}
+
+/// A core's top-level partitions.
+pub(crate) enum Fanout {
+    /// `2^bits` partitions on the top `bits` of the key hash.
+    Bits(u32),
+    /// One partition per route — the leaves another core handed out, in
+    /// that order. A row goes to the route holding its hash; a row no route
+    /// holds (its key is in none of those leaves) goes to the nearest route
+    /// below it, the first if there is none.
+    Pairs(Vec<Route>),
+}
+
+/// The slice of hash space a leaf's rows come from: every hash whose top
+/// `bits` are `index`.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) struct Route {
+    bits: u32,
+    index: u64,
+}
+
+impl Route {
+    /// The smallest hash the route holds.
+    fn start(self) -> u64 {
+        self.index.checked_shl(64 - self.bits).unwrap_or(0)
+    }
 }
 
 /// Where spill traffic is booked and restores are checkpointed.
@@ -124,7 +159,11 @@ impl PartitionSpill {
         io: IoTracker,
         metrics: Option<Arc<OpMetrics>>,
     ) -> PartitionSpill {
-        let parts = (0..1usize << shape.bits)
+        let count = match &shape.fanout {
+            Fanout::Bits(bits) => 1usize << bits,
+            Fanout::Pairs(routes) => routes.len(),
+        };
+        let parts = (0..count)
             .map(|_| PartState::Resident { chunks: Vec::new(), mem: tracker.register(0) })
             .collect();
         let meter = Meter { metrics, governor, label: shape.label };
@@ -143,8 +182,25 @@ impl PartitionSpill {
 
     /// Route `batch`'s rows to their partitions.
     pub(crate) fn scatter(&mut self, batch: &Batch) -> Result<()> {
-        scatter_batch(batch, &self.shape.keys, self.shape.bits)
-            .try_for_each(|(p, chunk)| self.push(p, chunk))
+        let keys: Vec<&Column> = self.shape.keys.iter().map(|&k| &batch.columns[k]).collect();
+        let routed = match &self.shape.fanout {
+            Fanout::Bits(bits) => partition_rows_of_batch(&keys, batch.rows(), *bits),
+            Fanout::Pairs(routes) => {
+                let mut hashes = Vec::new();
+                hash_group_rows(&keys, 0..batch.rows(), &mut hashes);
+                let mut routed = vec![Vec::new(); routes.len()];
+                for (row, &h) in hashes.iter().enumerate() {
+                    routed[routes.partition_point(|r| r.start() <= h).saturating_sub(1)].push(row);
+                }
+                routed
+            }
+        };
+        for (p, rows) in routed.into_iter().enumerate() {
+            if !rows.is_empty() {
+                self.push(p, batch.gather(&rows))?;
+            }
+        }
+        Ok(())
     }
 
     /// Append `chunk`, already routed, to partition `p`.
@@ -207,53 +263,58 @@ impl PartitionSpill {
     }
 
     /// Hand every non-empty partition to `f` as one or more leaves, in
-    /// partition order; a frozen partition is first split until its
-    /// leaves fit the restore limit.
+    /// partition order — ascending hash slices; a frozen partition is first
+    /// split until its leaves fit the restore limit.
     pub(crate) fn for_each_leaf(mut self, mut f: impl FnMut(Leaf) -> Result<()>) -> Result<()> {
-        for part in std::mem::take(&mut self.parts) {
+        for (p, part) in std::mem::take(&mut self.parts).into_iter().enumerate() {
+            let route = match &self.shape.fanout {
+                Fanout::Bits(bits) => Route { bits: *bits, index: p as u64 },
+                Fanout::Pairs(routes) => routes[p],
+            };
             match part {
                 PartState::Resident { chunks, mem } => {
                     if !chunks.is_empty() {
-                        f(self.leaf(Chunks::Resident { chunks, _mem: mem }))?;
+                        f(self.leaf(Chunks::Resident { chunks, _mem: mem }, route))?;
                     }
                 }
                 PartState::Frozen { writer, mem_bytes } => {
-                    self.split(writer.finish()?, mem_bytes, self.shape.bits, &mut f)?
+                    self.split(writer.finish()?, mem_bytes, route, &mut f)?
                 }
             }
         }
         Ok(())
     }
 
-    fn leaf(&self, chunks: Chunks) -> Leaf {
-        Leaf { chunks, meter: self.meter.clone() }
+    fn leaf(&self, chunks: Chunks, route: Route) -> Leaf {
+        Leaf { chunks, route, meter: self.meter.clone() }
     }
 
     /// Emit `handle` as a leaf if it fits, else re-scatter its chunks on
-    /// the next [`RECURSE_BITS`] below the `used_bits` already spent —
+    /// the next [`RECURSE_BITS`] below the bits `route` already spent —
     /// one streamed chunk resident at a time — and split each sub-file.
     fn split(
         &self,
         handle: SpillHandle,
         mem_bytes: u64,
-        used_bits: u32,
+        route: Route,
         f: &mut dyn FnMut(Leaf) -> Result<()>,
     ) -> Result<()> {
-        let parent = self.leaf(Chunks::File(handle));
+        let parent = self.leaf(Chunks::File(handle), route);
         if mem_bytes.saturating_mul(self.shape.leaf_factor) <= self.broker.restore_limit()
-            || used_bits + RECURSE_BITS > MAX_TOTAL_BITS
+            || route.bits + RECURSE_BITS > MAX_TOTAL_BITS
         {
             return f(parent);
         }
         let mut subs: Vec<Option<(SpillWriter, u64)>> =
             (0..1usize << RECURSE_BITS).map(|_| None).collect();
         let mut hashes = Vec::new();
+        // Reading the parent consumes it: it unlinks before any child is read.
         parent.for_each_chunk(|chunk| {
             let keys: Vec<&Column> = self.shape.keys.iter().map(|&k| &chunk.columns[k]).collect();
             hash_group_rows(&keys, 0..chunk.rows(), &mut hashes);
             let mut routed: Vec<Vec<usize>> = vec![Vec::new(); subs.len()];
             for (row, &h) in hashes.iter().enumerate() {
-                routed[sub_partition_of(h, used_bits)].push(row);
+                routed[sub_partition_of(h, route.bits)].push(row);
             }
             for (sub, rows) in subs.iter_mut().zip(routed) {
                 if rows.is_empty() {
@@ -270,10 +331,13 @@ impl PartitionSpill {
             }
             Ok(())
         })?;
-        drop(parent); // unlinks before any child is read
         self.meter.note_spill(1, 0, 0);
-        for (writer, sub_mem) in subs.into_iter().flatten() {
-            self.split(writer.finish()?, sub_mem, used_bits + RECURSE_BITS, f)?;
+        for (sub, state) in subs.into_iter().enumerate() {
+            if let Some((writer, sub_mem)) = state {
+                let index = (route.index << RECURSE_BITS) | sub as u64;
+                let child = Route { bits: route.bits + RECURSE_BITS, index };
+                self.split(writer.finish()?, sub_mem, child, f)?;
+            }
         }
         Ok(())
     }
@@ -289,14 +353,11 @@ enum Chunks {
 /// the memory or unlinks the file.
 pub(crate) struct Leaf {
     chunks: Chunks,
+    route: Route,
     meter: Meter,
 }
 
 impl Leaf {
-    pub(crate) fn is_resident(&self) -> bool {
-        matches!(self.chunks, Chunks::Resident { .. })
-    }
-
     pub(crate) fn rows(&self) -> u64 {
         match &self.chunks {
             Chunks::Resident { chunks, .. } => chunks.iter().map(|c| c.rows() as u64).sum(),
@@ -304,21 +365,51 @@ impl Leaf {
         }
     }
 
-    /// Replay the leaf's chunks in push order. A file leaf can be read
-    /// any number of times; every read books its bytes as restored.
-    pub(crate) fn for_each_chunk(&self, mut f: impl FnMut(&Batch) -> Result<()>) -> Result<()> {
+    /// The hash slice the leaf's rows come from.
+    pub(crate) fn route(&self) -> Route {
+        self.route
+    }
+
+    /// Start reading the leaf back, once: the restore side's governor
+    /// checkpoint, and a file leaf's bytes are booked as restored. The
+    /// cursor holds the leaf's memory or file until it is dropped.
+    pub(crate) fn into_chunks(self) -> Result<LeafChunks> {
         self.meter.governor.check(self.meter.label)?;
-        match &self.chunks {
-            Chunks::Resident { chunks, .. } => chunks.iter().try_for_each(f),
-            Chunks::File(handle) => {
-                let mut reader = handle.open()?;
-                while let Some(columns) = reader.next_columns()? {
-                    f(&Batch::new(columns))?;
-                }
-                self.meter.note_spill(0, 0, handle.bytes());
-                Ok(())
+        Ok(match self.chunks {
+            Chunks::Resident { chunks, _mem } => {
+                LeafChunks::Resident { chunks: chunks.into_iter(), _mem }
             }
+            Chunks::File(file) => {
+                let reader = file.open()?;
+                self.meter.note_spill(0, 0, file.bytes());
+                LeafChunks::File { reader, _file: file }
+            }
+        })
+    }
+
+    /// Replay the leaf's chunks in push order.
+    pub(crate) fn for_each_chunk(self, mut f: impl FnMut(Batch) -> Result<()>) -> Result<()> {
+        let mut chunks = self.into_chunks()?;
+        while let Some(chunk) = chunks.next()? {
+            f(chunk)?;
         }
+        Ok(())
+    }
+}
+
+/// A leaf being read: its chunks one at a time, in push order, for a
+/// caller that reads several leaves in step.
+pub(crate) enum LeafChunks {
+    Resident { chunks: std::vec::IntoIter<Batch>, _mem: MemoryGuard },
+    File { reader: SpillReader, _file: SpillHandle },
+}
+
+impl LeafChunks {
+    pub(crate) fn next(&mut self) -> Result<Option<Batch>> {
+        Ok(match self {
+            LeafChunks::Resident { chunks, .. } => chunks.next(),
+            LeafChunks::File { reader, .. } => reader.next_columns()?.map(Batch::new),
+        })
     }
 }
 
@@ -353,10 +444,20 @@ mod tests {
 
         /// A core keyed on columns 0 and 1 under `mode` / `budget`.
         fn core(&self, mode: SpillMode, budget: Option<u64>, leaf_factor: u64) -> PartitionSpill {
+            self.core_over(Fanout::Bits(BITS), mode, budget, leaf_factor)
+        }
+
+        fn core_over(
+            &self,
+            fanout: Fanout,
+            mode: SpillMode,
+            budget: Option<u64>,
+            leaf_factor: u64,
+        ) -> PartitionSpill {
             let mut governor = Governor::none();
             governor.set_cancel(self.token.clone(), &self.tracker);
             PartitionSpill::new(
-                Shape { keys: vec![0, 1], bits: BITS, leaf_factor, label: "test" },
+                Shape { keys: vec![0, 1], fanout, leaf_factor, label: "test" },
                 MemoryBroker::with_mode(mode, &self.tracker, budget),
                 governor,
                 &self.tracker,
@@ -403,14 +504,15 @@ mod tests {
     }
 
     /// The stream positions a leaf replays, in replay order.
-    fn positions(leaf: &Leaf) -> Vec<i64> {
+    fn positions(leaf: Leaf) -> Vec<i64> {
+        let rows = leaf.rows();
         let mut seen = Vec::new();
-        let note = |c: &Batch| {
+        let note = |c: Batch| {
             seen.extend_from_slice(c.columns[2].as_i64()?);
             Ok(())
         };
         leaf.for_each_chunk(note).unwrap();
-        assert_eq!(seen.len() as u64, leaf.rows());
+        assert_eq!(seen.len() as u64, rows);
         seen
     }
 
@@ -486,24 +588,23 @@ mod tests {
                 spill.freeze_all().unwrap();
             }
             let leaves = leaves_of(spill);
-            assert!(leaves.iter().all(|l| l.is_resident() == resident), "{mode:?}");
+            let is_resident = |l: &Leaf| matches!(l.chunks, Chunks::Resident { .. });
+            assert!(leaves.iter().all(|l| is_resident(l) == resident), "{mode:?}");
             assert_eq!(leaves.len() > 1 << BITS, recursed, "{mode:?}: {} leaves", leaves.len());
+            let starts: Vec<u64> = leaves.iter().map(|l| l.route().start()).collect();
+            assert!(starts.windows(2).all(|w| w[0] < w[1]), "{mode:?}: routes ascend");
             let mut covered = 0;
-            for leaf in &leaves {
+            for leaf in leaves {
+                let Route { bits, index } = leaf.route();
                 let got = positions(leaf);
-                // The leaf is the slice of the stream that shares its
-                // first row's route, at whatever depth the leaf sits.
-                let first = hashes[got[0] as usize];
-                let depth = (BITS..=MAX_TOTAL_BITS).step_by(RECURSE_BITS as usize).find(|&d| {
-                    let want = (0..all.rows() as i64)
-                        .filter(|&r| partition_of(hashes[r as usize], d) == partition_of(first, d));
-                    want.eq(got.iter().copied())
-                });
-                assert!(depth.is_some(), "{mode:?}: a leaf is not a route's rows in stream order");
+                // The leaf is its route's slice of the stream, in stream
+                // order, at whatever depth the leaf sits.
+                let want = (0..all.rows() as i64)
+                    .filter(|&r| partition_of(hashes[r as usize], bits) as u64 == index);
+                assert!(want.eq(got.iter().copied()), "{mode:?}: not its route's rows in order");
                 covered += got.len();
             }
             assert_eq!(covered, all.rows(), "{mode:?}: leaves tile the stream");
-            drop(leaves);
             assert_eq!(live_spill_files(), base, "{mode:?}");
             assert_eq!(rig.tracker.current(), 0, "{mode:?}");
         }
@@ -529,12 +630,50 @@ mod tests {
         assert!(leaves.len() > 1 << BITS && files > 1 << BITS, "the run must recurse");
         assert_eq!(written, (io + l) / 2, "bytes written, appends and sub-files included");
         assert_eq!(restored, (io - l) / 2, "bytes of every recursed parent");
-        // Each read of a leaf books the leaf's file; the device pays once.
-        for _ in 0..2 {
-            leaves.iter().for_each(|leaf| assert!(!positions(leaf).is_empty()));
-        }
-        assert_eq!(rig.booked(), (files, written, restored + 2 * l));
+        // Reading a leaf back books its file as restored.
+        leaves.into_iter().for_each(|leaf| assert!(!positions(leaf).is_empty()));
+        assert_eq!(rig.booked(), (files, written, restored + l));
         assert_eq!(rig.io.stats().bytes_read, io + l);
+    }
+
+    #[test]
+    fn a_paired_core_routes_rows_beside_the_leaves_they_can_match() {
+        let _spill = spill_test_guard();
+        let base = live_spill_files();
+        let rig = Rig::new();
+        // The first input recurses: its leaves sit at several depths.
+        let mut first = rig.core(SpillMode::Auto, Some(4096), 2);
+        drain(&mut first, &stream(3000, 64, |i| (i * 13) % 977));
+        first.freeze_all().unwrap();
+        let leaves = leaves_of(first);
+        let routes: Vec<Route> = leaves.iter().map(Leaf::route).collect();
+        assert!(routes.iter().any(|r| r.bits > BITS), "the first input must recurse");
+        // The second input: the same keys (each lands beside its leaf) and
+        // keys the first never saw (they land beside some leaf).
+        let keys_of = |leaf: Leaf| -> Vec<i64> {
+            let mut keys = Vec::new();
+            let note = |c: Batch| {
+                keys.extend_from_slice(c.columns[0].as_i64()?);
+                Ok(())
+            };
+            leaf.for_each_chunk(note).unwrap();
+            keys
+        };
+        let held: Vec<Vec<i64>> = leaves.into_iter().map(keys_of).collect();
+        let mut second = rig.core_over(Fanout::Pairs(routes.clone()), SpillMode::Force, None, 0);
+        drain(&mut second, &stream(4000, 100, |i| (i * 7) % 2000));
+        second.freeze_all().unwrap();
+        let mut seen = 0;
+        for leaf in leaves_of(second) {
+            let p = routes.iter().position(|&r| r == leaf.route()).expect("one of the routes");
+            for key in keys_of(leaf) {
+                seen += 1;
+                let owner = held.iter().position(|keys| keys.contains(&key));
+                assert!(owner.is_none_or(|owner| owner == p), "key {key} left its leaf");
+            }
+        }
+        assert_eq!(seen, 4000, "every row lands in exactly one partition");
+        assert_eq!((live_spill_files(), rig.tracker.current()), (base, 0));
     }
 
     #[test]
@@ -546,7 +685,7 @@ mod tests {
         spill.freeze_all().unwrap();
         let leaves = leaves_of(spill);
         assert_eq!(leaves.len(), 1);
-        assert_eq!(positions(&leaves[0]), (0..500).collect::<Vec<_>>());
+        assert_eq!(positions(leaves.into_iter().next().unwrap()), (0..500).collect::<Vec<_>>());
         // One freeze, then a split per level until the bits run out.
         assert_eq!(rig.booked().0, 1 + ((MAX_TOTAL_BITS - BITS) / RECURSE_BITS) as u64);
     }

@@ -3,9 +3,11 @@
 //! force — the same knob `BDCC_SPILL` sets process-wide) must produce
 //! **byte-identical** results, drain every spill temp file (including
 //! when queries die mid-flight to deadlines, cancellation, or injected
-//! faults), and keep tracked memory within the query budget when one is
-//! set.
+//! faults — in every phase of the grace-hash join), keep tracked memory
+//! within the query budget when one is set, and read every spilled byte
+//! back once: each build leaf is restored and indexed exactly once.
 
+use std::collections::BTreeSet;
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -13,11 +15,12 @@ use bdcc_catalog::{Catalog, ColumnDef, Database, TableDef};
 use bdcc_core::DesignConfig;
 use bdcc_exec::run::{canonical_rows, run_measured};
 use bdcc_exec::{
-    aggregate, bdcc_scheme, join_full, pk_scheme, plain_scheme, AggFunc, AggSpec, Expr, JoinType,
-    Node, ParallelConfig, PlanBuilder, QueryContext, SchemeDb, SpillMode,
+    aggregate, bdcc_scheme, explain_analyze, join_full, pk_scheme, plain_scheme, plan_query,
+    AggFunc, AggSpec, ColPredicate, ExecError, Expr, JoinType, Node, ParallelConfig, PlanBuilder,
+    ProfileNode, QueryContext, QueryProfile, SchemeDb, SpillMode,
 };
 use bdcc_pool::{CancelToken, FaultInjector, FaultPlan};
-use bdcc_storage::{live_spill_files, Column, DataType, StoredTable, TableBuilder};
+use bdcc_storage::{live_spill_files, Column, DataType, IoStats, StoredTable, TableBuilder};
 
 const N_CUST: i64 = 512;
 const N_ORDERS: i64 = 20_000;
@@ -128,6 +131,52 @@ fn semi_heavy() -> Node {
         JoinType::Semi,
         None,
         Some(Expr::col("o_amount").ge(Expr::col("c_score").add(Expr::lit(880)))),
+    )
+}
+
+/// A left-outer join building all 20 000 orders: the orders of the first
+/// 20 days of a year (many small probe batches) against every order of the
+/// same customer — 39 matches each in build order, none when the residual
+/// rejects them all.
+fn left_outer_heavy() -> Node {
+    let b = PlanBuilder::new();
+    let early = b.scan_as(
+        "orders",
+        "e",
+        &["o_key", "o_cust", "o_amount"],
+        vec![ColPredicate::lt("o_day", 20)],
+    );
+    let orders = b.scan("orders", &["o_key", "o_cust", "o_day"], vec![]);
+    join_full(
+        early,
+        orders,
+        &[("e_cust", "o_cust")],
+        JoinType::LeftOuter,
+        None,
+        Some(Expr::col("e_amount").ge(Expr::col("o_day").mul(Expr::lit(3)))),
+    )
+}
+
+/// A semi or anti join whose left side (the orders of the first 100 days)
+/// ends first: in memory it indexes the left, under an active broker every
+/// order is the spilled build. A left row survives on its own twin, which
+/// passes the residual or not.
+fn twin_join(join_type: JoinType) -> Node {
+    let b = PlanBuilder::new();
+    let early = b.scan_as(
+        "orders",
+        "e",
+        &["o_key", "o_cust", "o_day"],
+        vec![ColPredicate::lt("o_day", 100)],
+    );
+    let orders = b.scan("orders", &["o_key", "o_amount"], vec![]);
+    join_full(
+        early,
+        orders,
+        &[("e_key", "o_key")],
+        join_type,
+        None,
+        Some(Expr::col("o_amount").gt(Expr::col("e_day").mul(Expr::lit(5)))),
     )
 }
 
@@ -289,6 +338,62 @@ fn deadline_and_cancel_mid_spill_drain_all_temp_files() {
     let c = ctx(plain, 1).with_cancel(token).with_spill(SpillMode::Force);
     assert!(run_measured(&c, &join_heavy()).is_err());
     assert_eq!(live_spill_files(), base_files, "cancelled query leaked spill files");
+
+    // Inside the grace-hash join, whose probe side is 40 batches: every
+    // checkpoint also sleeps 0.5 ms, so deadlines 5 ms apart trip a few
+    // checkpoints apart — in every phase — and the join's profile says
+    // which phase each one hit.
+    let plan = left_outer_heavy();
+    let reference = run_measured(&ctx(plain, 1).with_spill(SpillMode::Off), &plan).unwrap().0;
+    let analyzed = explain_analyze(&ctx(plain, 1), &plan).unwrap();
+    let probe_rows = hash_join(&analyzed.profile).children[0].rows_out;
+    let slow = Arc::new(FaultInjector::new(FaultPlan::parse("delay=1.0,delay_us=500").unwrap()));
+    let mut phases = BTreeSet::new();
+    for millis in (0..).step_by(5) {
+        let c = ctx(plain, 1)
+            .with_fault_injector(Arc::clone(&slow))
+            .with_deadline(Duration::from_millis(millis))
+            .with_spill(SpillMode::Force)
+            .with_profiling();
+        let tracker = Arc::clone(&c.tracker);
+        let outcome = run_measured(&c, &plan);
+        assert_eq!(live_spill_files(), base_files, "deadline {millis} ms: leaked spill files");
+        assert_eq!(tracker.current(), 0, "deadline {millis} ms: leaked tracked bytes");
+        match outcome {
+            Ok((out, _)) => {
+                assert_eq!(reference, out, "deadline {millis} ms");
+                break;
+            }
+            Err(e) => assert_eq!(e, ExecError::DeadlineExceeded, "deadline {millis} ms"),
+        }
+        phases.insert(grace_phase(&c, probe_rows));
+    }
+    assert!(phases.contains("probe-partition") && phases.contains("merge"), "{phases:?}");
+
+    // Cancelled between two batches of the output merge.
+    let token = CancelToken::new();
+    let c = ctx(plain, 1).with_cancel(token.clone()).with_spill(SpillMode::Force);
+    let mut root = plan_query(&c, &plan).unwrap();
+    assert!(root.next().unwrap().is_some());
+    token.cancel();
+    assert_eq!(root.next().unwrap_err(), ExecError::Cancelled);
+    drop(root);
+    assert_eq!((live_spill_files(), c.tracker.current()), (base_files, 0), "cancelled mid-merge");
+}
+
+/// Which phase of a spilled hash join a failed run stopped in, read off its
+/// profile: the build drain, partitioning the probe side (`probe_rows` not
+/// all pulled yet), the leaves, or the output merge (some output emitted).
+fn grace_phase(c: &QueryContext, probe_rows: u64) -> &'static str {
+    let profiler = c.profiler.as_ref().expect("a profiled context");
+    let join = hash_join(&profiler.finalize(0, 0, &IoStats::default(), Vec::new()).unwrap());
+    match (annotation(&join, "build"), annotation(&join, "restores")) {
+        (None, _) => "build",
+        (Some(_), None) if join.children[0].rows_out < probe_rows => "probe-partition",
+        (Some(_), None) => "leaves",
+        (Some(_), Some(_)) if join.batches_out == 0 => "merge-open",
+        (Some(_), Some(_)) => "merge",
+    }
 }
 
 #[test]
@@ -314,4 +419,118 @@ fn injected_faults_mid_spill_drain_all_temp_files() {
         assert_eq!(tracker.current(), 0, "faulted run {i} leaked tracked bytes");
     }
     assert!(failures > 0, "5% error injection over 20 spilling runs should fail at least once");
+
+    // Inside the grace-hash join: one seeded run per seed, serial, so each
+    // fault lands on the same checkpoint every time — over these seeds, in
+    // every phase. Each is a typed error that drains everything.
+    let plan = left_outer_heavy();
+    let reference = run_measured(&ctx(plain, 1).with_spill(SpillMode::Off), &plan).unwrap().0;
+    let mut sites = BTreeSet::new();
+    for seed in 0..40 {
+        let faults = FaultPlan::parse(&format!("err=0.01,seed={seed}")).unwrap();
+        let c = ctx(plain, 1)
+            .with_fault_injector(Arc::new(FaultInjector::new(faults)))
+            .with_spill(SpillMode::Force);
+        let tracker = Arc::clone(&c.tracker);
+        match run_measured(&c, &plan) {
+            Ok((out, _)) => assert_eq!(reference, out, "seed {seed}: completed run differs"),
+            Err(ExecError::Injected(msg)) => {
+                sites.insert(msg.rsplit(' ').next().unwrap_or_default().to_string());
+            }
+            Err(e) => panic!("seed {seed}: {e}"),
+        }
+        assert_eq!(live_spill_files(), base_files, "seed {seed}: leaked spill files");
+        assert_eq!(tracker.current(), 0, "seed {seed}: leaked tracked bytes");
+    }
+    let inside = ["probe-partition", "join-merge"];
+    assert!(inside.iter().all(|site| sites.contains(*site)), "faults hit {sites:?}");
+}
+
+/// The one hash join of a plan's profile.
+fn hash_join(profile: &QueryProfile) -> ProfileNode {
+    let mut joins = Vec::new();
+    profile.root.walk(&mut |node: &ProfileNode| {
+        if node.label == "Join(hash)" {
+            joins.push(node.clone());
+        }
+    });
+    assert_eq!(joins.len(), 1, "one hash join");
+    joins.pop().unwrap()
+}
+
+fn annotation<'a>(node: &'a ProfileNode, key: &str) -> Option<&'a str> {
+    node.annotations.iter().find(|(k, _)| k == key).map(|(_, v)| v.as_str())
+}
+
+/// `name(n)` → `n`.
+fn count_in(value: &str, name: &str) -> u64 {
+    let inner = value.strip_prefix(name).and_then(|v| v.strip_prefix('(')?.strip_suffix(')'));
+    inner.and_then(|n| n.parse().ok()).unwrap_or_else(|| panic!("{value}: not {name}(n)"))
+}
+
+/// Every join type through the grace-hash spilled join, under half and a
+/// quarter of its unspilled peak and forced, at widths 1 and 4: the result
+/// is byte-identical to the unspilled run, the spilled bytes are read back
+/// once (not once per probe round), and each build leaf is restored and
+/// indexed exactly once — the probe side is partitioned beside it. (At
+/// width 4 a quarter of the peak is about what the streaming scans buffer
+/// and cannot spill, so whether such a run fits its budget depends on
+/// timing; width 4 runs under half.)
+#[test]
+fn spilled_joins_of_every_type_restore_each_leaf_once() {
+    let _spill = spill_test_guard();
+    let schemes = schemes();
+    let (_, plain) = &schemes[0];
+    let base_files = live_spill_files();
+    let queries = [
+        ("inner", join_heavy()),
+        ("left_outer", left_outer_heavy()),
+        ("semi", twin_join(JoinType::Semi)),
+        ("anti", twin_join(JoinType::Anti)),
+    ];
+    for (query_name, query) in queries {
+        for threads in [1, 4] {
+            let (want, off) =
+                run_measured(&ctx(plain, threads).with_spill(SpillMode::Off), &query).unwrap();
+            let runs = [
+                ("peak/2", Some(off.peak_memory / 2), SpillMode::Auto),
+                ("peak/4", Some(off.peak_memory / 4), SpillMode::Auto),
+                ("force", None, SpillMode::Force),
+            ];
+            for (run, budget, mode) in runs {
+                if threads > 1 && run == "peak/4" {
+                    continue;
+                }
+                let case = format!("{query_name}/{threads}t/{run}");
+                let mut c = ctx(plain, threads).with_spill(mode);
+                if let Some(budget) = budget {
+                    c = c.with_memory_budget(budget);
+                }
+                let analyzed =
+                    explain_analyze(&c, &query).unwrap_or_else(|e| panic!("{case}: {e}"));
+                assert_eq!(want, analyzed.batch, "{case}: must be byte-identical");
+                assert_eq!(live_spill_files(), base_files, "{case}: temp files must drain");
+                let peak = analyzed.measurement.peak_memory;
+                let fits = threads > 1 || budget.is_none_or(|b| peak <= b);
+                assert!(fits, "{case}: peak {peak} over {budget:?}");
+                let (mut written, mut restored) = (0, 0);
+                analyzed.profile.root.walk(&mut |node: &ProfileNode| {
+                    written += node.spill_bytes;
+                    restored += node.spill_restore_bytes;
+                });
+                assert!(written > 0, "{case}: the join must spill");
+                assert!(
+                    restored * 2 <= written * 3,
+                    "{case}: {restored} bytes restored for {written} written"
+                );
+                let join = hash_join(&analyzed.profile);
+                let get =
+                    |key| annotation(&join, key).unwrap_or_else(|| panic!("{case}: no {key}="));
+                let leaves = count_in(get("build"), "spilled");
+                assert_eq!(count_in(get("probe"), "partitioned"), leaves, "{case}");
+                let restores: u64 = get("restores").parse().unwrap();
+                assert_eq!(restores, leaves, "{case}: every leaf indexed exactly once");
+            }
+        }
+    }
 }

@@ -73,6 +73,18 @@ pub fn encode_enabled() -> bool {
     ENCODE_ENABLED.load(Ordering::SeqCst)
 }
 
+/// Run `f` with the switch pinned to `enabled`, serialised against every
+/// other unit test of this crate that pins it, and restore the default.
+#[cfg(test)]
+pub(crate) fn with_encoding<T>(enabled: bool, f: impl FnOnce() -> T) -> T {
+    static LOCK: std::sync::Mutex<()> = std::sync::Mutex::new(());
+    let _pin = LOCK.lock().unwrap_or_else(|e| e.into_inner());
+    set_encode_enabled(Some(enabled));
+    let out = f();
+    set_encode_enabled(None);
+    out
+}
+
 // ---------------------------------------------------------------------------
 // PackedInts
 // ---------------------------------------------------------------------------
@@ -637,12 +649,13 @@ mod tests {
 
     #[test]
     fn the_switch_turns_encoding_off_and_restores_the_default() {
-        set_encode_enabled(Some(false));
-        assert!(!encode_enabled());
-        set_encode_enabled(Some(true));
-        assert!(encode_enabled());
-        set_encode_enabled(Some(false));
-        set_encode_enabled(None);
-        assert!(encode_enabled(), "`None` restores the default, on");
+        with_encoding(false, || {
+            assert!(!encode_enabled());
+            set_encode_enabled(Some(true));
+            assert!(encode_enabled());
+            set_encode_enabled(Some(false));
+            set_encode_enabled(None);
+            assert!(encode_enabled(), "`None` restores the default, on");
+        });
     }
 }

@@ -144,6 +144,12 @@ impl<W: Write> CountingWriter<W> {
     fn i64(&mut self, v: i64) -> Result<()> {
         self.put(&v.to_le_bytes())
     }
+    /// Little-endian words as one region: one write, not one per word.
+    fn words(&mut self, words: impl ExactSizeIterator<Item = u64>) -> Result<()> {
+        let mut region = Vec::with_capacity(words.len() * 8);
+        words.for_each(|w| region.extend_from_slice(&w.to_le_bytes()));
+        self.put(&region)
+    }
 }
 
 struct CountingReader<R> {
@@ -177,6 +183,14 @@ impl<R: Read> CountingReader<R> {
         self.take(&mut b)?;
         Ok(i64::from_le_bytes(b))
     }
+    /// `n` little-endian words, read as one region (the caller has checked
+    /// that the file holds them).
+    fn words(&mut self, n: usize) -> Result<Vec<u64>> {
+        let mut region = vec![0u8; n * 8];
+        self.take(&mut region)?;
+        let word = |c: &[u8]| u64::from_le_bytes(c.try_into().expect("8-byte chunk"));
+        Ok(region.chunks_exact(8).map(word).collect())
+    }
 }
 
 // Column tags.
@@ -201,9 +215,7 @@ fn write_column<W: Write>(w: &mut CountingWriter<W>, col: &Column) -> Result<()>
                 w.u8(TAG_I64_RAW)?;
                 w.u8(logical_tag)?;
                 w.u64(values.len() as u64)?;
-                for &v in values {
-                    w.i64(v)?;
-                }
+                w.words(values.iter().map(|&v| v as u64))?;
             } else {
                 let packed = PackedInts::pack(&deltas, width);
                 w.u8(TAG_I64_FOR)?;
@@ -212,17 +224,13 @@ fn write_column<W: Write>(w: &mut CountingWriter<W>, col: &Column) -> Result<()>
                 w.u8(width)?;
                 w.u64(values.len() as u64)?;
                 w.u64(packed.words().len() as u64)?;
-                for &word in packed.words() {
-                    w.u64(word)?;
-                }
+                w.words(packed.words().iter().copied())?;
             }
         }
         Column::F64(values) => {
             w.u8(TAG_F64)?;
             w.u64(values.len() as u64)?;
-            for &v in values {
-                w.u64(v.to_bits())?;
-            }
+            w.words(values.iter().map(|v| v.to_bits()))?;
         }
         Column::Str(values) => {
             // Two bulk regions, as the column holds them: the `len + 1`
@@ -271,10 +279,7 @@ fn read_column<R: Read>(r: &mut CountingReader<R>, rows: usize, left: u64) -> Re
             {
                 return Err(corrupt(format_args!("{nwords} words of {rows} × {width} bits")));
             }
-            let mut words = Vec::with_capacity(nwords as usize);
-            for _ in 0..nwords {
-                words.push(r.u64()?);
-            }
+            let words = r.words(nwords as usize)?;
             let packed = PackedInts::from_parts(width, rows, words);
             let values = (0..rows).map(|i| min.wrapping_add(packed.get(i) as i64)).collect();
             Ok(Column::I64 { values, logical })
@@ -282,19 +287,12 @@ fn read_column<R: Read>(r: &mut CountingReader<R>, rows: usize, left: u64) -> Re
         TAG_I64_RAW => {
             let logical = logical_of(r.u8()?);
             check_len(r.u64()?, 8)?;
-            let mut values = Vec::with_capacity(rows);
-            for _ in 0..rows {
-                values.push(r.i64()?);
-            }
+            let values = r.words(rows)?.into_iter().map(|w| w as i64).collect();
             Ok(Column::I64 { values, logical })
         }
         TAG_F64 => {
             check_len(r.u64()?, 8)?;
-            let mut values = Vec::with_capacity(rows);
-            for _ in 0..rows {
-                values.push(f64::from_bits(r.u64()?));
-            }
-            Ok(Column::F64(values))
+            Ok(Column::F64(r.words(rows)?.into_iter().map(f64::from_bits).collect()))
         }
         TAG_STR => {
             check_len(r.u64()?, 4)?;

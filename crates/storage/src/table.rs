@@ -375,21 +375,21 @@ mod tests {
 
     #[test]
     fn encoded_columns_shrink_io_width() {
-        crate::encode::set_encode_enabled(Some(true));
         let modes = ["AIR", "RAIL", "TRUCK", "SHIP"];
-        let t = StoredTable::from_columns_with_block_rows(
-            "t",
-            vec![
-                (
-                    "mode".into(),
-                    Column::from_strings((0..512).map(|i| modes[i % 4].into()).collect()),
-                ),
-                ("k".into(), Column::from_i64((0..512).collect())),
-            ],
-            4096,
-        )
-        .unwrap();
-        crate::encode::set_encode_enabled(None);
+        let t = crate::encode::with_encoding(true, || {
+            StoredTable::from_columns_with_block_rows(
+                "t",
+                vec![
+                    (
+                        "mode".into(),
+                        Column::from_strings((0..512).map(|i| modes[i % 4].into()).collect()),
+                    ),
+                    ("k".into(), Column::from_i64((0..512).collect())),
+                ],
+                4096,
+            )
+            .unwrap()
+        });
         assert!(t.has_encodings());
         let enc = t.encoding(0).expect("dict-encoded strings");
         assert!(enc.encoded_bytes < enc.raw_bytes);
@@ -403,14 +403,14 @@ mod tests {
 
     #[test]
     fn encode_gate_off_builds_no_encodings() {
-        crate::encode::set_encode_enabled(Some(false));
-        let t = StoredTable::from_columns_with_block_rows(
-            "t",
-            vec![("k".into(), Column::from_i64((0..512).collect()))],
-            4096,
-        )
-        .unwrap();
-        crate::encode::set_encode_enabled(None);
+        let t = crate::encode::with_encoding(false, || {
+            StoredTable::from_columns_with_block_rows(
+                "t",
+                vec![("k".into(), Column::from_i64((0..512).collect()))],
+                4096,
+            )
+            .unwrap()
+        });
         assert!(!t.has_encodings());
         assert_eq!(t.io_width(0), t.schema().columns[0].avg_width);
     }

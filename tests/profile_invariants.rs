@@ -16,15 +16,16 @@
 //! * the aggregation strategy is recorded: partial-merge without a
 //!   broker, radix under forced spill;
 //! * every hash join records which side it indexed, over exactly the rows
-//!   that child produced.
+//!   that child produced; a spilled one how many leaves it split into and
+//!   that it restored each of them once.
 
 use std::sync::Arc;
 
 use bdcc::prelude::*;
 use bdcc_exec::{
-    aggregate, canonical_rows, explain_analyze, join, run_plan, sort, AggFunc, AggSpec, Expr,
-    FkSide, Node, ParallelConfig, PlanBuilder, ProfileNode, QueryContext, QueryProfile, SortKey,
-    SpillMode,
+    aggregate, canonical_rows, explain_analyze, join, join_full, run_plan, sort, AggFunc, AggSpec,
+    Expr, FkSide, JoinType, Node, ParallelConfig, PlanBuilder, ProfileNode, QueryContext,
+    QueryProfile, SortKey, SpillMode,
 };
 
 fn scheme_db() -> Arc<SchemeDb> {
@@ -292,4 +293,44 @@ fn hash_joins_log_the_side_they_indexed() {
             }
         }
     }
+}
+
+/// The spilled slice of the join log: forced out of core, ORDERS ⋈ LINEITEM
+/// (LINEITEM, several batches, is the build) keeps `build=spilled(leaves)`
+/// and adds `probe=partitioned(n)` and `restores=k` — one probe partition
+/// per leaf and every leaf restored once, not once per probe round.
+#[test]
+fn a_spilled_hash_join_logs_linear_restores() {
+    let sdb = scheme_db();
+    let b = PlanBuilder::new();
+    let orders = b.scan("orders", &["o_orderkey", "o_orderdate"], vec![]);
+    let lineitem = b.scan("lineitem", &["l_orderkey", "l_quantity"], vec![]);
+    let plan =
+        join_full(orders, lineitem, &[("o_orderkey", "l_orderkey")], JoinType::Inner, None, None);
+    let analyzed = explain_analyze(&QueryContext::new(sdb).with_spill(SpillMode::Force), &plan)
+        .expect("explain analyze");
+    check_tree(&analyzed.profile);
+    let mut logs = Vec::new();
+    analyzed.profile.root.walk(&mut |node: &ProfileNode| {
+        if node.label == "Join(hash)" {
+            logs.push((node.annotations.clone(), node.children[1].rows_out));
+        }
+    });
+    let [(log, build_rows)] = logs.as_slice() else { panic!("one hash join: {logs:?}") };
+    let get = |key: &str| {
+        let value = log.iter().find(|(k, _)| k == key).map(|(_, v)| v.as_str());
+        value.unwrap_or_else(|| panic!("no {key}= in {log:?}"))
+    };
+    let count = |key: &str, name: &str| -> u64 {
+        let value = get(key);
+        let inner = value.strip_prefix(name).and_then(|v| v.strip_prefix('(')?.strip_suffix(')'));
+        inner.and_then(|n| n.parse().ok()).unwrap_or_else(|| panic!("{key}={value}"))
+    };
+    let leaves = count("build", "spilled");
+    assert_eq!(leaves, 16, "no budget: one leaf per top-level partition");
+    assert_eq!(get("build_rows").parse::<u64>().ok(), Some(*build_rows));
+    assert_eq!(count("probe", "partitioned"), leaves);
+    assert_eq!(get("restores").parse::<u64>().ok(), Some(leaves), "each leaf restored once");
+    let rendered = analyzed.profile.render();
+    assert!(rendered.contains("restores=16"), "EXPLAIN ANALYZE prints it:\n{rendered}");
 }
