@@ -134,45 +134,6 @@ pub fn probe_all(idx: &bdcc_exec::JoinIndex, key_cols: &[&[i64]]) -> usize {
     n
 }
 
-/// The **pre-PR-3** Semi/Anti probe, kept as the measured baseline of the
-/// `probe_speedup` bin and `join_probe` bench: collect the full match
-/// lists, gather the complete left ++ right candidate pair columns — and
-/// then throw the pairs away, keeping only the matched-row flags. This is
-/// exactly the waste `join_batch` used to do before the existence fast
-/// path (`join.rs` now skips the gather and short-circuits per row).
-pub fn semi_probe_gather_baseline(
-    idx: &bdcc_exec::JoinIndex,
-    key_cols: &[&[i64]],
-    left_payload: &[bdcc_storage::Column],
-    right_payload: &[bdcc_storage::Column],
-) -> usize {
-    let rows = key_cols.first().map(|c| c.len()).unwrap_or(0);
-    let (mut lidx, mut ridx) = (Vec::new(), Vec::new());
-    idx.probe_pairs(key_cols, 0..rows, &mut lidx, &mut ridx);
-    // The wasteful part: full pair columns, gathered only to be discarded.
-    let discarded: Vec<bdcc_storage::Column> = left_payload
-        .iter()
-        .map(|c| c.gather(&lidx))
-        .chain(right_payload.iter().map(|c| c.gather_u32(&ridx)))
-        .collect();
-    std::hint::black_box(&discarded);
-    let mut matched = vec![false; rows];
-    for &l in &lidx {
-        matched[l] = true;
-    }
-    matched.iter().filter(|&&m| m).count()
-}
-
-/// The fixed Semi/Anti probe: the first-hit existence kernel
-/// (`JoinIndex::probe_exists`) — no match lists, no gathers (what
-/// `HashJoin` now runs for Semi/Anti without a residual).
-pub fn semi_probe_direct(idx: &bdcc_exec::JoinIndex, key_cols: &[&[i64]]) -> usize {
-    let rows = key_cols.first().map(|c| c.len()).unwrap_or(0);
-    let mut lidx = Vec::new();
-    idx.probe_exists(key_cols, 0..rows, &mut lidx);
-    lidx.len()
-}
-
 /// The one machine-readable line every bench bin ends with.
 ///
 /// Each bin prints, as its *last* stdout line, a single JSON object

@@ -70,6 +70,11 @@ impl Batch {
         Batch { columns: self.columns.iter().map(|c| c.gather_u32(indices)).collect() }
     }
 
+    /// Rows `start..end`, copied.
+    pub fn slice(&self, start: usize, end: usize) -> Batch {
+        Batch { columns: self.columns.iter().map(|c| c.slice(start, end)).collect() }
+    }
+
     /// Append all rows of `other` (same column types, in order).
     pub fn append(&mut self, other: &Batch) -> Result<(), bdcc_storage::StorageError> {
         self.columns.iter_mut().zip(&other.columns).try_for_each(|(d, s)| d.append(s))

@@ -1,6 +1,6 @@
 //! # Allocation-free join index
 //!
-//! The shared hashing substrate of both hash-join variants (and, via
+//! The hashing substrate of the hash join, grouped or not (and, via
 //! [`hash_group_rows`], of the aggregation group table and everything that
 //! routes rows by group key). It replaces the seed's
 //! `HashMap<Vec<i64>, Vec<u32>>` build — one `Vec<i64>` key allocation and
@@ -328,16 +328,6 @@ impl JoinTable {
     }
 }
 
-/// Bytes a serial [`JoinTable`] over `rows` rows of `key_width` key
-/// columns would hold — for operators that must account for a build
-/// *before* running it (the sandwich join registers each group's table
-/// with the memory tracker up front). Matches [`JoinTable::estimated_bytes`]
-/// for an unpartitioned build.
-pub fn estimated_table_bytes(rows: usize, key_width: usize) -> u64 {
-    let nbuckets = (rows.max(4) * 2).next_power_of_two();
-    (nbuckets * 4 + rows * 4 + rows * key_width.max(1) * 8) as u64
-}
-
 /// The build-side index of a hash join: one [`JoinTable`] (serial) or one
 /// per hash partition (parallel partitioned build).
 pub struct JoinIndex {
@@ -493,30 +483,6 @@ impl JoinIndex {
         }
     }
 
-    /// [`probe_pairs`](Self::probe_pairs) over all `rows`, fanned out to
-    /// workers in morsel-sized row ranges when `cfg` makes the input worth
-    /// splitting; per-morsel match lists concatenate in morsel order, so
-    /// the result is byte-identical to the serial probe.
-    pub fn probe_pairs_parallel(
-        &self,
-        key_cols: &[&[i64]],
-        rows: usize,
-        cfg: &ParallelConfig,
-    ) -> Result<(Vec<usize>, Vec<u32>)> {
-        if !cfg.worth_splitting(rows) {
-            let (mut l, mut r) = (Vec::new(), Vec::new());
-            self.probe_pairs(key_cols, 0..rows, &mut l, &mut r);
-            return Ok((l, r));
-        }
-        let ranges = crate::parallel::morsel::split_rows(rows, cfg.morsel_rows);
-        let per = pool::run_tasks_labeled(cfg.threads, ranges.len(), "join-probe-pairs", |i| {
-            let (mut l, mut r) = (Vec::new(), Vec::new());
-            self.probe_pairs(key_cols, ranges[i].clone(), &mut l, &mut r);
-            Ok((l, r))
-        })?;
-        Ok(crate::parallel::merge::concat_match_lists(per))
-    }
-
     /// Total entries across partitions (== build rows).
     pub fn len(&self) -> usize {
         self.tables.iter().map(|t| t.len()).sum()
@@ -635,25 +601,6 @@ mod tests {
             assert_eq!(idx.has_match(&[k]), hits, "serial key {k}");
             assert_eq!(part.has_match(&[k]), hits, "partitioned key {k}");
         }
-    }
-
-    #[test]
-    fn probe_pairs_parallel_is_byte_identical_to_serial() {
-        let build_keys: Vec<i64> = (0..3000).map(|i| i % 101).collect();
-        let probe_keys: Vec<i64> = (0..5000).map(|i| (i * 7) % 150).collect();
-        let idx = JoinIndex::build(&[&build_keys], &one_thread()).unwrap();
-        let serial =
-            idx.probe_pairs_parallel(&[&probe_keys], probe_keys.len(), &one_thread()).unwrap();
-        for threads in [2, 4] {
-            let cfg = ParallelConfig { threads, morsel_rows: 128 };
-            let par = idx.probe_pairs_parallel(&[&probe_keys], probe_keys.len(), &cfg).unwrap();
-            assert_eq!(serial, par, "threads={threads}");
-        }
-        // And a partitioned index probed in parallel morsels.
-        let cfg = ParallelConfig { threads: 4, morsel_rows: 128 };
-        let part = JoinIndex::build(&[&build_keys], &cfg).unwrap();
-        let par = part.probe_pairs_parallel(&[&probe_keys], probe_keys.len(), &cfg).unwrap();
-        assert_eq!(serial, par, "partitioned index, parallel probe");
     }
 
     #[test]

@@ -46,7 +46,7 @@
 //!   permutation never changes results, only evaluation order.
 //! * **One path.** Every residual site (`Filter`, the leaf `Scan`'s
 //!   residual — compiled once per scan and shared by all of its morsels —
-//!   and the `HashJoin` / `SandwichHashJoin` pair residuals) always holds
+//!   and the `HashJoin` pair residual, grouped or not) always holds
 //!   a compiled program; nothing selects the interpreter instead.
 //!   [`Expr::eval_bool`] remains the fallback for
 //!   non-sargable conjuncts above, the plan-time evaluator in

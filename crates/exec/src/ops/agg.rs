@@ -1,18 +1,22 @@
-//! Aggregation: hash, streaming, and sandwich variants over one columnar
-//! group table.
+//! Aggregation over one columnar group table.
 //!
-//! * [`HashAggregate`] — the baseline: one group table over the whole
-//!   input; its size is what Figure 3 charges the Plain scheme for.
-//! * [`StreamingAggregate`] — input already sorted on the group-by keys
-//!   (the PK scheme's Q18); the table holds one batch's groups at most.
-//! * [`SandwichAggregate`] — input pre-grouped on dimension bits that the
-//!   group-by keys *functionally determine* (ref [3]): the table is
-//!   flushed at every partition boundary, so it only ever holds one
-//!   co-cluster's worth of groups.
+//! The serial operator, [`HashAggregate`], flushes its table whenever its
+//! *run columns* change, and that is the only difference between the three
+//! strategies the planner names:
+//!
+//! * **hash** — no run columns: one table over the whole input; its size
+//!   is what Figure 3 charges the Plain scheme for;
+//! * **streaming** — input already sorted on the group-by keys (the PK
+//!   scheme's Q18), which are the run columns: the table holds the open
+//!   group and one batch's groups at most;
+//! * **sandwich** — input pre-grouped on dimension bits that the group-by
+//!   keys *functionally determine* (ref [3]), whose group-key columns are
+//!   the run columns: the table holds one co-cluster's groups and one
+//!   batch's at most.
 //!
 //! ## The group table
 //!
-//! All three keep their state in a [`PartialAgg`] (on its own, the unit of
+//! The operator keeps its state in a [`PartialAgg`] (on its own, the unit of
 //! morsel-parallel aggregation), which takes a batch — or a row range of
 //! one — through three column-wise steps, none allocating per row:
 //!
@@ -637,15 +641,27 @@ impl PartialAgg {
     }
 }
 
-/// Whole-input hash aggregation.
+/// Serial aggregation: one group table, flushed whenever the **run
+/// columns** change. With none the whole input is one run (hash
+/// aggregation). Over input ordered on the group-by keys they are those
+/// keys (streaming), and over BDCC input grouped on dimension bits the
+/// group-by keys determine they are its group-key columns (sandwich, ref
+/// [3]) — either way the table holds the open run's groups and one batch's
+/// at most. A group never spans runs, so flushing decides when groups
+/// leave, never their values or their first-seen order.
 pub struct HashAggregate {
     input: BoxedOp,
     core: PartialAgg,
-    tracker: Arc<MemoryTracker>,
+    run_cols: Vec<usize>,
+    /// The open run: its run-column values (one row each), empty before
+    /// the first row.
+    open: Vec<Column>,
+    mem: MemoryGuard,
     done: bool,
 }
 
 impl HashAggregate {
+    /// Aggregate the whole input as one run.
     pub fn new(
         input: BoxedOp,
         group_by: &[&str],
@@ -653,51 +669,19 @@ impl HashAggregate {
         tracker: Arc<MemoryTracker>,
     ) -> Result<HashAggregate> {
         let core = PartialAgg::new(input.schema(), group_by, &aggs)?;
-        Ok(HashAggregate { input, core, tracker, done: false })
+        let mem = tracker.register(0);
+        Ok(HashAggregate { input, core, run_cols: Vec::new(), open: Vec::new(), mem, done: false })
+    }
+
+    /// Flush the table whenever the input columns `run_cols` change; no
+    /// group may span two runs.
+    pub fn with_runs(mut self, run_cols: Vec<usize>) -> HashAggregate {
+        self.run_cols = run_cols;
+        self
     }
 }
 
 impl Operator for HashAggregate {
-    fn schema(&self) -> &OpSchema {
-        self.core.schema()
-    }
-
-    fn next(&mut self) -> Result<Option<Batch>> {
-        if self.done {
-            return Ok(None);
-        }
-        let mut mem = self.tracker.register(0);
-        while let Some(batch) = self.input.next()? {
-            self.core.consume(&batch)?;
-            mem.resize(self.core.estimated_bytes());
-        }
-        self.done = true;
-        Ok(Some(self.core.finish()))
-    }
-}
-
-/// Streaming aggregation over key-sorted input. Equal keys are adjacent,
-/// so every group a batch touches is complete once the batch's *last* run
-/// begins: each batch is consumed in at most two ranges with one flush
-/// between them, and only that last, still open group is carried over.
-pub struct StreamingAggregate {
-    input: BoxedOp,
-    core: PartialAgg,
-    done: bool,
-}
-
-impl StreamingAggregate {
-    pub fn new(
-        input: BoxedOp,
-        group_by: &[&str],
-        aggs: Vec<AggSpec>,
-    ) -> Result<StreamingAggregate> {
-        let core = PartialAgg::new(input.schema(), group_by, &aggs)?;
-        Ok(StreamingAggregate { input, core, done: false })
-    }
-}
-
-impl Operator for StreamingAggregate {
     fn schema(&self) -> &OpSchema {
         self.core.schema()
     }
@@ -713,126 +697,29 @@ impl Operator for StreamingAggregate {
             }
             let inputs = self.core.eval_inputs(&batch)?;
             // Find where the batch's last run starts.
-            let keys = self.core.group_columns(&batch);
-            let mut last = n - 1;
-            while last > 0 && keys.iter().all(|k| cell_eq(k, last - 1, k, last)) {
+            let runs: Vec<&Column> = self.run_cols.iter().map(|&c| &batch.columns[c]).collect();
+            let mut last = if runs.is_empty() { 0 } else { n - 1 };
+            while last > 0 && runs.iter().all(|k| cell_eq(k, last - 1, k, last)) {
                 last -= 1;
             }
-            // Rows before it close every group they touch, the carried one
-            // included; a one-run batch closes it only by starting a new key.
+            // Rows before it close every run they touch, the carried one
+            // included; a one-run batch closes it only by starting a new one.
             let mut out = None;
             if last > 0 {
                 self.core.consume_range(&batch, &inputs, 0..last, None)?;
                 out = Some(self.core.flush());
-            } else if let Some(open) = self.core.table.len().checked_sub(1) {
-                if !self.core.table.key_eq(open, &keys, 0) {
-                    out = Some(self.core.flush());
-                }
+            } else if !runs.iter().zip(&self.open).all(|(k, open)| cell_eq(open, 0, k, 0)) {
+                out = Some(self.core.flush());
             }
             self.core.consume_range(&batch, &inputs, last..n, None)?;
+            self.open = runs.iter().map(|k| k.slice(n - 1, n)).collect();
+            self.mem.resize(self.core.estimated_bytes());
             if out.is_some() {
                 return Ok(out);
             }
         }
         self.done = true;
-        let out = self.core.flush();
-        Ok((out.rows() > 0).then_some(out))
-    }
-}
-
-/// Sandwich aggregation: like hash aggregation, but the table flushes at
-/// every boundary of the `partition_cols` (the dimension group-key columns
-/// the group-by keys determine). The partition columns are *not* part of
-/// the output.
-pub struct SandwichAggregate {
-    input: BoxedOp,
-    core: PartialAgg,
-    partition_cols: Vec<usize>,
-    /// Partition values of the last row consumed (empty before the first).
-    current_partition: Vec<i64>,
-    mem: MemoryGuard,
-    /// Largest per-partition table size seen (diagnostics).
-    pub max_partition_groups: usize,
-    done: bool,
-}
-
-impl SandwichAggregate {
-    pub fn new(
-        input: BoxedOp,
-        group_by: &[&str],
-        aggs: Vec<AggSpec>,
-        partition_cols: Vec<usize>,
-        tracker: Arc<MemoryTracker>,
-    ) -> Result<SandwichAggregate> {
-        if partition_cols.is_empty() {
-            return Err(ExecError::Plan("sandwich aggregation needs partition columns".into()));
-        }
-        let core = PartialAgg::new(input.schema(), group_by, &aggs)?;
-        Ok(SandwichAggregate {
-            input,
-            core,
-            partition_cols,
-            current_partition: Vec::new(),
-            mem: tracker.register(0),
-            max_partition_groups: 0,
-            done: false,
-        })
-    }
-}
-
-impl Operator for SandwichAggregate {
-    fn schema(&self) -> &OpSchema {
-        self.core.schema()
-    }
-
-    fn next(&mut self) -> Result<Option<Batch>> {
-        if self.done {
-            return Ok(None);
-        }
-        while let Some(batch) = self.input.next()? {
-            let n = batch.rows();
-            if n == 0 {
-                continue;
-            }
-            let inputs = self.core.eval_inputs(&batch)?;
-            let parts: Vec<&[i64]> = self
-                .partition_cols
-                .iter()
-                .map(|&c| batch.columns[c].as_i64())
-                .collect::<std::result::Result<_, _>>()?;
-            // Split the batch where adjacent rows (the first against the
-            // previous batch's last) disagree on a partition column, and
-            // flush the table at every such boundary.
-            let mut start = 0;
-            let mut flushed: Option<Batch> = None;
-            for row in 0..n {
-                let boundary = match row {
-                    0 => parts.iter().zip(&self.current_partition).any(|(p, &cur)| p[0] != cur),
-                    _ => parts.iter().any(|p| p[row] != p[row - 1]),
-                };
-                if !boundary {
-                    continue;
-                }
-                self.core.consume_range(&batch, &inputs, start..row, None)?;
-                start = row;
-                self.max_partition_groups = self.max_partition_groups.max(self.core.table.len());
-                let out = self.core.flush();
-                match &mut flushed {
-                    Some(f) => f.append(&out)?,
-                    None => flushed = Some(out),
-                }
-            }
-            self.core.consume_range(&batch, &inputs, start..n, None)?;
-            self.current_partition.clear();
-            self.current_partition.extend(parts.iter().map(|p| p[n - 1]));
-            self.mem.resize(self.core.estimated_bytes());
-            if flushed.is_some() {
-                return Ok(flushed);
-            }
-        }
-        self.done = true;
-        self.max_partition_groups = self.max_partition_groups.max(self.core.table.len());
-        let out = self.core.flush();
+        let out = self.core.finish();
         self.mem.resize(0);
         Ok((out.rows() > 0).then_some(out))
     }
@@ -959,12 +846,14 @@ mod tests {
             ],
             2, // runs span batches
         );
-        let agg = StreamingAggregate::new(
+        let agg = HashAggregate::new(
             Box::new(src),
             &["k"],
             vec![AggSpec::new(AggFunc::Sum, Expr::col("v"), "s")],
+            MemoryTracker::new(),
         )
-        .unwrap();
+        .unwrap()
+        .with_runs(vec![0]);
         let out = collect(Box::new(agg)).unwrap();
         assert_eq!(out.columns[0].as_i64().unwrap(), &[1, 2, 3]);
         assert_eq!(out.columns[1].as_i64().unwrap(), &[3, 12, 6]);
@@ -982,14 +871,14 @@ mod tests {
             2,
         );
         let t = MemoryTracker::new();
-        let agg = SandwichAggregate::new(
+        let agg = HashAggregate::new(
             Box::new(src),
             &["k"],
             vec![AggSpec::new(AggFunc::Sum, Expr::col("v"), "s")],
-            vec![2],
             t.clone(),
         )
-        .unwrap();
+        .unwrap()
+        .with_runs(vec![2]);
         let out = collect(Box::new(agg)).unwrap();
         assert_eq!(out.rows(), 4);
         // Keys 10,11 flushed first (partition 0), then 20,21.
@@ -1014,14 +903,9 @@ mod tests {
                 128,
             );
             let aggs = vec![AggSpec::new(AggFunc::Sum, Expr::col("v"), "s")];
-            let op: BoxedOp = if sandwich {
-                Box::new(
-                    SandwichAggregate::new(Box::new(src), &["k"], aggs, vec![2], t.clone())
-                        .unwrap(),
-                )
-            } else {
-                Box::new(HashAggregate::new(Box::new(src), &["k"], aggs, t.clone()).unwrap())
-            };
+            let runs = if sandwich { vec![2] } else { vec![] };
+            let op = HashAggregate::new(Box::new(src), &["k"], aggs, t.clone()).unwrap();
+            let op: BoxedOp = Box::new(op.with_runs(runs));
             let out = collect(op).unwrap();
             assert_eq!(out.rows(), 1000);
             t.peak()

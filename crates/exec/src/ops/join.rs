@@ -30,6 +30,24 @@
 //! Left-outer joins emit unmatched left rows with defaulted right columns
 //! plus a `__matched` 0/1 column (the engine has no NULLs;
 //! `COUNT(right.col)` compiles to `SUM(__matched)`).
+//!
+//! **Grouped mode** ([`HashJoin::grouped`]) is the sandwich join of ref
+//! [3]: both children arrive grouped on aligned group-key columns (a BDCC
+//! scatter scan's keys, in the same negotiated major-minor order on both
+//! sides), and the right side is indexed **one group at a time** — read up
+//! to its first key change, the rest held; its group-key columns dropped,
+//! since they repeat the left's; indexed by the same [`BuildSide::index`] —
+//! so the table holds one co-cluster, never the whole side: the memory
+//! Figure 3 measures. The left streams and is never concatenated: a batch
+//! is cut where its group key changes, and each piece is a probe round
+//! against its peer group like any other. A piece whose group has no right
+//! peer is finished with empty match lists, and a join that emits matches
+//! only stops pulling once the right has no groups left. Equal keys meet
+//! only inside equal groups, so an inner, semi or anti join emits the rows,
+//! in order, of the ungrouped join whose keys are extended by the group-key
+//! pairs (a left outer join lists each piece's unmatched rows after its
+//! pairs, as it does per batch). A group is bounded by its co-cluster, so
+//! grouped mode never races and never spills.
 
 use std::collections::VecDeque;
 use std::ops::Range;
@@ -137,9 +155,34 @@ pub struct HashJoin {
     /// partitioned-vs-single annotation, probe-morsel counts/latencies.
     /// `None` costs nothing.
     metrics: Option<Arc<OpMetrics>>,
-    /// Per-query governance checkpoint, polled once per probe round
-    /// (inert by default).
+    /// Per-query governance checkpoint, polled once per probe round and,
+    /// grouped, once per right group (inert by default).
     governor: Governor,
+    /// Grouped mode (module docs): the group merge over the right child.
+    groups: Option<Groups>,
+}
+
+/// A grouped join's right side, read one group at a time, and the
+/// group-merge tallies its decision log reports.
+#[derive(Default)]
+struct Groups {
+    /// The aligned group-key columns of the left and right child.
+    left_cols: Vec<usize>,
+    right_cols: Vec<usize>,
+    /// Right rows read past the current group: the rest of the batch its
+    /// key changed in.
+    held: Option<Batch>,
+    /// The current right group's key, and its payload until it is indexed
+    /// (into `HashJoin::build`).
+    current: Option<(Vec<i64>, Option<Batch>)>,
+    /// The right has no groups left.
+    ended: bool,
+    /// The group key of the last left round (a group can span rounds).
+    left_key: Vec<i64>,
+    joined: u64,
+    left_only: u64,
+    right_only: u64,
+    max_build_rows: usize,
 }
 
 impl HashJoin {
@@ -152,8 +195,30 @@ impl HashJoin {
         residual: Option<Expr>,
         tracker: Arc<MemoryTracker>,
     ) -> Result<HashJoin> {
+        HashJoin::grouped(left, right, on, (Vec::new(), Vec::new()), join_type, residual, tracker)
+    }
+
+    /// The sandwich join (module docs): [`new`](Self::new) over children
+    /// grouped on `group_cols` — the left's and the right's aligned
+    /// group-key columns, in the same negotiated order (none: ungrouped).
+    /// The output drops the right group-key columns.
+    pub fn grouped(
+        left: BoxedOp,
+        right: BoxedOp,
+        on: &[(&str, &str)],
+        (left_cols, right_cols): (Vec<usize>, Vec<usize>),
+        join_type: JoinType,
+        residual: Option<Expr>,
+        tracker: Arc<MemoryTracker>,
+    ) -> Result<HashJoin> {
+        if left_cols.len() != right_cols.len() {
+            return Err(ExecError::Plan("a grouped join needs aligned group keys".into()));
+        }
         let lschema = left.schema().clone();
-        let rschema = right.schema().clone();
+        let rschema: OpSchema = (right.schema().iter().enumerate())
+            .filter(|(i, _)| !right_cols.contains(i))
+            .map(|(_, m)| m.clone())
+            .collect();
         let mut left_keys = Vec::with_capacity(on.len());
         let mut right_keys = Vec::with_capacity(on.len());
         for (l, r) in on {
@@ -182,6 +247,8 @@ impl HashJoin {
             JoinType::Semi | JoinType::Anti => lschema,
         };
         let right_types = rschema.iter().map(|m| m.data_type).collect();
+        let groups =
+            (!left_cols.is_empty()).then(|| Groups { left_cols, right_cols, ..Groups::default() });
         Ok(HashJoin {
             left,
             right: Some(right),
@@ -200,6 +267,7 @@ impl HashJoin {
             out: VecDeque::new(),
             metrics: None,
             governor: Governor::none(),
+            groups,
         })
     }
 
@@ -239,7 +307,8 @@ impl HashJoin {
     }
 
     fn build_side(&mut self) -> Result<()> {
-        if self.build.is_some() {
+        // (A grouped join indexes one right group at a time as rounds ask.)
+        if self.build.is_some() || self.groups.is_some() {
             return Ok(());
         }
         let mut right = self.right.take().expect("build side consumed once");
@@ -332,6 +401,124 @@ impl HashJoin {
         m.annotate("build_rows", rows.to_string());
         m.annotate("build", format!("{which}({rows})"));
     }
+
+    /// Grouped mode: probe `round` — rows of one left group — against its
+    /// right peer group, or, without one, finish it with empty match lists.
+    /// Nothing once no later left row can match and unmatched rows are not
+    /// emitted.
+    fn probe_group(&mut self, round: Vec<Batch>) -> Result<Vec<Batch>> {
+        let g = self.groups.as_mut().expect("a grouped join");
+        let key = first_key(&round[0], &g.left_cols)?;
+        let new_group = std::mem::replace(&mut g.left_key, key.clone()) != key;
+        if self.seek_group(&key)? {
+            return self.probe_round(round);
+        }
+        let g = self.groups.as_mut().expect("a grouped join");
+        if g.ended && matches!(self.join_type, JoinType::Inner | JoinType::Semi) {
+            return Ok(Vec::new());
+        }
+        g.left_only += u64::from(new_group);
+        let finish = |b: &Batch| {
+            finish_batch(b, self.join_type, &self.right_types, &[], self.empty_build().columns)
+        };
+        round.iter().map(finish).collect()
+    }
+
+    /// Move the right side to the first group whose key is not below `key`
+    /// and, when it is `key`'s, index it (once) as the build. Passing a
+    /// group drops its index first, so one group is held at a time.
+    fn seek_group(&mut self, key: &[i64]) -> Result<bool> {
+        loop {
+            let g = self.groups.as_mut().expect("a grouped join");
+            match &mut g.current {
+                Some((k, _)) if k.as_slice() > key => return Ok(false),
+                Some((k, rows)) if k.as_slice() == key => {
+                    let Some(payload) = rows.take() else { return Ok(true) };
+                    g.joined += 1;
+                    g.max_build_rows = g.max_build_rows.max(payload.rows());
+                    let side =
+                        BuildSide::index(payload, &self.right_keys, &self.parallel, &self.tracker)?;
+                    self.build = Some(Build::Mem(side));
+                    return Ok(true);
+                }
+                Some((_, rows)) => g.right_only += u64::from(rows.is_some()),
+                None if g.ended => return Ok(false),
+                None => {}
+            }
+            self.build = None;
+            self.governor.check("sandwich-group")?;
+            let next = self.next_right_group()?;
+            let g = self.groups.as_mut().expect("a grouped join");
+            g.ended = next.is_none();
+            g.current = next.map(|(k, rows)| (k, Some(rows)));
+        }
+    }
+
+    /// The next right group's key and rows minus the group-key columns:
+    /// the build drain, stopped at the first key change with the rest held.
+    fn next_right_group(&mut self) -> Result<Option<(Vec<i64>, Batch)>> {
+        let mut payload = self.empty_build();
+        let (Some(right), Some(g)) = (&mut self.right, &mut self.groups) else {
+            unreachable!("a grouped join holds its right child")
+        };
+        let mut key = None;
+        while let Some(mut batch) = g.held.take().map_or_else(|| right.next(), |b| Ok(Some(b)))? {
+            if batch.rows() == 0 {
+                continue;
+            }
+            if key.is_none() {
+                key = Some(first_key(&batch, &g.right_cols)?);
+            }
+            let end = group_end(&batch, &g.right_cols, key.as_deref().expect("set above"))?;
+            if end < batch.rows() {
+                g.held = Some(batch.slice(end, batch.rows()));
+                batch = batch.slice(0, end);
+            }
+            let kept = batch.columns.into_iter().enumerate();
+            let kept = kept.filter(|(i, _)| !g.right_cols.contains(i)).map(|(_, c)| c);
+            payload.append(&Batch::new(kept.collect()))?;
+            if g.held.is_some() {
+                break;
+            }
+        }
+        Ok(key.map(|k| (k, payload)))
+    }
+
+    /// The end of the decision log, written when the join ends or is
+    /// dropped early (`annotate` replaces): the residual's selectivity and
+    /// a grouped join's group merge — groups joined, groups of one side
+    /// only, and the largest group it indexed.
+    fn flush_annotations(&self) {
+        let Some(m) = &self.metrics else { return };
+        if let Some(pf) = &self.residual {
+            pf.annotate(m);
+        }
+        if let Some(g) = &self.groups {
+            m.annotate("groups_joined", g.joined.to_string());
+            m.annotate("groups_left_only", g.left_only.to_string());
+            m.annotate("groups_right_only", g.right_only.to_string());
+            m.annotate("max_group_build_rows", g.max_build_rows.to_string());
+        }
+    }
+}
+
+impl Drop for HashJoin {
+    fn drop(&mut self) {
+        self.flush_annotations();
+    }
+}
+
+/// The first row's values of the group-key columns `cols`.
+fn first_key(batch: &Batch, cols: &[usize]) -> Result<Vec<i64>> {
+    cols.iter().map(|&c| Ok(batch.columns[c].as_i64()?[0])).collect()
+}
+
+/// The first row of `batch` whose group key is not `key`, or its row count.
+fn group_end(batch: &Batch, cols: &[usize], key: &[i64]) -> Result<usize> {
+    let cols: Vec<&[i64]> =
+        cols.iter().map(|&c| batch.columns[c].as_i64()).collect::<std::result::Result<_, _>>()?;
+    let differs = |r: usize| cols.iter().zip(key).any(|(c, k)| c[r] != *k);
+    Ok((0..batch.rows()).find(|&r| differs(r)).unwrap_or(batch.rows()))
 }
 
 impl HashJoin {
@@ -340,16 +527,34 @@ impl HashJoin {
     /// left build): exactly one batch for a serial probe (the
     /// one-batch-at-a-time pipeline), or roughly `threads × morsel_rows`
     /// rows for a parallel probe — enough work for the fan-out while
-    /// keeping probe-side buffering O(threads × morsel).
+    /// keeping probe-side buffering O(threads × morsel). A grouped join's
+    /// round holds one left group's rows: a batch is cut where its group
+    /// key changes, and the rest is the next round's.
     fn fill_round(&mut self) -> Result<Vec<Batch>> {
         let cfg = &self.parallel;
         let target = if cfg.threads > 1 { cfg.threads * cfg.morsel_rows } else { 1 };
-        let child = self.right.as_mut().unwrap_or(&mut self.left);
+        let child = match &mut self.right {
+            Some(right) if self.groups.is_none() => right,
+            _ => &mut self.left,
+        };
         let mut round = Vec::new();
         let mut rows = 0usize;
         while rows < target {
             let next = self.pending.pop_front().map_or_else(|| child.next(), |b| Ok(Some(b)))?;
             let Some(b) = next else { break };
+            if let Some(g) = &self.groups {
+                let Some(first) = round.first().or((b.rows() > 0).then_some(&b)) else { continue };
+                let end = group_end(&b, &g.left_cols, &first_key(first, &g.left_cols)?)?;
+                if end == 0 {
+                    self.pending.push_front(b);
+                    break;
+                }
+                if end < b.rows() {
+                    self.pending.push_front(b.slice(end, b.rows()));
+                    round.push(b.slice(0, end));
+                    break;
+                }
+            }
             rows += b.rows();
             round.push(b);
         }
@@ -493,13 +698,17 @@ impl Operator for HashJoin {
                 Some(Build::Left) => Vec::new(),
                 _ => match self.fill_round()? {
                     round if round.is_empty() => Vec::new(),
+                    round if self.groups.is_some() => self.probe_group(round)?,
                     round => self.probe_round(round)?,
                 },
             };
             if outs.is_empty() {
-                if let (Some(pf), Some(m)) = (&self.residual, &self.metrics) {
-                    pf.annotate(m);
+                if self.groups.is_some() {
+                    // The last group goes as each group before it did, and
+                    // before what is above the join builds on its output.
+                    self.build = None;
                 }
+                self.flush_annotations();
                 return Ok(None);
             }
             self.out.extend(outs);

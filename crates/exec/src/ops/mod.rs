@@ -5,14 +5,15 @@
 //! Vectorwise: one leaf scan over an ordered list of row ranges with MinMax
 //! block skipping inside each (the BDCC scatter-scan over selected groups;
 //! a plain scan is the same walk over the statistics blocks), hash / merge
-//! joins, the *sandwich* variants of join and aggregation (group-at-a-time
-//! execution over co-clustered inputs, ref [3]), plus the usual filter /
-//! project / sort / limit plumbing.
+//! joins and hash aggregation, plus the usual filter / project / sort /
+//! limit plumbing. The *sandwich* operators of ref [3] are not separate
+//! operators: they are the hash join and the hash aggregate run one
+//! co-cluster at a time over co-clustered inputs (`HashJoin::grouped`,
+//! `HashAggregate::with_runs`).
 
 pub mod agg;
 pub mod join;
 pub mod merge_join;
-pub mod sandwich_join;
 pub mod scan;
 pub mod sort;
 pub mod transform;

@@ -28,15 +28,15 @@ use bdcc_core::BdccTable;
 use bdcc_pool::{CancelToken, FaultInjector};
 use bdcc_storage::IoTracker;
 
+use crate::batch::schema_index;
 use crate::broker::{MemoryBroker, SpillMode};
 use crate::error::{ExecError, Result};
 use crate::expr::Expr;
 use crate::govern::{GovernedOp, Governor};
 use crate::memory::MemoryTracker;
-use crate::ops::agg::{HashAggregate, SandwichAggregate, StreamingAggregate};
+use crate::ops::agg::HashAggregate;
 use crate::ops::join::{HashJoin, JoinType};
 use crate::ops::merge_join::MergeJoin;
-use crate::ops::sandwich_join::SandwichHashJoin;
 use crate::ops::scan::{Run, Scan, ScanBlueprint};
 use crate::ops::sort::{Limit, Sort};
 use crate::ops::transform::{Filter, Project};
@@ -769,95 +769,43 @@ impl<'a> Planner<'a> {
     ) -> Result<PhysOut> {
         let on_refs: Vec<(&str, &str)> = on.iter().map(|(l, r)| (l.as_str(), r.as_str())).collect();
         let left_ids = left.scan_ids();
-        let right_ids = right.scan_ids();
 
-        // --- BDCC: try a sandwich join -----------------------------------
-        if self.ctx.sdb.scheme == Scheme::Bdcc && join_type == JoinType::Inner {
-            if let Some((fk_name, side)) = fk {
-                if let Some(f) = self.fk_by_name(fk_name).cloned() {
-                    let la = self.avail(left);
-                    let ra = self.avail(right);
-                    // Shared sets: one alias on each side, matched over f.
-                    let mut shared: Vec<InstSet> = Vec::new();
-                    let (src_av, dst_av) = match side {
-                        FkSide::Left => (&la, &ra),
-                        FkSide::Right => (&ra, &la),
-                    };
-                    for ss in src_av {
-                        for ds in dst_av {
-                            if self.sets_match(ss, ds, &f, node) {
-                                let mut aliases = ss.aliases.clone();
-                                aliases.extend(ds.aliases.iter().copied());
-                                shared.push(InstSet { aliases, bits: ss.bits.min(ds.bits) });
-                                break;
-                            }
-                        }
-                    }
-                    let two_sided = |s: &InstSet| {
-                        s.alias_for(&left_ids).is_some() && s.alias_for(&right_ids).is_some()
-                    };
-                    let all_requested_two_sided = requested.iter().all(|r| {
-                        shared.iter().any(|s| r.aliases.iter().any(|a| s.aliases.contains(a)))
-                    });
-                    if !shared.is_empty() && all_requested_two_sided {
-                        // Sandwich keys: requested first (resolved to the
-                        // merged sets), then remaining shared instances.
-                        let mut keys: Vec<InstSet> = Vec::new();
-                        for r in requested {
-                            let m = shared
-                                .iter()
-                                .find(|s| r.aliases.iter().any(|a| s.aliases.contains(a)))
-                                .expect("checked two-sided");
-                            keys.push(InstSet {
-                                aliases: m.aliases.clone(),
-                                bits: r.bits.min(m.bits),
-                            });
-                        }
-                        for s in &shared {
-                            let already = keys
-                                .iter()
-                                .any(|k| s.aliases.iter().any(|a| k.aliases.contains(a)));
-                            if !already && two_sided(s) {
-                                keys.push(s.clone());
-                            }
-                        }
-                        if keys.iter().all(two_sided) && !keys.is_empty() {
-                            let lreq: Vec<InstSet> = keys.clone();
-                            let rreq: Vec<InstSet> = keys.clone();
-                            let lout = self.build(left, &lreq)?;
-                            let rout = self.build(right, &rreq)?;
-                            let prof = self.prof_node(
-                                "Join(sandwich)".into(),
-                                vec![lout.prof.clone(), rout.prof.clone()],
-                                None,
-                            );
-                            let lop = wrap_edge(lout.op, &lout.prof, &prof);
-                            let rop = wrap_edge(rout.op, &rout.prof, &prof);
-                            // Wider than one thread, oversized groups
-                            // build partitioned and probe in row-range
-                            // morsels; the group merge itself stays serial
-                            // (it is the partition-wise short-circuit).
-                            let j = SandwichHashJoin::new(
-                                lop,
-                                rop,
-                                &on_refs,
-                                lout.gk_cols.clone(),
-                                rout.gk_cols,
-                                residual.clone(),
-                                self.op_tracker(&prof),
-                            )?
-                            .with_parallel(self.ctx.parallel.clone())
-                            .with_metrics(prof.as_ref().map(|p| Arc::clone(&p.metrics)))
-                            .with_governor(self.ctx.governor.clone());
-                            // Output keeps the left columns at unchanged
-                            // positions; requested = the first
-                            // `requested.len()` sandwich keys.
-                            let gk_cols = lout.gk_cols[..requested.len()].to_vec();
-                            return Ok(PhysOut { op: Box::new(j), gk_cols, prof });
-                        }
-                    }
-                }
+        // --- BDCC: a sandwich join, or the reason there is none ----------
+        let sandwich = (self.ctx.sdb.scheme == Scheme::Bdcc)
+            .then(|| self.sandwich_keys(node, left, right, join_type, fk, requested));
+        if let Some(Ok(keys)) = &sandwich {
+            let lout = self.build(left, keys)?;
+            let rout = self.build(right, keys)?;
+            let prof = self.prof_node(
+                "Join(sandwich)".into(),
+                vec![lout.prof.clone(), rout.prof.clone()],
+                None,
+            );
+            if let Some(p) = &prof {
+                p.metrics.annotate("sandwich", self.describe_keys(keys, node));
             }
+            let lop = wrap_edge(lout.op, &lout.prof, &prof);
+            let rop = wrap_edge(rout.op, &rout.prof, &prof);
+            // The hash join, indexing one right co-cluster at a time; wider
+            // than one thread an oversized group builds partitioned and
+            // probes in row-range morsels.
+            let groups = (lout.gk_cols.clone(), rout.gk_cols);
+            let j = HashJoin::grouped(
+                lop,
+                rop,
+                &on_refs,
+                groups,
+                join_type,
+                residual.clone(),
+                self.op_tracker(&prof),
+            )?
+            .with_parallel(self.ctx.parallel.clone())
+            .with_metrics(prof.as_ref().map(|p| Arc::clone(&p.metrics)))
+            .with_governor(self.ctx.governor.clone());
+            // Output keeps the left columns at unchanged positions;
+            // requested = the first `requested.len()` sandwich keys.
+            let gk_cols = lout.gk_cols[..requested.len()].to_vec();
+            return Ok(PhysOut { op: Box::new(j), gk_cols, prof });
         }
 
         // --- PK: merge join when both sides are ordered on the key -------
@@ -899,6 +847,9 @@ impl<'a> Planner<'a> {
         let rout = self.build(right, &[])?;
         let prof =
             self.prof_node("Join(hash)".into(), vec![lout.prof.clone(), rout.prof.clone()], None);
+        if let (Some(Err(why)), Some(p)) = (&sandwich, &prof) {
+            p.metrics.annotate("sandwich", format!("no({why})"));
+        }
         let lop = wrap_edge(lout.op, &lout.prof, &prof);
         let rop = wrap_edge(rout.op, &rout.prof, &prof);
         // Wider than one thread, the join's build side is indexed with
@@ -914,6 +865,81 @@ impl<'a> Planner<'a> {
                 .with_governor(self.ctx.governor.clone())
                 .with_broker(self.ctx.broker.clone(), self.ctx.io.clone());
         Ok(PhysOut { op: Box::new(j), gk_cols: lout.gk_cols, prof })
+    }
+
+    /// The group keys a BDCC sandwich join would align its children on —
+    /// requested ones first, resolved to the sets the foreign key merges,
+    /// then the other shared instances — or the first check that failed,
+    /// which the decision log reports on the hash join planned instead.
+    fn sandwich_keys(
+        &self,
+        node: &Node,
+        left: &Node,
+        right: &Node,
+        join_type: JoinType,
+        fk: Option<&(String, FkSide)>,
+        requested: &[InstSet],
+    ) -> std::result::Result<Vec<InstSet>, &'static str> {
+        if join_type != JoinType::Inner {
+            return Err("join-type");
+        }
+        let Some((f, side)) = fk.and_then(|(name, side)| Some((self.fk_by_name(name)?, side)))
+        else {
+            return Err("no-fk");
+        };
+        let (la, ra) = (self.avail(left), self.avail(right));
+        let (src_av, dst_av) = match side {
+            FkSide::Left => (&la, &ra),
+            FkSide::Right => (&ra, &la),
+        };
+        // Shared sets: one alias on each side, matched over f.
+        let mut shared: Vec<InstSet> = Vec::new();
+        for ss in src_av {
+            if let Some(ds) = dst_av.iter().find(|ds| self.sets_match(ss, ds, f, node)) {
+                let mut aliases = ss.aliases.clone();
+                aliases.extend(ds.aliases.iter().copied());
+                shared.push(InstSet { aliases, bits: ss.bits.min(ds.bits) });
+            }
+        }
+        if shared.is_empty() {
+            return Err("no-shared-instance");
+        }
+        let merged =
+            |r: &InstSet| shared.iter().find(|s| r.aliases.iter().any(|a| s.aliases.contains(a)));
+        let mut keys: Vec<InstSet> = Vec::new();
+        for r in requested {
+            let m = merged(r).ok_or("requested-not-two-sided")?;
+            keys.push(InstSet { aliases: m.aliases.clone(), bits: r.bits.min(m.bits) });
+        }
+        let (left_ids, right_ids) = (left.scan_ids(), right.scan_ids());
+        let two_sided =
+            |s: &InstSet| s.alias_for(&left_ids).is_some() && s.alias_for(&right_ids).is_some();
+        for s in &shared {
+            let already = keys.iter().any(|k| s.aliases.iter().any(|a| k.aliases.contains(a)));
+            if !already && two_sided(s) {
+                keys.push(s.clone());
+            }
+        }
+        if keys.is_empty() || !keys.iter().all(two_sided) {
+            return Err("keys-not-two-sided");
+        }
+        Ok(keys)
+    }
+
+    /// A sandwich join's decision log: its group keys, each as the
+    /// dimension it clusters on and the prefix bits it aligns.
+    fn describe_keys(&self, keys: &[InstSet], node: &Node) -> String {
+        let tables = self.scan_tables(node);
+        let dim = |a: &InstAlias| {
+            let (_, t) = tables.iter().find(|(id, _)| *id == a.scan_id)?;
+            let u = &self.clustered(*t)?.uses[a.use_idx];
+            Some(self.ctx.sdb.bdcc.as_ref()?.dimension(u.dim).name.clone())
+        };
+        let each = keys.iter().map(|k| {
+            let name = k.aliases.first().and_then(dim).unwrap_or_else(|| "?".into());
+            format!("{name}/{}", k.bits)
+        });
+        format!("{} keys ({})", keys.len(), each.collect::<Vec<_>>().join(", "))
     }
 
     fn build_aggregate(
@@ -943,13 +969,8 @@ impl<'a> Planner<'a> {
                 let prof =
                     self.prof_node("Aggregate(sandwich)".into(), vec![child.prof.clone()], None);
                 let cop = wrap_edge(child.op, &child.prof, &prof);
-                let op = SandwichAggregate::new(
-                    cop,
-                    &gb_refs,
-                    aggs.to_vec(),
-                    child.gk_cols,
-                    self.op_tracker(&prof),
-                )?;
+                let op = HashAggregate::new(cop, &gb_refs, aggs.to_vec(), self.op_tracker(&prof))?
+                    .with_runs(child.gk_cols);
                 return Ok(PhysOut { op: Box::new(op), gk_cols: vec![], prof });
             }
         }
@@ -964,7 +985,9 @@ impl<'a> Planner<'a> {
                 let prof =
                     self.prof_node("Aggregate(streaming)".into(), vec![child.prof.clone()], None);
                 let cop = wrap_edge(child.op, &child.prof, &prof);
-                let op = StreamingAggregate::new(cop, &gb_refs, aggs.to_vec())?;
+                let runs = gb_refs.iter().filter_map(|g| schema_index(cop.schema(), g)).collect();
+                let op = HashAggregate::new(cop, &gb_refs, aggs.to_vec(), self.op_tracker(&prof))?
+                    .with_runs(runs);
                 return Ok(PhysOut { op: Box::new(op), gk_cols: vec![], prof });
             }
         }

@@ -195,15 +195,21 @@ fn pk_scheme_uses_merge_join_order() {
 
 #[test]
 fn streaming_aggregate_on_pk_order() {
-    let (_, pk, _) = schemes();
+    let (plain, pk, _) = schemes();
     let b = PlanBuilder::new();
     let orders = b.scan("orders", &["o_key", "o_amount"], vec![]);
     let plan =
         aggregate(orders, &["o_key"], vec![AggSpec::new(AggFunc::Sum, Expr::col("o_amount"), "s")]);
-    let ctx = QueryContext::new(Arc::clone(&pk));
-    let (out, m) = run_measured(&ctx, &plan).unwrap();
+    let (out, m) = run_measured(&QueryContext::new(Arc::clone(&pk)), &plan).unwrap();
     assert_eq!(out.rows(), 8192);
-    assert_eq!(m.peak_memory, 0, "streaming aggregation needs no hash table");
+    // Streaming flushes once per batch; hashing holds every group.
+    let (_, hashed) = run_measured(&QueryContext::new(Arc::clone(&plain)), &plan).unwrap();
+    assert!(
+        0 < m.peak_memory && m.peak_memory * 4 < hashed.peak_memory,
+        "streaming peak {} should be a fraction of the hash peak {}",
+        m.peak_memory,
+        hashed.peak_memory
+    );
 }
 
 #[test]

@@ -31,7 +31,7 @@ use std::sync::Arc;
 use proptest::prelude::*;
 
 use bdcc::exec::batch::{Batch, ColMeta, OpSchema};
-use bdcc::exec::ops::agg::{HashAggregate, SandwichAggregate, StreamingAggregate};
+use bdcc::exec::ops::agg::HashAggregate;
 use bdcc::exec::ops::scan::{Scan, ScanBlueprint};
 use bdcc::exec::ops::{collect, BoxedOp, Operator};
 use bdcc::exec::parallel::{FragmentBlueprint, ParallelAggregate};
@@ -562,14 +562,10 @@ proptest! {
             ("v", Column::from_i64(v.clone())),
             ("f", Column::from_f64(v.iter().map(|&v| fval(v)).collect())),
         ];
-        for group_by in [vec!["g"], vec!["s", "x"]] {
+        for (group_by, runs) in [(vec!["g"], vec![0]), (vec!["s", "x"], vec![1, 2])] {
             let want = hash_agg(source(&cols, 4096, &[]), &group_by, all_aggs());
             for chunk in [1, 2, 3, 7, 64, 4096] {
-                let input = source(&cols, chunk, &[1]);
-                let got = collect(Box::new(
-                    StreamingAggregate::new(input, &group_by, all_aggs()).unwrap(),
-                ))
-                .unwrap();
+                let (got, _) = run_aggregate(source(&cols, chunk, &[1]), &group_by, runs.clone());
                 prop_assert_eq!(&want, &got, "group by {:?}, batches of {}", &group_by, chunk);
             }
         }
@@ -577,8 +573,10 @@ proptest! {
 
     /// Pre-grouped input (contiguous partitions, keys unordered inside
     /// them) whose partitions straddle batch boundaries: sandwich
-    /// aggregation is bit-identical to hash aggregation at every batch
-    /// size and never holds more groups than the largest partition has.
+    /// aggregation — the partition column as the run column — is
+    /// bit-identical to hash aggregation at every batch size. A flush holds
+    /// the open partition's groups plus one batch's at most; over one-row
+    /// batches, exactly one partition's.
     #[test]
     fn sandwich_matches_hash_on_pregrouped_input(
         parts in prop::collection::vec((1usize..20, 1i64..6), 1..16),
@@ -604,25 +602,29 @@ proptest! {
         let want = hash_agg(source(&cols, 4096, &[]), &["g"], all_aggs());
         let largest = parts.iter().map(|&(len, distinct)| len.min(distinct as usize)).max().unwrap();
         for chunk in [1, 2, 5, 16, 4096] {
-            let mut op = SandwichAggregate::new(
-                source(&cols, chunk, &[0]),
-                &["g"],
-                all_aggs(),
-                vec![3],
-                MemoryTracker::new(),
-            )
-            .unwrap();
-            let mut got: Option<Batch> = None;
-            while let Some(b) = op.next().unwrap() {
-                match &mut got {
-                    Some(g) => g.append(&b).unwrap(),
-                    None => got = Some(b),
-                }
+            let (got, flushes) = run_aggregate(source(&cols, chunk, &[0]), &["g"], vec![3]);
+            prop_assert_eq!(&want, &got, "batches of {}", chunk);
+            let most = flushes.into_iter().max().unwrap();
+            prop_assert!(most <= largest + chunk, "batches of {}: {} groups", chunk, most);
+            if chunk == 1 {
+                prop_assert_eq!(most, largest);
             }
-            prop_assert_eq!(Some(&want), got.as_ref(), "batches of {}", chunk);
-            prop_assert_eq!(op.max_partition_groups, largest, "batches of {}", chunk);
         }
     }
+}
+
+/// The serial aggregate flushing on `runs`: its output, and the group
+/// count of every flush.
+fn run_aggregate(input: BoxedOp, group_by: &[&str], runs: Vec<usize>) -> (Batch, Vec<usize>) {
+    let op = HashAggregate::new(input, group_by, all_aggs(), MemoryTracker::new()).unwrap();
+    let mut op = op.with_runs(runs);
+    let mut out = Batch::new(op.schema().iter().map(|m| Column::empty(m.data_type)).collect());
+    let mut flushes = Vec::new();
+    while let Some(b) = op.next().unwrap() {
+        flushes.push(b.rows());
+        out.append(&b).unwrap();
+    }
+    (out, flushes)
 }
 
 /// Integer `SUM` leaving the 64-bit range is a typed error — not a panic

@@ -3,10 +3,15 @@
 //! naive nested-loop reference on random data, and the hash-partitioned
 //! parallel build must be **byte-identical** to the serial one.
 //!
-//! Semi / anti joins index whichever side ends first; the second half of
+//! Semi / anti joins index whichever side ends first; the second part of
 //! this file drives both outcomes over the same reference, batch for
 //! batch, and against the forced-spill path — which is always the right
 //! build.
+//!
+//! The last part checks the grouped (sandwich) join — the right side
+//! indexed one group at a time while the left streams — against a nested
+//! loop restricted to equal group keys, for every join type, and that it
+//! never concatenates the left or holds more than one right group.
 
 use proptest::prelude::*;
 
@@ -14,8 +19,8 @@ use bdcc::exec::batch::{Batch, ColMeta, OpSchema};
 use bdcc::exec::ops::join::{HashJoin, JoinType};
 use bdcc::exec::ops::{collect, Operator};
 use bdcc::exec::{
-    canonical_rows, CancelToken, ExecError, Expr, Governor, MemoryBroker, MemoryTracker, OpMetrics,
-    ParallelConfig, SpillMode,
+    canonical_rows, CancelToken, ExecError, Expr, Governor, JoinIndex, MemoryBroker, MemoryTracker,
+    OpMetrics, ParallelConfig, SpillMode,
 };
 use bdcc::storage::{live_spill_files, Column, DataType, IoTracker};
 
@@ -435,5 +440,252 @@ proptest! {
         for jt in [JoinType::Semi, JoinType::Anti] {
             check_case(&case, jt);
         }
+    }
+}
+
+// ---------------------------------------------------------------------------
+// Grouped joins: one right group indexed at a time, the left streamed.
+
+/// A residual of a grouped case: over both sides (the pair path), or over
+/// the right side alone (a sargable kernel leaf).
+#[derive(Debug, Clone, Copy)]
+enum Residual {
+    LeftAtMostRight,
+    RightAtLeast(i64),
+}
+
+impl Residual {
+    fn expr(self) -> Expr {
+        match self {
+            Residual::LeftAtMostRight => Expr::col("lv").le(Expr::col("rv")),
+            Residual::RightAtLeast(c) => Expr::col("rv").ge(Expr::lit(c)),
+        }
+    }
+
+    fn passes(self, l: &Row, r: &Row) -> bool {
+        match self {
+            Residual::LeftAtMostRight => l.2 <= r.2,
+            Residual::RightAtLeast(c) => r.2 >= c,
+        }
+    }
+}
+
+/// A grouped join input: [`Row`]s of `(join key, group key, value)`, both
+/// sides ascending in group key, left values distinct (they name the left
+/// row), and the batch sizes of both sides.
+#[derive(Debug, Clone)]
+struct GroupedCase {
+    left: Vec<Row>,
+    right: Vec<Row>,
+    chunks: (usize, usize),
+}
+
+impl GroupedCase {
+    fn new(left: Vec<Row>, right: Vec<Row>, chunks: (usize, usize)) -> GroupedCase {
+        GroupedCase { left, right, chunks }
+    }
+
+    /// `left` and `right` from `(join key, group key)` pairs, values
+    /// numbering the rows (right values from 100).
+    fn numbered(left: &[(i64, i64)], right: &[(i64, i64)], chunks: (usize, usize)) -> GroupedCase {
+        let number = |rows: &[(i64, i64)], base: i64| -> Vec<Row> {
+            rows.iter().zip(base..).map(|(&(k, g), v)| (k, g, v)).collect()
+        };
+        GroupedCase::new(number(left, 0), number(right, 100), chunks)
+    }
+
+    /// The residuals every case runs under: none, the pair one, and a
+    /// right-side one at the median right value.
+    fn residuals(&self) -> Vec<Option<Residual>> {
+        let mut values: Vec<i64> = self.right.iter().map(|r| r.2).collect();
+        values.sort_unstable();
+        let median = values.get(values.len() / 2).copied().unwrap_or(0);
+        vec![None, Some(Residual::LeftAtMostRight), Some(Residual::RightAtLeast(median))]
+    }
+
+    /// The nested loop over equal group keys, right group key dropped, row
+    /// by row: per left batch and, inside it, per group — a left outer
+    /// join's unmatched rows after that piece's pairs.
+    fn reference(&self, jt: JoinType, residual: Option<Residual>) -> Vec<Vec<i64>> {
+        let passes = |l: &Row, r: &Row| {
+            l.0 == r.0 && l.1 == r.1 && residual.is_none_or(|res| res.passes(l, r))
+        };
+        let mut out = Vec::new();
+        for batch in self.left.chunks(self.chunks.0) {
+            for piece in batch.chunk_by(|a, b| a.1 == b.1) {
+                let mut unmatched = Vec::new();
+                for l in piece {
+                    let matches: Vec<&Row> = self.right.iter().filter(|r| passes(l, r)).collect();
+                    let left = vec![l.0, l.1, l.2];
+                    match jt {
+                        JoinType::Inner => {
+                            out.extend(matches.iter().map(|r| [&left[..], &[r.0, r.2]].concat()))
+                        }
+                        JoinType::LeftOuter => {
+                            out.extend(
+                                matches.iter().map(|r| [&left[..], &[r.0, r.2, 1]].concat()),
+                            );
+                            if matches.is_empty() {
+                                unmatched.push([&left[..], &[0, 0, 0]].concat());
+                            }
+                        }
+                        JoinType::Semi | JoinType::Anti => {
+                            if matches.is_empty() == (jt == JoinType::Anti) {
+                                out.push(left);
+                            }
+                        }
+                    }
+                }
+                out.extend(unmatched);
+            }
+        }
+        out
+    }
+
+    /// The most a grouped join may track: the largest right group's
+    /// payload (group key dropped) plus its index at width `cfg`.
+    fn largest_group_bytes(&self, cfg: &ParallelConfig) -> u64 {
+        let group = |rows: &[Row]| {
+            let keys: Vec<i64> = rows.iter().map(|r| r.0).collect();
+            let values = Column::from_i64(rows.iter().map(|r| r.2).collect());
+            let index = JoinIndex::build(&[&keys], cfg).unwrap().estimated_bytes();
+            Batch::new(vec![Column::from_i64(keys), values]).estimated_bytes() + index
+        };
+        self.right.chunk_by(|a, b| a.1 == b.1).map(group).max().unwrap_or(0)
+    }
+}
+
+/// Run `case` as a grouped join of every type, under every residual, at
+/// widths 1 and 4 over 8-row morsels: the output rows equal the reference
+/// in order; no output batch spans two left batches (the left is never
+/// concatenated); the tracked peak stays within one right group; and the
+/// decision log counts the groups both sides have.
+fn check_grouped(case: &GroupedCase) {
+    let groups =
+        |rows: &[Row]| -> Vec<i64> { rows.chunk_by(|a, b| a.1 == b.1).map(|g| g[0].1).collect() };
+    let (lgroups, rgroups) = (groups(&case.left), groups(&case.right));
+    let shared = lgroups.iter().filter(|g| rgroups.contains(g)).count();
+    let batch_of: std::collections::HashMap<i64, usize> =
+        case.left.iter().enumerate().map(|(i, l)| (l.2, i / case.chunks.0)).collect();
+    for jt in ALL_TYPES {
+        for residual in case.residuals() {
+            let want = case.reference(jt, residual);
+            for threads in [1, 4] {
+                let cfg = ParallelConfig { threads, morsel_rows: 8 };
+                let (tracker, metrics) = (MemoryTracker::new(), OpMetrics::new());
+                let at = format!("{jt:?} {residual:?} width {threads} {case:?}");
+                let join = HashJoin::grouped(
+                    Box::new(Wide::new("l", &case.left, case.chunks.0)),
+                    Box::new(Wide::new("r", &case.right, case.chunks.1)),
+                    &[("lk", "rk")],
+                    (vec![1], vec![1]),
+                    jt,
+                    residual.map(Residual::expr),
+                    std::sync::Arc::clone(&tracker),
+                )
+                .unwrap()
+                .with_parallel(cfg.clone())
+                .with_metrics(Some(metrics.clone()));
+                let out = batches(join);
+                let mut got = Vec::new();
+                for b in &out {
+                    let cols: Vec<&[i64]> = b.columns.iter().map(|c| c.as_i64().unwrap()).collect();
+                    let rows: Vec<Vec<i64>> =
+                        (0..b.rows()).map(|r| cols.iter().map(|c| c[r]).collect()).collect();
+                    let spans: Vec<usize> = rows.iter().map(|r| batch_of[&r[2]]).collect();
+                    assert!(spans.windows(2).all(|w| w[0] == w[1]), "spans left batches: {at}");
+                    got.extend(rows);
+                }
+                assert_eq!(got, want, "{at}");
+                assert!(tracker.peak() <= case.largest_group_bytes(&cfg), "peak: {at}");
+                assert!(shared == 0 || tracker.peak() > 0, "a joined group is tracked: {at}");
+                assert_eq!(tracker.current(), 0, "{at}");
+                let joined = annotation(&metrics, "groups_joined").map(|n| n.parse::<usize>());
+                assert_eq!(joined, Some(Ok(shared)), "{at}");
+            }
+        }
+    }
+}
+
+#[test]
+fn grouped_join_matches_the_group_restricted_nested_loop() {
+    // The inputs of the retired sandwich join's unit tests, as `(join key,
+    // group key, value)`: matches within groups, a left group with no
+    // right peer, skewed group streams, a memory-bounded 100-row join,
+    // and the two residual kernels' 120 × 90 input.
+    let ranged = |n: i64, f: fn(i64) -> Row| -> Vec<Row> { (0..n).map(f).collect() };
+    let cases = [
+        GroupedCase::new(
+            vec![(1, 0, 100), (2, 0, 101), (3, 1, 102), (4, 2, 103)],
+            vec![(1, 0, 7), (2, 0, 8), (3, 1, 9), (5, 2, 5)],
+            (4, 4),
+        ),
+        GroupedCase::new(vec![(1, 0, 1), (2, 2, 2)], vec![(1, 1, 9), (2, 2, 9)], (4, 4)),
+        GroupedCase::new(vec![(1, 0, 1), (1, 0, 2)], vec![(1, 0, 9)], (4, 4)),
+        GroupedCase::new(
+            ranged(100, |i| (i, i / 10, 1000 + i)),
+            ranged(100, |i| (i, i / 10, i)),
+            (7, 7),
+        ),
+        GroupedCase::new(
+            ranged(120, |i| (i % 17, i / 12, 1000 + i)),
+            ranged(90, |i| (i % 17, i / 9, 2000 + i)),
+            (7, 7),
+        ),
+        // The group reader's stream: groups spanning and splitting
+        // two-row batches.
+        GroupedCase::new(
+            ranged(6, |i| (i % 3, i / 2, i)),
+            vec![(1, 0, 10), (2, 0, 20), (3, 1, 30), (4, 1, 40), (5, 2, 50)],
+            (2, 2),
+        ),
+    ];
+    for case in &cases {
+        check_grouped(case);
+    }
+}
+
+#[test]
+fn grouped_join_handles_one_sided_and_missing_groups() {
+    // Left-only groups at the start (0), middle (5) and end (8, 9);
+    // right-only ones in between (2, 7); group 6 on neither side; then the
+    // same streams swapped, and each against an empty side.
+    let side = |groups: &[i64], per: i64| -> Vec<(i64, i64)> {
+        groups.iter().flat_map(|&g| (0..per).map(move |i| ((g + i) % 3, g))).collect()
+    };
+    let (a, b) = (side(&[0, 1, 3, 4, 5, 8, 9], 4), side(&[1, 2, 3, 4, 7], 3));
+    for chunks in [(1, 1), (3, 5), (5, 2), (64, 64)] {
+        check_grouped(&GroupedCase::numbered(&a, &b, chunks));
+        check_grouped(&GroupedCase::numbered(&b, &a, chunks));
+        check_grouped(&GroupedCase::numbered(&a, &[], chunks));
+        check_grouped(&GroupedCase::numbered(&[], &b, chunks));
+    }
+    check_grouped(&GroupedCase::numbered(&[], &[], (4, 4)));
+}
+
+#[test]
+fn grouped_join_streams_many_small_and_one_huge_group() {
+    // 200 one-row groups on each side (every other one shares its key).
+    let left: Vec<(i64, i64)> = (0..200).map(|g| (g % 2, g)).collect();
+    let right: Vec<(i64, i64)> = (0..200).map(|g| (0, g)).collect();
+    check_grouped(&GroupedCase::numbered(&left, &right, (16, 7)));
+    // One 20 000-row left group against a 3-row right group: streamed
+    // batch by batch past a three-row index.
+    let left: Vec<(i64, i64)> = (0..20_000).map(|i| (i % 5, 0)).collect();
+    check_grouped(&GroupedCase::numbered(&left, &[(0, 0), (1, 0), (2, 0)], (4096, 2)));
+}
+
+proptest! {
+    /// Random grouped inputs — one-sided groups anywhere, duplicate keys,
+    /// batches down to one row — equal the nested loop on every path.
+    #[test]
+    fn grouped_join_matches_reference_on_random_groups(
+        mut left in prop::collection::vec((0i64..4, 0i64..6), 0..40),
+        mut right in prop::collection::vec((0i64..4, 0i64..6), 0..40),
+        chunks in (1usize..9, 1usize..9),
+    ) {
+        left.sort_by_key(|r| r.1);
+        right.sort_by_key(|r| r.1);
+        check_grouped(&GroupedCase::numbered(&left, &right, chunks));
     }
 }

@@ -334,3 +334,72 @@ fn a_spilled_hash_join_logs_linear_restores() {
     let rendered = analyzed.profile.render();
     assert!(rendered.contains("restores=16"), "EXPLAIN ANALYZE prints it:\n{rendered}");
 }
+
+/// The sandwich slice of the decision log, over the 22 queries at SF 0.005:
+/// on BDCC every `Join(hash)` names the one reason it is no sandwich — the
+/// first check of the planner's that failed, from a closed set — and every
+/// `Join(sandwich)` its group keys with their bits; on Plain and PK no join
+/// carries either. Prints how often each reason occurs on BDCC.
+#[test]
+fn bdcc_joins_log_why_they_are_no_sandwich() {
+    const REASONS: [&str; 5] = [
+        "join-type",
+        "no-fk",
+        "no-shared-instance",
+        "requested-not-two-sided",
+        "keys-not-two-sided",
+    ];
+    let sf = 0.005;
+    let db = bdcc::tpch::generate(&GenConfig::new(sf));
+    let schemes = [
+        ("plain", Arc::new(plain_scheme(&db))),
+        ("pk", Arc::new(pk_scheme(&db).expect("pk scheme"))),
+        ("bdcc", Arc::new(bdcc_scheme(&db, &DesignConfig::default()).expect("bdcc scheme"))),
+    ];
+    for (scheme, sdb) in &schemes {
+        let mut histogram = std::collections::BTreeMap::<String, usize>::new();
+        for q in all_queries() {
+            let ctx = QueryCtx::recording(QueryContext::new(Arc::clone(sdb)), sf);
+            (q.run)(&ctx).expect("query runs");
+            for plan in ctx.take_plans() {
+                let analyzed = explain_analyze(&QueryContext::new(Arc::clone(sdb)), &plan)
+                    .expect("explain analyze");
+                analyzed.profile.root.walk(&mut |node: &ProfileNode| {
+                    if !node.label.starts_with("Join(") {
+                        return;
+                    }
+                    let at =
+                        format!("Q{:02} on {scheme}: {} {:?}", q.id, node.label, node.annotations);
+                    let logs: Vec<&str> = (node.annotations.iter())
+                        .filter(|(k, _)| k == "sandwich")
+                        .map(|(_, v)| v.as_str())
+                        .collect();
+                    match (*scheme, node.label.as_str()) {
+                        ("bdcc", "Join(hash)") => {
+                            let [log] = logs[..] else { panic!("one reason — {at}") };
+                            let why = log.strip_prefix("no(").and_then(|v| v.strip_suffix(')'));
+                            assert!(why.is_some_and(|w| REASONS.contains(&w)), "{at}");
+                            *histogram.entry(log.to_string()).or_default() += 1;
+                        }
+                        ("bdcc", "Join(sandwich)") => {
+                            let [log] = logs[..] else { panic!("one key list — {at}") };
+                            let (n, keys) = log.split_once(" keys (").expect("<n> keys (…)");
+                            let n: usize = n.parse().expect("a key count");
+                            assert_eq!(
+                                keys.matches('/').count(),
+                                n,
+                                "one bit count per key — {at}"
+                            );
+                            *histogram.entry("sandwich".into()).or_default() += 1;
+                        }
+                        _ => assert!(logs.is_empty(), "{at}"),
+                    }
+                });
+            }
+        }
+        if *scheme == "bdcc" {
+            println!("BDCC joins by sandwich decision: {histogram:?}");
+            assert!(histogram.contains_key("sandwich") && histogram.len() > 1, "{histogram:?}");
+        }
+    }
+}
