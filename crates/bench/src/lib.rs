@@ -104,36 +104,6 @@ pub fn print_table(headers: &[&str], rows: &[Vec<String>]) {
     }
 }
 
-/// The seed's join build — one `Vec<i64>` key and one `Vec<u32>` list
-/// entry per row, SipHash-hashed — kept as the measured baseline the flat
-/// `JoinIndex` is compared against (`join_build` bench and `join_speedup`
-/// bin share this definition so their baselines can't drift apart).
-pub fn baseline_join_build(key_cols: &[&[i64]]) -> std::collections::HashMap<Vec<i64>, Vec<u32>> {
-    let rows = key_cols.first().map(|c| c.len()).unwrap_or(0);
-    let mut index: std::collections::HashMap<Vec<i64>, Vec<u32>> =
-        std::collections::HashMap::with_capacity(rows);
-    for row in 0..rows {
-        let key: Vec<i64> = key_cols.iter().map(|c| c[row]).collect();
-        index.entry(key).or_default().push(row as u32);
-    }
-    index
-}
-
-/// Self-probe of a flat join index: look up every build key and count the
-/// matches (the shared probe-throughput workload of `join_build` and
-/// `join_speedup`).
-pub fn probe_all(idx: &bdcc_exec::JoinIndex, key_cols: &[&[i64]]) -> usize {
-    let rows = key_cols.first().map(|c| c.len()).unwrap_or(0);
-    let mut key = Vec::with_capacity(key_cols.len());
-    let mut n = 0usize;
-    for row in 0..rows {
-        key.clear();
-        key.extend(key_cols.iter().map(|c| c[row]));
-        idx.for_each_match(&key, |_| n += 1);
-    }
-    n
-}
-
 /// The one machine-readable line every bench bin ends with.
 ///
 /// Each bin prints, as its *last* stdout line, a single JSON object

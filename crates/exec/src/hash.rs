@@ -10,14 +10,13 @@
 //!
 //! ## Table layout
 //!
-//! A [`JoinTable`] is three parallel flat arrays plus a bucket directory:
+//! A [`JoinIndex`] is two flat arrays plus a bucket directory, one entry
+//! per build row (entry == row):
 //!
 //! ```text
 //! buckets: [u32; 2^b]   head entry per bucket (EMPTY = u32::MAX)
 //! next:    [u32; n]     bucket chain: entry -> next entry with same bucket
 //! keys:    [i64; n * K] the K key columns, packed row-major
-//! rows:    [u32; n]     build-row id per entry (absent on the serial
-//!                       fast path, where entry == row)
 //! ```
 //!
 //! Bucket chains are threaded through `next` — the classic "array hash
@@ -33,35 +32,20 @@
 //! (`h = (rotl(h,5) ^ v) * K`, [`FxHasher`]'s core) over the packed
 //! `[i64; K]` key — a single multiply for the common one-column `u64`
 //! fast path — followed by one avalanche multiply so that the *low* bits
-//! (bucket index) and the *high* bits (partition index) are both usable.
+//! (bucket index) and the *high* bits (the partition index of radix
+//! aggregation and the spill core) are both usable.
 //!
 //! ## Single-key probes
 //!
-//! One `i64` key against an unpartitioned index (entry == build row) is the
-//! common probe shape and takes two passes, with no packed key, slice
-//! compare or partition routing per row: every row's chain head, keeping
-//! rows whose bucket is occupied without a branch (a big side streamed past
-//! a small table finds half its buckets empty, which mispredicts on every
-//! other row when fused with the chain walk), then those chains in row order
-//! — the generic loop's chains, so the same matches in the same order.
-//!
-//! ## Parallel partitioned build
-//!
-//! [`JoinIndex::build`] with a [`ParallelConfig`] splits the build input
-//! into morsel-sized row chunks, workers hash-partition each chunk by the
-//! key's top hash bits ([`crate::parallel::partition`]), per-partition row
-//! lists concatenate in chunk order (ascending row ids — the
-//! order-deterministic merge contract), and each worker then builds its
-//! partition's [`JoinTable`] locally. Probes compute the same hash once
-//! and route to the owning partition. Because a key's rows all land in one
-//! partition and chains stay ascending, the partitioned index returns
-//! matches in the same order as the serial one: parallel and serial
-//! execution remain byte-identical.
+//! One `i64` key is the common probe shape — at every width, probe morsels
+//! included — and takes two passes, with no packed key or slice compare
+//! per row: every row's chain head, keeping rows whose bucket is occupied
+//! without a branch (a big side streamed past a small table finds half its
+//! buckets empty, which mispredicts on every other row when fused with the
+//! chain walk), then those chains in row order — the generic loop's
+//! chains, so the same matches in the same order.
 
 use std::hash::{BuildHasherDefault, Hasher};
-
-use crate::error::Result;
-use crate::parallel::{partition, pool, ParallelConfig};
 
 /// The FxHash multiplier (a.k.a. the Firefox/rustc hash constant).
 const FX_K: u64 = 0x51_7c_c1_b7_27_22_0a_95;
@@ -90,17 +74,6 @@ pub fn hash_key(key: &[i64]) -> u64 {
     let mut h = 0u64;
     for &v in key {
         h = fx_round(h, v as u64);
-    }
-    avalanche(h)
-}
-
-/// Hash row `row` of a set of key columns (same value as [`hash_key`] over
-/// the packed key, without materializing it).
-#[inline]
-pub fn hash_row(key_cols: &[&[i64]], row: usize) -> u64 {
-    let mut h = 0u64;
-    for c in key_cols {
-        h = fx_round(h, c[row] as u64);
     }
     avalanche(h)
 }
@@ -164,7 +137,7 @@ pub type FxBuildHasher = BuildHasherDefault<FxHasher>;
 /// floats their bit pattern (groups compare floats bitwise), strings their
 /// bytes plus a `0xff` terminator (so `("ab", "c")` and `("a", "bc")`
 /// differ), all through the same FxHash rounds + avalanche as the join-key
-/// codec ([`hash_key`]/[`hash_row`]).
+/// codec ([`hash_key`]).
 ///
 /// The fold runs **column-at-a-time** — one typed loop per column over the
 /// whole range, no per-row dispatch — and **ints-then-strings**:
@@ -213,49 +186,29 @@ pub fn hash_group_rows(
     }
 }
 
-/// One flat open-addressed-directory + chained-entry hash table (see the
-/// module doc for the layout). Covers either the whole build side (serial)
-/// or one hash partition of it (parallel).
-pub struct JoinTable {
+/// The build-side index of a hash join: one flat hash table — a bucket
+/// directory plus entry chains — over every build row (see the module doc
+/// for the layout). Entry `e` is build row `e`.
+pub struct JoinIndex {
     buckets: Vec<u32>,
     next: Vec<u32>,
     /// Packed keys, `key_width` values per entry.
     keys: Vec<i64>,
-    /// Build-row id per entry; `None` on the serial fast path where the
-    /// entry index *is* the row id.
-    rows: Option<Vec<u32>>,
     key_width: usize,
     mask: u64,
 }
 
-impl JoinTable {
-    /// Build over `row_ids` (must be ascending; `None` = all rows
-    /// `0..len`). Takes the id list by value — the partitioned build hands
-    /// each table its partition's list without copying. Exactly three
-    /// allocations, none per-row.
-    pub fn build(key_cols: &[&[i64]], row_ids: Option<Vec<u32>>) -> JoinTable {
+impl JoinIndex {
+    /// Build the index over the build side's key columns. Exactly three
+    /// allocations, none per row.
+    pub fn build(key_cols: &[&[i64]]) -> JoinIndex {
         let key_width = key_cols.len().max(1);
-        let n = match &row_ids {
-            Some(ids) => ids.len(),
-            None => key_cols.first().map(|c| c.len()).unwrap_or(0),
-        };
-        // Pack the keys row-major (the partition scatter: a sequential
-        // gather per key column into one flat buffer).
+        let n = key_cols.first().map(|c| c.len()).unwrap_or(0);
+        // Pack the keys row-major.
         let mut keys = Vec::with_capacity(n * key_cols.len());
-        match &row_ids {
-            Some(ids) => {
-                for &r in ids {
-                    for c in key_cols {
-                        keys.push(c[r as usize]);
-                    }
-                }
-            }
-            None => {
-                for r in 0..n {
-                    for c in key_cols {
-                        keys.push(c[r]);
-                    }
-                }
+        for r in 0..n {
+            for c in key_cols {
+                keys.push(c[r]);
             }
         }
         // Power-of-two directory at load factor <= 0.5.
@@ -264,118 +217,14 @@ impl JoinTable {
         let mut buckets = vec![EMPTY; nbuckets];
         let mut next = vec![EMPTY; n];
         // Insert entries in reverse so each chain (head insertion) walks
-        // in ascending entry — and therefore ascending row — order.
+        // in ascending row order.
         for e in (0..n).rev() {
             let h = hash_key(&keys[e * key_width..(e + 1) * key_width]);
             let b = (h & mask) as usize;
             next[e] = buckets[b];
             buckets[b] = e as u32;
         }
-        JoinTable { buckets, next, keys, rows: row_ids, key_width, mask }
-    }
-
-    /// Entries in this table.
-    pub fn len(&self) -> usize {
-        self.next.len()
-    }
-
-    /// True when the table holds no entries.
-    pub fn is_empty(&self) -> bool {
-        self.next.is_empty()
-    }
-
-    /// Walk all build rows whose key equals `key` (pre-hashed to `h`), in
-    /// ascending build-row order.
-    #[inline]
-    pub fn probe<F: FnMut(u32)>(&self, h: u64, key: &[i64], f: &mut F) {
-        let mut e = self.buckets[(h & self.mask) as usize];
-        while e != EMPTY {
-            let i = e as usize;
-            let base = i * self.key_width;
-            if &self.keys[base..base + self.key_width] == key {
-                f(match &self.rows {
-                    Some(rows) => rows[i],
-                    None => e,
-                });
-            }
-            e = self.next[i];
-        }
-    }
-
-    /// Does any build row carry `key` (pre-hashed to `h`)? Stops at the
-    /// first chain hit — the Semi/Anti probe fast path, which needs only
-    /// existence, not the match list.
-    #[inline]
-    pub fn contains(&self, h: u64, key: &[i64]) -> bool {
-        let mut e = self.buckets[(h & self.mask) as usize];
-        while e != EMPTY {
-            let i = e as usize;
-            let base = i * self.key_width;
-            if &self.keys[base..base + self.key_width] == key {
-                return true;
-            }
-            e = self.next[i];
-        }
-        false
-    }
-
-    /// Bytes held by the flat arrays (memory-tracker accounting).
-    pub fn estimated_bytes(&self) -> u64 {
-        (self.buckets.len() * 4
-            + self.next.len() * 4
-            + self.keys.len() * 8
-            + self.rows.as_ref().map(|r| r.len() * 4).unwrap_or(0)) as u64
-    }
-}
-
-/// The build-side index of a hash join: one [`JoinTable`] (serial) or one
-/// per hash partition (parallel partitioned build).
-pub struct JoinIndex {
-    tables: Vec<JoinTable>,
-    /// Top hash bits selecting the partition (0 = unpartitioned).
-    partition_bits: u32,
-    key_width: usize,
-}
-
-impl JoinIndex {
-    /// Build the index over the build side's key columns. Wider than one
-    /// thread and over more than one morsel of rows, the build is
-    /// hash-partitioned and each partition's table is built by a worker;
-    /// otherwise one table is built serially. Both forms return matches in
-    /// identical order.
-    pub fn build(key_cols: &[&[i64]], cfg: &ParallelConfig) -> Result<JoinIndex> {
-        let n = key_cols.first().map(|c| c.len()).unwrap_or(0);
-        let key_width = key_cols.len().max(1);
-        if !cfg.worth_splitting(n) {
-            return Ok(JoinIndex {
-                tables: vec![JoinTable::build(key_cols, None)],
-                partition_bits: 0,
-                key_width,
-            });
-        }
-        let bits = partition::partition_bits_for(cfg.threads);
-        // Mutex-wrapped so each worker can *take* its partition's
-        // row-id list (tasks are per-partition, so the one lock per
-        // table build is noise and the list is never copied).
-        let parts: Vec<std::sync::Mutex<Vec<u32>>> =
-            partition::hash_partition_rows(key_cols, bits, cfg)?
-                .into_iter()
-                .map(std::sync::Mutex::new)
-                .collect();
-        let tables = pool::run_tasks_labeled(cfg.threads, parts.len(), "join-build", |p| {
-            let ids = std::mem::take(&mut *parts[p].lock().expect("partition poisoned"));
-            Ok(JoinTable::build(key_cols, Some(ids)))
-        })?;
-        Ok(JoinIndex { tables, partition_bits: bits, key_width })
-    }
-
-    /// The table owning hash `h`: the partition the build scattered `h`'s
-    /// keys into (same routing as [`partition::partition_of`], which maps
-    /// the unpartitioned case to the sole table — a probe touches exactly
-    /// one partition, so concurrent probe morsels never contend).
-    #[inline]
-    fn table_for(&self, h: u64) -> &JoinTable {
-        &self.tables[partition::partition_of(h, self.partition_bits)]
+        JoinIndex { buckets, next, keys, key_width, mask }
     }
 
     /// Call `f` with every build row whose key equals `key`, in ascending
@@ -383,8 +232,14 @@ impl JoinIndex {
     #[inline]
     pub fn for_each_match<F: FnMut(u32)>(&self, key: &[i64], mut f: F) {
         debug_assert_eq!(key.len(), self.key_width);
-        let h = hash_key(key);
-        self.table_for(h).probe(h, key, &mut f);
+        let mut e = self.buckets[(hash_key(key) & self.mask) as usize];
+        while e != EMPTY {
+            let base = e as usize * self.key_width;
+            if &self.keys[base..base + self.key_width] == key {
+                f(e);
+            }
+            e = self.next[e as usize];
+        }
     }
 
     /// Does any build row carry `key`? First-hit short-circuit — the
@@ -392,34 +247,38 @@ impl JoinIndex {
     #[inline]
     pub fn has_match(&self, key: &[i64]) -> bool {
         debug_assert_eq!(key.len(), self.key_width);
-        let h = hash_key(key);
-        self.table_for(h).contains(h, key)
+        let mut e = self.buckets[(hash_key(key) & self.mask) as usize];
+        while e != EMPTY {
+            let base = e as usize * self.key_width;
+            if &self.keys[base..base + self.key_width] == key {
+                return true;
+            }
+            e = self.next[e as usize];
+        }
+        false
     }
 
-    /// The single-key probe (see the module docs): for one `i64` key column
-    /// against an unpartitioned index, call `hit(row, build row)` for the
-    /// matches of every row of `range`, in probe order, moving on to the
-    /// next row when it returns `false`. `false` for any other shape.
+    /// The single-key probe (see the module docs): for one `i64` key
+    /// column, call `hit(row, build row)` for the matches of every row of
+    /// `range`, in probe order, moving on to the next row when it returns
+    /// `false`. `false` for any other shape.
     fn probe_single_key(
         &self,
         key_cols: &[&[i64]],
         range: std::ops::Range<usize>,
         mut hit: impl FnMut(usize, u32) -> bool,
     ) -> bool {
-        let ([table], [col]) = (self.tables.as_slice(), key_cols) else { return false };
-        if table.rows.is_some() {
-            return false;
-        }
+        let [col] = key_cols else { return false };
         // Branch-free: `n` only advances past a row whose bucket is occupied.
         let mut heads = vec![(0, EMPTY); range.len() + 1];
         let mut n = 0;
         for row in range {
-            heads[n] = (row, table.buckets[(hash_key(&[col[row]]) & table.mask) as usize]);
+            heads[n] = (row, self.buckets[(hash_key(&[col[row]]) & self.mask) as usize]);
             n += (heads[n].1 != EMPTY) as usize;
         }
         for &(row, mut e) in &heads[..n] {
-            while e != EMPTY && (table.keys[e as usize] != col[row] || hit(row, e)) {
-                e = table.next[e as usize];
+            while e != EMPTY && (self.keys[e as usize] != col[row] || hit(row, e)) {
+                e = self.next[e as usize];
             }
         }
         true
@@ -483,34 +342,25 @@ impl JoinIndex {
         }
     }
 
-    /// Total entries across partitions (== build rows).
+    /// Entries in the index (== build rows).
     pub fn len(&self) -> usize {
-        self.tables.iter().map(|t| t.len()).sum()
+        self.next.len()
     }
 
     /// True when no build rows are indexed.
     pub fn is_empty(&self) -> bool {
-        self.len() == 0
+        self.next.is_empty()
     }
 
-    /// Number of hash partitions (1 = serial build).
-    pub fn partition_count(&self) -> usize {
-        self.tables.len()
-    }
-
-    /// Bytes held by all partitions' flat arrays.
+    /// Bytes held by the flat arrays (memory-tracker accounting).
     pub fn estimated_bytes(&self) -> u64 {
-        self.tables.iter().map(|t| t.estimated_bytes()).sum()
+        (self.buckets.len() * 4 + self.next.len() * 4 + self.keys.len() * 8) as u64
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    fn one_thread() -> ParallelConfig {
-        ParallelConfig::with_threads(1)
-    }
 
     fn matches(idx: &JoinIndex, key: &[i64]) -> Vec<u32> {
         let mut out = Vec::new();
@@ -521,20 +371,19 @@ mod tests {
     #[test]
     fn single_column_lookup_in_row_order() {
         let keys: Vec<i64> = vec![5, 3, 5, 7, 3, 5];
-        let idx = JoinIndex::build(&[&keys], &one_thread()).unwrap();
+        let idx = JoinIndex::build(&[&keys]);
         assert_eq!(matches(&idx, &[5]), vec![0, 2, 5]);
         assert_eq!(matches(&idx, &[3]), vec![1, 4]);
         assert_eq!(matches(&idx, &[7]), vec![3]);
         assert_eq!(matches(&idx, &[9]), Vec::<u32>::new());
         assert_eq!(idx.len(), 6);
-        assert_eq!(idx.partition_count(), 1);
     }
 
     #[test]
     fn multi_column_keys_distinguish_rows() {
         let a: Vec<i64> = vec![1, 1, 2, 1];
         let b: Vec<i64> = vec![10, 20, 10, 10];
-        let idx = JoinIndex::build(&[&a, &b], &one_thread()).unwrap();
+        let idx = JoinIndex::build(&[&a, &b]);
         assert_eq!(matches(&idx, &[1, 10]), vec![0, 3]);
         assert_eq!(matches(&idx, &[1, 20]), vec![1]);
         assert_eq!(matches(&idx, &[2, 10]), vec![2]);
@@ -544,7 +393,7 @@ mod tests {
     #[test]
     fn empty_build_side() {
         let keys: Vec<i64> = vec![];
-        let idx = JoinIndex::build(&[&keys], &one_thread()).unwrap();
+        let idx = JoinIndex::build(&[&keys]);
         assert!(idx.is_empty());
         assert_eq!(matches(&idx, &[1]), Vec::<u32>::new());
     }
@@ -554,7 +403,7 @@ mod tests {
         // Sequential keys are the worst case for a raw multiplicative
         // hash's low bits; the avalanche must keep chains short.
         let keys: Vec<i64> = (0..4096).collect();
-        let t = JoinTable::build(&[&keys], None);
+        let t = JoinIndex::build(&[&keys]);
         let mut max_chain = 0usize;
         for &head in &t.buckets {
             let mut len = 0;
@@ -569,38 +418,48 @@ mod tests {
     }
 
     #[test]
-    fn parallel_build_matches_serial_order() {
-        let n = 10_000i64;
-        let keys: Vec<i64> = (0..n).map(|i| i % 997).collect();
-        let serial = JoinIndex::build(&[&keys], &one_thread()).unwrap();
-        let cfg = ParallelConfig { threads: 4, morsel_rows: 512 };
-        let parallel = JoinIndex::build(&[&keys], &cfg).unwrap();
-        assert!(parallel.partition_count() > 1, "build must have partitioned");
-        assert_eq!(parallel.len(), serial.len());
-        for k in 0..997 {
-            assert_eq!(matches(&parallel, &[k]), matches(&serial, &[k]), "key {k}");
-        }
-    }
-
-    #[test]
-    fn one_thread_config_builds_serially() {
-        let keys: Vec<i64> = (0..1000).collect();
-        let cfg = ParallelConfig { threads: 1, morsel_rows: 16 };
-        let idx = JoinIndex::build(&[&keys], &cfg).unwrap();
-        assert_eq!(idx.partition_count(), 1);
-    }
-
-    #[test]
     fn has_match_agrees_with_for_each_match() {
         let keys: Vec<i64> = (0..500).map(|i| i % 37).collect();
-        let idx = JoinIndex::build(&[&keys], &one_thread()).unwrap();
-        let cfg = ParallelConfig { threads: 4, morsel_rows: 64 };
-        let part = JoinIndex::build(&[&keys], &cfg).unwrap();
+        let idx = JoinIndex::build(&[&keys]);
         for k in -5..45 {
             let hits = !matches(&idx, &[k]).is_empty();
-            assert_eq!(idx.has_match(&[k]), hits, "serial key {k}");
-            assert_eq!(part.has_match(&[k]), hits, "partitioned key {k}");
+            assert_eq!(idx.has_match(&[k]), hits, "key {k}");
         }
+    }
+
+    #[test]
+    fn single_key_probes_agree_with_per_row_lookups_on_every_range() {
+        // The single-key kernel behind `probe_pairs` / `probe_exists`
+        // against the per-row chain walk: duplicate build keys, misses
+        // (some sharing a bucket with a hit), and the `i64` extremes, over
+        // every sub-range of the probe column.
+        let build: Vec<i64> = vec![7, i64::MIN, 3, 7, i64::MAX, 0, 7, -1, 3, i64::MIN, 42, 1 << 40];
+        let idx = JoinIndex::build(&[&build]);
+        let mut probe: Vec<i64> = vec![7, 8, i64::MIN, 3, i64::MAX, -1, 0, 99, i64::MAX - 1];
+        probe.extend((-20..60).map(|i| i * 3));
+        probe.extend([i64::MIN + 1, 42, 1 << 40, (1 << 40) + 1, 7]);
+        for lo in 0..=probe.len() {
+            for hi in lo..=probe.len() {
+                let (mut lidx, mut ridx, mut exists) = (Vec::new(), Vec::new(), Vec::new());
+                idx.probe_pairs(&[&probe], lo..hi, &mut lidx, &mut ridx);
+                idx.probe_exists(&[&probe], lo..hi, &mut exists);
+                let (mut want_l, mut want_r) = (Vec::new(), Vec::new());
+                for (row, &key) in probe.iter().enumerate().take(hi).skip(lo) {
+                    idx.for_each_match(&[key], |m| {
+                        want_l.push(row);
+                        want_r.push(m);
+                    });
+                }
+                let want_exists: Vec<usize> =
+                    (lo..hi).filter(|&row| idx.has_match(&[probe[row]])).collect();
+                assert_eq!((&lidx, &ridx), (&want_l, &want_r), "pairs over {lo}..{hi}");
+                assert_eq!(exists, want_exists, "exists over {lo}..{hi}");
+            }
+        }
+        // The extremes and the duplicates really do match.
+        assert_eq!(matches(&idx, &[i64::MIN]), vec![1, 9]);
+        assert_eq!(matches(&idx, &[i64::MAX]), vec![4]);
+        assert_eq!(matches(&idx, &[7]), vec![0, 3, 6]);
     }
 
     #[test]
@@ -690,7 +549,7 @@ mod tests {
     #[test]
     fn estimated_bytes_scales_with_rows() {
         let keys: Vec<i64> = (0..1024).collect();
-        let idx = JoinIndex::build(&[&keys], &one_thread()).unwrap();
+        let idx = JoinIndex::build(&[&keys]);
         // 1024 entries: >= keys (8B) + next (4B) per entry.
         assert!(idx.estimated_bytes() >= 1024 * 12);
     }

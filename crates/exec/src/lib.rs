@@ -36,7 +36,7 @@ pub use enc::{BlockVerdict, ScanKernel};
 pub use error::{ExecError, Result};
 pub use expr::{ArithOp, CmpOp, Expr, LikePattern};
 pub use govern::{GovernedOp, Governor};
-pub use hash::{FxBuildHasher, FxHasher, JoinIndex, JoinTable};
+pub use hash::{FxBuildHasher, FxHasher, JoinIndex};
 pub use kernel::{FilterProgram, PairFilter, SelVec};
 pub use memory::{MemoryGuard, MemoryTracker};
 pub use ops::agg::{AggFunc, AggSpec};

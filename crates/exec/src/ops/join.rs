@@ -20,13 +20,13 @@
 //! and a pending batch over the high-water mark — the very first under
 //! `BDCC_SPILL=force` — sends it to the spilled right build.
 //!
-//! Under a [`ParallelConfig`] the index build is hash-partitioned across
-//! workers (see [`crate::parallel::partition`]) and the **probe** fans out
-//! too: rounds of probe batches split into row-range probe morsels,
-//! workers run the probe kernel over the shared immutable index, and
-//! per-morsel match lists concatenate in morsel order — both
-//! byte-identical to serial. Semi/Anti probes of a right build without a
-//! residual use a first-hit existence probe and never gather pair columns.
+//! The index is built the same way at every width. Under a wider
+//! [`ParallelConfig`] the **probe** fans out: rounds of probe batches
+//! split into row-range probe morsels, workers run the probe kernel over
+//! the shared immutable index, and per-morsel match lists concatenate in
+//! morsel order — byte-identical to serial. Semi/Anti probes of a right
+//! build without a residual use a first-hit existence probe and never
+//! gather pair columns.
 //! Left-outer joins emit unmatched left rows with defaulted right columns
 //! plus a `__matched` 0/1 column (the engine has no NULLs;
 //! `COUNT(right.col)` compiles to `SUM(__matched)`).
@@ -98,18 +98,13 @@ struct BuildSide {
 impl BuildSide {
     /// Index `columns` on `keys` and register the hash-table memory:
     /// materialized payload + the index's flat arrays (buckets, chains,
-    /// packed keys, partition row ids).
-    fn index(
-        payload: Batch,
-        keys: &[usize],
-        cfg: &ParallelConfig,
-        tracker: &Arc<MemoryTracker>,
-    ) -> Result<BuildSide> {
+    /// packed keys).
+    fn index(payload: Batch, keys: &[usize], tracker: &Arc<MemoryTracker>) -> Result<BuildSide> {
         let key_cols: Vec<&[i64]> = keys
             .iter()
             .map(|&k| payload.columns[k].as_i64())
             .collect::<std::result::Result<_, _>>()?;
-        let index = JoinIndex::build(&key_cols, cfg)?;
+        let index = JoinIndex::build(&key_cols);
         let mem = tracker.register(payload.estimated_bytes() + index.estimated_bytes());
         Ok(BuildSide { columns: payload.columns, index, mem })
     }
@@ -141,19 +136,16 @@ pub struct HashJoin {
     /// Meters spill file writes/reads (planner-installed with the broker;
     /// inert stand-alone tracker by default).
     spill_io: IoTracker,
-    /// Wider than one thread, big build sides are indexed with the
-    /// hash-partitioned parallel build and big probe rounds fan out as
-    /// probe morsels across workers. One thread (the default) is the
-    /// serial join.
+    /// Wider than one thread, big probe rounds fan out as probe morsels
+    /// across workers. One thread (the default) is the serial join.
     parallel: ParallelConfig,
     /// Batches of the probing side the race buffered: the first rounds.
     pending: VecDeque<Batch>,
     /// Probed-but-unemitted output batches (a parallel probe round
     /// produces one output batch per probed left batch).
     out: VecDeque<Batch>,
-    /// Profiling hook (planner-installed): build-side size and
-    /// partitioned-vs-single annotation, probe-morsel counts/latencies.
-    /// `None` costs nothing.
+    /// Profiling hook (planner-installed): the side indexed and its rows,
+    /// probe-morsel counts/latencies. `None` costs nothing.
     metrics: Option<Arc<OpMetrics>>,
     /// Per-query governance checkpoint, polled once per probe round and,
     /// grouped, once per right group (inert by default).
@@ -271,9 +263,8 @@ impl HashJoin {
         })
     }
 
-    /// Set the width of the hash-partitioned index build and the
-    /// morsel-parallel probe (planner-installed; results stay
-    /// byte-identical at every width).
+    /// Set the width of the morsel-parallel probe (planner-installed;
+    /// results stay byte-identical at every width).
     pub fn with_parallel(mut self, cfg: ParallelConfig) -> HashJoin {
         self.parallel = cfg;
         self
@@ -353,7 +344,7 @@ impl HashJoin {
             m.annotate("race", format!("left={lrows} right={}", payload.rows()));
         }
         if !left_ended {
-            let side = BuildSide::index(payload, &self.right_keys, &self.parallel, &self.tracker)?;
+            let side = BuildSide::index(payload, &self.right_keys, &self.tracker)?;
             self.annotate_build("right", &side);
             self.build = Some(Build::Mem(side));
             return Ok(());
@@ -361,7 +352,7 @@ impl HashJoin {
         let batch_rows: Vec<u32> = self.pending.iter().map(|b| b.rows() as u32).collect();
         let mut left = Batch::new(self.schema.iter().map(|m| Column::empty(m.data_type)).collect());
         self.pending.drain(..).try_for_each(|b| left.append(&b))?;
-        let mut side = BuildSide::index(left, &self.left_keys, &self.parallel, &self.tracker)?;
+        let mut side = BuildSide::index(left, &self.left_keys, &self.tracker)?;
         side.mem.grow(lrows as u64);
         self.annotate_build("left", &side);
         let mut marks = vec![false; lrows];
@@ -436,8 +427,7 @@ impl HashJoin {
                     let Some(payload) = rows.take() else { return Ok(true) };
                     g.joined += 1;
                     g.max_build_rows = g.max_build_rows.max(payload.rows());
-                    let side =
-                        BuildSide::index(payload, &self.right_keys, &self.parallel, &self.tracker)?;
+                    let side = BuildSide::index(payload, &self.right_keys, &self.tracker)?;
                     self.build = Some(Build::Mem(side));
                     return Ok(true);
                 }
@@ -1022,9 +1012,10 @@ mod tests {
     }
 
     #[test]
-    fn parallel_build_is_byte_identical() {
-        // Tiny morsel budget forces the partitioned build even at this
-        // scale; every join flavor must match the serial output exactly.
+    fn one_row_probe_morsels_are_byte_identical() {
+        // A one-row morsel budget fans even this probe out, one row per
+        // probe morsel; every join flavor must match the serial output
+        // exactly.
         let cfg = ParallelConfig { threads: 4, morsel_rows: 1 };
         for jt in [JoinType::Inner, JoinType::LeftOuter, JoinType::Semi, JoinType::Anti] {
             let serial = collect(Box::new(

@@ -45,7 +45,6 @@ use crate::batch::Batch;
 use crate::error::Result;
 use crate::govern::Governor;
 use crate::ops::BoxedOp;
-use crate::parallel::ParallelConfig;
 use crate::spill::{Fanout, Leaf, LeafChunks, PartitionSpill, Route, Shape};
 
 use super::{finish_batch, gather_pairs, probe_range, BuildSide, HashJoin, JoinType};
@@ -106,7 +105,7 @@ impl HashJoin {
         if !spill.any_frozen() {
             let mut payload = self.empty_build();
             spill.for_each_leaf(|leaf| leaf.for_each_chunk(|chunk| Ok(payload.append(&chunk)?)))?;
-            let side = BuildSide::index(payload, &self.right_keys, &self.parallel, &self.tracker)?;
+            let side = BuildSide::index(payload, &self.right_keys, &self.tracker)?;
             self.annotate_build("right", &side);
             return Ok(Build::Mem(side));
         }
@@ -196,12 +195,11 @@ impl HashJoin {
         })
     }
 
-    /// Read a leaf back and index it. A leaf fits the restore limit by
-    /// construction: one serial table.
+    /// Read a leaf back and index it.
     fn index_leaf(&self, leaf: Leaf) -> Result<BuildSide> {
         let mut payload = self.empty_build();
         leaf.for_each_chunk(|chunk| Ok(payload.append(&chunk)?))?;
-        BuildSide::index(payload, &self.right_keys, &ParallelConfig::with_threads(1), &self.tracker)
+        BuildSide::index(payload, &self.right_keys, &self.tracker)
     }
 }
 

@@ -25,7 +25,8 @@ impl SortKey {
     }
 }
 
-/// Full materializing sort (with optional limit → top-N).
+/// Full materializing sort (with optional limit → top-N) — the sort at
+/// every width.
 pub struct Sort {
     input: Option<BoxedOp>,
     keys: Vec<(usize, bool)>,
@@ -84,7 +85,7 @@ impl Operator for Sort {
             let _mem = self.tracker.register(all.estimated_bytes());
             let n = all.rows();
             let mut perm: Vec<usize> = (0..n).collect();
-            perm.sort_by(|&a, &b| cmp_rows(&self.keys, &all, a, &all, b));
+            perm.sort_by(|&a, &b| cmp_rows(&self.keys, &all, a, b));
             if let Some(l) = self.limit {
                 perm.truncate(l);
             }
@@ -95,20 +96,11 @@ impl Operator for Sort {
     }
 }
 
-/// Compare row `a` of batch `ba` with row `b` of batch `bb` under the
-/// resolved sort keys `(column index, ascending)` — **the** sort order of
-/// this engine. The serial sort, the parallel per-run sorts and the
-/// parallel k-way merge all call this one function, which is what keeps
-/// serial and parallel sort orders byte-identical by construction.
-pub(crate) fn cmp_rows(
-    keys: &[(usize, bool)],
-    ba: &Batch,
-    a: usize,
-    bb: &Batch,
-    b: usize,
-) -> std::cmp::Ordering {
+/// Compare rows `a` and `b` of `batch` under the resolved sort keys
+/// `(column index, ascending)` — **the** sort order of this engine.
+fn cmp_rows(keys: &[(usize, bool)], batch: &Batch, a: usize, b: usize) -> std::cmp::Ordering {
     for &(c, asc) in keys {
-        let ord = cmp_between(&ba.columns[c], a, &bb.columns[c], b);
+        let ord = cmp_values(&batch.columns[c], a, b);
         let ord = if asc { ord } else { ord.reverse() };
         if ord != std::cmp::Ordering::Equal {
             return ord;
@@ -117,14 +109,12 @@ pub(crate) fn cmp_rows(
     std::cmp::Ordering::Equal
 }
 
-/// Compare row `a` of `ca` with row `b` of `cb` (same type) without
-/// allocating datums.
-fn cmp_between(ca: &Column, a: usize, cb: &Column, b: usize) -> std::cmp::Ordering {
-    match (ca, cb) {
-        (Column::I64 { values: va, .. }, Column::I64 { values: vb, .. }) => va[a].cmp(&vb[b]),
-        (Column::F64(va), Column::F64(vb)) => va[a].total_cmp(&vb[b]),
-        (Column::Str(va), Column::Str(vb)) => va[a].cmp(&vb[b]),
-        _ => unreachable!("sort keys compare columns of one type"),
+/// Compare rows `a` and `b` of `col` without allocating datums.
+fn cmp_values(col: &Column, a: usize, b: usize) -> std::cmp::Ordering {
+    match col {
+        Column::I64 { values, .. } => values[a].cmp(&values[b]),
+        Column::F64(values) => values[a].total_cmp(&values[b]),
+        Column::Str(values) => values[a].cmp(&values[b]),
     }
 }
 

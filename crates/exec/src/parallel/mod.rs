@@ -21,8 +21,8 @@
 //! filter/project steps, then (when the plan shape allows) a per-worker
 //! *partial aggregate*. The pool's workers are created once (warmed by
 //! [`QueryContext::with_parallel`]) and parked between fan-outs, so a
-//! probe round, a radix chunk or a sort-run batch costs queue operations,
-//! not thread create/join; nested fan-outs are deadlock-free because a
+//! probe round or a radix chunk costs queue operations, not thread
+//! create/join; nested fan-outs are deadlock-free because a
 //! blocked fan-out lends its calling thread to the pool ([`pool`]
 //! documents the lending rule). The leaf scan itself streams: wider than
 //! one thread and longer than one morsel, [`Scan`] submits its morsels to
@@ -37,29 +37,26 @@
 //! ranges ([`morsel::split_rows`]), workers probe the shared immutable
 //! [`JoinIndex`](crate::hash::JoinIndex) concurrently, and per-morsel
 //! match lists concatenate in morsel order
-//! ([`merge::concat_match_lists`]).
+//! ([`merge::concat_match_lists`]). The index itself is built serially,
+//! as at width 1, and so is every sort.
 //!
 //! ## Merge contracts
 //!
 //! Partial results are merged **in morsel order**, never in completion
 //! order ([`merge`]):
 //!
-//! * leaf streams concatenate ordered, reproducing the inline walk's batch
-//!   stream *exactly* — every downstream serial operator therefore
-//!   behaves identically to serial execution;
+//! * leaf streams concatenate ordered ([`pool::OrderedStream`]),
+//!   reproducing the inline walk's batch stream *exactly* — every
+//!   downstream serial operator therefore behaves identically to serial
+//!   execution;
+//! * per-morsel join match lists concatenate in morsel order, listing
+//!   pairs as one serial probe loop would;
 //! * partial hash-aggregation states fold left-to-right, reproducing the
 //!   serial first-seen group order and exact integer aggregates;
 //!   float Sum/Avg use Neumaier-compensated accumulation on both the
 //!   serial and parallel paths, so both land within ~1 ulp of the true
 //!   sum and agree after [`canonical_rows`](crate::run::canonical_rows)
-//!   rounding;
-//! * sorted per-morsel streams merge stably with morsel-index
-//!   tie-breaking ([`merge::merge_sorted`]) — the contract [`ParallelSort`]
-//!   uses to reproduce a serial stable sort of the concatenated input;
-//! * hash-join build rows partition by key hash in chunk order
-//!   ([`partition`]), so every partition's chains stay in ascending
-//!   build-row order and partitioned probes ([`crate::hash::JoinIndex`])
-//!   match the serial probe order exactly.
+//!   rounding.
 //!
 //! The result: for every plan, parallel execution returns results
 //! identical to serial execution (verified for all 22 TPC-H queries under
@@ -74,16 +71,16 @@
 //! Width is a value: every [`QueryContext`] carries a [`ParallelConfig`],
 //! and `threads: 1` — what [`QueryContext::new`] installs — is serial
 //! execution. [`QueryContext::with_parallel`] installs a wider one; every
-//! leaf [`Scan`] then streams when it is longer than one morsel, and the
-//! planner swaps eligible aggregates for [`ParallelAggregate`], sorts for
-//! [`ParallelSort`], and hands the config to both hash-join variants so big
-//! build sides use the hash-partitioned parallel build and big probe rounds
-//! fan out to probe-morsel workers, leaving the rest of the operator tree
-//! serial.
+//! leaf [`Scan`] then streams when it is longer than one morsel, the
+//! planner swaps eligible aggregates for [`ParallelAggregate`], and every
+//! [`HashJoin`], grouped or not, fans big probe rounds out to probe-morsel
+//! workers over its one serially built index. The rest of the operator
+//! tree — sorts included — is the serial one.
 //! The two fields of the config are the whole configuration: nothing in
 //! the environment changes what a given [`ParallelConfig`] does.
 //!
 //! [`Scan`]: crate::ops::scan::Scan
+//! [`HashJoin`]: crate::ops::join::HashJoin
 //! [`QueryContext`]: crate::planner::QueryContext
 //! [`QueryContext::new`]: crate::planner::QueryContext::new
 //! [`QueryContext::with_parallel`]: crate::planner::QueryContext::with_parallel
@@ -92,7 +89,6 @@ pub mod merge;
 pub mod morsel;
 pub mod partition;
 pub mod pool;
-pub mod sort;
 mod spill;
 
 use std::sync::Arc;
@@ -112,7 +108,6 @@ use crate::ops::transform::{Filter, Project};
 use crate::ops::{BoxedOp, Operator};
 
 pub use morsel::Morsel;
-pub use sort::ParallelSort;
 
 /// Default morsel size in rows (two MinMax blocks): small enough that a
 /// laptop-scale table yields many times more morsels than workers (the

@@ -1,50 +1,29 @@
 //! Hash-partitioning rows by key hash — the **shared routing contract**
-//! of the parallel join build, the partitioned join probe, and
-//! radix-partitioned aggregation.
+//! of radix-partitioned aggregation and the partition-spill core.
 //!
-//! All three consumers split work into `2^bits` partitions selected by
-//! the **top `bits` of one shared key hash** ([`partition_of`]), with the
-//! bit count derived from the worker count by one shared helper
-//! ([`partition_bits_for`] / [`bits_for_partition_count`] /
-//! [`partition_count`]). Sharing the derivation and the routing function
-//! is what makes the three paths composable:
+//! Both consumers split work into `2^bits` partitions selected by the
+//! **top `bits` of one shared key hash** ([`partition_of`] over
+//! [`crate::hash::hash_group_rows`]), so equal keys never split across
+//! partitions:
 //!
-//! * **Join build** ([`crate::hash::JoinIndex::build`]): build rows
-//!   scatter into per-partition [`JoinTable`]s by the top bits of the
-//!   join-key hash ([`crate::hash::hash_row`]). Workers consume
-//!   morsel-sized chunks of the build side and split each chunk's row ids
-//!   ([`hash_partition_rows`]); per-chunk partition lists concatenate
-//!   **in chunk order**, so every partition's row list is ascending — the
-//!   order-deterministic merge contract of the rest of
-//!   [`crate::parallel`], and the property that keeps partitioned probes
-//!   byte-identical to serial ones (chains built from ascending rows stay
-//!   ascending).
-//! * **Join probe**: every probe computes the same key hash once and
-//!   routes to the one owning partition through the same
-//!   [`partition_of`]; a probe touches exactly one table, so concurrent
-//!   probe morsels never contend, and `bits == 0` (an unpartitioned,
-//!   serially built index) routes everything to the sole table.
 //! * **Radix aggregation** ([`crate::parallel::ParallelAggregate`]):
-//!   input rows scatter by the top bits of the *group-key* hash
-//!   ([`crate::hash::hash_group_rows`], [`partition_rows_of_batch`]) so
-//!   each distinct group lands wholly in one partition and one worker's
-//!   table — the group-side analogue of the build scatter, with the same
-//!   guarantee (equal keys never split across partitions) carried by the
-//!   same top-bit routing.
-//!
-//! [`JoinTable`]: crate::hash::JoinTable
+//!   input rows scatter by the top bits of the group-key hash
+//!   ([`partition_rows_of_batch`], the bit count from the worker count via
+//!   [`partition_bits_for`]) so each distinct group lands wholly in one
+//!   partition and one worker's table.
+//! * **The spill core** (`crate::spill`, under spilled hash joins and
+//!   radix aggregation alike): rows route to spill partitions by the same
+//!   top bits, and an oversized partition recurses on the
+//!   `RECURSE_BITS` just below them (`sub_partition_of`), so recursion
+//!   refines the routing rather than reshuffling it.
 
 use bdcc_storage::Column;
 
-use crate::error::Result;
-use crate::hash::{hash_group_rows, hash_row};
-use crate::parallel::{pool, ParallelConfig};
+use crate::hash::hash_group_rows;
 
 /// Partition count for a worker count: the next power of two at or above
 /// `threads` (at least 2), so the top `bits` of the hash select a
-/// partition with no modulo. The one `threads → bits` derivation shared
-/// by the join build and radix aggregation (probes reuse the bit count
-/// the build stored).
+/// partition with no modulo — radix aggregation's fan-out.
 pub fn partition_bits_for(threads: usize) -> u32 {
     bits_for_partition_count(threads.max(2))
 }
@@ -70,11 +49,7 @@ pub fn partition_count(bits: u32) -> usize {
 
 /// The partition owning hash `h` under a `2^bits` partitioning: the top
 /// `bits` of the hash (partition 0 when unpartitioned, `bits == 0` — a
-/// 64-bit shift would be UB-adjacent, not "whole hash"). Build and probe
-/// must agree on this routing — the partitioned
-/// [`crate::hash::JoinIndex`] probes through the same function the build
-/// scattered with, so a probe touches exactly one partition and workers
-/// probing disjoint morsels never contend on a table.
+/// 64-bit shift would be UB-adjacent, not "whole hash").
 #[inline(always)]
 pub fn partition_of(h: u64, bits: u32) -> usize {
     if bits == 0 {
@@ -105,40 +80,6 @@ pub(crate) fn sub_partition_of(h: u64, used_bits: u32) -> usize {
     ((h << used_bits) >> (64 - RECURSE_BITS)) as usize
 }
 
-/// Split all rows of `key_cols` into `2^bits` partitions by the top hash
-/// bits of their key. Chunks of `cfg.morsel_rows` rows are partitioned by
-/// workers concurrently; each returned partition lists its row ids in
-/// ascending order.
-pub fn hash_partition_rows(
-    key_cols: &[&[i64]],
-    bits: u32,
-    cfg: &ParallelConfig,
-) -> Result<Vec<Vec<u32>>> {
-    let nparts = partition_count(bits);
-    let rows = key_cols.first().map(|c| c.len()).unwrap_or(0);
-    let chunk = cfg.morsel_rows.max(1);
-    let starts: Vec<usize> = (0..rows).step_by(chunk).collect();
-    let per_chunk: Vec<Vec<Vec<u32>>> =
-        pool::run_tasks_labeled(cfg.threads, starts.len(), "build-partition", |i| {
-            let lo = starts[i];
-            let hi = (lo + chunk).min(rows);
-            let mut parts: Vec<Vec<u32>> = vec![Vec::new(); nparts];
-            for r in lo..hi {
-                let p = partition_of(hash_row(key_cols, r), bits);
-                parts[p].push(r as u32);
-            }
-            Ok(parts)
-        })?;
-    // Ordered merge: chunk order == ascending row order per partition.
-    let mut merged: Vec<Vec<u32>> = vec![Vec::new(); nparts];
-    for chunk_parts in per_chunk {
-        for (p, ids) in chunk_parts.into_iter().enumerate() {
-            merged[p].extend(ids);
-        }
-    }
-    Ok(merged)
-}
-
 /// Split one batch's rows into `2^bits` partitions by the top bits of
 /// their **group-key** hash ([`hash_group_rows`] over `group_cols` —
 /// the same codec the aggregation group table files its keys under).
@@ -159,39 +100,6 @@ pub fn partition_rows_of_batch(group_cols: &[&Column], rows: usize, bits: u32) -
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn partitions_tile_rows_in_ascending_order() {
-        let keys: Vec<i64> = (0..5000).map(|i| i * 37 % 211).collect();
-        let cfg = ParallelConfig { threads: 4, morsel_rows: 256 };
-        let bits = partition_bits_for(cfg.threads);
-        let parts = hash_partition_rows(&[&keys], bits, &cfg).unwrap();
-        assert_eq!(parts.len(), 4);
-        let mut all: Vec<u32> = Vec::new();
-        for p in &parts {
-            assert!(p.windows(2).all(|w| w[0] < w[1]), "partition rows must ascend");
-            all.extend(p);
-        }
-        all.sort_unstable();
-        assert_eq!(all, (0..5000u32).collect::<Vec<_>>(), "partitions must tile all rows");
-    }
-
-    #[test]
-    fn equal_keys_land_in_one_partition() {
-        let keys: Vec<i64> = (0..1000).map(|i| i % 10).collect();
-        let cfg = ParallelConfig { threads: 8, morsel_rows: 64 };
-        let bits = partition_bits_for(cfg.threads);
-        let parts = hash_partition_rows(&[&keys], bits, &cfg).unwrap();
-        for k in 0..10i64 {
-            let holders: Vec<usize> = parts
-                .iter()
-                .enumerate()
-                .filter(|(_, p)| p.iter().any(|&r| keys[r as usize] == k))
-                .map(|(i, _)| i)
-                .collect();
-            assert_eq!(holders.len(), 1, "key {k} split across partitions {holders:?}");
-        }
-    }
 
     #[test]
     fn partition_of_handles_unpartitioned_and_tops_out() {
@@ -308,13 +216,5 @@ mod tests {
         let one = partition_rows_of_batch(&cols, 300, 0);
         assert_eq!(one.len(), 1);
         assert_eq!(one[0].len(), 300);
-    }
-
-    #[test]
-    fn empty_input_yields_empty_partitions() {
-        let keys: Vec<i64> = vec![];
-        let cfg = ParallelConfig { threads: 2, morsel_rows: 16 };
-        let parts = hash_partition_rows(&[&keys], 1, &cfg).unwrap();
-        assert!(parts.iter().all(|p| p.is_empty()));
     }
 }

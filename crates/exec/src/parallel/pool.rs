@@ -7,9 +7,8 @@
 //! workspace dependency graph — schema clustering shares the same pool).
 //! Nothing in this crate ever spawns a thread: [`QueryContext::with_parallel`]
 //! warms the shared pool to the configured width once, and every fan-out
-//! after that — join build, probe rounds, probe output assembly, sandwich
-//! oversized groups, both radix-aggregation phases, partial-merge
-//! aggregation, sort runs, build-side partitioning, streaming scans —
+//! after that — probe rounds, probe output assembly, both
+//! radix-aggregation phases, partial-merge aggregation, streaming scans —
 //! reuses the same parked workers. The pool only ever grows to the widest
 //! `ParallelConfig::threads` seen; after warm-up no OS thread is created
 //! again (`WorkerPool::stats` pins this in tests), so a fan-out costs

@@ -42,8 +42,7 @@ use crate::ops::sort::{Limit, Sort};
 use crate::ops::transform::{Filter, Project};
 use crate::ops::BoxedOp;
 use crate::parallel::{
-    FragmentBlueprint, FragmentStep, ParallelAggregate, ParallelConfig, ParallelSort,
-    DEFAULT_MORSEL_ROWS,
+    FragmentBlueprint, FragmentStep, ParallelAggregate, ParallelConfig, DEFAULT_MORSEL_ROWS,
 };
 use crate::plan::{alias_column, FkSide, Node};
 use crate::profile::{wrap_edge, OpProf, Profiler};
@@ -558,20 +557,12 @@ impl<'a> Planner<'a> {
             }
             Node::Sort { input, keys, limit } => {
                 let child = self.build(input, &[])?;
-                // Workers sort per-run, then a stable k-way merge with
-                // run-index tie-breaking reproduces the serial stable sort
-                // byte-for-byte.
-                let cfg = &self.ctx.parallel;
-                let label = if cfg.threads > 1 { "Sort(parallel)" } else { "Sort(serial)" };
-                let prof = self.prof_node(label.into(), vec![child.prof.clone()], None);
-                let tracker = self.op_tracker(&prof);
+                // One sort at every width: TPC-H sorts run over aggregated
+                // rows, too few to pay for a fan-out.
+                let prof = self.prof_node("Sort(serial)".into(), vec![child.prof.clone()], None);
                 let cop = wrap_edge(child.op, &child.prof, &prof);
-                let op: BoxedOp = if cfg.threads > 1 {
-                    Box::new(ParallelSort::new(cop, keys, *limit, cfg.clone(), tracker)?)
-                } else {
-                    Box::new(Sort::new(cop, keys, *limit, tracker)?)
-                };
-                Ok(PhysOut { op, gk_cols: vec![], prof })
+                let op = Sort::new(cop, keys, *limit, self.op_tracker(&prof))?;
+                Ok(PhysOut { op: Box::new(op), gk_cols: vec![], prof })
             }
             Node::Limit { input, n } => {
                 let child = self.build(input, &[])?;
@@ -787,8 +778,8 @@ impl<'a> Planner<'a> {
             let lop = wrap_edge(lout.op, &lout.prof, &prof);
             let rop = wrap_edge(rout.op, &rout.prof, &prof);
             // The hash join, indexing one right co-cluster at a time; wider
-            // than one thread an oversized group builds partitioned and
-            // probes in row-range morsels.
+            // than one thread a big probe round fans out in row-range
+            // morsels.
             let groups = (lout.gk_cols.clone(), rout.gk_cols);
             let j = HashJoin::grouped(
                 lop,
@@ -852,12 +843,10 @@ impl<'a> Planner<'a> {
         }
         let lop = wrap_edge(lout.op, &lout.prof, &prof);
         let rop = wrap_edge(rout.op, &rout.prof, &prof);
-        // Wider than one thread, the join's build side is indexed with
-        // the hash-partitioned parallel build (partitioned tables are
-        // registered with the memory tracker inside the operator) and the
-        // probe side fans out in row-range morsels over rounds of left
-        // batches — both gated inside the operator on the config's
-        // morsel budget, both byte-identical to serial execution.
+        // Wider than one thread, the probe side fans out in row-range
+        // morsels over rounds of left batches — gated inside the operator
+        // on the config's morsel budget, byte-identical to serial
+        // execution. The index is built as at width 1.
         let j =
             HashJoin::new(lop, rop, &on_refs, join_type, residual.clone(), self.op_tracker(&prof))?
                 .with_parallel(self.ctx.parallel.clone())

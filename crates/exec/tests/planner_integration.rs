@@ -405,7 +405,6 @@ fn one_thread_is_the_serial_context() {
                 let case = format!("{name} on {} ({spill:?})", sdb.scheme.name());
                 assert_eq!(labels(&a.profile.root), labels(&b.profile.root), "{case}");
                 assert_eq!(a.batch, b.batch, "{case}");
-                assert!(!labels(&a.profile.root).contains(&"Sort(parallel)".to_string()), "{case}");
             }
         }
     }

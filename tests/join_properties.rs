@@ -1,7 +1,8 @@
 //! Property tests of the flat allocation-free join index (`exec::hash`)
 //! through the `HashJoin` operator: every join flavor must agree with a
-//! naive nested-loop reference on random data, and the hash-partitioned
-//! parallel build must be **byte-identical** to the serial one.
+//! naive nested-loop reference on random data, and the morsel-parallel
+//! probe must be **byte-identical** to the serial one over the same index
+//! — same rows and the same tracked peak.
 //!
 //! Semi / anti joins index whichever side ends first; the second part of
 //! this file drives both outcomes over the same reference, batch for
@@ -154,24 +155,6 @@ proptest! {
         }
     }
 
-    /// The hash-partitioned parallel build returns matches in the same
-    /// order as the serial build — results are byte-identical, not just
-    /// set-equal.
-    #[test]
-    fn partitioned_build_is_byte_identical(
-        left in prop::collection::vec((0i64..8, -20i64..20), 1..60),
-        right in prop::collection::vec((0i64..8, -20i64..20), 2..60),
-        threads in 2usize..6,
-    ) {
-        // morsel_rows = 1 forces partitioning at any size.
-        let cfg = ParallelConfig { threads, morsel_rows: 1 };
-        for jt in ALL_TYPES {
-            let serial = run_join(&left, &right, jt, false, one_thread());
-            let parallel = run_join(&left, &right, jt, false, cfg.clone());
-            prop_assert_eq!(&serial, &parallel, "{:?} threads={}", jt, threads);
-        }
-    }
-
     /// The morsel-parallel probe (rounds of left batches split into
     /// row-range probe morsels, match lists concatenated in morsel order)
     /// is **byte-identical** to the serial probe for every join flavor,
@@ -213,6 +196,37 @@ proptest! {
             prop_assert_eq!(canonical_rows(&got), canonical_rows(&want), "{:?}", jt);
         }
     }
+}
+
+#[test]
+fn wide_probe_tracks_the_serial_peak() {
+    // An ungrouped inner join whose 5 000-row build side is many 64-row
+    // morsels long: at width 4 the probe fans out, but the index is the
+    // serial one, so the tracked peak — payload plus index — is the
+    // width-1 peak to the byte.
+    let right: Vec<(i64, i64)> = (0..5_000).map(|i| (i % 1_250, i)).collect();
+    let left: Vec<(i64, i64)> = (0..3_000).map(|i| (i % 1_400, -i)).collect();
+    let peak = |parallel: ParallelConfig| {
+        let tracker = MemoryTracker::new();
+        let j = HashJoin::new(
+            Box::new(Source::new(("lk", "lv"), &left, 256)),
+            Box::new(Source::new(("rk", "rv"), &right, 256)),
+            &[("lk", "rk")],
+            JoinType::Inner,
+            None,
+            std::sync::Arc::clone(&tracker),
+        )
+        .unwrap()
+        .with_parallel(parallel);
+        let out = collect(Box::new(j)).unwrap();
+        assert_eq!(tracker.current(), 0);
+        (out, tracker.peak())
+    };
+    let (serial, serial_peak) = peak(one_thread());
+    let (wide, wide_peak) = peak(ParallelConfig { threads: 4, morsel_rows: 64 });
+    assert_eq!(serial, wide);
+    assert!(serial_peak > 0);
+    assert_eq!(wide_peak, serial_peak, "width 4 must index as width 1 does");
 }
 
 // ---------------------------------------------------------------------------
@@ -543,12 +557,12 @@ impl GroupedCase {
     }
 
     /// The most a grouped join may track: the largest right group's
-    /// payload (group key dropped) plus its index at width `cfg`.
-    fn largest_group_bytes(&self, cfg: &ParallelConfig) -> u64 {
+    /// payload (group key dropped) plus its index.
+    fn largest_group_bytes(&self) -> u64 {
         let group = |rows: &[Row]| {
             let keys: Vec<i64> = rows.iter().map(|r| r.0).collect();
             let values = Column::from_i64(rows.iter().map(|r| r.2).collect());
-            let index = JoinIndex::build(&[&keys], cfg).unwrap().estimated_bytes();
+            let index = JoinIndex::build(&[&keys]).estimated_bytes();
             Batch::new(vec![Column::from_i64(keys), values]).estimated_bytes() + index
         };
         self.right.chunk_by(|a, b| a.1 == b.1).map(group).max().unwrap_or(0)
@@ -597,7 +611,7 @@ fn check_grouped(case: &GroupedCase) {
                     got.extend(rows);
                 }
                 assert_eq!(got, want, "{at}");
-                assert!(tracker.peak() <= case.largest_group_bytes(&cfg), "peak: {at}");
+                assert!(tracker.peak() <= case.largest_group_bytes(), "peak: {at}");
                 assert!(shared == 0 || tracker.peak() > 0, "a joined group is tracked: {at}");
                 assert_eq!(tracker.current(), 0, "{at}");
                 let joined = annotation(&metrics, "groups_joined").map(|n| n.parse::<usize>());

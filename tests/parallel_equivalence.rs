@@ -2,11 +2,9 @@
 //! query must return **identical** results under morsel-driven parallel
 //! execution and serial execution, for each of the three storage schemes.
 //! The morsel size is forced far below the defaults so that every table
-//! splits into many morsels and all the merge paths (ordered concat,
-//! partial-aggregate fold, partitioned join build, per-run sort + stable
-//! k-way merge) actually run: with threads > 1 the planner swaps every
-//! `Sort` for a `ParallelSort` and every big-enough hash-join build for
-//! the hash-partitioned parallel build.
+//! splits into many morsels and all the merge paths (the streaming scan's
+//! ordered concat, probe match-list concat, partial-aggregate fold)
+//! actually run. Join indexes and sorts are built as at width 1.
 //!
 //! The worker count honours `BDCC_THREADS` (default 4) and the morsel
 //! size honours `BDCC_MORSEL_ROWS` (default 256) so CI can run the same
@@ -32,9 +30,9 @@ fn test_threads() -> usize {
 }
 
 /// Morsel size under test: `BDCC_MORSEL_ROWS`, default 256 — small enough
-/// that even SF 0.002 tables split into dozens of morsels and every join
-/// build side beyond it goes partitioned (CI also runs a tiny-morsel
-/// configuration to stress probe-morsel splitting).
+/// that even SF 0.002 tables split into dozens of morsels and every probe
+/// round beyond it fans out (CI also runs a tiny-morsel configuration to
+/// stress probe-morsel splitting).
 fn test_morsel_rows() -> usize {
     std::env::var("BDCC_MORSEL_ROWS").ok().and_then(|v| v.parse().ok()).unwrap_or(256)
 }
@@ -130,10 +128,10 @@ fn all_queries_parallel_equals_serial_on_all_schemes() {
 }
 
 #[test]
-fn tiny_morsels_force_partitioned_joins_and_many_sort_runs() {
-    // 32-row morsels push essentially every hash-join build through the
-    // partitioned path and split every sort into many runs; join- and
-    // sort-heavy queries must still match serial execution exactly.
+fn tiny_morsels_force_many_scan_and_probe_morsels() {
+    // 32-row morsels split every scan into many morsels and every probe
+    // round into many row-range probe morsels; join- and sort-heavy
+    // queries must still match serial execution exactly.
     let (sf, sdbs) = schemes();
     let par_cfg = ParallelConfig { threads: test_threads().max(2), morsel_rows: 32 };
     let heavy = [2usize, 3, 10, 13, 18, 21];

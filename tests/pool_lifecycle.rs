@@ -5,11 +5,11 @@
 //!
 //! * **Nested fan-outs terminate**: a parallel probe round is a blocking
 //!   fan-out issued *while the streaming scan feeding it has live
-//!   producers on the same pool* — and an oversized sandwich group nests
-//!   one deeper. At 4 workers and tiny morsels these shapes deadlock
-//!   unless a blocked fan-out lends its calling thread to the pool; the
-//!   join-heavy queries here prove they complete and stay byte-equivalent
-//!   to serial execution.
+//!   producers on the same pool* — on both sides of a sandwich join. At 4
+//!   workers and tiny morsels these shapes deadlock unless a blocked
+//!   fan-out lends its calling thread to the pool; the join-heavy queries
+//!   here prove they complete and stay byte-equivalent to serial
+//!   execution.
 //! * **No OS thread after warm-up**: across a multi-query, multi-scheme,
 //!   multi-config run, the pool's monotone spawn counter must not move
 //!   once the widest fan-out has been seen — the persistent-pool
@@ -41,8 +41,8 @@ fn nested_fan_outs_inside_streaming_scans_complete_and_match_serial() {
     let (sf, sdbs) = schemes();
     // Join-heavy queries: streaming scans feed hash-join probe rounds
     // (inner, semi, anti, outer) and — on the BDCC scheme — sandwich
-    // joins whose oversized groups fan out mid-probe. 48-row morsels make
-    // every build partitioned and every probe round many-morsel.
+    // joins whose probe rounds fan out mid-stream. 48-row morsels make
+    // every probe round many-morsel.
     let heavy = [3usize, 10, 18, 21];
     let mut failures = Vec::new();
     for q in all_queries().into_iter().filter(|q| heavy.contains(&q.id)) {
@@ -81,7 +81,7 @@ fn no_os_thread_is_created_after_warmup_across_queries() {
     assert!(warm >= 4, "warm-up must have populated the pool (spawned {warm})");
 
     // Multi-query run: several queries × all schemes × several configs,
-    // none wider than the warm-up. Every fan-out — scans, joins, sorts,
+    // none wider than the warm-up. Every fan-out — scans, join probes,
     // aggregations on both strategies — must reuse the parked workers.
     let mix = [1usize, 3, 6, 10, 18];
     for (i, q) in all_queries().into_iter().filter(|q| mix.contains(&q.id)).enumerate() {
