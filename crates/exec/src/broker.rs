@@ -6,12 +6,13 @@
 //! [`ExecError::BudgetExceeded`](crate::error::ExecError). Before this
 //! module, any query whose working set exceeded its budget died. The
 //! [`MemoryBroker`] turns the budget into a *soft ceiling operators can
-//! duck under*: spill-capable operators (hash-join build, radix
-//! aggregation) ask the broker before each state-growing step, and when
-//! the broker signals pressure they **freeze** — serialize their largest
-//! resident partitions to temp files via `bdcc_storage::spill` and
-//! release the memory — then **restore** partitions one at a time during
-//! their output phase, recursing if a single partition is still too big.
+//! duck under*: spill-capable operators (the hash join's build, the hash
+//! aggregate's table) ask the broker before each state-growing step, and
+//! when the broker signals pressure they route what no longer fits into
+//! partitions that **freeze** — serialize the largest resident ones to
+//! temp files via `bdcc_storage::spill` and release the memory — then
+//! **restore** partitions one at a time during their output phase,
+//! recursing if a single partition is still too big.
 //!
 //! # The pressure/freeze/restore/cleanup contract
 //!
@@ -148,9 +149,10 @@ impl MemoryBroker {
 
     /// Whether spill paths should be wired up at all. Inactive brokers
     /// leave operators on their in-memory paths; an active one is also
-    /// what moves a leaf aggregation from per-morsel partials to the
-    /// radix path ([`crate::parallel::ParallelAggregate`]), the only
-    /// aggregation strategy with state to shed.
+    /// what keeps the planner off per-morsel partial aggregation
+    /// ([`crate::parallel::ParallelAggregate`]), which has no state to
+    /// shed, in favour of the spilling
+    /// [`HashAggregate`](crate::ops::agg::HashAggregate).
     pub fn is_active(&self) -> bool {
         self.inner.is_some()
     }

@@ -32,8 +32,8 @@
 //! (`h = (rotl(h,5) ^ v) * K`, [`FxHasher`]'s core) over the packed
 //! `[i64; K]` key — a single multiply for the common one-column `u64`
 //! fast path — followed by one avalanche multiply so that the *low* bits
-//! (bucket index) and the *high* bits (the partition index of radix
-//! aggregation and the spill core) are both usable.
+//! (bucket index) and the *high* bits (the partition index of the spill
+//! core) are both usable.
 //!
 //! ## Single-key probes
 //!
@@ -143,11 +143,10 @@ pub type FxBuildHasher = BuildHasherDefault<FxHasher>;
 /// whole range, no per-row dispatch — and **ints-then-strings**:
 /// integer-backed columns in order, then string columns in order, no
 /// length prefixes. The aggregation group table
-/// ([`crate::ops::agg`]) files every group under this hash, and radix
-/// partition routing ([`crate::parallel::partition`]) and both spill
-/// recursions call the same function, so a group's partition, its
-/// sub-partition on recursion and its table slot all derive from one
-/// value.
+/// ([`crate::ops::agg`]) files every group under this hash, and the spill
+/// core's routing and recursion (`crate::spill`) call the same function,
+/// so a group's partition, its sub-partition on recursion and its table
+/// slot all derive from one value.
 pub fn hash_group_rows(
     group_cols: &[&bdcc_storage::Column],
     rows: std::ops::Range<usize>,

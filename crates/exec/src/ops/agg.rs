@@ -21,7 +21,7 @@
 //! one — through three column-wise steps, none allocating per row:
 //!
 //! 1. **Hash** the group columns column-at-a-time into one `u64` per row
-//!    ([`hash_group_rows`], the codec radix routing and spilling share).
+//!    ([`hash_group_rows`], the codec spill routing shares).
 //! 2. **Resolve** every row to a dense `u32` group id through one
 //!    open-addressed directory (`GroupTable`). Keys live in per-column
 //!    vectors indexed by group id, so a key is copied — a string cloned —
@@ -38,6 +38,30 @@
 //! ([`ExecError::Overflow`]). Floats group by exact bit pattern (enough for
 //! values never arithmetically re-derived, e.g. `c_acctbal`): `0.0` and
 //! `-0.0` are two groups, as are NaNs of different payloads.
+//!
+//! ## Spilling
+//!
+//! Under an active [`MemoryBroker`] a hash aggregate — a group-by, no run
+//! columns — is a hybrid hash aggregation (Shapiro 1986). Before each
+//! batch, until it has spilled, it asks the broker about the largest table
+//! growth one batch has caused so far (0 before the first batch, so
+//! `SpillMode::Force` spills every group). Once the broker reports
+//! pressure the table keeps the groups it holds and takes no new one:
+//!
+//! * a row of a resident group still folds into the table, in stream
+//!   order — with no copy when every row of the batch is resident;
+//! * a row of a new group goes, its stream position as a trailing `i64`
+//!   column, to the partition-spill core (`crate::spill`): 8 partitions on
+//!   the top bits of the group-key hash, room made before each chunk.
+//!
+//! At the end the resident table finishes first; then each leaf of the core
+//! folds into the same, emptied table, one leaf at a time, its rows in
+//! stream order; and the outputs are put back in first-seen group order by
+//! the stream position of each group's first row. Every group folds all its
+//! rows, in stream order, in exactly one table, so the result is
+//! byte-identical to the in-memory aggregate, floats included. Streaming
+//! and sandwich aggregates (bounded by a run) and global aggregates (one
+//! group) stay in memory.
 
 use std::borrow::Borrow;
 use std::cmp::Ordering;
@@ -45,14 +69,18 @@ use std::collections::HashSet;
 use std::ops::Range;
 use std::sync::Arc;
 
-use bdcc_storage::{Column, DataType};
+use bdcc_obs::OpMetrics;
+use bdcc_storage::{Column, DataType, IoTracker};
 
 use crate::batch::{Batch, ColMeta, OpSchema};
+use crate::broker::MemoryBroker;
 use crate::error::{ExecError, Result};
 use crate::expr::Expr;
+use crate::govern::Governor;
 use crate::hash::{hash_group_rows, FxBuildHasher};
 use crate::memory::{MemoryGuard, MemoryTracker};
 use crate::ops::{BoxedOp, Operator};
+use crate::spill::{scatter_batch, Fanout, PartitionSpill, Shape};
 
 /// Aggregate functions.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -91,11 +119,16 @@ fn cell_eq(a: &Column, i: usize, b: &Column, j: usize) -> bool {
     }
 }
 
-/// Free-slot marker of the group directory.
+/// Free-slot marker of the group directory, and the group id of a row whose
+/// key has no group ([`GroupTable::lookup`]).
 const EMPTY: u32 = u32::MAX;
+
+/// Top-level partitions of a spilling aggregate: 2^3 = 8.
+const SPILL_BITS: u32 = 3;
 
 /// The groups seen so far: dense ids in first-seen order, keys in per-column
 /// vectors, one open-addressed (linear-probing) directory from hash to id.
+#[derive(Clone)]
 struct GroupTable {
     /// One column per group-by key, indexed by group id — typed like the
     /// input columns, so a flush hands them out as the output's key columns.
@@ -163,6 +196,23 @@ impl GroupTable {
         }
     }
 
+    /// [`resolve`](Self::resolve) without creating groups: a row whose key
+    /// has none gets [`EMPTY`].
+    fn lookup(&self, cols: &[&Column], rows: Range<usize>, hashes: &[u64], gids: &mut Vec<u32>) {
+        let mask = self.slots.len() - 1;
+        for (row, &h) in rows.zip(hashes) {
+            let mut slot = h as usize & mask;
+            gids.push(loop {
+                let g = self.slots[slot];
+                if g == EMPTY || self.hashes[g as usize] == h && self.key_eq(g as usize, cols, row)
+                {
+                    break g;
+                }
+                slot = (slot + 1) & mask;
+            });
+        }
+    }
+
     /// File a new group under free slot `slot`, its key copied from `row`.
     fn insert(&mut self, slot: usize, h: u64, cols: &[&Column], row: usize) -> u32 {
         let gid = self.hashes.len() as u32;
@@ -206,7 +256,7 @@ impl GroupTable {
 /// the true value regardless of accumulation order, which is what lets
 /// morsel-parallel partial aggregates merge without observable drift from
 /// the serial result.
-#[derive(Default)]
+#[derive(Clone, Default)]
 struct FloatSums {
     sum: Vec<f64>,
     c: Vec<f64>,
@@ -293,6 +343,7 @@ fn fold_extrema<'a, T: ToOwned + ?Sized + 'a>(
 
 /// Running state of one aggregate for every group: struct-of-arrays,
 /// indexed by group id.
+#[derive(Clone)]
 enum Acc {
     SumI(Vec<i64>),
     SumF(FloatSums),
@@ -443,6 +494,7 @@ fn agg_output_type(func: AggFunc, dt: DataType) -> DataType {
 /// into a `PartialAgg`; folding the partials *in morsel order*
 /// ([`crate::parallel::merge`]) and finishing yields exactly what a serial
 /// [`HashAggregate`] over the concatenated stream would produce.
+#[derive(Clone)]
 pub struct PartialAgg {
     schema: OpSchema,
     group_cols: Vec<usize>,
@@ -525,11 +577,11 @@ impl PartialAgg {
     }
 
     /// Accumulate one batch whose rows carry explicit global stream
-    /// positions (`ids[row]`) — the radix-partitioned consume: a
-    /// partition sees only its gathered slice of the input but remembers
-    /// where each group first appeared in the *whole* stream, so ranks
-    /// stay comparable across partitions.
-    pub fn consume_indexed(&mut self, batch: &Batch, ids: &[u64]) -> Result<()> {
+    /// positions (`ids[row]`) — a spilled leaf's consume: the leaf holds
+    /// only its slice of the input but remembers where each group first
+    /// appeared in the *whole* stream, so ranks stay comparable across
+    /// leaves.
+    fn consume_indexed(&mut self, batch: &Batch, ids: &[i64]) -> Result<()> {
         debug_assert_eq!(ids.len(), batch.rows());
         let inputs = self.eval_inputs(batch)?;
         self.consume_range(batch, &inputs, 0..batch.rows(), Some(ids))
@@ -542,7 +594,7 @@ impl PartialAgg {
         batch: &Batch,
         inputs: &[Option<Column>],
         rows: Range<usize>,
-        ids: Option<&[u64]>,
+        ids: Option<&[i64]>,
     ) -> Result<()> {
         let cols = self.group_columns(batch);
         if !cols.is_empty() {
@@ -552,7 +604,7 @@ impl PartialAgg {
         let (first_seen, rows_seen, start) = (&mut self.first_seen, self.rows_seen, rows.start);
         self.table.resolve(&cols, rows.clone(), &self.hashes, &mut self.gids, |row| {
             first_seen.push(match ids {
-                Some(ids) => ids[row],
+                Some(ids) => ids[row] as u64,
                 None => rows_seen + (row - start) as u64,
             })
         });
@@ -561,6 +613,29 @@ impl PartialAgg {
         }
         self.rows_seen += rows.len() as u64;
         Ok(())
+    }
+
+    /// Fold the rows of `batch` (aggregate inputs `inputs`) whose groups the
+    /// table holds, in stream order, creating none; return the other rows.
+    fn consume_resident(&mut self, batch: &Batch, inputs: &[Option<Column>]) -> Result<Vec<usize>> {
+        let n = batch.rows();
+        let cols = self.group_columns(batch);
+        hash_group_rows(&cols, 0..n, &mut self.hashes);
+        self.gids.clear();
+        self.table.lookup(&cols, 0..n, &self.hashes, &mut self.gids);
+        self.rows_seen += n as u64;
+        let (new, resident): (Vec<usize>, Vec<usize>) =
+            (0..n).partition(|&r| self.gids[r] == EMPTY);
+        if !resident.is_empty() {
+            // The inputs of the resident rows, gathered unless that is all.
+            let gather = !new.is_empty();
+            self.gids.retain(|&g| g != EMPTY);
+            for (acc, input) in self.accs.iter_mut().zip(inputs) {
+                let some = input.as_ref().filter(|_| gather).map(|c| c.gather(&resident));
+                acc.update(some.as_ref().or(input.as_ref()), 0, &self.gids, self.table.len())?;
+            }
+        }
+        Ok(new)
     }
 
     /// Estimated bytes of accumulated state (memory accounting): per
@@ -631,11 +706,10 @@ impl PartialAgg {
         Ok(())
     }
 
-    /// Finish into `(output batch, first-seen rank per output row)` — the
-    /// radix-partition finish. Sorting the concatenated partition outputs
-    /// by these ranks reproduces the serial first-seen group order byte
-    /// for byte ([`crate::parallel::merge::concat_radix_partitions`]).
-    pub fn finish_ordered(mut self) -> (Batch, Vec<u64>) {
+    /// Finish into `(output batch, first-seen rank per output row)`,
+    /// leaving the state empty: the finish of a spilling aggregate's
+    /// resident table and of each leaf.
+    fn finish_ordered(&mut self) -> (Batch, Vec<u64>) {
         let ranks = std::mem::take(&mut self.first_seen);
         (self.flush(), ranks)
     }
@@ -643,12 +717,13 @@ impl PartialAgg {
 
 /// Serial aggregation: one group table, flushed whenever the **run
 /// columns** change. With none the whole input is one run (hash
-/// aggregation). Over input ordered on the group-by keys they are those
-/// keys (streaming), and over BDCC input grouped on dimension bits the
-/// group-by keys determine they are its group-key columns (sandwich, ref
-/// [3]) — either way the table holds the open run's groups and one batch's
-/// at most. A group never spans runs, so flushing decides when groups
-/// leave, never their values or their first-seen order.
+/// aggregation), which spills under an active broker (module docs). Over
+/// input ordered on the group-by keys they are those keys (streaming), and
+/// over BDCC input grouped on dimension bits the group-by keys determine
+/// they are its group-key columns (sandwich, ref [3]) — either way the
+/// table holds the open run's groups and one batch's at most. A group never
+/// spans runs, so flushing decides when groups leave, never their values or
+/// their first-seen order.
 pub struct HashAggregate {
     input: BoxedOp,
     core: PartialAgg,
@@ -656,7 +731,21 @@ pub struct HashAggregate {
     /// The open run: its run-column values (one row each), empty before
     /// the first row.
     open: Vec<Column>,
+    tracker: Arc<MemoryTracker>,
     mem: MemoryGuard,
+    /// The largest table growth one batch has caused so far: what the
+    /// broker is asked about before the next.
+    growth: u64,
+    /// Planner-installed, inert by default: the pressure oracle and the
+    /// spill I/O meter, the query's limits (checked as each leaf opens) and
+    /// the profiling hook (spill traffic and the decision log).
+    broker: MemoryBroker,
+    spill_io: IoTracker,
+    governor: Governor,
+    metrics: Option<Arc<OpMetrics>>,
+    /// Once the table takes no new group: the core holding the other rows,
+    /// and how many rows the table had folded by then.
+    spill: Option<(PartitionSpill, u64)>,
     done: bool,
 }
 
@@ -670,7 +759,21 @@ impl HashAggregate {
     ) -> Result<HashAggregate> {
         let core = PartialAgg::new(input.schema(), group_by, &aggs)?;
         let mem = tracker.register(0);
-        Ok(HashAggregate { input, core, run_cols: Vec::new(), open: Vec::new(), mem, done: false })
+        Ok(HashAggregate {
+            input,
+            core,
+            run_cols: Vec::new(),
+            open: Vec::new(),
+            tracker,
+            mem,
+            growth: 0,
+            broker: MemoryBroker::none(),
+            spill_io: IoTracker::new(),
+            governor: Governor::none(),
+            metrics: None,
+            spill: None,
+            done: false,
+        })
     }
 
     /// Flush the table whenever the input columns `run_cols` change; no
@@ -678,6 +781,103 @@ impl HashAggregate {
     pub fn with_runs(mut self, run_cols: Vec<usize>) -> HashAggregate {
         self.run_cols = run_cols;
         self
+    }
+
+    /// Attach the memory broker and the spill I/O meter
+    /// (planner-installed): the [module docs](self) say when it spills.
+    pub fn with_broker(mut self, broker: MemoryBroker, io: IoTracker) -> HashAggregate {
+        self.broker = broker;
+        self.spill_io = io;
+        self
+    }
+
+    /// Attach the per-query governor (planner-installed).
+    pub fn with_governor(mut self, governor: Governor) -> HashAggregate {
+        self.governor = governor;
+        self
+    }
+
+    /// Attach the profiling metric block (planner-installed).
+    pub fn with_metrics(mut self, metrics: Option<Arc<OpMetrics>>) -> HashAggregate {
+        self.metrics = metrics;
+        self
+    }
+
+    /// Stop taking groups if the broker reports pressure: a group-by with
+    /// no run columns opens its spill core.
+    fn maybe_spill(&mut self) {
+        let hashed = self.run_cols.is_empty() && !self.core.group_cols.is_empty();
+        if self.spill.is_none() && hashed && self.broker.should_spill(self.growth) {
+            let shape = Shape {
+                keys: self.core.group_cols.clone(),
+                fanout: Fanout::Bits(SPILL_BITS),
+                leaf_factor: 1,
+                label: "agg",
+            };
+            let spill = PartitionSpill::new(
+                shape,
+                self.broker.clone(),
+                self.governor.clone(),
+                &self.tracker,
+                self.spill_io.clone(),
+                self.metrics.clone(),
+            );
+            self.spill = Some((spill, self.core.rows_seen));
+        }
+    }
+
+    /// Fold a batch into a table that takes no new group, and route the
+    /// rows of new groups to the spill core.
+    fn consume_spilling(&mut self, batch: Batch, inputs: &[Option<Column>]) -> Result<()> {
+        let base = self.core.rows_seen as i64;
+        let new = self.core.consume_resident(&batch, inputs)?;
+        self.mem.resize(self.core.estimated_bytes());
+        if new.is_empty() {
+            return Ok(());
+        }
+        let mut rows = if new.len() == batch.rows() { batch } else { batch.gather(&new) };
+        rows.columns.push(Column::from_i64(new.iter().map(|&r| base + r as i64).collect()));
+        let (spill, _) = self.spill.as_mut().expect("spilling");
+        // Chunk by chunk: a whole batch scattered at once can overshoot the
+        // budget before its room is made.
+        for (p, chunk) in scatter_batch(&rows, &self.core.group_cols, SPILL_BITS) {
+            spill.make_room(chunk.estimated_bytes())?;
+            spill.push(p, chunk)?;
+        }
+        Ok(())
+    }
+
+    /// The output of a spilled aggregate: the resident table's groups and
+    /// each leaf's through the same table, sorted by rank. Groups are
+    /// disjoint and a rank is one input row's stream position, so the sort
+    /// has no ties and restores the first-seen order.
+    fn finish_spilled(&mut self, spill: PartitionSpill, rows: u64) -> Result<Batch> {
+        let resident = self.core.table.len();
+        let (mut out, mut ranks) = self.core.finish_ordered();
+        self.mem.resize(0);
+        let (core, mem, mut leaves) = (&mut self.core, &mut self.mem, 0);
+        spill.for_each_leaf(|leaf| {
+            leaf.for_each_chunk(|chunk| {
+                let ids = chunk.columns.last().expect("chunks carry stream positions").as_i64()?;
+                // The trailing column is past every bound input index.
+                core.consume_indexed(&chunk, ids)?;
+                mem.resize(core.estimated_bytes());
+                Ok(())
+            })?;
+            let (batch, leaf_ranks) = core.finish_ordered();
+            mem.resize(0);
+            out.append(&batch)?;
+            ranks.extend(leaf_ranks);
+            leaves += 1;
+            Ok(())
+        })?;
+        if let Some(m) = &self.metrics {
+            let resident = format!("{rows} rows, {resident} groups resident");
+            m.annotate("spill", format!("after({resident}) leaves={leaves}"));
+        }
+        let mut perm: Vec<usize> = (0..ranks.len()).collect();
+        perm.sort_unstable_by_key(|&i| ranks[i]);
+        Ok(out.gather(&perm))
     }
 }
 
@@ -696,6 +896,11 @@ impl Operator for HashAggregate {
                 continue;
             }
             let inputs = self.core.eval_inputs(&batch)?;
+            self.maybe_spill();
+            if self.spill.is_some() {
+                self.consume_spilling(batch, &inputs)?;
+                continue;
+            }
             // Find where the batch's last run starts.
             let runs: Vec<&Column> = self.run_cols.iter().map(|&c| &batch.columns[c]).collect();
             let mut last = if runs.is_empty() { 0 } else { n - 1 };
@@ -713,13 +918,23 @@ impl Operator for HashAggregate {
             }
             self.core.consume_range(&batch, &inputs, last..n, None)?;
             self.open = runs.iter().map(|k| k.slice(n - 1, n)).collect();
-            self.mem.resize(self.core.estimated_bytes());
+            let bytes = self.core.estimated_bytes();
+            self.growth = self.growth.max(bytes.saturating_sub(self.mem.bytes()));
+            self.mem.resize(bytes);
             if out.is_some() {
                 return Ok(out);
             }
         }
         self.done = true;
-        let out = self.core.finish();
+        let out = match self.spill.take() {
+            Some((spill, rows)) => self.finish_spilled(spill, rows)?,
+            None => {
+                if let (true, Some(m)) = (self.broker.is_active(), &self.metrics) {
+                    m.annotate("spill", "no");
+                }
+                self.core.finish()
+            }
+        };
         self.mem.resize(0);
         Ok((out.rows() > 0).then_some(out))
     }
@@ -728,6 +943,7 @@ impl Operator for HashAggregate {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::broker::SpillMode;
     use crate::ops::collect;
 
     struct Source {
@@ -913,5 +1129,107 @@ mod tests {
         let sandwich_peak = mk(MemoryTracker::new(), true);
         let hash_peak = mk(MemoryTracker::new(), false);
         assert!(sandwich_peak * 10 < hash_peak, "sandwich {sandwich_peak} vs hash {hash_peak}");
+    }
+
+    /// Seven columns: a scattered int key `k`, a per-row-unique `u`, ints
+    /// `g`, floats `f` and `h`, strings `s`, and `r`, whose 64-row batches
+    /// cycle through new keys, only the first batch's keys, and half each.
+    fn wide(rows: usize) -> Vec<(&'static str, Column)> {
+        let ints = |f: &dyn Fn(i64) -> i64| Column::from_i64((0..rows as i64).map(f).collect());
+        let r = |i: i64| match (i / 64) % 3 {
+            1 => i % 64,
+            2 if i % 2 == 0 => i % 64,
+            _ => i,
+        };
+        vec![
+            ("k", ints(&|i| (i * 13) % 977)),
+            ("u", ints(&|i| i)),
+            ("g", ints(&|i| i % 7)),
+            ("f", Column::from_f64((0..rows).map(|i| i as f64 * 0.37 - 100.0).collect())),
+            ("h", Column::from_f64((0..rows).map(|i| (i % 89) as f64 * 0.5).collect())),
+            ("s", Column::from_strings((0..rows).map(|i| format!("tag{}", i % 11)).collect())),
+            ("r", ints(&r)),
+        ]
+    }
+
+    fn every_agg() -> Vec<AggSpec> {
+        vec![
+            AggSpec::new(AggFunc::Sum, Expr::col("f"), "sf"),
+            AggSpec::new(AggFunc::Avg, Expr::col("f"), "af"),
+            AggSpec::new(AggFunc::Min, Expr::col("f"), "mn"),
+            AggSpec::new(AggFunc::Max, Expr::col("u"), "mx"),
+            AggSpec::new(AggFunc::Sum, Expr::col("g"), "sg"),
+            AggSpec::new(AggFunc::Count, Expr::lit(1), "n"),
+            AggSpec::new(AggFunc::CountDistinct, Expr::col("k"), "nd"),
+        ]
+    }
+
+    /// Group-by sets every broker mode below runs: a scattered int + string
+    /// key, a per-row-unique key (every row its own group), a string + float
+    /// key (mixed types through the shared key codec), and `r`.
+    const GROUP_BYS: [&[&str]; 4] = [&["k", "s"], &["u"], &["s", "h"], &["r"]];
+
+    /// A hash aggregate over 64-row batches under `broker_of`'s broker vs
+    /// one without: *bit*-identical, floats included, with every temp file
+    /// unlinked and every tracked byte released. Returns each run's
+    /// decision log.
+    fn spilled(
+        rows: usize,
+        broker_of: impl Fn(&Arc<MemoryTracker>) -> MemoryBroker,
+    ) -> Vec<String> {
+        let _spill = crate::broker::spill_test_guard();
+        let base = bdcc_storage::live_spill_files();
+        let mut logs = Vec::new();
+        for group_by in GROUP_BYS {
+            let agg = |tracker| {
+                HashAggregate::new(
+                    Box::new(Source::new(wide(rows), 64)),
+                    group_by,
+                    every_agg(),
+                    tracker,
+                )
+                .unwrap()
+            };
+            let want = collect(Box::new(agg(MemoryTracker::new()))).unwrap();
+            let (tracker, metrics) = (MemoryTracker::new(), OpMetrics::new());
+            let spilling = agg(Arc::clone(&tracker))
+                .with_broker(broker_of(&tracker), IoTracker::new())
+                .with_metrics(Some(Arc::clone(&metrics)));
+            let got = collect(Box::new(spilling)).unwrap();
+            assert_eq!(want, got, "{group_by:?}: must be bit-identical");
+            assert_eq!(bdcc_storage::live_spill_files(), base, "{group_by:?}: files must unlink");
+            assert_eq!(tracker.current(), 0, "{group_by:?}: memory must release");
+            let log = metrics.annotations().into_iter().find(|(k, _)| k == "spill");
+            logs.push(log.expect("an active broker logs its decision").1);
+        }
+        logs
+    }
+
+    #[test]
+    fn forced_spill_is_bit_identical_and_spills_every_group() {
+        let force = |t: &Arc<MemoryTracker>| MemoryBroker::with_mode(SpillMode::Force, t, None);
+        for log in spilled(3000, force) {
+            assert_eq!(log, "after(0 rows, 0 groups resident) leaves=8");
+        }
+    }
+
+    #[test]
+    fn tiny_budget_recursion_is_bit_identical() {
+        // A 4 KB budget stops the table after its first batch, and a 2 KB
+        // restore limit splits every partition further (no governor is
+        // attached, so nothing trips: pure broker mechanics at maximum
+        // stress).
+        let tiny = |t: &Arc<MemoryTracker>| MemoryBroker::with_mode(SpillMode::Auto, t, Some(4096));
+        for log in spilled(3000, tiny) {
+            let leaves: usize = log.rsplit('=').next().unwrap().parse().unwrap();
+            assert!(log.starts_with("after(64 rows, 64 groups resident)") && leaves > 8, "{log}");
+        }
+    }
+
+    #[test]
+    fn roomy_budget_stays_resident_and_identical() {
+        let roomy =
+            |t: &Arc<MemoryTracker>| MemoryBroker::with_mode(SpillMode::Auto, t, Some(1 << 30));
+        assert!(spilled(2000, roomy).iter().all(|log| log == "no"));
     }
 }

@@ -21,7 +21,7 @@
 //! filter/project steps, then (when the plan shape allows) a per-worker
 //! *partial aggregate*. The pool's workers are created once (warmed by
 //! [`QueryContext::with_parallel`]) and parked between fan-outs, so a
-//! probe round or a radix chunk costs queue operations, not thread
+//! probe round or an aggregation fan-out costs queue operations, not thread
 //! create/join; nested fan-outs are deadlock-free because a
 //! blocked fan-out lends its calling thread to the pool ([`pool`]
 //! documents the lending rule). The leaf scan itself streams: wider than
@@ -62,9 +62,11 @@
 //! identical to serial execution (verified for all 22 TPC-H queries under
 //! all three schemes by `tests/parallel_equivalence.rs`).
 //!
-//! Radix aggregation — the memory-bounded strategy [`ParallelAggregate`]
-//! runs under an active [`MemoryBroker`] — has its own contract,
-//! documented where it lives (`parallel/spill.rs`).
+//! Per-morsel partials have nothing to shed, so under an active
+//! [`MemoryBroker`](crate::broker::MemoryBroker) the planner builds no
+//! [`ParallelAggregate`]: the serial
+//! [`HashAggregate`](crate::ops::agg::HashAggregate) above the streaming
+//! scan is the aggregate that spills.
 //!
 //! ## Opting in
 //!
@@ -72,9 +74,9 @@
 //! and `threads: 1` — what [`QueryContext::new`] installs — is serial
 //! execution. [`QueryContext::with_parallel`] installs a wider one; every
 //! leaf [`Scan`] then streams when it is longer than one morsel, the
-//! planner swaps eligible aggregates for [`ParallelAggregate`], and every
-//! [`HashJoin`], grouped or not, fans big probe rounds out to probe-morsel
-//! workers over its one serially built index. The rest of the operator
+//! planner swaps eligible leaf aggregates for [`ParallelAggregate`] (broker
+//! inert), and every [`HashJoin`], grouped or not, fans big probe rounds
+//! out to probe-morsel workers over its one serially built index. The rest of the operator
 //! tree — sorts included — is the serial one.
 //! The two fields of the config are the whole configuration: nothing in
 //! the environment changes what a given [`ParallelConfig`] does.
@@ -87,9 +89,7 @@
 
 pub mod merge;
 pub mod morsel;
-pub mod partition;
 pub mod pool;
-mod spill;
 
 use std::sync::Arc;
 
@@ -97,7 +97,6 @@ use bdcc_obs::{OpMetrics, SpanTimer};
 use bdcc_storage::IoTracker;
 
 use crate::batch::{Batch, OpSchema};
-use crate::broker::MemoryBroker;
 use crate::error::Result;
 use crate::expr::Expr;
 use crate::govern::Governor;
@@ -183,46 +182,29 @@ pub(crate) fn note_morsel(metrics: &Option<Arc<OpMetrics>>, span: Option<SpanTim
     }
 }
 
-/// Morsel-parallel aggregation over a scan fragment. Two execution paths,
-/// one rule — the query's [`MemoryBroker`] decides:
-///
-/// * **Partial-merge** (broker inert) — each worker runs
-///   scan→filter→project over its morsels and accumulates a
-///   [`PartialAgg`]; partials fold in morsel order and flush once
-///   ([`merge`] explains why this reproduces serial results). Nothing here
-///   can be shed: per-morsel partials re-materialize the groups they see,
-///   so peak state is O(groups × morsels sharing a group).
-/// * **Grace-hash radix** (broker active, a group-by, more than one
-///   morsel) — the memory-bounded path (`parallel/spill.rs`): rows
-///   hash-partition by group key so every group lives in exactly one
-///   table, partitions freeze to temp files under pressure, and the
-///   result is byte-identical to serial execution, floats included. A
-///   global aggregate has one group and a single morsel has no fan-out,
-///   so both stay on partial-merge whatever the broker says.
-///
-/// A caller who needs bounded peak memory sets a budget
+/// Morsel-parallel partial-merge aggregation over a scan fragment: each
+/// worker runs scan→filter→project over its morsels and accumulates a
+/// [`PartialAgg`]; partials fold in morsel order and flush once ([`merge`]
+/// explains why this reproduces serial results). Nothing here can be shed:
+/// per-morsel partials re-materialize the groups they see, so peak state is
+/// O(groups × morsels sharing a group), and a caller who needs bounded peak
+/// memory sets a budget
 /// ([`QueryContext::with_memory_budget`](crate::planner::QueryContext::with_memory_budget)),
-/// which activates the broker; there is no other strategy switch.
+/// under which the planner builds the spilling
+/// [`HashAggregate`](crate::ops::agg::HashAggregate) instead.
 pub struct ParallelAggregate {
     fragment: FragmentBlueprint,
-    group_by: Vec<String>,
-    aggs: Vec<AggSpec>,
+    /// An empty partial: every morsel's starts as a copy of it.
+    empty: PartialAgg,
     io: IoTracker,
     cfg: ParallelConfig,
     tracker: Arc<MemoryTracker>,
-    child_schema: OpSchema,
-    schema: OpSchema,
     done: bool,
     /// Profiling hook (planner-installed): morsel counts/latencies from
-    /// the fan-out workers plus the strategy as an annotation. `None`
-    /// costs nothing.
+    /// the fan-out workers. `None` costs nothing.
     metrics: Option<Arc<OpMetrics>>,
     /// Per-query limits, polled once per fan-out task. Inert by default.
     governor: Governor,
-    /// Pressure oracle and strategy selector: active, a multi-morsel
-    /// group-by runs the radix path, which freezes partitions to temp
-    /// files under pressure; inert (the default), partial-merge runs.
-    broker: MemoryBroker,
 }
 
 impl ParallelAggregate {
@@ -234,21 +216,16 @@ impl ParallelAggregate {
         cfg: ParallelConfig,
         tracker: Arc<MemoryTracker>,
     ) -> Result<ParallelAggregate> {
-        let child_schema = fragment.build(&io, 0..0)?.schema().clone();
-        let schema = PartialAgg::new(&child_schema, group_by, &aggs)?.schema().clone();
+        let empty = PartialAgg::new(fragment.build(&io, 0..0)?.schema(), group_by, &aggs)?;
         Ok(ParallelAggregate {
             fragment,
-            group_by: group_by.iter().map(|s| s.to_string()).collect(),
-            aggs,
+            empty,
             io,
             cfg,
             tracker,
-            child_schema,
-            schema,
             done: false,
             metrics: None,
             governor: Governor::none(),
-            broker: MemoryBroker::none(),
         })
     }
 
@@ -264,24 +241,11 @@ impl ParallelAggregate {
         self
     }
 
-    /// Attach the query's memory broker (planner-installed); an active
-    /// broker routes multi-morsel group-bys through the spill-capable
-    /// radix path.
-    pub fn with_broker(mut self, broker: MemoryBroker) -> ParallelAggregate {
-        self.broker = broker;
-        self
-    }
-
-    fn fresh_partial(&self) -> Result<PartialAgg> {
-        let gb: Vec<&str> = self.group_by.iter().map(|s| s.as_str()).collect();
-        PartialAgg::new(&self.child_schema, &gb, &self.aggs)
-    }
-
     /// Aggregate one morsel into a fresh partial (the partial-merge
     /// worker body). Also returns the morsel's row count (profiling).
     fn morsel_partial(&self, morsel: &Morsel) -> Result<(PartialAgg, u64)> {
         let mut op = self.fragment.build(&self.io, morsel.clone())?;
-        let mut p = self.fresh_partial()?;
+        let mut p = self.empty.clone();
         let mut rows = 0u64;
         while let Some(b) = op.next()? {
             rows += b.rows() as u64;
@@ -293,7 +257,7 @@ impl ParallelAggregate {
 
 impl Operator for ParallelAggregate {
     fn schema(&self) -> &OpSchema {
-        &self.schema
+        self.empty.schema()
     }
 
     fn next(&mut self) -> Result<Option<Batch>> {
@@ -302,16 +266,6 @@ impl Operator for ParallelAggregate {
         }
         self.done = true;
         let morsels = self.fragment.scan.morsels(self.cfg.morsel_rows);
-        // A global aggregate has one group — nothing to partition — and a
-        // single morsel has no fan-out to route; otherwise an active broker
-        // means radix, the only strategy with sheddable state.
-        let radix = self.broker.is_active() && !self.group_by.is_empty() && morsels.len() > 1;
-        if let Some(m) = &self.metrics {
-            m.annotate("strategy", if radix { "radix" } else { "partial-merge" });
-        }
-        if radix {
-            return Ok(Some(self.run_radix_spill(&morsels)?));
-        }
         let mut partials =
             pool::run_tasks_labeled(self.cfg.threads, morsels.len(), "agg-partial", |i| {
                 self.governor.check("agg-partial")?;
@@ -321,7 +275,7 @@ impl Operator for ParallelAggregate {
                 Ok(p)
             })?;
         if partials.is_empty() {
-            partials.push(self.fresh_partial()?);
+            partials.push(self.empty.clone());
         }
         let bytes: u64 = partials.iter().map(|p| p.estimated_bytes()).sum();
         let _mem = self.tracker.register(bytes);

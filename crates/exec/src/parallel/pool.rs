@@ -7,9 +7,8 @@
 //! workspace dependency graph — schema clustering shares the same pool).
 //! Nothing in this crate ever spawns a thread: [`QueryContext::with_parallel`]
 //! warms the shared pool to the configured width once, and every fan-out
-//! after that — probe rounds, probe output assembly, both
-//! radix-aggregation phases, partial-merge aggregation, streaming scans —
-//! reuses the same parked workers. The pool only ever grows to the widest
+//! after that — probe rounds, probe output assembly, partial-merge
+//! aggregation, streaming scans — reuses the same parked workers. The pool only ever grows to the widest
 //! `ParallelConfig::threads` seen; after warm-up no OS thread is created
 //! again (`WorkerPool::stats` pins this in tests), so a fan-out costs
 //! queue operations, not thread create/join (the scoreboard's `pool_*`
@@ -43,11 +42,10 @@
 //! While [`run_tasks`] waits, the calling thread is **lent to the pool**:
 //! it drains its own scope's unstarted tasks first, then any other queued
 //! job, and parks only when nothing is runnable. A fan-out issued from
-//! inside another fan-out — a probe round while a streaming scan's
-//! producers are live, an oversized sandwich group inside a probe round,
-//! radix phase 2 behind phase 1 — therefore always has at least its own
-//! caller making progress, so the bottom-most scope finishes and unwinds
-//! the waiters above it. The one rule operators must keep (and all
+//! inside another fan-out — a probe round or an aggregation fan-out while
+//! a streaming scan's producers are live — therefore always has at least
+//! its own caller making progress, so the bottom-most scope finishes and
+//! unwinds the waiters above it. The one rule operators must keep (and all
 //! current ones do): [`OrderedStream::recv`] is a pure wait, so it must
 //! be called from plan-driver threads, never from inside a pool task.
 //!

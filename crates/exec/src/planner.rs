@@ -58,10 +58,9 @@ pub struct QueryContext {
     pub io: IoTracker,
     /// Execution width and morsel size. `threads: 1` (what
     /// [`new`](Self::new) installs) is serial execution; wider, leaf scans
-    /// stream their morsels through the pool and the planner swaps
-    /// eligible aggregations and sorts for their morsel-parallel
-    /// operators. `morsel_rows` also sizes the morsels of a budgeted
-    /// aggregation at any width.
+    /// stream their morsels through the pool, hash joins fan their probe
+    /// rounds out, and the planner swaps eligible leaf aggregations for
+    /// morsel-parallel partial-merge while the broker is inert.
     pub parallel: ParallelConfig,
     /// When set, the planner mirrors the operator tree with per-operator
     /// metric blocks, child memory/I/O trackers and edge wrappers (see
@@ -76,8 +75,8 @@ pub struct QueryContext {
     /// `with_fault_injector` builder methods — the serving layer's hook
     /// into execution.
     pub governor: Governor,
-    /// Pressure oracle for spill-capable operators (hash-join build,
-    /// radix aggregation): active once a memory budget is set (mode
+    /// Pressure oracle for spill-capable operators (hash join, hash
+    /// aggregate): active once a memory budget is set (mode
     /// `auto`) or under `force` (`BDCC_SPILL=force`, or
     /// [`with_spill`](Self::with_spill) for one query); inert otherwise,
     /// leaving operators on their pure in-memory paths (see
@@ -164,18 +163,18 @@ impl QueryContext {
     pub fn with_memory_budget(mut self, bytes: u64) -> QueryContext {
         let tracker = Arc::clone(&self.tracker);
         self.governor.set_budget(bytes, &tracker);
-        // A budget activates the broker (unless BDCC_SPILL=off): join
-        // builds and radix aggregations now spill under pressure and
-        // BudgetExceeded is reserved for queries spilling cannot save.
+        // A budget activates the broker (unless BDCC_SPILL=off): hash joins
+        // and hash aggregates now spill under pressure and BudgetExceeded
+        // is reserved for queries spilling cannot save.
         self.broker = MemoryBroker::from_env(&self.tracker, Some(bytes));
         self.clamp_morsels_to_budget();
         self
     }
 
     /// Shrink morsels so the fixed buffer floor that cannot spill (a
-    /// streaming scan's ≈ `threads × stream-cap × morsel bytes`, a radix
-    /// aggregation's in-flight chunk) scales with the budget instead of
-    /// dwarfing it. Morsel size never changes results, only granularity.
+    /// streaming scan's ≈ `threads × stream-cap × morsel bytes`) scales
+    /// with the budget instead of dwarfing it. Morsel size never changes
+    /// results, only granularity.
     fn clamp_morsels_to_budget(&mut self) {
         let Some(budget) = self.governor.budget() else { return };
         if !self.broker.is_active() {
@@ -939,64 +938,43 @@ impl<'a> Planner<'a> {
     ) -> Result<PhysOut> {
         let gb_refs: Vec<&str> = group_by.iter().map(|s| s.as_str()).collect();
 
-        // Strategy precedence: the two *memory-bounded* serial strategies —
-        // sandwich (group-at-a-time, BDCC) and streaming (ordered input) —
-        // win over morsel-parallel aggregation: both hold at most one
-        // co-cluster's (or one run's) worth of state, which neither path
-        // of [`ParallelAggregate`] can beat (partials duplicate shared
-        // groups per morsel; radix materializes a partitioned copy of the
-        // input, resident or spilled). Leaf scans below sandwich/streaming
-        // still stream their morsels through the pool.
-
-        // BDCC: sandwich aggregation on determined instances.
-        if self.ctx.sdb.scheme == Scheme::Bdcc && !group_by.is_empty() {
-            let av = self.avail(input);
-            let determined: Vec<InstSet> =
-                av.into_iter().filter(|s| self.determined_by(s, input, group_by)).collect();
-            if !determined.is_empty() {
-                let child = self.build(input, &determined)?;
-                let prof =
-                    self.prof_node("Aggregate(sandwich)".into(), vec![child.prof.clone()], None);
-                let cop = wrap_edge(child.op, &child.prof, &prof);
-                let op = HashAggregate::new(cop, &gb_refs, aggs.to_vec(), self.op_tracker(&prof))?
-                    .with_runs(child.gk_cols);
-                return Ok(PhysOut { op: Box::new(op), gk_cols: vec![], prof });
+        // Strategy precedence: the two *memory-bounded* strategies —
+        // sandwich (BDCC, on the instances the group-by keys determine) and
+        // streaming (input ordered on the keys, e.g. PK) — hold at most one
+        // co-cluster's (or one run's) groups, which neither partials (shared
+        // groups once per morsel) nor one table over the whole input can
+        // beat. Leaf scans below them still stream their morsels.
+        let sandwich =
+            (self.ctx.sdb.scheme == Scheme::Bdcc).then(|| self.sandwich_instances(input, group_by));
+        let order = self.col_order(input);
+        let streams = !group_by.is_empty()
+            && group_by.len() <= order.len()
+            && order[..group_by.len()].iter().all(|c| group_by.contains(c));
+        let bounded = streams || matches!(sandwich, Some(Ok(_)));
+        // The decision log: the sandwich's keys, or why there is none.
+        let log_sandwich = |prof: &Option<Arc<OpProf>>| {
+            if let (Some(decision), Some(p)) = (&sandwich, prof) {
+                let log = match decision {
+                    Ok(keys) => self.describe_keys(keys, input),
+                    Err(why) => format!("no({why})"),
+                };
+                p.metrics.annotate("sandwich", log);
             }
-        }
-
-        // PK (or anything ordered): streaming aggregation.
-        if !group_by.is_empty() {
-            let order = self.col_order(input);
-            let covered = group_by.len() <= order.len()
-                && order[..group_by.len()].iter().all(|c| group_by.contains(c));
-            if covered {
-                let child = self.build(input, &[])?;
-                let prof =
-                    self.prof_node("Aggregate(streaming)".into(), vec![child.prof.clone()], None);
-                let cop = wrap_edge(child.op, &child.prof, &prof);
-                let runs = gb_refs.iter().filter_map(|g| schema_index(cop.schema(), g)).collect();
-                let op = HashAggregate::new(cop, &gb_refs, aggs.to_vec(), self.op_tracker(&prof))?
-                    .with_runs(runs);
-                return Ok(PhysOut { op: Box::new(op), gk_cols: vec![], prof });
-            }
-        }
+        };
 
         // Parallel: a single-scan fragment (scan → filter/project chain)
         // aggregates morsel-wise — identical results to the hash aggregate
         // it replaces — when the leaf is worth splitting across the
-        // context's threads, or, at any width, when the broker is active:
-        // only [`ParallelAggregate`]'s radix path can spill, and a
-        // `HashAggregate` would die with BudgetExceeded where out-of-core
-        // execution could finish. Which of its two paths runs is the
-        // operator's rule (broker active → radix).
+        // context's threads and the broker is inert: partials cannot
+        // spill, the hash aggregate can.
         let cfg = &self.ctx.parallel;
-        let spillable = self.ctx.broker.is_active();
         // (Lowering the fragment selects BDCC groups — skip it when the
         // answer is already no.)
-        let fragment = if spillable || cfg.threads > 1 { self.leaf_fragment(input)? } else { None };
-        if let Some(fragment) =
-            fragment.filter(|f| spillable || cfg.worth_splitting(f.scan.total_rows()))
-        {
+        let fragment = match !bounded && cfg.threads > 1 && !self.ctx.broker.is_active() {
+            true => self.leaf_fragment(input)?,
+            false => None,
+        };
+        if let Some(fragment) = fragment.filter(|f| cfg.worth_splitting(f.scan.total_rows())) {
             // The fragment fuses scan → filter/project into the
             // aggregate's workers, so this node is also a leaf: it gets
             // the scan's I/O attribution.
@@ -1005,6 +983,7 @@ impl<'a> Planner<'a> {
             if let Some(p) = &prof {
                 p.metrics.annotate("fragment", fragment.scan.table().name());
             }
+            log_sandwich(&prof);
             let op = ParallelAggregate::new(
                 fragment,
                 &gb_refs,
@@ -1014,16 +993,64 @@ impl<'a> Planner<'a> {
                 self.op_tracker(&prof),
             )?
             .with_metrics(prof.as_ref().map(|p| Arc::clone(&p.metrics)))
-            .with_governor(self.ctx.governor.clone())
-            .with_broker(self.ctx.broker.clone());
+            .with_governor(self.ctx.governor.clone());
             return Ok(PhysOut { op: Box::new(op), gk_cols: vec![], prof });
         }
 
-        let child = self.build(input, &[])?;
-        let prof = self.prof_node("Aggregate(hash)".into(), vec![child.prof.clone()], None);
+        // Everything else is the one serial aggregate, flushing when its
+        // run columns change: the sandwich's group keys, the streamed
+        // group-by keys, or none — one table over the whole input, which
+        // under an active broker spills the groups it has no room for.
+        let requested = match &sandwich {
+            Some(Ok(determined)) => determined.as_slice(),
+            _ => &[],
+        };
+        let child = self.build(input, requested)?;
+        let (label, runs): (&str, Vec<usize>) = match (requested.is_empty(), streams) {
+            (false, _) => ("Aggregate(sandwich)", child.gk_cols),
+            (true, true) => {
+                let schema = child.op.schema();
+                (
+                    "Aggregate(streaming)",
+                    gb_refs.iter().filter_map(|g| schema_index(schema, g)).collect(),
+                )
+            }
+            (true, false) => ("Aggregate(hash)", Vec::new()),
+        };
+        let prof = self.prof_node(label.into(), vec![child.prof.clone()], None);
+        log_sandwich(&prof);
         let cop = wrap_edge(child.op, &child.prof, &prof);
-        let op = HashAggregate::new(cop, &gb_refs, aggs.to_vec(), self.op_tracker(&prof))?;
+        let broker = if runs.is_empty() { self.ctx.broker.clone() } else { MemoryBroker::none() };
+        let op = HashAggregate::new(cop, &gb_refs, aggs.to_vec(), self.op_tracker(&prof))?
+            .with_runs(runs)
+            .with_metrics(prof.as_ref().map(|p| Arc::clone(&p.metrics)))
+            .with_governor(self.ctx.governor.clone())
+            .with_broker(broker, self.ctx.io.clone());
         Ok(PhysOut { op: Box::new(op), gk_cols: vec![], prof })
+    }
+
+    /// The instances a BDCC sandwich aggregate would stream `input` grouped
+    /// on — those the group-by keys determine — or the first check that
+    /// failed: no group-by, nothing `input` can stream grouped, or nothing
+    /// the keys determine.
+    fn sandwich_instances(
+        &self,
+        input: &Node,
+        group_by: &[String],
+    ) -> std::result::Result<Vec<InstSet>, &'static str> {
+        if group_by.is_empty() {
+            return Err("global");
+        }
+        let av = self.avail(input);
+        if av.is_empty() {
+            return Err("no-instance");
+        }
+        let determined: Vec<InstSet> =
+            av.into_iter().filter(|s| self.determined_by(s, input, group_by)).collect();
+        if determined.is_empty() {
+            return Err("not-determined");
+        }
+        Ok(determined)
     }
 
     /// When `node` is a filter/project chain over a single scan, lower it

@@ -19,10 +19,11 @@
 //! `next` wraps the child's with a monotonic span and books the returned
 //! batch as the child's output and the parent's input. Operators stay
 //! oblivious to their own wall time; what they contribute directly are
-//! morsel counts and strategy annotations at the decision points that
-//! were previously silent (radix vs partial-merge aggregation, the side a
-//! hash join indexed, a sandwich join's group merge, streaming-scan path
-//! and buffer occupancy).
+//! morsel counts and annotations at the decision points that were
+//! previously silent (whether and when a hash aggregate spilled, why an
+//! aggregate or join is no sandwich, the side a hash join indexed, a
+//! sandwich join's group merge, streaming-scan path and buffer
+//! occupancy).
 //!
 //! Profiling never changes results: trackers forward to the same roots,
 //! wrappers pass batches through untouched, and a disabled profiler

@@ -1,13 +1,15 @@
 //! The partition-spill core: the one implementation of the
 //! [`broker`](crate::broker) pressure / freeze / restore / cleanup
 //! contract, shared by the grace-hash join (`ops/join_spill.rs`: its build,
-//! probe and output files) and radix aggregation (`parallel/spill.rs`), and
-//! the only place in this crate that creates or reads spill files.
+//! probe and output files) and the hybrid hash aggregate (`ops/agg.rs`: the
+//! rows of the groups its table no longer takes), and the only place in
+//! this crate that creates or reads spill files.
 //!
 //! A [`PartitionSpill`] holds partitions of column chunks routed by the
 //! [`hash_group_rows`] hash over the caller's key columns — `2^bits` of
-//! them on its top bits, or one per [`Route`] of another core's leaves
-//! ([`Fanout`]). What it guarantees, whichever operator drives it:
+//! them on its top bits ([`partition_of`]), or one per [`Route`] of another
+//! core's leaves ([`Fanout`]). Equal keys share a hash, so they never split
+//! across partitions. What it guarantees, whichever operator drives it:
 //!
 //! * **Order.** [`make_room`](PartitionSpill::make_room) asks the broker
 //!   and, under pressure, freezes resident partitions **largest first**
@@ -52,9 +54,47 @@ use crate::error::Result;
 use crate::govern::Governor;
 use crate::hash::hash_group_rows;
 use crate::memory::{MemoryGuard, MemoryTracker};
-use crate::parallel::partition::{
-    partition_rows_of_batch, sub_partition_of, MAX_TOTAL_BITS, RECURSE_BITS,
-};
+
+/// Extra hash bits consumed per recursive split of an oversized partition
+/// (16 sub-partitions per split).
+const RECURSE_BITS: u32 = 4;
+
+/// Deepest total bit budget for recursion: a 1-in-4-billion hash slice
+/// still over the restore limit is one giant key, and loads whole.
+const MAX_TOTAL_BITS: u32 = 32;
+
+/// The partition owning hash `h` under a `2^bits` partitioning: the top
+/// `bits` of the hash (partition 0 when `bits == 0`, not a 64-bit shift).
+#[inline(always)]
+fn partition_of(h: u64, bits: u32) -> usize {
+    if bits == 0 {
+        0
+    } else {
+        (h >> (64 - bits)) as usize
+    }
+}
+
+/// The sub-partition of hash `h` once its top `used_bits` are spent: the
+/// [`RECURSE_BITS`] bits immediately below them — disjoint from every
+/// ancestor's routing bits, so recursion refines partitions, and equal
+/// keys (one hash) always land in one sub-partition.
+#[inline]
+fn sub_partition_of(h: u64, used_bits: u32) -> usize {
+    ((h << used_bits) >> (64 - RECURSE_BITS)) as usize
+}
+
+/// Split rows `0..rows` of `key_cols` into `2^bits` partitions by the top
+/// bits of their key hash: per-partition row lists, each ascending, jointly
+/// tiling the rows.
+fn partition_rows_of_batch(key_cols: &[&Column], rows: usize, bits: u32) -> Vec<Vec<usize>> {
+    let mut parts: Vec<Vec<usize>> = vec![Vec::new(); 1 << bits];
+    let mut hashes = Vec::new();
+    hash_group_rows(key_cols, 0..rows, &mut hashes);
+    for (r, &h) in hashes.iter().enumerate() {
+        parts[partition_of(h, bits)].push(r);
+    }
+    parts
+}
 
 /// What differs between the core's callers.
 pub(crate) struct Shape {
@@ -421,7 +461,6 @@ mod tests {
     use super::*;
     use crate::broker::{spill_test_guard, SpillMode};
     use crate::error::ExecError;
-    use crate::parallel::partition::partition_of;
 
     const BITS: u32 = 2;
 
@@ -525,6 +564,85 @@ mod tests {
 
     fn frozen(spill: &PartitionSpill) -> Vec<bool> {
         spill.parts.iter().map(|p| matches!(p, PartState::Frozen { .. })).collect()
+    }
+
+    #[test]
+    fn partition_of_handles_unpartitioned_and_tops_out() {
+        assert_eq!(partition_of(u64::MAX, 0), 0, "bits = 0 routes to the sole partition");
+        assert_eq!(partition_of(0, 0), 0);
+        assert_eq!(partition_of(u64::MAX, 2), 3);
+        assert_eq!(partition_of(1u64 << 62, 2), 1);
+        assert_eq!(partition_of(0, 2), 0);
+    }
+
+    #[test]
+    fn recursion_bits_are_disjoint_from_every_ancestors() {
+        // Which hash bits does a routing function read? Flip each in turn.
+        let reads = |route: &dyn Fn(u64) -> usize| -> u64 {
+            let mut mask = 0u64;
+            for h in [0u64, u64::MAX, 0x9E37_79B9_7F4A_7C15] {
+                for bit in 0..64 {
+                    if route(h) != route(h ^ (1 << bit)) {
+                        mask |= 1 << bit;
+                    }
+                }
+            }
+            mask
+        };
+        // Every top-level fan-out up to 8 bits (the join uses 4, the
+        // aggregate 3).
+        for top in 1..=8u32 {
+            let mut ancestors = reads(&|h| partition_of(h, top));
+            assert_eq!(ancestors.count_ones(), top);
+            let mut used = top;
+            while used + RECURSE_BITS <= MAX_TOTAL_BITS {
+                let child = reads(&|h| sub_partition_of(h, used));
+                assert_eq!(child.count_ones(), RECURSE_BITS, "top={top} used={used}");
+                assert_eq!(child & ancestors, 0, "top={top} used={used}: bits reused");
+                // Refinement: parent path + child index is the routing a
+                // flat partitioning on `used + RECURSE_BITS` bits gives.
+                for h in [1u64, u64::MAX / 7, 0xDEAD_BEEF_0BAD_F00D] {
+                    assert_eq!(
+                        partition_of(h, used + RECURSE_BITS),
+                        (partition_of(h, used) << RECURSE_BITS) | sub_partition_of(h, used)
+                    );
+                }
+                ancestors |= child;
+                used += RECURSE_BITS;
+            }
+        }
+    }
+
+    #[test]
+    fn batch_rows_partition_by_key() {
+        // Mixed int + string key: equal keys land in one partition,
+        // per-partition lists ascend and jointly tile the batch.
+        let ints = Column::from_i64((0..300).map(|i| i % 7).collect());
+        let strs = Column::from_strings((0..300).map(|i| format!("s{}", i % 5)).collect());
+        let cols: Vec<&Column> = vec![&ints, &strs];
+        let parts = partition_rows_of_batch(&cols, 300, 2);
+        assert_eq!(parts.len(), 4);
+        let mut all: Vec<usize> = Vec::new();
+        for p in &parts {
+            assert!(p.windows(2).all(|w| w[0] < w[1]), "partition rows must ascend");
+            all.extend(p);
+        }
+        all.sort_unstable();
+        assert_eq!(all, (0..300).collect::<Vec<_>>());
+        // 35 distinct (int, str) keys; each must live in exactly one
+        // partition.
+        let key_of = |r: &usize| (r % 7, r % 5);
+        for i in 0..7 {
+            for s in 0..5 {
+                let holders =
+                    parts.iter().filter(|p| p.iter().any(|r| key_of(r) == (i, s))).count();
+                assert_eq!(holders, 1, "key ({i},{s}) split across partitions");
+            }
+        }
+        // bits == 0 degenerates to one partition holding everything.
+        let one = partition_rows_of_batch(&cols, 300, 0);
+        assert_eq!(one.len(), 1);
+        assert_eq!(one[0].len(), 300);
     }
 
     #[test]

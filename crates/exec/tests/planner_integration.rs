@@ -131,7 +131,8 @@ fn star_query_agrees_and_bdcc_reads_less() {
     let mut results = Vec::new();
     let mut bytes = Vec::new();
     for sdb in [&plain, &pk, &bdcc] {
-        let ctx = QueryContext::new(Arc::clone(sdb));
+        // Storage bytes only: spilled bytes read back would count too.
+        let ctx = QueryContext::new(Arc::clone(sdb)).with_spill(SpillMode::Off);
         let (out, m) = run_measured(&ctx, &star_query()).unwrap();
         results.push(canonical_rows(&out));
         bytes.push(m.io.bytes_read);
@@ -323,7 +324,7 @@ fn sort_limit_and_datum_roundtrip() {
 }
 
 // ---------------------------------------------------------------------
-// Width is a value, and the aggregation strategy follows the broker.
+// Width is a value, and a broker plans the aggregate that can spill.
 // ---------------------------------------------------------------------
 
 /// The Plain scheme with `orders` rebuilt over 256-row blocks, so a
@@ -365,26 +366,23 @@ fn labels(root: &ProfileNode) -> Vec<String> {
     out
 }
 
-/// The one node labelled `label`, with its `strategy` annotation.
-fn node_and_strategy<'a>(root: &'a ProfileNode, label: &str) -> (&'a ProfileNode, &'a str) {
+/// The one node labelled `label`, with its `key` annotation.
+fn node_and_log<'a>(root: &'a ProfileNode, label: &str, key: &str) -> (&'a ProfileNode, &'a str) {
     let mut hits = Vec::new();
-    fn collect<'a>(n: &'a ProfileNode, label: &str, hits: &mut Vec<&'a ProfileNode>) {
+    root.walk(&mut |n: &ProfileNode| {
         if n.label == label {
             hits.push(n);
         }
-        n.children.iter().for_each(|c| collect(c, label, hits));
-    }
-    collect(root, label, &mut hits);
+    });
     assert_eq!(hits.len(), 1, "expected one {label} in {:?}", labels(root));
-    let strategy = hits[0].annotations.iter().find(|(k, _)| k == "strategy");
-    (hits[0], strategy.map_or("", |(_, v)| v.as_str()))
+    let log = hits[0].annotations.iter().find(|(k, _)| k == key);
+    (hits[0], log.map_or("", |(_, v)| v.as_str()))
 }
 
 #[test]
 fn one_thread_is_the_serial_context() {
     // `new` and `with_parallel(threads: 1)` are one configuration: same
-    // operators, same bytes — in memory and under forced spill, where a
-    // width-1 context used to miss the spillable aggregate.
+    // operators, same bytes — in memory and under forced spill.
     let (plain, pk, bdcc) = schemes();
     let sorted = sort(
         PlanBuilder::new().scan("orders", &["o_key", "o_amount"], vec![]),
@@ -411,63 +409,49 @@ fn one_thread_is_the_serial_context() {
 }
 
 #[test]
-fn budget_alone_plans_a_spillable_radix_aggregate() {
+fn a_budget_plans_a_spilling_hash_aggregate_at_every_width() {
     let sdb = fine_block_plain();
     let plan = leaf_group_by();
-    let (want, free) = run_measured(&QueryContext::new(Arc::clone(&sdb)), &plan).unwrap();
+    let free = QueryContext::new(Arc::clone(&sdb)).with_spill(SpillMode::Off);
+    let (want, free) = run_measured(&free, &plan).unwrap();
     let budget = free.peak_memory / 2;
-    // No parallel config supplied: the budget activates the broker, and
-    // that alone selects the operator, its strategy and its morsel size.
-    let ctx = QueryContext::new(Arc::clone(&sdb)).with_memory_budget(budget);
-    let clamp = ((budget / (2 * 64)).max(256)) as usize;
-    assert!(clamp < 8192, "the budget must bite: clamp {clamp}");
-    assert_eq!(ctx.parallel, ParallelConfig { threads: 1, morsel_rows: clamp });
-    let got = explain_analyze(&ctx, &plan).unwrap();
-    let (agg, strategy) = node_and_strategy(&got.profile.root, "Aggregate(parallel)");
-    assert_eq!(strategy, "radix");
-    // Morsels are whole 256-row blocks, as many as reach the clamp.
-    let morsel = clamp.div_ceil(256) * 256;
-    assert_eq!(agg.morsels as usize, 8192usize.div_ceil(morsel));
-    assert_eq!(agg.morsel_rows, 8192);
-    assert_eq!(want, got.batch, "budgeted result must be byte-identical");
-    assert!(
-        got.measurement.peak_memory <= budget,
-        "peak {} must fit budget {budget}",
-        got.measurement.peak_memory
-    );
+    for threads in [1, 4] {
+        // The budget activates the broker, and that alone selects the
+        // operator: partials have nothing to shed.
+        let ctx =
+            QueryContext::with_parallel(Arc::clone(&sdb), ParallelConfig::with_threads(threads))
+                .with_memory_budget(budget);
+        let got = explain_analyze(&ctx, &plan).unwrap();
+        let (agg, log) = node_and_log(&got.profile.root, "Aggregate(hash)", "spill");
+        assert!(log.starts_with("after(") && agg.spill_bytes > 0, "{threads}t: {log}");
+        assert_eq!(want, got.batch, "{threads}t: budgeted result must be byte-identical");
+        let peak = got.measurement.peak_memory;
+        assert!(peak <= budget, "{threads}t: peak {peak} must fit budget {budget}");
+    }
 }
 
 #[test]
-fn nothing_to_partition_stays_on_partial_merge_under_a_broker() {
+fn a_broker_plans_no_partial_aggregate_and_spills_only_group_bys() {
     let sdb = fine_block_plain();
-    let forced = |cfg: ParallelConfig| {
-        QueryContext::with_parallel(Arc::clone(&sdb), cfg).with_spill(SpillMode::Force)
-    };
-    // A global aggregate has one group, however many morsels feed it.
     let orders = PlanBuilder::new().scan("orders", &["o_amount"], vec![]);
     let global =
         aggregate(orders, &[], vec![AggSpec::new(AggFunc::Sum, Expr::col("o_amount"), "s")]);
-    let got =
-        explain_analyze(&forced(ParallelConfig { threads: 1, morsel_rows: 256 }), &global).unwrap();
-    let (agg, strategy) = node_and_strategy(&got.profile.root, "Aggregate(parallel)");
-    assert_eq!((agg.morsels, strategy), (32, "partial-merge"));
-    // A group-by over a single morsel has no fan-out to route.
-    let got = explain_analyze(&forced(ParallelConfig::with_threads(1)), &leaf_group_by()).unwrap();
-    let (agg, strategy) = node_and_strategy(&got.profile.root, "Aggregate(parallel)");
-    assert_eq!((agg.morsels, strategy), (1, "partial-merge"));
-    assert_eq!(got.batch.rows(), 8192);
-}
-
-#[test]
-fn aggregate_above_a_join_cannot_spill_yet() {
-    // ROADMAP (g), still open: only a leaf fragment gets the spillable
-    // aggregate; above a join it stays an in-memory hash aggregate even
-    // with a budget in force.
-    let (plain, _, _) = schemes();
-    let free = run_measured(&QueryContext::new(Arc::clone(&plain)), &join_group_by()).unwrap().1;
-    let ctx = QueryContext::new(plain).with_memory_budget(free.peak_memory * 2);
-    let got = explain_analyze(&ctx, &join_group_by()).unwrap();
-    let seen = labels(&got.profile.root);
-    assert!(seen.contains(&"Aggregate(hash)".to_string()), "{seen:?}");
-    assert!(!seen.contains(&"Aggregate(parallel)".to_string()), "{seen:?}");
+    for threads in [1, 4] {
+        let cfg = ParallelConfig { threads, morsel_rows: 256 };
+        let ctx =
+            |spill| QueryContext::with_parallel(Arc::clone(&sdb), cfg.clone()).with_spill(spill);
+        // A global aggregate has one group: nothing to spill.
+        let got = explain_analyze(&ctx(SpillMode::Force), &global).unwrap();
+        assert_eq!(node_and_log(&got.profile.root, "Aggregate(hash)", "spill").1, "no");
+        // A group-by spills every group when forced to.
+        let got = explain_analyze(&ctx(SpillMode::Force), &leaf_group_by()).unwrap();
+        let (_, log) = node_and_log(&got.profile.root, "Aggregate(hash)", "spill");
+        assert_eq!(log, "after(0 rows, 0 groups resident) leaves=8");
+        assert_eq!(got.batch.rows(), 8192);
+        // With the broker inert, four threads aggregate partials, and the
+        // hash aggregate logs no decision.
+        let label = if threads > 1 { "Aggregate(parallel)" } else { "Aggregate(hash)" };
+        let got = explain_analyze(&ctx(SpillMode::Off), &leaf_group_by()).unwrap();
+        assert_eq!(node_and_log(&got.profile.root, label, "spill").1, "");
+    }
 }

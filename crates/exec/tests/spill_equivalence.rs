@@ -92,8 +92,8 @@ fn schemes() -> Vec<(&'static str, Arc<SchemeDb>)> {
 }
 
 /// Join-heavy: the build side is the 20 000-row orders table (no FK
-/// hint, so every scheme hash-joins) feeding a fine aggregate — under
-/// pressure both the join build and the radix aggregation spill.
+/// hint, so every scheme hash-joins) feeding a 512-group aggregate — under
+/// pressure both the join build and the aggregate above it spill.
 fn join_heavy() -> Node {
     let b = PlanBuilder::new();
     let customer = b.scan("customer", &["c_key", "c_score"], vec![]);
@@ -180,8 +180,8 @@ fn twin_join(join_type: JoinType) -> Node {
     )
 }
 
-/// Fine-grained aggregation: one group per order row — the radix
-/// aggregate's sweet spot, and all 20 000 groups must survive spilling.
+/// Fine-grained aggregation: one group per order row — the aggregate's
+/// table is the peak, and all 20 000 groups must survive spilling.
 fn fine_agg() -> Node {
     let b = PlanBuilder::new();
     let orders = b.scan("orders", &["o_key", "o_amount", "o_day"], vec![]);
@@ -191,6 +191,24 @@ fn fine_agg() -> Node {
         vec![
             AggSpec::new(AggFunc::Sum, Expr::col("o_amount"), "s"),
             AggSpec::new(AggFunc::Avg, Expr::col("o_day"), "a"),
+            AggSpec::new(AggFunc::Count, Expr::lit(1), "n"),
+        ],
+    )
+}
+
+/// A fine aggregate above a join: `orders ⋈ customer` (no FK hint, so a
+/// hash join indexing the 512 customers on Plain and BDCC) grouped by
+/// `o_key` — 20 000 groups whose table, not the join, is the peak.
+fn join_fine_agg() -> Node {
+    let b = PlanBuilder::new();
+    let orders = b.scan("orders", &["o_key", "o_cust", "o_amount"], vec![]);
+    let customer = b.scan("customer", &["c_key"], vec![]);
+    let j = join_full(orders, customer, &[("o_cust", "c_key")], JoinType::Inner, None, None);
+    aggregate(
+        j,
+        &["o_key"],
+        vec![
+            AggSpec::new(AggFunc::Sum, Expr::col("o_amount"), "amt"),
             AggSpec::new(AggFunc::Count, Expr::lit(1), "n"),
         ],
     )
@@ -217,8 +235,12 @@ fn spill_modes_are_byte_identical_across_schemes_and_threads() {
     let _spill = spill_test_guard();
     let schemes = schemes();
     let base_files = live_spill_files();
-    let queries =
-        [("join_heavy", join_heavy()), ("semi_heavy", semi_heavy()), ("fine_agg", fine_agg())];
+    let queries = [
+        ("join_heavy", join_heavy()),
+        ("semi_heavy", semi_heavy()),
+        ("fine_agg", fine_agg()),
+        ("join_fine_agg", join_fine_agg()),
+    ];
     for (query_name, query) in queries {
         let mut canonical: Option<Vec<String>> = None;
         for (scheme_name, sdb) in &schemes {
@@ -285,12 +307,49 @@ fn spilling_completes_within_half_the_unspilled_peak() {
     }
 }
 
+/// The aggregate above a join spills by itself: under half its unspilled
+/// peak, on Plain and BDCC at widths 1 and 4 (PK's orders arrive in `o_key`
+/// order, so it streams this aggregate), it finishes byte-identical within
+/// the budget, its own profile node books the spill, and nothing is left
+/// behind.
+#[test]
+fn an_aggregate_above_a_join_spills_within_half_its_peak() {
+    let _spill = spill_test_guard();
+    let base_files = live_spill_files();
+    let query = join_fine_agg();
+    for (scheme_name, sdb) in schemes().iter().filter(|(name, _)| *name != "pk") {
+        for threads in [1, 4] {
+            let case = format!("{scheme_name}/{threads}t");
+            let (want, off) =
+                run_measured(&ctx(sdb, threads).with_spill(SpillMode::Off), &query).unwrap();
+            let budget = off.peak_memory / 2;
+            let c = ctx(sdb, threads).with_memory_budget(budget).with_spill(SpillMode::Auto);
+            let tracker = Arc::clone(&c.tracker);
+            let analyzed = explain_analyze(&c, &query).unwrap_or_else(|e| panic!("{case}: {e}"));
+            assert_eq!(want, analyzed.batch, "{case}: must be byte-identical");
+            let peak = analyzed.measurement.peak_memory;
+            assert!(peak <= budget, "{case}: peak {peak} over budget {budget}");
+            let mut aggs = Vec::new();
+            analyzed.profile.root.walk(&mut |node: &ProfileNode| {
+                if node.label.starts_with("Aggregate(") {
+                    aggs.push((node.label.clone(), node.spill_bytes));
+                }
+            });
+            let [(label, spilled)] = &aggs[..] else { panic!("{case}: one aggregate: {aggs:?}") };
+            assert_eq!((label.as_str(), *spilled > 0), ("Aggregate(hash)", true), "{case}");
+            assert_eq!((live_spill_files(), tracker.current()), (base_files, 0), "{case}");
+        }
+    }
+}
+
 #[test]
 fn budget_exceeded_survives_only_for_truly_oversized_queries() {
     let _spill = spill_test_guard();
-    // The aggregate above a join is not a leaf fragment, so it runs as
-    // an in-memory hash aggregate whose state (512 groups) cannot spill:
-    // a 1 KB budget still dies with a budget error even in auto mode —
+    // A 1 KB budget is below one batch. The spilled join build routes each
+    // 512-row orders batch (12 288 bytes) into its partitions, and they
+    // freeze only when the next batch asks for room — after the scan's
+    // checkpoint has seen them resident. So even in auto mode the query
+    // dies with a budget error before the aggregate sees a row:
     // BudgetExceeded remains the backstop for truly oversized queries.
     let schemes = schemes();
     let (_, plain) = &schemes[0];

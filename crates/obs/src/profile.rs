@@ -62,7 +62,7 @@ impl OpMetrics {
         Arc::new(Self::default())
     }
 
-    /// Record a strategy decision or estimate (e.g. `strategy=radix`,
+    /// Record a strategy decision or estimate (e.g. `spill=no`,
     /// `est_groups_per_morsel=3.1`). Re-annotating a key replaces its
     /// value; first-insertion order is preserved.
     pub fn annotate(&self, key: &str, value: impl Into<String>) {

@@ -1,13 +1,13 @@
 //! Temp-file spill substrate for out-of-core execution.
 //!
 //! When a query's tracked memory approaches its budget, the executor's
-//! spill-capable operators (`bdcc-exec`'s hash-join build and radix
-//! aggregation) *freeze* resident partitions: they serialize the
-//! partition's batches through a [`SpillWriter`] into a real temp file
-//! and drop the in-memory copy. On *restore* the partition's batches are
-//! read back **in exactly the order they were written** — which, by the
-//! executor's freeze discipline, is the original input stream order — so
-//! spilled execution stays byte-identical to in-memory execution.
+//! spill-capable operators (`bdcc-exec`'s hash join and hash aggregate)
+//! *freeze* resident partitions: they serialize the partition's batches
+//! through a [`SpillWriter`] into a real temp file and drop the in-memory
+//! copy. On *restore* the partition's batches are read back **in exactly
+//! the order they were written** — which, by the executor's freeze
+//! discipline, is the original input stream order — so spilled execution
+//! stays byte-identical to in-memory execution.
 //!
 //! This module is mechanism only; *when* to freeze is the
 //! `bdcc-exec::broker::MemoryBroker`'s policy call. The contract pinned

@@ -6,12 +6,12 @@
 //!
 //! * **serial** (`HashAggregate`) must match the naive reference — values
 //!   and first-seen group order;
-//! * **radix-partitioned** (`ParallelAggregate` under an active broker —
-//!   `SpillMode::Force`, so every partition also round-trips a spill
-//!   file) must be **bit-identical** to serial, floats included — each
-//!   group's rows fold in serial stream order inside its one partition;
-//! * **parallel-partial** (no broker) must match serial exactly on group
-//!   keys, group order and integer aggregates, and to ~1 ulp on
+//! * **spilled** (`HashAggregate` under a `SpillMode::Force` broker, so the
+//!   table takes no group and every row round-trips a spill file) must be
+//!   **bit-identical** to serial, floats included — each group's rows fold
+//!   in serial stream order inside its one leaf;
+//! * **parallel-partial** (`ParallelAggregate`) must match serial exactly
+//!   on group keys, group order and integer aggregates, and to ~1 ulp on
 //!   compensated float sums (partials associate differently).
 //!
 //! Thread counts {1, 2, 4} and tiny morsels (`BDCC_MORSEL_ROWS`, default
@@ -94,14 +94,34 @@ fn all_aggs() -> Vec<AggSpec> {
 const COLS: [&str; 4] = ["g", "s", "v", "f"];
 
 fn serial(t: &Arc<StoredTable>, group_by: &[&str]) -> Batch {
-    let scan: BoxedOp =
-        Box::new(Scan::blocks(Arc::clone(t), IoTracker::new(), &COLS, vec![]).unwrap());
-    collect(Box::new(HashAggregate::new(scan, group_by, all_aggs(), MemoryTracker::new()).unwrap()))
-        .unwrap()
+    try_serial(t, &COLS, group_by, all_aggs(), false).unwrap()
 }
 
-fn parallel(t: &Arc<StoredTable>, group_by: &[&str], threads: usize, radix: bool) -> Batch {
-    try_parallel(t, &COLS, group_by, all_aggs(), threads, radix).unwrap()
+fn spilled(t: &Arc<StoredTable>, group_by: &[&str]) -> Batch {
+    try_serial(t, &COLS, group_by, all_aggs(), true).unwrap()
+}
+
+fn parallel(t: &Arc<StoredTable>, group_by: &[&str], threads: usize) -> Batch {
+    try_parallel(t, &COLS, group_by, all_aggs(), threads).unwrap()
+}
+
+/// `HashAggregate` over a block scan of `t`; with `spill`, under a forced
+/// broker, so every group's rows go through a spill file.
+fn try_serial(
+    t: &Arc<StoredTable>,
+    cols: &[&str],
+    group_by: &[&str],
+    aggs: Vec<AggSpec>,
+    spill: bool,
+) -> Result<Batch, ExecError> {
+    let scan: BoxedOp = Box::new(Scan::blocks(Arc::clone(t), IoTracker::new(), cols, vec![])?);
+    let tracker = MemoryTracker::new();
+    let broker = match spill {
+        true => MemoryBroker::with_mode(SpillMode::Force, &tracker, None),
+        false => MemoryBroker::none(),
+    };
+    let agg = HashAggregate::new(scan, group_by, aggs, tracker)?;
+    collect(Box::new(agg.with_broker(broker, IoTracker::new())))
 }
 
 fn try_parallel(
@@ -110,29 +130,17 @@ fn try_parallel(
     group_by: &[&str],
     aggs: Vec<AggSpec>,
     threads: usize,
-    radix: bool,
 ) -> Result<Batch, ExecError> {
     let bp = ScanBlueprint::blocks(Arc::clone(t), cols, vec![])?;
     let cfg = ParallelConfig { threads, morsel_rows: test_morsel_rows() };
-    let tracker = MemoryTracker::new();
-    // The operator's one strategy rule: an active broker means radix.
-    let broker = if radix {
-        MemoryBroker::with_mode(SpillMode::Force, &tracker, None)
-    } else {
-        MemoryBroker::none()
-    };
-    collect(Box::new(
-        ParallelAggregate::new(
-            FragmentBlueprint { scan: bp, steps: vec![] },
-            group_by,
-            aggs,
-            IoTracker::new(),
-            cfg,
-            tracker,
-        )
-        .unwrap()
-        .with_broker(broker),
-    ))
+    collect(Box::new(ParallelAggregate::new(
+        FragmentBlueprint { scan: bp, steps: vec![] },
+        group_by,
+        aggs,
+        IoTracker::new(),
+        cfg,
+        MemoryTracker::new(),
+    )?))
 }
 
 /// Naive reference state for one group.
@@ -220,7 +228,7 @@ fn assert_equivalent_modulo_float_ulp(serial: &Batch, partial: &Batch) {
 }
 
 proptest! {
-    /// Integer group keys: serial == naive reference; radix is
+    /// Integer group keys: serial == naive reference; spilled is
     /// bit-identical to serial; parallel-partial matches modulo float
     /// association — across threads {1, 2, 4}.
     #[test]
@@ -233,10 +241,9 @@ proptest! {
         assert_matches_reference(&s, 1, &order, &states, |b, i| {
             b.columns[0].as_i64().unwrap()[i]
         });
+        prop_assert_eq!(&s, &spilled(&t, &["g"]), "spilled must be bit-identical");
         for threads in [1usize, 2, 4] {
-            let radix = parallel(&t, &["g"], threads, true);
-            prop_assert_eq!(&s, &radix, "radix must be bit-identical ({} threads)", threads);
-            let partial = parallel(&t, &["g"], threads, false);
+            let partial = parallel(&t, &["g"], threads);
             assert_equivalent_modulo_float_ulp(&s, &partial);
         }
     }
@@ -257,15 +264,14 @@ proptest! {
                 b.columns[1].as_i64().unwrap()[i],
             )
         });
-        let radix = parallel(&t, &["s", "g"], threads, true);
-        prop_assert_eq!(&s, &radix, "radix must be bit-identical ({} threads)", threads);
-        let partial = parallel(&t, &["s", "g"], threads, false);
+        prop_assert_eq!(&s, &spilled(&t, &["s", "g"]), "spilled must be bit-identical");
+        let partial = parallel(&t, &["s", "g"], threads);
         assert_equivalent_modulo_float_ulp(&s, &partial);
     }
 
     /// Degenerate key distributions: a single group (everything collides
-    /// into one partition) and all-distinct groups (per-row groups, the
-    /// radix sweet spot).
+    /// into one partition) and all-distinct groups (per-row groups, every
+    /// partition full).
     #[test]
     fn degenerate_group_distributions(
         n in 1usize..120,
@@ -278,9 +284,8 @@ proptest! {
             .collect();
         let t = build_table(&rows);
         let s = serial(&t, &["g"]);
-        let radix = parallel(&t, &["g"], threads, true);
-        prop_assert_eq!(&s, &radix);
-        let partial = parallel(&t, &["g"], threads, false);
+        prop_assert_eq!(&s, &spilled(&t, &["g"]));
+        let partial = parallel(&t, &["g"], threads);
         assert_equivalent_modulo_float_ulp(&s, &partial);
     }
 }
@@ -630,7 +635,7 @@ fn run_aggregate(input: BoxedOp, group_by: &[&str], runs: Vec<usize>) -> (Batch,
 /// Integer `SUM` leaving the 64-bit range is a typed error — not a panic
 /// (debug) or a wrapped value (release) — on the serial path, in the
 /// partial-merge fold (no single morsel overflows; the merge does) and in
-/// a radix partition; a sum that lands exactly on the bound is fine.
+/// a spilled leaf; a sum that lands exactly on the bound is fine.
 #[test]
 fn integer_sum_overflow_is_a_typed_error_on_every_path() {
     let table = |first: i64, last: i64| {
@@ -654,16 +659,9 @@ fn integer_sum_overflow_is_a_typed_error_on_every_path() {
     let aggs = || vec![AggSpec::new(AggFunc::Sum, Expr::col("v"), "s")];
     let run = |t: &Arc<StoredTable>, path: usize| -> Result<Batch, ExecError> {
         match path {
-            0 => {
-                let scan: BoxedOp = Box::new(
-                    Scan::blocks(Arc::clone(t), IoTracker::new(), &["g", "v"], vec![]).unwrap(),
-                );
-                collect(Box::new(
-                    HashAggregate::new(scan, &["g"], aggs(), MemoryTracker::new()).unwrap(),
-                ))
-            }
-            1 => try_parallel(t, &["g", "v"], &["g"], aggs(), 2, false),
-            _ => try_parallel(t, &["g", "v"], &["g"], aggs(), 2, true),
+            0 => try_serial(t, &["g", "v"], &["g"], aggs(), false),
+            1 => try_parallel(t, &["g", "v"], &["g"], aggs(), 2),
+            _ => try_serial(t, &["g", "v"], &["g"], aggs(), true),
         }
     };
     for path in 0..3 {

@@ -65,8 +65,9 @@ fn encoded_scans_are_byte_identical_to_raw() {
     assert!(enc_li.has_encodings(), "lineitem must pick up block encodings");
 
     // The full query matrix: every query × every scheme, serial and
-    // parallel, in memory and forced out of core (partial-merge and radix
-    // aggregation), encoded vs raw — exact string equality, no tolerance.
+    // parallel, in memory and forced out of core (partial-merge and
+    // spilling hash aggregation), encoded vs raw — exact string equality,
+    // no tolerance.
     let par_cfg = ParallelConfig { threads: test_threads(), morsel_rows: test_morsel_rows() };
     // (Serial follows `BDCC_SPILL`, like every other serial suite.)
     let cfgs = [

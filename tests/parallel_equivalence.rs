@@ -19,7 +19,8 @@ use bdcc_exec::ops::scan::{Run, Scan, ScanBlueprint};
 use bdcc_exec::parallel::morsel::split_runs;
 use bdcc_exec::parallel::{FragmentBlueprint, ParallelAggregate};
 use bdcc_exec::{
-    AggFunc, AggSpec, Expr, MemoryBroker, MemoryTracker, ParallelConfig, QueryContext, SpillMode,
+    AggFunc, AggSpec, Expr, MemoryBroker, MemoryTracker, OpMetrics, ParallelConfig, QueryContext,
+    SpillMode,
 };
 use bdcc_storage::IoTracker;
 
@@ -90,8 +91,8 @@ fn all_queries_parallel_equals_serial_on_all_schemes() {
             };
             // Both sides of the engine's one strategy switch: in memory
             // (partial-merge aggregation, resident join builds) and forced
-            // out of core (radix aggregation, spilled builds). Each must
-            // reproduce serial execution.
+            // out of core (spilling hash aggregates and join builds). Each
+            // must reproduce serial execution.
             for spill in [SpillMode::Off, SpillMode::Force] {
                 let par_cfg =
                     ParallelConfig { threads: test_threads(), morsel_rows: test_morsel_rows() };
@@ -258,15 +259,17 @@ fn streaming_scan_memory_stays_morsel_bounded() {
 }
 
 #[test]
-fn budgeted_radix_aggregation_fits_half_the_partial_merge_peak() {
+fn budgeted_hash_aggregation_fits_half_the_partial_merge_peak() {
     // The high-cardinality group-by matrix: per-key groups (one group per
     // ORDERS key / per PART key) over LINEITEM rebuilt with small blocks
     // and a *shuffled* row order, so group keys scatter across morsels —
     // the workload where every morsel's partial re-materializes most
     // groups it touches and the partial fold holds ~O(rows) states. What
     // a caller can rely on there: set a budget of half that peak, and the
-    // aggregation (now radix, spilling as needed) finishes byte-identical
-    // to serial with its tracked peak inside the budget.
+    // aggregate the planner builds under it — one hash table over the same
+    // streaming scan, spilling as needed — finishes byte-identical to
+    // serial with its tracked peak inside the budget; so it does under a
+    // budget of half its own unbudgeted peak, where it must spill.
     let db = bdcc::tpch::generate(&GenConfig::new(0.005));
     let li = db.stored_by_name("lineitem").expect("lineitem stored");
     let rows = li.rows();
@@ -288,26 +291,40 @@ fn budgeted_radix_aggregation_fits_half_the_partial_merge_peak() {
         AggSpec::new(AggFunc::Count, Expr::lit(1), "n"),
     ];
     let blueprint = || ScanBlueprint::blocks(Arc::clone(&small), &cols, vec![]).unwrap();
-    let run_parallel = |group: &str, threads: usize, budget: Option<u64>| {
+    let run_partial = |group: &str, cfg: &ParallelConfig| {
         let tracker = MemoryTracker::new();
-        let broker = match budget {
-            Some(b) => MemoryBroker::with_mode(SpillMode::Auto, &tracker, Some(b)),
-            None => MemoryBroker::none(),
-        };
         let out = collect(Box::new(
             ParallelAggregate::new(
                 FragmentBlueprint { scan: blueprint(), steps: vec![] },
                 &[group],
                 aggs.clone(),
                 IoTracker::new(),
-                ParallelConfig { threads, morsel_rows: 256 },
+                cfg.clone(),
                 tracker.clone(),
             )
-            .unwrap()
-            .with_broker(broker),
+            .unwrap(),
         ))
         .unwrap();
         (out, tracker.peak())
+    };
+    // The hash aggregate over the scan streaming at `cfg`'s width, under
+    // `budget`: its output, tracked peak and spilled bytes.
+    let run_hash = |group: &str, cfg: &ParallelConfig, budget: Option<u64>| {
+        let tracker = MemoryTracker::new();
+        let broker = match budget {
+            Some(b) => MemoryBroker::with_mode(SpillMode::Auto, &tracker, Some(b)),
+            None => MemoryBroker::none(),
+        };
+        let scan = Scan::new(blueprint(), IoTracker::new(), cfg, tracker.clone());
+        let metrics = OpMetrics::new();
+        let out = collect(Box::new(
+            HashAggregate::new(Box::new(scan), &[group], aggs.clone(), tracker.clone())
+                .unwrap()
+                .with_broker(broker, IoTracker::new())
+                .with_metrics(Some(Arc::clone(&metrics))),
+        ))
+        .unwrap();
+        (out, tracker.peak(), metrics.spill_bytes.get())
     };
     for group in ["l_orderkey", "l_partkey"] {
         let scan =
@@ -317,25 +334,27 @@ fn budgeted_radix_aggregation_fits_half_the_partial_merge_peak() {
         ))
         .unwrap();
         assert!(serial.rows() > 500, "need a fine-grained group-by, got {}", serial.rows());
+        let fits = |cfg: &ParallelConfig, budget: u64, case: String| {
+            let (out, peak, spilled) = run_hash(group, cfg, Some(budget));
+            assert_eq!(serial, out, "{case}: must be byte-identical to serial");
+            assert!(peak <= budget, "{case}: peak {peak} over {budget} ({} groups)", serial.rows());
+            spilled
+        };
         for threads in [2, 4] {
-            let (partial_out, partial_peak) = run_parallel(group, threads, None);
+            let cfg = ParallelConfig { threads, morsel_rows: 256 };
+            let (partial_out, partial_peak) = run_partial(group, &cfg);
             assert!(
                 rows_equivalent(&canonical_rows(&serial), &canonical_rows(&partial_out)),
                 "partial-merge must agree with serial ({group}, {threads} threads)"
             );
-            let budget = partial_peak / 2;
-            let (radix_out, radix_peak) = run_parallel(group, threads, Some(budget));
-            assert_eq!(
-                serial, radix_out,
-                "radix must be byte-identical to serial ({group}, {threads} threads)"
-            );
-            assert!(
-                radix_peak <= budget,
-                "radix peak {radix_peak} must fit half the partial-merge peak {partial_peak} \
-                 ({group}, {threads} threads, {} groups)",
-                serial.rows()
-            );
+            fits(&cfg, partial_peak / 2, format!("{group}, {threads} threads, partial peak / 2"));
         }
+        // Serially the scan buffers nothing, so half the aggregate's own
+        // peak is half its table: it must spill.
+        let serial_cfg = ParallelConfig { threads: 1, morsel_rows: 256 };
+        let (_, own_peak, _) = run_hash(group, &serial_cfg, None);
+        let spilled = fits(&serial_cfg, own_peak / 2, format!("{group}, own peak / 2"));
+        assert!(spilled > 0, "{group}: half its own peak must spill");
     }
 }
 

@@ -82,7 +82,7 @@ fn no_os_thread_is_created_after_warmup_across_queries() {
 
     // Multi-query run: several queries × all schemes × several configs,
     // none wider than the warm-up. Every fan-out — scans, join probes,
-    // aggregations on both strategies — must reuse the parked workers.
+    // partial-merge aggregations — must reuse the parked workers.
     let mix = [1usize, 3, 6, 10, 18];
     for (i, q) in all_queries().into_iter().filter(|q| mix.contains(&q.id)).enumerate() {
         for sdb in &sdbs {
@@ -90,7 +90,7 @@ fn no_os_thread_is_created_after_warmup_across_queries() {
                 threads: 2 + (i % 3), // 2..=4
                 morsel_rows: if i % 2 == 0 { 256 } else { 64 },
             };
-            // Forced spill runs the radix aggregation; off, partial-merge.
+            // Forced spill runs spilling hash aggregates; off, partial-merge.
             let spill = if i % 2 == 0 { SpillMode::Force } else { SpillMode::Off };
             let ctx = QueryCtx::new(
                 QueryContext::with_parallel(Arc::clone(sdb), cfg).with_spill(spill),

@@ -8,13 +8,16 @@
 //! * a parent's rows/batches **in** equal the sum of its children's
 //!   rows/batches **out** (every batch crosses exactly one plan edge);
 //! * a scan's morsel row count sums to its output rows, and a parallel
-//!   aggregate's to its fragment's rows on either strategy (each pool
-//!   morsel is booked exactly once);
+//!   aggregate's to its fragment's rows (each pool morsel is booked exactly
+//!   once);
 //! * no operator's peak tracked memory exceeds the query peak (operator
 //!   trackers are children of the query tracker);
 //! * the root's output is the result batch;
-//! * the aggregation strategy is recorded: partial-merge without a
-//!   broker, radix under forced spill;
+//! * the aggregation strategy is recorded: a leaf aggregate is
+//!   partial-merge without a broker and the one hash table under forced
+//!   spill; every hash aggregate under an active broker logs whether and
+//!   when it spilled, and on BDCC every aggregate its sandwich keys or why
+//!   it has none;
 //! * every hash join records which side it indexed, over exactly the rows
 //!   that child produced; a spilled one how many leaves it split into and
 //!   that it restored each of them once.
@@ -53,8 +56,8 @@ fn join_agg_plan() -> Node {
 }
 
 /// Aggregation straight over a scan — the shape the planner collapses
-/// into a [`ParallelAggregate`] fragment, where the strategy annotation
-/// and the per-morsel counters apply.
+/// into a `ParallelAggregate` fragment while the broker is inert, where the
+/// per-morsel counters apply.
 fn scan_agg_plan() -> Node {
     let b = PlanBuilder::new();
     let lineitem = b.scan("lineitem", &["l_partkey", "l_quantity"], vec![]);
@@ -145,7 +148,11 @@ fn profiled_runs_are_identical_and_profiles_conserve() {
 fn aggregation_strategy_is_recorded_and_books_every_fragment_row() {
     let sdb = scheme_db();
     let plan = scan_agg_plan();
-    for (spill, expect) in [(SpillMode::Off, "partial-merge"), (SpillMode::Force, "radix")] {
+    // In memory the leaf aggregate is partial-merge over the fragment;
+    // forced out of core it is the hash aggregate above the scan, which
+    // stops taking groups before its first batch.
+    let cases = [(SpillMode::Off, "Aggregate(parallel)"), (SpillMode::Force, "Aggregate(hash)")];
+    for (spill, label) in cases {
         let cfg = ParallelConfig { threads: 4, morsel_rows: 256 };
         let ctx = context(&sdb, &(cfg, spill));
         let analyzed = explain_analyze(&ctx, &plan).expect("explain analyze");
@@ -155,22 +162,102 @@ fn aggregation_strategy_is_recorded_and_books_every_fragment_row() {
         assert!(fragment_rows > 10_000, "lineitem at SF 0.002, got {fragment_rows}");
         let mut seen = 0;
         analyzed.profile.root.walk(&mut |node: &ProfileNode| {
-            if node.label.starts_with("Aggregate(parallel)") {
-                seen += 1;
-                let strategy = node.annotations.iter().find(|(n, _)| n == "strategy");
-                assert_eq!(
-                    strategy.map(|(_, v)| v.as_str()),
-                    Some(expect),
-                    "{spill:?} must decide the strategy"
-                );
-                assert!(node.morsels > 1, "{expect}: the fan-out must book its morsels");
+            if !node.label.starts_with("Aggregate(") {
+                return;
+            }
+            seen += 1;
+            assert_eq!(node.label, label, "{spill:?} must decide the strategy");
+            let spill_log = annotation(node, "spill");
+            if spill == SpillMode::Off {
+                assert!(node.morsels > 1, "{label}: the fan-out must book its morsels");
                 assert_eq!(
                     node.morsel_rows, fragment_rows,
-                    "{expect}: morsel rows must sum to the fragment's rows"
+                    "{label}: morsel rows must sum to the fragment's rows"
                 );
+                assert_eq!(spill_log, None, "an inert broker logs no spill decision");
+            } else {
+                assert_eq!(node.rows_in, fragment_rows, "{label}: every scan row reaches it");
+                assert_eq!(spill_log, Some("after(0 rows, 0 groups resident) leaves=8"));
+                assert!(node.spill_bytes > 0 && node.spill_restore_bytes == node.spill_bytes);
             }
         });
-        assert_eq!(seen, 1, "the plan must contain one parallel aggregate");
+        assert_eq!(seen, 1, "the plan must contain one aggregate");
+    }
+}
+
+fn annotation<'a>(node: &'a ProfileNode, key: &str) -> Option<&'a str> {
+    node.annotations.iter().find(|(k, _)| k == key).map(|(_, v)| v.as_str())
+}
+
+/// Is `log` a hash aggregate's spill decision: `no`, or
+/// `after(<rows> rows, <groups> groups resident) leaves=<n>`?
+fn is_spill_decision(log: &str) -> bool {
+    let after = || {
+        let rest = log.strip_prefix("after(")?;
+        let (rows, rest) = rest.split_once(" rows, ")?;
+        let (groups, leaves) = rest.split_once(" groups resident) leaves=")?;
+        [rows, groups, leaves].iter().all(|n| n.parse::<u64>().is_ok()).then_some(())
+    };
+    log == "no" || after().is_some()
+}
+
+/// The aggregate slice of the decision log, over the 22 queries forced out
+/// of core: every `Aggregate(hash)` says whether and when it spilled; on
+/// BDCC every `Aggregate(sandwich)` names its group keys and every other
+/// aggregate the first sandwich check that failed; on Plain no aggregate
+/// carries a sandwich log. Prints how often each reason occurs on BDCC.
+#[test]
+fn aggregates_log_their_spill_and_sandwich_decisions() {
+    const REASONS: [&str; 3] = ["global", "no-instance", "not-determined"];
+    let sf = 0.002;
+    let db = bdcc::tpch::generate(&GenConfig::new(sf));
+    let schemes = [
+        ("plain", Arc::new(plain_scheme(&db))),
+        ("bdcc", Arc::new(bdcc_scheme(&db, &DesignConfig::default()).expect("bdcc scheme"))),
+    ];
+    for (scheme, sdb) in &schemes {
+        let qc = || QueryContext::new(Arc::clone(sdb)).with_spill(SpillMode::Force);
+        let mut histogram = std::collections::BTreeMap::<String, usize>::new();
+        for q in all_queries() {
+            let ctx = QueryCtx::recording(qc(), sf);
+            (q.run)(&ctx).expect("query runs");
+            for plan in ctx.take_plans() {
+                let analyzed = explain_analyze(&qc(), &plan).expect("explain analyze");
+                analyzed.profile.root.walk(&mut |node: &ProfileNode| {
+                    if !node.label.starts_with("Aggregate(") {
+                        return;
+                    }
+                    let at =
+                        format!("Q{:02} on {scheme}: {} {:?}", q.id, node.label, node.annotations);
+                    let spill = annotation(node, "spill");
+                    let hashed = node.label == "Aggregate(hash)";
+                    assert_eq!(
+                        spill.is_some(),
+                        hashed,
+                        "a spill log on each hash aggregate — {at}"
+                    );
+                    assert!(spill.is_none_or(is_spill_decision), "{at}");
+                    let sandwich = annotation(node, "sandwich");
+                    match (*scheme, node.label.as_str(), sandwich) {
+                        ("bdcc", "Aggregate(sandwich)", Some(keys)) => {
+                            assert!(keys.contains(" keys ("), "{at}");
+                            *histogram.entry("sandwich".into()).or_default() += 1;
+                        }
+                        ("bdcc", _, Some(log)) => {
+                            let why = log.strip_prefix("no(").and_then(|v| v.strip_suffix(')'));
+                            assert!(why.is_some_and(|w| REASONS.contains(&w)), "{at}");
+                            *histogram.entry(log.to_string()).or_default() += 1;
+                        }
+                        ("plain", _, None) => {}
+                        _ => panic!("wrong sandwich log — {at}"),
+                    }
+                });
+            }
+        }
+        if *scheme == "bdcc" {
+            println!("BDCC aggregates by sandwich decision: {histogram:?}");
+            assert!(histogram.contains_key("sandwich") && histogram.len() > 1, "{histogram:?}");
+        }
     }
 }
 
