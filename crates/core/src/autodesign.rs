@@ -20,6 +20,7 @@
 use std::collections::BTreeMap;
 
 use bdcc_catalog::{Catalog, Database, FkId, TableId};
+use bdcc_storage::{Column, DataType, Datum};
 
 use crate::bdcc_table::{cluster_table_with, BdccTable, SelfTuneConfig, UseLookups};
 use crate::binning::{bits_for_ndv, create_dimension, BinningConfig};
@@ -175,9 +176,17 @@ fn create_dimensions_with(
                 }
             }
         }
-        let values: Vec<(KeyValue, u64)> = (0..host.rows())
-            .map(|row| (KeyValue(key_columns.iter().map(|c| c.datum(row)).collect()), weights[row]))
-            .collect();
+        let single_int = match &key_columns[..] {
+            [column] => distinct_int_weights(column, &weights),
+            _ => None,
+        };
+        let values = single_int.unwrap_or_else(|| {
+            (0..host.rows())
+                .map(|row| {
+                    (KeyValue(key_columns.iter().map(|c| c.datum(row)).collect()), weights[row])
+                })
+                .collect()
+        });
         dims.push(create_dimension(
             spec.id,
             &spec.name,
@@ -188,6 +197,26 @@ fn create_dimensions_with(
         )?);
     }
     Ok(dims)
+}
+
+/// The distinct values of a single integer-backed key column with their
+/// summed weights, a [`KeyValue`] built per distinct value only (D_DATE's
+/// host is every ORDERS row, for ≈ 2 406 distinct dates); `None` for any
+/// other column type.
+fn distinct_int_weights(column: &Column, weights: &[u64]) -> Option<Vec<(KeyValue, u64)>> {
+    let ints = column.as_i64().ok()?;
+    let mut pairs: Vec<(i64, u64)> = ints.iter().copied().zip(weights.iter().copied()).collect();
+    pairs.sort_unstable_by_key(|&(v, _)| v);
+    pairs.dedup_by(|next, kept| {
+        let same = next.0 == kept.0;
+        if same {
+            kept.1 += next.1;
+        }
+        same
+    });
+    let datum =
+        |v| if column.data_type() == DataType::Date { Datum::Date(v) } else { Datum::Int(v) };
+    Some(pairs.into_iter().map(|(v, w)| (KeyValue::single(datum(v)), w)).collect())
 }
 
 /// A fully designed and clustered schema.

@@ -6,6 +6,14 @@
 //! histograms let Algorithm 1 pick a granularity whose groups stay above
 //! the efficient random access size even when correlated or hierarchical
 //! dimensions produce far fewer groups than 2^(d·b) ("puff pastry").
+//!
+//! All `B + 1` histograms come from one pass over the sorted keys. Where
+//! two neighbouring keys first differ in bit `p`, the boundary between them
+//! closes a group at every granularity `g ≥ B − p` and at no coarser one,
+//! so the pass keeps one open-group start per granularity and closes the
+//! affected ones at each boundary. That is the same number of group closes
+//! a level-by-level cascade performs, without materialising a run vector
+//! per level.
 
 /// Group-size statistics for every granularity `0..=total_bits`.
 #[derive(Debug, Clone)]
@@ -19,48 +27,38 @@ pub struct GranularityHistograms {
 }
 
 impl GranularityHistograms {
-    /// Build the full cascade from the sorted clustering keys (`keys` must
-    /// be sorted ascending; each distinct value at granularity `total_bits`
-    /// is one run).
+    /// Build every granularity's histogram from the sorted clustering keys
+    /// in one pass (`keys` must be sorted ascending and `total_bits` wide;
+    /// see the module docs). `hist[g]` ends at its largest occupied bucket.
     pub fn from_sorted_keys(keys: &[u64], total_bits: u32) -> GranularityHistograms {
-        // Runs at maximal granularity.
-        let mut runs: Vec<(u64, u64)> = Vec::new();
-        for &k in keys {
-            match runs.last_mut() {
-                Some((key, n)) if *key == k => *n += 1,
-                _ => runs.push((k, 1)),
+        let levels = total_bits as usize + 1;
+        let mut hist = vec![Vec::new(); levels];
+        let mut group_counts = vec![0u64; levels];
+        // Row where the open group of each granularity started.
+        let mut open = vec![0usize; levels];
+        let mut close = |g: usize, end: usize| {
+            let bucket = log_bucket((end - open[g]) as u64);
+            let h: &mut Vec<u64> = &mut hist[g];
+            if h.len() <= bucket {
+                h.resize(bucket + 1, 0);
+            }
+            h[bucket] += 1;
+            group_counts[g] += 1;
+            open[g] = end;
+        };
+        for (i, w) in keys.windows(2).enumerate() {
+            let diff = w[0] ^ w[1];
+            if diff != 0 {
+                let p = u64::BITS - 1 - diff.leading_zeros();
+                for g in total_bits.saturating_sub(p) as usize..levels {
+                    close(g, i + 1);
+                }
             }
         }
-        let mut hist = vec![Vec::new(); total_bits as usize + 1];
-        let mut group_counts = vec![0u64; total_bits as usize + 1];
-        // Cascade from B down to 0, merging adjacent runs that collide
-        // after each 1-bit chop.
-        let mut g = total_bits;
-        loop {
-            group_counts[g as usize] = runs.len() as u64;
-            let mut h: Vec<u64> = Vec::new();
-            for &(_, n) in &runs {
-                let bucket = log_bucket(n);
-                if h.len() <= bucket {
-                    h.resize(bucket + 1, 0);
-                }
-                h[bucket] += 1;
+        if !keys.is_empty() {
+            for g in 0..levels {
+                close(g, keys.len());
             }
-            hist[g as usize] = h;
-            if g == 0 {
-                break;
-            }
-            g -= 1;
-            let shift = total_bits - g;
-            let mut merged: Vec<(u64, u64)> = Vec::with_capacity(runs.len());
-            for &(key, n) in &runs {
-                let coarse = key >> shift << shift; // canonical coarse key
-                match merged.last_mut() {
-                    Some((k, m)) if *k == coarse => *m += n,
-                    _ => merged.push((coarse, n)),
-                }
-            }
-            runs = merged;
         }
         GranularityHistograms { total_bits, hist, group_counts }
     }

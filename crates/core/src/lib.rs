@@ -11,7 +11,8 @@
 //! * [`binning`] — frequency-balanced dimension creation over the union of
 //!   all use sites (the ref [4] technique), plus the equi-width baseline.
 //! * [`mask`] — `_bdcc_` bit algebra: scatter/gather between bin numbers
-//!   and mask positions, and the three interleaving strategies (round-robin
+//!   and mask positions (plus the per-use scatter lookup table the bulk
+//!   load reads), and the three interleaving strategies (round-robin
 //!   per use = Z-order, round-robin per foreign key, major-minor).
 //! * [`resolve`] — dimension-path resolution over foreign keys
 //!   (Definition 2).
@@ -54,7 +55,7 @@ pub use dimension::{bits_for_bins, BinEntry, DimId, Dimension, KeyValue};
 pub use error::{BdccError, Result};
 pub use histogram::GranularityHistograms;
 pub use mask::{
-    assign_masks, gather_bits, mask_to_string, ones, scatter_bits, truncate_mask,
+    assign_masks, gather_bits, mask_to_string, ones, scatter_bits, scatter_table, truncate_mask,
     InterleaveStrategy, UseBits,
 };
 pub use resolve::{resolve_host_rows, FkSteps};

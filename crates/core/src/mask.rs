@@ -50,6 +50,14 @@ pub fn scatter_bits(bin: u64, bin_bits: u32, mask: u64) -> u64 {
     out
 }
 
+/// [`scatter_bits`] of every `bin_bits`-wide bin number, indexed by bin:
+/// the `_bdcc_` contribution of a dimension use as one lookup per row
+/// instead of a walk over the mask. `bin_bits` is a dimension granularity
+/// (at most 20 bits, 13 by default), so the table has ≤ 2^20 entries.
+pub fn scatter_table(bin_bits: u32, mask: u64) -> Vec<u64> {
+    (0..1u64 << bin_bits).map(|bin| scatter_bits(bin, bin_bits, mask)).collect()
+}
+
 /// Inverse of [`scatter_bits`]: collect the bits of `key` at the set
 /// positions of `mask`, MSB-first, into a compact `ones(mask)`-bit value.
 pub fn gather_bits(key: u64, mask: u64) -> u64 {

@@ -222,9 +222,12 @@ mod tests {
 
     #[test]
     fn warm_pool_never_spawns_again() {
-        // Warm to this test binary's widest fan-out, then hammer the pool
-        // with mixed-width fan-outs: the spawn counter must not move.
-        let _ = run_tasks(8, 16, Ok).unwrap();
+        // Warm to this test binary's widest fan-out — or to the set-up
+        // width on a wider machine, since tests building tables meanwhile
+        // fan out at `available_parallelism()` — then hammer the pool with
+        // mixed-width fan-outs: the spawn counter must not move.
+        let widest = std::thread::available_parallelism().map_or(1, |n| n.get()).max(8);
+        let _ = run_tasks(widest, 2 * widest, Ok).unwrap();
         let warm = WorkerPool::shared().stats().threads_spawned_total;
         for round in 0..25 {
             let _ = run_tasks(4, 32, Ok).unwrap();

@@ -18,11 +18,17 @@
 //!
 //! Injection is **opt-in at every level**. The pool never reads the
 //! environment on its own: a process that wants faults at pool-job
-//! boundaries calls [`install_global`] explicitly (the `qps_serve`
-//! bench bin does this), and query-level injection is threaded through
-//! the executor's governor via a builder API. This keeps ordinary
-//! builds and the schema-autodesign setup fan-outs fault-free even
-//! when tests in the same process are injecting faults elsewhere.
+//! boundaries calls [`install_global`] explicitly, and query-level
+//! injection is threaded through the executor's governor via a builder
+//! API. This keeps ordinary builds fault-free even when tests in the same
+//! process are injecting faults elsewhere.
+//!
+//! Set-up runs on the same pool: schema design clusters one table per
+//! job, and every table build — generation, the PK build, the BDCC build —
+//! gathers and encodes one column per job, a few hundred jobs at SF 0.005.
+//! A global injector rolls its dice at every one of them, so a process
+//! installs it once its set-up is done, as the `qps_serve` bench bin does
+//! (after generation, the scheme builds and its serial reference).
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, OnceLock};

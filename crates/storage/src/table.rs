@@ -1,7 +1,18 @@
 //! Stored tables: named, typed column collections with block statistics.
+//!
+//! [`StoredTable::from_columns`] builds each column's MinMax stats and
+//! encodings as one task on the shared [`WorkerPool`], as the bulk load's
+//! gathers ([`crate::apply_permutation`]) do: one fan-out for generation,
+//! the PK build and the BDCC build, where it nests in a per-table task
+//! (the pool's thread lending keeps that deadlock-free). Its width is
+//! `available_parallelism()`, as for schema design's per-table fan-out: a
+//! build is set-up that owns the machine, not a query sharing it, and the
+//! built bytes do not depend on the width, so there is nothing to tune.
 
 use std::collections::HashMap;
 use std::sync::Arc;
+
+use bdcc_pool::WorkerPool;
 
 use crate::block::{ColumnBlockStats, DEFAULT_BLOCK_ROWS};
 use crate::column::Column;
@@ -80,13 +91,8 @@ impl StoredTable {
             return Err(StorageError::Invalid(format!("table {table_name} has no columns")));
         }
         let rows = named_columns[0].1.len();
-        let encode = crate::encode::encode_enabled();
-        let mut metas = Vec::with_capacity(named_columns.len());
-        let mut columns = Vec::with_capacity(named_columns.len());
-        let mut stats = Vec::with_capacity(named_columns.len());
-        let mut encodings = Vec::with_capacity(named_columns.len());
         let mut name_index = HashMap::with_capacity(named_columns.len());
-        for (i, (name, column)) in named_columns.into_iter().enumerate() {
+        for (i, (name, column)) in named_columns.iter().enumerate() {
             if column.len() != rows {
                 return Err(StorageError::LengthMismatch { expected: rows, actual: column.len() });
             }
@@ -95,23 +101,30 @@ impl StoredTable {
                     "duplicate column {name} in table {table_name}"
                 )));
             }
-            metas.push(ColumnMeta {
-                name,
-                data_type: column.data_type(),
-                avg_width: column.avg_width(),
-            });
-            if rows > 0 {
-                stats.push(ColumnBlockStats::build(&column, block_rows));
-            } else {
-                stats.push(ColumnBlockStats { block_rows, blocks: Vec::new() });
-            }
-            encodings.push(if encode {
-                ColumnEncoding::build(&column, block_rows).map(Arc::new)
-            } else {
-                None
-            });
-            columns.push(Arc::new(column));
         }
+        let encode = crate::encode::encode_enabled();
+        let built = per_column(named_columns.len(), "table-build", |i| {
+            let column = &named_columns[i].1;
+            let stats = if rows > 0 {
+                ColumnBlockStats::build(column, block_rows)
+            } else {
+                ColumnBlockStats { block_rows, blocks: Vec::new() }
+            };
+            let encoding = if encode { ColumnEncoding::build(column, block_rows) } else { None };
+            (stats, encoding.map(Arc::new))
+        });
+        let (stats, encodings) = built.into_iter().unzip();
+        let (metas, columns) = named_columns
+            .into_iter()
+            .map(|(name, column)| {
+                let meta = ColumnMeta {
+                    name,
+                    data_type: column.data_type(),
+                    avg_width: column.avg_width(),
+                };
+                (meta, Arc::new(column))
+            })
+            .unzip();
         Ok(StoredTable {
             schema: TableSchema { name: table_name.to_string(), columns: metas },
             columns,
@@ -275,6 +288,19 @@ impl TableBuilder {
     pub fn build(self) -> Result<StoredTable> {
         StoredTable::from_columns(&self.name, self.columns)
     }
+}
+
+/// `task(0..ncols)` on the shared pool at the machine's width, results in
+/// column order (see the module docs for why the width is not a knob).
+pub(crate) fn per_column<T, F>(ncols: usize, label: &'static str, task: F) -> Vec<T>
+where
+    T: Send,
+    F: Fn(usize) -> T + Sync,
+{
+    let width = std::thread::available_parallelism().map_or(1, |n| n.get());
+    WorkerPool::shared()
+        .scope_run_labeled(width, ncols, Some(label), |i| Ok::<_, bdcc_pool::PoolFailure>(task(i)))
+        .expect("an infallible column task has no error to return")
 }
 
 #[cfg(test)]

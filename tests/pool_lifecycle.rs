@@ -36,6 +36,14 @@ fn nested_cfg(morsel_rows: usize) -> ParallelConfig {
     ParallelConfig { threads: 4, morsel_rows }
 }
 
+/// Grow the shared pool to this binary's widest fan-out, 4, or to the
+/// set-up width on a wider machine: tests building schemes meanwhile fan
+/// each table's columns out at `available_parallelism()`.
+fn warm_to_setup_width() {
+    let setup = std::thread::available_parallelism().map_or(1, |n| n.get());
+    WorkerPool::shared().ensure_workers(setup.max(4));
+}
+
 #[test]
 fn nested_fan_outs_inside_streaming_scans_complete_and_match_serial() {
     let (sf, sdbs) = schemes();
@@ -77,6 +85,7 @@ fn no_os_thread_is_created_after_warmup_across_queries() {
     let warm_ctx =
         QueryCtx::new(QueryContext::with_parallel(Arc::clone(&sdbs[0]), nested_cfg(256)), sf);
     (q3.run)(&warm_ctx).expect("warm-up query");
+    warm_to_setup_width();
     let warm = WorkerPool::shared().stats().threads_spawned_total;
     assert!(warm >= 4, "warm-up must have populated the pool (spawned {warm})");
 
@@ -129,6 +138,7 @@ fn cancel_and_drop_mid_stream_release_all_memory_without_new_threads() {
     let mut op = plan_query(&warm_ctx, &nested_plan()).expect("plan");
     while op.next().expect("warm-up").is_some() {}
     drop(op);
+    warm_to_setup_width();
     let spawned = WorkerPool::shared().stats().threads_spawned_total;
 
     // (a) Drop mid-stream: pull one batch, then drop the whole operator

@@ -7,15 +7,125 @@ use std::sync::Arc;
 use proptest::prelude::*;
 
 use bdcc::catalog::{Catalog, ColumnDef, Database, TableDef};
+use bdcc::core::histogram::log_bucket;
 use bdcc::core::{
-    assign_masks, cluster_table, create_dimension, gather_bits, scatter_bits, truncate_mask,
-    BinningConfig, BinningStrategy, CountTable, DimId, Dimension, GranularityHistograms,
-    InterleaveStrategy, KeyValue, SelfTuneConfig, UseBits, BDCC_COLUMN,
+    assign_masks, cluster_table, create_dimension, gather_bits, scatter_bits, scatter_table,
+    truncate_mask, BinningConfig, BinningStrategy, CountTable, DimId, Dimension,
+    GranularityHistograms, InterleaveStrategy, KeyValue, SelfTuneConfig, UseBits, BDCC_COLUMN,
 };
-use bdcc::storage::{Column, DataType, Datum, TableBuilder};
+use bdcc::storage::{sort_permutation, Column, DataType, Datum, TableBuilder};
 
 fn kv(v: i64) -> KeyValue {
     KeyValue::single(Datum::Int(v))
+}
+
+/// The stable comparison sort the bulk load's counting sort replaced.
+fn comparison_sort(keys: &[u64]) -> (Vec<usize>, Vec<u64>) {
+    let mut perm: Vec<usize> = (0..keys.len()).collect();
+    perm.sort_by_key(|&i| keys[i]);
+    let sorted = perm.iter().map(|&i| keys[i]).collect();
+    (perm, sorted)
+}
+
+/// The level-by-level histogram cascade the one-pass build replaced:
+/// runs at full granularity, merged after each 1-bit chop. (A chop of all
+/// 64 bits leaves key 0; the original shifted by 64 there.)
+fn cascade_histograms(keys: &[u64], total_bits: u32) -> (Vec<Vec<u64>>, Vec<u64>) {
+    let mut runs: Vec<(u64, u64)> = Vec::new();
+    for &k in keys {
+        match runs.last_mut() {
+            Some((key, n)) if *key == k => *n += 1,
+            _ => runs.push((k, 1)),
+        }
+    }
+    let mut hist = vec![Vec::new(); total_bits as usize + 1];
+    let mut group_counts = vec![0u64; total_bits as usize + 1];
+    let mut g = total_bits;
+    loop {
+        group_counts[g as usize] = runs.len() as u64;
+        let mut h: Vec<u64> = Vec::new();
+        for &(_, n) in &runs {
+            let bucket = log_bucket(n);
+            if h.len() <= bucket {
+                h.resize(bucket + 1, 0);
+            }
+            h[bucket] += 1;
+        }
+        hist[g as usize] = h;
+        if g == 0 {
+            break;
+        }
+        g -= 1;
+        let shift = total_bits - g;
+        let mut merged: Vec<(u64, u64)> = Vec::with_capacity(runs.len());
+        for &(key, n) in &runs {
+            let coarse = key.checked_shr(shift).map_or(0, |k| k << shift);
+            match merged.last_mut() {
+                Some((k, m)) if *k == coarse => *m += n,
+                _ => merged.push((coarse, n)),
+            }
+        }
+        runs = merged;
+    }
+    (hist, group_counts)
+}
+
+/// `n` pseudo-random keys of `width` bits in one of four shapes: random,
+/// heavy duplicates (five distinct values), ascending, descending.
+fn shaped_keys(n: usize, width: u32, shape: u32, seed: u64) -> Vec<u64> {
+    let mask = u64::MAX.checked_shr(64 - width).unwrap_or(0);
+    let mut x = seed | 1;
+    let mut keys: Vec<u64> = (0..n)
+        .map(|_| {
+            x ^= x << 13;
+            x ^= x >> 7;
+            x ^= x << 17;
+            x & mask
+        })
+        .collect();
+    match shape {
+        1 => keys.iter_mut().for_each(|k| *k = ((*k % 5) << width.saturating_sub(3)) & mask),
+        2 => keys.sort_unstable(),
+        3 => keys.sort_unstable_by(|a, b| b.cmp(a)),
+        _ => {}
+    }
+    keys
+}
+
+/// The counting sort is the stable comparison sort: every key width, every
+/// shape, and the 0- and 1-row tables.
+#[test]
+fn counting_sort_matches_the_stable_comparison_sort() {
+    for width in 0..=64 {
+        for shape in 0..4 {
+            for n in [0, 1, 2, 1500] {
+                let keys = shaped_keys(n, width, shape, 0x5eed ^ width as u64);
+                assert_eq!(
+                    sort_permutation(&keys),
+                    comparison_sort(&keys),
+                    "width {width}, shape {shape}, {n} rows"
+                );
+            }
+        }
+    }
+}
+
+/// The one-pass histograms are the cascade's, bucket for bucket, at every
+/// key width and shape.
+#[test]
+fn one_pass_histograms_match_the_cascade() {
+    for width in 0..=64 {
+        for shape in 0..4 {
+            for n in [0, 1, 2, 700] {
+                let mut keys = shaped_keys(n, width, shape, 0xb0c5 ^ width as u64);
+                keys.sort_unstable();
+                let h = GranularityHistograms::from_sorted_keys(&keys, width);
+                let (hist, group_counts) = cascade_histograms(&keys, width);
+                assert_eq!(h.hist, hist, "width {width}, shape {shape}, {n} rows");
+                assert_eq!(h.group_counts, group_counts, "width {width}, shape {shape}, {n} rows");
+            }
+        }
+    }
 }
 
 fn make_dimension(values: &[i64], max_bits: u32, strategy: BinningStrategy) -> Dimension {
@@ -92,6 +202,17 @@ proptest! {
         let gathered = gather_bits(v, mask);
         let extra = mask.count_ones() - taken;
         prop_assert_eq!(gathered >> extra, expect);
+    }
+
+    /// The bulk load's per-use lookup table holds `scatter_bits` of every
+    /// bin.
+    #[test]
+    fn scatter_table_matches_scatter_bits_for_every_bin(mask in any::<u64>(), bin_bits in 0u32..14) {
+        let table = scatter_table(bin_bits, mask);
+        prop_assert_eq!(table.len(), 1 << bin_bits);
+        for (bin, &scattered) in table.iter().enumerate() {
+            prop_assert_eq!(scattered, scatter_bits(bin as u64, bin_bits, mask));
+        }
     }
 
     /// Algorithm 1(i): any mix of uses yields disjoint masks covering all

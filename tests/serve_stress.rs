@@ -90,9 +90,13 @@ fn cancel_mid_run_releases_memory_and_spawns_no_threads() {
         ServerConfig { max_concurrent: 2, parallel: parallel_cfg(), ..ServerConfig::default() },
     );
     // Warm-up through the server so the pool is at width before the
-    // spawn-counter baseline is taken.
+    // spawn-counter baseline is taken — at the set-up width if the machine
+    // is wider, since other tests' scheme builds fan out at
+    // `available_parallelism()` meanwhile.
     let warm = query(3).run;
     server.submit(move |qc| warm(&QueryCtx::new(qc.clone(), sf))).unwrap().wait().unwrap();
+    let setup = std::thread::available_parallelism().map_or(1, |n| n.get());
+    WorkerPool::shared().ensure_workers(setup.max(4));
     let spawned_before = WorkerPool::shared().stats().threads_spawned_total;
 
     // The job reruns a join-heavy query until a governance checkpoint
