@@ -37,13 +37,13 @@
 //!
 //! ## Single-key probes
 //!
-//! One `i64` key is the common probe shape — at every width, probe morsels
-//! included — and takes two passes, with no packed key or slice compare
-//! per row: every row's chain head, keeping rows whose bucket is occupied
-//! without a branch (a big side streamed past a small table finds half its
-//! buckets empty, which mispredicts on every other row when fused with the
-//! chain walk), then those chains in row order — the generic loop's
-//! chains, so the same matches in the same order.
+//! One `i64` key is the common probe shape and takes two passes, with no
+//! packed key or slice compare per row: every row's chain head, keeping
+//! rows whose bucket is occupied without a branch (a big side streamed
+//! past a small table finds half its buckets empty, which mispredicts on
+//! every other row when fused with the chain walk), then those chains in
+//! row order — the generic loop's chains, so the same matches in the same
+//! order.
 
 use std::hash::{BuildHasherDefault, Hasher};
 
@@ -197,12 +197,17 @@ pub struct JoinIndex {
     mask: u64,
 }
 
+/// Rows of a side's key columns (none without a key column).
+fn key_rows(key_cols: &[&[i64]]) -> usize {
+    key_cols.first().map_or(0, |c| c.len())
+}
+
 impl JoinIndex {
     /// Build the index over the build side's key columns. Exactly three
     /// allocations, none per row.
     pub fn build(key_cols: &[&[i64]]) -> JoinIndex {
         let key_width = key_cols.len().max(1);
-        let n = key_cols.first().map(|c| c.len()).unwrap_or(0);
+        let n = key_rows(key_cols);
         // Pack the keys row-major.
         let mut keys = Vec::with_capacity(n * key_cols.len());
         for r in 0..n {
@@ -258,21 +263,20 @@ impl JoinIndex {
     }
 
     /// The single-key probe (see the module docs): for one `i64` key
-    /// column, call `hit(row, build row)` for the matches of every row of
-    /// `range`, in probe order, moving on to the next row when it returns
+    /// column, call `hit(row, build row)` for the matches of every probe
+    /// row, in probe order, moving on to the next row when it returns
     /// `false`. `false` for any other shape.
     fn probe_single_key(
         &self,
         key_cols: &[&[i64]],
-        range: std::ops::Range<usize>,
         mut hit: impl FnMut(usize, u32) -> bool,
     ) -> bool {
         let [col] = key_cols else { return false };
         // Branch-free: `n` only advances past a row whose bucket is occupied.
-        let mut heads = vec![(0, EMPTY); range.len() + 1];
+        let mut heads = vec![(0, EMPTY); col.len() + 1];
         let mut n = 0;
-        for row in range {
-            heads[n] = (row, self.buckets[(hash_key(&[col[row]]) & self.mask) as usize]);
+        for (row, &key) in col.iter().enumerate() {
+            heads[n] = (row, self.buckets[(hash_key(&[key]) & self.mask) as usize]);
             n += (heads[n].1 != EMPTY) as usize;
         }
         for &(row, mut e) in &heads[..n] {
@@ -283,28 +287,21 @@ impl JoinIndex {
         true
     }
 
-    /// Collect every `(probe row, build row)` match pair for rows
-    /// `range` of the probe key columns, in probe-row order (build rows
-    /// ascending within a probe row) — the order a serial probe loop
-    /// yields. One reusable key buffer (or chain-head list); no other
-    /// allocations beyond the output lists.
-    pub fn probe_pairs(
-        &self,
-        key_cols: &[&[i64]],
-        range: std::ops::Range<usize>,
-        lidx: &mut Vec<usize>,
-        ridx: &mut Vec<u32>,
-    ) {
+    /// Collect every `(probe row, build row)` match pair of the probe key
+    /// columns, in probe-row order (build rows ascending within a probe
+    /// row) — the order a probe loop yields. One reusable key buffer (or
+    /// chain-head list); no other allocations beyond the output lists.
+    pub fn probe_pairs(&self, key_cols: &[&[i64]], lidx: &mut Vec<usize>, ridx: &mut Vec<u32>) {
         let pair = |row, e| {
             lidx.push(row);
             ridx.push(e);
             true
         };
-        if self.probe_single_key(key_cols, range.clone(), pair) {
+        if self.probe_single_key(key_cols, pair) {
             return;
         }
         let mut key = Vec::with_capacity(key_cols.len());
-        for row in range {
+        for row in 0..key_rows(key_cols) {
             key.clear();
             key.extend(key_cols.iter().map(|c| c[row]));
             self.for_each_match(&key, |m| {
@@ -315,24 +312,18 @@ impl JoinIndex {
     }
 
     /// Existence-only sibling of [`probe_pairs`](Self::probe_pairs):
-    /// append to `lidx` every probe row in `range` with at least one
-    /// match (first-hit short-circuit per row, no pair lists) — the
-    /// Semi/Anti probe kernel.
-    pub fn probe_exists(
-        &self,
-        key_cols: &[&[i64]],
-        range: std::ops::Range<usize>,
-        lidx: &mut Vec<usize>,
-    ) {
+    /// append to `lidx` every probe row with at least one match (first-hit
+    /// short-circuit per row, no pair lists) — the Semi/Anti probe kernel.
+    pub fn probe_exists(&self, key_cols: &[&[i64]], lidx: &mut Vec<usize>) {
         let first = |row, _| {
             lidx.push(row);
             false
         };
-        if self.probe_single_key(key_cols, range.clone(), first) {
+        if self.probe_single_key(key_cols, first) {
             return;
         }
         let mut key = Vec::with_capacity(key_cols.len());
-        for row in range {
+        for row in 0..key_rows(key_cols) {
             key.clear();
             key.extend(key_cols.iter().map(|c| c[row]));
             if self.has_match(&key) {
@@ -431,7 +422,7 @@ mod tests {
         // The single-key kernel behind `probe_pairs` / `probe_exists`
         // against the per-row chain walk: duplicate build keys, misses
         // (some sharing a bucket with a hit), and the `i64` extremes, over
-        // every sub-range of the probe column.
+        // every sub-slice of the probe column (rows are slice-relative).
         let build: Vec<i64> = vec![7, i64::MIN, 3, 7, i64::MAX, 0, 7, -1, 3, i64::MIN, 42, 1 << 40];
         let idx = JoinIndex::build(&[&build]);
         let mut probe: Vec<i64> = vec![7, 8, i64::MIN, 3, i64::MAX, -1, 0, 99, i64::MAX - 1];
@@ -440,17 +431,19 @@ mod tests {
         for lo in 0..=probe.len() {
             for hi in lo..=probe.len() {
                 let (mut lidx, mut ridx, mut exists) = (Vec::new(), Vec::new(), Vec::new());
-                idx.probe_pairs(&[&probe], lo..hi, &mut lidx, &mut ridx);
-                idx.probe_exists(&[&probe], lo..hi, &mut exists);
+                idx.probe_pairs(&[&probe[lo..hi]], &mut lidx, &mut ridx);
+                idx.probe_exists(&[&probe[lo..hi]], &mut exists);
                 let (mut want_l, mut want_r) = (Vec::new(), Vec::new());
                 for (row, &key) in probe.iter().enumerate().take(hi).skip(lo) {
                     idx.for_each_match(&[key], |m| {
-                        want_l.push(row);
+                        want_l.push(row - lo);
                         want_r.push(m);
                     });
                 }
-                let want_exists: Vec<usize> =
-                    (lo..hi).filter(|&row| idx.has_match(&[probe[row]])).collect();
+                let want_exists: Vec<usize> = (lo..hi)
+                    .filter(|&row| idx.has_match(&[probe[row]]))
+                    .map(|row| row - lo)
+                    .collect();
                 assert_eq!((&lidx, &ridx), (&want_l, &want_r), "pairs over {lo}..{hi}");
                 assert_eq!(exists, want_exists, "exists over {lo}..{hi}");
             }

@@ -335,7 +335,7 @@ struct Conjunct {
     /// Static cost weight for the adaptive reorderer.
     cost: f64,
     /// Observed rows entering / surviving this conjunct (relaxed; shared
-    /// across probe-morsel workers).
+    /// across scan-morsel and aggregate-fragment workers).
     rows_in: AtomicU64,
     rows_out: AtomicU64,
 }
@@ -607,7 +607,7 @@ impl Conjunct {
 /// A bound predicate compiled into a chain of selection-shrinking
 /// conjunct kernels with adaptive ordering. See the module docs for the
 /// contract. Cheap to build (once per operator), `Sync` (shared across
-/// probe-morsel workers).
+/// scan-morsel and aggregate-fragment workers).
 pub struct FilterProgram {
     conjuncts: Vec<Conjunct>,
     /// Evaluation order (indexes into `conjuncts`); permuted once after

@@ -492,7 +492,7 @@ fn agg_output_type(func: AggFunc, dt: DataType) -> DataType {
 /// of every aggregation operator here and, on its own, the unit of
 /// morsel-parallel aggregation. Each worker consumes its morsel's batches
 /// into a `PartialAgg`; folding the partials *in morsel order*
-/// ([`crate::parallel::merge`]) and finishing yields exactly what a serial
+/// ([`ParallelAggregate`](crate::parallel::ParallelAggregate)) and finishing yields exactly what a serial
 /// [`HashAggregate`] over the concatenated stream would produce.
 #[derive(Clone)]
 pub struct PartialAgg {

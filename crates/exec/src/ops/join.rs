@@ -20,13 +20,9 @@
 //! and a pending batch over the high-water mark — the very first under
 //! `BDCC_SPILL=force` — sends it to the spilled right build.
 //!
-//! The index is built the same way at every width. Under a wider
-//! [`ParallelConfig`] the **probe** fans out: rounds of probe batches
-//! split into row-range probe morsels, workers run the probe kernel over
-//! the shared immutable index, and per-morsel match lists concatenate in
-//! morsel order — byte-identical to serial. Semi/Anti probes of a right
-//! build without a residual use a first-hit existence probe and never
-//! gather pair columns.
+//! Build and probe run on the calling thread at every width: each probe
+//! round is one batch. Semi/Anti probes of a right build without a
+//! residual use a first-hit existence probe and never gather pair columns.
 //! Left-outer joins emit unmatched left rows with defaulted right columns
 //! plus a `__matched` 0/1 column (the engine has no NULLs;
 //! `COUNT(right.col)` compiles to `SUM(__matched)`).
@@ -50,10 +46,9 @@
 //! grouped mode never races and never spills.
 
 use std::collections::VecDeque;
-use std::ops::Range;
-use std::sync::{Arc, Mutex};
+use std::sync::Arc;
 
-use bdcc_obs::{OpMetrics, SpanTimer};
+use bdcc_obs::OpMetrics;
 use bdcc_storage::{Column, DataType, IoTracker};
 
 use crate::batch::{Batch, ColMeta, OpSchema};
@@ -65,8 +60,6 @@ use crate::hash::JoinIndex;
 use crate::kernel::{PairFilter, SelVec};
 use crate::memory::{MemoryGuard, MemoryTracker};
 use crate::ops::{BoxedOp, Operator};
-use crate::parallel::morsel::split_rows;
-use crate::parallel::{merge, pool, ParallelConfig};
 
 #[path = "join_spill.rs"]
 mod spill;
@@ -136,16 +129,10 @@ pub struct HashJoin {
     /// Meters spill file writes/reads (planner-installed with the broker;
     /// inert stand-alone tracker by default).
     spill_io: IoTracker,
-    /// Wider than one thread, big probe rounds fan out as probe morsels
-    /// across workers. One thread (the default) is the serial join.
-    parallel: ParallelConfig,
     /// Batches of the probing side the race buffered: the first rounds.
     pending: VecDeque<Batch>,
-    /// Probed-but-unemitted output batches (a parallel probe round
-    /// produces one output batch per probed left batch).
-    out: VecDeque<Batch>,
-    /// Profiling hook (planner-installed): the side indexed and its rows,
-    /// probe-morsel counts/latencies. `None` costs nothing.
+    /// Profiling hook (planner-installed): the side indexed and its rows.
+    /// `None` costs nothing.
     metrics: Option<Arc<OpMetrics>>,
     /// Per-query governance checkpoint, polled once per probe round and,
     /// grouped, once per right group (inert by default).
@@ -254,20 +241,11 @@ impl HashJoin {
             tracker,
             broker: MemoryBroker::none(),
             spill_io: IoTracker::new(),
-            parallel: ParallelConfig::with_threads(1),
             pending: VecDeque::new(),
-            out: VecDeque::new(),
             metrics: None,
             governor: Governor::none(),
             groups,
         })
-    }
-
-    /// Set the width of the morsel-parallel probe (planner-installed;
-    /// results stay byte-identical at every width).
-    pub fn with_parallel(mut self, cfg: ParallelConfig) -> HashJoin {
-        self.parallel = cfg;
-        self
     }
 
     /// Attach the profiling metric block (planner-installed).
@@ -359,28 +337,25 @@ impl HashJoin {
         self.pending.push_back(payload);
         self.right = Some(right);
         let mut streamed = 0usize;
-        loop {
-            let round = self.fill_round()?;
-            if round.is_empty() {
-                break;
-            }
+        while let Some(batch) = self.fill_round()? {
             self.governor.check("probe-round")?;
-            streamed += round.iter().map(Batch::rows).sum::<usize>();
-            for (_, (_, matched)) in self.probe_pieces(&round, &side, true)? {
-                matched.into_iter().for_each(|l| marks[l as usize] = true);
-            }
+            streamed += batch.rows();
+            let residual = self.residual.as_ref();
+            let (_, matched) =
+                probe_batch(&batch, &side, &self.right_keys, self.join_type, residual, true)?;
+            matched.into_iter().for_each(|l| marks[l as usize] = true);
         }
         if let Some(m) = &self.metrics {
             m.annotate("streamed", streamed.to_string());
         }
         let (semi, mut at) = (self.join_type == JoinType::Semi, 0u32);
+        let mut out = VecDeque::with_capacity(batch_rows.len());
         for rows in batch_rows {
             let keep: Vec<u32> = (at..at + rows).filter(|&r| marks[r as usize] == semi).collect();
-            let kept = side.columns.iter().map(|c| c.gather_u32(&keep)).collect();
-            self.out.push_back(Batch::new(kept));
+            out.push_back(Batch::new(side.columns.iter().map(|c| c.gather_u32(&keep)).collect()));
             at += rows;
         }
-        self.build = Some(Build::Left);
+        self.build = Some(Build::Left(out));
         Ok(())
     }
 
@@ -397,22 +372,20 @@ impl HashJoin {
     /// right peer group, or, without one, finish it with empty match lists.
     /// Nothing once no later left row can match and unmatched rows are not
     /// emitted.
-    fn probe_group(&mut self, round: Vec<Batch>) -> Result<Vec<Batch>> {
+    fn probe_group(&mut self, round: Batch) -> Result<Option<Batch>> {
         let g = self.groups.as_mut().expect("a grouped join");
-        let key = first_key(&round[0], &g.left_cols)?;
+        let key = first_key(&round, &g.left_cols)?;
         let new_group = std::mem::replace(&mut g.left_key, key.clone()) != key;
         if self.seek_group(&key)? {
-            return self.probe_round(round);
+            return self.probe_round(round).map(Some);
         }
         let g = self.groups.as_mut().expect("a grouped join");
         if g.ended && matches!(self.join_type, JoinType::Inner | JoinType::Semi) {
-            return Ok(Vec::new());
+            return Ok(None);
         }
         g.left_only += u64::from(new_group);
-        let finish = |b: &Batch| {
-            finish_batch(b, self.join_type, &self.right_types, &[], self.empty_build().columns)
-        };
-        round.iter().map(finish).collect()
+        let right = self.empty_build().columns;
+        finish_batch(&round, self.join_type, &self.right_types, &[], right).map(Some)
     }
 
     /// Move the right side to the first group whose key is not below `key`
@@ -512,161 +485,48 @@ fn group_end(batch: &Batch, cols: &[usize], key: &[i64]) -> Result<usize> {
 }
 
 impl HashJoin {
-    /// Pull the next round of probe batches — what the race buffered
-    /// first, then the probing child (the right one, still held, past a
-    /// left build): exactly one batch for a serial probe (the
-    /// one-batch-at-a-time pipeline), or roughly `threads × morsel_rows`
-    /// rows for a parallel probe — enough work for the fan-out while
-    /// keeping probe-side buffering O(threads × morsel). A grouped join's
-    /// round holds one left group's rows: a batch is cut where its group
-    /// key changes, and the rest is the next round's.
-    fn fill_round(&mut self) -> Result<Vec<Batch>> {
-        let cfg = &self.parallel;
-        let target = if cfg.threads > 1 { cfg.threads * cfg.morsel_rows } else { 1 };
+    /// Pull the next probe round: one batch, what the race buffered first,
+    /// then the probing child (the right one, still held, past a left
+    /// build). A grouped join's round holds one left group's rows: a batch
+    /// is cut where its group key changes, and the rest is the next round.
+    fn fill_round(&mut self) -> Result<Option<Batch>> {
         let child = match &mut self.right {
             Some(right) if self.groups.is_none() => right,
             _ => &mut self.left,
         };
-        let mut round = Vec::new();
-        let mut rows = 0usize;
-        while rows < target {
+        loop {
             let next = self.pending.pop_front().map_or_else(|| child.next(), |b| Ok(Some(b)))?;
-            let Some(b) = next else { break };
-            if let Some(g) = &self.groups {
-                let Some(first) = round.first().or((b.rows() > 0).then_some(&b)) else { continue };
-                let end = group_end(&b, &g.left_cols, &first_key(first, &g.left_cols)?)?;
-                if end == 0 {
-                    self.pending.push_front(b);
-                    break;
-                }
-                if end < b.rows() {
-                    self.pending.push_front(b.slice(end, b.rows()));
-                    round.push(b.slice(0, end));
-                    break;
-                }
+            let Some(b) = next else { return Ok(None) };
+            let Some(g) = &self.groups else { return Ok(Some(b)) };
+            if b.rows() == 0 {
+                continue;
             }
-            rows += b.rows();
-            round.push(b);
+            let end = group_end(&b, &g.left_cols, &first_key(&b, &g.left_cols)?)?;
+            if end < b.rows() {
+                self.pending.push_front(b.slice(end, b.rows()));
+                return Ok(Some(b.slice(0, end)));
+            }
+            return Ok(Some(b));
         }
-        Ok(round)
     }
 
-    /// Probe one round — serially batch-at-a-time, or (for a big-enough
-    /// round under a parallel config) fanned out as `(batch, row range)`
-    /// probe morsels. Per-morsel match lists concatenate in morsel order,
-    /// and the per-batch output assembly (the column gathers) fans out as
-    /// pool tasks as well, appending outputs in batch order — so each
-    /// batch's output is byte-identical to the serial probe's.
-    fn probe_round(&self, round: Vec<Batch>) -> Result<Vec<Batch>> {
+    /// Probe one left batch against the in-memory build and assemble its
+    /// output.
+    fn probe_round(&self, mut left: Batch) -> Result<Batch> {
         self.governor.check("probe-round")?;
         let Some(Build::Mem(build)) = &self.build else {
             unreachable!("a left build probes inside `build_side`, a spilled one merges")
         };
-        let cfg = &self.parallel;
-        let mut pieces = self.probe_pieces(&round, build, false)?.into_iter().peekable();
-        if !cfg.worth_splitting(round.iter().map(|b| b.rows()).sum()) {
-            let finish = |(mut left, (_, (lidx, ridx))): (Batch, ProbePiece)| {
-                let right = gather_pairs(build, self.join_type, &ridx);
-                // Every row matched exactly once, in order (a foreign key
-                // to an unfiltered table): the left columns pass through.
-                if self.join_type == JoinType::Inner && lidx.iter().copied().eq(0..left.rows()) {
-                    left.columns.extend(right);
-                    return Ok(left);
-                }
-                finish_batch(&left, self.join_type, &self.right_types, &lidx, right)
-            };
-            return round.into_iter().zip(pieces).map(finish).collect();
-        }
-        let round = &round;
-        // Pieces come back in batch-major, range-ascending order whatever
-        // the task boundaries were; group them per batch, then
-        // fan the per-batch output assembly (match-list concat + column
-        // gathers) out as pool tasks too — the gathers are the dominant
-        // cost of a residual-free inner join round, and each batch's
-        // assembly is independent. `run_tasks` returns in batch order, so
-        // the appended outputs are byte-identical to the serial probe's.
-        let mut grouped: Vec<Mutex<Vec<MatchLists>>> = Vec::with_capacity(round.len());
-        for bi in 0..round.len() {
-            let mut lists = Vec::new();
-            while pieces.peek().is_some_and(|(pbi, _)| *pbi == bi) {
-                lists.push(pieces.next().expect("peeked").1);
-            }
-            grouped.push(Mutex::new(lists));
-        }
-        let (right_types, join_type) = (&self.right_types, self.join_type);
-        pool::run_tasks_labeled(cfg.threads, round.len(), "join-assemble", |bi| {
-            // Each gather task *takes* its batch's match lists (tasks are
-            // per-batch, so the one lock is uncontended and the lists are
-            // never copied).
-            let lists = std::mem::take(&mut *grouped[bi].lock().expect("match lists poisoned"));
-            let (lidx, ridx) = merge::concat_match_lists(lists);
-            finish_batch(
-                &round[bi],
-                join_type,
-                right_types,
-                &lidx,
-                gather_pairs(build, join_type, &ridx),
-            )
-        })
-    }
-
-    /// The probe kernel over a whole round, as pieces in batch-major,
-    /// range-ascending order: one piece per batch serially, or — for a
-    /// big-enough round under a parallel config — `(batch, row range)`
-    /// probe morsels fanned out across workers (`flipped`: right batches
-    /// against an indexed left side, see [`probe_range`]).
-    fn probe_pieces(
-        &self,
-        round: &[Batch],
-        build: &BuildSide,
-        flipped: bool,
-    ) -> Result<Vec<ProbePiece>> {
-        let cfg = &self.parallel;
-        let probe_keys = if flipped { &self.right_keys } else { &self.left_keys };
         let (join_type, residual) = (self.join_type, self.residual.as_ref());
-        let probe = |bi: usize, range: Range<usize>| {
-            probe_range(&round[bi], build, probe_keys, join_type, residual, range, flipped)
-                .map(|lists| (bi, lists))
-        };
-        if !cfg.worth_splitting(round.iter().map(|b| b.rows()).sum()) {
-            return (0..round.len()).map(|bi| probe(bi, 0..round[bi].rows())).collect();
+        let (lidx, ridx) = probe_batch(&left, build, &self.left_keys, join_type, residual, false)?;
+        let right = gather_pairs(build, join_type, &ridx);
+        // Every row matched exactly once, in order (a foreign key to an
+        // unfiltered table): the left columns pass through.
+        if join_type == JoinType::Inner && lidx.iter().copied().eq(0..left.rows()) {
+            left.columns.extend(right);
+            return Ok(left);
         }
-        // Batch-major (batch, row range) probe pieces, coalesced into
-        // tasks of roughly one morsel of rows: a run of tiny batches (a
-        // selective filter upstream) shares one task instead of paying a
-        // queue op and a fan-out slot per batch.
-        let mut tasks: Vec<Vec<(usize, Range<usize>)>> = Vec::new();
-        let mut cur: Vec<(usize, Range<usize>)> = Vec::new();
-        let mut cur_rows = 0usize;
-        for (bi, batch) in round.iter().enumerate() {
-            for r in split_rows(batch.rows(), cfg.morsel_rows) {
-                cur_rows += r.len();
-                cur.push((bi, r));
-                if cur_rows >= cfg.morsel_rows {
-                    tasks.push(std::mem::take(&mut cur));
-                    cur_rows = 0;
-                }
-            }
-        }
-        if !cur.is_empty() {
-            tasks.push(cur);
-        }
-        // The closure captures only `Sync` plan data, not `self` (the
-        // child operators are not shareable).
-        let metrics = self.metrics.as_ref();
-        let per: Vec<Vec<ProbePiece>> =
-            pool::run_tasks_labeled(cfg.threads, tasks.len(), "join-probe", |t| {
-                let span = metrics.map(|_| SpanTimer::start());
-                let pieces: Result<Vec<ProbePiece>> =
-                    tasks[t].iter().map(|(bi, range)| probe(*bi, range.clone())).collect();
-                if let (Some(m), Some(span)) = (metrics, span) {
-                    m.morsels.add(1);
-                    m.morsel_rows.add(tasks[t].iter().map(|(_, r)| r.len() as u64).sum());
-                    m.morsel_nanos.record(span.elapsed_nanos());
-                }
-                pieces
-            })?;
-        Ok(per.into_iter().flatten().collect())
+        finish_batch(&left, join_type, &self.right_types, &lidx, right)
     }
 }
 
@@ -678,21 +538,16 @@ impl Operator for HashJoin {
     fn next(&mut self) -> Result<Option<Batch>> {
         self.build_side()?;
         loop {
-            while let Some(b) = self.out.pop_front() {
-                if b.rows() > 0 {
-                    return Ok(Some(b));
-                }
-            }
-            let outs = match &mut self.build {
-                Some(Build::Merge(merge)) => merge.next_batch()?.into_iter().collect(),
-                Some(Build::Left) => Vec::new(),
+            let out = match &mut self.build {
+                Some(Build::Merge(merge)) => merge.next_batch()?,
+                Some(Build::Left(out)) => out.pop_front(),
                 _ => match self.fill_round()? {
-                    round if round.is_empty() => Vec::new(),
-                    round if self.groups.is_some() => self.probe_group(round)?,
-                    round => self.probe_round(round)?,
+                    None => None,
+                    Some(round) if self.groups.is_some() => self.probe_group(round)?,
+                    Some(round) => Some(self.probe_round(round)?),
                 },
             };
-            if outs.is_empty() {
+            let Some(out) = out else {
                 if self.groups.is_some() {
                     // The last group goes as each group before it did, and
                     // before what is above the join builds on its output.
@@ -700,19 +555,13 @@ impl Operator for HashJoin {
                 }
                 self.flush_annotations();
                 return Ok(None);
+            };
+            if out.rows() > 0 {
+                return Ok(Some(out));
             }
-            self.out.extend(outs);
         }
     }
 }
-
-/// Match lists of one probe piece or batch: `(left rows, build rows)`,
-/// post-residual, in probe order.
-type MatchLists = (Vec<usize>, Vec<u32>);
-
-/// One probe piece: the originating batch index in the round plus the
-/// piece's (post-residual) match lists.
-type ProbePiece = (usize, MatchLists);
 
 /// Do we need full `(left, right)` pair lists, or only per-row existence?
 /// Semi/Anti without a residual only ask *whether* a row matches.
@@ -720,10 +569,9 @@ fn needs_pairs(join_type: JoinType, has_residual: bool) -> bool {
     !matches!(join_type, JoinType::Semi | JoinType::Anti) || has_residual
 }
 
-/// Probe rows `range` of `probe` against the build index and return the
+/// Probe every row of `probe` against the build index and return the
 /// match lists `(probe rows, build rows)` with the residual already
-/// applied — the per-morsel probe kernel (also the whole-batch kernel when
-/// `range` spans the batch). `flipped`: the build is the join's **left**
+/// applied — the probe kernel. `flipped`: the build is the join's **left**
 /// side and `probe` a right batch — the residual reads its pair-schema
 /// columns from the swapped sides and every matching build row is listed.
 ///
@@ -731,13 +579,12 @@ fn needs_pairs(join_type: JoinType, has_residual: bool) -> bool {
 /// first-hit [`JoinIndex::has_match`] per row, no pair lists and **no
 /// column gathers** — `ridx` comes back empty and `lidx` lists the matched
 /// rows.
-fn probe_range(
+fn probe_batch(
     probe: &Batch,
     build: &BuildSide,
     probe_keys: &[usize],
     join_type: JoinType,
     residual: Option<&PairFilter>,
-    range: Range<usize>,
     flipped: bool,
 ) -> Result<(Vec<usize>, Vec<u32>)> {
     let key_cols: Vec<&[i64]> = probe_keys
@@ -746,15 +593,15 @@ fn probe_range(
         .collect::<std::result::Result<_, _>>()?;
     if !flipped && !needs_pairs(join_type, residual.is_some()) {
         let mut lidx = Vec::new();
-        build.index.probe_exists(&key_cols, range, &mut lidx);
+        build.index.probe_exists(&key_cols, &mut lidx);
         return Ok((lidx, Vec::new()));
     }
     let mut lidx: Vec<usize> = Vec::new();
     let mut ridx: Vec<u32> = Vec::new();
-    build.index.probe_pairs(&key_cols, range, &mut lidx, &mut ridx);
+    build.index.probe_pairs(&key_cols, &mut lidx, &mut ridx);
     if let Some(pf) = residual {
         // Only the residual's referenced columns are gathered for the
-        // candidate pairs of this morsel, and the match lists shrink
+        // candidate pairs of this batch, and the match lists shrink
         // before the output gathers. Survivors keep probe order. The pair
         // schema is (left ++ right) whichever side probes.
         let (probe_base, build_base) =
@@ -1011,42 +858,6 @@ mod tests {
         assert_eq!(out.columns[0].as_i64().unwrap(), &[2, 4]);
     }
 
-    #[test]
-    fn one_row_probe_morsels_are_byte_identical() {
-        // A one-row morsel budget fans even this probe out, one row per
-        // probe morsel; every join flavor must match the serial output
-        // exactly.
-        let cfg = ParallelConfig { threads: 4, morsel_rows: 1 };
-        for jt in [JoinType::Inner, JoinType::LeftOuter, JoinType::Semi, JoinType::Anti] {
-            let serial = collect(Box::new(
-                HashJoin::new(
-                    Box::new(orders()),
-                    Box::new(customers()),
-                    &[("o_custkey", "c_custkey")],
-                    jt,
-                    None,
-                    MemoryTracker::new(),
-                )
-                .unwrap(),
-            ))
-            .unwrap();
-            let parallel = collect(Box::new(
-                HashJoin::new(
-                    Box::new(orders()),
-                    Box::new(customers()),
-                    &[("o_custkey", "c_custkey")],
-                    jt,
-                    None,
-                    MemoryTracker::new(),
-                )
-                .unwrap()
-                .with_parallel(cfg.clone()),
-            ))
-            .unwrap();
-            assert_eq!(serial, parallel, "{jt:?}");
-        }
-    }
-
     /// Multi-batch chunked source for probe-round tests.
     struct Chunked {
         schema: OpSchema,
@@ -1080,48 +891,6 @@ mod tests {
     }
 
     #[test]
-    fn parallel_probe_rounds_are_byte_identical() {
-        // Many small left batches force multi-batch probe rounds, and
-        // morsel_rows 8 splits batches into several probe morsels; with
-        // and without a residual, every flavor must equal serial exactly.
-        let left: Vec<(i64, i64)> = (0..200).map(|i| (i % 23, i)).collect();
-        let right: Vec<(i64, i64)> = (0..60).map(|i| (i % 31, 1000 + i)).collect();
-        let cfg = ParallelConfig { threads: 4, morsel_rows: 8 };
-        for jt in [JoinType::Inner, JoinType::LeftOuter, JoinType::Semi, JoinType::Anti] {
-            for residual in [false, true] {
-                let res =
-                    residual.then(|| Expr::col("lv").ge(Expr::col("rv").sub(Expr::lit(1020))));
-                let serial = collect(Box::new(
-                    HashJoin::new(
-                        Box::new(Chunked::new(&left, ("lk", "lv"), 13)),
-                        Box::new(Chunked::new(&right, ("rk", "rv"), 7)),
-                        &[("lk", "rk")],
-                        jt,
-                        res.clone(),
-                        MemoryTracker::new(),
-                    )
-                    .unwrap(),
-                ))
-                .unwrap();
-                let parallel = collect(Box::new(
-                    HashJoin::new(
-                        Box::new(Chunked::new(&left, ("lk", "lv"), 13)),
-                        Box::new(Chunked::new(&right, ("rk", "rv"), 7)),
-                        &[("lk", "rk")],
-                        jt,
-                        res,
-                        MemoryTracker::new(),
-                    )
-                    .unwrap()
-                    .with_parallel(cfg.clone()),
-                ))
-                .unwrap();
-                assert_eq!(serial, parallel, "{jt:?} residual={residual}");
-            }
-        }
-    }
-
-    #[test]
     fn residual_kernel_matches_interpreter() {
         // Sargable residual (kernel leaf) and non-sargable residual
         // (fallback over the pair selection). The reference shares nothing
@@ -1134,9 +903,7 @@ mod tests {
             Expr::col("rv").ge(Expr::lit(1030)),
             Expr::col("lv").ge(Expr::col("rv").sub(Expr::lit(1020))),
         ];
-        let serial = ParallelConfig::with_threads(1);
-        let cfg = ParallelConfig { threads: 4, morsel_rows: 8 };
-        let run = |jt: JoinType, res: Option<Expr>, parallel: ParallelConfig| {
+        let run = |jt: JoinType, res: Option<Expr>| {
             let join = HashJoin::new(
                 Box::new(Chunked::new(&left, ("lk", "lv"), 13)),
                 Box::new(Chunked::new(&right, ("rk", "rv"), 7)),
@@ -1145,8 +912,7 @@ mod tests {
                 res,
                 MemoryTracker::new(),
             )
-            .unwrap()
-            .with_parallel(parallel);
+            .unwrap();
             let schema = join.schema().clone();
             (collect(Box::new(join)).unwrap(), schema)
         };
@@ -1155,7 +921,7 @@ mod tests {
                 .map(|r| b.columns.iter().map(|c| c.as_i64().unwrap()[r]).collect())
                 .collect()
         };
-        let (all_pairs, pair_schema) = run(JoinType::Inner, None, serial.clone());
+        let (all_pairs, pair_schema) = run(JoinType::Inner, None);
         for res in &residuals {
             let keep = res.bind(&pair_schema).unwrap().eval_bool(&all_pairs).unwrap();
             let pairs = rows(&all_pairs.filter(&keep));
@@ -1181,10 +947,8 @@ mod tests {
                         })
                         .collect(),
                 };
-                for parallel in [serial.clone(), cfg.clone()] {
-                    let (got, _) = run(jt, Some(res.clone()), parallel);
-                    assert_eq!(rows(&got), expected, "{jt:?} {res:?}");
-                }
+                let (got, _) = run(jt, Some(res.clone()));
+                assert_eq!(rows(&got), expected, "{jt:?} {res:?}");
             }
         }
     }
@@ -1251,48 +1015,6 @@ mod tests {
                 }
             }
         }
-    }
-
-    #[test]
-    fn spilled_build_under_parallel_probe_matches() {
-        use crate::broker::SpillMode;
-        let _spill = crate::broker::spill_test_guard();
-        // Broker + parallel config: the spilled probe path is serial but
-        // must still be byte-identical to the parallel in-memory one.
-        let left: Vec<(i64, i64)> = (0..200).map(|i| (i % 23, i)).collect();
-        let right: Vec<(i64, i64)> = (0..60).map(|i| (i % 31, 1000 + i)).collect();
-        let cfg = ParallelConfig { threads: 4, morsel_rows: 8 };
-        let serial = collect(Box::new(
-            HashJoin::new(
-                Box::new(Chunked::new(&left, ("lk", "lv"), 13)),
-                Box::new(Chunked::new(&right, ("rk", "rv"), 7)),
-                &[("lk", "rk")],
-                JoinType::Inner,
-                None,
-                MemoryTracker::new(),
-            )
-            .unwrap(),
-        ))
-        .unwrap();
-        let tracker = MemoryTracker::new();
-        let spilled = collect(Box::new(
-            HashJoin::new(
-                Box::new(Chunked::new(&left, ("lk", "lv"), 13)),
-                Box::new(Chunked::new(&right, ("rk", "rv"), 7)),
-                &[("lk", "rk")],
-                JoinType::Inner,
-                None,
-                Arc::clone(&tracker),
-            )
-            .unwrap()
-            .with_parallel(cfg)
-            .with_broker(
-                MemoryBroker::with_mode(SpillMode::Force, &tracker, None),
-                IoTracker::new(),
-            ),
-        ))
-        .unwrap();
-        assert_eq!(serial, spilled);
     }
 
     #[test]

@@ -39,6 +39,8 @@
 //! leaf, the restored leaf, its index, one probe chunk and its fragment;
 //! merging, one fragment per leaf and one output batch.
 
+use std::collections::VecDeque;
+
 use bdcc_storage::Column;
 
 use crate::batch::Batch;
@@ -47,7 +49,7 @@ use crate::govern::Governor;
 use crate::ops::BoxedOp;
 use crate::spill::{Fanout, Leaf, LeafChunks, PartitionSpill, Route, Shape};
 
-use super::{finish_batch, gather_pairs, probe_range, BuildSide, HashJoin, JoinType};
+use super::{finish_batch, gather_pairs, probe_batch, BuildSide, HashJoin, JoinType};
 
 /// Top-level spill partition fan-out: 2^4 = 16 partitions.
 const JOIN_BITS: u32 = 4;
@@ -58,8 +60,9 @@ pub(super) enum Build {
     Mem(BuildSide),
     /// Spilled: the grace join has run, its output is being merged.
     Merge(Merge),
-    /// Semi / anti, the left ended first: `build_side` did all of it.
-    Left,
+    /// Semi / anti, the left ended first: `build_side` did all of it, and
+    /// these are the left batches it kept.
+    Left(VecDeque<Batch>),
 }
 
 impl HashJoin {
@@ -154,15 +157,8 @@ impl HashJoin {
             restores += 1;
             rows.for_each_chunk(|mut chunk| {
                 let ids = chunk.columns.pop().expect("probe chunks carry their row ids");
-                let (lidx, ridx) = probe_range(
-                    &chunk,
-                    &side,
-                    &self.left_keys,
-                    join_type,
-                    residual,
-                    0..chunk.rows(),
-                    false,
-                )?;
+                let (lidx, ridx) =
+                    probe_batch(&chunk, &side, &self.left_keys, join_type, residual, false)?;
                 chunk.columns.push(ids);
                 let right = gather_pairs(&side, join_type, &ridx);
                 let fragment = finish_batch(&chunk, join_type, &self.right_types, &lidx, right)?;

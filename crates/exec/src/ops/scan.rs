@@ -546,32 +546,33 @@ mod tests {
     use bdcc_storage::{Datum, TableBuilder};
     use proptest::prelude::*;
 
-    /// 12 rows in 3 blocks of 4 (`k` = row, `v` = 10 · row).
+    /// 12 rows in 3 encoded blocks of 4 (`k` = row, `v` = 10 · row).
     fn table() -> Arc<StoredTable> {
         let k: Vec<i64> = (0..12).collect();
         let v: Vec<i64> = (0..12).map(|i| i * 10).collect();
-        Arc::new(
+        Arc::new(crate::enc::build_with_encoding(true, || {
             StoredTable::from_columns_with_block_rows(
                 "t",
                 vec![("k".into(), Column::from_i64(k)), ("v".into(), Column::from_i64(v))],
                 4,
             )
-            .unwrap(),
-        )
+            .unwrap()
+        }))
     }
 
-    /// A sorted table of 16 rows in blocks of 4: key = row/4 (4 groups of 4).
+    /// A sorted table of 16 rows in encoded blocks of 4: key = row/4 (4
+    /// groups of 4).
     fn grouped_table() -> Arc<StoredTable> {
         let k: Vec<i64> = (0..16).map(|i| i / 4).collect();
         let v: Vec<i64> = (0..16).collect();
-        Arc::new(
+        Arc::new(crate::enc::build_with_encoding(true, || {
             StoredTable::from_columns_with_block_rows(
                 "t_bdcc",
                 vec![("k".into(), Column::from_i64(k)), ("v".into(), Column::from_i64(v))],
                 4,
             )
-            .unwrap(),
-        )
+            .unwrap()
+        }))
     }
 
     /// The given 4-row groups of [`grouped_table`], each keyed by its number.
@@ -610,14 +611,15 @@ mod tests {
 
     #[test]
     fn block_skipping_reduces_io() {
+        let t = table();
         let io_full = IoTracker::new();
-        let scan = Scan::blocks(table(), io_full.clone(), &["k"], vec![]).unwrap();
+        let scan = Scan::blocks(Arc::clone(&t), io_full.clone(), &["k"], vec![]).unwrap();
         collect(Box::new(scan)).unwrap();
 
         let io_pruned = IoTracker::new();
         // k >= 8 → only the last block qualifies.
         let preds = vec![ColPredicate::ge("k", 8i64)];
-        let scan = Scan::blocks(table(), io_pruned.clone(), &["k"], preds).unwrap();
+        let scan = Scan::blocks(t, io_pruned.clone(), &["k"], preds).unwrap();
         let out = collect(Box::new(scan)).unwrap();
         assert_eq!(out.columns[0].as_i64().unwrap(), &[8, 9, 10, 11]);
         assert!(io_pruned.stats().bytes_read < io_full.stats().bytes_read);
@@ -722,12 +724,13 @@ mod tests {
         let keyless = |sel: &[usize]| -> Vec<Run> {
             groups(sel).into_iter().map(|r| Run { keys: vec![], ..r }).collect()
         };
+        let t = grouped_table();
         let io_all = IoTracker::new();
-        let scan = scan_runs(&grouped_table(), &io_all, &["v"], vec![], keyless(&[0, 1, 2, 3]));
+        let scan = scan_runs(&t, &io_all, &["v"], vec![], keyless(&[0, 1, 2, 3]));
         collect(Box::new(scan)).unwrap();
 
         let io_sel = IoTracker::new();
-        let scan = scan_runs(&grouped_table(), &io_sel, &["v"], vec![], keyless(&[1]));
+        let scan = scan_runs(&t, &io_sel, &["v"], vec![], keyless(&[1]));
         let out = collect(Box::new(scan)).unwrap();
         assert_eq!(out.rows(), 4);
         assert!(io_sel.stats().bytes_read <= io_all.stats().bytes_read);

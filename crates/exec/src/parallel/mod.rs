@@ -20,43 +20,36 @@
 //! threads executes per-morsel operator fragments — scan, then any
 //! filter/project steps, then (when the plan shape allows) a per-worker
 //! *partial aggregate*. The pool's workers are created once (warmed by
-//! [`QueryContext::with_parallel`]) and parked between fan-outs, so a
-//! probe round or an aggregation fan-out costs queue operations, not thread
-//! create/join; nested fan-outs are deadlock-free because a
-//! blocked fan-out lends its calling thread to the pool ([`pool`]
-//! documents the lending rule). The leaf scan itself streams: wider than
-//! one thread and longer than one morsel, [`Scan`] submits its morsels to
-//! the same pool through a **bounded reorder buffer**
-//! ([`pool::OrderedStream`]), so downstream operators consume batches while
-//! workers are still scanning and peak memory stays O(threads × morsel)
-//! instead of O(table); at one thread or one morsel the same operator walks
-//! its runs on the calling thread.
+//! [`QueryContext::with_parallel`]) and parked between fan-outs, so an
+//! aggregation fan-out costs queue operations, not thread create/join;
+//! nested fan-outs are deadlock-free because a blocked fan-out lends its
+//! calling thread to the pool ([`pool`] documents the lending rule). The
+//! leaf scan itself streams: wider than one thread and longer than one
+//! morsel, [`Scan`] submits its morsels to the same pool through a
+//! **bounded reorder buffer** ([`pool::OrderedStream`]), so downstream
+//! operators consume batches while workers are still scanning and peak
+//! memory stays O(threads × morsel) instead of O(table); at one thread or
+//! one morsel the same operator walks its runs on the calling thread.
 //!
-//! Probe-heavy operators morselize *rows* rather than runs:
-//! the join probe splits each round of probe batches into contiguous row
-//! ranges ([`morsel::split_rows`]), workers probe the shared immutable
-//! [`JoinIndex`](crate::hash::JoinIndex) concurrently, and per-morsel
-//! match lists concatenate in morsel order
-//! ([`merge::concat_match_lists`]). The index itself is built serially,
-//! as at width 1, and so is every sort.
+//! Those two leaf fan-outs are all of it: everything above a leaf — join
+//! builds and probes, sorts, every other aggregate — runs on the calling
+//! thread, as at width 1.
 //!
 //! ## Merge contracts
 //!
 //! Partial results are merged **in morsel order**, never in completion
-//! order ([`merge`]):
+//! order:
 //!
 //! * leaf streams concatenate ordered ([`pool::OrderedStream`]),
 //!   reproducing the inline walk's batch stream *exactly* — every
 //!   downstream serial operator therefore behaves identically to serial
 //!   execution;
-//! * per-morsel join match lists concatenate in morsel order, listing
-//!   pairs as one serial probe loop would;
-//! * partial hash-aggregation states fold left-to-right, reproducing the
-//!   serial first-seen group order and exact integer aggregates;
-//!   float Sum/Avg use Neumaier-compensated accumulation on both the
-//!   serial and parallel paths, so both land within ~1 ulp of the true
-//!   sum and agree after [`canonical_rows`](crate::run::canonical_rows)
-//!   rounding.
+//! * partial hash-aggregation states fold left-to-right
+//!   ([`ParallelAggregate`]), reproducing the serial first-seen group
+//!   order and exact integer aggregates; float Sum/Avg use
+//!   Neumaier-compensated accumulation on both the serial and parallel
+//!   paths, so both land within ~1 ulp of the true sum and agree after
+//!   [`canonical_rows`](crate::run::canonical_rows) rounding.
 //!
 //! The result: for every plan, parallel execution returns results
 //! identical to serial execution (verified for all 22 TPC-H queries under
@@ -73,21 +66,17 @@
 //! Width is a value: every [`QueryContext`] carries a [`ParallelConfig`],
 //! and `threads: 1` — what [`QueryContext::new`] installs — is serial
 //! execution. [`QueryContext::with_parallel`] installs a wider one; every
-//! leaf [`Scan`] then streams when it is longer than one morsel, the
-//! planner swaps eligible leaf aggregates for [`ParallelAggregate`] (broker
-//! inert), and every [`HashJoin`], grouped or not, fans big probe rounds
-//! out to probe-morsel workers over its one serially built index. The rest of the operator
-//! tree — sorts included — is the serial one.
+//! leaf [`Scan`] then streams when it is longer than one morsel, and the
+//! planner swaps eligible leaf aggregates for [`ParallelAggregate`]
+//! (broker inert). The rest of the operator tree is the serial one.
 //! The two fields of the config are the whole configuration: nothing in
 //! the environment changes what a given [`ParallelConfig`] does.
 //!
 //! [`Scan`]: crate::ops::scan::Scan
-//! [`HashJoin`]: crate::ops::join::HashJoin
 //! [`QueryContext`]: crate::planner::QueryContext
 //! [`QueryContext::new`]: crate::planner::QueryContext::new
 //! [`QueryContext::with_parallel`]: crate::planner::QueryContext::with_parallel
 
-pub mod merge;
 pub mod morsel;
 pub mod pool;
 
@@ -184,8 +173,8 @@ pub(crate) fn note_morsel(metrics: &Option<Arc<OpMetrics>>, span: Option<SpanTim
 
 /// Morsel-parallel partial-merge aggregation over a scan fragment: each
 /// worker runs scan→filter→project over its morsels and accumulates a
-/// [`PartialAgg`]; partials fold in morsel order and flush once ([`merge`]
-/// explains why this reproduces serial results). Nothing here can be shed:
+/// [`PartialAgg`]; partials fold in morsel order and flush once (the
+/// module docs explain why this reproduces serial results). Nothing here can be shed:
 /// per-morsel partials re-materialize the groups they see, so peak state is
 /// O(groups × morsels sharing a group), and a caller who needs bounded peak
 /// memory sets a budget
@@ -275,12 +264,18 @@ impl Operator for ParallelAggregate {
                 Ok(p)
             })?;
         if partials.is_empty() {
+            // No morsels: the global aggregate's zero row.
             partials.push(self.empty.clone());
         }
         let bytes: u64 = partials.iter().map(|p| p.estimated_bytes()).sum();
         let _mem = self.tracker.register(bytes);
-        let out = merge::merge_partial_aggs(partials)?;
-        Ok(Some(out))
+        // Fold in morsel order (module docs) and flush once.
+        let mut partials = partials.into_iter();
+        let mut acc = partials.next().expect("at least the empty partial");
+        for p in partials {
+            acc.merge(p)?;
+        }
+        Ok(Some(acc.finish()))
     }
 }
 

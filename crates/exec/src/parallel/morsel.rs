@@ -19,16 +19,6 @@ use crate::ops::scan::Run;
 /// (positions in the planner's ordered list, not group keys).
 pub type Morsel = Range<usize>;
 
-/// Split `rows` already-materialized rows (a probe batch, a group's rows)
-/// into contiguous ranges of at most `morsel_rows` rows — the probe-side
-/// counterpart of [`split_runs`]: ranges tile `0..rows` in order, so
-/// per-range results concatenated in range order reproduce a serial row
-/// loop exactly.
-pub fn split_rows(rows: usize, morsel_rows: usize) -> Vec<Range<usize>> {
-    let step = morsel_rows.max(1);
-    (0..rows).step_by(step).map(|lo| lo..(lo + step).min(rows)).collect()
-}
-
 /// Split an ordered run list into morsels of roughly `morsel_rows` rows.
 /// Runs are indivisible (a batch never crosses a run boundary), so a single
 /// over-sized run becomes its own morsel; small runs coalesce until the row

@@ -7,8 +7,8 @@
 //! workspace dependency graph — schema clustering shares the same pool).
 //! Nothing in this crate ever spawns a thread: [`QueryContext::with_parallel`]
 //! warms the shared pool to the configured width once, and every fan-out
-//! after that — probe rounds, probe output assembly, partial-merge
-//! aggregation, streaming scans — reuses the same parked workers. The pool only ever grows to the widest
+//! after that — partial-merge aggregation and streaming scans — reuses
+//! the same parked workers. The pool only ever grows to the widest
 //! `ParallelConfig::threads` seen; after warm-up no OS thread is created
 //! again (`WorkerPool::stats` pins this in tests), so a fan-out costs
 //! queue operations, not thread create/join (the scoreboard's `pool_*`
@@ -41,11 +41,11 @@
 //!
 //! While [`run_tasks`] waits, the calling thread is **lent to the pool**:
 //! it drains its own scope's unstarted tasks first, then any other queued
-//! job, and parks only when nothing is runnable. A fan-out issued from
-//! inside another fan-out — a probe round or an aggregation fan-out while
-//! a streaming scan's producers are live — therefore always has at least
-//! its own caller making progress, so the bottom-most scope finishes and
-//! unwinds the waiters above it. The one rule operators must keep (and all
+//! job, and parks only when nothing is runnable. A blocking fan-out — an
+//! aggregation fan-out while streaming scans' producers, its own query's
+//! or another's, hold every worker, or one issued from inside a pool
+//! task — therefore always has at least its own caller making progress,
+//! so the bottom-most scope finishes and unwinds the waiters above it. The one rule operators must keep (and all
 //! current ones do): [`OrderedStream::recv`] is a pure wait, so it must
 //! be called from plan-driver threads, never from inside a pool task.
 //!
@@ -73,7 +73,7 @@ where
 }
 
 /// [`run_tasks`] with a static label naming the fan-out site in
-/// re-raised panic payloads (`pool job 'join-probe' panicked: ...`) —
+/// re-raised panic payloads (`pool job 'scan-morsel' panicked: ...`) —
 /// what identifies the dead operator when a worker panics during a
 /// many-client serving run.
 pub fn run_tasks_labeled<T, F>(
@@ -207,8 +207,8 @@ mod tests {
     #[test]
     fn nested_fan_outs_do_not_deadlock() {
         // Every outer task issues an inner fan-out of the same width on
-        // the same shared pool — the shape a probe round inside a
-        // streaming scan produces. Lending the blocked callers is what
+        // the same shared pool — the shape any blocking fan-out issued
+        // from a pool task takes. Lending the blocked callers is what
         // keeps this from deadlocking.
         let out = run_tasks(4, 8, |i| {
             let inner = run_tasks(4, 6, |j| Ok(i * 10 + j))?;
@@ -367,8 +367,8 @@ mod tests {
     #[test]
     fn stream_with_nested_blocking_fan_out_per_morsel() {
         // The full nested shape: a live streaming fan-out whose consumer
-        // issues a blocking fan-out per released morsel (exactly what a
-        // parallel probe over a streaming scan does).
+        // issues a blocking fan-out per released morsel (an aggregation
+        // fan-out beside a streaming scan on the same pool).
         let mut s: OrderedStream<usize> = OrderedStream::spawn(4, 20, 8, Ok);
         let mut total = 0usize;
         while let Some(v) = s.recv().unwrap() {

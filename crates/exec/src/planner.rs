@@ -58,9 +58,10 @@ pub struct QueryContext {
     pub io: IoTracker,
     /// Execution width and morsel size. `threads: 1` (what
     /// [`new`](Self::new) installs) is serial execution; wider, leaf scans
-    /// stream their morsels through the pool, hash joins fan their probe
-    /// rounds out, and the planner swaps eligible leaf aggregations for
-    /// morsel-parallel partial-merge while the broker is inert.
+    /// stream their morsels through the pool and the planner swaps
+    /// eligible leaf aggregations for morsel-parallel partial-merge while
+    /// the broker is inert. Everything above a leaf runs on the calling
+    /// thread at every width.
     pub parallel: ParallelConfig,
     /// When set, the planner mirrors the operator tree with per-operator
     /// metric blocks, child memory/I/O trackers and edge wrappers (see
@@ -776,9 +777,7 @@ impl<'a> Planner<'a> {
             }
             let lop = wrap_edge(lout.op, &lout.prof, &prof);
             let rop = wrap_edge(rout.op, &rout.prof, &prof);
-            // The hash join, indexing one right co-cluster at a time; wider
-            // than one thread a big probe round fans out in row-range
-            // morsels.
+            // The hash join, indexing one right co-cluster at a time.
             let groups = (lout.gk_cols.clone(), rout.gk_cols);
             let j = HashJoin::grouped(
                 lop,
@@ -789,7 +788,6 @@ impl<'a> Planner<'a> {
                 residual.clone(),
                 self.op_tracker(&prof),
             )?
-            .with_parallel(self.ctx.parallel.clone())
             .with_metrics(prof.as_ref().map(|p| Arc::clone(&p.metrics)))
             .with_governor(self.ctx.governor.clone());
             // Output keeps the left columns at unchanged positions;
@@ -842,13 +840,8 @@ impl<'a> Planner<'a> {
         }
         let lop = wrap_edge(lout.op, &lout.prof, &prof);
         let rop = wrap_edge(rout.op, &rout.prof, &prof);
-        // Wider than one thread, the probe side fans out in row-range
-        // morsels over rounds of left batches — gated inside the operator
-        // on the config's morsel budget, byte-identical to serial
-        // execution. The index is built as at width 1.
         let j =
             HashJoin::new(lop, rop, &on_refs, join_type, residual.clone(), self.op_tracker(&prof))?
-                .with_parallel(self.ctx.parallel.clone())
                 .with_metrics(prof.as_ref().map(|p| Arc::clone(&p.metrics)))
                 .with_governor(self.ctx.governor.clone())
                 .with_broker(self.ctx.broker.clone(), self.ctx.io.clone());

@@ -38,11 +38,10 @@
 //! scope's unstarted tasks, then runs any other queued job, and only
 //! parks when there is nothing runnable anywhere. Lending is what makes
 //! *nested* fan-outs deadlock-free: a task that itself calls `scope_run`
-//! (a probe round issued while a streaming scan's producers are live, an
-//! oversized sandwich group inside a probe) always has at least one
-//! thread — its own caller — making progress on its sub-tasks, so a
-//! bottom-most scope can always finish, unwinding the whole stack of
-//! waiters. (Each *blocked* scope therefore keeps exactly its caller
+//! (a table's per-column fan-out inside schema design's per-table
+//! fan-out) always has at least one thread — its own caller — making
+//! progress on its sub-tasks, so a bottom-most scope can always finish,
+//! unwinding the whole stack of waiters. (Each *blocked* scope therefore keeps exactly its caller
 //! busy; no thread ever sleeps while runnable work exists.)
 //!
 //! Error/panic contract: the first task error — in task
@@ -439,7 +438,7 @@ impl WorkerPool {
 
     /// [`scope_run`](Self::scope_run) with a static job label. The label
     /// names the fan-out site in re-raised panic payloads (`pool job
-    /// 'join-probe' panicked: ...`), so a worker panic during a
+    /// 'scan-morsel' panicked: ...`), so a worker panic during a
     /// many-client serving run identifies the operator that died instead
     /// of an anonymous task index. Unlabeled scopes re-raise the original
     /// payload untouched.

@@ -1,8 +1,6 @@
 //! Property tests of the flat allocation-free join index (`exec::hash`)
 //! through the `HashJoin` operator: every join flavor must agree with a
-//! naive nested-loop reference on random data, and the morsel-parallel
-//! probe must be **byte-identical** to the serial one over the same index
-//! — same rows and the same tracked peak.
+//! naive nested-loop reference on random data.
 //!
 //! Semi / anti joins index whichever side ends first; the second part of
 //! this file drives both outcomes over the same reference, batch for
@@ -21,7 +19,7 @@ use bdcc::exec::ops::join::{HashJoin, JoinType};
 use bdcc::exec::ops::{collect, Operator};
 use bdcc::exec::{
     canonical_rows, CancelToken, ExecError, Expr, Governor, JoinIndex, MemoryBroker, MemoryTracker,
-    OpMetrics, ParallelConfig, SpillMode,
+    OpMetrics, SpillMode,
 };
 use bdcc::storage::{live_spill_files, Column, DataType, IoTracker};
 
@@ -57,17 +55,7 @@ impl Operator for Source {
     }
 }
 
-fn one_thread() -> ParallelConfig {
-    ParallelConfig::with_threads(1)
-}
-
-fn run_join(
-    left: &[(i64, i64)],
-    right: &[(i64, i64)],
-    jt: JoinType,
-    residual: bool,
-    parallel: ParallelConfig,
-) -> Batch {
+fn run_join(left: &[(i64, i64)], right: &[(i64, i64)], jt: JoinType, residual: bool) -> Batch {
     let residual = residual.then(|| Expr::col("lv").le(Expr::col("rv")));
     let j = HashJoin::new(
         Box::new(Source::new(("lk", "lv"), left, 7)),
@@ -77,8 +65,7 @@ fn run_join(
         residual,
         MemoryTracker::new(),
     )
-    .unwrap()
-    .with_parallel(parallel);
+    .unwrap();
     collect(Box::new(j)).unwrap()
 }
 
@@ -145,38 +132,12 @@ proptest! {
         residual in any::<bool>(),
     ) {
         for jt in ALL_TYPES {
-            let got = run_join(&left, &right, jt, residual, one_thread());
+            let got = run_join(&left, &right, jt, residual);
             let want = reference(&left, &right, jt, residual);
             prop_assert_eq!(
                 canonical_rows(&got),
                 canonical_rows(&want),
                 "{:?} residual={}", jt, residual
-            );
-        }
-    }
-
-    /// The morsel-parallel probe (rounds of left batches split into
-    /// row-range probe morsels, match lists concatenated in morsel order)
-    /// is **byte-identical** to the serial probe for every join flavor,
-    /// with and without a residual predicate — residuals are evaluated
-    /// per probe morsel, Semi/Anti without residual take the existence
-    /// fast path, and none of it may change a single byte.
-    #[test]
-    fn parallel_probe_is_byte_identical(
-        left in prop::collection::vec((0i64..10, -20i64..20), 1..120),
-        right in prop::collection::vec((0i64..10, -20i64..20), 1..50),
-        residual in any::<bool>(),
-        threads in 2usize..6,
-    ) {
-        // Tiny morsels: every 7-row left batch splits into several probe
-        // morsels and probe rounds span multiple batches.
-        let cfg = ParallelConfig { threads, morsel_rows: 3 };
-        for jt in ALL_TYPES {
-            let serial = run_join(&left, &right, jt, residual, one_thread());
-            let parallel = run_join(&left, &right, jt, residual, cfg.clone());
-            prop_assert_eq!(
-                &serial, &parallel,
-                "{:?} residual={} threads={}", jt, residual, threads
             );
         }
     }
@@ -191,42 +152,11 @@ proptest! {
         let left: Vec<(i64, i64)> = (0..n_left as i64).map(|i| (key, i)).collect();
         let right: Vec<(i64, i64)> = (0..n_right as i64).map(|i| (key, -i)).collect();
         for jt in ALL_TYPES {
-            let got = run_join(&left, &right, jt, false, one_thread());
+            let got = run_join(&left, &right, jt, false);
             let want = reference(&left, &right, jt, false);
             prop_assert_eq!(canonical_rows(&got), canonical_rows(&want), "{:?}", jt);
         }
     }
-}
-
-#[test]
-fn wide_probe_tracks_the_serial_peak() {
-    // An ungrouped inner join whose 5 000-row build side is many 64-row
-    // morsels long: at width 4 the probe fans out, but the index is the
-    // serial one, so the tracked peak — payload plus index — is the
-    // width-1 peak to the byte.
-    let right: Vec<(i64, i64)> = (0..5_000).map(|i| (i % 1_250, i)).collect();
-    let left: Vec<(i64, i64)> = (0..3_000).map(|i| (i % 1_400, -i)).collect();
-    let peak = |parallel: ParallelConfig| {
-        let tracker = MemoryTracker::new();
-        let j = HashJoin::new(
-            Box::new(Source::new(("lk", "lv"), &left, 256)),
-            Box::new(Source::new(("rk", "rv"), &right, 256)),
-            &[("lk", "rk")],
-            JoinType::Inner,
-            None,
-            std::sync::Arc::clone(&tracker),
-        )
-        .unwrap()
-        .with_parallel(parallel);
-        let out = collect(Box::new(j)).unwrap();
-        assert_eq!(tracker.current(), 0);
-        (out, tracker.peak())
-    };
-    let (serial, serial_peak) = peak(one_thread());
-    let (wide, wide_peak) = peak(ParallelConfig { threads: 4, morsel_rows: 64 });
-    assert_eq!(serial, wide);
-    assert!(serial_peak > 0);
-    assert_eq!(wide_peak, serial_peak, "width 4 must index as width 1 does");
 }
 
 // ---------------------------------------------------------------------------
@@ -324,9 +254,9 @@ fn annotation(m: &OpMetrics, key: &str) -> Option<String> {
     m.annotations().into_iter().find(|(k, _)| k == key).map(|(_, v)| v)
 }
 
-/// Every way to run `case`: serial, widths 1 / 4 over 48-row morsels, and
-/// forced out of core (always the spilled right build) — each must equal
-/// the reference batch for batch. Returns the serial run's `build=`.
+/// Both ways to run `case`: in memory and forced out of core (always the
+/// spilled right build) — each must equal the reference batch for batch.
+/// Returns the in-memory run's `build=`.
 fn check_case(case: &Case, jt: JoinType) -> String {
     // `live_spill_files` is process-wide: one spilling case at a time.
     static SPILLS: std::sync::Mutex<()> = std::sync::Mutex::new(());
@@ -334,14 +264,9 @@ fn check_case(case: &Case, jt: JoinType) -> String {
     let want = case.reference(jt);
     let metrics = OpMetrics::new();
     let tracker = MemoryTracker::new();
-    let serial = batches(case.join(jt, &tracker).with_metrics(Some(metrics.clone())));
-    assert_eq!(serial, want, "{jt:?} serial {case:?}");
+    let got = batches(case.join(jt, &tracker).with_metrics(Some(metrics.clone())));
+    assert_eq!(got, want, "{jt:?} in memory {case:?}");
     assert_eq!(tracker.current(), 0, "{jt:?} {case:?}: dropped join must release its bytes");
-    for threads in [1, 4] {
-        let cfg = ParallelConfig { threads, morsel_rows: 48 };
-        let got = batches(case.join(jt, &MemoryTracker::new()).with_parallel(cfg));
-        assert_eq!(got, want, "{jt:?} width {threads} {case:?}");
-    }
     let (forced, tracker) = (OpMetrics::new(), MemoryTracker::new());
     let broker = MemoryBroker::with_mode(SpillMode::Force, &tracker, None);
     let spilled = batches(
@@ -569,11 +494,11 @@ impl GroupedCase {
     }
 }
 
-/// Run `case` as a grouped join of every type, under every residual, at
-/// widths 1 and 4 over 8-row morsels: the output rows equal the reference
-/// in order; no output batch spans two left batches (the left is never
-/// concatenated); the tracked peak stays within one right group; and the
-/// decision log counts the groups both sides have.
+/// Run `case` as a grouped join of every type, under every residual: the
+/// output rows equal the reference in order; no output batch spans two
+/// left batches (the left is never concatenated); the tracked peak stays
+/// within one right group; and the decision log counts the groups both
+/// sides have.
 fn check_grouped(case: &GroupedCase) {
     let groups =
         |rows: &[Row]| -> Vec<i64> { rows.chunk_by(|a, b| a.1 == b.1).map(|g| g[0].1).collect() };
@@ -584,39 +509,35 @@ fn check_grouped(case: &GroupedCase) {
     for jt in ALL_TYPES {
         for residual in case.residuals() {
             let want = case.reference(jt, residual);
-            for threads in [1, 4] {
-                let cfg = ParallelConfig { threads, morsel_rows: 8 };
-                let (tracker, metrics) = (MemoryTracker::new(), OpMetrics::new());
-                let at = format!("{jt:?} {residual:?} width {threads} {case:?}");
-                let join = HashJoin::grouped(
-                    Box::new(Wide::new("l", &case.left, case.chunks.0)),
-                    Box::new(Wide::new("r", &case.right, case.chunks.1)),
-                    &[("lk", "rk")],
-                    (vec![1], vec![1]),
-                    jt,
-                    residual.map(Residual::expr),
-                    std::sync::Arc::clone(&tracker),
-                )
-                .unwrap()
-                .with_parallel(cfg.clone())
-                .with_metrics(Some(metrics.clone()));
-                let out = batches(join);
-                let mut got = Vec::new();
-                for b in &out {
-                    let cols: Vec<&[i64]> = b.columns.iter().map(|c| c.as_i64().unwrap()).collect();
-                    let rows: Vec<Vec<i64>> =
-                        (0..b.rows()).map(|r| cols.iter().map(|c| c[r]).collect()).collect();
-                    let spans: Vec<usize> = rows.iter().map(|r| batch_of[&r[2]]).collect();
-                    assert!(spans.windows(2).all(|w| w[0] == w[1]), "spans left batches: {at}");
-                    got.extend(rows);
-                }
-                assert_eq!(got, want, "{at}");
-                assert!(tracker.peak() <= case.largest_group_bytes(), "peak: {at}");
-                assert!(shared == 0 || tracker.peak() > 0, "a joined group is tracked: {at}");
-                assert_eq!(tracker.current(), 0, "{at}");
-                let joined = annotation(&metrics, "groups_joined").map(|n| n.parse::<usize>());
-                assert_eq!(joined, Some(Ok(shared)), "{at}");
+            let (tracker, metrics) = (MemoryTracker::new(), OpMetrics::new());
+            let at = format!("{jt:?} {residual:?} {case:?}");
+            let join = HashJoin::grouped(
+                Box::new(Wide::new("l", &case.left, case.chunks.0)),
+                Box::new(Wide::new("r", &case.right, case.chunks.1)),
+                &[("lk", "rk")],
+                (vec![1], vec![1]),
+                jt,
+                residual.map(Residual::expr),
+                std::sync::Arc::clone(&tracker),
+            )
+            .unwrap()
+            .with_metrics(Some(metrics.clone()));
+            let out = batches(join);
+            let mut got = Vec::new();
+            for b in &out {
+                let cols: Vec<&[i64]> = b.columns.iter().map(|c| c.as_i64().unwrap()).collect();
+                let rows: Vec<Vec<i64>> =
+                    (0..b.rows()).map(|r| cols.iter().map(|c| c[r]).collect()).collect();
+                let spans: Vec<usize> = rows.iter().map(|r| batch_of[&r[2]]).collect();
+                assert!(spans.windows(2).all(|w| w[0] == w[1]), "spans left batches: {at}");
+                got.extend(rows);
             }
+            assert_eq!(got, want, "{at}");
+            assert!(tracker.peak() <= case.largest_group_bytes(), "peak: {at}");
+            assert!(shared == 0 || tracker.peak() > 0, "a joined group is tracked: {at}");
+            assert_eq!(tracker.current(), 0, "{at}");
+            let joined = annotation(&metrics, "groups_joined").map(|n| n.parse::<usize>());
+            assert_eq!(joined, Some(Ok(shared)), "{at}");
         }
     }
 }

@@ -2,9 +2,10 @@
 //! query must return **identical** results under morsel-driven parallel
 //! execution and serial execution, for each of the three storage schemes.
 //! The morsel size is forced far below the defaults so that every table
-//! splits into many morsels and all the merge paths (the streaming scan's
-//! ordered concat, probe match-list concat, partial-aggregate fold)
-//! actually run. Join indexes and sorts are built as at width 1.
+//! splits into many morsels and both merge paths (the streaming scan's
+//! ordered concat, the partial-aggregate fold) actually run. Everything
+//! above a leaf — joins and sorts included — runs as at width 1, and
+//! `no_join_fans_out` pins that no join books a morsel.
 //!
 //! The worker count honours `BDCC_THREADS` (default 4) and the morsel
 //! size honours `BDCC_MORSEL_ROWS` (default 256) so CI can run the same
@@ -19,8 +20,8 @@ use bdcc_exec::ops::scan::{Run, Scan, ScanBlueprint};
 use bdcc_exec::parallel::morsel::split_runs;
 use bdcc_exec::parallel::{FragmentBlueprint, ParallelAggregate};
 use bdcc_exec::{
-    AggFunc, AggSpec, Expr, MemoryBroker, MemoryTracker, OpMetrics, ParallelConfig, QueryContext,
-    SpillMode,
+    explain_analyze, AggFunc, AggSpec, Expr, MemoryBroker, MemoryTracker, OpMetrics,
+    ParallelConfig, ProfileNode, QueryContext, SpillMode,
 };
 use bdcc_storage::IoTracker;
 
@@ -31,9 +32,8 @@ fn test_threads() -> usize {
 }
 
 /// Morsel size under test: `BDCC_MORSEL_ROWS`, default 256 — small enough
-/// that even SF 0.002 tables split into dozens of morsels and every probe
-/// round beyond it fans out (CI also runs a tiny-morsel configuration to
-/// stress probe-morsel splitting).
+/// that even SF 0.002 tables split into dozens of morsels (CI also runs a
+/// tiny-morsel configuration to stress scan-morsel splitting).
 fn test_morsel_rows() -> usize {
     std::env::var("BDCC_MORSEL_ROWS").ok().and_then(|v| v.parse().ok()).unwrap_or(256)
 }
@@ -129,13 +129,13 @@ fn all_queries_parallel_equals_serial_on_all_schemes() {
 }
 
 #[test]
-fn tiny_morsels_force_many_scan_and_probe_morsels() {
-    // 32-row morsels split every scan into many morsels and every probe
-    // round into many row-range probe morsels; join- and sort-heavy
-    // queries must still match serial execution exactly.
+fn tiny_morsels_force_many_scan_morsels() {
+    // 32-row morsels split every scan into many morsels; join- and
+    // sort-heavy queries (inner, semi, anti and left outer joins) must
+    // still match serial execution exactly.
     let (sf, sdbs) = schemes();
     let par_cfg = ParallelConfig { threads: test_threads().max(2), morsel_rows: 32 };
-    let heavy = [2usize, 3, 10, 13, 18, 21];
+    let heavy = [2usize, 3, 4, 10, 13, 18, 21, 22];
     let mut failures = Vec::new();
     for q in all_queries().into_iter().filter(|q| heavy.contains(&q.id)) {
         for sdb in &sdbs {
@@ -161,46 +161,38 @@ fn tiny_morsels_force_many_scan_and_probe_morsels() {
 }
 
 #[test]
-fn probe_morsel_matrix_agrees_with_serial() {
-    // The parallel-probe matrix: tiny probe morsels × worker counts
-    // {1, BDCC_THREADS} × all three schemes, over the join-heavy queries
-    // (probe rounds split into many row-range morsels; Semi/Anti take the
-    // existence fast path; the sandwich join fans out oversized groups).
+fn no_join_fans_out() {
+    // A join probes on the calling thread at every width: at 4 threads and
+    // 32-row morsels no `Join…` profile node books a morsel, while the
+    // scans and leaf aggregates below the joins still do. Q03, Q04, Q13,
+    // Q18 and Q21 hold inner, semi, left outer and anti joins; spill is
+    // off so every hash join probes in memory.
     let (sf, sdbs) = schemes();
-    let heavy = [3usize, 4, 10, 18, 21, 22]; // inner, semi, anti, outer probes
-    let mut failures = Vec::new();
-    for threads in [1, test_threads().max(2)] {
-        for morsel_rows in [16, 64] {
-            let cfg = ParallelConfig { threads, morsel_rows };
-            for q in all_queries().into_iter().filter(|q| heavy.contains(&q.id)) {
-                for sdb in &sdbs {
-                    let serial = (q.run)(&QueryCtx::new(QueryContext::new(Arc::clone(sdb)), sf));
-                    let parallel = (q.run)(&QueryCtx::new(
-                        QueryContext::with_parallel(Arc::clone(sdb), cfg.clone()),
-                        sf,
-                    ));
-                    match (serial, parallel) {
-                        (Ok(s), Ok(p)) => {
-                            let (s, p) = (canonical_rows(&s), canonical_rows(&p));
-                            if !rows_equivalent(&s, &p) {
-                                failures.push(format!(
-                                    "{} on {} ({threads}t, {morsel_rows}-row morsels)",
-                                    q.name,
-                                    sdb.scheme.name()
-                                ));
-                            }
-                        }
-                        (Err(e), _) | (_, Err(e)) => failures.push(format!(
-                            "{} on {} ({threads}t, {morsel_rows}-row morsels): {e}",
-                            q.name,
-                            sdb.scheme.name()
-                        )),
+    let cfg = ParallelConfig { threads: 4, morsel_rows: 32 };
+    let picked = [3usize, 4, 13, 18, 21];
+    for sdb in &sdbs {
+        let qc =
+            || QueryContext::with_parallel(Arc::clone(sdb), cfg.clone()).with_spill(SpillMode::Off);
+        for q in all_queries().into_iter().filter(|q| picked.contains(&q.id)) {
+            let ctx = QueryCtx::recording(qc(), sf);
+            (q.run)(&ctx).expect("query runs");
+            let mut joins = 0;
+            for plan in ctx.take_plans() {
+                let analyzed = explain_analyze(&qc(), &plan).expect("explain analyze");
+                let mut morsels = 0;
+                analyzed.profile.root.walk(&mut |node: &ProfileNode| {
+                    morsels += node.morsels;
+                    if node.label.starts_with("Join") {
+                        joins += 1;
+                        let at = format!("{} on {}: {}", q.name, sdb.scheme.name(), node.label);
+                        assert_eq!(node.morsels, 0, "{at} fanned out");
                     }
-                }
+                });
+                assert!(morsels > 0, "{} on {}: no leaf fanned out", q.name, sdb.scheme.name());
             }
+            assert!(joins > 0, "{} on {} plans a join", q.name, sdb.scheme.name());
         }
     }
-    assert!(failures.is_empty(), "probe-morsel disagreement: {}", failures.join(", "));
 }
 
 #[test]

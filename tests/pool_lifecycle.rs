@@ -3,13 +3,12 @@
 //! in-flight bounds — live next to the pool in `bdcc-pool` and
 //! `bdcc-exec::parallel::pool`):
 //!
-//! * **Nested fan-outs terminate**: a parallel probe round is a blocking
-//!   fan-out issued *while the streaming scan feeding it has live
-//!   producers on the same pool* — on both sides of a sandwich join. At 4
-//!   workers and tiny morsels these shapes deadlock unless a blocked
-//!   fan-out lends its calling thread to the pool; the join-heavy queries
-//!   here prove they complete and stay byte-equivalent to serial
-//!   execution.
+//! * **Concurrent fan-outs terminate**: a join keeps streaming scans live
+//!   on the same pool — on both sides of a sandwich join or a semi / anti
+//!   race — and a partial-aggregate fan-out may block while their
+//!   producers hold the workers. At 4 workers and tiny morsels the
+//!   join-heavy queries here prove these shapes complete and stay
+//!   byte-equivalent to serial execution.
 //! * **No OS thread after warm-up**: across a multi-query, multi-scheme,
 //!   multi-config run, the pool's monotone spawn counter must not move
 //!   once the widest fan-out has been seen — the persistent-pool
@@ -47,10 +46,9 @@ fn warm_to_setup_width() {
 #[test]
 fn nested_fan_outs_inside_streaming_scans_complete_and_match_serial() {
     let (sf, sdbs) = schemes();
-    // Join-heavy queries: streaming scans feed hash-join probe rounds
-    // (inner, semi, anti, outer) and — on the BDCC scheme — sandwich
-    // joins whose probe rounds fan out mid-stream. 48-row morsels make
-    // every probe round many-morsel.
+    // Join-heavy queries: streaming scans feed hash joins (inner, semi,
+    // anti, outer) and — on the BDCC scheme — sandwich joins that stream
+    // both sides at once. 48-row morsels make every scan many-morsel.
     let heavy = [3usize, 10, 18, 21];
     let mut failures = Vec::new();
     for q in all_queries().into_iter().filter(|q| heavy.contains(&q.id)) {
@@ -90,7 +88,7 @@ fn no_os_thread_is_created_after_warmup_across_queries() {
     assert!(warm >= 4, "warm-up must have populated the pool (spawned {warm})");
 
     // Multi-query run: several queries × all schemes × several configs,
-    // none wider than the warm-up. Every fan-out — scans, join probes,
+    // none wider than the warm-up. Every fan-out — streaming scans and
     // partial-merge aggregations — must reuse the parked workers.
     let mix = [1usize, 3, 6, 10, 18];
     for (i, q) in all_queries().into_iter().filter(|q| mix.contains(&q.id)).enumerate() {
@@ -121,8 +119,7 @@ fn cancel_and_drop_mid_stream_release_all_memory_without_new_threads() {
     let sdb = Arc::new(plain_scheme(&db));
 
     // A join over a streaming parallel scan: dropping or cancelling the
-    // root mid-pull leaves morsel producers and probe fan-outs in flight
-    // on the shared pool.
+    // root mid-pull leaves morsel producers in flight on the shared pool.
     let nested_plan = || {
         let pb = PlanBuilder::new();
         join(
