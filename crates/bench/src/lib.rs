@@ -147,8 +147,8 @@ impl BenchReport {
         self
     }
 
-    /// Append one row to the `results` array (omitted entirely when no
-    /// row is ever pushed — flat reports like `obs_overhead` stay flat).
+    /// Append one row to the `results` array (omitted from the line when
+    /// no row is ever pushed).
     pub fn result(&mut self, row: bdcc_obs::json::Obj) {
         self.results.push_raw(&row.finish());
     }

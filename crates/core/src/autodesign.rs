@@ -269,7 +269,7 @@ pub fn design_and_cluster(db: &Database, cfg: &DesignConfig) -> Result<BdccSchem
     // would otherwise park one thread per table for the process lifetime).
     let width = std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1);
     let results: Vec<(TableId, BdccTable)> =
-        bdcc_pool::WorkerPool::shared().scope_run(width, entries.len(), |i| {
+        bdcc_pool::WorkerPool::shared().scope_run(width, entries.len(), "design-table", |i| {
             let (t, specs) = &entries[i];
             cluster_table_with(db, *t, specs, &dimensions, &lookups, &cfg.selftune)
                 .map(|bt| (*t, bt))

@@ -54,7 +54,8 @@ use crate::kernel::FilterProgram;
 use crate::memory::{MemoryGuard, MemoryTracker};
 use crate::ops::Operator;
 use crate::parallel::morsel::{split_runs, Morsel};
-use crate::parallel::{note_morsel, pool, ParallelConfig};
+use crate::parallel::pool::OrderedStream;
+use crate::parallel::{note_morsel, ParallelConfig};
 use crate::pred::{predicates_to_expr, ColPredicate};
 
 /// One row range of the stored table, read as a unit: a selected
@@ -334,7 +335,7 @@ const STREAM_CAP_PER_THREAD: usize = 2;
 
 /// Finished morsels in run order: each one's batches and the registration
 /// that keeps them charged until the consumer has drained them.
-type MorselStream = pool::OrderedStream<(Vec<Batch>, MemoryGuard)>;
+type MorselStream = OrderedStream<(Vec<Batch>, MemoryGuard), ExecError>;
 
 /// How a [`Scan`] walks its runs.
 enum Walk {
@@ -460,11 +461,11 @@ fn spawn_stream(
 ) -> MorselStream {
     let (blueprint, io, metrics) = (Arc::clone(blueprint), io.clone(), metrics.clone());
     let (governor, tracker) = (governor.clone(), Arc::clone(tracker));
-    pool::OrderedStream::spawn_labeled(
+    OrderedStream::spawn(
         threads,
         morsels.len(),
         threads * STREAM_CAP_PER_THREAD,
-        Some("scan-morsel"),
+        "scan-morsel",
         move |i| {
             // One governor poll per morsel: a cancelled/over-deadline
             // query stops this producer before it scans another morsel.

@@ -16,17 +16,18 @@
 //! ([`morsel::split_runs`]: whole runs, coalesced up to the row budget), so
 //! morsel boundaries are batch boundaries of the inline walk.
 //!
-//! One **persistent, process-wide [work-stealing pool](pool)** of `std`
-//! threads executes per-morsel operator fragments — scan, then any
-//! filter/project steps, then (when the plan shape allows) a per-worker
-//! *partial aggregate*. The pool's workers are created once (warmed by
+//! One **persistent, process-wide [worker pool](pool::WorkerPool)** of
+//! `std` threads (`bdcc-pool`, whose module docs hold the contracts)
+//! executes per-morsel operator fragments — scan, then any filter/project
+//! steps, then (when the plan shape allows) a per-worker *partial
+//! aggregate*. The pool's workers are created once (warmed by
 //! [`QueryContext::with_parallel`]) and parked between fan-outs, so an
 //! aggregation fan-out costs queue operations, not thread create/join;
 //! nested fan-outs are deadlock-free because a blocked fan-out lends its
-//! calling thread to the pool ([`pool`] documents the lending rule). The
-//! leaf scan itself streams: wider than one thread and longer than one
-//! morsel, [`Scan`] submits its morsels to the same pool through a
-//! **bounded reorder buffer** ([`pool::OrderedStream`]), so downstream
+//! calling thread to the pool. The leaf scan itself streams: wider than
+//! one thread and longer than one morsel, [`Scan`] submits its morsels to
+//! the same pool through a **bounded reorder buffer**
+//! ([`pool::OrderedStream`]), so downstream
 //! operators consume batches while workers are still scanning and peak
 //! memory stays O(threads × morsel) instead of O(table); at one thread or
 //! one morsel the same operator walks its runs on the calling thread.
@@ -78,7 +79,12 @@
 //! [`QueryContext::with_parallel`]: crate::planner::QueryContext::with_parallel
 
 pub mod morsel;
-pub mod pool;
+
+/// The shared worker pool, re-exported where the executor's callers look
+/// for it.
+pub mod pool {
+    pub use bdcc_pool::{OrderedStream, PoolStats, WorkerPool};
+}
 
 use std::sync::Arc;
 
@@ -99,8 +105,8 @@ pub use morsel::Morsel;
 
 /// Default morsel size in rows (two MinMax blocks): small enough that a
 /// laptop-scale table yields many times more morsels than workers (the
-/// slack work stealing needs), large enough that per-morsel setup is
-/// noise.
+/// slack that keeps every worker busy to the end of a fan-out), large
+/// enough that per-morsel setup is noise.
 pub const DEFAULT_MORSEL_ROWS: usize = 8192;
 
 /// Parallel execution parameters.
@@ -255,14 +261,18 @@ impl Operator for ParallelAggregate {
         }
         self.done = true;
         let morsels = self.fragment.scan.morsels(self.cfg.morsel_rows);
-        let mut partials =
-            pool::run_tasks_labeled(self.cfg.threads, morsels.len(), "agg-partial", |i| {
+        let mut partials = pool::WorkerPool::shared().scope_run(
+            self.cfg.threads,
+            morsels.len(),
+            "agg-partial",
+            |i| -> Result<PartialAgg> {
                 self.governor.check("agg-partial")?;
                 let span = self.metrics.as_ref().map(|_| SpanTimer::start());
                 let (p, rows) = self.morsel_partial(&morsels[i])?;
                 note_morsel(&self.metrics, span, rows);
                 Ok(p)
-            })?;
+            },
+        )?;
         if partials.is_empty() {
             // No morsels: the global aggregate's zero row.
             partials.push(self.empty.clone());

@@ -95,7 +95,6 @@ fn pool_pairs(p: &PoolStats) -> Vec<(String, u64)> {
     vec![
         ("workers".into(), p.workers as u64),
         ("jobs".into(), p.jobs),
-        ("steals".into(), p.steals),
         ("parks".into(), p.parks),
         ("lends".into(), p.lends),
         ("lent_jobs".into(), p.lent_jobs),

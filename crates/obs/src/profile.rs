@@ -284,7 +284,7 @@ pub struct QueryProfile {
     pub io_random_seeks: u64,
     pub io_sequential: u64,
     /// Worker-pool telemetry for the query's span, as `(counter, delta)`
-    /// pairs — e.g. `("jobs", 420)`, `("steals", 17)`.
+    /// pairs — e.g. `("jobs", 420)`, `("parks", 17)`.
     pub pool: Vec<(String, u64)>,
 }
 

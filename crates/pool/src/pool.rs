@@ -1,30 +1,27 @@
-//! The persistent work-stealing worker pool.
+//! The persistent worker pool.
 //!
 //! ## Architecture
 //!
 //! A [`WorkerPool`] owns a set of long-lived worker threads that park on a
 //! condition variable when idle. Work arrives as index-addressed **jobs**
-//! in two kinds of queues:
+//! in **one FIFO queue** behind one mutex: a blocking fan-out
+//! ([`WorkerPool::scope_run`]) pushes its `ntasks` jobs to the back, and a
+//! streaming fan-out ([`OrderedStream`]) submits one job per in-flight
+//! morsel to the back. A worker takes the first *claimable* job from the
+//! front. One lock is plenty at morsel granularity: a task is thousands of
+//! rows, and queue operations are a rounding error next to task bodies.
 //!
-//! * an **injector** — the FIFO entry point for streaming work
-//!   ([`OrderedStream`] submits one job per in-flight morsel here);
-//! * **per-worker deques** — blocking fan-outs ([`WorkerPool::scope_run`])
-//!   seed their task indices round-robin across a window of worker deques
-//!   (neighbouring, usually similarly sized morsels spread across
-//!   workers). A worker pops from the *front* of its own deque and, when
-//!   empty, takes from the injector or steals from the *back* of a
-//!   victim's deque — the classic discipline, implemented with mutexed
-//!   deques, which is plenty at morsel granularity (a task is thousands
-//!   of rows; queue operations are a rounding error next to task bodies).
+//! Every fan-out carries a **claim gate** capping its concurrent task
+//! bodies at the width it asked for, so a narrow fan-out stays narrow even
+//! when a wider warm-up left extra workers idle. A job is claimable when
+//! its gate has a free slot; a taker skips the jobs of a saturated fan-out
+//! (after one denied claim, by pointer identity) and runs the first job
+//! behind them whose fan-out has room.
 //!
 //! Workers are spawned lazily ([`WorkerPool::ensure_workers`]) and only
 //! ever *grow* to the largest width any caller asked for; after that
 //! warm-up no OS thread is ever created again ([`WorkerPool::stats`]
-//! exposes the monotone spawn counter that pins this in tests). Sharing
-//! cuts the other way too: every fan-out carries a **claim gate** capping
-//! its concurrent task bodies at the width it asked for, so a narrow
-//! fan-out stays narrow even when a wider warm-up left extra workers
-//! idle — stealing never runs a fan-out wider than its configuration.
+//! exposes the monotone spawn counter that pins this in tests).
 //! Dropping a pool shuts it down gracefully: workers finish the queued
 //! jobs, park out, and are joined.
 //!
@@ -34,20 +31,24 @@
 //! until every task finished, returning results **in task order** —
 //! whatever order workers finished in — the property every merge in the
 //! execution subsystem relies on for determinism. While it waits, the
-//! calling thread is **lent to the pool**: it first drains its own
-//! scope's unstarted tasks, then runs any other queued job, and only
+//! calling thread is **lent to the pool**: it takes its own scope's first
+//! claimable job, else the first claimable job of any fan-out, and only
 //! parks when there is nothing runnable anywhere. Lending is what makes
 //! *nested* fan-outs deadlock-free: a task that itself calls `scope_run`
 //! (a table's per-column fan-out inside schema design's per-table
 //! fan-out) always has at least one thread — its own caller — making
 //! progress on its sub-tasks, so a bottom-most scope can always finish,
-//! unwinding the whole stack of waiters. (Each *blocked* scope therefore keeps exactly its caller
-//! busy; no thread ever sleeps while runnable work exists.)
+//! unwinding the whole stack of waiters. (Each *blocked* scope therefore
+//! keeps exactly its caller busy; no thread ever sleeps while runnable
+//! work exists.)
 //!
 //! Error/panic contract: the first task error — in task
 //! order — is returned after every claimed task ran or was skipped; once
 //! any task errs, workers stop *starting* this scope's tasks. A panicking
-//! task is re-raised on the calling thread after the scope drains.
+//! task is re-raised on the calling thread after the scope drains, as a
+//! message naming the fan-out site (`pool job 'agg-partial' panicked:
+//! ...`), so a worker panic during a many-client serving run identifies
+//! the operator that died.
 //!
 //! Because scope tasks may borrow the caller's stack (the closure is not
 //! `'static`), scope jobs are type-erased behind raw pointers; safety
@@ -97,9 +98,9 @@ struct Job {
 }
 
 /// Bounds one fan-out's concurrent task bodies to the width it asked for:
-/// seeding only `width` deques is not enough on a shared pool, because
-/// idle workers of a wider warm-up would steal past it. Claims are taken
-/// under the queues lock (job selection), released when the body retires.
+/// on a shared pool warmed wider, idle workers would otherwise take every
+/// queued job of a narrow fan-out at once. Claims are taken under the
+/// queues lock (job selection), released when the body retires.
 struct ClaimGate {
     active: AtomicUsize,
     limit: usize,
@@ -128,22 +129,21 @@ impl ClaimGate {
 trait JobRunner: Send + Sync {
     /// Reserve one concurrency slot of this job's fan-out. Called under
     /// the queues lock while selecting a job; a `false` leaves the job
-    /// queued for later (its fan-out is already running `width` bodies —
-    /// stealing must not run a fan-out wider than it asked for).
+    /// queued for later (its fan-out is already running `width` bodies).
     /// [`run`](Self::run) releases the slot when the body retires.
     fn try_claim(&self) -> bool;
     fn run(&self, index: usize);
 }
 
-/// Scan a deque in pop order and take the first job whose fan-out has a
-/// free concurrency slot (claimed as part of the removal — callers run
-/// what they take). All jobs of one fan-out share one gate, so after a
-/// runner denies a claim its remaining jobs are skipped by pointer
-/// identity — a saturated 2500-morsel scope costs the scan one CAS plus
-/// cheap pointer compares, not one CAS per queued job.
-fn take_claimable(d: &mut VecDeque<Job>, from_front: bool) -> Option<Job> {
+/// Take the first queued job whose fan-out has a free concurrency slot
+/// (claimed as part of the removal — callers run what they take). All
+/// jobs of one fan-out share one gate, so after a runner denies a claim
+/// its remaining jobs are skipped by pointer identity — a saturated
+/// 2500-morsel scope costs the scan one CAS plus cheap pointer compares,
+/// not one CAS per queued job.
+fn take_claimable(jobs: &mut VecDeque<Job>) -> Option<Job> {
     let mut denied: Vec<*const ()> = Vec::new();
-    let mut check = |j: &Job| {
+    let idx = jobs.iter().position(|j| {
         let key = Arc::as_ptr(&j.runner) as *const ();
         if denied.contains(&key) {
             return false;
@@ -153,22 +153,18 @@ fn take_claimable(d: &mut VecDeque<Job>, from_front: bool) -> Option<Job> {
             denied.push(key);
         }
         ok
-    };
-    let idx = if from_front {
-        (0..d.len()).find(|&i| check(&d[i]))
-    } else {
-        (0..d.len()).rev().find(|&i| check(&d[i]))
-    }?;
-    d.remove(idx)
+    })?;
+    jobs.remove(idx)
 }
 
-/// The queues, guarded by one mutex: at morsel granularity a fan-out
+/// The job queue, guarded by one mutex: at morsel granularity a fan-out
 /// performs a handful of queue operations per task body of thousands of
-/// rows, so a single lock is simpler than per-queue locks and just as
-/// invisible in profiles.
+/// rows, so a single FIFO behind a single lock is as invisible in profiles
+/// as anything finer.
 struct Queues {
-    injector: VecDeque<Job>,
-    locals: Vec<VecDeque<Job>>,
+    jobs: VecDeque<Job>,
+    /// Worker threads spawned so far (the pool only grows).
+    workers: usize,
     shutdown: bool,
     /// Telemetry (see [`PoolStats`]). Plain fields, not atomics: every
     /// pop, push and park already holds this mutex, so counting here is
@@ -180,7 +176,6 @@ struct Queues {
 #[derive(Debug, Default)]
 struct PoolCounters {
     jobs: u64,
-    steals: u64,
     parks: u64,
     lends: u64,
     lent_jobs: u64,
@@ -189,79 +184,34 @@ struct PoolCounters {
 }
 
 impl Queues {
-    /// Record the current total queue depth into the high-water mark;
-    /// called after pushes (scope seeding, stream submission).
-    fn note_depth(&mut self) {
-        let depth =
-            (self.injector.len() + self.locals.iter().map(|d| d.len()).sum::<usize>()) as u64;
-        self.counters.queue_depth_hwm = self.counters.queue_depth_hwm.max(depth);
+    /// Append `jobs` to the queue and record the depth's high-water mark.
+    fn push(&mut self, jobs: impl IntoIterator<Item = Job>) {
+        self.jobs.extend(jobs);
+        self.counters.queue_depth_hwm = self.counters.queue_depth_hwm.max(self.jobs.len() as u64);
     }
 
-    /// Worker `me`'s pop order: own front, injector, steal a victim's
-    /// back — skipping jobs whose fan-out is at its concurrency limit.
+    /// Worker `me`'s pop: the first claimable job.
     fn pop_for(&mut self, me: usize) -> Option<Job> {
-        if let Some(j) = take_claimable(&mut self.locals[me], true) {
-            self.counters.jobs += 1;
-            self.counters.worker_jobs[me] += 1;
-            return Some(j);
-        }
-        if let Some(j) = take_claimable(&mut self.injector, true) {
-            self.counters.jobs += 1;
-            self.counters.worker_jobs[me] += 1;
-            return Some(j);
-        }
-        let n = self.locals.len();
-        for v in (me + 1..n).chain(0..me) {
-            if let Some(j) = take_claimable(&mut self.locals[v], false) {
-                self.counters.jobs += 1;
-                self.counters.steals += 1;
-                self.counters.worker_jobs[me] += 1;
-                return Some(j);
-            }
-        }
-        None
+        let j = take_claimable(&mut self.jobs)?;
+        self.counters.jobs += 1;
+        self.counters.worker_jobs[me] += 1;
+        Some(j)
     }
 
-    /// A lent (non-worker) thread's pop order: injector, then steal.
-    fn pop_any(&mut self) -> Option<Job> {
-        if let Some(j) = take_claimable(&mut self.injector, true) {
-            self.counters.jobs += 1;
-            self.counters.lent_jobs += 1;
-            return Some(j);
-        }
-        for d in &mut self.locals {
-            if let Some(j) = take_claimable(d, false) {
-                self.counters.jobs += 1;
-                self.counters.steals += 1;
-                self.counters.lent_jobs += 1;
-                return Some(j);
-            }
-        }
-        None
-    }
-
-    /// Remove a claimable queued job belonging to `runner`, if any — the
-    /// lent caller's own-scope-first preference. One claim decides the
-    /// whole scan: every job of the runner shares the same gate, so the
-    /// first match either claims or nothing here is claimable.
-    fn pop_matching(&mut self, runner: &Arc<dyn JobRunner>) -> Option<Job> {
-        let hit = |j: &Job| Arc::ptr_eq(&j.runner, runner);
-        let taken = 'found: {
-            if let Some(p) = self.injector.iter().position(hit) {
-                break 'found runner.try_claim().then(|| self.injector.remove(p)).flatten();
-            }
-            for d in &mut self.locals {
-                if let Some(p) = d.iter().position(hit) {
-                    break 'found runner.try_claim().then(|| d.remove(p)).flatten();
-                }
-            }
-            None
-        };
-        if taken.is_some() {
-            self.counters.jobs += 1;
-            self.counters.lent_jobs += 1;
-        }
-        taken
+    /// A lent `scope_run` caller's pop: its own scope's first queued job
+    /// if that scope has a free slot, else the first claimable job of any
+    /// fan-out. One claim decides the own-scope check: every job of the
+    /// runner shares the same gate, so the first match either claims or
+    /// none of them is claimable.
+    fn pop_lent(&mut self, own: &Arc<dyn JobRunner>) -> Option<Job> {
+        let mine = self.jobs.iter().position(|j| Arc::ptr_eq(&j.runner, own));
+        let j = match mine {
+            Some(p) if own.try_claim() => self.jobs.remove(p),
+            _ => take_claimable(&mut self.jobs),
+        }?;
+        self.counters.jobs += 1;
+        self.counters.lent_jobs += 1;
+        Some(j)
     }
 }
 
@@ -271,12 +221,6 @@ struct PoolShared {
     /// wait here for work, lent callers wait here for either more work or
     /// their scope's completion.
     work_cond: Condvar,
-    /// Monotone count of OS threads this pool ever spawned (the warm-up
-    /// invariant [`WorkerPool::stats`] exposes).
-    spawned_total: AtomicUsize,
-    /// Rotates the round-robin seed start so concurrent scopes don't all
-    /// pile onto worker 0.
-    seed_cursor: AtomicUsize,
 }
 
 impl PoolShared {
@@ -300,10 +244,10 @@ pub struct PoolStats {
     /// OS threads ever spawned by this pool — monotone; constant after
     /// warm-up is the persistent-pool guarantee.
     pub threads_spawned_total: usize,
-    /// Job bodies taken from the queues (all paths: own deque, injector,
-    /// steals, lent threads).
+    /// Job bodies taken from the queue (by workers and lent threads).
     pub jobs: u64,
-    /// Jobs taken from a deque the taker does not own.
+    /// Always 0: the pool has one shared queue and nothing to steal from.
+    /// Kept because the scoreboard's `pool_steals` column reads it.
     pub steals: u64,
     /// Times a thread went to sleep on the work condvar (idle workers and
     /// blocked scope callers with nothing runnable).
@@ -315,7 +259,7 @@ pub struct PoolStats {
     pub lent_jobs: u64,
     /// High-water mark of total queued (not yet taken) jobs.
     pub queue_depth_hwm: u64,
-    /// Jobs taken by each worker, indexed like the worker deques.
+    /// Jobs taken by each worker, indexed by worker number.
     pub worker_jobs: Vec<u64>,
 }
 
@@ -330,7 +274,7 @@ impl PoolStats {
             workers: self.workers,
             threads_spawned_total: self.threads_spawned_total,
             jobs: self.jobs.saturating_sub(base.jobs),
-            steals: self.steals.saturating_sub(base.steals),
+            steals: 0,
             parks: self.parks.saturating_sub(base.parks),
             lends: self.lends.saturating_sub(base.lends),
             lent_jobs: self.lent_jobs.saturating_sub(base.lent_jobs),
@@ -361,14 +305,12 @@ impl WorkerPool {
         let pool = WorkerPool {
             shared: Arc::new(PoolShared {
                 queues: Mutex::new(Queues {
-                    injector: VecDeque::new(),
-                    locals: Vec::new(),
+                    jobs: VecDeque::new(),
+                    workers: 0,
                     shutdown: false,
                     counters: PoolCounters::default(),
                 }),
                 work_cond: Condvar::new(),
-                spawned_total: AtomicUsize::new(0),
-                seed_cursor: AtomicUsize::new(0),
             }),
             handles: Mutex::new(Vec::new()),
         };
@@ -391,11 +333,10 @@ impl WorkerPool {
     pub fn ensure_workers(&self, n: usize) {
         let mut q = self.shared.queues.lock().expect("pool queues poisoned");
         let mut handles = self.handles.lock().expect("pool handles poisoned");
-        while q.locals.len() < n {
-            let me = q.locals.len();
-            q.locals.push(VecDeque::new());
+        while q.workers < n {
+            let me = q.workers;
+            q.workers += 1;
             q.counters.worker_jobs.push(0);
-            self.shared.spawned_total.fetch_add(1, Ordering::Relaxed);
             let shared = Arc::clone(&self.shared);
             let h = std::thread::Builder::new()
                 .name(format!("bdcc-worker-{me}"))
@@ -406,14 +347,16 @@ impl WorkerPool {
     }
 
     /// Snapshot of the pool's telemetry: thread counts plus the
-    /// scheduling counters (jobs, steals, parks, lends, queue depth).
+    /// scheduling counters (jobs, parks, lends, queue depth). Workers are
+    /// never dropped while the pool lives, so the spawn total is the
+    /// worker count.
     pub fn stats(&self) -> PoolStats {
         let q = self.shared.queues.lock().expect("pool queues poisoned");
         PoolStats {
-            workers: q.locals.len(),
-            threads_spawned_total: self.shared.spawned_total.load(Ordering::Relaxed),
+            workers: q.workers,
+            threads_spawned_total: q.workers,
             jobs: q.counters.jobs,
-            steals: q.counters.steals,
+            steals: 0,
             parks: q.counters.parks,
             lends: q.counters.lends,
             lent_jobs: q.counters.lent_jobs,
@@ -425,28 +368,15 @@ impl WorkerPool {
     /// Run `task(0..ntasks)` across up to `width` workers plus the lent
     /// calling thread, blocking until every task finished; results return
     /// in task order. `width <= 1` or `ntasks <= 1` runs inline on the
-    /// caller with zero pool interaction. See the [module docs](self) for
-    /// the full error/panic contract and the lending rule.
-    pub fn scope_run<T, E, F>(&self, width: usize, ntasks: usize, task: F) -> Result<Vec<T>, E>
-    where
-        T: Send,
-        E: Send + From<PoolFailure>,
-        F: Fn(usize) -> Result<T, E> + Sync,
-    {
-        self.scope_run_labeled(width, ntasks, None, task)
-    }
-
-    /// [`scope_run`](Self::scope_run) with a static job label. The label
-    /// names the fan-out site in re-raised panic payloads (`pool job
-    /// 'scan-morsel' panicked: ...`), so a worker panic during a
-    /// many-client serving run identifies the operator that died instead
-    /// of an anonymous task index. Unlabeled scopes re-raise the original
-    /// payload untouched.
-    pub fn scope_run_labeled<T, E, F>(
+    /// caller with zero pool interaction. `label` names the fan-out site
+    /// in a re-raised panic (`pool job 'agg-partial' panicked: ...`). See
+    /// the [module docs](self) for the full error/panic contract and the
+    /// lending rule.
+    pub fn scope_run<T, E, F>(
         &self,
         width: usize,
         ntasks: usize,
-        label: Option<&'static str>,
+        label: &'static str,
         task: F,
     ) -> Result<Vec<T>, E>
     where
@@ -475,19 +405,14 @@ impl WorkerPool {
             panic: Mutex::new(None),
             label,
         });
-        {
-            let mut q = self.shared.queues.lock().expect("pool queues poisoned");
-            let n = q.locals.len().max(1);
-            let w = width.min(n);
-            let start = self.shared.seed_cursor.fetch_add(1, Ordering::Relaxed);
-            for t in 0..ntasks {
-                let runner: Arc<dyn JobRunner> = Arc::clone(&core) as Arc<dyn JobRunner>;
-                q.locals[(start + t % w) % n].push_back(Job { runner, index: t });
-            }
-            q.note_depth();
-        }
+        let runner: Arc<dyn JobRunner> = Arc::clone(&core) as Arc<dyn JobRunner>;
+        self.shared
+            .queues
+            .lock()
+            .expect("pool queues poisoned")
+            .push((0..ntasks).map(|index| Job { runner: Arc::clone(&runner), index }));
         self.shared.work_cond.notify_all();
-        self.drain_scope(&core);
+        self.drain_scope(&core, &runner);
         if let Some(p) = core.panic.lock().expect("scope panic slot poisoned").take() {
             resume_unwind(p);
         }
@@ -499,8 +424,7 @@ impl WorkerPool {
     /// only when nothing anywhere is runnable (woken by every job push
     /// and every retirement — either may complete the scope or free a
     /// concurrency slot).
-    fn drain_scope(&self, core: &Arc<ScopeCore>) {
-        let own: Arc<dyn JobRunner> = Arc::clone(core) as Arc<dyn JobRunner>;
+    fn drain_scope(&self, core: &ScopeCore, own: &Arc<dyn JobRunner>) {
         {
             let mut q = self.shared.queues.lock().expect("pool queues poisoned");
             q.counters.lends += 1;
@@ -514,7 +438,7 @@ impl WorkerPool {
                 if core.remaining.load(Ordering::Acquire) == 0 {
                     return;
                 }
-                match q.pop_matching(&own).or_else(|| q.pop_any()) {
+                match q.pop_lent(own) {
                     Some(j) => Some(j),
                     None => {
                         q.counters.parks += 1;
@@ -531,17 +455,9 @@ impl WorkerPool {
         }
     }
 
-    /// Enqueue one streaming job on the injector.
+    /// Enqueue one streaming job at the back of the queue.
     fn submit(&self, runner: Arc<dyn JobRunner>, index: usize) {
-        {
-            let mut q = self.shared.queues.lock().expect("pool queues poisoned");
-            q.injector.push_back(Job { runner, index });
-            q.note_depth();
-        }
-        self.work_cond_notify();
-    }
-
-    fn work_cond_notify(&self) {
+        self.shared.queues.lock().expect("pool queues poisoned").push([Job { runner, index }]);
         self.shared.work_cond.notify_all();
     }
 }
@@ -634,9 +550,8 @@ struct ScopeCore {
     failed: AtomicBool,
     /// First panic payload, re-raised on the calling thread.
     panic: Mutex<Option<Box<dyn Any + Send>>>,
-    /// Fan-out site name, prefixed onto re-raised panic payloads; `None`
-    /// re-raises the original payload untouched.
-    label: Option<&'static str>,
+    /// Fan-out site name, prefixed onto re-raised panic payloads.
+    label: &'static str,
 }
 
 /// Render a caught panic payload for embedding in a labeled message.
@@ -663,7 +578,7 @@ impl JobRunner for ScopeCore {
             // strictly after this body).
             match catch_unwind(AssertUnwindSafe(|| {
                 if let Some(inj) = crate::inject::global() {
-                    inj.job_boundary(self.label.unwrap_or("scope-job"));
+                    inj.job_boundary(self.label);
                 }
                 unsafe { (self.run_one)(self.data, index) }
             })) {
@@ -675,16 +590,11 @@ impl JobRunner for ScopeCore {
                 Err(payload) => {
                     let mut slot = self.panic.lock().expect("scope panic slot poisoned");
                     if slot.is_none() {
-                        // A labeled scope re-raises a message naming the
-                        // fan-out site; an unlabeled one re-raises the
-                        // caller's original payload untouched.
-                        *slot = Some(match self.label {
-                            Some(l) => Box::new(format!(
-                                "pool job '{l}' panicked: {}",
-                                panic_message(payload.as_ref())
-                            )),
-                            None => payload,
-                        });
+                        *slot = Some(Box::new(format!(
+                            "pool job '{}' panicked: {}",
+                            self.label,
+                            panic_message(payload.as_ref())
+                        )));
                     }
                     self.failed.store(true, Ordering::Relaxed);
                 }
@@ -758,7 +668,7 @@ struct StreamJob<T, E> {
     /// whatever the warm pool's width.
     gate: ClaimGate,
     /// Fan-out site name included in panic-derived [`PoolFailure`]s.
-    label: Option<&'static str>,
+    label: &'static str,
 }
 
 impl<T, E> JobRunner for StreamJob<T, E>
@@ -787,16 +697,13 @@ where
         // task's index instead.
         let r = catch_unwind(AssertUnwindSafe(|| {
             if let Some(inj) = crate::inject::global() {
-                inj.job_boundary(self.label.unwrap_or("stream-job"));
+                inj.job_boundary(self.label);
             }
             (self.shared.task)(index)
         }))
         .unwrap_or_else(|p| {
             let msg = panic_message(p.as_ref());
-            Err(E::from(PoolFailure(match self.label {
-                Some(l) => format!("streaming worker '{l}' panicked: {msg}"),
-                None => format!("streaming worker panicked: {msg}"),
-            })))
+            Err(E::from(PoolFailure(format!("streaming worker '{}' panicked: {msg}", self.label))))
         });
         let r = {
             let mut st = self.shared.state.lock().expect("stream state poisoned");
@@ -845,20 +752,13 @@ where
     /// Start the stream on the shared pool, which is grown to at least
     /// `threads` workers. `cap` is clamped to at least `threads` (a
     /// smaller cap could not even keep one result per worker in flight).
-    pub fn spawn<F>(threads: usize, ntasks: usize, cap: usize, task: F) -> OrderedStream<T, E>
-    where
-        F: Fn(usize) -> Result<T, E> + Send + Sync + 'static,
-    {
-        OrderedStream::spawn_labeled(threads, ntasks, cap, None, task)
-    }
-
-    /// [`spawn`](Self::spawn) with a static job label naming the fan-out
-    /// site in panic-derived [`PoolFailure`] messages.
-    pub fn spawn_labeled<F>(
+    /// `label` names the fan-out site in panic-derived [`PoolFailure`]
+    /// messages.
+    pub fn spawn<F>(
         threads: usize,
         ntasks: usize,
         cap: usize,
-        label: Option<&'static str>,
+        label: &'static str,
         task: F,
     ) -> OrderedStream<T, E>
     where
@@ -964,7 +864,7 @@ impl<T, E> Drop for OrderedStream<T, E> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::sync::atomic::AtomicUsize;
+    use std::time::Duration;
 
     #[derive(Debug, PartialEq, Eq)]
     struct TestErr(String);
@@ -980,7 +880,7 @@ mod tests {
     #[test]
     fn scope_results_arrive_in_task_order() {
         let pool = WorkerPool::new(4);
-        let out: Vec<usize> = pool.scope_run(4, 33, |i| R::Ok(i * 2)).unwrap();
+        let out: Vec<usize> = pool.scope_run(4, 33, "test", |i| R::Ok(i * 2)).unwrap();
         assert_eq!(out, (0..33).map(|i| i * 2).collect::<Vec<_>>());
     }
 
@@ -989,7 +889,7 @@ mod tests {
         let pool = WorkerPool::new(3);
         let counter = AtomicUsize::new(0);
         let out: Vec<usize> = pool
-            .scope_run(3, 100, |i| {
+            .scope_run(3, 100, "test", |i| {
                 counter.fetch_add(1, Ordering::Relaxed);
                 R::Ok(i)
             })
@@ -1001,19 +901,139 @@ mod tests {
     #[test]
     fn scope_propagates_first_error_in_task_order() {
         let pool = WorkerPool::new(3);
-        let r: R<Vec<usize>> =
-            pool.scope_run(
-                3,
-                20,
-                |i| {
-                    if i == 7 {
-                        Err(TestErr(format!("boom {i}")))
-                    } else {
-                        Ok(i)
-                    }
-                },
-            );
+        let r: R<Vec<usize>> = pool.scope_run(3, 20, "test", |i| {
+            if i == 7 {
+                Err(TestErr(format!("boom {i}")))
+            } else {
+                Ok(i)
+            }
+        });
         assert_eq!(r.unwrap_err(), TestErr("boom 7".into()));
+    }
+
+    #[test]
+    fn zero_tasks_is_fine() {
+        let pool = WorkerPool::new(0);
+        let out: Vec<usize> = pool.scope_run(4, 0, "test", R::Ok).unwrap();
+        assert!(out.is_empty());
+        assert_eq!(pool.stats().workers, 0, "an empty scope must not touch the pool");
+    }
+
+    #[test]
+    fn single_thread_runs_inline() {
+        let pool = WorkerPool::new(0);
+        let out: Vec<usize> = pool.scope_run(1, 5, "test", |i| R::Ok(i + 1)).unwrap();
+        assert_eq!(out, vec![1, 2, 3, 4, 5]);
+        assert_eq!(pool.stats().workers, 0, "a width-1 scope must not touch the pool");
+    }
+
+    #[test]
+    fn single_task_runs_inline_whatever_the_width() {
+        // ntasks <= 1 must not touch the pool at all: on a cold pool it
+        // would otherwise spawn workers for nothing.
+        let pool = WorkerPool::new(0);
+        let out: Vec<usize> = pool.scope_run(8, 1, "test", |i| R::Ok(i + 41)).unwrap();
+        assert_eq!(out, vec![41]);
+        assert_eq!(pool.stats(), PoolStats::default(), "a one-task scope must not touch the pool");
+    }
+
+    #[test]
+    fn error_short_circuits_remaining_tasks() {
+        // The first body to start fails; every other body waits for it to
+        // get that far (whichever task that is — waiting on task 0 by
+        // index could fill both slots with waiters). So nothing completes
+        // before the failure, at most one other body is in flight when it
+        // returns, and what else runs must start between that return and
+        // the scope being flagged — a few instructions, not a sleep.
+        let pool = WorkerPool::new(2);
+        let executed = AtomicUsize::new(0);
+        let failing = AtomicBool::new(false);
+        let r: R<Vec<usize>> = pool.scope_run(2, 64, "test", |i| {
+            if executed.fetch_add(1, Ordering::SeqCst) == 0 {
+                failing.store(true, Ordering::SeqCst);
+                return Err(TestErr("boom".into()));
+            }
+            while !failing.load(Ordering::SeqCst) {
+                std::thread::yield_now();
+            }
+            Ok(i)
+        });
+        assert_eq!(r.unwrap_err(), TestErr("boom".into()));
+        assert!(
+            executed.load(Ordering::SeqCst) < 32,
+            "short-circuit did not stop the fan-out: {} tasks ran",
+            executed.load(Ordering::SeqCst)
+        );
+    }
+
+    /// A two-party meeting point that gives up after `timeout`: `meet`
+    /// returns whether a partner arrived.
+    struct Rendezvous {
+        /// (meetings completed, a party is waiting)
+        state: Mutex<(u64, bool)>,
+        cond: Condvar,
+    }
+
+    impl Rendezvous {
+        fn meet(&self, timeout: Duration) -> bool {
+            let mut st = self.state.lock().unwrap();
+            if st.1 {
+                *st = (st.0 + 1, false);
+                self.cond.notify_all();
+                return true;
+            }
+            st.1 = true;
+            let met = st.0;
+            let (mut st, _) = self.cond.wait_timeout_while(st, timeout, |s| s.0 == met).unwrap();
+            if st.0 == met {
+                st.1 = false;
+                return false;
+            }
+            true
+        }
+    }
+
+    #[test]
+    fn saturated_fan_out_never_blocks_the_queue() {
+        // A width-2 scope of 40 jobs holds both of its slots until the
+        // second scope returns, so its other 38 jobs sit denied at the
+        // front of the queue. Every job of the second scope needs a
+        // partner running at the same time, and its caller can run only
+        // one of them: the scope finishes only if a worker takes its jobs
+        // past the denied ones.
+        let pool = WorkerPool::new(4);
+        let started = AtomicUsize::new(0);
+        let second_done = AtomicBool::new(false);
+        let meeting = Rendezvous { state: Mutex::new((0, false)), cond: Condvar::new() };
+        std::thread::scope(|s| {
+            let first = s.spawn(|| {
+                pool.scope_run(2, 40, "saturated", |i| {
+                    started.fetch_add(1, Ordering::SeqCst);
+                    let t0 = std::time::Instant::now();
+                    while !second_done.load(Ordering::SeqCst)
+                        && t0.elapsed() < Duration::from_secs(10)
+                    {
+                        std::thread::sleep(Duration::from_millis(2));
+                    }
+                    R::Ok(i)
+                })
+            });
+            while started.load(Ordering::SeqCst) == 0 {
+                std::thread::yield_now();
+            }
+            let second: R<Vec<usize>> = pool.scope_run(2, 8, "test", |i| {
+                if meeting.meet(Duration::from_secs(5)) {
+                    Ok(i)
+                } else {
+                    Err(TestErr(format!("job {i} found no partner")))
+                }
+            });
+            let first_started = started.load(Ordering::SeqCst);
+            second_done.store(true, Ordering::SeqCst);
+            assert_eq!(second, Ok((0..8).collect::<Vec<_>>()));
+            assert!(first_started < 40, "the saturated scope ran to its end first");
+            assert_eq!(first.join().unwrap(), Ok((0..40).collect::<Vec<_>>()));
+        });
     }
 
     #[test]
@@ -1021,7 +1041,7 @@ mod tests {
         let pool = WorkerPool::new(4);
         let r = catch_unwind(AssertUnwindSafe(|| {
             let _: Vec<usize> = pool
-                .scope_run(4, 16, |i| {
+                .scope_run(4, 16, "test", |i| {
                     if i == 5 {
                         panic!("task exploded");
                     }
@@ -1030,10 +1050,10 @@ mod tests {
                 .unwrap();
         }));
         let payload = r.expect_err("panic must propagate to the caller");
-        let msg = payload.downcast_ref::<&str>().expect("payload preserved");
-        assert_eq!(*msg, "task exploded");
+        let msg = payload.downcast_ref::<String>().expect("the re-raised payload is a String");
+        assert_eq!(msg, "pool job 'test' panicked: task exploded");
         // The pool survives a panicking scope.
-        let out: Vec<usize> = pool.scope_run(4, 8, R::Ok).unwrap();
+        let out: Vec<usize> = pool.scope_run(4, 8, "test", R::Ok).unwrap();
         assert_eq!(out.len(), 8);
     }
 
@@ -1043,8 +1063,8 @@ mod tests {
         // because blocked callers lend themselves to the pool.
         let pool = WorkerPool::new(4);
         let out: Vec<usize> = pool
-            .scope_run(4, 8, |i| {
-                let inner: Vec<usize> = pool.scope_run(4, 8, |j| R::Ok(i * 100 + j))?;
+            .scope_run(4, 8, "test", |i| {
+                let inner: Vec<usize> = pool.scope_run(4, 8, "test", |j| R::Ok(i * 100 + j))?;
                 R::Ok(inner.into_iter().sum())
             })
             .unwrap();
@@ -1056,9 +1076,9 @@ mod tests {
     fn deeply_nested_scopes_on_a_tiny_pool() {
         let pool = WorkerPool::new(2);
         let out: Vec<usize> = pool
-            .scope_run(2, 4, |a| {
-                let mid: Vec<usize> = pool.scope_run(2, 4, |b| {
-                    let leaf: Vec<usize> = pool.scope_run(2, 4, |c| R::Ok(a + b + c))?;
+            .scope_run(2, 4, "test", |a| {
+                let mid: Vec<usize> = pool.scope_run(2, 4, "test", |b| {
+                    let leaf: Vec<usize> = pool.scope_run(2, 4, "test", |c| R::Ok(a + b + c))?;
                     R::Ok(leaf.into_iter().sum())
                 })?;
                 R::Ok(mid.into_iter().sum())
@@ -1070,7 +1090,7 @@ mod tests {
     #[test]
     fn pool_drop_joins_workers_gracefully() {
         let pool = WorkerPool::new(4);
-        let out: Vec<usize> = pool.scope_run(4, 32, R::Ok).unwrap();
+        let out: Vec<usize> = pool.scope_run(4, 32, "test", R::Ok).unwrap();
         assert_eq!(out.len(), 32);
         let stats = pool.stats();
         assert_eq!(stats.workers, 4);
@@ -1081,14 +1101,14 @@ mod tests {
     #[test]
     fn workers_grow_once_and_never_again() {
         let pool = WorkerPool::new(0);
-        let _: Vec<usize> = pool.scope_run(4, 16, R::Ok).unwrap();
+        let _: Vec<usize> = pool.scope_run(4, 16, "test", R::Ok).unwrap();
         assert_eq!(pool.stats().threads_spawned_total, 4);
         for _ in 0..20 {
-            let _: Vec<usize> = pool.scope_run(4, 16, R::Ok).unwrap();
-            let _: Vec<usize> = pool.scope_run(2, 64, R::Ok).unwrap();
+            let _: Vec<usize> = pool.scope_run(4, 16, "test", R::Ok).unwrap();
+            let _: Vec<usize> = pool.scope_run(2, 64, "test", R::Ok).unwrap();
         }
         assert_eq!(pool.stats().threads_spawned_total, 4, "warm pool must not spawn");
-        let _: Vec<usize> = pool.scope_run(6, 12, R::Ok).unwrap();
+        let _: Vec<usize> = pool.scope_run(6, 12, "test", R::Ok).unwrap();
         assert_eq!(pool.stats().threads_spawned_total, 6, "wider fan-out grows the pool once");
     }
 
@@ -1097,7 +1117,7 @@ mod tests {
         let pool = WorkerPool::new(4);
         let base = pool.stats();
         let _: Vec<usize> = pool
-            .scope_run(4, 64, |i| {
+            .scope_run(4, 64, "test", |i| {
                 std::thread::sleep(std::time::Duration::from_micros(50));
                 R::Ok(i)
             })
@@ -1128,12 +1148,12 @@ mod tests {
     #[test]
     fn fan_out_width_bounds_concurrency_on_a_wider_pool() {
         // 6 idle workers, width-2 fan-out: the claim gate must keep the
-        // stealing workers from running the scope wider than asked.
+        // idle workers from running the scope wider than asked.
         let pool = WorkerPool::new(6);
         let active = AtomicUsize::new(0);
         let high = AtomicUsize::new(0);
         let _: Vec<usize> = pool
-            .scope_run(2, 48, |i| {
+            .scope_run(2, 48, "test", |i| {
                 let now = active.fetch_add(1, Ordering::SeqCst) + 1;
                 high.fetch_max(now, Ordering::SeqCst);
                 std::thread::sleep(std::time::Duration::from_micros(200));
@@ -1157,13 +1177,14 @@ mod tests {
         let active = Arc::new(AtomicUsize::new(0));
         let high = Arc::new(AtomicUsize::new(0));
         let (a, h) = (Arc::clone(&active), Arc::clone(&high));
-        let mut s: OrderedStream<usize, TestErr> = OrderedStream::spawn(2, 40, 8, move |i| {
-            let now = a.fetch_add(1, Ordering::SeqCst) + 1;
-            h.fetch_max(now, Ordering::SeqCst);
-            std::thread::sleep(std::time::Duration::from_micros(200));
-            a.fetch_sub(1, Ordering::SeqCst);
-            Ok(i)
-        });
+        let mut s: OrderedStream<usize, TestErr> =
+            OrderedStream::spawn(2, 40, 8, "test", move |i| {
+                let now = a.fetch_add(1, Ordering::SeqCst) + 1;
+                h.fetch_max(now, Ordering::SeqCst);
+                std::thread::sleep(std::time::Duration::from_micros(200));
+                a.fetch_sub(1, Ordering::SeqCst);
+                Ok(i)
+            });
         let mut n = 0;
         while s.recv().unwrap().is_some() {
             n += 1;
@@ -1185,7 +1206,7 @@ mod tests {
         let chunks = 16;
         let per = data.len() / chunks;
         let sums: Vec<u64> = pool
-            .scope_run(4, chunks, |i| R::Ok(data[i * per..(i + 1) * per].iter().sum()))
+            .scope_run(4, chunks, "test", |i| R::Ok(data[i * per..(i + 1) * per].iter().sum()))
             .unwrap();
         assert_eq!(sums.iter().sum::<u64>(), data.iter().sum::<u64>());
     }
@@ -1195,11 +1216,12 @@ mod tests {
         let outstanding = Arc::new(AtomicUsize::new(0));
         let high = Arc::new(AtomicUsize::new(0));
         let (o, h) = (Arc::clone(&outstanding), Arc::clone(&high));
-        let mut s: OrderedStream<usize, TestErr> = OrderedStream::spawn(4, 40, 4, move |i| {
-            let now = o.fetch_add(1, Ordering::SeqCst) + 1;
-            h.fetch_max(now, Ordering::SeqCst);
-            Ok(i)
-        });
+        let mut s: OrderedStream<usize, TestErr> =
+            OrderedStream::spawn(4, 40, 4, "test", move |i| {
+                let now = o.fetch_add(1, Ordering::SeqCst) + 1;
+                h.fetch_max(now, Ordering::SeqCst);
+                Ok(i)
+            });
         let mut got = Vec::new();
         while let Some(v) = s.recv().unwrap() {
             outstanding.fetch_sub(1, Ordering::SeqCst);
@@ -1217,14 +1239,37 @@ mod tests {
     }
 
     #[test]
+    fn stream_propagates_error_at_its_index() {
+        let mut s: OrderedStream<usize, TestErr> = OrderedStream::spawn(3, 10, 4, "test", |i| {
+            if i == 5 {
+                Err(TestErr("boom".into()))
+            } else {
+                Ok(i)
+            }
+        });
+        for want in 0..5 {
+            assert_eq!(s.recv().unwrap(), Some(want));
+        }
+        assert_eq!(s.recv(), Err(TestErr("boom".into())), "task 5's error surfaces at index 5");
+        assert!(s.recv().unwrap().is_none(), "stream is terminal after an error");
+    }
+
+    #[test]
+    fn zero_task_stream_is_immediately_done() {
+        let mut s: OrderedStream<usize, TestErr> = OrderedStream::spawn(4, 0, 4, "test", Ok);
+        assert!(s.recv().unwrap().is_none());
+    }
+
+    #[test]
     fn stream_drop_cancels_unstarted_work() {
         let ran = Arc::new(AtomicUsize::new(0));
         let r = Arc::clone(&ran);
-        let mut s: OrderedStream<usize, TestErr> = OrderedStream::spawn(2, 1000, 2, move |i| {
-            r.fetch_add(1, Ordering::SeqCst);
-            std::thread::sleep(std::time::Duration::from_micros(200));
-            Ok(i)
-        });
+        let mut s: OrderedStream<usize, TestErr> =
+            OrderedStream::spawn(2, 1000, 2, "test", move |i| {
+                r.fetch_add(1, Ordering::SeqCst);
+                std::thread::sleep(std::time::Duration::from_micros(200));
+                Ok(i)
+            });
         assert_eq!(s.recv().unwrap(), Some(0));
         drop(s);
         let after_drop = ran.load(Ordering::SeqCst);
@@ -1254,7 +1299,7 @@ mod tests {
             let freed = Arc::new(AtomicUsize::new(0));
             let (m, f) = (Arc::clone(&made), Arc::clone(&freed));
             let mut s: OrderedStream<Payload, TestErr> =
-                OrderedStream::spawn(4, 64, 8, move |_| {
+                OrderedStream::spawn(4, 64, 8, "test", move |_| {
                     std::thread::sleep(std::time::Duration::from_micros(50));
                     m.fetch_add(1, Ordering::SeqCst);
                     Ok(Payload { freed: Arc::clone(&f) })
@@ -1273,11 +1318,11 @@ mod tests {
     fn scope_inside_stream_consumer_does_not_deadlock() {
         // The nested shape a streaming scan + HashJoin produce: a streaming
         // fan-out is live while its consumer issues blocking fan-outs.
-        let mut s: OrderedStream<usize, TestErr> = OrderedStream::spawn(4, 30, 8, Ok);
+        let mut s: OrderedStream<usize, TestErr> = OrderedStream::spawn(4, 30, 8, "test", Ok);
         let pool = WorkerPool::shared();
         let mut total = 0usize;
         while let Some(v) = s.recv().unwrap() {
-            let part: Vec<usize> = pool.scope_run(4, 6, |j| R::Ok(v * 10 + j)).unwrap();
+            let part: Vec<usize> = pool.scope_run(4, 6, "test", |j| R::Ok(v * 10 + j)).unwrap();
             total += part.into_iter().sum::<usize>();
         }
         let expect: usize = (0..30).map(|v| (0..6).map(|j| v * 10 + j).sum::<usize>()).sum();
@@ -1289,7 +1334,7 @@ mod tests {
         let pool = WorkerPool::new(4);
         let r = catch_unwind(AssertUnwindSafe(|| {
             let _: Vec<usize> = pool
-                .scope_run_labeled(4, 16, Some("probe-round"), |i| {
+                .scope_run(4, 16, "agg-partial", |i| {
                     if i == 3 {
                         panic!("index died");
                     }
@@ -1299,13 +1344,13 @@ mod tests {
         }));
         let payload = r.expect_err("panic must propagate");
         let msg = payload.downcast_ref::<String>().expect("labeled payload is a String");
-        assert_eq!(msg, "pool job 'probe-round' panicked: index died");
+        assert_eq!(msg, "pool job 'agg-partial' panicked: index died");
     }
 
     #[test]
     fn labeled_stream_panic_names_the_fanout_site() {
         let mut s: OrderedStream<usize, TestErr> =
-            OrderedStream::spawn_labeled(2, 8, 4, Some("scan-morsel"), |i| {
+            OrderedStream::spawn(2, 8, 4, "scan-morsel", |i| {
                 if i == 0 {
                     panic!("morsel died");
                 }

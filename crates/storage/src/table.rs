@@ -299,7 +299,7 @@ where
 {
     let width = std::thread::available_parallelism().map_or(1, |n| n.get());
     WorkerPool::shared()
-        .scope_run_labeled(width, ncols, Some(label), |i| Ok::<_, bdcc_pool::PoolFailure>(task(i)))
+        .scope_run(width, ncols, label, |i| Ok::<_, bdcc_pool::PoolFailure>(task(i)))
         .expect("an infallible column task has no error to return")
 }
 

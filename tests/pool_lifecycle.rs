@@ -1,7 +1,6 @@
 //! Lifecycle guarantees of the persistent worker pool under real query
 //! plans (unit-level contracts — panic/error propagation, cancel-on-drop,
-//! in-flight bounds — live next to the pool in `bdcc-pool` and
-//! `bdcc-exec::parallel::pool`):
+//! in-flight bounds — live next to the pool in `bdcc-pool`):
 //!
 //! * **Concurrent fan-outs terminate**: a join keeps streaming scans live
 //!   on the same pool — on both sides of a sandwich join or a semi / anti
