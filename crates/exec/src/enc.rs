@@ -44,7 +44,7 @@ use std::sync::OnceLock;
 use bdcc_storage::{BlockEncoding, BlockStats, DataType, Datum, StoredTable};
 
 use crate::error::Result;
-use crate::expr::LikePattern;
+use crate::expr::LikeMatcher;
 use crate::pred::{ColPredicate, PredKind};
 
 /// Outcome of evaluating one block (or a sub-range of one) against every
@@ -102,8 +102,8 @@ pub(crate) enum StrTest {
     },
     /// Sorted distinct list (the residual's `IN` set after `as_str`).
     In(Vec<String>),
-    Like(LikePattern),
-    NotLike(LikePattern),
+    Like(LikeMatcher),
+    NotLike(LikeMatcher),
 }
 
 pub(crate) fn int_test(t: &IntTest, v: i64) -> bool {
@@ -135,8 +135,8 @@ pub(crate) fn str_test(t: &StrTest, s: &str) -> bool {
             true
         }
         StrTest::In(set) => set.binary_search_by(|e| e.as_str().cmp(s)).is_ok(),
-        StrTest::Like(p) => p.matches(s),
-        StrTest::NotLike(p) => !p.matches(s),
+        StrTest::Like(m) => m.matches(s),
+        StrTest::NotLike(m) => !m.matches(s),
     }
 }
 
@@ -224,8 +224,8 @@ pub(crate) fn compile_str(kind: &PredKind) -> Option<StrTest> {
             set.dedup();
             StrTest::In(set)
         }
-        PredKind::Like(p) => StrTest::Like(p.clone()),
-        PredKind::NotLike(p) => StrTest::NotLike(p.clone()),
+        PredKind::Like(p) => StrTest::Like(p.matcher()),
+        PredKind::NotLike(p) => StrTest::NotLike(p.matcher()),
     })
 }
 
@@ -442,6 +442,7 @@ pub(crate) fn build_with_encoding<T>(enabled: bool, build: impl FnOnce() -> T) -
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::expr::LikePattern;
     use bdcc_storage::{Column, StoredTable};
     use std::cell::Cell;
     use std::sync::Arc;

@@ -47,17 +47,81 @@ pub enum LikePattern {
 }
 
 impl LikePattern {
-    /// Does `s` match the pattern?
-    pub fn matches(&self, s: &str) -> bool {
+    /// Compile the pattern once — per conjunct, scan kernel or evaluated
+    /// batch, never per row.
+    pub(crate) fn matcher(&self) -> LikeMatcher {
         match self {
-            LikePattern::StartsWith(p) => s.starts_with(p.as_str()),
-            LikePattern::EndsWith(p) => s.ends_with(p.as_str()),
-            LikePattern::Contains(p) => s.contains(p.as_str()),
-            LikePattern::ContainsSeq(a, b) => match s.find(a.as_str()) {
-                Some(i) => s[i + a.len()..].contains(b.as_str()),
-                None => false,
-            },
+            LikePattern::StartsWith(p) => LikeMatcher::Prefix(Needle::new(p)),
+            LikePattern::EndsWith(p) => LikeMatcher::Suffix(Needle::new(p)),
+            LikePattern::Contains(p) => LikeMatcher::Infix(Needle::new(p)),
+            LikePattern::ContainsSeq(a, b) => LikeMatcher::Seq(Needle::new(a), Needle::new(b)),
         }
+    }
+}
+
+/// A [`LikePattern`] compiled once: its literals as bytes, each with a
+/// Horspool skip table (Horspool, "Practical fast searching in strings",
+/// 1980). Matching on bytes is exact for UTF-8: a valid needle matches a
+/// valid haystack only at a character boundary.
+#[derive(Debug, Clone)]
+pub(crate) enum LikeMatcher {
+    Prefix(Needle),
+    Suffix(Needle),
+    Infix(Needle),
+    /// The second literal searched after the first's leftmost occurrence.
+    Seq(Needle, Needle),
+}
+
+impl LikeMatcher {
+    /// Does `s` match the pattern?
+    #[inline]
+    pub(crate) fn matches(&self, s: &str) -> bool {
+        let s = s.as_bytes();
+        match self {
+            LikeMatcher::Prefix(p) => s.starts_with(&p.bytes),
+            LikeMatcher::Suffix(p) => s.ends_with(&p.bytes),
+            LikeMatcher::Infix(n) => n.find(s).is_some(),
+            LikeMatcher::Seq(a, b) => {
+                a.find(s).is_some_and(|i| b.find(&s[i + a.bytes.len()..]).is_some())
+            }
+        }
+    }
+}
+
+/// One literal and its Horspool table.
+#[derive(Debug, Clone)]
+pub(crate) struct Needle {
+    bytes: Box<[u8]>,
+    /// How far the window moves when its last byte is `b`: from `b`'s last
+    /// occurrence before the literal's end to that end, else the literal's
+    /// length; capped at 255, which only shortens a shift.
+    skip: Box<[u8; 256]>,
+}
+
+impl Needle {
+    fn new(lit: &str) -> Needle {
+        let n = lit.len();
+        let mut skip = Box::new([n.min(255) as u8; 256]);
+        for (i, &b) in lit.as_bytes().iter().enumerate().take(n.saturating_sub(1)) {
+            skip[b as usize] = (n - 1 - i).min(255) as u8;
+        }
+        Needle { bytes: lit.as_bytes().into(), skip }
+    }
+
+    /// Where the leftmost occurrence in `hay` starts.
+    #[inline]
+    fn find(&self, hay: &[u8]) -> Option<usize> {
+        let Some((&last, head)) = self.bytes.split_last() else { return Some(0) };
+        let n = self.bytes.len();
+        let mut i = 0;
+        while i + n <= hay.len() {
+            let b = hay[i + n - 1];
+            if b == last && hay[i..i + n - 1] == *head {
+                return Some(i);
+            }
+            i += self.skip[b as usize] as usize;
+        }
+        None
     }
 }
 
@@ -267,15 +331,12 @@ impl Expr {
                 let ev = e.eval(batch)?;
                 eval_if(&cond, &tv, &ev)?
             }
-            Expr::Like(a, p) => {
-                let col = a.eval(batch)?;
-                let vals = col.as_str()?;
-                bools_to_column(&vals.iter().map(|s| p.matches(s)).collect::<Vec<_>>())
-            }
-            Expr::NotLike(a, p) => {
-                let col = a.eval(batch)?;
-                let vals = col.as_str()?;
-                bools_to_column(&vals.iter().map(|s| !p.matches(s)).collect::<Vec<_>>())
+            Expr::Like(a, p) | Expr::NotLike(a, p) => {
+                let (col, m) = (a.operand(batch)?, p.matcher());
+                let want = matches!(self, Expr::Like(..));
+                bools_to_column(
+                    &col.as_str()?.iter().map(|s| m.matches(s) == want).collect::<Vec<_>>(),
+                )
             }
             Expr::InList(a, list) => {
                 let col = a.eval(batch)?;
@@ -325,37 +386,186 @@ fn bools_to_column(b: &[bool]) -> Column {
 }
 
 fn eval_arith(op: ArithOp, a: &Column, b: &Column) -> Result<Column> {
-    use ArithOp::*;
     // Division and any float operand promote to float.
-    let float = op == Div || a.data_type() == DataType::Float || b.data_type() == DataType::Float;
+    let float = op == ArithOp::Div || [a, b].iter().any(|c| c.data_type() == DataType::Float);
+    arith(op, float, Arg::Col(a), Arg::Col(b), a.len())
+}
+
+/// An arithmetic argument: a column, or a literal kept scalar.
+enum Arg<'a> {
+    Col(&'a Column),
+    Lit(&'a Datum),
+}
+
+/// One value per row, or one for every row.
+enum Operand<'a, T: Clone> {
+    Vals(Cow<'a, [T]>),
+    Lit(T),
+}
+
+/// `f` over `n` rows of two operands.
+fn zip_map<T: Copy, U>(
+    x: &Operand<T>,
+    y: &Operand<T>,
+    n: usize,
+    f: impl FnMut(T, T) -> U,
+) -> Vec<U> {
+    let mut f = f;
+    match (x, y) {
+        (Operand::Vals(a), Operand::Vals(b)) => {
+            a.iter().zip(b.iter()).map(|(&p, &q)| f(p, q)).collect()
+        }
+        (Operand::Vals(a), Operand::Lit(q)) => a.iter().map(|&p| f(p, *q)).collect(),
+        (Operand::Lit(p), Operand::Vals(b)) => b.iter().map(|&q| f(*p, q)).collect(),
+        (Operand::Lit(p), Operand::Lit(q)) => (0..n).map(|_| f(*p, *q)).collect(),
+    }
+}
+
+/// `x op y` over `n` rows, in floats or in integers checked for overflow
+/// ([`ExecError::Overflow`], as integer `SUM` is): the typed loops under
+/// the interpreter's arithmetic and the compiled programs' alike.
+fn arith(op: ArithOp, float: bool, x: Arg, y: Arg, n: usize) -> Result<Column> {
     if float {
-        let x = to_f64(a)?;
-        let y = to_f64(b)?;
-        let out: Vec<f64> = x
-            .iter()
-            .zip(y.iter())
-            .map(|(&p, &q)| match op {
-                Add => p + q,
-                Sub => p - q,
-                Mul => p * q,
-                Div => p / q,
-            })
-            .collect();
-        Ok(Column::from_f64(out))
-    } else {
-        let x = a.as_i64()?;
-        let y = b.as_i64()?;
-        let out: Vec<i64> = x
-            .iter()
-            .zip(y)
-            .map(|(&p, &q)| match op {
-                Add => p + q,
-                Sub => p - q,
-                Mul => p * q,
-                Div => unreachable!("integer division promoted to float"),
-            })
-            .collect();
-        Ok(Column::from_i64(out))
+        let floats = |a| match a {
+            Arg::Col(c) => to_f64(c).map(Operand::Vals),
+            Arg::Lit(d) => Ok(Operand::Lit(d.as_float().unwrap_or_default())),
+        };
+        let (x, y) = (floats(x)?, floats(y)?);
+        return Ok(Column::from_f64(match op {
+            ArithOp::Add => zip_map(&x, &y, n, |p, q| p + q),
+            ArithOp::Sub => zip_map(&x, &y, n, |p, q| p - q),
+            ArithOp::Mul => zip_map(&x, &y, n, |p, q| p * q),
+            ArithOp::Div => zip_map(&x, &y, n, |p, q| p / q),
+        }));
+    }
+    let ints = |a| match a {
+        Arg::Col(c) => Ok::<_, ExecError>(Operand::Vals(Cow::Borrowed(c.as_i64()?))),
+        Arg::Lit(d) => Ok(Operand::Lit(d.as_int().unwrap_or_default())),
+    };
+    let (x, y, mut overflow) = (ints(x)?, ints(y)?, false);
+    let mut checked = |(v, o): (i64, bool)| {
+        overflow |= o;
+        v
+    };
+    let out = match op {
+        ArithOp::Add => zip_map(&x, &y, n, |p, q| checked(p.overflowing_add(q))),
+        ArithOp::Sub => zip_map(&x, &y, n, |p, q| checked(p.overflowing_sub(q))),
+        ArithOp::Mul => zip_map(&x, &y, n, |p, q| checked(p.overflowing_mul(q))),
+        ArithOp::Div => unreachable!("integer division promoted to float"),
+    };
+    if overflow {
+        return Err(ExecError::Overflow(format!("integer {op:?} exceeds the 64-bit range")));
+    }
+    Ok(Column::from_i64(out))
+}
+
+/// Bound expressions compiled once for evaluation over many batches (the
+/// aggregate inputs). A bare column is borrowed from the batch; an `Arith`
+/// node over numeric operands is one typed loop, its literals kept scalar;
+/// a step that occurs twice is evaluated once per batch; anything else is a
+/// [`Expr::eval`] step. Compiled steps compute what `Expr::eval` does, bit
+/// for bit: the same float operations in the same order, the same checked
+/// integer arithmetic.
+#[derive(Debug, Clone)]
+pub(crate) struct ExprProgram {
+    /// Evaluated in order, each into its own column.
+    steps: Vec<Step>,
+    /// Per expression, where its value is; `None` for one nobody reads.
+    outputs: Vec<Option<Src>>,
+}
+
+#[derive(Debug, Clone, PartialEq)]
+enum Step {
+    /// Operator, whether in floats, operands.
+    Arith(ArithOp, bool, Src, Src),
+    Eval(Expr),
+}
+
+#[derive(Debug, Clone, PartialEq)]
+enum Src {
+    Col(usize),
+    Step(usize),
+    Lit(Datum),
+}
+
+impl ExprProgram {
+    /// Compile bound expressions over `schema` (`None`: a value nobody
+    /// reads, such as `COUNT`'s).
+    pub(crate) fn compile(exprs: &[Option<&Expr>], schema: &[ColMeta]) -> Result<ExprProgram> {
+        let mut p = ExprProgram { steps: Vec::new(), outputs: Vec::new() };
+        for e in exprs {
+            let src = match e {
+                // A literal's column is the interpreter's broadcast.
+                Some(e @ Expr::Lit(_)) => Some(p.push(Step::Eval((*e).clone()))),
+                Some(e) => Some(p.operand(e, schema)?),
+                None => None,
+            };
+            p.outputs.push(src);
+        }
+        Ok(p)
+    }
+
+    fn operand(&mut self, e: &Expr, schema: &[ColMeta]) -> Result<Src> {
+        let numeric = |e: &Expr| e.data_type(schema).map(|t| t != DataType::Str);
+        let step = match e {
+            Expr::ColIdx(i) => return Ok(Src::Col(*i)),
+            Expr::Lit(d) if d.as_float().is_some() => return Ok(Src::Lit(d.clone())),
+            Expr::Arith(op, a, b) if numeric(a)? && numeric(b)? => {
+                let float = e.data_type(schema)? == DataType::Float;
+                Step::Arith(*op, float, self.operand(a, schema)?, self.operand(b, schema)?)
+            }
+            _ => Step::Eval(e.clone()),
+        };
+        Ok(self.push(step))
+    }
+
+    /// `step`'s place, the existing one if an equal step was compiled.
+    fn push(&mut self, step: Step) -> Src {
+        Src::Step(self.steps.iter().position(|s| *s == step).unwrap_or_else(|| {
+            self.steps.push(step);
+            self.steps.len() - 1
+        }))
+    }
+
+    /// Evaluate every step over `batch`, in order: the columns
+    /// [`values`](Self::values) hands out.
+    pub(crate) fn run(&self, batch: &Batch) -> Result<Vec<Column>> {
+        let mut cols = Vec::with_capacity(self.steps.len());
+        for step in &self.steps {
+            let col = match step {
+                Step::Eval(e) => e.eval(batch)?,
+                Step::Arith(op, float, a, b) => {
+                    let (x, y) = (Self::arg(a, batch, &cols), Self::arg(b, batch, &cols));
+                    arith(*op, *float, x, y, batch.rows())?
+                }
+            };
+            cols.push(col);
+        }
+        Ok(cols)
+    }
+
+    /// Every expression's column, given the steps' columns over `batch`.
+    pub(crate) fn values<'a>(
+        &self,
+        batch: &'a Batch,
+        steps: &'a [Column],
+    ) -> Vec<Option<&'a Column>> {
+        self.outputs.iter().map(|s| s.as_ref().map(|s| Self::column(s, batch, steps))).collect()
+    }
+
+    fn arg<'a>(s: &'a Src, batch: &'a Batch, steps: &'a [Column]) -> Arg<'a> {
+        match s {
+            Src::Lit(d) => Arg::Lit(d),
+            s => Arg::Col(Self::column(s, batch, steps)),
+        }
+    }
+
+    fn column<'a>(s: &Src, batch: &'a Batch, steps: &'a [Column]) -> &'a Column {
+        match s {
+            Src::Col(i) => &batch.columns[*i],
+            Src::Step(k) => &steps[*k],
+            Src::Lit(_) => unreachable!("a literal operand is kept scalar"),
+        }
     }
 }
 
@@ -515,10 +725,10 @@ mod tests {
 
     #[test]
     fn like_patterns() {
-        assert!(LikePattern::StartsWith("PROMO".into()).matches("PROMO x"));
-        assert!(LikePattern::EndsWith("BRASS".into()).matches("small BRASS"));
-        assert!(LikePattern::Contains("green".into()).matches("dark green metal"));
-        let seq = LikePattern::ContainsSeq("special".into(), "requests".into());
+        assert!(LikePattern::StartsWith("PROMO".into()).matcher().matches("PROMO x"));
+        assert!(LikePattern::EndsWith("BRASS".into()).matcher().matches("small BRASS"));
+        assert!(LikePattern::Contains("green".into()).matcher().matches("dark green metal"));
+        let seq = LikePattern::ContainsSeq("special".into(), "requests".into()).matcher();
         assert!(seq.matches("very special and unusual requests here"));
         assert!(!seq.matches("requests that are special")); // order matters
         let e = Expr::col("s").like(LikePattern::StartsWith("PROMO".into()));
@@ -545,6 +755,78 @@ mod tests {
         assert_eq!(eval(e).as_i64().unwrap(), &[1, 0, 1]);
         let e = Expr::col("s").prefix(5);
         assert_eq!(&eval(e).as_str().unwrap()[0], "PROMO");
+    }
+
+    /// Every expression's value through a compiled program, bound over
+    /// `schema`, as `Debug` text (floats bit for bit, NaN included).
+    fn compiled(exprs: &[Expr], schema: &[ColMeta], b: &Batch) -> Result<Vec<String>> {
+        let bound: Vec<Expr> = exprs.iter().map(|e| e.bind(schema).unwrap()).collect();
+        let inputs: Vec<Option<&Expr>> = bound.iter().map(Some).collect();
+        let program = ExprProgram::compile(&inputs, schema)?;
+        let steps = program.run(b)?;
+        Ok(program.values(b, &steps).iter().map(|c| format!("{:?}", c.unwrap())).collect())
+    }
+
+    #[test]
+    fn compiled_programs_match_the_interpreter() {
+        use Expr as E;
+        let disc_price = E::col("b").mul(E::lit(1.0).sub(E::col("b")));
+        let exprs = [
+            E::col("a"),
+            E::col("s"),
+            disc_price.clone(),
+            disc_price.clone().mul(E::lit(1.0).add(E::col("b"))),
+            disc_price,
+            E::col("a").mul(E::lit(3)).sub(E::col("a")),
+            E::col("a").div(E::lit(2)),
+            E::lit(2).sub(E::col("a")).add(E::lit(0.5)),
+            E::col("d").add(E::lit(1)),
+            E::col("d").sub(E::col("a")).mul(E::col("b")),
+            E::lit(7),
+            E::lit(1.5).mul(E::lit(2)),
+            E::col("d").year().add(E::col("a")),
+            E::if_else(E::col("a").gt(E::lit(1)), E::col("b"), E::lit(-0.0)),
+        ];
+        let want: Vec<String> = (exprs.iter())
+            .map(|e| format!("{:?}", e.bind(&schema()).unwrap().eval(&batch()).unwrap()))
+            .collect();
+        assert_eq!(compiled(&exprs, &schema(), &batch()).unwrap(), want);
+        // A string operand errors as the interpreter does.
+        let bad = [E::col("s").add(E::lit(1))];
+        assert!(compiled(&bad, &schema(), &batch()).is_err());
+        assert!(bad[0].bind(&schema()).unwrap().eval(&batch()).is_err());
+    }
+
+    #[test]
+    fn integer_overflow_is_an_error_on_both_paths() {
+        use Expr as E;
+        let schema = [ColMeta::new("x", DataType::Int), ColMeta::new("y", DataType::Int)];
+        let (max, min) = (i64::MAX, i64::MIN);
+        let cases = [
+            (max, 1, E::col("x").add(E::lit(1))),
+            (max, 1, E::col("x").add(E::col("y"))),
+            (min, 1, E::col("x").sub(E::lit(1))),
+            (min, 1, E::lit(0).sub(E::col("x"))),
+            (min, -1, E::col("x").mul(E::lit(-1))),
+            (min, -1, E::col("y").mul(E::col("x"))),
+        ];
+        for (x, y, e) in cases {
+            let b = Batch::new(vec![Column::from_i64(vec![0, x]), Column::from_i64(vec![1, y])]);
+            let interpreted = e.bind(&schema).unwrap().eval(&b);
+            assert!(matches!(interpreted, Err(ExecError::Overflow(_))), "{e:?}: {interpreted:?}");
+            let program = compiled(std::slice::from_ref(&e), &schema, &b);
+            assert!(matches!(program, Err(ExecError::Overflow(_))), "{e:?}: {program:?}");
+        }
+        // One short of the edge both paths compute the same value.
+        let b = Batch::new(vec![Column::from_i64(vec![max - 1]), Column::from_i64(vec![min + 1])]);
+        let exprs =
+            [E::col("x").add(E::lit(1)), E::col("y").sub(E::lit(1)), E::col("y").mul(E::lit(-1))];
+        let want: Vec<String> =
+            [max, min, max].iter().map(|&v| format!("{:?}", Column::from_i64(vec![v]))).collect();
+        assert_eq!(compiled(&exprs, &schema, &b).unwrap(), want);
+        for (e, want) in exprs.iter().zip(&want) {
+            assert_eq!(&format!("{:?}", e.bind(&schema).unwrap().eval(&b).unwrap()), want);
+        }
     }
 
     #[test]

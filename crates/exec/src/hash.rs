@@ -1,8 +1,9 @@
 //! # Allocation-free join index
 //!
-//! The hashing substrate of the hash join, grouped or not (and, via
-//! [`hash_group_rows`], of the aggregation group table and everything that
-//! routes rows by group key). It replaces the seed's
+//! The hashing substrate of the hash join, grouped or not — and, through
+//! the group-key codec (`group_key_words`, [`hash_group_rows`]), of the
+//! aggregation group table and everything that routes rows by group key.
+//! It replaces the seed's
 //! `HashMap<Vec<i64>, Vec<u32>>` build — one `Vec<i64>` key allocation and
 //! one `Vec<u32>` row list per distinct key, all hashed with SipHash —
 //! with a flat structure that performs **zero per-row heap allocations**
@@ -46,6 +47,9 @@
 //! order.
 
 use std::hash::{BuildHasherDefault, Hasher};
+use std::ops::Range;
+
+use bdcc_storage::Column;
 
 /// The FxHash multiplier (a.k.a. the Firefox/rustc hash constant).
 const FX_K: u64 = 0x51_7c_c1_b7_27_22_0a_95;
@@ -131,58 +135,86 @@ impl Hasher for FxHasher {
 /// `BuildHasher` plugging [`FxHasher`] into std collections.
 pub type FxBuildHasher = BuildHasherDefault<FxHasher>;
 
-/// Hash rows `rows` of a set of **group-key columns**, one hash per row
-/// into `out` (cleared first) — the aggregation-side key codec, and the
-/// only implementation of it. Integer-backed columns feed their value,
-/// floats their bit pattern (groups compare floats bitwise), strings their
-/// bytes plus a `0xff` terminator (so `("ab", "c")` and `("a", "bc")`
-/// differ), all through the same FxHash rounds + avalanche as the join-key
-/// codec ([`hash_key`]).
-///
-/// The fold runs **column-at-a-time** — one typed loop per column over the
-/// whole range, no per-row dispatch — and **ints-then-strings**:
-/// integer-backed columns in order, then string columns in order, no
-/// length prefixes. The aggregation group table
-/// ([`crate::ops::agg`]) files every group under this hash, and the spill
-/// core's routing and recursion (`crate::spill`) call the same function,
-/// so a group's partition, its sub-partition on recursion and its table
-/// slot all derive from one value.
-pub fn hash_group_rows(
-    group_cols: &[&bdcc_storage::Column],
-    rows: std::ops::Range<usize>,
-    out: &mut Vec<u64>,
+/// The top bit of a key word that stands for a string of more than 7
+/// bytes; a shorter string's word never has it.
+pub(crate) const LONG_STR: u64 = 1 << 63;
+
+/// A string's key word: up to 7 bytes inline — little-endian, the length
+/// in the byte above them, so two short strings share a word only if they
+/// are equal — and a longer one's FxHash rounds over its length and 8-byte
+/// words (the last one ending at its last byte), with [`LONG_STR`] set:
+/// equal words there still need the strings compared.
+#[inline]
+fn str_key_word(s: &str) -> u64 {
+    let (b, n) = (s.as_bytes(), s.len());
+    let word = |i: usize| u64::from_le_bytes(b[i..i + 8].try_into().expect("8 bytes"));
+    if n >= 8 {
+        let mut h = fx_round(0, n as u64);
+        for i in (0..n - 8).step_by(8) {
+            h = fx_round(h, word(i));
+        }
+        return fx_round(h, word(n - 8)) | LONG_STR;
+    }
+    // Two overlapping loads cover 2..=7 bytes with no per-byte loop.
+    let le = |i: usize, w: usize| b[i..i + w].iter().rev().fold(0, |v, &x| (v << 8) | x as u64);
+    let bytes = match n {
+        4..=7 => le(0, 4) | le(n - 4, 4) << (8 * (n - 4)),
+        2..=3 => le(0, 2) | le(n - 2, 2) << (8 * (n - 2)),
+        _ => le(0, n),
+    };
+    bytes | (n as u64) << (8 * n)
+}
+
+/// The group-key codec, column at a time: one `u64` word per key column
+/// and row of `rows`, row-major into `words` (`k` a row for `k` columns),
+/// and per row the FxHash rounds over its words and the avalanche into
+/// `hashes` — [`hash_key`] over the words, so an integer key hashes as it
+/// does in a join. An integer-backed key's word is its value, a float's its
+/// bit pattern (groups compare floats bitwise), a string's its
+/// [`str_key_word`]. Both vectors are cleared first.
+pub(crate) fn group_key_words(
+    group_cols: &[&Column],
+    rows: Range<usize>,
+    words: &mut Vec<u64>,
+    hashes: &mut Vec<u64>,
 ) {
-    use bdcc_storage::Column;
-    out.clear();
-    out.resize(rows.len(), 0);
-    for c in group_cols {
-        match c {
+    let k = group_cols.len();
+    words.clear();
+    words.resize(rows.len() * k, 0);
+    hashes.clear();
+    hashes.resize(rows.len(), 0);
+    if rows.is_empty() {
+        return;
+    }
+    for (c, col) in group_cols.iter().enumerate() {
+        let slots = words[c..].chunks_mut(k).map(|row| &mut row[0]).zip(hashes.iter_mut());
+        let put = |(w, h): (&mut u64, &mut u64), v: u64| {
+            *w = v;
+            *h = fx_round(*h, v);
+        };
+        match col {
             Column::I64 { values, .. } => {
-                for (h, &v) in out.iter_mut().zip(&values[rows.clone()]) {
-                    *h = fx_round(*h, v as u64);
-                }
+                slots.zip(&values[rows.clone()]).for_each(|(s, &v)| put(s, v as u64))
             }
             Column::F64(values) => {
-                for (h, v) in out.iter_mut().zip(&values[rows.clone()]) {
-                    *h = fx_round(*h, v.to_bits());
-                }
+                slots.zip(&values[rows.clone()]).for_each(|(s, v)| put(s, v.to_bits()))
             }
-            Column::Str(_) => {}
+            Column::Str(values) => slots
+                .zip(values.iter_range(rows.clone()))
+                .for_each(|(s, v)| put(s, str_key_word(v))),
         }
     }
-    for c in group_cols {
-        if let Column::Str(values) = c {
-            for (h, s) in out.iter_mut().zip(values.iter_range(rows.clone())) {
-                let mut fx = FxHasher { hash: *h };
-                fx.write(s.as_bytes());
-                fx.write_u8(0xff);
-                *h = fx.hash;
-            }
-        }
-    }
-    for h in out.iter_mut() {
-        *h = avalanche(*h);
-    }
+    hashes.iter_mut().for_each(|h| *h = avalanche(*h));
+}
+
+/// Hash rows `rows` of a set of group-key columns, one hash per row into
+/// `out` (cleared first): `group_key_words`' hashes. The aggregation
+/// group table ([`crate::ops::agg`]) files every group under this hash,
+/// and the spill core's routing and recursion (`crate::spill`) call this
+/// function, so a group's partition, its sub-partition on recursion and
+/// its table slot all derive from one value.
+pub fn hash_group_rows(group_cols: &[&Column], rows: Range<usize>, out: &mut Vec<u64>) {
+    group_key_words(group_cols, rows, &mut Vec::new(), out);
 }
 
 /// The build-side index of a hash join: one flat hash table — a bucket
@@ -465,33 +497,84 @@ mod tests {
         assert_eq!(m[&(vec![1, 2], "a".to_string())], 1);
     }
 
-    /// The group-key codec one row at a time, straight through the
-    /// [`Hasher`] interface — the definition [`hash_group_rows`]'s
-    /// column-at-a-time loops must reproduce.
+    /// The group-key codec one row at a time, from its definition: one
+    /// word per column in key order — an integer's value, a float's bits, a
+    /// short string's bytes with its length in the byte above them, a long
+    /// string's FxHash rounds over its length and 8-byte words (the last
+    /// ending at its last byte) with the top bit set — through the
+    /// [`Hasher`] rounds.
     fn hash_group_row(group_cols: &[&bdcc_storage::Column], row: usize) -> u64 {
         use bdcc_storage::Column;
         let mut h = FxHasher::default();
         for c in group_cols {
-            match c {
-                Column::I64 { values, .. } => h.write_u64(values[row] as u64),
-                Column::F64(values) => h.write_u64(values[row].to_bits()),
-                Column::Str(_) => {}
-            }
-        }
-        for c in group_cols {
-            if let Column::Str(values) = c {
-                h.write(values[row].as_bytes());
-                h.write_u8(0xff);
-            }
+            h.write_u64(match c {
+                Column::I64 { values, .. } => values[row] as u64,
+                Column::F64(values) => values[row].to_bits(),
+                Column::Str(values) => {
+                    let b = values[row].as_bytes();
+                    if b.len() < 8 {
+                        let mut word = [0u8; 8];
+                        word[..b.len()].copy_from_slice(b);
+                        word[b.len()] = b.len() as u8;
+                        u64::from_le_bytes(word)
+                    } else {
+                        let word = |i: usize| u64::from_le_bytes(b[i..i + 8].try_into().unwrap());
+                        let mut fx = FxHasher::default();
+                        fx.write_usize(b.len());
+                        let mut i = 0;
+                        while i + 8 < b.len() {
+                            fx.write_u64(word(i));
+                            i += 8;
+                        }
+                        fx.write_u64(word(b.len() - 8));
+                        fx.hash | 1 << 63
+                    }
+                }
+            });
         }
         h.finish()
     }
 
     #[test]
+    fn short_string_words_are_distinct_and_long_ones_are_marked() {
+        let strs = [
+            "",
+            "\0",
+            "\0\0",
+            "a",
+            "a\0",
+            "ab",
+            "abc",
+            "abcd",
+            "abcde",
+            "abcdef",
+            "abcdefg",
+            "ég",
+            "日本",
+            "abcdefgh",
+            "abcdefghijklmnopq",
+            "ééééé",
+        ];
+        let words: Vec<u64> = strs.iter().map(|s| str_key_word(s)).collect();
+        for (i, (s, w)) in strs.iter().zip(&words).enumerate() {
+            assert_eq!(w & LONG_STR != 0, s.len() > 7, "{s:?}");
+            assert!(words[..i].iter().all(|v| v != w), "{s:?} shares a word");
+            let col = bdcc_storage::Column::from_strings(vec![s.to_string()]);
+            let mut fx = FxHasher::default();
+            fx.write_u64(*w);
+            assert_eq!(fx.finish(), hash_group_row(&[&col], 0), "{s:?}");
+        }
+        // Constructed so that the second word cancels the first one's
+        // difference in the FxHash state: a marker-word collision, the pair
+        // `tests/agg_properties.rs` groups by.
+        assert_eq!(str_key_word("special requests"), str_key_word("specabacfeque$a'"));
+    }
+
+    #[test]
     fn fx_write_folds_zero_padded_little_endian_words() {
-        // `write` is the string half of the group codec (partition routing
-        // of spilled data depends on its exact values): whole 8-byte
-        // little-endian words, then the remainder zero-padded to a word.
+        // `write` (how std collections keyed by byte strings hash through
+        // `FxBuildHasher`) folds whole 8-byte little-endian words, then the
+        // remainder zero-padded to a word.
         let bytes: Vec<u8> = (1..=17).collect();
         for len in 0..=bytes.len() {
             let mut want = 0u64;
@@ -509,13 +592,13 @@ mod tests {
     #[test]
     fn batch_group_hash_matches_row_codec() {
         // Whatever mix and interleaving of int / string / float / date
-        // group columns — strings straddling the 8-byte chunk boundary
+        // group columns — strings either side of the 7-byte inline limit
         // included — the batch hash equals the row-wise codec on every
         // row, and hashing a sub-range equals that slice of the whole.
         use bdcc_storage::Column;
         let a = Column::from_i64(vec![5, -3, i64::MAX, 0]);
         let s = Column::from_strings(vec![
-            "x".into(),
+            "abcdefg".into(),
             String::new(),
             "abcdefgh".into(),
             "abcdefghi".into(),
@@ -530,6 +613,8 @@ mod tests {
             assert_eq!(out, want);
             hash_group_rows(&cols, 1..3, &mut out);
             assert_eq!(out, want[1..3]);
+            hash_group_rows(&cols, 2..2, &mut out);
+            assert!(out.is_empty());
         }
         // ("ab", "c") and ("a", "bc") must not collide.
         let l = Column::from_strings(vec!["ab".into(), "a".into()]);

@@ -22,7 +22,9 @@
 //!   typed kernels reusing the scalar tests of [`crate::enc`] (the PR 7
 //!   encoded-block machinery): `i64`/date compare-to-literal and
 //!   between-ranges, `IN` via sorted-slice binary search, string
-//!   compares / `IN` / `LIKE` over `&str` without cloning, float
+//!   compares / `IN` over `&str` without cloning, `LIKE` through the
+//!   `expr::LikeMatcher` compiled with the conjunct
+//!   (the one matcher the scan kernel and the interpreter use too), float
 //!   compares with the interpreter's exact `f64::total_cmp` promotion,
 //!   and int-column-vs-int-column compares (`l_commitdate <
 //!   l_receiptdate`). `Or` unions and `Not` complements sub-program
@@ -468,13 +470,13 @@ impl Conjunct {
             },
             Expr::Like(a, p) => match a.as_ref() {
                 Expr::ColIdx(i) if schema.get(*i).map(|m| m.data_type) == Some(DataType::Str) => {
-                    Some(ConjKind::Str { col: *i, test: StrTest::Like(p.clone()) })
+                    Some(ConjKind::Str { col: *i, test: StrTest::Like(p.matcher()) })
                 }
                 _ => None,
             },
             Expr::NotLike(a, p) => match a.as_ref() {
                 Expr::ColIdx(i) if schema.get(*i).map(|m| m.data_type) == Some(DataType::Str) => {
-                    Some(ConjKind::Str { col: *i, test: StrTest::NotLike(p.clone()) })
+                    Some(ConjKind::Str { col: *i, test: StrTest::NotLike(p.matcher()) })
                 }
                 _ => None,
             },

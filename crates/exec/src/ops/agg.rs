@@ -18,26 +18,35 @@
 //!
 //! The operator keeps its state in a [`PartialAgg`] (on its own, the unit of
 //! morsel-parallel aggregation), which takes a batch — or a row range of
-//! one — through three column-wise steps, none allocating per row:
+//! one — through four column-wise steps, none allocating per row:
 //!
-//! 1. **Hash** the group columns column-at-a-time into one `u64` per row
-//!    ([`hash_group_rows`], the codec spill routing shares).
-//! 2. **Resolve** every row to a dense `u32` group id through one
-//!    open-addressed directory (`GroupTable`). Keys live in per-column
-//!    vectors indexed by group id, so a key is copied — a string cloned —
-//!    only when its group is first seen; with no group columns every row
-//!    is group 0. Ids ascend in first-seen order, so the key vectors are
-//!    the output's key columns as they stand.
-//! 3. **Accumulate** into struct-of-arrays state (`Acc`: per aggregate one
+//! 1. **Evaluate** the aggregate inputs through an `ExprProgram` compiled
+//!    once: bare columns borrowed, arithmetic in typed loops with scalar
+//!    literals, a shared subexpression (Q01's `disc_price`) computed once.
+//! 2. **Encode** the group columns into one `u64` *key word* per column and
+//!    row (`group_key_words`, the only pass over key strings): an
+//!    integer's value, a float's bits, a string of up to 7 bytes inline, a
+//!    longer one as a marked hash; and one hash per row over the words (the
+//!    hash spill routing shares; an integer key hashes as in a join).
+//! 3. **Resolve** every row to a dense `u32` group id through one
+//!    open-addressed directory (`GroupTable`): the hash, then the row's
+//!    words, then — for a long string's word only — the stored string.
+//!    Groups keep their words row-major and their string keys' values,
+//!    copied once, when the group appears; with no group columns every row
+//!    is group 0. Ids ascend in first-seen order, so a flush decodes the
+//!    words into the output's integer and float key columns and hands over
+//!    the string ones as they stand.
+//! 4. **Accumulate** into struct-of-arrays state (`Acc`: per aggregate one
 //!    vector per state component, indexed by group id), one typed loop per
 //!    aggregate over `(row, group id)`. `COUNT` reads no input.
 //!
 //! A group still folds its rows in stream order, so every result —
 //! Neumaier-compensated float sums included — is bit for bit that of a
 //! row-at-a-time fold. Integer sums are overflow-checked
-//! ([`ExecError::Overflow`]). Floats group by exact bit pattern (enough for
-//! values never arithmetically re-derived, e.g. `c_acctbal`): `0.0` and
-//! `-0.0` are two groups, as are NaNs of different payloads.
+//! ([`ExecError::Overflow`]), as is integer arithmetic in the inputs.
+//! Floats group by exact bit pattern (enough for values never
+//! arithmetically re-derived, e.g. `c_acctbal`): `0.0` and `-0.0` are two
+//! groups, as are NaNs of different payloads.
 //!
 //! ## Spilling
 //!
@@ -70,14 +79,14 @@ use std::ops::Range;
 use std::sync::Arc;
 
 use bdcc_obs::OpMetrics;
-use bdcc_storage::{Column, DataType, IoTracker};
+use bdcc_storage::{Column, DataType, IoTracker, StrVec};
 
 use crate::batch::{Batch, ColMeta, OpSchema};
 use crate::broker::MemoryBroker;
 use crate::error::{ExecError, Result};
-use crate::expr::Expr;
+use crate::expr::{Expr, ExprProgram};
 use crate::govern::Governor;
-use crate::hash::{hash_group_rows, FxBuildHasher};
+use crate::hash::{group_key_words, FxBuildHasher, LONG_STR};
 use crate::memory::{MemoryGuard, MemoryTracker};
 use crate::ops::{BoxedOp, Operator};
 use crate::spill::{scatter_batch, Fanout, PartitionSpill, Shape};
@@ -126,13 +135,29 @@ const EMPTY: u32 = u32::MAX;
 /// Top-level partitions of a spilling aggregate: 2^3 = 8.
 const SPILL_BITS: u32 = 3;
 
-/// The groups seen so far: dense ids in first-seen order, keys in per-column
-/// vectors, one open-addressed (linear-probing) directory from hash to id.
+/// Rows to resolve against a [`GroupTable`]: `k` key words a row (the
+/// `hash.rs` codec), their hashes, and the string key columns' values,
+/// row `i` at `start + i` — a batch's rows or another table's groups.
+struct Keys<'a> {
+    words: &'a [u64],
+    hashes: &'a [u64],
+    strs: &'a [&'a StrVec],
+    start: usize,
+}
+
+/// The groups seen so far: dense ids in first-seen order, key words in one
+/// row-major vector, one open-addressed (linear-probing) directory from
+/// hash to id.
 #[derive(Clone)]
 struct GroupTable {
-    /// One column per group-by key, indexed by group id — typed like the
-    /// input columns, so a flush hands them out as the output's key columns.
-    keys: Vec<Column>,
+    /// Every key column's type, in group-by order.
+    types: Vec<DataType>,
+    /// Key words, `types.len()` per group: what a probe compares, and
+    /// every integer-backed and float key as it is output.
+    words: Vec<u64>,
+    /// The string key columns: position in the key and values by group id
+    /// — the output, and what confirms a long string's word.
+    strs: Vec<(usize, StrVec)>,
     /// Every group's key hash: a probe compares it before the key, and
     /// growing the directory re-files groups without rehashing keys.
     hashes: Vec<u64>,
@@ -142,8 +167,12 @@ struct GroupTable {
 
 impl GroupTable {
     fn new(key_schema: &[ColMeta]) -> GroupTable {
+        let types: Vec<DataType> = key_schema.iter().map(|c| c.data_type).collect();
+        let strs = (0..types.len()).filter(|&c| types[c] == DataType::Str);
         GroupTable {
-            keys: key_schema.iter().map(|c| Column::empty(c.data_type)).collect(),
+            strs: strs.map(|c| (c, StrVec::new())).collect(),
+            types,
+            words: Vec::new(),
             hashes: Vec::new(),
             slots: vec![EMPTY; 16],
         }
@@ -153,41 +182,47 @@ impl GroupTable {
         self.hashes.len()
     }
 
-    /// Does row `row` of `cols` carry group `gid`'s key?
-    fn key_eq(&self, gid: usize, cols: &[&Column], row: usize) -> bool {
-        self.keys.iter().zip(cols).all(|(k, c)| cell_eq(k, gid, c, row))
+    /// Does group `g` hold row `i`'s key? Its words, and where a word
+    /// stands for a long string, the string itself.
+    #[inline]
+    fn holds(&self, g: usize, keys: &Keys, i: usize) -> bool {
+        let k = self.types.len();
+        let key = &keys.words[i * k..i * k + k];
+        self.words[g * k..g * k + k].iter().zip(key).all(|(a, b)| a == b)
+            && self.strs.iter().zip(keys.strs).all(|((c, mine), theirs)| {
+                key[*c] & LONG_STR == 0 || mine.get(g) == theirs.get(keys.start + i)
+            })
     }
 
-    /// Append to `gids` the group id of every row in `rows` of `cols`
-    /// (`hashes[i]` hashes row `rows.start + i`), creating groups — ids
-    /// ascending — as keys first appear and reporting those rows to `on_new`.
+    /// Append to `gids` the group id of every row of `keys`, creating
+    /// groups — ids ascending — as keys first appear and reporting those
+    /// rows to `on_new`; `rows` rows with no key column (a global
+    /// aggregate: one group).
     fn resolve(
         &mut self,
-        cols: &[&Column],
-        rows: Range<usize>,
-        hashes: &[u64],
+        keys: &Keys,
+        rows: usize,
         gids: &mut Vec<u32>,
         mut on_new: impl FnMut(usize),
     ) {
-        if cols.is_empty() {
-            // A global aggregate: one group, no key to look up.
-            if self.hashes.is_empty() && !rows.is_empty() {
+        if self.types.is_empty() {
+            if self.hashes.is_empty() && rows > 0 {
                 self.hashes.push(0);
-                on_new(rows.start);
+                on_new(0);
             }
-            gids.resize(gids.len() + rows.len(), 0);
+            gids.resize(gids.len() + rows, 0);
             return;
         }
-        for (row, &h) in rows.zip(hashes) {
+        for (i, &h) in keys.hashes.iter().enumerate() {
             let mask = self.slots.len() - 1;
             let mut slot = h as usize & mask;
             let gid = loop {
                 let g = self.slots[slot];
                 if g == EMPTY {
-                    on_new(row);
-                    break self.insert(slot, h, cols, row);
+                    on_new(i);
+                    break self.insert(slot, h, keys, i);
                 }
-                if self.hashes[g as usize] == h && self.key_eq(g as usize, cols, row) {
+                if self.hashes[g as usize] == h && self.holds(g as usize, keys, i) {
                     break g;
                 }
                 slot = (slot + 1) & mask;
@@ -198,14 +233,13 @@ impl GroupTable {
 
     /// [`resolve`](Self::resolve) without creating groups: a row whose key
     /// has none gets [`EMPTY`].
-    fn lookup(&self, cols: &[&Column], rows: Range<usize>, hashes: &[u64], gids: &mut Vec<u32>) {
+    fn lookup(&self, keys: &Keys, gids: &mut Vec<u32>) {
         let mask = self.slots.len() - 1;
-        for (row, &h) in rows.zip(hashes) {
+        for (i, &h) in keys.hashes.iter().enumerate() {
             let mut slot = h as usize & mask;
             gids.push(loop {
                 let g = self.slots[slot];
-                if g == EMPTY || self.hashes[g as usize] == h && self.key_eq(g as usize, cols, row)
-                {
+                if g == EMPTY || self.hashes[g as usize] == h && self.holds(g as usize, keys, i) {
                     break g;
                 }
                 slot = (slot + 1) & mask;
@@ -213,14 +247,16 @@ impl GroupTable {
         }
     }
 
-    /// File a new group under free slot `slot`, its key copied from `row`.
-    fn insert(&mut self, slot: usize, h: u64, cols: &[&Column], row: usize) -> u32 {
+    /// File a new group under free slot `slot`, its key copied from row `i`.
+    fn insert(&mut self, slot: usize, h: u64, keys: &Keys, i: usize) -> u32 {
         let gid = self.hashes.len() as u32;
         assert!(gid != EMPTY, "group table holds at most u32::MAX - 1 groups");
         self.slots[slot] = gid;
         self.hashes.push(h);
-        for (k, c) in self.keys.iter_mut().zip(cols) {
-            k.append_range(c, row, row + 1).expect("group columns keep their declared types");
+        let k = self.types.len();
+        self.words.extend_from_slice(&keys.words[i * k..i * k + k]);
+        for ((_, mine), theirs) in self.strs.iter_mut().zip(keys.strs) {
+            mine.push(theirs.get(keys.start + i));
         }
         if self.hashes.len() * 2 > self.slots.len() {
             self.grow();
@@ -243,11 +279,27 @@ impl GroupTable {
         }
     }
 
-    /// Empty the table, returning the key columns (group-id order).
+    /// Empty the table, returning the key columns (group-id order): words
+    /// decoded, strings handed over.
     fn take_keys(&mut self) -> Vec<Column> {
+        let k = self.types.len();
+        let mut cols: Vec<Column> = (self.types.iter().enumerate())
+            .map(|(c, &dt)| {
+                let words = self.words.iter().skip(c).step_by(k);
+                match dt {
+                    DataType::Float => Column::F64(words.map(|&w| f64::from_bits(w)).collect()),
+                    DataType::Str => Column::empty(dt),
+                    _ => Column::I64 { values: words.map(|&w| w as i64).collect(), logical: dt },
+                }
+            })
+            .collect();
+        for (c, v) in &mut self.strs {
+            cols[*c] = Column::Str(std::mem::take(v));
+        }
+        self.words.clear();
         self.hashes.clear();
         self.slots.fill(EMPTY);
-        self.keys.iter_mut().map(|k| std::mem::replace(k, Column::empty(k.data_type()))).collect()
+        cols
     }
 }
 
@@ -498,8 +550,10 @@ fn agg_output_type(func: AggFunc, dt: DataType) -> DataType {
 pub struct PartialAgg {
     schema: OpSchema,
     group_cols: Vec<usize>,
-    /// Per aggregate: function, input type, bound input expression.
-    aggs: Vec<(AggFunc, DataType, Expr)>,
+    /// Per aggregate: function and input type.
+    aggs: Vec<(AggFunc, DataType)>,
+    /// Every aggregate's input, compiled (none for `COUNT`).
+    inputs: ExprProgram,
     table: GroupTable,
     /// One accumulator per aggregate, each covering every group.
     accs: Vec<Acc>,
@@ -510,7 +564,8 @@ pub struct PartialAgg {
     first_seen: Vec<u64>,
     /// Rows consumed so far (the id space of `first_seen` without ids).
     rows_seen: u64,
-    /// Per-batch scratch, reused: row hashes and resolved group ids.
+    /// Per-batch scratch, reused: key words, row hashes and group ids.
+    words: Vec<u64>,
     hashes: Vec<u64>,
     gids: Vec<u32>,
 }
@@ -532,20 +587,24 @@ impl PartialAgg {
             schema.push(input_schema[idx].clone());
         }
         let table = GroupTable::new(&schema);
-        let mut bound = Vec::with_capacity(aggs.len());
+        let (mut typed, mut bound) = (Vec::new(), Vec::new());
         for a in aggs {
             let dt = a.input.data_type(input_schema)?;
-            bound.push((a.func, dt, a.input.bind(input_schema)?));
+            typed.push((a.func, dt));
+            bound.push((a.func != AggFunc::Count).then(|| a.input.bind(input_schema)).transpose()?);
             schema.push(ColMeta::new(&a.name, agg_output_type(a.func, dt)));
         }
+        let bound: Vec<Option<&Expr>> = bound.iter().map(Option::as_ref).collect();
         Ok(PartialAgg {
             schema,
             group_cols,
-            accs: bound.iter().map(|(f, dt, _)| Acc::new(*f, *dt)).collect(),
-            aggs: bound,
+            accs: typed.iter().map(|&(f, dt)| Acc::new(f, dt)).collect(),
+            aggs: typed,
+            inputs: ExprProgram::compile(&bound, input_schema)?,
             table,
             first_seen: Vec::new(),
             rows_seen: 0,
+            words: Vec::new(),
             hashes: Vec::new(),
             gids: Vec::new(),
         })
@@ -556,60 +615,54 @@ impl PartialAgg {
         &self.schema
     }
 
-    /// Evaluate every aggregate's input over `batch` (`None` for `COUNT`,
-    /// which reads none) — once per batch, whatever ranges of it are then
-    /// consumed.
-    fn eval_inputs(&self, batch: &Batch) -> Result<Vec<Option<Column>>> {
-        self.aggs
-            .iter()
-            .map(|(f, _, e)| if *f == AggFunc::Count { Ok(None) } else { e.eval(batch).map(Some) })
-            .collect()
-    }
-
-    fn group_columns<'a>(&self, batch: &'a Batch) -> Vec<&'a Column> {
-        self.group_cols.iter().map(|&c| &batch.columns[c]).collect()
-    }
-
     /// Accumulate one batch.
     pub fn consume(&mut self, batch: &Batch) -> Result<()> {
-        let inputs = self.eval_inputs(batch)?;
-        self.consume_range(batch, &inputs, 0..batch.rows(), None)
+        self.consume_indexed(batch, None)
     }
 
-    /// Accumulate one batch whose rows carry explicit global stream
-    /// positions (`ids[row]`) — a spilled leaf's consume: the leaf holds
-    /// only its slice of the input but remembers where each group first
-    /// appeared in the *whole* stream, so ranks stay comparable across
+    /// [`consume`](Self::consume), the rows at explicit global stream
+    /// positions (`ids[row]`) when given — a spilled leaf's consume: the
+    /// leaf holds only its slice of the input but remembers where each group
+    /// first appeared in the *whole* stream, so ranks stay comparable across
     /// leaves.
-    fn consume_indexed(&mut self, batch: &Batch, ids: &[i64]) -> Result<()> {
-        debug_assert_eq!(ids.len(), batch.rows());
-        let inputs = self.eval_inputs(batch)?;
-        self.consume_range(batch, &inputs, 0..batch.rows(), Some(ids))
+    fn consume_indexed(&mut self, batch: &Batch, ids: Option<&[i64]>) -> Result<()> {
+        let steps = self.inputs.run(batch)?;
+        let inputs = self.inputs.values(batch, &steps);
+        self.consume_range(batch, &inputs, 0..batch.rows(), ids)
+    }
+
+    /// Key words and hashes of rows `rows` of `batch` into the scratch, and
+    /// the batch's string key columns.
+    fn keys_of<'a>(&mut self, batch: &'a Batch, rows: Range<usize>) -> Result<Vec<&'a StrVec>> {
+        let cols: Vec<&Column> = self.group_cols.iter().map(|&c| &batch.columns[c]).collect();
+        if !cols.is_empty() {
+            group_key_words(&cols, rows, &mut self.words, &mut self.hashes);
+        }
+        self.table.strs.iter().map(|(c, _)| Ok(cols[*c].as_str()?)).collect()
     }
 
     /// Fold rows `rows` of `batch` — whose aggregate inputs are `inputs`
-    /// ([`eval_inputs`](Self::eval_inputs)) — into the table.
+    /// ([`ExprProgram::values`]) — into the table.
     fn consume_range(
         &mut self,
         batch: &Batch,
-        inputs: &[Option<Column>],
+        inputs: &[Option<&Column>],
         rows: Range<usize>,
         ids: Option<&[i64]>,
     ) -> Result<()> {
-        let cols = self.group_columns(batch);
-        if !cols.is_empty() {
-            hash_group_rows(&cols, rows.clone(), &mut self.hashes);
-        }
+        let strs = self.keys_of(batch, rows.clone())?;
+        let keys =
+            Keys { words: &self.words, hashes: &self.hashes, strs: &strs, start: rows.start };
         self.gids.clear();
         let (first_seen, rows_seen, start) = (&mut self.first_seen, self.rows_seen, rows.start);
-        self.table.resolve(&cols, rows.clone(), &self.hashes, &mut self.gids, |row| {
+        self.table.resolve(&keys, rows.len(), &mut self.gids, |i| {
             first_seen.push(match ids {
-                Some(ids) => ids[row] as u64,
-                None => rows_seen + (row - start) as u64,
+                Some(ids) => ids[start + i] as u64,
+                None => rows_seen + i as u64,
             })
         });
         for (acc, input) in self.accs.iter_mut().zip(inputs) {
-            acc.update(input.as_ref(), start, &self.gids, self.table.len())?;
+            acc.update(*input, start, &self.gids, self.table.len())?;
         }
         self.rows_seen += rows.len() as u64;
         Ok(())
@@ -617,12 +670,16 @@ impl PartialAgg {
 
     /// Fold the rows of `batch` (aggregate inputs `inputs`) whose groups the
     /// table holds, in stream order, creating none; return the other rows.
-    fn consume_resident(&mut self, batch: &Batch, inputs: &[Option<Column>]) -> Result<Vec<usize>> {
+    fn consume_resident(
+        &mut self,
+        batch: &Batch,
+        inputs: &[Option<&Column>],
+    ) -> Result<Vec<usize>> {
         let n = batch.rows();
-        let cols = self.group_columns(batch);
-        hash_group_rows(&cols, 0..n, &mut self.hashes);
+        let strs = self.keys_of(batch, 0..n)?;
+        let keys = Keys { words: &self.words, hashes: &self.hashes, strs: &strs, start: 0 };
         self.gids.clear();
-        self.table.lookup(&cols, 0..n, &self.hashes, &mut self.gids);
+        self.table.lookup(&keys, &mut self.gids);
         self.rows_seen += n as u64;
         let (new, resident): (Vec<usize>, Vec<usize>) =
             (0..n).partition(|&r| self.gids[r] == EMPTY);
@@ -631,8 +688,8 @@ impl PartialAgg {
             let gather = !new.is_empty();
             self.gids.retain(|&g| g != EMPTY);
             for (acc, input) in self.accs.iter_mut().zip(inputs) {
-                let some = input.as_ref().filter(|_| gather).map(|c| c.gather(&resident));
-                acc.update(some.as_ref().or(input.as_ref()), 0, &self.gids, self.table.len())?;
+                let some = input.filter(|_| gather).map(|c| c.gather(&resident));
+                acc.update(some.as_ref().or(*input), 0, &self.gids, self.table.len())?;
             }
         }
         Ok(new)
@@ -646,23 +703,21 @@ impl PartialAgg {
         if self.table.len() == 0 {
             return 0;
         }
-        let key = self.table.keys.iter().map(|k| match k {
-            Column::Str(v) => v[0].len() as u64 + 8,
-            _ => 8,
-        });
+        let strs = self.table.strs.iter().map(|(_, v)| v.get(0).len() as u64 + 8);
+        let key = strs.sum::<u64>() + 8 * (self.table.types.len() - self.table.strs.len()) as u64;
         let states = self.accs.iter().map(|a| match a {
             Acc::Distinct(sets) => 16 + sets[0].len() as u64 * 16,
             _ => 16,
         });
-        self.table.len() as u64 * (32 + key.sum::<u64>() + states.sum::<u64>())
+        self.table.len() as u64 * (32 + key + states.sum::<u64>())
     }
 
     /// Drain all groups into one output batch (first-seen order), leaving
     /// the state empty.
     fn flush(&mut self) -> Batch {
         let mut cols = self.table.take_keys();
-        for (acc, (f, dt, _)) in self.accs.iter_mut().zip(&self.aggs) {
-            cols.push(std::mem::replace(acc, Acc::new(*f, *dt)).finish());
+        for (acc, &(f, dt)) in self.accs.iter_mut().zip(&self.aggs) {
+            cols.push(std::mem::replace(acc, Acc::new(f, dt)).finish());
         }
         self.first_seen.clear();
         Batch::new(cols)
@@ -675,7 +730,7 @@ impl PartialAgg {
         if self.table.len() > 0 || !self.group_cols.is_empty() {
             return self.flush();
         }
-        let zeros = self.aggs.iter().map(|(f, dt, _)| match agg_output_type(*f, *dt) {
+        let zeros = self.aggs.iter().map(|&(f, dt)| match agg_output_type(f, dt) {
             DataType::Int => Column::from_i64(vec![0]),
             DataType::Date => Column::from_dates(vec![0]),
             DataType::Float => Column::from_f64(vec![0.0]),
@@ -689,15 +744,17 @@ impl PartialAgg {
     /// per-morsel partials in morsel order reproduces the serial
     /// first-seen group order exactly.
     pub fn merge(&mut self, other: PartialAgg) -> Result<()> {
-        // The other table's key columns are just rows to resolve here,
-        // their stored hashes included.
-        let cols: Vec<&Column> = other.table.keys.iter().collect();
+        // The other table's groups are just rows to resolve here, their
+        // key words and hashes included.
+        let strs: Vec<&StrVec> = other.table.strs.iter().map(|(_, v)| v).collect();
+        let keys =
+            Keys { words: &other.table.words, hashes: &other.table.hashes, strs: &strs, start: 0 };
         self.gids.clear();
         let first_seen = &mut self.first_seen;
         // Partials each count rows from 0, so merged ranks are only
         // ordinal per-partial; the partial-merge path orders by fold
         // position, never by these ranks.
-        self.table.resolve(&cols, 0..other.table.len(), &other.table.hashes, &mut self.gids, |g| {
+        self.table.resolve(&keys, other.table.len(), &mut self.gids, |g| {
             first_seen.push(other.first_seen[g])
         });
         for (mine, theirs) in self.accs.iter_mut().zip(&other.accs) {
@@ -826,15 +883,14 @@ impl HashAggregate {
         }
     }
 
-    /// Fold a batch into a table that takes no new group, and route the
-    /// rows of new groups to the spill core.
-    fn consume_spilling(&mut self, batch: Batch, inputs: &[Option<Column>]) -> Result<()> {
-        let base = self.core.rows_seen as i64;
-        let new = self.core.consume_resident(&batch, inputs)?;
+    /// Route the rows `new` of a batch whose other rows a table that takes
+    /// no new group has just folded to the spill core.
+    fn spill_rows(&mut self, batch: Batch, new: Vec<usize>) -> Result<()> {
         self.mem.resize(self.core.estimated_bytes());
         if new.is_empty() {
             return Ok(());
         }
+        let base = (self.core.rows_seen - batch.rows() as u64) as i64;
         let mut rows = if new.len() == batch.rows() { batch } else { batch.gather(&new) };
         rows.columns.push(Column::from_i64(new.iter().map(|&r| base + r as i64).collect()));
         let (spill, _) = self.spill.as_mut().expect("spilling");
@@ -860,7 +916,7 @@ impl HashAggregate {
             leaf.for_each_chunk(|chunk| {
                 let ids = chunk.columns.last().expect("chunks carry stream positions").as_i64()?;
                 // The trailing column is past every bound input index.
-                core.consume_indexed(&chunk, ids)?;
+                core.consume_indexed(&chunk, Some(ids))?;
                 mem.resize(core.estimated_bytes());
                 Ok(())
             })?;
@@ -895,10 +951,12 @@ impl Operator for HashAggregate {
             if n == 0 {
                 continue;
             }
-            let inputs = self.core.eval_inputs(&batch)?;
+            let steps = self.core.inputs.run(&batch)?;
+            let inputs = self.core.inputs.values(&batch, &steps);
             self.maybe_spill();
             if self.spill.is_some() {
-                self.consume_spilling(batch, &inputs)?;
+                let new = self.core.consume_resident(&batch, &inputs)?;
+                self.spill_rows(batch, new)?;
                 continue;
             }
             // Find where the batch's last run starts.

@@ -57,10 +57,10 @@
 //! them off. That call is the whole mechanism: one process-wide
 //! `AtomicBool`, on by default, read once per table build
 //! ([`encode_enabled`]) and never from the environment — there is no
-//! variable to set. It exists for `tests/encode_equivalence.rs` and the
-//! `compress_speedup` bin, which build the same table both ways (the
-//! scheme builders take no per-table option). A table built with the
-//! switch off carries no encodings and its scans take the raw path.
+//! variable to set. It exists for `tests/encode_equivalence.rs`, which
+//! builds the same tables both ways (the scheme builders take no per-table
+//! option). A table built with the switch off carries no encodings and its
+//! scans take the raw path.
 
 use std::sync::atomic::{AtomicBool, Ordering};
 

@@ -23,9 +23,15 @@
 //! by bit pattern, `Date` keys and string / date extrema keeping their
 //! types, empty batches, the global zero row, streaming and sandwich
 //! aggregation against hash aggregation on runs straddling batch
-//! boundaries, and integer `SUM` overflow on every path.
+//! boundaries, and integer `SUM` and input-arithmetic overflow on every
+//! path.
+//!
+//! The last part checks the group table against an oracle that shares no
+//! code with it — a row-at-a-time `BTreeMap` fold — over the keys its key
+//! words find hardest, serially, through `ParallelAggregate`'s merge and
+//! under `SpillMode::Force`.
 
-use std::collections::{HashMap, HashSet};
+use std::collections::{BTreeMap, HashMap, HashSet};
 use std::sync::Arc;
 
 use proptest::prelude::*;
@@ -671,5 +677,210 @@ fn integer_sum_overflow_is_a_typed_error_on_every_path() {
         }
         let out = run(&table(i64::MAX - 1, 1), path).unwrap();
         assert_eq!(out.columns[1].as_i64().unwrap(), &[i64::MAX], "path {path}");
+    }
+}
+
+/// Arithmetic in an aggregate input leaving the 64-bit range is a typed
+/// error on every path, as `SUM` is: the compiled input program checks
+/// `+`, `-` and `*` as the interpreter does.
+#[test]
+fn input_arithmetic_overflow_is_a_typed_error_on_every_path() {
+    let t = Arc::new(
+        StoredTable::from_columns_with_block_rows(
+            "t",
+            vec![
+                ("g".into(), Column::from_i64(vec![1, 2, 3, 1, 2, 3, 1, 2, 3])),
+                ("v".into(), Column::from_i64(vec![0, 0, 0, 0, i64::MAX, 0, i64::MIN, 0, 5])),
+            ],
+            4,
+        )
+        .unwrap(),
+    );
+    let cases = [
+        Expr::col("v").add(Expr::lit(1)),
+        Expr::col("v").sub(Expr::lit(1)),
+        Expr::col("v").mul(Expr::lit(-1)),
+    ];
+    for (i, input) in cases.into_iter().enumerate() {
+        let aggs = || vec![AggSpec::new(AggFunc::Sum, input.clone(), "s")];
+        for path in 0..3 {
+            let out = match path {
+                0 => try_serial(&t, &["g", "v"], &["g"], aggs(), false),
+                1 => try_parallel(&t, &["g", "v"], &["g"], aggs(), 2),
+                _ => try_serial(&t, &["g", "v"], &["g"], aggs(), true),
+            };
+            // `v + 1` overflows at MAX, `v - 1` and `v * -1` at MIN.
+            let err = out.expect_err("input must overflow");
+            assert!(matches!(err, ExecError::Overflow(_)), "case {i}, path {path}: {err:?}");
+        }
+    }
+}
+
+// ---------------------------------------------------------------------
+// The group table against an oracle that shares no code with it.
+// ---------------------------------------------------------------------
+
+/// String keys for the first string column: either side of the 7-byte
+/// inline limit (0, 7, 8, 9, 16, 100 bytes), multi-byte UTF-8, halves that
+/// concatenate like the second column's (`"ab"`+`"c"`, `"a"`+`"bc"`), and
+/// two 16-byte strings whose long-string key words collide
+/// (`bdcc_exec::hash`'s unit tests pin that collision).
+fn hard_strings() -> Vec<String> {
+    let mut v: Vec<String> = [
+        "",
+        "a",
+        "ab",
+        "abcdefg",
+        "abcdefgh",
+        "abcdefghi",
+        "abcdefghijklmnop",
+        "\0",
+        "é",
+        "ééé",
+        "ééééé",
+        "日本語",
+        "special requests",
+        "specabacfeque$a'",
+    ]
+    .map(String::from)
+    .to_vec();
+    v.push("x".repeat(100));
+    v.push("x".repeat(99) + "y");
+    v
+}
+
+const SECOND_STRINGS: [&str; 4] = ["c", "bc", "", "\0"];
+
+/// `0.0` next to `-0.0`, NaNs of three payloads, an infinity.
+fn hard_floats() -> [f64; 7] {
+    let nan = |bits: u64| f64::from_bits(bits);
+    [
+        0.0,
+        -0.0,
+        nan(0x7ff8_0000_0000_0000),
+        nan(0x7ff8_0000_0000_0001),
+        nan(0xfff8_0000_0000_0002),
+        1.5,
+        f64::INFINITY,
+    ]
+}
+
+const HARD_INTS: [i64; 5] = [i64::MIN, i64::MAX, 0, -1, 7];
+
+/// One key or aggregate cell as the oracle sees it: integers by value,
+/// floats by bit pattern, strings by content.
+#[derive(Clone, Debug, PartialEq, Eq, PartialOrd, Ord)]
+enum Cell {
+    Int(i64),
+    Bits(u64),
+    Text(String),
+}
+
+fn cell(c: &Column, row: usize) -> Cell {
+    match c {
+        Column::I64 { values, .. } => Cell::Int(values[row]),
+        Column::F64(values) => Cell::Bits(values[row].to_bits()),
+        Column::Str(values) => Cell::Text(values[row].to_string()),
+    }
+}
+
+/// Row-at-a-time fold into a `BTreeMap`: per group (first-seen order) its
+/// keys, then `COUNT(*)`, `SUM(v)`, `MIN(v)`, `MAX(s)`.
+fn oracle(cols: &Cols, keys: &[usize]) -> Vec<Vec<Cell>> {
+    let col = |name: &str| &cols.iter().find(|(n, _)| *n == name).unwrap().1;
+    let (v, s) = (col("v").as_i64().unwrap(), col("s").as_str().unwrap());
+    let mut groups: BTreeMap<Vec<Cell>, (usize, i64, i64, i64, String)> = BTreeMap::new();
+    for row in 0..v.len() {
+        let key: Vec<Cell> = keys.iter().map(|&k| cell(&cols[k].1, row)).collect();
+        let st = groups.entry(key).or_insert((row, 0, 0, v[row], s[row].to_string()));
+        st.1 += 1;
+        st.2 += v[row];
+        st.3 = st.3.min(v[row]);
+        if s[row] > *st.4 {
+            st.4 = s[row].to_string();
+        }
+    }
+    let mut groups: Vec<_> = groups.into_iter().collect();
+    groups.sort_by_key(|(_, st)| st.0);
+    let aggs = |st: (usize, i64, i64, i64, String)| {
+        [Cell::Int(st.1), Cell::Int(st.2), Cell::Int(st.3), Cell::Text(st.4)]
+    };
+    groups.into_iter().map(|(key, st)| key.into_iter().chain(aggs(st)).collect()).collect()
+}
+
+proptest! {
+    /// `HashAggregate` serially and under `SpillMode::Force`, and
+    /// `ParallelAggregate` (per-morsel tables merged) at 2 and 4 threads,
+    /// each equal to the oracle cell for cell and in first-seen group order,
+    /// with every key column keeping its type (a `Date` key next to an
+    /// `Int` one).
+    #[test]
+    fn group_table_matches_a_btreemap_fold_on_hard_keys(
+        picks in prop::collection::vec((0usize..1 << 16, 0usize..1 << 16, -20i64..20), 1..160),
+    ) {
+        let (strs, floats) = (hard_strings(), hard_floats());
+        // The composite look-alikes and the colliding pair always occur.
+        let mut rows: Vec<(String, &str, f64, i64, i64, i64)> = vec![
+            ("ab".into(), "c", 0.0, 0, 0, 1),
+            ("a".into(), "bc", -0.0, 0, 0, 2),
+            ("special requests".into(), "c", floats[2], 1, 1, 3),
+            ("specabacfeque$a'".into(), "c", floats[3], 1, 1, 4),
+        ];
+        for &(a, b, v) in &picks {
+            rows.push((
+                strs[a % strs.len()].clone(),
+                SECOND_STRINGS[(a >> 5) % SECOND_STRINGS.len()],
+                floats[b % floats.len()],
+                HARD_INTS[(b >> 3) % HARD_INTS.len()],
+                HARD_INTS[(b >> 7) % HARD_INTS.len()],
+                v,
+            ));
+        }
+        let cols: Cols = vec![
+            ("s", Column::from_strings(rows.iter().map(|r| r.0.clone()).collect())),
+            ("t", Column::from_strings(rows.iter().map(|r| r.1.to_string()).collect())),
+            ("f", Column::from_f64(rows.iter().map(|r| r.2).collect())),
+            ("i", Column::from_i64(rows.iter().map(|r| r.3).collect())),
+            ("d", Column::from_dates(rows.iter().map(|r| r.4).collect())),
+            ("v", Column::from_i64(rows.iter().map(|r| r.5).collect())),
+        ];
+        let table = Arc::new(
+            StoredTable::from_columns_with_block_rows(
+                "t",
+                cols.iter().map(|(n, c)| (n.to_string(), c.clone())).collect(),
+                8,
+            )
+            .unwrap(),
+        );
+        let aggs = || {
+            vec![
+                AggSpec::new(AggFunc::Count, Expr::lit(1), "n"),
+                AggSpec::new(AggFunc::Sum, Expr::col("v"), "sum_v"),
+                AggSpec::new(AggFunc::Min, Expr::col("v"), "min_v"),
+                AggSpec::new(AggFunc::Max, Expr::col("s"), "max_s"),
+            ]
+        };
+        let names: Vec<&str> = cols.iter().map(|(n, _)| *n).collect();
+        let group_bys: [&[usize]; 6] = [&[0, 1], &[1, 0], &[2], &[3, 4], &[0], &[0, 2, 3, 4, 1]];
+        for keys in group_bys {
+            let group_by: Vec<&str> = keys.iter().map(|&k| names[k]).collect();
+            let want = oracle(&cols, keys);
+            let runs = [
+                ("serial", try_serial(&table, &names, &group_by, aggs(), false)),
+                ("forced spill", try_serial(&table, &names, &group_by, aggs(), true)),
+                ("2 threads", try_parallel(&table, &names, &group_by, aggs(), 2)),
+                ("4 threads", try_parallel(&table, &names, &group_by, aggs(), 4)),
+            ];
+            for (path, got) in runs {
+                let got = got.unwrap();
+                for (k, &c) in keys.iter().enumerate() {
+                    prop_assert_eq!(got.columns[k].data_type(), cols[c].1.data_type());
+                }
+                let got: Vec<Vec<Cell>> = (0..got.rows())
+                    .map(|r| got.columns.iter().map(|c| cell(c, r)).collect())
+                    .collect();
+                prop_assert_eq!(&got, &want, "{} grouped by {:?}", path, &group_by);
+            }
+        }
     }
 }

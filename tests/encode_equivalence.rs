@@ -5,7 +5,7 @@
 //! compression-aware kernels and late materialization may only change
 //! *how* blocks are evaluated, never what a scan emits. On top of that,
 //! `EXPLAIN ANALYZE` must surface the per-scan encoding annotations and
-//! the dict-miss skip counter.
+//! the dict-miss skip counter, and LINEITEM must compress at least 2×.
 //!
 //! Everything lives in one test function because the encoding switch
 //! (`set_encode_enabled`) is process-global and the harness runs tests in
@@ -63,6 +63,21 @@ fn encoded_scans_are_byte_identical_to_raw() {
     );
     assert!(!raw_li.has_encodings(), "gate off must build no encodings");
     assert!(enc_li.has_encodings(), "lineitem must pick up block encodings");
+
+    // The codecs pay for themselves: under the `avg_width` byte model,
+    // LINEITEM's encoded footprint is at most half its raw one.
+    let rows = enc_li.rows() as f64;
+    let (mut raw_bytes, mut enc_bytes) = (0u64, 0u64);
+    for (i, m) in enc_li.schema().columns.iter().enumerate() {
+        let col_raw = (m.avg_width * rows) as u64;
+        raw_bytes += col_raw;
+        enc_bytes += enc_li.encoding(i).map_or(col_raw, |e| e.encoded_bytes);
+    }
+    println!("lineitem: {raw_bytes} raw bytes, {enc_bytes} encoded");
+    assert!(
+        raw_bytes >= 2 * enc_bytes,
+        "LINEITEM must compress at least 2x: {raw_bytes} raw vs {enc_bytes} encoded bytes"
+    );
 
     // The full query matrix: every query × every scheme, serial and
     // parallel, in memory and forced out of core (partial-merge and

@@ -15,6 +15,10 @@
 //!    adaptive reorder warmup must stay exact after permuting its order.
 //! 3. `EXPLAIN ANALYZE` must annotate compiled filters with the leaf
 //!    mix, per-conjunct selectivities and the chosen order.
+//! 4. `LIKE` at all three sites that match it — the scan kernel over
+//!    dictionary and raw blocks, a compiled `FilterProgram`, `Expr::eval` —
+//!    must agree with a naive `str::find` / `str::contains` reference over
+//!    random ASCII and UTF-8 haystacks, for every pattern shape.
 //!
 //! There is no interpreter-everywhere mode to compare whole queries
 //! against: the operators' own tests check each residual site against a
@@ -25,11 +29,13 @@ use std::sync::Arc;
 
 use bdcc::prelude::*;
 use bdcc_exec::kernel::sel_from_bools;
+use bdcc_exec::ops::collect;
+use bdcc_exec::ops::scan::Scan;
 use bdcc_exec::{
-    explain_analyze, filter, Batch, ColMeta, Datum, Expr, FilterProgram, LikePattern, PlanBuilder,
-    ProfileNode, QueryContext,
+    explain_analyze, filter, Batch, ColMeta, ColPredicate, Datum, Expr, FilterProgram, LikePattern,
+    PlanBuilder, ProfileNode, QueryContext,
 };
-use bdcc_storage::{Column, DataType};
+use bdcc_storage::{BlockEncoding, Column, DataType, IoTracker, StoredTable};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
@@ -246,4 +252,120 @@ fn explain_analyze_annotates_compiled_filters() {
     assert!(saw_order, "multi-conjunct filter must annotate its chosen order");
     let rendered = analyzed.profile.render();
     assert!(rendered.contains("kernel"), "render must show kernel annotations:\n{rendered}");
+}
+
+/// The reference `LIKE`: the standard library's substring search, the
+/// second literal searched after the first one's leftmost occurrence.
+fn naive_like(p: &LikePattern, s: &str) -> bool {
+    match p {
+        LikePattern::StartsWith(x) => s.starts_with(x.as_str()),
+        LikePattern::EndsWith(x) => s.ends_with(x.as_str()),
+        LikePattern::Contains(x) => s.contains(x.as_str()),
+        LikePattern::ContainsSeq(a, b) => match s.find(a.as_str()) {
+            Some(i) => s[i + a.len()..].contains(b.as_str()),
+            None => false,
+        },
+    }
+}
+
+/// A random string over a small alphabet of one-, two- and three-byte
+/// characters, so literals drawn from it occur often and overlap.
+fn random_text(rng: &mut StdRng, max_chars: usize) -> String {
+    const ALPHABET: [char; 7] = ['a', 'b', 'a', 'b', ' ', 'é', '日'];
+    let len = rng.random_range(0..=max_chars);
+    (0..len).map(|_| ALPHABET[rng.random_range(0..ALPHABET.len())]).collect()
+}
+
+fn like_patterns(rng: &mut StdRng) -> Vec<LikePattern> {
+    use LikePattern::*;
+    let mut patterns = vec![
+        // Empty literals.
+        StartsWith(String::new()),
+        EndsWith(String::new()),
+        Contains(String::new()),
+        ContainsSeq(String::new(), String::new()),
+        ContainsSeq("a".into(), String::new()),
+        ContainsSeq(String::new(), "b".into()),
+        // Longer than every haystack.
+        Contains("ab".repeat(100)),
+        StartsWith("ab".repeat(100)),
+        // Self-overlapping: `aab` in `aaab`.
+        Contains("aab".into()),
+        Contains("abab".into()),
+        // The second literal overlaps the first one's occurrence: `aba`
+        // holds `ab` then `ba` only by sharing a `b`, which does not match.
+        ContainsSeq("ab".into(), "ba".into()),
+        ContainsSeq("aa".into(), "aa".into()),
+        // Multi-byte literals.
+        Contains("é".into()),
+        EndsWith("日".into()),
+        ContainsSeq("é".into(), "日a".into()),
+    ];
+    for _ in 0..24 {
+        let (a, b) = (random_text(rng, 3), random_text(rng, 3));
+        patterns.push(match rng.random_range(0u32..4) {
+            0 => StartsWith(a),
+            1 => EndsWith(a),
+            2 => Contains(a),
+            _ => ContainsSeq(a, b),
+        });
+    }
+    patterns
+}
+
+#[test]
+fn like_agrees_with_a_naive_reference_at_every_site() {
+    let mut rng = StdRng::seed_from_u64(0xBDCC_0033);
+    // Block 0 repeats 12 haystacks (a dictionary block); block 1's 256 are
+    // all distinct and long (a raw block in an encoded table). The fixed
+    // ones hold the overlap cases.
+    let fixed = ["aaab", "aba", "abba", "aaa", "aaaa", "", "ab", "éa日a", "é日a"];
+    let mut few: Vec<String> = fixed.map(String::from).to_vec();
+    few.extend((0..3).map(|_| random_text(&mut rng, 12)));
+    let mut hay: Vec<String> = (0..256).map(|i| few[i % few.len()].clone()).collect();
+    hay.extend((0..256).map(|i| format!("{i:03}{}", random_text(&mut rng, 40))));
+    let t = Arc::new(
+        StoredTable::from_columns_with_block_rows(
+            "t",
+            vec![
+                ("h".into(), Column::from_strings(hay.clone())),
+                ("k".into(), Column::from_i64((0..512).collect())),
+            ],
+            256,
+        )
+        .unwrap(),
+    );
+    let enc = t.encoding(0).expect("the string column is encoded");
+    assert!(matches!(enc.block(0), BlockEncoding::DictStr { .. }), "block 0 is a dictionary");
+    assert!(matches!(enc.block(1), BlockEncoding::Raw), "block 1 stays raw");
+
+    let schema = vec![ColMeta::new("h", DataType::Str)];
+    let batch = Batch::new(vec![Column::from_strings(hay.clone())]);
+    for p in like_patterns(&mut rng) {
+        for negate in [false, true] {
+            let keep: Vec<bool> = hay.iter().map(|s| naive_like(&p, s) != negate).collect();
+            let want: Vec<&String> =
+                hay.iter().zip(&keep).filter(|(_, &k)| k).map(|(s, _)| s).collect();
+            let expr = match negate {
+                false => Expr::col("h").like(p.clone()),
+                true => Expr::col("h").not_like(p.clone()),
+            };
+            let bound = expr.bind(&schema).unwrap();
+            assert_eq!(bound.eval_bool(&batch).unwrap(), keep, "Expr::eval, {expr:?}");
+            let program = FilterProgram::compile(&bound, &schema);
+            assert_eq!(
+                program.select(&batch).unwrap(),
+                sel_from_bools(&keep),
+                "FilterProgram, {expr:?}"
+            );
+            let pred = match negate {
+                false => ColPredicate::like("h", p.clone()),
+                true => ColPredicate::not_like("h", p.clone()),
+            };
+            let scan = Scan::blocks(Arc::clone(&t), IoTracker::new(), &["h"], vec![pred]).unwrap();
+            let out = collect(Box::new(scan)).unwrap();
+            let got: Vec<&str> = out.columns[0].as_str().unwrap().iter().collect();
+            assert_eq!(got, want, "scan kernel, {expr:?}");
+        }
+    }
 }
