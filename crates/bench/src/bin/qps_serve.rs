@@ -13,7 +13,7 @@
 //! panics at both pool-job and operator checkpoints: the process must
 //! survive, faulted queries must fail typed, and the *non-faulted* ones
 //! must still match the reference exactly. Prints a table and, last, one
-//! JSON line recorded as `BENCH_serve.json`.
+//! JSON line.
 
 use std::collections::HashMap;
 use std::sync::Arc;

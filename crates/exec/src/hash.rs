@@ -45,6 +45,18 @@
 //! every other row when fused with the chain walk), then those chains in
 //! row order — the generic loop's chains, so the same matches in the same
 //! order.
+//!
+//! ## The group-key codec
+//!
+//! A group key is one `u64` word per key column: an integer-backed value
+//! itself, a float's bit pattern, a string of up to 7 bytes inline with its
+//! length in the byte above them, a longer string as FxHash rounds over its
+//! length and 8-byte words with the top bit (`LONG_STR`) set. Equal short
+//! words mean equal strings; equal long ones still need the strings
+//! compared. A key's hash is [`hash_key`] over its words. The codec runs a
+//! column at a time, and reads a string column's buffer and offsets
+//! directly: a short value is one 8-byte load masked to its length, except
+//! where fewer than 8 bytes of the buffer remain from its start.
 
 use std::hash::{BuildHasherDefault, Hasher};
 use std::ops::Range;
@@ -145,8 +157,8 @@ pub(crate) const LONG_STR: u64 = 1 << 63;
 /// words (the last one ending at its last byte), with [`LONG_STR`] set:
 /// equal words there still need the strings compared.
 #[inline]
-fn str_key_word(s: &str) -> u64 {
-    let (b, n) = (s.as_bytes(), s.len());
+fn str_key_word(b: &[u8]) -> u64 {
+    let n = b.len();
     let word = |i: usize| u64::from_le_bytes(b[i..i + 8].try_into().expect("8 bytes"));
     if n >= 8 {
         let mut h = fx_round(0, n as u64);
@@ -165,13 +177,30 @@ fn str_key_word(s: &str) -> u64 {
     bytes | (n as u64) << (8 * n)
 }
 
+/// [`str_key_word`] of the value at `bytes[s..e]` of a string column's
+/// buffer: a short value with one 8-byte load masked to its length, where
+/// the buffer holds 8 bytes from its start (the last values of a column may
+/// not).
+#[inline]
+fn str_key_word_at(bytes: &[u8], s: usize, e: usize) -> u64 {
+    let n = e - s;
+    match bytes.get(s..s + 8) {
+        Some(w) if n < 8 => {
+            let v = u64::from_le_bytes(w.try_into().expect("8 bytes"));
+            v & ((1 << (8 * n)) - 1) | (n as u64) << (8 * n)
+        }
+        _ => str_key_word(&bytes[s..e]),
+    }
+}
+
 /// The group-key codec, column at a time: one `u64` word per key column
 /// and row of `rows`, row-major into `words` (`k` a row for `k` columns),
 /// and per row the FxHash rounds over its words and the avalanche into
 /// `hashes` — [`hash_key`] over the words, so an integer key hashes as it
 /// does in a join. An integer-backed key's word is its value, a float's its
 /// bit pattern (groups compare floats bitwise), a string's its
-/// [`str_key_word`]. Both vectors are cleared first.
+/// [`str_key_word`], read from the column's buffer and offsets with no
+/// `&str` made per value. Both vectors are cleared first.
 pub(crate) fn group_key_words(
     group_cols: &[&Column],
     rows: Range<usize>,
@@ -199,9 +228,13 @@ pub(crate) fn group_key_words(
             Column::F64(values) => {
                 slots.zip(&values[rows.clone()]).for_each(|(s, v)| put(s, v.to_bits()))
             }
-            Column::Str(values) => slots
-                .zip(values.iter_range(rows.clone()))
-                .for_each(|(s, v)| put(s, str_key_word(v))),
+            Column::Str(values) => {
+                let (bytes, offsets) = values.parts();
+                let bounds = offsets[rows.start..=rows.end].windows(2);
+                slots.zip(bounds).for_each(|(s, w)| {
+                    put(s, str_key_word_at(bytes.as_bytes(), w[0] as usize, w[1] as usize))
+                })
+            }
         }
     }
     hashes.iter_mut().for_each(|h| *h = avalanche(*h));
@@ -555,7 +588,7 @@ mod tests {
             "abcdefghijklmnopq",
             "ééééé",
         ];
-        let words: Vec<u64> = strs.iter().map(|s| str_key_word(s)).collect();
+        let words: Vec<u64> = strs.iter().map(|s| str_key_word(s.as_bytes())).collect();
         for (i, (s, w)) in strs.iter().zip(&words).enumerate() {
             assert_eq!(w & LONG_STR != 0, s.len() > 7, "{s:?}");
             assert!(words[..i].iter().all(|v| v != w), "{s:?} shares a word");
@@ -567,7 +600,7 @@ mod tests {
         // Constructed so that the second word cancels the first one's
         // difference in the FxHash state: a marker-word collision, the pair
         // `tests/agg_properties.rs` groups by.
-        assert_eq!(str_key_word("special requests"), str_key_word("specabacfeque$a'"));
+        assert_eq!(str_key_word(b"special requests"), str_key_word(b"specabacfeque$a'"));
     }
 
     #[test]
@@ -621,6 +654,50 @@ mod tests {
         let r = Column::from_strings(vec!["c".into(), "bc".into()]);
         hash_group_rows(&[&l, &r], 0..2, &mut out);
         assert_ne!(out[0], out[1]);
+    }
+
+    #[test]
+    fn string_key_words_from_the_buffer_match_the_row_codec() {
+        // Every prefix of these values is a column: its last value ends the
+        // buffer, where an 8-byte load from a short value's start would run
+        // past it. Empty values, 7 and 8 bytes, multi-byte UTF-8 (2- and
+        // 3-byte characters up to 8 bytes and past), every sub-range.
+        let values = [
+            "",
+            "a",
+            "abcdefg",
+            "abcdefgh",
+            "é",
+            "日本",
+            "ééé",
+            "éééé",
+            "x",
+            "abcdefghijklmnop",
+            "",
+            "日",
+            "ab",
+        ];
+        let (mut words, mut hashes) = (Vec::new(), Vec::new());
+        for end in 1..=values.len() {
+            let col = Column::from_strings(values[..end].iter().map(|v| v.to_string()).collect());
+            let ints = Column::from_i64((0..end as i64).collect());
+            for lo in 0..end {
+                for hi in lo..=end {
+                    group_key_words(&[&col], lo..hi, &mut words, &mut hashes);
+                    let want: Vec<u64> =
+                        values[lo..hi].iter().map(|v| str_key_word(v.as_bytes())).collect();
+                    assert_eq!(words, want, "words of {lo}..{hi} of {end}");
+                    let want: Vec<u64> = (lo..hi).map(|r| hash_group_row(&[&col], r)).collect();
+                    assert_eq!(hashes, want, "hashes of {lo}..{hi} of {end}");
+                    // Beside an integer key, row-major.
+                    group_key_words(&[&ints, &col], lo..hi, &mut words, &mut hashes);
+                    let want: Vec<u64> = (lo..hi)
+                        .flat_map(|r| [r as u64, str_key_word(values[r].as_bytes())])
+                        .collect();
+                    assert_eq!(words, want, "two-column words of {lo}..{hi} of {end}");
+                }
+            }
+        }
     }
 
     #[test]

@@ -24,21 +24,30 @@
 //!    once: bare columns borrowed, arithmetic in typed loops with scalar
 //!    literals, a shared subexpression (Q01's `disc_price`) computed once.
 //! 2. **Encode** the group columns into one `u64` *key word* per column and
-//!    row (`group_key_words`, the only pass over key strings): an
-//!    integer's value, a float's bits, a string of up to 7 bytes inline, a
-//!    longer one as a marked hash; and one hash per row over the words (the
-//!    hash spill routing shares; an integer key hashes as in a join).
+//!    row (`group_key_words`, the only pass over key strings, which reads
+//!    them from the column's buffer and offsets): an integer's value, a
+//!    float's bits, a string of up to 7 bytes inline, a longer one as a
+//!    marked hash; and one hash per row over the words (the hash spill
+//!    routing shares; an integer key hashes as in a join).
 //! 3. **Resolve** every row to a dense `u32` group id through one
-//!    open-addressed directory (`GroupTable`): the hash, then the row's
-//!    words, then — for a long string's word only — the stored string.
-//!    Groups keep their words row-major and their string keys' values,
-//!    copied once, when the group appears; with no group columns every row
-//!    is group 0. Ids ascend in first-seen order, so a flush decodes the
-//!    words into the output's integer and float key columns and hands over
-//!    the string ones as they stand.
-//! 4. **Accumulate** into struct-of-arrays state (`Acc`: per aggregate one
-//!    vector per state component, indexed by group id), one typed loop per
-//!    aggregate over `(row, group id)`. `COUNT` reads no input.
+//!    open-addressed directory (`GroupTable`): the row's hash picks the
+//!    slot, the row's words are compared with the group's there, and only
+//!    while some group's key holds a long string's word are strings
+//!    compared too. Groups keep their words row-major and their string
+//!    keys' values, copied once, when the group appears; with no group
+//!    columns every row is group 0. Ids ascend in first-seen order, so a
+//!    flush decodes the words into the output's integer and float key
+//!    columns and hands over the string ones as they stand.
+//! 4. **Accumulate.** Every group has one row count, kept when a `COUNT`
+//!    or an `AVG` reads it (a `COUNT` is that count, an `AVG` its sum over
+//!    it). Every float `SUM` and `AVG` is a Neumaier-compensated sum in one
+//!    fused state (`FloatSums`: per group a `[sum, error]` pair per such
+//!    aggregate, side by side), and one row loop folds a batch's rows into
+//!    all of them — an integer `AVG` input converted to floats first. The
+//!    other aggregates (`Acc`: integer `SUM`, extrema, `COUNT(DISTINCT)`)
+//!    keep one vector per group and fold in one typed loop each over
+//!    `(row, group id)`. Merging another table adds its counts once and
+//!    folds its float states, sum then error, state by state.
 //!
 //! A group still folds its rows in stream order, so every result —
 //! Neumaier-compensated float sums included — is bit for bit that of a
@@ -158,9 +167,11 @@ struct GroupTable {
     /// The string key columns: position in the key and values by group id
     /// — the output, and what confirms a long string's word.
     strs: Vec<(usize, StrVec)>,
-    /// Every group's key hash: a probe compares it before the key, and
-    /// growing the directory re-files groups without rehashing keys.
+    /// Every group's key hash.
     hashes: Vec<u64>,
+    /// Does any group's key hold a long string's word? Only then does a
+    /// probe confirm strings: short strings are equal when their words are.
+    long: bool,
     /// Group ids, [`EMPTY`] where free; a power of two, at most half full.
     slots: Vec<u32>,
 }
@@ -174,6 +185,7 @@ impl GroupTable {
             types,
             words: Vec::new(),
             hashes: Vec::new(),
+            long: false,
             slots: vec![EMPTY; 16],
         }
     }
@@ -182,16 +194,37 @@ impl GroupTable {
         self.hashes.len()
     }
 
-    /// Does group `g` hold row `i`'s key? Its words, and where a word
-    /// stands for a long string, the string itself.
-    #[inline]
-    fn holds(&self, g: usize, keys: &Keys, i: usize) -> bool {
-        let k = self.types.len();
-        let key = &keys.words[i * k..i * k + k];
-        self.words[g * k..g * k + k].iter().zip(key).all(|(a, b)| a == b)
-            && self.strs.iter().zip(keys.strs).all(|((c, mine), theirs)| {
-                key[*c] & LONG_STR == 0 || mine.get(g) == theirs.get(keys.start + i)
-            })
+    /// Row `i`'s group id, or the free slot its key would be filed under:
+    /// the hash, then the `k` words, then — only for a group whose key
+    /// holds a long string — the strings.
+    #[inline(always)]
+    fn find(&self, keys: &Keys, i: usize) -> std::result::Result<u32, usize> {
+        let (h, k) = (keys.hashes[i], self.types.len());
+        let key = &keys.words[i * k..][..k];
+        let mask = self.slots.len() - 1;
+        let mut slot = h as usize & mask;
+        loop {
+            let g = self.slots[slot];
+            if g == EMPTY {
+                return Err(slot);
+            }
+            let mine = &self.words[g as usize * k..][..k];
+            if mine.iter().zip(key).all(|(a, b)| a == b)
+                && (!self.long || self.same_strs(g as usize, keys, i))
+            {
+                return Ok(g);
+            }
+            slot = (slot + 1) & mask;
+        }
+    }
+
+    /// Does group `g` hold row `i`'s long strings (whose words match)?
+    #[inline(never)]
+    fn same_strs(&self, g: usize, keys: &Keys, i: usize) -> bool {
+        let key = &keys.words[i * self.types.len()..];
+        self.strs.iter().zip(keys.strs).all(|((c, mine), theirs)| {
+            key[*c] & LONG_STR == 0 || mine.get(g) == theirs.get(keys.start + i)
+        })
     }
 
     /// Append to `gids` the group id of every row of `keys`, creating
@@ -213,48 +246,33 @@ impl GroupTable {
             gids.resize(gids.len() + rows, 0);
             return;
         }
-        for (i, &h) in keys.hashes.iter().enumerate() {
-            let mask = self.slots.len() - 1;
-            let mut slot = h as usize & mask;
-            let gid = loop {
-                let g = self.slots[slot];
-                if g == EMPTY {
+        for i in 0..keys.hashes.len() {
+            gids.push(match self.find(keys, i) {
+                Ok(g) => g,
+                Err(slot) => {
                     on_new(i);
-                    break self.insert(slot, h, keys, i);
+                    self.insert(slot, keys, i)
                 }
-                if self.hashes[g as usize] == h && self.holds(g as usize, keys, i) {
-                    break g;
-                }
-                slot = (slot + 1) & mask;
-            };
-            gids.push(gid);
+            });
         }
     }
 
     /// [`resolve`](Self::resolve) without creating groups: a row whose key
     /// has none gets [`EMPTY`].
     fn lookup(&self, keys: &Keys, gids: &mut Vec<u32>) {
-        let mask = self.slots.len() - 1;
-        for (i, &h) in keys.hashes.iter().enumerate() {
-            let mut slot = h as usize & mask;
-            gids.push(loop {
-                let g = self.slots[slot];
-                if g == EMPTY || self.hashes[g as usize] == h && self.holds(g as usize, keys, i) {
-                    break g;
-                }
-                slot = (slot + 1) & mask;
-            });
-        }
+        gids.extend((0..keys.hashes.len()).map(|i| self.find(keys, i).unwrap_or(EMPTY)));
     }
 
     /// File a new group under free slot `slot`, its key copied from row `i`.
-    fn insert(&mut self, slot: usize, h: u64, keys: &Keys, i: usize) -> u32 {
+    fn insert(&mut self, slot: usize, keys: &Keys, i: usize) -> u32 {
         let gid = self.hashes.len() as u32;
         assert!(gid != EMPTY, "group table holds at most u32::MAX - 1 groups");
         self.slots[slot] = gid;
-        self.hashes.push(h);
+        self.hashes.push(keys.hashes[i]);
         let k = self.types.len();
-        self.words.extend_from_slice(&keys.words[i * k..i * k + k]);
+        let key = &keys.words[i * k..i * k + k];
+        self.words.extend_from_slice(key);
+        self.long |= self.strs.iter().any(|(c, _)| key[*c] & LONG_STR != 0);
         for ((_, mine), theirs) in self.strs.iter_mut().zip(keys.strs) {
             mine.push(theirs.get(keys.start + i));
         }
@@ -298,54 +316,75 @@ impl GroupTable {
         }
         self.words.clear();
         self.hashes.clear();
+        self.long = false;
         self.slots.fill(EMPTY);
         cols
     }
 }
 
-/// Neumaier-compensated float sums, one per group: `c` accumulates the
-/// rounding error of every `sum += v`. Makes a total accurate to ~1 ulp of
-/// the true value regardless of accumulation order, which is what lets
+/// One Neumaier step: `sum += v`, with the rounding error of the addition
+/// accumulated in `c`. A compensated total is accurate to ~1 ulp of the true
+/// value regardless of accumulation order, which is what lets
 /// morsel-parallel partial aggregates merge without observable drift from
 /// the serial result.
+#[inline(always)]
+fn neumaier([sum, c]: &mut [f64; 2], v: f64) {
+    let t = *sum + v;
+    *c += if sum.abs() >= v.abs() { (*sum - t) + v } else { (v - t) + *sum };
+    *sum = t;
+}
+
+/// Every float `SUM` / `AVG` state of every group, fused: per group
+/// `width` `[sum, c]` pairs side by side, state `j` being the `j`-th float
+/// aggregate. One row loop folds a batch into all of them.
 #[derive(Clone, Default)]
 struct FloatSums {
-    sum: Vec<f64>,
-    c: Vec<f64>,
+    width: usize,
+    state: Vec<[f64; 2]>,
 }
 
 impl FloatSums {
-    fn add_to(&mut self, g: usize, v: f64) {
-        let (sum, c) = (&mut self.sum[g], &mut self.c[g]);
-        let t = *sum + v;
-        *c += if sum.abs() >= v.abs() { (*sum - t) + v } else { (v - t) + *sum };
-        *sum = t;
-    }
-
-    fn add(&mut self, vals: impl Iterator<Item = f64>, gids: &[u32], groups: usize) {
-        self.sum.resize(groups, 0.0);
-        self.c.resize(groups, 0.0);
-        for (v, &g) in vals.zip(gids) {
-            self.add_to(g as usize, v);
+    /// Fold value `i` of every input — `inputs[j]` into state `j` — into
+    /// group `gids[i]`, row after row; `groups` sizes the state of groups
+    /// the rows created.
+    fn add(&mut self, inputs: &[&[f64]], gids: &[u32], groups: usize) {
+        let w = self.width;
+        if w == 0 {
+            return;
         }
-    }
-
-    /// Fold `other`'s group `i` into group `map[i]`; a group new to this
-    /// side (one past the end) takes `other`'s state as it stands.
-    fn merge(&mut self, other: &FloatSums, map: &[u32]) {
-        for (i, &g) in map.iter().enumerate() {
-            if g as usize == self.sum.len() {
-                self.sum.push(other.sum[i]);
-                self.c.push(other.c[i]);
-            } else {
-                self.add_to(g as usize, other.sum[i]);
-                self.add_to(g as usize, other.c[i]);
+        self.state.resize(groups * w, [0.0; 2]);
+        for (i, &g) in gids.iter().enumerate() {
+            let states = &mut self.state[g as usize * w..][..w];
+            for (st, v) in states.iter_mut().zip(inputs) {
+                neumaier(st, v[i]);
             }
         }
     }
 
-    fn totals(&self) -> impl Iterator<Item = f64> + '_ {
-        self.sum.iter().zip(&self.c).map(|(s, c)| s + c)
+    /// Fold `other`'s group `i` into group `map[i]`, its sum and then its
+    /// compensation into each state; a group new to this side (one past
+    /// the end) takes `other`'s states as they stand.
+    fn merge(&mut self, other: &FloatSums, map: &[u32]) {
+        let w = self.width;
+        if w == 0 {
+            return;
+        }
+        for (theirs, &g) in other.state.chunks_exact(w).zip(map) {
+            let g = g as usize;
+            if g * w == self.state.len() {
+                self.state.extend_from_slice(theirs);
+            } else {
+                for (st, [sum, c]) in self.state[g * w..][..w].iter_mut().zip(theirs) {
+                    neumaier(st, *sum);
+                    neumaier(st, *c);
+                }
+            }
+        }
+    }
+
+    /// State `j`'s compensated total of every group.
+    fn totals(&self, j: usize) -> impl Iterator<Item = f64> + '_ {
+        self.state.iter().skip(j).step_by(self.width).map(|[sum, c]| sum + c)
     }
 }
 
@@ -364,13 +403,6 @@ fn add_ints(sums: &mut Vec<i64>, vals: &[i64], gids: &[u32], groups: usize) -> R
         return Err(ExecError::Overflow("integer SUM exceeds the 64-bit range".into()));
     }
     Ok(())
-}
-
-fn count_rows(n: &mut Vec<i64>, gids: &[u32], groups: usize) {
-    n.resize(groups, 0);
-    for &g in gids {
-        n[g as usize] += 1;
-    }
 }
 
 /// Fold `(v, g)` pairs into per-group extrema (`want`: how a better value
@@ -394,20 +426,23 @@ fn fold_extrema<'a, T: ToOwned + ?Sized + 'a>(
 }
 
 /// Running state of one aggregate for every group: struct-of-arrays,
-/// indexed by group id.
+/// indexed by group id. Float sums and row counts live in the
+/// [`PartialAgg`], shared by every aggregate that reads them.
 #[derive(Clone)]
 enum Acc {
     SumI(Vec<i64>),
-    SumF(FloatSums),
-    /// Sums and row counts.
-    Avg(FloatSums, Vec<i64>),
+    /// Float `SUM` and `AVG`: the index of the aggregate's state in the
+    /// fused [`FloatSums`]; `AVG` divides it by the group's row count.
+    SumF(usize),
+    Avg(usize),
     /// Best values, typed like the input, and how a better one compares to
     /// the incumbent: `Less` for MIN, `Greater` for MAX.
     Extrema(Column, Ordering),
     /// The same over strings: a group's best value is replaced in place,
     /// which one shared buffer cannot do.
     StrExtrema(Vec<String>, Ordering),
-    Count(Vec<i64>),
+    /// The group's row count, as it stands.
+    Count,
     Distinct(Vec<HashSet<i64, FxBuildHasher>>),
 }
 
@@ -416,11 +451,17 @@ fn input_mismatch() -> ExecError {
 }
 
 impl Acc {
-    fn new(func: AggFunc, dt: DataType) -> Acc {
+    /// The state of `func` over inputs of type `dt`; `floats` counts the
+    /// float states handed out so far.
+    fn new(func: AggFunc, dt: DataType, floats: &mut usize) -> Acc {
+        let mut float = || {
+            *floats += 1;
+            *floats - 1
+        };
         match func {
-            AggFunc::Sum if dt == DataType::Float => Acc::SumF(FloatSums::default()),
+            AggFunc::Sum if dt == DataType::Float => Acc::SumF(float()),
             AggFunc::Sum => Acc::SumI(Vec::new()),
-            AggFunc::Avg => Acc::Avg(FloatSums::default(), Vec::new()),
+            AggFunc::Avg => Acc::Avg(float()),
             AggFunc::Min | AggFunc::Max => {
                 let want = if func == AggFunc::Min { Ordering::Less } else { Ordering::Greater };
                 match dt {
@@ -428,14 +469,15 @@ impl Acc {
                     _ => Acc::Extrema(Column::empty(dt), want),
                 }
             }
-            AggFunc::Count => Acc::Count(Vec::new()),
+            AggFunc::Count => Acc::Count,
             AggFunc::CountDistinct => Acc::Distinct(Vec::new()),
         }
     }
 
     /// Fold rows `start..start + gids.len()` of `input` into the groups
     /// `gids` names; `groups` is the table's group count, which sizes the
-    /// state of groups this batch created.
+    /// state of groups this batch created. Float sums and counts are the
+    /// partial's, folded beside this.
     fn update(
         &mut self,
         input: Option<&Column>,
@@ -444,20 +486,9 @@ impl Acc {
         groups: usize,
     ) -> Result<()> {
         match (self, input) {
-            (Acc::Count(n), _) => count_rows(n, gids, groups),
+            (Acc::SumF(_) | Acc::Avg(_) | Acc::Count, _) => {}
             (Acc::SumI(sum), Some(Column::I64 { values, .. })) => {
                 add_ints(sum, &values[start..], gids, groups)?
-            }
-            (Acc::SumF(sums), Some(Column::F64(values))) => {
-                sums.add(values[start..].iter().copied(), gids, groups)
-            }
-            (Acc::Avg(sums, n), Some(Column::F64(values))) => {
-                sums.add(values[start..].iter().copied(), gids, groups);
-                count_rows(n, gids, groups);
-            }
-            (Acc::Avg(sums, n), Some(Column::I64 { values, .. })) => {
-                sums.add(values[start..].iter().map(|&v| v as f64), gids, groups);
-                count_rows(n, gids, groups);
             }
             (Acc::Extrema(best, want), Some(col)) => match (best, col) {
                 (Column::I64 { values: best, .. }, Column::I64 { values, .. }) => {
@@ -484,19 +515,14 @@ impl Acc {
 
     /// Fold another table's state of the same aggregate into this one:
     /// `other`'s group `i` is group `map[i]` here (the merge contract of
-    /// morsel-parallel partial aggregation). Exact for every function
-    /// except float sums, where the compensated representation keeps the
-    /// merged total within ~1 ulp of the serial result.
+    /// morsel-parallel partial aggregation). Exact for every function;
+    /// float sums and counts merge in the partial.
     fn merge(&mut self, other: &Acc, map: &[u32], groups: usize) -> Result<()> {
         match (self, other) {
-            (Acc::SumI(a), Acc::SumI(b)) | (Acc::Count(a), Acc::Count(b)) => {
-                add_ints(a, b, map, groups)?
-            }
-            (Acc::SumF(a), Acc::SumF(b)) => a.merge(b, map),
-            (Acc::Avg(a, an), Acc::Avg(b, bn)) => {
-                a.merge(b, map);
-                add_ints(an, bn, map, groups)?;
-            }
+            (Acc::SumF(_), Acc::SumF(_))
+            | (Acc::Avg(_), Acc::Avg(_))
+            | (Acc::Count, Acc::Count) => {}
+            (Acc::SumI(a), Acc::SumI(b)) => add_ints(a, b, map, groups)?,
             // The other side's extrema are just more values to fold.
             (mine @ Acc::Extrema(..), Acc::Extrema(best, _)) => {
                 mine.update(Some(best), 0, map, groups)?
@@ -515,13 +541,15 @@ impl Acc {
         Ok(())
     }
 
-    /// The aggregate's output column (group-id order).
-    fn finish(self) -> Column {
+    /// The aggregate's output column (group-id order), given the partial's
+    /// float sums and row counts.
+    fn finish(self, floats: &FloatSums, counts: &[i64]) -> Column {
         match self {
-            Acc::SumI(v) | Acc::Count(v) => Column::from_i64(v),
-            Acc::SumF(sums) => Column::from_f64(sums.totals().collect()),
-            Acc::Avg(sums, n) => {
-                Column::from_f64(sums.totals().zip(&n).map(|(t, &n)| t / n as f64).collect())
+            Acc::SumI(v) => Column::from_i64(v),
+            Acc::Count => Column::from_i64(counts.to_vec()),
+            Acc::SumF(j) => Column::from_f64(floats.totals(j).collect()),
+            Acc::Avg(j) => {
+                Column::from_f64(floats.totals(j).zip(counts).map(|(t, &n)| t / n as f64).collect())
             }
             Acc::Extrema(best, _) => best,
             Acc::StrExtrema(best, _) => Column::Str(best.iter().collect()),
@@ -557,6 +585,10 @@ pub struct PartialAgg {
     table: GroupTable,
     /// One accumulator per aggregate, each covering every group.
     accs: Vec<Acc>,
+    /// Every float `SUM` / `AVG` state, fused.
+    floats: FloatSums,
+    /// Every group's row count, kept when a `COUNT` or an `AVG` reads it.
+    counts: Option<Vec<i64>>,
     /// Per group: the global input position of its first row — a running
     /// row counter on the plain [`consume`](Self::consume) path (the serial
     /// stream position), caller-supplied under
@@ -564,10 +596,12 @@ pub struct PartialAgg {
     first_seen: Vec<u64>,
     /// Rows consumed so far (the id space of `first_seen` without ids).
     rows_seen: u64,
-    /// Per-batch scratch, reused: key words, row hashes and group ids.
+    /// Per-batch scratch, reused: key words, row hashes, group ids, and
+    /// the integer inputs of `AVG`s as floats.
     words: Vec<u64>,
     hashes: Vec<u64>,
     gids: Vec<u32>,
+    as_floats: Vec<Vec<f64>>,
 }
 
 impl PartialAgg {
@@ -595,10 +629,15 @@ impl PartialAgg {
             schema.push(ColMeta::new(&a.name, agg_output_type(a.func, dt)));
         }
         let bound: Vec<Option<&Expr>> = bound.iter().map(Option::as_ref).collect();
+        let mut width = 0;
+        let accs: Vec<Acc> = typed.iter().map(|&(f, dt)| Acc::new(f, dt, &mut width)).collect();
+        let counted = accs.iter().any(|a| matches!(a, Acc::Count | Acc::Avg(_)));
         Ok(PartialAgg {
             schema,
             group_cols,
-            accs: typed.iter().map(|&(f, dt)| Acc::new(f, dt)).collect(),
+            accs,
+            floats: FloatSums { width, state: Vec::new() },
+            counts: counted.then(Vec::new),
             aggs: typed,
             inputs: ExprProgram::compile(&bound, input_schema)?,
             table,
@@ -607,6 +646,7 @@ impl PartialAgg {
             words: Vec::new(),
             hashes: Vec::new(),
             gids: Vec::new(),
+            as_floats: vec![Vec::new(); width],
         })
     }
 
@@ -661,10 +701,37 @@ impl PartialAgg {
                 None => rows_seen + i as u64,
             })
         });
-        for (acc, input) in self.accs.iter_mut().zip(inputs) {
-            acc.update(*input, start, &self.gids, self.table.len())?;
-        }
         self.rows_seen += rows.len() as u64;
+        self.fold(inputs, start)
+    }
+
+    /// Fold the aggregate inputs' rows `start..start + gids.len()` into the
+    /// groups `self.gids` names: row counts, every float sum in one row
+    /// loop, then each other aggregate.
+    fn fold(&mut self, inputs: &[Option<&Column>], start: usize) -> Result<()> {
+        let (gids, groups) = (&self.gids, self.table.len());
+        if let Some(counts) = &mut self.counts {
+            counts.resize(groups, 0);
+            gids.iter().for_each(|&g| counts[g as usize] += 1);
+        }
+        let floats = self.accs.iter().zip(inputs);
+        let floats = floats.filter(|(a, _)| matches!(a, Acc::SumF(_) | Acc::Avg(_)));
+        let mut values = Vec::with_capacity(self.floats.width);
+        for ((_, input), buf) in floats.zip(&mut self.as_floats) {
+            values.push(match input {
+                Some(Column::F64(v)) => &v[start..],
+                Some(Column::I64 { values: v, .. }) => {
+                    buf.clear();
+                    buf.extend(v[start..start + gids.len()].iter().map(|&v| v as f64));
+                    &buf[..]
+                }
+                _ => return Err(input_mismatch()),
+            });
+        }
+        self.floats.add(&values, gids, groups);
+        for (acc, input) in self.accs.iter_mut().zip(inputs) {
+            acc.update(*input, start, gids, groups)?;
+        }
         Ok(())
     }
 
@@ -683,14 +750,18 @@ impl PartialAgg {
         self.rows_seen += n as u64;
         let (new, resident): (Vec<usize>, Vec<usize>) =
             (0..n).partition(|&r| self.gids[r] == EMPTY);
-        if !resident.is_empty() {
-            // The inputs of the resident rows, gathered unless that is all.
-            let gather = !new.is_empty();
+        if resident.is_empty() {
+            return Ok(new);
+        }
+        if new.is_empty() {
+            self.fold(inputs, 0)?;
+        } else {
+            // The inputs of the resident rows, gathered.
             self.gids.retain(|&g| g != EMPTY);
-            for (acc, input) in self.accs.iter_mut().zip(inputs) {
-                let some = input.filter(|_| gather).map(|c| c.gather(&resident));
-                acc.update(some.as_ref().or(*input), 0, &self.gids, self.table.len())?;
-            }
+            let gathered: Vec<Option<Column>> =
+                inputs.iter().map(|c| c.map(|c| c.gather(&resident))).collect();
+            let gathered: Vec<Option<&Column>> = gathered.iter().map(Option::as_ref).collect();
+            self.fold(&gathered, 0)?;
         }
         Ok(new)
     }
@@ -716,9 +787,13 @@ impl PartialAgg {
     /// the state empty.
     fn flush(&mut self) -> Batch {
         let mut cols = self.table.take_keys();
+        let counts = self.counts.as_mut().map(std::mem::take).unwrap_or_default();
+        let mut width = 0;
         for (acc, &(f, dt)) in self.accs.iter_mut().zip(&self.aggs) {
-            cols.push(std::mem::replace(acc, Acc::new(f, dt)).finish());
+            let acc = std::mem::replace(acc, Acc::new(f, dt, &mut width));
+            cols.push(acc.finish(&self.floats, &counts));
         }
+        self.floats.state.clear();
         self.first_seen.clear();
         Batch::new(cols)
     }
@@ -757,8 +832,13 @@ impl PartialAgg {
         self.table.resolve(&keys, other.table.len(), &mut self.gids, |g| {
             first_seen.push(other.first_seen[g])
         });
+        let groups = self.table.len();
+        if let (Some(mine), Some(theirs)) = (&mut self.counts, &other.counts) {
+            add_ints(mine, theirs, &self.gids, groups)?;
+        }
+        self.floats.merge(&other.floats, &self.gids);
         for (mine, theirs) in self.accs.iter_mut().zip(&other.accs) {
-            mine.merge(theirs, &self.gids, self.table.len())?;
+            mine.merge(theirs, &self.gids, groups)?;
         }
         Ok(())
     }

@@ -24,7 +24,10 @@
 //!   predicate is supported, else through the compiled residual
 //!   ([`FilterProgram`]) over projection ++ predicate-only columns,
 //! * emits **at most one batch, never crossing the run**, projection first,
-//!   then the run's keys as constant columns.
+//!   then the run's keys as constant columns; the survivors are copied
+//!   range by range — a passing block is one range, a block that keeps
+//!   some rows one per stretch of consecutive survivors — or gathered row
+//!   by row where the stretches are too short (`enc::MIN_MEAN_RANGE`).
 //!
 //! I/O accounting: every block piece that is *read* contributes the bytes of
 //! the projected and predicate columns it covers (one span per contiguous
@@ -44,7 +47,7 @@
 use std::sync::Arc;
 
 use bdcc_obs::{OpMetrics, SpanTimer};
-use bdcc_storage::{Column, DataType, IoTracker, StoredTable};
+use bdcc_storage::{Column, DataType, IoTracker, StoredTable, StrVec};
 
 use crate::batch::{Batch, ColMeta, OpSchema};
 use crate::enc::{BlockVerdict, ScanKernel};
@@ -212,25 +215,27 @@ impl ScanBlueprint {
     }
 
     /// Read one run: prune and evaluate block by block, then assemble the
-    /// survivors into at most one batch. `ranges` is the walker's scratch
-    /// buffer for the run's surviving row ranges.
+    /// survivors into at most one batch. `ranges` and `rows` are the
+    /// walker's scratch buffers for the run's survivors.
     fn read_run(
         &self,
         run: &Run,
         io: &IoTracker,
         metrics: Option<&OpMetrics>,
-        ranges: &mut Vec<(usize, usize)>,
+        (ranges, rows): (&mut Vec<(usize, usize)>, &mut Vec<usize>),
     ) -> Result<Option<Batch>> {
         if run.count == 0 {
             return Ok(None);
         }
         let (start, end) = (run.start, run.start + run.count);
         let grid = self.table.block_stats(0)?;
+        // Survivors are kept as row ranges, adjacent ones merged — a passing
+        // block is one range, a block that keeps some rows one range per
+        // stretch of consecutive survivors — until a block's stretches are
+        // too short to copy range by range; from there on they are row
+        // indices, gathered.
         ranges.clear();
-        // Surviving rows are kept as ranges (copied by range) until a block
-        // keeps only some of its rows; from there on as row indices
-        // (gathered), so a fully passing run never builds an index list.
-        let mut picked: Vec<usize> = Vec::new();
+        rows.clear();
         'blocks: for b in grid.block_of_row(start)..=grid.block_of_row(end - 1) {
             let (block_start, block_end) = grid.rows_of_block(b, self.table.rows());
             let (s, e) = (block_start.max(start), block_end.min(end));
@@ -261,19 +266,19 @@ impl ScanBlueprint {
             self.charge_io(io, s, e);
             match verdict {
                 BlockVerdict::SkipNoRows | BlockVerdict::Skip => {}
-                BlockVerdict::All if picked.is_empty() => push_range(ranges, s, e),
-                BlockVerdict::All => picked.extend(s..e),
+                BlockVerdict::All if rows.is_empty() => push_range(ranges, s, e),
+                BlockVerdict::All => rows.extend(s..e),
+                BlockVerdict::Runs(runs) if rows.is_empty() => {
+                    runs.iter().for_each(|&(s, e)| push_range(ranges, s, e))
+                }
+                BlockVerdict::Runs(runs) => rows.extend(runs.iter().flat_map(|&(s, e)| s..e)),
                 BlockVerdict::Rows(idx) => {
-                    if picked.is_empty() && ranges.is_empty() {
-                        picked = idx;
-                    } else {
-                        picked.extend(ranges.drain(..).flat_map(|(s, e)| s..e));
-                        picked.extend(idx);
-                    }
+                    rows.extend(ranges.drain(..).flat_map(|(s, e)| s..e));
+                    rows.extend(idx);
                 }
             }
         }
-        if ranges.is_empty() && picked.is_empty() {
+        if ranges.is_empty() && rows.is_empty() {
             return Ok(None);
         }
         // The raw path reads what pruning left, one span per contiguous
@@ -285,18 +290,14 @@ impl ScanBlueprint {
                 self.read_set.len()
             }
         };
+        let n: usize = ranges.iter().map(|(s, e)| e - s).sum();
         let mut columns = Vec::with_capacity(assembled + run.keys.len());
         for &(col, ..) in &self.read_set[..assembled] {
             let src = self.table.column(col)?;
-            columns.push(match ranges.split_first() {
-                None => src.gather(&picked),
-                Some((&(s, e), rest)) => {
-                    let mut out = src.slice(s, e);
-                    for &(s, e) in rest {
-                        out.append_range(src, s, e)?;
-                    }
-                    out
-                }
+            columns.push(if rows.is_empty() {
+                copy_ranges(src, ranges, n)?
+            } else {
+                src.gather(rows)
             });
         }
         let mut batch = Batch::new(columns);
@@ -326,6 +327,26 @@ fn push_range(ranges: &mut Vec<(usize, usize)>, s: usize, e: usize) {
         Some((_, end)) if *end == s => *end = e,
         _ => ranges.push((s, e)),
     }
+}
+
+/// Rows `ranges` (`rows` of them) of `src`, copied range by range into a
+/// column allocated once at its final size.
+fn copy_ranges(src: &Column, ranges: &[(usize, usize)], rows: usize) -> Result<Column> {
+    let mut out = match src {
+        Column::I64 { logical, .. } => {
+            Column::I64 { values: Vec::with_capacity(rows), logical: *logical }
+        }
+        Column::F64(_) => Column::F64(Vec::with_capacity(rows)),
+        Column::Str(v) => {
+            let offsets = v.parts().1;
+            let bytes = ranges.iter().map(|&(s, e)| (offsets[e] - offsets[s]) as usize).sum();
+            Column::Str(StrVec::with_capacity(rows, bytes))
+        }
+    };
+    for &(s, e) in ranges {
+        out.append_range(src, s, e)?;
+    }
+    Ok(out)
 }
 
 /// In-flight morsel budget of a streaming scan, in units of `threads`:
@@ -377,8 +398,10 @@ pub struct Scan {
     /// scan within one batch / one morsel. Inert by default.
     governor: Governor,
     walk: Walk,
-    /// Scratch for [`ScanBlueprint::read_run`].
+    /// Scratch for [`ScanBlueprint::read_run`]: survivor ranges, and their
+    /// rows when gathered.
     ranges: Vec<(usize, usize)>,
+    rows: Vec<usize>,
 }
 
 impl Scan {
@@ -415,7 +438,8 @@ impl Scan {
     }
 
     fn walking(blueprint: Arc<ScanBlueprint>, io: IoTracker, walk: Walk) -> Scan {
-        Scan { blueprint, io, metrics: None, governor: Governor::none(), walk, ranges: Vec::new() }
+        let (ranges, rows) = (Vec::new(), Vec::new());
+        Scan { blueprint, io, metrics: None, governor: Governor::none(), walk, ranges, rows }
     }
 
     /// The key-less inline scan of a whole table, block by block.
@@ -504,9 +528,8 @@ impl Operator for Scan {
                     let run = &self.blueprint.runs[*next];
                     *next += 1;
                     let metrics = self.metrics.as_deref();
-                    if let Some(batch) =
-                        self.blueprint.read_run(run, &self.io, metrics, &mut self.ranges)?
-                    {
+                    let scratch = (&mut self.ranges, &mut self.rows);
+                    if let Some(batch) = self.blueprint.read_run(run, &self.io, metrics, scratch)? {
                         return Ok(Some(batch));
                     }
                 }
@@ -929,6 +952,90 @@ mod tests {
         match governed(governor).next() {
             Err(ExecError::Injected(msg)) => assert!(msg.contains("scan-batch"), "{msg}"),
             other => panic!("expected an injected error at scan-batch, got {other:?}"),
+        }
+    }
+
+    // --- survivors: copied by range or gathered -----------------------------
+
+    /// Which rows of a 16-row block pass `p = 1` (and `q = 'yes'`), one
+    /// pattern per block:
+    /// all, all but one, every other, three scattered, none, and
+    /// stretches of 2, 3 and 4 passing rows between single failures.
+    const SURVIVOR_BLOCKS: [fn(usize) -> bool; 8] = [
+        |_| true,
+        |r| r != 7,
+        |r| r % 2 == 0,
+        |r| [2, 9, 13].contains(&r),
+        |_| false,
+        |r| r % 3 != 2,
+        |r| r % 4 != 3,
+        |r| r % 5 != 4,
+    ];
+
+    fn yes_no(pass: bool) -> String {
+        if pass { "yes" } else { "no" }.to_string()
+    }
+
+    #[test]
+    fn survivors_copied_by_range_or_gathered_equal_the_filter() {
+        use crate::enc::MIN_MEAN_RANGE;
+        let n = 16 * SURVIVOR_BLOCKS.len();
+        let pass: Vec<bool> = (0..n).map(|r| SURVIVOR_BLOCKS[r / 16](r % 16)).collect();
+        let words = ["", "a", "bcdefgh", "ijklmnopq", "é", "日本語"];
+        let cols = vec![
+            ("p".to_string(), Column::from_i64(pass.iter().map(|&p| p as i64).collect())),
+            ("q".to_string(), Column::from_strings(pass.iter().map(|&p| yes_no(p)).collect())),
+            ("v".to_string(), Column::from_i64((0..n as i64).map(|i| i * 10).collect())),
+            ("f".to_string(), Column::from_f64((0..n).map(|i| i as f64 * 0.25).collect())),
+            ("s".to_string(), Column::from_strings((0..n).map(|i| words[i % 6].into()).collect())),
+        ];
+        let t = Arc::new(crate::enc::build_with_encoding(true, || {
+            StoredTable::from_columns_with_block_rows("t", cols.clone(), 16).unwrap()
+        }));
+        let codec = |col: usize| t.encoding(col).map(|e| e.block(2).tag());
+        assert_eq!((codec(0), codec(1)), (Some("for"), Some("dict")));
+        let want: Vec<Column> = cols[2..].iter().map(|(_, c)| c.filter(&pass)).collect();
+        // Blocks on either side of the cut-off: a block's survivors make
+        // stretches of `mean` rows on average.
+        let means: Vec<f64> = (0..SURVIVOR_BLOCKS.len())
+            .map(|b| {
+                let kept = pass[b * 16..b * 16 + 16].iter().filter(|&&p| p).count();
+                let starts =
+                    (0..16).filter(|&r| pass[b * 16 + r] && (r == 0 || !pass[b * 16 + r - 1]));
+                kept as f64 / starts.count().max(1) as f64
+            })
+            .collect();
+        assert!(means.iter().any(|&m| m > 0.0 && m < MIN_MEAN_RANGE as f64));
+        assert!(means.iter().any(|&m| m >= MIN_MEAN_RANGE as f64));
+
+        let concat = |batches: Vec<Batch>| -> Vec<Column> {
+            let mut out: Vec<Column> =
+                cols[2..].iter().map(|(_, c)| Column::empty(c.data_type())).collect();
+            for b in batches {
+                out.iter_mut().zip(&b.columns).for_each(|(o, c)| o.append(c).unwrap());
+            }
+            out
+        };
+        // On frame-of-reference codes and on dictionary codes; runs of one
+        // block, runs straddling blocks, one run over all.
+        let preds = [ColPredicate::eq("p", 1i64), ColPredicate::eq("q", yes_no(true))];
+        for (pred, run_rows) in preds.iter().flat_map(|p| [16, 24, 5, n].map(|r| (p, r))) {
+            let runs: Vec<Run> = (0..n)
+                .step_by(run_rows)
+                .map(|start| Run { start, count: run_rows.min(n - start), keys: vec![] })
+                .collect();
+            let bp =
+                ScanBlueprint::new(Arc::clone(&t), &["v", "f", "s"], vec![pred.clone()], &[], runs)
+                    .unwrap();
+            assert!(bp.kernel.is_some(), "the encoded-block kernel decides the survivors");
+            // Inline, and streamed in morsels whose edges cut the blocks.
+            for cfg in [
+                ParallelConfig { threads: 1, morsel_rows: 64 },
+                ParallelConfig { threads: 2, morsel_rows: 20 },
+            ] {
+                let got = concat(batches_at(&bp, &cfg));
+                assert_eq!(got, want, "{pred:?}, runs of {run_rows} rows at {cfg:?}");
+            }
         }
     }
 

@@ -16,11 +16,13 @@
 //! buffer length — so two columns holding the same values compare equal
 //! whichever way they were built, and `PartialEq` is a plain comparison.
 //! Offset arithmetic is checked: a column whose bytes would pass
-//! `u32::MAX` panics, it never wraps. The layout is this module's secret —
-//! callers see `&str`s ([`StrVec::get`], [`StrVec::iter`]); only the spill
-//! codec reads and writes the two regions (the crate-private
-//! `StrVec::parts` / `StrVec::from_parts`, which validates everything a
-//! file could get wrong, once).
+//! `u32::MAX` panics, it never wraps. Callers see `&str`s ([`StrVec::get`],
+//! [`StrVec::iter`]). Two byte-level readers see the regions themselves
+//! through [`StrVec::parts`]: the spill codec, which writes them verbatim
+//! and rebuilds with the crate-private `StrVec::from_parts` (validating
+//! everything a file could get wrong, once), and the executor's group-key
+//! codec, which loads a key's bytes a word at a time. Only this module
+//! writes them.
 //!
 //! The *byte model* is not the layout: [`Column::avg_width`] charges a
 //! string `len + 1` bytes (the value and one length byte), exactly what it
@@ -136,9 +138,9 @@ impl StrVec {
         self.offsets.extend(other.offsets[start + 1..=end].iter().map(|&o| o - from + base));
     }
 
-    /// The two regions, for the spill codec: the buffer and the `len + 1`
-    /// offsets into it.
-    pub(crate) fn parts(&self) -> (&str, &[u32]) {
+    /// The two regions (see the module docs): the buffer and the `len + 1`
+    /// offsets into it, value `i` at `offsets[i]..offsets[i + 1]`.
+    pub fn parts(&self) -> (&str, &[u32]) {
         (&self.bytes, &self.offsets)
     }
 

@@ -8,6 +8,15 @@
 //! There is no shrinking — a failing case panics with its assertion
 //! message, and determinism makes the failure reproducible.
 //!
+//! A failing case also prints the test's name, the case's index and the
+//! RNG state the case started from. Setting `PROPTEST_REPLAY` to that
+//! state (decimal or `0x` hex) runs only that case, in every property test
+//! the run selects — so name the test as well:
+//!
+//! ```text
+//! PROPTEST_REPLAY=0x1f2e3d4c5b6a7988 cargo test -q --test agg_properties fused_float_sums
+//! ```
+//!
 //! Supported strategies: half-open integer ranges, 2-tuples of
 //! strategies, [`prop::collection::vec`], [`prop::option::of`] and
 //! [`any`] for `bool` / `u64`.
@@ -32,6 +41,31 @@ impl TestRng {
             h = h.wrapping_mul(0x100000001b3);
         }
         TestRng { state: h }
+    }
+
+    /// An RNG continuing from `state` (one a failing case printed).
+    pub fn from_state(state: u64) -> TestRng {
+        TestRng { state }
+    }
+
+    /// Where the stream stands: what [`from_state`](Self::from_state)
+    /// resumes from.
+    pub fn state(&self) -> u64 {
+        self.state
+    }
+
+    /// The RNG and case count of the property test `name`: its own stream
+    /// for [`CASES`] cases, or the one case `PROPTEST_REPLAY` names.
+    pub fn for_test(name: &str) -> (TestRng, usize) {
+        match std::env::var("PROPTEST_REPLAY") {
+            Ok(v) => {
+                let hex = v.strip_prefix("0x");
+                let state = hex.map_or_else(|| v.parse(), |h| u64::from_str_radix(h, 16));
+                let state = state.unwrap_or_else(|e| panic!("PROPTEST_REPLAY={v}: {e}"));
+                (TestRng::from_state(state), 1)
+            }
+            Err(_) => (TestRng::deterministic(name), CASES),
+        }
     }
 
     /// Next raw 64 random bits.
@@ -188,6 +222,33 @@ pub mod prelude {
     pub use crate::{Arbitrary, Strategy, TestRng};
 }
 
+/// Reports a failing case when dropped during its panic: the test, the
+/// case's index and the RNG state to replay it from (see crate docs).
+pub struct CaseGuard {
+    name: &'static str,
+    case: usize,
+    state: u64,
+}
+
+impl CaseGuard {
+    /// Case `case` of test `name`, about to draw its inputs from `rng`.
+    pub fn new(name: &'static str, case: usize, rng: &TestRng) -> CaseGuard {
+        CaseGuard { name, case, state: rng.state() }
+    }
+}
+
+impl Drop for CaseGuard {
+    fn drop(&mut self) {
+        if std::thread::panicking() {
+            let (name, case, state) = (self.name, self.case, self.state);
+            eprintln!(
+                "proptest: {name} failed at case {case}; replay it alone with \
+                 PROPTEST_REPLAY={state:#x}"
+            );
+        }
+    }
+}
+
 /// Expand property tests into case-loop tests (see crate docs).
 #[macro_export]
 macro_rules! proptest {
@@ -196,8 +257,9 @@ macro_rules! proptest {
             $(#[$meta])*
             #[allow(clippy::redundant_closure_call)]
             fn $name() {
-                let mut __rng = $crate::TestRng::deterministic(stringify!($name));
-                for __case in 0..$crate::CASES {
+                let (mut __rng, __cases) = $crate::TestRng::for_test(stringify!($name));
+                for __case in 0..__cases {
+                    let _guard = $crate::CaseGuard::new(stringify!($name), __case, &__rng);
                     $(let $arg = $crate::Strategy::generate(&($strat), &mut __rng);)+
                     // The closure gives `prop_assume!` an early-exit scope.
                     (move || { $body })();
@@ -260,5 +322,19 @@ mod tests {
         let mut a = TestRng::deterministic("t");
         let mut b = TestRng::deterministic("t");
         assert_eq!(a.next_u64(), b.next_u64());
+    }
+
+    #[test]
+    fn a_case_replays_from_its_starting_state() {
+        // Case 5 of a stream, and the same case drawn from the state it
+        // started from.
+        let strategy = (prop::collection::vec(0u64..1000, 1..20), any::<bool>());
+        let mut rng = TestRng::deterministic("replay");
+        for _ in 0..5 {
+            strategy.generate(&mut rng);
+        }
+        let state = rng.state();
+        let case = strategy.generate(&mut rng);
+        assert_eq!(strategy.generate(&mut TestRng::from_state(state)), case);
     }
 }

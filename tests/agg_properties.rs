@@ -32,6 +32,7 @@
 //! under `SpillMode::Force`.
 
 use std::collections::{BTreeMap, HashMap, HashSet};
+use std::ops::Range;
 use std::sync::Arc;
 
 use proptest::prelude::*;
@@ -880,6 +881,274 @@ proptest! {
                     .map(|r| got.columns.iter().map(|c| cell(c, r)).collect())
                     .collect();
                 prop_assert_eq!(&got, &want, "{} grouped by {:?}", path, &group_by);
+            }
+        }
+    }
+}
+
+// ---------------------------------------------------------------------
+// The fused float sums and the shared row count against an oracle that
+// shares no code with them.
+// ---------------------------------------------------------------------
+
+/// Float inputs that stress a compensated sum: signed zeros, NaNs of three
+/// payloads, infinities of both signs, subnormals, and magnitudes near
+/// `f64::MAX` that cancel (or overflow) against each other.
+fn hard_summands() -> [f64; 16] {
+    let nan = |bits: u64| f64::from_bits(bits);
+    [
+        0.0,
+        -0.0,
+        0.1,
+        -1.5,
+        3.0e15,
+        1e308,
+        -1e308,
+        f64::MAX,
+        f64::INFINITY,
+        f64::NEG_INFINITY,
+        nan(0x7ff8_0000_0000_0000),
+        nan(0x7ff8_0000_0000_0001),
+        nan(0xfff8_0000_0000_0002),
+        f64::from_bits(1),
+        -f64::MIN_POSITIVE / 3.0,
+        1e-300,
+    ]
+}
+
+/// Integers whose `f64` images round: either side of 2^53.
+const NEAR_2_53: [i64; 7] =
+    [(1 << 53) - 1, 1 << 53, (1 << 53) + 1, (1 << 53) + 7, -(1 << 53) - 3, 1, -1];
+
+/// A float state as the oracle keeps it: the running sum and the rounding
+/// error collected beside it (Neumaier's `sum` and `c`).
+#[derive(Clone, Copy)]
+struct Comp {
+    sum: f64,
+    c: f64,
+}
+
+impl Comp {
+    const ZERO: Comp = Comp { sum: 0.0, c: 0.0 };
+
+    /// One step of Neumaier's algorithm, operands in the order the
+    /// algorithm states them (the order decides which NaN payload wins).
+    fn add(&mut self, v: f64) {
+        let t = self.sum + v;
+        if self.sum.abs() >= v.abs() {
+            self.c += (self.sum - t) + v;
+        } else {
+            self.c += (v - t) + self.sum;
+        }
+        self.sum = t;
+    }
+
+    /// Another fold of the same group folded in: its sum, then its error.
+    fn absorb(&mut self, other: Comp) {
+        self.add(other.sum);
+        self.add(other.c);
+    }
+
+    fn total(self) -> f64 {
+        self.sum + self.c
+    }
+}
+
+/// One group of the oracle: first-seen row, row count, one state per
+/// float input.
+#[derive(Clone)]
+struct FoldState {
+    first: usize,
+    n: i64,
+    states: Vec<Comp>,
+}
+
+/// Row-at-a-time fold of rows `rows` of the inputs (`inputs[j][row]` into
+/// state `j`) by group key, groups in first-seen order.
+fn fold_rows(keys: &[i64], inputs: &[Vec<f64>], rows: Range<usize>) -> Vec<(i64, FoldState)> {
+    let mut groups: BTreeMap<i64, FoldState> = BTreeMap::new();
+    for row in rows {
+        let st = groups.entry(keys[row]).or_insert(FoldState {
+            first: row,
+            n: 0,
+            states: vec![Comp::ZERO; inputs.len()],
+        });
+        st.n += 1;
+        for (s, input) in st.states.iter_mut().zip(inputs) {
+            s.add(input[row]);
+        }
+    }
+    let mut groups: Vec<(i64, FoldState)> = groups.into_iter().collect();
+    groups.sort_by_key(|(_, st)| st.first);
+    groups
+}
+
+/// The partial-merge fold: one fold per morsel of `morsel` rows, merged in
+/// morsel order — a group new to the merged fold takes the morsel's state
+/// as it stands, a known one absorbs it.
+fn fold_morsels(keys: &[i64], inputs: &[Vec<f64>], morsel: usize) -> Vec<(i64, FoldState)> {
+    let mut merged: Vec<(i64, FoldState)> = Vec::new();
+    for start in (0..keys.len()).step_by(morsel) {
+        for (key, st) in fold_rows(keys, inputs, start..(start + morsel).min(keys.len())) {
+            match merged.iter_mut().find(|(k, _)| *k == key) {
+                None => merged.push((key, st)),
+                Some((_, mine)) => {
+                    mine.n += st.n;
+                    mine.states.iter_mut().zip(st.states).for_each(|(m, s)| m.absorb(s));
+                }
+            }
+        }
+    }
+    merged
+}
+
+/// What an aggregate over the oracle's inputs outputs per group.
+#[derive(Clone, Copy, Debug)]
+enum Out {
+    /// `SUM` of float input `j`.
+    Sum(usize),
+    /// `AVG` of float input `j`.
+    Avg(usize),
+    Count,
+}
+
+/// A float's bits — any NaN's as one: Rust leaves the payload of a NaN
+/// that arithmetic produces unspecified (the compiler may commute the
+/// operands of `+`, and which operand's payload survives follows).
+fn bits(f: f64) -> u64 {
+    if f.is_nan() {
+        f64::NAN.to_bits()
+    } else {
+        f.to_bits()
+    }
+}
+
+/// The oracle's rows: the key, then per output its [`bits`] (`COUNT` as
+/// is).
+fn oracle_rows(groups: &[(i64, FoldState)], outs: &[Out]) -> Vec<Vec<u64>> {
+    let row = |(key, st): &(i64, FoldState)| {
+        let cells = outs.iter().map(|o| match *o {
+            Out::Sum(j) => bits(st.states[j].total()),
+            Out::Avg(j) => bits(st.states[j].total() / st.n as f64),
+            Out::Count => st.n as u64,
+        });
+        std::iter::once(*key as u64).chain(cells).collect()
+    };
+    groups.iter().map(row).collect()
+}
+
+/// An output batch as the oracle writes it: integers as they are, floats
+/// by their [`bits`].
+fn bits_rows(b: &Batch) -> Vec<Vec<u64>> {
+    let cell = |c: &Column, r: usize| match c {
+        Column::I64 { values, .. } => values[r] as u64,
+        Column::F64(values) => bits(values[r]),
+        Column::Str(_) => panic!("no string outputs here"),
+    };
+    (0..b.rows()).map(|r| b.columns.iter().map(|c| cell(c, r)).collect()).collect()
+}
+
+/// Rows per parallel fragment: `ParallelAggregate` cuts its 8-row
+/// storage blocks into morsels of the fewest whole blocks holding
+/// `BDCC_MORSEL_ROWS` rows.
+fn morsel_span() -> usize {
+    test_morsel_rows().div_ceil(8).max(1) * 8
+}
+
+proptest! {
+    /// Every float `SUM` / `AVG` and `COUNT`, one group-by at a time, bit
+    /// for bit equal to the row-at-a-time Neumaier fold: serially (also
+    /// flushing on a run column, so groups fold in several tables), under
+    /// `SpillMode::Force` and under a budget that stops the table after a
+    /// few groups (resident rows fold beside spilled ones), and — against
+    /// the per-morsel fold merged in morsel order — through
+    /// `ParallelAggregate` at 2 and 4 threads.
+    #[test]
+    fn fused_float_sums_match_a_row_at_a_time_neumaier_fold(
+        picks in prop::collection::vec((0usize..1 << 16, 0u64..24), 1..200),
+    ) {
+        let hard = hard_summands();
+        // Rows sorted by run `r`, the group key's high part: no group
+        // spans two runs.
+        let mut rows: Vec<(i64, [f64; 4], i64)> = picks
+            .iter()
+            .map(|&(p, g)| {
+                let f = |s: usize| hard[(p >> s) % hard.len()];
+                (g as i64, [f(0), f(4), f(8), f(12)], NEAR_2_53[p % NEAR_2_53.len()])
+            })
+            .collect();
+        rows.sort_by_key(|r| r.0 / 6);
+        let keys: Vec<i64> = rows.iter().map(|r| r.0).collect();
+        let floats: Vec<Vec<f64>> = (0..4).map(|j| rows.iter().map(|r| r.1[j]).collect()).collect();
+        let ints: Vec<i64> = rows.iter().map(|r| r.2).collect();
+        let mut cols: Cols = vec![
+            ("g", Column::from_i64(keys.clone())),
+            ("r", Column::from_i64(keys.iter().map(|k| k / 6).collect())),
+            ("i", Column::from_i64(ints.clone())),
+        ];
+        let names = ["f0", "f1", "f2", "f3"];
+        for (name, f) in names.iter().zip(&floats) {
+            cols.push((name, Column::from_f64(f.clone())));
+        }
+        let table = Arc::new(
+            StoredTable::from_columns_with_block_rows(
+                "t",
+                cols.iter().map(|(n, c)| (n.to_string(), c.clone())).collect(),
+                8,
+            )
+            .unwrap(),
+        );
+        // The oracle's inputs: the four float columns, then `i` as floats.
+        let mut inputs = floats.clone();
+        inputs.push(ints.iter().map(|&v| v as f64).collect());
+        // Nine float states and a count; COUNT alone; AVG alone.
+        let mut wide: Vec<(AggFunc, &str, Out)> = Vec::new();
+        for (j, name) in names.iter().enumerate() {
+            wide.push((AggFunc::Sum, name, Out::Sum(j)));
+            wide.push((AggFunc::Avg, name, Out::Avg(j)));
+        }
+        wide.push((AggFunc::Avg, "i", Out::Avg(4)));
+        wide.push((AggFunc::Count, "g", Out::Count));
+        let shapes: [Vec<(AggFunc, &str, Out)>; 3] = [
+            wide,
+            vec![(AggFunc::Count, "g", Out::Count)],
+            vec![(AggFunc::Avg, "i", Out::Avg(4)), (AggFunc::Avg, "f2", Out::Avg(2))],
+        ];
+        let all: Vec<&str> = cols.iter().map(|(n, _)| *n).collect();
+        for shape in &shapes {
+            let specs = || -> Vec<AggSpec> {
+                shape.iter().enumerate().map(|(i, &(f, c, _))| {
+                    AggSpec::new(f, Expr::col(c), &format!("a{i}"))
+                }).collect()
+            };
+            let outs: Vec<Out> = shape.iter().map(|s| s.2).collect();
+            let want = oracle_rows(&fold_rows(&keys, &inputs, 0..keys.len()), &outs);
+            let budget = |tracker: &Arc<MemoryTracker>| {
+                MemoryBroker::with_mode(SpillMode::Auto, tracker, Some(2048))
+            };
+            let scan = || -> BoxedOp {
+                Box::new(Scan::blocks(Arc::clone(&table), IoTracker::new(), &all, vec![]).unwrap())
+            };
+            let tracker = MemoryTracker::new();
+            let budgeted = HashAggregate::new(scan(), &["g"], specs(), Arc::clone(&tracker))
+                .unwrap()
+                .with_broker(budget(&tracker), IoTracker::new());
+            let runs = HashAggregate::new(scan(), &["g"], specs(), MemoryTracker::new())
+                .unwrap()
+                .with_runs(vec![1]);
+            let serial_paths = [
+                ("serial", try_serial(&table, &all, &["g"], specs(), false).unwrap()),
+                ("forced spill", try_serial(&table, &all, &["g"], specs(), true).unwrap()),
+                ("budget", collect(Box::new(budgeted)).unwrap()),
+                ("run column", collect(Box::new(runs)).unwrap()),
+            ];
+            for (path, got) in serial_paths {
+                prop_assert_eq!(bits_rows(&got), want.clone(), "{} over {:?}", path, &outs);
+            }
+            let merged = oracle_rows(&fold_morsels(&keys, &inputs, morsel_span()), &outs);
+            for threads in [2, 4] {
+                let got = try_parallel(&table, &all, &["g"], specs(), threads).unwrap();
+                prop_assert_eq!(bits_rows(&got), merged.clone(), "{} threads over {:?}", threads, &outs);
             }
         }
     }
