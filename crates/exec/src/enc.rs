@@ -1,44 +1,57 @@
 //! Compression-aware predicate kernels for scans.
 //!
-//! When a table carries block encodings (see `bdcc_storage::encode`), a
-//! [`ScanKernel`] evaluates the scan's sargable predicates directly on the
-//! encoded blocks instead of slicing raw columns first. The one leaf
-//! [`Scan`](crate::ops::scan::Scan) calls it for every statistics block —
-//! or piece of one — that a run touches and MinMax pruning leaves:
+//! Every scan evaluates its sargable predicates through one [`ScanKernel`],
+//! whatever the table's storage: the one leaf
+//! [`Scan`](crate::ops::scan::Scan) asks it about every statistics block —
+//! or piece of one — that a run touches, and the kernel answers from the
+//! cheapest evidence first:
 //!
+//! * **MinMax pruning** — a block whose MinMax range cannot satisfy some
+//!   predicate is [`BlockVerdict::Pruned`] (Vectorwise's automatic MinMax
+//!   indices), checked over all predicates before anything else.
+//! * **Constant blocks** (`min == max` in the MinMax stats) decide in O(1)
+//!   whatever their physical encoding, including raw; so does a range that
+//!   covers the whole block.
 //! * **Dictionary blocks** — the predicate is evaluated once per distinct
 //!   dictionary entry and scan, however many runs or morsels read pieces of
 //!   the block; rows then compare bit-packed codes against the match set.
 //!   A constant absent from a block's dict kills the whole block without
 //!   touching a single row (the *dict-miss* skip).
-//! * **FOR blocks** — pruned via the block's MinMax stats without
-//!   unpacking when the predicate's range covers the whole block; otherwise
-//!   values unpack on the fly (`min + delta`).
+//! * **FOR blocks** — values unpack on the fly (`min + delta`).
 //! * **RLE blocks** — the predicate runs once per run, and the verdict is
 //!   painted over the run's row span.
-//! * **Constant blocks** (`min == max` in the MinMax stats) decide in O(1)
-//!   whatever their physical encoding, including raw.
+//! * **Raw blocks** and float columns — typed loops over the resident raw
+//!   values.
 //!
 //! Rows surviving all predicates are **materialized late**: the scan
 //! copies the projection from the resident raw columns only for those rows
 //! — a passing block ([`BlockVerdict::All`]) as one range, a block that
 //! keeps some rows in long stretches ([`BlockVerdict::Runs`]) range by
 //! range, scattered survivors ([`BlockVerdict::Rows`]) by row index — so
-//! downstream operators never see encoded data and results are
-//! byte-identical to the raw path.
+//! downstream operators never see encoded data or predicate-only columns.
 //!
-//! # Fallback contract
+//! # One compiler, every scan
 //!
-//! [`ScanKernel::try_new`] returns `None` — and the scan assembles the
-//! run's surviving ranges and applies the compiled residual — unless the
-//! table has encodings *and every* predicate is kernel-supported with
-//! exactly the residual expression's semantics: `i64` comparisons on
-//! integer-backed columns, string comparisons and `LIKE` on string columns,
-//! `IN` with the residual's datum filtering. Predicates that would make the
-//! residual *error* (e.g. `LIKE` on an integer column, a float-typed
-//! constant against a string column) are unsupported, so the error still
-//! surfaces through the fallback path. Float-column predicates always fall
-//! back.
+//! `compile` is the one place a column predicate becomes a test for a
+//! column type; the scan kernel, plan-time restriction (`restrict.rs`) and
+//! the residual kernels (`kernel.rs`) all call it. A test selects exactly
+//! the rows `ColPredicate::to_expr` keeps under `Expr::eval_bool`:
+//!
+//! * integer-backed columns compare as `i64`; against a `Float` constant
+//!   the interpreter promotes the column to `f64`, and since that
+//!   promotion is monotone the test is the same `i64` range, its bounds
+//!   found once by binary search — a range whose bounds differ in kind
+//!   keeps each bound's own comparison, and nothing int-to-int goes
+//!   through `f64`;
+//! * float columns compare by `f64::total_cmp` (NaN above +∞, −0.0 below
+//!   0.0, integer constants promoted): as the same `i64` tests over each
+//!   value's `float_key`, an order-preserving bijection;
+//! * string columns compare as `&str`, `LIKE` through the matcher compiled
+//!   once, `IN` over the list's strings only.
+//!
+//! Where the interpreter raises a type error — `LIKE` on a number, `IN`
+//! over a float column, a string constant against a number — `compile`
+//! returns `None`, and building the scan fails with [`ExecError::Type`].
 
 use std::sync::OnceLock;
 
@@ -46,7 +59,7 @@ use std::ops::Range;
 
 use bdcc_storage::{BlockEncoding, BlockStats, DataType, Datum, PackedInts, StoredTable};
 
-use crate::error::Result;
+use crate::error::{ExecError, Result};
 use crate::expr::LikeMatcher;
 use crate::pred::{ColPredicate, PredKind};
 
@@ -54,6 +67,9 @@ use crate::pred::{ColPredicate, PredKind};
 /// predicate of a scan.
 #[derive(Debug, PartialEq, Eq)]
 pub enum BlockVerdict {
+    /// Excluded by some predicate's MinMax value range
+    /// ([`ColPredicate::block_may_match`]).
+    Pruned,
     /// Eliminated from metadata alone — a dictionary miss or a constant
     /// block's stats — without evaluating any row.
     SkipNoRows,
@@ -79,32 +95,41 @@ pub enum BlockVerdict {
 pub(crate) const MIN_MEAN_RANGE: usize = 3;
 
 /// Compiled predicate tests over one scan's predicate list. Built once per
-/// scan; [`eval_block`](Self::eval_block) runs once per surviving block or
-/// piece of one.
+/// scan; [`eval_block`](Self::eval_block) runs once per block or piece of
+/// one that a run touches.
 pub struct ScanKernel {
-    /// `(column index, compiled test)` in the scan's predicate order.
-    preds: Vec<(usize, PredTest)>,
-    /// Per string predicate, one per block, filled by the first piece of it.
-    dicts: Vec<Vec<OnceLock<DictMatch>>>,
+    /// In the scan's predicate order.
+    preds: Vec<ScanPred>,
+}
+
+struct ScanPred {
+    col: usize,
+    /// The value range MinMax pruning tests ([`ColPredicate::value_range`]).
+    range: (Option<Datum>, Option<Datum>),
+    test: ColTest,
+    /// String tests: one per block, filled by the first piece of it.
+    dicts: Vec<OnceLock<DictMatch>>,
 }
 
 /// Which entries of a block's dictionary pass a string test, and how many.
 type DictMatch = (Vec<bool>, usize);
 
-enum PredTest {
+/// One column predicate compiled for one column type by [`compile`].
+pub(crate) enum ColTest {
+    /// Over the values of an integer-backed column.
     Int(IntTest),
+    /// Over the [`float_key`]s of a float column's values.
+    Float(IntTest),
     Str(StrTest),
 }
 
 pub(crate) enum IntTest {
-    Eq(i64),
-    Ne(i64),
-    /// Normalized inclusive bounds; `lo > hi` matches nothing.
-    Range {
-        lo: i64,
-        hi: i64,
-    },
-    /// Sorted distinct list (the residual's `IN` set after `as_int`).
+    /// Inclusive bounds.
+    Range { lo: i64, hi: i64 },
+    /// Outside inclusive bounds `lo <= hi` (`<>`).
+    Outside { lo: i64, hi: i64 },
+    /// Sorted distinct list (the interpreter's `IN` set after `as_int`); an
+    /// empty one matches nothing.
     In(Vec<i64>),
 }
 
@@ -115,7 +140,7 @@ pub(crate) enum StrTest {
         lo: Option<(String, bool)>,
         hi: Option<(String, bool)>,
     },
-    /// Sorted distinct list (the residual's `IN` set after `as_str`).
+    /// Sorted distinct list (the interpreter's `IN` set after `as_str`).
     In(Vec<String>),
     Like(LikeMatcher),
     NotLike(LikeMatcher),
@@ -123,9 +148,8 @@ pub(crate) enum StrTest {
 
 pub(crate) fn int_test(t: &IntTest, v: i64) -> bool {
     match t {
-        IntTest::Eq(c) => v == *c,
-        IntTest::Ne(c) => v != *c,
         IntTest::Range { lo, hi } => *lo <= v && v <= *hi,
+        IntTest::Outside { lo, hi } => v < *lo || *hi < v,
         IntTest::In(set) => set.binary_search(&v).is_ok(),
     }
 }
@@ -155,68 +179,89 @@ pub(crate) fn str_test(t: &StrTest, s: &str) -> bool {
     }
 }
 
-/// `Some(v)` only for the datums the residual's `i64` comparison accepts.
-fn int_const(d: &Datum) -> Option<i64> {
-    match d {
-        Datum::Int(v) | Datum::Date(v) => Some(*v),
-        _ => None,
-    }
+/// `f64::total_cmp`'s order as an `i64`: `float_key(a).cmp(&float_key(b))`
+/// is `a.total_cmp(&b)`, and distinct bit patterns get distinct keys.
+pub(crate) fn float_key(v: f64) -> i64 {
+    let bits = v.to_bits() as i64;
+    bits ^ (((bits >> 63) as u64) >> 1) as i64
 }
 
-pub(crate) fn compile_int(kind: &PredKind) -> Option<IntTest> {
-    Some(match kind {
-        PredKind::Eq(d) => IntTest::Eq(int_const(d)?),
-        PredKind::Ne(d) => IntTest::Ne(int_const(d)?),
+/// Compile `kind` for a column of type `dt`: the test keeps exactly the
+/// rows the interpreter keeps (module docs); `None` where the interpreter
+/// raises a type error instead.
+pub(crate) fn compile(kind: &PredKind, dt: DataType) -> Option<ColTest> {
+    if dt == DataType::Str {
+        return compile_str(kind).map(ColTest::Str);
+    }
+    let at_least = |d: &Datum, strict: bool| least_passing(d, strict, dt);
+    let test = match kind {
+        PredKind::Eq(d) => int_range(at_least(d, false)?, at_least(d, true)? - 1),
+        PredKind::Ne(d) => match int_range(at_least(d, false)?, at_least(d, true)? - 1) {
+            IntTest::Range { lo, hi } => IntTest::Outside { lo, hi },
+            _ => IntTest::Range { lo: i64::MIN, hi: i64::MAX },
+        },
         PredKind::Range { lo, lo_inclusive, hi, hi_inclusive } => {
-            // Normalize to inclusive bounds. `col > i64::MAX` (and the
-            // `< i64::MIN` mirror) matches nothing; an empty IN set
-            // represents that exactly.
             let lo = match lo {
-                None => i64::MIN,
-                Some(d) => {
-                    let v = int_const(d)?;
-                    if *lo_inclusive {
-                        v
-                    } else {
-                        match v.checked_add(1) {
-                            Some(x) => x,
-                            None => return Some(IntTest::In(Vec::new())),
-                        }
-                    }
-                }
+                None => i64::MIN.into(),
+                Some(d) => at_least(d, !lo_inclusive)?,
             };
             let hi = match hi {
-                None => i64::MAX,
-                Some(d) => {
-                    let v = int_const(d)?;
-                    if *hi_inclusive {
-                        v
-                    } else {
-                        match v.checked_sub(1) {
-                            Some(x) => x,
-                            None => return Some(IntTest::In(Vec::new())),
-                        }
-                    }
-                }
+                None => i64::MAX.into(),
+                Some(d) => at_least(d, *hi_inclusive)? - 1,
             };
-            IntTest::Range { lo, hi }
+            int_range(lo, hi)
         }
-        PredKind::In(vals) => {
-            let mut set: Vec<i64> = vals.iter().filter_map(int_const).collect();
+        PredKind::In(vals) if dt != DataType::Float => {
+            let mut set: Vec<i64> = vals.iter().filter_map(Datum::as_int).collect();
             set.sort_unstable();
             set.dedup();
             IntTest::In(set)
         }
-        // `LIKE` on an integer column errors in the residual (`as_str` on
-        // an i64 column); stay on the fallback so the error surfaces.
-        PredKind::Like(_) | PredKind::NotLike(_) => return None,
+        PredKind::In(_) | PredKind::Like(_) | PredKind::NotLike(_) => return None,
+    };
+    Some(if dt == DataType::Float { ColTest::Float(test) } else { ColTest::Int(test) })
+}
+
+/// The test `lo <= v <= hi`, matching nothing when `lo > hi`.
+fn int_range(lo: i128, hi: i128) -> IntTest {
+    match (i64::try_from(lo), i64::try_from(hi)) {
+        (Ok(lo), Ok(hi)) if lo <= hi => IntTest::Range { lo, hi },
+        _ => IntTest::In(Vec::new()),
+    }
+}
+
+/// The least test value of a `dt` column that is `>= d` (`> d` when
+/// `strict`) under the interpreter's comparison — the value of an
+/// integer-backed column, the [`float_key`] of a float — or one past
+/// `i64::MAX` when none is; `None` for a string constant.
+fn least_passing(d: &Datum, strict: bool, dt: DataType) -> Option<i128> {
+    let key = |f: f64| i128::from(float_key(f)) + i128::from(strict);
+    Some(match (dt, d) {
+        (DataType::Float, Datum::Float(f)) => key(*f),
+        (DataType::Float, Datum::Int(c) | Datum::Date(c)) => key(*c as f64),
+        (_, Datum::Int(c) | Datum::Date(c)) => i128::from(*c) + i128::from(strict),
+        // `v as f64` is monotone in `v`: binary search for the first `v`
+        // whose promotion reaches the constant's key.
+        (_, Datum::Float(f)) => {
+            let (k, mut lo, mut hi) = (key(*f), i128::from(i64::MIN) - 1, i128::from(i64::MAX) + 1);
+            while hi - lo > 1 {
+                let mid = (lo + hi).div_euclid(2);
+                if i128::from(float_key(mid as i64 as f64)) >= k {
+                    hi = mid;
+                } else {
+                    lo = mid;
+                }
+            }
+            hi
+        }
+        (_, Datum::Str(_)) => return None,
     })
 }
 
-pub(crate) fn compile_str(kind: &PredKind) -> Option<StrTest> {
+fn compile_str(kind: &PredKind) -> Option<StrTest> {
     let str_const = |d: &Datum| match d {
         Datum::Str(s) => Some(s.clone()),
-        _ => None, // non-string constant vs string column errors in the residual
+        _ => None, // a non-string constant vs a string column is a type error
     };
     Some(match kind {
         PredKind::Eq(d) => StrTest::Eq(str_const(d)?),
@@ -244,6 +289,11 @@ pub(crate) fn compile_str(kind: &PredKind) -> Option<StrTest> {
     })
 }
 
+/// The error for a predicate [`compile`] rejects.
+pub(crate) fn ill_typed(p: &ColPredicate, dt: DataType) -> ExecError {
+    ExecError::Type(format!("{:?} on {} ({} column)", p.kind, p.column, dt.name()))
+}
+
 /// What the block's MinMax stats alone decide about a test.
 enum StatVerdict {
     AllTrue,
@@ -251,84 +301,94 @@ enum StatVerdict {
     Unknown,
 }
 
-fn stats_verdict(test: &PredTest, stats: &BlockStats) -> StatVerdict {
-    match test {
-        PredTest::Int(t) => {
-            let (Some(min), Some(max)) = (stats.min.as_int(), stats.max.as_int()) else {
-                return StatVerdict::Unknown;
-            };
-            if min == max {
-                // Constant block: one evaluation decides every row.
-                return if int_test(t, min) { StatVerdict::AllTrue } else { StatVerdict::AllFalse };
-            }
-            match t {
-                IntTest::Range { lo, hi } if *lo <= min && max <= *hi => StatVerdict::AllTrue,
-                IntTest::Ne(c) if *c < min || *c > max => StatVerdict::AllTrue,
-                _ => StatVerdict::Unknown,
-            }
+fn stats_verdict(test: &ColTest, stats: &BlockStats) -> StatVerdict {
+    let (t, min, max) = match (test, &stats.min, &stats.max) {
+        (ColTest::Int(t), Datum::Int(a) | Datum::Date(a), Datum::Int(b) | Datum::Date(b)) => {
+            (t, *a, *b)
         }
-        PredTest::Str(t) => {
-            let (Datum::Str(min), Datum::Str(max)) = (&stats.min, &stats.max) else {
-                return StatVerdict::Unknown;
-            };
-            if min == max {
-                return if str_test(t, min) { StatVerdict::AllTrue } else { StatVerdict::AllFalse };
-            }
-            match t {
-                StrTest::Range { lo, hi } => {
-                    let lo_ok = match lo {
-                        None => true,
-                        Some((b, true)) => min.as_str() >= b.as_str(),
-                        Some((b, false)) => min.as_str() > b.as_str(),
-                    };
-                    let hi_ok = match hi {
-                        None => true,
-                        Some((b, true)) => max.as_str() <= b.as_str(),
-                        Some((b, false)) => max.as_str() < b.as_str(),
-                    };
-                    if lo_ok && hi_ok {
-                        StatVerdict::AllTrue
-                    } else {
-                        StatVerdict::Unknown
-                    }
-                }
-                StrTest::Ne(c) if c.as_str() < min.as_str() || c.as_str() > max.as_str() => {
-                    StatVerdict::AllTrue
-                }
-                _ => StatVerdict::Unknown,
-            }
+        (ColTest::Float(t), Datum::Float(a), Datum::Float(b)) => (t, float_key(*a), float_key(*b)),
+        (ColTest::Str(t), Datum::Str(min), Datum::Str(max)) => {
+            return str_stats_verdict(t, min, max)
         }
+        _ => return StatVerdict::Unknown,
+    };
+    if min == max {
+        // Constant block: one evaluation decides every row.
+        return if int_test(t, min) { StatVerdict::AllTrue } else { StatVerdict::AllFalse };
+    }
+    match t {
+        IntTest::Range { lo, hi } if *lo <= min && max <= *hi => StatVerdict::AllTrue,
+        IntTest::Outside { lo, hi } if *hi < min || max < *lo => StatVerdict::AllTrue,
+        _ => StatVerdict::Unknown,
     }
 }
 
-impl ScanKernel {
-    /// Compile the scan's predicates, or `None` when the scan must stay on
-    /// the raw slice-then-residual path (no encodings, no predicates, or
-    /// any predicate outside the supported matrix — see module docs).
-    pub fn try_new(table: &StoredTable, preds: &[(usize, ColPredicate)]) -> Option<ScanKernel> {
-        if preds.is_empty() || !table.has_encodings() {
-            return None;
-        }
-        let mut compiled = Vec::with_capacity(preds.len());
-        let mut dicts = Vec::with_capacity(preds.len());
-        for (col, p) in preds {
-            let (test, slots) = match table.schema().columns[*col].data_type {
-                DataType::Int | DataType::Date => (PredTest::Int(compile_int(&p.kind)?), 0),
-                DataType::Str => (PredTest::Str(compile_str(&p.kind)?), table.block_count()),
-                DataType::Float => return None,
+fn str_stats_verdict(t: &StrTest, min: &str, max: &str) -> StatVerdict {
+    if min == max {
+        return if str_test(t, min) { StatVerdict::AllTrue } else { StatVerdict::AllFalse };
+    }
+    match t {
+        StrTest::Range { lo, hi } => {
+            let lo_ok = match lo {
+                None => true,
+                Some((b, true)) => min >= b.as_str(),
+                Some((b, false)) => min > b.as_str(),
             };
-            compiled.push((*col, test));
-            dicts.push((0..slots).map(|_| OnceLock::new()).collect());
+            let hi_ok = match hi {
+                None => true,
+                Some((b, true)) => max <= b.as_str(),
+                Some((b, false)) => max < b.as_str(),
+            };
+            if lo_ok && hi_ok {
+                StatVerdict::AllTrue
+            } else {
+                StatVerdict::Unknown
+            }
         }
-        Some(ScanKernel { preds: compiled, dicts })
+        StrTest::Ne(c) if c.as_str() < min || c.as_str() > max => StatVerdict::AllTrue,
+        _ => StatVerdict::Unknown,
+    }
+}
+
+/// `mask[j] &= t(values[j])`, the test dispatched once for the whole piece:
+/// a range, or its complement, tests every row without a branch.
+fn and_int(mask: &mut [bool], t: &IntTest, values: impl Iterator<Item = i64>) {
+    let rows = mask.iter_mut().zip(values);
+    match t {
+        IntTest::Range { lo, hi } => rows.for_each(|(m, v)| *m &= *lo <= v && v <= *hi),
+        IntTest::Outside { lo, hi } => rows.for_each(|(m, v)| *m &= v < *lo || *hi < v),
+        IntTest::In(set) => rows.for_each(|(m, v)| *m = *m && set.binary_search(&v).is_ok()),
+    }
+}
+
+/// [`and_int`] over the values' [`float_key`]s. Kept out of line: inlined
+/// into [`ScanKernel::eval_block`], its loop made the dictionary blocks'
+/// loop there 10–15 % slower (Q19's LINEITEM scan, measured).
+#[inline(never)]
+fn and_float(mask: &mut [bool], t: &IntTest, values: &[f64]) {
+    and_int(mask, t, values.iter().map(|&v| float_key(v)))
+}
+
+impl ScanKernel {
+    /// Compile the scan's predicates; a predicate the interpreter would
+    /// reject for its column's type is an [`ExecError::Type`].
+    pub fn new(table: &StoredTable, preds: &[(usize, ColPredicate)]) -> Result<ScanKernel> {
+        let preds = preds.iter().map(|(col, p)| {
+            let dt = table.schema().columns[*col].data_type;
+            let test = compile(&p.kind, dt).ok_or_else(|| ill_typed(p, dt))?;
+            let slots = if dt == DataType::Str { table.block_count() } else { 0 };
+            let dicts = (0..slots).map(|_| OnceLock::new()).collect();
+            Ok(ScanPred { col: *col, range: p.value_range(), test, dicts })
+        });
+        Ok(ScanKernel { preds: preds.collect::<Result<_>>()? })
     }
 
     /// Evaluate all predicates over rows `[lo, hi)` of `block` (whose first
-    /// row is `block_start`), consulting each predicate column's MinMax
-    /// stats for the block first.
+    /// row is `block_start`): MinMax pruning over every predicate first,
+    /// then each predicate's stats, encoding or values.
     ///
-    /// The returned verdict selects exactly the rows the residual
-    /// expression would keep.
+    /// The returned verdict selects exactly the rows the interpreter
+    /// would keep.
     pub fn eval_block(
         &self,
         table: &StoredTable,
@@ -338,21 +398,28 @@ impl ScanKernel {
         hi: usize,
     ) -> Result<BlockVerdict> {
         debug_assert!(lo < hi && lo >= block_start);
+        for p in &self.preds {
+            let stats = &table.block_stats(p.col)?.blocks[block];
+            if !stats.may_contain_range(p.range.0.as_ref(), p.range.1.as_ref()) {
+                return Ok(BlockVerdict::Pruned);
+            }
+        }
         let n = hi - lo;
+        let rows = lo - block_start..hi - block_start;
         // `None` = every row still passing (no mask allocated yet).
         let mut mask: Option<Vec<bool>> = None;
-        for ((col, test), dicts) in self.preds.iter().zip(&self.dicts) {
-            match stats_verdict(test, &table.block_stats(*col)?.blocks[block]) {
+        for p in &self.preds {
+            match stats_verdict(&p.test, &table.block_stats(p.col)?.blocks[block]) {
                 StatVerdict::AllTrue => continue,
                 StatVerdict::AllFalse => return Ok(BlockVerdict::SkipNoRows),
                 StatVerdict::Unknown => {}
             }
-            let encoding = table.encoding(*col).map(|e| e.block(block));
-            match (test, encoding) {
-                (PredTest::Str(t), Some(BlockEncoding::DictStr { dict, codes })) => {
+            let encoding = table.encoding(p.col).map(|e| e.block(block));
+            match (&p.test, encoding) {
+                (ColTest::Str(t), Some(BlockEncoding::DictStr { dict, codes })) => {
                     // Evaluate once per distinct value and scan, then
                     // compare codes.
-                    let (passes, hits) = dicts[block].get_or_init(|| {
+                    let (passes, hits) = p.dicts[block].get_or_init(|| {
                         let passes: Vec<bool> = dict.iter().map(|s| str_test(t, s)).collect();
                         let hits = passes.iter().filter(|&&m| m).count();
                         (passes, hits)
@@ -364,27 +431,18 @@ impl ScanKernel {
                         continue;
                     }
                     let m = mask.get_or_insert_with(|| vec![true; n]);
-                    let codes = unpacked(codes, lo - block_start..hi - block_start);
+                    let codes = unpacked(codes, rows.clone());
                     m.iter_mut().zip(codes).for_each(|(mv, c)| *mv &= passes[c as usize]);
                 }
-                (PredTest::Int(t), Some(BlockEncoding::ForI64 { min, packed })) => {
+                (ColTest::Int(t), Some(BlockEncoding::ForI64 { min, packed })) => {
+                    let deltas = unpacked(packed, rows.clone());
                     let m = mask.get_or_insert_with(|| vec![true; n]);
-                    let deltas = unpacked(packed, lo - block_start..hi - block_start);
-                    let values = deltas.map(|d| min.wrapping_add(d as i64));
-                    match t {
-                        // A range tests every row without a branch.
-                        IntTest::Range { lo, hi } => {
-                            m.iter_mut().zip(values).for_each(|(mv, v)| *mv &= *lo <= v && v <= *hi)
-                        }
-                        _ => {
-                            m.iter_mut().zip(values).for_each(|(mv, v)| *mv = *mv && int_test(t, v))
-                        }
-                    }
+                    and_int(m, t, deltas.map(|d| min.wrapping_add(d as i64)));
                 }
-                (PredTest::Int(t), Some(BlockEncoding::RleI64 { values, ends })) => {
+                (ColTest::Int(t), Some(BlockEncoding::RleI64 { values, ends })) => {
                     // One evaluation per run, painted over the overlap with
                     // the requested range (offsets are block-local).
-                    let (rlo, rhi) = (lo - block_start, hi - block_start);
+                    let (rlo, rhi) = (rows.start, rows.end);
                     let mut run_start = 0usize;
                     for (v, &end) in values.iter().zip(ends) {
                         let run_end = end as usize;
@@ -400,20 +458,18 @@ impl ScanKernel {
                         }
                     }
                 }
-                // Raw blocks (and the impossible codec/type pairings the
-                // compiler can't see are unreachable): direct typed loops
-                // with the residual's exact comparison semantics.
-                (PredTest::Int(t), _) => {
-                    let values = table.column(*col)?.as_i64()?;
-                    let m = mask.get_or_insert_with(|| vec![true; n]);
-                    for (j, mv) in m.iter_mut().enumerate() {
-                        if *mv {
-                            *mv = int_test(t, values[lo + j]);
-                        }
-                    }
+                // Raw blocks, and every float block: typed loops over the
+                // resident raw values.
+                (ColTest::Int(t), _) => {
+                    let values = &table.column(p.col)?.as_i64()?[lo..hi];
+                    and_int(mask.get_or_insert_with(|| vec![true; n]), t, values.iter().copied());
                 }
-                (PredTest::Str(t), _) => {
-                    let values = table.column(*col)?.as_str()?;
+                (ColTest::Float(t), _) => {
+                    let values = &table.column(p.col)?.as_f64()?[lo..hi];
+                    and_float(mask.get_or_insert_with(|| vec![true; n]), t, values);
+                }
+                (ColTest::Str(t), _) => {
+                    let values = table.column(p.col)?.as_str()?;
                     let m = mask.get_or_insert_with(|| vec![true; n]);
                     for (j, mv) in m.iter_mut().enumerate() {
                         if *mv {
@@ -531,7 +587,7 @@ mod tests {
         // "FOB" is lexicographically inside [AIR, TRUCK] so MinMax cannot
         // prune it, but it is absent from the dict.
         let preds = preds_of(&t, vec![ColPredicate::eq("mode", Datum::Str("FOB".into()))]);
-        let kernel = ScanKernel::try_new(&t, &preds).expect("supported");
+        let kernel = ScanKernel::new(&t, &preds).unwrap();
         let v = kernel.eval_block(&t, 0, 0, 0, 8).unwrap();
         assert_eq!(v, BlockVerdict::SkipNoRows);
     }
@@ -540,7 +596,7 @@ mod tests {
     fn dict_eq_selects_exact_rows() {
         let t = encoded_table();
         let preds = preds_of(&t, vec![ColPredicate::eq("mode", Datum::Str("RAIL".into()))]);
-        let kernel = ScanKernel::try_new(&t, &preds).expect("supported");
+        let kernel = ScanKernel::new(&t, &preds).unwrap();
         let v = kernel.eval_block(&t, 0, 0, 0, 8).unwrap();
         assert_eq!(v, BlockVerdict::Rows(vec![1, 5]));
         // Sub-range of the block (scatter-scan shape).
@@ -552,7 +608,7 @@ mod tests {
     fn for_range_all_true_shortcut() {
         let t = encoded_table();
         let preds = preds_of(&t, vec![ColPredicate::between("k", 0i64, 1000i64)]);
-        let kernel = ScanKernel::try_new(&t, &preds).expect("supported");
+        let kernel = ScanKernel::new(&t, &preds).unwrap();
         let v = kernel.eval_block(&t, 0, 0, 0, 8).unwrap();
         assert_eq!(v, BlockVerdict::All);
     }
@@ -561,37 +617,125 @@ mod tests {
     fn for_values_unpack_on_partial_overlap() {
         let t = encoded_table();
         let preds = preds_of(&t, vec![ColPredicate::ge("k", 106i64)]);
-        let kernel = ScanKernel::try_new(&t, &preds).expect("supported");
+        let kernel = ScanKernel::new(&t, &preds).unwrap();
         // Block 0 holds k = 100..108; only rows 6, 7 survive.
         let v = kernel.eval_block(&t, 0, 0, 0, 8).unwrap();
         assert_eq!(v, BlockVerdict::Rows(vec![6, 7]));
     }
 
     #[test]
-    fn unsupported_predicates_fall_back() {
+    fn float_constants_compile_and_ill_typed_predicates_are_type_errors() {
         let t = encoded_table();
-        // Float constant against an int column → residual semantics differ.
+        // A float constant against an int column promotes, as the
+        // interpreter does: `k = 105.0` keeps k = 105, `k < 102.5` k ≤ 102.
         let preds = preds_of(&t, vec![ColPredicate::eq("k", 105.0f64)]);
-        assert!(ScanKernel::try_new(&t, &preds).is_none());
-        // LIKE on an int column errors in the residual.
-        let preds = preds_of(&t, vec![ColPredicate::like("k", LikePattern::Contains("x".into()))]);
-        assert!(ScanKernel::try_new(&t, &preds).is_none());
-        // No predicates → nothing to accelerate.
-        assert!(ScanKernel::try_new(&t, &[]).is_none());
+        let kernel = ScanKernel::new(&t, &preds).unwrap();
+        assert_eq!(kernel.eval_block(&t, 0, 0, 0, 8).unwrap(), BlockVerdict::Rows(vec![5]));
+        let preds = preds_of(&t, vec![ColPredicate::lt("k", 102.5f64)]);
+        let kernel = ScanKernel::new(&t, &preds).unwrap();
+        assert_eq!(kernel.eval_block(&t, 0, 0, 0, 8).unwrap(), BlockVerdict::Runs(vec![(0, 3)]));
+        // LIKE on an int column, a string constant against it: the
+        // interpreter's type errors, raised when the scan is built.
+        for p in
+            [ColPredicate::like("k", LikePattern::Contains("x".into())), ColPredicate::eq("k", "x")]
+        {
+            let preds = preds_of(&t, vec![p]);
+            assert!(matches!(ScanKernel::new(&t, &preds), Err(ExecError::Type(_))));
+        }
+        // No predicates: every block passes.
+        let kernel = ScanKernel::new(&t, &[]).unwrap();
+        assert_eq!(kernel.eval_block(&t, 1, 8, 9, 16).unwrap(), BlockVerdict::All);
     }
 
     #[test]
-    fn unencoded_tables_fall_back() {
+    fn unencoded_tables_run_the_kernel() {
         let t = build_with_encoding(false, || {
             StoredTable::from_columns_with_block_rows(
                 "t",
-                vec![("k".into(), Column::from_i64((0..16).collect()))],
+                vec![
+                    ("k".into(), Column::from_i64((0..16).collect())),
+                    ("f".into(), Column::from_f64((0..16).map(|i| i as f64 / 4.0).collect())),
+                ],
                 8,
             )
             .unwrap()
         });
+        assert!(t.encoding(0).is_none() && t.encoding(1).is_none());
         let preds = preds_of(&t, vec![ColPredicate::eq("k", 3i64)]);
-        assert!(ScanKernel::try_new(&t, &preds).is_none());
+        let kernel = ScanKernel::new(&t, &preds).unwrap();
+        assert_eq!(kernel.eval_block(&t, 0, 0, 0, 8).unwrap(), BlockVerdict::Rows(vec![3]));
+        // MinMax pruning is the kernel's first verdict.
+        assert_eq!(kernel.eval_block(&t, 1, 8, 8, 16).unwrap(), BlockVerdict::Pruned);
+        // f = k / 4 on raw float values: f > 0.5 and f <= 3.0 keeps 3..=12.
+        let preds = preds_of(&t, vec![ColPredicate::gt("f", 0.5f64), ColPredicate::le("f", 3i64)]);
+        let kernel = ScanKernel::new(&t, &preds).unwrap();
+        assert_eq!(kernel.eval_block(&t, 0, 0, 0, 8).unwrap(), BlockVerdict::Runs(vec![(3, 8)]));
+        assert_eq!(kernel.eval_block(&t, 1, 8, 8, 16).unwrap(), BlockVerdict::Runs(vec![(8, 13)]));
+    }
+
+    #[test]
+    fn float_blocks_take_the_stats_shortcuts() {
+        // Block 0 is constant −0.0, block 1 spans [1.0, 2.0].
+        let f = vec![-0.0, -0.0, -0.0, -0.0, 1.0, 1.5, 2.0, 1.25];
+        let t = StoredTable::from_columns_with_block_rows(
+            "t",
+            vec![("f".into(), Column::from_f64(f))],
+            4,
+        )
+        .unwrap();
+        let verdict = |p: ColPredicate, block: usize| {
+            let kernel = ScanKernel::new(&t, &preds_of(&t, vec![p])).unwrap();
+            kernel.eval_block(&t, block, block * 4, block * 4, block * 4 + 4).unwrap()
+        };
+        // −0.0 sorts below 0.0 under `total_cmp`.
+        assert_eq!(verdict(ColPredicate::lt("f", 0.0f64), 0), BlockVerdict::All);
+        assert_eq!(verdict(ColPredicate::eq("f", 0.0f64), 0), BlockVerdict::Pruned);
+        assert_eq!(verdict(ColPredicate::ne("f", -0.0f64), 0), BlockVerdict::SkipNoRows);
+        assert_eq!(verdict(ColPredicate::ne("f", 0i64), 0), BlockVerdict::All);
+        assert_eq!(verdict(ColPredicate::between("f", 1i64, 2.0f64), 1), BlockVerdict::All);
+        assert_eq!(verdict(ColPredicate::ne("f", 3.0f64), 1), BlockVerdict::All);
+        // MinMax pruning treats bounds as inclusive; the rows decide.
+        assert_eq!(verdict(ColPredicate::gt("f", 2.5f64), 1), BlockVerdict::Pruned);
+        assert_eq!(verdict(ColPredicate::gt("f", 2.0f64), 1), BlockVerdict::Skip);
+    }
+
+    #[test]
+    fn int_columns_against_float_constants_promote_exactly() {
+        // Beyond 2^53 neighbouring integers share one `f64`: 2^53 + 1
+        // promotes to 2^53, so it equals the float constant 2^53 and is
+        // not above it, while as an integer it is above 2^53.
+        let big = 1i64 << 53;
+        let test = |kind: PredKind| match compile(&kind, DataType::Int) {
+            Some(ColTest::Int(t)) => t,
+            _ => panic!("{kind:?} must compile to an int test"),
+        };
+        let eq = test(PredKind::Eq(Datum::Float(big as f64)));
+        assert!(int_test(&eq, big) && int_test(&eq, big + 1) && !int_test(&eq, big - 1));
+        let above = |lo: Datum| PredKind::Range {
+            lo: Some(lo),
+            lo_inclusive: false,
+            hi: None,
+            hi_inclusive: true,
+        };
+        assert!(!int_test(&test(above(Datum::Float(big as f64))), big + 1));
+        assert!(int_test(&test(above(Datum::Int(big))), big + 1));
+        // NaN sorts above every promoted integer, ∞ too; −0.0 below 0.
+        assert!(!int_test(&test(above(Datum::Float(f64::NAN))), i64::MAX));
+        assert!(int_test(&test(above(Datum::Float(-0.0))), 0));
+        assert!(!int_test(&test(above(Datum::Float(f64::INFINITY))), i64::MAX));
+        // Mixed bounds keep their own comparisons: 2^53 < k < 2^53 + 4.0
+        // (the float bound promotes k, and 2^53 + 3 rounds to 2^53 + 4).
+        let mixed = test(PredKind::Range {
+            lo: Some(Datum::Int(big)),
+            lo_inclusive: false,
+            hi: Some(Datum::Float(big as f64 + 4.0)),
+            hi_inclusive: false,
+        });
+        let kept: Vec<i64> = (big - 2..big + 8).filter(|&v| int_test(&mixed, v)).collect();
+        assert_eq!(kept, [big + 1, big + 2]);
+        // IN over a float column and a string against a number are errors.
+        assert!(compile(&PredKind::In(vec![Datum::Float(1.0)]), DataType::Float).is_none());
+        assert!(compile(&PredKind::Eq(Datum::Str("1".into())), DataType::Float).is_none());
     }
 
     #[test]
@@ -613,7 +757,7 @@ mod tests {
         ));
         let preds =
             preds_of(&t, vec![ColPredicate::in_list("k", vec![Datum::Int(5), Datum::Int(3)])]);
-        let kernel = ScanKernel::try_new(&t, &preds).expect("supported");
+        let kernel = ScanKernel::new(&t, &preds).unwrap();
         match kernel.eval_block(&t, 0, 0, 0, 2048).unwrap() {
             BlockVerdict::Runs(runs) => assert_eq!(runs, [(0, 1000), (2000, 2048)]),
             other => panic!("expected runs, got {other:?}"),
@@ -622,19 +766,24 @@ mod tests {
 
     #[test]
     fn exclusive_int_bounds_normalize() {
-        let t = IntTest::Range { lo: 5, hi: 9 };
-        assert!(!int_test(&t, 4));
-        assert!(int_test(&t, 5));
-        assert!(int_test(&t, 9));
-        assert!(!int_test(&t, 10));
+        let int = |kind: PredKind| match compile(&kind, DataType::Int) {
+            Some(ColTest::Int(t)) => t,
+            _ => panic!("{kind:?} must compile to an int test"),
+        };
+        let t = int(PredKind::Range {
+            lo: Some(Datum::Int(4)),
+            lo_inclusive: false,
+            hi: Some(Datum::Int(10)),
+            hi_inclusive: false,
+        });
+        assert!(matches!(t, IntTest::Range { lo: 5, hi: 9 }));
         // col > i64::MAX is impossible.
-        let k = compile_int(&PredKind::Range {
+        let k = int(PredKind::Range {
             lo: Some(Datum::Int(i64::MAX)),
             lo_inclusive: false,
             hi: None,
             hi_inclusive: true,
-        })
-        .unwrap();
+        });
         assert!(!int_test(&k, i64::MAX));
         assert!(!int_test(&k, 0));
     }
@@ -658,7 +807,7 @@ mod tests {
         }
         let a_then_b = LikePattern::ContainsSeq("a".into(), "b".into());
         let preds = preds_of(&t, vec![ColPredicate::not_like("c", a_then_b)]);
-        let kernel = ScanKernel::try_new(&t, &preds).expect("supported");
+        let kernel = ScanKernel::new(&t, &preds).unwrap();
         STR_TESTS.with(|n| n.set(0));
         // 64 one-row runs into the block, as 64 selected groups would read
         // it: every other comment contains "a…b".

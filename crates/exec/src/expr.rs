@@ -334,9 +334,10 @@ impl Expr {
             Expr::Like(a, p) | Expr::NotLike(a, p) => {
                 let (col, m) = (a.operand(batch)?, p.matcher());
                 let want = matches!(self, Expr::Like(..));
-                bools_to_column(
-                    &col.as_str()?.iter().map(|s| m.matches(s) == want).collect::<Vec<_>>(),
-                )
+                let Column::Str(values) = col.as_ref() else {
+                    return Err(ExecError::Type("LIKE over a non-string column".into()));
+                };
+                bools_to_column(&values.iter().map(|s| m.matches(s) == want).collect::<Vec<_>>())
             }
             Expr::InList(a, list) => {
                 let col = a.eval(batch)?;

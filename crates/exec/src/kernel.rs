@@ -2,7 +2,7 @@
 //!
 //! The seed interpreter ([`Expr::eval`]) materializes a full intermediate
 //! [`Column`] per tree node and a `Vec<bool>` per conjunct, and `And`/`Or`
-//! eagerly evaluate both sides over every row. For the scan/filter/join
+//! eagerly evaluate both sides over every row. For the filter and join
 //! hot loops this module compiles a *bound* predicate tree once into a
 //! [`FilterProgram`]: a chain of type-specialized conjunct kernels that
 //! shrink a [`SelVec`] (a vector of surviving row indexes) in tight
@@ -18,17 +18,16 @@
 //!   input batch unchanged.
 //! * **Conjunct chaining.** A top-level `And` chain becomes a sequence of
 //!   conjunct kernels; each shrinks the selection in turn and the chain
-//!   stops early once it is empty. Supported leaf shapes compile to
-//!   typed kernels reusing the scalar tests of [`crate::enc`] (the PR 7
-//!   encoded-block machinery): `i64`/date compare-to-literal and
-//!   between-ranges, `IN` via sorted-slice binary search, string
-//!   compares / `IN` over `&str` without cloning, `LIKE` through the
-//!   `expr::LikeMatcher` compiled with the conjunct
-//!   (the one matcher the scan kernel and the interpreter use too), float
+//!   stops early once it is empty. A column-vs-literal leaf (compare,
+//!   `IN`, `LIKE`) compiles through `enc::compile`, the one column
+//!   predicate compiler the scan kernel and plan-time restriction use
+//!   too: `i64`/date ranges, `IN` via sorted-slice binary search, float
 //!   compares with the interpreter's exact `f64::total_cmp` promotion,
-//!   and int-column-vs-int-column compares (`l_commitdate <
-//!   l_receiptdate`). `Or` unions and `Not` complements sub-program
-//!   selections *within* the incoming selection.
+//!   string compares / `IN` over `&str` without cloning, `LIKE` through
+//!   the `expr::LikeMatcher` compiled with the conjunct. Int-column-vs-
+//!   int-column compares (`l_commitdate < l_receiptdate`) have their own
+//!   kernel. `Or` unions and `Not` complements sub-program selections
+//!   *within* the incoming selection.
 //! * **Fallback.** Any non-sargable conjunct (arithmetic, `CASE`,
 //!   `YEAR(..)`, type mismatches that must error) falls back to the
 //!   interpreter — evaluated only over the surviving selection by
@@ -40,19 +39,18 @@
 //!   *error* that the eager interpreter would raise in a later conjunct
 //!   is not raised here.
 //! * **Adaptive ordering.** Each conjunct tracks observed rows-in /
-//!   rows-out with relaxed atomics (programs are shared across probe
-//!   morsel workers). After [`WARMUP_ROWS`] rows the chain is permuted
+//!   rows-out with relaxed atomics (a program is `Sync`; its operator
+//!   owns it). After [`WARMUP_ROWS`] rows the chain is permuted
 //!   once, greatest observed drop-rate-per-unit-cost first — commutative
 //!   by the pointwise `And` semantics — so a cheap `l_shipdate` range
 //!   runs before `LIKE '%green%'` regardless of authoring order. The
 //!   permutation never changes results, only evaluation order.
-//! * **One path.** Every residual site (`Filter`, the leaf `Scan`'s
-//!   residual — compiled once per scan and shared by all of its morsels —
-//!   and the `HashJoin` pair residual, grouped or not) always holds
-//!   a compiled program; nothing selects the interpreter instead.
-//!   [`Expr::eval_bool`] remains the fallback for
-//!   non-sargable conjuncts above, the plan-time evaluator in
-//!   `restrict.rs`, and the oracle the tests call directly
+//! * **One path.** Every residual site (`Filter` and the `HashJoin` pair
+//!   residual, grouped or not) always holds a compiled program; nothing
+//!   selects the interpreter instead. A scan holds no program: its
+//!   sargable predicates run in the scan kernel (`enc.rs`).
+//!   [`Expr::eval_bool`] remains the fallback for non-sargable conjuncts
+//!   above and the oracle the tests call directly
 //!   (`tests/kernel_equivalence.rs`, the operators' residual tests).
 
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -62,8 +60,8 @@ use bdcc_obs::OpMetrics;
 use bdcc_storage::{Column, DataType, Datum};
 
 use crate::batch::{Batch, ColMeta};
-use crate::enc::{compile_int, compile_str, int_test, str_test, IntTest, StrTest};
-use crate::error::{ExecError, Result};
+use crate::enc::{compile, float_key, int_test, str_test, ColTest, IntTest, StrTest};
+use crate::error::Result;
 use crate::expr::{CmpOp, Expr};
 use crate::pred::PredKind;
 
@@ -311,15 +309,9 @@ fn split_or<'a>(e: &'a Expr, out: &mut Vec<&'a Expr>) {
 enum ConjKind {
     /// Constant predicate (a literal conjunct): keep everything or nothing.
     Const(bool),
-    /// Integer-backed column vs compiled scalar test (compare-to-literal,
-    /// between-range, `IN` by binary search) — reuses `enc::IntTest`.
-    Int { col: usize, test: IntTest },
-    /// String column vs compiled test (`&str` compares, no cloning).
-    Str { col: usize, test: StrTest },
-    /// Float-promoted compare-to-literal with the interpreter's exact
-    /// `f64::total_cmp` semantics (covers Float columns and Int-vs-Float
-    /// literal promotions).
-    Float { col: usize, op: CmpOp, lit: f64 },
+    /// Column vs literal(s): the `enc::compile` test of a compare, `IN`
+    /// or `LIKE` for the column's type.
+    Test { col: usize, test: ColTest },
     /// Integer-backed column vs column (`l_commitdate < l_receiptdate`).
     IntCols { a: usize, b: usize, op: CmpOp },
     /// Disjunction: union of sub-program selections over the input
@@ -336,8 +328,7 @@ struct Conjunct {
     kind: ConjKind,
     /// Static cost weight for the adaptive reorderer.
     cost: f64,
-    /// Observed rows entering / surviving this conjunct (relaxed; shared
-    /// across scan-morsel and aggregate-fragment workers).
+    /// Observed rows entering / surviving this conjunct (relaxed).
     rows_in: AtomicU64,
     rows_out: AtomicU64,
 }
@@ -400,30 +391,12 @@ fn is_int_backed(dt: DataType) -> bool {
     matches!(dt, DataType::Int | DataType::Date)
 }
 
-/// Compile a `col <op> literal` leaf; `None` → fall back (including every
-/// shape whose interpreter evaluation errors, so the error still
-/// surfaces).
-fn compile_cmp_leaf(op: CmpOp, col: usize, lit: &Datum, schema: &[ColMeta]) -> Option<ConjKind> {
-    let dt = schema.get(col)?.data_type;
-    match (dt, lit) {
-        (DataType::Int | DataType::Date, Datum::Int(_) | Datum::Date(_)) => {
-            compile_int(&pred_kind_of(op, lit)).map(|test| ConjKind::Int { col, test })
-        }
-        (DataType::Str, Datum::Str(_)) => {
-            compile_str(&pred_kind_of(op, lit)).map(|test| ConjKind::Str { col, test })
-        }
-        // Any numeric pairing involving a float promotes both sides to
-        // f64 and compares via `total_cmp` — exactly `expr::eval_cmp`.
-        (DataType::Float, Datum::Int(v) | Datum::Date(v)) => {
-            Some(ConjKind::Float { col, op, lit: *v as f64 })
-        }
-        (DataType::Int | DataType::Date | DataType::Float, Datum::Float(f)) => {
-            Some(ConjKind::Float { col, op, lit: *f })
-        }
-        // String/numeric mixes error in the interpreter (`to_f64` over a
-        // string column): fall back so the error surfaces.
-        _ => None,
-    }
+/// Compile a column-vs-literal leaf; `None` → fall back (every shape whose
+/// interpreter evaluation errors, so the error still surfaces).
+fn compile_leaf(col: &Expr, kind: PredKind, schema: &[ColMeta]) -> Option<ConjKind> {
+    let Expr::ColIdx(col) = col else { return None };
+    let test = compile(&kind, schema.get(*col)?.data_type)?;
+    Some(ConjKind::Test { col: *col, test })
 }
 
 impl Conjunct {
@@ -438,11 +411,11 @@ impl Conjunct {
             Expr::Lit(d) => d.as_int().map(|v| ConjKind::Const(v != 0)),
             // A bare column as a predicate is `col != 0` in `eval_bool`.
             Expr::ColIdx(i) if schema.get(*i).is_some_and(|m| is_int_backed(m.data_type)) => {
-                Some(ConjKind::Int { col: *i, test: IntTest::Ne(0) })
+                compile_leaf(e, PredKind::Ne(Datum::Int(0)), schema)
             }
             Expr::Cmp(op, a, b) => match (a.as_ref(), b.as_ref()) {
-                (Expr::ColIdx(i), Expr::Lit(d)) => compile_cmp_leaf(*op, *i, d, schema),
-                (Expr::Lit(d), Expr::ColIdx(i)) => compile_cmp_leaf(flip(*op), *i, d, schema),
+                (col, Expr::Lit(d)) => compile_leaf(col, pred_kind_of(*op, d), schema),
+                (Expr::Lit(d), col) => compile_leaf(col, pred_kind_of(flip(*op), d), schema),
                 (Expr::ColIdx(i), Expr::ColIdx(j)) => {
                     let (ti, tj) =
                         (schema.get(*i).map(|m| m.data_type), schema.get(*j).map(|m| m.data_type));
@@ -455,31 +428,9 @@ impl Conjunct {
                 }
                 _ => None,
             },
-            Expr::InList(a, list) => match a.as_ref() {
-                Expr::ColIdx(i) => match schema.get(*i).map(|m| m.data_type) {
-                    Some(DataType::Int) | Some(DataType::Date) => {
-                        compile_int(&PredKind::In(list.clone()))
-                            .map(|test| ConjKind::Int { col: *i, test })
-                    }
-                    Some(DataType::Str) => compile_str(&PredKind::In(list.clone()))
-                        .map(|test| ConjKind::Str { col: *i, test }),
-                    // IN over a float column errors in the interpreter.
-                    _ => None,
-                },
-                _ => None,
-            },
-            Expr::Like(a, p) => match a.as_ref() {
-                Expr::ColIdx(i) if schema.get(*i).map(|m| m.data_type) == Some(DataType::Str) => {
-                    Some(ConjKind::Str { col: *i, test: StrTest::Like(p.matcher()) })
-                }
-                _ => None,
-            },
-            Expr::NotLike(a, p) => match a.as_ref() {
-                Expr::ColIdx(i) if schema.get(*i).map(|m| m.data_type) == Some(DataType::Str) => {
-                    Some(ConjKind::Str { col: *i, test: StrTest::NotLike(p.matcher()) })
-                }
-                _ => None,
-            },
+            Expr::InList(a, list) => compile_leaf(a, PredKind::In(list.clone()), schema),
+            Expr::Like(a, p) => compile_leaf(a, PredKind::Like(p.clone()), schema),
+            Expr::NotLike(a, p) => compile_leaf(a, PredKind::NotLike(p.clone()), schema),
             Expr::Not(inner) => {
                 Some(ConjKind::Not(Box::new(FilterProgram::compile(inner, schema))))
             }
@@ -500,15 +451,15 @@ impl Conjunct {
     fn cost_of(kind: &ConjKind) -> f64 {
         match kind {
             ConjKind::Const(_) => 0.25,
-            ConjKind::Int { test: IntTest::In(_), .. } => 2.0,
-            ConjKind::Int { .. } => 1.0,
-            ConjKind::IntCols { .. } => 1.2,
-            ConjKind::Float { .. } => 1.5,
-            ConjKind::Str { test, .. } => match test {
-                StrTest::Like(_) | StrTest::NotLike(_) => 8.0,
-                StrTest::In(_) => 5.0,
-                _ => 4.0,
+            ConjKind::Test { test, .. } => match test {
+                ColTest::Int(IntTest::In(_)) => 2.0,
+                ColTest::Int(_) => 1.0,
+                ColTest::Float(_) => 1.5,
+                ColTest::Str(StrTest::Like(_) | StrTest::NotLike(_)) => 8.0,
+                ColTest::Str(StrTest::In(_)) => 5.0,
+                ColTest::Str(_) => 4.0,
             },
+            ConjKind::IntCols { .. } => 1.2,
             ConjKind::Or(arms) => 1.0 + arms.iter().map(FilterProgram::total_cost).sum::<f64>(),
             ConjKind::Not(p) => 0.5 + p.total_cost(),
             ConjKind::Fallback { .. } => 16.0,
@@ -532,25 +483,22 @@ impl Conjunct {
         match &self.kind {
             ConjKind::Const(true) => Ok(sel),
             ConjKind::Const(false) => Ok(SelVec::Rows(Vec::new())),
-            ConjKind::Int { col, test } => {
-                let vals = batch.columns[*col].as_i64()?;
-                Ok(shrink(sel, |i| int_test(test, vals[i])))
-            }
-            ConjKind::Str { col, test } => {
-                let vals = batch.columns[*col].as_str()?;
-                Ok(shrink(sel, |i| str_test(test, &vals[i])))
-            }
-            ConjKind::Float { col, op, lit } => {
-                let pass = cmp_pass(*op);
-                match &batch.columns[*col] {
-                    Column::F64(vals) => Ok(shrink(sel, |i| pass(vals[i].total_cmp(lit)))),
-                    Column::I64 { values, .. } => {
-                        Ok(shrink(sel, |i| pass((values[i] as f64).total_cmp(lit))))
+            ConjKind::Test { col, test } => {
+                let col = &batch.columns[*col];
+                Ok(match test {
+                    ColTest::Int(t) => {
+                        let vals = col.as_i64()?;
+                        shrink(sel, |i| int_test(t, vals[i]))
                     }
-                    Column::Str(_) => {
-                        Err(ExecError::Internal("float kernel over a string column".into()))
+                    ColTest::Float(t) => {
+                        let vals = col.as_f64()?;
+                        shrink(sel, |i| int_test(t, float_key(vals[i])))
                     }
-                }
+                    ColTest::Str(t) => {
+                        let vals = col.as_str()?;
+                        shrink(sel, |i| str_test(t, &vals[i]))
+                    }
+                })
             }
             ConjKind::IntCols { a, b, op } => {
                 let x = batch.columns[*a].as_i64()?;
@@ -608,8 +556,7 @@ impl Conjunct {
 
 /// A bound predicate compiled into a chain of selection-shrinking
 /// conjunct kernels with adaptive ordering. See the module docs for the
-/// contract. Cheap to build (once per operator), `Sync` (shared across
-/// scan-morsel and aggregate-fragment workers).
+/// contract. Cheap to build (once per operator), `Sync`.
 pub struct FilterProgram {
     conjuncts: Vec<Conjunct>,
     /// Evaluation order (indexes into `conjuncts`); permuted once after

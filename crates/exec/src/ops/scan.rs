@@ -13,16 +13,16 @@
 //!   with no keys ([`ScanBlueprint::blocks`]): a full scan is the same loop
 //!   over the ranges the statistics already define.
 //!
-//! Per run the scan
+//! Per run the scan asks its one [`ScanKernel`] about every statistics
+//! block, or piece of one, the run touches — encoded or raw, whatever the
+//! predicates' column types — and
 //!
-//! * skips every statistics block the run touches whose MinMax range cannot
-//!   satisfy the sargable predicates (Vectorwise's automatic MinMax indices,
-//!   ref [8]; inside BDCC groups this is *correlated* pushdown, e.g.
-//!   `l_shipdate` thanks to `o_orderdate` locality),
-//! * evaluates the predicates on the surviving blocks — on the encoded
-//!   blocks through a [`ScanKernel`] when the table has them and every
-//!   predicate is supported, else through the compiled residual
-//!   ([`FilterProgram`]) over projection ++ predicate-only columns,
+//! * skips a block whose MinMax range cannot satisfy the sargable
+//!   predicates (Vectorwise's automatic MinMax indices, ref [8]; inside
+//!   BDCC groups this is *correlated* pushdown, e.g. `l_shipdate` thanks to
+//!   `o_orderdate` locality), or that its stats or dictionaries rule out,
+//! * keeps the rows the kernel finds passing on the others, reading
+//!   predicate-only columns for evaluation only,
 //! * emits **at most one batch, never crossing the run**, projection first,
 //!   then the run's keys as constant columns; the survivors are copied
 //!   range by range — a passing block is one range, a block that keeps
@@ -30,10 +30,10 @@
 //!   by row where the stretches are too short (`enc::MIN_MEAN_RANGE`).
 //!
 //! I/O accounting: every block piece that is *read* contributes the bytes of
-//! the projected and predicate columns it covers (one span per contiguous
-//! surviving range — a random seek per discontinuity, then sequential: the
-//! access pattern Algorithm 1 sized the groups for); pruned blocks and
-//! unselected groups cost nothing — precisely the effect Figure 2
+//! the projected and predicate columns it covers (one span per piece — a
+//! random seek per discontinuity, then sequential: the access pattern
+//! Algorithm 1 sized the groups for); blocks pruned or skipped from their
+//! metadata and unselected groups cost nothing — precisely the effect Figure 2
 //! attributes to selection pushdown.
 //!
 //! Width is how the runs are walked, not a second operator: at
@@ -53,13 +53,12 @@ use crate::batch::{Batch, ColMeta, OpSchema};
 use crate::enc::{BlockVerdict, ScanKernel};
 use crate::error::{ExecError, Result};
 use crate::govern::Governor;
-use crate::kernel::FilterProgram;
 use crate::memory::{MemoryGuard, MemoryTracker};
 use crate::ops::Operator;
 use crate::parallel::morsel::{split_runs, Morsel};
 use crate::parallel::pool::OrderedStream;
 use crate::parallel::{note_morsel, ParallelConfig};
-use crate::pred::{predicates_to_expr, ColPredicate};
+use crate::pred::ColPredicate;
 
 /// One row range of the stored table, read as a unit: a selected
 /// count-table group of a BDCC table, or one statistics block of a
@@ -74,15 +73,13 @@ pub struct Run {
 }
 
 /// What a leaf scan reads, resolved once: column indices, the read set
-/// with its I/O keys and widths, both compiled predicate forms, the output
+/// with its I/O keys and widths, the compiled predicate kernel, the output
 /// schema and the ordered runs. Shared (`Sync`, behind an `Arc`) by every
 /// walker over it — the planner's leaf, its streaming workers and the
 /// per-morsel fragments of a parallel aggregate — so a morsel costs an
 /// `Arc` clone, not a second compilation.
 pub struct ScanBlueprint {
     table: Arc<StoredTable>,
-    /// Sargable predicates (block pruning + residual).
-    predicates: Vec<(usize, ColPredicate)>,
     /// Every column the scan physically reads as `(index, I/O key, stored
     /// bytes per row)`: the projection in output order, then the predicate
     /// columns outside it (read for evaluation only, deduplicated, in
@@ -90,12 +87,9 @@ pub struct ScanBlueprint {
     read_set: Vec<(usize, u64, f64)>,
     /// How many leading columns of the read set are emitted.
     projected: usize,
-    /// Residual filter compiled against the read set (see
-    /// [`crate::kernel`]); `None` when there are no predicates.
-    program: Option<FilterProgram>,
-    /// Compression-aware predicate kernel; `Some` only when the table is
-    /// block-encoded and every predicate is kernel-supported.
-    kernel: Option<ScanKernel>,
+    /// The sargable predicates, compiled: MinMax pruning and evaluation of
+    /// every block piece a run reads.
+    kernel: ScanKernel,
     /// Projection, then the group-key columns.
     schema: OpSchema,
     runs: Vec<Run>,
@@ -104,7 +98,9 @@ pub struct ScanBlueprint {
 impl ScanBlueprint {
     /// A scan emitting `columns` (by name) plus one `Int` column per name in
     /// `key_names`, over `runs` in the given order. Predicate columns join
-    /// the read set; they are not emitted unless projected.
+    /// the read set; they are not emitted unless projected. A predicate the
+    /// interpreter would reject for its column's type is an
+    /// [`ExecError::Type`].
     pub fn new<S: AsRef<str>>(
         table: Arc<StoredTable>,
         columns: &[S],
@@ -133,33 +129,16 @@ impl ScanBlueprint {
         }
         let projected = read_set.len();
         let mut preds = Vec::with_capacity(predicates.len());
-        for p in &predicates {
-            preds.push((table.column_index(&p.column)?, p.clone()));
-        }
-        // The residual is evaluated over projection ++ predicate columns.
-        let mut eval_schema = schema.clone();
-        for (idx, p) in &preds {
-            if !eval_schema.iter().any(|m| m.name == p.column) {
-                read_set.push(read(*idx));
-                eval_schema.push(ColMeta::new(&p.column, table.schema().columns[*idx].data_type));
+        for p in predicates {
+            let idx = table.column_index(&p.column)?;
+            if !read_set.iter().any(|r| r.0 == idx) {
+                read_set.push(read(idx));
             }
+            preds.push((idx, p));
         }
-        let program = match predicates_to_expr(&predicates) {
-            Some(e) => Some(FilterProgram::compile(&e.bind(&eval_schema)?, &eval_schema)),
-            None => None,
-        };
         schema.extend(key_names.iter().map(|name| ColMeta::new(name.clone(), DataType::Int)));
-        let kernel = ScanKernel::try_new(&table, &preds);
-        Ok(Arc::new(ScanBlueprint {
-            table,
-            predicates: preds,
-            read_set,
-            projected,
-            program,
-            kernel,
-            schema,
-            runs,
-        }))
+        let kernel = ScanKernel::new(&table, &preds)?;
+        Ok(Arc::new(ScanBlueprint { table, read_set, projected, kernel, schema, runs }))
     }
 
     /// The key-less scan of a whole table (Plain and PK schemes): its runs
@@ -214,8 +193,8 @@ impl ScanBlueprint {
         }
     }
 
-    /// Read one run: prune and evaluate block by block, then assemble the
-    /// survivors into at most one batch. `ranges` and `rows` are the
+    /// Read one run: ask the kernel about it block by block, then assemble
+    /// the survivors into at most one batch. `ranges` and `rows` are the
     /// walker's scratch buffers for the run's survivors.
     fn read_run(
         &self,
@@ -236,36 +215,22 @@ impl ScanBlueprint {
         // indices, gathered.
         ranges.clear();
         rows.clear();
-        'blocks: for b in grid.block_of_row(start)..=grid.block_of_row(end - 1) {
+        for b in grid.block_of_row(start)..=grid.block_of_row(end - 1) {
             let (block_start, block_end) = grid.rows_of_block(b, self.table.rows());
             let (s, e) = (block_start.max(start), block_end.min(end));
-            for (col, pred) in &self.predicates {
-                if !pred.block_may_match(&self.table.block_stats(*col)?.blocks[b]) {
-                    if let Some(m) = metrics {
-                        m.blocks_skipped.add(1);
-                    }
-                    continue 'blocks;
-                }
-            }
-            let Some(kernel) = &self.kernel else {
-                push_range(ranges, s, e);
-                continue;
-            };
-            // Compression-aware path: predicates run on the encoded block;
-            // the projection materializes late, only for survivors, from the
-            // resident raw columns. Predicate-only columns are never
+            // The projection materializes late, only for survivors, from
+            // the resident raw columns; predicate-only columns are never
             // assembled.
-            let verdict = kernel.eval_block(&self.table, b, block_start, s, e)?;
-            if verdict == BlockVerdict::SkipNoRows {
-                // Decided from metadata: the block's rows were never read.
-                if let Some(m) = metrics {
-                    m.enc_skipped.add(1);
-                }
-                continue;
+            let verdict = self.kernel.eval_block(&self.table, b, block_start, s, e)?;
+            match (&verdict, metrics) {
+                // Decided from metadata: the block's rows are never read.
+                (BlockVerdict::Pruned, Some(m)) => m.blocks_skipped.add(1),
+                (BlockVerdict::SkipNoRows, Some(m)) => m.enc_skipped.add(1),
+                (BlockVerdict::Pruned | BlockVerdict::SkipNoRows, None) => {}
+                _ => self.charge_io(io, s, e),
             }
-            self.charge_io(io, s, e);
             match verdict {
-                BlockVerdict::SkipNoRows | BlockVerdict::Skip => {}
+                BlockVerdict::Pruned | BlockVerdict::SkipNoRows | BlockVerdict::Skip => {}
                 BlockVerdict::All if rows.is_empty() => push_range(ranges, s, e),
                 BlockVerdict::All => rows.extend(s..e),
                 BlockVerdict::Runs(runs) if rows.is_empty() => {
@@ -281,18 +246,9 @@ impl ScanBlueprint {
         if ranges.is_empty() && rows.is_empty() {
             return Ok(None);
         }
-        // The raw path reads what pruning left, one span per contiguous
-        // range, and assembles the predicate-only columns too.
-        let assembled = match &self.kernel {
-            Some(_) => self.projected,
-            None => {
-                ranges.iter().for_each(|&(s, e)| self.charge_io(io, s, e));
-                self.read_set.len()
-            }
-        };
         let n: usize = ranges.iter().map(|(s, e)| e - s).sum();
-        let mut columns = Vec::with_capacity(assembled + run.keys.len());
-        for &(col, ..) in &self.read_set[..assembled] {
+        let mut columns = Vec::with_capacity(self.projected + run.keys.len());
+        for &(col, ..) in &self.read_set[..self.projected] {
             let src = self.table.column(col)?;
             columns.push(if rows.is_empty() {
                 copy_ranges(src, ranges, n)?
@@ -301,17 +257,6 @@ impl ScanBlueprint {
             });
         }
         let mut batch = Batch::new(columns);
-        if let (None, Some(program)) = (&self.kernel, &self.program) {
-            let sel = program.select(&batch)?;
-            if sel.is_empty() {
-                return Ok(None);
-            }
-            // An all-pass selection moves the assembled columns through
-            // unchanged; predicate-only columns drop without a copy of the
-            // survivors.
-            batch = sel.take(batch);
-            batch.columns.truncate(self.projected);
-        }
         let n = batch.rows();
         if n == 0 {
             return Ok(None);
@@ -390,8 +335,8 @@ pub struct Scan {
     io: IoTracker,
     /// Profiling hook (planner-installed): block-skip counters from every
     /// walker, morsel counts / latencies from the workers, reorder-buffer
-    /// occupancy from the consumer, the path and the residual's kernel
-    /// statistics as annotations. `None` costs nothing.
+    /// occupancy from the consumer, the path as an annotation. `None`
+    /// costs nothing.
     metrics: Option<Arc<OpMetrics>>,
     /// Per-query limits: an inline walk polls them before every batch, a
     /// streaming producer before every morsel, so cancellation stops the
@@ -533,9 +478,6 @@ impl Operator for Scan {
                         return Ok(Some(batch));
                     }
                 }
-                if let (Some(m), Some(p)) = (&self.metrics, &self.blueprint.program) {
-                    p.annotate(m);
-                }
                 Ok(None)
             }
             Walk::Streaming { morsels, threads, tracker, stream, current, mem } => loop {
@@ -566,6 +508,7 @@ impl Operator for Scan {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::expr::Expr;
     use crate::ops::collect;
     use bdcc_storage::{Datum, TableBuilder};
     use proptest::prelude::*;
@@ -650,7 +593,7 @@ mod tests {
     }
 
     #[test]
-    fn residual_filters_within_blocks() {
+    fn predicates_filter_within_blocks() {
         let scan = block_scan(&["v"], vec![ColPredicate::between("k", 2i64, 5i64)]).unwrap();
         let out = collect(Box::new(scan)).unwrap();
         assert_eq!(out.columns[0].as_i64().unwrap(), &[20, 30, 40, 50]);
@@ -790,7 +733,7 @@ mod tests {
     /// `rows` rows in `block_rows`-row blocks: an int, a float, a
     /// low-cardinality string and a payload column (`v` = 10 · row) —
     /// encoded (dictionary / packed blocks) or raw.
-    fn residual_table(encoded: bool, rows: usize, block_rows: usize) -> Arc<StoredTable> {
+    fn filter_table(encoded: bool, rows: usize, block_rows: usize) -> Arc<StoredTable> {
         let modes = ["AIR", "RAIL", "TRUCK", "SHIP"];
         let n = rows as i64;
         Arc::new(crate::enc::build_with_encoding(encoded, || {
@@ -811,29 +754,24 @@ mod tests {
         }))
     }
 
-    /// The residual cases every scan must get right: `(name, table is
-    /// encoded, predicates, whether the encoded-block kernel takes them)`.
-    /// Encoded int/string predicates run on the blocks and materialise the
-    /// projection late; floats and raw tables go through the compiled
-    /// residual over projection ++ predicate-only columns.
-    fn residual_cases() -> Vec<(&'static str, bool, Vec<ColPredicate>, bool)> {
+    /// The filter cases every scan must get right: `(name, table is
+    /// encoded, predicates)`. All of them run through the one kernel, on
+    /// encoded blocks or raw values, and materialise the projection late.
+    fn filter_cases() -> Vec<(&'static str, bool, Vec<ColPredicate>)> {
         let int_str =
             || vec![ColPredicate::between("k", 10i64, 50i64), ColPredicate::eq("s", "RAIL")];
+        let float_int = || vec![ColPredicate::lt("f", 20.0f64), ColPredicate::ge("k", 32i64)];
         vec![
-            ("encoded int+str", true, int_str(), true),
-            ("raw int+str", false, int_str(), false),
-            ("encoded float", true, vec![ColPredicate::ge("f", 11.25f64)], false),
-            (
-                "encoded float+int",
-                true,
-                vec![ColPredicate::lt("f", 20.0f64), ColPredicate::ge("k", 32i64)],
-                false,
-            ),
+            ("encoded int+str", true, int_str()),
+            ("raw int+str", false, int_str()),
+            ("encoded float", true, vec![ColPredicate::ge("f", 11.25f64)]),
+            ("encoded float+int", true, float_int()),
+            ("raw float+int", false, float_int()),
         ]
     }
 
     /// What a scan of `runs` projecting `v` under `preds` must return,
-    /// computed without any scan residual: the same runs are read with
+    /// computed without any scan predicate: the same runs are read with
     /// every column and no predicate, the interpreter filters that, and the
     /// predicate columns drop out (the keys stay).
     fn hand_filtered(t: &Arc<StoredTable>, preds: &[ColPredicate], runs: &[Run]) -> Batch {
@@ -841,14 +779,14 @@ mod tests {
             scan_runs(t, &IoTracker::new(), &["v", "k", "f", "s"], vec![], runs.to_vec());
         let schema = reference.schema().clone();
         let all = collect(Box::new(reference)).unwrap();
-        let residual = predicates_to_expr(preds).unwrap().bind(&schema).unwrap();
-        let mut out = all.filter(&residual.eval_bool(&all).unwrap());
+        let filter = preds.iter().map(ColPredicate::to_expr).reduce(Expr::and).unwrap();
+        let mut out = all.filter(&filter.bind(&schema).unwrap().eval_bool(&all).unwrap());
         out.columns.drain(1..4);
         out
     }
 
     #[test]
-    fn residual_kernel_matches_interpreter() {
+    fn scan_kernel_matches_interpreter() {
         // The 8-row blocks themselves, and six-row keyed groups that
         // straddle them, read in scatter order.
         let blocks: Vec<Run> =
@@ -857,15 +795,14 @@ mod tests {
             .iter()
             .map(|&g| Run { start: g * 6, count: 6, keys: vec![g as i64] })
             .collect();
-        for (name, encoded, preds, late) in residual_cases() {
-            let t = residual_table(encoded, 64, 8);
+        for (name, encoded, preds) in filter_cases() {
+            let t = filter_table(encoded, 64, 8);
             for runs in [&blocks, &scattered] {
                 let scan = scan_runs(&t, &IoTracker::new(), &["v"], preds.clone(), runs.clone());
-                assert_eq!(scan.blueprint.kernel.is_some(), late, "{name}: wrong residual path");
                 let got = collect(Box::new(scan)).unwrap();
                 let want = hand_filtered(&t, &preds, runs);
                 let kept: usize = runs.iter().map(|r| r.count).sum();
-                assert!(0 < want.rows() && want.rows() < kept, "{name}: residual must cut");
+                assert!(0 < want.rows() && want.rows() < kept, "{name}: the predicates must cut");
                 assert_eq!(got, want, "{name}");
             }
         }
@@ -1027,7 +964,6 @@ mod tests {
             let bp =
                 ScanBlueprint::new(Arc::clone(&t), &["v", "f", "s"], vec![pred.clone()], &[], runs)
                     .unwrap();
-            assert!(bp.kernel.is_some(), "the encoded-block kernel decides the survivors");
             // Inline, and streamed in morsels whose edges cut the blocks.
             for cfg in [
                 ParallelConfig { threads: 1, morsel_rows: 64 },
@@ -1063,7 +999,7 @@ mod tests {
             (lo, width, mode) in (0i64..64, 0i64..80, 0usize..7),
             mut cuts in prop::collection::vec(0usize..150, 0..10),
         ) {
-            let t = residual_table(encoded, rows, block_rows);
+            let t = filter_table(encoded, rows, block_rows);
             // An int range that may pass nothing, something or everything,
             // and (modes 0..5) a string equality — mode 4 is inside every
             // block's MinMax range but in no dictionary.

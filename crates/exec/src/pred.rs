@@ -2,8 +2,12 @@
 //!
 //! Predicates attached to scan nodes are simple enough to be analyzed for
 //! *pushdown*: min/max block skipping (all schemes) and BDCC bin-range
-//! restriction (BDCC scheme). Anything not expressible here goes into a
-//! plain `Filter` node and is evaluated row-wise after the scan.
+//! restriction (BDCC scheme), and to be evaluated by the scan itself:
+//! `enc::compile` turns each into a typed test for its column, which the
+//! scan kernel runs block by block and plan-time restriction row by row.
+//! [`ColPredicate::to_expr`] is the same predicate for the interpreter,
+//! which the tests use as the oracle. Anything not expressible here goes
+//! into a plain `Filter` node and is evaluated after the scan.
 
 use bdcc_storage::{BlockStats, Datum};
 
@@ -27,9 +31,9 @@ pub enum PredKind {
     In(Vec<Datum>),
     /// `col LIKE pattern` (block skipping only for `StartsWith`).
     Like(LikePattern),
-    /// `col NOT LIKE pattern` (no pushdown; residual only).
+    /// `col NOT LIKE pattern` (no pushdown).
     NotLike(LikePattern),
-    /// `col <> v` (no pushdown; residual only).
+    /// `col <> v` (no pushdown).
     Ne(Datum),
 }
 
@@ -195,13 +199,6 @@ impl ColPredicate {
     }
 }
 
-/// AND-combine the row-wise filters of several predicates.
-pub fn predicates_to_expr(preds: &[ColPredicate]) -> Option<Expr> {
-    let mut it = preds.iter().map(|p| p.to_expr());
-    let first = it.next()?;
-    Some(it.fold(first, |acc, e| acc.and(e)))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -226,7 +223,7 @@ mod tests {
         assert!(ColPredicate::eq("a", 15i64).block_may_match(&stats));
         assert!(!ColPredicate::ge("a", 21i64).block_may_match(&stats));
         assert!(!ColPredicate::le("a", 9i64).block_may_match(&stats));
-        // Residual-only predicates never prune.
+        // Predicates without a value range never prune.
         assert!(ColPredicate::ne("a", 15i64).block_may_match(&stats));
     }
 
@@ -261,21 +258,5 @@ mod tests {
         );
         let keep = p.to_expr().bind(&schema).unwrap().eval_bool(&batch).unwrap();
         assert_eq!(keep, vec![false, true, false]);
-    }
-
-    #[test]
-    fn combined_residual() {
-        let preds = vec![
-            ColPredicate::ge("a", 1i64),
-            ColPredicate::lt("a", 5i64),
-            ColPredicate::ne("a", 3i64),
-        ];
-        let e = predicates_to_expr(&preds).unwrap();
-        use crate::batch::{Batch, ColMeta};
-        use bdcc_storage::DataType;
-        let schema = vec![ColMeta::new("a", DataType::Int)];
-        let batch = Batch::new(vec![Column::from_i64(vec![0, 1, 3, 4, 5])]);
-        let keep = e.bind(&schema).unwrap().eval_bool(&batch).unwrap();
-        assert_eq!(keep, vec![false, true, false, true, false]);
     }
 }

@@ -26,10 +26,11 @@
 //! call memoises each host scan's surviving bins and each referenced
 //! table's row mask, so every `(scan, use)` pair and every recursive step
 //! that reaches them shares one evaluation (LINEITEM's and ORDERS' `D_DATE`
-//! uses reduce the ORDERS host once). Predicates compile to the flat
-//! [`enc`](crate::enc) tests the scan kernels use; shapes those cannot
-//! express (float comparisons, type mismatches) are decided by the
-//! expression interpreter over that predicate's column.
+//! uses reduce the ORDERS host once). Predicates compile through
+//! [`enc::compile`](crate::enc) to the typed tests the scan kernel runs —
+//! integer, float and string columns alike — and test the stored column in
+//! place; a predicate the interpreter would reject for its column's type
+//! is an [`ExecError::Type`].
 //!
 //! **Why the walk short-circuits.** The host is walked once, row by row,
 //! and a row whose bin already has a survivor is skipped untested: the
@@ -53,10 +54,9 @@ use std::rc::Rc;
 
 use bdcc_catalog::{FkId, TableId};
 use bdcc_core::{DimId, Dimension, KeyValue};
-use bdcc_storage::{DataType, StoredTable, StrVec};
+use bdcc_storage::{StoredTable, StrVec};
 
-use crate::batch::{Batch, ColMeta};
-use crate::enc::{compile_int, compile_str, int_test, str_test, IntTest, StrTest};
+use crate::enc::{compile, float_key, ill_typed, int_test, str_test, ColTest, IntTest, StrTest};
 use crate::error::{ExecError, Result};
 use crate::plan::{FkSide, Node};
 use crate::pred::ColPredicate;
@@ -133,19 +133,17 @@ pub fn compute_restrictions(plan: &Node, sdb: &SchemeDb) -> Result<Restrictions>
 }
 
 /// One predicate of a scan, bound to the stored column it tests.
-enum ColTest<'a> {
+enum RowTest<'a> {
     Int(IntTest, &'a [i64]),
+    Float(IntTest, &'a [f64]),
     Str(StrTest, &'a StrVec),
-    /// The interpreter's verdict per row, for shapes the flat tests cannot
-    /// express.
-    Rows(Vec<bool>),
 }
 
 /// Everything that decides whether a row of one scan qualifies: its own
 /// predicates, then each semi-join reduction as `(referenced row of every
 /// row, mask of the referenced table)`.
 struct RowFilter<'a> {
-    tests: Vec<ColTest<'a>>,
+    tests: Vec<RowTest<'a>>,
     semis: Vec<(&'a [u32], Rc<[bool]>)>,
 }
 
@@ -156,9 +154,9 @@ impl RowFilter<'_> {
 
     fn passes(&self, row: usize) -> bool {
         self.tests.iter().all(|t| match t {
-            ColTest::Int(t, values) => int_test(t, values[row]),
-            ColTest::Str(t, values) => str_test(t, &values[row]),
-            ColTest::Rows(keep) => keep[row],
+            RowTest::Int(t, values) => int_test(t, values[row]),
+            RowTest::Float(t, values) => int_test(t, float_key(values[row])),
+            RowTest::Str(t, values) => str_test(t, &values[row]),
         }) && self.semis.iter().all(|(target, mask)| mask[target[row] as usize])
     }
 }
@@ -251,22 +249,10 @@ impl<'a> Reduction<'a> {
             let idx = stored.column_index(&p.column)?;
             let col = stored.column(idx)?;
             let dt = stored.schema().columns[idx].data_type;
-            let flat = match dt {
-                DataType::Int | DataType::Date => compile_int(&p.kind)
-                    .map(|t| col.as_i64().map(|values| ColTest::Int(t, values)))
-                    .transpose()?,
-                DataType::Str => compile_str(&p.kind)
-                    .map(|t| col.as_str().map(|values| ColTest::Str(t, values)))
-                    .transpose()?,
-                DataType::Float => None,
-            };
-            tests.push(match flat {
-                Some(test) => test,
-                None => {
-                    let metas = vec![ColMeta::new(&p.column, dt)];
-                    let batch = Batch::new(vec![(**col).clone()]);
-                    ColTest::Rows(p.to_expr().bind(&metas)?.eval_bool(&batch)?)
-                }
+            tests.push(match compile(&p.kind, dt).ok_or_else(|| ill_typed(p, dt))? {
+                ColTest::Int(t) => RowTest::Int(t, col.as_i64()?),
+                ColTest::Float(t) => RowTest::Float(t, col.as_f64()?),
+                ColTest::Str(t) => RowTest::Str(t, col.as_str()?),
             });
         }
         let mut semis = Vec::new();

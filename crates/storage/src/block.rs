@@ -102,14 +102,16 @@ fn block_min_max(column: &Column, start: usize, end: usize) -> BlockStats {
                 BlockStats { min: Datum::Int(min), max: Datum::Int(max) }
             }
         }
+        // Ordered by `total_cmp`, as pruning and the interpreter compare:
+        // NaN above +∞, −0.0 below 0.0.
         Column::F64(values) => {
             let mut min = values[start];
             let mut max = values[start];
             for &v in &values[start + 1..end] {
-                if v < min {
+                if v.total_cmp(&min).is_lt() {
                     min = v;
                 }
-                if v > max {
+                if v.total_cmp(&max).is_gt() {
                     max = v;
                 }
             }
@@ -184,5 +186,41 @@ mod tests {
         let s = ColumnBlockStats::build(&c, 2);
         assert_eq!(s.blocks[0].min, Datum::Float(-1.0));
         assert_eq!(s.blocks[1].min, Datum::Float(0.0));
+    }
+
+    #[test]
+    fn float_blocks_follow_total_cmp() {
+        let bits = |d: &Datum| match d {
+            Datum::Float(f) => f.to_bits(),
+            other => panic!("{other:?} is not a float"),
+        };
+        let c = Column::from_f64(vec![
+            1.0,
+            f64::NAN,
+            2.0,
+            1.5,
+            f64::NAN,
+            -5.0,
+            2.0,
+            1.5,
+            0.0,
+            -0.0,
+            0.0,
+            0.0,
+            f64::INFINITY,
+            f64::NEG_INFINITY,
+            -f64::NAN,
+            1.0,
+        ]);
+        let s = ColumnBlockStats::build(&c, 4);
+        let want = [(1.0, f64::NAN), (-5.0, f64::NAN), (-0.0, 0.0), (-f64::NAN, f64::INFINITY)];
+        for (b, (min, max)) in s.blocks.iter().zip(want) {
+            assert_eq!((bits(&b.min), bits(&b.max)), (min.to_bits(), max.to_bits()), "{b:?}");
+        }
+        // A block holding a NaN may contain `f > 5.0`; one holding −5.0
+        // may contain `f < 0.0`.
+        assert!(s.blocks[0].may_contain_range(Some(&Datum::Float(5.0)), None));
+        assert!(s.blocks[1].may_contain_range(None, Some(&Datum::Float(0.0))));
+        assert!(s.blocks[2].may_contain_range(None, Some(&Datum::Float(-0.0))));
     }
 }
