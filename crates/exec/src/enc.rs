@@ -533,19 +533,6 @@ fn unpacked(packed: &PackedInts, rows: Range<usize>) -> impl Iterator<Item = u64
     })
 }
 
-/// Run `build` with the process-wide encode switch pinned to `enabled`,
-/// serialised against every other unit test that pins it — a table built
-/// here is encoded (or raw) whatever its neighbours are doing.
-#[cfg(test)]
-pub(crate) fn build_with_encoding<T>(enabled: bool, build: impl FnOnce() -> T) -> T {
-    static LOCK: std::sync::Mutex<()> = std::sync::Mutex::new(());
-    let _pin = LOCK.lock().unwrap_or_else(|e| e.into_inner());
-    bdcc_storage::set_encode_enabled(Some(enabled));
-    let out = build();
-    bdcc_storage::set_encode_enabled(None);
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -561,7 +548,7 @@ mod tests {
 
     fn encoded_table() -> Arc<StoredTable> {
         let modes = ["AIR", "RAIL", "TRUCK", "SHIP"];
-        Arc::new(build_with_encoding(true, || {
+        Arc::new(
             StoredTable::from_columns_with_block_rows(
                 "t",
                 vec![
@@ -573,8 +560,8 @@ mod tests {
                 ],
                 8,
             )
-            .unwrap()
-        }))
+            .unwrap(),
+        )
     }
 
     fn preds_of(table: &StoredTable, preds: Vec<ColPredicate>) -> Vec<(usize, ColPredicate)> {
@@ -649,17 +636,16 @@ mod tests {
 
     #[test]
     fn unencoded_tables_run_the_kernel() {
-        let t = build_with_encoding(false, || {
-            StoredTable::from_columns_with_block_rows(
-                "t",
-                vec![
-                    ("k".into(), Column::from_i64((0..16).collect())),
-                    ("f".into(), Column::from_f64((0..16).map(|i| i as f64 / 4.0).collect())),
-                ],
-                8,
-            )
-            .unwrap()
-        });
+        let t = StoredTable::from_columns_with_block_rows(
+            "t",
+            vec![
+                ("k".into(), Column::from_i64((0..16).collect())),
+                ("f".into(), Column::from_f64((0..16).map(|i| i as f64 / 4.0).collect())),
+            ],
+            8,
+        )
+        .unwrap()
+        .without_encodings();
         assert!(t.encoding(0).is_none() && t.encoding(1).is_none());
         let preds = preds_of(&t, vec![ColPredicate::eq("k", 3i64)]);
         let kernel = ScanKernel::new(&t, &preds).unwrap();
@@ -743,14 +729,12 @@ mod tests {
         let mut values = vec![3i64; 1000];
         values.extend(vec![900_000i64; 1000]);
         values.extend(vec![5i64; 48]);
-        let t = build_with_encoding(true, || {
-            StoredTable::from_columns_with_block_rows(
-                "t",
-                vec![("k".into(), Column::from_i64(values))],
-                4096,
-            )
-            .unwrap()
-        });
+        let t = StoredTable::from_columns_with_block_rows(
+            "t",
+            vec![("k".into(), Column::from_i64(values))],
+            4096,
+        )
+        .unwrap();
         assert!(matches!(
             t.encoding(0).unwrap().block(0),
             bdcc_storage::BlockEncoding::RleI64 { .. }
@@ -793,14 +777,12 @@ mod tests {
         // 4 096 distinct comments, each twice: one dictionary block of
         // 8 192 rows.
         let comment = |i: usize| format!("c{:04} {}", i % 4096, ["ab", "ba"][i % 4096 % 2]);
-        let t = build_with_encoding(true, || {
-            StoredTable::from_columns_with_block_rows(
-                "t",
-                vec![("c".into(), Column::from_strings((0..8192).map(comment).collect()))],
-                8192,
-            )
-            .unwrap()
-        });
+        let t = StoredTable::from_columns_with_block_rows(
+            "t",
+            vec![("c".into(), Column::from_strings((0..8192).map(comment).collect()))],
+            8192,
+        )
+        .unwrap();
         match t.encoding(0).map(|e| e.block(0)) {
             Some(BlockEncoding::DictStr { dict, .. }) => assert_eq!(dict.len(), 4096),
             _ => panic!("the block must be dictionary-encoded"),

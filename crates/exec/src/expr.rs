@@ -292,7 +292,11 @@ impl Expr {
             | Expr::Like(..)
             | Expr::NotLike(..)
             | Expr::InList(..) => DataType::Int,
-            Expr::If(_, t, _) => t.data_type(schema)?,
+            // `eval_if` promotes to `Float` when either branch is float.
+            Expr::If(_, t, e) => match (t.data_type(schema)?, e.data_type(schema)?) {
+                (DataType::Float, _) | (_, DataType::Float) => DataType::Float,
+                (tt, _) => tt,
+            },
             Expr::Year(_) => DataType::Int,
             Expr::Prefix(..) => DataType::Str,
         })
@@ -842,5 +846,12 @@ mod tests {
         assert_eq!(Expr::col("a").div(Expr::lit(2)).data_type(&s).unwrap(), DataType::Float);
         assert_eq!(Expr::col("a").eq(Expr::lit(2)).data_type(&s).unwrap(), DataType::Int);
         assert_eq!(Expr::col("s").prefix(2).data_type(&s).unwrap(), DataType::Str);
+        // An `If` whose else-branch is float evaluates to a float column.
+        let mixed = Expr::if_else(Expr::col("a").eq(Expr::lit(1)), Expr::lit(1), Expr::lit(2.5));
+        assert_eq!(mixed.data_type(&s).unwrap(), DataType::Float);
+        let b = batch();
+        assert_eq!(mixed.bind(&s).unwrap().eval(&b).unwrap().data_type(), DataType::Float);
+        let ints = Expr::if_else(Expr::col("a").eq(Expr::lit(1)), Expr::lit(1), Expr::lit(2));
+        assert_eq!(ints.data_type(&s).unwrap(), DataType::Int);
     }
 }

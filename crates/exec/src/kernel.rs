@@ -38,13 +38,16 @@
 //!   already covers it) remaining conjuncts are skipped, so a type
 //!   *error* that the eager interpreter would raise in a later conjunct
 //!   is not raised here.
-//! * **Adaptive ordering.** Each conjunct tracks observed rows-in /
-//!   rows-out with relaxed atomics (a program is `Sync`; its operator
-//!   owns it). After [`WARMUP_ROWS`] rows the chain is permuted
-//!   once, greatest observed drop-rate-per-unit-cost first — commutative
-//!   by the pointwise `And` semantics — so a cheap `l_shipdate` range
-//!   runs before `LIKE '%green%'` regardless of authoring order. The
-//!   permutation never changes results, only evaluation order.
+//! * **Fixed order.** [`FilterProgram::compile`] orders the chain once,
+//!   by a static cost per conjunct kind (a stable sort, so equal costs
+//!   keep their authored order): integer leaves first, then float, string
+//!   and `LIKE` leaves, interpreter fallbacks last — commutative by the
+//!   pointwise `And` semantics, so a cheap `l_shipdate` range runs before
+//!   `LIKE '%green%'` from the first batch on, whatever the authored
+//!   order. Nothing is re-ordered while the program runs. A type error
+//!   that a skipped conjunct would have raised therefore depends on this
+//!   fixed order only, never on which batches came before. Each conjunct
+//!   counts the rows it sees and keeps, for the `kernel_sel` annotation.
 //! * **One path.** Every residual site (`Filter` and the `HashJoin` pair
 //!   residual, grouped or not) always holds a compiled program; nothing
 //!   selects the interpreter instead. A scan holds no program: its
@@ -53,8 +56,7 @@
 //!   above and the oracle the tests call directly
 //!   (`tests/kernel_equivalence.rs`, the operators' residual tests).
 
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::Mutex;
+use std::cell::Cell;
 
 use bdcc_obs::OpMetrics;
 use bdcc_storage::{Column, DataType, Datum};
@@ -64,9 +66,6 @@ use crate::enc::{compile, float_key, int_test, str_test, ColTest, IntTest, StrTe
 use crate::error::Result;
 use crate::expr::{CmpOp, Expr};
 use crate::pred::PredKind;
-
-/// Rows a program observes before permuting its conjunct chain.
-pub const WARMUP_ROWS: u64 = 1024;
 
 // ---------------------------------------------------------------------------
 // Selection vectors.
@@ -326,11 +325,11 @@ enum ConjKind {
 
 struct Conjunct {
     kind: ConjKind,
-    /// Static cost weight for the adaptive reorderer.
+    /// Static cost weight: the chain runs cheapest first.
     cost: f64,
-    /// Observed rows entering / surviving this conjunct (relaxed).
-    rows_in: AtomicU64,
-    rows_out: AtomicU64,
+    /// Observed rows entering / surviving this conjunct.
+    rows_in: Cell<u64>,
+    rows_out: Cell<u64>,
 }
 
 fn cmp_pass(op: CmpOp) -> impl Fn(std::cmp::Ordering) -> bool {
@@ -403,7 +402,7 @@ impl Conjunct {
     fn compile(e: &Expr, schema: &[ColMeta]) -> Conjunct {
         let kind = Self::compile_kind(e, schema);
         let cost = Self::cost_of(&kind);
-        Conjunct { kind, cost, rows_in: AtomicU64::new(0), rows_out: AtomicU64::new(0) }
+        Conjunct { kind, cost, rows_in: Cell::new(0), rows_out: Cell::new(0) }
     }
 
     fn compile_kind(e: &Expr, schema: &[ColMeta]) -> ConjKind {
@@ -555,15 +554,13 @@ impl Conjunct {
 // The compiled program.
 
 /// A bound predicate compiled into a chain of selection-shrinking
-/// conjunct kernels with adaptive ordering. See the module docs for the
-/// contract. Cheap to build (once per operator), `Sync`.
+/// conjunct kernels in a fixed order. See the module docs for the
+/// contract. Cheap to build (once per operator).
 pub struct FilterProgram {
+    /// Conjuncts in authored order.
     conjuncts: Vec<Conjunct>,
-    /// Evaluation order (indexes into `conjuncts`); permuted once after
-    /// warmup by observed drop-rate-per-cost, descending.
-    order: Mutex<Vec<u32>>,
-    warmed: AtomicBool,
-    rows_seen: AtomicU64,
+    /// Evaluation order (indexes into `conjuncts`), cheapest first.
+    order: Vec<u32>,
 }
 
 impl FilterProgram {
@@ -574,16 +571,12 @@ impl FilterProgram {
         split_and(expr, &mut leaves);
         let conjuncts: Vec<Conjunct> =
             leaves.iter().map(|e| Conjunct::compile(e, schema)).collect();
-        let order = (0..conjuncts.len() as u32).collect();
-        FilterProgram {
-            conjuncts,
-            order: Mutex::new(order),
-            warmed: AtomicBool::new(false),
-            rows_seen: AtomicU64::new(0),
-        }
+        let mut order: Vec<u32> = (0..conjuncts.len() as u32).collect();
+        order.sort_by(|&a, &b| conjuncts[a as usize].cost.total_cmp(&conjuncts[b as usize].cost));
+        FilterProgram { conjuncts, order }
     }
 
-    /// Surviving rows of `batch` (counts `batch.rows()` toward warmup).
+    /// Surviving rows of `batch`.
     pub fn select(&self, batch: &Batch) -> Result<SelVec> {
         self.run(batch, SelVec::All(batch.rows()))
     }
@@ -595,45 +588,17 @@ impl FilterProgram {
     }
 
     fn run(&self, batch: &Batch, mut sel: SelVec) -> Result<SelVec> {
-        let n0 = sel.len() as u64;
-        let order = self.order.lock().expect("order lock").clone();
-        for &ci in &order {
+        for &ci in &self.order {
             if sel.is_empty() {
                 break;
             }
             let c = &self.conjuncts[ci as usize];
             let rows_in = sel.len() as u64;
             sel = c.apply(batch, sel)?;
-            c.rows_in.fetch_add(rows_in, Ordering::Relaxed);
-            c.rows_out.fetch_add(sel.len() as u64, Ordering::Relaxed);
+            c.rows_in.set(c.rows_in.get() + rows_in);
+            c.rows_out.set(c.rows_out.get() + sel.len() as u64);
         }
-        self.maybe_reorder(n0);
         Ok(sel)
-    }
-
-    /// Permute the chain once after warmup: greatest observed
-    /// drop-rate-per-unit-cost first, original order breaking ties (so
-    /// the permutation is deterministic for a given workload).
-    fn maybe_reorder(&self, rows: u64) {
-        if self.conjuncts.len() < 2 {
-            return;
-        }
-        let seen = self.rows_seen.fetch_add(rows, Ordering::Relaxed) + rows;
-        if seen < WARMUP_ROWS || self.warmed.swap(true, Ordering::Relaxed) {
-            return;
-        }
-        let rank = |i: u32| -> f64 {
-            let c = &self.conjuncts[i as usize];
-            let rin = c.rows_in.load(Ordering::Relaxed);
-            let sel =
-                if rin == 0 { 1.0 } else { c.rows_out.load(Ordering::Relaxed) as f64 / rin as f64 };
-            (1.0 - sel) / c.cost
-        };
-        let mut order: Vec<u32> = (0..self.conjuncts.len() as u32).collect();
-        order.sort_by(|&a, &b| {
-            rank(b).partial_cmp(&rank(a)).unwrap_or(std::cmp::Ordering::Equal).then(a.cmp(&b))
-        });
-        *self.order.lock().expect("order lock") = order;
     }
 
     fn total_cost(&self) -> f64 {
@@ -649,27 +614,26 @@ impl FilterProgram {
     }
 
     /// EXPLAIN ANALYZE annotations: kernel-vs-fallback leaf counts, the
-    /// chosen conjunct order, and per-conjunct observed selectivity (in
+    /// compiled conjunct order, and per-conjunct observed selectivity (in
     /// authored order). Idempotent (`annotate` replaces).
     pub fn annotate(&self, m: &OpMetrics) {
         let (k, f) = self.leaf_counts();
         m.annotate("kernel", format!("{k}k+{f}f"));
         if self.conjuncts.len() > 1 {
-            let order = self.order.lock().expect("order lock").clone();
             m.annotate(
                 "kernel_order",
-                order.iter().map(u32::to_string).collect::<Vec<_>>().join(","),
+                self.order.iter().map(u32::to_string).collect::<Vec<_>>().join(","),
             );
         }
         let sels: Vec<String> = self
             .conjuncts
             .iter()
             .map(|c| {
-                let rin = c.rows_in.load(Ordering::Relaxed);
+                let rin = c.rows_in.get();
                 if rin == 0 {
                     "-".to_string()
                 } else {
-                    format!("{:.3}", c.rows_out.load(Ordering::Relaxed) as f64 / rin as f64)
+                    format!("{:.3}", c.rows_out.get() as f64 / rin as f64)
                 }
             })
             .collect();
@@ -833,25 +797,22 @@ mod tests {
     }
 
     #[test]
-    fn adaptive_reorder_moves_selective_conjunct_first() {
-        // Expensive-but-unselective LIKE authored before a selective int
-        // range: after warmup the order must flip — and results must not
-        // change.
+    fn cheap_int_leaf_runs_first_from_the_first_batch() {
+        // An expensive LIKE authored before a cheap int range: the
+        // compiled order runs the int leaf first from the first batch on,
+        // with no warm-up, and the LIKE sees only its survivors.
         let e = Expr::col("s")
             .like(LikePattern::Contains("e".into()))
             .and(Expr::col("a").gt(Expr::lit(5)))
             .bind(&schema())
             .unwrap();
         let p = FilterProgram::compile(&e, &schema());
+        assert_eq!(p.order, vec![1, 0], "the int conjunct must run first");
         let b = batch();
-        let before = p.select(&b).unwrap();
-        // Push past warmup.
-        for _ in 0..((WARMUP_ROWS as usize / b.rows()) + 1) {
-            p.select(&b).unwrap();
-        }
-        let order = p.order.lock().unwrap().clone();
-        assert_eq!(order, vec![1, 0], "selective int conjunct should run first");
-        assert_eq!(p.select(&b).unwrap(), before);
+        assert_eq!(p.select(&b).unwrap(), sel_from_bools(&e.eval_bool(&b).unwrap()));
+        let rows = |c: &Conjunct| (c.rows_in.get(), c.rows_out.get());
+        assert_eq!(rows(&p.conjuncts[1]), (6, 1));
+        assert_eq!(rows(&p.conjuncts[0]), (1, 1));
     }
 
     #[test]

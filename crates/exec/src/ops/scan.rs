@@ -517,14 +517,14 @@ mod tests {
     fn table() -> Arc<StoredTable> {
         let k: Vec<i64> = (0..12).collect();
         let v: Vec<i64> = (0..12).map(|i| i * 10).collect();
-        Arc::new(crate::enc::build_with_encoding(true, || {
+        Arc::new(
             StoredTable::from_columns_with_block_rows(
                 "t",
                 vec![("k".into(), Column::from_i64(k)), ("v".into(), Column::from_i64(v))],
                 4,
             )
-            .unwrap()
-        }))
+            .unwrap(),
+        )
     }
 
     /// A sorted table of 16 rows in encoded blocks of 4: key = row/4 (4
@@ -532,14 +532,14 @@ mod tests {
     fn grouped_table() -> Arc<StoredTable> {
         let k: Vec<i64> = (0..16).map(|i| i / 4).collect();
         let v: Vec<i64> = (0..16).collect();
-        Arc::new(crate::enc::build_with_encoding(true, || {
+        Arc::new(
             StoredTable::from_columns_with_block_rows(
                 "t_bdcc",
                 vec![("k".into(), Column::from_i64(k)), ("v".into(), Column::from_i64(v))],
                 4,
             )
-            .unwrap()
-        }))
+            .unwrap(),
+        )
     }
 
     /// The given 4-row groups of [`grouped_table`], each keyed by its number.
@@ -736,22 +736,21 @@ mod tests {
     fn filter_table(encoded: bool, rows: usize, block_rows: usize) -> Arc<StoredTable> {
         let modes = ["AIR", "RAIL", "TRUCK", "SHIP"];
         let n = rows as i64;
-        Arc::new(crate::enc::build_with_encoding(encoded, || {
-            StoredTable::from_columns_with_block_rows(
-                "r",
-                vec![
-                    ("k".into(), Column::from_i64((0..n).map(|i| (i * 7) % 64).collect())),
-                    ("f".into(), Column::from_f64((0..n).map(|i| i as f64 * 0.5).collect())),
-                    (
-                        "s".into(),
-                        Column::from_strings((0..rows).map(|i| modes[i % 4].into()).collect()),
-                    ),
-                    ("v".into(), Column::from_i64((0..n).map(|i| i * 10).collect())),
-                ],
-                block_rows,
-            )
-            .unwrap()
-        }))
+        let t = StoredTable::from_columns_with_block_rows(
+            "r",
+            vec![
+                ("k".into(), Column::from_i64((0..n).map(|i| (i * 7) % 64).collect())),
+                ("f".into(), Column::from_f64((0..n).map(|i| i as f64 * 0.5).collect())),
+                (
+                    "s".into(),
+                    Column::from_strings((0..rows).map(|i| modes[i % 4].into()).collect()),
+                ),
+                ("v".into(), Column::from_i64((0..n).map(|i| i * 10).collect())),
+            ],
+            block_rows,
+        )
+        .unwrap();
+        Arc::new(if encoded { t } else { t.without_encodings() })
     }
 
     /// The filter cases every scan must get right: `(name, table is
@@ -926,9 +925,7 @@ mod tests {
             ("f".to_string(), Column::from_f64((0..n).map(|i| i as f64 * 0.25).collect())),
             ("s".to_string(), Column::from_strings((0..n).map(|i| words[i % 6].into()).collect())),
         ];
-        let t = Arc::new(crate::enc::build_with_encoding(true, || {
-            StoredTable::from_columns_with_block_rows("t", cols.clone(), 16).unwrap()
-        }));
+        let t = Arc::new(StoredTable::from_columns_with_block_rows("t", cols.clone(), 16).unwrap());
         let codec = |col: usize| t.encoding(col).map(|e| e.block(2).tag());
         assert_eq!((codec(0), codec(1)), (Some("for"), Some("dict")));
         let want: Vec<Column> = cols[2..].iter().map(|(_, c)| c.filter(&pass)).collect();

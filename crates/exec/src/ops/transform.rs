@@ -3,6 +3,7 @@
 use std::sync::Arc;
 
 use bdcc_obs::OpMetrics;
+use bdcc_storage::Column;
 
 use crate::batch::{Batch, ColMeta, OpSchema};
 use crate::error::Result;
@@ -75,9 +76,16 @@ impl Drop for Filter {
 }
 
 /// Projection: compute named expressions over the input.
+///
+/// A bare input column is moved out of the input batch at its last
+/// reference, not copied; only an earlier reference to the same column
+/// (and every computed expression) is evaluated over the batch.
 pub struct Project {
     input: BoxedOp,
     exprs: Vec<Expr>,
+    /// Per output: the input column it moves out, when it is that
+    /// column's last bare reference.
+    moves: Vec<Option<usize>>,
     schema: OpSchema,
 }
 
@@ -92,7 +100,13 @@ impl Project {
             bound.push(e.bind(&in_schema)?);
             schema.push(ColMeta::new(name, dt));
         }
-        Ok(Project { input, exprs: bound, schema })
+        let moves = (0..bound.len())
+            .map(|k| match bound[k] {
+                Expr::ColIdx(i) if !bound[k + 1..].contains(&Expr::ColIdx(i)) => Some(i),
+                _ => None,
+            })
+            .collect();
+        Ok(Project { input, exprs: bound, moves, schema })
     }
 
     /// Keep a subset of input columns by name (common case).
@@ -108,14 +122,22 @@ impl Operator for Project {
     }
 
     fn next(&mut self) -> Result<Option<Batch>> {
-        match self.input.next()? {
-            Some(batch) => {
-                let columns =
-                    self.exprs.iter().map(|e| e.eval(&batch)).collect::<Result<Vec<_>>>()?;
-                Ok(Some(Batch::new(columns)))
-            }
-            None => Ok(None),
-        }
+        let Some(batch) = self.input.next()? else { return Ok(None) };
+        // Everything that reads the batch runs before any column moves out.
+        let evaluated = self
+            .exprs
+            .iter()
+            .zip(&self.moves)
+            .map(|(e, m)| if m.is_some() { Ok(None) } else { e.eval(&batch).map(Some) })
+            .collect::<Result<Vec<_>>>()?;
+        let mut input: Vec<Option<Column>> = batch.columns.into_iter().map(Some).collect();
+        let columns = evaluated
+            .into_iter()
+            .zip(&self.moves)
+            .map(|(c, m)| c.or_else(|| input[m.expect("a moved column")].take()))
+            .collect::<Option<Vec<_>>>()
+            .expect("each input column moves out once");
+        Ok(Some(Batch::new(columns)))
     }
 }
 
@@ -123,7 +145,7 @@ impl Operator for Project {
 mod tests {
     use super::*;
     use crate::ops::collect;
-    use bdcc_storage::{Column, DataType};
+    use bdcc_storage::DataType;
 
     struct Source {
         schema: OpSchema,
@@ -169,6 +191,30 @@ mod tests {
         assert_eq!(p.schema()[0], ColMeta::new("prod", DataType::Float));
         let out = collect(Box::new(p)).unwrap();
         assert_eq!(out.columns[0].as_f64().unwrap(), &[10.0, 40.0]);
+    }
+
+    #[test]
+    fn project_moves_bare_columns_and_clones_earlier_duplicates() {
+        let cols = vec![
+            ("a", Column::from_i64(vec![1, 2, 3])),
+            ("s", Column::from_strings(vec!["x".into(), "yy".into(), "".into()])),
+            ("b", Column::from_f64(vec![0.5, 1.5, 2.5])),
+        ];
+        let schema: OpSchema = cols.iter().map(|(n, c)| ColMeta::new(*n, c.data_type())).collect();
+        let input = Batch::new(cols.iter().map(|(_, c)| c.clone()).collect());
+        let exprs = vec![
+            (Expr::col("s"), "s1"),
+            (Expr::col("b").mul(Expr::col("a")), "prod"),
+            (Expr::col("a"), "a"),
+            (Expr::col("s"), "s2"),
+        ];
+        let want: Vec<Column> =
+            exprs.iter().map(|(e, _)| e.bind(&schema).unwrap().eval(&input).unwrap()).collect();
+        let exprs = exprs.into_iter().map(|(e, n)| (e, n.to_string())).collect();
+        let p = Project::new(Box::new(Source::new(cols)), exprs).unwrap();
+        assert_eq!(p.moves, vec![None, None, Some(0), Some(1)]);
+        let out = collect(Box::new(p)).unwrap();
+        assert_eq!(out.columns, want);
     }
 
     #[test]

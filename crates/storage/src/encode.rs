@@ -50,52 +50,9 @@
 //! values therefore fall back to raw). This is what lets the execution layer
 //! evaluate predicates on encoded data and still produce byte-identical
 //! query results (see `bdcc-exec`'s late-materialization scan kernels).
-//!
-//! # The build-time switch
-//!
-//! Tables are built with encodings unless [`set_encode_enabled`] turned
-//! them off. That call is the whole mechanism: one process-wide
-//! `AtomicBool`, on by default, read once per table build
-//! ([`encode_enabled`]) and never from the environment — there is no
-//! variable to set. It exists for `tests/encode_equivalence.rs`, which
-//! builds the same tables both ways (the scheme builders take no per-table
-//! option). A table built with the switch off carries no encodings and its
-//! scans take the raw path.
-
-use std::sync::atomic::{AtomicBool, Ordering};
 
 use crate::column::{Column, StrVec};
 use crate::value::DataType;
-
-// ---------------------------------------------------------------------------
-// The build-time switch
-// ---------------------------------------------------------------------------
-
-static ENCODE_ENABLED: AtomicBool = AtomicBool::new(true);
-
-/// Process-wide switch for tests and benches that build the same table
-/// both ways. `None` restores the default, on.
-pub fn set_encode_enabled(enabled: Option<bool>) {
-    ENCODE_ENABLED.store(enabled.unwrap_or(true), Ordering::SeqCst);
-}
-
-/// Should tables built now carry block encodings? On unless
-/// [`set_encode_enabled`] turned it off.
-pub fn encode_enabled() -> bool {
-    ENCODE_ENABLED.load(Ordering::SeqCst)
-}
-
-/// Run `f` with the switch pinned to `enabled`, serialised against every
-/// other unit test of this crate that pins it, and restore the default.
-#[cfg(test)]
-pub(crate) fn with_encoding<T>(enabled: bool, f: impl FnOnce() -> T) -> T {
-    static LOCK: std::sync::Mutex<()> = std::sync::Mutex::new(());
-    let _pin = LOCK.lock().unwrap_or_else(|e| e.into_inner());
-    set_encode_enabled(Some(enabled));
-    let out = f();
-    set_encode_enabled(None);
-    out
-}
 
 // ---------------------------------------------------------------------------
 // PackedInts
@@ -798,17 +755,5 @@ mod tests {
         assert!(matches!(enc.blocks[1], BlockEncoding::Raw));
         assert_eq!(enc.codec_summary(), "rle:1,raw:1");
         assert_eq!(enc.decode_range(&col, 4, 12), col.slice(4, 12));
-    }
-
-    #[test]
-    fn the_switch_turns_encoding_off_and_restores_the_default() {
-        with_encoding(false, || {
-            assert!(!encode_enabled());
-            set_encode_enabled(Some(true));
-            assert!(encode_enabled());
-            set_encode_enabled(Some(false));
-            set_encode_enabled(None);
-            assert!(encode_enabled(), "`None` restores the default, on");
-        });
     }
 }

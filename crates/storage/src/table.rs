@@ -60,11 +60,11 @@ pub struct StoredTable {
     schema: TableSchema,
     columns: Vec<Arc<Column>>,
     stats: Vec<ColumnBlockStats>,
-    /// Per-column block encodings (`None` when encoding was switched
-    /// off at build time or no block of the column won over raw). Shares
-    /// the MinMax block grid; raw columns stay resident, so encodings are
-    /// an *additional* predicate-evaluation representation, never the only
-    /// copy.
+    /// Per-column block encodings (`None` when no block of the column won
+    /// over raw, or on a [`without_encodings`](Self::without_encodings)
+    /// twin). Every build encodes. Shares the MinMax block grid; raw
+    /// columns stay resident, so encodings are an *additional*
+    /// predicate-evaluation representation, never the only copy.
     encodings: Vec<Option<Arc<ColumnEncoding>>>,
     rows: usize,
     name_index: HashMap<String, usize>,
@@ -102,7 +102,6 @@ impl StoredTable {
                 )));
             }
         }
-        let encode = crate::encode::encode_enabled();
         let built = per_column(named_columns.len(), "table-build", |i| {
             let column = &named_columns[i].1;
             let stats = if rows > 0 {
@@ -110,8 +109,7 @@ impl StoredTable {
             } else {
                 ColumnBlockStats { block_rows, blocks: Vec::new() }
             };
-            let encoding = if encode { ColumnEncoding::build(column, block_rows) } else { None };
-            (stats, encoding.map(Arc::new))
+            (stats, ColumnEncoding::build(column, block_rows).map(Arc::new))
         });
         let (stats, encodings) = built.into_iter().unzip();
         let (metas, columns) = named_columns
@@ -195,6 +193,13 @@ impl StoredTable {
     /// Block encoding of a column, if one was built and won over raw.
     pub fn encoding(&self, index: usize) -> Option<&Arc<ColumnEncoding>> {
         self.encodings.get(index).and_then(|e| e.as_ref())
+    }
+
+    /// The same columns and MinMax stats with every encoding `None`: the
+    /// raw storage a test compares the encoded table against. Algorithm
+    /// 1 reads raw widths, so a design over either twin is the same.
+    pub fn without_encodings(&self) -> StoredTable {
+        StoredTable { encodings: vec![None; self.encodings.len()], ..self.clone() }
     }
 
     /// Whether any column of this table is block-encoded.
@@ -402,20 +407,18 @@ mod tests {
     #[test]
     fn encoded_columns_shrink_io_width() {
         let modes = ["AIR", "RAIL", "TRUCK", "SHIP"];
-        let t = crate::encode::with_encoding(true, || {
-            StoredTable::from_columns_with_block_rows(
-                "t",
-                vec![
-                    (
-                        "mode".into(),
-                        Column::from_strings((0..512).map(|i| modes[i % 4].into()).collect()),
-                    ),
-                    ("k".into(), Column::from_i64((0..512).collect())),
-                ],
-                4096,
-            )
-            .unwrap()
-        });
+        let t = StoredTable::from_columns_with_block_rows(
+            "t",
+            vec![
+                (
+                    "mode".into(),
+                    Column::from_strings((0..512).map(|i| modes[i % 4].into()).collect()),
+                ),
+                ("k".into(), Column::from_i64((0..512).collect())),
+            ],
+            4096,
+        )
+        .unwrap();
         assert!(t.has_encodings());
         let enc = t.encoding(0).expect("dict-encoded strings");
         assert!(enc.encoded_bytes < enc.raw_bytes);
@@ -428,17 +431,20 @@ mod tests {
     }
 
     #[test]
-    fn encode_gate_off_builds_no_encodings() {
-        let t = crate::encode::with_encoding(false, || {
-            StoredTable::from_columns_with_block_rows(
-                "t",
-                vec![("k".into(), Column::from_i64((0..512).collect()))],
-                4096,
-            )
-            .unwrap()
-        });
-        assert!(!t.has_encodings());
-        assert_eq!(t.io_width(0), t.schema().columns[0].avg_width);
+    fn raw_twin_drops_only_the_encodings() {
+        let t = StoredTable::from_columns_with_block_rows(
+            "t",
+            vec![("k".into(), Column::from_i64((0..512).collect()))],
+            4096,
+        )
+        .unwrap();
+        assert!(t.has_encodings());
+        let raw = t.without_encodings();
+        assert!(!raw.has_encodings());
+        assert_eq!(raw.io_width(0), raw.schema().columns[0].avg_width);
+        assert_eq!(raw.column(0).unwrap(), t.column(0).unwrap());
+        assert_eq!(raw.block_stats(0).unwrap().blocks, t.block_stats(0).unwrap().blocks);
+        assert_eq!(raw.densest_column_width(), t.densest_column_width());
     }
 
     #[test]

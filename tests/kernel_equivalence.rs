@@ -1,8 +1,8 @@
 //! Kernel-vs-interpreter equivalence for the selection-vector expression
 //! engine (`bdcc_exec::kernel`).
 //!
-//! The compiled filter pipelines — fused typed conjunct kernels, adaptive
-//! conjunct reordering, the interpreter fallback over gathered survivors —
+//! The compiled filter pipelines — fused typed conjunct kernels in their
+//! compiled order, the interpreter fallback over gathered survivors —
 //! may only change *how* a predicate is evaluated, never which rows pass:
 //!
 //! 1. A randomized oracle drives well-typed predicate trees (comparisons,
@@ -11,10 +11,10 @@
 //!    empty strings, empty and single-row batches) and asserts the
 //!    compiled program's selection is **bit-identical** to
 //!    `Expr::eval_bool`, including the filtered batch payloads.
-//! 2. One compiled program streamed across enough batches to trip the
-//!    adaptive reorder warmup must stay exact after permuting its order.
+//! 2. One compiled program streamed across many batches, its conjuncts
+//!    run cheapest first rather than in authored order, must stay exact.
 //! 3. `EXPLAIN ANALYZE` must annotate compiled filters with the leaf
-//!    mix, per-conjunct selectivities and the chosen order.
+//!    mix, per-conjunct selectivities and the compiled order.
 //! 4. `LIKE` at all three sites that match it — the scan kernel over
 //!    dictionary and raw blocks, a compiled `FilterProgram`, `Expr::eval` —
 //!    must agree with a naive `str::find` / `str::contains` reference over
@@ -32,7 +32,7 @@
 //! hand-applied `Expr::eval_bool`, and the 22-query suites compare the
 //! engine across schemes, thread counts and encodings.
 
-use std::sync::{Arc, Mutex};
+use std::sync::Arc;
 
 use bdcc::prelude::*;
 use bdcc_exec::kernel::sel_from_bools;
@@ -43,7 +43,7 @@ use bdcc_exec::{
     LikePattern, MemoryTracker, Operator, ParallelConfig, PlanBuilder, PredKind, ProfileNode,
     QueryContext,
 };
-use bdcc_storage::{set_encode_enabled, BlockEncoding, Column, DataType, IoTracker, StoredTable};
+use bdcc_storage::{BlockEncoding, Column, DataType, IoTracker, StoredTable};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
@@ -194,14 +194,16 @@ fn random_predicates_match_the_interpreter() {
     }
 }
 
-/// One long-lived program past its reorder warmup: the permuted conjunct
-/// order must never change what is selected.
+/// One long-lived program over many batches: running its conjuncts in
+/// the compiled order, not the authored one, must never change what is
+/// selected.
 #[test]
-fn adaptive_reorder_stays_exact_across_batches() {
+fn compiled_order_stays_exact_across_batches() {
     let schema = oracle_schema();
-    // Expensive selective LIKE first in authored order: the reorderer has
-    // something to gain by permuting, and statistics accumulate across
-    // conjuncts with very different costs.
+    // Expensive selective LIKE first in authored order: the compiled
+    // order runs it last, after the int and float ranges, and the
+    // selectivity counters accumulate across conjuncts with very
+    // different costs.
     let expr = Expr::col("s")
         .like(LikePattern::Contains("o".into()))
         .and(Expr::col("a").ge(Expr::lit(-5)))
@@ -210,7 +212,6 @@ fn adaptive_reorder_stays_exact_across_batches() {
         .expect("bound");
     let program = FilterProgram::compile(&expr, &schema);
     let mut rng = StdRng::seed_from_u64(0xBDCC_0011);
-    // 40 × 128 rows ≫ the 1024-row warmup.
     for batch_no in 0..40 {
         let batch = random_batch(&mut rng, 128);
         let keep = expr.eval_bool(&batch).expect("eval");
@@ -218,7 +219,7 @@ fn adaptive_reorder_stays_exact_across_batches() {
         assert_eq!(
             sel.to_rows(),
             sel_from_bools(&keep).to_rows(),
-            "batch {batch_no} diverged after reordering"
+            "batch {batch_no} diverged from the interpreter"
         );
     }
 }
@@ -377,20 +378,14 @@ fn like_agrees_with_a_naive_reference_at_every_site() {
 
 // --- the scan against the interpreter ---------------------------------------
 
-/// Serialises the tests of this file that build tables, each with the
-/// process-wide encode switch pinned.
-static ENCODE_PIN: Mutex<()> = Mutex::new(());
-
+/// A table over `columns`, block-encoded or its raw twin.
 fn build_table(
     encoded: bool,
     columns: Vec<(String, Column)>,
     block_rows: usize,
 ) -> Arc<StoredTable> {
-    let _pin = ENCODE_PIN.lock().unwrap_or_else(|e| e.into_inner());
-    set_encode_enabled(Some(encoded));
-    let t = StoredTable::from_columns_with_block_rows("t", columns, block_rows);
-    set_encode_enabled(None);
-    Arc::new(t.expect("table"))
+    let t = StoredTable::from_columns_with_block_rows("t", columns, block_rows).expect("table");
+    Arc::new(if encoded { t } else { t.without_encodings() })
 }
 
 /// Every row of a scan's batches, in order: its `row` column, and the bit
