@@ -181,6 +181,13 @@ impl MemoryBroker {
         }
     }
 
+    /// Would holding `pending` more bytes take tracked usage over the
+    /// budget (the governor's hard check)? `false` without a budget.
+    pub fn over_budget(&self, pending: u64) -> bool {
+        let Some(inner) = &self.inner else { return false };
+        inner.budget.is_some_and(|b| inner.tracker.current().saturating_add(pending) > b)
+    }
+
     /// How many tracked bytes a freeze should release to reach the
     /// low-water mark (0 when already under it, `u64::MAX` under
     /// `Force` — shed everything sheddable).

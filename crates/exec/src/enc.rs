@@ -55,9 +55,7 @@
 
 use std::sync::OnceLock;
 
-use std::ops::Range;
-
-use bdcc_storage::{BlockEncoding, BlockStats, DataType, Datum, PackedInts, StoredTable};
+use bdcc_storage::{BlockEncoding, BlockStats, DataType, Datum, StoredTable};
 
 use crate::error::{ExecError, Result};
 use crate::expr::LikeMatcher;
@@ -431,11 +429,11 @@ impl ScanKernel {
                         continue;
                     }
                     let m = mask.get_or_insert_with(|| vec![true; n]);
-                    let codes = unpacked(codes, rows.clone());
+                    let codes = codes.unpacked(rows.clone());
                     m.iter_mut().zip(codes).for_each(|(mv, c)| *mv &= passes[c as usize]);
                 }
                 (ColTest::Int(t), Some(BlockEncoding::ForI64 { min, packed })) => {
-                    let deltas = unpacked(packed, rows.clone());
+                    let deltas = packed.unpacked(rows.clone());
                     let m = mask.get_or_insert_with(|| vec![true; n]);
                     and_int(m, t, deltas.map(|d| min.wrapping_add(d as i64)));
                 }
@@ -517,20 +515,6 @@ impl ScanKernel {
             }
         })
     }
-}
-
-/// Values `rows` of a bit-packed vector (frame-of-reference deltas,
-/// dictionary codes), in order, unpacked with the width and mask hoisted
-/// and no branch on whether a value straddles two words.
-fn unpacked(packed: &PackedInts, rows: Range<usize>) -> impl Iterator<Item = u64> + '_ {
-    let (width, words) = (packed.width() as usize, packed.words());
-    let mask = (1u64 << width) - 1;
-    rows.map(move |i| {
-        let (word, off) = (i * width / 64, i * width % 64);
-        let next = words.get(word + 1).copied().unwrap_or(0) as u128;
-        let pair = words.get(word).copied().unwrap_or(0) as u128 | next << 64;
-        (pair >> off) as u64 & mask
-    })
 }
 
 #[cfg(test)]

@@ -11,13 +11,13 @@
 //!
 //! ## Table layout
 //!
-//! A [`JoinIndex`] is two flat arrays plus a bucket directory, one entry
-//! per build row (entry == row):
+//! A [`JoinIndex`] is two flat arrays plus a directory, one entry per
+//! build row (entry == row):
 //!
 //! ```text
-//! buckets: [u32; 2^b]   head entry per bucket (EMPTY = u32::MAX)
-//! next:    [u32; n]     bucket chain: entry -> next entry with same bucket
-//! keys:    [i64; n * K] the K key columns, packed row-major
+//! buckets: [u32; d]   head entry per slot (EMPTY = u32::MAX)
+//! next:    [u32; n]   chain: entry -> next entry in the same slot
+//! keys:    [u64; n]   each entry's key word (none when the directory is direct)
 //! ```
 //!
 //! Bucket chains are threaded through `next` — the classic "array hash
@@ -27,24 +27,37 @@
 //! therefore yield matches in exactly the order the seed's
 //! `Vec<u32>` row lists did, keeping results byte-identical.
 //!
-//! ## Hashing
+//! ## The key word
 //!
-//! Keys are hashed with the multiplicative FxHash round
-//! (`h = (rotl(h,5) ^ v) * K`, [`FxHasher`]'s core) over the packed
-//! `[i64; K]` key — a single multiply for the common one-column `u64`
-//! fast path — followed by one avalanche multiply so that the *low* bits
-//! (bucket index) and the *high* bits (the partition index of the spill
-//! core) are both usable.
+//! A join key is one `u64` word per row. A single integer column's word is
+//! its value. Several columns pack when the bit widths of their build-side
+//! ranges (`max − min`) sum to at most 63: each column's offset from the
+//! build's minimum, shifted past the columns before it. A probe value
+//! outside a column's build range sets bit 63, which no build word has, so
+//! it matches nothing. A wider key keeps its `k` values per entry and is
+//! probed a row at a time through a key vector.
 //!
-//! ## Single-key probes
+//! ## The directory
 //!
-//! One `i64` key is the common probe shape and takes two passes, with no
-//! packed key or slice compare per row: every row's chain head, keeping
-//! rows whose bucket is occupied without a branch (a big side streamed
-//! past a small table finds half its buckets empty, which mispredicts on
-//! every other row when fused with the chain walk), then those chains in
-//! row order — the generic loop's chains, so the same matches in the same
-//! order.
+//! The hashed directory has a power of two ≥ 2n slots; a word's slot is
+//! the low bits of the multiplicative FxHash round (`h = (rotl(h,5) ^ v) *
+//! K`, [`FxHasher`]'s core) over it and one avalanche multiply, which also
+//! makes the high bits (the spill core's partition) usable. When the
+//! build's words span no more values than that, the directory is direct
+//! instead: slot `word − min`, plus one slot past the range that stays
+//! empty, onto which a word outside the range is clamped without a branch.
+//! A direct chain holds one key, so a walk compares none and the index
+//! keeps no words. Neither directory is longer than the hashed one, so no
+//! index outgrows a hashed index of the same keys.
+//!
+//! ## Word-keyed probes
+//!
+//! Every key that packs is probed in two passes, with no key vector or
+//! slice compare per row: every row's chain head, keeping rows whose slot
+//! is occupied without a branch (a big side streamed past a small table
+//! finds half its slots empty, which mispredicts on every other row when
+//! fused with the chain walk), then those chains in row order — the same
+//! matches in the same order as a row-at-a-time walk.
 //!
 //! ## The group-key codec
 //!
@@ -84,12 +97,12 @@ fn avalanche(h: u64) -> u64 {
     h ^ (h >> 33)
 }
 
-/// Hash a packed multi-column integer key.
+/// Hash a key of `u64` words.
 #[inline]
-pub fn hash_key(key: &[i64]) -> u64 {
+pub fn hash_key(key: &[u64]) -> u64 {
     let mut h = 0u64;
     for &v in key {
-        h = fx_round(h, v as u64);
+        h = fx_round(h, v);
     }
     avalanche(h)
 }
@@ -250,16 +263,89 @@ pub fn hash_group_rows(group_cols: &[&Column], rows: Range<usize>, out: &mut Vec
     group_key_words(group_cols, rows, &mut Vec::new(), out);
 }
 
-/// The build-side index of a hash join: one flat hash table — a bucket
-/// directory plus entry chains — over every build row (see the module doc
-/// for the layout). Entry `e` is build row `e`.
+/// The smallest and largest of `values`; `(i64::MAX, i64::MIN)` for none.
+pub(crate) fn min_max(values: impl Iterator<Item = i64>) -> (i64, i64) {
+    values.fold((i64::MAX, i64::MIN), |(a, b), v| (a.min(v), b.max(v)))
+}
+
+/// How a row of join key values becomes its key word (module docs).
+enum KeyWord {
+    /// One column: the word is the value.
+    Value,
+    /// Several columns, `(min, max − min, shift)` each: the build's
+    /// minimum and range, and the bit offset of the column's field.
+    Packed(Vec<(i64, u64, u32)>),
+    /// Wider than 63 bits: `k` values a row, compared as a slice.
+    Wide,
+}
+
+/// A packed column's field of value `v`: its offset from the build's
+/// minimum, with bit 63 set when `v` lies outside the build's range — a
+/// bit no build word has.
+#[inline(always)]
+fn field(&(min, range, shift): &(i64, u64, u32), v: i64) -> u64 {
+    let d = v.wrapping_sub(min) as u64;
+    d << shift | ((d > range) as u64) << 63
+}
+
+impl KeyWord {
+    /// The word shape of a build side's key columns.
+    fn of(key_cols: &[&[i64]]) -> KeyWord {
+        if let [_] = key_cols {
+            return KeyWord::Value;
+        }
+        let mut shift = 0;
+        let mut cols = Vec::with_capacity(key_cols.len());
+        for col in key_cols {
+            let (min, max) = min_max(col.iter().copied());
+            let range = max.wrapping_sub(min) as u64 * !col.is_empty() as u64;
+            cols.push((min, range, shift));
+            shift += u64::BITS - range.leading_zeros();
+        }
+        if shift < u64::BITS {
+            KeyWord::Packed(cols)
+        } else {
+            KeyWord::Wide
+        }
+    }
+
+    /// Every row's word, or `None` for a wide key.
+    fn words(&self, key_cols: &[&[i64]]) -> Option<Vec<u64>> {
+        match self {
+            KeyWord::Value => Some(key_cols[0].iter().map(|&v| v as u64).collect()),
+            KeyWord::Packed(cols) => {
+                let mut words = vec![0u64; key_rows(key_cols)];
+                for (f, col) in cols.iter().zip(key_cols) {
+                    words.iter_mut().zip(*col).for_each(|(w, &v)| *w |= field(f, v));
+                }
+                Some(words)
+            }
+            KeyWord::Wide => None,
+        }
+    }
+}
+
+/// How a word finds its chain head in the directory.
+#[derive(Clone, Copy)]
+enum Slots {
+    /// `buckets[min(word − lo, span)]`: one slot per word of the build's
+    /// range, then slot `span`, which stays empty.
+    Direct { lo: u64, span: u64 },
+    /// `buckets[hash & mask]`.
+    Hashed { mask: u64 },
+}
+
+/// The build-side index of a hash join: a bucket directory plus entry
+/// chains over every build row (see the module doc for the layout, the key
+/// word and the two directories). Entry `e` is build row `e`.
 pub struct JoinIndex {
     buckets: Vec<u32>,
     next: Vec<u32>,
-    /// Packed keys, `key_width` values per entry.
-    keys: Vec<i64>,
-    key_width: usize,
-    mask: u64,
+    /// Each entry's word (none under a direct directory, whose chains hold
+    /// one key each), or a wide key's `k` values per entry.
+    keys: Vec<u64>,
+    word: KeyWord,
+    slots: Slots,
 }
 
 /// Rows of a side's key columns (none without a key column).
@@ -268,133 +354,157 @@ fn key_rows(key_cols: &[&[i64]]) -> usize {
 }
 
 impl JoinIndex {
-    /// Build the index over the build side's key columns. Exactly three
-    /// allocations, none per row.
+    /// Build the index over the build side's key columns, with no
+    /// allocation per row.
     pub fn build(key_cols: &[&[i64]]) -> JoinIndex {
-        let key_width = key_cols.len().max(1);
         let n = key_rows(key_cols);
-        // Pack the keys row-major.
-        let mut keys = Vec::with_capacity(n * key_cols.len());
-        for r in 0..n {
-            for c in key_cols {
-                keys.push(c[r]);
+        // The hashed directory: a power of two at load factor <= 0.5.
+        let nbuckets = (n.max(4) * 2).next_power_of_two();
+        let word = KeyWord::of(key_cols);
+        let words = word.words(key_cols);
+        let (mut slots, mut len) = (Slots::Hashed { mask: nbuckets as u64 - 1 }, nbuckets);
+        if let Some(words) = &words {
+            // The words' range in `i64` order, so a single column's
+            // negative keys are a range too; packed words are below 2^63.
+            let (lo, hi) = min_max(words.iter().map(|&w| w as i64));
+            let range = hi.wrapping_sub(lo) as u64;
+            if n == 0 || range < nbuckets as u64 {
+                let span = (range + 1) * (n > 0) as u64;
+                (slots, len) = (Slots::Direct { lo: lo as u64, span }, span as usize + 1);
             }
         }
-        // Power-of-two directory at load factor <= 0.5.
-        let nbuckets = (n.max(4) * 2).next_power_of_two();
-        let mask = nbuckets as u64 - 1;
-        let mut buckets = vec![EMPTY; nbuckets];
-        let mut next = vec![EMPTY; n];
+        let mut index = JoinIndex {
+            buckets: vec![EMPTY; len],
+            next: vec![EMPTY; n],
+            keys: Vec::new(),
+            word,
+            slots,
+        };
+        let k = key_cols.len();
+        let keys: Vec<u64> = match words {
+            Some(words) => words,
+            None => (0..n).flat_map(|r| key_cols.iter().map(move |c| c[r] as u64)).collect(),
+        };
         // Insert entries in reverse so each chain (head insertion) walks
         // in ascending row order.
         for e in (0..n).rev() {
-            let h = hash_key(&keys[e * key_width..(e + 1) * key_width]);
-            let b = (h & mask) as usize;
-            next[e] = buckets[b];
-            buckets[b] = e as u32;
+            let b = match index.word {
+                KeyWord::Wide => (hash_key(&keys[e * k..][..k]) as usize) & (len - 1),
+                _ => index.slot(keys[e]),
+            };
+            index.next[e] = index.buckets[b];
+            index.buckets[b] = e as u32;
         }
-        JoinIndex { buckets, next, keys, key_width, mask }
+        if !index.is_direct() {
+            index.keys = keys;
+        }
+        index
+    }
+
+    /// Is the directory indexed by the key word itself (module docs)?
+    pub fn is_direct(&self) -> bool {
+        matches!(self.slots, Slots::Direct { .. })
+    }
+
+    /// The directory slot of key word `w`.
+    #[inline(always)]
+    fn slot(&self, w: u64) -> usize {
+        match self.slots {
+            Slots::Direct { lo, span } => w.wrapping_sub(lo).min(span) as usize,
+            Slots::Hashed { mask } => (hash_key(&[w]) & mask) as usize,
+        }
     }
 
     /// Call `f` with every build row whose key equals `key`, in ascending
     /// build-row order.
-    #[inline]
     pub fn for_each_match<F: FnMut(u32)>(&self, key: &[i64], mut f: F) {
-        debug_assert_eq!(key.len(), self.key_width);
-        let mut e = self.buckets[(hash_key(key) & self.mask) as usize];
-        while e != EMPTY {
-            let base = e as usize * self.key_width;
-            if &self.keys[base..base + self.key_width] == key {
-                f(e);
-            }
-            e = self.next[e as usize];
-        }
+        let cols: Vec<&[i64]> = key.iter().map(std::slice::from_ref).collect();
+        self.probe(&cols, |_, e| {
+            f(e);
+            true
+        })
     }
 
-    /// Does any build row carry `key`? First-hit short-circuit — the
-    /// existence probe Semi/Anti joins without a residual use.
-    #[inline]
+    /// Does any build row carry `key`? First-hit short-circuit.
     pub fn has_match(&self, key: &[i64]) -> bool {
-        debug_assert_eq!(key.len(), self.key_width);
-        let mut e = self.buckets[(hash_key(key) & self.mask) as usize];
-        while e != EMPTY {
-            let base = e as usize * self.key_width;
-            if &self.keys[base..base + self.key_width] == key {
-                return true;
-            }
-            e = self.next[e as usize];
-        }
-        false
+        let mut found = false;
+        self.for_each_match(key, |_| found = true);
+        found
     }
 
-    /// The single-key probe (see the module docs): for one `i64` key
-    /// column, call `hit(row, build row)` for the matches of every probe
-    /// row, in probe order, moving on to the next row when it returns
-    /// `false`. `false` for any other shape.
-    fn probe_single_key(
-        &self,
-        key_cols: &[&[i64]],
-        mut hit: impl FnMut(usize, u32) -> bool,
-    ) -> bool {
-        let [col] = key_cols else { return false };
-        // Branch-free: `n` only advances past a row whose bucket is occupied.
-        let mut heads = vec![(0, EMPTY); col.len() + 1];
-        let mut n = 0;
-        for (row, &key) in col.iter().enumerate() {
-            heads[n] = (row, self.buckets[(hash_key(&[key]) & self.mask) as usize]);
-            n += (heads[n].1 != EMPTY) as usize;
-        }
-        for &(row, mut e) in &heads[..n] {
-            while e != EMPTY && (self.keys[e as usize] != col[row] || hit(row, e)) {
+    /// Call `hit(row, build row)` for the matches of every probe row, in
+    /// probe order, moving on to the next row when it returns `false`: the
+    /// word-keyed loop (module docs) for a key that packs, a key vector per
+    /// row for one that does not.
+    fn probe(&self, key_cols: &[&[i64]], mut hit: impl FnMut(usize, u32) -> bool) {
+        let (k, mask) = match (&self.word, self.slots) {
+            (KeyWord::Value, _) => {
+                let col = key_cols[0];
+                return self.probe_words(col.len(), |r| col[r] as u64, hit);
+            }
+            (KeyWord::Packed(_), _) => {
+                let words = self.word.words(key_cols).expect("a packed key has words");
+                return self.probe_words(words.len(), |r| words[r], hit);
+            }
+            (KeyWord::Wide, Slots::Hashed { mask }) => (key_cols.len(), mask),
+            (KeyWord::Wide, Slots::Direct { .. }) => unreachable!("a wide key is hashed"),
+        };
+        let mut key = Vec::with_capacity(k);
+        for row in 0..key_rows(key_cols) {
+            key.clear();
+            key.extend(key_cols.iter().map(|c| c[row] as u64));
+            let mut e = self.buckets[(hash_key(&key) & mask) as usize];
+            while e != EMPTY {
+                if self.keys[e as usize * k..][..k] == key[..] && !hit(row, e) {
+                    break;
+                }
                 e = self.next[e as usize];
             }
         }
-        true
+    }
+
+    /// The word-keyed probe of `n` rows whose words `word` gives.
+    fn probe_words(
+        &self,
+        n: usize,
+        word: impl Fn(usize) -> u64,
+        mut hit: impl FnMut(usize, u32) -> bool,
+    ) {
+        // Branch-free: `m` only advances past a row whose chain is not empty.
+        let mut heads = vec![(0, EMPTY); n + 1];
+        let mut m = 0;
+        for row in 0..n {
+            heads[m] = (row, self.buckets[self.slot(word(row))]);
+            m += (heads[m].1 != EMPTY) as usize;
+        }
+        // A direct chain holds one key: nothing to compare.
+        let direct = self.is_direct();
+        for &(row, mut e) in &heads[..m] {
+            while e != EMPTY && ((!direct && self.keys[e as usize] != word(row)) || hit(row, e)) {
+                e = self.next[e as usize];
+            }
+        }
     }
 
     /// Collect every `(probe row, build row)` match pair of the probe key
     /// columns, in probe-row order (build rows ascending within a probe
-    /// row) — the order a probe loop yields. One reusable key buffer (or
-    /// chain-head list); no other allocations beyond the output lists.
+    /// row) — the order a probe loop yields.
     pub fn probe_pairs(&self, key_cols: &[&[i64]], lidx: &mut Vec<usize>, ridx: &mut Vec<u32>) {
-        let pair = |row, e| {
+        self.probe(key_cols, |row, e| {
             lidx.push(row);
             ridx.push(e);
             true
-        };
-        if self.probe_single_key(key_cols, pair) {
-            return;
-        }
-        let mut key = Vec::with_capacity(key_cols.len());
-        for row in 0..key_rows(key_cols) {
-            key.clear();
-            key.extend(key_cols.iter().map(|c| c[row]));
-            self.for_each_match(&key, |m| {
-                lidx.push(row);
-                ridx.push(m);
-            });
-        }
+        })
     }
 
     /// Existence-only sibling of [`probe_pairs`](Self::probe_pairs):
     /// append to `lidx` every probe row with at least one match (first-hit
     /// short-circuit per row, no pair lists) — the Semi/Anti probe kernel.
     pub fn probe_exists(&self, key_cols: &[&[i64]], lidx: &mut Vec<usize>) {
-        let first = |row, _| {
+        self.probe(key_cols, |row, _| {
             lidx.push(row);
             false
-        };
-        if self.probe_single_key(key_cols, first) {
-            return;
-        }
-        let mut key = Vec::with_capacity(key_cols.len());
-        for row in 0..key_rows(key_cols) {
-            key.clear();
-            key.extend(key_cols.iter().map(|c| c[row]));
-            if self.has_match(&key) {
-                lidx.push(row);
-            }
-        }
+        })
     }
 
     /// Entries in the index (== build rows).
@@ -702,9 +812,16 @@ mod tests {
 
     #[test]
     fn estimated_bytes_scales_with_rows() {
+        // Sparse keys hash: per entry a word (8B) and a chain link (4B).
+        let keys: Vec<i64> = (0..1024).map(|k| k * 1000).collect();
+        let idx = JoinIndex::build(&[&keys]);
+        assert!(!idx.is_direct());
+        assert!(idx.estimated_bytes() >= 1024 * 12);
+        // Dense keys index directly: a slot per key plus the sentinel, a
+        // chain link per entry, no words.
         let keys: Vec<i64> = (0..1024).collect();
         let idx = JoinIndex::build(&[&keys]);
-        // 1024 entries: >= keys (8B) + next (4B) per entry.
-        assert!(idx.estimated_bytes() >= 1024 * 12);
+        assert!(idx.is_direct());
+        assert_eq!(idx.estimated_bytes(), 1025 * 4 + 1024 * 4);
     }
 }

@@ -30,14 +30,21 @@
 //!    marked hash; and one hash per row over the words (the hash spill
 //!    routing shares; an integer key hashes as in a join).
 //! 3. **Resolve** every row to a dense `u32` group id through one
-//!    open-addressed directory (`GroupTable`): the row's hash picks the
-//!    slot, the row's words are compared with the group's there, and only
-//!    while some group's key holds a long string's word are strings
-//!    compared too. Groups keep their words row-major and their string
-//!    keys' values, copied once, when the group appears; with no group
-//!    columns every row is group 0. Ids ascend in first-seen order, so a
-//!    flush decodes the words into the output's integer and float key
-//!    columns and hands over the string ones as they stand.
+//!    directory (`GroupTable`). Hashed, the row's hash picks an
+//!    open-addressed slot, the row's words are compared with the group's
+//!    there, and only while some group's key holds a long string's word
+//!    are strings compared too. One integer-backed key column goes direct
+//!    when the directory grows and the keys seen so far span no more than
+//!    its slots: a row's group is `ids[word − lo]`, with no hash or compare
+//!    (Abadi et al., SIGMOD 2006, group on codes). A later key outside that
+//!    range re-bases the directory in place, the keys centred, when every
+//!    key still fits, and otherwise re-files the groups into hashed slots,
+//!    once, for good; a flush clears only its groups' entries. Groups keep their words
+//!    row-major and their string keys' values, copied once, when the group
+//!    appears; with no group columns every row is group 0. Ids ascend in
+//!    first-seen order, so a flush decodes the words into the output's
+//!    integer and float key columns and hands over the string ones as
+//!    they stand.
 //! 4. **Accumulate.** Every group has one row count, kept when a `COUNT`
 //!    or an `AVG` reads it (a `COUNT` is that count, an `AVG` its sum over
 //!    it). Every float `SUM` and `AVG` is a Neumaier-compensated sum in one
@@ -95,7 +102,7 @@ use crate::broker::MemoryBroker;
 use crate::error::{ExecError, Result};
 use crate::expr::{Expr, ExprProgram};
 use crate::govern::Governor;
-use crate::hash::{group_key_words, FxBuildHasher, LONG_STR};
+use crate::hash::{group_key_words, min_max, FxBuildHasher, LONG_STR};
 use crate::memory::{MemoryGuard, MemoryTracker};
 use crate::ops::{BoxedOp, Operator};
 use crate::spill::{scatter_batch, Fanout, PartitionSpill, Shape};
@@ -155,8 +162,9 @@ struct Keys<'a> {
 }
 
 /// The groups seen so far: dense ids in first-seen order, key words in one
-/// row-major vector, one open-addressed (linear-probing) directory from
-/// hash to id.
+/// row-major vector, and one directory from key to id — open-addressed
+/// (linear probing) on the hash, or, for one integer-backed key column
+/// whose keys fit it, indexed by the key word itself (module docs).
 #[derive(Clone)]
 struct GroupTable {
     /// Every key column's type, in group-by order.
@@ -174,12 +182,23 @@ struct GroupTable {
     long: bool,
     /// Group ids, [`EMPTY`] where free; a power of two, at most half full.
     slots: Vec<u32>,
+    /// `Some(lo)` while the directory is direct: group `g` sits in slot
+    /// `word(g) − lo`.
+    lo: Option<u64>,
+    /// Set once the groups were re-filed into hashed slots because a key
+    /// fell outside what a direct directory could hold: it stays hashed.
+    sparse: bool,
 }
+
+/// [`GroupTable::find`]'s miss for a key outside the direct directory.
+const OUTSIDE: usize = usize::MAX;
 
 impl GroupTable {
     fn new(key_schema: &[ColMeta]) -> GroupTable {
         let types: Vec<DataType> = key_schema.iter().map(|c| c.data_type).collect();
         let strs = (0..types.len()).filter(|&c| types[c] == DataType::Str);
+        // Only a single integer-backed key column may go direct.
+        let sparse = !matches!(types[..], [DataType::Int | DataType::Date]);
         GroupTable {
             strs: strs.map(|c| (c, StrVec::new())).collect(),
             types,
@@ -187,6 +206,8 @@ impl GroupTable {
             hashes: Vec::new(),
             long: false,
             slots: vec![EMPTY; 16],
+            lo: None,
+            sparse,
         }
     }
 
@@ -194,11 +215,20 @@ impl GroupTable {
         self.hashes.len()
     }
 
-    /// Row `i`'s group id, or the free slot its key would be filed under:
-    /// the hash, then the `k` words, then — only for a group whose key
-    /// holds a long string — the strings.
+    /// Row `i`'s group id, or the free slot its key would be filed under
+    /// ([`OUTSIDE`] when a direct directory has none): directly by its
+    /// word, or by the hash, then the `k` words, then — only for a group
+    /// whose key holds a long string — the strings.
     #[inline(always)]
     fn find(&self, keys: &Keys, i: usize) -> std::result::Result<u32, usize> {
+        if let Some(lo) = self.lo {
+            let slot = keys.words[i].wrapping_sub(lo) as usize;
+            return match self.slots.get(slot) {
+                Some(&g) if g != EMPTY => Ok(g),
+                Some(_) => Err(slot),
+                None => Err(OUTSIDE),
+            };
+        }
         let (h, k) = (keys.hashes[i], self.types.len());
         let key = &keys.words[i * k..][..k];
         let mask = self.slots.len() - 1;
@@ -267,7 +297,6 @@ impl GroupTable {
     fn insert(&mut self, slot: usize, keys: &Keys, i: usize) -> u32 {
         let gid = self.hashes.len() as u32;
         assert!(gid != EMPTY, "group table holds at most u32::MAX - 1 groups");
-        self.slots[slot] = gid;
         self.hashes.push(keys.hashes[i]);
         let k = self.types.len();
         let key = &keys.words[i * k..i * k + k];
@@ -276,24 +305,57 @@ impl GroupTable {
         for ((_, mine), theirs) in self.strs.iter_mut().zip(keys.strs) {
             mine.push(theirs.get(keys.start + i));
         }
+        if slot == OUTSIDE {
+            self.refile(self.slots.len());
+        } else {
+            self.slots[slot] = gid;
+        }
         if self.hashes.len() * 2 > self.slots.len() {
-            self.grow();
+            self.refile(self.slots.len() * 2);
         }
         gid
     }
 
-    /// Double the directory, re-filing every group by its stored hash.
-    fn grow(&mut self) {
-        let nslots = self.slots.len() * 2;
-        self.slots.clear();
-        self.slots.resize(nslots, EMPTY);
-        let mask = nslots - 1;
-        for (gid, &h) in self.hashes.iter().enumerate() {
-            let mut slot = h as usize & mask;
+    /// Re-file every group into `n` slots: direct if the keys span fewer —
+    /// centred, so that keys arriving on either side find free slots — and
+    /// hashed otherwise, for good once a direct directory could not hold a
+    /// key.
+    fn refile(&mut self, n: usize) {
+        self.clear();
+        self.slots.resize(n, EMPTY);
+        if !self.sparse {
+            let (min, max) = min_max(self.words.iter().map(|&w| w as i64));
+            let span = max.wrapping_sub(min) as u64;
+            let lo =
+                (span < n as u64).then(|| (min as u64).wrapping_sub((n as u64 - 1 - span) / 2));
+            self.sparse = self.lo.is_some() && lo.is_none();
+            self.lo = lo;
+        }
+        let mask = n - 1;
+        for gid in 0..self.len() {
+            let mut slot = match self.lo {
+                Some(lo) => self.words[gid].wrapping_sub(lo) as usize,
+                None => self.hashes[gid] as usize & mask,
+            };
             while self.slots[slot] != EMPTY {
                 slot = (slot + 1) & mask;
             }
             self.slots[slot] = gid as u32;
+        }
+    }
+
+    /// Free every group's slot: a direct directory clears only its groups'
+    /// entries (the last group's may lie outside it), a hashed one all.
+    fn clear(&mut self) {
+        match self.lo {
+            Some(lo) => {
+                for &w in &self.words {
+                    if let Some(s) = self.slots.get_mut(w.wrapping_sub(lo) as usize) {
+                        *s = EMPTY;
+                    }
+                }
+            }
+            None => self.slots.fill(EMPTY),
         }
     }
 
@@ -314,10 +376,10 @@ impl GroupTable {
         for (c, v) in &mut self.strs {
             cols[*c] = Column::Str(std::mem::take(v));
         }
+        self.clear();
         self.words.clear();
         self.hashes.clear();
         self.long = false;
-        self.slots.fill(EMPTY);
         cols
     }
 }
@@ -977,7 +1039,7 @@ impl HashAggregate {
         // Chunk by chunk: a whole batch scattered at once can overshoot the
         // budget before its room is made.
         for (p, chunk) in scatter_batch(&rows, &self.core.group_cols, SPILL_BITS) {
-            spill.make_room(chunk.estimated_bytes())?;
+            spill.make_room_for(p, chunk.estimated_bytes())?;
             spill.push(p, chunk)?;
         }
         Ok(())
@@ -1369,5 +1431,43 @@ mod tests {
         let roomy =
             |t: &Arc<MemoryTracker>| MemoryBroker::with_mode(SpillMode::Auto, t, Some(1 << 30));
         assert!(spilled(2000, roomy).iter().all(|log| log == "no"));
+    }
+
+    #[test]
+    fn group_directory_goes_direct_re_bases_and_re_files_once() {
+        let schema = [ColMeta::new("k", DataType::Int)];
+        let count = [AggSpec::new(AggFunc::Count, Expr::lit(1), "n")];
+        let mut p = PartialAgg::new(&schema, &["k"], &count).unwrap();
+        let feed = |p: &mut PartialAgg, keys: Vec<i64>| {
+            p.consume(&Batch::new(vec![Column::from_i64(keys)])).unwrap();
+            (p.table.lo.map(|lo| lo as i64), p.table.sparse, p.table.slots.len())
+        };
+        // Eight groups fit the first 16 hashed slots; the ninth grows the
+        // directory to 32, and keys 0..=8 fit it, centred.
+        assert_eq!(feed(&mut p, (0..8).collect()), (None, false, 16));
+        assert_eq!(feed(&mut p, vec![8]), (Some(-11), false, 32));
+        // Keys on either side of the range fill its free slots; one past
+        // them re-bases it, centred again.
+        assert_eq!(feed(&mut p, vec![-11, 19]), (Some(-11), false, 32));
+        assert_eq!(feed(&mut p, vec![-12]), (Some(-12), false, 32));
+        // Doubling keeps it direct; a key the range cannot hold re-files
+        // every group into hashed slots, for good.
+        assert_eq!(feed(&mut p, (9..15).collect()), (Some(-28), false, 64));
+        assert_eq!(feed(&mut p, vec![1000]), (None, true, 64));
+        let out = p.finish();
+        assert_eq!(out.rows(), 19);
+        assert_eq!(feed(&mut p, (0..40).collect()), (None, true, 128));
+        // A flush clears only the groups' entries of a direct directory,
+        // and the next key re-bases it.
+        let mut p = PartialAgg::new(&schema, &["k"], &count).unwrap();
+        assert_eq!(feed(&mut p, (100..200).collect()), (Some(5), false, 256));
+        p.finish();
+        assert!(p.table.slots.iter().all(|&g| g == EMPTY));
+        assert_eq!(feed(&mut p, vec![1000, 990]), (Some(873), false, 256));
+        // Composite and string keys always hash.
+        let schema = [ColMeta::new("k", DataType::Int), ColMeta::new("j", DataType::Int)];
+        assert!(PartialAgg::new(&schema, &["k", "j"], &count).unwrap().table.sparse);
+        let schema = [ColMeta::new("k", DataType::Str)];
+        assert!(PartialAgg::new(&schema, &["k"], &count).unwrap().table.sparse);
     }
 }

@@ -90,8 +90,8 @@ struct BuildSide {
 
 impl BuildSide {
     /// Index `columns` on `keys` and register the hash-table memory:
-    /// materialized payload + the index's flat arrays (buckets, chains,
-    /// packed keys).
+    /// materialized payload + the index's flat arrays (directory, chains,
+    /// key words).
     fn index(payload: Batch, keys: &[usize], tracker: &Arc<MemoryTracker>) -> Result<BuildSide> {
         let key_cols: Vec<&[i64]> = keys
             .iter()

@@ -15,6 +15,9 @@
 //!   and, under pressure, freezes resident partitions **largest first**
 //!   (ties: lowest index) until the release target — at least the pending
 //!   bytes — is shed. A frozen partition's later chunks append to its file.
+//!   [`make_room_for`](PartitionSpill::make_room_for) also freezes the
+//!   chunk's own partition when holding it would still cross the budget, so
+//!   a chunk larger than what is left goes straight to its file.
 //! * **Stability.** A partition's chunks replay in push order whether it
 //!   stayed resident, froze mid-stream, or was re-scattered: a frozen
 //!   partition whose estimated footprint (× the caller's leaf factor)
@@ -220,6 +223,17 @@ impl PartitionSpill {
         Ok(())
     }
 
+    /// [`make_room`](Self::make_room) for `pending` bytes bound for
+    /// partition `p`; if holding them would still take the query over its
+    /// budget, `p` freezes too, so they go straight to its file.
+    pub(crate) fn make_room_for(&mut self, p: usize, pending: u64) -> Result<()> {
+        self.make_room(pending)?;
+        if matches!(self.parts[p], PartState::Resident { .. }) && self.broker.over_budget(pending) {
+            self.freeze_part(p)?;
+        }
+        Ok(())
+    }
+
     /// Route `batch`'s rows to their partitions.
     pub(crate) fn scatter(&mut self, batch: &Batch) -> Result<()> {
         let keys: Vec<&Column> = self.shape.keys.iter().map(|&k| &batch.columns[k]).collect();
@@ -286,19 +300,26 @@ impl PartitionSpill {
             if released >= target {
                 break;
             }
-            let PartState::Resident { chunks, .. } = &self.parts[i] else {
-                unreachable!("selected above")
-            };
-            let mut writer = SpillWriter::create(self.shape.label, &self.io)?;
-            let mut written = 0u64;
-            for chunk in chunks {
-                written += writer.write_columns(&chunk.columns)?;
-            }
-            // Replacing the state drops the chunks and their guard.
-            self.parts[i] = PartState::Frozen { writer, mem_bytes: bytes };
-            self.meter.note_spill(1, written, 0);
+            self.freeze_part(i)?;
             released += bytes;
         }
+        Ok(())
+    }
+
+    /// Write resident partition `i`'s chunks to a new file and keep
+    /// appending there.
+    fn freeze_part(&mut self, i: usize) -> Result<()> {
+        let PartState::Resident { chunks, mem } = &self.parts[i] else {
+            unreachable!("only a resident partition freezes")
+        };
+        let mut writer = SpillWriter::create(self.shape.label, &self.io)?;
+        let mut written = 0u64;
+        for chunk in chunks {
+            written += writer.write_columns(&chunk.columns)?;
+        }
+        // Replacing the state drops the chunks and their guard.
+        self.parts[i] = PartState::Frozen { writer, mem_bytes: mem.bytes() };
+        self.meter.note_spill(1, written, 0);
         Ok(())
     }
 
@@ -678,6 +699,31 @@ mod tests {
         spill.push(2, ints(10)).unwrap();
         spill.freeze_all().unwrap();
         assert_eq!(frozen(&spill), [false, false, true, false]);
+    }
+
+    #[test]
+    fn a_chunk_over_the_budget_goes_straight_to_its_file() {
+        let _spill = spill_test_guard();
+        let rig = Rig::new();
+        let ints = |rows: i64| Batch::new(vec![Column::from_i64((0..rows).collect()); 3]);
+        // Budget 6000: 2400 bytes fit and stay resident; 7200 do not fit
+        // even once everything resident froze, so their (empty) partition
+        // freezes too and holds nothing.
+        let mut spill = rig.core(SpillMode::Auto, Some(6000), 1);
+        spill.make_room_for(0, 2400).unwrap();
+        spill.push(0, ints(100)).unwrap();
+        assert_eq!(frozen(&spill), [false; 4]);
+        assert_eq!(rig.tracker.current(), 2400);
+        spill.make_room_for(1, 7200).unwrap();
+        spill.push(1, ints(300)).unwrap();
+        assert_eq!(frozen(&spill), [true, true, false, false]);
+        assert_eq!(rig.tracker.current(), 0);
+        // Under `Force` with no budget a chunk is held until the next
+        // `make_room`, as `push` alone always does.
+        let mut spill = rig.core(SpillMode::Force, None, 1);
+        spill.make_room_for(3, 7200).unwrap();
+        spill.push(3, ints(300)).unwrap();
+        assert_eq!(frozen(&spill), [false; 4]);
     }
 
     #[test]

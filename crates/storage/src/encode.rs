@@ -51,6 +51,8 @@
 //! evaluate predicates on encoded data and still produce byte-identical
 //! query results (see `bdcc-exec`'s late-materialization scan kernels).
 
+use std::ops::Range;
+
 use crate::column::{Column, StrVec};
 use crate::value::DataType;
 
@@ -76,17 +78,17 @@ impl PackedInts {
     }
 
     /// Pack `values` at `width` bits each. Every value must fit.
-    pub fn pack(values: &[u64], width: u8) -> PackedInts {
+    pub fn pack(values: impl ExactSizeIterator<Item = u64>, width: u8) -> PackedInts {
         assert!(width < 64, "64-bit packing never wins over raw");
         let len = values.len();
         if width == 0 {
-            debug_assert!(values.iter().all(|&v| v == 0));
+            debug_assert!(values.into_iter().all(|v| v == 0));
             return PackedInts { width, len, words: Vec::new() };
         }
         let mask = (1u64 << width) - 1;
         let nwords = (len * width as usize).div_ceil(64);
         let mut words = vec![0u64; nwords];
-        for (i, &v) in values.iter().enumerate() {
+        for (i, v) in values.enumerate() {
             debug_assert!(v <= mask, "value {v} exceeds {width}-bit width");
             let bit = i * width as usize;
             let (word, off) = (bit / 64, bit % 64);
@@ -114,6 +116,19 @@ impl PackedInts {
             v |= self.words[word + 1] << (64 - off);
         }
         v & mask
+    }
+
+    /// Values `rows`, in order, unpacked with the width and mask hoisted
+    /// and no branch on whether a value straddles two words.
+    pub fn unpacked(&self, rows: Range<usize>) -> impl Iterator<Item = u64> + Clone + '_ {
+        let (width, words) = (self.width as usize, &self.words[..]);
+        let mask = (1u64 << width) - 1;
+        rows.map(move |i| {
+            let (word, off) = (i * width / 64, i * width % 64);
+            let next = words.get(word + 1).copied().unwrap_or(0) as u128;
+            let pair = words.get(word).copied().unwrap_or(0) as u128 | next << 64;
+            (pair >> off) as u64 & mask
+        })
     }
 
     pub fn len(&self) -> usize {
@@ -201,7 +216,7 @@ impl BlockEncoding {
             BlockEncoding::Raw => None,
             BlockEncoding::ForI64 { min, packed } => {
                 debug_assert_eq!(packed.len(), rows);
-                let values = (0..rows).map(|i| min.wrapping_add(packed.get(i) as i64)).collect();
+                let values = packed.unpacked(0..rows).map(|d| min.wrapping_add(d as i64)).collect();
                 Some(int_col(values))
             }
             BlockEncoding::RleI64 { values, ends } => {
@@ -216,12 +231,12 @@ impl BlockEncoding {
             }
             BlockEncoding::DictStr { dict, codes } => {
                 debug_assert_eq!(codes.len(), rows);
-                Some(Column::Str(dict.gather((0..rows).map(|i| codes.get(i) as usize))))
+                Some(Column::Str(dict.gather(codes.unpacked(0..rows).map(|c| c as usize))))
             }
             BlockEncoding::ForF64 { min, scale, packed } => {
                 debug_assert_eq!(packed.len(), rows);
-                let values = (0..rows)
-                    .map(|i| (min.wrapping_add(packed.get(i) as i64)) as f64 / scale)
+                let values = (packed.unpacked(0..rows))
+                    .map(|d| (min.wrapping_add(d as i64)) as f64 / scale)
                     .collect();
                 Some(Column::from_f64(values))
             }
@@ -276,8 +291,8 @@ fn encode_i64_block(values: &[i64]) -> (BlockEncoding, usize) {
         }
         (BlockEncoding::RleI64 { values: vals, ends }, rle_size)
     } else {
-        let deltas: Vec<u64> = values.iter().map(|&v| v.wrapping_sub(min) as u64).collect();
-        (BlockEncoding::ForI64 { min, packed: PackedInts::pack(&deltas, width) }, for_size)
+        let deltas = values.iter().map(|&v| v.wrapping_sub(min) as u64);
+        (BlockEncoding::ForI64 { min, packed: PackedInts::pack(deltas, width) }, for_size)
     }
 }
 
@@ -344,9 +359,9 @@ fn encode_str_block(values: &StrVec, start: usize, end: usize) -> (BlockEncoding
     for (r, &id) in order.iter().enumerate() {
         rank[id as usize] = r as u64;
     }
-    let codes: Vec<u64> = ids.iter().map(|&id| rank[id as usize]).collect();
+    let codes = ids.iter().map(|&id| rank[id as usize]);
     let dict = order.iter().map(|&id| distinct[id as usize]).collect();
-    (BlockEncoding::DictStr { dict, codes: PackedInts::pack(&codes, width) }, dict_size, raw)
+    (BlockEncoding::DictStr { dict, codes: PackedInts::pack(codes, width) }, dict_size, raw)
 }
 
 /// Scale every value by `scale` to an integer, or `None` if any value does
@@ -389,9 +404,9 @@ fn encode_f64_block(values: &[f64]) -> (BlockEncoding, usize) {
         // Header: 8-byte min + 8-byte scale + 1-byte width.
         let size = packed_size(n, width, 17);
         if best.as_ref().is_none_or(|(_, b)| size < *b) {
-            let deltas: Vec<u64> = ints.iter().map(|&v| v.wrapping_sub(min) as u64).collect();
+            let deltas = ints.iter().map(|&v| v.wrapping_sub(min) as u64);
             best = Some((
-                BlockEncoding::ForF64 { min, scale, packed: PackedInts::pack(&deltas, width) },
+                BlockEncoding::ForF64 { min, scale, packed: PackedInts::pack(deltas, width) },
                 size,
             ));
         }
@@ -529,17 +544,21 @@ mod tests {
             let mask = (1u64 << width) - 1;
             let values: Vec<u64> =
                 (0..200u64).map(|i| (i.wrapping_mul(0x9E3779B97F4A7C15)) & mask).collect();
-            let packed = PackedInts::pack(&values, width);
+            let packed = PackedInts::pack(values.iter().copied(), width);
             assert_eq!(packed.len(), values.len());
             for (i, &v) in values.iter().enumerate() {
                 assert_eq!(packed.get(i), v, "width {width} index {i}");
+            }
+            for (lo, hi) in [(0, 200), (1, 2), (63, 130), (199, 200), (7, 7)] {
+                let got: Vec<u64> = packed.unpacked(lo..hi).collect();
+                assert_eq!(got, values[lo..hi], "width {width} rows {lo}..{hi}");
             }
         }
     }
 
     #[test]
     fn zero_width_stores_nothing() {
-        let packed = PackedInts::pack(&[0, 0, 0], 0);
+        let packed = PackedInts::pack([0, 0, 0].into_iter(), 0);
         assert_eq!(packed.byte_size(), 0);
         assert_eq!(packed.get(2), 0);
         assert_eq!(PackedInts::bits_for(0), 0);
@@ -637,7 +656,11 @@ mod tests {
             .map(|v| dict.binary_search(&v).expect("value in its own dict") as u64)
             .collect();
         let dict = dict.into_iter().collect();
-        (BlockEncoding::DictStr { dict, codes: PackedInts::pack(&codes, width) }, dict_size, raw)
+        (
+            BlockEncoding::DictStr { dict, codes: PackedInts::pack(codes.into_iter(), width) },
+            dict_size,
+            raw,
+        )
     }
 
     fn assert_same_block(values: &[&str], what: &str) {

@@ -209,15 +209,16 @@ fn write_column<W: Write>(w: &mut CountingWriter<W>, col: &Column) -> Result<()>
             // delta range means packing cannot narrow anything, so fall
             // back to raw values.
             let min = values.iter().copied().min().unwrap_or(0);
-            let deltas: Vec<u64> = values.iter().map(|&v| v.wrapping_sub(min) as u64).collect();
-            let width = PackedInts::bits_for(deltas.iter().copied().max().unwrap_or(0));
+            let max = values.iter().copied().max().unwrap_or(0);
+            let width = PackedInts::bits_for(max.wrapping_sub(min) as u64);
             if width >= 64 {
                 w.u8(TAG_I64_RAW)?;
                 w.u8(logical_tag)?;
                 w.u64(values.len() as u64)?;
                 w.words(values.iter().map(|&v| v as u64))?;
             } else {
-                let packed = PackedInts::pack(&deltas, width);
+                let deltas = values.iter().map(|&v| v.wrapping_sub(min) as u64);
+                let packed = PackedInts::pack(deltas, width);
                 w.u8(TAG_I64_FOR)?;
                 w.u8(logical_tag)?;
                 w.i64(min)?;
@@ -281,7 +282,7 @@ fn read_column<R: Read>(r: &mut CountingReader<R>, rows: usize, left: u64) -> Re
             }
             let words = r.words(nwords as usize)?;
             let packed = PackedInts::from_parts(width, rows, words);
-            let values = (0..rows).map(|i| min.wrapping_add(packed.get(i) as i64)).collect();
+            let values = packed.unpacked(0..rows).map(|d| min.wrapping_add(d as i64)).collect();
             Ok(Column::I64 { values, logical })
         }
         TAG_I64_RAW => {

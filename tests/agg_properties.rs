@@ -1153,3 +1153,103 @@ proptest! {
         }
     }
 }
+
+// ---------------------------------------------------------------------
+// The group table's directories: a single integer-backed key column goes
+// direct while its keys fit the slots hashing would hold, re-bases when a
+// key leaves the range, and re-files its groups into hashed slots when
+// one does not fit.
+// ---------------------------------------------------------------------
+
+/// Key sequences that drive the table through every directory change.
+fn mode_switch_keys() -> Vec<(&'static str, Vec<i64>)> {
+    let n = 600i64;
+    vec![
+        // Dense, each key twice, up to the top of the `i64` range.
+        ("ascending", (0..n).map(|r| i64::MAX - 1000 + r / 2).collect()),
+        // Dense, each key three times, down to the bottom: every new key
+        // is below the directory's range.
+        ("descending", (0..n).map(|r| i64::MIN + 1000 - r / 3).collect()),
+        // Two interleaved runs ~1 800 apart: hashed until the directory
+        // has grown past their range, then direct.
+        ("alternating", (0..n).map(|r| if r % 2 == 0 { -r } else { 1200 - r }).collect()),
+        // Dense, widening both ways: 0, -1, 1, -2, 2, ...
+        ("both ways", (0..n).map(|r| if r % 2 == 0 { r / 2 } else { -(r / 2) - 1 }).collect()),
+        // Interleaved runs 2^40 apart: never direct.
+        ("far apart", (0..n).map(|r| if r % 2 == 0 { r } else { (1 << 40) + r }).collect()),
+        // Dense, then one key far below in the middle of a batch: the
+        // groups are re-filed into hashed slots, and stay there.
+        ("outlier", (0..n).map(|r| if r == 301 { i64::MIN } else { r / 2 }).collect()),
+    ]
+}
+
+#[test]
+fn group_table_directory_switches_keep_every_result() {
+    let aggs = || {
+        vec![
+            AggSpec::new(AggFunc::Count, Expr::lit(1), "n"),
+            AggSpec::new(AggFunc::Sum, Expr::col("v"), "sum_v"),
+            AggSpec::new(AggFunc::Min, Expr::col("v"), "min_v"),
+            AggSpec::new(AggFunc::Max, Expr::col("s"), "max_s"),
+        ]
+    };
+    let cells = |b: &Batch| -> Vec<Vec<Cell>> {
+        (0..b.rows()).map(|r| b.columns.iter().map(|c| cell(c, r)).collect()).collect()
+    };
+    for (pattern, keys) in mode_switch_keys() {
+        for logical in [DataType::Int, DataType::Date] {
+            let n = keys.len();
+            let key = match logical {
+                DataType::Date => Column::from_dates(keys.clone()),
+                _ => Column::from_i64(keys.clone()),
+            };
+            let cols: Cols = vec![
+                ("k", key),
+                // A run column the key determines: a key's rows share a run.
+                ("r", Column::from_i64(keys.iter().map(|k| k.div_euclid(50)).collect())),
+                ("v", Column::from_i64((0..n as i64).map(|i| i % 7 - 3).collect())),
+                ("s", Column::from_strings((0..n).map(|i| format!("s{}", i % 5)).collect())),
+            ];
+            let want = oracle(&cols, &[0]);
+            let table = Arc::new(
+                StoredTable::from_columns_with_block_rows(
+                    "t",
+                    cols.iter().map(|(n, c)| (n.to_string(), c.clone())).collect(),
+                    8,
+                )
+                .unwrap(),
+            );
+            let names: Vec<&str> = cols.iter().map(|(n, _)| *n).collect();
+            let mut runs = vec![
+                ("serial", try_serial(&table, &names, &["k"], aggs(), false).unwrap()),
+                ("forced spill", try_serial(&table, &names, &["k"], aggs(), true).unwrap()),
+                ("2 threads", try_parallel(&table, &names, &["k"], aggs(), 2).unwrap()),
+                ("4 threads", try_parallel(&table, &names, &["k"], aggs(), 4).unwrap()),
+            ];
+            for chunk in [1, 64, 1000] {
+                let op = HashAggregate::new(
+                    source(&cols, chunk, &[]),
+                    &["k"],
+                    aggs(),
+                    MemoryTracker::new(),
+                );
+                runs.push(("batches", collect(Box::new(op.unwrap())).unwrap()));
+                let op = HashAggregate::new(
+                    source(&cols, chunk, &[]),
+                    &["k"],
+                    aggs(),
+                    MemoryTracker::new(),
+                );
+                runs.push((
+                    "run flushes",
+                    collect(Box::new(op.unwrap().with_runs(vec![1]))).unwrap(),
+                ));
+            }
+            for (path, got) in runs {
+                assert_eq!(got.columns[0].data_type(), logical, "{pattern} {path}");
+                // Rows in first-seen group order, cell for cell.
+                assert_eq!(cells(&got), want, "{pattern} {logical:?} {path}");
+            }
+        }
+    }
+}

@@ -624,3 +624,231 @@ proptest! {
         check_grouped(&GroupedCase::numbered(&left, &right, chunks));
     }
 }
+
+// ---------------------------------------------------------------------------
+// The key word and the directory: `JoinIndex` on its own against a nested
+// loop, in each of its forms — a single column or several packed into one
+// word, under a direct or a hashed directory, and keys too wide to pack.
+
+/// Key columns, one `Vec` per column.
+type KeyCols = Vec<Vec<i64>>;
+
+/// The hashed directory's length for `n` build rows.
+fn hashed_len(n: usize) -> usize {
+    (n.max(4) * 2).next_power_of_two()
+}
+
+/// Index `build`, probe it with `probe` through every entry point, and
+/// check each against a nested loop: pairs in probe order with build rows
+/// ascending, existence, and the per-key lookups. The index never holds
+/// more than the hashed layout with one word per key column would.
+fn check_index(build: &KeyCols, probe: &KeyCols) -> JoinIndex {
+    let bcols: Vec<&[i64]> = build.iter().map(Vec::as_slice).collect();
+    let pcols: Vec<&[i64]> = probe.iter().map(Vec::as_slice).collect();
+    let (n, m) = (build[0].len(), probe[0].len());
+    let row = |cols: &KeyCols, r: usize| cols.iter().map(|c| c[r]).collect::<Vec<i64>>();
+    let (mut want_l, mut want_r) = (Vec::new(), Vec::new());
+    for p in 0..m {
+        for b in 0..n {
+            if row(probe, p) == row(build, b) {
+                want_l.push(p);
+                want_r.push(b as u32);
+            }
+        }
+    }
+    let idx = JoinIndex::build(&bcols);
+    let (mut lidx, mut ridx, mut exists) = (Vec::new(), Vec::new(), Vec::new());
+    idx.probe_pairs(&pcols, &mut lidx, &mut ridx);
+    idx.probe_exists(&pcols, &mut exists);
+    assert_eq!((&lidx, &ridx), (&want_l, &want_r), "pairs");
+    let mut want_exists = want_l.clone();
+    want_exists.dedup();
+    assert_eq!(exists, want_exists, "exists");
+    for p in 0..m {
+        let mut one = Vec::new();
+        idx.for_each_match(&row(probe, p), |b| one.push(b));
+        let want: Vec<u32> = (0..lidx.len()).filter(|&i| lidx[i] == p).map(|i| ridx[i]).collect();
+        assert_eq!(one, want, "matches of probe row {p}");
+        assert_eq!(idx.has_match(&row(probe, p)), !want.is_empty());
+    }
+    let hashed = 4 * hashed_len(n) + 4 * n + 8 * n * build.len();
+    assert!(idx.estimated_bytes() <= hashed as u64, "{} > {hashed}", idx.estimated_bytes());
+    assert_eq!(idx.len(), n);
+    idx
+}
+
+/// Probe values for a build column: all of its values, one either side of
+/// its range, and the `i64` extremes.
+fn probe_values(col: &[i64]) -> Vec<i64> {
+    let (lo, hi) = (col.iter().min().copied(), col.iter().max().copied());
+    let mut v = col.to_vec();
+    v.extend(lo.map(|lo| lo.wrapping_sub(1)));
+    v.extend(hi.map(|hi| hi.wrapping_add(1)));
+    v.extend([i64::MIN, i64::MAX, 0, -1]);
+    v
+}
+
+/// A probe of every build row, plus rows where each column in turn takes
+/// each of its [`probe_values`] while the others keep a build row's values:
+/// a value outside the build's range in one column of a composite key.
+fn probe_for(build: &KeyCols) -> KeyCols {
+    let mut probe = build.clone();
+    let n = build[0].len();
+    for (c, col) in build.iter().enumerate() {
+        for (i, v) in probe_values(col).into_iter().enumerate() {
+            for (d, out) in probe.iter_mut().enumerate() {
+                out.push(if d == c {
+                    v
+                } else if n > 0 {
+                    build[d][i % n]
+                } else {
+                    v
+                });
+            }
+        }
+    }
+    probe
+}
+
+#[test]
+fn key_words_at_the_i64_extremes_and_over_negative_ranges() {
+    let cases: Vec<KeyCols> = vec![
+        vec![vec![i64::MIN, i64::MAX, 0, i64::MIN, -1]],
+        vec![vec![i64::MIN, i64::MIN + 1, i64::MIN + 3, i64::MIN]],
+        vec![vec![i64::MAX, i64::MAX - 2, i64::MAX]],
+        vec![(-100..-50).collect()],
+        vec![(-30..30).rev().collect()],
+        vec![vec![-5, -3, -5, -1], vec![i64::MIN, i64::MIN + 1, i64::MIN, i64::MIN]],
+        vec![vec![i64::MAX, i64::MAX - 1], vec![-7, -9]],
+        vec![vec![i64::MIN, i64::MAX], vec![0, 1]],
+    ];
+    for build in &cases {
+        check_index(build, &probe_for(build));
+    }
+    // A negative single-column range goes direct; extremes in one column
+    // hash.
+    assert!(check_index(&cases[3], &probe_for(&cases[3])).is_direct());
+    assert!(check_index(&cases[1], &probe_for(&cases[1])).is_direct());
+    assert!(!check_index(&cases[0], &probe_for(&cases[0])).is_direct());
+}
+
+#[test]
+fn a_probe_value_outside_one_columns_range_matches_nothing() {
+    // Two 2-bit columns: without the out-of-range bit, (4, 0) would pack
+    // to (0, 1)'s word and (0, -1) to a word past the top of the range.
+    let a: Vec<i64> = (0..16).map(|i| i % 4).collect();
+    let b: Vec<i64> = (0..16).map(|i| i / 4).collect();
+    let build = vec![a, b];
+    let probe = vec![vec![4, 0, -1, 3, 0, 8, 3], vec![0, -1, 0, 4, 4, 3, 3]];
+    let idx = check_index(&build, &probe);
+    assert!(idx.is_direct());
+    let mut lidx = Vec::new();
+    idx.probe_exists(&[&probe[0], &probe[1]], &mut lidx);
+    assert_eq!(lidx, vec![6]);
+    check_index(&build, &probe_for(&build));
+}
+
+#[test]
+fn word_ranges_at_the_hashed_directorys_length_and_one_past_it() {
+    for n in [1usize, 3, 4, 5, 100, 1000] {
+        let len = hashed_len(n) as i64;
+        for (extra, direct) in [(0, true), (1, false)] {
+            // Single column: `n` keys from `base` to `base + len - 1 + extra`.
+            for base in [-len / 2, 0, 1 << 40, i64::MIN] {
+                let mut col: Vec<i64> = (0..n as i64).map(|i| base + i).collect();
+                *col.last_mut().unwrap() = base + len - 1 + extra;
+                if n == 1 {
+                    col[0] = base;
+                    if extra == 0 {
+                        continue;
+                    }
+                    col.push(base + len);
+                }
+                let build = vec![col];
+                let idx = check_index(&build, &probe_for(&build));
+                assert_eq!(idx.is_direct(), direct, "n {n} base {base} extra {extra}");
+            }
+            // Two columns whose packed words span `len` (+ extra) words: the
+            // low column takes 4 bits, the high one the rest.
+            if len >= 16 {
+                let top = (len - 1) >> 4;
+                let mut a: Vec<i64> = (0..n as i64).map(|i| i % 16).collect();
+                let mut b: Vec<i64> = (0..n as i64).map(|i| (i / 16) % (top + 1)).collect();
+                (a[0], b[0]) = (0, 0);
+                (a[1], b[1]) = (15, top);
+                if extra == 1 {
+                    (a[2], b[2]) = (0, top + 1);
+                }
+                let build = vec![a, b];
+                let idx = check_index(&build, &probe_for(&build));
+                assert_eq!(idx.is_direct(), direct, "two columns, n {n} extra {extra}");
+            }
+        }
+    }
+}
+
+#[test]
+fn duplicate_keys_walk_their_chains_in_build_order() {
+    for build in [
+        vec![vec![3, 1, 3, 3, 2, 1, 3]],
+        vec![(0..50).map(|i| (i * 7) % 5).collect()],
+        vec![(0..50).map(|i| ((i * 7) % 5) << 30).collect()],
+        vec![vec![1, 2, 1, 1], vec![9, 9, 9, 9]],
+        vec![vec![1, 2, 1, 1], vec![0, i64::MAX, 0, 0]],
+        vec![vec![i64::MIN, 2, i64::MIN, 2], vec![i64::MAX, 0, i64::MAX, 0]],
+    ] {
+        check_index(&build, &probe_for(&build));
+    }
+}
+
+#[test]
+fn empty_builds_match_nothing() {
+    for k in 1..=3 {
+        let build: KeyCols = vec![Vec::new(); k];
+        let probe: KeyCols = (0..k).map(|_| vec![0, -1, 1, i64::MIN, i64::MAX]).collect();
+        let idx = check_index(&build, &probe);
+        assert!(idx.is_empty());
+    }
+}
+
+#[test]
+fn key_widths_of_63_bits_pack_and_of_64_do_not() {
+    // 31 + 32 bits pack into one word an entry; 31 + 33 keep both values.
+    for (wide, words) in [(32, 1), (33, 2)] {
+        let n = 64usize;
+        let a: Vec<i64> = (0..n as i64).map(|i| (i * 0x1234_5677) & ((1 << 31) - 1)).collect();
+        let mut b: Vec<i64> =
+            (0..n as i64).map(|i| (i * 0x7654_3211) & ((1 << wide) - 1)).collect();
+        let (mut a, b0) = (a, -(1i64 << 20));
+        (a[0], b[0]) = (0, b0);
+        (a[1], b[1]) = ((1 << 31) - 1, b0 + (1 << wide) - 1);
+        let build = vec![a, b];
+        let idx = check_index(&build, &probe_for(&build));
+        assert!(!idx.is_direct());
+        let want = 4 * hashed_len(n) + 4 * n + 8 * n * words;
+        assert_eq!(idx.estimated_bytes(), want as u64, "{wide}-bit second column");
+    }
+}
+
+proptest! {
+    /// Random builds — one to three columns, each a random offset and
+    /// span, dense or sparse, with duplicates — probed with every build row
+    /// and values either side of each column's range.
+    #[test]
+    fn join_index_matches_a_nested_loop(
+        cols in prop::collection::vec((0usize..7, 0usize..7), 1..4),
+        picks in prop::collection::vec(any::<u64>(), 0..60),
+    ) {
+        const BASES: [i64; 7] = [i64::MIN, -1 << 40, -1000, 0, 7, 1 << 50, i64::MAX - 64];
+        const SPANS: [u64; 7] = [1, 3, 16, 64, 1 << 20, 1 << 62, u64::MAX];
+        let build: KeyCols = cols
+            .iter()
+            .enumerate()
+            .map(|(c, &(b, s))| {
+                let (base, span) = (BASES[b], SPANS[s]);
+                picks.iter().map(|&p| base.wrapping_add(((p >> (c * 7)) % span) as i64)).collect()
+            })
+            .collect();
+        check_index(&build, &probe_for(&build));
+    }
+}
