@@ -120,15 +120,8 @@ impl MemoryBroker {
     }
 
     /// A broker for one query: `budget` is the query's byte budget (if
-    /// any), `tracker` the query-level root its usage is read from. The
-    /// mode comes from [`spill_mode`]; `Auto` without a budget — and
-    /// `Off` always — yield an inert broker.
-    pub fn from_env(tracker: &Arc<MemoryTracker>, budget: Option<u64>) -> MemoryBroker {
-        Self::with_mode(spill_mode(), tracker, budget)
-    }
-
-    /// A broker with an explicit mode (`QueryContext::with_spill`, tests;
-    /// `from_env` otherwise).
+    /// any), `tracker` the query-level root its usage is read from.
+    /// `Auto` without a budget — and `Off` always — yield an inert broker.
     pub fn with_mode(
         mode: SpillMode,
         tracker: &Arc<MemoryTracker>,

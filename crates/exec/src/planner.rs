@@ -15,21 +15,43 @@
 //!   aggregation** when the group-by keys functionally determine a
 //!   dimension use of the input.
 //!
-//! Sandwich planning works by *instance negotiation*: bottom-up, each
-//! subtree advertises the dimension instances it could stream grouped-by
-//! ([`avail`]); top-down, parents request a grouping order; scatter scans
-//! satisfy any requested order (that is what makes them scatter scans).
+//! Both rest on one *physical-property pass*. Before anything is built,
+//! `Planner::derive` walks the logical tree once, bottom-up, and records
+//! per node, in a `Props` tree that mirrors the plan:
+//!
+//! * its instance **classes** (BDCC): sets of `(scan, dimension use)`
+//!   aliases that name one dimension instance, so the subtree can stream
+//!   grouped by the class's leading bits. A clustered scan has one class
+//!   per use; a foreign key unifies a class of its referencing side with
+//!   the first class of the referenced side that reaches the same
+//!   dimension over the rest of the path. Filters and projections pass
+//!   classes up; an inner join passes up the classes its foreign key
+//!   unified and the left classes that unified with none; semi and anti
+//!   joins pass up the left side's; left outer joins, aggregates, sorts
+//!   and limits pass up none.
+//! * its column **order** (PK): a PK scan streams in key order; filters,
+//!   and the left side of inner, semi and anti joins, keep it; a
+//!   projection keeps its prefix of plain column references; a sort gives
+//!   its ascending prefix; nothing else streams ordered.
+//!
+//! `Planner::build` then plans top-down and only reads the properties: a
+//! join is a sandwich on the classes its foreign key unified (the ones its
+//! parent requested first), a merge join when both sides' orders lead
+//! with the key; an aggregate is a sandwich on the input classes its
+//! group-by determines, or streams when the input order covers the
+//! group-by. Scatter scans satisfy any requested grouping (that is what
+//! makes them scatter scans).
 
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use bdcc_catalog::{ForeignKey, TableId};
-use bdcc_core::BdccTable;
+use bdcc_core::{BdccTable, DimensionUse};
 use bdcc_pool::{CancelToken, FaultInjector};
 use bdcc_storage::IoTracker;
 
 use crate::batch::schema_index;
-use crate::broker::{MemoryBroker, SpillMode};
+use crate::broker::{spill_mode, MemoryBroker, SpillMode};
 use crate::error::{ExecError, Result};
 use crate::expr::Expr;
 use crate::govern::{GovernedOp, Governor};
@@ -46,7 +68,7 @@ use crate::parallel::{
 };
 use crate::plan::{alias_column, FkSide, Node};
 use crate::profile::{wrap_edge, OpProf, Profiler};
-use crate::restrict::{compute_restrictions, ranges_overlap, Restrictions};
+use crate::restrict::{compute_restrictions, ranges_overlap, BinRanges, Restrictions};
 use crate::scheme::{Scheme, SchemeDb};
 use bdcc_obs::OpMetrics;
 
@@ -83,6 +105,9 @@ pub struct QueryContext {
     /// leaving operators on their pure in-memory paths (see
     /// [`crate::broker`]).
     pub broker: MemoryBroker,
+    /// The mode `broker` is built with: the process's, read once when the
+    /// context is made, or the one [`with_spill`](Self::with_spill) pinned.
+    spill: SpillMode,
 }
 
 impl QueryContext {
@@ -100,9 +125,11 @@ impl QueryContext {
         tracker: Arc<MemoryTracker>,
         parallel: ParallelConfig,
     ) -> QueryContext {
+        let spill = spill_mode();
         QueryContext {
             sdb,
-            broker: MemoryBroker::from_env(&tracker, None),
+            broker: MemoryBroker::with_mode(spill, &tracker, None),
+            spill,
             tracker,
             io: IoTracker::new(),
             parallel,
@@ -164,20 +191,32 @@ impl QueryContext {
     pub fn with_memory_budget(mut self, bytes: u64) -> QueryContext {
         let tracker = Arc::clone(&self.tracker);
         self.governor.set_budget(bytes, &tracker);
-        // A budget activates the broker (unless BDCC_SPILL=off): hash joins
-        // and hash aggregates now spill under pressure and BudgetExceeded
-        // is reserved for queries spilling cannot save.
-        self.broker = MemoryBroker::from_env(&self.tracker, Some(bytes));
-        self.clamp_morsels_to_budget();
+        // A budget activates the broker (unless the mode is off): hash
+        // joins and hash aggregates now spill under pressure and
+        // BudgetExceeded is reserved for queries spilling cannot save.
+        self.rebuild_broker();
         self
     }
 
-    /// Shrink morsels so the fixed buffer floor that cannot spill (a
-    /// streaming scan's ≈ `threads × stream-cap × morsel bytes`) scales
-    /// with the budget instead of dwarfing it. Morsel size never changes
-    /// results, only granularity.
-    fn clamp_morsels_to_budget(&mut self) {
-        let Some(budget) = self.governor.budget() else { return };
+    /// Pin this query's spill mode explicitly, overriding `BDCC_SPILL`
+    /// (tests; also lets a caller force out-of-core execution for a
+    /// single query).
+    pub fn with_spill(mut self, mode: SpillMode) -> QueryContext {
+        self.spill = mode;
+        self.rebuild_broker();
+        self
+    }
+
+    /// Derive the broker from this context's `(spill mode, budget)`, so
+    /// the order of `with_spill` and `with_memory_budget` does not matter.
+    /// An active broker under a budget also shrinks morsels, so the fixed
+    /// buffer floor that cannot spill (a streaming scan's ≈ `threads ×
+    /// stream-cap × morsel bytes`) scales with the budget instead of
+    /// dwarfing it. Morsel size never changes results, only granularity.
+    fn rebuild_broker(&mut self) {
+        let budget = self.governor.budget();
+        self.broker = MemoryBroker::with_mode(self.spill, &self.tracker, budget);
+        let Some(budget) = budget else { return };
         if !self.broker.is_active() {
             return;
         }
@@ -186,16 +225,6 @@ impl QueryContext {
         let cfg = &mut self.parallel;
         let cap = (budget / (cfg.threads as u64 * 2 * 64)).max(256) as usize;
         cfg.morsel_rows = cfg.morsel_rows.min(cap);
-    }
-
-    /// Pin this query's spill mode explicitly, overriding `BDCC_SPILL`
-    /// (tests; also lets a caller force out-of-core execution for a
-    /// single query). Call after `with_memory_budget` — the broker's
-    /// `auto` thresholds derive from the budget in force at this point.
-    pub fn with_spill(mut self, mode: SpillMode) -> QueryContext {
-        self.broker = MemoryBroker::with_mode(mode, &self.tracker, self.governor.budget());
-        self.clamp_morsels_to_budget();
-        self
     }
 
     /// Consult `injector` at every checkpoint (delays, simulated I/O
@@ -231,15 +260,23 @@ fn annotate_encodings(metrics: &OpMetrics, blueprint: &ScanBlueprint) {
 }
 
 /// Plan a logical tree into a physical operator under the context's scheme.
+/// Under profiling, the root's profile node records how long planning
+/// took: `plan.restrict_ms` for BDCC's restriction, `plan.build_ms` for the
+/// property pass and the build.
 pub fn plan_query(ctx: &QueryContext, node: &Node) -> Result<BoxedOp> {
+    let start = Instant::now();
     let restrictions = if ctx.sdb.scheme == Scheme::Bdcc {
         compute_restrictions(node, &ctx.sdb)?
     } else {
         Restrictions::new()
     };
+    let restricted = Instant::now();
     let planner = Planner { ctx, restrictions };
-    let out = planner.build(node, &[])?;
+    let out = planner.build(node, &planner.derive(node), &[])?;
     let op = if let (Some(profiler), Some(root)) = (&ctx.profiler, &out.prof) {
+        let ms = |d: Duration| format!("{:.3}", d.as_secs_f64() * 1e3);
+        root.metrics.annotate("plan.restrict_ms", ms(restricted - start));
+        root.metrics.annotate("plan.build_ms", ms(restricted.elapsed()));
         profiler.set_root(Arc::clone(root));
         // The root edge wrapper (no parent) books the query's output rows
         // and the root operator's wall time.
@@ -260,11 +297,12 @@ pub fn plan_query(ctx: &QueryContext, node: &Node) -> Result<BoxedOp> {
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 struct InstAlias {
     scan_id: usize,
+    table: TableId,
     use_idx: usize,
 }
 
-/// An equivalence class of dimension-use occurrences unified by foreign-key
-/// joins, with the negotiated prefix bits.
+/// An instance class: dimension-use occurrences unified by foreign-key
+/// joins, with the prefix bits they share.
 #[derive(Debug, Clone)]
 struct InstSet {
     aliases: Vec<InstAlias>,
@@ -272,9 +310,23 @@ struct InstSet {
 }
 
 impl InstSet {
-    fn alias_for(&self, scan_ids: &[usize]) -> Option<InstAlias> {
-        self.aliases.iter().copied().find(|a| scan_ids.contains(&a.scan_id))
+    fn overlaps(&self, other: &InstSet) -> bool {
+        self.aliases.iter().any(|a| other.aliases.contains(a))
     }
+}
+
+/// The physical properties of one plan node, derived once by
+/// [`Planner::derive`] in a tree that mirrors the plan (`children` in the
+/// node's input order).
+struct Props {
+    /// The instance classes the node can stream grouped by (BDCC).
+    classes: Vec<InstSet>,
+    /// The column order the node streams sorted by.
+    order: Vec<String>,
+    /// An inner join whose declared foreign key resolves: how many leading
+    /// `classes` that key unified across the two sides.
+    unified: Option<usize>,
+    children: Vec<Props>,
 }
 
 /// Physical subtree plus the positions of the requested group-key columns
@@ -340,192 +392,151 @@ impl<'a> Planner<'a> {
         self.catalog().fks().iter().find(|f| f.name == name)
     }
 
-    // -----------------------------------------------------------------
-    // Availability analysis (bottom-up).
-    // -----------------------------------------------------------------
-
-    /// Dimension instances this subtree can stream grouped-by.
-    fn avail(&self, node: &Node) -> Vec<InstSet> {
-        if self.ctx.sdb.scheme != Scheme::Bdcc {
-            return Vec::new();
-        }
-        match node {
-            Node::Scan { scan_id, table, .. } => {
-                let Ok(tid) = self.catalog().table_id(table) else { return Vec::new() };
-                let Some(bt) = self.clustered(tid) else { return Vec::new() };
-                (0..bt.uses.len())
-                    .filter_map(|u| {
-                        let bits = bt.use_bits_at_granularity(u);
-                        (bits > 0).then(|| InstSet {
-                            aliases: vec![InstAlias { scan_id: *scan_id, use_idx: u }],
-                            bits,
-                        })
-                    })
-                    .collect()
-            }
-            Node::Filter { input, .. } | Node::Project { input, .. } => self.avail(input),
-            Node::Join { left, right, join_type, fk, .. } => {
-                let la = self.avail(left);
-                match join_type {
-                    JoinType::Inner => {
-                        let ra = self.avail(right);
-                        let mut merged = Vec::new();
-                        let mut used_left: Vec<usize> = Vec::new();
-                        if let Some((fk_name, side)) = fk {
-                            if let Some(f) = self.fk_by_name(fk_name) {
-                                // Normalize: `src` side references `dst`.
-                                let (src_av, dst_av, src_is_left) = match side {
-                                    FkSide::Left => (&la, &ra, true),
-                                    FkSide::Right => (&ra, &la, false),
-                                };
-                                for (si, ss) in src_av.iter().enumerate() {
-                                    for ds in dst_av.iter() {
-                                        if self.sets_match(ss, ds, f, node) {
-                                            let mut aliases = ss.aliases.clone();
-                                            aliases.extend(ds.aliases.iter().copied());
-                                            merged.push(InstSet {
-                                                aliases,
-                                                bits: ss.bits.min(ds.bits),
-                                            });
-                                            if src_is_left {
-                                                used_left.push(si);
-                                            }
-                                            break;
-                                        }
-                                    }
-                                }
-                                if !src_is_left {
-                                    // Mark left sets that merged.
-                                    for (li, ls) in la.iter().enumerate() {
-                                        if merged.iter().any(|m| {
-                                            ls.aliases.iter().any(|a| m.aliases.contains(a))
-                                        }) {
-                                            used_left.push(li);
-                                        }
-                                    }
-                                }
-                            }
-                        }
-                        // Left (probe-side) grouping survives a hash join.
-                        for (li, ls) in la.into_iter().enumerate() {
-                            if !used_left.contains(&li) {
-                                merged.push(ls);
-                            }
-                        }
-                        merged
-                    }
-                    // Semi/anti joins keep the left rows (and order).
-                    JoinType::Semi | JoinType::Anti => la,
-                    JoinType::LeftOuter => Vec::new(),
-                }
-            }
-            Node::Aggregate { .. } | Node::Sort { .. } | Node::Limit { .. } => Vec::new(),
-        }
+    /// The dimension use an alias names (aliases come from clustered scans).
+    fn dim_use(&self, a: InstAlias) -> &DimensionUse {
+        &self.clustered(a.table).expect("aliases name clustered tables").uses[a.use_idx]
     }
 
-    /// Do two instance sets refer to the same dimension instance across
-    /// foreign key `f`? True iff some alias on the referencing side has
-    /// path `[f] ++ path` of some alias on the referenced side.
-    fn sets_match(&self, src: &InstSet, dst: &InstSet, f: &ForeignKey, node: &Node) -> bool {
-        let tables = self.scan_tables(node);
-        for sa in &src.aliases {
-            let Some(&st) = tables.iter().find(|(id, _)| *id == sa.scan_id).map(|(_, t)| t) else {
-                continue;
-            };
-            if st != f.from_table {
-                continue;
-            }
-            let Some(sbt) = self.clustered(st) else { continue };
-            let su = &sbt.uses[sa.use_idx];
-            if su.path.first() != Some(&f.id) {
-                continue;
-            }
-            for da in &dst.aliases {
-                let Some(&dt) = tables.iter().find(|(id, _)| *id == da.scan_id).map(|(_, t)| t)
-                else {
-                    continue;
+    // -----------------------------------------------------------------
+    // The physical-property pass (bottom-up, once per plan).
+    // -----------------------------------------------------------------
+
+    /// The properties of `node` and, in its `children`, of every node
+    /// below it: the one analysis `build` reads.
+    fn derive(&self, node: &Node) -> Props {
+        let children = match node {
+            Node::Scan { .. } => Vec::new(),
+            Node::Join { left, right, .. } => vec![self.derive(left), self.derive(right)],
+            Node::Filter { input, .. }
+            | Node::Project { input, .. }
+            | Node::Aggregate { input, .. }
+            | Node::Sort { input, .. }
+            | Node::Limit { input, .. } => vec![self.derive(input)],
+        };
+        let (mut classes, mut order, mut unified) = (Vec::new(), Vec::new(), None);
+        match (node, &children[..]) {
+            (Node::Scan { scan_id, table, alias, .. }, _) => {
+                let Ok(table_id) = self.catalog().table_id(table) else {
+                    return Props { classes, order, unified, children };
                 };
-                if dt != f.to_table {
-                    continue;
+                // A clustered BDCC scan has one class per use with bits at
+                // the table's granularity.
+                if let (Scheme::Bdcc, Some(bt)) = (self.ctx.sdb.scheme, self.clustered(table_id)) {
+                    let class = |use_idx| {
+                        let aliases =
+                            vec![InstAlias { scan_id: *scan_id, table: table_id, use_idx }];
+                        InstSet { aliases, bits: bt.use_bits_at_granularity(use_idx) }
+                    };
+                    classes = (0..bt.uses.len()).map(class).filter(|c| c.bits > 0).collect();
                 }
-                let Some(dbt) = self.clustered(dt) else { continue };
-                let du = &dbt.uses[da.use_idx];
-                if su.dim == du.dim && su.path[1..] == du.path[..] {
-                    return true;
+                // A PK scan streams in primary-key order.
+                if self.ctx.sdb.scheme == Scheme::Pk {
+                    let pk = self.catalog().table(table_id).primary_key.iter();
+                    order = pk
+                        .map(|c| alias.as_ref().map_or_else(|| c.clone(), |a| alias_column(a, c)))
+                        .collect();
                 }
             }
-        }
-        false
-    }
-
-    /// `(scan_id, table)` pairs in a subtree.
-    fn scan_tables(&self, node: &Node) -> Vec<(usize, TableId)> {
-        let mut out = Vec::new();
-        node.visit_scans(&mut |id, table, _| {
-            if let Ok(t) = self.catalog().table_id(table) {
-                out.push((id, t));
+            (Node::Filter { .. }, [input]) => {
+                (classes, order) = (input.classes.clone(), input.order.clone());
             }
-        });
-        out
-    }
-
-    // -----------------------------------------------------------------
-    // Ordering analysis (for the PK scheme).
-    // -----------------------------------------------------------------
-
-    /// Column ordering of the subtree's output (empty = unordered).
-    fn col_order(&self, node: &Node) -> Vec<String> {
-        match node {
-            Node::Scan { table, alias, .. } => {
-                if self.ctx.sdb.scheme != Scheme::Pk {
-                    return Vec::new();
-                }
-                let Ok(tid) = self.catalog().table_id(table) else { return Vec::new() };
-                let pk = &self.catalog().table(tid).primary_key;
-                pk.iter()
-                    .map(|c| match alias {
-                        Some(a) => alias_column(a, c),
-                        None => c.clone(),
+            (Node::Project { exprs, .. }, [input]) => {
+                classes = input.classes.clone();
+                // The longest prefix of the order that survives the
+                // projection as plain column references.
+                order = (input.order.iter())
+                    .map_while(|c| {
+                        let kept = exprs.iter().find(|(e, _)| matches!(e, Expr::Col(n) if n == c));
+                        kept.map(|(_, name)| name.clone())
                     })
-                    .collect()
+                    .collect();
             }
-            Node::Filter { input, .. } => self.col_order(input),
-            Node::Project { input, exprs } => {
-                let inner = self.col_order(input);
-                // Longest prefix of the order that survives the projection
-                // as plain column references.
-                let mut out = Vec::new();
-                for c in inner {
-                    let kept = exprs.iter().find(|(e, _)| matches!(e, Expr::Col(n) if n == &c));
-                    match kept {
-                        Some((_, name)) => out.push(name.clone()),
-                        None => break,
-                    }
+            (Node::Join { join_type, fk, .. }, [left, right]) => match join_type {
+                JoinType::Inner => {
+                    (classes, unified) = self.inner_join_classes(fk.as_ref(), left, right);
+                    order = left.order.clone();
                 }
-                out
-            }
-            Node::Join { left, join_type, .. } => match join_type {
-                JoinType::Inner | JoinType::Semi | JoinType::Anti => self.col_order(left),
-                JoinType::LeftOuter => Vec::new(),
+                // Semi/anti joins keep the left rows (and order).
+                JoinType::Semi | JoinType::Anti => {
+                    (classes, order) = (left.classes.clone(), left.order.clone());
+                }
+                JoinType::LeftOuter => {}
             },
-            Node::Sort { keys, .. } => {
-                keys.iter().take_while(|k| k.ascending).map(|k| k.column.clone()).collect()
+            (Node::Sort { keys, .. }, _) => {
+                order = keys.iter().take_while(|k| k.ascending).map(|k| k.column.clone()).collect();
             }
-            Node::Aggregate { .. } | Node::Limit { .. } => Vec::new(),
+            // Aggregates and limits stream neither grouped nor ordered.
+            _ => {}
         }
+        Props { classes, order, unified, children }
+    }
+
+    /// An inner join's classes and how many of them its foreign key
+    /// unified (`None` when no declared key resolves). Each class of the
+    /// referencing side unifies with the first class of the referenced
+    /// side it matches; those come first, then the left (probe-side)
+    /// classes that unified with none, whose grouping survives a hash join.
+    fn inner_join_classes(
+        &self,
+        fk: Option<&(String, FkSide)>,
+        left: &Props,
+        right: &Props,
+    ) -> (Vec<InstSet>, Option<usize>) {
+        let Some((f, side)) = fk.and_then(|(name, side)| Some((self.fk_by_name(name)?, *side)))
+        else {
+            return (left.classes.clone(), None);
+        };
+        let (src, dst) = match side {
+            FkSide::Left => (&left.classes, &right.classes),
+            FkSide::Right => (&right.classes, &left.classes),
+        };
+        let mut classes = Vec::new();
+        let mut unified_src = Vec::new();
+        for (si, s) in src.iter().enumerate() {
+            if let Some(d) = dst.iter().find(|d| self.sets_match(s, d, f)) {
+                let aliases = [&s.aliases[..], &d.aliases[..]].concat();
+                classes.push(InstSet { aliases, bits: s.bits.min(d.bits) });
+                unified_src.push(si);
+            }
+        }
+        let unified = classes.len();
+        for (li, l) in left.classes.iter().enumerate() {
+            let merged = match side {
+                FkSide::Left => unified_src.contains(&li),
+                FkSide::Right => classes[..unified].iter().any(|c| l.overlaps(c)),
+            };
+            if !merged {
+                classes.push(l.clone());
+            }
+        }
+        (classes, Some(unified))
+    }
+
+    /// Do two classes refer to the same dimension instance across foreign
+    /// key `f`? True iff some alias on the referencing side has path
+    /// `[f] ++ path` of some alias on the referenced side.
+    fn sets_match(&self, src: &InstSet, dst: &InstSet, f: &ForeignKey) -> bool {
+        src.aliases.iter().filter(|s| s.table == f.from_table).any(|&s| {
+            let su = self.dim_use(s);
+            su.path.first() == Some(&f.id)
+                && dst.aliases.iter().filter(|d| d.table == f.to_table).any(|&d| {
+                    let du = self.dim_use(d);
+                    su.dim == du.dim && su.path[1..] == du.path[..]
+                })
+        })
     }
 
     // -----------------------------------------------------------------
     // Physical build (top-down, with requested grouping).
     // -----------------------------------------------------------------
 
-    fn build(&self, node: &Node, requested: &[InstSet]) -> Result<PhysOut> {
+    fn build(&self, node: &Node, props: &Props, requested: &[InstSet]) -> Result<PhysOut> {
         match node {
             Node::Scan { scan_id, table, columns, predicates, alias } => {
                 self.build_scan(*scan_id, table, columns, predicates, alias.as_deref(), requested)
             }
             Node::Filter { input, predicate } => {
-                let child = self.build(input, requested)?;
+                let child = self.build(input, &props.children[0], requested)?;
                 let prof = self.prof_node("Filter".into(), vec![child.prof.clone()], None);
                 let cop = wrap_edge(child.op, &child.prof, &prof);
                 let op = Filter::new(cop, predicate.clone())?
@@ -533,7 +544,7 @@ impl<'a> Planner<'a> {
                 Ok(PhysOut { op: Box::new(op), gk_cols: child.gk_cols, prof })
             }
             Node::Project { input, exprs } => {
-                let child = self.build(input, requested)?;
+                let child = self.build(input, &props.children[0], requested)?;
                 let child_schema = child.op.schema().clone();
                 let mut all: Vec<(Expr, String)> = exprs.clone();
                 let base = all.len();
@@ -548,15 +559,13 @@ impl<'a> Planner<'a> {
                 let op = Project::new(cop, all)?;
                 Ok(PhysOut { op: Box::new(op), gk_cols, prof })
             }
-            Node::Join { left, right, on, join_type, fk, residual } => {
-                self.build_join(node, left, right, on, *join_type, fk.as_ref(), residual, requested)
-            }
+            Node::Join { .. } => self.build_join(node, props, requested),
             Node::Aggregate { input, group_by, aggs } => {
                 debug_assert!(requested.is_empty(), "nothing groups through an aggregate");
-                self.build_aggregate(input, group_by, aggs)
+                self.build_aggregate(input, &props.children[0], group_by, aggs)
             }
             Node::Sort { input, keys, limit } => {
-                let child = self.build(input, &[])?;
+                let child = self.build(input, &props.children[0], &[])?;
                 // One sort at every width: TPC-H sorts run over aggregated
                 // rows, too few to pay for a fan-out.
                 let prof = self.prof_node("Sort(serial)".into(), vec![child.prof.clone()], None);
@@ -565,7 +574,7 @@ impl<'a> Planner<'a> {
                 Ok(PhysOut { op: Box::new(op), gk_cols: vec![], prof })
             }
             Node::Limit { input, n } => {
-                let child = self.build(input, &[])?;
+                let child = self.build(input, &props.children[0], &[])?;
                 let prof = self.prof_node("Limit".into(), vec![child.prof.clone()], None);
                 let cop = wrap_edge(child.op, &child.prof, &prof);
                 Ok(PhysOut { op: Box::new(Limit::new(cop, *n)), gk_cols: vec![], prof })
@@ -595,23 +604,31 @@ impl<'a> Planner<'a> {
             .clone();
         match (self.ctx.sdb.scheme, self.clustered(tid)) {
             (Scheme::Bdcc, Some(bt)) => {
+                // The requested uses, in requested order.
+                let mut names = Vec::with_capacity(requested.len());
+                let mut req_uses: Vec<(usize, u32)> = Vec::with_capacity(requested.len());
+                for set in requested {
+                    let a = set.aliases.iter().find(|a| a.scan_id == scan_id).ok_or_else(|| {
+                        ExecError::Plan(format!("requested instance not available on {table}"))
+                    })?;
+                    names.push(format!("__gk_{}_{}", scan_id, a.use_idx));
+                    req_uses.push((a.use_idx, set.bits));
+                }
                 // Group selection: every restricted use must admit the
                 // group's bin prefix.
-                type ActiveUse<'r> = (usize, &'r [(u64, u64)], u32);
-                let mut active: Vec<ActiveUse> = Vec::new();
                 let schema = self.ctx.sdb.bdcc.as_ref().expect("bdcc scheme");
-                for (use_idx, u) in bt.uses.iter().enumerate() {
-                    if let Some(ranges) = self.restrictions.get(&(scan_id, use_idx)) {
-                        let dim_bits = schema.dimension(u.dim).bits();
-                        let avail_bits = bt.use_bits_at_granularity(use_idx);
-                        let shift = dim_bits - avail_bits;
-                        active.push((use_idx, ranges, shift));
-                    }
-                }
-                let mut selected: Vec<(u64, &bdcc_core::GroupEntry)> = Vec::new();
+                let active: Vec<(usize, &BinRanges, u32)> = (bt.uses.iter().enumerate())
+                    .filter_map(|(use_idx, u)| {
+                        let ranges = self.restrictions.get(&(scan_id, use_idx))?;
+                        let shift =
+                            schema.dimension(u.dim).bits() - bt.use_bits_at_granularity(use_idx);
+                        Some((use_idx, ranges, shift))
+                    })
+                    .collect();
+                let mut runs: Vec<Run> = Vec::new();
                 'groups: for g in bt.count.iter() {
-                    for (use_idx, ranges, shift) in &active {
-                        let prefix = bt.group_bin_prefix(*use_idx, g.key);
+                    for &(use_idx, ranges, shift) in &active {
+                        let prefix = bt.group_bin_prefix(use_idx, g.key);
                         // The group's prefix covers the full-granularity
                         // bin interval [prefix<<shift, (prefix+1)<<shift).
                         let lo = prefix << shift;
@@ -620,27 +637,12 @@ impl<'a> Planner<'a> {
                             continue 'groups;
                         }
                     }
-                    selected.push((g.key, g));
-                }
-                // Requested group keys per group, in requested order.
-                let mut runs: Vec<Run> = Vec::with_capacity(selected.len());
-                let mut names = Vec::with_capacity(requested.len());
-                let scan_ids = [scan_id];
-                let mut req_uses: Vec<(usize, u32)> = Vec::with_capacity(requested.len());
-                for set in requested {
-                    let a = set.alias_for(&scan_ids).ok_or_else(|| {
-                        ExecError::Plan(format!("requested instance not available on {table}"))
-                    })?;
-                    names.push(format!("__gk_{}_{}", scan_id, a.use_idx));
-                    req_uses.push((a.use_idx, set.bits));
-                }
-                for (key, g) in &selected {
-                    let keys = req_uses
-                        .iter()
+                    // One key per requested use: its bin prefix at the
+                    // requested bits.
+                    let keys = (req_uses.iter())
                         .map(|&(u, bits)| {
                             let own = bt.use_bits_at_granularity(u);
-                            let full = bt.group_bin_prefix(u, *key);
-                            (full >> (own - bits)) as i64
+                            (bt.group_bin_prefix(u, g.key) >> (own - bits)) as i64
                         })
                         .collect();
                     runs.push(Run { start: g.start, count: g.count, keys });
@@ -746,34 +748,26 @@ impl<'a> Planner<'a> {
         }
     }
 
-    #[allow(clippy::too_many_arguments)]
-    fn build_join(
-        &self,
-        node: &Node,
-        left: &Node,
-        right: &Node,
-        on: &[(String, String)],
-        join_type: JoinType,
-        fk: Option<&(String, FkSide)>,
-        residual: &Option<Expr>,
-        requested: &[InstSet],
-    ) -> Result<PhysOut> {
+    fn build_join(&self, node: &Node, props: &Props, requested: &[InstSet]) -> Result<PhysOut> {
+        let Node::Join { left, right, on, join_type, residual, .. } = node else {
+            unreachable!("build_join plans joins")
+        };
+        let [lprops, rprops] = &props.children[..] else { unreachable!("a join has two inputs") };
         let on_refs: Vec<(&str, &str)> = on.iter().map(|(l, r)| (l.as_str(), r.as_str())).collect();
-        let left_ids = left.scan_ids();
 
         // --- BDCC: a sandwich join, or the reason there is none ----------
         let sandwich = (self.ctx.sdb.scheme == Scheme::Bdcc)
-            .then(|| self.sandwich_keys(node, left, right, join_type, fk, requested));
+            .then(|| sandwich_keys(props, *join_type, requested));
         if let Some(Ok(keys)) = &sandwich {
-            let lout = self.build(left, keys)?;
-            let rout = self.build(right, keys)?;
+            let lout = self.build(left, lprops, keys)?;
+            let rout = self.build(right, rprops, keys)?;
             let prof = self.prof_node(
                 "Join(sandwich)".into(),
                 vec![lout.prof.clone(), rout.prof.clone()],
                 None,
             );
             if let Some(p) = &prof {
-                p.metrics.annotate("sandwich", self.describe_keys(keys, node));
+                p.metrics.annotate("sandwich", self.describe_keys(keys));
             }
             let lop = wrap_edge(lout.op, &lout.prof, &prof);
             let rop = wrap_edge(rout.op, &rout.prof, &prof);
@@ -784,7 +778,7 @@ impl<'a> Planner<'a> {
                 rop,
                 &on_refs,
                 groups,
-                join_type,
+                *join_type,
                 residual.clone(),
                 self.op_tracker(&prof),
             )?
@@ -797,42 +791,31 @@ impl<'a> Planner<'a> {
         }
 
         // --- PK: merge join when both sides are ordered on the key -------
+        let leads = |order: &[String], col: &str| order.first().is_some_and(|c| c == col);
         if self.ctx.sdb.scheme == Scheme::Pk
-            && join_type == JoinType::Inner
+            && *join_type == JoinType::Inner
             && on.len() == 1
             && residual.is_none()
             && requested.is_empty()
+            && leads(&lprops.order, &on[0].0)
+            && leads(&rprops.order, &on[0].1)
         {
-            let lord = self.col_order(left);
-            let rord = self.col_order(right);
-            if lord.first().map(|c| c.as_str()) == Some(on[0].0.as_str())
-                && rord.first().map(|c| c.as_str()) == Some(on[0].1.as_str())
-            {
-                let lout = self.build(left, &[])?;
-                let rout = self.build(right, &[])?;
-                let prof = self.prof_node(
-                    "Join(merge)".into(),
-                    vec![lout.prof.clone(), rout.prof.clone()],
-                    None,
-                );
-                let lop = wrap_edge(lout.op, &lout.prof, &prof);
-                let rop = wrap_edge(rout.op, &rout.prof, &prof);
-                let j = MergeJoin::new(lop, rop, (&on[0].0, &on[0].1))?;
-                return Ok(PhysOut { op: Box::new(j), gk_cols: vec![], prof });
-            }
+            let lout = self.build(left, lprops, &[])?;
+            let rout = self.build(right, rprops, &[])?;
+            let prof = self.prof_node(
+                "Join(merge)".into(),
+                vec![lout.prof.clone(), rout.prof.clone()],
+                None,
+            );
+            let lop = wrap_edge(lout.op, &lout.prof, &prof);
+            let rop = wrap_edge(rout.op, &rout.prof, &prof);
+            let j = MergeJoin::new(lop, rop, (&on[0].0, &on[0].1))?;
+            return Ok(PhysOut { op: Box::new(j), gk_cols: vec![], prof });
         }
 
         // --- Fallback: hash join; left-side grouping passes through ------
-        let left_req: Vec<InstSet> = requested.to_vec();
-        for r in &left_req {
-            if r.alias_for(&left_ids).is_none() {
-                return Err(ExecError::Plan(
-                    "requested grouping not available through hash join".into(),
-                ));
-            }
-        }
-        let lout = self.build(left, &left_req)?;
-        let rout = self.build(right, &[])?;
+        let lout = self.build(left, lprops, requested)?;
+        let rout = self.build(right, rprops, &[])?;
         let prof =
             self.prof_node("Join(hash)".into(), vec![lout.prof.clone(), rout.prof.clone()], None);
         if let (Some(Err(why)), Some(p)) = (&sandwich, &prof) {
@@ -840,85 +823,27 @@ impl<'a> Planner<'a> {
         }
         let lop = wrap_edge(lout.op, &lout.prof, &prof);
         let rop = wrap_edge(rout.op, &rout.prof, &prof);
-        let j =
-            HashJoin::new(lop, rop, &on_refs, join_type, residual.clone(), self.op_tracker(&prof))?
-                .with_metrics(prof.as_ref().map(|p| Arc::clone(&p.metrics)))
-                .with_governor(self.ctx.governor.clone())
-                .with_broker(self.ctx.broker.clone(), self.ctx.io.clone());
+        let j = HashJoin::new(
+            lop,
+            rop,
+            &on_refs,
+            *join_type,
+            residual.clone(),
+            self.op_tracker(&prof),
+        )?
+        .with_metrics(prof.as_ref().map(|p| Arc::clone(&p.metrics)))
+        .with_governor(self.ctx.governor.clone())
+        .with_broker(self.ctx.broker.clone(), self.ctx.io.clone());
         Ok(PhysOut { op: Box::new(j), gk_cols: lout.gk_cols, prof })
-    }
-
-    /// The group keys a BDCC sandwich join would align its children on —
-    /// requested ones first, resolved to the sets the foreign key merges,
-    /// then the other shared instances — or the first check that failed,
-    /// which the decision log reports on the hash join planned instead.
-    fn sandwich_keys(
-        &self,
-        node: &Node,
-        left: &Node,
-        right: &Node,
-        join_type: JoinType,
-        fk: Option<&(String, FkSide)>,
-        requested: &[InstSet],
-    ) -> std::result::Result<Vec<InstSet>, &'static str> {
-        if join_type != JoinType::Inner {
-            return Err("join-type");
-        }
-        let Some((f, side)) = fk.and_then(|(name, side)| Some((self.fk_by_name(name)?, side)))
-        else {
-            return Err("no-fk");
-        };
-        let (la, ra) = (self.avail(left), self.avail(right));
-        let (src_av, dst_av) = match side {
-            FkSide::Left => (&la, &ra),
-            FkSide::Right => (&ra, &la),
-        };
-        // Shared sets: one alias on each side, matched over f.
-        let mut shared: Vec<InstSet> = Vec::new();
-        for ss in src_av {
-            if let Some(ds) = dst_av.iter().find(|ds| self.sets_match(ss, ds, f, node)) {
-                let mut aliases = ss.aliases.clone();
-                aliases.extend(ds.aliases.iter().copied());
-                shared.push(InstSet { aliases, bits: ss.bits.min(ds.bits) });
-            }
-        }
-        if shared.is_empty() {
-            return Err("no-shared-instance");
-        }
-        let merged =
-            |r: &InstSet| shared.iter().find(|s| r.aliases.iter().any(|a| s.aliases.contains(a)));
-        let mut keys: Vec<InstSet> = Vec::new();
-        for r in requested {
-            let m = merged(r).ok_or("requested-not-two-sided")?;
-            keys.push(InstSet { aliases: m.aliases.clone(), bits: r.bits.min(m.bits) });
-        }
-        let (left_ids, right_ids) = (left.scan_ids(), right.scan_ids());
-        let two_sided =
-            |s: &InstSet| s.alias_for(&left_ids).is_some() && s.alias_for(&right_ids).is_some();
-        for s in &shared {
-            let already = keys.iter().any(|k| s.aliases.iter().any(|a| k.aliases.contains(a)));
-            if !already && two_sided(s) {
-                keys.push(s.clone());
-            }
-        }
-        if keys.is_empty() || !keys.iter().all(two_sided) {
-            return Err("keys-not-two-sided");
-        }
-        Ok(keys)
     }
 
     /// A sandwich join's decision log: its group keys, each as the
     /// dimension it clusters on and the prefix bits it aligns.
-    fn describe_keys(&self, keys: &[InstSet], node: &Node) -> String {
-        let tables = self.scan_tables(node);
-        let dim = |a: &InstAlias| {
-            let (_, t) = tables.iter().find(|(id, _)| *id == a.scan_id)?;
-            let u = &self.clustered(*t)?.uses[a.use_idx];
-            Some(self.ctx.sdb.bdcc.as_ref()?.dimension(u.dim).name.clone())
-        };
+    fn describe_keys(&self, keys: &[InstSet]) -> String {
+        let schema = self.ctx.sdb.bdcc.as_ref().expect("sandwiches are planned on BDCC");
         let each = keys.iter().map(|k| {
-            let name = k.aliases.first().and_then(dim).unwrap_or_else(|| "?".into());
-            format!("{name}/{}", k.bits)
+            let dim = schema.dimension(self.dim_use(k.aliases[0]).dim);
+            format!("{}/{}", dim.name, k.bits)
         });
         format!("{} keys ({})", keys.len(), each.collect::<Vec<_>>().join(", "))
     }
@@ -926,6 +851,7 @@ impl<'a> Planner<'a> {
     fn build_aggregate(
         &self,
         input: &Node,
+        input_props: &Props,
         group_by: &[String],
         aggs: &[crate::ops::agg::AggSpec],
     ) -> Result<PhysOut> {
@@ -937,9 +863,9 @@ impl<'a> Planner<'a> {
         // co-cluster's (or one run's) groups, which neither partials (shared
         // groups once per morsel) nor one table over the whole input can
         // beat. Leaf scans below them still stream their morsels.
-        let sandwich =
-            (self.ctx.sdb.scheme == Scheme::Bdcc).then(|| self.sandwich_instances(input, group_by));
-        let order = self.col_order(input);
+        let sandwich = (self.ctx.sdb.scheme == Scheme::Bdcc)
+            .then(|| self.sandwich_instances(input_props, group_by));
+        let order = &input_props.order;
         let streams = !group_by.is_empty()
             && group_by.len() <= order.len()
             && order[..group_by.len()].iter().all(|c| group_by.contains(c));
@@ -948,7 +874,7 @@ impl<'a> Planner<'a> {
         let log_sandwich = |prof: &Option<Arc<OpProf>>| {
             if let (Some(decision), Some(p)) = (&sandwich, prof) {
                 let log = match decision {
-                    Ok(keys) => self.describe_keys(keys, input),
+                    Ok(keys) => self.describe_keys(keys),
                     Err(why) => format!("no({why})"),
                 };
                 p.metrics.annotate("sandwich", log);
@@ -998,7 +924,7 @@ impl<'a> Planner<'a> {
             Some(Ok(determined)) => determined.as_slice(),
             _ => &[],
         };
-        let child = self.build(input, requested)?;
+        let child = self.build(input, input_props, requested)?;
         let (label, runs): (&str, Vec<usize>) = match (requested.is_empty(), streams) {
             (false, _) => ("Aggregate(sandwich)", child.gk_cols),
             (true, true) => {
@@ -1022,24 +948,23 @@ impl<'a> Planner<'a> {
         Ok(PhysOut { op: Box::new(op), gk_cols: vec![], prof })
     }
 
-    /// The instances a BDCC sandwich aggregate would stream `input` grouped
+    /// The classes a BDCC sandwich aggregate would stream its input grouped
     /// on — those the group-by keys determine — or the first check that
-    /// failed: no group-by, nothing `input` can stream grouped, or nothing
-    /// the keys determine.
+    /// failed: no group-by, nothing the input can stream grouped, or
+    /// nothing the keys determine.
     fn sandwich_instances(
         &self,
-        input: &Node,
+        input: &Props,
         group_by: &[String],
     ) -> std::result::Result<Vec<InstSet>, &'static str> {
         if group_by.is_empty() {
             return Err("global");
         }
-        let av = self.avail(input);
-        if av.is_empty() {
+        if input.classes.is_empty() {
             return Err("no-instance");
         }
         let determined: Vec<InstSet> =
-            av.into_iter().filter(|s| self.determined_by(s, input, group_by)).collect();
+            input.classes.iter().filter(|s| self.determined_by(s, group_by)).cloned().collect();
         if determined.is_empty() {
             return Err("not-determined");
         }
@@ -1091,30 +1016,51 @@ impl<'a> Planner<'a> {
         Ok(Some(FragmentBlueprint { scan: blueprint, steps }))
     }
 
-    /// Do the group-by keys functionally determine instance `set` in
-    /// `input`? True when some alias `(scan S of table T, use U)` satisfies:
-    /// the head of `U`'s path is a foreign key whose source columns are all
-    /// in the group-by set (an FK value determines everything it
-    /// references), or `U` is local and its dimension key ⊆ group-by.
-    fn determined_by(&self, set: &InstSet, input: &Node, group_by: &[String]) -> bool {
-        let tables = self.scan_tables(input);
-        for a in &set.aliases {
-            let Some(&t) = tables.iter().find(|(id, _)| *id == a.scan_id).map(|(_, t)| t) else {
-                continue;
+    /// Do the group-by keys functionally determine class `set`? True when
+    /// some alias `(scan S of table T, use U)` satisfies: the head of
+    /// `U`'s path is a foreign key whose source columns are all in the
+    /// group-by set (an FK value determines everything it references), or
+    /// `U` is local and its dimension key ⊆ group-by.
+    fn determined_by(&self, set: &InstSet, group_by: &[String]) -> bool {
+        set.aliases.iter().any(|&a| {
+            let u = self.dim_use(a);
+            let determining_cols = match u.path.first() {
+                Some(&fk) => &self.catalog().fk(fk).from_columns,
+                None => &self.ctx.sdb.bdcc.as_ref().expect("bdcc").dimension(u.dim).key,
             };
-            let Some(bt) = self.clustered(t) else { continue };
-            let u = &bt.uses[a.use_idx];
-            let determining_cols: Vec<String> = match u.path.first() {
-                Some(&fk) => self.catalog().fk(fk).from_columns.clone(),
-                None => {
-                    let schema = self.ctx.sdb.bdcc.as_ref().expect("bdcc");
-                    schema.dimension(u.dim).key.clone()
-                }
-            };
-            if determining_cols.iter().all(|c| group_by.contains(c)) {
-                return true;
-            }
-        }
-        false
+            determining_cols.iter().all(|c| group_by.contains(c))
+        })
     }
+}
+
+/// The group keys a BDCC sandwich join would align its children on —
+/// requested ones first, resolved to the classes the join's foreign key
+/// unified, then the other unified classes — or the first check that
+/// failed, which the decision log reports on the hash join planned
+/// instead. A unified class holds aliases of both sides, so every key
+/// does.
+fn sandwich_keys(
+    join: &Props,
+    join_type: JoinType,
+    requested: &[InstSet],
+) -> std::result::Result<Vec<InstSet>, &'static str> {
+    if join_type != JoinType::Inner {
+        return Err("join-type");
+    }
+    let Some(unified) = join.unified else { return Err("no-fk") };
+    let shared = &join.classes[..unified];
+    if shared.is_empty() {
+        return Err("no-shared-instance");
+    }
+    let mut keys: Vec<InstSet> = Vec::new();
+    for r in requested {
+        let m = shared.iter().find(|s| r.overlaps(s)).ok_or("requested-not-two-sided")?;
+        keys.push(InstSet { aliases: m.aliases.clone(), bits: r.bits.min(m.bits) });
+    }
+    for s in shared {
+        if !keys.iter().any(|k| s.overlaps(k)) {
+            keys.push(s.clone());
+        }
+    }
+    Ok(keys)
 }

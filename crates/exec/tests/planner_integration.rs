@@ -455,3 +455,23 @@ fn a_broker_plans_no_partial_aggregate_and_spills_only_group_bys() {
         assert_eq!(node_and_log(&got.profile.root, label, "spill").1, "");
     }
 }
+
+#[test]
+fn a_pinned_spill_mode_holds_whichever_comes_first() {
+    // `with_spill` pins the query's mode whatever `BDCC_SPILL` says, and a
+    // budget set after it keeps that mode.
+    let sdb = fine_block_plain();
+    let ctx = || QueryContext::new(Arc::clone(&sdb));
+    let off = ctx().with_spill(SpillMode::Off).with_memory_budget(1 << 20);
+    assert_eq!(off.broker.mode(), SpillMode::Off);
+    assert!(!off.broker.is_active());
+    for budget in [1 << 16, 1 << 20] {
+        for mode in [SpillMode::Auto, SpillMode::Force] {
+            let pinned_first = ctx().with_spill(mode).with_memory_budget(budget);
+            let budget_first = ctx().with_memory_budget(budget).with_spill(mode);
+            assert_eq!(pinned_first.broker.mode(), mode, "{mode:?} then a budget of {budget}");
+            assert_eq!(budget_first.broker.mode(), mode, "a budget of {budget} then {mode:?}");
+            assert_eq!(pinned_first.parallel, budget_first.parallel);
+        }
+    }
+}

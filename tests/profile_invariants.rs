@@ -429,13 +429,8 @@ fn a_spilled_hash_join_logs_linear_restores() {
 /// carries either. Prints how often each reason occurs on BDCC.
 #[test]
 fn bdcc_joins_log_why_they_are_no_sandwich() {
-    const REASONS: [&str; 5] = [
-        "join-type",
-        "no-fk",
-        "no-shared-instance",
-        "requested-not-two-sided",
-        "keys-not-two-sided",
-    ];
+    const REASONS: [&str; 4] =
+        ["join-type", "no-fk", "no-shared-instance", "requested-not-two-sided"];
     let sf = 0.005;
     let db = bdcc::tpch::generate(&GenConfig::new(sf));
     let schemes = [
