@@ -323,8 +323,8 @@ struct Props {
     classes: Vec<InstSet>,
     /// The column order the node streams sorted by.
     order: Vec<String>,
-    /// An inner join whose declared foreign key resolves: how many leading
-    /// `classes` that key unified across the two sides.
+    /// A BDCC inner join whose declared foreign key resolves: how many
+    /// leading `classes` that key unified across the two sides.
     unified: Option<usize>,
     children: Vec<Props>,
 }
@@ -353,20 +353,21 @@ impl<'a> Planner<'a> {
 
     /// Profile node for the operator being built: a fresh metric block, a
     /// child tracker of the query tracker, optional I/O attribution, and
-    /// the already-built children. `None` when profiling is off.
+    /// the already-built children. `None` (and nothing allocated) when
+    /// profiling is off.
     fn prof_node(
         &self,
-        label: String,
-        children: Vec<Option<Arc<OpProf>>>,
+        label: impl std::fmt::Display,
+        children: &[&Option<Arc<OpProf>>],
         io: Option<IoTracker>,
     ) -> Option<Arc<OpProf>> {
         self.ctx.profiler.as_ref()?;
         Some(Arc::new(OpProf {
-            label,
+            label: label.to_string(),
             metrics: OpMetrics::new(),
             tracker: MemoryTracker::child_of(&self.ctx.tracker),
             io,
-            children: children.into_iter().flatten().collect(),
+            children: children.iter().filter_map(|&c| c.clone()).collect(),
         }))
     }
 
@@ -415,7 +416,9 @@ impl<'a> Planner<'a> {
         };
         let (mut classes, mut order, mut unified) = (Vec::new(), Vec::new(), None);
         match (node, &children[..]) {
-            (Node::Scan { scan_id, table, alias, .. }, _) => {
+            (Node::Scan { scan_id, table, alias, .. }, _)
+                if self.ctx.sdb.scheme != Scheme::Plain =>
+            {
                 let Ok(table_id) = self.catalog().table_id(table) else {
                     return Props { classes, order, unified, children };
                 };
@@ -465,7 +468,8 @@ impl<'a> Planner<'a> {
             (Node::Sort { keys, .. }, _) => {
                 order = keys.iter().take_while(|k| k.ascending).map(|k| k.column.clone()).collect();
             }
-            // Aggregates and limits stream neither grouped nor ordered.
+            // Plain scans, aggregates and limits stream neither grouped nor
+            // ordered.
             _ => {}
         }
         Props { classes, order, unified, children }
@@ -482,6 +486,8 @@ impl<'a> Planner<'a> {
         left: &Props,
         right: &Props,
     ) -> (Vec<InstSet>, Option<usize>) {
+        // Only BDCC scans have classes for a foreign key to unify.
+        let fk = fk.filter(|_| self.ctx.sdb.scheme == Scheme::Bdcc);
         let Some((f, side)) = fk.and_then(|(name, side)| Some((self.fk_by_name(name)?, *side)))
         else {
             return (left.classes.clone(), None);
@@ -537,7 +543,7 @@ impl<'a> Planner<'a> {
             }
             Node::Filter { input, predicate } => {
                 let child = self.build(input, &props.children[0], requested)?;
-                let prof = self.prof_node("Filter".into(), vec![child.prof.clone()], None);
+                let prof = self.prof_node("Filter", &[&child.prof], None);
                 let cop = wrap_edge(child.op, &child.prof, &prof);
                 let op = Filter::new(cop, predicate.clone())?
                     .with_metrics(prof.as_ref().map(|p| Arc::clone(&p.metrics)));
@@ -554,7 +560,7 @@ impl<'a> Planner<'a> {
                     all.push((Expr::col(&name), name));
                     gk_cols.push(base + i);
                 }
-                let prof = self.prof_node("Project".into(), vec![child.prof.clone()], None);
+                let prof = self.prof_node("Project", &[&child.prof], None);
                 let cop = wrap_edge(child.op, &child.prof, &prof);
                 let op = Project::new(cop, all)?;
                 Ok(PhysOut { op: Box::new(op), gk_cols, prof })
@@ -568,14 +574,14 @@ impl<'a> Planner<'a> {
                 let child = self.build(input, &props.children[0], &[])?;
                 // One sort at every width: TPC-H sorts run over aggregated
                 // rows, too few to pay for a fan-out.
-                let prof = self.prof_node("Sort(serial)".into(), vec![child.prof.clone()], None);
+                let prof = self.prof_node("Sort(serial)", &[&child.prof], None);
                 let cop = wrap_edge(child.op, &child.prof, &prof);
                 let op = Sort::new(cop, keys, *limit, self.op_tracker(&prof))?;
                 Ok(PhysOut { op: Box::new(op), gk_cols: vec![], prof })
             }
             Node::Limit { input, n } => {
                 let child = self.build(input, &props.children[0], &[])?;
-                let prof = self.prof_node("Limit".into(), vec![child.prof.clone()], None);
+                let prof = self.prof_node("Limit", &[&child.prof], None);
                 let cop = wrap_edge(child.op, &child.prof, &prof);
                 Ok(PhysOut { op: Box::new(Limit::new(cop, *n)), gk_cols: vec![], prof })
             }
@@ -712,7 +718,7 @@ impl<'a> Planner<'a> {
         // the query tracker, so query totals and access classification
         // are unchanged) and a per-operator memory tracker.
         let io_child = self.scan_io();
-        let prof = self.prof_node(format!("Scan({table})"), vec![], io_child.clone());
+        let prof = self.prof_node(format_args!("Scan({table})"), &[], io_child.clone());
         let io = io_child.unwrap_or_else(|| self.ctx.io.clone());
         if let Some(p) = &prof {
             annotate_encodings(&p.metrics, &blueprint);
@@ -761,11 +767,7 @@ impl<'a> Planner<'a> {
         if let Some(Ok(keys)) = &sandwich {
             let lout = self.build(left, lprops, keys)?;
             let rout = self.build(right, rprops, keys)?;
-            let prof = self.prof_node(
-                "Join(sandwich)".into(),
-                vec![lout.prof.clone(), rout.prof.clone()],
-                None,
-            );
+            let prof = self.prof_node("Join(sandwich)", &[&lout.prof, &rout.prof], None);
             if let Some(p) = &prof {
                 p.metrics.annotate("sandwich", self.describe_keys(keys));
             }
@@ -802,11 +804,7 @@ impl<'a> Planner<'a> {
         {
             let lout = self.build(left, lprops, &[])?;
             let rout = self.build(right, rprops, &[])?;
-            let prof = self.prof_node(
-                "Join(merge)".into(),
-                vec![lout.prof.clone(), rout.prof.clone()],
-                None,
-            );
+            let prof = self.prof_node("Join(merge)", &[&lout.prof, &rout.prof], None);
             let lop = wrap_edge(lout.op, &lout.prof, &prof);
             let rop = wrap_edge(rout.op, &rout.prof, &prof);
             let j = MergeJoin::new(lop, rop, (&on[0].0, &on[0].1))?;
@@ -816,8 +814,7 @@ impl<'a> Planner<'a> {
         // --- Fallback: hash join; left-side grouping passes through ------
         let lout = self.build(left, lprops, requested)?;
         let rout = self.build(right, rprops, &[])?;
-        let prof =
-            self.prof_node("Join(hash)".into(), vec![lout.prof.clone(), rout.prof.clone()], None);
+        let prof = self.prof_node("Join(hash)", &[&lout.prof, &rout.prof], None);
         if let (Some(Err(why)), Some(p)) = (&sandwich, &prof) {
             p.metrics.annotate("sandwich", format!("no({why})"));
         }
@@ -898,7 +895,7 @@ impl<'a> Planner<'a> {
             // aggregate's workers, so this node is also a leaf: it gets
             // the scan's I/O attribution.
             let io_child = self.scan_io();
-            let prof = self.prof_node("Aggregate(parallel)".into(), vec![], io_child.clone());
+            let prof = self.prof_node("Aggregate(parallel)", &[], io_child.clone());
             if let Some(p) = &prof {
                 p.metrics.annotate("fragment", fragment.scan.table().name());
             }
@@ -936,7 +933,7 @@ impl<'a> Planner<'a> {
             }
             (true, false) => ("Aggregate(hash)", Vec::new()),
         };
-        let prof = self.prof_node(label.into(), vec![child.prof.clone()], None);
+        let prof = self.prof_node(label, &[&child.prof], None);
         log_sandwich(&prof);
         let cop = wrap_edge(child.op, &child.prof, &prof);
         let broker = if runs.is_empty() { self.ctx.broker.clone() } else { MemoryBroker::none() };

@@ -475,3 +475,25 @@ fn a_pinned_spill_mode_holds_whichever_comes_first() {
         }
     }
 }
+
+#[test]
+fn a_profiled_root_records_planning_time() {
+    // EXPLAIN ANALYZE puts planning on the root: restriction (BDCC only)
+    // and the property pass with the build, in milliseconds.
+    let (plain, _, bdcc) = schemes();
+    for sdb in [&plain, &bdcc] {
+        let got = explain_analyze(&QueryContext::new(Arc::clone(sdb)), &star_query()).unwrap();
+        let root = &got.profile.root;
+        let ms = |key: &str| -> f64 {
+            let log = root.annotations.iter().find(|(k, _)| k == key).map(|(_, v)| v.as_str());
+            let parsed = log.and_then(|v| v.parse().ok());
+            parsed.unwrap_or_else(|| panic!("{key}={log:?} on {}", sdb.scheme.name()))
+        };
+        assert!(ms("plan.restrict_ms") >= 0.0 && ms("plan.build_ms") > 0.0);
+        let mut timed = 0;
+        root.walk(&mut |n: &ProfileNode| {
+            timed += n.annotations.iter().any(|(k, _)| k.starts_with("plan.")) as usize;
+        });
+        assert_eq!(timed, 1, "only the root records planning time");
+    }
+}
