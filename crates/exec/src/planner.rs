@@ -42,6 +42,7 @@
 //! group-by. Scatter scans satisfy any requested grouping (that is what
 //! makes them scatter scans).
 
+use std::rc::Rc;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -321,12 +322,19 @@ impl InstSet {
 struct Props {
     /// The instance classes the node can stream grouped by (BDCC).
     classes: Vec<InstSet>,
-    /// The column order the node streams sorted by.
-    order: Vec<String>,
+    /// The column order the node streams sorted by (`None`: unordered),
+    /// shared with the nodes that pass it up.
+    order: Option<Rc<[String]>>,
     /// A BDCC inner join whose declared foreign key resolves: how many
     /// leading `classes` that key unified across the two sides.
     unified: Option<usize>,
     children: Vec<Props>,
+}
+
+impl Props {
+    fn order(&self) -> &[String] {
+        self.order.as_deref().unwrap_or_default()
+    }
 }
 
 /// Physical subtree plus the positions of the requested group-key columns
@@ -389,10 +397,6 @@ impl<'a> Planner<'a> {
         self.ctx.sdb.bdcc.as_ref().and_then(|s| s.tables.get(&table))
     }
 
-    fn fk_by_name(&self, name: &str) -> Option<&ForeignKey> {
-        self.catalog().fks().iter().find(|f| f.name == name)
-    }
-
     /// The dimension use an alias names (aliases come from clustered scans).
     fn dim_use(&self, a: InstAlias) -> &DimensionUse {
         &self.clustered(a.table).expect("aliases name clustered tables").uses[a.use_idx]
@@ -414,7 +418,7 @@ impl<'a> Planner<'a> {
             | Node::Sort { input, .. }
             | Node::Limit { input, .. } => vec![self.derive(input)],
         };
-        let (mut classes, mut order, mut unified) = (Vec::new(), Vec::new(), None);
+        let (mut classes, mut order, mut unified) = (Vec::new(), None, None);
         match (node, &children[..]) {
             (Node::Scan { scan_id, table, alias, .. }, _)
                 if self.ctx.sdb.scheme != Scheme::Plain =>
@@ -434,10 +438,10 @@ impl<'a> Planner<'a> {
                 }
                 // A PK scan streams in primary-key order.
                 if self.ctx.sdb.scheme == Scheme::Pk {
-                    let pk = self.catalog().table(table_id).primary_key.iter();
-                    order = pk
-                        .map(|c| alias.as_ref().map_or_else(|| c.clone(), |a| alias_column(a, c)))
-                        .collect();
+                    let pk = &self.catalog().table(table_id).primary_key;
+                    let named =
+                        |c| alias.as_ref().map_or_else(|| String::clone(c), |a| alias_column(a, c));
+                    order = Some(pk.iter().map(named).collect());
                 }
             }
             (Node::Filter { .. }, [input]) => {
@@ -447,12 +451,11 @@ impl<'a> Planner<'a> {
                 classes = input.classes.clone();
                 // The longest prefix of the order that survives the
                 // projection as plain column references.
-                order = (input.order.iter())
-                    .map_while(|c| {
-                        let kept = exprs.iter().find(|(e, _)| matches!(e, Expr::Col(n) if n == c));
-                        kept.map(|(_, name)| name.clone())
-                    })
-                    .collect();
+                let renamed = |c: &String| {
+                    let kept = exprs.iter().find(|(e, _)| matches!(e, Expr::Col(n) if n == c));
+                    kept.map(|(_, name)| name.clone())
+                };
+                order = input.order.as_ref().map(|o| o.iter().map_while(renamed).collect());
             }
             (Node::Join { join_type, fk, .. }, [left, right]) => match join_type {
                 JoinType::Inner => {
@@ -466,7 +469,9 @@ impl<'a> Planner<'a> {
                 JoinType::LeftOuter => {}
             },
             (Node::Sort { keys, .. }, _) => {
-                order = keys.iter().take_while(|k| k.ascending).map(|k| k.column.clone()).collect();
+                order = Some(
+                    keys.iter().take_while(|k| k.ascending).map(|k| k.column.clone()).collect(),
+                );
             }
             // Plain scans, aggregates and limits stream neither grouped nor
             // ordered.
@@ -488,8 +493,8 @@ impl<'a> Planner<'a> {
     ) -> (Vec<InstSet>, Option<usize>) {
         // Only BDCC scans have classes for a foreign key to unify.
         let fk = fk.filter(|_| self.ctx.sdb.scheme == Scheme::Bdcc);
-        let Some((f, side)) = fk.and_then(|(name, side)| Some((self.fk_by_name(name)?, *side)))
-        else {
+        let resolve = |name: &String| self.catalog().fks().iter().find(|f| &f.name == name);
+        let Some((f, side)) = fk.and_then(|(name, side)| Some((resolve(name)?, *side))) else {
             return (left.classes.clone(), None);
         };
         let (src, dst) = match side {
@@ -793,14 +798,14 @@ impl<'a> Planner<'a> {
         }
 
         // --- PK: merge join when both sides are ordered on the key -------
-        let leads = |order: &[String], col: &str| order.first().is_some_and(|c| c == col);
+        let leads = |p: &Props, col: &str| p.order().first().is_some_and(|c| c == col);
         if self.ctx.sdb.scheme == Scheme::Pk
             && *join_type == JoinType::Inner
             && on.len() == 1
             && residual.is_none()
             && requested.is_empty()
-            && leads(&lprops.order, &on[0].0)
-            && leads(&rprops.order, &on[0].1)
+            && leads(lprops, &on[0].0)
+            && leads(rprops, &on[0].1)
         {
             let lout = self.build(left, lprops, &[])?;
             let rout = self.build(right, rprops, &[])?;
@@ -862,7 +867,7 @@ impl<'a> Planner<'a> {
         // beat. Leaf scans below them still stream their morsels.
         let sandwich = (self.ctx.sdb.scheme == Scheme::Bdcc)
             .then(|| self.sandwich_instances(input_props, group_by));
-        let order = &input_props.order;
+        let order = input_props.order();
         let streams = !group_by.is_empty()
             && group_by.len() <= order.len()
             && order[..group_by.len()].iter().all(|c| group_by.contains(c));
