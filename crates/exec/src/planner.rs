@@ -511,6 +511,7 @@ impl<'a> Planner<'a> {
             }
         }
         let unified = classes.len();
+        // A left class that took part in a unification is consumed by it.
         for (li, l) in left.classes.iter().enumerate() {
             let merged = match side {
                 FkSide::Left => unified_src.contains(&li),
