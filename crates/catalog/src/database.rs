@@ -29,11 +29,6 @@ impl Database {
         &self.catalog
     }
 
-    /// Mutable access to the catalog (DDL phase only).
-    pub fn catalog_mut(&mut self) -> &mut Catalog {
-        &mut self.catalog
-    }
-
     /// Attach physical storage for a table.
     pub fn attach(&mut self, id: TableId, table: Arc<StoredTable>) {
         self.tables.insert(id, table);

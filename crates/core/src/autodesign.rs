@@ -239,11 +239,6 @@ impl BdccSchema {
     pub fn dimension(&self, id: DimId) -> &Dimension {
         &self.dimensions[id.0]
     }
-
-    /// Find a dimension by name.
-    pub fn dimension_by_name(&self, name: &str) -> Option<&Dimension> {
-        self.dimensions.iter().find(|d| d.name == name)
-    }
 }
 
 /// Steps 1–3 end to end: derive, create dimensions, cluster every table.

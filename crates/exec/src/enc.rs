@@ -66,7 +66,7 @@ use crate::pred::{ColPredicate, PredKind};
 #[derive(Debug, PartialEq, Eq)]
 pub enum BlockVerdict {
     /// Excluded by some predicate's MinMax value range
-    /// ([`ColPredicate::block_may_match`]).
+    /// ([`ColPredicate::value_range`]).
     Pruned,
     /// Eliminated from metadata alone — a dictionary miss or a constant
     /// block's stats — without evaluating any row.

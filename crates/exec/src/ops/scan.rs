@@ -36,28 +36,25 @@
 //! metadata and unselected groups cost nothing — precisely the effect Figure 2
 //! attributes to selection pushdown.
 //!
-//! Width is how the runs are walked, not a second operator: at
-//! `threads: 1`, or when the runs make a single morsel, [`Scan`] walks them
-//! on the calling thread and polls the query's governor before every batch;
-//! otherwise it hands run ranges ([`Morsel`]s) to the shared pool through a
-//! bounded reorder buffer and releases their batches in run order. A batch
-//! never crosses a run and a morsel never splits one, so both walks emit
-//! the same batch stream.
+//! A [`Scan`] walks a range of its runs on the calling thread and polls the
+//! query's governor before every batch. It knows nothing of width: the
+//! executor's one fan-out ([`crate::parallel`]) runs one `Scan` per morsel —
+//! a range of runs ([`Morsel`]) — on the shared pool and releases their
+//! batches in run order, and [`parallel::leaf_scan`](crate::parallel::leaf_scan)
+//! decides between the two. A batch never crosses a run and a morsel never
+//! splits one, so both walks emit the same batch stream.
 
 use std::sync::Arc;
 
-use bdcc_obs::{OpMetrics, SpanTimer};
+use bdcc_obs::OpMetrics;
 use bdcc_storage::{Column, DataType, IoTracker, StoredTable, StrVec};
 
 use crate::batch::{Batch, ColMeta, OpSchema};
 use crate::enc::{BlockVerdict, ScanKernel};
 use crate::error::{ExecError, Result};
 use crate::govern::Governor;
-use crate::memory::{MemoryGuard, MemoryTracker};
 use crate::ops::Operator;
 use crate::parallel::morsel::{split_runs, Morsel};
-use crate::parallel::pool::OrderedStream;
-use crate::parallel::{note_morsel, ParallelConfig};
 use crate::pred::ColPredicate;
 
 /// One row range of the stored table, read as a unit: a selected
@@ -159,6 +156,11 @@ impl ScanBlueprint {
 
     pub fn table(&self) -> &Arc<StoredTable> {
         &self.table
+    }
+
+    /// The projection, then the group-key columns.
+    pub fn schema(&self) -> &OpSchema {
+        &self.schema
     }
 
     /// The runs in output order. A walk over any contiguous index range of
@@ -294,55 +296,19 @@ fn copy_ranges(src: &Column, ranges: &[(usize, usize)], rows: usize) -> Result<C
     Ok(out)
 }
 
-/// In-flight morsel budget of a streaming scan, in units of `threads`:
-/// enough slack that workers rarely park on the reorder buffer, small
-/// enough that peak memory stays O(threads × morsel).
-const STREAM_CAP_PER_THREAD: usize = 2;
-
-/// Finished morsels in run order: each one's batches and the registration
-/// that keeps them charged until the consumer has drained them.
-type MorselStream = OrderedStream<(Vec<Batch>, MemoryGuard), ExecError>;
-
-/// How a [`Scan`] walks its runs.
-enum Walk {
-    /// Runs `[next, end)` on the calling thread.
-    Inline { next: usize, end: usize },
-    /// Morsels on the pool (spawned by the first `next()`): workers push
-    /// `(morsel, batches)` through the bounded reorder buffer; `current`
-    /// drains the released morsel's batches while `mem` keeps them
-    /// registered.
-    Streaming {
-        morsels: Vec<Morsel>,
-        threads: usize,
-        tracker: Arc<MemoryTracker>,
-        stream: Option<MorselStream>,
-        current: std::vec::IntoIter<Batch>,
-        mem: Option<MemoryGuard>,
-    },
-}
-
-/// The leaf scan operator (see the [module docs](self)).
-///
-/// Streaming keeps at most O(`threads`) morsels in flight (backpressure by
-/// submission gating — a stalled consumer parks no worker), so downstream
-/// operators start consuming while the scan is still running and peak
-/// tracked memory is O(threads × morsel) instead of O(table). Each
-/// in-flight morsel's batches are registered with the memory tracker by the
-/// worker that produced them and released when the consumer moves past the
-/// morsel.
+/// The leaf scan operator (see the [module docs](self)): runs
+/// `[next, end)` of its blueprint, walked on the calling thread.
 pub struct Scan {
     blueprint: Arc<ScanBlueprint>,
     io: IoTracker,
-    /// Profiling hook (planner-installed): block-skip counters from every
-    /// walker, morsel counts / latencies from the workers, reorder-buffer
-    /// occupancy from the consumer, the path as an annotation. `None`
+    /// Profiling hook (planner-installed): block-skip counters. `None`
     /// costs nothing.
     metrics: Option<Arc<OpMetrics>>,
-    /// Per-query limits: an inline walk polls them before every batch, a
-    /// streaming producer before every morsel, so cancellation stops the
-    /// scan within one batch / one morsel. Inert by default.
+    /// Per-query limits, polled before every batch, so cancellation stops
+    /// the scan within one batch. Inert by default.
     governor: Governor,
-    walk: Walk,
+    next: usize,
+    end: usize,
     /// Scratch for [`ScanBlueprint::read_run`]: survivor ranges, and their
     /// rows when gathered.
     ranges: Vec<(usize, usize)>,
@@ -350,44 +316,16 @@ pub struct Scan {
 }
 
 impl Scan {
-    /// The whole scan at the width of `cfg`: streamed through the pool when
-    /// wider than one thread and more than one morsel, inline otherwise.
-    pub fn new(
-        blueprint: Arc<ScanBlueprint>,
-        io: IoTracker,
-        cfg: &ParallelConfig,
-        tracker: Arc<MemoryTracker>,
-    ) -> Scan {
-        let morsels = if cfg.threads > 1 { blueprint.morsels(cfg.morsel_rows) } else { Vec::new() };
-        if morsels.len() <= 1 {
-            let runs = 0..blueprint.runs.len();
-            return Scan::over(blueprint, io, runs);
-        }
-        let walk = Walk::Streaming {
-            morsels,
-            threads: cfg.threads,
-            tracker,
-            stream: None,
-            current: Vec::new().into_iter(),
-            mem: None,
-        };
-        Scan::walking(blueprint, io, walk)
-    }
-
-    /// An inline walk over runs `[runs.start, runs.end)` — what a worker
-    /// builds for its morsel.
+    /// A walk over runs `[runs.start, runs.end)`: the whole leaf, or what a
+    /// worker builds for its morsel.
     pub fn over(blueprint: Arc<ScanBlueprint>, io: IoTracker, runs: Morsel) -> Scan {
         let end = runs.end.min(blueprint.runs.len());
-        let walk = Walk::Inline { next: runs.start.min(end), end };
-        Scan::walking(blueprint, io, walk)
+        let next = runs.start.min(end);
+        let (metrics, governor) = (None, Governor::none());
+        Scan { blueprint, io, metrics, governor, next, end, ranges: Vec::new(), rows: Vec::new() }
     }
 
-    fn walking(blueprint: Arc<ScanBlueprint>, io: IoTracker, walk: Walk) -> Scan {
-        let (ranges, rows) = (Vec::new(), Vec::new());
-        Scan { blueprint, io, metrics: None, governor: Governor::none(), walk, ranges, rows }
-    }
-
-    /// The key-less inline scan of a whole table, block by block.
+    /// The key-less scan of a whole table, block by block.
     pub fn blocks<S: AsRef<str>>(
         table: Arc<StoredTable>,
         io: IoTracker,
@@ -399,13 +337,8 @@ impl Scan {
         Ok(Scan::over(blueprint, io, runs))
     }
 
-    /// Attach the profiling metric block (planner-installed) and log the
-    /// path this scan takes.
+    /// Attach the profiling metric block.
     pub fn with_metrics(mut self, metrics: Option<Arc<OpMetrics>>) -> Scan {
-        if let Some(m) = &metrics {
-            let inline = matches!(self.walk, Walk::Inline { .. });
-            m.annotate("path", if inline { "serial" } else { "streaming" });
-        }
         self.metrics = metrics;
         self
     }
@@ -417,91 +350,25 @@ impl Scan {
     }
 }
 
-/// Fan `morsels` out: each pool task walks one morsel inline and publishes
-/// its batches at the morsel's position in the stream.
-fn spawn_stream(
-    blueprint: &Arc<ScanBlueprint>,
-    io: &IoTracker,
-    metrics: &Option<Arc<OpMetrics>>,
-    governor: &Governor,
-    morsels: Vec<Morsel>,
-    threads: usize,
-    tracker: &Arc<MemoryTracker>,
-) -> MorselStream {
-    let (blueprint, io, metrics) = (Arc::clone(blueprint), io.clone(), metrics.clone());
-    let (governor, tracker) = (governor.clone(), Arc::clone(tracker));
-    OrderedStream::spawn(
-        threads,
-        morsels.len(),
-        threads * STREAM_CAP_PER_THREAD,
-        "scan-morsel",
-        move |i| {
-            // One governor poll per morsel: a cancelled/over-deadline
-            // query stops this producer before it scans another morsel.
-            governor.check("scan-morsel")?;
-            let span = metrics.as_ref().map(|_| SpanTimer::start());
-            let mut op = Scan::over(Arc::clone(&blueprint), io.clone(), morsels[i].clone());
-            op.metrics = metrics.clone();
-            let mut out = Vec::new();
-            let mut rows = 0u64;
-            while let Some(b) = op.next()? {
-                rows += b.rows() as u64;
-                out.push(b);
-            }
-            note_morsel(&metrics, span, rows);
-            // Charge the morsel while it sits in the reorder buffer (and
-            // until the consumer finishes draining it); with the in-flight
-            // cap this is what keeps peak O(threads × morsel).
-            let bytes: u64 = out.iter().map(|b| b.estimated_bytes()).sum();
-            Ok((out, tracker.register(bytes)))
-        },
-    )
-}
-
 impl Operator for Scan {
     fn schema(&self) -> &OpSchema {
         &self.blueprint.schema
     }
 
     fn next(&mut self) -> Result<Option<Batch>> {
-        match &mut self.walk {
-            Walk::Inline { next, end } => {
-                // Inline leaves are where an otherwise-unparallel plan
-                // spends its time — poll the governor per batch there.
-                self.governor.check("scan-batch")?;
-                while *next < *end {
-                    let run = &self.blueprint.runs[*next];
-                    *next += 1;
-                    let metrics = self.metrics.as_deref();
-                    let scratch = (&mut self.ranges, &mut self.rows);
-                    if let Some(batch) = self.blueprint.read_run(run, &self.io, metrics, scratch)? {
-                        return Ok(Some(batch));
-                    }
-                }
-                Ok(None)
+        // Inline leaves are where an otherwise-unparallel plan spends its
+        // time — poll the governor per batch there.
+        self.governor.check("scan-batch")?;
+        while self.next < self.end {
+            let run = &self.blueprint.runs[self.next];
+            self.next += 1;
+            let metrics = self.metrics.as_deref();
+            let scratch = (&mut self.ranges, &mut self.rows);
+            if let Some(batch) = self.blueprint.read_run(run, &self.io, metrics, scratch)? {
+                return Ok(Some(batch));
             }
-            Walk::Streaming { morsels, threads, tracker, stream, current, mem } => loop {
-                if let Some(b) = current.next() {
-                    return Ok(Some(b));
-                }
-                *mem = None; // previous morsel fully drained
-                let stream = stream.get_or_insert_with(|| {
-                    let (io, morsels) = (&self.io, std::mem::take(morsels));
-                    let (metrics, governor) = (&self.metrics, &self.governor);
-                    spawn_stream(&self.blueprint, io, metrics, governor, morsels, *threads, tracker)
-                });
-                if let Some(m) = &self.metrics {
-                    m.occupancy_hwm.record(stream.buffered() as u64);
-                }
-                match stream.recv()? {
-                    Some((batches, guard)) => {
-                        *current = batches.into_iter();
-                        *mem = Some(guard);
-                    }
-                    None => return Ok(None),
-                }
-            },
         }
+        Ok(None)
     }
 }
 
@@ -509,7 +376,9 @@ impl Operator for Scan {
 mod tests {
     use super::*;
     use crate::expr::Expr;
+    use crate::memory::MemoryTracker;
     use crate::ops::collect;
+    use crate::parallel::{leaf_scan, FanOutEnv, ParallelConfig};
     use bdcc_storage::{Datum, TableBuilder};
     use proptest::prelude::*;
 
@@ -813,82 +682,11 @@ mod tests {
         assert_eq!(t.rows(), 1);
     }
 
-    // --- width: streaming replays the inline walk --------------------------
-
-    fn wide_table(rows: usize) -> Arc<StoredTable> {
-        let k: Vec<i64> = (0..rows as i64).collect();
-        let g: Vec<i64> = (0..rows as i64).map(|i| i % 7).collect();
-        let f: Vec<f64> = (0..rows).map(|i| (i as f64) * 0.37).collect();
-        Arc::new(
-            StoredTable::from_columns_with_block_rows(
-                "t",
-                vec![
-                    ("k".into(), Column::from_i64(k)),
-                    ("g".into(), Column::from_i64(g)),
-                    ("f".into(), Column::from_f64(f)),
-                ],
-                16,
-            )
-            .unwrap(),
-        )
-    }
-
-    /// Every batch of the scan at width `cfg`, in order.
+    /// Every batch of the leaf over `blueprint` at width `cfg`, in order.
     fn batches_at(blueprint: &Arc<ScanBlueprint>, cfg: &ParallelConfig) -> Vec<Batch> {
-        let mut scan =
-            Scan::new(Arc::clone(blueprint), IoTracker::new(), cfg, MemoryTracker::new());
+        let env = FanOutEnv::new(IoTracker::new(), MemoryTracker::new());
+        let mut scan = leaf_scan(Arc::clone(blueprint), cfg, env);
         std::iter::from_fn(|| scan.next().unwrap()).collect()
-    }
-
-    #[test]
-    fn streaming_replays_the_inline_batch_stream() {
-        let serial = ParallelConfig { threads: 1, morsel_rows: 64 };
-        let plain = ScanBlueprint::blocks(wide_table(1000), &["k", "g", "f"], vec![]).unwrap();
-        assert_eq!(
-            batches_at(&plain, &serial),
-            batches_at(&plain, &ParallelConfig { threads: 3, morsel_rows: 64 })
-        );
-        let preds = vec![ColPredicate::ge("k", 100i64), ColPredicate::le("k", 399i64)];
-        let pruned = ScanBlueprint::blocks(wide_table(500), &["k", "f"], preds).unwrap();
-        let inline = batches_at(&pruned, &serial);
-        assert_eq!(inline.iter().map(Batch::rows).sum::<usize>(), 300);
-        assert_eq!(inline, batches_at(&pruned, &ParallelConfig { threads: 4, morsel_rows: 32 }));
-    }
-
-    #[test]
-    fn one_oversized_morsel_polls_the_governor_per_batch() {
-        // Wider than one thread and bigger than a morsel, yet a single
-        // morsel (a tiny run, then an oversized one that closes it): the
-        // scan walks inline and must poll like any other inline leaf.
-        let runs = vec![
-            Run { start: 0, count: 1, keys: vec![] },
-            Run { start: 1, count: 99, keys: vec![] },
-        ];
-        let blueprint = ScanBlueprint::new(wide_table(100), &["k"], vec![], &[], runs).unwrap();
-        let cfg = ParallelConfig { threads: 4, morsel_rows: 8 };
-        assert_eq!(blueprint.morsels(cfg.morsel_rows), vec![0..2]);
-        let governed = |governor: Governor| {
-            Scan::new(Arc::clone(&blueprint), IoTracker::new(), &cfg, MemoryTracker::new())
-                .with_governor(governor)
-        };
-
-        let tracker = MemoryTracker::new();
-        let token = bdcc_pool::CancelToken::new();
-        let mut governor = Governor::none();
-        governor.set_cancel(token.clone(), &tracker);
-        let mut scan = governed(governor);
-        assert_eq!(scan.next().unwrap().expect("first run").rows(), 1);
-        token.cancel();
-        assert_eq!(scan.next(), Err(ExecError::Cancelled), "the second batch is never read");
-
-        // The checkpoint is the inline leaf's: an injected fault names it.
-        let plan = bdcc_pool::FaultPlan::parse("err=1.0,seed=9").unwrap();
-        let mut governor = Governor::none();
-        governor.set_injector(Arc::new(bdcc_pool::FaultInjector::new(plan)), &tracker);
-        match governed(governor).next() {
-            Err(ExecError::Injected(msg)) => assert!(msg.contains("scan-batch"), "{msg}"),
-            other => panic!("expected an injected error at scan-batch, got {other:?}"),
-        }
     }
 
     // --- survivors: copied by range or gathered -----------------------------

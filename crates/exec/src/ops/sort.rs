@@ -2,7 +2,7 @@
 
 use std::sync::Arc;
 
-use bdcc_storage::{Column, Datum};
+use bdcc_storage::Column;
 
 use crate::batch::{Batch, OpSchema};
 use crate::error::{ExecError, Result};
@@ -118,51 +118,6 @@ fn cmp_values(col: &Column, a: usize, b: usize) -> std::cmp::Ordering {
     }
 }
 
-/// Row-count limit without ordering.
-pub struct Limit {
-    input: BoxedOp,
-    remaining: usize,
-    schema: OpSchema,
-}
-
-impl Limit {
-    pub fn new(input: BoxedOp, n: usize) -> Limit {
-        let schema = input.schema().clone();
-        Limit { input, remaining: n, schema }
-    }
-}
-
-impl Operator for Limit {
-    fn schema(&self) -> &OpSchema {
-        &self.schema
-    }
-
-    fn next(&mut self) -> Result<Option<Batch>> {
-        if self.remaining == 0 {
-            return Ok(None);
-        }
-        match self.input.next()? {
-            None => Ok(None),
-            Some(b) => {
-                if b.rows() <= self.remaining {
-                    self.remaining -= b.rows();
-                    Ok(Some(b))
-                } else {
-                    let take = self.remaining;
-                    self.remaining = 0;
-                    Ok(Some(Batch::new(b.columns.iter().map(|c| c.slice(0, take)).collect())))
-                }
-            }
-        }
-    }
-}
-
-/// Render a batch as sorted result rows (testing/diagnostics helper):
-/// each row a `Vec<Datum>`.
-pub fn batch_to_rows(b: &Batch) -> Vec<Vec<Datum>> {
-    (0..b.rows()).map(|r| b.row(r)).collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -226,13 +181,6 @@ mod tests {
         .unwrap();
         let out = collect(Box::new(s)).unwrap();
         assert_eq!(out.columns[0].as_i64().unwrap(), &[9, 7]);
-    }
-
-    #[test]
-    fn limit_truncates_mid_batch() {
-        let l = Limit::new(Box::new(Source::ints((0..10).collect(), 4)), 6);
-        let out = collect(Box::new(l)).unwrap();
-        assert_eq!(out.rows(), 6);
     }
 
     #[test]

@@ -69,8 +69,8 @@ impl Operator for Filter {
 
 impl Drop for Filter {
     fn drop(&mut self) {
-        // Limit queries can drop the operator before exhaustion; make
-        // sure the annotations still reach the profile.
+        // A consumer can drop the operator before exhaustion; make sure
+        // the annotations still reach the profile.
         self.flush_annotations();
     }
 }

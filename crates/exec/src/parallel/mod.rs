@@ -16,35 +16,41 @@
 //! ([`morsel::split_runs`]: whole runs, coalesced up to the row budget), so
 //! morsel boundaries are batch boundaries of the inline walk.
 //!
-//! One **persistent, process-wide [worker pool](pool::WorkerPool)** of
-//! `std` threads (`bdcc-pool`, whose module docs hold the contracts)
-//! executes per-morsel operator fragments — scan, then any filter/project
-//! steps, then (when the plan shape allows) a per-worker *partial
-//! aggregate*. The pool's workers are created once (warmed by
-//! [`QueryContext::with_parallel`]) and parked between fan-outs, so an
-//! aggregation fan-out costs queue operations, not thread create/join;
-//! nested fan-outs are deadlock-free because a blocked fan-out lends its
-//! calling thread to the pool. The leaf scan itself streams: wider than
-//! one thread and longer than one morsel, [`Scan`] submits its morsels to
-//! the same pool through a **bounded reorder buffer**
-//! ([`pool::OrderedStream`]), so downstream
-//! operators consume batches while workers are still scanning and peak
-//! memory stays O(threads × morsel) instead of O(table); at one thread or
-//! one morsel the same operator walks its runs on the calling thread.
+//! ## The one fan-out
 //!
-//! Those two leaf fan-outs are all of it: everything above a leaf — join
-//! builds and probes, sorts, every other aggregate — runs on the calling
-//! thread, as at width 1.
+//! Everything parallel in the executor is one primitive, `FanOut`: it
+//! runs a [`FragmentBlueprint`] — the leaf scan, then any filter/project
+//! steps — over each morsel on the **persistent, process-wide
+//! [worker pool](pool::WorkerPool)** (`bdcc-pool`, whose module docs hold
+//! the contracts), folds the morsel's batches into one value, keeps that
+//! value charged to the operator's memory tracker while it is in flight,
+//! and releases the values **in morsel order** through a bounded reorder
+//! buffer ([`pool::OrderedStream`], two morsels per thread). Its one
+//! worker body polls the governor once per morsel and books the morsel
+//! metrics; the site label (`scan-morsel`, `agg-partial`) names the fan-out
+//! in both. Two operators fold with it:
+//!
+//! * the **streamed leaf** ([`leaf_scan`]) folds a morsel into its batches
+//!   and hands them downstream in run order, so operators above consume
+//!   while workers are still scanning and peak memory stays
+//!   O(threads × morsel) instead of O(table);
+//! * [`ParallelAggregate`] folds a morsel into a [`PartialAgg`] and merges
+//!   the partials in morsel order as they arrive.
+//!
+//! [`leaf_scan`] is also where inline or streamed is decided
+//! (`ParallelConfig::split`): wider than one thread and more than one
+//! morsel streams, everything else walks its runs on the calling thread.
+//! Everything above a leaf — join builds and probes, sorts, every other
+//! aggregate — runs on the calling thread, as at width 1.
 //!
 //! ## Merge contracts
 //!
 //! Partial results are merged **in morsel order**, never in completion
 //! order:
 //!
-//! * leaf streams concatenate ordered ([`pool::OrderedStream`]),
-//!   reproducing the inline walk's batch stream *exactly* — every
-//!   downstream serial operator therefore behaves identically to serial
-//!   execution;
+//! * leaf streams concatenate ordered, reproducing the inline walk's batch
+//!   stream *exactly* — every downstream serial operator therefore behaves
+//!   identically to serial execution;
 //! * partial hash-aggregation states fold left-to-right
 //!   ([`ParallelAggregate`]), reproducing the serial first-seen group
 //!   order and exact integer aggregates; float Sum/Avg use
@@ -59,21 +65,20 @@
 //! Per-morsel partials have nothing to shed, so under an active
 //! [`MemoryBroker`](crate::broker::MemoryBroker) the planner builds no
 //! [`ParallelAggregate`]: the serial
-//! [`HashAggregate`](crate::ops::agg::HashAggregate) above the streaming
-//! scan is the aggregate that spills.
+//! [`HashAggregate`](crate::ops::agg::HashAggregate) above the streamed
+//! leaf is the aggregate that spills.
 //!
 //! ## Opting in
 //!
 //! Width is a value: every [`QueryContext`] carries a [`ParallelConfig`],
 //! and `threads: 1` — what [`QueryContext::new`] installs — is serial
 //! execution. [`QueryContext::with_parallel`] installs a wider one; every
-//! leaf [`Scan`] then streams when it is longer than one morsel, and the
-//! planner swaps eligible leaf aggregates for [`ParallelAggregate`]
-//! (broker inert). The rest of the operator tree is the serial one.
+//! leaf then streams when it is longer than one morsel, and the planner
+//! swaps eligible leaf aggregates for [`ParallelAggregate`] (broker
+//! inert). The rest of the operator tree is the serial one.
 //! The two fields of the config are the whole configuration: nothing in
 //! the environment changes what a given [`ParallelConfig`] does.
 //!
-//! [`Scan`]: crate::ops::scan::Scan
 //! [`QueryContext`]: crate::planner::QueryContext
 //! [`QueryContext::new`]: crate::planner::QueryContext::new
 //! [`QueryContext::with_parallel`]: crate::planner::QueryContext::with_parallel
@@ -92,10 +97,10 @@ use bdcc_obs::{OpMetrics, SpanTimer};
 use bdcc_storage::IoTracker;
 
 use crate::batch::{Batch, OpSchema};
-use crate::error::Result;
+use crate::error::{ExecError, Result};
 use crate::expr::Expr;
 use crate::govern::Governor;
-use crate::memory::MemoryTracker;
+use crate::memory::{MemoryGuard, MemoryTracker};
 use crate::ops::agg::{AggSpec, PartialAgg};
 use crate::ops::scan::{Scan, ScanBlueprint};
 use crate::ops::transform::{Filter, Project};
@@ -108,6 +113,12 @@ pub use morsel::Morsel;
 /// slack that keeps every worker busy to the end of a fan-out), large
 /// enough that per-morsel setup is noise.
 pub const DEFAULT_MORSEL_ROWS: usize = 8192;
+
+/// Morsels a fan-out keeps alive per thread — running, finished and
+/// waiting for their turn, or held by the consumer: enough slack that
+/// workers rarely wait on the consumer, small enough that peak memory stays
+/// O(threads × morsel).
+const WINDOW_PER_THREAD: usize = 2;
 
 /// Parallel execution parameters.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -127,6 +138,17 @@ impl ParallelConfig {
     /// Is splitting a `rows`-row leaf worth the fan-out?
     pub(crate) fn worth_splitting(&self, rows: usize) -> bool {
         self.threads > 1 && rows > self.morsel_rows
+    }
+
+    /// The morsels a streamed leaf over `scan` runs, or `None` when the
+    /// scan is walked inline: at one thread, or when its runs make one
+    /// morsel.
+    pub(crate) fn split(&self, scan: &ScanBlueprint) -> Option<Vec<Morsel>> {
+        if self.threads <= 1 {
+            return None;
+        }
+        let morsels = scan.morsels(self.morsel_rows);
+        (morsels.len() > 1).then_some(morsels)
     }
 }
 
@@ -154,9 +176,16 @@ pub struct FragmentBlueprint {
 }
 
 impl FragmentBlueprint {
-    /// Build the fragment operator over one morsel of the leaf's runs.
-    pub fn build(&self, io: &IoTracker, morsel: Morsel) -> Result<BoxedOp> {
-        let mut op: BoxedOp = Box::new(Scan::over(Arc::clone(&self.scan), io.clone(), morsel));
+    /// Build the fragment operator over one morsel of the leaf's runs; its
+    /// scan books the blocks it skips on `metrics`.
+    pub(crate) fn build(
+        &self,
+        io: &IoTracker,
+        morsel: Morsel,
+        metrics: Option<Arc<OpMetrics>>,
+    ) -> Result<BoxedOp> {
+        let scan = Scan::over(Arc::clone(&self.scan), io.clone(), morsel).with_metrics(metrics);
+        let mut op: BoxedOp = Box::new(scan);
         for step in &self.steps {
             op = match step {
                 FragmentStep::Filter(e) => Box::new(Filter::new(op, e.clone())?),
@@ -167,86 +196,205 @@ impl FragmentBlueprint {
     }
 }
 
-/// Book one finished morsel task of `rows` rows, timed by `span`, on an
-/// operator's metric block (both `None` unprofiled: a no-op).
-pub(crate) fn note_morsel(metrics: &Option<Arc<OpMetrics>>, span: Option<SpanTimer>, rows: u64) {
-    if let (Some(m), Some(span)) = (metrics, span) {
-        m.morsels.add(1);
-        m.morsel_rows.add(rows);
-        m.morsel_nanos.record(span.elapsed_nanos());
+/// What a fan-out's morsels read through, are charged to and answer to.
+#[derive(Clone)]
+pub struct FanOutEnv {
+    pub(crate) io: IoTracker,
+    /// Every morsel's folded value is registered here while in flight.
+    pub(crate) tracker: Arc<MemoryTracker>,
+    /// Profiling hook (planner-installed): block skips, morsel counts and
+    /// latencies from the workers, reorder-buffer occupancy from the
+    /// consumer. `None` costs nothing.
+    pub(crate) metrics: Option<Arc<OpMetrics>>,
+    /// Per-query limits: polled once per morsel, so cancellation stops a
+    /// fan-out within one morsel. Inert by default.
+    pub(crate) governor: Governor,
+}
+
+impl FanOutEnv {
+    /// Unprofiled and ungoverned.
+    pub fn new(io: IoTracker, tracker: Arc<MemoryTracker>) -> FanOutEnv {
+        FanOutEnv { io, tracker, metrics: None, governor: Governor::none() }
+    }
+}
+
+/// What a worker folds one morsel's batches into.
+pub(crate) trait MorselFold: Clone + Send + Sync + 'static {
+    fn fold(&mut self, batch: Batch) -> Result<()>;
+    /// The bytes the folded value holds, charged while it is in flight.
+    fn estimated_bytes(&self) -> u64;
+}
+
+impl MorselFold for Vec<Batch> {
+    fn fold(&mut self, batch: Batch) -> Result<()> {
+        self.push(batch);
+        Ok(())
+    }
+
+    fn estimated_bytes(&self) -> u64 {
+        self.iter().map(Batch::estimated_bytes).sum()
+    }
+}
+
+impl MorselFold for PartialAgg {
+    fn fold(&mut self, batch: Batch) -> Result<()> {
+        self.consume(&batch)
+    }
+
+    fn estimated_bytes(&self) -> u64 {
+        PartialAgg::estimated_bytes(self)
+    }
+}
+
+/// The executor's one fan-out (see the [module docs](self)): each pool task
+/// builds the fragment over one morsel and folds its batches into a copy of
+/// `empty`; [`recv`](Self::recv) returns the folded values in morsel order,
+/// each with the registration that keeps it charged until the consumer
+/// drops it. Nothing runs before the first `recv`.
+pub(crate) struct FanOut<T> {
+    fragment: Arc<FragmentBlueprint>,
+    morsels: Vec<Morsel>,
+    empty: T,
+    env: FanOutEnv,
+    threads: usize,
+    /// Names the fan-out in governor checkpoints and worker panics.
+    site: &'static str,
+    stream: Option<pool::OrderedStream<(T, MemoryGuard), ExecError>>,
+}
+
+impl<T: MorselFold> FanOut<T> {
+    pub(crate) fn new(
+        fragment: Arc<FragmentBlueprint>,
+        morsels: Vec<Morsel>,
+        empty: T,
+        env: FanOutEnv,
+        threads: usize,
+        site: &'static str,
+    ) -> FanOut<T> {
+        FanOut { fragment, morsels, empty, env, threads, site, stream: None }
+    }
+
+    /// The next morsel's value in morsel order, `None` after the last.
+    pub(crate) fn recv(&mut self) -> Result<Option<(T, MemoryGuard)>> {
+        if self.stream.is_none() {
+            self.stream = Some(self.spawn());
+        }
+        let stream = self.stream.as_mut().expect("spawned above");
+        if let Some(m) = &self.env.metrics {
+            m.occupancy_hwm.record(stream.buffered() as u64);
+        }
+        stream.recv()
+    }
+
+    fn spawn(&mut self) -> pool::OrderedStream<(T, MemoryGuard), ExecError> {
+        let (fragment, morsels) = (Arc::clone(&self.fragment), std::mem::take(&mut self.morsels));
+        let (empty, env, site) = (self.empty.clone(), self.env.clone(), self.site);
+        let window = self.threads * WINDOW_PER_THREAD;
+        pool::OrderedStream::spawn(self.threads, morsels.len(), window, site, move |i| {
+            env.governor.check(site)?;
+            let span = env.metrics.as_ref().map(|_| SpanTimer::start());
+            let mut op = fragment.build(&env.io, morsels[i].clone(), env.metrics.clone())?;
+            let (mut out, mut rows) = (empty.clone(), 0u64);
+            while let Some(b) = op.next()? {
+                rows += b.rows() as u64;
+                out.fold(b)?;
+            }
+            if let (Some(m), Some(span)) = (&env.metrics, span) {
+                m.morsels.add(1);
+                m.morsel_rows.add(rows);
+                m.morsel_nanos.record(span.elapsed_nanos());
+            }
+            let bytes = out.estimated_bytes();
+            Ok((out, env.tracker.register(bytes)))
+        })
+    }
+}
+
+/// The leaf scan at the width of `cfg`: streamed through a `FanOut` when
+/// `ParallelConfig::split` says so, walked inline otherwise. Logs the
+/// path it takes on `env.metrics`.
+pub fn leaf_scan(blueprint: Arc<ScanBlueprint>, cfg: &ParallelConfig, env: FanOutEnv) -> BoxedOp {
+    let morsels = cfg.split(&blueprint);
+    if let Some(m) = &env.metrics {
+        m.annotate("path", if morsels.is_some() { "streaming" } else { "serial" });
+    }
+    let Some(morsels) = morsels else {
+        let runs = 0..blueprint.runs().len();
+        let scan = Scan::over(blueprint, env.io, runs).with_metrics(env.metrics);
+        return Box::new(scan.with_governor(env.governor));
+    };
+    let schema = blueprint.schema().clone();
+    let fragment = Arc::new(FragmentBlueprint { scan: blueprint, steps: Vec::new() });
+    let stream = FanOut::new(fragment, morsels, Vec::new(), env, cfg.threads, "scan-morsel");
+    Box::new(StreamedScan { schema, stream, current: Vec::new().into_iter(), mem: None })
+}
+
+/// A leaf whose morsels fold into their batches: the consumer drains each
+/// morsel's batches in run order while its registration stays held.
+struct StreamedScan {
+    schema: OpSchema,
+    stream: FanOut<Vec<Batch>>,
+    current: std::vec::IntoIter<Batch>,
+    mem: Option<MemoryGuard>,
+}
+
+impl Operator for StreamedScan {
+    fn schema(&self) -> &OpSchema {
+        &self.schema
+    }
+
+    fn next(&mut self) -> Result<Option<Batch>> {
+        loop {
+            if let Some(b) = self.current.next() {
+                return Ok(Some(b));
+            }
+            self.mem = None; // previous morsel fully drained
+            let Some((batches, guard)) = self.stream.recv()? else { return Ok(None) };
+            self.current = batches.into_iter();
+            self.mem = Some(guard);
+        }
     }
 }
 
 /// Morsel-parallel partial-merge aggregation over a scan fragment: each
-/// worker runs scan→filter→project over its morsels and accumulates a
-/// [`PartialAgg`]; partials fold in morsel order and flush once (the
-/// module docs explain why this reproduces serial results). Nothing here can be shed:
-/// per-morsel partials re-materialize the groups they see, so peak state is
-/// O(groups × morsels sharing a group), and a caller who needs bounded peak
-/// memory sets a budget
+/// morsel folds into a [`PartialAgg`] on the pool, and the partials merge
+/// in morsel order as they arrive and flush once (the module docs explain
+/// why this reproduces serial results). Tracked state is the running merge
+/// plus the fan-out's window of partials. Nothing here can be shed:
+/// per-morsel partials re-materialize the groups they see, and a caller
+/// who needs bounded peak memory sets a budget
 /// ([`QueryContext::with_memory_budget`](crate::planner::QueryContext::with_memory_budget)),
 /// under which the planner builds the spilling
 /// [`HashAggregate`](crate::ops::agg::HashAggregate) instead.
 pub struct ParallelAggregate {
-    fragment: FragmentBlueprint,
-    /// An empty partial: every morsel's starts as a copy of it.
+    partials: FanOut<PartialAgg>,
+    /// An empty partial: the output schema, and the zero row of a global
+    /// aggregate over no morsels.
     empty: PartialAgg,
-    io: IoTracker,
-    cfg: ParallelConfig,
-    tracker: Arc<MemoryTracker>,
     done: bool,
-    /// Profiling hook (planner-installed): morsel counts/latencies from
-    /// the fan-out workers. `None` costs nothing.
-    metrics: Option<Arc<OpMetrics>>,
-    /// Per-query limits, polled once per fan-out task. Inert by default.
-    governor: Governor,
 }
 
 impl ParallelAggregate {
+    /// The aggregate over every morsel of `fragment` at `cfg`'s width.
     pub fn new(
         fragment: FragmentBlueprint,
         group_by: &[&str],
         aggs: Vec<AggSpec>,
-        io: IoTracker,
-        cfg: ParallelConfig,
-        tracker: Arc<MemoryTracker>,
+        cfg: &ParallelConfig,
+        env: FanOutEnv,
     ) -> Result<ParallelAggregate> {
-        let empty = PartialAgg::new(fragment.build(&io, 0..0)?.schema(), group_by, &aggs)?;
-        Ok(ParallelAggregate {
-            fragment,
-            empty,
-            io,
-            cfg,
-            tracker,
-            done: false,
-            metrics: None,
-            governor: Governor::none(),
-        })
-    }
-
-    /// Attach the profiling metric block (planner-installed).
-    pub fn with_metrics(mut self, metrics: Option<Arc<OpMetrics>>) -> ParallelAggregate {
-        self.metrics = metrics;
-        self
-    }
-
-    /// Attach the query's governor (planner-installed).
-    pub fn with_governor(mut self, governor: Governor) -> ParallelAggregate {
-        self.governor = governor;
-        self
-    }
-
-    /// Aggregate one morsel into a fresh partial (the partial-merge
-    /// worker body). Also returns the morsel's row count (profiling).
-    fn morsel_partial(&self, morsel: &Morsel) -> Result<(PartialAgg, u64)> {
-        let mut op = self.fragment.build(&self.io, morsel.clone())?;
-        let mut p = self.empty.clone();
-        let mut rows = 0u64;
-        while let Some(b) = op.next()? {
-            rows += b.rows() as u64;
-            p.consume(&b)?;
-        }
-        Ok((p, rows))
+        let schema = fragment.build(&env.io, 0..0, None)?.schema().clone();
+        let empty = PartialAgg::new(&schema, group_by, &aggs)?;
+        let morsels = fragment.scan.morsels(cfg.morsel_rows);
+        let partials = FanOut::new(
+            Arc::new(fragment),
+            morsels,
+            empty.clone(),
+            env,
+            cfg.threads,
+            "agg-partial",
+        );
+        Ok(ParallelAggregate { partials, empty, done: false })
     }
 }
 
@@ -256,35 +404,24 @@ impl Operator for ParallelAggregate {
     }
 
     fn next(&mut self) -> Result<Option<Batch>> {
-        if self.done {
+        if std::mem::replace(&mut self.done, true) {
             return Ok(None);
         }
-        self.done = true;
-        let morsels = self.fragment.scan.morsels(self.cfg.morsel_rows);
-        let mut partials = pool::WorkerPool::shared().scope_run(
-            self.cfg.threads,
-            morsels.len(),
-            "agg-partial",
-            |i| -> Result<PartialAgg> {
-                self.governor.check("agg-partial")?;
-                let span = self.metrics.as_ref().map(|_| SpanTimer::start());
-                let (p, rows) = self.morsel_partial(&morsels[i])?;
-                note_morsel(&self.metrics, span, rows);
-                Ok(p)
-            },
-        )?;
-        if partials.is_empty() {
-            // No morsels: the global aggregate's zero row.
-            partials.push(self.empty.clone());
+        // The first partial starts the merge and keeps its registration,
+        // resized as the merge grows; each later one stays charged until
+        // it has been merged.
+        let mut merged: Option<(PartialAgg, MemoryGuard)> = None;
+        while let Some((p, guard)) = self.partials.recv()? {
+            match &mut merged {
+                None => merged = Some((p, guard)),
+                Some((acc, mem)) => {
+                    acc.merge(p)?;
+                    mem.resize(acc.estimated_bytes());
+                }
+            }
         }
-        let bytes: u64 = partials.iter().map(|p| p.estimated_bytes()).sum();
-        let _mem = self.tracker.register(bytes);
-        // Fold in morsel order (module docs) and flush once.
-        let mut partials = partials.into_iter();
-        let mut acc = partials.next().expect("at least the empty partial");
-        for p in partials {
-            acc.merge(p)?;
-        }
+        // No morsels: the global aggregate's zero row.
+        let Some((mut acc, _mem)) = merged else { return Ok(Some(self.empty.clone().finish())) };
         Ok(Some(acc.finish()))
     }
 }
@@ -294,6 +431,7 @@ mod tests {
     use super::*;
     use crate::ops::agg::{AggFunc, HashAggregate};
     use crate::ops::collect;
+    use crate::ops::scan::Run;
     use crate::pred::ColPredicate;
     use bdcc_storage::{Column, StoredTable};
 
@@ -344,9 +482,8 @@ mod tests {
                 FragmentBlueprint { scan: blueprint(&t, vec![]), steps: vec![] },
                 &["g"],
                 aggs,
-                io,
-                cfg,
-                MemoryTracker::new(),
+                &cfg,
+                FanOutEnv::new(io, MemoryTracker::new()),
             )
             .unwrap(),
         ))
@@ -372,9 +509,8 @@ mod tests {
                 FragmentBlueprint { scan: bp, steps: vec![] },
                 &[],
                 aggs,
-                io,
-                cfg,
-                MemoryTracker::new(),
+                &cfg,
+                FanOutEnv::new(io, MemoryTracker::new()),
             )
             .unwrap(),
         ))
@@ -397,9 +533,8 @@ mod tests {
                 FragmentBlueprint { scan: blueprint(&t, vec![]), steps },
                 &["g"],
                 vec![AggSpec::new(AggFunc::Count, Expr::lit(1), "n")],
-                io,
-                cfg,
-                MemoryTracker::new(),
+                &cfg,
+                FanOutEnv::new(io, MemoryTracker::new()),
             )
             .unwrap(),
         ))
@@ -409,5 +544,99 @@ mod tests {
         let total: i64 = par.columns[1].as_i64().unwrap().iter().sum();
         assert_eq!(total, 300);
         assert_eq!(par.rows(), 7);
+    }
+
+    #[test]
+    fn partial_merge_holds_a_window_of_partials() {
+        // g = row % 7 repeats in every 32-row morsel: every partial holds
+        // all seven groups, and so does the merge — one partial's bytes.
+        let t = table(2000);
+        let cfg = ParallelConfig { threads: 2, morsel_rows: 32 };
+        let bp = blueprint(&t, vec![]);
+        let morsels = bp.morsels(cfg.morsel_rows).len() as u64;
+        let aggs = vec![
+            AggSpec::new(AggFunc::Sum, Expr::col("k"), "sk"),
+            AggSpec::new(AggFunc::Count, Expr::lit(1), "n"),
+        ];
+        let mut one = PartialAgg::new(bp.schema(), &["g"], &aggs).unwrap();
+        let first = Scan::over(Arc::clone(&bp), IoTracker::new(), 0..2);
+        one.consume(&collect(Box::new(first)).unwrap()).unwrap();
+        let partial = one.estimated_bytes();
+        let window = (cfg.threads * WINDOW_PER_THREAD) as u64;
+        assert!(morsels > 4 * window, "{morsels} morsels");
+
+        let tracker = MemoryTracker::new();
+        let fragment = FragmentBlueprint { scan: bp, steps: vec![] };
+        let env = FanOutEnv::new(IoTracker::new(), tracker.clone());
+        let agg = ParallelAggregate::new(fragment, &["g"], aggs, &cfg, env);
+        assert_eq!(collect(Box::new(agg.unwrap())).unwrap().rows(), 7);
+        assert!(
+            tracker.peak() <= (window + 1) * partial,
+            "peak {} over {} partials of {partial} bytes",
+            tracker.peak(),
+            window + 1
+        );
+        assert_eq!(tracker.current(), 0);
+    }
+
+    // --- the leaf: streaming replays the inline walk -----------------------
+
+    /// Every batch of the leaf over `blueprint` at width `cfg`, in order.
+    fn batches_at(blueprint: &Arc<ScanBlueprint>, cfg: &ParallelConfig) -> Vec<Batch> {
+        let env = FanOutEnv::new(IoTracker::new(), MemoryTracker::new());
+        let mut scan = leaf_scan(Arc::clone(blueprint), cfg, env);
+        std::iter::from_fn(|| scan.next().unwrap()).collect()
+    }
+
+    #[test]
+    fn streaming_replays_the_inline_batch_stream() {
+        let serial = ParallelConfig { threads: 1, morsel_rows: 64 };
+        let plain = ScanBlueprint::blocks(table(1000), &["k", "g", "f"], vec![]).unwrap();
+        assert_eq!(
+            batches_at(&plain, &serial),
+            batches_at(&plain, &ParallelConfig { threads: 3, morsel_rows: 64 })
+        );
+        let preds = vec![ColPredicate::ge("k", 100i64), ColPredicate::le("k", 399i64)];
+        let pruned = ScanBlueprint::blocks(table(500), &["k", "f"], preds).unwrap();
+        let inline = batches_at(&pruned, &serial);
+        assert_eq!(inline.iter().map(Batch::rows).sum::<usize>(), 300);
+        assert_eq!(inline, batches_at(&pruned, &ParallelConfig { threads: 4, morsel_rows: 32 }));
+    }
+
+    #[test]
+    fn one_oversized_morsel_polls_the_governor_per_batch() {
+        // Wider than one thread and bigger than a morsel, yet a single
+        // morsel (a tiny run, then an oversized one that closes it): the
+        // leaf walks inline and must poll like any other inline leaf.
+        let runs = vec![
+            Run { start: 0, count: 1, keys: vec![] },
+            Run { start: 1, count: 99, keys: vec![] },
+        ];
+        let blueprint = ScanBlueprint::new(table(100), &["k"], vec![], &[], runs).unwrap();
+        let cfg = ParallelConfig { threads: 4, morsel_rows: 8 };
+        assert_eq!(blueprint.morsels(cfg.morsel_rows), vec![0..2]);
+        assert_eq!(cfg.split(&blueprint), None);
+        let governed = |governor: Governor| {
+            let env = FanOutEnv::new(IoTracker::new(), MemoryTracker::new());
+            leaf_scan(Arc::clone(&blueprint), &cfg, FanOutEnv { governor, ..env })
+        };
+
+        let tracker = MemoryTracker::new();
+        let token = bdcc_pool::CancelToken::new();
+        let mut governor = Governor::none();
+        governor.set_cancel(token.clone(), &tracker);
+        let mut scan = governed(governor);
+        assert_eq!(scan.next().unwrap().expect("first run").rows(), 1);
+        token.cancel();
+        assert_eq!(scan.next(), Err(ExecError::Cancelled), "the second batch is never read");
+
+        // The checkpoint is the inline leaf's: an injected fault names it.
+        let plan = bdcc_pool::FaultPlan::parse("err=1.0,seed=9").unwrap();
+        let mut governor = Governor::none();
+        governor.set_injector(Arc::new(bdcc_pool::FaultInjector::new(plan)), &tracker);
+        match governed(governor).next() {
+            Err(ExecError::Injected(msg)) => assert!(msg.contains("scan-batch"), "{msg}"),
+            other => panic!("expected an injected error at scan-batch, got {other:?}"),
+        }
     }
 }

@@ -61,10 +61,6 @@ pub enum Node {
         keys: Vec<SortKey>,
         limit: Option<usize>,
     },
-    Limit {
-        input: Box<Node>,
-        n: usize,
-    },
 }
 
 impl Node {
@@ -82,8 +78,7 @@ impl Node {
             Node::Filter { input, .. }
             | Node::Project { input, .. }
             | Node::Aggregate { input, .. }
-            | Node::Sort { input, .. }
-            | Node::Limit { input, .. } => input.visit_scans(f),
+            | Node::Sort { input, .. } => input.visit_scans(f),
             Node::Join { left, right, .. } => {
                 left.visit_scans(f);
                 right.visit_scans(f);

@@ -60,12 +60,13 @@ use crate::memory::MemoryTracker;
 use crate::ops::agg::HashAggregate;
 use crate::ops::join::{HashJoin, JoinType};
 use crate::ops::merge_join::MergeJoin;
-use crate::ops::scan::{Run, Scan, ScanBlueprint};
-use crate::ops::sort::{Limit, Sort};
+use crate::ops::scan::{Run, ScanBlueprint};
+use crate::ops::sort::Sort;
 use crate::ops::transform::{Filter, Project};
 use crate::ops::BoxedOp;
 use crate::parallel::{
-    FragmentBlueprint, FragmentStep, ParallelAggregate, ParallelConfig, DEFAULT_MORSEL_ROWS,
+    leaf_scan, FanOutEnv, FragmentBlueprint, FragmentStep, ParallelAggregate, ParallelConfig,
+    DEFAULT_MORSEL_ROWS,
 };
 use crate::plan::{alias_column, FkSide, Node};
 use crate::profile::{wrap_edge, OpProf, Profiler};
@@ -388,6 +389,18 @@ impl<'a> Planner<'a> {
         }
     }
 
+    /// What a storage-reading leaf reads through, is charged to and
+    /// answers to: its own I/O tracker when profiling (`io_child`), else
+    /// the query's.
+    fn leaf_env(&self, prof: &Option<Arc<OpProf>>, io_child: Option<IoTracker>) -> FanOutEnv {
+        FanOutEnv {
+            io: io_child.unwrap_or_else(|| self.ctx.io.clone()),
+            tracker: self.op_tracker(prof),
+            metrics: prof.as_ref().map(|p| Arc::clone(&p.metrics)),
+            governor: self.ctx.governor.clone(),
+        }
+    }
+
     /// A child I/O tracker for a storage-reading leaf, when profiling.
     fn scan_io(&self) -> Option<IoTracker> {
         self.ctx.profiler.as_ref().map(|_| self.ctx.io.child())
@@ -415,8 +428,7 @@ impl<'a> Planner<'a> {
             Node::Filter { input, .. }
             | Node::Project { input, .. }
             | Node::Aggregate { input, .. }
-            | Node::Sort { input, .. }
-            | Node::Limit { input, .. } => vec![self.derive(input)],
+            | Node::Sort { input, .. } => vec![self.derive(input)],
         };
         let (mut classes, mut order, mut unified) = (Vec::new(), None, None);
         match (node, &children[..]) {
@@ -502,22 +514,16 @@ impl<'a> Planner<'a> {
             FkSide::Right => (&right.classes, &left.classes),
         };
         let mut classes = Vec::new();
-        let mut unified_src = Vec::new();
-        for (si, s) in src.iter().enumerate() {
+        for s in src {
             if let Some(d) = dst.iter().find(|d| self.sets_match(s, d, f)) {
                 let aliases = [&s.aliases[..], &d.aliases[..]].concat();
                 classes.push(InstSet { aliases, bits: s.bits.min(d.bits) });
-                unified_src.push(si);
             }
         }
         let unified = classes.len();
         // A left class that took part in a unification is consumed by it.
-        for (li, l) in left.classes.iter().enumerate() {
-            let merged = match side {
-                FkSide::Left => unified_src.contains(&li),
-                FkSide::Right => classes[..unified].iter().any(|c| l.overlaps(c)),
-            };
-            if !merged {
+        for l in &left.classes {
+            if !classes[..unified].iter().any(|c| l.overlaps(c)) {
                 classes.push(l.clone());
             }
         }
@@ -584,12 +590,6 @@ impl<'a> Planner<'a> {
                 let cop = wrap_edge(child.op, &child.prof, &prof);
                 let op = Sort::new(cop, keys, *limit, self.op_tracker(&prof))?;
                 Ok(PhysOut { op: Box::new(op), gk_cols: vec![], prof })
-            }
-            Node::Limit { input, n } => {
-                let child = self.build(input, &props.children[0], &[])?;
-                let prof = self.prof_node("Limit", &[&child.prof], None);
-                let cop = wrap_edge(child.op, &child.prof, &prof);
-                Ok(PhysOut { op: Box::new(Limit::new(cop, *n)), gk_cols: vec![], prof })
             }
         }
     }
@@ -706,8 +706,9 @@ impl<'a> Planner<'a> {
         }
     }
 
-    /// Build the leaf scan operator: one [`Scan`] on every scheme, walking
-    /// its runs inline or streaming them at the context's width.
+    /// Build the leaf scan operator, the same on every scheme:
+    /// [`leaf_scan`] walks its runs inline or streams them at the context's
+    /// width.
     fn build_scan(
         &self,
         scan_id: usize,
@@ -725,16 +726,11 @@ impl<'a> Planner<'a> {
         // are unchanged) and a per-operator memory tracker.
         let io_child = self.scan_io();
         let prof = self.prof_node(format_args!("Scan({table})"), &[], io_child.clone());
-        let io = io_child.unwrap_or_else(|| self.ctx.io.clone());
         if let Some(p) = &prof {
             annotate_encodings(&p.metrics, &blueprint);
             self.annotate_group_selection(&p.metrics, scan_id, table, &blueprint);
         }
-        let op: BoxedOp = Box::new(
-            Scan::new(blueprint, io, &self.ctx.parallel, self.op_tracker(&prof))
-                .with_metrics(prof.as_ref().map(|p| Arc::clone(&p.metrics)))
-                .with_governor(self.ctx.governor.clone()),
-        );
+        let op = leaf_scan(blueprint, &self.ctx.parallel, self.leaf_env(&prof, io_child));
         // Alias: rename base columns, keep group keys. The rename rides
         // inside the scan's profile node — it is part of the access path,
         // not a plan operator.
@@ -906,16 +902,8 @@ impl<'a> Planner<'a> {
                 p.metrics.annotate("fragment", fragment.scan.table().name());
             }
             log_sandwich(&prof);
-            let op = ParallelAggregate::new(
-                fragment,
-                &gb_refs,
-                aggs.to_vec(),
-                io_child.unwrap_or_else(|| self.ctx.io.clone()),
-                cfg.clone(),
-                self.op_tracker(&prof),
-            )?
-            .with_metrics(prof.as_ref().map(|p| Arc::clone(&p.metrics)))
-            .with_governor(self.ctx.governor.clone());
+            let env = self.leaf_env(&prof, io_child);
+            let op = ParallelAggregate::new(fragment, &gb_refs, aggs.to_vec(), cfg, env)?;
             return Ok(PhysOut { op: Box::new(op), gk_cols: vec![], prof });
         }
 

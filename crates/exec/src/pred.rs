@@ -9,7 +9,7 @@
 //! which the tests use as the oracle. Anything not expressible here goes
 //! into a plain `Filter` node and is evaluated after the scan.
 
-use bdcc_storage::{BlockStats, Datum};
+use bdcc_storage::Datum;
 
 use crate::expr::{CmpOp, Expr, LikePattern};
 
@@ -163,13 +163,6 @@ impl ColPredicate {
         }
     }
 
-    /// Can a block with these statistics contain matching rows?
-    /// Conservative (`true` = cannot exclude).
-    pub fn block_may_match(&self, stats: &BlockStats) -> bool {
-        let (lo, hi) = self.value_range();
-        stats.may_contain_range(lo.as_ref(), hi.as_ref())
-    }
-
     /// The exact row-wise filter expression for this predicate.
     pub fn to_expr(&self) -> Expr {
         let col = Expr::col(&self.column);
@@ -214,30 +207,6 @@ mod tests {
         assert_eq!(p.value_range(), (Some(Datum::Int(2)), Some(Datum::Int(9))));
         let p = ColPredicate::ne("a", 5i64);
         assert_eq!(p.value_range(), (None, None));
-    }
-
-    #[test]
-    fn block_pruning() {
-        let stats = BlockStats { min: Datum::Int(10), max: Datum::Int(20) };
-        assert!(!ColPredicate::eq("a", 25i64).block_may_match(&stats));
-        assert!(ColPredicate::eq("a", 15i64).block_may_match(&stats));
-        assert!(!ColPredicate::ge("a", 21i64).block_may_match(&stats));
-        assert!(!ColPredicate::le("a", 9i64).block_may_match(&stats));
-        // Predicates without a value range never prune.
-        assert!(ColPredicate::ne("a", 15i64).block_may_match(&stats));
-    }
-
-    #[test]
-    fn starts_with_prunes_string_blocks() {
-        let stats = BlockStats { min: Datum::Str("m".into()), max: Datum::Str("z".into()) };
-        assert!(
-            !ColPredicate::like("s", LikePattern::StartsWith("a".into())).block_may_match(&stats)
-        );
-        assert!(
-            ColPredicate::like("s", LikePattern::StartsWith("p".into())).block_may_match(&stats)
-        );
-        // Contains cannot prune.
-        assert!(ColPredicate::like("s", LikePattern::Contains("a".into())).block_may_match(&stats));
     }
 
     #[test]

@@ -9,7 +9,10 @@
 //! 1. The use's dimension path is matched against the query's join edges
 //!    (a restriction may only propagate from the dimension host to a fact
 //!    table if the query actually joins along every foreign key of the
-//!    path — Section II's selection-propagation condition).
+//!    path — Section II's selection-propagation condition). A join is an
+//!    edge only where it drops the referencing rows that reference no
+//!    survivor: inner and semi joins, and anti and left outer joins whose
+//!    referencing side is the right one — their left side is preserved.
 //! 2. A host row qualifies when it passes the host scan's own predicates
 //!    and, for every join *below* the host that follows one of its foreign
 //!    keys (REGION restricting NATION — the paper's compound-key trick),
@@ -58,6 +61,7 @@ use bdcc_storage::{StoredTable, StrVec};
 
 use crate::enc::{compile, float_key, ill_typed, int_test, str_test, ColTest, IntTest, StrTest};
 use crate::error::{ExecError, Result};
+use crate::ops::join::JoinType;
 use crate::plan::{FkSide, Node};
 use crate::pred::ColPredicate;
 use crate::scheme::SchemeDb;
@@ -391,11 +395,17 @@ fn collect<'p>(
         Node::Filter { input, .. }
         | Node::Project { input, .. }
         | Node::Aggregate { input, .. }
-        | Node::Sort { input, .. }
-        | Node::Limit { input, .. } => collect(input, sdb, scans, edges)?,
-        Node::Join { left, right, fk, .. } => {
+        | Node::Sort { input, .. } => collect(input, sdb, scans, edges)?,
+        Node::Join { left, right, fk, join_type, .. } => {
             collect(left, sdb, scans, edges)?;
             collect(right, sdb, scans, edges)?;
+            // Restricting the referencing side to rows that reference a
+            // survivor drops only rows the join drops too: on inner and
+            // semi joins either side may reference, on anti and left outer
+            // joins only the right one — their left side is preserved.
+            let fk = fk.as_ref().filter(|(_, side)| {
+                matches!(join_type, JoinType::Inner | JoinType::Semi) || *side == FkSide::Right
+            });
             if let Some((name, side)) = fk {
                 let fk_id = sdb.db.catalog().fks().iter().find(|f| &f.name == name).map(|f| f.id);
                 if let Some(fk_id) = fk_id {

@@ -62,12 +62,14 @@
 //! beyond the consumer's position — backpressure by *submission gating*
 //! rather than by parking producers, so a stalled consumer costs the pool
 //! nothing: workers run other jobs instead of sleeping on a full buffer.
-//! [`recv`](OrderedStream::recv) releases results strictly in task order
-//! and tops the window back up; dropping the stream cancels all unstarted
-//! work, waits for in-flight tasks to retire, and leaves the pool ready
-//! for the next query. Consumers must not call `recv` from inside a pool
-//! task (a consumer does not lend its thread; every current operator
-//! drives streams from plan-driver threads).
+//! [`recv`](OrderedStream::recv) releases results strictly in task order;
+//! the result it returned keeps its slot until the consumer comes back for
+//! the next one, so the window bounds what the consumer holds too. Dropping
+//! the stream cancels all unstarted work, waits for in-flight tasks to
+//! retire, and leaves the pool ready for the next query. Consumers must
+//! not call `recv` from inside a pool task (a consumer does not lend its
+//! thread; every current operator drives streams from plan-driver
+//! threads).
 
 use std::any::Any;
 use std::collections::{HashMap, VecDeque};
@@ -640,7 +642,8 @@ struct StreamState<T, E> {
     /// Completed results awaiting release, keyed by task index. Occupancy
     /// is bounded by `cap` through the submission window: `submitted`
     /// never runs more than `cap` ahead of the consumer's next index
-    /// (the initial window is `cap` and each release submits one more).
+    /// (the initial window is `cap`, and the `recv` after a release
+    /// submits one more).
     buffer: HashMap<usize, Result<T, E>>,
     /// Tasks handed to the pool so far (an ascending prefix `0..submitted`).
     submitted: usize,
@@ -732,7 +735,8 @@ where
 /// Streaming ordered fan-out over the shared [`WorkerPool`]: tasks
 /// `0..ntasks` are submitted to the pool at most `cap` ahead of the
 /// consumer, the consumer pulls results **in task order**, and at most
-/// `cap` results are in flight (submitted but unreleased) at once. See the
+/// `cap` results are alive at once — submitted and not yet released, or the
+/// last one released, until the next [`recv`](Self::recv). See the
 /// [module docs](self) for the backpressure and cancellation contract.
 pub struct OrderedStream<T, E> {
     shared: Arc<StreamShared<T, E>>,
@@ -742,6 +746,9 @@ pub struct OrderedStream<T, E> {
     ntasks: usize,
     /// Next task index to release; `ntasks` once exhausted or failed.
     next: usize,
+    /// The consumer holds a released result whose slot the next `recv`
+    /// hands to a new task.
+    owed: bool,
 }
 
 impl<T, E> OrderedStream<T, E>
@@ -784,7 +791,7 @@ where
             gate: ClaimGate::new(threads),
             label,
         });
-        let stream = OrderedStream { shared, runner, pool, ntasks, next: 0 };
+        let stream = OrderedStream { shared, runner, pool, ntasks, next: 0, owed: false };
         let initial = cap.min(ntasks);
         stream.shared.state.lock().expect("stream state poisoned").submitted = initial;
         for i in 0..initial {
@@ -805,9 +812,23 @@ where
     /// publishes it. `Ok(None)` after the last task; a task error is
     /// returned at its index and ends the stream (a *panicking* task is
     /// published as a [`PoolFailure`]-derived error at its index).
-    /// Releasing a result opens one submission slot, which is handed to
-    /// the pool before returning.
+    /// The consumer is done with the result the previous call returned:
+    /// its slot goes to a new task first.
     pub fn recv(&mut self) -> Result<Option<T>, E> {
+        if std::mem::take(&mut self.owed) {
+            let to_submit = {
+                let mut st = self.shared.state.lock().expect("stream state poisoned");
+                if st.submitted < self.ntasks && !st.failed {
+                    st.submitted += 1;
+                    Some(st.submitted - 1)
+                } else {
+                    None
+                }
+            };
+            if let Some(s) = to_submit {
+                self.pool.submit(Arc::clone(&self.runner), s);
+            }
+        }
         if self.next >= self.ntasks {
             return Ok(None);
         }
@@ -824,18 +845,7 @@ where
         match result {
             Ok(v) => {
                 self.next += 1;
-                let to_submit = {
-                    let mut st = self.shared.state.lock().expect("stream state poisoned");
-                    if st.submitted < self.ntasks && !st.failed {
-                        st.submitted += 1;
-                        Some(st.submitted - 1)
-                    } else {
-                        None
-                    }
-                };
-                if let Some(s) = to_submit {
-                    self.pool.submit(Arc::clone(&self.runner), s);
-                }
+                self.owed = true;
                 Ok(Some(v))
             }
             Err(e) => {
@@ -1228,11 +1238,10 @@ mod tests {
             got.push(v);
         }
         assert_eq!(got, (0..40).collect::<Vec<_>>());
-        // +1 slack: the consumer's decrement lands after recv returns, so
-        // a task released by that recv can start (and count) first — a
-        // measurement race, not a cap leak.
+        // The consumer's decrement lands before its next recv hands the
+        // released slot to a new task: the count never passes the cap.
         assert!(
-            high.load(Ordering::SeqCst) <= 5,
+            high.load(Ordering::SeqCst) <= 4,
             "in-flight {} exceeded cap",
             high.load(Ordering::SeqCst)
         );

@@ -23,7 +23,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 
 /// Logical page size in bytes (the paper's evaluation uses 32 KB pages);
-/// used to derive page counts from byte counts for reporting.
+/// the default access range `AR` that Algorithm 1 sizes groups against.
 pub const PAGE_SIZE: usize = 32 * 1024;
 
 /// Whether an access continued the previous run or seeked.
@@ -98,11 +98,6 @@ pub struct IoStats {
 }
 
 impl IoStats {
-    /// Logical 32 KB pages touched (rounded up).
-    pub fn pages_read(&self) -> u64 {
-        self.bytes_read.div_ceil(PAGE_SIZE as u64)
-    }
-
     /// Merge another stats block into this one.
     pub fn merge(&mut self, other: &IoStats) {
         self.bytes_read += other.bytes_read;
@@ -279,12 +274,6 @@ impl IoTracker {
     }
 }
 
-/// Number of pages needed for `rows` values of `avg_width` bytes each.
-pub fn pages_for(rows: usize, avg_width: f64) -> u64 {
-    let bytes = rows as f64 * avg_width;
-    (bytes / PAGE_SIZE as f64).ceil() as u64
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -416,7 +405,6 @@ mod tests {
     #[test]
     fn pages_and_estimates() {
         let mut stats = IoStats { bytes_read: PAGE_SIZE as u64 + 1, ..IoStats::default() };
-        assert_eq!(stats.pages_read(), 2);
         stats.random_seeks = 10;
         let d = DeviceProfile::ssd_raid();
         let secs = d.estimate_seconds(&stats);
@@ -431,14 +419,6 @@ mod tests {
         let seq_time = d.efficient_random_access as f64 / d.seq_bytes_per_sec;
         assert!((d.estimate_seconds(&ar_read) / seq_time - 1.25).abs() < 1e-9);
         assert!(DeviceProfile::magnetic().estimate_seconds(&stats) > secs);
-    }
-
-    #[test]
-    fn pages_for_rounds_up() {
-        assert_eq!(pages_for(0, 8.0), 0);
-        assert_eq!(pages_for(1, 8.0), 1);
-        assert_eq!(pages_for(PAGE_SIZE / 8, 8.0), 1);
-        assert_eq!(pages_for(PAGE_SIZE / 8 + 1, 8.0), 2);
     }
 
     #[test]

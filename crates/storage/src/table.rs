@@ -18,7 +18,6 @@ use crate::block::{ColumnBlockStats, DEFAULT_BLOCK_ROWS};
 use crate::column::Column;
 use crate::encode::ColumnEncoding;
 use crate::error::{Result, StorageError};
-use crate::io::pages_for;
 use crate::value::{DataType, Datum};
 
 /// Static description of one column.
@@ -221,21 +220,10 @@ impl StoredTable {
         }
     }
 
-    /// Logical pages occupied by column `index` (cost model; encoded
-    /// columns occupy their encoded footprint).
-    pub fn column_pages(&self, index: usize) -> Result<u64> {
-        Ok(pages_for(self.rows, self.io_width(index)))
-    }
-
     /// Average width of the *densest* (widest stored) column, in bytes —
     /// the quantity Algorithm 1 sizes groups against.
     pub fn densest_column_width(&self) -> f64 {
         self.schema.columns.iter().map(|c| c.avg_width).fold(0.0, f64::max)
-    }
-
-    /// Total logical pages across all columns.
-    pub fn total_pages(&self) -> u64 {
-        (0..self.arity()).map(|i| self.column_pages(i).unwrap_or(0)).sum()
     }
 
     /// Number of MinMax statistics blocks (uniform across columns) — the

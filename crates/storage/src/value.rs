@@ -33,16 +33,6 @@ impl DataType {
         }
     }
 
-    /// Estimated bytes per value when stored on disk, used by the I/O cost
-    /// model. Strings use an estimate refined per column by
-    /// [`crate::table::ColumnMeta::avg_width`].
-    pub fn fixed_width(self) -> Option<usize> {
-        match self {
-            DataType::Int | DataType::Float | DataType::Date => Some(8),
-            DataType::Str => None,
-        }
-    }
-
     /// Whether values of this type are physically `i64`.
     pub fn is_integer_backed(self) -> bool {
         matches!(self, DataType::Int | DataType::Date)

@@ -41,7 +41,7 @@ use bdcc::exec::batch::{Batch, ColMeta, OpSchema};
 use bdcc::exec::ops::agg::HashAggregate;
 use bdcc::exec::ops::scan::{Scan, ScanBlueprint};
 use bdcc::exec::ops::{collect, BoxedOp, Operator};
-use bdcc::exec::parallel::{FragmentBlueprint, ParallelAggregate};
+use bdcc::exec::parallel::{FanOutEnv, FragmentBlueprint, ParallelAggregate};
 use bdcc::exec::{
     AggFunc, AggSpec, ExecError, Expr, MemoryBroker, MemoryTracker, ParallelConfig, SpillMode,
 };
@@ -144,9 +144,8 @@ fn try_parallel(
         FragmentBlueprint { scan: bp, steps: vec![] },
         group_by,
         aggs,
-        IoTracker::new(),
-        cfg,
-        MemoryTracker::new(),
+        &cfg,
+        FanOutEnv::new(IoTracker::new(), MemoryTracker::new()),
     )?))
 }
 

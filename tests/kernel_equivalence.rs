@@ -38,6 +38,7 @@ use bdcc::prelude::*;
 use bdcc_exec::kernel::sel_from_bools;
 use bdcc_exec::ops::collect;
 use bdcc_exec::ops::scan::{Run, Scan, ScanBlueprint};
+use bdcc_exec::parallel::{leaf_scan, FanOutEnv};
 use bdcc_exec::{
     explain_analyze, filter, Batch, ColMeta, ColPredicate, Datum, ExecError, Expr, FilterProgram,
     LikePattern, MemoryTracker, Operator, ParallelConfig, PlanBuilder, PredKind, ProfileNode,
@@ -399,7 +400,7 @@ fn scanned(batches: impl IntoIterator<Item = Batch>) -> (Vec<i64>, Vec<u64>) {
     (rows, bits)
 }
 
-fn drain(mut op: impl Operator) -> Vec<Batch> {
+fn drain(op: &mut dyn Operator) -> Vec<Batch> {
     std::iter::from_fn(|| op.next().expect("scan")).collect()
 }
 
@@ -443,17 +444,18 @@ fn check_scan(
     let want = (want_rows, want_bits);
 
     let blocks = blocks.unwrap_or_else(|e| panic!("{what}: {e}"));
-    let inline = Scan::over(Arc::clone(&blocks), IoTracker::new(), 0..blocks.runs().len());
-    assert_eq!(scanned(drain(inline)), want, "{what}: block scan");
+    let mut inline = Scan::over(Arc::clone(&blocks), IoTracker::new(), 0..blocks.runs().len());
+    assert_eq!(scanned(drain(&mut inline)), want, "{what}: block scan");
     let wide = ParallelConfig { threads: 4, morsel_rows: 16 };
-    let streamed = Scan::new(Arc::clone(&blocks), IoTracker::new(), &wide, MemoryTracker::new());
-    assert_eq!(scanned(drain(streamed)), want, "{what}: streamed block scan");
+    let env = FanOutEnv::new(IoTracker::new(), MemoryTracker::new());
+    let mut streamed = leaf_scan(Arc::clone(&blocks), &wide, env);
+    assert_eq!(scanned(drain(streamed.as_mut())), want, "{what}: streamed block scan");
 
     let runs: Vec<Run> =
         cuts.windows(2).map(|w| Run { start: w[0], count: w[1] - w[0], keys: vec![] }).collect();
     let cut = ScanBlueprint::new(Arc::clone(t), &["row", "f"], preds.to_vec(), &[], runs).unwrap();
-    let inline = Scan::over(Arc::clone(&cut), IoTracker::new(), 0..cut.runs().len());
-    assert_eq!(scanned(drain(inline)), want, "{what}: runs cut at {cuts:?}");
+    let mut inline = Scan::over(Arc::clone(&cut), IoTracker::new(), 0..cut.runs().len());
+    assert_eq!(scanned(drain(&mut inline)), want, "{what}: runs cut at {cuts:?}");
     Some(want.0.len())
 }
 
@@ -669,9 +671,9 @@ fn float_stats_prune_only_what_the_interpreter_drops() {
         // And, spelled out, the rows the old `<` / `>` stats lost.
         let scan =
             Scan::blocks(Arc::clone(&t), IoTracker::new(), &["row", "f"], vec![preds[0].clone()]);
-        assert_eq!(scanned(drain(scan.unwrap())).0, [1, 4]);
+        assert_eq!(scanned(drain(&mut scan.unwrap())).0, [1, 4]);
         let scan =
             Scan::blocks(Arc::clone(&t), IoTracker::new(), &["row", "f"], vec![preds[1].clone()]);
-        assert_eq!(scanned(drain(scan.unwrap())).0, [5, 9]);
+        assert_eq!(scanned(drain(&mut scan.unwrap())).0, [5, 9]);
     }
 }

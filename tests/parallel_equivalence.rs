@@ -18,7 +18,7 @@ use bdcc_exec::ops::agg::HashAggregate;
 use bdcc_exec::ops::collect;
 use bdcc_exec::ops::scan::{Run, Scan, ScanBlueprint};
 use bdcc_exec::parallel::morsel::split_runs;
-use bdcc_exec::parallel::{FragmentBlueprint, ParallelAggregate};
+use bdcc_exec::parallel::{leaf_scan, FanOutEnv, FragmentBlueprint, ParallelAggregate};
 use bdcc_exec::{
     explain_analyze, AggFunc, AggSpec, Expr, MemoryBroker, MemoryTracker, OpMetrics,
     ParallelConfig, ProfileNode, QueryContext, SpillMode,
@@ -229,8 +229,8 @@ fn streaming_scan_memory_stays_morsel_bounded() {
     let morsel_rows = 256;
     let cfg = ParallelConfig { threads, morsel_rows };
     let tracker = MemoryTracker::new();
-    let streamed =
-        collect(Box::new(Scan::new(blueprint, IoTracker::new(), &cfg, tracker.clone()))).unwrap();
+    let env = FanOutEnv::new(IoTracker::new(), tracker.clone());
+    let streamed = collect(leaf_scan(blueprint, &cfg, env)).unwrap();
     assert_eq!(serial, streamed, "streaming scan must replay the serial stream");
     let morsels = small.rows().div_ceil(morsel_rows);
     assert!(morsels >= 32, "need many morsels for the bound to mean anything, got {morsels}");
@@ -290,9 +290,8 @@ fn budgeted_hash_aggregation_fits_half_the_partial_merge_peak() {
                 FragmentBlueprint { scan: blueprint(), steps: vec![] },
                 &[group],
                 aggs.clone(),
-                IoTracker::new(),
-                cfg.clone(),
-                tracker.clone(),
+                cfg,
+                FanOutEnv::new(IoTracker::new(), tracker.clone()),
             )
             .unwrap(),
         ))
@@ -307,10 +306,10 @@ fn budgeted_hash_aggregation_fits_half_the_partial_merge_peak() {
             Some(b) => MemoryBroker::with_mode(SpillMode::Auto, &tracker, Some(b)),
             None => MemoryBroker::none(),
         };
-        let scan = Scan::new(blueprint(), IoTracker::new(), cfg, tracker.clone());
+        let scan = leaf_scan(blueprint(), cfg, FanOutEnv::new(IoTracker::new(), tracker.clone()));
         let metrics = OpMetrics::new();
         let out = collect(Box::new(
-            HashAggregate::new(Box::new(scan), &[group], aggs.clone(), tracker.clone())
+            HashAggregate::new(scan, &[group], aggs.clone(), tracker.clone())
                 .unwrap()
                 .with_broker(broker, IoTracker::new())
                 .with_metrics(Some(Arc::clone(&metrics))),

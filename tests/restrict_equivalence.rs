@@ -25,8 +25,8 @@ use bdcc::catalog::{Catalog, ColumnDef, Database, TableDef};
 use bdcc::core::{DesignConfig, SelfTuneConfig};
 use bdcc::exec::restrict::{compute_restrictions, Restrictions};
 use bdcc::exec::{
-    bdcc_scheme, explain_analyze, join, ColPredicate, FkSide, LikePattern, Node, PlanBuilder,
-    QueryContext, SchemeDb,
+    bdcc_scheme, canonical_rows, explain_analyze, join, join_full, plain_scheme, project, run_plan,
+    ColPredicate, Expr, FkSide, JoinType, LikePattern, Node, PlanBuilder, QueryContext, SchemeDb,
 };
 use bdcc::storage::{Column, DataType, Datum, TableBuilder};
 use bdcc::tpch::{all_queries, GenConfig, QueryCtx};
@@ -37,7 +37,7 @@ mod oracle {
     use bdcc::catalog::{FkId, TableId};
     use bdcc::core::{Dimension, KeyValue};
     use bdcc::exec::restrict::{bins_to_ranges, normalize_ranges, Restrictions};
-    use bdcc::exec::{Batch, ColMeta, ColPredicate, FkSide, Node, SchemeDb};
+    use bdcc::exec::{Batch, ColMeta, ColPredicate, FkSide, JoinType, Node, SchemeDb};
 
     const ROW_EVAL_LIMIT: usize = 1 << 17;
 
@@ -220,12 +220,17 @@ mod oracle {
             Node::Filter { input, .. }
             | Node::Project { input, .. }
             | Node::Aggregate { input, .. }
-            | Node::Sort { input, .. }
-            | Node::Limit { input, .. } => collect(input, sdb, scans, edges),
-            Node::Join { left, right, fk, .. } => {
+            | Node::Sort { input, .. } => collect(input, sdb, scans, edges),
+            Node::Join { left, right, fk, join_type, .. } => {
                 collect(left, sdb, scans, edges);
                 collect(right, sdb, scans, edges);
                 let Some((name, side)) = fk else { return };
+                // An anti or left outer join keeps every left row: a left
+                // side that references is never restricted through it.
+                let preserved = matches!(join_type, JoinType::Anti | JoinType::LeftOuter);
+                if preserved && *side == FkSide::Left {
+                    return;
+                }
                 let Some(fk) = sdb.db.catalog().fks().iter().find(|f| &f.name == name) else {
                     return;
                 };
@@ -376,6 +381,11 @@ fn star(dim_keys: &[i64], grp_vals: &[i64]) -> Arc<SchemeDb> {
 }
 
 fn star_with_fact_rows(dim_keys: &[i64], grp_vals: &[i64], fact_rows: i64) -> Arc<SchemeDb> {
+    let db = star_db(dim_keys, grp_vals, fact_rows);
+    Arc::new(bdcc_scheme(&db, &fine_grained()).expect("bdcc scheme"))
+}
+
+fn star_db(dim_keys: &[i64], grp_vals: &[i64], fact_rows: i64) -> Database {
     let mut cat = Catalog::new();
     let grp = cat
         .create_table(TableDef {
@@ -467,7 +477,7 @@ fn star_with_fact_rows(dim_keys: &[i64], grp_vals: &[i64], fact_rows: i64) -> Ar
                 .unwrap(),
         ),
     );
-    Arc::new(bdcc_scheme(&db, &fine_grained()).expect("bdcc scheme"))
+    db
 }
 
 fn group_count(sdb: &SchemeDb, table: &str) -> usize {
@@ -574,17 +584,54 @@ fn outer_join_reduces_by_own_predicates_only() {
     let b = PlanBuilder::new();
     let host = b.scan("host", &["h_id", "h_grp"], vec![ColPredicate::lt("h_dim", 8i64)]);
     let grp = b.scan("grp", &["g_id"], vec![]);
-    let plan = bdcc::exec::join_full(
+    let plan = join_full(
         grp,
         host,
         &[("g_id", "h_grp")],
-        bdcc::exec::JoinType::LeftOuter,
+        JoinType::LeftOuter,
         Some(("FK_H_G", FkSide::Right)),
         None,
     );
     let (got, groups) = assert_same_selection(&plan, &sdb, "outer join");
     assert_eq!(got.len(), 1, "{got:?}");
     assert!(groups[&0].len() < group_count(&sdb, "host"));
+}
+
+/// Every join type, with the foreign key on either side, returns on BDCC
+/// the rows it returns on Plain: the left side of an anti or left outer
+/// join is kept whole, so the other side's predicates never restrict it.
+#[test]
+fn restriction_keeps_the_rows_of_every_join_type() {
+    let dim_keys: Vec<i64> = (0..200).map(|i| (i * 7) % 32).collect();
+    let db = star_db(&dim_keys, &[1, 2, 3], 800);
+    let plain = Arc::new(plain_scheme(&db));
+    let bdcc = Arc::new(bdcc_scheme(&db, &fine_grained()).expect("bdcc scheme"));
+    let rows = |sdb: &Arc<SchemeDb>, plan: &Node| {
+        canonical_rows(&run_plan(&QueryContext::new(Arc::clone(sdb)), plan).expect("run"))
+    };
+    for join_type in [JoinType::Inner, JoinType::LeftOuter, JoinType::Semi, JoinType::Anti] {
+        for side in [FkSide::Left, FkSide::Right] {
+            let b = PlanBuilder::new();
+            let fact = b.scan("fact", &["f_id", "f_host"], vec![]);
+            let host = b.scan("host", &["h_id", "h_dim"], vec![ColPredicate::lt("h_dim", 8i64)]);
+            let fk = Some(("FK_F_H", side));
+            let joined = match side {
+                FkSide::Left => join_full(fact, host, &[("f_host", "h_id")], join_type, fk, None),
+                FkSide::Right => join_full(host, fact, &[("h_id", "f_host")], join_type, fk, None),
+            };
+            // The stored columns only: a BDCC scan also emits group keys.
+            let (left, right) = match side {
+                FkSide::Left => (["f_id", "f_host"], ["h_id", "h_dim"]),
+                FkSide::Right => (["h_id", "h_dim"], ["f_id", "f_host"]),
+            };
+            let emits_right = matches!(join_type, JoinType::Inner | JoinType::LeftOuter);
+            let cols = left.iter().chain(right.iter().filter(|_| emits_right));
+            let plan = project(joined, cols.map(|&c| (Expr::col(c), c)).collect());
+            let want = rows(&plain, &plan);
+            assert!(!want.is_empty(), "{join_type:?}, {side:?}: the case must return rows");
+            assert_eq!(rows(&bdcc, &plan), want, "{join_type:?}, fact references from {side:?}");
+        }
+    }
 }
 
 /// `fact → c0 → c1 → … → c5`: the reduction follows joins four deep below
