@@ -7,7 +7,6 @@
 //! into BDCC group restrictions (selection pushdown and propagation).
 
 pub mod batch;
-pub mod broker;
 pub mod enc;
 pub mod error;
 pub mod expr;
@@ -31,18 +30,17 @@ pub use batch::{Batch, BatchAssembler, ColMeta, OpSchema, BATCH_ROWS};
 pub use bdcc_obs::{OpMetrics, ProfileNode, QueryProfile};
 pub use bdcc_pool::{CancelReason, CancelToken, FaultInjector, FaultPlan};
 pub use bdcc_storage::Datum;
-pub use broker::{spill_mode, MemoryBroker, SpillMode};
 pub use enc::{BlockVerdict, ScanKernel};
 pub use error::{ExecError, Result};
 pub use expr::{ArithOp, CmpOp, Expr, LikePattern};
-pub use govern::{GovernedOp, Governor};
+pub use govern::{spill_mode, GovernedOp, Governor, SpillMode};
 pub use hash::{FxBuildHasher, FxHasher, JoinIndex};
 pub use kernel::{FilterProgram, PairFilter, SelVec};
 pub use memory::{MemoryGuard, MemoryTracker};
 pub use ops::agg::{AggFunc, AggSpec};
 pub use ops::join::{JoinType, MATCHED_COLUMN};
 pub use ops::sort::SortKey;
-pub use ops::{collect, BoxedOp, Operator};
+pub use ops::{collect, BoxedOp, OpEnv, Operator};
 pub use parallel::{ParallelConfig, DEFAULT_MORSEL_ROWS};
 pub use plan::{
     aggregate, alias_column, filter, join, join_full, project, sort, FkSide, Node, PlanBuilder,

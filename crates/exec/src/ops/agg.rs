@@ -66,12 +66,13 @@
 //!
 //! ## Spilling
 //!
-//! Under an active [`MemoryBroker`] a hash aggregate — a group-by, no run
-//! columns — is a hybrid hash aggregation (Shapiro 1986). Before each
-//! batch, until it has spilled, it asks the broker about the largest table
-//! growth one batch has caused so far (0 before the first batch, so
-//! `SpillMode::Force` spills every group). Once the broker reports
-//! pressure the table keeps the groups it holds and takes no new one:
+//! When the query spills ([`Governor::spills`]) a hash aggregate — a
+//! group-by, no run columns — is a hybrid hash aggregation (Shapiro 1986).
+//! Before each batch, until it has spilled, it asks the governor about the
+//! largest table growth one batch has caused so far (0 before the first
+//! batch, so `SpillMode::Force` spills every group). Once the governor
+//! reports pressure the table keeps the groups it holds and takes no new
+//! one:
 //!
 //! * a row of a resident group still folds into the table, in stream
 //!   order — with no copy when every row of the batch is resident;
@@ -86,25 +87,24 @@
 //! rows, in stream order, in exactly one table, so the result is
 //! byte-identical to the in-memory aggregate, floats included. Streaming
 //! and sandwich aggregates (bounded by a run) and global aggregates (one
-//! group) stay in memory.
+//! group) stay in memory, whatever the mode; a streaming or sandwich one
+//! does not log a spill decision either.
+//!
+//! [`Governor::spills`]: crate::govern::Governor::spills
 
 use std::borrow::Borrow;
 use std::cmp::Ordering;
 use std::collections::HashSet;
 use std::ops::Range;
-use std::sync::Arc;
 
-use bdcc_obs::OpMetrics;
-use bdcc_storage::{Column, DataType, IoTracker, StrVec};
+use bdcc_storage::{Column, DataType, StrVec};
 
 use crate::batch::{Batch, ColMeta, OpSchema};
-use crate::broker::MemoryBroker;
 use crate::error::{ExecError, Result};
 use crate::expr::{Expr, ExprProgram};
-use crate::govern::Governor;
 use crate::hash::{group_key_words, min_max, FxBuildHasher, LONG_STR};
-use crate::memory::{MemoryGuard, MemoryTracker};
-use crate::ops::{BoxedOp, Operator};
+use crate::memory::MemoryGuard;
+use crate::ops::{BoxedOp, OpEnv, Operator};
 use crate::spill::{scatter_batch, Fanout, PartitionSpill, Shape};
 
 /// Aggregate functions.
@@ -916,7 +916,7 @@ impl PartialAgg {
 
 /// Serial aggregation: one group table, flushed whenever the **run
 /// columns** change. With none the whole input is one run (hash
-/// aggregation), which spills under an active broker (module docs). Over
+/// aggregation), which spills when the query does (module docs). Over
 /// input ordered on the group-by keys they are those keys (streaming), and
 /// over BDCC input grouped on dimension bits the group-by keys determine
 /// they are its group-key columns (sandwich, ref [3]) — either way the
@@ -930,18 +930,15 @@ pub struct HashAggregate {
     /// The open run: its run-column values (one row each), empty before
     /// the first row.
     open: Vec<Column>,
-    tracker: Arc<MemoryTracker>,
+    /// The table registers on `env.tracker`; `env.governor` answers the
+    /// spill questions and is checked as each spilled leaf opens; spill
+    /// files are metered on `env.io`, and spill traffic and the decision
+    /// log go to `env.metrics`.
+    env: OpEnv,
     mem: MemoryGuard,
     /// The largest table growth one batch has caused so far: what the
-    /// broker is asked about before the next.
+    /// governor is asked about before the next.
     growth: u64,
-    /// Planner-installed, inert by default: the pressure oracle and the
-    /// spill I/O meter, the query's limits (checked as each leaf opens) and
-    /// the profiling hook (spill traffic and the decision log).
-    broker: MemoryBroker,
-    spill_io: IoTracker,
-    governor: Governor,
-    metrics: Option<Arc<OpMetrics>>,
     /// Once the table takes no new group: the core holding the other rows,
     /// and how many rows the table had folded by then.
     spill: Option<(PartitionSpill, u64)>,
@@ -954,22 +951,18 @@ impl HashAggregate {
         input: BoxedOp,
         group_by: &[&str],
         aggs: Vec<AggSpec>,
-        tracker: Arc<MemoryTracker>,
+        env: OpEnv,
     ) -> Result<HashAggregate> {
         let core = PartialAgg::new(input.schema(), group_by, &aggs)?;
-        let mem = tracker.register(0);
+        let mem = env.tracker.register(0);
         Ok(HashAggregate {
             input,
             core,
             run_cols: Vec::new(),
             open: Vec::new(),
-            tracker,
+            env,
             mem,
             growth: 0,
-            broker: MemoryBroker::none(),
-            spill_io: IoTracker::new(),
-            governor: Governor::none(),
-            metrics: None,
             spill: None,
             done: false,
         })
@@ -982,46 +975,29 @@ impl HashAggregate {
         self
     }
 
-    /// Attach the memory broker and the spill I/O meter
-    /// (planner-installed): the [module docs](self) say when it spills.
-    pub fn with_broker(mut self, broker: MemoryBroker, io: IoTracker) -> HashAggregate {
-        self.broker = broker;
-        self.spill_io = io;
-        self
+    /// Is the spill path live: the query spills and no run columns bound
+    /// the table? A streaming or sandwich aggregate never spills, nor logs
+    /// a spill decision.
+    fn may_spill(&self) -> bool {
+        self.run_cols.is_empty() && self.env.governor.spills()
     }
 
-    /// Attach the per-query governor (planner-installed).
-    pub fn with_governor(mut self, governor: Governor) -> HashAggregate {
-        self.governor = governor;
-        self
-    }
-
-    /// Attach the profiling metric block (planner-installed).
-    pub fn with_metrics(mut self, metrics: Option<Arc<OpMetrics>>) -> HashAggregate {
-        self.metrics = metrics;
-        self
-    }
-
-    /// Stop taking groups if the broker reports pressure: a group-by with
-    /// no run columns opens its spill core.
+    /// Stop taking groups if the governor reports pressure: a group-by
+    /// with no run columns opens its spill core.
     fn maybe_spill(&mut self) {
-        let hashed = self.run_cols.is_empty() && !self.core.group_cols.is_empty();
-        if self.spill.is_none() && hashed && self.broker.should_spill(self.growth) {
+        let grouped = !self.core.group_cols.is_empty();
+        if self.spill.is_none()
+            && grouped
+            && self.may_spill()
+            && self.env.governor.should_spill(self.growth)
+        {
             let shape = Shape {
                 keys: self.core.group_cols.clone(),
                 fanout: Fanout::Bits(SPILL_BITS),
                 leaf_factor: 1,
                 label: "agg",
             };
-            let spill = PartitionSpill::new(
-                shape,
-                self.broker.clone(),
-                self.governor.clone(),
-                &self.tracker,
-                self.spill_io.clone(),
-                self.metrics.clone(),
-            );
-            self.spill = Some((spill, self.core.rows_seen));
+            self.spill = Some((PartitionSpill::new(shape, &self.env), self.core.rows_seen));
         }
     }
 
@@ -1069,7 +1045,7 @@ impl HashAggregate {
             leaves += 1;
             Ok(())
         })?;
-        if let Some(m) = &self.metrics {
+        if let Some(m) = &self.env.metrics {
             let resident = format!("{rows} rows, {resident} groups resident");
             m.annotate("spill", format!("after({resident}) leaves={leaves}"));
         }
@@ -1129,7 +1105,7 @@ impl Operator for HashAggregate {
         let out = match self.spill.take() {
             Some((spill, rows)) => self.finish_spilled(spill, rows)?,
             None => {
-                if let (true, Some(m)) = (self.broker.is_active(), &self.metrics) {
+                if let (true, Some(m)) = (self.may_spill(), &self.env.metrics) {
                     m.annotate("spill", "no");
                 }
                 self.core.finish()
@@ -1142,9 +1118,19 @@ impl Operator for HashAggregate {
 
 #[cfg(test)]
 mod tests {
+    use std::sync::Arc;
+
     use super::*;
-    use crate::broker::SpillMode;
+    use crate::govern::{Governor, SpillMode};
+    use crate::memory::MemoryTracker;
     use crate::ops::collect;
+    use bdcc_obs::OpMetrics;
+    use bdcc_storage::IoTracker;
+
+    /// An unprofiled, ungoverned aggregate's environment charging `tracker`.
+    fn env(tracker: &Arc<MemoryTracker>) -> OpEnv {
+        OpEnv::new(IoTracker::new(), Arc::clone(tracker))
+    }
 
     struct Source {
         schema: OpSchema,
@@ -1195,7 +1181,7 @@ mod tests {
                 AggSpec::new(AggFunc::Avg, Expr::col("price"), "avg_price"),
                 AggSpec::new(AggFunc::Count, Expr::lit(1), "cnt"),
             ],
-            t.clone(),
+            env(&t),
         )
         .unwrap();
         let out = collect(Box::new(agg)).unwrap();
@@ -1217,7 +1203,7 @@ mod tests {
             Box::new(Source::new(lineitems(), 4)),
             &[],
             vec![AggSpec::new(AggFunc::Sum, Expr::col("price"), "rev")],
-            t,
+            env(&t),
         )
         .unwrap();
         let out = collect(Box::new(agg)).unwrap();
@@ -1242,7 +1228,7 @@ mod tests {
                 AggSpec::new(AggFunc::Max, Expr::col("v"), "mx"),
                 AggSpec::new(AggFunc::CountDistinct, Expr::col("v"), "nd"),
             ],
-            t,
+            env(&t),
         )
         .unwrap();
         let out = collect(Box::new(agg)).unwrap();
@@ -1266,7 +1252,7 @@ mod tests {
             Box::new(src),
             &["k"],
             vec![AggSpec::new(AggFunc::Sum, Expr::col("v"), "s")],
-            MemoryTracker::new(),
+            env(&MemoryTracker::new()),
         )
         .unwrap()
         .with_runs(vec![0]);
@@ -1291,7 +1277,7 @@ mod tests {
             Box::new(src),
             &["k"],
             vec![AggSpec::new(AggFunc::Sum, Expr::col("v"), "s")],
-            t.clone(),
+            env(&t),
         )
         .unwrap()
         .with_runs(vec![2]);
@@ -1320,7 +1306,7 @@ mod tests {
             );
             let aggs = vec![AggSpec::new(AggFunc::Sum, Expr::col("v"), "s")];
             let runs = if sandwich { vec![2] } else { vec![] };
-            let op = HashAggregate::new(Box::new(src), &["k"], aggs, t.clone()).unwrap();
+            let op = HashAggregate::new(Box::new(src), &["k"], aggs, env(&t)).unwrap();
             let op: BoxedOp = Box::new(op.with_runs(runs));
             let out = collect(op).unwrap();
             assert_eq!(out.rows(), 1000);
@@ -1364,51 +1350,47 @@ mod tests {
         ]
     }
 
-    /// Group-by sets every broker mode below runs: a scattered int + string
+    /// Group-by sets every spill mode below runs: a scattered int + string
     /// key, a per-row-unique key (every row its own group), a string + float
     /// key (mixed types through the shared key codec), and `r`.
     const GROUP_BYS: [&[&str]; 4] = [&["k", "s"], &["u"], &["s", "h"], &["r"]];
 
-    /// A hash aggregate over 64-row batches under `broker_of`'s broker vs
-    /// one without: *bit*-identical, floats included, with every temp file
-    /// unlinked and every tracked byte released. Returns each run's
+    /// A hash aggregate over 64-row batches under spill `mode` and `budget`
+    /// vs one in memory: *bit*-identical, floats included, with every temp
+    /// file unlinked and every tracked byte released. Returns each run's
     /// decision log.
-    fn spilled(
-        rows: usize,
-        broker_of: impl Fn(&Arc<MemoryTracker>) -> MemoryBroker,
-    ) -> Vec<String> {
-        let _spill = crate::broker::spill_test_guard();
+    fn spilled(rows: usize, mode: SpillMode, budget: Option<u64>) -> Vec<String> {
+        let _spill = crate::spill::spill_test_guard();
         let base = bdcc_storage::live_spill_files();
         let mut logs = Vec::new();
         for group_by in GROUP_BYS {
-            let agg = |tracker| {
-                HashAggregate::new(
-                    Box::new(Source::new(wide(rows), 64)),
-                    group_by,
-                    every_agg(),
-                    tracker,
-                )
-                .unwrap()
+            let agg = |env| {
+                let src = Box::new(Source::new(wide(rows), 64));
+                HashAggregate::new(src, group_by, every_agg(), env).unwrap()
             };
-            let want = collect(Box::new(agg(MemoryTracker::new()))).unwrap();
+            let want = collect(Box::new(agg(env(&MemoryTracker::new())))).unwrap();
             let (tracker, metrics) = (MemoryTracker::new(), OpMetrics::new());
-            let spilling = agg(Arc::clone(&tracker))
-                .with_broker(broker_of(&tracker), IoTracker::new())
-                .with_metrics(Some(Arc::clone(&metrics)));
-            let got = collect(Box::new(spilling)).unwrap();
+            let mut governor = Governor::none();
+            governor.set_spill(mode);
+            if let Some(bytes) = budget {
+                governor.set_budget(bytes, &tracker);
+            }
+            let metrics_on = Some(Arc::clone(&metrics));
+            let got =
+                collect(Box::new(agg(OpEnv { metrics: metrics_on, governor, ..env(&tracker) })))
+                    .unwrap();
             assert_eq!(want, got, "{group_by:?}: must be bit-identical");
             assert_eq!(bdcc_storage::live_spill_files(), base, "{group_by:?}: files must unlink");
             assert_eq!(tracker.current(), 0, "{group_by:?}: memory must release");
             let log = metrics.annotations().into_iter().find(|(k, _)| k == "spill");
-            logs.push(log.expect("an active broker logs its decision").1);
+            logs.push(log.expect("a spilling query logs its decision").1);
         }
         logs
     }
 
     #[test]
     fn forced_spill_is_bit_identical_and_spills_every_group() {
-        let force = |t: &Arc<MemoryTracker>| MemoryBroker::with_mode(SpillMode::Force, t, None);
-        for log in spilled(3000, force) {
+        for log in spilled(3000, SpillMode::Force, None) {
             assert_eq!(log, "after(0 rows, 0 groups resident) leaves=8");
         }
     }
@@ -1416,11 +1398,9 @@ mod tests {
     #[test]
     fn tiny_budget_recursion_is_bit_identical() {
         // A 4 KB budget stops the table after its first batch, and a 2 KB
-        // restore limit splits every partition further (no governor is
-        // attached, so nothing trips: pure broker mechanics at maximum
-        // stress).
-        let tiny = |t: &Arc<MemoryTracker>| MemoryBroker::with_mode(SpillMode::Auto, t, Some(4096));
-        for log in spilled(3000, tiny) {
+        // restore limit splits every partition further: spill mechanics at
+        // maximum stress, inside the budget's hard check.
+        for log in spilled(3000, SpillMode::Auto, Some(4096)) {
             let leaves: usize = log.rsplit('=').next().unwrap().parse().unwrap();
             assert!(log.starts_with("after(64 rows, 64 groups resident)") && leaves > 8, "{log}");
         }
@@ -1428,9 +1408,7 @@ mod tests {
 
     #[test]
     fn roomy_budget_stays_resident_and_identical() {
-        let roomy =
-            |t: &Arc<MemoryTracker>| MemoryBroker::with_mode(SpillMode::Auto, t, Some(1 << 30));
-        assert!(spilled(2000, roomy).iter().all(|log| log == "no"));
+        assert!(spilled(2000, SpillMode::Auto, Some(1 << 30)).iter().all(|log| log == "no"));
     }
 
     #[test]

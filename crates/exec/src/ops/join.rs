@@ -16,9 +16,10 @@
 //! ends first every right batch probes the indexed left (`flipped`) to mark
 //! the left rows it matches, and each original left batch is emitted
 //! filtered by its marks — the rows, order and batch boundaries of the
-//! right build. Under an active broker the race registers what it buffers,
-//! and a pending batch over the high-water mark — the very first under
-//! `BDCC_SPILL=force` — sends it to the spilled right build.
+//! right build. When the query spills (`Governor::spills`) the race
+//! registers what it buffers, and a pending batch over the governor's
+//! high-water mark — the very first under `BDCC_SPILL=force` — sends it to
+//! the spilled right build.
 //!
 //! Build and probe run on the calling thread at every width: each probe
 //! round is one batch. Semi/Anti probes of a right build without a
@@ -48,18 +49,15 @@
 use std::collections::VecDeque;
 use std::sync::Arc;
 
-use bdcc_obs::OpMetrics;
-use bdcc_storage::{Column, DataType, IoTracker};
+use bdcc_storage::{Column, DataType};
 
 use crate::batch::{Batch, ColMeta, OpSchema};
-use crate::broker::MemoryBroker;
 use crate::error::{ExecError, Result};
 use crate::expr::Expr;
-use crate::govern::Governor;
 use crate::hash::JoinIndex;
 use crate::kernel::{PairFilter, SelVec};
 use crate::memory::{MemoryGuard, MemoryTracker};
-use crate::ops::{BoxedOp, Operator};
+use crate::ops::{BoxedOp, OpEnv, Operator};
 
 #[path = "join_spill.rs"]
 mod spill;
@@ -120,23 +118,16 @@ pub struct HashJoin {
     /// defaults).
     right_types: Vec<DataType>,
     build: Option<Build>,
-    tracker: Arc<MemoryTracker>,
-    /// Memory broker (planner-installed). When active, an over-budget
-    /// build side freezes its largest hash partitions to spill files and
-    /// the join runs as a grace hash join, one restored leaf at a time —
-    /// see `join_spill.rs` and [`crate::broker`].
-    broker: MemoryBroker,
-    /// Meters spill file writes/reads (planner-installed with the broker;
-    /// inert stand-alone tracker by default).
-    spill_io: IoTracker,
+    /// The build side registers on `env.tracker`, the decision log (the
+    /// side indexed and its rows) goes to `env.metrics`, and
+    /// `env.governor` is polled once per probe round and, grouped, once
+    /// per right group. When it spills, an over-budget build side freezes
+    /// its largest hash partitions to spill files metered on `env.io`,
+    /// and the join runs as a grace hash join, one restored leaf at a
+    /// time — see `join_spill.rs`.
+    env: OpEnv,
     /// Batches of the probing side the race buffered: the first rounds.
     pending: VecDeque<Batch>,
-    /// Profiling hook (planner-installed): the side indexed and its rows.
-    /// `None` costs nothing.
-    metrics: Option<Arc<OpMetrics>>,
-    /// Per-query governance checkpoint, polled once per probe round and,
-    /// grouped, once per right group (inert by default).
-    governor: Governor,
     /// Grouped mode (module docs): the group merge over the right child.
     groups: Option<Groups>,
 }
@@ -172,9 +163,9 @@ impl HashJoin {
         on: &[(&str, &str)],
         join_type: JoinType,
         residual: Option<Expr>,
-        tracker: Arc<MemoryTracker>,
+        env: OpEnv,
     ) -> Result<HashJoin> {
-        HashJoin::grouped(left, right, on, (Vec::new(), Vec::new()), join_type, residual, tracker)
+        HashJoin::grouped(left, right, on, (Vec::new(), Vec::new()), join_type, residual, env)
     }
 
     /// The sandwich join (module docs): [`new`](Self::new) over children
@@ -188,7 +179,7 @@ impl HashJoin {
         (left_cols, right_cols): (Vec<usize>, Vec<usize>),
         join_type: JoinType,
         residual: Option<Expr>,
-        tracker: Arc<MemoryTracker>,
+        env: OpEnv,
     ) -> Result<HashJoin> {
         if left_cols.len() != right_cols.len() {
             return Err(ExecError::Plan("a grouped join needs aligned group keys".into()));
@@ -238,36 +229,10 @@ impl HashJoin {
             schema,
             right_types,
             build: None,
-            tracker,
-            broker: MemoryBroker::none(),
-            spill_io: IoTracker::new(),
+            env,
             pending: VecDeque::new(),
-            metrics: None,
-            governor: Governor::none(),
             groups,
         })
-    }
-
-    /// Attach the profiling metric block (planner-installed).
-    pub fn with_metrics(mut self, metrics: Option<Arc<OpMetrics>>) -> HashJoin {
-        self.metrics = metrics;
-        self
-    }
-
-    /// Attach the per-query governor (planner-installed); probe rounds
-    /// become cancellation/deadline/budget checkpoints.
-    pub fn with_governor(mut self, governor: Governor) -> HashJoin {
-        self.governor = governor;
-        self
-    }
-
-    /// Attach the memory broker and the spill I/O meter
-    /// (planner-installed). Under an active broker an over-budget build
-    /// side spills — results stay byte-identical.
-    pub fn with_broker(mut self, broker: MemoryBroker, io: IoTracker) -> HashJoin {
-        self.broker = broker;
-        self.spill_io = io;
-        self
     }
 
     /// Zero rows of the build side's column types.
@@ -286,17 +251,17 @@ impl HashJoin {
         let races = !emits_right(self.join_type);
         let mut payload = self.empty_build();
         let (mut lrows, mut lbytes) = (0usize, 0u64);
-        // Under an active broker what the drain holds is registered as it
+        // When the query spills, what the drain holds is registered as it
         // arrives so pressure is visible; the moment a pending batch would
         // push tracked memory past the high-water mark, the build switches
         // to the partitioned spill drain (`join_spill`) over the right rows
-        // so far. An inactive broker never fires.
-        let mut drain_mem = self.broker.is_active().then(|| self.tracker.register(0));
+        // so far. A query that does not spill never fires.
+        let mut drain_mem = self.env.governor.spills().then(|| self.env.tracker.register(0));
         let left_ended = loop {
             let pull_left = races && lrows < payload.rows();
             let pulled = if pull_left { self.left.next()? } else { right.next()? };
             let Some(batch) = pulled else { break pull_left };
-            if self.broker.should_spill(batch.estimated_bytes()) {
+            if self.env.governor.should_spill(batch.estimated_bytes()) {
                 // The partitions register what they hold from here on.
                 drop(drain_mem);
                 // (A left batch that trips it is the first probe round.)
@@ -318,11 +283,11 @@ impl HashJoin {
             }
         };
         drop(drain_mem);
-        if let (true, Some(m)) = (races, &self.metrics) {
+        if let (true, Some(m)) = (races, &self.env.metrics) {
             m.annotate("race", format!("left={lrows} right={}", payload.rows()));
         }
         if !left_ended {
-            let side = BuildSide::index(payload, &self.right_keys, &self.tracker)?;
+            let side = BuildSide::index(payload, &self.right_keys, &self.env.tracker)?;
             self.annotate_build("right", &side);
             self.build = Some(Build::Mem(side));
             return Ok(());
@@ -330,7 +295,7 @@ impl HashJoin {
         let batch_rows: Vec<u32> = self.pending.iter().map(|b| b.rows() as u32).collect();
         let mut left = Batch::new(self.schema.iter().map(|m| Column::empty(m.data_type)).collect());
         self.pending.drain(..).try_for_each(|b| left.append(&b))?;
-        let mut side = BuildSide::index(left, &self.left_keys, &self.tracker)?;
+        let mut side = BuildSide::index(left, &self.left_keys, &self.env.tracker)?;
         side.mem.grow(lrows as u64);
         self.annotate_build("left", &side);
         let mut marks = vec![false; lrows];
@@ -338,14 +303,14 @@ impl HashJoin {
         self.right = Some(right);
         let mut streamed = 0usize;
         while let Some(batch) = self.fill_round()? {
-            self.governor.check("probe-round")?;
+            self.env.governor.check("probe-round")?;
             streamed += batch.rows();
             let residual = self.residual.as_ref();
             let (_, matched) =
                 probe_batch(&batch, &side, &self.right_keys, self.join_type, residual, true)?;
             matched.into_iter().for_each(|l| marks[l as usize] = true);
         }
-        if let Some(m) = &self.metrics {
+        if let Some(m) = &self.env.metrics {
             m.annotate("streamed", streamed.to_string());
         }
         let (semi, mut at) = (self.join_type == JoinType::Semi, 0u32);
@@ -362,7 +327,7 @@ impl HashJoin {
     /// The join slice of the decision log: the side indexed and its rows
     /// (`race`: where a semi / anti join's children stood when one ended).
     fn annotate_build(&self, which: &str, side: &BuildSide) {
-        let Some(m) = &self.metrics else { return };
+        let Some(m) = &self.env.metrics else { return };
         let rows = side.index.len();
         m.annotate("build_rows", rows.to_string());
         m.annotate("build", format!("{which}({rows})"));
@@ -400,7 +365,7 @@ impl HashJoin {
                     let Some(payload) = rows.take() else { return Ok(true) };
                     g.joined += 1;
                     g.max_build_rows = g.max_build_rows.max(payload.rows());
-                    let side = BuildSide::index(payload, &self.right_keys, &self.tracker)?;
+                    let side = BuildSide::index(payload, &self.right_keys, &self.env.tracker)?;
                     self.build = Some(Build::Mem(side));
                     return Ok(true);
                 }
@@ -409,7 +374,7 @@ impl HashJoin {
                 None => {}
             }
             self.build = None;
-            self.governor.check("sandwich-group")?;
+            self.env.governor.check("sandwich-group")?;
             let next = self.next_right_group()?;
             let g = self.groups.as_mut().expect("a grouped join");
             g.ended = next.is_none();
@@ -452,7 +417,7 @@ impl HashJoin {
     /// a grouped join's group merge — groups joined, groups of one side
     /// only, and the largest group it indexed.
     fn flush_annotations(&self) {
-        let Some(m) = &self.metrics else { return };
+        let Some(m) = &self.env.metrics else { return };
         if let Some(pf) = &self.residual {
             pf.annotate(m);
         }
@@ -513,7 +478,7 @@ impl HashJoin {
     /// Probe one left batch against the in-memory build and assemble its
     /// output.
     fn probe_round(&self, mut left: Batch) -> Result<Batch> {
-        self.governor.check("probe-round")?;
+        self.env.governor.check("probe-round")?;
         let Some(Build::Mem(build)) = &self.build else {
             unreachable!("a left build probes inside `build_side`, a spilled one merges")
         };
@@ -692,7 +657,30 @@ fn default_column(dt: DataType, n: usize) -> Column {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::govern::{Governor, SpillMode};
     use crate::ops::collect;
+    use bdcc_storage::IoTracker;
+
+    /// An unprofiled, ungoverned join's environment charging `tracker`.
+    fn env(tracker: &Arc<MemoryTracker>) -> OpEnv {
+        OpEnv::new(IoTracker::new(), Arc::clone(tracker))
+    }
+
+    /// A join's environment under spill `mode` and `budget`, charging
+    /// `tracker` and metering spill files on `io`.
+    fn spilling(
+        mode: SpillMode,
+        budget: Option<u64>,
+        tracker: &Arc<MemoryTracker>,
+        io: &IoTracker,
+    ) -> OpEnv {
+        let mut governor = Governor::none();
+        governor.set_spill(mode);
+        if let Some(bytes) = budget {
+            governor.set_budget(bytes, tracker);
+        }
+        OpEnv { governor, ..OpEnv::new(io.clone(), Arc::clone(tracker)) }
+    }
 
     struct Source {
         schema: OpSchema,
@@ -739,7 +727,7 @@ mod tests {
             &[("o_custkey", "c_custkey")],
             JoinType::Inner,
             None,
-            t.clone(),
+            env(&t),
         )
         .unwrap();
         let out = collect(Box::new(j)).unwrap();
@@ -764,7 +752,7 @@ mod tests {
             &[("lk", "rk")],
             JoinType::Inner,
             None,
-            MemoryTracker::new(),
+            env(&MemoryTracker::new()),
         )
         .unwrap();
         let out = collect(Box::new(j)).unwrap();
@@ -781,7 +769,7 @@ mod tests {
             &[("o_custkey", "c_custkey")],
             JoinType::Semi,
             None,
-            t.clone(),
+            env(&t),
         )
         .unwrap();
         let out = collect(Box::new(j)).unwrap();
@@ -794,7 +782,7 @@ mod tests {
             &[("o_custkey", "c_custkey")],
             JoinType::Anti,
             None,
-            t,
+            env(&t),
         )
         .unwrap();
         let out = collect(Box::new(j)).unwrap();
@@ -813,7 +801,7 @@ mod tests {
             &[("c_custkey", "o_custkey")],
             JoinType::LeftOuter,
             None,
-            t,
+            env(&t),
         )
         .unwrap();
         let out = collect(Box::new(j)).unwrap();
@@ -833,7 +821,7 @@ mod tests {
             &[("o_custkey", "c_custkey")],
             JoinType::Inner,
             Some(Expr::col("o_orderkey").ge(Expr::lit(3))),
-            t,
+            env(&t),
         )
         .unwrap();
         let out = collect(Box::new(j)).unwrap();
@@ -850,7 +838,7 @@ mod tests {
             &[("o_custkey", "c_custkey")],
             JoinType::Anti,
             Some(Expr::col("c_name").eq(Expr::lit("alice"))),
-            t,
+            env(&t),
         )
         .unwrap();
         let out = collect(Box::new(j)).unwrap();
@@ -910,7 +898,7 @@ mod tests {
                 &[("lk", "rk")],
                 jt,
                 res,
-                MemoryTracker::new(),
+                env(&MemoryTracker::new()),
             )
             .unwrap();
             let schema = join.schema().clone();
@@ -955,9 +943,8 @@ mod tests {
 
     #[test]
     fn spilled_build_is_byte_identical_for_every_flavor() {
-        use crate::broker::SpillMode;
         use bdcc_storage::live_spill_files;
-        let _spill = crate::broker::spill_test_guard();
+        let _spill = crate::spill::spill_test_guard();
         // Build side big enough to scatter across many partitions; left
         // side chunked so every leaf's fragments span many left batches.
         let left: Vec<(i64, i64)> = (0..400).map(|i| (i % 37, i)).collect();
@@ -974,18 +961,18 @@ mod tests {
                         &[("lk", "rk")],
                         jt,
                         res.clone(),
-                        MemoryTracker::new(),
+                        env(&MemoryTracker::new()),
                     )
                     .unwrap(),
                 ))
                 .unwrap();
                 // Force: everything freezes. Tiny auto budget: freeze +
                 // recursive split on restore (4 KB budget → 2 KB leaves).
-                let brokers: Vec<(&str, SpillMode, Option<u64>)> = vec![
+                let modes: Vec<(&str, SpillMode, Option<u64>)> = vec![
                     ("force", SpillMode::Force, None),
                     ("tiny-auto", SpillMode::Auto, Some(4096)),
                 ];
-                for (name, mode, budget) in brokers {
+                for (name, mode, budget) in modes {
                     let tracker = MemoryTracker::new();
                     let io = IoTracker::new();
                     let spilled = collect(Box::new(
@@ -995,10 +982,9 @@ mod tests {
                             &[("lk", "rk")],
                             jt,
                             res.clone(),
-                            Arc::clone(&tracker),
+                            spilling(mode, budget, &tracker, &io),
                         )
-                        .unwrap()
-                        .with_broker(MemoryBroker::with_mode(mode, &tracker, budget), io.clone()),
+                        .unwrap(),
                     ))
                     .unwrap();
                     assert_eq!(serial, spilled, "{jt:?} residual={residual} {name}");
@@ -1019,9 +1005,8 @@ mod tests {
 
     #[test]
     fn roomy_auto_budget_never_spills() {
-        use crate::broker::SpillMode;
         use bdcc_storage::live_spill_files;
-        let _spill = crate::broker::spill_test_guard();
+        let _spill = crate::spill::spill_test_guard();
         let tracker = MemoryTracker::new();
         let io = IoTracker::new();
         let base = live_spill_files();
@@ -1031,10 +1016,9 @@ mod tests {
             &[("o_custkey", "c_custkey")],
             JoinType::Inner,
             None,
-            Arc::clone(&tracker),
+            spilling(SpillMode::Auto, Some(1 << 30), &tracker, &io),
         )
-        .unwrap()
-        .with_broker(MemoryBroker::with_mode(SpillMode::Auto, &tracker, Some(1 << 30)), io.clone());
+        .unwrap();
         let out = collect(Box::new(j)).unwrap();
         assert_eq!(out.rows(), 3);
         assert_eq!(live_spill_files(), base);
@@ -1050,7 +1034,7 @@ mod tests {
             &[("nope", "c_custkey")],
             JoinType::Inner,
             None,
-            t,
+            env(&t),
         )
         .is_err());
     }

@@ -11,7 +11,7 @@
 //!    so chains — and the output — are the unpartitioned join's). Once
 //!    anything froze, **everything** freezes: the build is a list of file
 //!    leaves, each sized for payload × 2 (a restored leaf is indexed too)
-//!    within the broker's restore limit, each knowing its hash slice.
+//!    within the governor's restore limit, each knowing its hash slice.
 //! 2. **Probe partitioning.** Every left batch — first those the race
 //!    buffered — gets its left row ids as a trailing `i64` column and goes
 //!    through a second core keyed on the left join columns, one partition
@@ -73,14 +73,7 @@ impl HashJoin {
         leaf_factor: u64,
         label: &'static str,
     ) -> PartitionSpill {
-        PartitionSpill::new(
-            Shape { keys: keys.to_vec(), fanout, leaf_factor, label },
-            self.broker.clone(),
-            self.governor.clone(),
-            &self.tracker,
-            self.spill_io.clone(),
-            self.metrics.clone(),
-        )
+        PartitionSpill::new(Shape { keys: keys.to_vec(), fanout, leaf_factor, label }, &self.env)
     }
 
     /// Partitioned drain, entered the moment the in-memory drain sees
@@ -93,7 +86,7 @@ impl HashJoin {
         seed: Batch,
         first: Batch,
     ) -> Result<Build> {
-        if let Some(m) = &self.metrics {
+        if let Some(m) = &self.env.metrics {
             m.annotate("spill_mode", "build-broker");
         }
         let mut spill = self.core(&self.right_keys, Fanout::Bits(JOIN_BITS), 2, "join-build");
@@ -108,7 +101,7 @@ impl HashJoin {
         if !spill.any_frozen() {
             let mut payload = self.empty_build();
             spill.for_each_leaf(|leaf| leaf.for_each_chunk(|chunk| Ok(payload.append(&chunk)?)))?;
-            let side = BuildSide::index(payload, &self.right_keys, &self.tracker)?;
+            let side = BuildSide::index(payload, &self.right_keys, &self.env.tracker)?;
             self.annotate_build("right", &side);
             return Ok(Build::Mem(side));
         }
@@ -118,7 +111,7 @@ impl HashJoin {
             leaves.push(leaf);
             Ok(())
         })?;
-        if let Some(m) = &self.metrics {
+        if let Some(m) = &self.env.metrics {
             m.annotate("build_rows", leaves.iter().map(Leaf::rows).sum::<u64>().to_string());
             m.annotate("build", format!("spilled({})", leaves.len()));
         }
@@ -136,7 +129,7 @@ impl HashJoin {
         while let Some(mut batch) =
             self.pending.pop_front().map_or_else(|| self.left.next(), |b| Ok(Some(b)))?
         {
-            self.governor.check("probe-partition")?;
+            self.env.governor.check("probe-partition")?;
             let rows = batch.rows() as i64;
             batch.columns.push(Column::from_i64((next_id..next_id + rows).collect()));
             next_id += rows;
@@ -169,7 +162,7 @@ impl HashJoin {
                 Ok(())
             })
         })?;
-        if let Some(m) = &self.metrics {
+        if let Some(m) = &self.env.metrics {
             m.annotate("probe", format!("partitioned({partitions})"));
             m.annotate("restores", restores.to_string());
         }
@@ -187,7 +180,7 @@ impl HashJoin {
             start: 0,
             rowid: self.left.schema().len(),
             matched_first: join_type == JoinType::LeftOuter,
-            governor: self.governor.clone(),
+            governor: self.env.governor.clone(),
         })
     }
 
@@ -195,7 +188,7 @@ impl HashJoin {
     fn index_leaf(&self, leaf: Leaf) -> Result<BuildSide> {
         let mut payload = self.empty_build();
         leaf.for_each_chunk(|chunk| Ok(payload.append(&chunk)?))?;
-        BuildSide::index(payload, &self.right_keys, &self.tracker)
+        BuildSide::index(payload, &self.right_keys, &self.env.tracker)
     }
 }
 

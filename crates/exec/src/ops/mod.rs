@@ -18,8 +18,15 @@ pub mod scan;
 pub mod sort;
 pub mod transform;
 
+use std::sync::Arc;
+
+use bdcc_obs::OpMetrics;
+use bdcc_storage::IoTracker;
+
 use crate::batch::{Batch, OpSchema};
 use crate::error::Result;
+use crate::govern::Governor;
+use crate::memory::MemoryTracker;
 
 /// A pull-based physical operator.
 pub trait Operator: Send {
@@ -31,6 +38,31 @@ pub trait Operator: Send {
 
 /// Boxed operator, the unit the planner composes.
 pub type BoxedOp = Box<dyn Operator>;
+
+/// What an operator reads through, is charged to, reports on and answers
+/// to: one value the planner builds per operator and hands to the leaf
+/// scan, the hash join, the hash aggregate and the morsel fan-out alike.
+#[derive(Clone)]
+pub struct OpEnv {
+    /// Storage reads, and spill file writes and reads.
+    pub io: IoTracker,
+    /// What the operator holds is registered here (a fan-out: every
+    /// morsel's folded value while it is in flight).
+    pub tracker: Arc<MemoryTracker>,
+    /// Profiling hook (planner-installed). `None` costs nothing.
+    pub metrics: Option<Arc<OpMetrics>>,
+    /// The query's limits and spill mode (see [`crate::govern`]): polled
+    /// at the operator's checkpoints, asked before state grows. Inert by
+    /// default.
+    pub governor: Governor,
+}
+
+impl OpEnv {
+    /// Unprofiled and ungoverned.
+    pub fn new(io: IoTracker, tracker: Arc<MemoryTracker>) -> OpEnv {
+        OpEnv { io, tracker, metrics: None, governor: Governor::none() }
+    }
+}
 
 /// Drain an operator into a single materialized batch (tests/harness).
 pub fn collect(mut op: BoxedOp) -> Result<Batch> {

@@ -52,8 +52,7 @@ use bdcc_storage::{Column, DataType, IoTracker, StoredTable, StrVec};
 use crate::batch::{Batch, ColMeta, OpSchema};
 use crate::enc::{BlockVerdict, ScanKernel};
 use crate::error::{ExecError, Result};
-use crate::govern::Governor;
-use crate::ops::Operator;
+use crate::ops::{OpEnv, Operator};
 use crate::parallel::morsel::{split_runs, Morsel};
 use crate::pred::ColPredicate;
 
@@ -176,12 +175,6 @@ impl ScanBlueprint {
         self.read_set.iter().map(|r| r.0)
     }
 
-    /// Rows the scan would read if nothing were pruned (the weight used to
-    /// decide whether going parallel is worth it).
-    pub fn total_rows(&self) -> usize {
-        self.runs.iter().map(|r| r.count).sum()
-    }
-
     /// Partition the runs into morsels of roughly `morsel_rows` rows.
     pub fn morsels(&self, morsel_rows: usize) -> Vec<Morsel> {
         split_runs(&self.runs, morsel_rows)
@@ -297,16 +290,13 @@ fn copy_ranges(src: &Column, ranges: &[(usize, usize)], rows: usize) -> Result<C
 }
 
 /// The leaf scan operator (see the [module docs](self)): runs
-/// `[next, end)` of its blueprint, walked on the calling thread.
+/// `[next, end)` of its blueprint, walked on the calling thread. Reads
+/// through `env.io`, books block skips on `env.metrics`, and polls
+/// `env.governor` before every batch, so cancellation stops the scan within
+/// one batch.
 pub struct Scan {
     blueprint: Arc<ScanBlueprint>,
-    io: IoTracker,
-    /// Profiling hook (planner-installed): block-skip counters. `None`
-    /// costs nothing.
-    metrics: Option<Arc<OpMetrics>>,
-    /// Per-query limits, polled before every batch, so cancellation stops
-    /// the scan within one batch. Inert by default.
-    governor: Governor,
+    env: OpEnv,
     next: usize,
     end: usize,
     /// Scratch for [`ScanBlueprint::read_run`]: survivor ranges, and their
@@ -318,35 +308,22 @@ pub struct Scan {
 impl Scan {
     /// A walk over runs `[runs.start, runs.end)`: the whole leaf, or what a
     /// worker builds for its morsel.
-    pub fn over(blueprint: Arc<ScanBlueprint>, io: IoTracker, runs: Morsel) -> Scan {
+    pub fn over(blueprint: Arc<ScanBlueprint>, env: OpEnv, runs: Morsel) -> Scan {
         let end = runs.end.min(blueprint.runs.len());
         let next = runs.start.min(end);
-        let (metrics, governor) = (None, Governor::none());
-        Scan { blueprint, io, metrics, governor, next, end, ranges: Vec::new(), rows: Vec::new() }
+        Scan { blueprint, env, next, end, ranges: Vec::new(), rows: Vec::new() }
     }
 
     /// The key-less scan of a whole table, block by block.
     pub fn blocks<S: AsRef<str>>(
         table: Arc<StoredTable>,
-        io: IoTracker,
+        env: OpEnv,
         columns: &[S],
         predicates: Vec<ColPredicate>,
     ) -> Result<Scan> {
         let blueprint = ScanBlueprint::blocks(table, columns, predicates)?;
         let runs = 0..blueprint.runs.len();
-        Ok(Scan::over(blueprint, io, runs))
-    }
-
-    /// Attach the profiling metric block.
-    pub fn with_metrics(mut self, metrics: Option<Arc<OpMetrics>>) -> Scan {
-        self.metrics = metrics;
-        self
-    }
-
-    /// Attach the query's governor (planner-installed).
-    pub fn with_governor(mut self, governor: Governor) -> Scan {
-        self.governor = governor;
-        self
+        Ok(Scan::over(blueprint, env, runs))
     }
 }
 
@@ -358,13 +335,13 @@ impl Operator for Scan {
     fn next(&mut self) -> Result<Option<Batch>> {
         // Inline leaves are where an otherwise-unparallel plan spends its
         // time — poll the governor per batch there.
-        self.governor.check("scan-batch")?;
+        self.env.governor.check("scan-batch")?;
         while self.next < self.end {
             let run = &self.blueprint.runs[self.next];
             self.next += 1;
-            let metrics = self.metrics.as_deref();
+            let metrics = self.env.metrics.as_deref();
             let scratch = (&mut self.ranges, &mut self.rows);
-            if let Some(batch) = self.blueprint.read_run(run, &self.io, metrics, scratch)? {
+            if let Some(batch) = self.blueprint.read_run(run, &self.env.io, metrics, scratch)? {
                 return Ok(Some(batch));
             }
         }
@@ -378,7 +355,7 @@ mod tests {
     use crate::expr::Expr;
     use crate::memory::MemoryTracker;
     use crate::ops::collect;
-    use crate::parallel::{leaf_scan, FanOutEnv, ParallelConfig};
+    use crate::parallel::{leaf_scan, ParallelConfig};
     use bdcc_storage::{Datum, TableBuilder};
     use proptest::prelude::*;
 
@@ -394,6 +371,11 @@ mod tests {
             )
             .unwrap(),
         )
+    }
+
+    /// An unprofiled, ungoverned scan's environment over `io`.
+    fn env(io: &IoTracker) -> OpEnv {
+        OpEnv::new(io.clone(), MemoryTracker::new())
     }
 
     /// A sorted table of 16 rows in encoded blocks of 4: key = row/4 (4
@@ -429,17 +411,17 @@ mod tests {
         let n = runs.len();
         let blueprint =
             ScanBlueprint::new(Arc::clone(table), columns, predicates, &names, runs).unwrap();
-        Scan::over(blueprint, io.clone(), 0..n)
+        Scan::over(blueprint, env(io), 0..n)
     }
 
     fn block_scan(columns: &[&str], predicates: Vec<ColPredicate>) -> Result<Scan> {
-        Scan::blocks(table(), IoTracker::new(), columns, predicates)
+        Scan::blocks(table(), env(&IoTracker::new()), columns, predicates)
     }
 
     #[test]
     fn full_scan_returns_everything() {
         let io = IoTracker::new();
-        let scan = Scan::blocks(table(), io.clone(), &["k", "v"], vec![]).unwrap();
+        let scan = Scan::blocks(table(), env(&io), &["k", "v"], vec![]).unwrap();
         let out = collect(Box::new(scan)).unwrap();
         assert_eq!(out.rows(), 12);
         assert!(io.stats().bytes_read > 0);
@@ -449,13 +431,13 @@ mod tests {
     fn block_skipping_reduces_io() {
         let t = table();
         let io_full = IoTracker::new();
-        let scan = Scan::blocks(Arc::clone(&t), io_full.clone(), &["k"], vec![]).unwrap();
+        let scan = Scan::blocks(Arc::clone(&t), env(&io_full), &["k"], vec![]).unwrap();
         collect(Box::new(scan)).unwrap();
 
         let io_pruned = IoTracker::new();
         // k >= 8 → only the last block qualifies.
         let preds = vec![ColPredicate::ge("k", 8i64)];
-        let scan = Scan::blocks(t, io_pruned.clone(), &["k"], preds).unwrap();
+        let scan = Scan::blocks(t, env(&io_pruned), &["k"], preds).unwrap();
         let out = collect(Box::new(scan)).unwrap();
         assert_eq!(out.columns[0].as_i64().unwrap(), &[8, 9, 10, 11]);
         assert!(io_pruned.stats().bytes_read < io_full.stats().bytes_read);
@@ -512,7 +494,7 @@ mod tests {
             .unwrap(),
         );
         let preds = vec![ColPredicate::eq("name", Datum::Str("pear".into()))];
-        let scan = Scan::blocks(t, IoTracker::new(), &["name"], preds).unwrap();
+        let scan = Scan::blocks(t, env(&IoTracker::new()), &["name"], preds).unwrap();
         let out = collect(Box::new(scan)).unwrap();
         assert_eq!(out.columns[0], Column::from_strings(vec!["pear".into()]));
     }
@@ -522,7 +504,7 @@ mod tests {
         let io = IoTracker::new();
         let blueprint = ScanBlueprint::blocks(table(), &["k"], vec![]).unwrap();
         let over =
-            |runs| collect(Box::new(Scan::over(Arc::clone(&blueprint), io.clone(), runs))).unwrap();
+            |runs| collect(Box::new(Scan::over(Arc::clone(&blueprint), env(&io), runs))).unwrap();
         let full = over(0..3);
         // Split into [0,1) ++ [1,3): concatenation equals the full scan.
         let (a, b) = (over(0..1), over(1..3));
@@ -684,8 +666,7 @@ mod tests {
 
     /// Every batch of the leaf over `blueprint` at width `cfg`, in order.
     fn batches_at(blueprint: &Arc<ScanBlueprint>, cfg: &ParallelConfig) -> Vec<Batch> {
-        let env = FanOutEnv::new(IoTracker::new(), MemoryTracker::new());
-        let mut scan = leaf_scan(Arc::clone(blueprint), cfg, env);
+        let mut scan = leaf_scan(Arc::clone(blueprint), cfg, env(&IoTracker::new()));
         std::iter::from_fn(|| scan.next().unwrap()).collect()
     }
 
@@ -825,7 +806,8 @@ mod tests {
             }
             prop_assert_eq!(&got, want);
 
-            let mut scan = Scan::blocks(Arc::clone(&t), IoTracker::new(), &["v"], preds).unwrap();
+            let io = IoTracker::new();
+            let mut scan = Scan::blocks(Arc::clone(&t), env(&io), &["v"], preds).unwrap();
             let mut per_block: Vec<Vec<i64>> = vec![Vec::new(); rows.div_ceil(block_rows)];
             want.iter().for_each(|&v| per_block[(v / 10) as usize / block_rows].push(v));
             per_block.retain(|b| !b.is_empty());

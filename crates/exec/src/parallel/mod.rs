@@ -62,9 +62,9 @@
 //! identical to serial execution (verified for all 22 TPC-H queries under
 //! all three schemes by `tests/parallel_equivalence.rs`).
 //!
-//! Per-morsel partials have nothing to shed, so under an active
-//! [`MemoryBroker`](crate::broker::MemoryBroker) the planner builds no
-//! [`ParallelAggregate`]: the serial
+//! Per-morsel partials have nothing to shed, so when the query spills
+//! ([`Governor::spills`](crate::govern::Governor::spills)) the planner
+//! builds no [`ParallelAggregate`]: the serial
 //! [`HashAggregate`](crate::ops::agg::HashAggregate) above the streamed
 //! leaf is the aggregate that spills.
 //!
@@ -72,12 +72,16 @@
 //!
 //! Width is a value: every [`QueryContext`] carries a [`ParallelConfig`],
 //! and `threads: 1` — what [`QueryContext::new`] installs — is serial
-//! execution. [`QueryContext::with_parallel`] installs a wider one; every
-//! leaf then streams when it is longer than one morsel, and the planner
-//! swaps eligible leaf aggregates for [`ParallelAggregate`] (broker
-//! inert). The rest of the operator tree is the serial one.
-//! The two fields of the config are the whole configuration: nothing in
-//! the environment changes what a given [`ParallelConfig`] does.
+//! execution (the context clamps `threads: 0` to it).
+//! [`QueryContext::with_parallel`] installs a wider one; every leaf then
+//! streams when it makes more than one morsel, and the planner swaps those
+//! leaves' eligible aggregates for [`ParallelAggregate`] when the query
+//! does not spill. The rest of the operator tree is the serial one.
+//! Nothing in the environment changes what a given [`ParallelConfig`]
+//! does. One thing beside it does: under a memory budget the query spills
+//! under, the planner caps `morsel_rows` by the budget (`query_width` in
+//! `planner.rs`, where it reads the width), so the streaming scans'
+//! buffers, which cannot spill, shrink with the budget.
 //!
 //! [`QueryContext`]: crate::planner::QueryContext
 //! [`QueryContext::new`]: crate::planner::QueryContext::new
@@ -93,18 +97,17 @@ pub mod pool {
 
 use std::sync::Arc;
 
-use bdcc_obs::{OpMetrics, SpanTimer};
-use bdcc_storage::IoTracker;
+use bdcc_obs::SpanTimer;
 
 use crate::batch::{Batch, OpSchema};
 use crate::error::{ExecError, Result};
 use crate::expr::Expr;
 use crate::govern::Governor;
-use crate::memory::{MemoryGuard, MemoryTracker};
+use crate::memory::MemoryGuard;
 use crate::ops::agg::{AggSpec, PartialAgg};
 use crate::ops::scan::{Scan, ScanBlueprint};
 use crate::ops::transform::{Filter, Project};
-use crate::ops::{BoxedOp, Operator};
+use crate::ops::{BoxedOp, OpEnv, Operator};
 
 pub use morsel::Morsel;
 
@@ -135,14 +138,10 @@ impl ParallelConfig {
         ParallelConfig { threads: threads.max(1), morsel_rows: DEFAULT_MORSEL_ROWS }
     }
 
-    /// Is splitting a `rows`-row leaf worth the fan-out?
-    pub(crate) fn worth_splitting(&self, rows: usize) -> bool {
-        self.threads > 1 && rows > self.morsel_rows
-    }
-
-    /// The morsels a streamed leaf over `scan` runs, or `None` when the
-    /// scan is walked inline: at one thread, or when its runs make one
-    /// morsel.
+    /// The morsels a fan-out over `scan` runs, or `None` when the scan is
+    /// walked inline: at one thread, or when its runs make one morsel. The
+    /// one inline-or-streamed decision, for leaf scans and leaf aggregates
+    /// alike.
     pub(crate) fn split(&self, scan: &ScanBlueprint) -> Option<Vec<Morsel>> {
         if self.threads <= 1 {
             return None;
@@ -177,15 +176,12 @@ pub struct FragmentBlueprint {
 
 impl FragmentBlueprint {
     /// Build the fragment operator over one morsel of the leaf's runs; its
-    /// scan books the blocks it skips on `metrics`.
-    pub(crate) fn build(
-        &self,
-        io: &IoTracker,
-        morsel: Morsel,
-        metrics: Option<Arc<OpMetrics>>,
-    ) -> Result<BoxedOp> {
-        let scan = Scan::over(Arc::clone(&self.scan), io.clone(), morsel).with_metrics(metrics);
-        let mut op: BoxedOp = Box::new(scan);
+    /// scan reads through `env.io` and books the blocks it skips on
+    /// `env.metrics`. The fan-out polls the governor once per morsel, so
+    /// the scan does not poll it per batch.
+    pub(crate) fn build(&self, env: &OpEnv, morsel: Morsel) -> Result<BoxedOp> {
+        let env = OpEnv { governor: Governor::none(), ..env.clone() };
+        let mut op: BoxedOp = Box::new(Scan::over(Arc::clone(&self.scan), env, morsel));
         for step in &self.steps {
             op = match step {
                 FragmentStep::Filter(e) => Box::new(Filter::new(op, e.clone())?),
@@ -193,28 +189,6 @@ impl FragmentBlueprint {
             };
         }
         Ok(op)
-    }
-}
-
-/// What a fan-out's morsels read through, are charged to and answer to.
-#[derive(Clone)]
-pub struct FanOutEnv {
-    pub(crate) io: IoTracker,
-    /// Every morsel's folded value is registered here while in flight.
-    pub(crate) tracker: Arc<MemoryTracker>,
-    /// Profiling hook (planner-installed): block skips, morsel counts and
-    /// latencies from the workers, reorder-buffer occupancy from the
-    /// consumer. `None` costs nothing.
-    pub(crate) metrics: Option<Arc<OpMetrics>>,
-    /// Per-query limits: polled once per morsel, so cancellation stops a
-    /// fan-out within one morsel. Inert by default.
-    pub(crate) governor: Governor,
-}
-
-impl FanOutEnv {
-    /// Unprofiled and ungoverned.
-    pub fn new(io: IoTracker, tracker: Arc<MemoryTracker>) -> FanOutEnv {
-        FanOutEnv { io, tracker, metrics: None, governor: Governor::none() }
     }
 }
 
@@ -249,13 +223,16 @@ impl MorselFold for PartialAgg {
 /// The executor's one fan-out (see the [module docs](self)): each pool task
 /// builds the fragment over one morsel and folds its batches into a copy of
 /// `empty`; [`recv`](Self::recv) returns the folded values in morsel order,
-/// each with the registration that keeps it charged until the consumer
-/// drops it. Nothing runs before the first `recv`.
+/// each with the registration on `env.tracker` that keeps it charged until
+/// the consumer drops it. Workers book block skips, morsel counts and
+/// latencies on `env.metrics`, the consumer the reorder buffer's occupancy,
+/// and `env.governor` is polled once per morsel, so cancellation stops a
+/// fan-out within one morsel. Nothing runs before the first `recv`.
 pub(crate) struct FanOut<T> {
     fragment: Arc<FragmentBlueprint>,
     morsels: Vec<Morsel>,
     empty: T,
-    env: FanOutEnv,
+    env: OpEnv,
     threads: usize,
     /// Names the fan-out in governor checkpoints and worker panics.
     site: &'static str,
@@ -267,7 +244,7 @@ impl<T: MorselFold> FanOut<T> {
         fragment: Arc<FragmentBlueprint>,
         morsels: Vec<Morsel>,
         empty: T,
-        env: FanOutEnv,
+        env: OpEnv,
         threads: usize,
         site: &'static str,
     ) -> FanOut<T> {
@@ -293,7 +270,7 @@ impl<T: MorselFold> FanOut<T> {
         pool::OrderedStream::spawn(self.threads, morsels.len(), window, site, move |i| {
             env.governor.check(site)?;
             let span = env.metrics.as_ref().map(|_| SpanTimer::start());
-            let mut op = fragment.build(&env.io, morsels[i].clone(), env.metrics.clone())?;
+            let mut op = fragment.build(&env, morsels[i].clone())?;
             let (mut out, mut rows) = (empty.clone(), 0u64);
             while let Some(b) = op.next()? {
                 rows += b.rows() as u64;
@@ -313,15 +290,14 @@ impl<T: MorselFold> FanOut<T> {
 /// The leaf scan at the width of `cfg`: streamed through a `FanOut` when
 /// `ParallelConfig::split` says so, walked inline otherwise. Logs the
 /// path it takes on `env.metrics`.
-pub fn leaf_scan(blueprint: Arc<ScanBlueprint>, cfg: &ParallelConfig, env: FanOutEnv) -> BoxedOp {
+pub fn leaf_scan(blueprint: Arc<ScanBlueprint>, cfg: &ParallelConfig, env: OpEnv) -> BoxedOp {
     let morsels = cfg.split(&blueprint);
     if let Some(m) = &env.metrics {
         m.annotate("path", if morsels.is_some() { "streaming" } else { "serial" });
     }
     let Some(morsels) = morsels else {
         let runs = 0..blueprint.runs().len();
-        let scan = Scan::over(blueprint, env.io, runs).with_metrics(env.metrics);
-        return Box::new(scan.with_governor(env.governor));
+        return Box::new(Scan::over(blueprint, env, runs));
     };
     let schema = blueprint.schema().clone();
     let fragment = Arc::new(FragmentBlueprint { scan: blueprint, steps: Vec::new() });
@@ -375,25 +351,20 @@ pub struct ParallelAggregate {
 }
 
 impl ParallelAggregate {
-    /// The aggregate over every morsel of `fragment` at `cfg`'s width.
+    /// The aggregate over `morsels` of `fragment` (what
+    /// `ParallelConfig::split` made of its scan), `threads` wide.
     pub fn new(
         fragment: FragmentBlueprint,
+        morsels: Vec<Morsel>,
         group_by: &[&str],
         aggs: Vec<AggSpec>,
-        cfg: &ParallelConfig,
-        env: FanOutEnv,
+        threads: usize,
+        env: OpEnv,
     ) -> Result<ParallelAggregate> {
-        let schema = fragment.build(&env.io, 0..0, None)?.schema().clone();
+        let schema = fragment.build(&env, 0..0)?.schema().clone();
         let empty = PartialAgg::new(&schema, group_by, &aggs)?;
-        let morsels = fragment.scan.morsels(cfg.morsel_rows);
-        let partials = FanOut::new(
-            Arc::new(fragment),
-            morsels,
-            empty.clone(),
-            env,
-            cfg.threads,
-            "agg-partial",
-        );
+        let fragment = Arc::new(fragment);
+        let partials = FanOut::new(fragment, morsels, empty.clone(), env, threads, "agg-partial");
         Ok(ParallelAggregate { partials, empty, done: false })
     }
 }
@@ -429,11 +400,12 @@ impl Operator for ParallelAggregate {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::memory::MemoryTracker;
     use crate::ops::agg::{AggFunc, HashAggregate};
     use crate::ops::collect;
     use crate::ops::scan::Run;
     use crate::pred::ColPredicate;
-    use bdcc_storage::{Column, StoredTable};
+    use bdcc_storage::{Column, IoTracker, StoredTable};
 
     fn table(rows: usize) -> Arc<StoredTable> {
         let k: Vec<i64> = (0..rows as i64).collect();
@@ -457,6 +429,19 @@ mod tests {
         ScanBlueprint::blocks(Arc::clone(t), &["k", "g", "f"], preds).unwrap()
     }
 
+    /// The partial-merge aggregate over every morsel of `fragment` at
+    /// `cfg`, however few.
+    fn partial_merge(
+        fragment: FragmentBlueprint,
+        group_by: &[&str],
+        aggs: Vec<AggSpec>,
+        cfg: &ParallelConfig,
+        env: OpEnv,
+    ) -> ParallelAggregate {
+        let morsels = fragment.scan.morsels(cfg.morsel_rows);
+        ParallelAggregate::new(fragment, morsels, group_by, aggs, cfg.threads, env).unwrap()
+    }
+
     #[test]
     fn parallel_aggregate_matches_hash_aggregate() {
         let t = table(2000);
@@ -470,24 +455,16 @@ mod tests {
             AggSpec::new(AggFunc::Count, Expr::lit(1), "n"),
             AggSpec::new(AggFunc::CountDistinct, Expr::col("g"), "nd"),
         ];
+        let env = OpEnv::new(io, MemoryTracker::new());
         let serial_in: BoxedOp =
-            Box::new(Scan::blocks(Arc::clone(&t), io.clone(), &["k", "g", "f"], vec![]).unwrap());
+            Box::new(Scan::blocks(Arc::clone(&t), env.clone(), &["k", "g", "f"], vec![]).unwrap());
         let serial = collect(Box::new(
-            HashAggregate::new(serial_in, &["g"], aggs.clone(), MemoryTracker::new()).unwrap(),
+            HashAggregate::new(serial_in, &["g"], aggs.clone(), env.clone()).unwrap(),
         ))
         .unwrap();
         let cfg = ParallelConfig { threads: 4, morsel_rows: 48 };
-        let par = collect(Box::new(
-            ParallelAggregate::new(
-                FragmentBlueprint { scan: blueprint(&t, vec![]), steps: vec![] },
-                &["g"],
-                aggs,
-                &cfg,
-                FanOutEnv::new(io, MemoryTracker::new()),
-            )
-            .unwrap(),
-        ))
-        .unwrap();
+        let fragment = FragmentBlueprint { scan: blueprint(&t, vec![]), steps: vec![] };
+        let par = collect(Box::new(partial_merge(fragment, &["g"], aggs, &cfg, env))).unwrap();
         // Integer aggregates, group keys and group order are exact; float
         // Sum/Avg are only promised to ~1 ulp (different accumulation
         // association), so compare through the canonical rounding the
@@ -504,17 +481,9 @@ mod tests {
         let aggs = vec![AggSpec::new(AggFunc::Count, Expr::lit(1), "n")];
         let cfg = ParallelConfig { threads: 2, morsel_rows: 16 };
         let bp = blueprint(&t, vec![ColPredicate::eq("k", 1_000_000i64)]);
-        let par = collect(Box::new(
-            ParallelAggregate::new(
-                FragmentBlueprint { scan: bp, steps: vec![] },
-                &[],
-                aggs,
-                &cfg,
-                FanOutEnv::new(io, MemoryTracker::new()),
-            )
-            .unwrap(),
-        ))
-        .unwrap();
+        let fragment = FragmentBlueprint { scan: bp, steps: vec![] };
+        let env = OpEnv::new(io, MemoryTracker::new());
+        let par = collect(Box::new(partial_merge(fragment, &[], aggs, &cfg, env))).unwrap();
         assert_eq!(par.rows(), 1);
         assert_eq!(par.columns[0].as_i64().unwrap(), &[0]);
     }
@@ -528,17 +497,10 @@ mod tests {
             FragmentStep::Project(vec![(Expr::col("g"), "g".into())]),
         ];
         let cfg = ParallelConfig { threads: 3, morsel_rows: 32 };
-        let par = collect(Box::new(
-            ParallelAggregate::new(
-                FragmentBlueprint { scan: blueprint(&t, vec![]), steps },
-                &["g"],
-                vec![AggSpec::new(AggFunc::Count, Expr::lit(1), "n")],
-                &cfg,
-                FanOutEnv::new(io, MemoryTracker::new()),
-            )
-            .unwrap(),
-        ))
-        .unwrap();
+        let fragment = FragmentBlueprint { scan: blueprint(&t, vec![]), steps };
+        let count = vec![AggSpec::new(AggFunc::Count, Expr::lit(1), "n")];
+        let env = OpEnv::new(io, MemoryTracker::new());
+        let par = collect(Box::new(partial_merge(fragment, &["g"], count, &cfg, env))).unwrap();
         // 300 rows over 7 groups: sizes 43 except g ∈ {0,1,2} get 43 and
         // the count sums to 300.
         let total: i64 = par.columns[1].as_i64().unwrap().iter().sum();
@@ -559,7 +521,8 @@ mod tests {
             AggSpec::new(AggFunc::Count, Expr::lit(1), "n"),
         ];
         let mut one = PartialAgg::new(bp.schema(), &["g"], &aggs).unwrap();
-        let first = Scan::over(Arc::clone(&bp), IoTracker::new(), 0..2);
+        let first =
+            Scan::over(Arc::clone(&bp), OpEnv::new(IoTracker::new(), MemoryTracker::new()), 0..2);
         one.consume(&collect(Box::new(first)).unwrap()).unwrap();
         let partial = one.estimated_bytes();
         let window = (cfg.threads * WINDOW_PER_THREAD) as u64;
@@ -567,9 +530,9 @@ mod tests {
 
         let tracker = MemoryTracker::new();
         let fragment = FragmentBlueprint { scan: bp, steps: vec![] };
-        let env = FanOutEnv::new(IoTracker::new(), tracker.clone());
-        let agg = ParallelAggregate::new(fragment, &["g"], aggs, &cfg, env);
-        assert_eq!(collect(Box::new(agg.unwrap())).unwrap().rows(), 7);
+        let env = OpEnv::new(IoTracker::new(), tracker.clone());
+        let agg = partial_merge(fragment, &["g"], aggs, &cfg, env);
+        assert_eq!(collect(Box::new(agg)).unwrap().rows(), 7);
         assert!(
             tracker.peak() <= (window + 1) * partial,
             "peak {} over {} partials of {partial} bytes",
@@ -583,7 +546,7 @@ mod tests {
 
     /// Every batch of the leaf over `blueprint` at width `cfg`, in order.
     fn batches_at(blueprint: &Arc<ScanBlueprint>, cfg: &ParallelConfig) -> Vec<Batch> {
-        let env = FanOutEnv::new(IoTracker::new(), MemoryTracker::new());
+        let env = OpEnv::new(IoTracker::new(), MemoryTracker::new());
         let mut scan = leaf_scan(Arc::clone(blueprint), cfg, env);
         std::iter::from_fn(|| scan.next().unwrap()).collect()
     }
@@ -617,8 +580,8 @@ mod tests {
         assert_eq!(blueprint.morsels(cfg.morsel_rows), vec![0..2]);
         assert_eq!(cfg.split(&blueprint), None);
         let governed = |governor: Governor| {
-            let env = FanOutEnv::new(IoTracker::new(), MemoryTracker::new());
-            leaf_scan(Arc::clone(&blueprint), &cfg, FanOutEnv { governor, ..env })
+            let env = OpEnv::new(IoTracker::new(), MemoryTracker::new());
+            leaf_scan(Arc::clone(&blueprint), &cfg, OpEnv { governor, ..env })
         };
 
         let tracker = MemoryTracker::new();

@@ -52,10 +52,9 @@ use bdcc_pool::{CancelToken, FaultInjector};
 use bdcc_storage::IoTracker;
 
 use crate::batch::schema_index;
-use crate::broker::{spill_mode, MemoryBroker, SpillMode};
 use crate::error::{ExecError, Result};
 use crate::expr::Expr;
-use crate::govern::{GovernedOp, Governor};
+use crate::govern::{spill_mode, GovernedOp, Governor, SpillMode};
 use crate::memory::MemoryTracker;
 use crate::ops::agg::HashAggregate;
 use crate::ops::join::{HashJoin, JoinType};
@@ -63,9 +62,9 @@ use crate::ops::merge_join::MergeJoin;
 use crate::ops::scan::{Run, ScanBlueprint};
 use crate::ops::sort::Sort;
 use crate::ops::transform::{Filter, Project};
-use crate::ops::BoxedOp;
+use crate::ops::{BoxedOp, OpEnv};
 use crate::parallel::{
-    leaf_scan, FanOutEnv, FragmentBlueprint, FragmentStep, ParallelAggregate, ParallelConfig,
+    leaf_scan, FragmentBlueprint, FragmentStep, ParallelAggregate, ParallelConfig,
     DEFAULT_MORSEL_ROWS,
 };
 use crate::plan::{alias_column, FkSide, Node};
@@ -84,8 +83,10 @@ pub struct QueryContext {
     /// [`new`](Self::new) installs) is serial execution; wider, leaf scans
     /// stream their morsels through the pool and the planner swaps
     /// eligible leaf aggregations for morsel-parallel partial-merge while
-    /// the broker is inert. Everything above a leaf runs on the calling
-    /// thread at every width.
+    /// the query does not spill. Everything above a leaf runs on the
+    /// calling thread at every width. Under a budget the query spills
+    /// under, the planner runs smaller morsels than these
+    /// (`query_width`).
     pub parallel: ParallelConfig,
     /// When set, the planner mirrors the operator tree with per-operator
     /// metric blocks, child memory/I/O trackers and edge wrappers (see
@@ -94,22 +95,14 @@ pub struct QueryContext {
     /// allocates and wraps nothing.
     pub profiler: Option<Profiler>,
     /// Per-query limits (cancellation, deadline, memory budget, fault
-    /// injection) checked at every morsel-grained checkpoint; inert by
-    /// default (see [`crate::govern`]). Installed by the
-    /// `with_cancel`/`with_deadline`/`with_memory_budget`/
-    /// `with_fault_injector` builder methods — the serving layer's hook
-    /// into execution.
+    /// injection) checked at every morsel-grained checkpoint, and the
+    /// spill mode the spill-capable operators (hash join, hash aggregate)
+    /// ask under the budget; no limit by default (see [`crate::govern`]).
+    /// Installed by the `with_cancel`/`with_deadline`/`with_memory_budget`/
+    /// `with_spill`/`with_fault_injector` builder methods — the serving
+    /// layer's hook into execution. The spill mode starts as the process's
+    /// (`BDCC_SPILL`), read once when the context is made.
     pub governor: Governor,
-    /// Pressure oracle for spill-capable operators (hash join, hash
-    /// aggregate): active once a memory budget is set (mode
-    /// `auto`) or under `force` (`BDCC_SPILL=force`, or
-    /// [`with_spill`](Self::with_spill) for one query); inert otherwise,
-    /// leaving operators on their pure in-memory paths (see
-    /// [`crate::broker`]).
-    pub broker: MemoryBroker,
-    /// The mode `broker` is built with: the process's, read once when the
-    /// context is made, or the one [`with_spill`](Self::with_spill) pinned.
-    spill: SpillMode,
 }
 
 impl QueryContext {
@@ -119,24 +112,24 @@ impl QueryContext {
     }
 
     /// The one place a context's defaults are spelled out: no profiler,
-    /// no limits, the process's spill mode with no budget. The public
-    /// constructors and the serving layer (which supplies a per-query
-    /// child `tracker`) all start here.
+    /// no limits, the process's spill mode with no budget, and at least
+    /// one thread (`threads: 0` is serial, as it always planned). The
+    /// public constructors and the serving layer (which supplies a
+    /// per-query child `tracker`) all start here.
     pub(crate) fn for_query(
         sdb: Arc<SchemeDb>,
         tracker: Arc<MemoryTracker>,
         parallel: ParallelConfig,
     ) -> QueryContext {
-        let spill = spill_mode();
+        let mut governor = Governor::none();
+        governor.set_spill(spill_mode());
         QueryContext {
             sdb,
-            broker: MemoryBroker::with_mode(spill, &tracker, None),
-            spill,
             tracker,
             io: IoTracker::new(),
-            parallel,
+            parallel: ParallelConfig { threads: parallel.threads.max(1), ..parallel },
             profiler: None,
-            governor: Governor::none(),
+            governor,
         }
     }
 
@@ -189,44 +182,22 @@ impl QueryContext {
 
     /// Fail the query with [`ExecError::BudgetExceeded`] when its
     /// tracked memory (this context's `tracker`) exceeds `bytes` —
-    /// graceful per-query degradation instead of process death.
+    /// graceful per-query degradation instead of process death. Unless
+    /// the spill mode is `Off`, hash joins and hash aggregates now spill
+    /// under pressure and `BudgetExceeded` is reserved for queries
+    /// spilling cannot save.
     pub fn with_memory_budget(mut self, bytes: u64) -> QueryContext {
         let tracker = Arc::clone(&self.tracker);
         self.governor.set_budget(bytes, &tracker);
-        // A budget activates the broker (unless the mode is off): hash
-        // joins and hash aggregates now spill under pressure and
-        // BudgetExceeded is reserved for queries spilling cannot save.
-        self.rebuild_broker();
         self
     }
 
     /// Pin this query's spill mode explicitly, overriding `BDCC_SPILL`
     /// (tests; also lets a caller force out-of-core execution for a
-    /// single query).
+    /// single query). Order against `with_memory_budget` does not matter.
     pub fn with_spill(mut self, mode: SpillMode) -> QueryContext {
-        self.spill = mode;
-        self.rebuild_broker();
+        self.governor.set_spill(mode);
         self
-    }
-
-    /// Derive the broker from this context's `(spill mode, budget)`, so
-    /// the order of `with_spill` and `with_memory_budget` does not matter.
-    /// An active broker under a budget also shrinks morsels, so the fixed
-    /// buffer floor that cannot spill (a streaming scan's ≈ `threads ×
-    /// stream-cap × morsel bytes`) scales with the budget instead of
-    /// dwarfing it. Morsel size never changes results, only granularity.
-    fn rebuild_broker(&mut self) {
-        let budget = self.governor.budget();
-        self.broker = MemoryBroker::with_mode(self.spill, &self.tracker, budget);
-        let Some(budget) = budget else { return };
-        if !self.broker.is_active() {
-            return;
-        }
-        // ~64 B/row estimate, 2-deep stream buffers per thread; keep at
-        // least 256-row morsels so fan-out overhead stays sane.
-        let cfg = &mut self.parallel;
-        let cap = (budget / (cfg.threads as u64 * 2 * 64)).max(256) as usize;
-        cfg.morsel_rows = cfg.morsel_rows.min(cap);
     }
 
     /// Consult `injector` at every checkpoint (delays, simulated I/O
@@ -273,7 +244,8 @@ pub fn plan_query(ctx: &QueryContext, node: &Node) -> Result<BoxedOp> {
         Restrictions::new()
     };
     let restricted = Instant::now();
-    let planner = Planner { ctx, restrictions };
+    let parallel = query_width(&ctx.parallel, &ctx.governor);
+    let planner = Planner { ctx, restrictions, parallel };
     let out = planner.build(node, &planner.derive(node), &[])?;
     let op = if let (Some(profiler), Some(root)) = (&ctx.profiler, &out.prof) {
         let ms = |d: Duration| format!("{:.3}", d.as_secs_f64() * 1e3);
@@ -293,6 +265,22 @@ pub fn plan_query(ctx: &QueryContext, node: &Node) -> Result<BoxedOp> {
         return Ok(Box::new(GovernedOp::new(op, ctx.governor.clone(), "plan-root")));
     }
     Ok(op)
+}
+
+/// The width a query runs at: its context's, except that under a budget
+/// the query spills under, morsels shrink so the fixed buffer floor that
+/// cannot spill (a streaming scan's ≈ `threads × stream-cap × morsel
+/// bytes`) scales with the budget instead of dwarfing it. Morsel size never
+/// changes results, only granularity.
+fn query_width(parallel: &ParallelConfig, governor: &Governor) -> ParallelConfig {
+    let mut cfg = parallel.clone();
+    if let (Some(budget), true) = (governor.budget(), governor.spills()) {
+        // ~64 B/row estimate, 2-deep stream buffers per thread; keep at
+        // least 256-row morsels so fan-out overhead stays sane.
+        let cap = (budget / (cfg.threads as u64 * 2 * 64)).max(256) as usize;
+        cfg.morsel_rows = cfg.morsel_rows.min(cap);
+    }
+    cfg
 }
 
 /// One `(scan, dimension use)` occurrence.
@@ -349,6 +337,8 @@ struct PhysOut {
 struct Planner<'a> {
     ctx: &'a QueryContext,
     restrictions: Restrictions,
+    /// The query's width ([`query_width`]).
+    parallel: ParallelConfig,
 }
 
 impl<'a> Planner<'a> {
@@ -389,11 +379,12 @@ impl<'a> Planner<'a> {
         }
     }
 
-    /// What a storage-reading leaf reads through, is charged to and
-    /// answers to: its own I/O tracker when profiling (`io_child`), else
-    /// the query's.
-    fn leaf_env(&self, prof: &Option<Arc<OpProf>>, io_child: Option<IoTracker>) -> FanOutEnv {
-        FanOutEnv {
+    /// The environment of the operator being built: its profile node's
+    /// tracker and metrics, the query's governor, and the query's I/O
+    /// tracker — or, for a storage-reading leaf under profiling, its own
+    /// (`io_child`).
+    fn op_env(&self, prof: &Option<Arc<OpProf>>, io_child: Option<IoTracker>) -> OpEnv {
+        OpEnv {
             io: io_child.unwrap_or_else(|| self.ctx.io.clone()),
             tracker: self.op_tracker(prof),
             metrics: prof.as_ref().map(|p| Arc::clone(&p.metrics)),
@@ -730,7 +721,7 @@ impl<'a> Planner<'a> {
             annotate_encodings(&p.metrics, &blueprint);
             self.annotate_group_selection(&p.metrics, scan_id, table, &blueprint);
         }
-        let op = leaf_scan(blueprint, &self.ctx.parallel, self.leaf_env(&prof, io_child));
+        let op = leaf_scan(blueprint, &self.parallel, self.op_env(&prof, io_child));
         // Alias: rename base columns, keep group keys. The rename rides
         // inside the scan's profile node — it is part of the access path,
         // not a plan operator.
@@ -777,17 +768,9 @@ impl<'a> Planner<'a> {
             let rop = wrap_edge(rout.op, &rout.prof, &prof);
             // The hash join, indexing one right co-cluster at a time.
             let groups = (lout.gk_cols.clone(), rout.gk_cols);
-            let j = HashJoin::grouped(
-                lop,
-                rop,
-                &on_refs,
-                groups,
-                *join_type,
-                residual.clone(),
-                self.op_tracker(&prof),
-            )?
-            .with_metrics(prof.as_ref().map(|p| Arc::clone(&p.metrics)))
-            .with_governor(self.ctx.governor.clone());
+            let env = self.op_env(&prof, None);
+            let j =
+                HashJoin::grouped(lop, rop, &on_refs, groups, *join_type, residual.clone(), env)?;
             // Output keeps the left columns at unchanged positions;
             // requested = the first `requested.len()` sandwich keys.
             let gk_cols = lout.gk_cols[..requested.len()].to_vec();
@@ -822,17 +805,8 @@ impl<'a> Planner<'a> {
         }
         let lop = wrap_edge(lout.op, &lout.prof, &prof);
         let rop = wrap_edge(rout.op, &rout.prof, &prof);
-        let j = HashJoin::new(
-            lop,
-            rop,
-            &on_refs,
-            *join_type,
-            residual.clone(),
-            self.op_tracker(&prof),
-        )?
-        .with_metrics(prof.as_ref().map(|p| Arc::clone(&p.metrics)))
-        .with_governor(self.ctx.governor.clone())
-        .with_broker(self.ctx.broker.clone(), self.ctx.io.clone());
+        let env = self.op_env(&prof, None);
+        let j = HashJoin::new(lop, rop, &on_refs, *join_type, residual.clone(), env)?;
         Ok(PhysOut { op: Box::new(j), gk_cols: lout.gk_cols, prof })
     }
 
@@ -882,17 +856,18 @@ impl<'a> Planner<'a> {
 
         // Parallel: a single-scan fragment (scan → filter/project chain)
         // aggregates morsel-wise — identical results to the hash aggregate
-        // it replaces — when the leaf is worth splitting across the
-        // context's threads and the broker is inert: partials cannot
-        // spill, the hash aggregate can.
-        let cfg = &self.ctx.parallel;
+        // it replaces — when its leaf streams (`ParallelConfig::split`
+        // makes more than one morsel of it) and the query does not spill:
+        // partials cannot spill, the hash aggregate can.
+        let cfg = &self.parallel;
         // (Lowering the fragment selects BDCC groups — skip it when the
         // answer is already no.)
-        let fragment = match !bounded && cfg.threads > 1 && !self.ctx.broker.is_active() {
+        let fragment = match !bounded && cfg.threads > 1 && !self.ctx.governor.spills() {
             true => self.leaf_fragment(input)?,
             false => None,
         };
-        if let Some(fragment) = fragment.filter(|f| cfg.worth_splitting(f.scan.total_rows())) {
+        let split = fragment.and_then(|f| Some((cfg.split(&f.scan)?, f)));
+        if let Some((morsels, fragment)) = split {
             // The fragment fuses scan → filter/project into the
             // aggregate's workers, so this node is also a leaf: it gets
             // the scan's I/O attribution.
@@ -902,15 +877,23 @@ impl<'a> Planner<'a> {
                 p.metrics.annotate("fragment", fragment.scan.table().name());
             }
             log_sandwich(&prof);
-            let env = self.leaf_env(&prof, io_child);
-            let op = ParallelAggregate::new(fragment, &gb_refs, aggs.to_vec(), cfg, env)?;
+            let env = self.op_env(&prof, io_child);
+            let op = ParallelAggregate::new(
+                fragment,
+                morsels,
+                &gb_refs,
+                aggs.to_vec(),
+                cfg.threads,
+                env,
+            )?;
             return Ok(PhysOut { op: Box::new(op), gk_cols: vec![], prof });
         }
 
         // Everything else is the one serial aggregate, flushing when its
         // run columns change: the sandwich's group keys, the streamed
-        // group-by keys, or none — one table over the whole input, which
-        // under an active broker spills the groups it has no room for.
+        // group-by keys, or none — one table over the whole input, which,
+        // in a query that spills, spills the groups it has no room for (a
+        // run-flushing one never spills).
         let requested = match &sandwich {
             Some(Ok(determined)) => determined.as_slice(),
             _ => &[],
@@ -930,12 +913,8 @@ impl<'a> Planner<'a> {
         let prof = self.prof_node(label, &[&child.prof], None);
         log_sandwich(&prof);
         let cop = wrap_edge(child.op, &child.prof, &prof);
-        let broker = if runs.is_empty() { self.ctx.broker.clone() } else { MemoryBroker::none() };
-        let op = HashAggregate::new(cop, &gb_refs, aggs.to_vec(), self.op_tracker(&prof))?
-            .with_runs(runs)
-            .with_metrics(prof.as_ref().map(|p| Arc::clone(&p.metrics)))
-            .with_governor(self.ctx.governor.clone())
-            .with_broker(broker, self.ctx.io.clone());
+        let env = self.op_env(&prof, None);
+        let op = HashAggregate::new(cop, &gb_refs, aggs.to_vec(), env)?.with_runs(runs);
         Ok(PhysOut { op: Box::new(op), gk_cols: vec![], prof })
     }
 

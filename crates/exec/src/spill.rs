@@ -1,5 +1,5 @@
 //! The partition-spill core: the one implementation of the
-//! [`broker`](crate::broker) pressure / freeze / restore / cleanup
+//! [`governor`](crate::govern)'s pressure / freeze / restore / cleanup
 //! contract, shared by the grace-hash join (`ops/join_spill.rs`: its build,
 //! probe and output files) and the hybrid hash aggregate (`ops/agg.rs`: the
 //! rows of the groups its table no longer takes), and the only place in
@@ -11,7 +11,7 @@
 //! core's leaves ([`Fanout`]). Equal keys share a hash, so they never split
 //! across partitions. What it guarantees, whichever operator drives it:
 //!
-//! * **Order.** [`make_room`](PartitionSpill::make_room) asks the broker
+//! * **Order.** [`make_room`](PartitionSpill::make_room) asks the governor
 //!   and, under pressure, freezes resident partitions **largest first**
 //!   (ties: lowest index) until the release target — at least the pending
 //!   bytes — is shed. A frozen partition's later chunks append to its file.
@@ -21,7 +21,7 @@
 //! * **Stability.** A partition's chunks replay in push order whether it
 //!   stayed resident, froze mid-stream, or was re-scattered: a frozen
 //!   partition whose estimated footprint (× the caller's leaf factor)
-//!   exceeds the broker's restore limit is never loaded whole but split on
+//!   exceeds the governor's restore limit is never loaded whole but split on
 //!   the next [`RECURSE_BITS`] of the same hash, chunk by chunk, until
 //!   every [`Leaf`] fits or [`MAX_TOTAL_BITS`] are spent (one giant key:
 //!   the governor's budget check is the backstop). Equal keys share a
@@ -52,11 +52,11 @@ use bdcc_obs::OpMetrics;
 use bdcc_storage::{Column, IoTracker, SpillHandle, SpillReader, SpillWriter};
 
 use crate::batch::Batch;
-use crate::broker::MemoryBroker;
 use crate::error::Result;
 use crate::govern::Governor;
 use crate::hash::hash_group_rows;
-use crate::memory::{MemoryGuard, MemoryTracker};
+use crate::memory::MemoryGuard;
+use crate::ops::OpEnv;
 
 /// Extra hash bits consumed per recursive split of an oversized partition
 /// (16 sub-partitions per split).
@@ -187,38 +187,36 @@ pub(crate) fn scatter_batch<'a>(
 /// See the [module docs](self).
 pub(crate) struct PartitionSpill {
     shape: Shape,
-    broker: MemoryBroker,
     io: IoTracker,
+    /// Books spill traffic; its governor answers the pressure questions.
     meter: Meter,
     parts: Vec<PartState>,
 }
 
 impl PartitionSpill {
-    pub(crate) fn new(
-        shape: Shape,
-        broker: MemoryBroker,
-        governor: Governor,
-        tracker: &Arc<MemoryTracker>,
-        io: IoTracker,
-        metrics: Option<Arc<OpMetrics>>,
-    ) -> PartitionSpill {
+    /// A core for the operator whose environment is `env`: its partitions
+    /// register on `env.tracker`, its files are metered on `env.io`, and
+    /// `env.governor` decides when to freeze and how much to restore.
+    pub(crate) fn new(shape: Shape, env: &OpEnv) -> PartitionSpill {
         let count = match &shape.fanout {
             Fanout::Bits(bits) => 1usize << bits,
             Fanout::Pairs(routes) => routes.len(),
         };
         let parts = (0..count)
-            .map(|_| PartState::Resident { chunks: Vec::new(), mem: tracker.register(0) })
+            .map(|_| PartState::Resident { chunks: Vec::new(), mem: env.tracker.register(0) })
             .collect();
+        let (metrics, governor) = (env.metrics.clone(), env.governor.clone());
         let meter = Meter { metrics, governor, label: shape.label };
-        PartitionSpill { shape, broker, io, meter, parts }
+        PartitionSpill { shape, io: env.io.clone(), meter, parts }
     }
 
-    /// Before holding `pending` more bytes: if the broker reports
+    /// Before holding `pending` more bytes: if the governor reports
     /// pressure, freeze down to its release target, and by at least
     /// `pending`.
     pub(crate) fn make_room(&mut self, pending: u64) -> Result<()> {
-        if self.broker.should_spill(pending) {
-            self.freeze(self.broker.release_target().max(pending))?;
+        let governor = &self.meter.governor;
+        if governor.should_spill(pending) {
+            self.freeze(governor.release_target().max(pending))?;
         }
         Ok(())
     }
@@ -228,7 +226,8 @@ impl PartitionSpill {
     /// budget, `p` freezes too, so they go straight to its file.
     pub(crate) fn make_room_for(&mut self, p: usize, pending: u64) -> Result<()> {
         self.make_room(pending)?;
-        if matches!(self.parts[p], PartState::Resident { .. }) && self.broker.over_budget(pending) {
+        let resident = matches!(self.parts[p], PartState::Resident { .. });
+        if resident && self.meter.governor.over_budget(pending) {
             self.freeze_part(p)?;
         }
         Ok(())
@@ -361,7 +360,7 @@ impl PartitionSpill {
         f: &mut dyn FnMut(Leaf) -> Result<()>,
     ) -> Result<()> {
         let parent = self.leaf(Chunks::File(handle), route);
-        if mem_bytes.saturating_mul(self.shape.leaf_factor) <= self.broker.restore_limit()
+        if mem_bytes.saturating_mul(self.shape.leaf_factor) <= self.meter.governor.restore_limit()
             || route.bits + RECURSE_BITS > MAX_TOTAL_BITS
         {
             return f(parent);
@@ -474,14 +473,25 @@ impl LeafChunks {
     }
 }
 
+/// Serialises the unit tests that spill or assert on the process-wide
+/// `bdcc_storage::live_spill_files()` count: held for the whole test, so
+/// one test's temp files are never another's "leak".
+#[cfg(test)]
+pub(crate) fn spill_test_guard() -> std::sync::MutexGuard<'static, ()> {
+    static LOCK: std::sync::Mutex<()> = std::sync::Mutex::new(());
+    // A failed spill test poisons the lock; the rest must still run.
+    LOCK.lock().unwrap_or_else(|e| e.into_inner())
+}
+
 #[cfg(test)]
 mod tests {
     use bdcc_pool::CancelToken;
     use bdcc_storage::live_spill_files;
 
     use super::*;
-    use crate::broker::{spill_test_guard, SpillMode};
     use crate::error::ExecError;
+    use crate::govern::SpillMode;
+    use crate::memory::MemoryTracker;
 
     const BITS: u32 = 2;
 
@@ -516,13 +526,18 @@ mod tests {
         ) -> PartitionSpill {
             let mut governor = Governor::none();
             governor.set_cancel(self.token.clone(), &self.tracker);
+            governor.set_spill(mode);
+            if let Some(bytes) = budget {
+                governor.set_budget(bytes, &self.tracker);
+            }
+            let env = OpEnv {
+                metrics: Some(Arc::clone(&self.metrics)),
+                governor,
+                ..OpEnv::new(self.io.clone(), Arc::clone(&self.tracker))
+            };
             PartitionSpill::new(
                 Shape { keys: vec![0, 1], fanout, leaf_factor, label: "test" },
-                MemoryBroker::with_mode(mode, &self.tracker, budget),
-                governor,
-                &self.tracker,
-                self.io.clone(),
-                Some(Arc::clone(&self.metrics)),
+                &env,
             )
         }
 

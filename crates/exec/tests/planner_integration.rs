@@ -324,7 +324,7 @@ fn sort_limit_and_datum_roundtrip() {
 }
 
 // ---------------------------------------------------------------------
-// Width is a value, and a broker plans the aggregate that can spill.
+// Width is a value, and a query that spills plans the aggregate that can.
 // ---------------------------------------------------------------------
 
 /// The Plain scheme with `orders` rebuilt over 256-row blocks, so a
@@ -416,7 +416,7 @@ fn a_budget_plans_a_spilling_hash_aggregate_at_every_width() {
     let (want, free) = run_measured(&free, &plan).unwrap();
     let budget = free.peak_memory / 2;
     for threads in [1, 4] {
-        // The budget activates the broker, and that alone selects the
+        // The budget makes the query spill, and that alone selects the
         // operator: partials have nothing to shed.
         let ctx =
             QueryContext::with_parallel(Arc::clone(&sdb), ParallelConfig::with_threads(threads))
@@ -448,12 +448,46 @@ fn a_broker_plans_no_partial_aggregate_and_spills_only_group_bys() {
         let (_, log) = node_and_log(&got.profile.root, "Aggregate(hash)", "spill");
         assert_eq!(log, "after(0 rows, 0 groups resident) leaves=8");
         assert_eq!(got.batch.rows(), 8192);
-        // With the broker inert, four threads aggregate partials, and the
+        // When the query does not spill, four threads aggregate partials, and the
         // hash aggregate logs no decision.
         let label = if threads > 1 { "Aggregate(parallel)" } else { "Aggregate(hash)" };
         let got = explain_analyze(&ctx(SpillMode::Off), &leaf_group_by()).unwrap();
         assert_eq!(node_and_log(&got.profile.root, label, "spill").1, "");
     }
+}
+
+#[test]
+fn a_one_morsel_leaf_aggregates_in_one_table() {
+    // Customer is one 512-row block: longer than a 256-row morsel, yet one
+    // morsel, so its scan walks inline — and the group-by over it is the
+    // hash aggregate, not a partial merge of a single partial.
+    let (plain, ..) = schemes();
+    let customer = PlanBuilder::new().scan("customer", &["c_nation", "c_score"], vec![]);
+    let plan = aggregate(
+        customer,
+        &["c_nation"],
+        vec![AggSpec::new(AggFunc::Sum, Expr::col("c_score"), "s")],
+    );
+    let cfg = ParallelConfig { threads: 4, morsel_rows: 256 };
+    let ctx = QueryContext::with_parallel(Arc::clone(&plain), cfg).with_spill(SpillMode::Off);
+    let got = explain_analyze(&ctx, &plan).unwrap();
+    assert_eq!(labels(&got.profile.root), ["Aggregate(hash)", "Scan(customer)"]);
+    let serial = QueryContext::new(plain).with_spill(SpillMode::Off);
+    assert_eq!(got.batch, explain_analyze(&serial, &plan).unwrap().batch);
+}
+
+#[test]
+fn a_zero_width_runs_serially_under_a_budget() {
+    // `threads: 0` is clamped to one thread where the context takes it, so
+    // a budget's morsel limit never divides by it.
+    let sdb = fine_block_plain();
+    let zero = ParallelConfig { threads: 0, morsel_rows: 256 };
+    let ctx = QueryContext::with_parallel(Arc::clone(&sdb), zero).with_memory_budget(1 << 20);
+    assert_eq!(ctx.parallel, ParallelConfig { threads: 1, morsel_rows: 256 });
+    let serial = QueryContext::new(sdb).with_memory_budget(1 << 20);
+    let (want, got) =
+        (run_measured(&serial, &leaf_group_by()), run_measured(&ctx, &leaf_group_by()));
+    assert_eq!(want.unwrap().0, got.unwrap().0);
 }
 
 #[test]
@@ -463,14 +497,22 @@ fn a_pinned_spill_mode_holds_whichever_comes_first() {
     let sdb = fine_block_plain();
     let ctx = || QueryContext::new(Arc::clone(&sdb));
     let off = ctx().with_spill(SpillMode::Off).with_memory_budget(1 << 20);
-    assert_eq!(off.broker.mode(), SpillMode::Off);
-    assert!(!off.broker.is_active());
+    assert_eq!(off.governor.spill_mode(), SpillMode::Off);
+    assert!(!off.governor.spills());
     for budget in [1 << 16, 1 << 20] {
         for mode in [SpillMode::Auto, SpillMode::Force] {
             let pinned_first = ctx().with_spill(mode).with_memory_budget(budget);
             let budget_first = ctx().with_memory_budget(budget).with_spill(mode);
-            assert_eq!(pinned_first.broker.mode(), mode, "{mode:?} then a budget of {budget}");
-            assert_eq!(budget_first.broker.mode(), mode, "a budget of {budget} then {mode:?}");
+            assert_eq!(
+                pinned_first.governor.spill_mode(),
+                mode,
+                "{mode:?} then a budget of {budget}"
+            );
+            assert_eq!(
+                budget_first.governor.spill_mode(),
+                mode,
+                "a budget of {budget} then {mode:?}"
+            );
             assert_eq!(pinned_first.parallel, budget_first.parallel);
         }
     }

@@ -118,7 +118,7 @@ fn join_heavy() -> Node {
 
 /// A semi join whose left side (512 customers) ends long before its right
 /// (20 000 orders): in memory it indexes the customers and streams the
-/// orders past them; under an active broker the first pending batch sends
+/// orders past them; when the query spills the first pending batch sends
 /// it through the spilled right build instead — same rows either way.
 fn semi_heavy() -> Node {
     let b = PlanBuilder::new();
@@ -158,7 +158,7 @@ fn left_outer_heavy() -> Node {
 }
 
 /// A semi or anti join whose left side (the orders of the first 100 days)
-/// ends first: in memory it indexes the left, under an active broker every
+/// ends first: in memory it indexes the left, when the query spills every
 /// order is the spilled build. A left row survives on its own twin, which
 /// passes the residual or not.
 fn twin_join(join_type: JoinType) -> Node {

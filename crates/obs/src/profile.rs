@@ -44,8 +44,8 @@ pub struct OpMetrics {
     /// Scan blocks the encoded-path kernel eliminated without evaluating a
     /// single row (dictionary miss or constant-block stats).
     pub enc_skipped: Counter,
-    /// Out-of-core activity (spill-capable operators under a memory
-    /// broker): partitions frozen to temp files, bytes written to them,
+    /// Out-of-core activity (spill-capable operators of a query that
+    /// spills): partitions frozen to temp files, bytes written to them,
     /// and bytes read back during restore.
     pub spill_partitions: Counter,
     pub spill_bytes: Counter,

@@ -2,7 +2,7 @@
 //!
 //! A [`CancelToken`] is a cheap, cloneable flag shared between whoever
 //! may cancel a unit of work (a serving layer, a deadline watchdog, a
-//! memory broker) and the work itself. Cancellation is *cooperative*:
+//! memory budget) and the work itself. Cancellation is *cooperative*:
 //! nothing is interrupted — workers poll [`is_cancelled`] between
 //! morsels and unwind through their normal error path, which is what
 //! lets the pool's cancel-on-drop machinery reclaim queued jobs and lets

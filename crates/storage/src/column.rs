@@ -27,7 +27,7 @@
 //! The *byte model* is not the layout: [`Column::avg_width`] charges a
 //! string `len + 1` bytes (the value and one length byte), exactly what it
 //! charged when a string was a heap allocation of its own. Tracked memory,
-//! broker decisions and the I/O cost model are computed from that model, so
+//! spill decisions and the I/O cost model are computed from that model, so
 //! they — and every plan, design and spill decision derived from them — are
 //! the same as before the layout changed; only the cost of computing it
 //! went from a walk over every value to a division.

@@ -9,8 +9,8 @@
 //! discipline, is the original input stream order — so spilled execution
 //! stays byte-identical to in-memory execution.
 //!
-//! This module is mechanism only; *when* to freeze is the
-//! `bdcc-exec::broker::MemoryBroker`'s policy call. The contract pinned
+//! This module is mechanism only; *when* to freeze is the policy call of
+//! the query's `bdcc-exec::govern::Governor`. The contract pinned
 //! here:
 //!
 //! * **Serialization is exact.** Every column round-trips bit-for-bit:

@@ -6,7 +6,7 @@
 //!
 //! * **serial** (`HashAggregate`) must match the naive reference — values
 //!   and first-seen group order;
-//! * **spilled** (`HashAggregate` under a `SpillMode::Force` broker, so the
+//! * **spilled** (`HashAggregate` under `SpillMode::Force`, so the
 //!   table takes no group and every row round-trips a spill file) must be
 //!   **bit-identical** to serial, floats included — each group's rows fold
 //!   in serial stream order inside its one leaf;
@@ -40,10 +40,10 @@ use proptest::prelude::*;
 use bdcc::exec::batch::{Batch, ColMeta, OpSchema};
 use bdcc::exec::ops::agg::HashAggregate;
 use bdcc::exec::ops::scan::{Scan, ScanBlueprint};
-use bdcc::exec::ops::{collect, BoxedOp, Operator};
-use bdcc::exec::parallel::{FanOutEnv, FragmentBlueprint, ParallelAggregate};
+use bdcc::exec::ops::{collect, BoxedOp, OpEnv, Operator};
+use bdcc::exec::parallel::{FragmentBlueprint, ParallelAggregate};
 use bdcc::exec::{
-    AggFunc, AggSpec, ExecError, Expr, MemoryBroker, MemoryTracker, ParallelConfig, SpillMode,
+    AggFunc, AggSpec, ExecError, Expr, Governor, MemoryTracker, ParallelConfig, SpillMode,
 };
 use bdcc::storage::{Column, DataType, Datum, StoredTable};
 use bdcc_storage::IoTracker;
@@ -52,6 +52,22 @@ use bdcc_storage::IoTracker;
 /// that even a 30-row random input splits into several morsels.
 fn test_morsel_rows() -> usize {
     std::env::var("BDCC_MORSEL_ROWS").ok().and_then(|v| v.parse().ok()).unwrap_or(16)
+}
+
+/// An unprofiled operator's environment under spill `mode` and `budget`.
+fn env_under(mode: SpillMode, budget: Option<u64>) -> OpEnv {
+    let tracker = MemoryTracker::new();
+    let mut governor = Governor::none();
+    governor.set_spill(mode);
+    if let Some(bytes) = budget {
+        governor.set_budget(bytes, &tracker);
+    }
+    OpEnv { governor, ..OpEnv::new(IoTracker::new(), tracker) }
+}
+
+/// An unprofiled, ungoverned operator's environment.
+fn env() -> OpEnv {
+    OpEnv::new(IoTracker::new(), MemoryTracker::new())
 }
 
 /// One random input row: integer group key, string-group selector, and an
@@ -112,8 +128,8 @@ fn parallel(t: &Arc<StoredTable>, group_by: &[&str], threads: usize) -> Batch {
     try_parallel(t, &COLS, group_by, all_aggs(), threads).unwrap()
 }
 
-/// `HashAggregate` over a block scan of `t`; with `spill`, under a forced
-/// broker, so every group's rows go through a spill file.
+/// `HashAggregate` over a block scan of `t`; with `spill`, under
+/// `SpillMode::Force`, so every group's rows go through a spill file.
 fn try_serial(
     t: &Arc<StoredTable>,
     cols: &[&str],
@@ -121,14 +137,9 @@ fn try_serial(
     aggs: Vec<AggSpec>,
     spill: bool,
 ) -> Result<Batch, ExecError> {
-    let scan: BoxedOp = Box::new(Scan::blocks(Arc::clone(t), IoTracker::new(), cols, vec![])?);
-    let tracker = MemoryTracker::new();
-    let broker = match spill {
-        true => MemoryBroker::with_mode(SpillMode::Force, &tracker, None),
-        false => MemoryBroker::none(),
-    };
-    let agg = HashAggregate::new(scan, group_by, aggs, tracker)?;
-    collect(Box::new(agg.with_broker(broker, IoTracker::new())))
+    let scan: BoxedOp = Box::new(Scan::blocks(Arc::clone(t), env(), cols, vec![])?);
+    let mode = if spill { SpillMode::Force } else { SpillMode::Off };
+    collect(Box::new(HashAggregate::new(scan, group_by, aggs, env_under(mode, None))?))
 }
 
 fn try_parallel(
@@ -140,13 +151,9 @@ fn try_parallel(
 ) -> Result<Batch, ExecError> {
     let bp = ScanBlueprint::blocks(Arc::clone(t), cols, vec![])?;
     let cfg = ParallelConfig { threads, morsel_rows: test_morsel_rows() };
-    collect(Box::new(ParallelAggregate::new(
-        FragmentBlueprint { scan: bp, steps: vec![] },
-        group_by,
-        aggs,
-        &cfg,
-        FanOutEnv::new(IoTracker::new(), MemoryTracker::new()),
-    )?))
+    let morsels = bp.morsels(cfg.morsel_rows);
+    let fragment = FragmentBlueprint { scan: bp, steps: vec![] };
+    collect(Box::new(ParallelAggregate::new(fragment, morsels, group_by, aggs, threads, env())?))
 }
 
 /// Naive reference state for one group.
@@ -336,8 +343,7 @@ fn source(cols: &Cols, chunk: usize, empty_after: &[usize]) -> BoxedOp {
 }
 
 fn hash_agg(input: BoxedOp, group_by: &[&str], aggs: Vec<AggSpec>) -> Batch {
-    collect(Box::new(HashAggregate::new(input, group_by, aggs, MemoryTracker::new()).unwrap()))
-        .unwrap()
+    collect(Box::new(HashAggregate::new(input, group_by, aggs, env()).unwrap())).unwrap()
 }
 
 /// A float datum compares by bit pattern (NaN keys) or closely (sums);
@@ -627,7 +633,7 @@ proptest! {
 /// The serial aggregate flushing on `runs`: its output, and the group
 /// count of every flush.
 fn run_aggregate(input: BoxedOp, group_by: &[&str], runs: Vec<usize>) -> (Batch, Vec<usize>) {
-    let op = HashAggregate::new(input, group_by, all_aggs(), MemoryTracker::new()).unwrap();
+    let op = HashAggregate::new(input, group_by, all_aggs(), env()).unwrap();
     let mut op = op.with_runs(runs);
     let mut out = Batch::new(op.schema().iter().map(|m| Column::empty(m.data_type)).collect());
     let mut flushes = Vec::new();
@@ -1122,17 +1128,12 @@ proptest! {
             };
             let outs: Vec<Out> = shape.iter().map(|s| s.2).collect();
             let want = oracle_rows(&fold_rows(&keys, &inputs, 0..keys.len()), &outs);
-            let budget = |tracker: &Arc<MemoryTracker>| {
-                MemoryBroker::with_mode(SpillMode::Auto, tracker, Some(2048))
-            };
             let scan = || -> BoxedOp {
-                Box::new(Scan::blocks(Arc::clone(&table), IoTracker::new(), &all, vec![]).unwrap())
+                Box::new(Scan::blocks(Arc::clone(&table), env(), &all, vec![]).unwrap())
             };
-            let tracker = MemoryTracker::new();
-            let budgeted = HashAggregate::new(scan(), &["g"], specs(), Arc::clone(&tracker))
-                .unwrap()
-                .with_broker(budget(&tracker), IoTracker::new());
-            let runs = HashAggregate::new(scan(), &["g"], specs(), MemoryTracker::new())
+            let budget = env_under(SpillMode::Auto, Some(2048));
+            let budgeted = HashAggregate::new(scan(), &["g"], specs(), budget).unwrap();
+            let runs = HashAggregate::new(scan(), &["g"], specs(), env())
                 .unwrap()
                 .with_runs(vec![1]);
             let serial_paths = [
@@ -1226,19 +1227,9 @@ fn group_table_directory_switches_keep_every_result() {
                 ("4 threads", try_parallel(&table, &names, &["k"], aggs(), 4).unwrap()),
             ];
             for chunk in [1, 64, 1000] {
-                let op = HashAggregate::new(
-                    source(&cols, chunk, &[]),
-                    &["k"],
-                    aggs(),
-                    MemoryTracker::new(),
-                );
+                let op = HashAggregate::new(source(&cols, chunk, &[]), &["k"], aggs(), env());
                 runs.push(("batches", collect(Box::new(op.unwrap())).unwrap()));
-                let op = HashAggregate::new(
-                    source(&cols, chunk, &[]),
-                    &["k"],
-                    aggs(),
-                    MemoryTracker::new(),
-                );
+                let op = HashAggregate::new(source(&cols, chunk, &[]), &["k"], aggs(), env());
                 runs.push((
                     "run flushes",
                     collect(Box::new(op.unwrap().with_runs(vec![1]))).unwrap(),

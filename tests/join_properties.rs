@@ -16,10 +16,10 @@ use proptest::prelude::*;
 
 use bdcc::exec::batch::{Batch, ColMeta, OpSchema};
 use bdcc::exec::ops::join::{HashJoin, JoinType};
-use bdcc::exec::ops::{collect, Operator};
+use bdcc::exec::ops::{collect, OpEnv, Operator};
 use bdcc::exec::{
-    canonical_rows, CancelToken, ExecError, Expr, Governor, JoinIndex, MemoryBroker, MemoryTracker,
-    OpMetrics, SpillMode,
+    canonical_rows, CancelToken, ExecError, Expr, Governor, JoinIndex, MemoryTracker, OpMetrics,
+    SpillMode,
 };
 use bdcc::storage::{live_spill_files, Column, DataType, IoTracker};
 
@@ -63,7 +63,7 @@ fn run_join(left: &[(i64, i64)], right: &[(i64, i64)], jt: JoinType, residual: b
         &[("lk", "rk")],
         jt,
         residual,
-        MemoryTracker::new(),
+        OpEnv::new(IoTracker::new(), MemoryTracker::new()),
     )
     .unwrap();
     collect(Box::new(j)).unwrap()
@@ -218,7 +218,7 @@ struct Case {
 }
 
 impl Case {
-    fn join(&self, jt: JoinType, tracker: &std::sync::Arc<MemoryTracker>) -> HashJoin {
+    fn join(&self, jt: JoinType, env: OpEnv) -> HashJoin {
         let on: &[(&str, &str)] =
             if self.two_keys { &[("lk", "rk"), ("lk2", "rk2")] } else { &[("lk", "rk")] };
         HashJoin::new(
@@ -227,7 +227,7 @@ impl Case {
             on,
             jt,
             self.residual.then(|| Expr::col("lv").le(Expr::col("rv"))),
-            std::sync::Arc::clone(tracker),
+            env,
         )
         .unwrap()
     }
@@ -264,16 +264,20 @@ fn check_case(case: &Case, jt: JoinType) -> String {
     let want = case.reference(jt);
     let metrics = OpMetrics::new();
     let tracker = MemoryTracker::new();
-    let got = batches(case.join(jt, &tracker).with_metrics(Some(metrics.clone())));
+    let env =
+        OpEnv { metrics: Some(metrics.clone()), ..OpEnv::new(IoTracker::new(), tracker.clone()) };
+    let got = batches(case.join(jt, env));
     assert_eq!(got, want, "{jt:?} in memory {case:?}");
     assert_eq!(tracker.current(), 0, "{jt:?} {case:?}: dropped join must release its bytes");
     let (forced, tracker) = (OpMetrics::new(), MemoryTracker::new());
-    let broker = MemoryBroker::with_mode(SpillMode::Force, &tracker, None);
-    let spilled = batches(
-        case.join(jt, &tracker)
-            .with_metrics(Some(forced.clone()))
-            .with_broker(broker, IoTracker::new()),
-    );
+    let mut governor = Governor::none();
+    governor.set_spill(SpillMode::Force);
+    let env = OpEnv {
+        metrics: Some(forced.clone()),
+        governor,
+        ..OpEnv::new(IoTracker::new(), tracker.clone())
+    };
+    let spilled = batches(case.join(jt, env));
     assert_eq!(spilled, want, "{jt:?} forced spill {case:?}");
     // (An empty right side never sees a batch to spill.)
     let spill_mode = (!case.right.is_empty()).then_some("build-broker");
@@ -348,10 +352,9 @@ fn cancel_between_streamed_batches_releases_every_byte() {
         &[("lk", "rk")],
         JoinType::Semi,
         Some(Expr::col("lv").le(Expr::col("rv"))),
-        std::sync::Arc::clone(&tracker),
+        OpEnv { governor, ..OpEnv::new(IoTracker::new(), tracker.clone()) },
     )
-    .unwrap()
-    .with_governor(governor);
+    .unwrap();
     let cancelled = join.next();
     assert!(matches!(cancelled, Err(ExecError::Cancelled)), "{cancelled:?}");
     assert!(tracker.peak() > 0, "the indexed left side was tracked");
@@ -518,10 +521,12 @@ fn check_grouped(case: &GroupedCase) {
                 (vec![1], vec![1]),
                 jt,
                 residual.map(Residual::expr),
-                std::sync::Arc::clone(&tracker),
+                OpEnv {
+                    metrics: Some(metrics.clone()),
+                    ..OpEnv::new(IoTracker::new(), tracker.clone())
+                },
             )
-            .unwrap()
-            .with_metrics(Some(metrics.clone()));
+            .unwrap();
             let out = batches(join);
             let mut got = Vec::new();
             for b in &out {

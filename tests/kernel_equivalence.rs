@@ -38,15 +38,20 @@ use bdcc::prelude::*;
 use bdcc_exec::kernel::sel_from_bools;
 use bdcc_exec::ops::collect;
 use bdcc_exec::ops::scan::{Run, Scan, ScanBlueprint};
-use bdcc_exec::parallel::{leaf_scan, FanOutEnv};
+use bdcc_exec::parallel::leaf_scan;
 use bdcc_exec::{
     explain_analyze, filter, Batch, ColMeta, ColPredicate, Datum, ExecError, Expr, FilterProgram,
-    LikePattern, MemoryTracker, Operator, ParallelConfig, PlanBuilder, PredKind, ProfileNode,
-    QueryContext,
+    LikePattern, MemoryTracker, OpEnv, Operator, ParallelConfig, PlanBuilder, PredKind,
+    ProfileNode, QueryContext,
 };
 use bdcc_storage::{BlockEncoding, Column, DataType, IoTracker, StoredTable};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
+
+/// An unprofiled, ungoverned scan's environment.
+fn env() -> OpEnv {
+    OpEnv::new(IoTracker::new(), MemoryTracker::new())
+}
 
 fn oracle_schema() -> Vec<ColMeta> {
     vec![
@@ -369,7 +374,7 @@ fn like_agrees_with_a_naive_reference_at_every_site() {
                 false => ColPredicate::like("h", p.clone()),
                 true => ColPredicate::not_like("h", p.clone()),
             };
-            let scan = Scan::blocks(Arc::clone(&t), IoTracker::new(), &["h"], vec![pred]).unwrap();
+            let scan = Scan::blocks(Arc::clone(&t), env(), &["h"], vec![pred]).unwrap();
             let out = collect(Box::new(scan)).unwrap();
             let got: Vec<&str> = out.columns[0].as_str().unwrap().iter().collect();
             assert_eq!(got, want, "scan kernel, {expr:?}");
@@ -444,17 +449,16 @@ fn check_scan(
     let want = (want_rows, want_bits);
 
     let blocks = blocks.unwrap_or_else(|e| panic!("{what}: {e}"));
-    let mut inline = Scan::over(Arc::clone(&blocks), IoTracker::new(), 0..blocks.runs().len());
+    let mut inline = Scan::over(Arc::clone(&blocks), env(), 0..blocks.runs().len());
     assert_eq!(scanned(drain(&mut inline)), want, "{what}: block scan");
     let wide = ParallelConfig { threads: 4, morsel_rows: 16 };
-    let env = FanOutEnv::new(IoTracker::new(), MemoryTracker::new());
-    let mut streamed = leaf_scan(Arc::clone(&blocks), &wide, env);
+    let mut streamed = leaf_scan(Arc::clone(&blocks), &wide, env());
     assert_eq!(scanned(drain(streamed.as_mut())), want, "{what}: streamed block scan");
 
     let runs: Vec<Run> =
         cuts.windows(2).map(|w| Run { start: w[0], count: w[1] - w[0], keys: vec![] }).collect();
     let cut = ScanBlueprint::new(Arc::clone(t), &["row", "f"], preds.to_vec(), &[], runs).unwrap();
-    let mut inline = Scan::over(Arc::clone(&cut), IoTracker::new(), 0..cut.runs().len());
+    let mut inline = Scan::over(Arc::clone(&cut), env(), 0..cut.runs().len());
     assert_eq!(scanned(drain(&mut inline)), want, "{what}: runs cut at {cuts:?}");
     Some(want.0.len())
 }
@@ -669,11 +673,9 @@ fn float_stats_prune_only_what_the_interpreter_drops() {
             );
         }
         // And, spelled out, the rows the old `<` / `>` stats lost.
-        let scan =
-            Scan::blocks(Arc::clone(&t), IoTracker::new(), &["row", "f"], vec![preds[0].clone()]);
+        let scan = Scan::blocks(Arc::clone(&t), env(), &["row", "f"], vec![preds[0].clone()]);
         assert_eq!(scanned(drain(&mut scan.unwrap())).0, [1, 4]);
-        let scan =
-            Scan::blocks(Arc::clone(&t), IoTracker::new(), &["row", "f"], vec![preds[1].clone()]);
+        let scan = Scan::blocks(Arc::clone(&t), env(), &["row", "f"], vec![preds[1].clone()]);
         assert_eq!(scanned(drain(&mut scan.unwrap())).0, [5, 9]);
     }
 }

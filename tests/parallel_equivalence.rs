@@ -18,12 +18,17 @@ use bdcc_exec::ops::agg::HashAggregate;
 use bdcc_exec::ops::collect;
 use bdcc_exec::ops::scan::{Run, Scan, ScanBlueprint};
 use bdcc_exec::parallel::morsel::split_runs;
-use bdcc_exec::parallel::{leaf_scan, FanOutEnv, FragmentBlueprint, ParallelAggregate};
+use bdcc_exec::parallel::{leaf_scan, FragmentBlueprint, ParallelAggregate};
 use bdcc_exec::{
-    explain_analyze, AggFunc, AggSpec, Expr, MemoryBroker, MemoryTracker, OpMetrics,
+    explain_analyze, AggFunc, AggSpec, Expr, Governor, MemoryTracker, OpEnv, OpMetrics,
     ParallelConfig, ProfileNode, QueryContext, SpillMode,
 };
 use bdcc_storage::IoTracker;
+
+/// An unprofiled, ungoverned operator's environment charging `tracker`.
+fn env(tracker: &Arc<MemoryTracker>) -> OpEnv {
+    OpEnv::new(IoTracker::new(), Arc::clone(tracker))
+}
 
 /// Worker count under test: `BDCC_THREADS`, default 4 (1 exercises the
 /// serial planning paths end to end).
@@ -164,22 +169,24 @@ fn tiny_morsels_force_many_scan_morsels() {
 fn no_join_fans_out() {
     // A join probes on the calling thread at every width: at 4 threads and
     // 32-row morsels no `Join…` profile node books a morsel, while the
-    // scans and leaf aggregates below the joins still do. Q03, Q04, Q13,
-    // Q18 and Q21 hold inner, semi, left outer and anti joins; spill is
-    // off so every hash join probes in memory.
+    // scans and leaf aggregates below the joins still do — on every scheme,
+    // though not in every plan: a leaf of one MinMax block is one morsel
+    // and walks inline (Q13 on Plain reads only one-block tables at this
+    // scale). Q03, Q04, Q13, Q18 and Q21 hold inner, semi, left outer and
+    // anti joins; spill is off so every hash join probes in memory.
     let (sf, sdbs) = schemes();
     let cfg = ParallelConfig { threads: 4, morsel_rows: 32 };
     let picked = [3usize, 4, 13, 18, 21];
     for sdb in &sdbs {
         let qc =
             || QueryContext::with_parallel(Arc::clone(sdb), cfg.clone()).with_spill(SpillMode::Off);
+        let mut morsels = 0;
         for q in all_queries().into_iter().filter(|q| picked.contains(&q.id)) {
             let ctx = QueryCtx::recording(qc(), sf);
             (q.run)(&ctx).expect("query runs");
             let mut joins = 0;
             for plan in ctx.take_plans() {
                 let analyzed = explain_analyze(&qc(), &plan).expect("explain analyze");
-                let mut morsels = 0;
                 analyzed.profile.root.walk(&mut |node: &ProfileNode| {
                     morsels += node.morsels;
                     if node.label.starts_with("Join") {
@@ -188,10 +195,10 @@ fn no_join_fans_out() {
                         assert_eq!(node.morsels, 0, "{at} fanned out");
                     }
                 });
-                assert!(morsels > 0, "{} on {}: no leaf fanned out", q.name, sdb.scheme.name());
             }
             assert!(joins > 0, "{} on {} plans a join", q.name, sdb.scheme.name());
         }
+        assert!(morsels > 0, "no leaf fanned out on {}", sdb.scheme.name());
     }
 }
 
@@ -219,7 +226,8 @@ fn streaming_scan_memory_stays_morsel_bounded() {
     let blueprint = ScanBlueprint::blocks(Arc::clone(&small), &cols, vec![]).expect("blueprint");
     let whole = 0..blueprint.runs().len();
     let serial =
-        collect(Box::new(Scan::over(Arc::clone(&blueprint), IoTracker::new(), whole))).unwrap();
+        collect(Box::new(Scan::over(Arc::clone(&blueprint), env(&MemoryTracker::new()), whole)))
+            .unwrap();
     let table_bytes = serial.estimated_bytes();
     // Clamp the worker count: the in-flight cap grows with threads
     // (O(threads) morsels) while the table's morsel count is fixed, so an
@@ -229,8 +237,7 @@ fn streaming_scan_memory_stays_morsel_bounded() {
     let morsel_rows = 256;
     let cfg = ParallelConfig { threads, morsel_rows };
     let tracker = MemoryTracker::new();
-    let env = FanOutEnv::new(IoTracker::new(), tracker.clone());
-    let streamed = collect(leaf_scan(blueprint, &cfg, env)).unwrap();
+    let streamed = collect(leaf_scan(blueprint, &cfg, env(&tracker))).unwrap();
     assert_eq!(serial, streamed, "streaming scan must replay the serial stream");
     let morsels = small.rows().div_ceil(morsel_rows);
     assert!(morsels >= 32, "need many morsels for the bound to mean anything, got {morsels}");
@@ -285,43 +292,43 @@ fn budgeted_hash_aggregation_fits_half_the_partial_merge_peak() {
     let blueprint = || ScanBlueprint::blocks(Arc::clone(&small), &cols, vec![]).unwrap();
     let run_partial = |group: &str, cfg: &ParallelConfig| {
         let tracker = MemoryTracker::new();
-        let out = collect(Box::new(
-            ParallelAggregate::new(
-                FragmentBlueprint { scan: blueprint(), steps: vec![] },
-                &[group],
-                aggs.clone(),
-                cfg,
-                FanOutEnv::new(IoTracker::new(), tracker.clone()),
-            )
-            .unwrap(),
-        ))
-        .unwrap();
+        let scan = blueprint();
+        let morsels = scan.morsels(cfg.morsel_rows);
+        let fragment = FragmentBlueprint { scan, steps: vec![] };
+        let agg = ParallelAggregate::new(
+            fragment,
+            morsels,
+            &[group],
+            aggs.clone(),
+            cfg.threads,
+            env(&tracker),
+        );
+        let out = collect(Box::new(agg.unwrap())).unwrap();
         (out, tracker.peak())
     };
     // The hash aggregate over the scan streaming at `cfg`'s width, under
     // `budget`: its output, tracked peak and spilled bytes.
     let run_hash = |group: &str, cfg: &ParallelConfig, budget: Option<u64>| {
         let tracker = MemoryTracker::new();
-        let broker = match budget {
-            Some(b) => MemoryBroker::with_mode(SpillMode::Auto, &tracker, Some(b)),
-            None => MemoryBroker::none(),
-        };
-        let scan = leaf_scan(blueprint(), cfg, FanOutEnv::new(IoTracker::new(), tracker.clone()));
+        let mut governor = Governor::none();
+        governor.set_spill(SpillMode::Auto);
+        if let Some(b) = budget {
+            governor.set_budget(b, &tracker);
+        }
+        let scan = leaf_scan(blueprint(), cfg, env(&tracker));
         let metrics = OpMetrics::new();
-        let out = collect(Box::new(
-            HashAggregate::new(scan, &[group], aggs.clone(), tracker.clone())
-                .unwrap()
-                .with_broker(broker, IoTracker::new())
-                .with_metrics(Some(Arc::clone(&metrics))),
-        ))
-        .unwrap();
+        let agg_env = OpEnv { metrics: Some(Arc::clone(&metrics)), governor, ..env(&tracker) };
+        let out =
+            collect(Box::new(HashAggregate::new(scan, &[group], aggs.clone(), agg_env).unwrap()))
+                .unwrap();
         (out, tracker.peak(), metrics.spill_bytes.get())
     };
     for group in ["l_orderkey", "l_partkey"] {
+        let serial_env = env(&MemoryTracker::new());
         let scan =
-            Box::new(Scan::blocks(Arc::clone(&small), IoTracker::new(), &cols, vec![]).unwrap());
+            Box::new(Scan::blocks(Arc::clone(&small), serial_env.clone(), &cols, vec![]).unwrap());
         let serial = collect(Box::new(
-            HashAggregate::new(scan, &[group], aggs.clone(), MemoryTracker::new()).unwrap(),
+            HashAggregate::new(scan, &[group], aggs.clone(), serial_env).unwrap(),
         ))
         .unwrap();
         assert!(serial.rows() > 500, "need a fine-grained group-by, got {}", serial.rows());
@@ -359,8 +366,8 @@ fn gcd(a: usize, b: usize) -> usize {
 
 #[test]
 fn single_thread_config_plans_serially_and_agrees() {
-    // threads = 1 must take the serial paths (worth_splitting is false)
-    // and still produce the same answers.
+    // threads = 1 must take the serial paths (`ParallelConfig::split`
+    // makes no morsels) and still produce the same answers.
     let (sf, sdbs) = schemes();
     let cfg = ParallelConfig { threads: 1, morsel_rows: 256 };
     let q6 = all_queries().into_iter().find(|q| q.id == 6).unwrap();

@@ -14,10 +14,10 @@
 //!   trackers are children of the query tracker);
 //! * the root's output is the result batch;
 //! * the aggregation strategy is recorded: a leaf aggregate is
-//!   partial-merge without a broker and the one hash table under forced
-//!   spill; every hash aggregate under an active broker logs whether and
-//!   when it spilled, and on BDCC every aggregate its sandwich keys or why
-//!   it has none;
+//!   partial-merge when the query does not spill and the one hash table
+//!   under forced spill; every hash aggregate of a query that spills logs
+//!   whether and when it spilled, and on BDCC every aggregate its sandwich
+//!   keys or why it has none;
 //! * every hash join records which side it indexed, over exactly the rows
 //!   that child produced; a spilled one how many leaves it split into and
 //!   that it restored each of them once.
@@ -56,7 +56,7 @@ fn join_agg_plan() -> Node {
 }
 
 /// Aggregation straight over a scan — the shape the planner collapses
-/// into a `ParallelAggregate` fragment while the broker is inert, where the
+/// into a `ParallelAggregate` fragment when the query does not spill, where the
 /// per-morsel counters apply.
 fn scan_agg_plan() -> Node {
     let b = PlanBuilder::new();
@@ -174,7 +174,7 @@ fn aggregation_strategy_is_recorded_and_books_every_fragment_row() {
                     node.morsel_rows, fragment_rows,
                     "{label}: morsel rows must sum to the fragment's rows"
                 );
-                assert_eq!(spill_log, None, "an inert broker logs no spill decision");
+                assert_eq!(spill_log, None, "a query that does not spill logs no spill decision");
             } else {
                 assert_eq!(node.rows_in, fragment_rows, "{label}: every scan row reaches it");
                 assert_eq!(spill_log, Some("after(0 rows, 0 groups resident) leaves=8"));
@@ -259,6 +259,37 @@ fn aggregates_log_their_spill_and_sandwich_decisions() {
             assert!(histogram.contains_key("sandwich") && histogram.len() > 1, "{histogram:?}");
         }
     }
+}
+
+/// The operators a co-clustering bounds never spill: over the 22 queries
+/// on BDCC forced out of core, every `Join(sandwich)` and
+/// `Aggregate(sandwich)` books no spill file or byte and logs no spill
+/// decision — whatever the mode, they hold one co-cluster at a time.
+#[test]
+fn sandwich_operators_book_no_spill_under_force() {
+    let sf = 0.002;
+    let sdb = scheme_db();
+    let qc = || QueryContext::new(Arc::clone(&sdb)).with_spill(SpillMode::Force);
+    let mut seen = std::collections::BTreeMap::<String, usize>::new();
+    for q in all_queries() {
+        let ctx = QueryCtx::recording(qc(), sf);
+        (q.run)(&ctx).expect("query runs");
+        for plan in ctx.take_plans() {
+            let analyzed = explain_analyze(&qc(), &plan).expect("explain analyze");
+            analyzed.profile.root.walk(&mut |node: &ProfileNode| {
+                if !node.label.ends_with("(sandwich)") {
+                    return;
+                }
+                let at = format!("Q{:02}: {} {:?}", q.id, node.label, node.annotations);
+                assert_eq!((node.spill_partitions, node.spill_bytes), (0, 0), "{at}");
+                assert_eq!(annotation(node, "spill"), None, "{at}");
+                assert_eq!(annotation(node, "spill_mode"), None, "{at}");
+                *seen.entry(node.label.clone()).or_default() += 1;
+            });
+        }
+    }
+    let labels: Vec<&str> = seen.keys().map(String::as_str).collect();
+    assert_eq!(labels, ["Aggregate(sandwich)", "Join(sandwich)"], "{seen:?}");
 }
 
 /// Without `with_profiling`, a context carries no profiler — the
