@@ -1,6 +1,6 @@
 //! Criterion bench for E7: Algorithm 1 — full self-tuned clustering of the
 //! TPC-H LINEITEM table (bit assignment, path resolution, sort,
-//! histograms, count table, consolidation).
+//! histograms, count table).
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use std::hint::black_box;

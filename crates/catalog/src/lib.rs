@@ -7,9 +7,9 @@
 //!
 //! * [`TableDef`], [`ForeignKey`], [`IndexHint`] — the declarations,
 //! * [`Catalog`] — a validated collection of them,
-//! * [`SchemaGraph`](graph::SchemaGraph) — the projection DAG over foreign
-//!   keys, with the leaf-first traversal order Algorithm 2 requires and
-//!   path enumeration for dimension paths (Definition 2),
+//! * [`SchemaGraph`] — the projection DAG over foreign keys, with the
+//!   leaf-first traversal order Algorithm 2 requires and path enumeration
+//!   for dimension paths (Definition 2),
 //! * [`Database`] — a catalog plus the actual stored tables.
 
 pub mod catalog;

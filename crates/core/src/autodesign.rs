@@ -9,7 +9,7 @@
 //!    any other index *declares* a new dimension.
 //! 2. **Create dimensions** ([`create_dimensions`]): frequency-balanced
 //!    binning over the union of all use sites joined over their paths
-//!    (ref [4]), capped at `max_bits` (13 in the paper).
+//!    (ref \[4\]), capped at `max_bits` (13 in the paper).
 //! 3. **Cluster** ([`design_and_cluster`]): Algorithm 1 on every table with
 //!    at least one use; tables without uses stay unclustered.
 //!

@@ -10,10 +10,12 @@
 //! 3. find the densest (widest) column and choose the largest granularity
 //!    `b ≤ B` whose groups mostly stay above the efficient random access
 //!    size `AR`,
-//! 4. build the count table at granularity `b`
+//! 4. build the count table at granularity `b`.
 //!
-//! plus, optionally, the small-group consolidation described at the end of
-//! Section III.
+//! The paper ends the load by copying very small groups to a tail region
+//! for page-cache locality (Section III); this engine has no page cache, so
+//! it stores every source row exactly once and the count table's groups
+//! tile the table in key order.
 //!
 //! Each step is one linear pass, as the paper presents the load. `_bdcc_`
 //! is one lookup and OR per row and use in a per-use [`scatter_table`] (was
@@ -23,8 +25,8 @@
 //! each column is gathered, then built, as one task on the shared worker
 //! pool, nested in schema design's per-table task. LINEITEM at SF 0.05 on
 //! 2 shared cores, before → after: keys 59–128 → 5–8 ms, sort 13–26 →
-//! 11–17 ms, gathers 63–89 → 43–54 ms, histograms + count table +
-//! consolidation 28–35 → 11–12 ms, table build 115–159 → 31–39 ms.
+//! 11–17 ms, gathers 63–89 → 43–54 ms, histograms + count table
+//! 28–35 → 11–12 ms, table build 115–159 → 31–39 ms.
 
 use std::sync::Arc;
 
@@ -53,33 +55,27 @@ pub struct DimensionUse {
     pub mask: u64,
 }
 
+/// Minimum fraction of groups whose densest-column byte size must stay
+/// ≥ `AR`; the granularity is the largest `b` achieving it. The paper asks
+/// for "the vast majority" of groups, which 0.5 is looser than.
+const MIN_FRACTION_ABOVE_AR: f64 = 0.5;
+
+/// Hard cap on the count-table granularity (the paper's schema-size
+/// discussion caps realistic setups around 24 bits).
+const MAX_GRANULARITY: u32 = 24;
+
 /// Self-tuning parameters for Algorithm 1.
 #[derive(Debug, Clone, Copy)]
 pub struct SelfTuneConfig {
     /// Efficient random access size `AR` in bytes (32 KB for flash).
     pub ar_bytes: usize,
-    /// Minimum fraction of groups whose densest-column byte size must stay
-    /// ≥ `AR` ("the vast majority"); granularity is the largest `b`
-    /// achieving it.
-    pub min_fraction_above_ar: f64,
     /// Bit-assignment strategy (round-robin per use by default).
     pub interleave: InterleaveStrategy,
-    /// Hard cap on the count-table granularity (the paper's schema-size
-    /// discussion caps realistic setups around 24 bits).
-    pub max_granularity: u32,
-    /// Run the small-group consolidation after load.
-    pub consolidate_small_groups: bool,
 }
 
 impl Default for SelfTuneConfig {
     fn default() -> Self {
-        SelfTuneConfig {
-            ar_bytes: PAGE_SIZE,
-            min_fraction_above_ar: 0.5,
-            interleave: InterleaveStrategy::RoundRobinPerUse,
-            max_granularity: 24,
-            consolidate_small_groups: true,
-        }
+        SelfTuneConfig { ar_bytes: PAGE_SIZE, interleave: InterleaveStrategy::RoundRobinPerUse }
     }
 }
 
@@ -93,16 +89,13 @@ pub struct BdccTable {
     pub total_bits: u32,
     /// Count-table granularity `b` chosen by Algorithm 1.
     pub granularity: u32,
-    /// The re-organized table, sorted on [`BDCC_COLUMN`] (appended last).
+    /// The re-organized table, sorted on [`BDCC_COLUMN`] (appended last):
+    /// the source table's rows, each stored once.
     pub table: Arc<StoredTable>,
     /// `T_COUNT` at granularity `b`.
     pub count: CountTable,
     /// Group-size histograms for every granularity (piggy-backed analysis).
     pub histograms: GranularityHistograms,
-    /// Rows of the *original* table (the consolidation step may append
-    /// relocated copies; scans through the count table see each logical row
-    /// exactly once).
-    pub logical_rows: usize,
 }
 
 impl BdccTable {
@@ -191,8 +184,7 @@ pub(crate) fn cluster_table_with(
 
     // (ii) Compute `_bdcc_` at maximal granularity: per use, one lookup of
     // the bin's scattered bits per row.
-    let rows = stored.rows();
-    let mut bdcc = vec![0u64; rows];
+    let mut bdcc = vec![0u64; stored.rows()];
     for u in &uses {
         let host_rows = lookups.steps.host_rows(db, table, &u.path)?;
         let host_bins = &lookups.host_bins[u.dim.0];
@@ -207,7 +199,7 @@ pub(crate) fn cluster_table_with(
     let source_columns = (0..stored.arity()).map(|i| &**stored.column(i).expect("arity"));
     let mut permuted = apply_permutation(source_columns, &perm);
     permuted.push(Column::from_i64(sorted_keys.iter().map(|&k| k as i64).collect()));
-    let mut named: Vec<(String, Column)> = stored
+    let named: Vec<(String, Column)> = stored
         .schema()
         .columns
         .iter()
@@ -222,16 +214,10 @@ pub(crate) fn cluster_table_with(
     // (iii) Choose the granularity from the densest column and AR.
     let densest = stored.densest_column_width();
     let min_rows = (cfg.ar_bytes as f64 / densest).ceil().max(1.0) as u64;
-    let granularity = choose_granularity(&histograms, min_rows, cfg);
+    let granularity = choose_granularity(&histograms, min_rows);
 
     // (iv) Count table at the reduced granularity.
-    let mut count = CountTable::from_sorted_keys(&sorted_keys, total_bits, granularity)?;
-    let logical_rows = rows;
-
-    // Small-group consolidation (optional).
-    if cfg.consolidate_small_groups {
-        crate::reorg::consolidate_small_groups(&mut named, &mut count, min_rows as usize);
-    }
+    let count = CountTable::from_sorted_keys(&sorted_keys, total_bits, granularity)?;
 
     let table_name = format!("{}_bdcc", stored.name());
     let rebuilt = StoredTable::from_columns(&table_name, named)?;
@@ -244,7 +230,6 @@ pub(crate) fn cluster_table_with(
         table: Arc::new(rebuilt),
         count,
         histograms,
-        logical_rows,
     })
 }
 
@@ -276,18 +261,14 @@ pub fn host_bin_numbers(db: &Database, dim: &Dimension) -> Result<Vec<u64>> {
     Ok(bins)
 }
 
-/// The largest granularity `b ≤ min(B, cap)` with at least
-/// `min_fraction_above_ar` of the groups holding ≥ `min_rows` rows
+/// The largest granularity `b ≤ min(B, MAX_GRANULARITY)` with at least
+/// `MIN_FRACTION_ABOVE_AR` of the groups holding ≥ `min_rows` rows
 /// (Algorithm 1(iii)); falls back to 0 (a single group) if even coarse
 /// granularities fail.
-fn choose_granularity(
-    histograms: &GranularityHistograms,
-    min_rows: u64,
-    cfg: &SelfTuneConfig,
-) -> u32 {
-    let upper = histograms.total_bits.min(cfg.max_granularity);
+fn choose_granularity(histograms: &GranularityHistograms, min_rows: u64) -> u32 {
+    let upper = histograms.total_bits.min(MAX_GRANULARITY);
     for g in (1..=upper).rev() {
-        if histograms.fraction_at_least(g, min_rows) >= cfg.min_fraction_above_ar {
+        if histograms.fraction_at_least(g, min_rows) >= MIN_FRACTION_ABOVE_AR {
             return g;
         }
     }
@@ -346,12 +327,8 @@ mod tests {
     fn clustered_table_is_sorted_on_bdcc() {
         let (db, t) = single_dim_db(64);
         let dims = vec![dim_over(&(0..8).collect::<Vec<_>>(), 0, t)];
-        let cfg = SelfTuneConfig {
-            consolidate_small_groups: false,
-            min_fraction_above_ar: 0.5,
-            ar_bytes: 8, // tiny AR so every group qualifies
-            ..Default::default()
-        };
+        // Tiny AR so every group qualifies.
+        let cfg = SelfTuneConfig { ar_bytes: 8, ..Default::default() };
         let b = cluster_table(&db, t, &[(DimId(0), vec![])], &dims, &cfg).unwrap();
         assert_eq!(b.total_bits, 3);
         let keys = b.table.column_by_name(BDCC_COLUMN).unwrap().as_i64().unwrap().to_vec();
@@ -375,8 +352,7 @@ mod tests {
         let dims = vec![dim_over(&(0..8).collect::<Vec<_>>(), 0, t)];
         // Groups of 8 rows × 8 bytes = 64 bytes; demand 256-byte groups →
         // need ≥ 32 rows per group → granularity 1 (2 groups of 32).
-        let cfg =
-            SelfTuneConfig { consolidate_small_groups: false, ar_bytes: 256, ..Default::default() };
+        let cfg = SelfTuneConfig { ar_bytes: 256, ..Default::default() };
         let b = cluster_table(&db, t, &[(DimId(0), vec![])], &dims, &cfg).unwrap();
         assert_eq!(b.granularity, 1);
         assert_eq!(b.count.group_count(), 2);
@@ -412,8 +388,7 @@ mod tests {
             Dimension { key: vec!["a".into()], ..dim_over(&[0, 1, 2, 3], 0, t) },
             Dimension { key: vec!["b".into()], ..dim_over(&[0, 1, 2, 3], 1, t) },
         ];
-        let cfg =
-            SelfTuneConfig { ar_bytes: 8, consolidate_small_groups: false, ..Default::default() };
+        let cfg = SelfTuneConfig { ar_bytes: 8, ..Default::default() };
         let bt =
             cluster_table(&db, t, &[(DimId(0), vec![]), (DimId(1), vec![])], &dims, &cfg).unwrap();
         assert_eq!(bt.total_bits, 4);
@@ -441,8 +416,7 @@ mod tests {
     fn group_bin_prefix_extracts_major_bits() {
         let (db, t) = single_dim_db(64);
         let dims = vec![dim_over(&(0..8).collect::<Vec<_>>(), 0, t)];
-        let cfg =
-            SelfTuneConfig { ar_bytes: 8, consolidate_small_groups: false, ..Default::default() };
+        let cfg = SelfTuneConfig { ar_bytes: 8, ..Default::default() };
         let b = cluster_table(&db, t, &[(DimId(0), vec![])], &dims, &cfg).unwrap();
         // Single use: group key *is* the bin prefix.
         for g in b.count.iter() {

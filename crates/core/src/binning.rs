@@ -1,4 +1,4 @@
-//! Dimension creation: frequency-balanced binning (ref [4] of the paper).
+//! Dimension creation: frequency-balanced binning (ref \[4\] of the paper).
 //!
 //! Algorithm 2(ii) creates each dimension from "a histogram on the union of
 //! all tables Ti joined over dimension path Pi, projecting only the
@@ -20,7 +20,7 @@ use crate::error::{BdccError, Result};
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum BinningStrategy {
     /// Balance the total *weight* (referencing tuples) per bin — the
-    /// paper's frequency-based algorithm (ref [4]); robust to skew.
+    /// paper's frequency-based algorithm (ref \[4\]); robust to skew.
     EquiDepth,
     /// Split the distinct values into equally many per bin regardless of
     /// weight (ablation baseline; degrades under skew).

@@ -2,9 +2,9 @@
 //!
 //! A BDCC table is stored sorted on `_bdcc_`; the count table records, per
 //! distinct clustering-key value at the chosen granularity `b`, the run of
-//! rows holding it. The scatter-scan computes its offsets from here, and
-//! the small-group re-organization ("puff pastry" aftercare) relocates
-//! groups by re-pointing their entries.
+//! rows holding it. The groups tile the stored table in key order, each
+//! row in exactly one group; the scatter-scan computes its offsets from
+//! here.
 
 use crate::error::{BdccError, Result};
 
@@ -17,11 +17,6 @@ pub struct GroupEntry {
     pub start: usize,
     /// Number of rows.
     pub count: usize,
-    /// True if the group was moved to the consolidated tail region by the
-    /// small-group re-organization (the paper marks the *original* entry
-    /// invalid and appends the copy; we re-point the entry, which is
-    /// observationally identical for scans).
-    pub relocated: bool,
 }
 
 /// The metadata table counting the frequency of each `_bdcc_` value at
@@ -32,7 +27,7 @@ pub struct CountTable {
     pub granularity: u32,
     /// Full clustering-key width `B` of the stored `_bdcc_` column.
     pub total_bits: u32,
-    /// Groups ordered by `key` (hence by table position, pre-relocation).
+    /// Groups ordered by `key`, hence by table position.
     pub groups: Vec<GroupEntry>,
 }
 
@@ -52,7 +47,7 @@ impl CountTable {
             let g = k >> shift;
             match groups.last_mut() {
                 Some(entry) if entry.key == g => entry.count += 1,
-                _ => groups.push(GroupEntry { key: g, start: row, count: 1, relocated: false }),
+                _ => groups.push(GroupEntry { key: g, start: row, count: 1 }),
             }
         }
         // Sorted input ⇒ sorted groups; verify in debug builds.
@@ -65,7 +60,7 @@ impl CountTable {
         self.groups.len()
     }
 
-    /// Total rows covered (each row exactly once, relocated or not).
+    /// Total rows covered (each row exactly once).
     pub fn total_rows(&self) -> usize {
         self.groups.iter().map(|g| g.count).sum()
     }
@@ -96,9 +91,9 @@ mod tests {
         let keys = [0b0000u64, 0b0001, 0b0100, 0b0101, 0b0111, 0b1100];
         let ct = CountTable::from_sorted_keys(&keys, 4, 2).unwrap();
         assert_eq!(ct.group_count(), 3);
-        assert_eq!(ct.groups[0], GroupEntry { key: 0b00, start: 0, count: 2, relocated: false });
-        assert_eq!(ct.groups[1], GroupEntry { key: 0b01, start: 2, count: 3, relocated: false });
-        assert_eq!(ct.groups[2], GroupEntry { key: 0b11, start: 5, count: 1, relocated: false });
+        assert_eq!(ct.groups[0], GroupEntry { key: 0b00, start: 0, count: 2 });
+        assert_eq!(ct.groups[1], GroupEntry { key: 0b01, start: 2, count: 3 });
+        assert_eq!(ct.groups[2], GroupEntry { key: 0b11, start: 5, count: 1 });
         assert_eq!(ct.total_rows(), 6);
         assert_eq!(ct.max_group_rows(), 3);
     }

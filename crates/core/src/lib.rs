@@ -9,7 +9,7 @@
 //!   (including prefix predicates on compound keys such as
 //!   `NATION(n_regionkey, n_nationkey)`).
 //! * [`binning`] — frequency-balanced dimension creation over the union of
-//!   all use sites (the ref [4] technique), plus the equi-width baseline.
+//!   all use sites (the ref \[4\] technique), plus the equi-width baseline.
 //! * [`mask`] — `_bdcc_` bit algebra: scatter/gather between bin numbers
 //!   and mask positions (plus the per-use scatter lookup table the bulk
 //!   load reads), and the three interleaving strategies (round-robin
@@ -22,7 +22,6 @@
 //! * [`count_table`] — the `T_COUNT` metadata table.
 //! * [`histogram`] — piggy-backed logarithmic group-size histograms used by
 //!   the self-tuning and the correlated-dimension ("puff pastry") analysis.
-//! * [`reorg`] — post-load consolidation of very small groups.
 //! * [`autodesign`] — **Algorithm 2**: the semi-automatic schema design
 //!   that interprets `CREATE INDEX` statements as hints, propagates
 //!   dimension uses over foreign keys, creates dimensions, and clusters the
@@ -41,7 +40,6 @@ pub mod dimension;
 pub mod error;
 pub mod histogram;
 pub mod mask;
-pub mod reorg;
 pub mod resolve;
 
 pub use autodesign::{

@@ -77,7 +77,7 @@ pub enum BlockVerdict {
     All,
     /// The surviving absolute row indices (strictly increasing, a proper
     /// non-empty subset of the range), when they are scattered: their
-    /// stretches of consecutive rows average under [`MIN_MEAN_RANGE`].
+    /// stretches of consecutive rows average under `MIN_MEAN_RANGE`.
     Rows(Vec<usize>),
     /// The same survivors in longer stretches, as absolute half-open
     /// `(start, end)` row ranges, ascending and never adjacent.

@@ -3,7 +3,7 @@
 //! Expressions are resolved against an operator schema (columns referenced
 //! by name, bound to indices at plan time) and evaluate vectorized over a
 //! whole [`Batch`]. Booleans are represented as `Int` columns of 0/1, with
-//! [`eval_bool`] as the predicate entry point.
+//! [`Expr::eval_bool`] as the predicate entry point.
 
 use std::borrow::Cow;
 
@@ -129,9 +129,9 @@ impl Needle {
 #[derive(Debug, Clone, PartialEq)]
 pub enum Expr {
     /// Reference to a column by name (resolved against the input schema at
-    /// evaluation time via [`bind`]).
+    /// evaluation time via [`Expr::bind`]).
     Col(String),
-    /// Resolved column index (produced by [`bind`]).
+    /// Resolved column index (produced by [`Expr::bind`]).
     ColIdx(usize),
     /// Literal value.
     Lit(Datum),

@@ -3,7 +3,7 @@
 //! The query-processing substrate the paper's evaluation runs on, built
 //! from scratch: a pull-based, batch-at-a-time executor with the three
 //! access paths the Plain / PK / BDCC storage schemes need, the sandwich
-//! operators of ref [3], and the plan-time analyses that turn predicates
+//! operators of ref \[3\], and the plan-time analyses that turn predicates
 //! into BDCC group restrictions (selection pushdown and propagation).
 
 pub mod batch;

@@ -10,7 +10,7 @@
 //!   scheme's Q18), which are the run columns: the table holds the open
 //!   group and one batch's groups at most;
 //! * **sandwich** — input pre-grouped on dimension bits that the group-by
-//!   keys *functionally determine* (ref [3]), whose group-key columns are
+//!   keys *functionally determine* (ref \[3\]), whose group-key columns are
 //!   the run columns: the table holds one co-cluster's groups and one
 //!   batch's at most.
 //!
@@ -860,9 +860,9 @@ impl PartialAgg {
         Batch::new(cols)
     }
 
-    /// [`flush`](Self::flush) at the end of the input: a *global*
-    /// aggregation (no group-by) over empty input still yields one row,
-    /// every aggregate's zero state (COUNT() = 0, SUM() = 0, ...).
+    /// `flush` at the end of the input: a *global* aggregation (no
+    /// group-by) over empty input still yields one row, every aggregate's
+    /// zero state (COUNT() = 0, SUM() = 0, ...).
     pub fn finish(&mut self) -> Batch {
         if self.table.len() > 0 || !self.group_cols.is_empty() {
             return self.flush();
@@ -919,7 +919,7 @@ impl PartialAgg {
 /// aggregation), which spills when the query does (module docs). Over
 /// input ordered on the group-by keys they are those keys (streaming), and
 /// over BDCC input grouped on dimension bits the group-by keys determine
-/// they are its group-key columns (sandwich, ref [3]) — either way the
+/// they are its group-key columns (sandwich, ref \[3\]) — either way the
 /// table holds the open run's groups and one batch's at most. A group never
 /// spans runs, so flushing decides when groups leave, never their values or
 /// their first-seen order.

@@ -29,11 +29,11 @@
 //! `COUNT(right.col)` compiles to `SUM(__matched)`).
 //!
 //! **Grouped mode** ([`HashJoin::grouped`]) is the sandwich join of ref
-//! [3]: both children arrive grouped on aligned group-key columns (a BDCC
+//! \[3\]: both children arrive grouped on aligned group-key columns (a BDCC
 //! scatter scan's keys, in the same negotiated major-minor order on both
 //! sides), and the right side is indexed **one group at a time** — read up
 //! to its first key change, the rest held; its group-key columns dropped,
-//! since they repeat the left's; indexed by the same [`BuildSide::index`] —
+//! since they repeat the left's; indexed by the same `BuildSide::index` —
 //! so the table holds one co-cluster, never the whole side: the memory
 //! Figure 3 measures. The left streams and is never concatenated: a batch
 //! is cut where its group key changes, and each piece is a probe round

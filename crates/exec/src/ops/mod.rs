@@ -6,7 +6,7 @@
 //! block skipping inside each (the BDCC scatter-scan over selected groups;
 //! a plain scan is the same walk over the statistics blocks), hash / merge
 //! joins and hash aggregation, plus the usual filter / project / sort /
-//! limit plumbing. The *sandwich* operators of ref [3] are not separate
+//! limit plumbing. The *sandwich* operators of ref \[3\] are not separate
 //! operators: they are the hash join and the hash aggregate run one
 //! co-cluster at a time over co-clustered inputs (`HashJoin::grouped`,
 //! `HashAggregate::with_runs`).

@@ -18,7 +18,7 @@
 //! predicates' column types — and
 //!
 //! * skips a block whose MinMax range cannot satisfy the sargable
-//!   predicates (Vectorwise's automatic MinMax indices, ref [8]; inside
+//!   predicates (Vectorwise's automatic MinMax indices, ref \[8\]; inside
 //!   BDCC groups this is *correlated* pushdown, e.g. `l_shipdate` thanks to
 //!   `o_orderdate` locality), or that its stats or dictionaries rule out,
 //! * keeps the rows the kernel finds passing on the others, reading

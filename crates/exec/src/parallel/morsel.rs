@@ -1,14 +1,13 @@
 //! Morsels: the work units of parallel execution.
 //!
-//! A leaf scan reads an ordered list of runs
-//! ([`Run`](crate::ops::scan::Run): the selected count-table groups of a
-//! BDCC table in the planner's scatter order — the paper's natural
-//! parallelism unit, disjoint row ranges — or the MinMax blocks of a
-//! Plain / PK table), and a scan morsel is a contiguous range of run
-//! indices. A batch never crosses a run and a morsel never splits one, so
-//! morsel boundaries are batch boundaries of the inline walk, which is what
-//! makes *ordered concatenation of per-morsel streams reproduce the inline
-//! batch stream exactly* — the correctness contract everything in
+//! A leaf scan reads an ordered list of runs ([`Run`]: the selected
+//! count-table groups of a BDCC table in the planner's scatter order — the
+//! paper's natural parallelism unit, disjoint row ranges — or the MinMax
+//! blocks of a Plain / PK table), and a scan morsel is a contiguous range
+//! of run indices. A batch never crosses a run and a morsel never splits
+//! one, so morsel boundaries are batch boundaries of the inline walk, which
+//! is what makes *ordered concatenation of per-morsel streams reproduce the
+//! inline batch stream exactly* — the correctness contract everything in
 //! [`crate::parallel`] rests on.
 
 use std::ops::Range;

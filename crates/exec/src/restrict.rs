@@ -25,7 +25,7 @@
 //! Plan time looks them up; it builds no hash map over a table, creates no
 //! key tuple and sorts nothing.
 //!
-//! **What is per plan.** One [`Reduction`] per [`compute_restrictions`]
+//! **What is per plan.** One `Reduction` per [`compute_restrictions`]
 //! call memoises each host scan's surviving bins and each referenced
 //! table's row mask, so every `(scan, use)` pair and every recursive step
 //! that reaches them shares one evaluation (LINEITEM's and ORDERS' `D_DATE`
@@ -43,7 +43,7 @@
 //! pays only for the rows of the bins it empties. When every occupied bin
 //! survives the use comes back unrestricted.
 //!
-//! **What [`ROW_EVAL_LIMIT`] decides.** Hosts above it are not walked (nor
+//! **What `ROW_EVAL_LIMIT` decides.** Hosts above it are not walked (nor
 //! indexed): the sargable predicates on the dimension key are translated
 //! analytically via [`Dimension::bin_range`]. Referenced tables above it
 //! do not reduce their referrers.

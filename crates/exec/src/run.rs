@@ -68,8 +68,8 @@ pub struct Analyzed {
 
 /// Execute `plan` with per-operator profiling and return the annotated
 /// profile alongside the result. Profiling rides on a clone of `ctx`
-/// (same database, same parallel config) with a fresh [`Profiler`]
-/// (`crate::profile`); the result batch is byte-identical to an
+/// (same database, same parallel config) with a fresh
+/// [`Profiler`](crate::Profiler); the result batch is byte-identical to an
 /// unprofiled [`run_plan`] of the same plan.
 pub fn explain_analyze(ctx: &QueryContext, plan: &Node) -> Result<Analyzed> {
     let ctx = ctx.clone().with_profiling();

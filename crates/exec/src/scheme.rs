@@ -52,7 +52,7 @@ pub struct SchemeDb {
 /// data, built once by [`bdcc_scheme`] over the *clustered* row order:
 /// which bin every dimension-host row falls in, and which row every
 /// foreign key leaving a host (or a table a host reduces through)
-/// references. Tables above [`ROW_EVAL_LIMIT`] rows are never walked at
+/// references. Tables above `ROW_EVAL_LIMIT` rows are never walked at
 /// plan time, so they are not indexed.
 #[derive(Debug, Default)]
 pub struct PlanIndex {
@@ -217,9 +217,8 @@ mod tests {
         let cfg = DesignConfig::default();
         let b = bdcc_scheme(&db, &cfg).unwrap();
         let t = b.db.stored_by_name("t").unwrap();
-        // Clustered table carries the _bdcc_ column; the count table views
-        // every logical row exactly once in group-key order (the small-
-        // group consolidation may relocate rows physically).
+        // Clustered table carries the _bdcc_ column; the count table's
+        // groups tile it in group-key order, every row exactly once.
         assert!(t.column_by_name(bdcc_core::BDCC_COLUMN).is_ok());
         let schema = b.bdcc.as_ref().unwrap();
         let tid = b.db.catalog().table_id("t").unwrap();

@@ -1,6 +1,6 @@
 //! Per-block column statistics (MinMax indices).
 //!
-//! Vectorwise maintains automatic MinMax indices on every column (ref [8] of
+//! Vectorwise maintains automatic MinMax indices on every column (ref \[8\] of
 //! the paper); the evaluation relies on them for *correlated* selection
 //! pushdown (e.g. `l_shipdate` predicates prune blocks because LINEITEM is
 //! BDCC-clustered on the correlated `o_orderdate`). We reproduce the

@@ -47,7 +47,7 @@ pub struct DeviceProfile {
 
 impl DeviceProfile {
     /// The paper's SSD RAID: 1 GB/s sequential, AR = 32 KB (flash, per
-    /// ref [5]). The seek cost is *defined by AR*: a random read of AR
+    /// ref \[5\]). The seek cost is *defined by AR*: a random read of AR
     /// bytes achieves ~80% of sequential throughput, i.e.
     /// `seek = 0.25 · AR / seq_rate` ≈ 8 µs.
     pub fn ssd_raid() -> DeviceProfile {

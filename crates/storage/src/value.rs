@@ -195,9 +195,10 @@ pub fn format_date(days: i64) -> String {
 
 /// Parse `YYYY-MM-DD` into a day count.
 ///
-/// Returns [`StorageError::InvalidDate`] (carrying the input) on anything
-/// malformed: missing parts, non-digits, or a calendar-invalid date like
-/// `1993-02-30` (checked by round-tripping through [`days_to_date`]).
+/// Returns [`StorageError::InvalidDate`](crate::StorageError::InvalidDate)
+/// (carrying the input) on anything malformed: missing parts, non-digits,
+/// or a calendar-invalid date like `1993-02-30` (checked by round-tripping
+/// through [`days_to_date`]).
 pub fn parse_date(s: &str) -> crate::error::Result<i64> {
     let bad = || crate::error::StorageError::InvalidDate(s.to_string());
     let mut parts = s.splitn(3, '-');

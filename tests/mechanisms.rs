@@ -136,11 +136,11 @@ fn design_is_robust_across_the_full_query_set() {
 }
 
 #[test]
-fn hierarchical_dimension_does_not_break_self_tuning() {
-    // D_NATION's compound key (regionkey, nationkey) is the paper's
-    // hierarchical-dimension example; "puff pastry" must not hurt: the
-    // count tables stay consistent and granularities positive for the
-    // big tables.
+fn bdcc_tables_store_each_row_once_in_key_order() {
+    // Every BDCC table stores exactly its source rows, and its count-table
+    // groups tile it in key order. D_NATION's compound key (regionkey,
+    // nationkey) is the paper's hierarchical-dimension example: it must
+    // not stop the big tables from clustering.
     let sf = 0.005;
     let db = bdcc::tpch::generate(&GenConfig::new(sf));
     let sdb = bdcc_scheme(&db, &DesignConfig::default()).unwrap();
@@ -148,8 +148,13 @@ fn hierarchical_dimension_does_not_break_self_tuning() {
     for (tid, bt) in &schema.tables {
         let name = db.catalog().table_name(*tid);
         let original = db.stored(*tid).unwrap().rows();
+        assert_eq!(bt.table.rows(), original, "{name}: every source row stored once");
         assert_eq!(bt.count.total_rows(), original, "{name}: count table must cover all rows");
-        assert_eq!(bt.logical_rows, original);
+        let mut start = 0;
+        for g in &bt.count.groups {
+            assert_eq!(g.start, start, "{name}: group {:#x} out of tile order", g.key);
+            start += g.count;
+        }
         if original > 10_000 {
             assert!(bt.granularity > 0, "{name}: large tables must actually cluster");
         }

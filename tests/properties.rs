@@ -293,12 +293,14 @@ proptest! {
     }
 
     /// Algorithm 1 end-to-end on a random two-dimension table: the stored
-    /// table is sorted on `_bdcc_`, every logical row is visible through
-    /// the count table exactly once, and every row's clustering key
-    /// matches a manual recomputation.
+    /// table is sorted on `_bdcc_` and stores every source row exactly
+    /// once, the count-table groups tile it in key order (also when some
+    /// are smaller than `AR`), and every row's clustering key matches a
+    /// manual recomputation.
     #[test]
     fn cluster_table_preserves_rows_and_sorts(
         rows in prop::collection::vec((0i64..16, 0i64..16), 1..300),
+        ar_bytes in 1usize..2048,
     ) {
         let mut cat = Catalog::new();
         let t = cat
@@ -340,7 +342,7 @@ proptest! {
         d0.id = DimId(0);
         d1.id = DimId(1);
         let dims = vec![d0, d1];
-        let cfg = SelfTuneConfig { ar_bytes: 1, ..Default::default() };
+        let cfg = SelfTuneConfig { ar_bytes, ..Default::default() };
         let bt = cluster_table(
             &db,
             t,
@@ -349,8 +351,14 @@ proptest! {
             &cfg,
         )
         .expect("cluster");
-        // Every logical row exactly once through the count table.
+        // Every row stored once; the groups tile the table in key order.
+        prop_assert_eq!(bt.table.rows(), rows.len());
         prop_assert_eq!(bt.count.total_rows(), rows.len());
+        let mut start = 0;
+        for g in bt.count.iter() {
+            prop_assert_eq!(g.start, start);
+            start += g.count;
+        }
         // The _bdcc_ value of each stored row matches recomputation.
         let stored = &bt.table;
         let keys = stored.column_by_name(BDCC_COLUMN).expect("bdcc col").as_i64().expect("ints").to_vec();
