@@ -227,43 +227,55 @@ impl Expr {
         Expr::If(Box::new(cond), Box::new(then), Box::new(otherwise))
     }
 
-    /// Resolve all [`Expr::Col`] references to indices in `schema`.
-    pub fn bind(&self, schema: &[ColMeta]) -> Result<Expr> {
+    /// Call `f` on every column reference ([`Expr::Col`] or
+    /// [`Expr::ColIdx`]) in the tree, left to right.
+    pub(crate) fn visit_columns(&self, f: &mut impl FnMut(&Expr)) {
+        let _ = self.map_columns(&mut |c| {
+            f(c);
+            Ok(c.clone())
+        });
+    }
+
+    /// The tree with every column reference `c` replaced by `f(c)`.
+    /// `IN` lists come out sorted (see [`bind`](Self::bind)); a sorted list
+    /// stays as it is.
+    pub(crate) fn map_columns(&self, f: &mut impl FnMut(&Expr) -> Result<Expr>) -> Result<Expr> {
+        let mut m = |e: &Expr| e.map_columns(&mut *f).map(Box::new);
         Ok(match self {
-            Expr::Col(name) => Expr::ColIdx(
-                schema_index(schema, name).ok_or_else(|| ExecError::UnknownColumn(name.clone()))?,
-            ),
-            Expr::ColIdx(i) => Expr::ColIdx(*i),
+            Expr::Col(_) | Expr::ColIdx(_) => return f(self),
             Expr::Lit(d) => Expr::Lit(d.clone()),
-            Expr::Arith(op, a, b) => {
-                Expr::Arith(*op, Box::new(a.bind(schema)?), Box::new(b.bind(schema)?))
-            }
-            Expr::Cmp(op, a, b) => {
-                Expr::Cmp(*op, Box::new(a.bind(schema)?), Box::new(b.bind(schema)?))
-            }
-            Expr::And(a, b) => Expr::And(Box::new(a.bind(schema)?), Box::new(b.bind(schema)?)),
-            Expr::Or(a, b) => Expr::Or(Box::new(a.bind(schema)?), Box::new(b.bind(schema)?)),
-            Expr::Not(a) => Expr::Not(Box::new(a.bind(schema)?)),
-            Expr::If(c, t, e) => Expr::If(
-                Box::new(c.bind(schema)?),
-                Box::new(t.bind(schema)?),
-                Box::new(e.bind(schema)?),
-            ),
-            Expr::Like(a, p) => Expr::Like(Box::new(a.bind(schema)?), p.clone()),
-            Expr::NotLike(a, p) => Expr::NotLike(Box::new(a.bind(schema)?), p.clone()),
+            Expr::Arith(op, a, b) => Expr::Arith(*op, m(a)?, m(b)?),
+            Expr::Cmp(op, a, b) => Expr::Cmp(*op, m(a)?, m(b)?),
+            Expr::And(a, b) => Expr::And(m(a)?, m(b)?),
+            Expr::Or(a, b) => Expr::Or(m(a)?, m(b)?),
+            Expr::Not(a) => Expr::Not(m(a)?),
+            Expr::If(c, t, e) => Expr::If(m(c)?, m(t)?, m(e)?),
+            Expr::Like(a, p) => Expr::Like(m(a)?, p.clone()),
+            Expr::NotLike(a, p) => Expr::NotLike(m(a)?, p.clone()),
             Expr::InList(a, vals) => {
-                // Sort the literal list once at bind time, grouped by
-                // comparison class (integer-backed, float, string) and by
-                // value within each class, so `eval_in_list`'s typed
-                // projections come out pre-sorted and every batch probes
-                // by binary search. No dedup: cross-class "equal"
-                // literals (`Int(1)` vs `Float(1.0)`) must both survive.
+                // Sorted by comparison class (integer-backed, float,
+                // string) and by value within each class, so
+                // `eval_in_list`'s typed projections come out pre-sorted
+                // and every batch probes by binary search. No dedup:
+                // cross-class "equal" literals (`Int(1)` vs `Float(1.0)`)
+                // must both survive.
                 let mut sorted = vals.clone();
                 sorted.sort_by(in_list_order);
-                Expr::InList(Box::new(a.bind(schema)?), sorted)
+                Expr::InList(m(a)?, sorted)
             }
-            Expr::Year(a) => Expr::Year(Box::new(a.bind(schema)?)),
-            Expr::Prefix(a, n) => Expr::Prefix(Box::new(a.bind(schema)?), *n),
+            Expr::Year(a) => Expr::Year(m(a)?),
+            Expr::Prefix(a, n) => Expr::Prefix(m(a)?, *n),
+        })
+    }
+
+    /// Resolve all [`Expr::Col`] references to indices in `schema`; the
+    /// literal list of an `IN` is sorted once here.
+    pub fn bind(&self, schema: &[ColMeta]) -> Result<Expr> {
+        self.map_columns(&mut |c| match c {
+            Expr::Col(name) => schema_index(schema, name)
+                .map(Expr::ColIdx)
+                .ok_or_else(|| ExecError::UnknownColumn(name.clone())),
+            _ => Ok(c.clone()),
         })
     }
 

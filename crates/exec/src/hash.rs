@@ -348,6 +348,12 @@ pub struct JoinIndex {
     slots: Slots,
 }
 
+/// The hashed directory's length for `n` entries: a power of two at load
+/// factor <= 0.5.
+fn hashed_len(n: usize) -> usize {
+    (n.max(4) * 2).next_power_of_two()
+}
+
 /// Rows of a side's key columns (none without a key column).
 fn key_rows(key_cols: &[&[i64]]) -> usize {
     key_cols.first().map_or(0, |c| c.len())
@@ -358,8 +364,7 @@ impl JoinIndex {
     /// allocation per row.
     pub fn build(key_cols: &[&[i64]]) -> JoinIndex {
         let n = key_rows(key_cols);
-        // The hashed directory: a power of two at load factor <= 0.5.
-        let nbuckets = (n.max(4) * 2).next_power_of_two();
+        let nbuckets = hashed_len(n);
         let word = KeyWord::of(key_cols);
         let words = word.words(key_cols);
         let (mut slots, mut len) = (Slots::Hashed { mask: nbuckets as u64 - 1 }, nbuckets);
@@ -520,6 +525,13 @@ impl JoinIndex {
     /// Bytes held by the flat arrays (memory-tracker accounting).
     pub fn estimated_bytes(&self) -> u64 {
         (self.buckets.len() * 4 + self.next.len() * 4 + self.keys.len() * 8) as u64
+    }
+
+    /// The most [`estimated_bytes`](Self::estimated_bytes) an index of
+    /// `rows` entries on `keys` columns holds: the hashed directory, a word
+    /// per key column (a direct directory is no longer, and holds none).
+    pub fn max_bytes(rows: u64, keys: usize) -> u64 {
+        hashed_len(rows as usize) as u64 * 4 + rows * (4 + 8 * keys as u64)
     }
 }
 

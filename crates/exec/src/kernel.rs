@@ -220,29 +220,8 @@ fn shrink(sel: SelVec, mut pass: impl FnMut(usize) -> bool) -> SelVec {
 
 /// Column indexes a bound expression references, sorted and deduplicated.
 pub fn referenced_columns(e: &Expr) -> Vec<usize> {
-    fn walk(e: &Expr, out: &mut Vec<usize>) {
-        match e {
-            Expr::Col(_) | Expr::Lit(_) => {}
-            Expr::ColIdx(i) => out.push(*i),
-            Expr::Arith(_, a, b) | Expr::Cmp(_, a, b) | Expr::And(a, b) | Expr::Or(a, b) => {
-                walk(a, out);
-                walk(b, out);
-            }
-            Expr::Not(a)
-            | Expr::Like(a, _)
-            | Expr::NotLike(a, _)
-            | Expr::InList(a, _)
-            | Expr::Year(a)
-            | Expr::Prefix(a, _) => walk(a, out),
-            Expr::If(c, t, f) => {
-                walk(c, out);
-                walk(t, out);
-                walk(f, out);
-            }
-        }
-    }
     let mut v = Vec::new();
-    walk(e, &mut v);
+    e.visit_columns(&mut |c| v.extend(if let Expr::ColIdx(i) = c { Some(*i) } else { None }));
     v.sort_unstable();
     v.dedup();
     v
@@ -252,34 +231,11 @@ pub fn referenced_columns(e: &Expr) -> Vec<usize> {
 /// contain every referenced index).
 fn remap_columns(e: &Expr, cols: &[usize]) -> Expr {
     let map = |i: &usize| cols.binary_search(i).expect("referenced column in map");
-    match e {
-        Expr::Col(n) => Expr::Col(n.clone()),
-        Expr::ColIdx(i) => Expr::ColIdx(map(i)),
-        Expr::Lit(d) => Expr::Lit(d.clone()),
-        Expr::Arith(op, a, b) => {
-            Expr::Arith(*op, Box::new(remap_columns(a, cols)), Box::new(remap_columns(b, cols)))
-        }
-        Expr::Cmp(op, a, b) => {
-            Expr::Cmp(*op, Box::new(remap_columns(a, cols)), Box::new(remap_columns(b, cols)))
-        }
-        Expr::And(a, b) => {
-            Expr::And(Box::new(remap_columns(a, cols)), Box::new(remap_columns(b, cols)))
-        }
-        Expr::Or(a, b) => {
-            Expr::Or(Box::new(remap_columns(a, cols)), Box::new(remap_columns(b, cols)))
-        }
-        Expr::Not(a) => Expr::Not(Box::new(remap_columns(a, cols))),
-        Expr::If(c, t, f) => Expr::If(
-            Box::new(remap_columns(c, cols)),
-            Box::new(remap_columns(t, cols)),
-            Box::new(remap_columns(f, cols)),
-        ),
-        Expr::Like(a, p) => Expr::Like(Box::new(remap_columns(a, cols)), p.clone()),
-        Expr::NotLike(a, p) => Expr::NotLike(Box::new(remap_columns(a, cols)), p.clone()),
-        Expr::InList(a, vals) => Expr::InList(Box::new(remap_columns(a, cols)), vals.clone()),
-        Expr::Year(a) => Expr::Year(Box::new(remap_columns(a, cols))),
-        Expr::Prefix(a, n) => Expr::Prefix(Box::new(remap_columns(a, cols)), *n),
-    }
+    let remapped = e.map_columns(&mut |c| match c {
+        Expr::ColIdx(i) => Ok(Expr::ColIdx(map(i))),
+        _ => Ok(c.clone()),
+    });
+    remapped.expect("remapping never fails")
 }
 
 fn split_and<'a>(e: &'a Expr, out: &mut Vec<&'a Expr>) {

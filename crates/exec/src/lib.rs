@@ -43,7 +43,8 @@ pub use ops::sort::SortKey;
 pub use ops::{collect, BoxedOp, OpEnv, Operator};
 pub use parallel::{ParallelConfig, DEFAULT_MORSEL_ROWS};
 pub use plan::{
-    aggregate, alias_column, filter, join, join_full, project, sort, FkSide, Node, PlanBuilder,
+    aggregate, alias_column, filter, join, join_full, project, sort, FkSide, Needed, Node,
+    PlanBuilder,
 };
 pub use planner::{plan_query, QueryContext};
 pub use pred::{ColPredicate, PredKind};

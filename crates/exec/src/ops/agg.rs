@@ -994,7 +994,7 @@ impl HashAggregate {
             let shape = Shape {
                 keys: self.core.group_cols.clone(),
                 fanout: Fanout::Bits(SPILL_BITS),
-                leaf_factor: 1,
+                leaf_bytes: Box::new(|bytes, _| bytes),
                 label: "agg",
             };
             self.spill = Some((PartitionSpill::new(shape, &self.env), self.core.rows_seen));

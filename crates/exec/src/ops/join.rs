@@ -21,6 +21,15 @@
 //! high-water mark — the very first under `BDCC_SPILL=force` — sends it to
 //! the spilled right build.
 //!
+//! **Only what is read above.** The planner hands a join the columns read
+//! above it (`plan::Needed`), and its output carries only those of either
+//! side (and `__matched`; one read by nothing keeps its first left column,
+//! so its rows still count). A right batch is cut to the columns the join
+//! reads as it arrives. The build payload keeps those it emits and those
+//! its residual reads; a key read by nothing else goes once the index
+//! holds its words, so a semi / anti build without a residual holds no
+//! payload — late materialization (Abadi et al., ICDE 2007).
+//!
 //! Build and probe run on the calling thread at every width: each probe
 //! round is one batch. Semi/Anti probes of a right build without a
 //! residual use a first-hit existence probe and never gather pair columns.
@@ -46,18 +55,19 @@
 //! pairs, as it does per batch). A group is bounded by its co-cluster, so
 //! grouped mode never races and never spills.
 
-use std::collections::VecDeque;
+use std::collections::{BTreeSet, VecDeque};
 use std::sync::Arc;
 
 use bdcc_storage::{Column, DataType};
 
-use crate::batch::{Batch, ColMeta, OpSchema};
+use crate::batch::{schema_index, Batch, ColMeta, OpSchema};
 use crate::error::{ExecError, Result};
 use crate::expr::Expr;
 use crate::hash::JoinIndex;
-use crate::kernel::{PairFilter, SelVec};
+use crate::kernel::{referenced_columns, PairFilter, SelVec};
 use crate::memory::{MemoryGuard, MemoryTracker};
 use crate::ops::{BoxedOp, OpEnv, Operator};
+use crate::plan::Needed;
 
 #[path = "join_spill.rs"]
 mod spill;
@@ -87,18 +97,32 @@ struct BuildSide {
 }
 
 impl BuildSide {
-    /// Index `columns` on `keys` and register the hash-table memory:
-    /// materialized payload + the index's flat arrays (directory, chains,
-    /// key words).
-    fn index(payload: Batch, keys: &[usize], tracker: &Arc<MemoryTracker>) -> Result<BuildSide> {
+    /// Index `payload` on `keys`, keep its first `keep` columns (the index
+    /// holds the key words, so a key read by nothing else goes) and
+    /// register the hash-table memory: the kept payload + the index's flat
+    /// arrays (directory, chains, key words).
+    fn index(
+        mut payload: Batch,
+        keys: &[usize],
+        keep: usize,
+        tracker: &Arc<MemoryTracker>,
+    ) -> Result<BuildSide> {
         let key_cols: Vec<&[i64]> = keys
             .iter()
             .map(|&k| payload.columns[k].as_i64())
             .collect::<std::result::Result<_, _>>()?;
         let index = JoinIndex::build(&key_cols);
+        payload.columns.truncate(keep);
         let mem = tracker.register(payload.estimated_bytes() + index.estimated_bytes());
         Ok(BuildSide { columns: payload.columns, index, mem })
     }
+}
+
+/// The columns `cols` of `batch`, moved out in that order (each at most
+/// once).
+fn pick(batch: Batch, cols: &[usize]) -> Batch {
+    let mut all: Vec<Option<Column>> = batch.columns.into_iter().map(Some).collect();
+    Batch::new(cols.iter().map(|&c| all[c].take().expect("each column once")).collect())
 }
 
 /// Hash join operator.
@@ -107,15 +131,26 @@ pub struct HashJoin {
     right: Option<BoxedOp>,
     join_type: JoinType,
     left_keys: Vec<usize>,
+    /// Positions in a right batch as the join reads it (`right_read`).
     right_keys: Vec<usize>,
-    /// Residual over (left ++ right) columns, compiled (see
+    /// The right child's columns the join reads, in the order a read right
+    /// batch holds them: those emitted, then those only the residual reads
+    /// (together: the build payload), then keys read by nothing else.
+    right_read: Vec<usize>,
+    /// How many leading `right_read` columns the build payload keeps, and
+    /// how many of those the output carries.
+    payload_cols: usize,
+    right_out: usize,
+    /// The left columns the output carries.
+    left_out: Vec<usize>,
+    /// Residual over (left ++ read right) columns, compiled (see
     /// [`crate::kernel`]): evaluates on the candidate pair selection,
     /// gathering only referenced columns, and shrinks the match lists
     /// *before* the output gathers.
     residual: Option<PairFilter>,
     schema: OpSchema,
-    /// Build-side column types (empty payloads to append to, left-outer
-    /// defaults).
+    /// The types of the read right columns (empty payloads to append to;
+    /// the first `right_out`: left-outer defaults).
     right_types: Vec<DataType>,
     build: Option<Build>,
     /// The build side registers on `env.tracker`, the decision log (the
@@ -156,67 +191,77 @@ struct Groups {
 }
 
 impl HashJoin {
-    /// Join `left` and `right` on equality of the named key columns.
+    /// Join `left` and `right` on equality of the named key columns. The
+    /// output carries the columns of either side that `emit` names (module
+    /// docs).
     pub fn new(
         left: BoxedOp,
         right: BoxedOp,
         on: &[(&str, &str)],
         join_type: JoinType,
         residual: Option<Expr>,
+        emit: &Needed,
         env: OpEnv,
     ) -> Result<HashJoin> {
-        HashJoin::grouped(left, right, on, (Vec::new(), Vec::new()), join_type, residual, env)
+        HashJoin::grouped((left, vec![]), (right, vec![]), on, join_type, residual, emit, env)
     }
 
     /// The sandwich join (module docs): [`new`](Self::new) over children
-    /// grouped on `group_cols` — the left's and the right's aligned
-    /// group-key columns, in the same negotiated order (none: ungrouped).
-    /// The output drops the right group-key columns.
+    /// grouped on their aligned group-key columns, in the same negotiated
+    /// order (none: ungrouped). The output drops the right group-key
+    /// columns.
     pub fn grouped(
-        left: BoxedOp,
-        right: BoxedOp,
+        (left, left_cols): (BoxedOp, Vec<usize>),
+        (right, right_cols): (BoxedOp, Vec<usize>),
         on: &[(&str, &str)],
-        (left_cols, right_cols): (Vec<usize>, Vec<usize>),
         join_type: JoinType,
         residual: Option<Expr>,
+        emit: &Needed,
         env: OpEnv,
     ) -> Result<HashJoin> {
         if left_cols.len() != right_cols.len() {
             return Err(ExecError::Plan("a grouped join needs aligned group keys".into()));
         }
-        let lschema = left.schema().clone();
-        let rschema: OpSchema = (right.schema().iter().enumerate())
-            .filter(|(i, _)| !right_cols.contains(i))
-            .map(|(_, m)| m.clone())
-            .collect();
-        let mut left_keys = Vec::with_capacity(on.len());
-        let mut right_keys = Vec::with_capacity(on.len());
-        for (l, r) in on {
-            left_keys.push(
-                crate::batch::schema_index(&lschema, l)
-                    .ok_or_else(|| ExecError::UnknownColumn((*l).to_string()))?,
-            );
-            right_keys.push(
-                crate::batch::schema_index(&rschema, r)
-                    .ok_or_else(|| ExecError::UnknownColumn((*r).to_string()))?,
-            );
+        let (lschema, rschema) = (left.schema().clone(), right.schema().clone());
+        let find = |schema: &OpSchema, name: &str| {
+            schema_index(schema, name).ok_or_else(|| ExecError::UnknownColumn(name.to_string()))
+        };
+        let left_keys = on.iter().map(|(l, _)| find(&lschema, l)).collect::<Result<Vec<_>>>()?;
+        let keys = on.iter().map(|(_, r)| find(&rschema, r)).collect::<Result<Vec<_>>>()?;
+        // The right columns read (module docs): those emitted, those only
+        // the residual reads, then keys read by nothing else.
+        let full: OpSchema = lschema.iter().chain(&rschema).cloned().collect();
+        let bound = residual.as_ref().map(|e| e.bind(&full)).transpose()?;
+        let by_residual = bound.as_ref().map(referenced_columns).unwrap_or_default();
+        let by_residual = by_residual.iter().filter_map(|&c| c.checked_sub(lschema.len()));
+        let emitted = |c: &usize| {
+            emits_right(join_type) && !right_cols.contains(c) && emit.contains(&rschema[*c].name)
+        };
+        let mut right_read: Vec<usize> = (0..rschema.len()).filter(emitted).collect();
+        let right_out = right_read.len();
+        right_read.extend(by_residual.filter(|c| !emitted(c)));
+        let payload_cols = right_read.len();
+        let key_only: BTreeSet<usize> =
+            keys.iter().copied().filter(|k| !right_read.contains(k)).collect();
+        right_read.extend(key_only);
+        let at = |k: &usize| right_read.iter().position(|c| c == k).expect("keys are read");
+        let right_keys = keys.iter().map(at).collect();
+        let combined: OpSchema =
+            lschema.iter().chain(right_read.iter().map(|&c| &rschema[c])).cloned().collect();
+        let residual = residual.map(|e| e.bind(&combined)).transpose()?;
+        let residual = residual.map(|e| PairFilter::new(&e, &combined));
+        let mut left_out: Vec<usize> =
+            (0..lschema.len()).filter(|&c| emit.contains(&lschema[c].name)).collect();
+        if left_out.is_empty() && right_out == 0 && join_type != JoinType::LeftOuter {
+            // No column is read above, but its rows are counted.
+            left_out.extend((!lschema.is_empty()).then_some(0));
         }
-        let mut combined = lschema.clone();
-        combined.extend(rschema.iter().cloned());
-        let residual = match residual {
-            Some(e) => Some(PairFilter::new(&e.bind(&combined)?, &combined)),
-            None => None,
-        };
-        let schema = match join_type {
-            JoinType::Inner => combined,
-            JoinType::LeftOuter => {
-                let mut s = combined;
-                s.push(ColMeta::new(MATCHED_COLUMN, DataType::Int));
-                s
-            }
-            JoinType::Semi | JoinType::Anti => lschema,
-        };
-        let right_types = rschema.iter().map(|m| m.data_type).collect();
+        let mut schema: OpSchema = left_out.iter().map(|&c| lschema[c].clone()).collect();
+        schema.extend(combined[lschema.len()..][..right_out].iter().cloned());
+        if join_type == JoinType::LeftOuter {
+            schema.push(ColMeta::new(MATCHED_COLUMN, DataType::Int));
+        }
+        let right_types = combined[lschema.len()..].iter().map(|m| m.data_type).collect();
         let groups =
             (!left_cols.is_empty()).then(|| Groups { left_cols, right_cols, ..Groups::default() });
         Ok(HashJoin {
@@ -225,6 +270,10 @@ impl HashJoin {
             join_type,
             left_keys,
             right_keys,
+            right_read,
+            payload_cols,
+            right_out,
+            left_out,
             residual,
             schema,
             right_types,
@@ -259,7 +308,10 @@ impl HashJoin {
         let mut drain_mem = self.env.governor.spills().then(|| self.env.tracker.register(0));
         let left_ended = loop {
             let pull_left = races && lrows < payload.rows();
-            let pulled = if pull_left { self.left.next()? } else { right.next()? };
+            let pulled = match pull_left {
+                true => self.left.next()?,
+                false => right.next()?.map(|b| pick(b, &self.right_read)),
+            };
             let Some(batch) = pulled else { break pull_left };
             if self.env.governor.should_spill(batch.estimated_bytes()) {
                 // The partitions register what they hold from here on.
@@ -287,28 +339,29 @@ impl HashJoin {
             m.annotate("race", format!("left={lrows} right={}", payload.rows()));
         }
         if !left_ended {
-            let side = BuildSide::index(payload, &self.right_keys, &self.env.tracker)?;
+            let side =
+                BuildSide::index(payload, &self.right_keys, self.payload_cols, &self.env.tracker)?;
             self.annotate_build("right", &side);
             self.build = Some(Build::Mem(side));
             return Ok(());
         }
         let batch_rows: Vec<u32> = self.pending.iter().map(|b| b.rows() as u32).collect();
-        let mut left = Batch::new(self.schema.iter().map(|m| Column::empty(m.data_type)).collect());
+        let lschema = self.left.schema();
+        let mut left = Batch::new(lschema.iter().map(|m| Column::empty(m.data_type)).collect());
         self.pending.drain(..).try_for_each(|b| left.append(&b))?;
-        let mut side = BuildSide::index(left, &self.left_keys, &self.env.tracker)?;
+        let mut side = BuildSide::index(left, &self.left_keys, lschema.len(), &self.env.tracker)?;
         side.mem.grow(lrows as u64);
         self.annotate_build("left", &side);
         let mut marks = vec![false; lrows];
-        self.pending.push_back(payload);
-        self.right = Some(right);
-        let mut streamed = 0usize;
-        while let Some(batch) = self.fill_round()? {
+        let (mut streamed, mut next) = (0usize, Some(payload));
+        while let Some(batch) = next {
             self.env.governor.check("probe-round")?;
             streamed += batch.rows();
             let residual = self.residual.as_ref();
             let (_, matched) =
                 probe_batch(&batch, &side, &self.right_keys, self.join_type, residual, true)?;
             matched.into_iter().for_each(|l| marks[l as usize] = true);
+            next = right.next()?.map(|b| pick(b, &self.right_read));
         }
         if let Some(m) = &self.env.metrics {
             m.annotate("streamed", streamed.to_string());
@@ -317,7 +370,8 @@ impl HashJoin {
         let mut out = VecDeque::with_capacity(batch_rows.len());
         for rows in batch_rows {
             let keep: Vec<u32> = (at..at + rows).filter(|&r| marks[r as usize] == semi).collect();
-            out.push_back(Batch::new(side.columns.iter().map(|c| c.gather_u32(&keep)).collect()));
+            let kept = self.left_out.iter().map(|&c| side.columns[c].gather_u32(&keep));
+            out.push_back(Batch::new(kept.collect()));
             at += rows;
         }
         self.build = Some(Build::Left(out));
@@ -349,8 +403,9 @@ impl HashJoin {
             return Ok(None);
         }
         g.left_only += u64::from(new_group);
-        let right = self.empty_build().columns;
-        finish_batch(&round, self.join_type, &self.right_types, &[], right).map(Some)
+        let types = &self.right_types[..self.right_out];
+        let right = types.iter().map(|&dt| Column::empty(dt)).collect();
+        finish_batch(&round, &self.left_out, self.join_type, types, &[], right).map(Some)
     }
 
     /// Move the right side to the first group whose key is not below `key`
@@ -365,7 +420,8 @@ impl HashJoin {
                     let Some(payload) = rows.take() else { return Ok(true) };
                     g.joined += 1;
                     g.max_build_rows = g.max_build_rows.max(payload.rows());
-                    let side = BuildSide::index(payload, &self.right_keys, &self.env.tracker)?;
+                    let (keys, keep) = (&self.right_keys, self.payload_cols);
+                    let side = BuildSide::index(payload, keys, keep, &self.env.tracker)?;
                     self.build = Some(Build::Mem(side));
                     return Ok(true);
                 }
@@ -402,9 +458,7 @@ impl HashJoin {
                 g.held = Some(batch.slice(end, batch.rows()));
                 batch = batch.slice(0, end);
             }
-            let kept = batch.columns.into_iter().enumerate();
-            let kept = kept.filter(|(i, _)| !g.right_cols.contains(i)).map(|(_, c)| c);
-            payload.append(&Batch::new(kept.collect()))?;
+            payload.append(&pick(batch, &self.right_read))?;
             if g.held.is_some() {
                 break;
             }
@@ -450,17 +504,13 @@ fn group_end(batch: &Batch, cols: &[usize], key: &[i64]) -> Result<usize> {
 }
 
 impl HashJoin {
-    /// Pull the next probe round: one batch, what the race buffered first,
-    /// then the probing child (the right one, still held, past a left
-    /// build). A grouped join's round holds one left group's rows: a batch
+    /// Pull the next probe round: one left batch, what the race buffered
+    /// first. A grouped join's round holds one left group's rows: a batch
     /// is cut where its group key changes, and the rest is the next round.
     fn fill_round(&mut self) -> Result<Option<Batch>> {
-        let child = match &mut self.right {
-            Some(right) if self.groups.is_none() => right,
-            _ => &mut self.left,
-        };
         loop {
-            let next = self.pending.pop_front().map_or_else(|| child.next(), |b| Ok(Some(b)))?;
+            let next =
+                self.pending.pop_front().map_or_else(|| self.left.next(), |b| Ok(Some(b)))?;
             let Some(b) = next else { return Ok(None) };
             let Some(g) = &self.groups else { return Ok(Some(b)) };
             if b.rows() == 0 {
@@ -477,21 +527,23 @@ impl HashJoin {
 
     /// Probe one left batch against the in-memory build and assemble its
     /// output.
-    fn probe_round(&self, mut left: Batch) -> Result<Batch> {
+    fn probe_round(&self, left: Batch) -> Result<Batch> {
         self.env.governor.check("probe-round")?;
         let Some(Build::Mem(build)) = &self.build else {
             unreachable!("a left build probes inside `build_side`, a spilled one merges")
         };
         let (join_type, residual) = (self.join_type, self.residual.as_ref());
         let (lidx, ridx) = probe_batch(&left, build, &self.left_keys, join_type, residual, false)?;
-        let right = gather_pairs(build, join_type, &ridx);
+        let right = gather_pairs(build, self.right_out, &ridx);
         // Every row matched exactly once, in order (a foreign key to an
         // unfiltered table): the left columns pass through.
         if join_type == JoinType::Inner && lidx.iter().copied().eq(0..left.rows()) {
-            left.columns.extend(right);
-            return Ok(left);
+            let mut out = pick(left, &self.left_out);
+            out.columns.extend(right);
+            return Ok(out);
         }
-        finish_batch(&left, join_type, &self.right_types, &lidx, right)
+        let types = &self.right_types[..self.right_out];
+        finish_batch(&left, &self.left_out, join_type, types, &lidx, right)
     }
 }
 
@@ -528,12 +580,6 @@ impl Operator for HashJoin {
     }
 }
 
-/// Do we need full `(left, right)` pair lists, or only per-row existence?
-/// Semi/Anti without a residual only ask *whether* a row matches.
-fn needs_pairs(join_type: JoinType, has_residual: bool) -> bool {
-    !matches!(join_type, JoinType::Semi | JoinType::Anti) || has_residual
-}
-
 /// Probe every row of `probe` against the build index and return the
 /// match lists `(probe rows, build rows)` with the residual already
 /// applied — the probe kernel. `flipped`: the build is the join's **left**
@@ -556,7 +602,8 @@ fn probe_batch(
         .iter()
         .map(|&k| probe.columns[k].as_i64())
         .collect::<std::result::Result<_, _>>()?;
-    if !flipped && !needs_pairs(join_type, residual.is_some()) {
+    // Semi/Anti without a residual only ask *whether* a row matches.
+    if !flipped && !emits_right(join_type) && residual.is_none() {
         let mut lidx = Vec::new();
         build.index.probe_exists(&key_cols, &mut lidx);
         return Ok((lidx, Vec::new()));
@@ -592,27 +639,29 @@ fn emits_right(join_type: JoinType) -> bool {
     !matches!(join_type, JoinType::Semi | JoinType::Anti)
 }
 
-/// The build columns of the matched pairs `ridx`, aligned with the match
-/// list — what [`finish_batch`] appends to the left columns (nothing for
-/// Semi/Anti).
-fn gather_pairs(build: &BuildSide, join_type: JoinType, ridx: &[u32]) -> Vec<Column> {
-    if !emits_right(join_type) {
-        return Vec::new();
-    }
-    build.columns.iter().map(|c| c.gather_u32(ridx)).collect()
+/// The first `emitted` build columns of the matched pairs `ridx`, aligned
+/// with the match list — what [`finish_batch`] appends to the left columns
+/// (nothing for Semi/Anti).
+fn gather_pairs(build: &BuildSide, emitted: usize, ridx: &[u32]) -> Vec<Column> {
+    build.columns[..emitted].iter().map(|c| c.gather_u32(ridx)).collect()
 }
 
-/// Assemble a left batch's output from its (post-residual) matched left
-/// rows `lidx` and the already-gathered build columns of those pairs
-/// (`right`, see [`gather_pairs`]; `right_types` are their types).
+/// Assemble a left batch's output — its columns `left_cols` — from its
+/// (post-residual) matched left rows `lidx` and the already-gathered build
+/// columns of those pairs (`right`, see [`gather_pairs`]; `right_types` are
+/// their types).
 fn finish_batch(
     left: &Batch,
+    left_cols: &[usize],
     join_type: JoinType,
     right_types: &[DataType],
     lidx: &[usize],
     right: Vec<Column>,
 ) -> Result<Batch> {
     let rows = left.rows();
+    let side = |f: &dyn Fn(&Column) -> Column| {
+        Batch::new(left_cols.iter().map(|&c| f(&left.columns[c])).collect())
+    };
     let matched = || {
         let mut matched = vec![false; rows];
         for &l in lidx {
@@ -625,9 +674,9 @@ fn finish_batch(
             JoinType::Semi => matched(),
             _ => matched().iter().map(|&m| !m).collect(),
         };
-        return Ok(left.filter(&keep));
+        return Ok(side(&|c| c.filter(&keep)));
     }
-    let mut out = left.gather(lidx);
+    let mut out = side(&|c| c.gather(lidx));
     out.columns.extend(right);
     if join_type == JoinType::LeftOuter {
         // Matched pairs with flag 1, then the unmatched left rows with
@@ -636,7 +685,7 @@ fn finish_batch(
         let matched = matched();
         let unmatched: Vec<usize> = (0..rows).filter(|&r| !matched[r]).collect();
         if !unmatched.is_empty() {
-            let mut rest = left.gather(&unmatched);
+            let mut rest = side(&|c| c.gather(&unmatched));
             rest.columns.extend(right_types.iter().map(|&dt| default_column(dt, unmatched.len())));
             rest.columns.push(Column::from_i64(vec![0; unmatched.len()]));
             out.append(&rest)?;
@@ -727,6 +776,7 @@ mod tests {
             &[("o_custkey", "c_custkey")],
             JoinType::Inner,
             None,
+            &Needed::default(),
             env(&t),
         )
         .unwrap();
@@ -752,6 +802,7 @@ mod tests {
             &[("lk", "rk")],
             JoinType::Inner,
             None,
+            &Needed::default(),
             env(&MemoryTracker::new()),
         )
         .unwrap();
@@ -769,6 +820,7 @@ mod tests {
             &[("o_custkey", "c_custkey")],
             JoinType::Semi,
             None,
+            &Needed::default(),
             env(&t),
         )
         .unwrap();
@@ -782,6 +834,7 @@ mod tests {
             &[("o_custkey", "c_custkey")],
             JoinType::Anti,
             None,
+            &Needed::default(),
             env(&t),
         )
         .unwrap();
@@ -801,6 +854,7 @@ mod tests {
             &[("c_custkey", "o_custkey")],
             JoinType::LeftOuter,
             None,
+            &Needed::default(),
             env(&t),
         )
         .unwrap();
@@ -821,6 +875,7 @@ mod tests {
             &[("o_custkey", "c_custkey")],
             JoinType::Inner,
             Some(Expr::col("o_orderkey").ge(Expr::lit(3))),
+            &Needed::default(),
             env(&t),
         )
         .unwrap();
@@ -838,6 +893,7 @@ mod tests {
             &[("o_custkey", "c_custkey")],
             JoinType::Anti,
             Some(Expr::col("c_name").eq(Expr::lit("alice"))),
+            &Needed::default(),
             env(&t),
         )
         .unwrap();
@@ -898,6 +954,7 @@ mod tests {
                 &[("lk", "rk")],
                 jt,
                 res,
+                &Needed::default(),
                 env(&MemoryTracker::new()),
             )
             .unwrap();
@@ -961,16 +1018,18 @@ mod tests {
                         &[("lk", "rk")],
                         jt,
                         res.clone(),
+                        &Needed::default(),
                         env(&MemoryTracker::new()),
                     )
                     .unwrap(),
                 ))
                 .unwrap();
                 // Force: everything freezes. Tiny auto budget: freeze +
-                // recursive split on restore (4 KB budget → 2 KB leaves).
+                // recursive split on restore (2 KB budget → 1 KB leaves;
+                // a semi / anti build holds only its 2 400 key bytes).
                 let modes: Vec<(&str, SpillMode, Option<u64>)> = vec![
                     ("force", SpillMode::Force, None),
-                    ("tiny-auto", SpillMode::Auto, Some(4096)),
+                    ("tiny-auto", SpillMode::Auto, Some(2048)),
                 ];
                 for (name, mode, budget) in modes {
                     let tracker = MemoryTracker::new();
@@ -982,6 +1041,7 @@ mod tests {
                             &[("lk", "rk")],
                             jt,
                             res.clone(),
+                            &Needed::default(),
                             spilling(mode, budget, &tracker, &io),
                         )
                         .unwrap(),
@@ -1016,6 +1076,7 @@ mod tests {
             &[("o_custkey", "c_custkey")],
             JoinType::Inner,
             None,
+            &Needed::default(),
             spilling(SpillMode::Auto, Some(1 << 30), &tracker, &io),
         )
         .unwrap();
@@ -1034,6 +1095,7 @@ mod tests {
             &[("nope", "c_custkey")],
             JoinType::Inner,
             None,
+            &Needed::default(),
             env(&t),
         )
         .is_err());

@@ -10,8 +10,9 @@
 //!    as one in-memory build (a partition keeps equal keys in build order,
 //!    so chains — and the output — are the unpartitioned join's). Once
 //!    anything froze, **everything** freezes: the build is a list of file
-//!    leaves, each sized for payload × 2 (a restored leaf is indexed too)
-//!    within the governor's restore limit, each knowing its hash slice.
+//!    leaves, each sized within the governor's restore limit for what a
+//!    restored leaf holds once indexed — its payload without the key-only
+//!    columns, plus the index — each knowing its hash slice.
 //! 2. **Probe partitioning.** Every left batch — first those the race
 //!    buffered — gets its left row ids as a trailing `i64` column and goes
 //!    through a second core keyed on the left join columns, one partition
@@ -46,10 +47,11 @@ use bdcc_storage::Column;
 use crate::batch::Batch;
 use crate::error::Result;
 use crate::govern::Governor;
+use crate::hash::JoinIndex;
 use crate::ops::BoxedOp;
 use crate::spill::{Fanout, Leaf, LeafChunks, PartitionSpill, Route, Shape};
 
-use super::{finish_batch, gather_pairs, probe_batch, BuildSide, HashJoin, JoinType};
+use super::{finish_batch, gather_pairs, pick, probe_batch, BuildSide, HashJoin, JoinType};
 
 /// Top-level spill partition fan-out: 2^4 = 16 partitions.
 const JOIN_BITS: u32 = 4;
@@ -70,10 +72,11 @@ impl HashJoin {
         &self,
         keys: &[usize],
         fanout: Fanout,
-        leaf_factor: u64,
+        leaf_bytes: impl Fn(u64, u64) -> u64 + Send + Sync + 'static,
         label: &'static str,
     ) -> PartitionSpill {
-        PartitionSpill::new(Shape { keys: keys.to_vec(), fanout, leaf_factor, label }, &self.env)
+        let leaf_bytes = Box::new(leaf_bytes);
+        PartitionSpill::new(Shape { keys: keys.to_vec(), fanout, leaf_bytes, label }, &self.env)
     }
 
     /// Partitioned drain, entered the moment the in-memory drain sees
@@ -89,19 +92,28 @@ impl HashJoin {
         if let Some(m) = &self.env.metrics {
             m.annotate("spill_mode", "build-broker");
         }
-        let mut spill = self.core(&self.right_keys, Fanout::Bits(JOIN_BITS), 2, "join-build");
+        // A restored leaf is indexed and drops its key-only columns (8 B a
+        // row each).
+        let (dropped, keys) =
+            ((self.right_read.len() - self.payload_cols) as u64, self.right_keys.len());
+        let leaf_bytes = move |bytes: u64, rows: u64| {
+            bytes.saturating_sub(8 * dropped * rows) + JoinIndex::max_bytes(rows, keys)
+        };
+        let mut spill =
+            self.core(&self.right_keys, Fanout::Bits(JOIN_BITS), leaf_bytes, "join-build");
         spill.scatter(&seed)?;
         drop(seed);
         let mut next = Some(first);
         while let Some(batch) = next {
             spill.make_room(batch.estimated_bytes())?;
             spill.scatter(&batch)?;
-            next = right.next()?;
+            next = right.next()?.map(|b| pick(b, &self.right_read));
         }
         if !spill.any_frozen() {
             let mut payload = self.empty_build();
             spill.for_each_leaf(|leaf| leaf.for_each_chunk(|chunk| Ok(payload.append(&chunk)?)))?;
-            let side = BuildSide::index(payload, &self.right_keys, &self.env.tracker)?;
+            let side =
+                BuildSide::index(payload, &self.right_keys, self.payload_cols, &self.env.tracker)?;
             self.annotate_build("right", &side);
             return Ok(Build::Mem(side));
         }
@@ -123,7 +135,8 @@ impl HashJoin {
     fn grace(&mut self, leaves: Vec<Leaf>) -> Result<Merge> {
         let routes: Vec<Route> = leaves.iter().map(Leaf::route).collect();
         let partitions = routes.len();
-        let mut probe = self.core(&self.left_keys, Fanout::Pairs(routes.clone()), 0, "join-probe");
+        let mut probe =
+            self.core(&self.left_keys, Fanout::Pairs(routes.clone()), |_, _| 0, "join-probe");
         let mut ends = Vec::new();
         let mut next_id = 0i64;
         while let Some(mut batch) =
@@ -138,10 +151,13 @@ impl HashJoin {
             probe.freeze_all()?;
         }
 
-        let mut out = self.core(&[], Fanout::Pairs(routes), 0, "join-out");
+        let mut out = self.core(&[], Fanout::Pairs(routes), |_, _| 0, "join-out");
         let mut builds = leaves.into_iter().enumerate();
         let mut restores = 0usize;
         let (join_type, residual) = (self.join_type, self.residual.as_ref());
+        // The output's left columns, then the row ids.
+        let left_cols = [&self.left_out[..], &[self.left.schema().len()]].concat();
+        let right_types = &self.right_types[..self.right_out];
         probe.for_each_leaf(|rows| {
             let (k, build) = builds
                 .find(|(_, b)| b.route() == rows.route())
@@ -153,8 +169,9 @@ impl HashJoin {
                 let (lidx, ridx) =
                     probe_batch(&chunk, &side, &self.left_keys, join_type, residual, false)?;
                 chunk.columns.push(ids);
-                let right = gather_pairs(&side, join_type, &ridx);
-                let fragment = finish_batch(&chunk, join_type, &self.right_types, &lidx, right)?;
+                let right = gather_pairs(&side, self.right_out, &ridx);
+                let fragment =
+                    finish_batch(&chunk, &left_cols, join_type, right_types, &lidx, right)?;
                 if fragment.rows() > 0 {
                     out.push(k, fragment)?;
                     out.freeze_all()?;
@@ -178,7 +195,7 @@ impl HashJoin {
             heads,
             ends: ends.into_iter(),
             start: 0,
-            rowid: self.left.schema().len(),
+            rowid: self.left_out.len(),
             matched_first: join_type == JoinType::LeftOuter,
             governor: self.env.governor.clone(),
         })
@@ -188,7 +205,7 @@ impl HashJoin {
     fn index_leaf(&self, leaf: Leaf) -> Result<BuildSide> {
         let mut payload = self.empty_build();
         leaf.for_each_chunk(|chunk| Ok(payload.append(&chunk)?))?;
-        BuildSide::index(payload, &self.right_keys, &self.env.tracker)
+        BuildSide::index(payload, &self.right_keys, self.payload_cols, &self.env.tracker)
     }
 }
 

@@ -25,7 +25,10 @@
 //! the contracts), folds the morsel's batches into one value, keeps that
 //! value charged to the operator's memory tracker while it is in flight,
 //! and releases the values **in morsel order** through a bounded reorder
-//! buffer ([`pool::OrderedStream`], two morsels per thread). Its one
+//! buffer ([`pool::OrderedStream`], two morsels per thread). A morsel's
+//! storage reads are logged on a deferred I/O tracker and booked as its
+//! value is released, so I/O counts do not depend on how workers
+//! interleave. Its one
 //! worker body polls the governor once per morsel and books the morsel
 //! metrics; the site label (`scan-morsel`, `agg-partial`) names the fan-out
 //! in both. Two operators fold with it:
@@ -98,6 +101,7 @@ pub mod pool {
 use std::sync::Arc;
 
 use bdcc_obs::SpanTimer;
+use bdcc_storage::IoTracker;
 
 use crate::batch::{Batch, OpSchema};
 use crate::error::{ExecError, Result};
@@ -236,7 +240,7 @@ pub(crate) struct FanOut<T> {
     threads: usize,
     /// Names the fan-out in governor checkpoints and worker panics.
     site: &'static str,
-    stream: Option<pool::OrderedStream<(T, MemoryGuard), ExecError>>,
+    stream: Option<pool::OrderedStream<(T, MemoryGuard, IoTracker), ExecError>>,
 }
 
 impl<T: MorselFold> FanOut<T> {
@@ -260,17 +264,22 @@ impl<T: MorselFold> FanOut<T> {
         if let Some(m) = &self.env.metrics {
             m.occupancy_hwm.record(stream.buffered() as u64);
         }
-        stream.recv()
+        Ok(stream.recv()?.map(|(value, mem, io)| {
+            io.replay_into(&self.env.io);
+            (value, mem)
+        }))
     }
 
-    fn spawn(&mut self) -> pool::OrderedStream<(T, MemoryGuard), ExecError> {
+    fn spawn(&mut self) -> pool::OrderedStream<(T, MemoryGuard, IoTracker), ExecError> {
         let (fragment, morsels) = (Arc::clone(&self.fragment), std::mem::take(&mut self.morsels));
         let (empty, env, site) = (self.empty.clone(), self.env.clone(), self.site);
         let window = self.threads * WINDOW_PER_THREAD;
         pool::OrderedStream::spawn(self.threads, morsels.len(), window, site, move |i| {
             env.governor.check(site)?;
             let span = env.metrics.as_ref().map(|_| SpanTimer::start());
-            let mut op = fragment.build(&env, morsels[i].clone())?;
+            let io = IoTracker::deferred();
+            let mut op =
+                fragment.build(&OpEnv { io: io.clone(), ..env.clone() }, morsels[i].clone())?;
             let (mut out, mut rows) = (empty.clone(), 0u64);
             while let Some(b) = op.next()? {
                 rows += b.rows() as u64;
@@ -282,7 +291,7 @@ impl<T: MorselFold> FanOut<T> {
                 m.morsel_nanos.record(span.elapsed_nanos());
             }
             let bytes = out.estimated_bytes();
-            Ok((out, env.tracker.register(bytes)))
+            Ok((out, env.tracker.register(bytes), io))
         })
     }
 }

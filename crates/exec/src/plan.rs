@@ -7,6 +7,8 @@
 //! what lets the BDCC planner recognize co-clustered joins and propagate
 //! selections along dimension paths.
 
+use std::collections::BTreeSet;
+
 use crate::expr::Expr;
 use crate::ops::agg::AggSpec;
 use crate::ops::join::JoinType;
@@ -63,12 +65,66 @@ pub enum Node {
     },
 }
 
+/// The columns read above a plan node, by name: all of its output (the
+/// default, what the root of a plan passes down), or only the named ones.
+/// `Planner::build` hands it down the tree ([`Node::input_needs`]); a hash
+/// join emits only what it names.
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
+pub struct Needed(Option<BTreeSet<String>>);
+
+impl Needed {
+    /// Only `names`.
+    pub fn only<S: Into<String>>(names: impl IntoIterator<Item = S>) -> Needed {
+        Needed(Some(names.into_iter().map(Into::into).collect()))
+    }
+
+    /// Is the column `name` read above?
+    pub fn contains(&self, name: &str) -> bool {
+        self.0.as_ref().is_none_or(|s| s.contains(name))
+    }
+
+    /// These columns and `names`.
+    pub(crate) fn with(&self, names: impl IntoIterator<Item = String>) -> Needed {
+        Needed(self.0.clone().map(|s| s.into_iter().chain(names).collect()))
+    }
+}
+
 impl Node {
     /// All scan ids in this subtree.
     pub fn scan_ids(&self) -> Vec<usize> {
         let mut out = Vec::new();
         self.visit_scans(&mut |scan_id, _, _| out.push(scan_id));
         out
+    }
+
+    /// The columns this node reads of its input (of each input, for a
+    /// join: names are unique across its sides), given the columns
+    /// `needed` above it: a filter, a join or a sort reads what is read
+    /// above plus its predicate, keys and residual; a projection or an
+    /// aggregate only what its expressions, keys and inputs name.
+    pub fn input_needs(&self, needed: &Needed) -> Needed {
+        let (exprs, names, reads_above): (Vec<&Expr>, Vec<&String>, bool) = match self {
+            Node::Scan { .. } => (vec![], vec![], true),
+            Node::Filter { predicate, .. } => (vec![predicate], vec![], true),
+            Node::Project { exprs, .. } => (exprs.iter().map(|(e, _)| e).collect(), vec![], false),
+            Node::Join { on, residual, .. } => {
+                (residual.iter().collect(), on.iter().flat_map(|(l, r)| [l, r]).collect(), true)
+            }
+            Node::Aggregate { group_by, aggs, .. } => {
+                (aggs.iter().map(|a| &a.input).collect(), group_by.iter().collect(), false)
+            }
+            Node::Sort { keys, .. } => (vec![], keys.iter().map(|k| &k.column).collect(), true),
+        };
+        let mut names: Vec<String> = names.into_iter().cloned().collect();
+        for e in exprs {
+            e.visit_columns(&mut |c| {
+                names.extend(if let Expr::Col(n) = c { Some(n) } else { None }.cloned())
+            });
+        }
+        match reads_above {
+            true => needed.with(names),
+            false => Needed::only(names),
+        }
     }
 
     /// Visit every scan: `(scan_id, table name, alias)`.

@@ -41,6 +41,13 @@
 //! group-by determines, or streams when the input order covers the
 //! group-by. Scatter scans satisfy any requested grouping (that is what
 //! makes them scatter scans).
+//!
+//! `build` also hands each node the **needed-column set**, the columns read
+//! above it (`Node::input_needs`): the root passes its whole output; a
+//! projection or an aggregate passes what its expressions, group keys and
+//! inputs name; a filter, a sort and a join pass what is read above plus
+//! their predicate, sort keys, or join keys and residual. A hash join emits
+//! only the needed columns and the group-key columns it passes up.
 
 use std::rc::Rc;
 use std::sync::Arc;
@@ -51,7 +58,7 @@ use bdcc_core::{BdccTable, DimensionUse};
 use bdcc_pool::{CancelToken, FaultInjector};
 use bdcc_storage::IoTracker;
 
-use crate::batch::schema_index;
+use crate::batch::{schema_index, OpSchema};
 use crate::error::{ExecError, Result};
 use crate::expr::Expr;
 use crate::govern::{spill_mode, GovernedOp, Governor, SpillMode};
@@ -62,12 +69,12 @@ use crate::ops::merge_join::MergeJoin;
 use crate::ops::scan::{Run, ScanBlueprint};
 use crate::ops::sort::Sort;
 use crate::ops::transform::{Filter, Project};
-use crate::ops::{BoxedOp, OpEnv};
+use crate::ops::{BoxedOp, OpEnv, Operator};
 use crate::parallel::{
     leaf_scan, FragmentBlueprint, FragmentStep, ParallelAggregate, ParallelConfig,
     DEFAULT_MORSEL_ROWS,
 };
-use crate::plan::{alias_column, FkSide, Node};
+use crate::plan::{alias_column, FkSide, Needed, Node};
 use crate::profile::{wrap_edge, OpProf, Profiler};
 use crate::restrict::{compute_restrictions, ranges_overlap, BinRanges, Restrictions};
 use crate::scheme::{Scheme, SchemeDb};
@@ -246,7 +253,7 @@ pub fn plan_query(ctx: &QueryContext, node: &Node) -> Result<BoxedOp> {
     let restricted = Instant::now();
     let parallel = query_width(&ctx.parallel, &ctx.governor);
     let planner = Planner { ctx, restrictions, parallel };
-    let out = planner.build(node, &planner.derive(node), &[])?;
+    let out = planner.build(node, &planner.derive(node), &[], &Needed::default())?;
     let op = if let (Some(profiler), Some(root)) = (&ctx.profiler, &out.prof) {
         let ms = |d: Duration| format!("{:.3}", d.as_secs_f64() * 1e3);
         root.metrics.annotate("plan.restrict_ms", ms(restricted - start));
@@ -539,13 +546,20 @@ impl<'a> Planner<'a> {
     // Physical build (top-down, with requested grouping).
     // -----------------------------------------------------------------
 
-    fn build(&self, node: &Node, props: &Props, requested: &[InstSet]) -> Result<PhysOut> {
+    fn build(
+        &self,
+        node: &Node,
+        props: &Props,
+        requested: &[InstSet],
+        needed: &Needed,
+    ) -> Result<PhysOut> {
+        let inputs = node.input_needs(needed);
         match node {
             Node::Scan { scan_id, table, columns, predicates, alias } => {
                 self.build_scan(*scan_id, table, columns, predicates, alias.as_deref(), requested)
             }
             Node::Filter { input, predicate } => {
-                let child = self.build(input, &props.children[0], requested)?;
+                let child = self.build(input, &props.children[0], requested, &inputs)?;
                 let prof = self.prof_node("Filter", &[&child.prof], None);
                 let cop = wrap_edge(child.op, &child.prof, &prof);
                 let op = Filter::new(cop, predicate.clone())?
@@ -553,7 +567,7 @@ impl<'a> Planner<'a> {
                 Ok(PhysOut { op: Box::new(op), gk_cols: child.gk_cols, prof })
             }
             Node::Project { input, exprs } => {
-                let child = self.build(input, &props.children[0], requested)?;
+                let child = self.build(input, &props.children[0], requested, &inputs)?;
                 let child_schema = child.op.schema().clone();
                 let mut all: Vec<(Expr, String)> = exprs.clone();
                 let base = all.len();
@@ -568,13 +582,13 @@ impl<'a> Planner<'a> {
                 let op = Project::new(cop, all)?;
                 Ok(PhysOut { op: Box::new(op), gk_cols, prof })
             }
-            Node::Join { .. } => self.build_join(node, props, requested),
+            Node::Join { .. } => self.build_join(node, props, requested, needed),
             Node::Aggregate { input, group_by, aggs } => {
                 debug_assert!(requested.is_empty(), "nothing groups through an aggregate");
-                self.build_aggregate(input, &props.children[0], group_by, aggs)
+                self.build_aggregate(input, &props.children[0], group_by, aggs, &inputs)
             }
             Node::Sort { input, keys, limit } => {
-                let child = self.build(input, &props.children[0], &[])?;
+                let child = self.build(input, &props.children[0], &[], &inputs)?;
                 // One sort at every width: TPC-H sorts run over aggregated
                 // rows, too few to pay for a fan-out.
                 let prof = self.prof_node("Sort(serial)", &[&child.prof], None);
@@ -747,9 +761,19 @@ impl<'a> Planner<'a> {
         }
     }
 
-    fn build_join(&self, node: &Node, props: &Props, requested: &[InstSet]) -> Result<PhysOut> {
+    fn build_join(
+        &self,
+        node: &Node,
+        props: &Props,
+        requested: &[InstSet],
+        needed: &Needed,
+    ) -> Result<PhysOut> {
         let Node::Join { left, right, on, join_type, residual, .. } = node else {
             unreachable!("build_join plans joins")
+        };
+        let inputs = node.input_needs(needed);
+        let positions = |schema: &OpSchema, names: Vec<String>| -> Vec<usize> {
+            names.iter().map(|n| schema_index(schema, n).expect("emitted")).collect()
         };
         let [lprops, rprops] = &props.children[..] else { unreachable!("a join has two inputs") };
         let on_refs: Vec<(&str, &str)> = on.iter().map(|(l, r)| (l.as_str(), r.as_str())).collect();
@@ -758,22 +782,21 @@ impl<'a> Planner<'a> {
         let sandwich = (self.ctx.sdb.scheme == Scheme::Bdcc)
             .then(|| sandwich_keys(props, *join_type, requested));
         if let Some(Ok(keys)) = &sandwich {
-            let lout = self.build(left, lprops, keys)?;
-            let rout = self.build(right, rprops, keys)?;
+            let lout = self.build(left, lprops, keys, &inputs)?;
+            let rout = self.build(right, rprops, keys, &inputs)?;
             let prof = self.prof_node("Join(sandwich)", &[&lout.prof, &rout.prof], None);
             if let Some(p) = &prof {
                 p.metrics.annotate("sandwich", self.describe_keys(keys));
             }
-            let lop = wrap_edge(lout.op, &lout.prof, &prof);
-            let rop = wrap_edge(rout.op, &rout.prof, &prof);
+            // Requested = the first `requested.len()` sandwich keys.
+            let (emit, gk_names) = emitted(needed, &lout, requested.len());
+            let lop = (wrap_edge(lout.op, &lout.prof, &prof), lout.gk_cols);
+            let rop = (wrap_edge(rout.op, &rout.prof, &prof), rout.gk_cols);
             // The hash join, indexing one right co-cluster at a time.
-            let groups = (lout.gk_cols.clone(), rout.gk_cols);
             let env = self.op_env(&prof, None);
-            let j =
-                HashJoin::grouped(lop, rop, &on_refs, groups, *join_type, residual.clone(), env)?;
-            // Output keeps the left columns at unchanged positions;
-            // requested = the first `requested.len()` sandwich keys.
-            let gk_cols = lout.gk_cols[..requested.len()].to_vec();
+            let (jt, res) = (*join_type, residual.clone());
+            let j = HashJoin::grouped(lop, rop, &on_refs, jt, res, &emit, env)?;
+            let gk_cols = positions(j.schema(), gk_names);
             return Ok(PhysOut { op: Box::new(j), gk_cols, prof });
         }
 
@@ -787,8 +810,8 @@ impl<'a> Planner<'a> {
             && leads(lprops, &on[0].0)
             && leads(rprops, &on[0].1)
         {
-            let lout = self.build(left, lprops, &[])?;
-            let rout = self.build(right, rprops, &[])?;
+            let lout = self.build(left, lprops, &[], &inputs)?;
+            let rout = self.build(right, rprops, &[], &inputs)?;
             let prof = self.prof_node("Join(merge)", &[&lout.prof, &rout.prof], None);
             let lop = wrap_edge(lout.op, &lout.prof, &prof);
             let rop = wrap_edge(rout.op, &rout.prof, &prof);
@@ -797,17 +820,19 @@ impl<'a> Planner<'a> {
         }
 
         // --- Fallback: hash join; left-side grouping passes through ------
-        let lout = self.build(left, lprops, requested)?;
-        let rout = self.build(right, rprops, &[])?;
+        let lout = self.build(left, lprops, requested, &inputs)?;
+        let rout = self.build(right, rprops, &[], &inputs)?;
         let prof = self.prof_node("Join(hash)", &[&lout.prof, &rout.prof], None);
         if let (Some(Err(why)), Some(p)) = (&sandwich, &prof) {
             p.metrics.annotate("sandwich", format!("no({why})"));
         }
+        let (emit, gk_names) = emitted(needed, &lout, requested.len());
         let lop = wrap_edge(lout.op, &lout.prof, &prof);
         let rop = wrap_edge(rout.op, &rout.prof, &prof);
         let env = self.op_env(&prof, None);
-        let j = HashJoin::new(lop, rop, &on_refs, *join_type, residual.clone(), env)?;
-        Ok(PhysOut { op: Box::new(j), gk_cols: lout.gk_cols, prof })
+        let j = HashJoin::new(lop, rop, &on_refs, *join_type, residual.clone(), &emit, env)?;
+        let gk_cols = positions(j.schema(), gk_names);
+        Ok(PhysOut { op: Box::new(j), gk_cols, prof })
     }
 
     /// A sandwich join's decision log: its group keys, each as the
@@ -827,6 +852,7 @@ impl<'a> Planner<'a> {
         input_props: &Props,
         group_by: &[String],
         aggs: &[crate::ops::agg::AggSpec],
+        needed: &Needed,
     ) -> Result<PhysOut> {
         let gb_refs: Vec<&str> = group_by.iter().map(|s| s.as_str()).collect();
 
@@ -898,7 +924,7 @@ impl<'a> Planner<'a> {
             Some(Ok(determined)) => determined.as_slice(),
             _ => &[],
         };
-        let child = self.build(input, input_props, requested)?;
+        let child = self.build(input, input_props, requested, needed)?;
         let (label, runs): (&str, Vec<usize>) = match (requested.is_empty(), streams) {
             (false, _) => ("Aggregate(sandwich)", child.gk_cols),
             (true, true) => {
@@ -1001,6 +1027,15 @@ impl<'a> Planner<'a> {
             determining_cols.iter().all(|c| group_by.contains(c))
         })
     }
+}
+
+/// What a hash join over `left` emits: the columns read above it, and the
+/// first `passed` of the left group-key columns, whose names come back too.
+fn emitted(needed: &Needed, left: &PhysOut, passed: usize) -> (Needed, Vec<String>) {
+    let schema = left.op.schema();
+    let names: Vec<String> =
+        left.gk_cols[..passed].iter().map(|&c| schema[c].name.clone()).collect();
+    (needed.with(names.iter().cloned()), names)
 }
 
 /// The group keys a BDCC sandwich join would align its children on —

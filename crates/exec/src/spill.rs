@@ -20,7 +20,7 @@
 //!   a chunk larger than what is left goes straight to its file.
 //! * **Stability.** A partition's chunks replay in push order whether it
 //!   stayed resident, froze mid-stream, or was re-scattered: a frozen
-//!   partition whose estimated footprint (× the caller's leaf factor)
+//!   partition whose restored footprint (as the caller estimates it)
 //!   exceeds the governor's restore limit is never loaded whole but split on
 //!   the next [`RECURSE_BITS`] of the same hash, chunk by chunk, until
 //!   every [`Leaf`] fits or [`MAX_TOTAL_BITS`] are spent (one giant key:
@@ -105,11 +105,11 @@ pub(crate) struct Shape {
     pub keys: Vec<usize>,
     /// The top-level partitions and how rows are routed to them.
     pub fanout: Fanout,
-    /// A leaf's in-memory footprint as a multiple of its payload estimate
-    /// (what the caller builds over a restored leaf counts against the
-    /// restore limit too); 0 for a leaf that is only ever streamed, which
-    /// never splits.
-    pub leaf_factor: u64,
+    /// A restored leaf's in-memory footprint from its payload estimate and
+    /// rows (what the caller builds over a restored leaf counts against the
+    /// restore limit too, what it drops once built does not); 0 for a leaf
+    /// that is only ever streamed, which never splits.
+    pub leaf_bytes: Box<dyn Fn(u64, u64) -> u64 + Send + Sync>,
     /// Names the temp files and the governor checkpoint.
     pub label: &'static str,
 }
@@ -359,8 +359,9 @@ impl PartitionSpill {
         route: Route,
         f: &mut dyn FnMut(Leaf) -> Result<()>,
     ) -> Result<()> {
+        let footprint = (self.shape.leaf_bytes)(mem_bytes, handle.rows());
         let parent = self.leaf(Chunks::File(handle), route);
-        if mem_bytes.saturating_mul(self.shape.leaf_factor) <= self.meter.governor.restore_limit()
+        if footprint <= self.meter.governor.restore_limit()
             || route.bits + RECURSE_BITS > MAX_TOTAL_BITS
         {
             return f(parent);
@@ -536,7 +537,12 @@ mod tests {
                 ..OpEnv::new(self.io.clone(), Arc::clone(&self.tracker))
             };
             PartitionSpill::new(
-                Shape { keys: vec![0, 1], fanout, leaf_factor, label: "test" },
+                Shape {
+                    keys: vec![0, 1],
+                    fanout,
+                    leaf_bytes: Box::new(move |bytes, _| bytes * leaf_factor),
+                    label: "test",
+                },
                 &env,
             )
         }

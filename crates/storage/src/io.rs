@@ -165,17 +165,14 @@ struct TrackerInner {
 }
 
 /// Shared, thread-safe I/O accounting for one query execution. Cloning is
-/// cheap and clones share state — parallel scan workers all record into
-/// the same tracker. The per-column interval sets (which deduplicate
-/// re-reads) live under a mutex; the aggregate counters are atomics.
+/// cheap and clones share state. The per-column interval sets (which
+/// deduplicate re-reads) live under a mutex; the aggregate counters are
+/// atomics.
 ///
-/// Caveat under parallel execution: `bytes_read` stays exact (the
-/// interval sets charge every byte once regardless of arrival order), but
-/// the sequential/random *classification* uses one cursor per column, so
-/// workers interleaving disjoint ranges of the same column can turn what
-/// a serial scan would count as sequential continuations into seeks —
-/// `random_seeks` is then timing-dependent and overstated. Cost-model
-/// comparisons (Figure 2's estimates) should be taken from serial runs.
+/// The sequential/random *classification* uses one cursor per column, so
+/// it depends on the order spans arrive in. Work running concurrently
+/// records on [`deferred`](Self::deferred) trackers instead, replayed in a
+/// fixed order, so the counts do not depend on how workers interleave.
 #[derive(Debug, Clone, Default)]
 pub struct IoTracker {
     stats: Arc<AtomicStats>,
@@ -185,6 +182,9 @@ pub struct IoTracker {
     ///
     /// [`child`]: Self::child
     parent: Option<Box<IoTracker>>,
+    /// A deferred tracker's spans, `[column key, first byte, last byte]`
+    /// in record order.
+    log: Option<Arc<Mutex<Vec<[u64; 3]>>>>,
 }
 
 impl IoTracker {
@@ -205,6 +205,25 @@ impl IoTracker {
             stats: Arc::default(),
             inner: Arc::default(),
             parent: Some(Box::new(self.clone())),
+            log: None,
+        }
+    }
+
+    /// A tracker that only logs the spans recorded on it, unclassified
+    /// (each answered as [`AccessKind::Random`]), until
+    /// [`replay_into`](Self::replay_into) books them on another: a morsel's
+    /// reads, booked in morsel order however the workers ran.
+    pub fn deferred() -> IoTracker {
+        IoTracker { log: Some(Arc::default()), ..IoTracker::default() }
+    }
+
+    /// Record every span logged on this deferred tracker on `target`, in
+    /// record order, and empty the log.
+    pub fn replay_into(&self, target: &IoTracker) {
+        let log = self.log.as_ref().expect("a deferred tracker");
+        let spans = std::mem::take(&mut *log.lock().expect("io log poisoned"));
+        for [key, first, last] in spans {
+            target.record_span(key, first, last);
         }
     }
 
@@ -213,6 +232,10 @@ impl IoTracker {
     /// Returns the access classification.
     pub fn record_span(&self, column_key: u64, first_byte: u64, last_byte: u64) -> AccessKind {
         debug_assert!(first_byte <= last_byte);
+        if let Some(log) = &self.log {
+            log.lock().expect("io log poisoned").push([column_key, first_byte, last_byte]);
+            return AccessKind::Random;
+        }
         let mut inner = self.inner.lock().expect("io tracker poisoned");
         // `columns` stays sorted by key: O(log n) lookup while holding the
         // mutex, with a sorted insert on first touch of a column.
@@ -322,6 +345,30 @@ mod tests {
         t.reset();
         assert_eq!(t.stats(), IoStats::default());
         assert_eq!(t.record_span(1, 10, 10), AccessKind::Random);
+    }
+
+    #[test]
+    fn deferred_spans_replay_as_a_serial_walk_books_them() {
+        // Two morsels over one column, read out of order (the second
+        // first), then replayed in morsel order: the counts of one walk.
+        let spans = [(0, 99), (100, 199), (200, 299), (300, 399)];
+        let serial = IoTracker::new();
+        for &(a, b) in &spans {
+            serial.record_span(1, a, b);
+        }
+        let morsels = [IoTracker::deferred(), IoTracker::deferred()];
+        for m in [1, 0] {
+            for &(a, b) in &spans[2 * m..2 * m + 2] {
+                morsels[m].record_span(1, a, b);
+            }
+        }
+        assert_eq!(morsels[0].stats(), IoStats::default(), "a deferred tracker only logs");
+        let query = IoTracker::new();
+        morsels.iter().for_each(|m| m.replay_into(&query));
+        assert_eq!(query.stats(), serial.stats());
+        assert_eq!(query.stats().random_seeks, 1);
+        morsels[0].replay_into(&query);
+        assert_eq!(query.stats(), serial.stats(), "a replay empties the log");
     }
 
     #[test]

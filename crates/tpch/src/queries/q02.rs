@@ -11,28 +11,17 @@ use super::QueryCtx;
 
 pub fn run(ctx: &QueryCtx) -> Result<Batch> {
     let b = PlanBuilder::new();
-    let europe_suppliers = |b: &PlanBuilder| {
+    // EUROPE's suppliers: the scanned supplier and nation columns.
+    let europe_suppliers = |b: &PlanBuilder, supplier_cols: &[&str], nation_cols: &[&str]| {
         let region = b.scan(
             "region",
             &["r_regionkey"],
             vec![ColPredicate::eq("r_name", Datum::Str("EUROPE".into()))],
         );
-        let nation = b.scan("nation", &["n_nationkey", "n_name", "n_regionkey"], vec![]);
+        let nation = b.scan("nation", nation_cols, vec![]);
         let nr =
             join(nation, region, &[("n_regionkey", "r_regionkey")], Some(("FK_N_R", FkSide::Left)));
-        let supplier = b.scan(
-            "supplier",
-            &[
-                "s_suppkey",
-                "s_name",
-                "s_address",
-                "s_nationkey",
-                "s_phone",
-                "s_acctbal",
-                "s_comment",
-            ],
-            vec![],
-        );
+        let supplier = b.scan("supplier", supplier_cols, vec![]);
         join(supplier, nr, &[("s_nationkey", "n_nationkey")], Some(("FK_S_N", FkSide::Left)))
     };
 
@@ -40,7 +29,7 @@ pub fn run(ctx: &QueryCtx) -> Result<Batch> {
     let ps_min = b.scan("partsupp", &["ps_partkey", "ps_suppkey", "ps_supplycost"], vec![]);
     let ps_min = join(
         ps_min,
-        europe_suppliers(&b),
+        europe_suppliers(&b, &["s_suppkey", "s_nationkey"], &["n_nationkey", "n_regionkey"]),
         &[("ps_suppkey", "s_suppkey")],
         Some(("FK_PS_S", FkSide::Left)),
     );
@@ -67,7 +56,19 @@ pub fn run(ctx: &QueryCtx) -> Result<Batch> {
     let ps_part = join(ps, part, &[("ps_partkey", "p_partkey")], Some(("FK_PS_P", FkSide::Left)));
     let full = join(
         ps_part,
-        europe_suppliers(&b),
+        europe_suppliers(
+            &b,
+            &[
+                "s_suppkey",
+                "s_name",
+                "s_address",
+                "s_nationkey",
+                "s_phone",
+                "s_acctbal",
+                "s_comment",
+            ],
+            &["n_nationkey", "n_name", "n_regionkey"],
+        ),
         &[("ps_suppkey", "s_suppkey")],
         Some(("FK_PS_S", FkSide::Left)),
     );

@@ -8,15 +8,15 @@ use bdcc_exec::{
 
 use super::QueryCtx;
 
-fn german_partsupp(b: &PlanBuilder) -> Node {
+/// GERMANY's PARTSUPP rows, with the PARTSUPP columns `columns`.
+fn german_partsupp(b: &PlanBuilder, columns: &[&str]) -> Node {
     let nation = b.scan(
         "nation",
         &["n_nationkey"],
         vec![ColPredicate::eq("n_name", Datum::Str("GERMANY".into()))],
     );
     let supplier = b.scan("supplier", &["s_suppkey", "s_nationkey"], vec![]);
-    let partsupp =
-        b.scan("partsupp", &["ps_partkey", "ps_suppkey", "ps_availqty", "ps_supplycost"], vec![]);
+    let partsupp = b.scan("partsupp", columns, vec![]);
     let sn =
         join(supplier, nation, &[("s_nationkey", "n_nationkey")], Some(("FK_S_N", FkSide::Left)));
     join(partsupp, sn, &[("ps_suppkey", "s_suppkey")], Some(("FK_PS_S", FkSide::Left)))
@@ -27,7 +27,7 @@ pub fn run(ctx: &QueryCtx) -> Result<Batch> {
     // Phase 1: total German stock value.
     let b = PlanBuilder::new();
     let total_plan = aggregate(
-        german_partsupp(&b),
+        german_partsupp(&b, &["ps_suppkey", "ps_availqty", "ps_supplycost"]),
         &[],
         vec![AggSpec::new(AggFunc::Sum, value.clone(), "total")],
     );
@@ -37,7 +37,7 @@ pub fn run(ctx: &QueryCtx) -> Result<Batch> {
     // Phase 2: per-part value above the threshold.
     let b = PlanBuilder::new();
     let agg = aggregate(
-        german_partsupp(&b),
+        german_partsupp(&b, &["ps_partkey", "ps_suppkey", "ps_availqty", "ps_supplycost"]),
         &["ps_partkey"],
         vec![AggSpec::new(AggFunc::Sum, value, "value")],
     );

@@ -15,11 +15,11 @@
 use proptest::prelude::*;
 
 use bdcc::exec::batch::{Batch, ColMeta, OpSchema};
-use bdcc::exec::ops::join::{HashJoin, JoinType};
+use bdcc::exec::ops::join::{HashJoin, JoinType, MATCHED_COLUMN};
 use bdcc::exec::ops::{collect, OpEnv, Operator};
 use bdcc::exec::{
-    canonical_rows, CancelToken, ExecError, Expr, Governor, JoinIndex, MemoryTracker, OpMetrics,
-    SpillMode,
+    canonical_rows, CancelToken, ExecError, Expr, Governor, JoinIndex, MemoryTracker, Needed,
+    OpMetrics, SpillMode,
 };
 use bdcc::storage::{live_spill_files, Column, DataType, IoTracker};
 
@@ -63,6 +63,7 @@ fn run_join(left: &[(i64, i64)], right: &[(i64, i64)], jt: JoinType, residual: b
         &[("lk", "rk")],
         jt,
         residual,
+        &Needed::default(),
         OpEnv::new(IoTracker::new(), MemoryTracker::new()),
     )
     .unwrap();
@@ -227,6 +228,7 @@ impl Case {
             on,
             jt,
             self.residual.then(|| Expr::col("lv").le(Expr::col("rv"))),
+            &Needed::default(),
             env,
         )
         .unwrap()
@@ -246,6 +248,9 @@ impl Case {
     }
 }
 
+/// `live_spill_files` is process-wide: one spilling case at a time.
+static SPILLS: std::sync::Mutex<()> = std::sync::Mutex::new(());
+
 fn batches(mut op: HashJoin) -> Vec<Batch> {
     std::iter::from_fn(|| op.next().unwrap()).collect()
 }
@@ -258,8 +263,6 @@ fn annotation(m: &OpMetrics, key: &str) -> Option<String> {
 /// spilled right build) — each must equal the reference batch for batch.
 /// Returns the in-memory run's `build=`.
 fn check_case(case: &Case, jt: JoinType) -> String {
-    // `live_spill_files` is process-wide: one spilling case at a time.
-    static SPILLS: std::sync::Mutex<()> = std::sync::Mutex::new(());
     let _spills = SPILLS.lock().unwrap_or_else(|e| e.into_inner());
     let want = case.reference(jt);
     let metrics = OpMetrics::new();
@@ -352,6 +355,7 @@ fn cancel_between_streamed_batches_releases_every_byte() {
         &[("lk", "rk")],
         JoinType::Semi,
         Some(Expr::col("lv").le(Expr::col("rv"))),
+        &Needed::default(),
         OpEnv { governor, ..OpEnv::new(IoTracker::new(), tracker.clone()) },
     )
     .unwrap();
@@ -515,12 +519,12 @@ fn check_grouped(case: &GroupedCase) {
             let (tracker, metrics) = (MemoryTracker::new(), OpMetrics::new());
             let at = format!("{jt:?} {residual:?} {case:?}");
             let join = HashJoin::grouped(
-                Box::new(Wide::new("l", &case.left, case.chunks.0)),
-                Box::new(Wide::new("r", &case.right, case.chunks.1)),
+                (Box::new(Wide::new("l", &case.left, case.chunks.0)), vec![1]),
+                (Box::new(Wide::new("r", &case.right, case.chunks.1)), vec![1]),
                 &[("lk", "rk")],
-                (vec![1], vec![1]),
                 jt,
                 residual.map(Residual::expr),
+                &Needed::default(),
                 OpEnv {
                     metrics: Some(metrics.clone()),
                     ..OpEnv::new(IoTracker::new(), tracker.clone())
@@ -627,6 +631,127 @@ proptest! {
         left.sort_by_key(|r| r.1);
         right.sort_by_key(|r| r.1);
         check_grouped(&GroupedCase::numbered(&left, &right, chunks));
+    }
+}
+
+// ---------------------------------------------------------------------------
+// Pruned output: a join given the columns read above it emits exactly those
+// (module docs of `ops::join`), and its build holds only what it reads.
+
+/// How a pruning case runs: in memory, grouped on column 1 of each side
+/// (the sandwich join), or forced out of core.
+#[derive(Debug, Clone, Copy, PartialEq)]
+enum Path {
+    Flat,
+    Sandwich,
+    Forced,
+}
+
+/// `left ⋈ right` on `lk = rk` along `path`, emitting what `emit` names,
+/// with the tracker it charges.
+fn pruning_join(
+    (left, right): (&[Row], &[Row]),
+    path: Path,
+    jt: JoinType,
+    residual: Option<&Expr>,
+    emit: &Needed,
+) -> (HashJoin, std::sync::Arc<MemoryTracker>) {
+    let tracker = MemoryTracker::new();
+    let mut governor = Governor::none();
+    if path == Path::Forced {
+        governor.set_spill(SpillMode::Force);
+    }
+    let env = OpEnv { governor, ..OpEnv::new(IoTracker::new(), tracker.clone()) };
+    let groups = if path == Path::Sandwich { vec![1] } else { vec![] };
+    let join = HashJoin::grouped(
+        (Box::new(Wide::new("l", left, 7)), groups.clone()),
+        (Box::new(Wide::new("r", right, 5)), groups),
+        &[("lk", "rk")],
+        jt,
+        residual.cloned(),
+        emit,
+        env,
+    )
+    .unwrap();
+    (join, tracker)
+}
+
+/// Every join type along every path, with no residual, one over both
+/// sides and one over the build side alone, emitting each subset of its
+/// full output's columns: the output is the full join's restricted to that
+/// subset (and `__matched`), batch for batch and bit for bit — or, when the
+/// subset is empty, to the first left column, which keeps the rows counted.
+/// In memory, the build tracks exactly its kept payload (the emitted build
+/// columns and those the residual reads) plus its index.
+#[test]
+fn a_join_emits_exactly_the_columns_read_above() {
+    let mut left = rows(60, 9, 1);
+    let mut right = rows(20, 11, 4);
+    left.sort_by_key(|r| r.1);
+    right.sort_by_key(|r| r.1);
+    let residuals =
+        [None, Some(Expr::col("lv").le(Expr::col("rv"))), Some(Expr::col("rv").ge(Expr::lit(9)))];
+    let _spills = SPILLS.lock().unwrap_or_else(|e| e.into_inner());
+    for path in [Path::Flat, Path::Sandwich, Path::Forced] {
+        for jt in ALL_TYPES {
+            for residual in &residuals {
+                let at = |emit: &Needed| format!("{path:?} {jt:?} {residual:?} {emit:?}");
+                let (full, _) =
+                    pruning_join((&left, &right), path, jt, residual.as_ref(), &Needed::default());
+                let schema = full.schema().clone();
+                let full = batches(full);
+                let names: Vec<&str> = schema.iter().map(|m| m.name.as_str()).collect();
+                let columns: Vec<&str> =
+                    names.iter().copied().filter(|n| *n != MATCHED_COLUMN).collect();
+                for mask in 0..1u32 << columns.len() {
+                    let kept: Vec<&str> = (0..columns.len())
+                        .filter(|b| mask >> b & 1 == 1)
+                        .map(|b| columns[b])
+                        .collect();
+                    let emit = Needed::only(kept.iter().copied());
+                    let (join, tracker) =
+                        pruning_join((&left, &right), path, jt, residual.as_ref(), &emit);
+                    let mut keep: Vec<usize> = (0..names.len())
+                        .filter(|&c| emit.contains(names[c]) || names[c] == MATCHED_COLUMN)
+                        .collect();
+                    if keep.is_empty() {
+                        keep.push(0);
+                    }
+                    let want: Vec<Batch> = full
+                        .iter()
+                        .map(|b| Batch::new(keep.iter().map(|&c| b.columns[c].clone()).collect()))
+                        .collect();
+                    assert_eq!(batches(join), want, "{}", at(&emit));
+                    assert_eq!(tracker.current(), 0, "{}", at(&emit));
+                    if path == Path::Forced {
+                        continue;
+                    }
+                    // The build payload: the emitted right columns, then
+                    // those only the residual reads.
+                    let mut payload: Vec<&str> =
+                        kept.iter().copied().filter(|n| n.starts_with('r')).collect();
+                    // (Both residuals read `rv` of the build side.)
+                    if residual.is_some() && !payload.contains(&"rv") {
+                        payload.push("rv");
+                    }
+                    let build = |rows: &[Row]| {
+                        let keys: Vec<i64> = rows.iter().map(|r| r.0).collect();
+                        8 * (rows.len() * payload.len()) as u64
+                            + JoinIndex::build(&[&keys]).estimated_bytes()
+                    };
+                    let want = match path {
+                        Path::Sandwich => right
+                            .chunk_by(|a, b| a.1 == b.1)
+                            .filter(|g| left.iter().any(|l| l.1 == g[0].1))
+                            .map(build)
+                            .max()
+                            .unwrap_or(0),
+                        _ => build(&right),
+                    };
+                    assert_eq!(tracker.peak(), want, "tracked build: {}", at(&emit));
+                }
+            }
+        }
     }
 }
 

@@ -21,7 +21,7 @@ use std::fmt::Write as _;
 use std::sync::Arc;
 
 use bdcc::prelude::*;
-use bdcc_exec::{explain_analyze, ProfileNode, SpillMode};
+use bdcc_exec::{alias_column, explain_analyze, Needed, Node, ProfileNode, SpillMode};
 
 const SF: f64 = 0.01;
 const GOLDEN: &str = include_str!("plan_shapes.golden");
@@ -83,4 +83,53 @@ fn plans_match_the_golden_shapes() {
         );
     }
     panic!("the golden file has more lines than the {} actual ones", actual.lines().count());
+}
+
+/// The columns of every scan in `node` that nothing above it reads
+/// (`needed` is what is read above `node`), as `query scan-id table.column`.
+fn unread_scan_columns(node: &Node, needed: &Needed, at: &str, out: &mut Vec<String>) {
+    let inputs = node.input_needs(needed);
+    match node {
+        Node::Scan { scan_id, table, columns, alias, .. } => {
+            for c in columns {
+                let name = alias.as_deref().map_or_else(|| c.clone(), |a| alias_column(a, c));
+                if !needed.contains(&name) {
+                    out.push(format!("{at} scan {scan_id} {table}.{c}"));
+                }
+            }
+        }
+        Node::Join { left, right, .. } => {
+            unread_scan_columns(left, &inputs, at, out);
+            unread_scan_columns(right, &inputs, at, out);
+        }
+        Node::Filter { input, .. }
+        | Node::Project { input, .. }
+        | Node::Aggregate { input, .. }
+        | Node::Sort { input, .. } => unread_scan_columns(input, &inputs, at, out),
+    }
+}
+
+/// No query scans a column that nothing above the scan reads: every scan
+/// output column of every recorded plan is in the needed set the planner
+/// hands that scan (`Node::input_needs` from the root down).
+#[test]
+fn no_query_scans_a_column_nobody_reads() {
+    let db = bdcc::tpch::generate(&GenConfig::new(SF));
+    let schemes = [
+        ("plain", Arc::new(plain_scheme(&db))),
+        ("pk", Arc::new(pk_scheme(&db).expect("pk scheme"))),
+        ("bdcc", Arc::new(bdcc_scheme(&db, &DesignConfig::default()).expect("bdcc scheme"))),
+    ];
+    let mut unread = Vec::new();
+    for (scheme, sdb) in &schemes {
+        for q in all_queries() {
+            let ctx = QueryCtx::recording(QueryContext::new(Arc::clone(sdb)), SF);
+            (q.run)(&ctx).expect("query runs");
+            for (i, plan) in ctx.take_plans().iter().enumerate() {
+                let at = format!("Q{:02} {scheme} plan {i}", q.id);
+                unread_scan_columns(plan, &Needed::default(), &at, &mut unread);
+            }
+        }
+    }
+    assert!(unread.is_empty(), "scanned and never read:\n{}", unread.join("\n"));
 }
