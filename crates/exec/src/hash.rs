@@ -530,7 +530,7 @@ impl JoinIndex {
     /// The most [`estimated_bytes`](Self::estimated_bytes) an index of
     /// `rows` entries on `keys` columns holds: the hashed directory, a word
     /// per key column (a direct directory is no longer, and holds none).
-    pub fn max_bytes(rows: u64, keys: usize) -> u64 {
+    pub(crate) fn max_bytes(rows: u64, keys: usize) -> u64 {
         hashed_len(rows as usize) as u64 * 4 + rows * (4 + 8 * keys as u64)
     }
 }
