@@ -61,8 +61,8 @@ fn main() {
         std::env::var("BDCC_SERVE_QPC").ok().and_then(|v| v.parse().ok()).unwrap_or(4);
 
     // Fault injection: BDCC_INJECT installs the same injector at pool-job
-    // boundaries (process-global, once set-up and the reference are done)
-    // and at operator checkpoints (via the server config).
+    // boundaries (process-global, before the served run) and at operator
+    // checkpoints (via the server config).
     let injector = match FaultPlan::from_env() {
         Ok(plan) => plan.map(|plan| Arc::new(FaultInjector::new(plan))),
         Err(e) => panic!("bad BDCC_INJECT: {e}"),
@@ -99,9 +99,8 @@ fn main() {
             (q.id, canonical_rows(&(q.run)(&ctx).expect("reference run")))
         })
         .collect();
-    // Set-up fans out on the same pool (every table column is a pool job),
-    // and set-up is not what this run stresses: the pool-job injector goes
-    // in only now.
+    // Neither set-up (scoped threads) nor the serial reference runs a pool
+    // job, so the pool-job injector rolls only at the served run's morsels.
     if let Some(inj) = &injector {
         inject::install_global(Arc::clone(inj));
     }

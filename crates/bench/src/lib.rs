@@ -7,6 +7,8 @@
 //! tables live in `scoreboard/README.md`; each PR's measured outcomes are
 //! recorded in `CHANGES.md`.
 
+#![forbid(unsafe_code)]
+
 use std::sync::Arc;
 use std::time::Instant;
 

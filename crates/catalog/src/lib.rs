@@ -12,6 +12,8 @@
 //!   for dimension paths (Definition 2),
 //! * [`Database`] — a catalog plus the actual stored tables.
 
+#![forbid(unsafe_code)]
+
 pub mod catalog;
 pub mod database;
 pub mod graph;

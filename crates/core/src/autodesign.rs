@@ -242,10 +242,9 @@ impl BdccSchema {
 }
 
 /// Steps 1–3 end to end: derive, create dimensions, cluster every table.
-/// Independent tables are clustered in parallel on the shared persistent
-/// [`WorkerPool`](bdcc_pool::WorkerPool) (bulk-load is the expensive
-/// phase) — the same parked worker set query execution later fans out on,
-/// so schema build pays no thread create/join either.
+/// Independent tables are clustered in parallel, one task per table on
+/// set-up's scoped fan-out ([`bdcc_pool::scoped`]; bulk load is the
+/// expensive phase).
 pub fn design_and_cluster(db: &Database, cfg: &DesignConfig) -> Result<BdccSchema> {
     let design = derive_design(db.catalog(), cfg)?;
     // Each foreign-key step and each dimension's host bins are facts of the
@@ -259,12 +258,8 @@ pub fn design_and_cluster(db: &Database, cfg: &DesignConfig) -> Result<BdccSchem
         .iter()
         .map(|(&t, uses)| (t, uses.iter().map(|u| (u.dim, u.path.clone())).collect()))
         .collect();
-    // Width capped at the machine's parallelism: one task per table, but
-    // never grow the persistent pool to the table count (a wide schema
-    // would otherwise park one thread per table for the process lifetime).
-    let width = std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1);
     let results: Vec<(TableId, BdccTable)> =
-        bdcc_pool::WorkerPool::shared().scope_run(width, entries.len(), "design-table", |i| {
+        bdcc_pool::scoped(entries.len(), "design-table", |i| {
             let (t, specs) = &entries[i];
             cluster_table_with(db, *t, specs, &dimensions, &lookups, &cfg.selftune)
                 .map(|bt| (*t, bt))

@@ -40,11 +40,5 @@ impl From<bdcc_catalog::CatalogError> for BdccError {
     }
 }
 
-impl From<bdcc_pool::PoolFailure> for BdccError {
-    fn from(e: bdcc_pool::PoolFailure) -> Self {
-        BdccError::Invalid(format!("worker pool: {e}"))
-    }
-}
-
 /// Convenience alias.
 pub type Result<T> = std::result::Result<T, BdccError>;

@@ -32,6 +32,8 @@
 //! `bdcc-catalog`, and query execution (scatter scans, sandwich operators,
 //! per-scheme planning) in `bdcc-exec`.
 
+#![forbid(unsafe_code)]
+
 pub mod autodesign;
 pub mod bdcc_table;
 pub mod binning;

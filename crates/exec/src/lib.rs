@@ -6,6 +6,8 @@
 //! operators of ref \[3\], and the plan-time analyses that turn predicates
 //! into BDCC group restrictions (selection pushdown and propagation).
 
+#![forbid(unsafe_code)]
+
 pub mod batch;
 pub mod enc;
 pub mod error;

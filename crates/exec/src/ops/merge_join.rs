@@ -13,6 +13,7 @@ use bdcc_storage::Column;
 use crate::batch::{Batch, OpSchema, BATCH_ROWS};
 use crate::error::{ExecError, Result};
 use crate::ops::{BoxedOp, Operator};
+use crate::plan::Needed;
 
 /// Inner merge join on one integer key per side; inputs must be sorted
 /// ascending on their key.
@@ -22,19 +23,26 @@ use crate::ops::{BoxedOp, Operator};
 /// batch and into `rstore`, where the matched right groups are laid end to
 /// end — and gathered once per [`BATCH_ROWS`] rows or per left input batch,
 /// whichever comes first, so the operators above see full batches instead of
-/// one batch per key run.
+/// one batch per key run. Only the columns read above the join are stored
+/// and gathered: the output is the emitted left columns, then the emitted
+/// right ones.
 pub struct MergeJoin {
     left: BoxedOp,
     right: BoxedOp,
     left_key: usize,
     right_key: usize,
+    /// The left and the right input columns the output carries, in order.
+    left_out: Vec<usize>,
+    right_out: Vec<usize>,
     schema: OpSchema,
     lbuf: Option<Batch>,
     lpos: usize,
     rbuf: Option<Batch>,
     rpos: usize,
-    /// The right rows the pending output pairs with, group after group.
+    /// The emitted right columns of the rows the pending output pairs
+    /// with, group after group; `rrows` rows each.
     rstore: Vec<Column>,
+    rrows: usize,
     /// The current right group — its key and its rows in `rstore` — kept
     /// for left runs of the same key that continue in the next batch.
     rgroup: Option<(i64, Range<usize>)>,
@@ -46,27 +54,44 @@ pub struct MergeJoin {
 }
 
 impl MergeJoin {
-    pub fn new(left: BoxedOp, right: BoxedOp, on: (&str, &str)) -> Result<MergeJoin> {
-        let lschema = left.schema().clone();
-        let rschema = right.schema().clone();
-        let left_key = crate::batch::schema_index(&lschema, on.0)
+    /// Join `left` and `right` on `on`; the output carries the columns of
+    /// either side that `emit` names.
+    pub fn new(
+        left: BoxedOp,
+        right: BoxedOp,
+        on: (&str, &str),
+        emit: &Needed,
+    ) -> Result<MergeJoin> {
+        let (lschema, rschema) = (left.schema(), right.schema());
+        let left_key = crate::batch::schema_index(lschema, on.0)
             .ok_or_else(|| ExecError::UnknownColumn(on.0.to_string()))?;
-        let right_key = crate::batch::schema_index(&rschema, on.1)
+        let right_key = crate::batch::schema_index(rschema, on.1)
             .ok_or_else(|| ExecError::UnknownColumn(on.1.to_string()))?;
-        let rstore = rschema.iter().map(|m| Column::empty(m.data_type)).collect();
-        let mut schema = lschema;
-        schema.extend(rschema);
+        let emitted = |schema: &OpSchema| -> Vec<usize> {
+            (0..schema.len()).filter(|&c| emit.contains(&schema[c].name)).collect()
+        };
+        let (mut left_out, right_out) = (emitted(lschema), emitted(rschema));
+        if left_out.is_empty() && right_out.is_empty() {
+            // No column is read above, but its rows are counted.
+            left_out.push(0);
+        }
+        let rstore = right_out.iter().map(|&c| Column::empty(rschema[c].data_type)).collect();
+        let mut schema: OpSchema = left_out.iter().map(|&c| lschema[c].clone()).collect();
+        schema.extend(right_out.iter().map(|&c| rschema[c].clone()));
         Ok(MergeJoin {
             left,
             right,
             left_key,
             right_key,
+            left_out,
+            right_out,
             schema,
             lbuf: None,
             lpos: 0,
             rbuf: None,
             rpos: 0,
             rstore,
+            rrows: 0,
             rgroup: None,
             lidx: Vec::new(),
             ridx: Vec::new(),
@@ -111,19 +136,20 @@ impl MergeJoin {
 
     /// Append all right rows with key `k` to `rstore` as the current group.
     fn fill_right_group(&mut self, k: i64) -> Result<()> {
-        let first = self.rstore[0].len();
+        let first = self.rrows;
         while self.right_peek()? == Some(k) {
             // Take the run of equal keys within the current buffer.
             let b = self.rbuf.as_ref().expect("peek filled buffer");
             let keys = b.columns[self.right_key].as_i64()?;
             let start = self.rpos;
             let end = start + keys[start..].iter().take_while(|&&rk| rk == k).count();
-            for (dst, src) in self.rstore.iter_mut().zip(&b.columns) {
-                dst.append_range(src, start, end)?;
+            for (dst, &c) in self.rstore.iter_mut().zip(&self.right_out) {
+                dst.append_range(&b.columns[c], start, end)?;
             }
+            self.rrows += end - start;
             self.rpos = end;
         }
-        self.rgroup = Some((k, first..self.rstore[0].len()));
+        self.rgroup = Some((k, first..self.rrows));
         Ok(())
     }
 
@@ -131,7 +157,8 @@ impl MergeJoin {
     /// current one from `rstore`.
     fn flush(&mut self) -> Batch {
         let b = self.lbuf.as_ref().expect("pending rows index a left batch");
-        let mut cols: Vec<Column> = b.columns.iter().map(|c| c.gather_u32(&self.lidx)).collect();
+        let mut cols: Vec<Column> =
+            self.left_out.iter().map(|&c| b.columns[c].gather_u32(&self.lidx)).collect();
         cols.extend(self.rstore.iter().map(|c| c.gather_u32(&self.ridx)));
         self.lidx.clear();
         self.ridx.clear();
@@ -140,6 +167,7 @@ impl MergeJoin {
                 *c = c.slice(rows.start, rows.end);
             }
             *rows = 0..rows.len();
+            self.rrows = rows.len();
         }
         Batch::new(cols)
     }
@@ -226,7 +254,7 @@ mod tests {
     fn one_to_many_merge() {
         let l = Sorted::new("lk", vec![1, 1, 2, 4, 4, 4], 2);
         let r = Sorted::new("rk", vec![1, 2, 3, 4], 3);
-        let j = MergeJoin::new(Box::new(l), Box::new(r), ("lk", "rk")).unwrap();
+        let j = MergeJoin::new(Box::new(l), Box::new(r), ("lk", "rk"), &Needed::default()).unwrap();
         let out = collect(Box::new(j)).unwrap();
         assert_eq!(out.columns[0].as_i64().unwrap(), &[1, 1, 2, 4, 4, 4]);
         assert_eq!(out.columns[1].as_i64().unwrap(), &[1, 1, 2, 4, 4, 4]);
@@ -236,7 +264,7 @@ mod tests {
     fn many_to_many_merge() {
         let l = Sorted::new("lk", vec![5, 5], 10);
         let r = Sorted::new("rk", vec![5, 5, 5], 2); // group spans batches
-        let j = MergeJoin::new(Box::new(l), Box::new(r), ("lk", "rk")).unwrap();
+        let j = MergeJoin::new(Box::new(l), Box::new(r), ("lk", "rk"), &Needed::default()).unwrap();
         let out = collect(Box::new(j)).unwrap();
         assert_eq!(out.rows(), 6);
     }
@@ -250,7 +278,8 @@ mod tests {
         let right: Vec<i64> = keys.iter().filter(|k| *k % 2 == 0).flat_map(|&k| [k, k]).collect();
         let l = Sorted::new("lk", keys, BATCH_ROWS);
         let r = Sorted::new("rk", right.clone(), 1000);
-        let mut j = MergeJoin::new(Box::new(l), Box::new(r), ("lk", "rk")).unwrap();
+        let mut j =
+            MergeJoin::new(Box::new(l), Box::new(r), ("lk", "rk"), &Needed::default()).unwrap();
         let mut batches = Vec::new();
         while let Some(b) = j.next().unwrap() {
             assert_eq!(b.columns[0], b.columns[1]);
@@ -267,7 +296,7 @@ mod tests {
     fn disjoint_keys_empty_result() {
         let l = Sorted::new("lk", vec![1, 3, 5], 2);
         let r = Sorted::new("rk", vec![2, 4, 6], 2);
-        let j = MergeJoin::new(Box::new(l), Box::new(r), ("lk", "rk")).unwrap();
+        let j = MergeJoin::new(Box::new(l), Box::new(r), ("lk", "rk"), &Needed::default()).unwrap();
         let out = collect(Box::new(j)).unwrap();
         assert_eq!(out.rows(), 0);
     }
@@ -276,7 +305,7 @@ mod tests {
     fn left_run_spanning_batches_reuses_right_group() {
         let l = Sorted::new("lk", vec![7, 7, 7], 1); // one row per batch
         let r = Sorted::new("rk", vec![7, 7], 10);
-        let j = MergeJoin::new(Box::new(l), Box::new(r), ("lk", "rk")).unwrap();
+        let j = MergeJoin::new(Box::new(l), Box::new(r), ("lk", "rk"), &Needed::default()).unwrap();
         let out = collect(Box::new(j)).unwrap();
         assert_eq!(out.rows(), 6);
     }

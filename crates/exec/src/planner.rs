@@ -815,7 +815,7 @@ impl<'a> Planner<'a> {
             let prof = self.prof_node("Join(merge)", &[&lout.prof, &rout.prof], None);
             let lop = wrap_edge(lout.op, &lout.prof, &prof);
             let rop = wrap_edge(rout.op, &rout.prof, &prof);
-            let j = MergeJoin::new(lop, rop, (&on[0].0, &on[0].1))?;
+            let j = MergeJoin::new(lop, rop, (&on[0].0, &on[0].1), needed)?;
             return Ok(PhysOut { op: Box::new(j), gk_cols: vec![], prof });
         }
 

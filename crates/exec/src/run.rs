@@ -96,8 +96,6 @@ fn pool_pairs(p: &PoolStats) -> Vec<(String, u64)> {
         ("workers".into(), p.workers as u64),
         ("jobs".into(), p.jobs),
         ("parks".into(), p.parks),
-        ("lends".into(), p.lends),
-        ("lent_jobs".into(), p.lent_jobs),
         ("queue_depth_hwm".into(), p.queue_depth_hwm),
     ]
 }

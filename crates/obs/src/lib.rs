@@ -46,6 +46,8 @@
 //! workers are still recording is a consistent lower bound, and one taken
 //! after the pool has quiesced (the engine always does) is exact.
 
+#![forbid(unsafe_code)]
+
 pub mod json;
 pub mod metrics;
 pub mod profile;

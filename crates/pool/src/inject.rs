@@ -23,12 +23,9 @@
 //! API. This keeps ordinary builds fault-free even when tests in the same
 //! process are injecting faults elsewhere.
 //!
-//! Set-up runs on the same pool: schema design clusters one table per
-//! job, and every table build — generation, the PK build, the BDCC build —
-//! gathers and encodes one column per job, a few hundred jobs at SF 0.005.
-//! A global injector rolls its dice at every one of them, so a process
-//! installs it once its set-up is done, as the `qps_serve` bench bin does
-//! (after generation, the scheme builds and its serial reference).
+//! Set-up's fan-outs are not pool jobs: they run on scoped threads
+//! ([`crate::scoped`]), so a global injector rolls its dice only at the
+//! morsels of parallel queries, whenever it was installed.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, OnceLock};

@@ -1,22 +1,21 @@
-//! The persistent worker pool.
+//! The persistent worker pool that runs queries' fan-outs.
 //!
 //! ## Architecture
 //!
 //! A [`WorkerPool`] owns a set of long-lived worker threads that park on a
 //! condition variable when idle. Work arrives as index-addressed **jobs**
-//! in **one FIFO queue** behind one mutex: a blocking fan-out
-//! ([`WorkerPool::scope_run`]) pushes its `ntasks` jobs to the back, and a
-//! streaming fan-out ([`OrderedStream`]) submits one job per in-flight
-//! morsel to the back. A worker takes the first *claimable* job from the
-//! front. One lock is plenty at morsel granularity: a task is thousands of
-//! rows, and queue operations are a rounding error next to task bodies.
+//! in **one FIFO queue** behind one mutex: a streaming fan-out
+//! ([`OrderedStream`]) submits one job per in-flight morsel to the back.
+//! A worker takes the first *claimable* job from the front. One lock is
+//! plenty at morsel granularity: a task is thousands of rows, and queue
+//! operations are a rounding error next to task bodies.
 //!
 //! Every fan-out carries a **claim gate** capping its concurrent task
 //! bodies at the width it asked for, so a narrow fan-out stays narrow even
 //! when a wider warm-up left extra workers idle. A job is claimable when
-//! its gate has a free slot; a taker skips the jobs of a saturated fan-out
-//! (after one denied claim, by pointer identity) and runs the first job
-//! behind them whose fan-out has room.
+//! its gate has a free slot; a worker skips the jobs of a saturated
+//! fan-out (after one denied claim, by pointer identity) and runs the
+//! first job behind them whose fan-out has room.
 //!
 //! Workers are spawned lazily ([`WorkerPool::ensure_workers`]) and only
 //! ever *grow* to the largest width any caller asked for; after that
@@ -25,63 +24,38 @@
 //! Dropping a pool shuts it down gracefully: workers finish the queued
 //! jobs, park out, and are joined.
 //!
-//! ## Blocking fan-outs and the thread-lending rule
-//!
-//! [`scope_run`](WorkerPool::scope_run) runs `task(0..ntasks)` and blocks
-//! until every task finished, returning results **in task order** —
-//! whatever order workers finished in — the property every merge in the
-//! execution subsystem relies on for determinism. While it waits, the
-//! calling thread is **lent to the pool**: it takes its own scope's first
-//! claimable job, else the first claimable job of any fan-out, and only
-//! parks when there is nothing runnable anywhere. Lending is what makes
-//! *nested* fan-outs deadlock-free: a task that itself calls `scope_run`
-//! (a table's per-column fan-out inside schema design's per-table
-//! fan-out) always has at least one thread — its own caller — making
-//! progress on its sub-tasks, so a bottom-most scope can always finish,
-//! unwinding the whole stack of waiters. (Each *blocked* scope therefore
-//! keeps exactly its caller busy; no thread ever sleeps while runnable
-//! work exists.)
-//!
-//! Error/panic contract: the first task error — in task
-//! order — is returned after every claimed task ran or was skipped; once
-//! any task errs, workers stop *starting* this scope's tasks. A panicking
-//! task is re-raised on the calling thread after the scope drains, as a
-//! message naming the fan-out site (`pool job 'agg-partial' panicked:
-//! ...`), so a worker panic during a many-client serving run identifies
-//! the operator that died.
-//!
-//! Because scope tasks may borrow the caller's stack (the closure is not
-//! `'static`), scope jobs are type-erased behind raw pointers; safety
-//! rests on `scope_run` not returning until every job of the scope has
-//! been popped and retired, which the completion counter enforces.
+//! Set-up does not run here: its fan-outs borrow the caller's data and run
+//! on scoped threads ([`crate::scoped`]), so a serial process never spawns
+//! a worker.
 //!
 //! ## Streaming fan-outs
 //!
-//! [`OrderedStream`] is the streaming shape: `task(0..ntasks)` with a
-//! **bounded reorder buffer**. At most `cap` tasks are ever submitted
-//! beyond the consumer's position — backpressure by *submission gating*
+//! [`OrderedStream`] runs `task(0..ntasks)` with a **bounded reorder
+//! buffer**. At most `cap` tasks are ever submitted beyond the
+//! consumer's position — backpressure by *submission gating*
 //! rather than by parking producers, so a stalled consumer costs the pool
 //! nothing: workers run other jobs instead of sleeping on a full buffer.
 //! [`recv`](OrderedStream::recv) releases results strictly in task order;
 //! the result it returned keeps its slot until the consumer comes back for
 //! the next one, so the window bounds what the consumer holds too. Dropping
 //! the stream cancels all unstarted work, waits for in-flight tasks to
-//! retire, and leaves the pool ready for the next query. Consumers must
-//! not call `recv` from inside a pool task (a consumer does not lend its
-//! thread; every current operator drives streams from plan-driver
-//! threads).
+//! retire, and leaves the pool ready for the next query. A panicking task
+//! is published as an error at its index, naming the fan-out site
+//! (`streaming worker 'scan-morsel' panicked: ...`). Consumers must not
+//! call `recv` from inside a pool task (a waiting consumer runs no jobs;
+//! every current operator drives streams from plan-driver threads).
 
 use std::any::Any;
 use std::collections::{HashMap, VecDeque};
 use std::fmt;
-use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
+use std::panic::{catch_unwind, AssertUnwindSafe};
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, Mutex, OnceLock};
 
 /// A failure originating in the pool machinery itself rather than in a
-/// task body: a panicking streaming task surfaced as an error at its
-/// index, or (unreachable in practice) a dropped task slot. Callers embed
-/// it in their own error type via `From<PoolFailure>`.
+/// task body: a panicking streaming task, surfaced as an error at its
+/// index. Callers embed it in their own error type via
+/// `From<PoolFailure>`.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct PoolFailure(pub String);
 
@@ -126,8 +100,8 @@ impl ClaimGate {
     }
 }
 
-/// Type-erased executable work. Implemented by the (unsafe, borrowed)
-/// scope core and the ('static, Arc'd) stream job.
+/// Type-erased executable work: one stream's job, whatever its result
+/// types.
 trait JobRunner: Send + Sync {
     /// Reserve one concurrency slot of this job's fan-out. Called under
     /// the queues lock while selecting a job; a `false` leaves the job
@@ -141,7 +115,7 @@ trait JobRunner: Send + Sync {
 /// (claimed as part of the removal — callers run what they take). All
 /// jobs of one fan-out share one gate, so after a runner denies a claim
 /// its remaining jobs are skipped by pointer identity — a saturated
-/// 2500-morsel scope costs the scan one CAS plus cheap pointer compares,
+/// 2500-morsel fan-out costs the scan one CAS plus cheap pointer compares,
 /// not one CAS per queued job.
 fn take_claimable(jobs: &mut VecDeque<Job>) -> Option<Job> {
     let mut denied: Vec<*const ()> = Vec::new();
@@ -179,19 +153,11 @@ struct Queues {
 struct PoolCounters {
     jobs: u64,
     parks: u64,
-    lends: u64,
-    lent_jobs: u64,
     queue_depth_hwm: u64,
     worker_jobs: Vec<u64>,
 }
 
 impl Queues {
-    /// Append `jobs` to the queue and record the depth's high-water mark.
-    fn push(&mut self, jobs: impl IntoIterator<Item = Job>) {
-        self.jobs.extend(jobs);
-        self.counters.queue_depth_hwm = self.counters.queue_depth_hwm.max(self.jobs.len() as u64);
-    }
-
     /// Worker `me`'s pop: the first claimable job.
     fn pop_for(&mut self, me: usize) -> Option<Job> {
         let j = take_claimable(&mut self.jobs)?;
@@ -199,29 +165,13 @@ impl Queues {
         self.counters.worker_jobs[me] += 1;
         Some(j)
     }
-
-    /// A lent `scope_run` caller's pop: its own scope's first queued job
-    /// if that scope has a free slot, else the first claimable job of any
-    /// fan-out. One claim decides the own-scope check: every job of the
-    /// runner shares the same gate, so the first match either claims or
-    /// none of them is claimable.
-    fn pop_lent(&mut self, own: &Arc<dyn JobRunner>) -> Option<Job> {
-        let mine = self.jobs.iter().position(|j| Arc::ptr_eq(&j.runner, own));
-        let j = match mine {
-            Some(p) if own.try_claim() => self.jobs.remove(p),
-            _ => take_claimable(&mut self.jobs),
-        }?;
-        self.counters.jobs += 1;
-        self.counters.lent_jobs += 1;
-        Some(j)
-    }
 }
 
 struct PoolShared {
     queues: Mutex<Queues>,
     /// Woken on every job push *and* every job retirement: idle workers
-    /// wait here for work, lent callers wait here for either more work or
-    /// their scope's completion.
+    /// wait here for work, and a retirement frees a claim-gate slot that
+    /// may make a denied job claimable.
     work_cond: Condvar,
 }
 
@@ -246,18 +196,16 @@ pub struct PoolStats {
     /// OS threads ever spawned by this pool — monotone; constant after
     /// warm-up is the persistent-pool guarantee.
     pub threads_spawned_total: usize,
-    /// Job bodies taken from the queue (by workers and lent threads).
+    /// Job bodies taken from the queue.
     pub jobs: u64,
     /// Always 0: the pool has one shared queue and nothing to steal from.
     /// Kept because the scoreboard's `pool_steals` column reads it.
     pub steals: u64,
-    /// Times a thread went to sleep on the work condvar (idle workers and
-    /// blocked scope callers with nothing runnable).
+    /// Times an idle worker went to sleep on the work condvar.
     pub parks: u64,
-    /// Thread-lending events: times a blocked `scope_run` caller entered
-    /// the lent-thread loop.
-    pub lends: u64,
-    /// Jobs executed by lent (non-worker) threads.
+    /// Always 0: only workers run jobs, nothing lends a thread to the
+    /// pool. Kept because the scoreboard's `pool_lent_jobs` column reads
+    /// it.
     pub lent_jobs: u64,
     /// High-water mark of total queued (not yet taken) jobs.
     pub queue_depth_hwm: u64,
@@ -278,8 +226,7 @@ impl PoolStats {
             jobs: self.jobs.saturating_sub(base.jobs),
             steals: 0,
             parks: self.parks.saturating_sub(base.parks),
-            lends: self.lends.saturating_sub(base.lends),
-            lent_jobs: self.lent_jobs.saturating_sub(base.lent_jobs),
+            lent_jobs: 0,
             queue_depth_hwm: self.queue_depth_hwm,
             worker_jobs: self
                 .worker_jobs
@@ -292,7 +239,7 @@ impl PoolStats {
 }
 
 /// A long-lived set of parked worker threads. See the [module docs](self)
-/// for the architecture and the thread-lending contract.
+/// for the architecture.
 pub struct WorkerPool {
     shared: Arc<PoolShared>,
     handles: Mutex<Vec<std::thread::JoinHandle<()>>>,
@@ -349,7 +296,7 @@ impl WorkerPool {
     }
 
     /// Snapshot of the pool's telemetry: thread counts plus the
-    /// scheduling counters (jobs, parks, lends, queue depth). Workers are
+    /// scheduling counters (jobs, parks, queue depth). Workers are
     /// never dropped while the pool lives, so the spawn total is the
     /// worker count.
     pub fn stats(&self) -> PoolStats {
@@ -360,106 +307,19 @@ impl WorkerPool {
             jobs: q.counters.jobs,
             steals: 0,
             parks: q.counters.parks,
-            lends: q.counters.lends,
-            lent_jobs: q.counters.lent_jobs,
+            lent_jobs: 0,
             queue_depth_hwm: q.counters.queue_depth_hwm,
             worker_jobs: q.counters.worker_jobs.clone(),
         }
     }
 
-    /// Run `task(0..ntasks)` across up to `width` workers plus the lent
-    /// calling thread, blocking until every task finished; results return
-    /// in task order. `width <= 1` or `ntasks <= 1` runs inline on the
-    /// caller with zero pool interaction. `label` names the fan-out site
-    /// in a re-raised panic (`pool job 'agg-partial' panicked: ...`). See
-    /// the [module docs](self) for the full error/panic contract and the
-    /// lending rule.
-    pub fn scope_run<T, E, F>(
-        &self,
-        width: usize,
-        ntasks: usize,
-        label: &'static str,
-        task: F,
-    ) -> Result<Vec<T>, E>
-    where
-        T: Send,
-        E: Send + From<PoolFailure>,
-        F: Fn(usize) -> Result<T, E> + Sync,
-    {
-        if width <= 1 || ntasks <= 1 {
-            return (0..ntasks).map(&task).collect();
-        }
-        self.ensure_workers(width.min(ntasks));
-        let slots: Vec<Mutex<Option<Result<T, E>>>> =
-            (0..ntasks).map(|_| Mutex::new(None)).collect();
-        // SAFETY: the raw pointers into `task` and `slots` stored in the
-        // erased core are dereferenced only inside `ScopeCore::run`, and
-        // `drain_scope` below does not return until `remaining` hit zero —
-        // i.e. every job of this scope has been popped and retired — so
-        // the borrows outlive every dereference.
-        let data = ScopeData { task: &task as *const F, slots: slots.as_ptr() };
-        let core: Arc<ScopeCore> = Arc::new(ScopeCore {
-            run_one: run_one_impl::<T, E, F>,
-            data: &data as *const ScopeData<T, E, F> as *const (),
-            remaining: AtomicUsize::new(ntasks),
-            gate: ClaimGate::new(width),
-            failed: AtomicBool::new(false),
-            panic: Mutex::new(None),
-            label,
-        });
-        let runner: Arc<dyn JobRunner> = Arc::clone(&core) as Arc<dyn JobRunner>;
-        self.shared
-            .queues
-            .lock()
-            .expect("pool queues poisoned")
-            .push((0..ntasks).map(|index| Job { runner: Arc::clone(&runner), index }));
-        self.shared.work_cond.notify_all();
-        self.drain_scope(&core, &runner);
-        if let Some(p) = core.panic.lock().expect("scope panic slot poisoned").take() {
-            resume_unwind(p);
-        }
-        collect_results(slots)
-    }
-
-    /// The lent-thread loop: until `core`'s scope completes, run its own
-    /// queued tasks first, then any other claimable queued job, and park
-    /// only when nothing anywhere is runnable (woken by every job push
-    /// and every retirement — either may complete the scope or free a
-    /// concurrency slot).
-    fn drain_scope(&self, core: &ScopeCore, own: &Arc<dyn JobRunner>) {
-        {
-            let mut q = self.shared.queues.lock().expect("pool queues poisoned");
-            q.counters.lends += 1;
-        }
-        loop {
-            if core.remaining.load(Ordering::Acquire) == 0 {
-                return;
-            }
-            let job = {
-                let mut q = self.shared.queues.lock().expect("pool queues poisoned");
-                if core.remaining.load(Ordering::Acquire) == 0 {
-                    return;
-                }
-                match q.pop_lent(own) {
-                    Some(j) => Some(j),
-                    None => {
-                        q.counters.parks += 1;
-                        drop(self.shared.work_cond.wait(q).expect("pool queues poisoned"));
-                        None
-                    }
-                }
-            };
-            if let Some(j) = job {
-                j.runner.run(j.index);
-                drop(j);
-                self.shared.notify();
-            }
-        }
-    }
-
-    /// Enqueue one streaming job at the back of the queue.
+    /// Enqueue one streaming job at the back of the queue and record the
+    /// depth's high-water mark.
     fn submit(&self, runner: Arc<dyn JobRunner>, index: usize) {
-        self.shared.queues.lock().expect("pool queues poisoned").push([Job { runner, index }]);
+        let mut q = self.shared.queues.lock().expect("pool queues poisoned");
+        q.jobs.push_back(Job { runner, index });
+        q.counters.queue_depth_hwm = q.counters.queue_depth_hwm.max(q.jobs.len() as u64);
+        drop(q);
         self.shared.work_cond.notify_all();
     }
 }
@@ -467,8 +327,7 @@ impl WorkerPool {
 impl Drop for WorkerPool {
     /// Graceful shutdown: flag, wake everyone, join. Workers drain any
     /// queued jobs before exiting (at drop time those can only be
-    /// cancelled stream no-ops — blocking scopes cannot outlive their
-    /// callers, and a caller blocks in `scope_run`).
+    /// cancelled stream no-ops: a stream borrows the pool for `'static`).
     fn drop(&mut self) {
         {
             let mut q = self.shared.queues.lock().expect("pool queues poisoned");
@@ -507,130 +366,13 @@ fn worker_loop(shared: &PoolShared, me: usize) {
     }
 }
 
-// ---------------------------------------------------------------------------
-// Blocking scopes (borrowed, type-erased)
-// ---------------------------------------------------------------------------
-
-/// The borrowed ends of one scope, monomorphized per `(T, E, F)`; lives on
-/// the `scope_run` stack frame and is reached only through [`ScopeCore`].
-struct ScopeData<T, E, F> {
-    task: *const F,
-    slots: *const Mutex<Option<Result<T, E>>>,
-}
-
-/// Runs task `i` of the scope `data` points at, storing the result in its
-/// slot; returns whether it was an error (the short-circuit signal).
-///
-/// # Safety
-/// `data` must point at a live `ScopeData<T, E, F>` whose `task` and
-/// `slots` borrows are still valid, and `i` must be in bounds of `slots`.
-unsafe fn run_one_impl<T, E, F>(data: *const (), i: usize) -> bool
-where
-    F: Fn(usize) -> Result<T, E>,
-{
-    let d = &*(data as *const ScopeData<T, E, F>);
-    let r = (*d.task)(i);
-    let is_err = r.is_err();
-    *(*d.slots.add(i)).lock().expect("slot poisoned") = Some(r);
-    is_err
-}
-
-/// The type-erased shared state of one blocking scope. `Send`/`Sync` are
-/// asserted manually: the raw pointers reach only `Sync` data (`F: Sync`,
-/// slots behind mutexes), and `scope_run` keeps the pointees alive until
-/// the last job retired.
-struct ScopeCore {
-    run_one: unsafe fn(*const (), usize) -> bool,
-    data: *const (),
-    /// Jobs not yet retired (run, skipped or panicked). Zero ⇒ the caller
-    /// may reclaim the borrowed task and slots.
-    remaining: AtomicUsize,
-    /// At most `width` bodies of this scope execute concurrently.
-    gate: ClaimGate,
-    /// Set on first error or panic: later jobs of this scope are skipped
-    /// instead of run (the fan-out's query is already doomed).
-    failed: AtomicBool,
-    /// First panic payload, re-raised on the calling thread.
-    panic: Mutex<Option<Box<dyn Any + Send>>>,
-    /// Fan-out site name, prefixed onto re-raised panic payloads.
-    label: &'static str,
-}
-
 /// Render a caught panic payload for embedding in a labeled message.
-fn panic_message(payload: &(dyn Any + Send)) -> String {
+pub(crate) fn panic_message(payload: &(dyn Any + Send)) -> String {
     payload
         .downcast_ref::<&str>()
         .map(|s| s.to_string())
         .or_else(|| payload.downcast_ref::<String>().cloned())
         .unwrap_or_else(|| "non-string panic payload".into())
-}
-
-unsafe impl Send for ScopeCore {}
-unsafe impl Sync for ScopeCore {}
-
-impl JobRunner for ScopeCore {
-    fn try_claim(&self) -> bool {
-        self.gate.try_claim()
-    }
-
-    fn run(&self, index: usize) {
-        if !self.failed.load(Ordering::Relaxed) {
-            // SAFETY: scope_run guarantees the pointees outlive this call
-            // (it blocks until `remaining` reaches zero, which happens
-            // strictly after this body).
-            match catch_unwind(AssertUnwindSafe(|| {
-                if let Some(inj) = crate::inject::global() {
-                    inj.job_boundary(self.label);
-                }
-                unsafe { (self.run_one)(self.data, index) }
-            })) {
-                Ok(is_err) => {
-                    if is_err {
-                        self.failed.store(true, Ordering::Relaxed);
-                    }
-                }
-                Err(payload) => {
-                    let mut slot = self.panic.lock().expect("scope panic slot poisoned");
-                    if slot.is_none() {
-                        *slot = Some(Box::new(format!(
-                            "pool job '{}' panicked: {}",
-                            self.label,
-                            panic_message(payload.as_ref())
-                        )));
-                    }
-                    self.failed.store(true, Ordering::Relaxed);
-                }
-            }
-        }
-        self.gate.release();
-        self.remaining.fetch_sub(1, Ordering::Release);
-    }
-}
-
-/// Turn a fan-out's result slots into the caller-facing `Result`:
-/// propagate the first *actual* error in task order (slots skipped after
-/// the short-circuit are not themselves the failure), otherwise unwrap
-/// every slot.
-fn collect_results<T, E>(slots: Vec<Mutex<Option<Result<T, E>>>>) -> Result<Vec<T>, E>
-where
-    E: From<PoolFailure>,
-{
-    let mut results: Vec<Option<Result<T, E>>> =
-        slots.into_iter().map(|s| s.into_inner().expect("slot poisoned")).collect();
-    if let Some(pos) = results.iter().position(|r| matches!(r, Some(Err(_)))) {
-        match results.swap_remove(pos) {
-            Some(Err(e)) => return Err(e),
-            _ => unreachable!("position matched an error"),
-        }
-    }
-    results
-        .into_iter()
-        .map(|r| match r {
-            Some(Ok(v)) => Ok(v),
-            Some(Err(_)) => unreachable!("first error already propagated"),
-            None => Err(E::from(PoolFailure("worker pool dropped a task".into()))),
-        })
-        .collect()
 }
 
 // ---------------------------------------------------------------------------
@@ -771,8 +513,22 @@ where
     where
         F: Fn(usize) -> Result<T, E> + Send + Sync + 'static,
     {
+        OrderedStream::spawn_on(WorkerPool::shared(), threads, ntasks, cap, label, task)
+    }
+
+    /// [`spawn`](Self::spawn) on `pool`.
+    fn spawn_on<F>(
+        pool: &'static WorkerPool,
+        threads: usize,
+        ntasks: usize,
+        cap: usize,
+        label: &'static str,
+        task: F,
+    ) -> OrderedStream<T, E>
+    where
+        F: Fn(usize) -> Result<T, E> + Send + Sync + 'static,
+    {
         let threads = threads.min(ntasks).max(1);
-        let pool = WorkerPool::shared();
         pool.ensure_workers(threads);
         let cap = cap.max(threads);
         let shared = Arc::new(StreamShared {
@@ -874,6 +630,7 @@ impl<T, E> Drop for OrderedStream<T, E> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::sync::atomic::AtomicBool;
     use std::time::Duration;
 
     #[derive(Debug, PartialEq, Eq)]
@@ -887,93 +644,18 @@ mod tests {
 
     type R<T> = Result<T, TestErr>;
 
-    #[test]
-    fn scope_results_arrive_in_task_order() {
-        let pool = WorkerPool::new(4);
-        let out: Vec<usize> = pool.scope_run(4, 33, "test", |i| R::Ok(i * 2)).unwrap();
-        assert_eq!(out, (0..33).map(|i| i * 2).collect::<Vec<_>>());
+    /// A pool of the test's own, so its counters and width are the test's.
+    fn own_pool(workers: usize) -> &'static WorkerPool {
+        Box::leak(Box::new(WorkerPool::new(workers)))
     }
 
-    #[test]
-    fn scope_runs_every_task_exactly_once() {
-        let pool = WorkerPool::new(3);
-        let counter = AtomicUsize::new(0);
-        let out: Vec<usize> = pool
-            .scope_run(3, 100, "test", |i| {
-                counter.fetch_add(1, Ordering::Relaxed);
-                R::Ok(i)
-            })
-            .unwrap();
-        assert_eq!(counter.load(Ordering::Relaxed), 100);
-        assert_eq!(out.len(), 100);
-    }
-
-    #[test]
-    fn scope_propagates_first_error_in_task_order() {
-        let pool = WorkerPool::new(3);
-        let r: R<Vec<usize>> = pool.scope_run(3, 20, "test", |i| {
-            if i == 7 {
-                Err(TestErr(format!("boom {i}")))
-            } else {
-                Ok(i)
-            }
-        });
-        assert_eq!(r.unwrap_err(), TestErr("boom 7".into()));
-    }
-
-    #[test]
-    fn zero_tasks_is_fine() {
-        let pool = WorkerPool::new(0);
-        let out: Vec<usize> = pool.scope_run(4, 0, "test", R::Ok).unwrap();
-        assert!(out.is_empty());
-        assert_eq!(pool.stats().workers, 0, "an empty scope must not touch the pool");
-    }
-
-    #[test]
-    fn single_thread_runs_inline() {
-        let pool = WorkerPool::new(0);
-        let out: Vec<usize> = pool.scope_run(1, 5, "test", |i| R::Ok(i + 1)).unwrap();
-        assert_eq!(out, vec![1, 2, 3, 4, 5]);
-        assert_eq!(pool.stats().workers, 0, "a width-1 scope must not touch the pool");
-    }
-
-    #[test]
-    fn single_task_runs_inline_whatever_the_width() {
-        // ntasks <= 1 must not touch the pool at all: on a cold pool it
-        // would otherwise spawn workers for nothing.
-        let pool = WorkerPool::new(0);
-        let out: Vec<usize> = pool.scope_run(8, 1, "test", |i| R::Ok(i + 41)).unwrap();
-        assert_eq!(out, vec![41]);
-        assert_eq!(pool.stats(), PoolStats::default(), "a one-task scope must not touch the pool");
-    }
-
-    #[test]
-    fn error_short_circuits_remaining_tasks() {
-        // The first body to start fails; every other body waits for it to
-        // get that far (whichever task that is — waiting on task 0 by
-        // index could fill both slots with waiters). So nothing completes
-        // before the failure, at most one other body is in flight when it
-        // returns, and what else runs must start between that return and
-        // the scope being flagged — a few instructions, not a sleep.
-        let pool = WorkerPool::new(2);
-        let executed = AtomicUsize::new(0);
-        let failing = AtomicBool::new(false);
-        let r: R<Vec<usize>> = pool.scope_run(2, 64, "test", |i| {
-            if executed.fetch_add(1, Ordering::SeqCst) == 0 {
-                failing.store(true, Ordering::SeqCst);
-                return Err(TestErr("boom".into()));
-            }
-            while !failing.load(Ordering::SeqCst) {
-                std::thread::yield_now();
-            }
-            Ok(i)
-        });
-        assert_eq!(r.unwrap_err(), TestErr("boom".into()));
-        assert!(
-            executed.load(Ordering::SeqCst) < 32,
-            "short-circuit did not stop the fan-out: {} tasks ran",
-            executed.load(Ordering::SeqCst)
-        );
+    /// Every result of `s`, in task order.
+    fn drain<T: Send + 'static>(mut s: OrderedStream<T, TestErr>) -> R<Vec<T>> {
+        let mut out = Vec::new();
+        while let Some(v) = s.recv()? {
+            out.push(v);
+        }
+        Ok(out)
     }
 
     /// A two-party meeting point that gives up after `timeout`: `meet`
@@ -1005,103 +687,44 @@ mod tests {
 
     #[test]
     fn saturated_fan_out_never_blocks_the_queue() {
-        // A width-2 scope of 40 jobs holds both of its slots until the
-        // second scope returns, so its other 38 jobs sit denied at the
-        // front of the queue. Every job of the second scope needs a
-        // partner running at the same time, and its caller can run only
-        // one of them: the scope finishes only if a worker takes its jobs
-        // past the denied ones.
-        let pool = WorkerPool::new(4);
-        let started = AtomicUsize::new(0);
-        let second_done = AtomicBool::new(false);
-        let meeting = Rendezvous { state: Mutex::new((0, false)), cond: Condvar::new() };
-        std::thread::scope(|s| {
-            let first = s.spawn(|| {
-                pool.scope_run(2, 40, "saturated", |i| {
-                    started.fetch_add(1, Ordering::SeqCst);
-                    let t0 = std::time::Instant::now();
-                    while !second_done.load(Ordering::SeqCst)
-                        && t0.elapsed() < Duration::from_secs(10)
-                    {
-                        std::thread::sleep(Duration::from_millis(2));
-                    }
-                    R::Ok(i)
-                })
-            });
-            while started.load(Ordering::SeqCst) == 0 {
-                std::thread::yield_now();
+        // A width-2 stream of 40 jobs holds both of its slots until the
+        // second stream is drained, so its other 38 jobs sit denied at the
+        // front of the queue. Every job of the second stream needs a
+        // partner running at the same time: it finishes only if the two
+        // idle workers take its jobs past the denied ones.
+        let pool = own_pool(4);
+        let started = Arc::new(AtomicUsize::new(0));
+        let second_done = Arc::new(AtomicBool::new(false));
+        let (st, done) = (Arc::clone(&started), Arc::clone(&second_done));
+        let first = OrderedStream::spawn_on(pool, 2, 40, 40, "saturated", move |i| {
+            st.fetch_add(1, Ordering::SeqCst);
+            let t0 = std::time::Instant::now();
+            while !done.load(Ordering::SeqCst) && t0.elapsed() < Duration::from_secs(10) {
+                std::thread::sleep(Duration::from_millis(2));
             }
-            let second: R<Vec<usize>> = pool.scope_run(2, 8, "test", |i| {
-                if meeting.meet(Duration::from_secs(5)) {
-                    Ok(i)
-                } else {
-                    Err(TestErr(format!("job {i} found no partner")))
-                }
-            });
-            let first_started = started.load(Ordering::SeqCst);
-            second_done.store(true, Ordering::SeqCst);
-            assert_eq!(second, Ok((0..8).collect::<Vec<_>>()));
-            assert!(first_started < 40, "the saturated scope ran to its end first");
-            assert_eq!(first.join().unwrap(), Ok((0..40).collect::<Vec<_>>()));
+            R::Ok(i)
         });
-    }
-
-    #[test]
-    fn scope_propagates_panics() {
-        let pool = WorkerPool::new(4);
-        let r = catch_unwind(AssertUnwindSafe(|| {
-            let _: Vec<usize> = pool
-                .scope_run(4, 16, "test", |i| {
-                    if i == 5 {
-                        panic!("task exploded");
-                    }
-                    R::Ok(i)
-                })
-                .unwrap();
+        while started.load(Ordering::SeqCst) == 0 {
+            std::thread::yield_now();
+        }
+        let meeting = Arc::new(Rendezvous { state: Mutex::new((0, false)), cond: Condvar::new() });
+        let second = drain(OrderedStream::spawn_on(pool, 2, 8, 8, "test", move |i| {
+            if meeting.meet(Duration::from_secs(5)) {
+                Ok(i)
+            } else {
+                Err(TestErr(format!("job {i} found no partner")))
+            }
         }));
-        let payload = r.expect_err("panic must propagate to the caller");
-        let msg = payload.downcast_ref::<String>().expect("the re-raised payload is a String");
-        assert_eq!(msg, "pool job 'test' panicked: task exploded");
-        // The pool survives a panicking scope.
-        let out: Vec<usize> = pool.scope_run(4, 8, "test", R::Ok).unwrap();
-        assert_eq!(out.len(), 8);
-    }
-
-    #[test]
-    fn nested_scopes_do_not_deadlock() {
-        // Outer tasks occupy every worker; inner scopes can only finish
-        // because blocked callers lend themselves to the pool.
-        let pool = WorkerPool::new(4);
-        let out: Vec<usize> = pool
-            .scope_run(4, 8, "test", |i| {
-                let inner: Vec<usize> = pool.scope_run(4, 8, "test", |j| R::Ok(i * 100 + j))?;
-                R::Ok(inner.into_iter().sum())
-            })
-            .unwrap();
-        let expect: Vec<usize> = (0..8).map(|i| (0..8).map(|j| i * 100 + j).sum()).collect();
-        assert_eq!(out, expect);
-    }
-
-    #[test]
-    fn deeply_nested_scopes_on_a_tiny_pool() {
-        let pool = WorkerPool::new(2);
-        let out: Vec<usize> = pool
-            .scope_run(2, 4, "test", |a| {
-                let mid: Vec<usize> = pool.scope_run(2, 4, "test", |b| {
-                    let leaf: Vec<usize> = pool.scope_run(2, 4, "test", |c| R::Ok(a + b + c))?;
-                    R::Ok(leaf.into_iter().sum())
-                })?;
-                R::Ok(mid.into_iter().sum())
-            })
-            .unwrap();
-        assert_eq!(out.len(), 4);
+        let first_started = started.load(Ordering::SeqCst);
+        second_done.store(true, Ordering::SeqCst);
+        assert_eq!(second, Ok((0..8).collect::<Vec<_>>()));
+        assert!(first_started < 40, "the saturated stream ran to its end first");
+        assert_eq!(drain(first), Ok((0..40).collect::<Vec<_>>()));
     }
 
     #[test]
     fn pool_drop_joins_workers_gracefully() {
         let pool = WorkerPool::new(4);
-        let out: Vec<usize> = pool.scope_run(4, 32, "test", R::Ok).unwrap();
-        assert_eq!(out.len(), 32);
         let stats = pool.stats();
         assert_eq!(stats.workers, 4);
         assert_eq!(stats.threads_spawned_total, 4);
@@ -1110,40 +733,39 @@ mod tests {
 
     #[test]
     fn workers_grow_once_and_never_again() {
-        let pool = WorkerPool::new(0);
-        let _: Vec<usize> = pool.scope_run(4, 16, "test", R::Ok).unwrap();
+        let pool = own_pool(0);
+        drain(OrderedStream::spawn_on(pool, 4, 16, 4, "test", R::Ok)).unwrap();
         assert_eq!(pool.stats().threads_spawned_total, 4);
         for _ in 0..20 {
-            let _: Vec<usize> = pool.scope_run(4, 16, "test", R::Ok).unwrap();
-            let _: Vec<usize> = pool.scope_run(2, 64, "test", R::Ok).unwrap();
+            drain(OrderedStream::spawn_on(pool, 4, 16, 4, "test", R::Ok)).unwrap();
+            drain(OrderedStream::spawn_on(pool, 2, 64, 2, "test", R::Ok)).unwrap();
         }
         assert_eq!(pool.stats().threads_spawned_total, 4, "warm pool must not spawn");
-        let _: Vec<usize> = pool.scope_run(6, 12, "test", R::Ok).unwrap();
+        drain(OrderedStream::spawn_on(pool, 6, 12, 6, "test", R::Ok)).unwrap();
         assert_eq!(pool.stats().threads_spawned_total, 6, "wider fan-out grows the pool once");
     }
 
     #[test]
     fn telemetry_counts_jobs_and_multi_worker_fanout() {
-        let pool = WorkerPool::new(4);
+        let pool = own_pool(4);
         let base = pool.stats();
-        let _: Vec<usize> = pool
-            .scope_run(4, 64, "test", |i| {
-                std::thread::sleep(std::time::Duration::from_micros(50));
-                R::Ok(i)
-            })
-            .unwrap();
+        let out = drain(OrderedStream::spawn_on(pool, 4, 64, 64, "test", |i| {
+            std::thread::sleep(Duration::from_micros(50));
+            R::Ok(i)
+        }))
+        .unwrap();
+        assert_eq!(out.len(), 64);
         let d = pool.stats().since(&base);
-        // Every task body was taken through a counted pop path.
+        // Every task body was taken through the counted pop.
         assert_eq!(d.jobs, 64);
-        // The blocked caller lent itself at least once.
-        assert!(d.lends >= 1);
-        // Seeding 64 jobs left a nonzero queue depth behind.
+        // Submitting 64 jobs left a nonzero queue depth behind.
         assert!(d.queue_depth_hwm >= 1);
-        // Worker jobs + lent jobs account for every job.
-        assert_eq!(d.worker_jobs.iter().sum::<u64>() + d.lent_jobs, d.jobs);
+        // Workers run every job: nothing steals or lends.
+        assert_eq!(d.worker_jobs.iter().sum::<u64>(), d.jobs);
+        assert_eq!((d.steals, d.lent_jobs), (0, 0));
         // A warm-pool fan-out must actually spread across workers —
         // relaxed on single-core machines, where the OS may legitimately
-        // run the whole scope on whichever thread it wakes first.
+        // run the whole stream on whichever worker it wakes first.
         let cores = std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1);
         if cores > 1 {
             let active = d.worker_jobs.iter().filter(|&&j| j > 0).count();
@@ -1157,68 +779,24 @@ mod tests {
 
     #[test]
     fn fan_out_width_bounds_concurrency_on_a_wider_pool() {
-        // 6 idle workers, width-2 fan-out: the claim gate must keep the
-        // idle workers from running the scope wider than asked.
-        let pool = WorkerPool::new(6);
-        let active = AtomicUsize::new(0);
-        let high = AtomicUsize::new(0);
-        let _: Vec<usize> = pool
-            .scope_run(2, 48, "test", |i| {
-                let now = active.fetch_add(1, Ordering::SeqCst) + 1;
-                high.fetch_max(now, Ordering::SeqCst);
-                std::thread::sleep(std::time::Duration::from_micros(200));
-                active.fetch_sub(1, Ordering::SeqCst);
-                R::Ok(i)
-            })
-            .unwrap();
-        assert!(
-            high.load(Ordering::SeqCst) <= 2,
-            "width-2 scope ran {} bodies concurrently",
-            high.load(Ordering::SeqCst)
-        );
-    }
-
-    #[test]
-    fn stream_width_bounds_concurrency_on_a_wider_pool() {
-        // The shared pool may be warmed wide by other tests; a threads-2
-        // stream must still run at most 2 bodies at once (its submission
+        // 6 idle workers, a threads-2 stream: the claim gate must keep the
+        // idle workers from running it wider than asked (its submission
         // window of `cap` jobs does not widen execution).
-        WorkerPool::shared().ensure_workers(6);
+        let pool = own_pool(6);
         let active = Arc::new(AtomicUsize::new(0));
         let high = Arc::new(AtomicUsize::new(0));
         let (a, h) = (Arc::clone(&active), Arc::clone(&high));
-        let mut s: OrderedStream<usize, TestErr> =
-            OrderedStream::spawn(2, 40, 8, "test", move |i| {
-                let now = a.fetch_add(1, Ordering::SeqCst) + 1;
-                h.fetch_max(now, Ordering::SeqCst);
-                std::thread::sleep(std::time::Duration::from_micros(200));
-                a.fetch_sub(1, Ordering::SeqCst);
-                Ok(i)
-            });
-        let mut n = 0;
-        while s.recv().unwrap().is_some() {
-            n += 1;
-        }
-        assert_eq!(n, 40);
-        assert!(
-            high.load(Ordering::SeqCst) <= 2,
-            "threads-2 stream ran {} bodies concurrently",
-            high.load(Ordering::SeqCst)
-        );
-    }
-
-    #[test]
-    fn borrowed_captures_survive_the_scope() {
-        // Tasks borrow a caller-stack buffer; the completion counter must
-        // keep scope_run blocked until the last borrow ended.
-        let pool = WorkerPool::new(4);
-        let data: Vec<u64> = (0..10_000).collect();
-        let chunks = 16;
-        let per = data.len() / chunks;
-        let sums: Vec<u64> = pool
-            .scope_run(4, chunks, "test", |i| R::Ok(data[i * per..(i + 1) * per].iter().sum()))
-            .unwrap();
-        assert_eq!(sums.iter().sum::<u64>(), data.iter().sum::<u64>());
+        let out = drain(OrderedStream::spawn_on(pool, 2, 48, 8, "test", move |i| {
+            let now = a.fetch_add(1, Ordering::SeqCst) + 1;
+            h.fetch_max(now, Ordering::SeqCst);
+            std::thread::sleep(Duration::from_micros(200));
+            a.fetch_sub(1, Ordering::SeqCst);
+            R::Ok(i)
+        }))
+        .unwrap();
+        assert_eq!(out.len(), 48);
+        let high = high.load(Ordering::SeqCst);
+        assert!(high <= 2, "threads-2 stream ran {high} bodies concurrently");
     }
 
     #[test]
@@ -1321,39 +899,6 @@ mod tests {
                 "round {round}: every produced payload must drop before the stream's Drop returns"
             );
         }
-    }
-
-    #[test]
-    fn scope_inside_stream_consumer_does_not_deadlock() {
-        // The nested shape a streaming scan + HashJoin produce: a streaming
-        // fan-out is live while its consumer issues blocking fan-outs.
-        let mut s: OrderedStream<usize, TestErr> = OrderedStream::spawn(4, 30, 8, "test", Ok);
-        let pool = WorkerPool::shared();
-        let mut total = 0usize;
-        while let Some(v) = s.recv().unwrap() {
-            let part: Vec<usize> = pool.scope_run(4, 6, "test", |j| R::Ok(v * 10 + j)).unwrap();
-            total += part.into_iter().sum::<usize>();
-        }
-        let expect: usize = (0..30).map(|v| (0..6).map(|j| v * 10 + j).sum::<usize>()).sum();
-        assert_eq!(total, expect);
-    }
-
-    #[test]
-    fn labeled_scope_panic_names_the_fanout_site() {
-        let pool = WorkerPool::new(4);
-        let r = catch_unwind(AssertUnwindSafe(|| {
-            let _: Vec<usize> = pool
-                .scope_run(4, 16, "agg-partial", |i| {
-                    if i == 3 {
-                        panic!("index died");
-                    }
-                    R::Ok(i)
-                })
-                .unwrap();
-        }));
-        let payload = r.expect_err("panic must propagate");
-        let msg = payload.downcast_ref::<String>().expect("labeled payload is a String");
-        assert_eq!(msg, "pool job 'agg-partial' panicked: index died");
     }
 
     #[test]

@@ -38,6 +38,8 @@
 //! Tables are immutable once built (BDCC re-organizes on bulk-load), which
 //! keeps the storage layer simple and lock-free on the read path.
 
+#![forbid(unsafe_code)]
+
 pub mod block;
 pub mod column;
 pub mod encode;

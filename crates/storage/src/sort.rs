@@ -80,7 +80,7 @@ pub fn sort_permutation_multi(keys: &[&[i64]]) -> Vec<usize> {
 }
 
 /// Gather each (borrowed) column through `perm`, producing re-ordered
-/// columns; each column is one task on the shared worker pool.
+/// columns; each column is one task of set-up's scoped fan-out.
 pub fn apply_permutation<'a>(
     columns: impl IntoIterator<Item = &'a Column>,
     perm: &[usize],

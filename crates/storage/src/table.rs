@@ -1,18 +1,15 @@
 //! Stored tables: named, typed column collections with block statistics.
 //!
 //! [`StoredTable::from_columns`] builds each column's MinMax stats and
-//! encodings as one task on the shared [`WorkerPool`], as the bulk load's
-//! gathers ([`crate::apply_permutation`]) do: one fan-out for generation,
-//! the PK build and the BDCC build, where it nests in a per-table task
-//! (the pool's thread lending keeps that deadlock-free). Its width is
-//! `available_parallelism()`, as for schema design's per-table fan-out: a
-//! build is set-up that owns the machine, not a query sharing it, and the
-//! built bytes do not depend on the width, so there is nothing to tune.
+//! encodings as one task of set-up's scoped fan-out ([`bdcc_pool::scoped`]),
+//! as the bulk load's gathers ([`crate::apply_permutation`]) do: one
+//! fan-out for generation, the PK build and the BDCC build, where it nests
+//! in schema design's per-table task. A build is set-up that owns the
+//! machine, not a query sharing it, and the built bytes do not depend on
+//! the width, so there is nothing to tune.
 
 use std::collections::HashMap;
 use std::sync::Arc;
-
-use bdcc_pool::WorkerPool;
 
 use crate::block::{ColumnBlockStats, DEFAULT_BLOCK_ROWS};
 use crate::column::Column;
@@ -283,17 +280,14 @@ impl TableBuilder {
     }
 }
 
-/// `task(0..ncols)` on the shared pool at the machine's width, results in
-/// column order (see the module docs for why the width is not a knob).
+/// `task(0..ncols)` on set-up's scoped fan-out, results in column order.
 pub(crate) fn per_column<T, F>(ncols: usize, label: &'static str, task: F) -> Vec<T>
 where
     T: Send,
     F: Fn(usize) -> T + Sync,
 {
-    let width = std::thread::available_parallelism().map_or(1, |n| n.get());
-    WorkerPool::shared()
-        .scope_run(width, ncols, label, |i| Ok::<_, bdcc_pool::PoolFailure>(task(i)))
-        .expect("an infallible column task has no error to return")
+    bdcc_pool::scoped(ncols, label, |i| Ok::<_, std::convert::Infallible>(task(i)))
+        .unwrap_or_else(|never| match never {})
 }
 
 #[cfg(test)]

@@ -15,6 +15,8 @@
 //! * [`queries`] — all 22 TPC-H queries hand-lowered to the logical plan
 //!   algebra of `bdcc-exec`, with the standard validation parameters.
 
+#![forbid(unsafe_code)]
+
 pub mod ddl;
 pub mod gen;
 pub mod queries;

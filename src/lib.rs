@@ -31,6 +31,8 @@
 //! assert_eq!(result.rows(), 1);
 //! ```
 
+#![forbid(unsafe_code)]
+
 pub use bdcc_catalog as catalog;
 pub use bdcc_core as core;
 pub use bdcc_exec as exec;

@@ -67,18 +67,37 @@ fi
     );
 }
 
-/// One thread pool for set-up: generation, the PK build and the BDCC
-/// build fan out only on WorkerPool::shared() — one table per job in
-/// schema design, one column per job in every table build and gather —
-/// at the machine's width. A thread of their own in the storage, core,
-/// catalog or TPC-H crates fails here.
+/// One source of set-up threads: generation, the PK build and the BDCC
+/// build take their threads only from bdcc-pool's scoped fan-out
+/// (bdcc_pool::scoped) — one table per task in schema design, one column
+/// per task in every table build and gather — at the machine's width. A
+/// thread of their own in the storage, core, catalog or TPC-H crates
+/// fails here.
 #[test]
 fn one_thread_pool_for_set_up() {
     lint(
         r##"
 if grep -rnE "thread::(spawn|scope|Builder)" crates/storage/src crates/core/src \
       crates/catalog/src crates/tpch/src; then
-  echo "set-up fans out on bdcc_pool::WorkerPool::shared() only (see above)" >&2
+  echo "set-up threads come only from bdcc_pool::scoped, bdcc-pool's scoped fan-out (see above)" >&2
+  exit 1
+fi
+"##,
+    );
+}
+
+/// One fan-out shape per job: set-up runs on bdcc_pool::scoped (scoped
+/// threads), a query on OrderedStream (the worker pool). The blocking pool
+/// fan-out, its type-erased scope core and its thread lending coming back
+/// to the pool, or set-up reaching for the worker pool, fails here.
+/// (The brackets keep this file out of its own search pattern.)
+#[test]
+fn one_pool_fan_out_shape() {
+    lint(
+        r##"
+if grep -rnE "fn scope_[r]un|Scope[C]ore|fn pop_[l]ent|fn drain_[s]cope" crates/pool/src \
+    || grep -rn "Worker[P]ool" crates/storage/src crates/core/src; then
+  echo "a second pool fan-out shape is back, or set-up uses the worker pool (see above); set-up fans out on bdcc_pool::scoped" >&2
   exit 1
 fi
 "##,
@@ -278,8 +297,8 @@ fi
 }
 
 /// One pool queue: the worker pool keeps one FIFO job queue with
-/// claim gates and lending, one labeled entry point per fan-out shape
-/// (scope_run, OrderedStream::spawn), and the executor calls it
+/// claim gates, one labeled entry point (OrderedStream::spawn), and the
+/// executor calls it
 /// directly. Per-worker deques, their round-robin seeding, unlabeled
 /// twins or an executor fan-out façade coming back fails here.
 /// (The brackets keep this file out of its own search pattern.)

@@ -16,7 +16,8 @@ use proptest::prelude::*;
 
 use bdcc::exec::batch::{Batch, ColMeta, OpSchema};
 use bdcc::exec::ops::join::{HashJoin, JoinType, MATCHED_COLUMN};
-use bdcc::exec::ops::{collect, OpEnv, Operator};
+use bdcc::exec::ops::merge_join::MergeJoin;
+use bdcc::exec::ops::{collect, BoxedOp, OpEnv, Operator};
 use bdcc::exec::{
     canonical_rows, CancelToken, ExecError, Expr, Governor, JoinIndex, MemoryTracker, Needed,
     OpMetrics, SpillMode,
@@ -251,7 +252,7 @@ impl Case {
 /// `live_spill_files` is process-wide: one spilling case at a time.
 static SPILLS: std::sync::Mutex<()> = std::sync::Mutex::new(());
 
-fn batches(mut op: HashJoin) -> Vec<Batch> {
+fn batches(mut op: BoxedOp) -> Vec<Batch> {
     std::iter::from_fn(|| op.next().unwrap()).collect()
 }
 
@@ -269,7 +270,7 @@ fn check_case(case: &Case, jt: JoinType) -> String {
     let tracker = MemoryTracker::new();
     let env =
         OpEnv { metrics: Some(metrics.clone()), ..OpEnv::new(IoTracker::new(), tracker.clone()) };
-    let got = batches(case.join(jt, env));
+    let got = batches(Box::new(case.join(jt, env)));
     assert_eq!(got, want, "{jt:?} in memory {case:?}");
     assert_eq!(tracker.current(), 0, "{jt:?} {case:?}: dropped join must release its bytes");
     let (forced, tracker) = (OpMetrics::new(), MemoryTracker::new());
@@ -280,7 +281,7 @@ fn check_case(case: &Case, jt: JoinType) -> String {
         governor,
         ..OpEnv::new(IoTracker::new(), tracker.clone())
     };
-    let spilled = batches(case.join(jt, env));
+    let spilled = batches(Box::new(case.join(jt, env)));
     assert_eq!(spilled, want, "{jt:?} forced spill {case:?}");
     // (An empty right side never sees a batch to spill.)
     let spill_mode = (!case.right.is_empty()).then_some("build-broker");
@@ -531,7 +532,7 @@ fn check_grouped(case: &GroupedCase) {
                 },
             )
             .unwrap();
-            let out = batches(join);
+            let out = batches(Box::new(join));
             let mut got = Vec::new();
             for b in &out {
                 let cols: Vec<&[i64]> = b.columns.iter().map(|c| c.as_i64().unwrap()).collect();
@@ -639,12 +640,14 @@ proptest! {
 // (module docs of `ops::join`), and its build holds only what it reads.
 
 /// How a pruning case runs: in memory, grouped on column 1 of each side
-/// (the sandwich join), or forced out of core.
+/// (the sandwich join), forced out of core, or as a merge join over inputs
+/// ordered on the key (inner, without a residual).
 #[derive(Debug, Clone, Copy, PartialEq)]
 enum Path {
     Flat,
     Sandwich,
     Forced,
+    Merge,
 }
 
 /// `left ⋈ right` on `lk = rk` along `path`, emitting what `emit` names,
@@ -655,8 +658,19 @@ fn pruning_join(
     jt: JoinType,
     residual: Option<&Expr>,
     emit: &Needed,
-) -> (HashJoin, std::sync::Arc<MemoryTracker>) {
+) -> (BoxedOp, std::sync::Arc<MemoryTracker>) {
     let tracker = MemoryTracker::new();
+    if path == Path::Merge {
+        assert!(jt == JoinType::Inner && residual.is_none(), "a merge join is inner, unfiltered");
+        let by_key = |rows: &[Row]| {
+            let mut rows = rows.to_vec();
+            rows.sort_by_key(|r| r.0);
+            rows
+        };
+        let (l, r) = (Wide::new("l", &by_key(left), 7), Wide::new("r", &by_key(right), 5));
+        let join = MergeJoin::new(Box::new(l), Box::new(r), ("lk", "rk"), emit).unwrap();
+        return (Box::new(join), tracker);
+    }
     let mut governor = Governor::none();
     if path == Path::Forced {
         governor.set_spill(SpillMode::Force);
@@ -673,16 +687,17 @@ fn pruning_join(
         env,
     )
     .unwrap();
-    (join, tracker)
+    (Box::new(join), tracker)
 }
 
-/// Every join type along every path, with no residual, one over both
-/// sides and one over the build side alone, emitting each subset of its
-/// full output's columns: the output is the full join's restricted to that
-/// subset (and `__matched`), batch for batch and bit for bit — or, when the
-/// subset is empty, to the first left column, which keeps the rows counted.
-/// In memory, the build tracks exactly its kept payload (the emitted build
-/// columns and those the residual reads) plus its index.
+/// Every join type along every hash path, with no residual, one over both
+/// sides and one over the build side alone, and the merge join, emitting
+/// each subset of its full output's columns: the output is the full
+/// join's restricted to that subset (and `__matched`), batch for batch and
+/// bit for bit — or, when the subset is empty, to the first left column,
+/// which keeps the rows counted. In memory, a hash join's build tracks
+/// exactly its kept payload (the emitted build columns and those the
+/// residual reads) plus its index.
 #[test]
 fn a_join_emits_exactly_the_columns_read_above() {
     let mut left = rows(60, 9, 1);
@@ -692,9 +707,13 @@ fn a_join_emits_exactly_the_columns_read_above() {
     let residuals =
         [None, Some(Expr::col("lv").le(Expr::col("rv"))), Some(Expr::col("rv").ge(Expr::lit(9)))];
     let _spills = SPILLS.lock().unwrap_or_else(|e| e.into_inner());
-    for path in [Path::Flat, Path::Sandwich, Path::Forced] {
-        for jt in ALL_TYPES {
-            for residual in &residuals {
+    for path in [Path::Flat, Path::Sandwich, Path::Forced, Path::Merge] {
+        let (types, residuals) = match path {
+            Path::Merge => (&[JoinType::Inner][..], &residuals[..1]),
+            _ => (&ALL_TYPES[..], &residuals[..]),
+        };
+        for &jt in types {
+            for residual in residuals {
                 let at = |emit: &Needed| format!("{path:?} {jt:?} {residual:?} {emit:?}");
                 let (full, _) =
                     pruning_join((&left, &right), path, jt, residual.as_ref(), &Needed::default());
@@ -723,7 +742,7 @@ fn a_join_emits_exactly_the_columns_read_above() {
                         .collect();
                     assert_eq!(batches(join), want, "{}", at(&emit));
                     assert_eq!(tracker.current(), 0, "{}", at(&emit));
-                    if path == Path::Forced {
+                    if matches!(path, Path::Forced | Path::Merge) {
                         continue;
                     }
                     // The build payload: the emitted right columns, then

@@ -31,15 +31,16 @@ fn schemes() -> (f64, Vec<Arc<SchemeDb>>) {
 /// Pin 4 workers and tiny morsels regardless of the CI matrix env: the
 /// point is the nested shape, which needs real fan-outs.
 fn nested_cfg(morsel_rows: usize) -> ParallelConfig {
-    ParallelConfig { threads: 4, morsel_rows }
+    ParallelConfig { threads: WIDEST, morsel_rows }
 }
 
-/// Grow the shared pool to this binary's widest fan-out, 4, or to the
-/// set-up width on a wider machine: tests building schemes meanwhile fan
-/// each table's columns out at `available_parallelism()`.
-fn warm_to_setup_width() {
-    let setup = std::thread::available_parallelism().map_or(1, |n| n.get());
-    WorkerPool::shared().ensure_workers(setup.max(4));
+/// This binary's widest query fan-out. Set-up runs on scoped threads, so
+/// no test here grows the shared pool past it.
+const WIDEST: usize = 4;
+
+/// Grow the shared pool to [`WIDEST`], whichever test warmed it first.
+fn warm_to_widest_fan_out() {
+    WorkerPool::shared().ensure_workers(WIDEST);
 }
 
 #[test]
@@ -76,15 +77,13 @@ fn nested_fan_outs_inside_streaming_scans_complete_and_match_serial() {
 fn no_os_thread_is_created_after_warmup_across_queries() {
     let (sf, sdbs) = schemes();
     // Warm-up: one parallel query at the widest width this test uses.
-    // (Scheme construction itself already fanned out on the same pool —
-    // BDCC clustering runs there too.)
     let q3 = all_queries().into_iter().find(|q| q.id == 3).expect("q3");
     let warm_ctx =
         QueryCtx::new(QueryContext::with_parallel(Arc::clone(&sdbs[0]), nested_cfg(256)), sf);
     (q3.run)(&warm_ctx).expect("warm-up query");
-    warm_to_setup_width();
+    warm_to_widest_fan_out();
     let warm = WorkerPool::shared().stats().threads_spawned_total;
-    assert!(warm >= 4, "warm-up must have populated the pool (spawned {warm})");
+    assert_eq!(warm, WIDEST, "the pool grows to the widest fan-out and no further");
 
     // Multi-query run: several queries × all schemes × several configs,
     // none wider than the warm-up. Every fan-out — streaming scans and
@@ -134,8 +133,9 @@ fn cancel_and_drop_mid_stream_release_all_memory_without_new_threads() {
     let mut op = plan_query(&warm_ctx, &nested_plan()).expect("plan");
     while op.next().expect("warm-up").is_some() {}
     drop(op);
-    warm_to_setup_width();
+    warm_to_widest_fan_out();
     let spawned = WorkerPool::shared().stats().threads_spawned_total;
+    assert_eq!(spawned, WIDEST, "the pool grows to the widest fan-out and no further");
 
     // (a) Drop mid-stream: pull one batch, then drop the whole operator
     // tree while scan producers still hold in-flight morsels. The PR 5

@@ -90,14 +90,13 @@ fn cancel_mid_run_releases_memory_and_spawns_no_threads() {
         ServerConfig { max_concurrent: 2, parallel: parallel_cfg(), ..ServerConfig::default() },
     );
     // Warm-up through the server so the pool is at width before the
-    // spawn-counter baseline is taken — at the set-up width if the machine
-    // is wider, since other tests' scheme builds fan out at
-    // `available_parallelism()` meanwhile.
+    // spawn-counter baseline is taken: 4, this binary's widest fan-out
+    // (`parallel_cfg`), which another test may have reached first.
     let warm = query(3).run;
     server.submit(move |qc| warm(&QueryCtx::new(qc.clone(), sf))).unwrap().wait().unwrap();
-    let setup = std::thread::available_parallelism().map_or(1, |n| n.get());
-    WorkerPool::shared().ensure_workers(setup.max(4));
+    WorkerPool::shared().ensure_workers(4);
     let spawned_before = WorkerPool::shared().stats().threads_spawned_total;
+    assert_eq!(spawned_before, 4, "the pool grows to the widest fan-out and no further");
 
     // The job reruns a join-heavy query until a governance checkpoint
     // trips — guaranteed to be *mid-execution* when cancel() lands.
