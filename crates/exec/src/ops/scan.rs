@@ -38,11 +38,11 @@
 //!
 //! A [`Scan`] walks a range of its runs on the calling thread and polls the
 //! query's governor before every batch. It knows nothing of width: the
-//! executor's one fan-out ([`crate::parallel`]) runs one `Scan` per morsel —
-//! a range of runs ([`Morsel`]) — on the shared pool and releases their
-//! batches in run order, and [`parallel::leaf_scan`](crate::parallel::leaf_scan)
-//! decides between the two. A batch never crosses a run and a morsel never
-//! splits one, so both walks emit the same batch stream.
+//! planner walks every leaf over all its runs, except inside a leaf
+//! aggregate's fan-out ([`crate::parallel`]), which runs one `Scan` per
+//! morsel — a range of runs ([`Morsel`]) — on the shared pool. A batch never
+//! crosses a run and a morsel never splits one, so the morsel walks,
+//! concatenated in order, emit the inline walk's batch stream.
 
 use std::sync::Arc;
 
@@ -355,7 +355,6 @@ mod tests {
     use crate::expr::Expr;
     use crate::memory::MemoryTracker;
     use crate::ops::collect;
-    use crate::parallel::{leaf_scan, ParallelConfig};
     use bdcc_storage::{Datum, TableBuilder};
     use proptest::prelude::*;
 
@@ -664,10 +663,14 @@ mod tests {
         assert_eq!(t.rows(), 1);
     }
 
-    /// Every batch of the leaf over `blueprint` at width `cfg`, in order.
-    fn batches_at(blueprint: &Arc<ScanBlueprint>, cfg: &ParallelConfig) -> Vec<Batch> {
-        let mut scan = leaf_scan(Arc::clone(blueprint), cfg, env(&IoTracker::new()));
-        std::iter::from_fn(|| scan.next().unwrap()).collect()
+    /// Every batch of the scan over `blueprint`, walked one morsel of
+    /// `morsel_rows` at a time, in order.
+    fn batches_at(blueprint: &Arc<ScanBlueprint>, morsel_rows: usize) -> Vec<Batch> {
+        let walk = |m: Morsel| {
+            let mut scan = Scan::over(Arc::clone(blueprint), env(&IoTracker::new()), m);
+            std::iter::from_fn(move || scan.next().unwrap())
+        };
+        blueprint.morsels(morsel_rows).into_iter().flat_map(walk).collect()
     }
 
     // --- survivors: copied by range or gathered -----------------------------
@@ -740,13 +743,13 @@ mod tests {
             let bp =
                 ScanBlueprint::new(Arc::clone(&t), &["v", "f", "s"], vec![pred.clone()], &[], runs)
                     .unwrap();
-            // Inline, and streamed in morsels whose edges cut the blocks.
-            for cfg in [
-                ParallelConfig { threads: 1, morsel_rows: 64 },
-                ParallelConfig { threads: 2, morsel_rows: 20 },
-            ] {
-                let got = concat(batches_at(&bp, &cfg));
-                assert_eq!(got, want, "{pred:?}, runs of {run_rows} rows at {cfg:?}");
+            // Inline, and walked in morsels whose edges cut the blocks.
+            for morsel_rows in [n, 20] {
+                let got = concat(batches_at(&bp, morsel_rows));
+                assert_eq!(
+                    got, want,
+                    "{pred:?}, runs of {run_rows} rows, {morsel_rows}-row morsels"
+                );
             }
         }
     }

@@ -13,8 +13,9 @@
 //! unit of the paper's storage layout), or the MinMax blocks of a
 //! Plain / PK table — emits at most one batch per run and never lets a
 //! batch cross one. A scan **morsel** is a contiguous range of run indices
-//! ([`morsel::split_runs`]: whole runs, coalesced up to the row budget), so
-//! morsel boundaries are batch boundaries of the inline walk.
+//! ([`morsel::split_runs`]: whole runs, coalesced up to the row budget,
+//! never cut inside a co-cluster — adjacent runs with equal group keys),
+//! so morsel boundaries are batch boundaries of the inline walk.
 //!
 //! ## The one fan-out
 //!
@@ -28,63 +29,59 @@
 //! buffer ([`pool::OrderedStream`], two morsels per thread). A morsel's
 //! storage reads are logged on a deferred I/O tracker and booked as its
 //! value is released, so I/O counts do not depend on how workers
-//! interleave. Its one
-//! worker body polls the governor once per morsel and books the morsel
-//! metrics; the site label (`scan-morsel`, `agg-partial`) names the fan-out
-//! in both. Two operators fold with it:
+//! interleave. Its one worker body polls the governor once per morsel and
+//! books the morsel metrics; the site label (`agg-partial`,
+//! `agg-co-cluster`) names the fan-out in both. What fans out is an
+//! aggregate directly over a leaf fragment, never a leaf on its own:
 //!
-//! * the **streamed leaf** ([`leaf_scan`]) folds a morsel into its batches
-//!   and hands them downstream in run order, so operators above consume
-//!   while workers are still scanning and peak memory stays
-//!   O(threads × morsel) instead of O(table);
-//! * [`ParallelAggregate`] folds a morsel into a [`PartialAgg`] and merges
-//!   the partials in morsel order as they arrive.
+//! * [`ParallelAggregate`] (a hash aggregate) folds a morsel into a
+//!   [`PartialAgg`] and merges the partials in morsel order as they arrive;
+//! * [`CoClusterAggregate`] (a sandwich aggregate, ref \[3\]) folds a
+//!   morsel — whole co-clusters — into a `PartialAgg` and finishes it on
+//!   the worker; the consumer hands the finished groups on in morsel order
+//!   with no merge, holding O(threads × morsel output).
 //!
-//! [`leaf_scan`] is also where inline or streamed is decided
-//! (`ParallelConfig::split`): wider than one thread and more than one
-//! morsel streams, everything else walks its runs on the calling thread.
-//! Everything above a leaf — join builds and probes, sorts, every other
-//! aggregate — runs on the calling thread, as at width 1.
+//! Whether an aggregate fans out is `ParallelConfig::split`: wider than one
+//! thread and more than one morsel. Every scan anywhere else — under a
+//! join, under a streaming aggregate, at the root — walks its runs on the
+//! calling thread, as does everything above a leaf aggregate: join builds
+//! and probes, sorts, every other aggregate.
 //!
 //! ## Merge contracts
 //!
-//! Partial results are merged **in morsel order**, never in completion
-//! order:
+//! Results are released **in morsel order**, never in completion order:
 //!
-//! * leaf streams concatenate ordered, reproducing the inline walk's batch
-//!   stream *exactly* — every downstream serial operator therefore behaves
-//!   identically to serial execution;
 //! * partial hash-aggregation states fold left-to-right
 //!   ([`ParallelAggregate`]), reproducing the serial first-seen group
 //!   order and exact integer aggregates; float Sum/Avg use
 //!   Neumaier-compensated accumulation on both the serial and parallel
 //!   paths, so both land within ~1 ulp of the true sum and agree after
-//!   [`canonical_rows`](crate::run::canonical_rows) rounding.
+//!   [`canonical_rows`](crate::run::canonical_rows) rounding;
+//! * finished co-clusters concatenate ([`CoClusterAggregate`]): the
+//!   group-by determines the co-cluster, so no group spans two morsels,
+//!   and each group folds the same rows in the same order as the serial
+//!   per-co-cluster flush — the rows, their order and every sum are the
+//!   serial ones, bit for bit.
 //!
 //! The result: for every plan, parallel execution returns results
 //! identical to serial execution (verified for all 22 TPC-H queries under
 //! all three schemes by `tests/parallel_equivalence.rs`).
 //!
-//! Per-morsel partials have nothing to shed, so when the query spills
-//! ([`Governor::spills`](crate::govern::Governor::spills)) the planner
-//! builds no [`ParallelAggregate`]: the serial
-//! [`HashAggregate`](crate::ops::agg::HashAggregate) above the streamed
-//! leaf is the aggregate that spills.
+//! Per-morsel results have nothing to shed, so when the query spills
+//! ([`Governor::spills`](crate::govern::Governor::spills)) nothing fans
+//! out: the serial [`HashAggregate`](crate::ops::agg::HashAggregate) over
+//! an inline leaf is the aggregate that spills.
 //!
 //! ## Opting in
 //!
 //! Width is a value: every [`QueryContext`] carries a [`ParallelConfig`],
 //! and `threads: 1` — what [`QueryContext::new`] installs — is serial
 //! execution (the context clamps `threads: 0` to it).
-//! [`QueryContext::with_parallel`] installs a wider one; every leaf then
-//! streams when it makes more than one morsel, and the planner swaps those
-//! leaves' eligible aggregates for [`ParallelAggregate`] when the query
-//! does not spill. The rest of the operator tree is the serial one.
-//! Nothing in the environment changes what a given [`ParallelConfig`]
-//! does. One thing beside it does: under a memory budget the query spills
-//! under, the planner caps `morsel_rows` by the budget (`query_width` in
-//! `planner.rs`, where it reads the width), so the streaming scans'
-//! buffers, which cannot spill, shrink with the budget.
+//! [`QueryContext::with_parallel`] installs a wider one; the planner then
+//! swaps each eligible leaf aggregate whose scan makes more than one morsel
+//! for its fan-out when the query does not spill. The rest of the operator
+//! tree is the serial one. Nothing in the environment or in the query's
+//! limits changes what a given [`ParallelConfig`] does.
 //!
 //! [`QueryContext`]: crate::planner::QueryContext
 //! [`QueryContext::new`]: crate::planner::QueryContext::new
@@ -142,10 +139,9 @@ impl ParallelConfig {
         ParallelConfig { threads: threads.max(1), morsel_rows: DEFAULT_MORSEL_ROWS }
     }
 
-    /// The morsels a fan-out over `scan` runs, or `None` when the scan is
-    /// walked inline: at one thread, or when its runs make one morsel. The
-    /// one inline-or-streamed decision, for leaf scans and leaf aggregates
-    /// alike.
+    /// The morsels a leaf aggregate's fan-out over `scan` runs, or `None`
+    /// when the aggregate runs serially over its scan walked inline: at one
+    /// thread, or when the runs make one morsel.
     pub(crate) fn split(&self, scan: &ScanBlueprint) -> Option<Vec<Morsel>> {
         if self.threads <= 1 {
             return None;
@@ -166,6 +162,7 @@ impl Default for ParallelConfig {
 
 /// A serial operator step applied on top of a leaf scan inside a parallel
 /// fragment (each worker replays the steps over its morsel's stream).
+#[derive(Clone)]
 pub enum FragmentStep {
     Filter(Expr),
     Project(Vec<(Expr, String)>),
@@ -198,41 +195,55 @@ impl FragmentBlueprint {
 
 /// What a worker folds one morsel's batches into.
 pub(crate) trait MorselFold: Clone + Send + Sync + 'static {
+    /// What the consumer receives for a morsel.
+    type Done: Send + 'static;
     fn fold(&mut self, batch: Batch) -> Result<()>;
-    /// The bytes the folded value holds, charged while it is in flight.
-    fn estimated_bytes(&self) -> u64;
-}
-
-impl MorselFold for Vec<Batch> {
-    fn fold(&mut self, batch: Batch) -> Result<()> {
-        self.push(batch);
-        Ok(())
-    }
-
-    fn estimated_bytes(&self) -> u64 {
-        self.iter().map(Batch::estimated_bytes).sum()
-    }
+    /// The morsel's value once its last batch is folded, and the bytes it
+    /// holds, charged while it is in flight.
+    fn done(self) -> (Self::Done, u64);
 }
 
 impl MorselFold for PartialAgg {
+    type Done = PartialAgg;
+
     fn fold(&mut self, batch: Batch) -> Result<()> {
         self.consume(&batch)
     }
 
-    fn estimated_bytes(&self) -> u64 {
-        PartialAgg::estimated_bytes(self)
+    fn done(self) -> (PartialAgg, u64) {
+        let bytes = self.estimated_bytes();
+        (self, bytes)
+    }
+}
+
+/// A sandwich aggregate's morsel: whole co-clusters, so its groups are
+/// final once its last batch is folded.
+#[derive(Clone)]
+pub(crate) struct CoClusters(PartialAgg);
+
+impl MorselFold for CoClusters {
+    type Done = Batch;
+
+    fn fold(&mut self, batch: Batch) -> Result<()> {
+        self.0.consume(&batch)
+    }
+
+    fn done(mut self) -> (Batch, u64) {
+        let out = self.0.finish();
+        let bytes = out.estimated_bytes();
+        (out, bytes)
     }
 }
 
 /// The executor's one fan-out (see the [module docs](self)): each pool task
 /// builds the fragment over one morsel and folds its batches into a copy of
-/// `empty`; [`recv`](Self::recv) returns the folded values in morsel order,
-/// each with the registration on `env.tracker` that keeps it charged until
-/// the consumer drops it. Workers book block skips, morsel counts and
+/// `empty`, then finishes it ([`MorselFold::done`]); [`recv`](Self::recv)
+/// returns the finished values in morsel order, each with the registration
+/// on `env.tracker` that keeps it charged until the consumer drops it. Workers book block skips, morsel counts and
 /// latencies on `env.metrics`, the consumer the reorder buffer's occupancy,
 /// and `env.governor` is polled once per morsel, so cancellation stops a
 /// fan-out within one morsel. Nothing runs before the first `recv`.
-pub(crate) struct FanOut<T> {
+pub(crate) struct FanOut<T: MorselFold> {
     fragment: Arc<FragmentBlueprint>,
     morsels: Vec<Morsel>,
     empty: T,
@@ -240,8 +251,12 @@ pub(crate) struct FanOut<T> {
     threads: usize,
     /// Names the fan-out in governor checkpoints and worker panics.
     site: &'static str,
-    stream: Option<pool::OrderedStream<(T, MemoryGuard, IoTracker), ExecError>>,
+    stream: Option<pool::OrderedStream<Released<T>, ExecError>>,
 }
+
+/// A finished morsel as its worker hands it over: the value, its
+/// registration, and its deferred storage reads.
+type Released<T> = (<T as MorselFold>::Done, MemoryGuard, IoTracker);
 
 impl<T: MorselFold> FanOut<T> {
     pub(crate) fn new(
@@ -256,7 +271,7 @@ impl<T: MorselFold> FanOut<T> {
     }
 
     /// The next morsel's value in morsel order, `None` after the last.
-    pub(crate) fn recv(&mut self) -> Result<Option<(T, MemoryGuard)>> {
+    pub(crate) fn recv(&mut self) -> Result<Option<(T::Done, MemoryGuard)>> {
         if self.stream.is_none() {
             self.stream = Some(self.spawn());
         }
@@ -270,7 +285,7 @@ impl<T: MorselFold> FanOut<T> {
         }))
     }
 
-    fn spawn(&mut self) -> pool::OrderedStream<(T, MemoryGuard, IoTracker), ExecError> {
+    fn spawn(&mut self) -> pool::OrderedStream<Released<T>, ExecError> {
         let (fragment, morsels) = (Arc::clone(&self.fragment), std::mem::take(&mut self.morsels));
         let (empty, env, site) = (self.empty.clone(), self.env.clone(), self.site);
         let window = self.threads * WINDOW_PER_THREAD;
@@ -290,54 +305,9 @@ impl<T: MorselFold> FanOut<T> {
                 m.morsel_rows.add(rows);
                 m.morsel_nanos.record(span.elapsed_nanos());
             }
-            let bytes = out.estimated_bytes();
+            let (out, bytes) = out.done();
             Ok((out, env.tracker.register(bytes), io))
         })
-    }
-}
-
-/// The leaf scan at the width of `cfg`: streamed through a `FanOut` when
-/// `ParallelConfig::split` says so, walked inline otherwise. Logs the
-/// path it takes on `env.metrics`.
-pub fn leaf_scan(blueprint: Arc<ScanBlueprint>, cfg: &ParallelConfig, env: OpEnv) -> BoxedOp {
-    let morsels = cfg.split(&blueprint);
-    if let Some(m) = &env.metrics {
-        m.annotate("path", if morsels.is_some() { "streaming" } else { "serial" });
-    }
-    let Some(morsels) = morsels else {
-        let runs = 0..blueprint.runs().len();
-        return Box::new(Scan::over(blueprint, env, runs));
-    };
-    let schema = blueprint.schema().clone();
-    let fragment = Arc::new(FragmentBlueprint { scan: blueprint, steps: Vec::new() });
-    let stream = FanOut::new(fragment, morsels, Vec::new(), env, cfg.threads, "scan-morsel");
-    Box::new(StreamedScan { schema, stream, current: Vec::new().into_iter(), mem: None })
-}
-
-/// A leaf whose morsels fold into their batches: the consumer drains each
-/// morsel's batches in run order while its registration stays held.
-struct StreamedScan {
-    schema: OpSchema,
-    stream: FanOut<Vec<Batch>>,
-    current: std::vec::IntoIter<Batch>,
-    mem: Option<MemoryGuard>,
-}
-
-impl Operator for StreamedScan {
-    fn schema(&self) -> &OpSchema {
-        &self.schema
-    }
-
-    fn next(&mut self) -> Result<Option<Batch>> {
-        loop {
-            if let Some(b) = self.current.next() {
-                return Ok(Some(b));
-            }
-            self.mem = None; // previous morsel fully drained
-            let Some((batches, guard)) = self.stream.recv()? else { return Ok(None) };
-            self.current = batches.into_iter();
-            self.mem = Some(guard);
-        }
     }
 }
 
@@ -403,6 +373,57 @@ impl Operator for ParallelAggregate {
         // No morsels: the global aggregate's zero row.
         let Some((mut acc, _mem)) = merged else { return Ok(Some(self.empty.clone().finish())) };
         Ok(Some(acc.finish()))
+    }
+}
+
+/// Morsel-parallel sandwich aggregation over a scan fragment whose group-by
+/// determines the co-cluster: each morsel (whole co-clusters,
+/// [`morsel::split_runs`]) folds into a [`PartialAgg`] that its worker
+/// finishes, and the finished groups are handed on in morsel order with no
+/// merge — exactly the serial per-co-cluster flush (module docs). Tracked
+/// state is the fan-out's window of finished outputs, the one handed out
+/// last included until the next call.
+pub struct CoClusterAggregate {
+    outputs: FanOut<CoClusters>,
+    schema: OpSchema,
+    mem: Option<MemoryGuard>,
+}
+
+impl CoClusterAggregate {
+    /// The aggregate over `morsels` of `fragment` (what
+    /// `ParallelConfig::split` made of its co-cluster ordered scan),
+    /// `threads` wide.
+    pub fn new(
+        fragment: FragmentBlueprint,
+        morsels: Vec<Morsel>,
+        group_by: &[&str],
+        aggs: Vec<AggSpec>,
+        threads: usize,
+        env: OpEnv,
+    ) -> Result<CoClusterAggregate> {
+        let empty = PartialAgg::new(fragment.build(&env, 0..0)?.schema(), group_by, &aggs)?;
+        let schema = empty.schema().clone();
+        let fragment = Arc::new(fragment);
+        let empty = CoClusters(empty);
+        let outputs = FanOut::new(fragment, morsels, empty, env, threads, "agg-co-cluster");
+        Ok(CoClusterAggregate { outputs, schema, mem: None })
+    }
+}
+
+impl Operator for CoClusterAggregate {
+    fn schema(&self) -> &OpSchema {
+        &self.schema
+    }
+
+    fn next(&mut self) -> Result<Option<Batch>> {
+        self.mem = None;
+        while let Some((out, guard)) = self.outputs.recv()? {
+            if out.rows() > 0 {
+                self.mem = Some(guard);
+                return Ok(Some(out));
+            }
+        }
+        Ok(None)
     }
 }
 
@@ -551,35 +572,36 @@ mod tests {
         assert_eq!(tracker.current(), 0);
     }
 
-    // --- the leaf: streaming replays the inline walk -----------------------
+    // --- morsel walks replay the inline walk --------------------------------
 
-    /// Every batch of the leaf over `blueprint` at width `cfg`, in order.
-    fn batches_at(blueprint: &Arc<ScanBlueprint>, cfg: &ParallelConfig) -> Vec<Batch> {
+    /// Every batch of the scan over `blueprint`, walked morsel by morsel at
+    /// `morsel_rows` (`usize::MAX`: one morsel, the inline walk), in order.
+    fn batches_at(blueprint: &Arc<ScanBlueprint>, morsel_rows: usize) -> Vec<Batch> {
+        let morsels = blueprint.morsels(morsel_rows);
         let env = OpEnv::new(IoTracker::new(), MemoryTracker::new());
-        let mut scan = leaf_scan(Arc::clone(blueprint), cfg, env);
-        std::iter::from_fn(|| scan.next().unwrap()).collect()
+        let walk = |m: Morsel| {
+            let mut scan = Scan::over(Arc::clone(blueprint), env.clone(), m);
+            std::iter::from_fn(move || scan.next().unwrap())
+        };
+        morsels.into_iter().flat_map(walk).collect()
     }
 
     #[test]
-    fn streaming_replays_the_inline_batch_stream() {
-        let serial = ParallelConfig { threads: 1, morsel_rows: 64 };
+    fn morsel_walks_replay_the_inline_batch_stream() {
         let plain = ScanBlueprint::blocks(table(1000), &["k", "g", "f"], vec![]).unwrap();
-        assert_eq!(
-            batches_at(&plain, &serial),
-            batches_at(&plain, &ParallelConfig { threads: 3, morsel_rows: 64 })
-        );
+        assert_eq!(batches_at(&plain, usize::MAX), batches_at(&plain, 64));
         let preds = vec![ColPredicate::ge("k", 100i64), ColPredicate::le("k", 399i64)];
         let pruned = ScanBlueprint::blocks(table(500), &["k", "f"], preds).unwrap();
-        let inline = batches_at(&pruned, &serial);
+        let inline = batches_at(&pruned, usize::MAX);
         assert_eq!(inline.iter().map(Batch::rows).sum::<usize>(), 300);
-        assert_eq!(inline, batches_at(&pruned, &ParallelConfig { threads: 4, morsel_rows: 32 }));
+        assert_eq!(inline, batches_at(&pruned, 32));
     }
 
     #[test]
-    fn one_oversized_morsel_polls_the_governor_per_batch() {
+    fn one_oversized_morsel_walks_inline() {
         // Wider than one thread and bigger than a morsel, yet a single
-        // morsel (a tiny run, then an oversized one that closes it): the
-        // leaf walks inline and must poll like any other inline leaf.
+        // morsel (a tiny run, then an oversized one that closes it): no
+        // fan-out, and the inline leaf polls the governor per batch.
         let runs = vec![
             Run { start: 0, count: 1, keys: vec![] },
             Run { start: 1, count: 99, keys: vec![] },
@@ -590,7 +612,7 @@ mod tests {
         assert_eq!(cfg.split(&blueprint), None);
         let governed = |governor: Governor| {
             let env = OpEnv::new(IoTracker::new(), MemoryTracker::new());
-            leaf_scan(Arc::clone(&blueprint), &cfg, OpEnv { governor, ..env })
+            Scan::over(Arc::clone(&blueprint), OpEnv { governor, ..env }, 0..2)
         };
 
         let tracker = MemoryTracker::new();
@@ -609,6 +631,57 @@ mod tests {
         match governed(governor).next() {
             Err(ExecError::Injected(msg)) => assert!(msg.contains("scan-batch"), "{msg}"),
             other => panic!("expected an injected error at scan-batch, got {other:?}"),
+        }
+    }
+
+    // --- the co-cluster fan-out is the serial sandwich aggregate -------------
+
+    /// `table(rows)` as co-clusters of `k / 40` (uneven: every fifth is
+    /// split into two runs), each run keyed by its co-cluster.
+    fn co_clusters(rows: usize) -> Arc<ScanBlueprint> {
+        let mut runs = Vec::new();
+        for start in (0..rows).step_by(40) {
+            let (count, key) = ((rows - start).min(40), vec![(start / 40) as i64]);
+            let cut = if start % 200 == 0 { count / 3 } else { count };
+            runs.push(Run { start, count: cut, keys: key.clone() });
+            runs.push(Run { start: start + cut, count: count - cut, keys: key });
+        }
+        let names = ["__gk".to_string()];
+        ScanBlueprint::new(table(rows), &["k", "g", "f"], vec![], &names, runs).unwrap()
+    }
+
+    #[test]
+    fn co_cluster_fan_out_is_the_serial_sandwich_aggregate_bit_for_bit() {
+        // Group by (co-cluster, g): about six rows a group, float sums that
+        // associate per group, and a filter between scan and aggregate.
+        let bp = co_clusters(2000);
+        let steps = vec![
+            FragmentStep::Filter(Expr::col("k").ne(Expr::lit(41))),
+            FragmentStep::Project(vec![
+                (Expr::col("__gk"), "c".into()),
+                (Expr::col("g"), "g".into()),
+                (Expr::col("f").mul(Expr::lit(1.37)), "f".into()),
+            ]),
+        ];
+        let aggs = vec![
+            AggSpec::new(AggFunc::Sum, Expr::col("f"), "sf"),
+            AggSpec::new(AggFunc::Avg, Expr::col("f"), "af"),
+            AggSpec::new(AggFunc::Min, Expr::col("f"), "mn"),
+            AggSpec::new(AggFunc::Count, Expr::lit(1), "n"),
+        ];
+        let env = || OpEnv::new(IoTracker::new(), MemoryTracker::new());
+        let fragment = || FragmentBlueprint { scan: Arc::clone(&bp), steps: steps.clone() };
+        let inline = fragment().build(&env(), 0..bp.runs().len()).unwrap();
+        let serial = HashAggregate::new(inline, &["c", "g"], aggs.clone(), env()).unwrap();
+        let serial = collect(Box::new(serial.with_runs(vec![0]))).unwrap();
+        assert_eq!(serial.rows(), 50 * 7);
+        for threads in [2, 4] {
+            let morsels = bp.morsels(32);
+            assert_eq!(morsels.len(), 50, "one co-cluster a morsel");
+            let (gb, aggs) = (["c", "g"], aggs.clone());
+            let agg = CoClusterAggregate::new(fragment(), morsels, &gb, aggs, threads, env());
+            let fanned = collect(Box::new(agg.unwrap())).unwrap();
+            assert_eq!(format!("{serial:?}"), format!("{fanned:?}"), "{threads} threads");
         }
     }
 }

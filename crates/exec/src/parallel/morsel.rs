@@ -8,7 +8,9 @@
 //! one, so morsel boundaries are batch boundaries of the inline walk, which
 //! is what makes *ordered concatenation of per-morsel streams reproduce the
 //! inline batch stream exactly* — the correctness contract everything in
-//! [`crate::parallel`] rests on.
+//! [`crate::parallel`] rests on. Nor does a morsel split a co-cluster:
+//! adjacent runs with equal group keys share one, so a sandwich aggregate's
+//! morsel holds every row of each group it sees.
 
 use std::ops::Range;
 
@@ -22,15 +24,19 @@ pub type Morsel = Range<usize>;
 /// Runs are indivisible (a batch never crosses a run boundary), so a single
 /// over-sized run becomes its own morsel; small runs coalesce until the row
 /// budget fills — uniform blocks of `b` rows therefore tile into morsels of
-/// `⌈morsel_rows / b⌉` whole blocks. Preserves order and tiles the list:
-/// every run lands in exactly one morsel.
+/// `⌈morsel_rows / b⌉` whole blocks. A cut never falls between two runs
+/// whose (non-empty) group keys are equal: a co-cluster stays in one
+/// morsel. Preserves order and tiles the list: every run lands in exactly
+/// one morsel.
 pub fn split_runs(runs: &[Run], morsel_rows: usize) -> Vec<Morsel> {
     let mut out = Vec::new();
     let mut start = 0;
     let mut acc = 0usize;
     for (i, run) in runs.iter().enumerate() {
         acc += run.count;
-        if acc >= morsel_rows.max(1) {
+        let co_cluster =
+            runs.get(i + 1).is_some_and(|n| !run.keys.is_empty() && n.keys == run.keys);
+        if acc >= morsel_rows.max(1) && !co_cluster {
             out.push(start..i + 1);
             start = i + 1;
             acc = 0;
@@ -106,5 +112,23 @@ mod tests {
     #[test]
     fn zero_row_runs_coalesce() {
         assert_eq!(split_runs(&runs(&[0, 0, 5]), 4), vec![0..3]);
+    }
+
+    #[test]
+    fn equal_keys_never_straddle_a_cut() {
+        // 4-row runs keyed 0, 0, 0, 1, 2, 2 with 4-row morsels: the
+        // co-clusters of keys 0 and 2 stay whole.
+        let keyed: Vec<Run> = runs(&[4; 6])
+            .into_iter()
+            .zip([0, 0, 0, 1, 2, 2])
+            .map(|(run, k)| Run { keys: vec![k, 7], ..run })
+            .collect();
+        assert_eq!(split_runs(&keyed, 4), vec![0..3, 3..4, 4..6]);
+        // One key column differing is a new co-cluster.
+        let mut other = keyed.clone();
+        other[1].keys[1] = 8;
+        assert_eq!(split_runs(&other, 4), vec![0..1, 1..2, 2..3, 3..4, 4..6]);
+        // Empty keys cut as before: one block run per 4-row morsel.
+        assert_eq!(split_runs(&runs(&[4; 6]), 4), (0..6).map(|i| i..i + 1).collect::<Vec<_>>());
     }
 }

@@ -66,12 +66,12 @@ use crate::memory::MemoryTracker;
 use crate::ops::agg::HashAggregate;
 use crate::ops::join::{HashJoin, JoinType};
 use crate::ops::merge_join::MergeJoin;
-use crate::ops::scan::{Run, ScanBlueprint};
+use crate::ops::scan::{Run, Scan, ScanBlueprint};
 use crate::ops::sort::Sort;
 use crate::ops::transform::{Filter, Project};
 use crate::ops::{BoxedOp, OpEnv, Operator};
 use crate::parallel::{
-    leaf_scan, FragmentBlueprint, FragmentStep, ParallelAggregate, ParallelConfig,
+    CoClusterAggregate, FragmentBlueprint, FragmentStep, ParallelAggregate, ParallelConfig,
     DEFAULT_MORSEL_ROWS,
 };
 use crate::plan::{alias_column, FkSide, Needed, Node};
@@ -87,13 +87,12 @@ pub struct QueryContext {
     pub tracker: Arc<MemoryTracker>,
     pub io: IoTracker,
     /// Execution width and morsel size. `threads: 1` (what
-    /// [`new`](Self::new) installs) is serial execution; wider, leaf scans
-    /// stream their morsels through the pool and the planner swaps
-    /// eligible leaf aggregations for morsel-parallel partial-merge while
-    /// the query does not spill. Everything above a leaf runs on the
-    /// calling thread at every width. Under a budget the query spills
-    /// under, the planner runs smaller morsels than these
-    /// (`query_width`).
+    /// [`new`](Self::new) installs) is serial execution; wider, while the
+    /// query does not spill, the planner fans out each aggregate directly
+    /// over a leaf by morsel — partial-merge for a hash aggregate, by
+    /// co-cluster for a sandwich one. Every scan anywhere else, and
+    /// everything above a leaf aggregate, runs on the calling thread at
+    /// every width.
     pub parallel: ParallelConfig,
     /// When set, the planner mirrors the operator tree with per-operator
     /// metric blocks, child memory/I/O trackers and edge wrappers (see
@@ -251,8 +250,7 @@ pub fn plan_query(ctx: &QueryContext, node: &Node) -> Result<BoxedOp> {
         Restrictions::new()
     };
     let restricted = Instant::now();
-    let parallel = query_width(&ctx.parallel, &ctx.governor);
-    let planner = Planner { ctx, restrictions, parallel };
+    let planner = Planner { ctx, restrictions };
     let out = planner.build(node, &planner.derive(node), &[], &Needed::default())?;
     let op = if let (Some(profiler), Some(root)) = (&ctx.profiler, &out.prof) {
         let ms = |d: Duration| format!("{:.3}", d.as_secs_f64() * 1e3);
@@ -272,22 +270,6 @@ pub fn plan_query(ctx: &QueryContext, node: &Node) -> Result<BoxedOp> {
         return Ok(Box::new(GovernedOp::new(op, ctx.governor.clone(), "plan-root")));
     }
     Ok(op)
-}
-
-/// The width a query runs at: its context's, except that under a budget
-/// the query spills under, morsels shrink so the fixed buffer floor that
-/// cannot spill (a streaming scan's ≈ `threads × stream-cap × morsel
-/// bytes`) scales with the budget instead of dwarfing it. Morsel size never
-/// changes results, only granularity.
-fn query_width(parallel: &ParallelConfig, governor: &Governor) -> ParallelConfig {
-    let mut cfg = parallel.clone();
-    if let (Some(budget), true) = (governor.budget(), governor.spills()) {
-        // ~64 B/row estimate, 2-deep stream buffers per thread; keep at
-        // least 256-row morsels so fan-out overhead stays sane.
-        let cap = (budget / (cfg.threads as u64 * 2 * 64)).max(256) as usize;
-        cfg.morsel_rows = cfg.morsel_rows.min(cap);
-    }
-    cfg
 }
 
 /// One `(scan, dimension use)` occurrence.
@@ -344,8 +326,6 @@ struct PhysOut {
 struct Planner<'a> {
     ctx: &'a QueryContext,
     restrictions: Restrictions,
-    /// The query's width ([`query_width`]).
-    parallel: ParallelConfig,
 }
 
 impl<'a> Planner<'a> {
@@ -711,9 +691,8 @@ impl<'a> Planner<'a> {
         }
     }
 
-    /// Build the leaf scan operator, the same on every scheme:
-    /// [`leaf_scan`] walks its runs inline or streams them at the context's
-    /// width.
+    /// Build the leaf scan operator, the same on every scheme and at every
+    /// width: a [`Scan`] walking all its runs on the calling thread.
     fn build_scan(
         &self,
         scan_id: usize,
@@ -735,7 +714,8 @@ impl<'a> Planner<'a> {
             annotate_encodings(&p.metrics, &blueprint);
             self.annotate_group_selection(&p.metrics, scan_id, table, &blueprint);
         }
-        let op = leaf_scan(blueprint, &self.parallel, self.op_env(&prof, io_child));
+        let runs = 0..blueprint.runs().len();
+        let op: BoxedOp = Box::new(Scan::over(blueprint, self.op_env(&prof, io_child), runs));
         // Alias: rename base columns, keep group keys. The rename rides
         // inside the scan's profile node — it is part of the access path,
         // not a plan operator.
@@ -861,14 +841,18 @@ impl<'a> Planner<'a> {
         // streaming (input ordered on the keys, e.g. PK) — hold at most one
         // co-cluster's (or one run's) groups, which neither partials (shared
         // groups once per morsel) nor one table over the whole input can
-        // beat. Leaf scans below them still stream their morsels.
+        // beat. A sandwich one over a leaf still fans out, by co-cluster;
+        // a streaming one runs serially over its inline scan.
         let sandwich = (self.ctx.sdb.scheme == Scheme::Bdcc)
             .then(|| self.sandwich_instances(input_props, group_by));
+        let requested = match &sandwich {
+            Some(Ok(determined)) => determined.as_slice(),
+            _ => &[],
+        };
         let order = input_props.order();
         let streams = !group_by.is_empty()
             && group_by.len() <= order.len()
             && order[..group_by.len()].iter().all(|c| group_by.contains(c));
-        let bounded = streams || matches!(sandwich, Some(Ok(_)));
         // The decision log: the sandwich's keys, or why there is none.
         let log_sandwich = |prof: &Option<Arc<OpProf>>| {
             if let (Some(decision), Some(p)) = (&sandwich, prof) {
@@ -881,38 +865,43 @@ impl<'a> Planner<'a> {
         };
 
         // Parallel: a single-scan fragment (scan → filter/project chain)
-        // aggregates morsel-wise — identical results to the hash aggregate
-        // it replaces — when its leaf streams (`ParallelConfig::split`
-        // makes more than one morsel of it) and the query does not spill:
-        // partials cannot spill, the hash aggregate can.
-        let cfg = &self.parallel;
+        // aggregates morsel-wise — identical results to the serial
+        // aggregate it replaces — when `ParallelConfig::split` makes more
+        // than one morsel of its scan and the query does not spill:
+        // per-morsel results cannot spill, the hash aggregate can. A hash
+        // aggregate merges its partials, a sandwich one concatenates its
+        // finished co-clusters.
+        let cfg = &self.ctx.parallel;
         // (Lowering the fragment selects BDCC groups — skip it when the
         // answer is already no.)
-        let fragment = match !bounded && cfg.threads > 1 && !self.ctx.governor.spills() {
-            true => self.leaf_fragment(input)?,
+        let fan_out = cfg.threads > 1 && !self.ctx.governor.spills();
+        let fragment = match fan_out && (!requested.is_empty() || !streams) {
+            true => self.leaf_fragment(input, requested)?,
             false => None,
         };
-        let split = fragment.and_then(|f| Some((cfg.split(&f.scan)?, f)));
-        if let Some((morsels, fragment)) = split {
+        if let Some((morsels, (scan_id, table, fragment))) =
+            fragment.and_then(|f| Some((cfg.split(&f.2.scan)?, f)))
+        {
             // The fragment fuses scan → filter/project into the
             // aggregate's workers, so this node is also a leaf: it gets
-            // the scan's I/O attribution.
+            // the scan's I/O attribution and decision log.
             let io_child = self.scan_io();
-            let prof = self.prof_node("Aggregate(parallel)", &[], io_child.clone());
+            let label =
+                if requested.is_empty() { "Aggregate(parallel)" } else { "Aggregate(sandwich)" };
+            let prof = self.prof_node(label, &[], io_child.clone());
             if let Some(p) = &prof {
-                p.metrics.annotate("fragment", fragment.scan.table().name());
+                p.metrics.annotate("fragment", table);
+                annotate_encodings(&p.metrics, &fragment.scan);
+                self.annotate_group_selection(&p.metrics, scan_id, table, &fragment.scan);
             }
             log_sandwich(&prof);
-            let env = self.op_env(&prof, io_child);
-            let op = ParallelAggregate::new(
-                fragment,
-                morsels,
-                &gb_refs,
-                aggs.to_vec(),
-                cfg.threads,
-                env,
-            )?;
-            return Ok(PhysOut { op: Box::new(op), gk_cols: vec![], prof });
+            let (env, aggs, threads) = (self.op_env(&prof, io_child), aggs.to_vec(), cfg.threads);
+            let op: BoxedOp = if requested.is_empty() {
+                Box::new(ParallelAggregate::new(fragment, morsels, &gb_refs, aggs, threads, env)?)
+            } else {
+                Box::new(CoClusterAggregate::new(fragment, morsels, &gb_refs, aggs, threads, env)?)
+            };
+            return Ok(PhysOut { op, gk_cols: vec![], prof });
         }
 
         // Everything else is the one serial aggregate, flushing when its
@@ -920,10 +909,6 @@ impl<'a> Planner<'a> {
         // group-by keys, or none — one table over the whole input, which,
         // in a query that spills, spills the groups it has no room for (a
         // run-flushing one never spills).
-        let requested = match &sandwich {
-            Some(Ok(determined)) => determined.as_slice(),
-            _ => &[],
-        };
         let child = self.build(input, input_props, requested, needed)?;
         let (label, runs): (&str, Vec<usize>) = match (requested.is_empty(), streams) {
             (false, _) => ("Aggregate(sandwich)", child.gk_cols),
@@ -968,10 +953,15 @@ impl<'a> Planner<'a> {
     }
 
     /// When `node` is a filter/project chain over a single scan, lower it
-    /// into a [`FragmentBlueprint`] workers can replay per morsel (no
-    /// requested instances — the parallel aggregate needs no grouping from
-    /// the scan). Returns `None` for any other shape.
-    fn leaf_fragment(&self, node: &Node) -> Result<Option<FragmentBlueprint>> {
+    /// into a [`FragmentBlueprint`] workers can replay per morsel, its
+    /// scan grouped on `requested` (a sandwich's co-clusters; none for a
+    /// hash aggregate), and return it with the scan's id and table.
+    /// Returns `None` for any other shape.
+    fn leaf_fragment<'n>(
+        &self,
+        node: &'n Node,
+        requested: &[InstSet],
+    ) -> Result<Option<(usize, &'n str, FragmentBlueprint)>> {
         // Walk down to the scan, remembering the wrappers top-down.
         let mut wrappers: Vec<&Node> = Vec::new();
         let mut cur = node;
@@ -987,7 +977,7 @@ impl<'a> Planner<'a> {
                 _ => return Ok(None),
             }
         };
-        let blueprint = self.scan_blueprint(scan_id, table, columns, predicates, &[])?;
+        let blueprint = self.scan_blueprint(scan_id, table, columns, predicates, requested)?;
         let mut steps = Vec::new();
         // The alias projection the serial path applies directly above the
         // scan.
@@ -1009,7 +999,7 @@ impl<'a> Planner<'a> {
                 _ => unreachable!("only filter/project wrappers collected"),
             }
         }
-        Ok(Some(FragmentBlueprint { scan: blueprint, steps }))
+        Ok(Some((scan_id, table, FragmentBlueprint { scan: blueprint, steps })))
     }
 
     /// Do the group-by keys functionally determine class `set`? True when

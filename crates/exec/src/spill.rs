@@ -22,7 +22,8 @@
 //!   stayed resident, froze mid-stream, or was re-scattered: a frozen
 //!   partition whose restored footprint (as the caller estimates it)
 //!   exceeds the governor's restore limit is never loaded whole but split on
-//!   the next [`RECURSE_BITS`] of the same hash, chunk by chunk, until
+//!   the next bits of the same hash — as many as the overshoot needs, at
+//!   most [`RECURSE_BITS`] — chunk by chunk, until
 //!   every [`Leaf`] fits or [`MAX_TOTAL_BITS`] are spent (one giant key:
 //!   the governor's budget check is the backstop). Equal keys share a
 //!   hash, so every key lives in exactly one leaf.
@@ -58,8 +59,8 @@ use crate::hash::hash_group_rows;
 use crate::memory::MemoryGuard;
 use crate::ops::OpEnv;
 
-/// Extra hash bits consumed per recursive split of an oversized partition
-/// (16 sub-partitions per split).
+/// The most hash bits one recursive split of an oversized partition
+/// consumes (16 sub-partitions).
 const RECURSE_BITS: u32 = 4;
 
 /// Deepest total bit budget for recursion: a 1-in-4-billion hash slice
@@ -78,12 +79,12 @@ fn partition_of(h: u64, bits: u32) -> usize {
 }
 
 /// The sub-partition of hash `h` once its top `used_bits` are spent: the
-/// [`RECURSE_BITS`] bits immediately below them — disjoint from every
-/// ancestor's routing bits, so recursion refines partitions, and equal
-/// keys (one hash) always land in one sub-partition.
+/// `bits` bits immediately below them — disjoint from every ancestor's
+/// routing bits, so recursion refines partitions, and equal keys (one
+/// hash) always land in one sub-partition.
 #[inline]
-fn sub_partition_of(h: u64, used_bits: u32) -> usize {
-    ((h << used_bits) >> (64 - RECURSE_BITS)) as usize
+fn sub_partition_of(h: u64, used_bits: u32, bits: u32) -> usize {
+    ((h << used_bits) >> (64 - bits)) as usize
 }
 
 /// Split rows `0..rows` of `key_cols` into `2^bits` partitions by the top
@@ -350,8 +351,11 @@ impl PartitionSpill {
     }
 
     /// Emit `handle` as a leaf if it fits, else re-scatter its chunks on
-    /// the next [`RECURSE_BITS`] below the bits `route` already spent —
-    /// one streamed chunk resident at a time — and split each sub-file.
+    /// the next bits below the bits `route` already spent — one streamed
+    /// chunk resident at a time — and split each sub-file. A split takes
+    /// `⌈log2(footprint / restore limit)⌉` bits, 1 to [`RECURSE_BITS`]: as
+    /// many sub-partitions as the footprint needs to fit, when evenly
+    /// spread.
     fn split(
         &self,
         handle: SpillHandle,
@@ -361,13 +365,14 @@ impl PartitionSpill {
     ) -> Result<()> {
         let footprint = (self.shape.leaf_bytes)(mem_bytes, handle.rows());
         let parent = self.leaf(Chunks::File(handle), route);
-        if footprint <= self.meter.governor.restore_limit()
-            || route.bits + RECURSE_BITS > MAX_TOTAL_BITS
-        {
+        let limit = self.meter.governor.restore_limit();
+        // ⌈log2(footprint / limit)⌉, from the rounded-up quotient.
+        let bits = 64 - footprint.div_ceil(limit).saturating_sub(1).leading_zeros();
+        let bits = bits.clamp(1, RECURSE_BITS);
+        if footprint <= limit || route.bits + bits > MAX_TOTAL_BITS {
             return f(parent);
         }
-        let mut subs: Vec<Option<(SpillWriter, u64)>> =
-            (0..1usize << RECURSE_BITS).map(|_| None).collect();
+        let mut subs: Vec<Option<(SpillWriter, u64)>> = (0..1usize << bits).map(|_| None).collect();
         let mut hashes = Vec::new();
         // Reading the parent consumes it: it unlinks before any child is read.
         parent.for_each_chunk(|chunk| {
@@ -375,7 +380,7 @@ impl PartitionSpill {
             hash_group_rows(&keys, 0..chunk.rows(), &mut hashes);
             let mut routed: Vec<Vec<usize>> = vec![Vec::new(); subs.len()];
             for (row, &h) in hashes.iter().enumerate() {
-                routed[sub_partition_of(h, route.bits)].push(row);
+                routed[sub_partition_of(h, route.bits, bits)].push(row);
             }
             for (sub, rows) in subs.iter_mut().zip(routed) {
                 if rows.is_empty() {
@@ -395,8 +400,8 @@ impl PartitionSpill {
         self.meter.note_spill(1, 0, 0);
         for (sub, state) in subs.into_iter().enumerate() {
             if let Some((writer, sub_mem)) = state {
-                let index = (route.index << RECURSE_BITS) | sub as u64;
-                let child = Route { bits: route.bits + RECURSE_BITS, index };
+                let index = (route.index << bits) | sub as u64;
+                let child = Route { bits: route.bits + bits, index };
                 self.split(writer.finish()?, sub_mem, child, f)?;
             }
         }
@@ -638,7 +643,7 @@ mod tests {
             assert_eq!(ancestors.count_ones(), top);
             let mut used = top;
             while used + RECURSE_BITS <= MAX_TOTAL_BITS {
-                let child = reads(&|h| sub_partition_of(h, used));
+                let child = reads(&|h| sub_partition_of(h, used, RECURSE_BITS));
                 assert_eq!(child.count_ones(), RECURSE_BITS, "top={top} used={used}");
                 assert_eq!(child & ancestors, 0, "top={top} used={used}: bits reused");
                 // Refinement: parent path + child index is the routing a
@@ -646,7 +651,8 @@ mod tests {
                 for h in [1u64, u64::MAX / 7, 0xDEAD_BEEF_0BAD_F00D] {
                     assert_eq!(
                         partition_of(h, used + RECURSE_BITS),
-                        (partition_of(h, used) << RECURSE_BITS) | sub_partition_of(h, used)
+                        (partition_of(h, used) << RECURSE_BITS)
+                            | sub_partition_of(h, used, RECURSE_BITS)
                     );
                 }
                 ancestors |= child;
@@ -859,6 +865,28 @@ mod tests {
         }
         assert_eq!(seen, 4000, "every row lands in exactly one partition");
         assert_eq!((live_spill_files(), rig.tracker.current()), (base, 0));
+    }
+
+    #[test]
+    fn a_split_takes_only_the_bits_the_overshoot_needs() {
+        let _spill = spill_test_guard();
+        let base = live_spill_files();
+        // One frozen partition of 1000 distinct keys, 24 000 bytes, against
+        // restore limits of half the budget: just over it (1.01×), 3.5×
+        // and 10.9× over (16 sub-partitions at most).
+        let ints = Batch::new(vec![Column::from_i64((0..1000).collect()); 3]);
+        for (budget, bits) in [(47_400, 1), (13_716, 2), (4_400, RECURSE_BITS)] {
+            let rig = Rig::new();
+            let mut spill = rig.core(SpillMode::Auto, Some(budget), 1);
+            spill.push(0, ints.clone()).unwrap();
+            spill.freeze_all().unwrap();
+            let routes: Vec<Route> = leaves_of(spill).iter().map(Leaf::route).collect();
+            let want: Vec<Route> =
+                (0..1 << bits).map(|index| Route { bits: BITS + bits, index }).collect();
+            assert_eq!(routes, want, "budget {budget}: {} sub-partitions", 1 << bits);
+            assert_eq!(rig.booked().0, 2, "budget {budget}: one freeze, one split");
+        }
+        assert_eq!(live_spill_files(), base);
     }
 
     #[test]

@@ -41,7 +41,7 @@
 //! the stream cancels all unstarted work, waits for in-flight tasks to
 //! retire, and leaves the pool ready for the next query. A panicking task
 //! is published as an error at its index, naming the fan-out site
-//! (`streaming worker 'scan-morsel' panicked: ...`). Consumers must not
+//! (`streaming worker 'agg-partial' panicked: ...`). Consumers must not
 //! call `recv` from inside a pool task (a waiting consumer runs no jobs;
 //! every current operator drives streams from plan-driver threads).
 
@@ -904,7 +904,7 @@ mod tests {
     #[test]
     fn labeled_stream_panic_names_the_fanout_site() {
         let mut s: OrderedStream<usize, TestErr> =
-            OrderedStream::spawn(2, 8, 4, "scan-morsel", |i| {
+            OrderedStream::spawn(2, 8, 4, "agg-partial", |i| {
                 if i == 0 {
                     panic!("morsel died");
                 }
@@ -917,6 +917,6 @@ mod tests {
                 Err(e) => break e,
             }
         };
-        assert_eq!(err.0, "streaming worker 'scan-morsel' panicked: morsel died");
+        assert_eq!(err.0, "streaming worker 'agg-partial' panicked: morsel died");
     }
 }

@@ -144,9 +144,9 @@ fi
 
 /// One morsel fan-out: crates/exec/src/parallel/ runs a plan fragment
 /// per morsel on an ordered stream and releases the results in morsel
-/// order, for the streamed leaf and the partial aggregate alike. A
-/// blocking fan-out in the executor, or an ordered stream opened
-/// outside parallel/, fails here.
+/// order, for the partial hash aggregate and the co-cluster sandwich
+/// aggregate alike. A blocking fan-out in the executor, or an ordered
+/// stream opened outside parallel/, fails here.
 /// (The brackets keep this file out of its own search pattern.)
 #[test]
 fn one_morsel_fan_out() {
@@ -155,6 +155,25 @@ fn one_morsel_fan_out() {
 if grep -rn "scope_[r]un" crates/exec/src \
     || grep -rn "Ordered[S]tream" crates/exec/src | grep -v '^crates/exec/src/parallel/'; then
   echo "a second fan-out is back (see above); crates/exec/src/parallel/ owns the one" >&2
+  exit 1
+fi
+"##,
+    );
+}
+
+/// No streamed leaf: every scan walks its runs inline, and what fans out
+/// is an aggregate directly over a leaf, folding each morsel into one
+/// partial or one co-cluster's finished groups. A leaf that streams its
+/// morsels' batches through the fan-out — under a join it kept two
+/// morsels a thread of decoded columns charged for every live leaf —
+/// coming back fails here.
+/// (The brackets keep this file out of its own search pattern.)
+#[test]
+fn no_streamed_leaf() {
+    lint(
+        r##"
+if grep -rnE "Streamed[S]can|fn leaf_[s]can|FanOut<Vec<[B]atch>>" crates/exec/src; then
+  echo "a streamed leaf is back (see above); only leaf aggregates fan out (crates/exec/src/parallel/)" >&2
   exit 1
 fi
 "##,
@@ -198,8 +217,8 @@ fi
 }
 
 /// One probe loop: a hash join probes one batch at a time on the
-/// calling thread at every width, so the only fan-outs are the
-/// streaming scan and the leaf partial aggregate. Probe morsels, the
+/// calling thread at every width, so the only fan-outs are the leaf
+/// aggregates'. Probe morsels, the
 /// probe-output assembly fan-out, the match-list merge or a width on
 /// the join coming back fails here. (join_spill.rs's "join-probe" is
 /// a spill-core label, not a pool job, and is not matched.)
@@ -211,7 +230,7 @@ fn one_probe_loop() {
 if grep -rnE '"join-[a]ssemble"|fn split_[r]ows|concat_match_[l]ists' crates/exec/src \
     || grep -nE "fn with_[p]arallel" crates/exec/src/ops/join.rs \
     || [ -e crates/exec/src/parallel/merge.rs ]; then
-  echo "a join fans out again (see above); ops/join.rs probes serially, parallel/ owns the scan and leaf-aggregate fan-outs" >&2
+  echo "a join fans out again (see above); ops/join.rs probes serially, parallel/ owns the leaf-aggregate fan-outs" >&2
   exit 1
 fi
 "##,

@@ -24,7 +24,7 @@
 //!    over int, date, float and string columns — NaN, ±∞, −0.0,
 //!    subnormals, integers near 2^53 against float constants, ranges with
 //!    bounds of mixed kinds, FOR blocks at the `i64` extremes — on encoded
-//!    and raw tables, over blocks, runs cut mid-block and streamed morsels;
+//!    and raw tables, over blocks, runs cut mid-block and block morsels;
 //!    an ill-typed predicate is an `ExecError::Type` on both sides.
 //!
 //! There is no interpreter-everywhere mode to compare whole queries
@@ -38,11 +38,9 @@ use bdcc::prelude::*;
 use bdcc_exec::kernel::sel_from_bools;
 use bdcc_exec::ops::collect;
 use bdcc_exec::ops::scan::{Run, Scan, ScanBlueprint};
-use bdcc_exec::parallel::leaf_scan;
 use bdcc_exec::{
     explain_analyze, filter, Batch, ColMeta, ColPredicate, Datum, ExecError, Expr, FilterProgram,
-    LikePattern, MemoryTracker, OpEnv, Operator, ParallelConfig, PlanBuilder, PredKind,
-    ProfileNode, QueryContext,
+    LikePattern, MemoryTracker, OpEnv, Operator, PlanBuilder, PredKind, ProfileNode, QueryContext,
 };
 use bdcc_storage::{BlockEncoding, Column, DataType, IoTracker, StoredTable};
 use rand::rngs::StdRng;
@@ -410,7 +408,7 @@ fn drain(op: &mut dyn Operator) -> Vec<Batch> {
 }
 
 /// Scans `t` under `preds` — block by block, over `cuts` (runs cut
-/// mid-block), and streamed at width 4 in 16-row morsels — projecting
+/// mid-block), and walked one 16-row morsel at a time — projecting
 /// `row` and `f`, and checks each against the interpreter over the raw
 /// columns: the same rows, the same float bits; or, when the interpreter
 /// raises a type error, an `ExecError::Type` from the scan. Returns how
@@ -451,9 +449,9 @@ fn check_scan(
     let blocks = blocks.unwrap_or_else(|e| panic!("{what}: {e}"));
     let mut inline = Scan::over(Arc::clone(&blocks), env(), 0..blocks.runs().len());
     assert_eq!(scanned(drain(&mut inline)), want, "{what}: block scan");
-    let wide = ParallelConfig { threads: 4, morsel_rows: 16 };
-    let mut streamed = leaf_scan(Arc::clone(&blocks), &wide, env());
-    assert_eq!(scanned(drain(streamed.as_mut())), want, "{what}: streamed block scan");
+    let morsels = blocks.morsels(16).into_iter();
+    let walked = morsels.flat_map(|m| drain(&mut Scan::over(Arc::clone(&blocks), env(), m)));
+    assert_eq!(scanned(walked), want, "{what}: block scan morsel by morsel");
 
     let runs: Vec<Run> =
         cuts.windows(2).map(|w| Run { start: w[0], count: w[1] - w[0], keys: vec![] }).collect();

@@ -2,10 +2,12 @@
 //! query must return **identical** results under morsel-driven parallel
 //! execution and serial execution, for each of the three storage schemes.
 //! The morsel size is forced far below the defaults so that every table
-//! splits into many morsels and both merge paths (the streaming scan's
-//! ordered concat, the partial-aggregate fold) actually run. Everything
-//! above a leaf — joins and sorts included — runs as at width 1, and
-//! `no_join_fans_out` pins that no join books a morsel.
+//! splits into many morsels and both fan-outs (the sandwich aggregate's
+//! co-cluster concat, the hash aggregate's partial fold) actually run.
+//! Only an aggregate directly over a leaf fans out; every scan walks
+//! inline and everything above — joins and sorts included — runs as at
+//! width 1, and `no_join_fans_out` pins that no join, nor a scan below
+//! one, books a morsel.
 //!
 //! The worker count honours `BDCC_THREADS` (default 4) and the morsel
 //! size honours `BDCC_MORSEL_ROWS` (default 256) so CI can run the same
@@ -18,7 +20,7 @@ use bdcc_exec::ops::agg::HashAggregate;
 use bdcc_exec::ops::collect;
 use bdcc_exec::ops::scan::{Run, Scan, ScanBlueprint};
 use bdcc_exec::parallel::morsel::split_runs;
-use bdcc_exec::parallel::{leaf_scan, FragmentBlueprint, ParallelAggregate};
+use bdcc_exec::parallel::{CoClusterAggregate, FragmentBlueprint, ParallelAggregate};
 use bdcc_exec::{
     explain_analyze, AggFunc, AggSpec, Expr, Governor, MemoryTracker, OpEnv, OpMetrics,
     ParallelConfig, ProfileNode, QueryContext, SpillMode,
@@ -38,7 +40,7 @@ fn test_threads() -> usize {
 
 /// Morsel size under test: `BDCC_MORSEL_ROWS`, default 256 — small enough
 /// that even SF 0.002 tables split into dozens of morsels (CI also runs a
-/// tiny-morsel configuration to stress scan-morsel splitting).
+/// tiny-morsel configuration to stress morsel splitting).
 fn test_morsel_rows() -> usize {
     std::env::var("BDCC_MORSEL_ROWS").ok().and_then(|v| v.parse().ok()).unwrap_or(256)
 }
@@ -165,15 +167,24 @@ fn tiny_morsels_force_many_scan_morsels() {
     assert!(failures.is_empty(), "tiny-morsel disagreement: {}", failures.join(", "));
 }
 
+/// Visit every node of `node`'s tree with whether a `Join…` sits above it.
+fn walk_below_joins(node: &ProfileNode, below: bool, visit: &mut dyn FnMut(&ProfileNode, bool)) {
+    visit(node, below);
+    let below = below || node.label.starts_with("Join");
+    node.children.iter().for_each(|c| walk_below_joins(c, below, visit));
+}
+
 #[test]
 fn no_join_fans_out() {
-    // A join probes on the calling thread at every width: at 4 threads and
-    // 32-row morsels no `Join…` profile node books a morsel, while the
-    // scans and leaf aggregates below the joins still do — on every scheme,
-    // though not in every plan: a leaf of one MinMax block is one morsel
-    // and walks inline (Q13 on Plain reads only one-block tables at this
-    // scale). Q03, Q04, Q13, Q18 and Q21 hold inner, semi, left outer and
-    // anti joins; spill is off so every hash join probes in memory.
+    // A join probes on the calling thread at every width, over scans that
+    // walk inline: at 4 threads and 32-row morsels no `Join…` profile node
+    // and no `Scan(…)` below one books a morsel, on any scheme. What fans
+    // out is an aggregate directly over a leaf: Q18's over LINEITEM on
+    // Plain, and on BDCC Q13's and Q18's `Aggregate(sandwich)` over ORDERS
+    // and LINEITEM, a co-cluster at a time. (PK streams Q18's, and Q13's
+    // ORDERS is one MinMax block — one morsel — at this scale.) Q03, Q04,
+    // Q13, Q18 and Q21 hold inner, semi, left outer and anti joins; spill
+    // is off so every hash join probes in memory.
     let (sf, sdbs) = schemes();
     let cfg = ParallelConfig { threads: 4, morsel_rows: 32 };
     let picked = [3usize, 4, 13, 18, 21];
@@ -184,77 +195,96 @@ fn no_join_fans_out() {
         for q in all_queries().into_iter().filter(|q| picked.contains(&q.id)) {
             let ctx = QueryCtx::recording(qc(), sf);
             (q.run)(&ctx).expect("query runs");
-            let mut joins = 0;
+            let (mut joins, mut sandwich_morsels) = (0, 0);
             for plan in ctx.take_plans() {
                 let analyzed = explain_analyze(&qc(), &plan).expect("explain analyze");
-                analyzed.profile.root.walk(&mut |node: &ProfileNode| {
+                walk_below_joins(&analyzed.profile.root, false, &mut |node, below_join| {
                     morsels += node.morsels;
+                    let at = format!("{} on {}: {}", q.name, sdb.scheme.name(), node.label);
                     if node.label.starts_with("Join") {
                         joins += 1;
-                        let at = format!("{} on {}: {}", q.name, sdb.scheme.name(), node.label);
                         assert_eq!(node.morsels, 0, "{at} fanned out");
+                    }
+                    if below_join && node.label.starts_with("Scan(") {
+                        assert_eq!(node.morsels, 0, "{at} below a join fanned out");
+                    }
+                    if node.label == "Aggregate(sandwich)" {
+                        sandwich_morsels += node.morsels;
                     }
                 });
             }
             assert!(joins > 0, "{} on {} plans a join", q.name, sdb.scheme.name());
+            if sdb.scheme == Scheme::Bdcc && [13, 18].contains(&q.id) {
+                assert!(sandwich_morsels > 0, "{}'s sandwich aggregate fans out", q.name);
+            }
         }
-        assert!(morsels > 0, "no leaf fanned out on {}", sdb.scheme.name());
+        if sdb.scheme != Scheme::Pk {
+            assert!(morsels > 0, "no leaf aggregate fanned out on {}", sdb.scheme.name());
+        }
     }
 }
 
 #[test]
-fn streaming_scan_memory_stays_morsel_bounded() {
-    // Scan the largest generated table (LINEITEM) through the streaming
-    // Scan: the bounded reorder buffer must keep peak *tracked*
-    // memory at O(threads × morsel), not O(table) — the whole point of
-    // replacing the eager materialization.
+fn co_cluster_fan_out_memory_stays_co_cluster_bounded() {
+    // A sandwich aggregate over LINEITEM, co-clustered on l_orderkey / 64
+    // (one run a co-cluster) and grouped by l_orderkey, fanned out: each
+    // morsel's finished groups stay charged until the consumer moves on,
+    // so the tracked peak is O(threads × largest morsel output) — whole
+    // co-clusters up to the morsel size — not the whole output.
     let db = bdcc::tpch::generate(&GenConfig::new(0.005));
     let li = db.stored_by_name("lineitem").expect("lineitem stored");
-    // Rebuild with small blocks so the table splits into many morsels
-    // (morsels take whole MinMax blocks).
-    let named: Vec<(String, Column)> = li
-        .schema()
-        .columns
-        .iter()
-        .enumerate()
-        .map(|(i, m)| (m.name.clone(), li.column(i).unwrap().as_ref().clone()))
-        .collect();
-    let cols: Vec<String> = named.iter().map(|(n, _)| n.clone()).collect();
-    let small = Arc::new(
-        StoredTable::from_columns_with_block_rows("lineitem", named, 256).expect("rebuild"),
-    );
-    let blueprint = ScanBlueprint::blocks(Arc::clone(&small), &cols, vec![]).expect("blueprint");
+    let keys = li.column_by_name("l_orderkey").expect("l_orderkey");
+    let keys = keys.as_i64().expect("int keys");
+    let mut runs: Vec<Run> = Vec::new();
+    for (row, &k) in keys.iter().enumerate() {
+        match runs.last_mut() {
+            Some(run) if run.keys[0] == k / 64 => run.count += 1,
+            _ => runs.push(Run { start: row, count: 1, keys: vec![k / 64] }),
+        }
+    }
+    assert!(runs.windows(2).all(|w| w[0].keys < w[1].keys), "lineitem is in l_orderkey order");
+    let cols = ["l_orderkey", "l_quantity", "l_extendedprice"];
+    let names = ["__gk".to_string()];
+    let blueprint = ScanBlueprint::new(Arc::clone(li), &cols, vec![], &names, runs).unwrap();
+    let aggs = vec![
+        AggSpec::new(AggFunc::Sum, Expr::col("l_quantity"), "q"),
+        AggSpec::new(AggFunc::Sum, Expr::col("l_extendedprice"), "rev"),
+        AggSpec::new(AggFunc::Count, Expr::lit(1), "n"),
+    ];
     let whole = 0..blueprint.runs().len();
+    let inline = Box::new(Scan::over(Arc::clone(&blueprint), env(&MemoryTracker::new()), whole));
     let serial =
-        collect(Box::new(Scan::over(Arc::clone(&blueprint), env(&MemoryTracker::new()), whole)))
-            .unwrap();
-    let table_bytes = serial.estimated_bytes();
+        HashAggregate::new(inline, &["l_orderkey"], aggs.clone(), env(&MemoryTracker::new()));
+    let serial = collect(Box::new(serial.unwrap().with_runs(vec![3]))).unwrap();
+    let output_bytes = serial.estimated_bytes();
     // Clamp the worker count: the in-flight cap grows with threads
-    // (O(threads) morsels) while the table's morsel count is fixed, so an
+    // (O(threads) morsels) while the morsel count is fixed, so an
     // unclamped BDCC_THREADS (say 16) would make the "far below the whole
-    // table" half of the assertion meaningless, not wrong.
+    // output" half of the assertion meaningless, not wrong.
     let threads = test_threads().clamp(2, 4);
     let morsel_rows = 256;
-    let cfg = ParallelConfig { threads, morsel_rows };
+    let morsels = blueprint.morsels(morsel_rows);
+    assert!(morsels.len() >= 32, "need many morsels for the bound to mean anything");
+    // A morsel closes once it holds `morsel_rows`, so it holds fewer rows
+    // than that plus its last co-cluster; each row makes at most a group.
+    let largest_run = blueprint.runs().iter().map(|r| r.count).max().unwrap();
+    let per_group = output_bytes / serial.rows() as u64;
+    let largest_output = (morsel_rows + largest_run) as u64 * per_group;
     let tracker = MemoryTracker::new();
-    let streamed = collect(leaf_scan(blueprint, &cfg, env(&tracker))).unwrap();
-    assert_eq!(serial, streamed, "streaming scan must replay the serial stream");
-    let morsels = small.rows().div_ceil(morsel_rows);
-    assert!(morsels >= 32, "need many morsels for the bound to mean anything, got {morsels}");
-    assert!(tracker.peak() > 0, "streaming scan must register in-flight morsels");
-    // In-flight cap is O(threads) morsels; allow generous slack (guards
-    // release as the consumer drains, estimates are approximate) while
-    // still ruling out whole-table materialization.
-    let per_morsel = table_bytes / morsels as u64;
-    let bound = (4 * threads as u64 + 4) * per_morsel;
+    let fragment = FragmentBlueprint { scan: Arc::clone(&blueprint), steps: vec![] };
+    let agg =
+        CoClusterAggregate::new(fragment, morsels, &["l_orderkey"], aggs, threads, env(&tracker));
+    let fanned = collect(Box::new(agg.unwrap())).unwrap();
+    assert_eq!(serial, fanned, "the fan-out must be the serial sandwich aggregate");
+    assert!(tracker.peak() > 0, "finished morsels must be charged while in flight");
+    // Two morsels a thread in flight, and the one handed out last.
+    let bound = (2 * threads as u64 + 1) * largest_output;
     assert!(
-        tracker.peak() <= bound && tracker.peak() * 4 <= table_bytes,
-        "peak {} exceeds morsel bound {} (table {}, {} morsels)",
+        tracker.peak() <= bound && tracker.peak() * 4 <= output_bytes,
+        "peak {} exceeds the co-cluster bound {bound} (output {output_bytes})",
         tracker.peak(),
-        bound,
-        table_bytes,
-        morsels
     );
+    assert_eq!(tracker.current(), 0);
 }
 
 #[test]
@@ -265,8 +295,8 @@ fn budgeted_hash_aggregation_fits_half_the_partial_merge_peak() {
     // the workload where every morsel's partial re-materializes most
     // groups it touches and the partial fold holds ~O(rows) states. What
     // a caller can rely on there: set a budget of half that peak, and the
-    // aggregate the planner builds under it — one hash table over the same
-    // streaming scan, spilling as needed — finishes byte-identical to
+    // aggregate the planner builds under it — one hash table over the scan
+    // walked inline, spilling as needed — finishes byte-identical to
     // serial with its tracked peak inside the budget; so it does under a
     // budget of half its own unbudgeted peak, where it must spill.
     let db = bdcc::tpch::generate(&GenConfig::new(0.005));
@@ -306,16 +336,17 @@ fn budgeted_hash_aggregation_fits_half_the_partial_merge_peak() {
         let out = collect(Box::new(agg.unwrap())).unwrap();
         (out, tracker.peak())
     };
-    // The hash aggregate over the scan streaming at `cfg`'s width, under
-    // `budget`: its output, tracked peak and spilled bytes.
-    let run_hash = |group: &str, cfg: &ParallelConfig, budget: Option<u64>| {
+    // The hash aggregate over the inline scan, under `budget`: its output,
+    // tracked peak and spilled bytes.
+    let run_hash = |group: &str, budget: Option<u64>| {
         let tracker = MemoryTracker::new();
         let mut governor = Governor::none();
         governor.set_spill(SpillMode::Auto);
         if let Some(b) = budget {
             governor.set_budget(b, &tracker);
         }
-        let scan = leaf_scan(blueprint(), cfg, env(&tracker));
+        let runs = 0..small.block_count();
+        let scan = Box::new(Scan::over(blueprint(), env(&tracker), runs));
         let metrics = OpMetrics::new();
         let agg_env = OpEnv { metrics: Some(Arc::clone(&metrics)), governor, ..env(&tracker) };
         let out =
@@ -332,8 +363,8 @@ fn budgeted_hash_aggregation_fits_half_the_partial_merge_peak() {
         ))
         .unwrap();
         assert!(serial.rows() > 500, "need a fine-grained group-by, got {}", serial.rows());
-        let fits = |cfg: &ParallelConfig, budget: u64, case: String| {
-            let (out, peak, spilled) = run_hash(group, cfg, Some(budget));
+        let fits = |budget: u64, case: String| {
+            let (out, peak, spilled) = run_hash(group, Some(budget));
             assert_eq!(serial, out, "{case}: must be byte-identical to serial");
             assert!(peak <= budget, "{case}: peak {peak} over {budget} ({} groups)", serial.rows());
             spilled
@@ -345,13 +376,12 @@ fn budgeted_hash_aggregation_fits_half_the_partial_merge_peak() {
                 rows_equivalent(&canonical_rows(&serial), &canonical_rows(&partial_out)),
                 "partial-merge must agree with serial ({group}, {threads} threads)"
             );
-            fits(&cfg, partial_peak / 2, format!("{group}, {threads} threads, partial peak / 2"));
+            fits(partial_peak / 2, format!("{group}, {threads} threads, partial peak / 2"));
         }
-        // Serially the scan buffers nothing, so half the aggregate's own
-        // peak is half its table: it must spill.
-        let serial_cfg = ParallelConfig { threads: 1, morsel_rows: 256 };
-        let (_, own_peak, _) = run_hash(group, &serial_cfg, None);
-        let spilled = fits(&serial_cfg, own_peak / 2, format!("{group}, own peak / 2"));
+        // The scan buffers nothing, so half the aggregate's own peak is
+        // half its table: it must spill.
+        let (_, own_peak, _) = run_hash(group, None);
+        let spilled = fits(own_peak / 2, format!("{group}, own peak / 2"));
         assert!(spilled > 0, "{group}: half its own peak must spill");
     }
 }

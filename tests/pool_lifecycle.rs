@@ -2,12 +2,12 @@
 //! plans (unit-level contracts — panic/error propagation, cancel-on-drop,
 //! in-flight bounds — live next to the pool in `bdcc-pool`):
 //!
-//! * **Concurrent fan-outs terminate**: a join keeps streaming scans live
-//!   on the same pool — on both sides of a sandwich join or a semi / anti
-//!   race — and a partial-aggregate fan-out may block while their
-//!   producers hold the workers. At 4 workers and tiny morsels the
-//!   join-heavy queries here prove these shapes complete and stay
-//!   byte-equivalent to serial execution.
+//! * **Fan-outs under joins terminate**: a leaf aggregate's fan-out may
+//!   run inside a join's build or probe input — Q18's sandwich aggregate
+//!   over LINEITEM under its joins on BDCC, its partial-merge one on
+//!   Plain. At 4 workers and tiny morsels the join-heavy queries here
+//!   prove these shapes complete and stay byte-equivalent to serial
+//!   execution.
 //! * **No OS thread after warm-up**: across a multi-query, multi-scheme,
 //!   multi-config run, the pool's monotone spawn counter must not move
 //!   once the widest fan-out has been seen — the persistent-pool
@@ -46,9 +46,10 @@ fn warm_to_widest_fan_out() {
 #[test]
 fn nested_fan_outs_inside_streaming_scans_complete_and_match_serial() {
     let (sf, sdbs) = schemes();
-    // Join-heavy queries: streaming scans feed hash joins (inner, semi,
-    // anti, outer) and — on the BDCC scheme — sandwich joins that stream
-    // both sides at once. 48-row morsels make every scan many-morsel.
+    // Join-heavy queries: hash joins (inner, semi, anti, outer) and — on
+    // the BDCC scheme — sandwich joins over inline scans, with leaf
+    // aggregates fanning out below them. 48-row morsels make every
+    // fanned-out leaf many-morsel.
     let heavy = [3usize, 10, 18, 21];
     let mut failures = Vec::new();
     for q in all_queries().into_iter().filter(|q| heavy.contains(&q.id)) {
@@ -86,8 +87,8 @@ fn no_os_thread_is_created_after_warmup_across_queries() {
     assert_eq!(warm, WIDEST, "the pool grows to the widest fan-out and no further");
 
     // Multi-query run: several queries × all schemes × several configs,
-    // none wider than the warm-up. Every fan-out — streaming scans and
-    // partial-merge aggregations — must reuse the parked workers.
+    // none wider than the warm-up. Every fan-out — partial-merge and
+    // co-cluster aggregations — must reuse the parked workers.
     let mix = [1usize, 3, 6, 10, 18];
     for (i, q) in all_queries().into_iter().filter(|q| mix.contains(&q.id)).enumerate() {
         for sdb in &sdbs {
@@ -110,18 +111,24 @@ fn no_os_thread_is_created_after_warmup_across_queries() {
 
 #[test]
 fn cancel_and_drop_mid_stream_release_all_memory_without_new_threads() {
-    use bdcc_exec::{join, plan_query, CancelToken, ExecError, PlanBuilder};
+    use bdcc_exec::{
+        aggregate, join, plan_query, AggFunc, AggSpec, CancelToken, ExecError, Expr, PlanBuilder,
+    };
 
     let sf = 0.004;
     let db = bdcc::tpch::generate(&GenConfig::new(sf));
-    let sdb = Arc::new(plain_scheme(&db));
+    let sdb = Arc::new(bdcc_scheme(&db, &DesignConfig::default()).expect("bdcc scheme"));
 
-    // A join over a streaming parallel scan: dropping or cancelling the
-    // root mid-pull leaves morsel producers in flight on the shared pool.
+    // A join probing with a sandwich aggregate that fans out by co-cluster
+    // (LINEITEM grouped by l_orderkey, as in Q18): dropping or cancelling
+    // the root mid-pull leaves morsel producers in flight on the shared
+    // pool.
     let nested_plan = || {
         let pb = PlanBuilder::new();
+        let revenue = AggSpec::new(AggFunc::Sum, Expr::col("l_extendedprice"), "rev");
+        let lineitem = pb.scan("lineitem", &["l_orderkey", "l_extendedprice"], Vec::new());
         join(
-            pb.scan("lineitem", &["l_orderkey", "l_extendedprice"], Vec::new()),
+            aggregate(lineitem, &["l_orderkey"], vec![revenue]),
             pb.scan("orders", &["o_orderkey", "o_custkey"], Vec::new()),
             &[("l_orderkey", "o_orderkey")],
             None,

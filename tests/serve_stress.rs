@@ -92,17 +92,18 @@ fn cancel_mid_run_releases_memory_and_spawns_no_threads() {
     // Warm-up through the server so the pool is at width before the
     // spawn-counter baseline is taken: 4, this binary's widest fan-out
     // (`parallel_cfg`), which another test may have reached first.
-    let warm = query(3).run;
+    let warm = query(18).run;
     server.submit(move |qc| warm(&QueryCtx::new(qc.clone(), sf))).unwrap().wait().unwrap();
     WorkerPool::shared().ensure_workers(4);
     let spawned_before = WorkerPool::shared().stats().threads_spawned_total;
     assert_eq!(spawned_before, 4, "the pool grows to the widest fan-out and no further");
 
-    // The job reruns a join-heavy query until a governance checkpoint
-    // trips — guaranteed to be *mid-execution* when cancel() lands.
+    // The job reruns a join-heavy query whose sandwich aggregate over
+    // LINEITEM fans out until a governance checkpoint trips — guaranteed
+    // to be *mid-execution* when cancel() lands.
     let started = Arc::new(std::sync::atomic::AtomicBool::new(false));
     let s2 = Arc::clone(&started);
-    let run = query(3).run;
+    let run = query(18).run;
     let handle = server
         .submit(move |qc| {
             let ctx = QueryCtx::new(qc.clone(), sf);
